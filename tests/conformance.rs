@@ -68,10 +68,6 @@ struct RunResult {
 }
 
 impl Scenario {
-    /// Two machines, one cross-machine joined sharing with a real ship-side
-    /// filter (so the filtered frame encoder is on the hot path), seeded
-    /// chaos when requested. Inserts *and* deletes feed both bases so
-    /// negative weights cross the wire.
     fn run(self) -> RunResult {
         let mut config = SmileConfig::with_machines(2);
         config.columnar = self.columnar;
@@ -86,75 +82,83 @@ impl Scenario {
             // migrate between the machines it already has.
             config.adaptive.budget_dollars_per_hour = 0.0;
         }
-        let mut smile = Smile::new(config);
-        let a = smile
-            .register_base(
-                "a",
-                schema(&[("k", ColumnType::I64)], vec![0]),
-                MachineId::new(0),
-                BaseStats {
-                    update_rate: 5.0,
-                    cardinality: 100.0,
-                    tuple_bytes: 16.0,
-                    distinct: vec![100.0],
-                },
-            )
-            .unwrap();
-        let b = smile
-            .register_base(
-                "b",
-                schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-                MachineId::new(1),
-                BaseStats {
-                    update_rate: 5.0,
-                    cardinality: 100.0,
-                    tuple_bytes: 16.0,
-                    distinct: vec![100.0, 50.0],
-                },
-            )
-            .unwrap();
-        let q = SpjQuery::scan(a).join(
-            b,
-            JoinOn::on(0, 0),
-            Predicate::Cmp {
-                col: 0,
-                op: CmpOp::Lt,
-                value: Value::I64(18),
-            },
-        );
-        let id: SharingId = smile.submit("conf", q, self.sla, 0.01).unwrap();
-        smile.install().unwrap();
-        feed(&mut smile, a, b, 200);
-        smile.run_idle(SimDuration::from_secs(60)).unwrap();
+        run_scenario(config, self.sla)
+    }
+}
 
-        let trace = smile.export_trace();
-        let metrics = smile
-            .telemetry_snapshot()
-            .to_text()
-            .lines()
-            .filter(|l| !l.contains("host_"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let alerts = format!("{:?}", smile.alerts());
-        let actions = format!("{:?}", smile.actions());
-        let explain = smile.explain(id).unwrap();
-        let executor = smile.executor.as_ref().unwrap();
-        RunResult {
-            mv: format!("{:?}", smile.mv_contents(id).unwrap().sorted_entries()),
-            expected: format!(
-                "{:?}",
-                smile.expected_mv_contents(id).unwrap().sorted_entries()
-            ),
-            report: smile.fault_report(),
-            pushes: executor.push_records.clone(),
-            tuples_moved: executor.tuples_moved,
-            dollars: format!("{:.9}", smile.total_dollars()),
-            trace,
-            metrics,
-            alerts,
-            actions,
-            explain,
-        }
+/// Runs the conformance workload on a platform built from `config`: two
+/// machines, one cross-machine joined sharing with a real ship-side filter
+/// (so the filtered frame encoder is on the hot path). Inserts *and*
+/// deletes feed both bases so negative weights cross the wire.
+fn run_scenario(config: SmileConfig, sla: SimDuration) -> RunResult {
+    let mut smile = Smile::new(config);
+    let a = smile
+        .register_base(
+            "a",
+            schema(&[("k", ColumnType::I64)], vec![0]),
+            MachineId::new(0),
+            BaseStats {
+                update_rate: 5.0,
+                cardinality: 100.0,
+                tuple_bytes: 16.0,
+                distinct: vec![100.0],
+            },
+        )
+        .unwrap();
+    let b = smile
+        .register_base(
+            "b",
+            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
+            MachineId::new(1),
+            BaseStats {
+                update_rate: 5.0,
+                cardinality: 100.0,
+                tuple_bytes: 16.0,
+                distinct: vec![100.0, 50.0],
+            },
+        )
+        .unwrap();
+    let q = SpjQuery::scan(a).join(
+        b,
+        JoinOn::on(0, 0),
+        Predicate::Cmp {
+            col: 0,
+            op: CmpOp::Lt,
+            value: Value::I64(18),
+        },
+    );
+    let id: SharingId = smile.submit("conf", q, sla, 0.01).unwrap();
+    smile.install().unwrap();
+    feed(&mut smile, a, b, 200);
+    smile.run_idle(SimDuration::from_secs(60)).unwrap();
+
+    let trace = smile.export_trace();
+    let metrics = smile
+        .telemetry_snapshot()
+        .to_text()
+        .lines()
+        .filter(|l| !l.contains("host_"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let alerts = format!("{:?}", smile.alerts());
+    let actions = format!("{:?}", smile.actions());
+    let explain = smile.explain(id).unwrap();
+    let executor = smile.executor.as_ref().unwrap();
+    RunResult {
+        mv: format!("{:?}", smile.mv_contents(id).unwrap().sorted_entries()),
+        expected: format!(
+            "{:?}",
+            smile.expected_mv_contents(id).unwrap().sorted_entries()
+        ),
+        report: smile.fault_report(),
+        pushes: executor.push_records.clone(),
+        tuples_moved: executor.tuples_moved,
+        dollars: format!("{:.9}", smile.total_dollars()),
+        trace,
+        metrics,
+        alerts,
+        actions,
+        explain,
     }
 }
 
@@ -375,5 +379,60 @@ fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
     assert_eq!(
         base.expected, static_run.expected,
         "adaptive run changed the sharing's ground truth"
+    );
+}
+
+/// FNV-1a over the run's observable surface, each part terminated by a
+/// unit separator so adjacent parts cannot trade bytes.
+fn digest(r: &RunResult) -> u64 {
+    let parts = [
+        r.mv.clone(),
+        r.expected.clone(),
+        format!("{:?}", r.report),
+        format!("{:?}", r.pushes),
+        r.dollars.clone(),
+        r.trace.clone(),
+        r.metrics.clone(),
+        r.alerts.clone(),
+        r.actions.clone(),
+    ];
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in parts.iter().flat_map(|p| p.bytes().chain([0x1f])) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Before/after proof for engine rewrites: the default-configuration
+/// scenario's observables (sorted MV entries, ground truth, fault report,
+/// PUSH records, dollars, exported trace, `host_`-filtered metrics, alert
+/// and action streams) hashed to one pinned value per cell. A change that
+/// moves any digest changed behaviour, not just code.
+#[test]
+fn default_engine_observables_match_pinned_digests() {
+    let pinned: [(usize, bool, u64); 4] = [
+        (1, false, 0xad03_ec7c_d387_396e),
+        (1, true, 0x17fe_1651_b903_b946),
+        (4, false, 0xad03_ec7c_d387_396e),
+        (4, true, 0x17fe_1651_b903_b946),
+    ];
+    let got = pinned.map(|(workers, chaos, _)| {
+        let mut config = SmileConfig::with_machines(2);
+        config.exec.workers = workers;
+        if chaos {
+            config.faults = FaultProfile::chaos(4242);
+        }
+        let r = run_scenario(config, SimDuration::from_secs(20));
+        assert_eq!(
+            r.mv, r.expected,
+            "MV != ground truth: workers={workers} chaos={chaos}"
+        );
+        (workers, chaos, digest(&r))
+    });
+    assert_eq!(
+        got.map(|(w, c, d)| format!("workers={w} chaos={c} {d:#018x}")),
+        pinned.map(|(w, c, d)| format!("workers={w} chaos={c} {d:#018x}")),
+        "observable digest moved"
     );
 }

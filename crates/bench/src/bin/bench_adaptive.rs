@@ -126,7 +126,6 @@ fn build(workers: usize, adaptive: bool, n: usize) -> (Smile, RelationId, Relati
     let mut config = SmileConfig::with_machines(2);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = true;
     config.exec.workers = workers;
     config.machine_config.net_bandwidth = NET_BANDWIDTH;
     if adaptive {

@@ -126,7 +126,6 @@ fn build_platform(n: usize, observability: bool) -> (Smile, Vec<RelationId>) {
     let mut config = SmileConfig::with_machines(MACHINES);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = true;
     config.telemetry.enabled = observability;
     let mut smile = Smile::new(config);
     let mut rels = Vec::new();
@@ -281,7 +280,6 @@ fn run_regime_shift(healthy_secs: u64, max_secs: u64) -> ShiftOut {
     let mut config = SmileConfig::with_machines(2);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = true;
     config.machine_config.net_bandwidth = SHIFT_NET_BANDWIDTH;
     let mut smile = Smile::new(config);
     let a = smile

@@ -1,8 +1,8 @@
 //! Event-driven push calendar: O(due + invalidated) tick scheduling.
 //!
-//! The scan scheduler reconsiders every sharing on every tick and recomputes
-//! its critical path from the full plan graph — O(N·plan-size) even when
-//! nothing is due. This module replaces the scan with three pieces:
+//! Reconsidering every sharing on every tick, recomputing its critical
+//! path from the full plan graph, is O(N·plan-size) even when nothing is
+//! due. This module avoids that with three pieces:
 //!
 //! 1. **[`PushCalendar`]** — a hierarchical timer wheel over scheduler
 //!    ticks. Each idle sharing carries a *conservative lower bound* on the
@@ -22,8 +22,8 @@
 //!    parameters, so one evaluation is O(subgraph) with no full-plan
 //!    topo sort. It calls the *same* `TimeCostModel::edge_estimate` the
 //!    full sweep calls, so its result is byte-identical to
-//!    `critical_path(plan, Scope::Sharing(id), x, model)` — the calendar
-//!    and scan schedulers must plan byte-identical batches. Alongside the
+//!    `critical_path(plan, Scope::Sharing(id), x, model)`, the walk
+//!    admission uses. Alongside the
 //!    exact evaluator it derives affine coefficients `(C, S)` with
 //!    `CP(x) ≤ inflation · (C + S·x)`, used only for wake projection.
 //!
@@ -200,8 +200,7 @@ pub(crate) struct CalendarState {
 
 impl CalendarState {
     /// A fresh calendar with every slot due at the next planning pass —
-    /// the first tick evaluates everything, exactly like the scan
-    /// scheduler's first tick.
+    /// the first tick evaluates everything.
     pub fn new(n: usize, tick: SimDuration, inflation_bound: f64) -> Self {
         Self {
             wheel: PushCalendar::new(),
@@ -329,8 +328,7 @@ impl CalendarState {
 
     /// Drains everything due at `now`: wheel pops up to the current tick
     /// plus the due-now buffer, stale generations dropped, deduplicated
-    /// and sorted ascending — the same slot order the scan scheduler
-    /// visits.
+    /// and sorted ascending — slot order is the planning order.
     pub fn take_woken(&mut self, now: Timestamp) -> Vec<usize> {
         let mut popped: Vec<WheelEntry> = Vec::new();
         self.wheel.advance(self.tick_of(now), &mut popped);

@@ -257,11 +257,9 @@ impl Executor {
             let rt = &self.sharings[idx];
             self.caches[idx] =
                 SharingCache::build(&self.global.plan, rt.id, &rt.order, &rt.srcs, &self.model);
-            if let Some(cal) = &mut self.cal {
-                // The slot's projected wake was derived from the old
-                // placement's critical path; re-evaluate it next tick.
-                cal.wake_now(idx);
-            }
+            // The slot's projected wake was derived from the old
+            // placement's critical path; re-evaluate it next tick.
+            self.cal.wake_now(idx);
             let dropped = self.droppable_slots();
             self.record_migration_span(&mig, now, "completed");
             self.migration_outcomes.push(MigrationOutcome {

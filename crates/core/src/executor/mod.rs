@@ -18,23 +18,25 @@
 //! 5. feeds realized push durations back into its time-cost model so the
 //!    critical-path projections track machine load (Figure 14).
 //!
-//! Scheduling itself is event-driven by default: a push calendar (timer
-//! wheel + cached critical paths, see [`calendar`]) makes the per-tick host
-//! cost O(due + invalidated) instead of O(sharings · plan-size). The scan
-//! scheduler stays reachable behind `calendar_scheduling = false` as the
-//! differential baseline; both plan byte-identical batches.
+//! Scheduling itself is event-driven: a push calendar (timer wheel + cached
+//! critical paths, see [`calendar`]) makes the per-tick host cost
+//! O(due + invalidated) instead of O(sharings · plan-size). A slot the
+//! calendar leaves asleep must be one the guard chain would not fire; the
+//! crate's unit-test build asserts exactly that every tick
+//! (`Executor::assert_sleepers_idle`).
 
 mod calendar;
 pub mod messages;
 mod migrate;
 pub mod push;
 pub mod seed;
+#[cfg(test)]
+mod wake_tests;
 mod wave;
 
 pub use migrate::MigrationOutcome;
 
 use crate::multi::GlobalPlan;
-use crate::plan::cost::{critical_path, Scope};
 use crate::plan::dag::{EdgeOp, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
@@ -98,20 +100,6 @@ pub struct ExecConfig {
     /// byte-identical at any value. Defaults to the host's available
     /// parallelism, overridable with the `SMILE_WORKERS` env var.
     pub workers: usize,
-    /// Whether pushes use the columnar storage hot path (default): windows
-    /// are read as borrowed log slices, cross-machine frames ship and land
-    /// zero-copy, and join keys are probed in one batched pass. `false`
-    /// runs the legacy per-tuple row path — kept as the ablation and
-    /// differential-conformance baseline; results are byte-identical either
-    /// way (the wire format does not change).
-    pub columnar: bool,
-    /// Event-driven push-calendar scheduling (default): a timer wheel
-    /// tracks each sharing's projected fire tick and a tick evaluates only
-    /// due slots, with cached per-sharing critical paths. `false` scans
-    /// every sharing each tick recomputing critical paths from the full
-    /// plan — the pre-calendar baseline kept for differential conformance;
-    /// both modes plan byte-identical batches.
-    pub calendar_scheduling: bool,
 }
 
 impl Default for ExecConfig {
@@ -127,8 +115,6 @@ impl Default for ExecConfig {
             command_latency: SimDuration::from_millis(5),
             retry: RetryPolicy::default(),
             workers: default_workers(),
-            columnar: true,
-            calendar_scheduling: true,
         }
     }
 }
@@ -207,7 +193,7 @@ pub struct ExecFaultStats {
 
 /// A push attempt scheduled for re-execution after a transient fault.
 /// Field order doubles as the min-heap key: `(due, idx)` first, so draining
-/// in heap order matches the old sorted-scan order.
+/// in heap order is draining in `(due, idx)` order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct PendingRetry {
     /// When the retry fires.
@@ -318,10 +304,10 @@ enum ExecEvent {
     },
 }
 
-/// Outcome of evaluating one sharing for a push at the current tick. The
-/// scan scheduler only acts on `Fire`/`Deferred`; the calendar scheduler
-/// maps every other variant to the event that will next make the outcome
-/// change, so it can sleep until then.
+/// Outcome of evaluating one sharing for a push at the current tick. Only
+/// `Fire`/`Deferred` have effects; the calendar maps every other variant
+/// to the event that will next make the outcome change, so the slot can
+/// sleep until then.
 enum Consider {
     /// Push now, to `target`.
     Fire { target: Timestamp },
@@ -336,7 +322,7 @@ enum Consider {
     /// as `now` advances, so re-evaluate next tick.
     SkewClamped,
     /// A machine the push needs is down; re-evaluate (and re-count) next
-    /// tick, exactly like the scan scheduler does.
+    /// tick.
     Deferred,
 }
 
@@ -419,11 +405,11 @@ pub struct Executor {
     /// Base Relation vertices that heartbeat each round, in plan order
     /// (the publish order the per-vertex scan produced).
     base_beats: Vec<(MachineId, VertexId)>,
-    /// Push-calendar scheduler state; `None` runs the scan baseline.
-    cal: Option<CalendarState>,
+    /// Push-calendar scheduler state.
+    cal: CalendarState,
     /// Host wall-clock per tick spent in the scheduling phase (drain +
     /// heartbeats + planning), µs. `host_` marks it excluded from
-    /// cross-mode conformance.
+    /// determinism comparisons.
     hist_sched_us: Arc<Histogram>,
     /// The same per-tick scheduling latencies as a raw log, for benches
     /// that window percentiles past warmup (host-side only).
@@ -553,9 +539,11 @@ impl Executor {
             .map(|rt| SharingCache::build(&global.plan, rt.id, &rt.order, &rt.srcs, &model))
             .collect();
         let base_beats = global.base_relation_vertices();
-        let cal = config
-            .calendar_scheduling
-            .then(|| CalendarState::new(rts.len(), config.tick, model.inflation() * INFLATION_HEADROOM));
+        let cal = CalendarState::new(
+            rts.len(),
+            config.tick,
+            model.inflation() * INFLATION_HEADROOM,
+        );
         let n = global.plan.vertex_count();
         let mut bus = PubSub::new(config.command_latency);
         let exec_sub = bus.subscribe(TOPIC_TO_EXECUTOR);
@@ -695,9 +683,7 @@ impl Executor {
         self.by_id.insert(rt.id, self.sharings.len());
         self.sharings.push(rt);
         self.base_beats = self.global.base_relation_vertices();
-        if let Some(cal) = &mut self.cal {
-            cal.add_slot();
-        }
+        self.cal.add_slot();
         self.anchor_of = self.global.plan.half_join_anchors();
         Ok((before..after).map(|i| VertexId::new(i as u32)).collect())
     }
@@ -714,7 +700,7 @@ impl Executor {
 
     /// **On-the-fly removal** (paper §10 future work): retires a sharing.
     /// Its runtime slot becomes a tombstone (indexes in queued events must
-    /// stay stable), `SHR` sets are recomputed, and the storage slots of
+    /// stay stable), its id leaves every `SHR` set, and the storage slots of
     /// vertices that no longer serve anyone are returned for the platform
     /// to drop. The inert plan vertices themselves remain until the next
     /// full install — they cost nothing at run time.
@@ -723,21 +709,14 @@ impl Executor {
         let idx = self.by_id.remove(&id).ok_or(SmileError::UnknownSharing(id))?;
         self.sharings[idx].retired = true;
         self.rollup.retire(idx);
-        if let Some(cal) = &mut self.cal {
-            cal.retire(idx);
-        }
+        self.cal.retire(idx);
         // Retiring mid-migration abandons the handoff: the next settle
         // pass tears the shadow chain down with the rest of the sharing's
         // now-unserved slots.
         if let Some(mig) = self.migrations.get_mut(&idx) {
             mig.failed = true;
         }
-        if self.global.indexed_shr {
-            self.global.strip_sharing(id);
-        } else {
-            self.global.sharings.retain(|m| m.id != id);
-            self.global.recompute_shr()?;
-        }
+        self.global.strip_sharing(id);
         // Every slot (Relation+Delta pairs share one; half-join deltas have
         // their own) that no longer serves any sharing — the same reconcile
         // migration settlement runs.
@@ -820,10 +799,10 @@ impl Executor {
         // Execution cost is proportional to planned work either way.
         let sched_start = std::time::Instant::now();
         self.drain_events(now);
-        // Evaluate the burn-rate monitor right after completions land, in
-        // the path shared by the calendar and scan schedulers — the alert
-        // stream is identical across modes and worker counts by
-        // construction. Gated on telemetry so quiet mode stays silent.
+        // Evaluate the burn-rate monitor right after completions land,
+        // coordinator-side — the alert stream is identical across worker
+        // counts by construction. Gated on telemetry so quiet mode stays
+        // silent.
         if self.telemetry.enabled() {
             let fired = self.monitor.on_tick(us(now));
             for a in &fired {
@@ -843,11 +822,10 @@ impl Executor {
         let sched_us = sched_start.elapsed().as_micros() as u64;
         self.hist_sched_us.record(sched_us);
         self.sched_host_us.push(sched_us);
-        if let Some(cal) = &self.cal {
-            self.gauge_cal_scheduled.set(cal.scheduled_count() as f64);
-            self.gauge_cal_waiting.set(cal.waiting_count() as f64);
-            self.gauge_cal_wheel.set(cal.wheel_len() as f64);
-        }
+        self.gauge_cal_scheduled
+            .set(self.cal.scheduled_count() as f64);
+        self.gauge_cal_waiting.set(self.cal.waiting_count() as f64);
+        self.gauge_cal_wheel.set(self.cal.wheel_len() as f64);
         self.execute_batch(cluster, now, &requests, &jobs)?;
         if now - self.last_compaction >= self.config.compaction_period {
             self.compact(cluster, now)?;
@@ -904,12 +882,10 @@ impl Executor {
                     tuples,
                 } => {
                     self.sharings[idx].in_flight = false;
-                    // The scan scheduler would see `in_flight = false` on
-                    // this very tick (events drain before planning), so the
-                    // calendar must re-evaluate the slot now too.
-                    if let Some(cal) = &mut self.cal {
-                        cal.wake_now(idx);
-                    }
+                    // The guard chain sees `in_flight = false` on this very
+                    // tick (events drain before planning), so the calendar
+                    // must re-evaluate the slot now.
+                    self.cal.wake_now(idx);
                     let actual = at - issued;
                     if self.config.feedback {
                         self.model.observe(predicted, actual);
@@ -1014,12 +990,10 @@ impl Executor {
                 };
                 // A source advancing is exactly what unblocks a sharing
                 // parked on NoHeartbeat/NoWindow. Waking here, before
-                // `plan_batch` runs, means the calendar fires on the same
-                // tick the scan scheduler would first see the new minimum.
+                // `plan_batch` runs, means the slot is evaluated on the
+                // first tick the guard chain can see the new minimum.
                 if advanced {
-                    if let Some(cal) = &mut self.cal {
-                        cal.heartbeat_advanced(vertex);
-                    }
+                    self.cal.heartbeat_advanced(vertex);
                 }
             }
         }
@@ -1057,11 +1031,10 @@ impl Executor {
     /// its predecessors: a shared vertex an earlier request already covers
     /// is not re-planned, only depended upon.
     ///
-    /// Candidates come from the push calendar (only slots whose projected
-    /// fire tick arrived or that an event re-enqueued — O(due)) or, with
-    /// `calendar_scheduling = false`, from the full scan. Both paths run
-    /// the same guard chain ([`Executor::consider`]) in ascending slot
-    /// order, so they plan byte-identical batches.
+    /// Candidates come from the push calendar: only slots whose projected
+    /// fire tick arrived or that an event re-enqueued — O(due) — each put
+    /// through the guard chain ([`Executor::consider`]) in ascending slot
+    /// order.
     fn plan_batch(
         &mut self,
         cluster: &mut Cluster,
@@ -1087,27 +1060,15 @@ impl Executor {
             )?;
         }
 
-        if self.cal.is_some() {
-            self.plan_calendar(
-                cluster,
-                now,
-                &busy,
-                &mut plan_ts,
-                &mut last_job_on,
-                &mut requests,
-                &mut jobs,
-            )?;
-        } else {
-            self.plan_scan(
-                cluster,
-                now,
-                &busy,
-                &mut plan_ts,
-                &mut last_job_on,
-                &mut requests,
-                &mut jobs,
-            )?;
-        }
+        self.plan_calendar(
+            cluster,
+            now,
+            &busy,
+            &mut plan_ts,
+            &mut last_job_on,
+            &mut requests,
+            &mut jobs,
+        )?;
 
         // Wave assignment: a job's wave is at least its vertex's wavefront
         // within the batch's vertex subset, and strictly after every
@@ -1129,44 +1090,12 @@ impl Executor {
         Ok((requests, jobs))
     }
 
-    /// The pre-calendar baseline scheduler: evaluate every live sharing,
-    /// every tick, in slot order. Kept reachable for differential
-    /// conformance and as the bench's scan arm.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_scan(
-        &mut self,
-        cluster: &mut Cluster,
-        now: Timestamp,
-        busy: &HashSet<usize>,
-        plan_ts: &mut PlanTs,
-        last_job_on: &mut HashMap<VertexId, usize>,
-        requests: &mut Vec<BatchRequest>,
-        jobs: &mut Vec<BatchJob>,
-    ) -> Result<()> {
-        for idx in 0..self.sharings.len() {
-            {
-                let rt = &self.sharings[idx];
-                if rt.in_flight || rt.retired || busy.contains(&idx) {
-                    continue;
-                }
-            }
-            match self.consider(idx, cluster, now, plan_ts) {
-                Consider::Fire { target } => {
-                    self.push_request(idx, target, 1, now, plan_ts, last_job_on, requests, jobs)?;
-                }
-                Consider::Deferred => self.fault_stats.pushes_deferred += 1,
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
     /// The event-driven scheduler: evaluate only the slots the calendar
-    /// woke this tick. Every wake is conservative — never later than the
-    /// tick the scan scheduler would fire on — and an early wake is
-    /// side-effect-free (the guard chain says `Lazy` and the slot goes
-    /// back to sleep), so evaluating the woken set in ascending slot order
-    /// plans exactly the batch the scan would have.
+    /// woke this tick, in ascending slot order. Every wake is conservative
+    /// — never later than the first tick the guard chain would say `Fire`
+    /// or `Deferred` — and an early wake is side-effect-free (the guard
+    /// chain says `Lazy` and the slot goes back to sleep), so the batch is
+    /// the one a visit to every live slot would plan.
     #[allow(clippy::too_many_arguments)]
     fn plan_calendar(
         &mut self,
@@ -1184,64 +1113,92 @@ impl Executor {
         // bound ratchets ×1.25 inside the model's [1, 50] clamp, so this
         // fires O(log_1.25 50) times over a run, not per tick.
         let inflation = self.model.inflation();
-        {
-            let cal = self.cal.as_mut().expect("plan_calendar without calendar");
-            if inflation > cal.inflation_bound {
-                cal.raise_inflation_bound(inflation * INFLATION_HEADROOM);
-            }
+        if inflation > self.cal.inflation_bound {
+            self.cal
+                .raise_inflation_bound(inflation * INFLATION_HEADROOM);
         }
         let skew_bound = cluster.clock.skew_bound();
-        let woken = self
-            .cal
-            .as_mut()
-            .expect("plan_calendar without calendar")
-            .take_woken(now);
+        let woken = self.cal.take_woken(now);
         self.ctr_cal_wakes.add(woken.len() as u64);
+        #[cfg(test)]
+        let mut checked = 0;
         for idx in woken {
+            #[cfg(test)]
+            {
+                self.assert_sleepers_idle(checked..idx, cluster, now, busy, plan_ts);
+                checked = idx + 1;
+            }
             if self.sharings[idx].retired {
-                self.cal.as_mut().expect("calendar").retire(idx);
+                self.cal.retire(idx);
                 continue;
             }
             if self.sharings[idx].in_flight || busy.contains(&idx) {
                 // A push (or a just-fired retry) owns this slot; its
                 // completion/retry/abandon event re-wakes it.
-                self.cal.as_mut().expect("calendar").mark_in_flight(idx);
+                self.cal.mark_in_flight(idx);
                 continue;
             }
             match self.consider(idx, cluster, now, plan_ts) {
                 Consider::Fire { target } => {
                     self.push_request(idx, target, 1, now, plan_ts, last_job_on, requests, jobs)?;
-                    self.cal.as_mut().expect("calendar").mark_in_flight(idx);
+                    self.cal.mark_in_flight(idx);
                 }
                 Consider::Lazy => {
                     self.ctr_cal_early.inc();
                     let due = self.project_wake_tick(idx, now, skew_bound);
-                    self.cal.as_mut().expect("calendar").schedule_at(idx, due);
+                    self.cal.schedule_at(idx, due);
                 }
                 Consider::NoHeartbeat { src } | Consider::NoWindow { src } => {
-                    self.cal.as_mut().expect("calendar").park_on_src(idx, src);
+                    self.cal.park_on_src(idx, src);
                 }
                 Consider::SkewClamped => {
-                    let cal = self.cal.as_mut().expect("calendar");
-                    let next = cal.tick_of(now) + 1;
-                    cal.schedule_at(idx, next);
+                    let next = self.cal.tick_of(now) + 1;
+                    self.cal.schedule_at(idx, next);
                 }
                 Consider::Deferred => {
-                    // The scan scheduler re-counts a deferral on every tick
-                    // the machine stays down; match it exactly.
+                    // A deferral is counted on every tick the machine
+                    // stays down.
                     self.fault_stats.pushes_deferred += 1;
-                    let cal = self.cal.as_mut().expect("calendar");
-                    let next = cal.tick_of(now) + 1;
-                    cal.schedule_at(idx, next);
+                    let next = self.cal.tick_of(now) + 1;
+                    self.cal.schedule_at(idx, next);
                 }
             }
         }
+        #[cfg(test)]
+        self.assert_sleepers_idle(checked..self.sharings.len(), cluster, now, busy, plan_ts);
         Ok(())
     }
 
+    /// Wake soundness, checked in this crate's unit-test build only: a
+    /// live slot the calendar left asleep this tick, shown the `plan_ts`
+    /// shadow it would see at its place in slot order, must be one the
+    /// guard chain neither fires nor defers. `machine_down` is
+    /// schedule-driven, so the extra `consider` calls draw nothing from
+    /// the fault streams.
+    #[cfg(test)]
+    fn assert_sleepers_idle(
+        &self,
+        slots: std::ops::Range<usize>,
+        cluster: &mut Cluster,
+        now: Timestamp,
+        busy: &HashSet<usize>,
+        plan_ts: &PlanTs,
+    ) {
+        for idx in slots {
+            let rt = &self.sharings[idx];
+            if rt.retired || rt.in_flight || busy.contains(&idx) {
+                continue;
+            }
+            let outcome = self.consider(idx, cluster, now, plan_ts);
+            assert!(
+                !matches!(outcome, Consider::Fire { .. } | Consider::Deferred),
+                "calendar slept through a due push: slot {idx} at {now}"
+            );
+        }
+    }
+
     /// Evaluates sharing `idx` for a push at `now` against the batch's
-    /// `plan_ts` shadow — the single guard chain both schedulers share.
-    /// The order of guards reproduces the original scan loop exactly.
+    /// `plan_ts` shadow — the single guard chain.
     fn consider(
         &self,
         idx: usize,
@@ -1289,23 +1246,14 @@ impl Executor {
         }
     }
 
-    /// Critical path of sharing `idx` over a window of `x_secs`: the cached
-    /// compact evaluator under the calendar scheduler, the full plan walk
-    /// under the scan baseline. Both issue the identical `edge_estimate`
-    /// call sequence over the sharing's in-scope edges, so the results are
-    /// byte-equal — the cache only skips re-walking (and re-toposorting)
-    /// the whole merged plan.
+    /// Critical path of sharing `idx` over a window of `x_secs`, from the
+    /// cached compact evaluator. It issues the `edge_estimate` call
+    /// sequence `plan::cost::critical_path` would over the sharing's
+    /// in-scope edges, so the result is byte-equal to the full plan walk
+    /// (`cached_critical_path_matches_full_walk`) — the cache only skips
+    /// re-walking (and re-toposorting) the whole merged plan.
     fn cp_for(&self, idx: usize, x_secs: f64) -> SimDuration {
-        if self.cal.is_some() {
-            self.caches[idx].cp.eval(x_secs, &self.model)
-        } else {
-            critical_path(
-                &self.global.plan,
-                Scope::Sharing(self.sharings[idx].id),
-                x_secs,
-                &self.model,
-            )
-        }
+        self.caches[idx].cp.eval(x_secs, &self.model)
     }
 
     /// Whether any machine hosting the sharing's subgraph or sources is
@@ -1328,10 +1276,11 @@ impl Executor {
     /// by the cached affine majorant scaled by the calendar's inflation
     /// bound. So the projection grows at ≤ `1 + Ib·slope` per second, and
     /// sleeping until it could first reach `l·SLA` — minus one tick of
-    /// margin for µs rounding — can never skip past the scan scheduler's
-    /// fire tick. An early wake just re-evaluates and goes back to sleep.
+    /// margin for µs rounding — can never skip past the tick the guard
+    /// chain first fires on. An early wake just re-evaluates and goes back
+    /// to sleep.
     fn project_wake_tick(&self, idx: usize, now: Timestamp, skew_bound: SimDuration) -> u64 {
-        let cal = self.cal.as_ref().expect("calendar");
+        let cal = &self.cal;
         let rt = &self.sharings[idx];
         let cp = &self.caches[idx].cp;
         let tick_secs = self.config.tick.as_secs_f64();
@@ -1715,7 +1664,6 @@ impl Executor {
                 &dispatch,
                 self.config.workers,
                 &self.telemetry,
-                self.config.columnar,
             );
             let wave_span = tick_span.map(|_| self.telemetry.next_span_id());
             let wave_start = dispatch.iter().map(|d| d.submit).min().unwrap_or(now);
@@ -1811,12 +1759,9 @@ impl Executor {
                     self.fault_stats.pushes_abandoned += 1;
                     self.sharings[req.idx].in_flight = false;
                     // The slot left the wheel when its push fired; hand it
-                    // back to the scheduler at the next tick — the first
-                    // tick the scan baseline would re-evaluate it too.
-                    if let Some(cal) = &mut self.cal {
-                        let next = cal.tick_of(now) + 1;
-                        cal.schedule_at(req.idx, next);
-                    }
+                    // back to the scheduler at the next tick.
+                    let next = self.cal.tick_of(now) + 1;
+                    self.cal.schedule_at(req.idx, next);
                     if let Some(ts_id) = tick_span {
                         self.record_retry_span(ts_id, req, now, now, "abandoned");
                     }
@@ -2075,6 +2020,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::catalog::BaseStats;
+    use crate::plan::cost::{critical_path, Scope};
     use crate::platform::{Smile, SmileConfig};
     use smile_storage::delta::{DeltaBatch, DeltaEntry};
     use smile_storage::join::JoinOn;

@@ -33,18 +33,16 @@
 //! delta drops, ack losses) are **not** drawn here — the coordinator
 //! pre-draws them in canonical order and passes the outcomes in as
 //! [`JobFaults`], keeping the seeded fault streams independent of the
-//! worker count. The original [`run_edge`] cluster-level entry point remains
-//! as the serial wrapper that draws faults inline, in the same order.
+//! worker count.
 
 use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, SnapshotSem, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::machine::Machine;
 use smile_sim::meter::ResourceUsage;
-use smile_sim::Cluster;
 use smile_storage::delta::{DeltaBatch, DeltaEntry};
 use smile_storage::wal::Bytes;
 use smile_storage::{wal, Predicate};
-use smile_types::{MachineId, Result, SharingId, SmileError, Timestamp, Tuple, VertexId};
+use smile_types::{Result, SmileError, Timestamp, Tuple, VertexId};
 
 /// Outcome of executing one edge.
 #[derive(Clone, Copy, Debug)]
@@ -100,17 +98,6 @@ fn slot_of(plan: &Plan, v: VertexId) -> Result<smile_types::RelationId> {
         .ok_or_else(|| SmileError::Internal(format!("vertex {v} has no storage slot")))
 }
 
-/// Fails with a retryable [`SmileError::Transient`] when the machine is
-/// inside a scheduled crash interval at `at`.
-fn check_up(cluster: &mut Cluster, machine: MachineId, at: Timestamp) -> Result<()> {
-    if cluster.faults.machine_down(machine, at) {
-        return Err(SmileError::Transient {
-            detail: format!("machine {machine} is down"),
-        });
-    }
-    Ok(())
-}
-
 /// Identity of the batch one push edge produces for the window `(from, to]`
 /// — stable across retries, distinct across edges and windows (FNV-1a over
 /// the output vertex and the window bounds).
@@ -152,99 +139,13 @@ fn apply_filter_projection(
     }
 }
 
-/// Executes one edge, moving the window `(from, to]` and advancing the
-/// output's storage. `submit` is when the command reaches the agent; the
-/// returned `end` reflects machine queueing. Resources are charged to
-/// `charge_to` — the sharing whose push *triggered* the work (shared
-/// vertices are advanced once and later pushes ride along for free, which
-/// is exactly the Figure 10 subsidy effect).
-///
-/// This is the serial cluster-level wrapper: it checks crash windows and
-/// draws the drop/ack faults inline, in the same stream order the batch
-/// coordinator uses, then delegates to the machine-local primitives.
-/// `columnar` selects the storage hot path (arena-backed frames, batched
-/// key probing) or the legacy per-tuple row path — results are identical
-/// either way, which the conformance suite pins.
-#[allow(clippy::too_many_arguments)]
-pub fn run_edge(
-    cluster: &mut Cluster,
-    plan: &Plan,
-    edge: &Edge,
-    from: Timestamp,
-    to: Timestamp,
-    submit: Timestamp,
-    model: &TimeCostModel,
-    charge_to: SharingId,
-    columnar: bool,
-) -> Result<EdgeRun> {
-    let sharings: Vec<SharingId> = vec![charge_to];
-    let _ = &edge.sharings;
-    let mut charges: Vec<ResourceUsage> = Vec::new();
-    let result = match &edge.op {
-        EdgeOp::CopyDelta => {
-            let src_v = plan.vertex(edge.inputs[0]);
-            let dst_v = plan.vertex(edge.output);
-            check_up(cluster, src_v.machine, submit)?;
-            check_up(cluster, dst_v.machine, submit)?;
-            if src_v.machine != dst_v.machine {
-                let ship = {
-                    let src = cluster.machine_mut(src_v.machine)?;
-                    ship_copy(src, plan, edge, from, to, submit, columnar)?
-                };
-                // The NIC time was spent whether or not the batch arrives.
-                cluster.ledger.charge(ship.usage, &sharings);
-                if cluster.faults.drop_delta(submit) {
-                    return Err(SmileError::Transient {
-                        detail: format!("delta batch for vertex {} lost in transit", dst_v.id),
-                    });
-                }
-                let ack_lost = cluster.faults.ack_lost(submit);
-                let dst = cluster.machine_mut(dst_v.machine)?;
-                land_copy(
-                    dst,
-                    plan,
-                    edge,
-                    from,
-                    to,
-                    ship.bytes,
-                    ship.arrive,
-                    model,
-                    ack_lost,
-                    &mut charges,
-                    columnar,
-                )
-            } else {
-                let ack_lost = cluster.faults.ack_lost(submit);
-                let m = cluster.machine_mut(dst_v.machine)?;
-                run_local(
-                    m, plan, edge, from, to, None, submit, model, ack_lost, &mut charges, columnar,
-                )
-            }
-        }
-        _ => {
-            let out_v = plan.vertex(edge.output);
-            check_up(cluster, out_v.machine, submit)?;
-            let m = cluster.machine_mut(out_v.machine)?;
-            run_local(
-                m, plan, edge, from, to, None, submit, model, false, &mut charges, columnar,
-            )
-        }
-    };
-    for u in charges {
-        cluster.ledger.charge(u, &sharings);
-    }
-    result
-}
-
 /// Source-machine half of a cross-machine copy: read the window, filter and
 /// project it, encode WAL bytes and occupy the NIC. No fault is consulted —
-/// the caller decides (or has pre-drawn) whether the batch is dropped.
+/// the caller has pre-drawn whether the batch is dropped.
 ///
-/// In columnar mode the frame is encoded in one pass straight from the
-/// borrowed delta log slice — no window clone, no intermediate `DeltaBatch`,
-/// no per-row `Tuple` allocation. The wire format (and therefore every byte
-/// count the meter sees) is identical in both modes; the flag only ablates
-/// how the bytes are produced.
+/// The frame is encoded in one pass straight from the borrowed delta log
+/// slice — no window clone, no intermediate `DeltaBatch`, no per-row
+/// `Tuple` allocation.
 pub(crate) fn ship_copy(
     src: &mut Machine,
     plan: &Plan,
@@ -252,22 +153,11 @@ pub(crate) fn ship_copy(
     from: Timestamp,
     to: Timestamp,
     submit: Timestamp,
-    columnar: bool,
 ) -> Result<ShipOutput> {
     let src_slot = slot_of(plan, edge.inputs[0])?;
-    let bytes = if columnar {
-        src.db.delta_window_encode(
-            src_slot,
-            from,
-            to,
-            &edge.filter,
-            edge.projection.as_deref(),
-        )?
-    } else {
-        let raw = src.db.delta_window(src_slot, from, to)?;
-        let batch = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
-        wal::encode(&batch)
-    };
+    let bytes =
+        src.db
+            .delta_window_encode(src_slot, from, to, &edge.filter, edge.projection.as_deref())?;
     src.db.wal_stats().note_shipped(bytes.len() as u64);
     let (res, usage) = src.send(submit, bytes.len() as u64);
     Ok(ShipOutput {
@@ -280,12 +170,13 @@ pub(crate) fn ship_copy(
 /// Destination-machine half of a cross-machine copy: land the shipped WAL
 /// bytes (CPU service, aggregation, idempotent append).
 ///
-/// In columnar mode the frame is *not* decoded into an intermediate
-/// `DeltaBatch`: a validated zero-copy [`wal::Frame`] view over the shipped
-/// `Arc`-backed buffer is walked once, materializing rows straight into the
-/// destination's delta log. Aggregate-bearing edges still take the legacy
-/// materialize path (the aggregate transform needs a whole batch), as does
-/// legacy mode.
+/// A plain copy is *not* decoded into an intermediate `DeltaBatch`: a
+/// validated zero-copy [`wal::Frame`] view over the shipped `Arc`-backed
+/// buffer is walked once, materializing rows straight into the
+/// destination's delta log. An aggregate-bearing edge decodes the frame
+/// and lands through [`finish_copy`] (the aggregate transform needs a
+/// whole batch); `tests/properties.rs` pins the two routes to the same log
+/// contents, stats and dedup books.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn land_copy(
     dst: &mut Machine,
@@ -298,11 +189,10 @@ pub(crate) fn land_copy(
     model: &TimeCostModel,
     ack_lost: bool,
     charges: &mut Vec<ResourceUsage>,
-    columnar: bool,
 ) -> Result<EdgeRun> {
     // The WAL round-trip is the real data path: parse/decode on arrival.
     dst.db.wal_stats().note_landed(bytes.len() as u64);
-    let mut run = if columnar && edge.aggregate.is_none() {
+    let mut run = if edge.aggregate.is_none() {
         let frame = wal::Frame::parse(bytes)?;
         finish_frame(
             dst, plan, edge, &frame, arrive, from, to, model, ack_lost, charges,
@@ -320,7 +210,7 @@ pub(crate) fn land_copy(
 /// Runs an edge whose every byte lives on one machine: a same-machine copy,
 /// a delta application, a join, or a union. `ack_lost` only applies to
 /// `CopyDelta` (the other operators have no acknowledgement fault in the
-/// model) and fires *after* the batch landed, matching the serial path.
+/// model) and fires *after* the batch landed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_local(
     machine: &mut Machine,
@@ -333,13 +223,11 @@ pub(crate) fn run_local(
     model: &TimeCostModel,
     ack_lost: bool,
     charges: &mut Vec<ResourceUsage>,
-    columnar: bool,
 ) -> Result<EdgeRun> {
     match &edge.op {
         EdgeOp::CopyDelta => {
             // Same-machine copies never hit the wire, so there is no frame
-            // to land zero-copy; both modes share the legacy materialize
-            // path here.
+            // to land zero-copy; the window is materialized.
             let src_slot = slot_of(plan, edge.inputs[0])?;
             let raw = machine.db.delta_window(src_slot, from, to)?;
             let batch = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
@@ -353,7 +241,6 @@ pub(crate) fn run_local(
             delta_side,
             snapshot,
             snapshot_filter,
-            indexed,
         } => run_join(
             machine,
             plan,
@@ -368,8 +255,6 @@ pub(crate) fn run_local(
             *delta_side,
             *snapshot,
             snapshot_filter,
-            *indexed,
-            columnar,
         ),
         EdgeOp::Union => run_union(machine, plan, edge, from, to, submit, model, charges),
     }
@@ -522,8 +407,6 @@ fn run_join(
     delta_side: DeltaSide,
     snapshot: SnapshotSem,
     snapshot_filter: &Predicate,
-    indexed: bool,
-    columnar: bool,
 ) -> Result<EdgeRun> {
     let delta_v = plan.vertex(edge.inputs[0]);
     let rel_v = plan.vertex(edge.inputs[1]);
@@ -552,174 +435,53 @@ fn run_join(
 
     let (outputs, window_len) = {
         let db = &machine.db;
-        // Columnar hot path: borrow the window straight from the delta log
-        // (no clone), build one flattened key buffer for the whole window,
-        // and probe the arrangement in a single batched pass. Outputs,
-        // counters and stats are identical to the legacy per-tuple path
-        // below — the conformance suite pins this.
-        if columnar && indexed {
-            let all = db.delta_window_entries(delta_slot, from, to)?;
-            let unfiltered = edge.filter == Predicate::True;
-            let entries: Vec<&DeltaEntry> = all
-                .iter()
-                .filter(|e| unfiltered || edge.filter.eval(&e.tuple))
-                .collect();
-            let window_len = entries.len() as u64;
-            let mut outputs: Vec<DeltaEntry> = Vec::new();
-            if !entries.is_empty() {
-                let slot_ref = db.relation(rel_slot)?;
-                let table = &slot_ref.table;
-                let concat = |d: &Tuple, s: &Tuple| match delta_side {
-                    DeltaSide::Left => d.concat(s),
-                    DeltaSide::Right => s.concat(d),
-                };
-                let Some(arr) = table.arrangement(snap_cols) else {
-                    return Err(SmileError::Internal(format!(
-                        "relation vertex {} lacks the arrangement on {:?} its join edge probes",
-                        rel_v.id, snap_cols
-                    )));
-                };
-                // One contiguous key arena for the whole window: keys are
-                // assembled back to back and hashed/probed in one batched
-                // pass instead of allocating a key `Tuple` per entry.
-                let arity = delta_cols.len();
-                let mut keys_flat: Vec<smile_types::Value> =
-                    Vec::with_capacity(arity * entries.len());
-                for e in &entries {
-                    for &c in delta_cols.iter() {
-                        keys_flat.push(e.tuple.values()[c].clone());
-                    }
-                }
-                let buckets = arr.probe_batch(&keys_flat, arity, entries.len());
-                for (e, bucket) in entries.iter().zip(buckets) {
-                    for (row, &w) in bucket {
-                        if !snapshot_filter.eval(row) {
-                            continue;
-                        }
-                        let weight = e.weight * w;
-                        if weight != 0 {
-                            outputs.push(DeltaEntry {
-                                tuple: concat(&e.tuple, row),
-                                weight,
-                                ts: e.ts,
-                            });
-                        }
-                    }
-                }
-                // Correction to the snapshot point: small consolidated
-                // window, shared with the legacy path's algebra.
-                let table_ts = table.ts();
-                if at != table_ts {
-                    let (corr, sign) = if at < table_ts {
-                        (slot_ref.delta.window(at, table_ts).to_zset(), -1)
-                    } else {
-                        (slot_ref.delta.window(table_ts, at).to_zset(), 1)
-                    };
-                    if !corr.is_empty() {
-                        let mut corr_index: std::collections::HashMap<Tuple, Vec<(&Tuple, i64)>> =
-                            std::collections::HashMap::new();
-                        for (t, w) in corr.iter() {
-                            if !snapshot_filter.eval(t) {
-                                continue;
-                            }
-                            corr_index
-                                .entry(t.project(snap_cols))
-                                .or_default()
-                                .push((t, w));
-                        }
-                        for e in &entries {
-                            let key = e.tuple.project(delta_cols);
-                            if let Some(matches) = corr_index.get(&key) {
-                                for (row, w) in matches {
-                                    let weight = e.weight * w * sign;
-                                    if weight != 0 {
-                                        outputs.push(DeltaEntry {
-                                            tuple: concat(&e.tuple, row),
-                                            weight,
-                                            ts: e.ts,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            return finish_join(
-                machine, plan, edge, outputs, window_len, from, to, submit, model, charges,
-                out_slot,
-            );
-        }
-        let window = {
-            let raw = db.delta_window(delta_slot, from, to)?;
-            apply_filter_projection(raw, &edge.filter, None)
-        };
-
+        // Borrow the window straight from the delta log (no clone), build
+        // one flattened key buffer for the whole window, and probe the
+        // arrangement in a single batched pass.
+        let all = db.delta_window_entries(delta_slot, from, to)?;
+        let unfiltered = edge.filter == Predicate::True;
+        let entries: Vec<&DeltaEntry> = all
+            .iter()
+            .filter(|e| unfiltered || edge.filter.eval(&e.tuple))
+            .collect();
+        let window_len = entries.len() as u64;
         let mut outputs: Vec<DeltaEntry> = Vec::new();
-        let window_len = window.len() as u64;
-        if !window.is_empty() {
+        if !entries.is_empty() {
             let slot_ref = db.relation(rel_slot)?;
             let table = &slot_ref.table;
             let concat = |d: &Tuple, s: &Tuple| match delta_side {
                 DeltaSide::Left => d.concat(s),
                 DeltaSide::Right => s.concat(d),
             };
-            if indexed {
-                // Main probe against the table's current contents through the
-                // persistent arrangement on the join key — maintained
-                // incrementally by delta application, shared by every edge
-                // probing the same (relation, key) pair, never rebuilt here.
-                let Some(arr) = table.arrangement(snap_cols) else {
-                    return Err(SmileError::Internal(format!(
-                        "relation vertex {} lacks the arrangement on {:?} its join edge probes",
-                        rel_v.id, snap_cols
-                    )));
-                };
-                for e in &window.entries {
-                    let key = e.tuple.project(delta_cols);
-                    for (row, &w) in arr.probe(&key) {
-                        if !snapshot_filter.eval(row) {
-                            continue;
-                        }
-                        let weight = e.weight * w;
-                        if weight != 0 {
-                            outputs.push(DeltaEntry {
-                                tuple: concat(&e.tuple, row),
-                                weight,
-                                ts: e.ts,
-                            });
-                        }
+            let Some(arr) = table.arrangement(snap_cols) else {
+                return Err(SmileError::Internal(format!(
+                    "relation vertex {} lacks the arrangement on {:?} its join edge probes",
+                    rel_v.id, snap_cols
+                )));
+            };
+            // One contiguous key arena for the whole window: keys are
+            // assembled back to back and hashed/probed in one batched
+            // pass instead of allocating a key `Tuple` per entry.
+            let arity = delta_cols.len();
+            let mut keys_flat: Vec<smile_types::Value> = Vec::with_capacity(arity * entries.len());
+            for e in &entries {
+                for &c in delta_cols.iter() {
+                    keys_flat.push(e.tuple.values()[c].clone());
+                }
+            }
+            let buckets = arr.probe_batch(&keys_flat, arity, entries.len());
+            for (e, bucket) in entries.iter().zip(buckets) {
+                for (row, &w) in bucket {
+                    if !snapshot_filter.eval(row) {
+                        continue;
                     }
-                }
-            } else {
-                // Ablation path (`use_arrangements` off): rebuild a probe index
-                // from a full scan of the relation, once per push — the
-                // pre-arrangement behaviour the cost model prices as
-                // `Join { indexed: false }`.
-                let mut scan_index: std::collections::HashMap<Tuple, Vec<(&Tuple, i64)>> =
-                    std::collections::HashMap::with_capacity(table.len());
-                for (t, w) in table.rows().iter() {
-                    scan_index
-                        .entry(t.project(snap_cols))
-                        .or_default()
-                        .push((t, w));
-                }
-                for e in &window.entries {
-                    let key = e.tuple.project(delta_cols);
-                    if let Some(matches) = scan_index.get(&key) {
-                        for &(row, w) in matches {
-                            if !snapshot_filter.eval(row) {
-                                continue;
-                            }
-                            let weight = e.weight * w;
-                            if weight != 0 {
-                                outputs.push(DeltaEntry {
-                                    tuple: concat(&e.tuple, row),
-                                    weight,
-                                    ts: e.ts,
-                                });
-                            }
-                        }
+                    let weight = e.weight * w;
+                    if weight != 0 {
+                        outputs.push(DeltaEntry {
+                            tuple: concat(&e.tuple, row),
+                            weight,
+                            ts: e.ts,
+                        });
                     }
                 }
             }
@@ -746,7 +508,7 @@ fn run_join(
                             .or_default()
                             .push((t, w));
                     }
-                    for e in &window.entries {
+                    for e in &entries {
                         let key = e.tuple.project(delta_cols);
                         if let Some(matches) = corr_index.get(&key) {
                             for (row, w) in matches {
@@ -767,34 +529,11 @@ fn run_join(
         (outputs, window_len)
     };
 
-    finish_join(
-        machine, plan, edge, outputs, window_len, from, to, submit, model, charges, out_slot,
-    )
-}
-
-/// Shared tail of both join variants: CPU service, idempotent append of the
-/// produced outputs, and the meter-correct moved-tuple count.
-///
-/// Service time is billed on the work actually done — reading the window
-/// and writing the outputs, whichever dominates. The *moved* count is
-/// `produced` only: the window was already counted by the edge that
-/// delivered it, and probe-served snapshot rows are read in place, so
-/// counting the window again would double-bill it in the meter.
-#[allow(clippy::too_many_arguments)]
-fn finish_join(
-    machine: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    outputs: Vec<DeltaEntry>,
-    window_len: u64,
-    from: Timestamp,
-    to: Timestamp,
-    submit: Timestamp,
-    model: &TimeCostModel,
-    charges: &mut Vec<ResourceUsage>,
-    out_slot: smile_types::RelationId,
-) -> Result<EdgeRun> {
-    let out_v = plan.vertex(edge.output);
+    // Service time is billed on the work actually done — reading the window
+    // and writing the outputs, whichever dominates. The *moved* count is
+    // `produced` only: the window was already counted by the edge that
+    // delivered it, and probe-served snapshot rows are read in place, so
+    // counting the window again would double-bill it in the meter.
     let produced = outputs.len() as u64;
     let n = window_len.max(produced);
     let batch = DeltaBatch { entries: outputs };
@@ -864,9 +603,10 @@ fn run_union(
 mod tests {
     use super::*;
     use crate::plan::sig::ExprSig;
+    use smile_sim::Cluster;
     use smile_storage::join::JoinOn;
     use smile_storage::ZSet;
-    use smile_types::{tuple, Column, ColumnType, RelationId, Schema, SharingId};
+    use smile_types::{tuple, Column, ColumnType, MachineId, RelationId, Schema};
 
     fn two_cols() -> Schema {
         Schema::new(
@@ -892,7 +632,7 @@ mod tests {
 
     /// One machine, one Join edge: a 5-entry delta window probing a relation
     /// in which only key 1 has (two) matching rows.
-    fn join_fixture(indexed: bool, build_index: bool) -> (Cluster, Plan, usize) {
+    fn join_fixture(build_index: bool) -> (Cluster, Plan, usize) {
         let m = MachineId::new(0);
         let mut cluster = Cluster::homogeneous(1);
         let (d_slot, r_slot, o_slot) = (
@@ -963,7 +703,6 @@ mod tests {
                     delta_side: DeltaSide::Left,
                     snapshot: SnapshotSem::WindowEnd,
                     snapshot_filter: Predicate::True,
-                    indexed,
                 },
                 vec![vd, vr],
                 vo,
@@ -977,23 +716,19 @@ mod tests {
         (cluster, plan, e)
     }
 
-    fn run_fixture(
-        cluster: &mut Cluster,
-        plan: &Plan,
-        e: usize,
-        columnar: bool,
-    ) -> Result<EdgeRun> {
+    fn run_fixture(cluster: &mut Cluster, plan: &Plan, e: usize) -> Result<EdgeRun> {
         let model = TimeCostModel::paper_defaults();
-        run_edge(
-            cluster,
+        run_local(
+            cluster.machine_mut(MachineId::new(0)).unwrap(),
             plan,
             plan.edge(e),
             Timestamp::ZERO,
             Timestamp::from_secs(2),
+            None,
             Timestamp::from_secs(2),
             &model,
-            SharingId::new(0),
-            columnar,
+            false,
+            &mut Vec::new(),
         )
     }
 
@@ -1003,62 +738,39 @@ mod tests {
     /// window the CopyDelta edge had already counted as moved.
     #[test]
     fn join_counts_produced_tuples_not_window() {
-        // Identical assertions in both storage modes: the columnar batched
-        // probe must meter and produce exactly like the legacy per-tuple
-        // probe.
-        for columnar in [false, true] {
-            let (mut cluster, plan, e) = join_fixture(true, true);
-            let run = run_fixture(&mut cluster, &plan, e, columnar).unwrap();
-            assert_eq!(run.tuples, 2, "only the two matched outputs moved");
-            assert!(!run.deduped);
-            // The output batch really landed.
-            let db = &cluster.machine(MachineId::new(0)).unwrap().db;
-            let out = db
-                .delta_window(RelationId::new(2), Timestamp::ZERO, Timestamp::from_secs(2))
-                .unwrap();
-            assert_eq!(out.len(), 2);
-            // And the probes were metered on the arrangement: 5 probes, 1
-            // key hit, 4 misses.
-            let c = db.arrangement_counters();
-            assert_eq!((c.probes, c.hits, c.misses), (5, 1, 4));
-        }
-    }
-
-    /// Scan mode (`indexed: false`) produces the same outputs with no
-    /// arrangement installed at all — the ablation path.
-    #[test]
-    fn scan_join_matches_probe_join_outputs() {
-        let (mut cluster, plan, e) = join_fixture(false, false);
-        let run = run_fixture(&mut cluster, &plan, e, true).unwrap();
-        assert_eq!(run.tuples, 2);
+        let (mut cluster, plan, e) = join_fixture(true);
+        let run = run_fixture(&mut cluster, &plan, e).unwrap();
+        assert_eq!(run.tuples, 2, "only the two matched outputs moved");
+        assert!(!run.deduped);
+        // The output batch really landed, with the probed rows attached.
         let db = &cluster.machine(MachineId::new(0)).unwrap().db;
-        assert_eq!(db.arrangement_count(), 0);
         let out = db
             .delta_window(RelationId::new(2), Timestamp::ZERO, Timestamp::from_secs(2))
             .unwrap();
-        let got = out.to_zset().sorted_entries();
         assert_eq!(
-            got,
+            out.to_zset().sorted_entries(),
             vec![
                 (tuple![1i64, 101i64, 1i64, 10i64], 1),
                 (tuple![1i64, 101i64, 1i64, 11i64], 1),
             ]
         );
+        // And the probes were metered on the arrangement: 5 probes, 1
+        // key hit, 4 misses.
+        let c = db.arrangement_counters();
+        assert_eq!((c.probes, c.hits, c.misses), (5, 1, 4));
     }
 
-    /// An indexed join without its arrangement is a hard install bug, not a
-    /// silent scan.
+    /// A join without its arrangement is a hard install bug, not a silent
+    /// scan.
     #[test]
     fn indexed_join_without_arrangement_errors() {
-        for columnar in [false, true] {
-            let (mut cluster, plan, e) = join_fixture(true, false);
-            let err = run_fixture(&mut cluster, &plan, e, columnar).unwrap_err();
-            assert!(matches!(err, SmileError::Internal(_)));
-        }
+        let (mut cluster, plan, e) = join_fixture(false);
+        let err = run_fixture(&mut cluster, &plan, e).unwrap_err();
+        assert!(matches!(err, SmileError::Internal(_)));
     }
 
-    /// The split primitives compose to the same result as the one-machine
-    /// wrapper: ship on the source, land on the destination.
+    /// The split primitives compose: ship on the source, land on the
+    /// destination.
     #[test]
     fn ship_then_land_moves_the_window_across_machines() {
         let mut cluster = Cluster::homogeneous(2);
@@ -1135,7 +847,6 @@ mod tests {
             Timestamp::ZERO,
             ts,
             ts,
-            true,
         )
         .unwrap();
         assert!(ship.usage.net_bytes > 0, "the wire was used");
@@ -1152,7 +863,6 @@ mod tests {
             &model,
             false,
             &mut charges,
-            true,
         )
         .unwrap();
         assert_eq!(run.tuples, 4);

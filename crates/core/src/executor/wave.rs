@@ -100,7 +100,6 @@ pub(crate) fn run_wave(
     jobs: &[WaveJob],
     workers: usize,
     telemetry: &Telemetry,
-    columnar: bool,
 ) -> Vec<JobOutcome> {
     let w = workers.max(1).min(machines.len().max(1));
     // Ship mailboxes are only ever indexed for jobs with a ship machine;
@@ -123,7 +122,6 @@ pub(crate) fn run_wave(
             &ships,
             &barrier,
             telemetry.worker_nanos_shard(0),
-            columnar,
         )
     } else {
         let mut parts: Vec<Vec<(usize, &mut Machine)>> = (0..w).map(|_| Vec::new()).collect();
@@ -137,9 +135,7 @@ pub(crate) fn run_wave(
                 .map(|(wi, part)| {
                     let (ships, barrier) = (&ships, &barrier);
                     let shard = telemetry.worker_nanos_shard(wi);
-                    s.spawn(move || {
-                        worker_run(part, jobs, plan, model, ships, barrier, shard, columnar)
-                    })
+                    s.spawn(move || worker_run(part, jobs, plan, model, ships, barrier, shard))
                 })
                 .collect();
             handles
@@ -155,7 +151,6 @@ pub(crate) fn run_wave(
 /// One worker's share of a wave: ship every cross-machine copy whose source
 /// it owns (phase A), wait for the fleet at the barrier, then execute every
 /// job whose output machine it owns (phase B), in canonical job order.
-#[allow(clippy::too_many_arguments)]
 fn worker_run(
     part: Vec<(usize, &mut Machine)>,
     jobs: &[WaveJob],
@@ -164,7 +159,6 @@ fn worker_run(
     ships: &[ShipSlot],
     barrier: &Barrier,
     shard: &Histogram,
-    columnar: bool,
 ) -> Vec<JobOutcome> {
     let mut mine: HashMap<usize, &mut Machine> = part.into_iter().collect();
 
@@ -175,7 +169,7 @@ fn worker_run(
         let Some(sm) = j.ship_machine else { continue };
         let Some(src) = mine.get_mut(&sm) else { continue };
         let t0 = Instant::now();
-        let res = push::ship_copy(src, plan, plan.edge(j.edge), j.from, j.to, j.submit, columnar);
+        let res = push::ship_copy(src, plan, plan.edge(j.edge), j.from, j.to, j.submit);
         let nanos = t0.elapsed().as_nanos();
         *ships[slot].lock().expect("ship mailbox poisoned") = Some((res, nanos));
     }
@@ -226,7 +220,6 @@ fn worker_run(
                             model,
                             j.faults.ack_lost,
                             &mut charges,
-                            columnar,
                         )
                     }
                 }
@@ -247,7 +240,6 @@ fn worker_run(
                 model,
                 j.faults.ack_lost,
                 &mut charges,
-                columnar,
             )
         };
         profile.push((j.exec_machine as u32, t0.elapsed().as_nanos()));

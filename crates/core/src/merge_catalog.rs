@@ -19,11 +19,10 @@
 //!   arrangement-registry refcounts without walking every edge twice.
 //!
 //! All postings lists are `BTreeSet<VertexId>`, so every lookup yields
-//! candidates in vertex-id order — the same order the brute-force
-//! `find_by_sig` scan produces. That is the determinism argument: indexed
-//! and scanned enumeration see identical candidate sequences, so greedy
-//! tie-breaks resolve identically and the resulting plans are byte-equal
-//! (the differential property test in `tests/properties.rs` holds this).
+//! candidates in vertex-id order. That is the determinism argument:
+//! plumbing enumeration sees the same candidate sequence on every run, so
+//! greedy tie-breaks resolve identically and the resulting plans are
+//! byte-equal.
 
 use crate::plan::dag::{Plan, VertexKind};
 use crate::plan::sig::ExprSig;
@@ -98,8 +97,7 @@ impl MergeCatalog {
         }
     }
 
-    /// Vertices computing exactly (kind, sig), in vertex-id order — the
-    /// indexed replacement for `Plan::find_by_sig`'s linear scan.
+    /// Vertices computing exactly (kind, sig), in vertex-id order.
     pub fn peers_iter(
         &self,
         kind: VertexKind,

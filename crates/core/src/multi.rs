@@ -51,11 +51,9 @@ pub struct GlobalPlan {
     pub plan: Plan,
     /// Metadata per admitted sharing.
     pub sharings: Vec<SharingMeta>,
-    /// When set, SHR maintenance is incremental: merges extend SHR sets in
-    /// place and removals strip them ([`GlobalPlan::strip_sharing`]) instead
-    /// of rebuilding every set from scratch. Both produce byte-identical
-    /// sets; the flag only records which admission mode built this plan so
-    /// the executor removes sharings the same way.
+    /// Vestigial and never read: SHR maintenance is always incremental.
+    /// Kept only because the frozen `benchmark/` harness assigns it; drop
+    /// it together with that assignment in the next `benchmark` PR.
     pub indexed_shr: bool,
 }
 
@@ -95,33 +93,34 @@ impl GlobalPlan {
     /// (kind, signature, machine) are reused; when a vertex already has a
     /// producer in the global plan, the existing supply chain serves the new
     /// sharing and the incoming duplicate chain is not added.
+    ///
+    /// The new sharing's `SHR` membership is installed on
+    /// `ancestors(mv) ∪ {mv}` only. That equals a full
+    /// [`GlobalPlan::recompute_shr`]: merging only *adds* vertices and
+    /// edges and never rewires an existing producer, so no previously
+    /// admitted sharing's ancestor set can change.
     pub fn merge(&mut self, sharing: &Sharing, planned: &PlannedSharing) -> Result<()> {
-        self.merge_vertices(&planned.plan, None)?;
-        self.sharings.push(SharingMeta {
-            id: sharing.id,
-            mv_sig: planned.plan.vertex(planned.mv).sig.clone(),
-            mv_machine: planned.mv_machine,
-            sla: sharing.staleness_sla,
-        });
-        self.recompute_shr()?;
-        Ok(())
+        self.merge_sharing(sharing, planned, None)
     }
 
-    /// [`GlobalPlan::merge`] through the merge catalog: the catalog records
-    /// every new structure and counts reuse, and the new sharing's `SHR`
-    /// membership is installed incrementally instead of rebuilding every
-    /// set. The result is byte-identical to `merge`: merging only *adds*
-    /// vertices and edges and never rewires an existing producer, so no
-    /// previously admitted sharing's ancestor set can change — the full
-    /// rebuild would recompute exactly the sets already in place, plus the
-    /// new sharing on `ancestors(mv) ∪ {mv}`, which is what this installs.
+    /// [`GlobalPlan::merge`] plus catalog bookkeeping: the catalog records
+    /// every new structure and counts reuse.
     pub fn merge_indexed(
         &mut self,
         sharing: &Sharing,
         planned: &PlannedSharing,
         cat: &mut MergeCatalog,
     ) -> Result<()> {
-        let remap = self.merge_vertices(&planned.plan, Some(cat))?;
+        self.merge_sharing(sharing, planned, Some(cat))
+    }
+
+    fn merge_sharing(
+        &mut self,
+        sharing: &Sharing,
+        planned: &PlannedSharing,
+        cat: Option<&mut MergeCatalog>,
+    ) -> Result<()> {
+        let remap = self.merge_vertices(&planned.plan, cat)?;
         let mv = remap[&planned.mv];
         self.sharings.push(SharingMeta {
             id: sharing.id,
@@ -174,9 +173,9 @@ impl GlobalPlan {
     }
 
     /// Removes one sharing's metadata and strips it from every `SHR` set in
-    /// place — the incremental counterpart of dropping the meta and calling
-    /// [`GlobalPlan::recompute_shr`]. Equivalent because stripping an id
-    /// never changes any *other* sharing's ancestor walk.
+    /// place. Equals dropping the meta and calling
+    /// [`GlobalPlan::recompute_shr`], because stripping an id never changes
+    /// any *other* sharing's ancestor walk.
     pub fn strip_sharing(&mut self, id: SharingId) {
         self.sharings.retain(|m| m.id != id);
         for i in 0..self.plan.vertex_count() {
@@ -190,7 +189,7 @@ impl GlobalPlan {
         }
     }
 
-    /// The shared topo-walk of both merge flavours: copies `src`'s vertices
+    /// The topo-walk shared by sharing and shadow merges: copies `src`'s vertices
     /// and producers into the global plan, deduplicating on
     /// (kind, signature, machine). With a catalog, newly created vertices
     /// are indexed and reuse is counted.
@@ -337,30 +336,16 @@ pub struct HillClimbReport {
     pub trajectory: Vec<(usize, usize, f64)>,
 }
 
-/// Enumerates candidate plumbing operations on the current global plan by
-/// scanning for signature peers (`Plan::find_by_sig`, linear in the plan).
+/// Enumerates candidate plumbing operations on the current global plan.
+/// Signature peers come from a merge catalog built over the plan: one hash
+/// probe into the fingerprint index per lookup.
 ///
 /// Candidate order is load-bearing: hill climbing keeps the *first* found
-/// among equal-benefit candidates, so both this scan and the indexed
-/// variant walk destinations and peers in vertex-id order and therefore
-/// emit identical sequences — the determinism the differential property
-/// test pins down.
+/// among equal-benefit candidates. Destinations are walked in vertex-id
+/// order and catalog postings are id-ordered sets, so the sequence is
+/// deterministic.
 pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
-    enumerate_with(g, |kind, sig| g.plan.find_by_sig(kind, sig))
-}
-
-/// [`enumerate_plumbings`] answered from the merge catalog: each peer
-/// lookup is one hash probe into the fingerprint index instead of a scan
-/// over every vertex. Produces the exact same candidate sequence (catalog
-/// postings are id-ordered sets).
-pub fn enumerate_plumbings_indexed(g: &GlobalPlan, cat: &MergeCatalog) -> Vec<Plumbing> {
-    enumerate_with(g, |kind, sig| cat.peers_iter(kind, sig).collect())
-}
-
-fn enumerate_with<F>(g: &GlobalPlan, peers: F) -> Vec<Plumbing>
-where
-    F: Fn(VertexKind, &ExprSig) -> Vec<VertexId>,
-{
+    let cat = MergeCatalog::from_plan(&g.plan);
     let mut out = Vec::new();
     // Copy plumbing: same sig on different machines, dst not already fed by
     // a CopyDelta (from anywhere) and not a base capture point.
@@ -375,7 +360,7 @@ where
         if already_copy_fed {
             continue;
         }
-        for src in peers(VertexKind::Delta, &dst.sig) {
+        for src in cat.peers_iter(VertexKind::Delta, &dst.sig) {
             if src == dst.id || g.plan.vertex(src).machine == dst.machine {
                 continue;
             }
@@ -412,12 +397,12 @@ where
         // The current producer already is a join co-located with some
         // relation; a re-plumb is interesting when the *relation* exists on
         // a different machine closer to an existing delta stream.
-        for rel_v in peers(VertexKind::Relation, rel_sig) {
+        for rel_v in cat.peers_iter(VertexKind::Relation, rel_sig) {
             let rel = g.plan.vertex(rel_v);
             if rel.machine == dst.machine {
                 continue; // that is what the current producer already does
             }
-            for delta_v in peers(VertexKind::Delta, delta_sig) {
+            for delta_v in cat.peers_iter(VertexKind::Delta, delta_sig) {
                 let (anc_r, _) = g.plan.ancestors(rel_v);
                 let (anc_d, _) = g.plan.ancestors(delta_v);
                 if anc_r.contains(&dst.id) || anc_d.contains(&dst.id) || delta_v == dst.id {
@@ -472,7 +457,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                 delta_side,
                 snapshot,
                 snapshot_filter,
-                indexed,
             } = producer.op.clone()
             else {
                 return Err(SmileError::InvalidPlan(
@@ -544,7 +528,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                         delta_side,
                         snapshot,
                         snapshot_filter,
-                        indexed,
                     },
                     vec![local_delta, *rel_src],
                     half_at_rel,
@@ -599,31 +582,6 @@ pub fn hill_climb_filtered(
     max_iterations: usize,
     allow_join_plumbing: bool,
 ) -> HillClimbReport {
-    hill_climb_core(g, model, prices, max_iterations, allow_join_plumbing, false)
-}
-
-/// [`hill_climb`] with candidate enumeration answered from the merge
-/// catalog. The catalog is rebuilt each iteration (plumbing + garbage
-/// collection remap vertex ids), which is one linear pass — the saving is
-/// the per-candidate signature scans inside enumeration. Produces the same
-/// plan as [`hill_climb`] on the same input.
-pub fn hill_climb_indexed(
-    g: &mut GlobalPlan,
-    model: &TimeCostModel,
-    prices: &PriceSheet,
-    max_iterations: usize,
-) -> HillClimbReport {
-    hill_climb_core(g, model, prices, max_iterations, true, true)
-}
-
-fn hill_climb_core(
-    g: &mut GlobalPlan,
-    model: &TimeCostModel,
-    prices: &PriceSheet,
-    max_iterations: usize,
-    allow_join_plumbing: bool,
-    indexed: bool,
-) -> HillClimbReport {
     let mut applied = Vec::new();
     let mut trajectory = vec![(
         g.plan.vertex_count(),
@@ -633,13 +591,9 @@ fn hill_climb_core(
     for _ in 0..max_iterations {
         let current_cost = g.total_cost(model, prices);
         let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
-        let candidates = if indexed {
-            let cat = MergeCatalog::from_plan(&g.plan);
-            enumerate_plumbings_indexed(g, &cat)
-        } else {
-            enumerate_plumbings(g)
-        };
-        for cand in candidates {
+        // Enumeration rebuilds its catalog each iteration: plumbing and
+        // garbage collection remap vertex ids.
+        for cand in enumerate_plumbings(g) {
             if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
                 continue;
             }
@@ -880,8 +834,10 @@ mod tests {
         assert!(report.trajectory[0].0 >= g.plan.vertex_count());
     }
 
+    /// Incremental SHR maintenance (install on merge, strip on removal)
+    /// equals the from-scratch rebuild, with or without a catalog.
     #[test]
-    fn indexed_merge_matches_brute_force() {
+    fn incremental_shr_matches_full_recompute() {
         let cat = catalog();
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
@@ -898,49 +854,38 @@ mod tests {
             JoinOn::on(0, 0),
             Predicate::True,
         );
-        let mut brute = GlobalPlan::new();
-        let mut indexed = GlobalPlan::new();
+        let rebuilt = |g: &GlobalPlan| {
+            let mut fresh = g.clone();
+            fresh.recompute_shr().unwrap();
+            fresh.plan.canonical_string()
+        };
+        let mut plain = GlobalPlan::new();
+        let mut cataloged = GlobalPlan::new();
         let mut mc = MergeCatalog::new();
         for (id, q, sla) in [(1, q1, 45), (2, q2, 60), (3, q3, 45)] {
             let s = sharing(id, q, sla);
             let planned = opt.plan_pair(&s).unwrap().choose(&s).unwrap();
-            brute.merge(&s, &planned).unwrap();
-            indexed.merge_indexed(&s, &planned, &mut mc).unwrap();
+            plain.merge(&s, &planned).unwrap();
+            cataloged.merge_indexed(&s, &planned, &mut mc).unwrap();
             assert_eq!(
-                brute.plan.canonical_string(),
-                indexed.plan.canonical_string(),
-                "indexed merge diverged after sharing {id}"
+                plain.plan.canonical_string(),
+                rebuilt(&plain),
+                "incremental SHR diverged from rebuild after sharing {id}"
+            );
+            assert_eq!(
+                plain.plan.canonical_string(),
+                cataloged.plan.canonical_string(),
+                "catalog bookkeeping changed the merged plan at sharing {id}"
             );
         }
         // Sharings 1 and 2 are identical: the second admission reused every
         // vertex, so the catalog saw hits.
         let (hits, misses) = mc.take_counters();
         assert!(hits > 0, "duplicate sharing produced no catalog hits");
-        assert_eq!(misses as usize, indexed.plan.vertex_count());
+        assert_eq!(misses as usize, cataloged.plan.vertex_count());
 
-        // Removal: stripping matches dropping the meta and rebuilding.
-        brute.sharings.retain(|m| m.id != SharingId::new(2));
-        brute.recompute_shr().unwrap();
-        indexed.strip_sharing(SharingId::new(2));
-        assert_eq!(brute.plan.canonical_string(), indexed.plan.canonical_string());
-    }
-
-    #[test]
-    fn indexed_enumeration_matches_scan() {
-        let (g, _, _) = setup();
-        let cat = MergeCatalog::from_plan(&g.plan);
-        assert_eq!(enumerate_plumbings(&g), enumerate_plumbings_indexed(&g, &cat));
-    }
-
-    #[test]
-    fn indexed_hill_climb_matches_brute_force() {
-        let (g, model, prices) = setup();
-        let mut brute = g.clone();
-        let mut indexed = g;
-        let rb = hill_climb(&mut brute, &model, &prices, 32);
-        let ri = hill_climb_indexed(&mut indexed, &model, &prices, 32);
-        assert_eq!(rb.applied, ri.applied);
-        assert_eq!(brute.plan.canonical_string(), indexed.plan.canonical_string());
+        plain.strip_sharing(SharingId::new(2));
+        assert_eq!(plain.plan.canonical_string(), rebuilt(&plain));
     }
 
     #[test]

@@ -272,7 +272,6 @@ impl<'a> PlanBuilder<'a> {
                 delta_side: DeltaSide::Left,
                 snapshot: SnapshotSem::WindowStart,
                 snapshot_filter: right.pending_filter.clone(),
-                indexed: true,
             },
             vec![dl, right.rel],
             d1,
@@ -306,7 +305,6 @@ impl<'a> PlanBuilder<'a> {
                 delta_side: DeltaSide::Right,
                 snapshot: SnapshotSem::WindowEnd,
                 snapshot_filter: left.pending_filter.clone(),
-                indexed: true,
             },
             vec![dr, left.rel],
             d2,

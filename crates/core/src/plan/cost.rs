@@ -370,86 +370,4 @@ mod tests {
         assert!(util[&MachineId::new(1)] > 0.0);
         assert!(!util.contains_key(&MachineId::new(0)));
     }
-
-    /// A single-machine plan whose one Join edge either probes an
-    /// arrangement or rebuilds from a scan.
-    fn join_plan(indexed: bool, rate: f64) -> Plan {
-        use crate::plan::dag::DeltaSide;
-        use crate::plan::dag::SnapshotSem;
-        use smile_storage::join::JoinOn;
-        let mut p = Plan::new();
-        let s = Some(SharingId::new(0));
-        let m0 = MachineId::new(0);
-        let d = p.add_vertex(
-            VertexKind::Delta,
-            ExprSig::base(RelationId::new(0)),
-            m0,
-            schema(),
-            true,
-            s,
-            rate,
-            0.0,
-            24.0,
-        );
-        let r = p.add_vertex(
-            VertexKind::Relation,
-            ExprSig::base(RelationId::new(1)),
-            m0,
-            schema(),
-            true,
-            s,
-            rate,
-            1000.0,
-            24.0,
-        );
-        let out = p.add_vertex(
-            VertexKind::Delta,
-            ExprSig::base(RelationId::new(2)),
-            m0,
-            schema(),
-            false,
-            s,
-            rate,
-            0.0,
-            48.0,
-        );
-        p.add_edge(
-            EdgeOp::Join {
-                on: JoinOn::on(0, 0),
-                delta_side: DeltaSide::Left,
-                snapshot: SnapshotSem::WindowStart,
-                snapshot_filter: Predicate::True,
-                indexed,
-            },
-            vec![d, r],
-            out,
-            Predicate::True,
-            None,
-            s,
-            rate,
-            48.0,
-        )
-        .unwrap();
-        p
-    }
-
-    /// The tentpole pricing property: the cost model must prefer an indexed
-    /// probe over a per-push scan rebuild, in both time (critical path) and
-    /// dollars (resource rate), so plumbing keeps sharing arrangements.
-    #[test]
-    fn indexed_join_plan_is_cheaper_than_scan_plan() {
-        let m = TimeCostModel::paper_defaults();
-        let prices = PriceSheet::ec2_cross_zone();
-        let probe = join_plan(true, 100.0);
-        let scan = join_plan(false, 100.0);
-        let cp_probe = critical_path(&probe, Scope::All, 100.0, &m);
-        let cp_scan = critical_path(&scan, Scope::All, 100.0, &m);
-        assert!(
-            cp_scan > cp_probe * 2,
-            "scan CP {cp_scan:?} vs probe CP {cp_probe:?}"
-        );
-        let rc_probe = res_cost(&probe, Scope::All, &m, &prices, false);
-        let rc_scan = res_cost(&scan, Scope::All, &m, &prices, false);
-        assert!(rc_scan > rc_probe, "scan ${rc_scan} vs probe ${rc_probe}");
-    }
 }

@@ -89,11 +89,6 @@ pub enum EdgeOp {
         /// Selection applied to the snapshot side before joining (the other
         /// base relation's pushed-down predicate).
         snapshot_filter: Predicate,
-        /// True when the snapshot side is probed through a persistent
-        /// arrangement on the join key; false forces the legacy per-push
-        /// full-scan build (the ablation path, priced separately by the cost
-        /// model).
-        indexed: bool,
     },
     /// Merge several delta streams into one.
     Union,
@@ -236,15 +231,6 @@ impl Plan {
         machine: MachineId,
     ) -> Option<VertexId> {
         self.index.get(&(kind, sig.clone(), machine)).copied()
-    }
-
-    /// Finds all vertices with the given kind and signature on any machine.
-    pub fn find_by_sig(&self, kind: VertexKind, sig: &ExprSig) -> Vec<VertexId> {
-        self.vertices
-            .iter()
-            .filter(|v| v.kind == kind && &v.sig == sig)
-            .map(|v| v.id)
-            .collect()
     }
 
     /// Adds a vertex, deduplicating on (kind, sig, machine): if an identical
@@ -1117,7 +1103,6 @@ mod tests {
                         DeltaSide::Right => SnapshotSem::WindowEnd,
                     },
                     snapshot_filter: Predicate::True,
-                    indexed: true,
                 },
                 vec![d, r],
                 out,

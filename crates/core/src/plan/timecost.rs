@@ -35,16 +35,12 @@ const OP_DELTA_TO_REL: usize = 0;
 const OP_COPY_DELTA: usize = 1;
 const OP_JOIN: usize = 2;
 const OP_UNION: usize = 3;
-/// A join whose snapshot side has no arrangement and must rebuild a hash
-/// table from a full relation scan on every push (the pre-arrangement
-/// behaviour, kept as an ablation).
-const OP_JOIN_SCAN: usize = 4;
 
 /// Linear time model per operator plus network parameters and the feedback
 /// inflation factor.
 #[derive(Clone, Debug)]
 pub struct TimeCostModel {
-    ops: [LinearModel; 5],
+    ops: [LinearModel; 4],
     /// Network bandwidth assumed for `CopyDelta` wire time (bytes/second).
     pub net_bandwidth: f64,
     /// One-way network latency per `CopyDelta`.
@@ -84,14 +80,6 @@ impl TimeCostModel {
                     fixed: us(1_000),
                     per_tuple: us(7),
                 },
-                // Scan join: rebuilding the hash table from the full
-                // relation on every push dominates, so the effective slope
-                // per window tuple is roughly an order of magnitude above
-                // the arrangement probe (amortized fig5-scale measurement).
-                LinearModel {
-                    fixed: us(2_000),
-                    per_tuple: us(400),
-                },
             ],
             net_bandwidth: 125e6,
             net_latency: SimDuration::from_millis(1),
@@ -104,8 +92,7 @@ impl TimeCostModel {
         match op {
             EdgeOp::DeltaToRel => OP_DELTA_TO_REL,
             EdgeOp::CopyDelta => OP_COPY_DELTA,
-            EdgeOp::Join { indexed: true, .. } => OP_JOIN,
-            EdgeOp::Join { indexed: false, .. } => OP_JOIN_SCAN,
+            EdgeOp::Join { .. } => OP_JOIN,
             EdgeOp::Union => OP_UNION,
         }
     }
@@ -161,12 +148,8 @@ impl TimeCostModel {
 
     /// The largest per-tuple service time across operators — the `1/µ` of
     /// the M/M/1 SLA-penalty model ("the most time consuming operator").
-    ///
-    /// The scan-join ablation slot is excluded: installed plans probe
-    /// arrangements, so µ models the operators actually on the hot path
-    /// (including it would silently slacken every SLA admission decision).
     pub fn slowest_per_tuple(&self) -> SimDuration {
-        self.ops[..OP_JOIN_SCAN]
+        self.ops
             .iter()
             .map(|m| m.per_tuple)
             .max()
@@ -192,26 +175,6 @@ mod tests {
             delta_side: crate::plan::dag::DeltaSide::Left,
             snapshot: crate::plan::dag::SnapshotSem::WindowStart,
             snapshot_filter: Predicate::True,
-            indexed: true,
-        }
-    }
-
-    fn scan_join_op() -> EdgeOp {
-        match join_op() {
-            EdgeOp::Join {
-                on,
-                delta_side,
-                snapshot,
-                snapshot_filter,
-                ..
-            } => EdgeOp::Join {
-                on,
-                delta_side,
-                snapshot,
-                snapshot_filter,
-                indexed: false,
-            },
-            other => other,
         }
     }
 
@@ -239,25 +202,6 @@ mod tests {
         let join = m.edge_service(&join_op(), 1000.0, 24.0);
         let copy = m.edge_service(&EdgeOp::CopyDelta, 1000.0, 24.0);
         assert!(join > copy * 5);
-    }
-
-    #[test]
-    fn indexed_probe_is_priced_cheaper_than_scan() {
-        let m = TimeCostModel::paper_defaults();
-        let probe = m.edge_service(&join_op(), 1000.0, 24.0);
-        let scan = m.edge_service(&scan_join_op(), 1000.0, 24.0);
-        assert!(
-            scan > probe * 4,
-            "scan {scan:?} should dwarf probe {probe:?}"
-        );
-    }
-
-    #[test]
-    fn scan_slot_does_not_perturb_mm1_service_rate() {
-        // The scan ablation is deliberately excluded from 1/µ; see
-        // slowest_per_tuple.
-        let m = TimeCostModel::paper_defaults();
-        assert!(m.op_model(&scan_join_op()).per_tuple > m.slowest_per_tuple());
     }
 
     #[test]

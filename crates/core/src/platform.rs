@@ -67,44 +67,14 @@ pub struct SmileConfig {
     /// Fault-injection profile (disabled by default; see
     /// [`FaultProfile::chaos`] for a hostile preset).
     pub faults: FaultProfile,
-    /// Whether join edges probe persistent arrangements (default). When
-    /// false every join push rebuilds its hash table from a full relation
-    /// scan — the pre-arrangement behaviour, kept as an ablation baseline
-    /// and priced accordingly by the cost model.
-    pub use_arrangements: bool,
     /// Telemetry settings: span recording on/off, ring capacity, worker
     /// histogram shards. Instruments always record (pure atomics);
     /// disabling only quiets span recording (zero allocation).
     pub telemetry: TelemetryConfig,
-    /// Whether the storage hot path is columnar (default): push windows are
-    /// read as borrowed log slices, cross-machine WAL frames ship and land
-    /// zero-copy from `Arc`-backed buffers, and join keys are probed in one
-    /// batched pass. When false the executor runs the legacy per-tuple row
-    /// path — the ablation and differential-conformance baseline. MV
-    /// contents, meters, fault reports and traces are byte-identical in
-    /// both modes (the WAL wire format does not change).
-    pub columnar: bool,
-    /// Whether the executor schedules pushes with the event-driven push
-    /// calendar (default): a timer wheel of projected fire ticks plus
-    /// cached per-sharing critical paths make the per-tick scheduling cost
-    /// O(due + invalidated) in the number of sharings. When false every
-    /// tick scans all sharings recomputing critical paths from the full
-    /// merged plan — the pre-calendar baseline kept for differential
-    /// conformance and the scan arm of the executor-scale bench. Both
-    /// modes plan byte-identical batches, so all observable state matches.
-    pub calendar_scheduling: bool,
     /// Adaptive-runtime actuator settings: online re-planning, live MV
     /// migration and dollar-budgeted fleet elasticity. Disabled by default
     /// so every pre-adaptive workload replays byte-identically.
     pub adaptive: AdaptiveConfig,
-    /// Whether admission goes through the merge catalog (default): the
-    /// global plan is merged incrementally at submit time, committed
-    /// utilization is tracked incrementally, and SHR membership is extended
-    /// in place — sublinear per admission. When false, every admission
-    /// scans all previously admitted plans and `install` re-merges from
-    /// scratch — the original quadratic path, kept as the ablation and
-    /// differential-test baseline.
-    pub indexed_admission: bool,
 }
 
 impl SmileConfig {
@@ -122,12 +92,8 @@ impl SmileConfig {
             capacity: 1.0,
             force_objective: None,
             faults: FaultProfile::disabled(),
-            use_arrangements: true,
             telemetry: TelemetryConfig::default(),
-            columnar: true,
-            calendar_scheduling: true,
             adaptive: AdaptiveConfig::default(),
-            indexed_admission: true,
         }
     }
 }
@@ -328,13 +294,13 @@ pub struct Smile {
     pub hc_report: Option<HillClimbReport>,
     /// Shared telemetry handle (spans, counters, histograms).
     telemetry: Arc<Telemetry>,
-    /// Indexed admission: the global plan built incrementally at submit
-    /// time; `install` consumes it instead of re-merging every plan.
+    /// The global plan built incrementally at submit time; `install`
+    /// consumes it.
     staged: GlobalPlan,
-    /// Indexed admission: the cross-tenant index over admitted structures.
+    /// The cross-tenant index over admitted structures.
     merge_catalog: MergeCatalog,
-    /// Indexed admission: committed utilization accumulated per admission
-    /// (the brute path recomputes this by scanning all admitted plans).
+    /// Committed utilization per machine, accumulated per admission and
+    /// released per retirement.
     committed: HashMap<MachineId, f64>,
     /// Refcounted fleet-wide arrangement bookkeeping, reconciled against
     /// the live plan after install / live admission / retirement.
@@ -359,11 +325,7 @@ pub struct Smile {
 
 impl Smile {
     /// Builds the platform with `config.machines` simulated machines.
-    pub fn new(mut config: SmileConfig) -> Self {
-        // The executor owns only an `ExecConfig`; mirror the platform-level
-        // storage-mode switch into it so every push sees one flag.
-        config.exec.columnar = config.columnar;
-        config.exec.calendar_scheduling = config.calendar_scheduling;
+    pub fn new(config: SmileConfig) -> Self {
         let mut cluster = Cluster::with_configs(vec![config.machine_config; config.machines]);
         cluster.prices = config.prices;
         cluster.set_fault_profile(config.faults);
@@ -463,22 +425,6 @@ impl Smile {
         query.validate(&self.catalog)?;
         let id = SharingId::new(self.next_sharing);
         let sharing = Sharing::new(id, name, query, staleness_sla, penalty_per_tuple);
-        // Capacity already committed by previously admitted sharings. The
-        // indexed path keeps the running totals; the brute path recomputes
-        // them by scanning every admitted plan (the original quadratic
-        // behaviour, preserved for ablation). Both accumulate per machine
-        // in admission order, so the sums are bit-identical.
-        let committed: HashMap<MachineId, f64> = if self.config.indexed_admission {
-            self.committed.clone()
-        } else {
-            let mut committed: HashMap<MachineId, f64> = HashMap::new();
-            for p in &self.planned {
-                for (m, u) in machine_utilization(&p.plan, Scope::All, &self.config.model) {
-                    *committed.entry(m).or_default() += u;
-                }
-            }
-            committed
-        };
         // The decision itself lives in the re-entrant `Reoptimizer` — the
         // same plan-search + placement logic the adaptive control loop
         // re-invokes online against live fleet state.
@@ -490,8 +436,8 @@ impl Smile {
         )
         .with_capacity(self.config.capacity)
         .with_force_objective(self.config.force_objective)
-        .plan_admission(&sharing, committed, mv_machine);
-        let mut planned = match plan_result {
+        .plan_admission(&sharing, self.committed.clone(), mv_machine);
+        let planned = match plan_result {
             Ok(p) => {
                 self.telemetry
                     .registry()
@@ -509,17 +455,12 @@ impl Smile {
                 return Err(e);
             }
         };
-        if !self.config.use_arrangements {
-            set_join_indexing(&mut planned.plan, false);
+        for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
+            *self.committed.entry(m).or_default() += u;
         }
-        if self.config.indexed_admission {
-            for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
-                *self.committed.entry(m).or_default() += u;
-            }
-            if self.executor.is_none() {
-                self.staged
-                    .merge_indexed(&sharing, &planned, &mut self.merge_catalog)?;
-            }
+        if self.executor.is_none() {
+            self.staged
+                .merge_indexed(&sharing, &planned, &mut self.merge_catalog)?;
         }
         self.next_sharing += 1;
         self.snapshot.register_penalty(id, penalty_per_tuple);
@@ -556,17 +497,8 @@ impl Smile {
                 "platform already installed; dynamic re-install is not supported".into(),
             ));
         }
-        let mut global = if self.config.indexed_admission {
-            // Already merged incrementally, one sharing at a time, at submit.
-            std::mem::take(&mut self.staged)
-        } else {
-            let mut global = GlobalPlan::new();
-            for (sharing, planned) in self.sharings.iter().zip(&self.planned) {
-                global.merge(sharing, planned)?;
-            }
-            global
-        };
-        global.indexed_shr = self.config.indexed_admission;
+        // Already merged incrementally, one sharing at a time, at submit.
+        let mut global = std::mem::take(&mut self.staged);
         if self.config.hill_climb {
             let report = Reoptimizer::new(
                 &self.catalog,
@@ -574,16 +506,10 @@ impl Smile {
                 &self.config.model,
                 &self.config.prices,
             )
-            .hill_climb_placement(
-                &mut global,
-                self.config.indexed_admission,
-                self.config.hill_climb_iterations,
-            );
+            .hill_climb_placement(&mut global, true, self.config.hill_climb_iterations);
             self.hc_report = Some(report);
-            if self.config.indexed_admission {
-                // Plumbing + garbage collection remapped vertex ids.
-                self.merge_catalog.rebuild(&global.plan);
-            }
+            // Plumbing + garbage collection remapped vertex ids.
+            self.merge_catalog.rebuild(&global.plan);
         }
         global.plan.validate()?;
         let _created = self.materialize(&mut global)?;
@@ -606,7 +532,7 @@ impl Smile {
     }
 
     /// Reconciles the global arrangement registry against the live plan's
-    /// indexed join edges and applies the physical delta: first references
+    /// join edges and applies the physical delta: first references
     /// build arrangements (idempotent — materialization usually already
     /// did), last references drop them so retired sharings reclaim memory.
     fn sync_arrangements(&mut self) -> Result<()> {
@@ -635,7 +561,7 @@ impl Smile {
         &self.arrangements
     }
 
-    /// The cross-tenant merge catalog (meaningful under indexed admission).
+    /// The cross-tenant merge catalog.
     pub fn merge_catalog(&self) -> &MergeCatalog {
         &self.merge_catalog
     }
@@ -643,6 +569,18 @@ impl Smile {
     /// The running global plan, once installed.
     pub fn global_plan(&self) -> Option<&GlobalPlan> {
         self.executor.as_ref().map(|e| &e.global)
+    }
+
+    /// The global plan admissions have merged so far; empty once `install`
+    /// has consumed it.
+    pub fn staged_plan(&self) -> &GlobalPlan {
+        &self.staged
+    }
+
+    /// Running per-machine utilization committed to admitted sharings —
+    /// what the next admission is planned against.
+    pub fn committed_utilization(&self) -> &HashMap<MachineId, f64> {
+        &self.committed
     }
 
     /// Allocates storage slots for plan vertices, creates the relations,
@@ -682,7 +620,7 @@ impl Smile {
         };
         // Live admission places only among *active* machines: a draining
         // or retired machine must not gain new MVs.
-        let mut planned = Reoptimizer::new(
+        let planned = Reoptimizer::new(
             &self.catalog,
             self.cluster.active_machine_ids(),
             &self.config.model,
@@ -694,9 +632,6 @@ impl Smile {
             .registry()
             .counter("planner.sharings_admitted")
             .inc();
-        if !self.config.use_arrangements {
-            set_join_indexing(&mut planned.plan, false);
-        }
 
         let executor = self.executor.as_mut().expect("checked");
         executor.add_sharing(&sharing, &planned)?;
@@ -713,10 +648,8 @@ impl Smile {
         let floor = self.now + SimDuration::from_micros(1);
         self.seed_floor = Some(self.seed_floor.map_or(floor, |f| f.max(floor)));
 
-        if self.config.indexed_admission {
-            for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
-                *self.committed.entry(m).or_default() += u;
-            }
+        for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
+            *self.committed.entry(m).or_default() += u;
         }
         self.next_sharing += 1;
         self.snapshot.register_penalty(id, penalty_per_tuple);
@@ -737,11 +670,9 @@ impl Smile {
         let dropped = executor.remove_sharing(id)?;
         self.drop_slots(&dropped)?;
         if let Some(pos) = self.sharings.iter().position(|s| s.id == id) {
-            if self.config.indexed_admission {
-                let plan = &self.planned[pos].plan;
-                for (m, u) in machine_utilization(plan, Scope::All, &self.config.model) {
-                    *self.committed.entry(m).or_default() -= u;
-                }
+            let plan = &self.planned[pos].plan;
+            for (m, u) in machine_utilization(plan, Scope::All, &self.config.model) {
+                *self.committed.entry(m).or_default() -= u;
             }
             self.sharings.remove(pos);
             self.planned.remove(pos);
@@ -880,7 +811,7 @@ impl Smile {
             let mv = executor.global.mv_vertex(id)?;
             (live, executor.global.plan.vertex(mv).machine, executor.mv_ts(id)?)
         };
-        let mut planned = Reoptimizer::new(
+        let planned = Reoptimizer::new(
             &self.catalog,
             machines,
             &self.config.model,
@@ -888,9 +819,6 @@ impl Smile {
         )
         .with_capacity(self.config.capacity)
         .replan(&self.sharings[pos], live, &self.planned[pos], pin)?;
-        if !self.config.use_arrangements {
-            set_join_indexing(&mut planned.plan, false);
-        }
         if planned.mv_machine == cur_machine {
             return Ok(false); // the current placement already wins
         }
@@ -948,20 +876,17 @@ impl Smile {
             self.drop_slots(&o.dropped)?;
             if o.completed {
                 let new_plan = self.pending_plans.remove(&o.id);
-                if let (Some(new_plan), Some(pos)) = (
-                    new_plan,
-                    self.sharings.iter().position(|s| s.id == o.id),
-                ) {
-                    if self.config.indexed_admission {
-                        let old = &self.planned[pos].plan;
-                        for (m, u) in machine_utilization(old, Scope::All, &self.config.model) {
-                            *self.committed.entry(m).or_default() -= u;
-                        }
-                        for (m, u) in
-                            machine_utilization(&new_plan.plan, Scope::All, &self.config.model)
-                        {
-                            *self.committed.entry(m).or_default() += u;
-                        }
+                if let (Some(new_plan), Some(pos)) =
+                    (new_plan, self.sharings.iter().position(|s| s.id == o.id))
+                {
+                    let old = &self.planned[pos].plan;
+                    for (m, u) in machine_utilization(old, Scope::All, &self.config.model) {
+                        *self.committed.entry(m).or_default() -= u;
+                    }
+                    for (m, u) in
+                        machine_utilization(&new_plan.plan, Scope::All, &self.config.model)
+                    {
+                        *self.committed.entry(m).or_default() += u;
                     }
                     self.planned[pos] = new_plan;
                 }
@@ -1661,22 +1586,16 @@ impl Smile {
 }
 
 /// Desired arrangement refcounts from the live plan: one reference per
-/// *live* (serving at least one sharing) indexed join edge, keyed by the
+/// *live* (serving at least one sharing) join edge, keyed by the
 /// snapshot side's (machine, relation slot, probe columns). `BTreeMap`, so
 /// reconciliation walks keys deterministically.
 fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> {
     let mut desired: BTreeMap<ArrangementKey, usize> = BTreeMap::new();
     for e in global.plan.edges() {
-        let EdgeOp::Join {
-            on,
-            delta_side,
-            indexed,
-            ..
-        } = &e.op
-        else {
+        let EdgeOp::Join { on, delta_side, .. } = &e.op else {
             continue;
         };
-        if !indexed || e.sharings.is_empty() {
+        if e.sharings.is_empty() {
             continue;
         }
         let snap_cols = match delta_side {
@@ -1692,22 +1611,6 @@ fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> 
             .or_default() += 1;
     }
     desired
-}
-
-/// Forces every join edge of a single-sharing plan onto the arrangement
-/// probe path (`indexed: true`) or the full-scan ablation path. Must run
-/// before the plan is merged into the global plan — edge deduplication
-/// compares operators, so all plans in one platform must agree.
-fn set_join_indexing(plan: &mut crate::plan::dag::Plan, indexed: bool) {
-    for e in plan.edges_mut() {
-        if let EdgeOp::Join {
-            indexed: ref mut flag,
-            ..
-        } = e.op
-        {
-            *flag = indexed;
-        }
-    }
 }
 
 /// The incremental storage materializer shared by `install`, `submit_live`
@@ -1778,21 +1681,11 @@ fn materialize_into(
         }
     }
     // Arrangements for join probes (idempotent; edges on the same
-    // (relation, key) pair share one arrangement). Scan-mode edges
-    // (`indexed: false`) deliberately get none.
+    // (relation, key) pair share one arrangement).
     for e in global.plan.edges().to_vec() {
-        let EdgeOp::Join {
-            on,
-            delta_side,
-            indexed,
-            ..
-        } = &e.op
-        else {
+        let EdgeOp::Join { on, delta_side, .. } = &e.op else {
             continue;
         };
-        if !indexed {
-            continue;
-        }
         let snap_cols = match delta_side {
             DeltaSide::Left => &on.right_cols,
             DeltaSide::Right => &on.left_cols,

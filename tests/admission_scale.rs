@@ -128,7 +128,7 @@ fn run(workers: usize) -> ScaleRun {
     assert_eq!(admitted.len(), SHARINGS);
 
     // Per-sharing arrangement demand as if nothing were shared: one
-    // arrangement per indexed join edge of each planned plan, no
+    // arrangement per join edge of each planned plan, no
     // cross-plan dedup.
     let unshared: usize = admitted
         .iter()
@@ -139,7 +139,7 @@ fn run(workers: usize) -> ScaleRun {
                 .plan
                 .edges()
                 .iter()
-                .filter(|e| matches!(e.op, EdgeOp::Join { indexed: true, .. }))
+                .filter(|e| matches!(e.op, EdgeOp::Join { .. }))
                 .count()
         })
         .sum();

@@ -1,15 +1,15 @@
-//! Cross-suite differential conformance harness for the columnar hot path.
+//! Cross-suite conformance harness for the engine.
 //!
-//! The storage engine ships every delta as a columnar v2 WAL frame and, in
-//! columnar mode, lands it zero-copy and probes arrangements with batched
-//! key hashing. Legacy mode (`SmileConfig::columnar = false`) is the
-//! pre-refactor per-tuple row pipeline kept alive as the differential
-//! baseline. Running the **same seeded workload** through
-//! `(columnar, legacy) × (workers 1, 4) × (faults off, chaos)` must produce
-//! byte-identical observable state on every axis: MV contents, fault
-//! attribution, the PUSH record stream, billing, the exported Perfetto
-//! trace, and the logical metrics snapshot. Any divergence means the fast
-//! path changed semantics, not just wall clock.
+//! One seeded workload — a cross-machine joined, filtered sharing fed
+//! inserts and deletes — runs through `workers {1, 2, 8} × faults {off,
+//! chaos} × {static, adaptive}`. Within every `(faults, adaptive)` cell the
+//! whole observable surface must be byte-identical at any worker count: MV
+//! contents, fault attribution, the PUSH record stream, billing, the
+//! exported Perfetto trace, the logical metrics snapshot, alert and action
+//! streams, and `explain()`. Every cell's MV must also equal the ground
+//! truth (`SpjQuery::evaluate` over base snapshots as of the MV's
+//! timestamp), and four pinned digests hold the default engine's
+//! observables fixed across rewrites.
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
@@ -30,9 +30,6 @@ fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
 /// One cell of the conformance matrix.
 #[derive(Clone, Copy, Debug)]
 struct Scenario {
-    columnar: bool,
-    /// Event-driven push-calendar scheduling vs the full per-tick scan.
-    calendar: bool,
     workers: usize,
     chaos: bool,
     /// Closed-loop actuation: the control loop drains alerts into
@@ -43,8 +40,8 @@ struct Scenario {
     sla: SimDuration,
 }
 
-/// Everything observable about a run that must not depend on the engine
-/// mode (and, transitively, on the worker count or fault schedule replay).
+/// Everything observable about a run that must not depend on the worker
+/// count or on fault-schedule replay.
 struct RunResult {
     mv: String,
     expected: String,
@@ -55,7 +52,7 @@ struct RunResult {
     /// Exported Chrome trace — sim-time only, canonical order.
     trace: String,
     /// Metrics snapshot with host wall-clock lines (`host_` marker)
-    /// filtered out; the rest is logical and must be mode-independent.
+    /// filtered out; the rest is logical and must be worker-independent.
     metrics: String,
     /// Burn-rate monitor alert stream, Debug-formatted.
     alerts: String,
@@ -70,8 +67,6 @@ struct RunResult {
 impl Scenario {
     fn run(self) -> RunResult {
         let mut config = SmileConfig::with_machines(2);
-        config.columnar = self.columnar;
-        config.calendar_scheduling = self.calendar;
         config.exec.workers = self.workers;
         if self.chaos {
             config.faults = FaultProfile::chaos(4242);
@@ -207,134 +202,64 @@ fn assert_identical(base: &RunResult, other: &RunResult, cell: &str) {
     );
 }
 
-#[test]
-fn columnar_equals_legacy_across_workers_and_faults() {
-    for chaos in [false, true] {
-        for workers in [1usize, 4] {
-            let legacy = Scenario {
-                columnar: false,
-                calendar: true,
-                workers,
-                chaos,
-                adaptive: false,
-                sla: SimDuration::from_secs(20),
-            }
-            .run();
-            let columnar = Scenario {
-                columnar: true,
-                calendar: true,
-                workers,
-                chaos,
-                adaptive: false,
-                sla: SimDuration::from_secs(20),
-            }
-            .run();
-            assert_identical(
-                &legacy,
-                &columnar,
-                &format!("columnar vs legacy at workers={workers} chaos={chaos}"),
-            );
-            if chaos {
-                // The comparison must not be vacuous: the fault machinery
-                // actually fired in both runs (reports already compared).
-                assert!(
-                    legacy.report.crashes + legacy.report.deltas_dropped
-                        + legacy.report.pushes_retried
-                        >= 1,
-                    "chaos profile injected nothing: {:?}",
-                    legacy.report
-                );
-            }
+/// Runs one `(chaos, adaptive)` cell at workers 1, 2 and 8, requires MV ==
+/// ground truth and byte-identical observables at every worker count, and
+/// returns the workers=1 run.
+fn cell_agrees_across_workers(chaos: bool, adaptive: bool, sla: SimDuration) -> RunResult {
+    let run = |workers: usize| {
+        let r = Scenario {
+            workers,
+            chaos,
+            adaptive,
+            sla,
         }
+        .run();
+        assert_eq!(
+            r.mv, r.expected,
+            "MV != ground truth: workers={workers} chaos={chaos} adaptive={adaptive}"
+        );
+        r
+    };
+    let base = run(1);
+    for workers in [2usize, 8] {
+        assert_identical(
+            &base,
+            &run(workers),
+            &format!("workers={workers} vs workers=1 at chaos={chaos} adaptive={adaptive}"),
+        );
     }
+    base
 }
 
 #[test]
-fn columnar_matches_ground_truth_fault_free() {
-    let r = Scenario {
-        columnar: true,
-        calendar: true,
-        workers: 1,
-        chaos: false,
-        adaptive: false,
-        sla: SimDuration::from_secs(20),
-    }
-    .run();
-    assert_eq!(r.mv, r.expected, "columnar MV diverged from ground truth");
+fn static_fault_free_cell_is_exact_and_worker_deterministic() {
+    let r = cell_agrees_across_workers(false, false, SimDuration::from_secs(20));
     assert!(!r.pushes.is_empty(), "no pushes completed");
+    assert_eq!(r.actions, "[]", "static run must take no actions");
 }
 
 #[test]
-fn modes_agree_under_chaos_with_recovery_exercised() {
-    // The single most adversarial cell, pinned on its own so a failure
-    // names it directly: chaos + multi-worker, columnar vs legacy.
-    let legacy = Scenario {
-        columnar: false,
-        calendar: true,
-        workers: 4,
-        chaos: true,
-        adaptive: false,
-        sla: SimDuration::from_secs(20),
-    }
-    .run();
+fn static_chaos_cell_is_exact_and_worker_deterministic() {
+    // The most adversarial static cell, pinned on its own so a failure
+    // names it directly.
+    let r = cell_agrees_across_workers(true, false, SimDuration::from_secs(20));
+    // The comparison must not be vacuous: the fault machinery actually
+    // fired and recovery ran.
     assert!(
-        legacy.report.crashes >= 1 || legacy.report.pushes_retried >= 1,
-        "chaos run exercised no recovery: {:?}",
-        legacy.report
+        r.report.crashes + r.report.deltas_dropped >= 1,
+        "chaos profile injected nothing: {:?}",
+        r.report
     );
-    let columnar = Scenario {
-        columnar: true,
-        calendar: true,
-        workers: 4,
-        chaos: true,
-        adaptive: false,
-        sla: SimDuration::from_secs(20),
-    }
-    .run();
-    assert_identical(&legacy, &columnar, "chaos workers=4");
+    assert!(
+        r.report.crashes >= 1 || r.report.pushes_retried >= 1,
+        "chaos run exercised no recovery: {:?}",
+        r.report
+    );
 }
 
 #[test]
-fn calendar_equals_scan_across_workers_and_faults() {
-    // The scheduling axis: the event-driven push calendar must plan the
-    // same batches the full per-tick scan does, so every observable —
-    // MV bytes, fault attribution, PUSH records, billing, trace, logical
-    // metrics — is byte-identical under chaos and at any worker count.
-    for chaos in [false, true] {
-        for workers in [1usize, 4] {
-            let scan = Scenario {
-                columnar: true,
-                calendar: false,
-                workers,
-                chaos,
-                adaptive: false,
-                sla: SimDuration::from_secs(20),
-            }
-            .run();
-            let calendar = Scenario {
-                columnar: true,
-                calendar: true,
-                workers,
-                chaos,
-                adaptive: false,
-                sla: SimDuration::from_secs(20),
-            }
-            .run();
-            assert_identical(
-                &scan,
-                &calendar,
-                &format!("calendar vs scan at workers={workers} chaos={chaos}"),
-            );
-            if chaos {
-                assert!(
-                    scan.report.crashes + scan.report.deltas_dropped + scan.report.pushes_retried
-                        >= 1,
-                    "chaos profile injected nothing: {:?}",
-                    scan.report
-                );
-            }
-        }
-    }
+fn adaptive_fault_free_cell_is_exact_and_worker_deterministic() {
+    cell_agrees_across_workers(false, true, SimDuration::from_secs(1));
 }
 
 #[test]
@@ -346,27 +271,14 @@ fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
     // and alert streams included — must be byte-identical at any worker
     // count; and because the actuator only moves work (never changes the
     // query), the sharing's ground truth must match the static run's.
-    let cell = |workers: usize, adaptive: bool| {
-        Scenario {
-            columnar: true,
-            calendar: true,
-            workers,
-            chaos: true,
-            adaptive,
-            sla: SimDuration::from_secs(1),
-        }
-        .run()
-    };
-    let static_run = cell(1, false);
-    let base = cell(1, true);
-    for workers in [2usize, 8] {
-        let other = cell(workers, true);
-        assert_identical(
-            &base,
-            &other,
-            &format!("adaptive workers={workers} vs workers=1"),
-        );
+    let static_run = Scenario {
+        workers: 1,
+        chaos: true,
+        adaptive: false,
+        sla: SimDuration::from_secs(1),
     }
+    .run();
+    let base = cell_agrees_across_workers(true, true, SimDuration::from_secs(1));
     // The axis is not vacuous: the monitor paged and the actuator acted.
     assert_ne!(base.alerts, "[]", "tight-SLA chaos run raised no alert");
     assert!(

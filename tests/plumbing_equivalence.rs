@@ -286,62 +286,3 @@ fn merged_sharings_share_one_arrangement_and_match_unmerged_views() {
 fn merged_sharings_match_unmerged_views_under_seeded_faults() {
     compare_merged_vs_unmerged(|| FaultProfile::chaos(4242));
 }
-
-/// The `use_arrangements = false` ablation (every join edge downgraded to
-/// the scan path before merging) must change performance only: MVs stay
-/// byte-identical and no arrangement is ever materialized.
-#[test]
-fn scan_path_ablation_produces_identical_views_and_no_arrangements() {
-    let build = |use_arrangements: bool| {
-        let mut config = SmileConfig::with_machines(2);
-        config.use_arrangements = use_arrangements;
-        let mut smile = Smile::new(config);
-        let stats = || BaseStats {
-            update_rate: 5.0,
-            cardinality: 100.0,
-            tuple_bytes: 16.0,
-            distinct: vec![100.0, 50.0],
-        };
-        let a = smile
-            .register_base(
-                "a",
-                base_schema(&[("k", ColumnType::I64), ("x", ColumnType::I64)], vec![0]),
-                MachineId::new(0),
-                stats(),
-            )
-            .unwrap();
-        let b = smile
-            .register_base(
-                "b",
-                base_schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-                MachineId::new(1),
-                stats(),
-            )
-            .unwrap();
-        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-        let id = smile
-            .submit("abl", q, SimDuration::from_secs(30), 0.01)
-            .unwrap();
-        smile.install().unwrap();
-        feed_shared(&mut smile, [a, a, b], 120);
-        let got = smile.mv_contents(id).unwrap();
-        let want = smile.expected_mv_contents(id).unwrap();
-        assert!(!want.is_empty());
-        assert_eq!(
-            got.sorted_entries(),
-            want.sorted_entries(),
-            "ground-truth divergence (use_arrangements={use_arrangements})"
-        );
-        (got.sorted_entries(), smile.arrangement_meter())
-    };
-    let (mv_on, meter_on) = build(true);
-    let (mv_off, meter_off) = build(false);
-    assert_eq!(mv_on, mv_off, "scan ablation changed MV contents");
-    assert!(meter_on.arrangements > 0);
-    assert!(meter_on.counters.probes > 0);
-    assert_eq!(
-        meter_off.arrangements, 0,
-        "scan ablation still materialized arrangements"
-    );
-    assert_eq!(meter_off.counters.probes, 0);
-}

@@ -21,7 +21,7 @@ use crate::merge_catalog::MergeCatalog;
 use crate::multi::{GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, PlannedSharing};
 use crate::plan::cost::{machine_utilization, Scope};
-use crate::plan::dag::{DeltaSide, EdgeOp, VertexKind};
+use crate::plan::dag::{DeltaSide, EdgeOp, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::reoptimizer::Reoptimizer;
 use crate::sharing::Sharing;
@@ -455,9 +455,7 @@ impl Smile {
                 return Err(e);
             }
         };
-        for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
-            *self.committed.entry(m).or_default() += u;
-        }
+        account(&mut self.committed, &self.config.model, &planned.plan, 1.0);
         if self.executor.is_none() {
             self.staged
                 .merge_indexed(&sharing, &planned, &mut self.merge_catalog)?;
@@ -648,9 +646,7 @@ impl Smile {
         let floor = self.now + SimDuration::from_micros(1);
         self.seed_floor = Some(self.seed_floor.map_or(floor, |f| f.max(floor)));
 
-        for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
-            *self.committed.entry(m).or_default() += u;
-        }
+        account(&mut self.committed, &self.config.model, &planned.plan, 1.0);
         self.next_sharing += 1;
         self.snapshot.register_penalty(id, penalty_per_tuple);
         self.sharings.push(sharing);
@@ -671,9 +667,7 @@ impl Smile {
         self.drop_slots(&dropped)?;
         if let Some(pos) = self.sharings.iter().position(|s| s.id == id) {
             let plan = &self.planned[pos].plan;
-            for (m, u) in machine_utilization(plan, Scope::All, &self.config.model) {
-                *self.committed.entry(m).or_default() -= u;
-            }
+            account(&mut self.committed, &self.config.model, plan, -1.0);
             self.sharings.remove(pos);
             self.planned.remove(pos);
         }
@@ -879,15 +873,9 @@ impl Smile {
                 if let (Some(new_plan), Some(pos)) =
                     (new_plan, self.sharings.iter().position(|s| s.id == o.id))
                 {
-                    let old = &self.planned[pos].plan;
-                    for (m, u) in machine_utilization(old, Scope::All, &self.config.model) {
-                        *self.committed.entry(m).or_default() -= u;
-                    }
-                    for (m, u) in
-                        machine_utilization(&new_plan.plan, Scope::All, &self.config.model)
-                    {
-                        *self.committed.entry(m).or_default() += u;
-                    }
+                    let (committed, model) = (&mut self.committed, &self.config.model);
+                    account(committed, model, &self.planned[pos].plan, -1.0);
+                    account(committed, model, &new_plan.plan, 1.0);
                     self.planned[pos] = new_plan;
                 }
                 self.push_action(ActionKind::MigrationCompleted {
@@ -1582,6 +1570,19 @@ impl Smile {
             sla_violations,
             sla_violations_attributable: attributable,
         }
+    }
+}
+
+/// Adds (`sign = 1.0`) or releases (`sign = -1.0`) a plan's utilization in
+/// the running committed totals.
+fn account(
+    committed: &mut HashMap<MachineId, f64>,
+    model: &TimeCostModel,
+    plan: &Plan,
+    sign: f64,
+) {
+    for (m, u) in machine_utilization(plan, Scope::All, model) {
+        *committed.entry(m).or_default() += sign * u;
     }
 }
 

@@ -65,6 +65,10 @@ struct RunResult {
 }
 
 impl Scenario {
+    /// Two machines, one cross-machine joined sharing with a real ship-side
+    /// filter (so the filtered frame encoder is on the hot path), seeded
+    /// chaos when requested. Inserts *and* deletes feed both bases so
+    /// negative weights cross the wire.
     fn run(self) -> RunResult {
         let mut config = SmileConfig::with_machines(2);
         config.exec.workers = self.workers;
@@ -77,83 +81,75 @@ impl Scenario {
             // migrate between the machines it already has.
             config.adaptive.budget_dollars_per_hour = 0.0;
         }
-        run_scenario(config, self.sla)
-    }
-}
-
-/// Runs the conformance workload on a platform built from `config`: two
-/// machines, one cross-machine joined sharing with a real ship-side filter
-/// (so the filtered frame encoder is on the hot path). Inserts *and*
-/// deletes feed both bases so negative weights cross the wire.
-fn run_scenario(config: SmileConfig, sla: SimDuration) -> RunResult {
-    let mut smile = Smile::new(config);
-    let a = smile
-        .register_base(
-            "a",
-            schema(&[("k", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0],
+        let mut smile = Smile::new(config);
+        let a = smile
+            .register_base(
+                "a",
+                schema(&[("k", ColumnType::I64)], vec![0]),
+                MachineId::new(0),
+                BaseStats {
+                    update_rate: 5.0,
+                    cardinality: 100.0,
+                    tuple_bytes: 16.0,
+                    distinct: vec![100.0],
+                },
+            )
+            .unwrap();
+        let b = smile
+            .register_base(
+                "b",
+                schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
+                MachineId::new(1),
+                BaseStats {
+                    update_rate: 5.0,
+                    cardinality: 100.0,
+                    tuple_bytes: 16.0,
+                    distinct: vec![100.0, 50.0],
+                },
+            )
+            .unwrap();
+        let q = SpjQuery::scan(a).join(
+            b,
+            JoinOn::on(0, 0),
+            Predicate::Cmp {
+                col: 0,
+                op: CmpOp::Lt,
+                value: Value::I64(18),
             },
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(1),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0, 50.0],
-            },
-        )
-        .unwrap();
-    let q = SpjQuery::scan(a).join(
-        b,
-        JoinOn::on(0, 0),
-        Predicate::Cmp {
-            col: 0,
-            op: CmpOp::Lt,
-            value: Value::I64(18),
-        },
-    );
-    let id: SharingId = smile.submit("conf", q, sla, 0.01).unwrap();
-    smile.install().unwrap();
-    feed(&mut smile, a, b, 200);
-    smile.run_idle(SimDuration::from_secs(60)).unwrap();
+        );
+        let id: SharingId = smile.submit("conf", q, self.sla, 0.01).unwrap();
+        smile.install().unwrap();
+        feed(&mut smile, a, b, 200);
+        smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
-    let trace = smile.export_trace();
-    let metrics = smile
-        .telemetry_snapshot()
-        .to_text()
-        .lines()
-        .filter(|l| !l.contains("host_"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let alerts = format!("{:?}", smile.alerts());
-    let actions = format!("{:?}", smile.actions());
-    let explain = smile.explain(id).unwrap();
-    let executor = smile.executor.as_ref().unwrap();
-    RunResult {
-        mv: format!("{:?}", smile.mv_contents(id).unwrap().sorted_entries()),
-        expected: format!(
-            "{:?}",
-            smile.expected_mv_contents(id).unwrap().sorted_entries()
-        ),
-        report: smile.fault_report(),
-        pushes: executor.push_records.clone(),
-        tuples_moved: executor.tuples_moved,
-        dollars: format!("{:.9}", smile.total_dollars()),
-        trace,
-        metrics,
-        alerts,
-        actions,
-        explain,
+        let trace = smile.export_trace();
+        let metrics = smile
+            .telemetry_snapshot()
+            .to_text()
+            .lines()
+            .filter(|l| !l.contains("host_"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let alerts = format!("{:?}", smile.alerts());
+        let actions = format!("{:?}", smile.actions());
+        let explain = smile.explain(id).unwrap();
+        let executor = smile.executor.as_ref().unwrap();
+        RunResult {
+            mv: format!("{:?}", smile.mv_contents(id).unwrap().sorted_entries()),
+            expected: format!(
+                "{:?}",
+                smile.expected_mv_contents(id).unwrap().sorted_entries()
+            ),
+            report: smile.fault_report(),
+            pushes: executor.push_records.clone(),
+            tuples_moved: executor.tuples_moved,
+            dollars: format!("{:.9}", smile.total_dollars()),
+            trace,
+            metrics,
+            alerts,
+            actions,
+            explain,
+        }
     }
 }
 
@@ -232,9 +228,23 @@ fn cell_agrees_across_workers(chaos: bool, adaptive: bool, sla: SimDuration) -> 
 }
 
 #[test]
+fn matches_ground_truth_fault_free() {
+    // The simplest cell on its own, so a plain maintenance bug fails here
+    // by name before it fails the matrix.
+    let r = Scenario {
+        workers: 1,
+        chaos: false,
+        adaptive: false,
+        sla: SimDuration::from_secs(20),
+    }
+    .run();
+    assert_eq!(r.mv, r.expected, "MV diverged from ground truth");
+    assert!(!r.pushes.is_empty(), "no pushes completed");
+}
+
+#[test]
 fn static_fault_free_cell_is_exact_and_worker_deterministic() {
     let r = cell_agrees_across_workers(false, false, SimDuration::from_secs(20));
-    assert!(!r.pushes.is_empty(), "no pushes completed");
     assert_eq!(r.actions, "[]", "static run must take no actions");
 }
 
@@ -330,12 +340,13 @@ fn default_engine_observables_match_pinned_digests() {
         (4, true, 0x17fe_1651_b903_b946),
     ];
     let got = pinned.map(|(workers, chaos, _)| {
-        let mut config = SmileConfig::with_machines(2);
-        config.exec.workers = workers;
-        if chaos {
-            config.faults = FaultProfile::chaos(4242);
+        let r = Scenario {
+            workers,
+            chaos,
+            adaptive: false,
+            sla: SimDuration::from_secs(20),
         }
-        let r = run_scenario(config, SimDuration::from_secs(20));
+        .run();
         assert_eq!(
             r.mv, r.expected,
             "MV != ground truth: workers={workers} chaos={chaos}"

@@ -38,11 +38,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Vec<Op>>> {
 }
 
 fn build_platform() -> (Smile, RelationId, RelationId) {
-    build_platform_with(SmileConfig::with_machines(2))
-}
-
-fn build_platform_with(config: SmileConfig) -> (Smile, RelationId, RelationId) {
-    let mut smile = Smile::new(config);
+    let mut smile = Smile::new(SmileConfig::with_machines(2));
     let left = smile
         .register_base(
             "left",
@@ -86,6 +82,41 @@ fn build_platform_with(config: SmileConfig) -> (Smile, RelationId, RelationId) {
     (smile, left, right)
 }
 
+/// Feeds one batch per relation per tick and steps the platform after
+/// each. Live left rows are tracked so deletes target existing tuples.
+fn drive_ticks(smile: &mut Smile, left: RelationId, right: RelationId, ticks: &[Vec<Op>]) {
+    let mut live: Vec<(i64, i64)> = Vec::new();
+    for ops in ticks {
+        let now = smile.now();
+        let mut lbatch = Vec::new();
+        let mut rbatch = Vec::new();
+        for op in ops {
+            match op {
+                Op::InsertLeft { k, v } => {
+                    live.push((*k, *v));
+                    lbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
+                }
+                Op::InsertRight { k, v } => {
+                    rbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
+                }
+                Op::DeleteLeftByKey { k } => {
+                    if let Some(pos) = live.iter().position(|(lk, _)| lk == k) {
+                        let (lk, lv) = live.swap_remove(pos);
+                        lbatch.push(DeltaEntry::delete(tuple![lk, lv], now));
+                    }
+                }
+            }
+        }
+        if !lbatch.is_empty() {
+            smile.ingest(left, DeltaBatch { entries: lbatch }).unwrap();
+        }
+        if !rbatch.is_empty() {
+            smile.ingest(right, DeltaBatch { entries: rbatch }).unwrap();
+        }
+        smile.step().unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -102,37 +133,7 @@ proptest! {
         let id = smile.submit("prop", q, SimDuration::from_secs(8), 0.001).unwrap();
         smile.install().unwrap();
 
-        // Track live left rows so deletes target existing tuples.
-        let mut live: Vec<(i64, i64)> = Vec::new();
-        for ops in &ticks {
-            let now = smile.now();
-            let mut lbatch = Vec::new();
-            let mut rbatch = Vec::new();
-            for op in ops {
-                match op {
-                    Op::InsertLeft { k, v } => {
-                        live.push((*k, *v));
-                        lbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
-                    }
-                    Op::InsertRight { k, v } => {
-                        rbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
-                    }
-                    Op::DeleteLeftByKey { k } => {
-                        if let Some(pos) = live.iter().position(|(lk, _)| lk == k) {
-                            let (lk, lv) = live.swap_remove(pos);
-                            lbatch.push(DeltaEntry::delete(tuple![lk, lv], now));
-                        }
-                    }
-                }
-            }
-            if !lbatch.is_empty() {
-                smile.ingest(left, DeltaBatch { entries: lbatch }).unwrap();
-            }
-            if !rbatch.is_empty() {
-                smile.ingest(right, DeltaBatch { entries: rbatch }).unwrap();
-            }
-            smile.step().unwrap();
-        }
+        drive_ticks(&mut smile, left, right, &ticks);
         // Let the executor settle (pending pushes complete, one more fires).
         smile.run_idle(SimDuration::from_secs(20)).unwrap();
 
@@ -153,36 +154,7 @@ proptest! {
             let q = SpjQuery::scan(left).join(right, JoinOn::on(0, 0), Predicate::True);
             let id = smile.submit("prop", q, SimDuration::from_secs(6), 0.001).unwrap();
             smile.install().unwrap();
-            let mut live: Vec<(i64, i64)> = Vec::new();
-            for ops in &ticks {
-                let now = smile.now();
-                let mut lbatch = Vec::new();
-                let mut rbatch = Vec::new();
-                for op in ops {
-                    match op {
-                        Op::InsertLeft { k, v } => {
-                            live.push((*k, *v));
-                            lbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
-                        }
-                        Op::InsertRight { k, v } => {
-                            rbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
-                        }
-                        Op::DeleteLeftByKey { k } => {
-                            if let Some(pos) = live.iter().position(|(lk, _)| lk == k) {
-                                let (lk, lv) = live.swap_remove(pos);
-                                lbatch.push(DeltaEntry::delete(tuple![lk, lv], now));
-                            }
-                        }
-                    }
-                }
-                if !lbatch.is_empty() {
-                    smile.ingest(left, DeltaBatch { entries: lbatch }).unwrap();
-                }
-                if !rbatch.is_empty() {
-                    smile.ingest(right, DeltaBatch { entries: rbatch }).unwrap();
-                }
-                smile.step().unwrap();
-            }
+            drive_ticks(&mut smile, left, right, &ticks);
             smile.run_idle(SimDuration::from_secs(20)).unwrap();
             smile.mv_contents(id).unwrap().sorted_entries()
         };
@@ -640,36 +612,7 @@ proptest! {
         prop_assert!(!smile.merge_catalog().is_empty(), "catalog must index the installed plan");
         assert_shr_fresh(smile.global_plan().unwrap(), "after install");
 
-        let mut live: Vec<(i64, i64)> = Vec::new();
-        for ops in &ticks {
-            let now = smile.now();
-            let mut lbatch = Vec::new();
-            let mut rbatch = Vec::new();
-            for op in ops {
-                match op {
-                    Op::InsertLeft { k, v } => {
-                        live.push((*k, *v));
-                        lbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
-                    }
-                    Op::InsertRight { k, v } => {
-                        rbatch.push(DeltaEntry::insert(tuple![*k, *v], now));
-                    }
-                    Op::DeleteLeftByKey { k } => {
-                        if let Some(pos) = live.iter().position(|(lk, _)| lk == k) {
-                            let (lk, lv) = live.swap_remove(pos);
-                            lbatch.push(DeltaEntry::delete(tuple![lk, lv], now));
-                        }
-                    }
-                }
-            }
-            if !lbatch.is_empty() {
-                smile.ingest(left, DeltaBatch { entries: lbatch }).unwrap();
-            }
-            if !rbatch.is_empty() {
-                smile.ingest(right, DeltaBatch { entries: rbatch }).unwrap();
-            }
-            smile.step().unwrap();
-        }
+        drive_ticks(&mut smile, left, right, &ticks);
 
         let mut survivors = Vec::new();
         for (i, &id) in admitted.iter().enumerate() {

@@ -258,24 +258,6 @@ pub fn drive(
     Ok(total)
 }
 
-/// Percentile of a **sorted** sample window (nearest-rank by rounded
-/// index) — the one shared implementation behind every bench binary's
-/// host-latency percentiles. Histogram-backed metrics should use
-/// `HistogramSnapshot::quantile` instead; this helper is for raw sample
-/// logs where exact order statistics are wanted.
-pub fn percentile_sorted(sorted: &[u64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of an empty window");
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64
-}
-
-/// [`percentile_sorted`] over f64 samples (host wall-clock microseconds).
-pub fn percentile_sorted_f64(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of an empty window");
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 /// Prints a CSV-ish table: header then rows, pipe-aligned for terminals.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");

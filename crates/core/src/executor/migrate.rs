@@ -176,11 +176,6 @@ impl Executor {
             .is_some_and(|i| self.migrations.contains_key(i))
     }
 
-    /// Number of migrations currently in flight.
-    pub fn active_migrations(&self) -> usize {
-        self.migrations.len()
-    }
-
     /// True if any in-flight migration moves an MV from or to `m` — such a
     /// machine must not be retired out from under the handoff.
     pub fn migrations_touching(&self, m: MachineId) -> bool {

@@ -383,12 +383,8 @@ pub struct Executor {
     pub push_records: Vec<PushRecord>,
     /// Shared telemetry handle: spans, counters, histograms.
     telemetry: Arc<Telemetry>,
-    /// Per-wave, per-machine host busy profile — the structured tail of the
-    /// wave meter (its scalar totals live in the telemetry registry; see
-    /// [`Executor::wave_meter_view`]).
-    wave_profile: Vec<HashMap<u32, u128>>,
-    /// Registry counters behind the wave-meter view, cached at build time
-    /// so the merge loop records without a registry lookup.
+    /// Registry counters behind [`Executor::wave_meter_view`], cached at
+    /// build time so the merge loop records without a registry lookup.
     ctr_waves: Arc<Counter>,
     ctr_jobs: Arc<Counter>,
     ctr_busy_nanos: Arc<Counter>,
@@ -588,7 +584,6 @@ impl Executor {
             tuples_per_sharing: HashMap::new(),
             push_records: Vec::new(),
             telemetry,
-            wave_profile: Vec::new(),
             ctr_waves,
             ctr_jobs,
             ctr_busy_nanos,
@@ -625,17 +620,14 @@ impl Executor {
         Ok(rank)
     }
 
-    /// Host-side profile of the wave engine, assembled on demand: scalar
-    /// totals come from the telemetry registry, the per-wave machine
-    /// profile (needed for the modeled-makespan replay) from the
-    /// executor's structured log.
+    /// Host-side totals of the wave engine, read from the telemetry
+    /// registry on demand.
     pub fn wave_meter_view(&self) -> WaveMeter {
-        WaveMeter::from_parts(
-            self.ctr_waves.get(),
-            self.ctr_jobs.get(),
-            self.ctr_busy_nanos.get() as u128,
-            self.wave_profile.clone(),
-        )
+        WaveMeter {
+            waves: self.ctr_waves.get(),
+            jobs: self.ctr_jobs.get(),
+            busy_nanos: self.ctr_busy_nanos.get(),
+        }
     }
 
     /// Marks all derived vertices as freshly seeded at `now` (called by the
@@ -864,8 +856,7 @@ impl Executor {
     }
 
     fn drain_events(&mut self, now: Timestamp) {
-        while self.events.peek_time().is_some_and(|t| t <= now) {
-            let (at, ev) = self.events.pop().expect("peeked");
+        while let Some((at, ev)) = self.events.pop_due(now) {
             match ev {
                 ExecEvent::Commit { vertex, ts } => {
                     let slot = &mut self.visible_ts[vertex.index()];
@@ -1078,7 +1069,7 @@ impl Executor {
             let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
             subset.sort_unstable_by_key(|v| self.topo_rank[v.index()]);
             subset.dedup();
-            let vwave = self.wavefronts_of(&subset);
+            let vwave = self.global.plan.wavefronts(&subset);
             for jid in 0..jobs.len() {
                 let mut w = vwave.get(&jobs[jid].vertex).copied().unwrap_or(0);
                 for &d in &jobs[jid].deps {
@@ -1306,28 +1297,6 @@ impl Executor {
             1
         };
         cal.tick_of(now) + dt
-    }
-
-    /// Vertex → wavefront index over `subset` (must be topologically
-    /// sorted, which `topo_rank` order guarantees): a vertex's wave is one
-    /// past the maximum wave of its in-subset producer inputs. Same
-    /// recurrence as `PlanDag::wavefronts`, minus the per-call topo sort of
-    /// the whole plan and the grouping the caller never used.
-    fn wavefronts_of(&self, subset: &[VertexId]) -> HashMap<VertexId, usize> {
-        let mut wave_of: HashMap<VertexId, usize> = HashMap::with_capacity(subset.len());
-        for &v in subset {
-            let w = match self.global.plan.producer(v) {
-                Some(e) => e
-                    .inputs
-                    .iter()
-                    .filter_map(|i| wave_of.get(i).map(|w| w + 1))
-                    .max()
-                    .unwrap_or(0),
-                None => 0,
-            };
-            wave_of.insert(v, w);
-        }
-        wave_of
     }
 
     /// Plans one push request (sharing `idx` advancing to `target`) into
@@ -1668,7 +1637,7 @@ impl Executor {
             let wave_span = tick_span.map(|_| self.telemetry.next_span_id());
             let wave_start = dispatch.iter().map(|d| d.submit).min().unwrap_or(now);
             let mut wave_end = wave_start;
-            let mut profile: Vec<(u32, u128)> = Vec::new();
+            let (mut wave_jobs, mut wave_busy) = (0u64, 0u64);
             // Outcomes are sorted by canonical job index and dispatch was
             // built in that same order, so the two line up one-to-one.
             for (o, d) in outcomes.into_iter().zip(dispatch.iter()) {
@@ -1678,7 +1647,10 @@ impl Executor {
                 for u in o.charges {
                     cluster.ledger.charge(u, &[req.sharing]);
                 }
-                profile.extend(o.profile);
+                wave_jobs += 1 + u64::from(o.ship_nanos.is_some());
+                wave_busy = wave_busy
+                    .saturating_add(o.exec_nanos)
+                    .saturating_add(o.ship_nanos.unwrap_or(0));
                 if let Some(ws) = wave_span {
                     self.record_job_span(ws, job, req, d, &o.result);
                 }
@@ -1731,7 +1703,9 @@ impl Executor {
                     ],
                 });
             }
-            self.record_wave(&profile);
+            self.ctr_waves.inc();
+            self.ctr_jobs.add(wave_jobs);
+            self.ctr_busy_nanos.add(wave_busy);
         }
 
         for (r, req) in requests.iter().enumerate() {
@@ -1908,21 +1882,6 @@ impl Executor {
                 ("outcome", outcome.to_string()),
             ],
         });
-    }
-
-    /// Folds one executed wave's host profile into the registry totals and
-    /// the structured per-wave log behind [`Executor::wave_meter_view`].
-    fn record_wave(&mut self, jobs: &[(u32, u128)]) {
-        let mut per_machine: HashMap<u32, u128> = HashMap::new();
-        for &(machine, nanos) in jobs {
-            *per_machine.entry(machine).or_default() += nanos;
-        }
-        self.ctr_waves.inc();
-        self.ctr_jobs.add(jobs.len() as u64);
-        let busy: u128 = per_machine.values().sum();
-        self.ctr_busy_nanos
-            .add(u64::try_from(busy).unwrap_or(u64::MAX));
-        self.wave_profile.push(per_machine);
     }
 
     /// Compacts every slot's delta log below the minimum timestamp its

@@ -29,9 +29,9 @@
 //! there is no separate serial code path to drift from.
 //!
 //! Host wall-clock per job is measured with [`Instant`] and reported in
-//! [`JobOutcome::profile`]; it feeds only the [`smile_sim::WaveMeter`]
-//! observability layer, never the simulation, so timing jitter cannot
-//! perturb results.
+//! [`JobOutcome::ship_nanos`] / [`JobOutcome::exec_nanos`]; it feeds only
+//! the [`smile_sim::WaveMeter`] observability layer, never the simulation,
+//! so timing jitter cannot perturb results.
 
 use super::push::{self, EdgeRun, JobFaults, ShipOutput};
 use crate::plan::dag::Plan;
@@ -81,15 +81,17 @@ pub(crate) struct JobOutcome {
     pub charges: Vec<ResourceUsage>,
     /// The edge result (success, transient fault, or hard error).
     pub result: Result<EdgeRun>,
-    /// Host nanoseconds of real work, per machine index — observability
-    /// only, never fed back into the simulation.
-    pub profile: Vec<(u32, u128)>,
+    /// Host nanoseconds the phase-A ship cost, for a cross-machine copy —
+    /// observability only, never fed back into the simulation.
+    pub ship_nanos: Option<u64>,
+    /// Host nanoseconds of the phase-B land / local operator.
+    pub exec_nanos: u64,
 }
 
 /// Mailbox carrying a shipped delta batch (or the ship's error) plus the
 /// host nanos the ship cost, from the source worker to the destination
 /// worker across the phase barrier.
-type ShipSlot = Mutex<Option<(Result<ShipOutput>, u128)>>;
+type ShipSlot = Mutex<Option<(Result<ShipOutput>, u64)>>;
 
 /// Executes one wave of jobs over the fleet with `workers` threads and
 /// returns the outcomes sorted in canonical job order.
@@ -148,6 +150,11 @@ pub(crate) fn run_wave(
     outcomes
 }
 
+/// Host nanoseconds since `t0`, saturating.
+fn host_nanos(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// One worker's share of a wave: ship every cross-machine copy whose source
 /// it owns (phase A), wait for the fleet at the barrier, then execute every
 /// job whose output machine it owns (phase B), in canonical job order.
@@ -170,7 +177,7 @@ fn worker_run(
         let Some(src) = mine.get_mut(&sm) else { continue };
         let t0 = Instant::now();
         let res = push::ship_copy(src, plan, plan.edge(j.edge), j.from, j.to, j.submit);
-        let nanos = t0.elapsed().as_nanos();
+        let nanos = host_nanos(t0);
         *ships[slot].lock().expect("ship mailbox poisoned") = Some((res, nanos));
     }
     barrier.wait();
@@ -184,16 +191,16 @@ fn worker_run(
             continue;
         }
         let mut charges: Vec<ResourceUsage> = Vec::new();
-        let mut profile: Vec<(u32, u128)> = Vec::new();
+        let mut ship_nanos = None;
         let edge = plan.edge(j.edge);
         let t0 = Instant::now();
-        let result = if let Some(sm) = j.ship_machine {
-            let (ship_res, ship_nanos) = ships[slot]
+        let result = if j.ship_machine.is_some() {
+            let (ship_res, nanos) = ships[slot]
                 .lock()
                 .expect("ship mailbox poisoned")
                 .take()
                 .expect("cross-machine copy was not shipped in phase A");
-            profile.push((sm as u32, ship_nanos));
+            ship_nanos = Some(nanos);
             match ship_res {
                 Ok(ship) => {
                     // The NIC time was spent whether or not the batch lands.
@@ -242,18 +249,20 @@ fn worker_run(
                 &mut charges,
             )
         };
-        profile.push((j.exec_machine as u32, t0.elapsed().as_nanos()));
+        let exec_nanos = host_nanos(t0);
         // Host-nanos shard: per-worker cells merged in shard-index order at
         // snapshot time, so recording here never contends with other
         // workers and never perturbs the deterministic merge.
-        for &(_, nanos) in &profile {
-            shard.record(u64::try_from(nanos).unwrap_or(u64::MAX));
+        if let Some(nanos) = ship_nanos {
+            shard.record(nanos);
         }
+        shard.record(exec_nanos);
         out.push(JobOutcome {
             job: j.job,
             charges,
             result,
-            profile,
+            ship_nanos,
+            exec_nanos,
         });
     }
     out

@@ -3,16 +3,13 @@
 //!
 //! Without it, admitting sharing *N+1* discovers commonality by scanning all
 //! *N* resident plans — quadratic on the road to the "millions of users"
-//! target. The catalog keeps three indexes over the global plan, all keyed
+//! target. The catalog keeps two indexes over the global plan, both keyed
 //! by content so lookups replace scans:
 //!
 //! * **fingerprints** — `(vertex kind, expression signature)` → vertex ids.
 //!   One probe answers "does this SPJ sub-plan already run somewhere, and
 //!   on which machines?", which is exactly the question copy/join plumbing
 //!   enumeration asks per candidate.
-//! * **taps** — base `RelationId` → vertices whose signature reads it. The
-//!   candidate-pruning entry point: a new sharing can only share structure
-//!   with plans tapping at least one of its base relations.
 //! * **probes** — `(snapshot-side signature, snapshot-side join columns)` →
 //!   half-join vertices probing that arrangement. Mirrors the storage
 //!   layer's arrangement identity, so the platform can derive the global
@@ -26,16 +23,14 @@
 
 use crate::plan::dag::{Plan, VertexKind};
 use crate::plan::sig::ExprSig;
-use smile_types::{RelationId, VertexId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use smile_types::VertexId;
+use std::collections::{BTreeSet, HashMap};
 
 /// Indexed view of the global plan's shareable sub-structures.
 #[derive(Clone, Debug, Default)]
 pub struct MergeCatalog {
     /// (kind, signature) → vertices computing that expression.
     fingerprints: HashMap<(VertexKind, ExprSig), BTreeSet<VertexId>>,
-    /// Base relation → vertices whose signature taps it.
-    taps: BTreeMap<RelationId, BTreeSet<VertexId>>,
     /// (snapshot-side signature, snapshot-side join cols) → half-join
     /// vertices probing that arrangement.
     probes: HashMap<(ExprSig, Vec<usize>), BTreeSet<VertexId>>,
@@ -64,23 +59,19 @@ impl MergeCatalog {
     /// after garbage collection, which remaps vertex ids.
     pub fn rebuild(&mut self, plan: &Plan) {
         self.fingerprints.clear();
-        self.taps.clear();
         self.probes.clear();
         for v in plan.vertices() {
             self.note_vertex(plan, v.id);
         }
     }
 
-    /// Indexes one vertex under all three key families.
+    /// Indexes one vertex under both key families.
     pub fn note_vertex(&mut self, plan: &Plan, v: VertexId) {
         let vert = plan.vertex(v);
         self.fingerprints
             .entry((vert.kind, vert.sig.clone()))
             .or_default()
             .insert(v);
-        for base in vert.sig.bases() {
-            self.taps.entry(base).or_default().insert(v);
-        }
         if let ExprSig::HalfJoin {
             left,
             right,
@@ -105,23 +96,6 @@ impl MergeCatalog {
     ) -> impl Iterator<Item = VertexId> + '_ {
         self.fingerprints
             .get(&(kind, sig.clone()))
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
-    }
-
-    /// Vertices whose signature taps base relation `rel`, in id order.
-    pub fn tap_sites(&self, rel: RelationId) -> impl Iterator<Item = VertexId> + '_ {
-        self.taps.get(&rel).into_iter().flat_map(|s| s.iter().copied())
-    }
-
-    /// Half-join vertices probing the arrangement on (sig, cols).
-    pub fn probe_sites(
-        &self,
-        rel_sig: &ExprSig,
-        cols: &[usize],
-    ) -> impl Iterator<Item = VertexId> + '_ {
-        self.probes
-            .get(&(rel_sig.clone(), cols.to_vec()))
             .into_iter()
             .flat_map(|s| s.iter().copied())
     }

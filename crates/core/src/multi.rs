@@ -27,7 +27,7 @@ use crate::sharing::Sharing;
 use smile_sim::PriceSheet;
 use smile_storage::Predicate;
 use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, VertexId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Per-sharing bookkeeping the global plan needs: where the MV is, and the
 /// SLA constraints plumbing must respect. The MV is tracked by
@@ -626,17 +626,6 @@ pub fn hill_climb_filtered(
     }
 }
 
-/// Sharings grouped per vertex — diagnostic used by the commonality
-/// experiment (Figure 9): how many sharings each vertex serves.
-pub fn commonality_histogram(g: &GlobalPlan) -> HashMap<usize, usize> {
-    let mut hist: HashMap<usize, usize> = HashMap::new();
-    for v in g.plan.vertices() {
-        let shared_by: BTreeSet<_> = v.sharings.iter().collect();
-        *hist.entry(shared_by.len()).or_default() += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -886,14 +875,5 @@ mod tests {
 
         plain.strip_sharing(SharingId::new(2));
         assert_eq!(plain.plan.canonical_string(), rebuilt(&plain));
-    }
-
-    #[test]
-    fn commonality_histogram_counts() {
-        let (g, _, _) = setup();
-        let hist = commonality_histogram(&g);
-        let total: usize = hist.values().sum();
-        assert_eq!(total, g.plan.vertex_count());
-        assert!(hist.keys().any(|&k| k >= 2), "no shared vertices found");
     }
 }

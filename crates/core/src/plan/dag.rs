@@ -381,44 +381,31 @@ impl Plan {
         Ok(order)
     }
 
-    /// Topological *wavefronts* over a vertex subset (the parallel push
-    /// engine's schedule): wave `k` holds every subset vertex whose producer
-    /// inputs inside the subset all sit in waves `< k`, so no two vertices
-    /// in one wave depend on each other and their producing edges can run
-    /// concurrently. Inputs outside the subset (base vertices, vertices
-    /// already at the target timestamp) impose no ordering. Each wave is
-    /// sorted by vertex id — the canonical merge order the coordinator uses
-    /// to keep results byte-identical at any worker count.
+    /// Vertex → *wavefront* index over a vertex subset (the parallel push
+    /// engine's schedule): a vertex's wave is one past the maximum wave of
+    /// its producer inputs inside the subset, so no two vertices in one wave
+    /// depend on each other and their producing edges can run concurrently.
+    /// Inputs outside the subset (base vertices, vertices already at the
+    /// target timestamp) impose no ordering.
     ///
-    /// Errors only if the plan itself is cyclic.
-    pub fn wavefronts(&self, subset: &[VertexId]) -> Result<Vec<Vec<VertexId>>> {
-        let member: HashSet<VertexId> = subset.iter().copied().collect();
-        let mut wave_of: HashMap<VertexId, usize> = HashMap::new();
-        let mut waves: Vec<Vec<VertexId>> = Vec::new();
-        for v in self.topo_order()? {
-            if !member.contains(&v) {
-                continue;
-            }
-            let wave = self
-                .producer(v)
-                .map(|e| {
-                    e.inputs
-                        .iter()
-                        .filter_map(|i| wave_of.get(i).map(|w| w + 1))
-                        .max()
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0);
-            wave_of.insert(v, wave);
-            if waves.len() <= wave {
-                waves.resize(wave + 1, Vec::new());
-            }
-            waves[wave].push(v);
+    /// `subset` must be topologically sorted (the executor sorts by its
+    /// cached topological rank); an input listed after its consumer is
+    /// treated as outside the subset.
+    pub fn wavefronts(&self, subset: &[VertexId]) -> HashMap<VertexId, usize> {
+        let mut wave_of: HashMap<VertexId, usize> = HashMap::with_capacity(subset.len());
+        for &v in subset {
+            let w = match self.producer(v) {
+                Some(e) => e
+                    .inputs
+                    .iter()
+                    .filter_map(|i| wave_of.get(i).map(|w| w + 1))
+                    .max()
+                    .unwrap_or(0),
+                None => 0,
+            };
+            wave_of.insert(v, w);
         }
-        for wave in &mut waves {
-            wave.sort_by_key(|v| v.index());
-        }
-        Ok(waves)
+        wave_of
     }
 
     /// Pairs up the half-joins of every delta-join decomposition: for each
@@ -612,22 +599,6 @@ impl Plan {
             out.edges[id].aggregate = e.aggregate.clone();
         }
         out
-    }
-
-    /// Total estimated CPU utilization per machine (operator-seconds per
-    /// second), used for capacity checks in the optimizer.
-    pub fn machine_cpu_load(
-        &self,
-        model: &crate::plan::timecost::TimeCostModel,
-    ) -> HashMap<MachineId, f64> {
-        let mut load: HashMap<MachineId, f64> = HashMap::new();
-        for e in &self.edges {
-            let dur = model
-                .edge_service(&e.op, e.est_rate, e.est_tuple_bytes)
-                .as_secs_f64();
-            *load.entry(e.runs_on(self)).or_default() += dur;
-        }
-        load
     }
 }
 
@@ -936,15 +907,15 @@ mod tests {
             24.0,
         )
         .unwrap();
-        assert_eq!(p.wavefronts(&[d1, r1]).unwrap(), vec![vec![d1], vec![r1]]);
+        assert_eq!(p.wavefronts(&[d1, r1]), HashMap::from([(d1, 0), (r1, 1)]));
         // The base source is never constrained; with the middle vertex
         // outside the subset the tail runs in wave 0.
-        assert_eq!(p.wavefronts(&[r1]).unwrap(), vec![vec![r1]]);
-        assert!(p.wavefronts(&[]).unwrap().is_empty());
+        assert_eq!(p.wavefronts(&[r1]), HashMap::from([(r1, 0)]));
+        assert!(p.wavefronts(&[]).is_empty());
     }
 
-    /// Diamond: two copies fed by independent bases land in the same wave
-    /// (sorted by id), their union one wave later.
+    /// Diamond: two copies fed by independent bases land in the same wave,
+    /// their union one wave later.
     #[test]
     fn wavefronts_put_independent_vertices_in_one_wave() {
         let mut p = Plan::new();
@@ -1007,8 +978,8 @@ mod tests {
             24.0,
         )
         .unwrap();
-        let waves = p.wavefronts(&[u, cb, ca]).unwrap();
-        assert_eq!(waves, vec![vec![ca, cb], vec![u]]);
+        let waves = p.wavefronts(&[ca, cb, u]);
+        assert_eq!(waves, HashMap::from([(ca, 0), (cb, 0), (u, 1)]));
     }
 
     #[test]

@@ -121,26 +121,6 @@ impl ExprSig {
         }
     }
 
-    /// All base relations referenced, left to right.
-    pub fn bases(&self) -> Vec<RelationId> {
-        let mut out = Vec::new();
-        self.collect_bases(&mut out);
-        out
-    }
-
-    fn collect_bases(&self, out: &mut Vec<RelationId>) {
-        match self {
-            ExprSig::Base(r) => out.push(*r),
-            ExprSig::Filter { input, .. }
-            | ExprSig::Project { input, .. }
-            | ExprSig::Aggregate { input, .. } => input.collect_bases(out),
-            ExprSig::Join { left, right, .. } | ExprSig::HalfJoin { left, right, .. } => {
-                left.collect_bases(out);
-                right.collect_bases(out);
-            }
-        }
-    }
-
     /// Number of join operators in the expression (plan size heuristic).
     pub fn join_depth(&self) -> usize {
         match self {
@@ -212,13 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn bases_in_left_to_right_order() {
+    fn join_depth_counts_join_operators() {
         let s = ExprSig::join(
             ExprSig::join(ExprSig::base(r(2)), ExprSig::base(r(0)), JoinOn::on(0, 0)),
             ExprSig::base(r(1)),
             JoinOn::on(1, 0),
         );
-        assert_eq!(s.bases(), vec![r(2), r(0), r(1)]);
         assert_eq!(s.join_depth(), 2);
     }
 

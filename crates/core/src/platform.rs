@@ -1206,9 +1206,8 @@ impl Smile {
         self.cluster.arrangement_meter()
     }
 
-    /// Host-side profile of the parallel push engine: waves, jobs, and the
-    /// per-machine busy time the modeled-makespan analysis replays. Empty
-    /// before `install`.
+    /// Host-side totals of the parallel push engine: waves, jobs and their
+    /// summed host busy time. Zero before `install`.
     pub fn wave_meter(&self) -> smile_sim::WaveMeter {
         self.executor
             .as_ref()

@@ -61,9 +61,12 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse((at, _, e))| (at, e.0))
     }
 
-    /// Time of the earliest scheduled event without popping it.
-    pub fn peek_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    /// Pops the earliest event if it is scheduled at or before `now`.
+    pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
+        match self.heap.peek() {
+            Some(Reverse((at, _, _))) if *at <= now => self.pop(),
+            _ => None,
+        }
     }
 
     /// Number of pending events.
@@ -103,14 +106,19 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn pop_due_leaves_future_events() {
         let mut q = EventQueue::new();
-        q.push(Timestamp::from_secs(7), ());
-        assert_eq!(q.peek_time(), Some(Timestamp::from_secs(7)));
+        q.push(Timestamp::from_secs(7), "late");
+        q.push(Timestamp::from_secs(2), "early");
+        assert_eq!(
+            q.pop_due(Timestamp::from_secs(2)),
+            Some((Timestamp::from_secs(2), "early"))
+        );
+        assert_eq!(q.pop_due(Timestamp::from_secs(6)), None);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.pop().unwrap();
+        assert!(q.pop_due(Timestamp::from_secs(7)).is_some());
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_due(Timestamp::from_secs(99)), None);
     }
 }

@@ -36,87 +36,19 @@ impl ArrangementMeter {
     }
 }
 
-/// Host-side (wall-clock, not simulated) profile of the parallel push
-/// engine: how many wave-jobs ran, how much real CPU time they cost, and how
-/// that work was spread over machines. Because jobs are partitioned by
-/// machine (`machine index % workers`), the meter can replay the measured
-/// per-machine busy time through any worker count and report the modeled
-/// makespan — the number an N-core host would observe for the same schedule.
-/// Since the telemetry layer landed, the scalar totals (`waves`, `jobs`,
-/// `busy_nanos`) live in the telemetry registry and this struct is a *view*
-/// assembled on demand by `Smile::wave_meter()` via
-/// [`WaveMeter::from_parts`]; only the per-wave profile (needed for the
-/// makespan replay) is kept as structured data.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Host-side (wall-clock, not simulated) totals of the parallel push
+/// engine: how many waves and wave-jobs ran and how much real CPU time the
+/// jobs cost. The counts live in the telemetry registry (`wave.waves`,
+/// `wave.jobs`, `wave.host_busy_nanos`); this struct is the *view* of them
+/// that `Smile::wave_meter()` assembles on demand.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WaveMeter {
     /// Waves executed.
     pub waves: u64,
     /// Edge jobs executed across all waves.
     pub jobs: u64,
-    /// Host nanoseconds of per-job work, summed — the serial (workers = 1)
-    /// makespan of the executed schedule.
-    pub busy_nanos: u128,
-    /// Per-wave, per-machine host busy nanoseconds, as recorded when each
-    /// wave ran. Machines that did nothing in a wave are absent.
-    pub wave_machine_nanos: Vec<HashMap<u32, u128>>,
-}
-
-impl WaveMeter {
-    /// Assembles a view from registry-held totals plus the per-wave
-    /// profile. The caller is responsible for the parts agreeing (they all
-    /// come from the same recording site in the executor).
-    pub fn from_parts(
-        waves: u64,
-        jobs: u64,
-        busy_nanos: u128,
-        wave_machine_nanos: Vec<HashMap<u32, u128>>,
-    ) -> Self {
-        Self {
-            waves,
-            jobs,
-            busy_nanos,
-            wave_machine_nanos,
-        }
-    }
-
-    /// Records one executed wave from its per-machine busy profile.
-    pub fn record_wave(&mut self, machine_nanos: HashMap<u32, u128>) {
-        self.waves += 1;
-        self.jobs += machine_nanos.len() as u64;
-        self.busy_nanos += machine_nanos.values().sum::<u128>();
-        self.wave_machine_nanos.push(machine_nanos);
-    }
-
-    /// Records one executed wave where several jobs may share a machine.
-    pub fn record_wave_jobs(&mut self, jobs: &[(u32, u128)]) {
-        let mut per_machine: HashMap<u32, u128> = HashMap::new();
-        for &(machine, nanos) in jobs {
-            *per_machine.entry(machine).or_default() += nanos;
-        }
-        self.waves += 1;
-        self.jobs += jobs.len() as u64;
-        self.busy_nanos += per_machine.values().sum::<u128>();
-        self.wave_machine_nanos.push(per_machine);
-    }
-
-    /// Modeled makespan of the recorded schedule on a host with `workers`
-    /// cores: within each wave, machine `m` is owned by worker
-    /// `m % workers`, the workers run their machines' jobs concurrently, and
-    /// the wave ends when the busiest worker finishes (the coordinator
-    /// barrier). Workers = 1 reproduces `busy_nanos` exactly.
-    pub fn makespan_nanos(&self, workers: usize) -> u128 {
-        let workers = workers.max(1);
-        self.wave_machine_nanos
-            .iter()
-            .map(|wave| {
-                let mut per_worker = vec![0u128; workers];
-                for (&machine, &nanos) in wave {
-                    per_worker[machine as usize % workers] += nanos;
-                }
-                per_worker.into_iter().max().unwrap_or(0)
-            })
-            .sum()
-    }
+    /// Host nanoseconds of per-job work, summed.
+    pub busy_nanos: u64,
 }
 
 /// Accumulated resource consumption.
@@ -250,26 +182,6 @@ mod tests {
         let mut shared = UsageLedger::new();
         shared.charge(usage(100, 100), &[SharingId::new(1), SharingId::new(2)]);
         assert!(shared.sharing(SharingId::new(1)).cpu < alone.sharing(SharingId::new(1)).cpu);
-    }
-
-    #[test]
-    fn wave_makespan_models_worker_partitioning() {
-        let mut w = WaveMeter::default();
-        // Wave 0: machines 0..4 each busy 100ns; wave 1: only machine 1.
-        w.record_wave_jobs(&[(0, 100), (1, 100), (2, 100), (3, 100)]);
-        w.record_wave_jobs(&[(1, 50), (1, 25)]);
-        assert_eq!(w.waves, 2);
-        assert_eq!(w.jobs, 6);
-        assert_eq!(w.busy_nanos, 475);
-        // Serial host: the whole busy time, one wave after another.
-        assert_eq!(w.makespan_nanos(1), 475);
-        // 2 workers: wave 0 splits {0,2} vs {1,3} = 200; wave 1 all on
-        // worker 1 = 75.
-        assert_eq!(w.makespan_nanos(2), 275);
-        // 4 workers: wave 0 fully parallel = 100; wave 1 unchanged.
-        assert_eq!(w.makespan_nanos(4), 175);
-        // More workers than machines changes nothing.
-        assert_eq!(w.makespan_nanos(16), 175);
     }
 
     #[test]

@@ -305,16 +305,6 @@ impl ColumnarBatch {
         self.push_projected(tuple, None, weight, ts);
     }
 
-    /// Appends an already-encoded row (e.g. copied out of a landed WAL
-    /// frame) without decoding it.
-    pub fn push_row_bytes(&mut self, row: &[u8], weight: i64, ts: Timestamp) {
-        self.ensure_offsets();
-        self.arena.extend_from_slice(row);
-        self.offsets.push(self.arena.len() as u32);
-        self.weights.push(weight);
-        self.tss.push(ts.0);
-    }
-
     /// Builds a columnar batch from row-form delta entries.
     pub fn from_entries(entries: &[DeltaEntry]) -> Self {
         let mut cb = Self::with_capacity(entries.len(), entries.len() * 16);

@@ -84,11 +84,6 @@ impl Database {
         self.relations.contains_key(&rel)
     }
 
-    /// Ids of all relations hosted here.
-    pub fn relation_ids(&self) -> impl Iterator<Item = RelationId> + '_ {
-        self.relations.keys().copied()
-    }
-
     fn slot(&self, rel: RelationId) -> Result<&RelationSlot> {
         self.relations
             .get(&rel)

@@ -55,12 +55,6 @@ impl Table {
         self.ts
     }
 
-    /// Forces the applied-through timestamp (used when a table is seeded
-    /// from a snapshot copy).
-    pub fn set_ts(&mut self, ts: Timestamp) {
-        self.ts = ts;
-    }
-
     /// Current contents as a z-set.
     pub fn rows(&self) -> &ZSet {
         &self.rows

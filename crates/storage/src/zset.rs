@@ -218,12 +218,6 @@ impl ZSet {
         out
     }
 
-    /// True iff all weights are positive — i.e. this z-set is a plain
-    /// multiset and can be stored as a relation.
-    pub fn is_relation(&self) -> bool {
-        self.entries.values().all(|&w| w > 0)
-    }
-
     /// Total payload bytes across entries (weights ignored); used by the
     /// resource meters. O(1): the sum is maintained incrementally as entries
     /// are inserted and removed, so per-batch stat refreshes no longer scan

@@ -138,11 +138,6 @@ impl FlightRecorder {
     pub fn suppressed(&self) -> u64 {
         self.suppressed
     }
-
-    /// Spans currently in the recent ring.
-    pub fn recent_len(&self) -> usize {
-        self.recent.len()
-    }
 }
 
 #[cfg(test)]

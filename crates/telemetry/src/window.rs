@@ -20,13 +20,6 @@ pub struct WindowSpec {
     pub subs: usize,
 }
 
-impl WindowSpec {
-    /// Total coverage of the window in microseconds.
-    pub fn span_us(&self) -> u64 {
-        self.sub_width_us * self.subs as u64
-    }
-}
-
 /// Merged statistics over the live sub-windows of a [`SlidingWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowStats {

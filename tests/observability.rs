@@ -1,8 +1,9 @@
 //! End-to-end coverage for the observability layer: the pinned
 //! `Smile::explain` report, burn-rate alerting under a tight-SLA chaos
 //! regime, flight-recorder capture around SLA misses, the deterministic
-//! span sampler's effect on the exported trace, and the bounded-cardinality
-//! guarantee of the metric registry as the fleet grows.
+//! span sampler's effect on the exported trace, the bounded-cardinality
+//! guarantee of the metric registry as the fleet grows, and detection of an
+//! injected ingest regime shift.
 
 use smile::core::catalog::BaseStats;
 use smile::core::platform::{Smile, SmileConfig};
@@ -12,7 +13,7 @@ use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
 use smile::telemetry::Severity;
 use smile::types::{
-    tuple, Column, ColumnType, MachineId, RelationId, Schema, SharingId, SimDuration,
+    tuple, Column, ColumnType, MachineId, RelationId, Schema, SharingId, SimDuration, Timestamp,
 };
 
 fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
@@ -300,4 +301,105 @@ fn registry_cardinality_is_bounded_in_fleet_size() {
     assert!(small_rows <= 8, "top-K export exceeded K: {small_rows}");
     assert!(large_rows <= 8, "top-K export exceeded K: {large_rows}");
     assert!(large_rows >= small_rows.min(8));
+}
+
+/// The BENCH_0009 regime shift: 8 identical 30 s-SLA sharings whose shipped
+/// deltas cross one 50 KB/s NIC. Ingest holds at a healthy 50 t/s for 60 s
+/// (transfers take milliseconds), then jumps 100×; steady-state transfer
+/// time alone then exceeds the SLA, every later push misses, and the
+/// burn-rate monitor must page within 180 simulated seconds of the shift
+/// (most of it queue-buildup physics) and within 60 of the first miss.
+#[test]
+fn regime_shift_pages_within_the_detection_bar() {
+    const SLA: SimDuration = SimDuration::from_secs(30);
+    const HEALTHY_SECS: u64 = 60;
+    const DETECTION_BAR_SECS: u64 = 180;
+
+    let mut config = SmileConfig::with_machines(2);
+    config.capacity = 1e12;
+    config.hill_climb = false;
+    config.machine_config.net_bandwidth = 50_000.0;
+    let mut smile = Smile::new(config);
+    let cols = [
+        ("id", ColumnType::I64),
+        ("fk", ColumnType::I64),
+        ("g", ColumnType::I64),
+    ];
+    let src = smile
+        .register_base(
+            "src",
+            schema(&cols, vec![0]),
+            MachineId::new(0),
+            BaseStats {
+                update_rate: 50.0,
+                cardinality: 50_000.0,
+                tuple_bytes: 24.0,
+                distinct: vec![50_000.0, 5_000.0, 1000.0],
+            },
+        )
+        .unwrap();
+    let dim = smile
+        .register_base(
+            "dim",
+            schema(&cols, vec![0]),
+            MachineId::new(1),
+            BaseStats {
+                update_rate: 1.0,
+                cardinality: 1000.0,
+                tuple_bytes: 24.0,
+                distinct: vec![1000.0, 100.0, 50.0],
+            },
+        )
+        .unwrap();
+    for i in 0..8 {
+        let q = SpjQuery::scan(src).join(dim, JoinOn::on(1, 0), Predicate::eq(2, i as i64));
+        smile
+            .submit_pinned(&format!("shift{i}"), q, SLA, 0.001, Some(MachineId::new(1)))
+            .unwrap();
+    }
+    smile.install().unwrap();
+
+    let shift_at = Timestamp::from_secs(HEALTHY_SECS);
+    let mut seq = 0i64;
+    let mut paged_at = None;
+    for _ in 0..HEALTHY_SECS + DETECTION_BAR_SECS {
+        let now = smile.now();
+        if now == shift_at {
+            let pushes = smile.push_records();
+            assert!(!pushes.is_empty(), "healthy phase produced no pushes");
+            assert!(
+                pushes.iter().all(|p| p.staleness_after <= SLA),
+                "healthy phase missed SLAs; the shift is confounded"
+            );
+            assert!(smile.alerts().is_empty(), "alert before the shift");
+        }
+        let rate = if now < shift_at { 50 } else { 5_000 };
+        let batch: DeltaBatch = (seq..seq + rate)
+            .map(|s| DeltaEntry::insert(tuple![s, s % 977, s % 8], now))
+            .collect();
+        seq += rate;
+        smile.ingest(src, batch).unwrap();
+        smile.step().unwrap();
+        if let Some(page) = smile.alerts().iter().find(|a| a.severity == Severity::Page) {
+            paged_at = Some(page.at_us);
+            break;
+        }
+    }
+    let paged_at = paged_at.expect("monitor never paged after the regime shift");
+    let detection_us = paged_at - HEALTHY_SECS * 1_000_000;
+    assert!(
+        detection_us <= DETECTION_BAR_SECS * 1_000_000,
+        "page {detection_us}us after the shift, above the {DETECTION_BAR_SECS}s bar"
+    );
+    // The monitor's own latency: first observable miss to the page.
+    let first_miss = smile
+        .push_records()
+        .iter()
+        .find(|p| p.staleness_after > SLA)
+        .map(|p| p.completed.0)
+        .expect("page without a missed push");
+    assert!(
+        (first_miss..=first_miss + 60_000_000).contains(&paged_at),
+        "page at {paged_at}us, first miss completed at {first_miss}us"
+    );
 }

@@ -219,6 +219,17 @@ fn snapshot_exposes_staleness_headroom_rollup() {
     let wal = smile.wal_meter();
     assert_eq!(snap.gauge("wal.batches_shipped"), Some(wal.batches_shipped as f64));
     assert!(wal.batches_shipped >= 1, "cross-machine sharing never shipped");
+    let wave = smile.wave_meter();
+    assert!(wave.waves >= 1 && wave.jobs >= wave.waves);
+    assert_eq!(
+        (Some(wave.waves), Some(wave.jobs), Some(wave.busy_nanos)),
+        (
+            snap.counter("wave.waves"),
+            snap.counter("wave.jobs"),
+            snap.counter("wave.host_busy_nanos")
+        ),
+        "wave meter is a view of the registry totals"
+    );
     // Deterministic render round-trip: two snapshots, identical bytes.
     assert_eq!(snap.to_json(), smile.telemetry_snapshot().to_json());
     assert_eq!(snap.to_text(), smile.telemetry_snapshot().to_text());
@@ -279,4 +290,16 @@ fn quiet_mode_keeps_the_ring_empty() {
     let trace = smile.export_trace();
     assert!(trace.contains("\"traceEvents\""));
     assert!(!trace.contains("\"ph\": \"X\""), "quiet trace has spans");
+
+    // Observability records what happens and never changes it: the same
+    // drive with the layer on moves the same tuples through the same pushes.
+    let (mut loud, a, b, _) = build(SmileConfig::with_machines(2), 20);
+    feed(&mut loud, a, b, 120);
+    loud.run_idle(SimDuration::from_secs(60)).unwrap();
+    assert!(loud.telemetry().spans_len() > 0);
+    assert_eq!(
+        loud.executor.as_ref().unwrap().tuples_moved,
+        exec.tuples_moved
+    );
+    assert_eq!(loud.push_records(), smile.push_records());
 }

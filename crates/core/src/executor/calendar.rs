@@ -4,7 +4,7 @@
 //! path from the full plan graph, is O(N·plan-size) even when nothing is
 //! due. This module avoids that with three pieces:
 //!
-//! 1. **[`PushCalendar`]** — a hierarchical timer wheel over scheduler
+//! 1. **[`PushCalendar`]** — a min-heap of wake entries keyed on scheduler
 //!    ticks. Each idle sharing carries a *conservative lower bound* on the
 //!    first tick at which its lazy projection `staleness + CP + tick` can
 //!    reach `l·SLA`; a tick pops only the due slots. Popping early is safe
@@ -16,7 +16,7 @@
 //!    on that base vertex; push completions, retry abandonment, deferral
 //!    and live submit/retire re-enqueue only the affected slot. Every
 //!    transition bumps the slot's generation, lazily invalidating stale
-//!    wheel entries.
+//!    heap entries.
 //! 3. **[`CpEval`]** — a cached compact critical-path evaluator: the
 //!    sharing's in-scope edges in topological order with their estimate
 //!    parameters, so one evaluation is O(subgraph) with no full-plan
@@ -43,16 +43,8 @@
 use crate::plan::dag::{EdgeOp, Plan};
 use crate::plan::timecost::TimeCostModel;
 use smile_types::{MachineId, SharingId, SimDuration, Timestamp, VertexId};
-use std::collections::HashMap;
-
-/// Bits per wheel level: 64 slots each.
-const WHEEL_BITS: u32 = 6;
-/// Slots per level.
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// Levels; the horizon is `64^6` ticks, far-future wakes park in the top
-/// level and re-cascade (a rare conservative early wake).
-const WHEEL_LEVELS: usize = 6;
-const SLOT_MASK: u64 = (WHEEL_SLOTS - 1) as u64;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Headroom multiplied onto the observed inflation when (re)setting the
 /// affine bound, so a slowly creeping inflation does not trigger a
@@ -60,97 +52,37 @@ const SLOT_MASK: u64 = (WHEEL_SLOTS - 1) as u64;
 /// of crossings over a run's lifetime to ~log₁.₂₅(50) ≈ 18.
 pub(crate) const INFLATION_HEADROOM: f64 = 1.25;
 
-/// An entry queued in the wheel. `gen` must match the slot's current
-/// generation when popped or the entry is stale and dropped.
-#[derive(Clone, Copy, Debug)]
-struct WheelEntry {
-    idx: usize,
-    gen: u64,
-    due_tick: u64,
-}
-
-/// Hierarchical timer wheel keyed on scheduler ticks.
-///
-/// Level 0 resolves single ticks; level `L` buckets spans of `64^L` ticks.
-/// Advancing one tick cascades any level whose window boundary was crossed
-/// (highest wrapping level first, so refills propagate downward) and then
-/// pops the level-0 slot.
+/// Min-heap of `(due tick, slot, generation)` wake entries. An entry whose
+/// generation no longer matches its slot's is stale and dropped by the
+/// caller when popped.
+#[derive(Default)]
 struct PushCalendar {
-    levels: Vec<Vec<Vec<WheelEntry>>>,
+    heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// The last tick drained.
     now_tick: u64,
-    len: usize,
 }
 
 impl PushCalendar {
-    fn new() -> Self {
-        Self {
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            now_tick: 0,
-            len: 0,
-        }
-    }
-
+    /// Queued entries, stale ones included.
     fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Queues an entry. Past or current due ticks clamp to the next tick;
-    /// wakes beyond the horizon clamp into the top level (early is safe).
+    /// Queues an entry. Past or current due ticks clamp to the next tick.
     fn schedule(&mut self, idx: usize, gen: u64, due_tick: u64) {
-        let horizon = 1u64 << (WHEEL_BITS * WHEEL_LEVELS as u32);
-        let due = due_tick
-            .max(self.now_tick + 1)
-            .min(self.now_tick.saturating_add(horizon - 1));
-        self.insert_raw(WheelEntry {
-            idx,
-            gen,
-            due_tick: due,
-        });
-        self.len += 1;
+        let due = due_tick.max(self.now_tick + 1);
+        self.heap.push(Reverse((due, idx, gen)));
     }
 
-    fn insert_raw(&mut self, e: WheelEntry) {
-        let delta = e.due_tick - self.now_tick;
-        let mut level = 0usize;
-        while level + 1 < WHEEL_LEVELS && delta >= 1u64 << (WHEEL_BITS * (level as u32 + 1)) {
-            level += 1;
-        }
-        let slot = ((e.due_tick >> (WHEEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level][slot].push(e);
-    }
-
-    /// Advances the wheel to `to_tick`, pushing every entry whose due tick
-    /// was reached onto `out`.
-    fn advance(&mut self, to_tick: u64, out: &mut Vec<WheelEntry>) {
-        while self.now_tick < to_tick {
-            self.now_tick += 1;
-            let t = self.now_tick;
-            // Cascade every level whose window boundary `t` crosses,
-            // highest first: at t = 64² the level-2 slot must refill
-            // level 1 before level 1 refills level 0.
-            let mut highest = 0usize;
-            while highest + 1 < WHEEL_LEVELS
-                && t & ((1u64 << (WHEEL_BITS * (highest as u32 + 1))) - 1) == 0
-            {
-                highest += 1;
+    /// Pops every entry due by `to_tick` onto `out` as `(slot, generation)`.
+    fn advance(&mut self, to_tick: u64, out: &mut Vec<(usize, u64)>) {
+        self.now_tick = self.now_tick.max(to_tick);
+        while let Some(&Reverse((due, idx, gen))) = self.heap.peek() {
+            if due > to_tick {
+                break;
             }
-            for level in (1..=highest).rev() {
-                let slot = ((t >> (WHEEL_BITS * level as u32)) & SLOT_MASK) as usize;
-                let entries = std::mem::take(&mut self.levels[level][slot]);
-                for e in entries {
-                    self.insert_raw(e);
-                }
-            }
-            let slot0 = (t & SLOT_MASK) as usize;
-            if !self.levels[0][slot0].is_empty() {
-                for e in std::mem::take(&mut self.levels[0][slot0]) {
-                    debug_assert_eq!(e.due_tick, t, "level-0 entry popped off its due tick");
-                    self.len -= 1;
-                    out.push(e);
-                }
-            }
+            self.heap.pop();
+            out.push((idx, gen));
         }
     }
 }
@@ -158,7 +90,7 @@ impl PushCalendar {
 /// Scheduling state of one sharing slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SlotState {
-    /// Queued in the wheel (or the due-now buffer) under the current
+    /// Queued in the heap (or the due-now buffer) under the current
     /// generation.
     Scheduled,
     /// Parked until the heartbeat of this base vertex advances — either no
@@ -177,12 +109,12 @@ struct Slot {
     state: SlotState,
 }
 
-/// The calendar scheduler's state: wheel + per-slot state machine + the
+/// The calendar scheduler's state: wake heap + per-slot state machine + the
 /// base-vertex → waiting-slots invalidation index.
 pub(crate) struct CalendarState {
-    wheel: PushCalendar,
+    wakes: PushCalendar,
     slots: Vec<Slot>,
-    /// Slots to evaluate at the next planning pass regardless of the wheel
+    /// Slots to evaluate at the next planning pass regardless of the heap
     /// (freshly added, push-completed, heartbeat-woken).
     due_now: Vec<usize>,
     /// Base vertex → slots parked on its heartbeat, with the generation
@@ -203,7 +135,7 @@ impl CalendarState {
     /// the first tick evaluates everything.
     pub fn new(n: usize, tick: SimDuration, inflation_bound: f64) -> Self {
         Self {
-            wheel: PushCalendar::new(),
+            wakes: PushCalendar::default(),
             slots: vec![
                 Slot {
                     gen: 0,
@@ -234,10 +166,10 @@ impl CalendarState {
     }
 
     pub fn wheel_len(&self) -> usize {
-        self.wheel.len()
+        self.wakes.len()
     }
 
-    /// Invalidates the slot's current attachment (wheel entry, waiter
+    /// Invalidates the slot's current attachment (heap entry, waiter
     /// registration, due-now membership) by bumping its generation.
     fn detach(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
@@ -255,7 +187,7 @@ impl CalendarState {
         self.slots[idx].state = SlotState::Scheduled;
         self.n_scheduled += 1;
         let gen = self.slots[idx].gen;
-        self.wheel.schedule(idx, gen, due_tick);
+        self.wakes.schedule(idx, gen, due_tick);
     }
 
     /// Queues the slot for the next planning pass.
@@ -326,20 +258,19 @@ impl CalendarState {
         }
     }
 
-    /// Drains everything due at `now`: wheel pops up to the current tick
+    /// Drains everything due at `now`: heap pops up to the current tick
     /// plus the due-now buffer, stale generations dropped, deduplicated
     /// and sorted ascending — slot order is the planning order.
     pub fn take_woken(&mut self, now: Timestamp) -> Vec<usize> {
-        let mut popped: Vec<WheelEntry> = Vec::new();
-        self.wheel.advance(self.tick_of(now), &mut popped);
-        let mut woken: Vec<usize> = Vec::new();
-        for e in popped {
-            let slot = self.slots[e.idx];
-            if slot.gen == e.gen && slot.state == SlotState::Scheduled {
-                woken.push(e.idx);
-            }
-        }
-        woken.append(&mut self.due_now);
+        let mut popped: Vec<(usize, u64)> = Vec::new();
+        self.wakes.advance(self.tick_of(now), &mut popped);
+        let mut woken: Vec<usize> = std::mem::take(&mut self.due_now);
+        woken.extend(
+            popped
+                .into_iter()
+                .filter(|&(idx, gen)| self.slots[idx].gen == gen)
+                .map(|(idx, _)| idx),
+        );
         woken.sort_unstable();
         woken.dedup();
         woken.retain(|&i| self.slots[i].state == SlotState::Scheduled);
@@ -499,7 +430,7 @@ impl SharingCache {
 mod tests {
     use super::*;
 
-    /// Tiny deterministic LCG so wheel tests need no RNG dependency.
+    /// Tiny deterministic LCG so heap tests need no RNG dependency.
     struct Lcg(u64);
     impl Lcg {
         fn next(&mut self) -> u64 {
@@ -509,11 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn wheel_pops_exactly_at_due_tick_across_cascades() {
-        let mut w = PushCalendar::new();
-        // Due ticks crossing level-0, level-1 and level-2 boundaries.
+    fn heap_pops_exactly_at_due_tick() {
+        let mut w = PushCalendar::default();
         let dues = [1u64, 63, 64, 65, 127, 4095, 4096, 4100, 262144, 262209];
-        for (i, &d) in dues.iter().enumerate() {
+        // Scheduled out of due order, so heap order is what sorts them.
+        for (i, &d) in dues.iter().enumerate().rev() {
             w.schedule(i, 0, d);
         }
         assert_eq!(w.len(), dues.len());
@@ -521,17 +452,22 @@ mod tests {
         for t in 1..=262300u64 {
             out.clear();
             w.advance(t, &mut out);
-            for e in &out {
-                assert_eq!(e.due_tick, t, "entry {} popped at {t}", e.idx);
+            for &(idx, _) in &out {
+                assert_eq!(dues[idx], t, "entry {idx} popped at {t}");
             }
         }
         assert_eq!(w.len(), 0, "every entry popped");
+        // An already-past due tick clamps to the next tick.
+        w.schedule(0, 0, 5);
+        out.clear();
+        w.advance(262301, &mut out);
+        assert_eq!(out, vec![(0, 0)]);
     }
 
     #[test]
-    fn wheel_random_schedule_pops_on_time() {
+    fn heap_random_schedule_pops_on_time() {
         let mut rng = Lcg(7);
-        let mut w = PushCalendar::new();
+        let mut w = PushCalendar::default();
         let mut due_of: HashMap<usize, u64> = HashMap::new();
         let mut next_id = 0usize;
         let mut popped = 0usize;
@@ -541,33 +477,18 @@ mod tests {
             for _ in 0..(rng.next() % 3) {
                 let due = t + rng.next() % 10_000;
                 w.schedule(next_id, 0, due);
-                due_of.insert(next_id, due.max(w.now_tick + 1));
+                due_of.insert(next_id, due);
                 next_id += 1;
             }
             out.clear();
             w.advance(t, &mut out);
-            for e in &out {
-                assert_eq!(due_of[&e.idx], t, "entry {} popped at {t}", e.idx);
+            for &(idx, _) in &out {
+                assert_eq!(due_of[&idx], t, "entry {idx} popped at {t}");
                 popped += 1;
             }
         }
         assert!(popped > 1_000, "exercised {popped} pops");
         assert_eq!(w.len() + popped, next_id);
-    }
-
-    #[test]
-    fn wheel_clamps_past_and_far_future() {
-        let mut w = PushCalendar::new();
-        let mut out = Vec::new();
-        w.advance(100, &mut out);
-        assert!(out.is_empty());
-        w.schedule(0, 0, 5); // already past: clamps to now+1
-        w.schedule(1, 0, u64::MAX); // beyond horizon: clamps inside
-        out.clear();
-        w.advance(101, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].idx, 0);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]
@@ -578,7 +499,7 @@ mod tests {
         assert_eq!(woken, vec![0, 1]);
         c.schedule_at(0, 5);
         c.schedule_at(1, 5);
-        // Slot 1 transitions before its wake: the wheel entry goes stale.
+        // Slot 1 transitions before its wake: the heap entry goes stale.
         c.mark_in_flight(1);
         let woken = c.take_woken(Timestamp::from_secs(5));
         assert_eq!(woken, vec![0]);

@@ -40,6 +40,7 @@
 
 use super::calendar::SharingCache;
 use super::{us, Executor};
+use crate::merge_catalog::MergeCatalog;
 use crate::optimizer::PlannedSharing;
 use crate::plan::sig::ExprSig;
 use smile_telemetry::{SpanKind, SpanRecord};
@@ -104,18 +105,19 @@ pub struct MigrationOutcome {
 
 impl Executor {
     /// Installs the shadow chain of a live migration: merges the re-planned
-    /// arrangement into the running global plan without registering the
-    /// sharing on it, and returns the vertices new to the plan so the
-    /// platform can materialize and seed them (then call
-    /// [`Executor::mark_vertices_seeded`]). The sharing keeps being served
-    /// by its old placement; every subsequent push dual-writes both chains
-    /// until [`Executor::finish_migrations`] cuts over.
+    /// arrangement into the running global plan (through the merge catalog,
+    /// like an admission) without registering the sharing on it. The
+    /// platform must then materialize and seed the vertices new to the plan
+    /// and call [`Executor::mark_vertices_seeded`]. The sharing keeps being
+    /// served by its old placement; every subsequent push dual-writes both
+    /// chains until [`Executor::finish_migrations`] cuts over.
     pub fn begin_migration(
         &mut self,
         id: SharingId,
         planned: &PlannedSharing,
         now: Timestamp,
-    ) -> Result<Vec<VertexId>> {
+        cat: &mut MergeCatalog,
+    ) -> Result<()> {
         let idx = *self.by_id.get(&id).ok_or(SmileError::UnknownSharing(id))?;
         if self.migrations.contains_key(&idx) {
             return Err(SmileError::Internal(format!(
@@ -125,7 +127,7 @@ impl Executor {
         let old_mv = self.sharings[idx].mv;
         let from = self.global.plan.vertex(old_mv).machine;
         let before = self.global.plan.vertex_count();
-        let remap = self.global.merge_shadow(planned)?;
+        let remap = self.global.merge_shadow(planned, cat)?;
         let after = self.global.plan.vertex_count();
         let new_mv = *remap.get(&planned.mv).ok_or_else(|| {
             SmileError::Internal("shadow merge lost the MV vertex".into())
@@ -137,14 +139,7 @@ impl Executor {
                 "migration of sharing {id} would not move its MV"
             )));
         }
-        self.data_ts.resize(after, Timestamp::ZERO);
-        self.visible_ts.resize(after, Timestamp::ZERO);
-        // Merging only *adds* vertices/edges, so existing per-sharing
-        // runtime state stays valid; only the shared structures rebuilt on
-        // live submit must account for the new vertices here too.
-        self.topo_rank = Self::rank_of(&self.global)?;
-        self.base_beats = self.global.base_relation_vertices();
-        self.anchor_of = self.global.plan.half_join_anchors();
+        self.plan_grew()?;
         let new_mv_sig = self.global.plan.vertex(new_mv).sig.clone();
         let (new_srcs, new_order) = Self::subgraph_of(&self.global, id, new_mv, &self.topo_rank)?;
         let shadow_vertices: Vec<VertexId> =
@@ -160,13 +155,13 @@ impl Executor {
                 to: planned.mv_machine,
                 new_srcs,
                 new_order,
-                shadow_vertices: shadow_vertices.clone(),
+                shadow_vertices,
                 started: now,
                 pushed_ok: false,
                 failed: false,
             },
         );
-        Ok(shadow_vertices)
+        Ok(())
     }
 
     /// True while `id` has a migration in flight.
@@ -217,76 +212,59 @@ impl Executor {
                     && self.visible_ts[mig.new_mv.index()] >= self.visible_ts[mig.old_mv.index()];
                 (mig.failed, ready)
             };
-            if failed {
-                let mig = self.migrations.remove(&idx).expect("keyed");
-                let dropped = self.droppable_slots();
-                self.record_migration_span(&mig, now, "aborted");
-                self.migration_outcomes.push(MigrationOutcome {
-                    id: mig.id,
-                    from: mig.from,
-                    to: mig.to,
-                    started: mig.started,
-                    finished: now,
-                    completed: false,
-                    dropped,
-                });
+            if !failed && !ready {
                 continue;
             }
-            if !ready {
+            let Some(mig) = self.migrations.remove(&idx) else {
                 continue;
-            }
-            let mig = self.migrations.remove(&idx).expect("keyed");
-            // Atomic cutover: repoint the sharing's MV coordinates (SHR
-            // sets recompute, so the old chain's exclusive vertices drop
-            // out), swap the runtime subgraph, and rebuild the cached
-            // critical-path evaluator — the placement change invalidates
-            // the old `CpEval`.
-            self.global
-                .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
-            {
+            };
+            if !failed {
+                // Atomic cutover: repoint the sharing's MV coordinates (SHR
+                // sets recompute, so the old chain's exclusive vertices
+                // drop out), swap the runtime subgraph, and rebuild the
+                // cached critical-path evaluator — the placement change
+                // invalidates the old `CpEval`.
+                self.global
+                    .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
                 let rt = &mut self.sharings[idx];
                 rt.mv = mig.new_mv;
                 rt.srcs = mig.new_srcs.clone();
                 rt.order = mig.new_order.clone();
+                self.caches[idx] =
+                    SharingCache::build(&self.global.plan, rt.id, &rt.order, &rt.srcs, &self.model);
+                // The slot's projected wake was derived from the old
+                // placement's critical path; re-evaluate it next tick.
+                self.cal.wake_now(idx);
             }
-            let rt = &self.sharings[idx];
-            self.caches[idx] =
-                SharingCache::build(&self.global.plan, rt.id, &rt.order, &rt.srcs, &self.model);
-            // The slot's projected wake was derived from the old
-            // placement's critical path; re-evaluate it next tick.
-            self.cal.wake_now(idx);
-            let dropped = self.droppable_slots();
-            self.record_migration_span(&mig, now, "completed");
+            // Old-chain exclusives on completion, shadow-chain exclusives
+            // on abort.
+            let dropped = self.release_unserved_slots();
+            self.record_migration_span(&mig, now, if failed { "aborted" } else { "completed" });
             self.migration_outcomes.push(MigrationOutcome {
                 id: mig.id,
                 from: mig.from,
                 to: mig.to,
                 started: mig.started,
                 finished: now,
-                completed: true,
+                completed: !failed,
                 dropped,
             });
         }
         Ok(())
     }
 
-    /// Storage slots no longer serving any sharing, in canonical order —
-    /// shared by sharing retirement and migration settlement. A slot is
-    /// droppable only if *all* vertices mapped to it are unserved, it is
-    /// not a base relation's, it is not part of an in-flight migration's
-    /// shadow chain (shadow vertices serve no sharing until cutover, but
-    /// their storage is the handoff target), and it has not already been
-    /// claimed by a pending [`MigrationOutcome`] — several migrations can
-    /// settle in one executor tick, and the platform only drops slots (and
-    /// clears the plan's slot assignments) after the whole tick, so
-    /// without that exclusion each later cutover would re-report the
-    /// earlier ones' slots and the platform would double-drop.
-    pub(crate) fn droppable_slots(&self) -> Vec<(MachineId, RelationId)> {
+    /// Releases the storage slots that no longer serve any sharing and
+    /// returns them, in canonical order, for the platform to drop — shared
+    /// by sharing retirement and migration settlement. A slot is released
+    /// only if *all* vertices mapped to it are unserved, it is not a base
+    /// relation's, and it is not part of an in-flight migration's shadow
+    /// chain (shadow vertices serve no sharing until cutover, but their
+    /// storage is the handoff target). The vertices' slot assignments are
+    /// cleared here, so a slot is reported exactly once and a future
+    /// identical sharing re-materializes.
+    pub(crate) fn release_unserved_slots(&mut self) -> Vec<(MachineId, RelationId)> {
         let mut still_used: HashSet<(MachineId, RelationId)> = HashSet::new();
         let mut candidates: HashSet<(MachineId, RelationId)> = HashSet::new();
-        for o in &self.migration_outcomes {
-            still_used.extend(o.dropped.iter().copied());
-        }
         for v in self.global.plan.vertices() {
             let Some(slot) = v.slot else { continue };
             if v.is_base || !v.sharings.is_empty() {
@@ -303,8 +281,13 @@ impl Executor {
                 }
             }
         }
-        let mut out: Vec<(MachineId, RelationId)> =
-            candidates.difference(&still_used).copied().collect();
+        candidates.retain(|c| !still_used.contains(c));
+        for i in 0..self.global.plan.vertex_count() {
+            let vert = self.global.plan.vertex_mut(VertexId::new(i as u32));
+            let machine = vert.machine;
+            vert.slot.take_if(|slot| candidates.contains(&(machine, *slot)));
+        }
+        let mut out: Vec<(MachineId, RelationId)> = candidates.into_iter().collect();
         out.sort();
         out
     }

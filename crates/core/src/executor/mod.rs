@@ -18,7 +18,7 @@
 //! 5. feeds realized push durations back into its time-cost model so the
 //!    critical-path projections track machine load (Figure 14).
 //!
-//! Scheduling itself is event-driven: a push calendar (timer wheel + cached
+//! Scheduling itself is event-driven: a push calendar (wake heap + cached
 //! critical paths, see [`calendar`]) makes the per-tick host cost
 //! O(due + invalidated) instead of O(sharings · plan-size). A slot the
 //! calendar leaves asleep must be one the guard chain would not fire; the
@@ -36,6 +36,7 @@ mod wave;
 
 pub use migrate::MigrationOutcome;
 
+use crate::merge_catalog::MergeCatalog;
 use crate::multi::GlobalPlan;
 use crate::plan::dag::{EdgeOp, VertexKind};
 use crate::plan::timecost::TimeCostModel;
@@ -72,13 +73,20 @@ fn op_name(op: &EdgeOp) -> &'static str {
     }
 }
 
+/// Heartbeat publication period.
+const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// How often delta logs are compacted.
+const COMPACTION_PERIOD: SimDuration = SimDuration::from_secs(30);
+/// Retention margin kept below the minimum consumer timestamp.
+const COMPACTION_MARGIN: SimDuration = SimDuration::from_secs(10);
+/// Command dispatch latency (executor → agent).
+const COMMAND_LATENCY: SimDuration = SimDuration::from_millis(5);
+
 /// Executor tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     /// Scheduler tick period.
     pub tick: SimDuration,
-    /// Heartbeat publication period.
-    pub heartbeat_period: SimDuration,
     /// The `l` factor of §8.2: fire a push when the projected staleness at
     /// completion reaches `l · SLA`.
     pub l_factor: f64,
@@ -87,12 +95,6 @@ pub struct ExecConfig {
     pub lazy: bool,
     /// Whether PUSHDONE durations recalibrate the time model.
     pub feedback: bool,
-    /// How often delta logs are compacted.
-    pub compaction_period: SimDuration,
-    /// Retention margin kept below the minimum consumer timestamp.
-    pub compaction_margin: SimDuration,
-    /// Command dispatch latency (executor → agent).
-    pub command_latency: SimDuration,
     /// How transiently-failed pushes are retried.
     pub retry: RetryPolicy,
     /// Worker threads for wave execution. `1` runs the same engine inline
@@ -106,13 +108,9 @@ impl Default for ExecConfig {
     fn default() -> Self {
         Self {
             tick: SimDuration::from_secs(1),
-            heartbeat_period: SimDuration::from_secs(1),
             l_factor: 0.8,
             lazy: true,
             feedback: true,
-            compaction_period: SimDuration::from_secs(30),
-            compaction_margin: SimDuration::from_secs(10),
-            command_latency: SimDuration::from_millis(5),
             retry: RetryPolicy::default(),
             workers: default_workers(),
         }
@@ -495,20 +493,6 @@ impl Executor {
         Ok((srcs, order))
     }
 
-    fn build_rt(global: &GlobalPlan, s: &Sharing, topo_rank: &[u32]) -> Result<SharingRt> {
-        let mv = global.mv_vertex(s.id)?;
-        let (srcs, order) = Self::subgraph_of(global, s.id, mv, topo_rank)?;
-        Ok(SharingRt {
-            id: s.id,
-            sla: s.staleness_sla,
-            mv,
-            srcs,
-            order,
-            in_flight: false,
-            retired: false,
-        })
-    }
-
     /// Builds an executor over an installed global plan. `sharings` must be
     /// the admitted sharings whose plans were merged into `global`;
     /// `telemetry` is the platform-wide handle the executor records spans
@@ -520,59 +504,19 @@ impl Executor {
         config: ExecConfig,
         telemetry: Arc<Telemetry>,
     ) -> Result<Self> {
-        let topo_rank = Self::rank_of(&global)?;
-        let mut rts = Vec::with_capacity(sharings.len());
-        let mut rollup = FleetRollup::new();
-        for s in sharings {
-            let rt = Self::build_rt(&global, s, &topo_rank)?;
-            rollup.register(rt.id.0, rt.sla.as_micros());
-            rts.push(rt);
-        }
-        let by_id: HashMap<SharingId, usize> =
-            rts.iter().enumerate().map(|(i, rt)| (rt.id, i)).collect();
-        let caches: Vec<SharingCache> = rts
-            .iter()
-            .map(|rt| SharingCache::build(&global.plan, rt.id, &rt.order, &rt.srcs, &model))
-            .collect();
-        let base_beats = global.base_relation_vertices();
-        let cal = CalendarState::new(
-            rts.len(),
-            config.tick,
-            model.inflation() * INFLATION_HEADROOM,
-        );
-        let n = global.plan.vertex_count();
-        let mut bus = PubSub::new(config.command_latency);
+        let cal = CalendarState::new(0, config.tick, model.inflation() * INFLATION_HEADROOM);
+        let mut bus = PubSub::new(COMMAND_LATENCY);
         let exec_sub = bus.subscribe(TOPIC_TO_EXECUTOR);
-        let anchor_of = global.plan.half_join_anchors();
         let reg = telemetry.registry();
-        let (ctr_waves, ctr_jobs, ctr_busy_nanos) = (
-            reg.counter("wave.waves"),
-            reg.counter("wave.jobs"),
-            reg.counter("wave.host_busy_nanos"),
-        );
-        let hist_sched_us = reg.histogram("sched.host_tick_us");
-        let (ctr_cal_wakes, ctr_cal_early) = (
-            reg.counter("sched.calendar.host_wakes"),
-            reg.counter("sched.calendar.host_early_wakes"),
-        );
-        let (gauge_cal_scheduled, gauge_cal_waiting, gauge_cal_wheel) = (
-            reg.gauge("sched.calendar.host_scheduled"),
-            reg.gauge("sched.calendar.host_waiting"),
-            reg.gauge("sched.calendar.host_wheel_len"),
-        );
-        let hist_headroom_us = reg.histogram("push.staleness_headroom_us");
-        let hist_after_us = reg.histogram("push.staleness_after_us");
-        let ctr_sla_missed = reg.counter("push.sla_missed");
-        let monitor = BurnRateMonitor::new(telemetry.monitor_config());
-        Ok(Self {
+        let mut executor = Self {
             global,
             model,
             config,
-            data_ts: vec![Timestamp::ZERO; n],
-            visible_ts: vec![Timestamp::ZERO; n],
+            data_ts: Vec::new(),
+            visible_ts: Vec::new(),
             heartbeats: HashMap::new(),
-            sharings: rts,
-            by_id,
+            sharings: Vec::new(),
+            by_id: HashMap::new(),
             events: EventQueue::new(),
             bus,
             exec_sub,
@@ -583,31 +527,81 @@ impl Executor {
             tuples_moved: 0,
             tuples_per_sharing: HashMap::new(),
             push_records: Vec::new(),
-            telemetry,
-            ctr_waves,
-            ctr_jobs,
-            ctr_busy_nanos,
-            anchor_of,
-            topo_rank,
-            caches,
-            base_beats,
+            ctr_waves: reg.counter("wave.waves"),
+            ctr_jobs: reg.counter("wave.jobs"),
+            ctr_busy_nanos: reg.counter("wave.host_busy_nanos"),
+            anchor_of: HashMap::new(),
+            topo_rank: Vec::new(),
+            caches: Vec::new(),
+            base_beats: Vec::new(),
             cal,
-            hist_sched_us,
+            hist_sched_us: reg.histogram("sched.host_tick_us"),
             sched_host_us: Vec::new(),
-            ctr_cal_wakes,
-            ctr_cal_early,
-            gauge_cal_scheduled,
-            gauge_cal_waiting,
-            gauge_cal_wheel,
-            hist_headroom_us,
-            hist_after_us,
-            ctr_sla_missed,
-            rollup,
-            monitor,
+            ctr_cal_wakes: reg.counter("sched.calendar.host_wakes"),
+            ctr_cal_early: reg.counter("sched.calendar.host_early_wakes"),
+            gauge_cal_scheduled: reg.gauge("sched.calendar.host_scheduled"),
+            gauge_cal_waiting: reg.gauge("sched.calendar.host_waiting"),
+            gauge_cal_wheel: reg.gauge("sched.calendar.host_wheel_len"),
+            hist_headroom_us: reg.histogram("push.staleness_headroom_us"),
+            hist_after_us: reg.histogram("push.staleness_after_us"),
+            ctr_sla_missed: reg.counter("push.sla_missed"),
+            rollup: FleetRollup::new(),
+            monitor: BurnRateMonitor::default(),
             alerts: Vec::new(),
             migrations: std::collections::BTreeMap::new(),
             migration_outcomes: Vec::new(),
-        })
+            telemetry,
+        };
+        executor.plan_grew()?;
+        for s in sharings {
+            executor.register(s)?;
+        }
+        Ok(executor)
+    }
+
+    /// Re-derives the plan-wide runtime state after the global plan gained
+    /// vertices (install, live admission, a migration's shadow chain): the
+    /// per-vertex timestamp vectors grow, and the shared rank vector,
+    /// heartbeat roster and half-join anchors take in the new vertices.
+    /// Merging only *adds* vertices and edges (dedup reuses existing ones
+    /// untouched) and vertex ids are append-only, so per-sharing caches,
+    /// in-flight pushes and queued events stay valid.
+    fn plan_grew(&mut self) -> Result<()> {
+        let n = self.global.plan.vertex_count();
+        self.data_ts.resize(n, Timestamp::ZERO);
+        self.visible_ts.resize(n, Timestamp::ZERO);
+        self.topo_rank = Self::rank_of(&self.global)?;
+        self.base_beats = self.global.base_relation_vertices();
+        self.anchor_of = self.global.plan.half_join_anchors();
+        Ok(())
+    }
+
+    /// Gives a sharing already merged into the global plan its runtime
+    /// slot: subgraph, scheduling caches, rollup row and a calendar slot
+    /// due at the next planning pass.
+    fn register(&mut self, s: &Sharing) -> Result<()> {
+        let mv = self.global.mv_vertex(s.id)?;
+        let (srcs, order) = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
+        self.rollup.register(s.id.0, s.staleness_sla.as_micros());
+        self.caches.push(SharingCache::build(
+            &self.global.plan,
+            s.id,
+            &order,
+            &srcs,
+            &self.model,
+        ));
+        self.by_id.insert(s.id, self.sharings.len());
+        self.sharings.push(SharingRt {
+            id: s.id,
+            sla: s.staleness_sla,
+            mv,
+            srcs,
+            order,
+            in_flight: false,
+            retired: false,
+        });
+        self.cal.add_slot();
+        Ok(())
     }
 
     /// One canonical topological rank per vertex of the merged plan.
@@ -630,54 +624,20 @@ impl Executor {
         }
     }
 
-    /// Marks all derived vertices as freshly seeded at `now` (called by the
-    /// platform right after it materializes their initial contents).
-    pub fn mark_seeded(&mut self, now: Timestamp) {
-        for v in self.global.plan.vertices() {
-            if !v.is_base {
-                self.data_ts[v.id.index()] = now;
-                self.visible_ts[v.id.index()] = now;
-            }
-        }
-        self.last_compaction = now;
-    }
-
     /// **On-the-fly addition** (paper §10 future work): merges a newly
-    /// admitted sharing's plan into the running global plan. Vertex ids are
-    /// append-only, so existing runtime state, in-flight pushes and queued
-    /// events stay valid. Returns the ids of vertices new to the plan; the
-    /// platform must materialize and seed them, then call
+    /// admitted sharing's plan into the running global plan through the
+    /// merge catalog and registers it. The platform must then materialize
+    /// and seed the vertices new to the plan and call
     /// [`Executor::mark_vertices_seeded`].
     pub fn add_sharing(
         &mut self,
         sharing: &Sharing,
         planned: &crate::optimizer::PlannedSharing,
-    ) -> Result<Vec<VertexId>> {
-        let before = self.global.plan.vertex_count();
-        self.global.merge(sharing, planned)?;
-        let after = self.global.plan.vertex_count();
-        self.data_ts.resize(after, Timestamp::ZERO);
-        self.visible_ts.resize(after, Timestamp::ZERO);
-        // Merging only *adds* vertices/edges (dedup reuses existing ones
-        // untouched), so existing per-sharing caches stay valid; only the
-        // shared rank vector and heartbeat list must account for the new
-        // vertices.
-        self.topo_rank = Self::rank_of(&self.global)?;
-        let rt = Self::build_rt(&self.global, sharing, &self.topo_rank)?;
-        self.rollup.register(rt.id.0, rt.sla.as_micros());
-        self.caches.push(SharingCache::build(
-            &self.global.plan,
-            rt.id,
-            &rt.order,
-            &rt.srcs,
-            &self.model,
-        ));
-        self.by_id.insert(rt.id, self.sharings.len());
-        self.sharings.push(rt);
-        self.base_beats = self.global.base_relation_vertices();
-        self.cal.add_slot();
-        self.anchor_of = self.global.plan.half_join_anchors();
-        Ok((before..after).map(|i| VertexId::new(i as u32)).collect())
+        cat: &mut MergeCatalog,
+    ) -> Result<()> {
+        self.global.merge_indexed(sharing, planned, cat)?;
+        self.plan_grew()?;
+        self.register(sharing)
     }
 
     /// Marks freshly materialized vertices as seeded at `now`.
@@ -712,28 +672,30 @@ impl Executor {
         // Every slot (Relation+Delta pairs share one; half-join deltas have
         // their own) that no longer serves any sharing — the same reconcile
         // migration settlement runs.
-        Ok(self.droppable_slots())
+        Ok(self.release_unserved_slots())
     }
 
     /// Current staleness of a sharing: base relations are current as of
     /// `now`, so staleness is `now − TS(MV)`.
     pub fn staleness(&self, id: SharingId, now: Timestamp) -> Result<SimDuration> {
-        let rt = self
-            .by_id
-            .get(&id)
-            .map(|&i| &self.sharings[i])
-            .ok_or(SmileError::UnknownSharing(id))?;
-        Ok(now - self.visible_ts[rt.mv.index()])
+        Ok(now - self.mv_ts(id)?)
+    }
+
+    /// The runtime slot of a live sharing.
+    fn rt(&self, id: SharingId) -> Result<&SharingRt> {
+        let idx = self.by_id.get(&id).ok_or(SmileError::UnknownSharing(id))?;
+        Ok(&self.sharings[*idx])
     }
 
     /// Committed MV timestamp of a sharing.
     pub fn mv_ts(&self, id: SharingId) -> Result<Timestamp> {
-        let rt = self
-            .by_id
-            .get(&id)
-            .map(|&i| &self.sharings[i])
-            .ok_or(SmileError::UnknownSharing(id))?;
-        Ok(self.visible_ts[rt.mv.index()])
+        Ok(self.visible_ts[self.rt(id)?.mv.index()])
+    }
+
+    /// The machine a sharing's MV serves from right now (a completed
+    /// migration moves it).
+    pub fn mv_machine(&self, id: SharingId) -> Result<MachineId> {
+        Ok(self.global.plan.vertex(self.rt(id)?.mv).machine)
     }
 
     /// The executor's view of a sharing's SLA.
@@ -819,7 +781,7 @@ impl Executor {
         self.gauge_cal_waiting.set(self.cal.waiting_count() as f64);
         self.gauge_cal_wheel.set(self.cal.wheel_len() as f64);
         self.execute_batch(cluster, now, &requests, &jobs)?;
-        if now - self.last_compaction >= self.config.compaction_period {
+        if now - self.last_compaction >= COMPACTION_PERIOD {
             self.compact(cluster, now)?;
             self.last_compaction = now;
         }
@@ -937,7 +899,7 @@ impl Executor {
     fn heartbeat_round(&mut self, cluster: &mut Cluster, now: Timestamp) {
         if self
             .last_heartbeat
-            .is_some_and(|t| now - t < self.config.heartbeat_period)
+            .is_some_and(|t| now - t < HEARTBEAT_PERIOD)
         {
             return;
         }
@@ -1290,8 +1252,7 @@ impl Executor {
         let denom = 1.0 + ib * cp.slope_per_sec;
         let dt_ticks = ((gap / denom) / tick_secs).floor() - 1.0;
         let dt = if dt_ticks >= 1.0 {
-            // Clamp before the u64 cast; the wheel clamps to its horizon
-            // anyway.
+            // Clamp before the u64 cast so the tick sum cannot overflow.
             dt_ticks.min(1e18) as u64
         } else {
             1
@@ -1557,7 +1518,7 @@ impl Executor {
                     .map(|&d| job_end[d])
                     .max()
                     .unwrap_or(now)
-                    .max(now + self.config.command_latency);
+                    .max(now + COMMAND_LATENCY);
                 let (ship_machine, exec_machine) = match &edge.op {
                     EdgeOp::CopyDelta => {
                         let src = self.global.plan.vertex(edge.inputs[0]).machine;
@@ -1732,7 +1693,7 @@ impl Executor {
                 if req.attempt >= self.config.retry.max_attempts {
                     self.fault_stats.pushes_abandoned += 1;
                     self.sharings[req.idx].in_flight = false;
-                    // The slot left the wheel when its push fired; hand it
+                    // The slot left the calendar when its push fired; hand it
                     // back to the scheduler at the next tick.
                     let next = self.cal.tick_of(now) + 1;
                     self.cal.schedule_at(req.idx, next);
@@ -1949,7 +1910,7 @@ impl Executor {
             if ts == Timestamp::MAX {
                 continue;
             }
-            let cut = ts - self.config.compaction_margin;
+            let cut = ts - COMPACTION_MARGIN;
             let m = cluster.machine_mut(machine)?;
             if m.db.has_relation(slot) {
                 m.db.compact(slot, cut)?;

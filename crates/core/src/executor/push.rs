@@ -170,13 +170,9 @@ pub(crate) fn ship_copy(
 /// Destination-machine half of a cross-machine copy: land the shipped WAL
 /// bytes (CPU service, aggregation, idempotent append).
 ///
-/// A plain copy is *not* decoded into an intermediate `DeltaBatch`: a
-/// validated zero-copy [`wal::Frame`] view over the shipped `Arc`-backed
-/// buffer is walked once, materializing rows straight into the
-/// destination's delta log. An aggregate-bearing edge decodes the frame
-/// and lands through [`finish_copy`] (the aggregate transform needs a
-/// whole batch); `tests/properties.rs` pins the two routes to the same log
-/// contents, stats and dedup books.
+/// The shipped bytes are validated once as a zero-copy [`wal::Frame`] and
+/// handed to [`finish_copy`], which lands a plain copy straight from the
+/// frame and materializes a batch only for an aggregate-bearing edge.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn land_copy(
     dst: &mut Machine,
@@ -192,17 +188,11 @@ pub(crate) fn land_copy(
 ) -> Result<EdgeRun> {
     // The WAL round-trip is the real data path: parse/decode on arrival.
     dst.db.wal_stats().note_landed(bytes.len() as u64);
-    let mut run = if edge.aggregate.is_none() {
-        let frame = wal::Frame::parse(bytes)?;
-        finish_frame(
-            dst, plan, edge, &frame, arrive, from, to, model, ack_lost, charges,
-        )?
-    } else {
-        let batch = wal::decode(bytes)?;
-        finish_copy(
-            dst, plan, edge, batch, arrive, from, to, model, ack_lost, charges,
-        )?
-    };
+    let frame = wal::Frame::parse(bytes)?;
+    let landing = Landing::Frame(&frame);
+    let mut run = finish_copy(
+        dst, plan, edge, landing, arrive, from, to, model, ack_lost, charges,
+    )?;
     run.ship_arrive = Some(arrive);
     Ok(run)
 }
@@ -231,8 +221,9 @@ pub(crate) fn run_local(
             let src_slot = slot_of(plan, edge.inputs[0])?;
             let raw = machine.db.delta_window(src_slot, from, to)?;
             let batch = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
+            let landing = Landing::Batch(batch);
             finish_copy(
-                machine, plan, edge, batch, submit, from, to, model, ack_lost, charges,
+                machine, plan, edge, landing, submit, from, to, model, ack_lost, charges,
             )
         }
         EdgeOp::DeltaToRel => run_apply(machine, plan, edge, to, submit, model, charges),
@@ -260,14 +251,25 @@ pub(crate) fn run_local(
     }
 }
 
+/// What a copy lands: the materialized window of a same-machine copy, or
+/// the validated frame a cross-machine copy shipped.
+enum Landing<'a> {
+    Batch(DeltaBatch),
+    Frame(&'a wal::Frame),
+}
+
 /// Shared tail of both copy variants: CPU service, aggregation against the
 /// output table, idempotent append, then the (possibly pre-drawn) ack loss.
+/// An aggregate-free frame lands straight from the shipped bytes via
+/// [`smile_storage::Database::append_frame_dedup`]; everything else goes
+/// through a batch (the aggregate transform needs one). `tests/properties.rs`
+/// pins the two routes to the same log contents, stats and dedup books.
 #[allow(clippy::too_many_arguments)]
 fn finish_copy(
     dst: &mut Machine,
     plan: &Plan,
     edge: &Edge,
-    batch: DeltaBatch,
+    landing: Landing,
     start: Timestamp,
     from: Timestamp,
     to: Timestamp,
@@ -277,68 +279,31 @@ fn finish_copy(
 ) -> Result<EdgeRun> {
     let dst_v = plan.vertex(edge.output);
     let dst_slot = slot_of(plan, dst_v.id)?;
-    let n = batch.len() as u64;
+    let n = match &landing {
+        Landing::Batch(batch) => batch.len(),
+        Landing::Frame(frame) => frame.len(),
+    } as u64;
     let service = model.edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
     let (res, usage) = dst.run_cpu(start, service);
     charges.push(usage);
-    let batch = apply_aggregate(dst, dst_slot, batch, edge)?;
-    let appended = dst.db.append_delta_dedup(
-        dst_slot,
-        batch,
-        batch_id(dst_v.id, from, to),
-        dst_v.id.index() as u64,
-        to,
-    )?;
+    let (id, producer) = (batch_id(dst_v.id, from, to), dst_v.id.index() as u64);
+    let appended = match landing {
+        Landing::Frame(frame) if edge.aggregate.is_none() => dst
+            .db
+            .append_frame_dedup(dst_slot, frame, id, producer, to)?,
+        landing => {
+            let batch = match landing {
+                Landing::Batch(batch) => batch,
+                Landing::Frame(frame) => frame.to_batch(),
+            };
+            let batch = apply_aggregate(dst, dst_slot, batch, edge)?;
+            dst.db
+                .append_delta_dedup(dst_slot, batch, id, producer, to)?
+        }
+    };
     if ack_lost {
         // The batch landed but the completion message did not; the retry
         // will re-ship and be absorbed by the batch-id dedup above.
-        return Err(SmileError::Transient {
-            detail: format!("acknowledgement for vertex {} push lost", dst_v.id),
-        });
-    }
-    Ok(EdgeRun {
-        end: res.end,
-        tuples: n,
-        deduped: !appended,
-        ship_arrive: None,
-    })
-}
-
-/// The frame-borne twin of [`finish_copy`] for aggregate-free edges: CPU
-/// service billed on the frame's row count, then the validated frame is
-/// landed straight into the destination's delta log via
-/// [`smile_storage::Database::append_frame_dedup`] — one walk, no
-/// intermediate batch, no re-serialization. Observable state (log contents,
-/// stats, dedup books, meter charges, the returned run) is identical to
-/// decoding and calling [`finish_copy`].
-#[allow(clippy::too_many_arguments)]
-fn finish_frame(
-    dst: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    frame: &wal::Frame,
-    start: Timestamp,
-    from: Timestamp,
-    to: Timestamp,
-    model: &TimeCostModel,
-    ack_lost: bool,
-    charges: &mut Vec<ResourceUsage>,
-) -> Result<EdgeRun> {
-    debug_assert!(edge.aggregate.is_none(), "aggregate edges land via finish_copy");
-    let dst_v = plan.vertex(edge.output);
-    let dst_slot = slot_of(plan, dst_v.id)?;
-    let n = frame.len() as u64;
-    let service = model.edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
-    let (res, usage) = dst.run_cpu(start, service);
-    charges.push(usage);
-    let appended = dst.db.append_frame_dedup(
-        dst_slot,
-        frame,
-        batch_id(dst_v.id, from, to),
-        dst_v.id.index() as u64,
-        to,
-    )?;
-    if ack_lost {
         return Err(SmileError::Transient {
             detail: format!("acknowledgement for vertex {} push lost", dst_v.id),
         });

@@ -141,15 +141,20 @@ impl GlobalPlan {
 
     /// Merges a re-planned sharing's vertices into the global plan *without*
     /// registering the sharing on them: the shadow chain of a live
-    /// migration. Dedup works exactly as in [`GlobalPlan::merge`], so any
+    /// migration. Dedup and catalog bookkeeping work exactly as in
+    /// [`GlobalPlan::merge_indexed`], so any
     /// vertex the new placement shares with the existing plan is reused;
     /// vertices unique to the new placement are created with empty `SHR`
     /// sets (no sharing serves through them until cutover flips the
     /// sharing's MV coordinates and SHR is recomputed). Returns the
     /// old-plan → global-plan vertex remap so the caller can locate the
     /// shadow MV (`remap[&planned.mv]`).
-    pub fn merge_shadow(&mut self, planned: &PlannedSharing) -> Result<HashMap<VertexId, VertexId>> {
-        self.merge_vertices(&planned.plan, None)
+    pub fn merge_shadow(
+        &mut self,
+        planned: &PlannedSharing,
+        cat: &mut MergeCatalog,
+    ) -> Result<HashMap<VertexId, VertexId>> {
+        self.merge_vertices(&planned.plan, Some(cat))
     }
 
     /// Atomically repoints sharing `id`'s MV to `(mv_sig, mv_machine)` —

@@ -1,0 +1,886 @@
+//! The `Smile` facade: the whole platform behind one handle.
+//!
+//! Usage follows the paper's life cycle:
+//!
+//! 1. [`Smile::new`] builds the machine fleet;
+//! 2. [`Smile::register_base`] declares each app's shared base relation
+//!    (schema, home machine, statistics) and creates its storage;
+//! 3. [`Smile::submit`] runs the sharing optimizer — the sharing is either
+//!    admitted (DPD/DPT chosen per §6.2) and merged into the global plan,
+//!    or rejected with [`SmileError::Inadmissible`];
+//! 4. [`Smile::install`] optionally hill-climbs the plumbing of the
+//!    staged global plan, allocates storage slots, seeds derived relations,
+//!    and starts the executor;
+//! 5. the driver loop alternates [`Smile::ingest`] (workload updates) and
+//!    [`Smile::step`] (one executor tick + audit).
+//!
+//! Admission is one routine in both phases: before `install` the admitted
+//! plan merges into the staged global plan, after it into the running one
+//! (and starts being maintained at once). This file holds the configuration,
+//! the `Smile` handle and that lifecycle; `adaptive.rs` holds the control
+//! loop and live migration, `introspect.rs` the read-only reports.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+mod adaptive;
+mod introspect;
+
+pub use adaptive::{Action, ActionKind, AdaptiveConfig};
+pub use introspect::FaultReport;
+
+use crate::catalog::{BaseStats, Catalog};
+use crate::executor::seed::eval_sig;
+use crate::executor::{ExecConfig, Executor};
+use crate::merge_catalog::MergeCatalog;
+use crate::multi::{GlobalPlan, HillClimbReport};
+use crate::optimizer::{Objective, PlannedSharing};
+use crate::plan::cost::{machine_utilization, Scope};
+use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, VertexKind};
+use crate::plan::timecost::TimeCostModel;
+use crate::reoptimizer::Reoptimizer;
+use crate::sharing::Sharing;
+use crate::snapshot::SnapshotModule;
+use smile_sim::{Cluster, FaultProfile, MachineConfig, PriceSheet};
+use smile_storage::registry::ArrangementKey;
+use smile_storage::{ArrangementRegistry, DeltaBatch, SpjQuery};
+use smile_telemetry::{Telemetry, TelemetryConfig};
+use smile_types::{
+    MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp,
+};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// How many worst-headroom sharings the metrics snapshot exports as rows
+/// and the adaptive loop considers as migration candidates per alert — the
+/// K in the O(K) rollup cardinality bound.
+const WORST_ROWS: usize = 8;
+
+/// Platform configuration.
+#[derive(Clone, Debug)]
+pub struct SmileConfig {
+    /// Number of machines in the fleet.
+    pub machines: usize,
+    /// Per-machine simulator configuration.
+    pub machine_config: MachineConfig,
+    /// Infrastructure prices.
+    pub prices: PriceSheet,
+    /// Ground-truth operator time model (the simulator's service times; the
+    /// executor starts from a copy and recalibrates).
+    pub model: TimeCostModel,
+    /// Executor tuning.
+    pub exec: ExecConfig,
+    /// Whether `install` runs the hill-climbing plumbing pass.
+    pub hill_climb: bool,
+    /// Iteration cap for hill climbing.
+    pub hill_climb_iterations: usize,
+    /// Per-machine CPU capacity for admission (operator-seconds/second).
+    pub capacity: f64,
+    /// Planning objective preference; `None` = the paper's rule (DPD if
+    /// admissible else DPT). `Some(..)` forces one objective (used by the
+    /// Figure 12 algorithm comparison).
+    pub force_objective: Option<Objective>,
+    /// Fault-injection profile (disabled by default; see
+    /// [`FaultProfile::chaos`] for a hostile preset).
+    pub faults: FaultProfile,
+    /// Telemetry settings: span recording on/off and the span sampling
+    /// rate. Instruments always record (pure atomics); disabling only
+    /// quiets span recording (zero allocation).
+    pub telemetry: TelemetryConfig,
+    /// Adaptive-runtime actuator settings: online re-planning, live MV
+    /// migration and dollar-budgeted fleet elasticity. Disabled by default
+    /// so every pre-adaptive workload replays byte-identically.
+    pub adaptive: AdaptiveConfig,
+}
+
+impl SmileConfig {
+    /// The paper's default setup shape: identical machines, EC2 cross-zone
+    /// prices, lazy executor, hill climbing on.
+    pub fn with_machines(machines: usize) -> Self {
+        Self {
+            machines,
+            machine_config: MachineConfig::default(),
+            prices: PriceSheet::ec2_cross_zone(),
+            model: TimeCostModel::paper_defaults(),
+            exec: ExecConfig::default(),
+            hill_climb: true,
+            hill_climb_iterations: 64,
+            capacity: 1.0,
+            force_objective: None,
+            faults: FaultProfile::disabled(),
+            telemetry: TelemetryConfig::default(),
+            adaptive: AdaptiveConfig::default(),
+        }
+    }
+}
+
+/// One sharing in a [`Smile::submit_batch`] admission request.
+#[derive(Clone, Debug)]
+pub struct SharingRequest {
+    /// Human-readable sharing name.
+    pub name: String,
+    /// The SPJ transformation over registered base relations.
+    pub query: SpjQuery,
+    /// Staleness SLA.
+    pub staleness_sla: SimDuration,
+    /// Penalty dollars per stale tuple.
+    pub penalty_per_tuple: f64,
+    /// Optional MV machine pin.
+    pub mv_machine: Option<MachineId>,
+}
+
+/// The SMILE platform.
+pub struct Smile {
+    /// The simulated machine fleet.
+    pub cluster: Cluster,
+    /// The base-relation catalog.
+    pub catalog: Catalog,
+    /// Platform configuration.
+    pub config: SmileConfig,
+    /// Admitted sharings.
+    sharings: Vec<Sharing>,
+    /// Their chosen plans (order-matched with `sharings`).
+    planned: Vec<PlannedSharing>,
+    /// The executor, live after `install`.
+    pub executor: Option<Executor>,
+    /// The staleness auditor.
+    pub snapshot: SnapshotModule,
+    /// The hill-climbing report from the last `install`.
+    pub hc_report: Option<HillClimbReport>,
+    /// Shared telemetry handle (spans, counters, histograms).
+    telemetry: Arc<Telemetry>,
+    /// The global plan built incrementally at submit time; `install`
+    /// consumes it.
+    staged: GlobalPlan,
+    /// The cross-tenant index over admitted structures.
+    merge_catalog: MergeCatalog,
+    /// Utilization per machine committed to the staged sharings; `install`
+    /// consumes it with the staged plan (the running plan's own load is
+    /// what later admissions are planned against).
+    committed: HashMap<MachineId, f64>,
+    /// Refcounted fleet-wide arrangement bookkeeping, reconciled against
+    /// the live plan after install / live admission / retirement.
+    arrangements: ArrangementRegistry,
+    now: Timestamp,
+    next_sharing: u32,
+    /// Entries ingested at or before the latest seed instant would fall
+    /// outside the half-open push windows `(seed, t]`; ingest clamps them
+    /// up to this floor just above it.
+    seed_floor: Timestamp,
+    /// Typed log of every adaptive-actuator decision, in decision order.
+    actions: Vec<Action>,
+    /// How many of the executor's alerts the control loop has consumed.
+    alert_cursor: usize,
+    /// Last migration start per sharing (cooldown bookkeeping).
+    last_migration: HashMap<SharingId, Timestamp>,
+    /// Re-planned placements of in-flight migrations; applied to `planned`
+    /// when the cutover settles.
+    pending_plans: HashMap<SharingId, PlannedSharing>,
+    /// Since when each *elastic* machine has hosted no MV (shrink pass).
+    mv_idle_since: HashMap<MachineId, Timestamp>,
+}
+
+impl Smile {
+    /// Builds the platform with `config.machines` simulated machines.
+    pub fn new(config: SmileConfig) -> Self {
+        let mut cluster = Cluster::with_configs(vec![config.machine_config; config.machines]);
+        cluster.prices = config.prices;
+        cluster.set_fault_profile(config.faults);
+        let telemetry = Arc::new(Telemetry::new(&config.telemetry));
+        Self {
+            cluster,
+            catalog: Catalog::new(),
+            config,
+            sharings: Vec::new(),
+            planned: Vec::new(),
+            executor: None,
+            snapshot: SnapshotModule::new(),
+            hc_report: None,
+            telemetry,
+            staged: GlobalPlan::new(),
+            merge_catalog: MergeCatalog::new(),
+            committed: HashMap::new(),
+            arrangements: ArrangementRegistry::new(),
+            now: Timestamp::ZERO,
+            next_sharing: 1,
+            seed_floor: Timestamp::ZERO,
+            actions: Vec::new(),
+            alert_cursor: 0,
+            last_migration: HashMap::new(),
+            pending_plans: HashMap::new(),
+            mv_idle_since: HashMap::new(),
+        }
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> Timestamp {
+        self.now
+    }
+
+    /// Registers a base relation: catalog entry plus storage on its home
+    /// machine.
+    pub fn register_base(
+        &mut self,
+        name: &str,
+        schema: Schema,
+        machine: MachineId,
+        stats: BaseStats,
+    ) -> Result<RelationId> {
+        let rel = self
+            .catalog
+            .register_base(name, schema.clone(), machine, stats);
+        self.cluster
+            .machine_mut(machine)?
+            .db
+            .create_relation(rel, schema)?;
+        Ok(rel)
+    }
+
+    /// Submits a sharing for admission: runs the sharing optimizer against
+    /// the utilization already committed and, if admissible, merges the
+    /// chosen plan into the global plan. Before `install` the sharing is
+    /// staged and starts running at `install`; after it the sharing joins
+    /// the *running* plan (paper §10 future work) — the plan gains
+    /// deduplicated vertices, new storage is seeded from the current base
+    /// contents, and maintenance starts at the next tick.
+    pub fn submit(
+        &mut self,
+        name: &str,
+        query: SpjQuery,
+        staleness_sla: SimDuration,
+        penalty_per_tuple: f64,
+    ) -> Result<SharingId> {
+        self.submit_pinned(name, query, staleness_sla, penalty_per_tuple, None)
+    }
+
+    /// Like [`Smile::submit`], but pins the MV to a machine — the paper's
+    /// setup "arbitrarily assigned" the 25 sharings to the 6 machines. This
+    /// is the one admission routine behind every `submit*` entry:
+    /// `plan_and_merge`, its host-latency and catalog telemetry recorded
+    /// whether the sharing was admitted or not, then the sharing registered.
+    pub fn submit_pinned(
+        &mut self,
+        name: &str,
+        query: SpjQuery,
+        staleness_sla: SimDuration,
+        penalty_per_tuple: f64,
+        mv_machine: Option<MachineId>,
+    ) -> Result<SharingId> {
+        let started = std::time::Instant::now();
+        let id = SharingId::new(self.next_sharing);
+        let sharing = Sharing::new(id, name, query, staleness_sla, penalty_per_tuple);
+        let planned = self.plan_and_merge(&sharing, mv_machine);
+        let reg = self.telemetry.registry();
+        // `host_` marks the one wall-clock (nondeterministic) metric here;
+        // determinism suites filter on that marker.
+        reg.histogram("admission.host_latency_us")
+            .record(started.elapsed().as_micros() as u64);
+        let (hits, misses) = self.merge_catalog.take_counters();
+        reg.counter("catalog.hits").add(hits);
+        reg.counter("catalog.misses").add(misses);
+        self.planned.push(planned?);
+        self.sharings.push(sharing);
+        self.snapshot.register_penalty(id, penalty_per_tuple);
+        self.next_sharing += 1;
+        Ok(id)
+    }
+
+    /// The same operation as [`Smile::submit_pinned`], under the name
+    /// drivers use for admissions made while the platform runs.
+    pub fn submit_live(
+        &mut self,
+        name: &str,
+        query: SpjQuery,
+        staleness_sla: SimDuration,
+        penalty_per_tuple: f64,
+        mv_machine: Option<MachineId>,
+    ) -> Result<SharingId> {
+        self.submit_pinned(name, query, staleness_sla, penalty_per_tuple, mv_machine)
+    }
+
+    /// Admits a vector of sharings in request order. Per-member results come
+    /// back in the same order — a rejection does not abort the rest of the
+    /// batch.
+    pub fn submit_batch(&mut self, requests: Vec<SharingRequest>) -> Vec<Result<SharingId>> {
+        requests
+            .into_iter()
+            .map(|r| {
+                self.submit_pinned(
+                    &r.name,
+                    r.query,
+                    r.staleness_sla,
+                    r.penalty_per_tuple,
+                    r.mv_machine,
+                )
+            })
+            .collect()
+    }
+
+    /// Validate → plan against the phase's utilization → merge through the
+    /// merge catalog → materialize and seed when running. The phase selects
+    /// only the utilization view and where the plan merges.
+    fn plan_and_merge(
+        &mut self,
+        sharing: &Sharing,
+        mv_machine: Option<MachineId>,
+    ) -> Result<PlannedSharing> {
+        sharing.query.validate(&self.catalog)?;
+        // Staged admissions plan against the sum of the admitted plans;
+        // once running, against what the merged plan actually loads.
+        let utilization = match self.executor {
+            Some(_) => self.live_utilization()?,
+            None => self.committed.clone(),
+        };
+        let reg = self.telemetry.registry();
+        let planned = self
+            .reoptimizer(self.cluster.active_machine_ids())
+            .plan_admission(sharing, utilization, mv_machine)
+            .inspect_err(|e| {
+                if matches!(e, SmileError::Inadmissible { .. }) {
+                    reg.counter("planner.sharings_rejected").inc();
+                }
+            })?;
+        reg.counter("planner.sharings_admitted").inc();
+        match &mut self.executor {
+            Some(executor) => {
+                executor.add_sharing(sharing, &planned, &mut self.merge_catalog)?;
+                self.materialize_and_seed(None)?;
+                self.sync_arrangements()?;
+            }
+            None => {
+                self.staged
+                    .merge_indexed(sharing, &planned, &mut self.merge_catalog)?;
+                for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
+                    *self.committed.entry(m).or_default() += u;
+                }
+            }
+        }
+        Ok(planned)
+    }
+
+    /// The decision layer every plan search, install-time plumbing pass and
+    /// online re-plan goes through, choosing placements among `machines`.
+    /// Only *active* machines are ever passed: a draining or retired
+    /// machine must not gain new MVs.
+    fn reoptimizer(&self, machines: Vec<MachineId>) -> Reoptimizer<'_> {
+        Reoptimizer::new(
+            &self.catalog,
+            machines,
+            &self.config.model,
+            &self.config.prices,
+        )
+        .with_capacity(self.config.capacity)
+        .with_force_objective(self.config.force_objective)
+    }
+
+    /// Per-machine utilization of the *running* global plan.
+    fn live_utilization(&self) -> Result<HashMap<MachineId, f64>> {
+        let executor = running(&self.executor)?;
+        let live = machine_utilization(&executor.global.plan, Scope::All, &self.config.model);
+        Ok(live)
+    }
+
+    /// Runs the plumbing pass over the staged global plan, starts the
+    /// executor on it, and materializes and seeds its storage.
+    pub fn install(&mut self) -> Result<()> {
+        if self.executor.is_some() {
+            return Err(SmileError::Internal(
+                "platform already installed; dynamic re-install is not supported".into(),
+            ));
+        }
+        // Already merged incrementally, one sharing at a time, at submit.
+        let mut global = std::mem::take(&mut self.staged);
+        self.committed.clear();
+        if self.config.hill_climb {
+            let report = self
+                .reoptimizer(self.cluster.active_machine_ids())
+                .hill_climb_placement(&mut global, true, self.config.hill_climb_iterations);
+            self.hc_report = Some(report);
+            // Plumbing + garbage collection remapped vertex ids.
+            self.merge_catalog.rebuild(&global.plan);
+        }
+        global.plan.validate()?;
+        let reg = self.telemetry.registry();
+        reg.gauge("plan.vertices")
+            .set(global.plan.vertex_count() as f64);
+        reg.gauge("plan.edges").set(global.plan.edges().len() as f64);
+        self.executor = Some(Executor::new(
+            global,
+            &self.sharings,
+            self.config.model.clone(),
+            self.config.exec.clone(),
+            Arc::clone(&self.telemetry),
+        )?);
+        self.materialize_and_seed(None)?;
+        self.sync_arrangements()
+    }
+
+    /// Gives every vertex of the running plan that lacks one its storage
+    /// ([`materialize_into`]), tells the executor the new vertices are
+    /// seeded, and lifts the ingest floor past the seed instant: entries
+    /// stamped at or before it are baked into the seed and would fall
+    /// outside the new vertices' half-open push windows. `None` seeds from
+    /// the current base contents, stamped `now`.
+    fn materialize_and_seed(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
+        let executor = running_mut(&mut self.executor)?;
+        let created = materialize_into(
+            &mut self.catalog,
+            &mut self.cluster,
+            &mut executor.global,
+            seed_at,
+            self.now,
+        )?;
+        let seeded = seed_at.unwrap_or(self.now);
+        executor.mark_vertices_seeded(&created, seeded);
+        self.seed_floor = self.seed_floor.max(seeded + SimDuration::from_micros(1));
+        Ok(())
+    }
+
+    /// Reconciles the global arrangement registry against the live plan's
+    /// join edges and applies the physical delta: first references
+    /// build arrangements (idempotent — materialization usually already
+    /// did), last references drop them so retired sharings reclaim memory.
+    fn sync_arrangements(&mut self) -> Result<()> {
+        let executor = running(&self.executor)?;
+        let delta = self
+            .arrangements
+            .reconcile(desired_arrangements(&executor.global));
+        for (machine, slot, cols) in delta.added {
+            if self.cluster.machine(machine)?.db.has_relation(slot) {
+                self.cluster
+                    .machine_mut(machine)?
+                    .db
+                    .ensure_index(slot, &cols)?;
+            }
+        }
+        for (machine, slot, cols) in delta.removed {
+            self.cluster.machine_mut(machine)?.db.drop_index(slot, &cols);
+        }
+        Ok(())
+    }
+
+    /// The refcounted fleet-wide arrangement registry.
+    pub fn arrangement_registry(&self) -> &ArrangementRegistry {
+        &self.arrangements
+    }
+
+    /// The cross-tenant merge catalog.
+    pub fn merge_catalog(&self) -> &MergeCatalog {
+        &self.merge_catalog
+    }
+
+    /// The running global plan, once installed.
+    pub fn global_plan(&self) -> Option<&GlobalPlan> {
+        self.executor.as_ref().map(|e| &e.global)
+    }
+
+    /// The global plan staged admissions have merged so far; empty once
+    /// `install` has consumed it.
+    pub fn staged_plan(&self) -> &GlobalPlan {
+        &self.staged
+    }
+
+    /// Per-machine utilization committed to staged sharings — what the
+    /// next admission before `install` is planned against; empty once
+    /// `install` has consumed the staged plan.
+    pub fn committed_utilization(&self) -> &HashMap<MachineId, f64> {
+        &self.committed
+    }
+
+    /// **On-the-fly removal** (paper §10 future work): stops maintaining a
+    /// sharing and drops the storage that served only it. Other sharings
+    /// are untouched — shared vertices keep running for them.
+    pub fn retire(&mut self, id: SharingId) -> Result<()> {
+        let dropped = running_mut(&mut self.executor)?.remove_sharing(id)?;
+        self.drop_slots(&dropped)?;
+        if let Some(pos) = self.sharings.iter().position(|s| s.id == id) {
+            self.sharings.remove(pos);
+            self.planned.remove(pos);
+        }
+        self.pending_plans.remove(&id);
+        self.last_migration.remove(&id);
+        self.sync_arrangements()
+    }
+
+    /// Drops the storage slots the executor released — the single reconcile
+    /// shared by sharing retirement and live-migration settlement.
+    fn drop_slots(&mut self, released: &[(MachineId, RelationId)]) -> Result<()> {
+        for &(machine, slot) in released {
+            self.cluster.machine_mut(machine)?.db.drop_relation(slot)?;
+        }
+        Ok(())
+    }
+
+    /// Ingests an application update batch into a base relation (delta
+    /// capture). Entries should be stamped at or near `self.now()`; stamps
+    /// at or below the latest seed instant (install, a live admission, a
+    /// migration's shadow seed) are clamped just above it so they stay
+    /// inside the executor's half-open push windows.
+    pub fn ingest(&mut self, rel: RelationId, mut batch: DeltaBatch) -> Result<()> {
+        for e in &mut batch.entries {
+            e.ts = e.ts.max(self.seed_floor);
+        }
+        let machine = self.catalog.base(rel)?.machine;
+        self.cluster.machine_mut(machine)?.db.ingest(rel, batch)
+    }
+
+    /// Advances the platform by one executor tick, settles any live
+    /// migrations the tick cut over or aborted, and — when the adaptive
+    /// actuator is enabled — runs one deterministic control decision:
+    /// drain new burn-rate alerts, re-plan and migrate alerted sharings off
+    /// their saturated machine, and grow/shrink the fleet within budget.
+    pub fn step(&mut self) -> Result<()> {
+        let executor = running_mut(&mut self.executor)?;
+        // Crashes due now take machines out of service before the executor
+        // plans around them.
+        self.cluster.apply_faults(self.now);
+        executor.tick(&mut self.cluster, self.now)?;
+        self.settle_migrations()?;
+        if self.config.adaptive.enabled {
+            self.adaptive_control()?;
+        }
+        self.snapshot.maybe_record(
+            running_mut(&mut self.executor)?,
+            &mut self.cluster,
+            self.now,
+        );
+        self.now += self.config.exec.tick;
+        Ok(())
+    }
+
+    /// Runs the platform for a simulated duration with no further ingest.
+    pub fn run_idle(&mut self, duration: SimDuration) -> Result<()> {
+        let end = self.now + duration;
+        while self.now < end {
+            self.step()?;
+        }
+        Ok(())
+    }
+
+    /// The admitted sharings.
+    pub fn sharings(&self) -> &[Sharing] {
+        &self.sharings
+    }
+
+    /// The chosen plan of a sharing.
+    pub fn planned(&self, id: SharingId) -> Result<&PlannedSharing> {
+        self.sharings
+            .iter()
+            .position(|s| s.id == id)
+            .map(|i| &self.planned[i])
+            .ok_or(SmileError::UnknownSharing(id))
+    }
+}
+
+/// The running executor, or the one error every entry point that needs it
+/// returns before `install`. Free functions over the field rather than
+/// methods, so callers can keep borrowing the cluster and catalog beside it.
+fn running(executor: &Option<Executor>) -> Result<&Executor> {
+    executor.as_ref().ok_or_else(not_installed)
+}
+
+/// [`running`], mutably.
+fn running_mut(executor: &mut Option<Executor>) -> Result<&mut Executor> {
+    executor.as_mut().ok_or_else(not_installed)
+}
+
+fn not_installed() -> SmileError {
+    SmileError::Internal("the platform is not running: call install() first".into())
+}
+
+/// The arrangement a join edge probes — its snapshot side's (machine,
+/// relation slot, probe columns). `None` for any other operator, or while
+/// the relation has no storage.
+fn probed_arrangement(plan: &Plan, e: &Edge) -> Option<ArrangementKey> {
+    let EdgeOp::Join { on, delta_side, .. } = &e.op else {
+        return None;
+    };
+    let snap_cols = match delta_side {
+        DeltaSide::Left => &on.right_cols,
+        DeltaSide::Right => &on.left_cols,
+    };
+    let rel_v = plan.vertex(e.inputs[1]);
+    Some((rel_v.machine, rel_v.slot?, snap_cols.clone()))
+}
+
+/// Desired arrangement refcounts from the live plan: one reference per
+/// *live* (serving at least one sharing) join edge. `BTreeMap`, so
+/// reconciliation walks keys deterministically.
+fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> {
+    let mut desired: BTreeMap<ArrangementKey, usize> = BTreeMap::new();
+    for e in global.plan.edges() {
+        if e.sharings.is_empty() {
+            continue;
+        }
+        if let Some(key) = probed_arrangement(&global.plan, e) {
+            *desired.entry(key).or_default() += 1;
+        }
+    }
+    desired
+}
+
+/// The incremental storage materializer: allocates storage slots for plan
+/// vertices that lack one, creates the relations, declares the secondary
+/// indexes join edges probe, seeds the new derived relations from ground
+/// truth, and returns the vertices whose storage it created. `seed_at`
+/// pins the seed: the relations are evaluated from base snapshots *as of*
+/// that instant and stamped with it. Admissions seed at `now` (base tables
+/// are current); a migration must instead seed at the old chain's
+/// committed MV timestamp so the shadow chain's push windows tile exactly
+/// against the anchored half-join jobs it shares with the old chain.
+fn materialize_into(
+    catalog: &mut Catalog,
+    cluster: &mut Cluster,
+    global: &mut GlobalPlan,
+    seed_at: Option<Timestamp>,
+    now: Timestamp,
+) -> Result<Vec<smile_types::VertexId>> {
+    use crate::plan::sig::ExprSig;
+    // Existing slot assignments seed the (sig, machine) → slot map so a new
+    // Delta vertex pairs with its already-materialized Relation twin.
+    let mut slots: HashMap<(ExprSig, MachineId), RelationId> = HashMap::new();
+    for v in global.plan.vertices() {
+        if let Some(slot) = v.slot {
+            slots.insert((v.sig.clone(), v.machine), slot);
+        }
+    }
+    let mut created: Vec<smile_types::VertexId> = Vec::new();
+    let mut created_slots: std::collections::HashSet<(MachineId, RelationId)> =
+        std::collections::HashSet::new();
+    for i in 0..global.plan.vertex_count() {
+        let v = smile_types::VertexId::new(i as u32);
+        let vert = global.plan.vertex(v);
+        if vert.slot.is_some() {
+            continue;
+        }
+        let machine = vert.machine;
+        let slot = if vert.is_base {
+            match &vert.sig {
+                ExprSig::Base(r) => *r,
+                other => {
+                    return Err(SmileError::Internal(format!(
+                        "base vertex with non-base signature {other}"
+                    )))
+                }
+            }
+        } else {
+            *slots
+                .entry((vert.sig.clone(), machine))
+                .or_insert_with(|| catalog.alloc_derived())
+        };
+        if !cluster.machine(machine)?.db.has_relation(slot) {
+            cluster
+                .machine_mut(machine)?
+                .db
+                .create_relation(slot, vert.schema.clone())?;
+            created_slots.insert((machine, slot));
+        }
+        global.plan.vertex_mut(v).slot = Some(slot);
+        if created_slots.contains(&(machine, slot)) {
+            created.push(v);
+        }
+    }
+    // Arrangements for join probes (idempotent; edges on the same
+    // (relation, key) pair share one arrangement).
+    for e in global.plan.edges() {
+        if let Some((machine, slot, cols)) = probed_arrangement(&global.plan, e) {
+            cluster.machine_mut(machine)?.db.ensure_index(slot, &cols)?;
+        }
+    }
+    // Seed the freshly created derived relations in topological order.
+    let mut seeded: std::collections::HashSet<(MachineId, RelationId)> =
+        std::collections::HashSet::new();
+    for v in global.plan.topo_order()? {
+        let vert = global.plan.vertex(v);
+        if vert.is_base || vert.kind != VertexKind::Relation {
+            continue;
+        }
+        let slot = vert.slot.ok_or_else(|| {
+            SmileError::Internal(format!("derived vertex {v} left without a storage slot"))
+        })?;
+        if !created_slots.contains(&(vert.machine, slot)) || !seeded.insert((vert.machine, slot)) {
+            continue;
+        }
+        let rows = eval_sig(&vert.sig, cluster, catalog, seed_at)?;
+        cluster
+            .machine_mut(vert.machine)?
+            .db
+            .seed_relation(slot, rows, seed_at.unwrap_or(now))?;
+    }
+    Ok(created)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smile_storage::delta::DeltaEntry;
+    use smile_storage::join::JoinOn;
+    use smile_storage::Predicate;
+    use smile_types::{tuple, Column, ColumnType};
+
+    fn users_schema() -> Schema {
+        Schema::new(
+            vec![
+                Column::new("uid", ColumnType::I64),
+                Column::new("name", ColumnType::Str),
+            ],
+            vec![0],
+        )
+    }
+
+    fn tweets_schema() -> Schema {
+        Schema::new(
+            vec![
+                Column::new("tid", ColumnType::I64),
+                Column::new("uid", ColumnType::I64),
+            ],
+            vec![0],
+        )
+    }
+
+    fn setup() -> (Smile, RelationId, RelationId) {
+        let mut smile = Smile::new(SmileConfig::with_machines(3));
+        let users = smile
+            .register_base(
+                "users",
+                users_schema(),
+                MachineId::new(0),
+                BaseStats {
+                    update_rate: 5.0,
+                    cardinality: 100.0,
+                    tuple_bytes: 40.0,
+                    distinct: vec![100.0, 90.0],
+                },
+            )
+            .unwrap();
+        let tweets = smile
+            .register_base(
+                "tweets",
+                tweets_schema(),
+                MachineId::new(1),
+                BaseStats {
+                    update_rate: 20.0,
+                    cardinality: 1000.0,
+                    tuple_bytes: 40.0,
+                    distinct: vec![1000.0, 100.0],
+                },
+            )
+            .unwrap();
+        (smile, users, tweets)
+    }
+
+    /// Drives a deterministic workload: every second, one new user and a
+    /// few tweets from known users.
+    fn drive(smile: &mut Smile, users: RelationId, tweets: RelationId, seconds: u64) {
+        for s in 0..seconds {
+            let now = smile.now();
+            let uid = (s % 50) as i64;
+            let user_batch: DeltaBatch = [DeltaEntry::insert(
+                tuple![uid, format!("user{uid}").as_str()],
+                now,
+            )]
+            .into_iter()
+            .collect();
+            smile.ingest(users, user_batch).unwrap();
+            let tweet_batch: DeltaBatch = (0..3)
+                .map(|k| {
+                    DeltaEntry::insert(tuple![(s * 10 + k) as i64, ((s + k) % 50) as i64], now)
+                })
+                .collect();
+            smile.ingest(tweets, tweet_batch).unwrap();
+            smile.step().unwrap();
+        }
+    }
+
+    #[test]
+    fn end_to_end_incremental_equals_ground_truth() {
+        let (mut smile, users, tweets) = setup();
+        let q = SpjQuery::scan(users).join(tweets, JoinOn::on(0, 1), Predicate::True);
+        let id = smile
+            .submit("twitaholic", q, SimDuration::from_secs(20), 0.001)
+            .unwrap();
+        smile.install().unwrap();
+        drive(&mut smile, users, tweets, 120);
+
+        // At least one push must have happened.
+        let executor = smile.executor.as_ref().unwrap();
+        assert!(
+            !executor.push_records.is_empty(),
+            "no pushes in 120 seconds"
+        );
+        let got = smile.mv_contents(id).unwrap();
+        let want = smile.expected_mv_contents(id).unwrap();
+        assert!(!want.is_empty(), "ground truth should not be empty");
+        assert_eq!(got.sorted_entries(), want.sorted_entries());
+    }
+
+    #[test]
+    fn staleness_stays_within_sla() {
+        let (mut smile, users, tweets) = setup();
+        let q = SpjQuery::scan(users).join(tweets, JoinOn::on(0, 1), Predicate::True);
+        let _id = smile
+            .submit("twitaholic", q, SimDuration::from_secs(20), 0.001)
+            .unwrap();
+        smile.install().unwrap();
+        drive(&mut smile, users, tweets, 180);
+        assert_eq!(
+            smile.snapshot.violations_total(),
+            0,
+            "SLA violations under light load"
+        );
+        // The staleness series shows the lazy sawtooth: it must at some
+        // point exceed half the SLA (laziness) and drop after pushes.
+        let series = smile.snapshot.staleness_series(SharingId::new(1));
+        let max = series.iter().map(|(_, s)| *s).max().unwrap();
+        assert!(max > SimDuration::from_secs(8), "never got lazy: {max}");
+    }
+
+    #[test]
+    fn costs_accrue_and_are_attributed() {
+        let (mut smile, users, tweets) = setup();
+        let q = SpjQuery::scan(users).join(tweets, JoinOn::on(0, 1), Predicate::True);
+        let id = smile
+            .submit("twitaholic", q, SimDuration::from_secs(20), 0.001)
+            .unwrap();
+        smile.install().unwrap();
+        drive(&mut smile, users, tweets, 60);
+        assert!(smile.total_dollars() > 0.0);
+        assert!(smile.sharing_dollars(id) > 0.0);
+    }
+
+    #[test]
+    fn filtered_projected_sharing_maintained_exactly() {
+        let (mut smile, users, tweets) = setup();
+        // Dinner-style filter: tweets of users 0..10 only, keep (name, tid).
+        let q = SpjQuery::scan(users)
+            .join(
+                tweets,
+                JoinOn::on(0, 1),
+                Predicate::cmp(1, smile_storage::predicate::CmpOp::Lt, 10i64),
+            )
+            .project(vec![1, 2]);
+        let id = smile
+            .submit("dinner", q, SimDuration::from_secs(15), 0.001)
+            .unwrap();
+        smile.install().unwrap();
+        drive(&mut smile, users, tweets, 90);
+        let got = smile.mv_contents(id).unwrap();
+        let want = smile.expected_mv_contents(id).unwrap();
+        assert_eq!(got.sorted_entries(), want.sorted_entries());
+        assert!(got.iter().all(|(t, _)| t.arity() == 2));
+    }
+
+    #[test]
+    fn inadmissible_sharing_rejected_at_submit() {
+        let (mut smile, users, tweets) = setup();
+        let q = SpjQuery::scan(users).join(tweets, JoinOn::on(0, 1), Predicate::True);
+        let err = smile.submit("too-fast", q, SimDuration::from_millis(1), 0.001);
+        assert!(matches!(err, Err(SmileError::Inadmissible { .. })));
+        assert!(smile.sharings().is_empty());
+    }
+
+    #[test]
+    fn step_before_install_errors() {
+        let (mut smile, _, _) = setup();
+        assert!(smile.step().is_err());
+    }
+}

@@ -9,7 +9,7 @@
 //! them to the table atomically, exactly like the streaming-replication tap
 //! of the paper's §4.0.1.
 
-use crate::delta::{DeltaBatch, DeltaTable};
+use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::spj::RelationProvider;
 use crate::stats::RelationStats;
 use crate::table::Table;
@@ -36,6 +36,22 @@ pub struct RelationSlot {
     /// whose window overlaps (a retried-then-abandoned push followed by a
     /// wider one).
     pub shipped_through: HashMap<u64, Timestamp>,
+}
+
+impl RelationSlot {
+    /// Appends shipped entries to the delta log (pending until a
+    /// `DeltaToRel` push applies them), accumulating the update statistics
+    /// in the same pass.
+    fn land(&mut self, entries: impl Iterator<Item = DeltaEntry>) {
+        let (mut count, mut bytes, mut max_ts) = (0u64, 0usize, Timestamp::ZERO);
+        for entry in entries {
+            count += 1;
+            bytes += entry.byte_size();
+            max_ts = max_ts.max(entry.ts);
+            self.delta.append(entry);
+        }
+        self.stats.record_updates(count, bytes, max_ts);
+    }
 }
 
 /// A single machine's database instance.
@@ -122,13 +138,7 @@ impl Database {
     /// delta log *without* applying them (they are pending until a
     /// `DeltaToRel` push applies them).
     pub fn append_delta(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
-        let slot = self.slot_mut(rel)?;
-        let bytes = batch.byte_size();
-        let count = batch.len() as u64;
-        if let Some(ts) = batch.max_ts() {
-            slot.stats.record_updates(count, bytes, ts);
-        }
-        slot.delta.append_batch(batch);
+        self.slot_mut(rel)?.land(batch.entries.into_iter());
         Ok(())
     }
 
@@ -145,45 +155,48 @@ impl Database {
     pub fn append_delta_dedup(
         &mut self,
         rel: RelationId,
-        mut batch: DeltaBatch,
+        batch: DeltaBatch,
         batch_id: u64,
         producer: u64,
         through: Timestamp,
     ) -> Result<bool> {
-        let slot = self.slot_mut(rel)?;
-        if !slot.applied_batches.insert(batch_id) {
-            return Ok(false);
-        }
-        let mark = slot
-            .shipped_through
-            .entry(producer)
-            .or_insert(Timestamp::ZERO);
-        if through <= *mark {
-            return Ok(false);
-        }
-        if *mark > Timestamp::ZERO {
-            let mark = *mark;
-            batch.entries.retain(|e| e.ts > mark);
-        }
-        *mark = through;
-        self.append_delta(rel, batch)?;
-        Ok(true)
+        self.append_dedup(rel, batch.entries.into_iter(), batch_id, producer, through)
     }
 
-    /// Land-side fast path: the frame-borne twin of
-    /// [`Database::append_delta_dedup`]. The validated WAL [`Frame`] is
-    /// walked once — batch-id dedup and watermark clipping first, then every
-    /// surviving entry is materialized straight into the delta log, with the
-    /// update statistics accumulated in the same pass. No intermediate
-    /// `DeltaBatch` is built and nothing is re-serialized; observable state
-    /// (log contents, stats, dedup books, return value) is identical to
-    /// decoding the frame and calling `append_delta_dedup`.
+    /// Land-side fast path: [`Database::append_delta_dedup`] fed straight
+    /// from a validated WAL [`Frame`]. The frame is walked once, each row
+    /// decoded through one scratch buffer and drained into the tuple's
+    /// `Arc` payload, so landing a row costs exactly one allocation; no
+    /// intermediate `DeltaBatch` is built and nothing is re-serialized.
     ///
     /// [`Frame`]: crate::wal::Frame
     pub fn append_frame_dedup(
         &mut self,
         rel: RelationId,
         frame: &crate::wal::Frame,
+        batch_id: u64,
+        producer: u64,
+        through: Timestamp,
+    ) -> Result<bool> {
+        let mut scratch: Vec<smile_types::Value> = Vec::new();
+        let entries = (0..frame.len()).map(|i| {
+            crate::columnar::decode_row_into(frame.row(i), &mut scratch)
+                .expect("frame rows were validated at parse");
+            DeltaEntry {
+                tuple: scratch.drain(..).collect(),
+                weight: frame.weight(i),
+                ts: frame.ts(i),
+            }
+        });
+        self.append_dedup(rel, entries, batch_id, producer, through)
+    }
+
+    /// The one landing tail: batch-id dedup and watermark clip, then
+    /// [`RelationSlot::land`] for the surviving entries.
+    fn append_dedup(
+        &mut self,
+        rel: RelationId,
+        entries: impl Iterator<Item = DeltaEntry>,
         batch_id: u64,
         producer: u64,
         through: Timestamp,
@@ -201,35 +214,7 @@ impl Database {
         }
         let clip = *mark;
         *mark = through;
-        let mut count = 0u64;
-        let mut bytes = 0usize;
-        let mut max_ts = Timestamp::ZERO;
-        // One scratch buffer for the whole frame: each row is decoded into
-        // it and drained into the tuple's `Arc` payload, so landing a row
-        // costs exactly one allocation.
-        let mut scratch: Vec<smile_types::Value> = Vec::new();
-        for i in 0..frame.len() {
-            let ts = frame.ts(i);
-            if clip > Timestamp::ZERO && ts <= clip {
-                continue;
-            }
-            crate::columnar::decode_row_into(frame.row(i), &mut scratch)
-                .expect("frame rows were validated at parse");
-            let entry = crate::delta::DeltaEntry {
-                tuple: scratch.drain(..).collect(),
-                weight: frame.weight(i),
-                ts,
-            };
-            count += 1;
-            bytes += entry.byte_size();
-            if ts > max_ts {
-                max_ts = ts;
-            }
-            slot.delta.append(entry);
-        }
-        if count > 0 {
-            slot.stats.record_updates(count, bytes, max_ts);
-        }
+        slot.land(entries.filter(|e| clip == Timestamp::ZERO || e.ts > clip));
         Ok(true)
     }
 
@@ -264,9 +249,9 @@ impl Database {
                 "relation {rel} already has contents; refusing to re-seed"
             )));
         }
-        let batch: crate::delta::DeltaBatch = rows
+        let batch: DeltaBatch = rows
             .into_iter_entries()
-            .map(|(tuple, weight)| crate::delta::DeltaEntry { tuple, weight, ts })
+            .map(|(tuple, weight)| DeltaEntry { tuple, weight, ts })
             .collect();
         slot.table.apply(&batch, ts)?;
         slot.delta.compact(ts);
@@ -314,7 +299,7 @@ impl Database {
         rel: RelationId,
         lo: Timestamp,
         hi: Timestamp,
-    ) -> Result<&[crate::delta::DeltaEntry]> {
+    ) -> Result<&[DeltaEntry]> {
         Ok(self.slot(rel)?.delta.window_ref(lo, hi))
     }
 
@@ -410,7 +395,6 @@ impl RelationProvider for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::DeltaEntry;
     use smile_types::{tuple, Column, ColumnType};
 
     const R: RelationId = RelationId(0);

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedHistogram};
-pub use monitor::{cohort_of, Alert, AlertKind, BurnRateMonitor, MonitorConfig, Severity};
+pub use monitor::{cohort_of, Alert, AlertKind, BurnRateMonitor, Severity};
 pub use registry::{MetricsSnapshot, Registry};
 pub use rollup::{FleetRollup, SharingSummary, WorstRow};
 pub use sample::{FlightIncident, FlightRecorder, SpanSampler};
@@ -59,42 +59,30 @@ pub struct TelemetryConfig {
     /// Master switch for span recording. Off ⇒ the ring stays empty and no
     /// span ids are allocated; instrument atomics still record.
     pub enabled: bool,
-    /// Maximum number of spans retained in the ring.
-    pub ring_capacity: usize,
-    /// Number of shards for per-worker histograms (worker indices wrap).
-    pub worker_shards: usize,
     /// Span sampling rate: keep spans for roughly 1-in-`rate` sharings
     /// (sharing-coherent, seeded). 1 keeps every span.
     pub span_sample_rate: u32,
-    /// Seed for the sampling hash.
-    pub sample_seed: u64,
-    /// Flight-recorder recent-span ring capacity (0 disables the flight
-    /// recorder entirely).
-    pub flight_recent: usize,
-    /// Maximum frozen incidents the flight recorder retains.
-    pub flight_max_incidents: usize,
-    /// How many worst-headroom sharings the snapshot exports as rows —
-    /// the K in the O(K) rollup cardinality bound.
-    pub top_k_worst: usize,
-    /// Burn-rate monitor thresholds and window shapes.
-    pub monitor: MonitorConfig,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            ring_capacity: 1 << 16,
-            worker_shards: 64,
             span_sample_rate: 1,
-            sample_seed: 0x5137_1e5eed,
-            flight_recent: 2048,
-            flight_max_incidents: 16,
-            top_k_worst: 8,
-            monitor: MonitorConfig::default(),
         }
     }
 }
+
+/// Maximum number of spans retained in the ring.
+const RING_CAPACITY: usize = 1 << 16;
+/// Number of shards for per-worker histograms (worker indices wrap).
+const WORKER_SHARDS: usize = 64;
+/// Seed for the span-sampling hash.
+const SAMPLE_SEED: u64 = 0x5137_1e5eed;
+/// Flight-recorder recent-span ring capacity.
+const FLIGHT_RECENT: usize = 2048;
+/// Maximum frozen incidents the flight recorder retains.
+const FLIGHT_MAX_INCIDENTS: usize = 16;
 
 /// Shared handle owning the registry, the span ring and the per-worker
 /// host-time histogram. One per `Smile` platform, shared with the executor
@@ -113,10 +101,6 @@ pub struct Telemetry {
     sampler: Option<SpanSampler>,
     sampled_out: AtomicU64,
     flight: Mutex<FlightRecorder>,
-    /// Cached so the span hot path can skip the flight lock when disabled.
-    flight_on: bool,
-    monitor_cfg: MonitorConfig,
-    top_k_worst: usize,
 }
 
 impl Telemetry {
@@ -125,19 +109,13 @@ impl Telemetry {
         Self {
             enabled: cfg.enabled,
             next_span: AtomicU64::new(1),
-            ring: Mutex::new(SpanRing::new(cfg.ring_capacity)),
+            ring: Mutex::new(SpanRing::new(RING_CAPACITY)),
             registry: Registry::new(),
-            job_host_nanos: ShardedHistogram::new(cfg.worker_shards),
+            job_host_nanos: ShardedHistogram::new(WORKER_SHARDS),
             sampler: (cfg.span_sample_rate > 1)
-                .then(|| SpanSampler::new(cfg.span_sample_rate, cfg.sample_seed)),
+                .then(|| SpanSampler::new(cfg.span_sample_rate, SAMPLE_SEED)),
             sampled_out: AtomicU64::new(0),
-            flight: Mutex::new(FlightRecorder::new(
-                cfg.flight_recent,
-                cfg.flight_max_incidents,
-            )),
-            flight_on: cfg.flight_recent > 0,
-            monitor_cfg: cfg.monitor,
-            top_k_worst: cfg.top_k_worst,
+            flight: Mutex::new(FlightRecorder::new(FLIGHT_RECENT, FLIGHT_MAX_INCIDENTS)),
         }
     }
 
@@ -179,22 +157,18 @@ impl Telemetry {
         if let Some(sampler) = &self.sampler {
             if !sampler.keep(&rec) {
                 self.sampled_out.fetch_add(1, Ordering::Relaxed);
-                if self.flight_on {
-                    self.flight.lock().unwrap().note(rec);
-                }
+                self.flight.lock().unwrap().note(rec);
                 return;
             }
         }
-        if self.flight_on {
-            self.flight.lock().unwrap().note(rec.clone());
-        }
+        self.flight.lock().unwrap().note(rec.clone());
         self.ring.lock().unwrap().push(rec);
     }
 
     /// Freezes the flight-recorder window around an incident for `sharing`.
-    /// No-op in quiet mode or with the recorder disabled.
+    /// No-op in quiet mode.
     pub fn capture_incident(&self, sharing: u32, at_us: u64, reason: &'static str) {
-        if !self.enabled || !self.flight_on {
+        if !self.enabled {
             return;
         }
         self.flight.lock().unwrap().capture(sharing, at_us, reason);
@@ -208,16 +182,6 @@ impl Telemetry {
     /// Number of spans dropped from the main ring by the sampler.
     pub fn spans_sampled_out(&self) -> u64 {
         self.sampled_out.load(Ordering::Relaxed)
-    }
-
-    /// The monitor configuration the executor should instantiate.
-    pub fn monitor_config(&self) -> MonitorConfig {
-        self.monitor_cfg
-    }
-
-    /// How many worst-headroom rows snapshots export.
-    pub fn top_k_worst(&self) -> usize {
-        self.top_k_worst
     }
 
     /// Copies the retained spans, oldest first.

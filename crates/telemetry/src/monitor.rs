@@ -36,46 +36,27 @@ pub fn cohort_of(sla_us: u64) -> u8 {
     lg.min(COHORTS as u64 - 1) as u8
 }
 
-/// Monitor thresholds and window shapes. All integers so the config stays
-/// `Eq` (ratios are parts-per-million).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorConfig {
-    /// Width of one fast sub-window (µs of sim-time).
-    pub fast_sub_us: u64,
-    /// Fast sub-window count.
-    pub fast_subs: usize,
-    /// Width of one slow sub-window (µs of sim-time).
-    pub slow_sub_us: u64,
-    /// Slow sub-window count.
-    pub slow_subs: usize,
-    /// Miss ratio (ppm) at which a window is considered burning.
-    pub warn_ratio_ppm: u64,
-    /// Miss ratio (ppm) at which the fast window pages (with slow burn).
-    pub page_ratio_ppm: u64,
-    /// Minimum pushes in a window before its ratio is trusted.
-    pub min_pushes: u64,
-    /// Trend horizon in slow sub-windows: warn if the fitted headroom
-    /// projection reaches zero within this many sub-windows.
-    pub trend_horizon_subs: u64,
-    /// Minimum populated slow sub-windows before fitting a trend.
-    pub trend_min_points: usize,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            fast_sub_us: 5_000_000,  // 6 × 5 s  = 30 s fast window
-            fast_subs: 6,
-            slow_sub_us: 30_000_000, // 6 × 30 s = 180 s slow window
-            slow_subs: 6,
-            warn_ratio_ppm: 50_000,   // 5 %
-            page_ratio_ppm: 200_000,  // 20 %
-            min_pushes: 4,
-            trend_horizon_subs: 4,
-            trend_min_points: 4,
-        }
-    }
-}
+/// The fast window: 6 × 5 s = 30 s of sim-time.
+const FAST: WindowSpec = WindowSpec {
+    sub_width_us: 5_000_000,
+    subs: 6,
+};
+/// The slow window: 6 × 30 s = 180 s of sim-time.
+const SLOW: WindowSpec = WindowSpec {
+    sub_width_us: 30_000_000,
+    subs: 6,
+};
+/// Miss ratio (ppm) at which a window is considered burning: 5 %.
+const WARN_RATIO_PPM: u64 = 50_000;
+/// Miss ratio (ppm) at which the fast window pages (with slow burn): 20 %.
+const PAGE_RATIO_PPM: u64 = 200_000;
+/// Minimum pushes in a window before its ratio is trusted.
+const MIN_PUSHES: u64 = 4;
+/// Trend horizon in slow sub-windows: warn if the fitted headroom
+/// projection reaches zero within this many sub-windows.
+const TREND_HORIZON_SUBS: u64 = 4;
+/// Minimum populated slow sub-windows before fitting a trend.
+const TREND_MIN_POINTS: usize = 4;
 
 /// Alert severity, ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -166,21 +147,13 @@ struct CohortState {
 }
 
 impl CohortState {
-    fn new(cfg: &MonitorConfig) -> Self {
-        let fast = WindowSpec {
-            sub_width_us: cfg.fast_sub_us,
-            subs: cfg.fast_subs,
-        };
-        let slow = WindowSpec {
-            sub_width_us: cfg.slow_sub_us,
-            subs: cfg.slow_subs,
-        };
+    fn new() -> Self {
         Self {
-            fast_pushes: SlidingWindow::new(fast),
-            fast_misses: SlidingWindow::new(fast),
-            slow_pushes: SlidingWindow::new(slow),
-            slow_misses: SlidingWindow::new(slow),
-            headroom_ppm: SlidingWindow::new(slow),
+            fast_pushes: SlidingWindow::new(FAST),
+            fast_misses: SlidingWindow::new(FAST),
+            slow_pushes: SlidingWindow::new(SLOW),
+            slow_misses: SlidingWindow::new(SLOW),
+            headroom_ppm: SlidingWindow::new(SLOW),
             worst_epoch: 0,
             worst: None,
             burn_active: None,
@@ -200,17 +173,19 @@ fn ratio_ppm(misses: &WindowStats, pushes: &WindowStats) -> u64 {
 /// The fleet burn-rate monitor. Single-writer, executor-owned.
 #[derive(Debug)]
 pub struct BurnRateMonitor {
-    cfg: MonitorConfig,
     cohorts: Vec<CohortState>,
 }
 
-impl BurnRateMonitor {
-    /// Creates a monitor with all cohorts empty.
-    pub fn new(cfg: MonitorConfig) -> Self {
-        let cohorts = (0..COHORTS).map(|_| CohortState::new(&cfg)).collect();
-        Self { cfg, cohorts }
+impl Default for BurnRateMonitor {
+    /// A monitor with all cohorts empty.
+    fn default() -> Self {
+        Self {
+            cohorts: (0..COHORTS).map(|_| CohortState::new()).collect(),
+        }
     }
+}
 
+impl BurnRateMonitor {
     /// Records one completed push. Called by the executor coordinator in
     /// canonical completion order.
     pub fn record_push(
@@ -234,7 +209,7 @@ impl BurnRateMonitor {
             .unwrap_or(0);
         c.headroom_ppm.record(now_us, ppm);
         // Track the worst sharing inside the current fast window.
-        let epoch = now_us / self.cfg.fast_sub_us / self.cfg.fast_subs as u64;
+        let epoch = now_us / FAST.sub_width_us / FAST.subs as u64;
         if c.worst_epoch != epoch {
             c.worst_epoch = epoch;
             c.worst = None;
@@ -247,20 +222,17 @@ impl BurnRateMonitor {
     /// Evaluates every cohort at sim-time `now_us`; returns newly fired
     /// alerts in cohort order (edge-triggered, deterministic).
     pub fn on_tick(&mut self, now_us: u64) -> Vec<Alert> {
-        let cfg = self.cfg;
         let mut fired = Vec::new();
         for (ci, c) in self.cohorts.iter_mut().enumerate() {
             let fast_p = c.fast_pushes.stats(now_us);
             let slow_p = c.slow_pushes.stats(now_us);
             let fast = ratio_ppm(&c.fast_misses.stats(now_us), &fast_p);
             let slow = ratio_ppm(&c.slow_misses.stats(now_us), &slow_p);
-            let fast_ok = fast_p.count >= cfg.min_pushes;
-            let slow_ok = slow_p.count >= cfg.min_pushes;
-            let severity = if fast_ok && fast >= cfg.page_ratio_ppm && slow >= cfg.warn_ratio_ppm {
+            let fast_ok = fast_p.count >= MIN_PUSHES;
+            let slow_ok = slow_p.count >= MIN_PUSHES;
+            let severity = if fast_ok && fast >= PAGE_RATIO_PPM && slow >= WARN_RATIO_PPM {
                 Some(Severity::Page)
-            } else if (fast_ok && fast >= cfg.warn_ratio_ppm)
-                || (slow_ok && slow >= cfg.warn_ratio_ppm)
-            {
+            } else if (fast_ok && fast >= WARN_RATIO_PPM) || (slow_ok && slow >= WARN_RATIO_PPM) {
                 Some(Severity::Warn)
             } else {
                 None
@@ -283,7 +255,7 @@ impl BurnRateMonitor {
 
             // Headroom trend: fit per-sub-window means, project forward.
             let series = c.headroom_ppm.series(now_us);
-            if series.len() >= cfg.trend_min_points {
+            if series.len() >= TREND_MIN_POINTS {
                 let pts: Vec<(f64, f64)> = series
                     .iter()
                     .map(|&(e, n, sum)| (e as f64, sum as f64 / n as f64))
@@ -291,7 +263,7 @@ impl BurnRateMonitor {
                 let trending = match slope(&pts) {
                     Some(m) if m < 0.0 => {
                         let last = pts.last().unwrap().1;
-                        last + m * cfg.trend_horizon_subs as f64 <= 0.0
+                        last + m * TREND_HORIZON_SUBS as f64 <= 0.0
                     }
                     _ => false,
                 };
@@ -335,10 +307,6 @@ impl BurnRateMonitor {
 mod tests {
     use super::*;
 
-    fn cfg() -> MonitorConfig {
-        MonitorConfig::default()
-    }
-
     #[test]
     fn cohorts_bucket_by_log2_sla_secs() {
         assert_eq!(cohort_of(30_000_000), 4);
@@ -349,7 +317,7 @@ mod tests {
 
     #[test]
     fn burn_alert_is_edge_triggered_and_escalates() {
-        let mut m = BurnRateMonitor::new(cfg());
+        let mut m = BurnRateMonitor::default();
         // Healthy traffic: no alerts.
         for i in 0..10 {
             m.record_push(30_000_000, 1, 20_000_000, false, i * 1_000_000);
@@ -372,7 +340,7 @@ mod tests {
 
     #[test]
     fn trend_alert_fires_before_misses() {
-        let mut m = BurnRateMonitor::new(cfg());
+        let mut m = BurnRateMonitor::default();
         // Headroom shrinking ~17% of SLA per slow sub-window, no misses yet.
         for sub in 0..6u64 {
             let headroom = 25_000_000u64.saturating_sub(sub * 5_000_000);

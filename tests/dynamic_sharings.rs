@@ -59,9 +59,16 @@ fn sharing_added_mid_run_is_maintained_exactly() {
             Some(MachineId::new(2)),
         )
         .unwrap();
+    // `submit` on a running platform is the same live admission: S17
+    // (users ⋈ loc) joins, runs, and is exact too.
+    let s17 = all[16].clone();
+    let third = smile
+        .submit(s17.app, s17.query, SimDuration::from_secs(20), 0.001)
+        .unwrap();
     drive(&mut smile, &mut w, 30.0, 90);
+    smile.run_idle(SimDuration::from_secs(30)).unwrap();
 
-    for id in [first, second] {
+    for id in [first, second, third] {
         assert_eq!(
             smile.mv_contents(id).unwrap().sorted_entries(),
             smile.expected_mv_contents(id).unwrap().sorted_entries(),
@@ -258,11 +265,19 @@ fn registry_reclaims_after_last_reference() {
 }
 
 #[test]
-fn live_submit_before_install_is_rejected() {
+fn live_submit_before_install_stages_and_runs_after_it() {
     let mut smile = Smile::new(SmileConfig::with_machines(2));
-    let w = standard_setup(&mut smile, TwitterConfig::default(), 100).unwrap();
+    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 100).unwrap();
     let s = paper_sharings(&w.rels())[4].clone();
-    assert!(smile
+    let id = smile
         .submit_live(s.app, s.query, SimDuration::from_secs(20), 0.001, None)
-        .is_err());
+        .unwrap();
+    assert_eq!(smile.staged_plan().sharings.len(), 1, "not staged");
+    smile.install().unwrap();
+    drive(&mut smile, &mut w, 20.0, 60);
+    assert!(!smile.mv_contents(id).unwrap().is_empty());
+    assert_eq!(
+        smile.mv_contents(id).unwrap().sorted_entries(),
+        smile.expected_mv_contents(id).unwrap().sorted_entries()
+    );
 }

@@ -235,6 +235,40 @@ fn snapshot_exposes_staleness_headroom_rollup() {
     assert_eq!(snap.to_text(), smile.telemetry_snapshot().to_text());
 }
 
+/// Admission telemetry covers admissions made while the platform runs:
+/// one accepted and one inadmissible live admission each show up in the
+/// host-latency histogram and the catalog counters, the accepted one grows
+/// the catalog, the rejected one is counted.
+#[test]
+fn live_admissions_feed_the_admission_instruments() {
+    let (mut smile, a, b, _id) = build(SmileConfig::with_machines(2), 20);
+    feed(&mut smile, a, b, 20);
+    let read = |smile: &Smile| {
+        let snap = smile.telemetry_snapshot();
+        (
+            snap.histogram("admission.host_latency_us").unwrap().count,
+            snap.counter("catalog.hits").unwrap() + snap.counter("catalog.misses").unwrap(),
+            snap.gauge("catalog.entries").unwrap(),
+            snap.counter("planner.sharings_rejected").unwrap_or(0),
+        )
+    };
+    let before = read(&smile);
+    // A filtered scan: a structure the catalog has not indexed yet.
+    let filtered = SpjQuery::select(b, Predicate::eq(1, 3i64));
+    smile
+        .submit_live("filtered", filtered, SimDuration::from_secs(20), 0.01, None)
+        .unwrap();
+    let too_fast = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
+    assert!(smile
+        .submit_live("too-fast", too_fast, SimDuration::from_millis(1), 0.01, None)
+        .is_err());
+    let after = read(&smile);
+    assert_eq!(after.0, before.0 + 2, "one latency sample per live admission");
+    assert!(after.1 > before.1, "live merge bypassed the catalog counters");
+    assert!(after.2 > before.2, "catalog.entries stale after a live admission");
+    assert_eq!(after.3, before.3 + 1, "live rejection not counted");
+}
+
 /// `push_records()` returns the stream sorted by `(completed, sharing)`,
 /// whatever order the executor drained them in.
 #[test]

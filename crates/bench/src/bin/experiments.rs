@@ -9,19 +9,15 @@
 //! durations (hours of wall time); the default scale divides rates by 20
 //! and durations by 8, preserving shapes (see EXPERIMENTS.md).
 
-use smile_bench::{
-    drive, print_table, run_experiment, RunConfig, RunOutcome, Scale, SlaAssignment,
-};
+use smile_bench::{print_table, run_experiment, RunConfig, RunOutcome, Scale, SlaAssignment};
 use smile_core::multi::{hill_climb_filtered, GlobalPlan};
 use smile_core::optimizer::{Objective, Optimizer};
 use smile_core::plan::cost::{critical_path, plan_cost, Scope};
-use smile_core::plan::dag::{DeltaSide, EdgeOp, SnapshotSem};
-use smile_core::plan::timecost::{LinearModel, TimeCostModel};
+use smile_core::plan::timecost::TimeCostModel;
 use smile_core::platform::{Smile, SmileConfig};
 use smile_sim::PriceSheet;
 use smile_storage::delta::{DeltaBatch, DeltaEntry};
-use smile_storage::join::JoinOn;
-use smile_storage::{wal, Database, Predicate};
+use smile_storage::{wal, Database};
 use smile_types::{
     tuple, Column, ColumnType, MachineId, RelationId, Schema, SimDuration, Timestamp,
 };
@@ -1129,14 +1125,4 @@ fn ablations(scale: Scale) {
         &["config", "final inflation", "violations"],
         &rows,
     );
-
-    // Quiet-unused silence.
-    let _ = (EdgeOp::Union, DeltaSide::Left, SnapshotSem::WindowStart);
-    let _ = LinearModel {
-        fixed: SimDuration::ZERO,
-        per_tuple: SimDuration::ZERO,
-    };
-    let _ = JoinOn::on(0, 0);
-    let _ = Predicate::True;
-    let _ = drive;
 }

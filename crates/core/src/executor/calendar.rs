@@ -42,7 +42,7 @@
 
 use crate::plan::dag::{EdgeOp, Plan};
 use crate::plan::timecost::TimeCostModel;
-use smile_types::{MachineId, SharingId, SimDuration, Timestamp, VertexId};
+use smile_types::{SharingId, SimDuration, Timestamp, VertexId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -87,7 +87,8 @@ impl PushCalendar {
     }
 }
 
-/// Scheduling state of one sharing slot.
+/// Lifecycle state of one sharing slot — the executor's only record of
+/// whether a sharing is idle, mid-push or retired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SlotState {
     /// Queued in the heap (or the due-now buffer) under the current
@@ -99,7 +100,8 @@ enum SlotState {
     /// A push or retry is active; completion/abandonment events re-enqueue
     /// the slot.
     InFlight,
-    /// Tombstone (retired sharing).
+    /// Tombstone: the retired sharing's slot stays (slot indexes in queued
+    /// events must remain stable) but is never scheduled again.
     Retired,
 }
 
@@ -169,55 +171,70 @@ impl CalendarState {
         self.wakes.len()
     }
 
-    /// Invalidates the slot's current attachment (heap entry, waiter
-    /// registration, due-now membership) by bumping its generation.
-    fn detach(&mut self, idx: usize) {
+    /// Moves the slot to `state` under a fresh generation, which
+    /// invalidates its previous attachment (heap entry, waiter
+    /// registration, due-now membership), and returns that generation. A
+    /// tombstone stays one — the completion or retry of a push that was in
+    /// flight at retirement must not bring the slot back — so `None` means
+    /// nothing changed.
+    fn set_state(&mut self, idx: usize, state: SlotState) -> Option<u64> {
         let slot = &mut self.slots[idx];
         match slot.state {
+            SlotState::Retired => return None,
             SlotState::Scheduled => self.n_scheduled -= 1,
             SlotState::WaitingSrc(_) => self.n_waiting -= 1,
-            _ => {}
+            SlotState::InFlight => {}
+        }
+        match state {
+            SlotState::Scheduled => self.n_scheduled += 1,
+            SlotState::WaitingSrc(_) => self.n_waiting += 1,
+            SlotState::InFlight | SlotState::Retired => {}
         }
         slot.gen += 1;
+        slot.state = state;
+        Some(slot.gen)
     }
 
     /// Queues the slot to wake at `due_tick`.
     pub fn schedule_at(&mut self, idx: usize, due_tick: u64) {
-        self.detach(idx);
-        self.slots[idx].state = SlotState::Scheduled;
-        self.n_scheduled += 1;
-        let gen = self.slots[idx].gen;
-        self.wakes.schedule(idx, gen, due_tick);
+        if let Some(gen) = self.set_state(idx, SlotState::Scheduled) {
+            self.wakes.schedule(idx, gen, due_tick);
+        }
     }
 
     /// Queues the slot for the next planning pass.
     pub fn wake_now(&mut self, idx: usize) {
-        self.detach(idx);
-        self.slots[idx].state = SlotState::Scheduled;
-        self.n_scheduled += 1;
-        self.due_now.push(idx);
+        if self.set_state(idx, SlotState::Scheduled).is_some() {
+            self.due_now.push(idx);
+        }
     }
 
     /// Parks the slot until `src`'s heartbeat advances.
     pub fn park_on_src(&mut self, idx: usize, src: VertexId) {
-        self.detach(idx);
-        self.slots[idx].state = SlotState::WaitingSrc(src);
-        self.n_waiting += 1;
-        let gen = self.slots[idx].gen;
-        self.src_waiters.entry(src).or_default().push((idx, gen));
+        if let Some(gen) = self.set_state(idx, SlotState::WaitingSrc(src)) {
+            self.src_waiters.entry(src).or_default().push((idx, gen));
+        }
     }
 
     /// Marks the slot in flight: completion/abandonment events own its
     /// next wake, so no calendar entry exists for it.
     pub fn mark_in_flight(&mut self, idx: usize) {
-        self.detach(idx);
-        self.slots[idx].state = SlotState::InFlight;
+        self.set_state(idx, SlotState::InFlight);
     }
 
     /// Tombstones the slot.
     pub fn retire(&mut self, idx: usize) {
-        self.detach(idx);
-        self.slots[idx].state = SlotState::Retired;
+        self.set_state(idx, SlotState::Retired);
+    }
+
+    /// Whether a push or a pending retry owns the slot.
+    pub fn in_flight(&self, idx: usize) -> bool {
+        self.slots[idx].state == SlotState::InFlight
+    }
+
+    /// Whether the slot's sharing has not been retired.
+    pub fn is_live(&self, idx: usize) -> bool {
+        self.slots[idx].state != SlotState::Retired
     }
 
     /// Registers a freshly added sharing slot, due at the next pass.
@@ -396,36 +413,6 @@ impl CpEval {
     }
 }
 
-/// Per-sharing scheduling caches, invalidated together: the compact
-/// critical-path evaluator and the deduplicated set of machines the
-/// sharing's pushes touch (for the crash-deferral check).
-pub(crate) struct SharingCache {
-    pub cp: CpEval,
-    pub machines: Vec<MachineId>,
-}
-
-impl SharingCache {
-    pub fn build(
-        plan: &Plan,
-        id: SharingId,
-        order: &[VertexId],
-        srcs: &[VertexId],
-        model: &TimeCostModel,
-    ) -> Self {
-        let mut machines: Vec<MachineId> = order
-            .iter()
-            .chain(srcs.iter())
-            .map(|&v| plan.vertex(v).machine)
-            .collect();
-        machines.sort_unstable_by_key(|m| m.index());
-        machines.dedup();
-        Self {
-            cp: CpEval::build(plan, id, order, model),
-            machines,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,6 +494,27 @@ mod tests {
         assert_eq!(c.scheduled_count(), 1);
         c.mark_in_flight(0);
         assert_eq!(c.scheduled_count(), 0);
+    }
+
+    /// The completion, abandonment or heartbeat of a slot retired meanwhile
+    /// must not bring it back.
+    #[test]
+    fn a_retired_slot_stays_retired() {
+        let src = VertexId::new(7);
+        let mut c = CalendarState::new(3, SimDuration::from_secs(1), 1.25);
+        c.take_woken(Timestamp::ZERO);
+        c.mark_in_flight(0);
+        c.mark_in_flight(1);
+        c.park_on_src(2, src);
+        for idx in 0..3 {
+            c.retire(idx);
+        }
+        c.wake_now(0);
+        c.schedule_at(1, 1);
+        c.heartbeat_advanced(src);
+        assert!(c.take_woken(Timestamp::from_secs(1)).is_empty());
+        assert!((0..3).all(|idx| !c.is_live(idx) && !c.in_flight(idx)));
+        assert_eq!((c.scheduled_count(), c.waiting_count()), (0, 0));
     }
 
     #[test]

@@ -38,12 +38,10 @@
 //! simulation state in canonical (sharing-slot) order, so migrations are
 //! byte-stable at any worker count.
 
-use super::calendar::SharingCache;
-use super::{us, Executor};
+use super::{Executor, SharingRt};
 use crate::merge_catalog::MergeCatalog;
 use crate::optimizer::PlannedSharing;
 use crate::plan::sig::ExprSig;
-use smile_telemetry::{SpanKind, SpanRecord};
 use smile_types::{MachineId, RelationId, Result, SharingId, SmileError, Timestamp, VertexId};
 use std::collections::HashSet;
 
@@ -180,9 +178,7 @@ impl Executor {
     /// Machines currently hosting at least one live MV, in canonical order
     /// (the elastic-shrink loop's "is this machine empty" signal).
     pub fn mv_machines(&self) -> std::collections::BTreeSet<MachineId> {
-        self.sharings
-            .iter()
-            .filter(|rt| !rt.retired)
+        self.live_sharings()
             .map(|rt| self.global.plan.vertex(rt.mv).machine)
             .collect()
     }
@@ -208,7 +204,7 @@ impl Executor {
             let (failed, ready) = {
                 let mig = &self.migrations[&idx];
                 let ready = mig.pushed_ok
-                    && !self.sharings[idx].in_flight
+                    && !self.cal.in_flight(idx)
                     && self.visible_ts[mig.new_mv.index()] >= self.visible_ts[mig.old_mv.index()];
                 (mig.failed, ready)
             };
@@ -221,17 +217,20 @@ impl Executor {
             if !failed {
                 // Atomic cutover: repoint the sharing's MV coordinates (SHR
                 // sets recompute, so the old chain's exclusive vertices
-                // drop out), swap the runtime subgraph, and rebuild the
-                // cached critical-path evaluator — the placement change
-                // invalidates the old `CpEval`.
+                // drop out) and rebuild the runtime slot over the new
+                // subgraph — the placement change invalidates the cached
+                // critical-path evaluator with it.
                 self.global
                     .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
-                let rt = &mut self.sharings[idx];
-                rt.mv = mig.new_mv;
-                rt.srcs = mig.new_srcs.clone();
-                rt.order = mig.new_order.clone();
-                self.caches[idx] =
-                    SharingCache::build(&self.global.plan, rt.id, &rt.order, &rt.srcs, &self.model);
+                self.sharings[idx] = SharingRt::build(
+                    &self.global.plan,
+                    mig.id,
+                    self.sharings[idx].sla,
+                    mig.new_mv,
+                    mig.new_srcs.clone(),
+                    mig.new_order.clone(),
+                    &self.model,
+                );
                 // The slot's projected wake was derived from the old
                 // placement's critical path; re-evaluate it next tick.
                 self.cal.wake_now(idx);
@@ -290,28 +289,5 @@ impl Executor {
         let mut out: Vec<(MachineId, RelationId)> = candidates.into_iter().collect();
         out.sort();
         out
-    }
-
-    /// One span covering the whole migration window, recorded at settle
-    /// time from coordinator-side state only.
-    fn record_migration_span(&self, mig: &MigrationRt, now: Timestamp, outcome: &str) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        self.telemetry.record_span(SpanRecord {
-            id: self.telemetry.next_span_id(),
-            parent: None,
-            kind: SpanKind::Migration,
-            start_us: us(mig.started),
-            end_us: us(now),
-            machine: Some(mig.to.0),
-            sharing: Some(mig.id.0),
-            batch_id: None,
-            attrs: vec![
-                ("from", format!("m{}", mig.from.0)),
-                ("to", format!("m{}", mig.to.0)),
-                ("outcome", outcome.to_string()),
-            ],
-        });
     }
 }

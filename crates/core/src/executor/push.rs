@@ -35,7 +35,7 @@
 //! [`JobFaults`], keeping the seeded fault streams independent of the
 //! worker count.
 
-use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, SnapshotSem, VertexKind};
+use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::machine::Machine;
 use smile_sim::meter::ResourceUsage;
@@ -198,7 +198,10 @@ pub(crate) fn land_copy(
 }
 
 /// Runs an edge whose every byte lives on one machine: a same-machine copy,
-/// a delta application, a join, or a union. `ack_lost` only applies to
+/// a delta application, a join, or a union. `snapshot_at` only applies to
+/// `Join` (the instant its relation side is read at: the sibling half's
+/// landed coverage, which keeps the two halves consistent even when
+/// failures have skewed their windows). `ack_lost` only applies to
 /// `CopyDelta` (the other operators have no acknowledgement fault in the
 /// model) and fires *after* the batch landed.
 #[allow(clippy::too_many_arguments)]
@@ -208,7 +211,7 @@ pub(crate) fn run_local(
     edge: &Edge,
     from: Timestamp,
     to: Timestamp,
-    anchor: Option<Timestamp>,
+    snapshot_at: Timestamp,
     submit: Timestamp,
     model: &TimeCostModel,
     ack_lost: bool,
@@ -230,7 +233,6 @@ pub(crate) fn run_local(
         EdgeOp::Join {
             on,
             delta_side,
-            snapshot,
             snapshot_filter,
         } => run_join(
             machine,
@@ -238,13 +240,12 @@ pub(crate) fn run_local(
             edge,
             from,
             to,
-            anchor,
+            snapshot_at,
             submit,
             model,
             charges,
             on,
             *delta_side,
-            *snapshot,
             snapshot_filter,
         ),
         EdgeOp::Union => run_union(machine, plan, edge, from, to, submit, model, charges),
@@ -364,13 +365,12 @@ fn run_join(
     edge: &Edge,
     from: Timestamp,
     to: Timestamp,
-    anchor: Option<Timestamp>,
+    at: Timestamp,
     submit: Timestamp,
     model: &TimeCostModel,
     charges: &mut Vec<ResourceUsage>,
     on: &smile_storage::join::JoinOn,
     delta_side: DeltaSide,
-    snapshot: SnapshotSem,
     snapshot_filter: &Predicate,
 ) -> Result<EdgeRun> {
     let delta_v = plan.vertex(edge.inputs[0]);
@@ -389,15 +389,6 @@ fn run_join(
         DeltaSide::Left => (&on.left_cols, &on.right_cols),
         DeltaSide::Right => (&on.right_cols, &on.left_cols),
     };
-    // The snapshot point: the planner's anchor (the sibling half-join's
-    // coverage) when one is supplied — the value that keeps the two halves
-    // consistent even when failures have skewed their windows — otherwise
-    // the edge's static semantics, which assume lockstep advancement.
-    let at = anchor.unwrap_or(match snapshot {
-        SnapshotSem::WindowStart => from,
-        SnapshotSem::WindowEnd => to,
-    });
-
     let (outputs, window_len) = {
         let db = &machine.db;
         // Borrow the window straight from the delta log (no clone), build
@@ -666,7 +657,6 @@ mod tests {
                 EdgeOp::Join {
                     on: JoinOn::on(0, 0),
                     delta_side: DeltaSide::Left,
-                    snapshot: SnapshotSem::WindowEnd,
                     snapshot_filter: Predicate::True,
                 },
                 vec![vd, vr],
@@ -689,7 +679,7 @@ mod tests {
             plan.edge(e),
             Timestamp::ZERO,
             Timestamp::from_secs(2),
-            None,
+            Timestamp::from_secs(2),
             Timestamp::from_secs(2),
             &model,
             false,

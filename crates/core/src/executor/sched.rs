@@ -1,0 +1,334 @@
+//! The scheduling half of a tick: which sharings push now, and to what
+//! target. Candidates come from the push calendar; each goes through the
+//! one guard chain ([`Executor::consider`]) and is planned into the tick's
+//! [`Batch`].
+
+use super::batch::Batch;
+use super::calendar::INFLATION_HEADROOM;
+use super::{Executor, SharingRt};
+use smile_sim::Cluster;
+use smile_types::{Result, SimDuration, Timestamp, VertexId};
+
+/// Outcome of evaluating one sharing for a push at the current tick. Only
+/// `Fire`/`Deferred` have effects; the calendar maps every other variant
+/// to the event that will next make the outcome change, so the slot can
+/// sleep until then.
+enum Consider {
+    /// Push now, to `target`.
+    Fire { target: Timestamp },
+    /// A source has no heartbeat yet; changes when `src` first beats.
+    NoHeartbeat { src: VertexId },
+    /// `MINTS(SRC) ≤ TS(MV)` — nothing to move; changes when the minimum
+    /// source heartbeat (`src`) advances.
+    NoWindow { src: VertexId },
+    /// The lazy projection has not reached `l·SLA`; time-driven.
+    Lazy,
+    /// The skew clamp `min(MINTS(SRC), now)` emptied the window; resolves
+    /// as `now` advances, so re-evaluate next tick.
+    SkewClamped,
+    /// A machine the push needs is down; re-evaluate (and re-count) next
+    /// tick.
+    Deferred,
+}
+
+impl Executor {
+    /// `MINTS(SRC(S_i))` from the heartbeat cache, with its argmin source
+    /// (the first minimal vertex in `srcs` order — the vertex whose next
+    /// heartbeat advance can change the scheduling outcome). `Err(src)`
+    /// names the first source with no heartbeat yet.
+    fn src_min(&self, rt: &SharingRt) -> std::result::Result<(Timestamp, VertexId), VertexId> {
+        let mut min: Option<(Timestamp, VertexId)> = None;
+        for &v in &rt.srcs {
+            let Some(&ts) = self.heartbeats.get(&v) else {
+                return Err(v);
+            };
+            let better = match min {
+                Some((m, _)) => ts < m,
+                None => true,
+            };
+            if better {
+                min = Some((ts, v));
+            }
+        }
+        min.ok_or(rt.mv) // srcs is never empty (checked at build)
+    }
+
+    /// Plans everything that should fire this tick — due retries first,
+    /// then newly triggered pushes — into one batch: a list of requests
+    /// (one per sharing push) and the edge jobs that realize them, each job
+    /// tagged with its dependencies and topological wave.
+    ///
+    /// Candidates come from the push calendar: only slots whose projected
+    /// fire tick arrived or that an event re-enqueued — O(due) — each put
+    /// through the guard chain ([`Executor::consider`]) in ascending slot
+    /// order. A slot with a retry pending is in flight to the calendar, so
+    /// the two sources never name the same slot.
+    pub(super) fn plan_batch(&mut self, cluster: &mut Cluster, now: Timestamp) -> Result<Batch> {
+        let mut batch = Batch::default();
+        for (idx, target, attempt) in self.collect_due_retries(now) {
+            self.push_request(idx, target, attempt, now, &mut batch)?;
+        }
+        self.plan_calendar(cluster, now, &mut batch)?;
+
+        // Wave assignment: a job's wave is at least its vertex's wavefront
+        // within the batch's vertex subset, and strictly after every
+        // dependency's wave (deps always have lower job indexes, so one
+        // ascending pass settles everything).
+        let jobs = &mut batch.jobs;
+        if !jobs.is_empty() {
+            let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
+            subset.sort_unstable_by_key(|v| self.topo_rank[v.index()]);
+            subset.dedup();
+            let vwave = self.global.plan.wavefronts(&subset);
+            for jid in 0..jobs.len() {
+                let mut w = vwave.get(&jobs[jid].vertex).copied().unwrap_or(0);
+                for &d in &jobs[jid].deps {
+                    w = w.max(jobs[d].wave + 1);
+                }
+                jobs[jid].wave = w;
+            }
+        }
+        Ok(batch)
+    }
+
+    /// The event-driven scheduler: evaluate only the slots the calendar
+    /// woke this tick, in ascending slot order. Every wake is conservative
+    /// — never later than the first tick the guard chain would say `Fire`
+    /// or `Deferred` — and an early wake is side-effect-free (the guard
+    /// chain says `Lazy` and the slot goes back to sleep), so the batch is
+    /// the one a visit to every live slot would plan.
+    fn plan_calendar(
+        &mut self,
+        cluster: &mut Cluster,
+        now: Timestamp,
+        batch: &mut Batch,
+    ) -> Result<()> {
+        // Wake projections assume the model's inflation factor stays below
+        // the calendar's ratcheted bound. When feedback pushes it past, all
+        // scheduled slots' bounds are void: re-derive them. Rare — the
+        // bound ratchets ×1.25 inside the model's [1, 50] clamp, so this
+        // fires O(log_1.25 50) times over a run, not per tick.
+        let inflation = self.model.inflation();
+        if inflation > self.cal.inflation_bound {
+            self.cal
+                .raise_inflation_bound(inflation * INFLATION_HEADROOM);
+        }
+        let skew_bound = cluster.clock.skew_bound();
+        let woken = self.cal.take_woken(now);
+        self.ctr_cal_wakes.add(woken.len() as u64);
+        #[cfg(test)]
+        let mut checked = 0;
+        for idx in woken {
+            #[cfg(test)]
+            {
+                self.assert_sleepers_idle(checked..idx, cluster, now, batch);
+                checked = idx + 1;
+            }
+            match self.consider(idx, cluster, now, batch) {
+                Consider::Fire { target } => {
+                    self.push_request(idx, target, 1, now, batch)?;
+                    // The push's completion, retry or abandonment hands
+                    // the slot back.
+                    self.cal.mark_in_flight(idx);
+                }
+                Consider::Lazy => {
+                    self.ctr_cal_early.inc();
+                    let due = self.project_wake_tick(idx, now, skew_bound);
+                    self.cal.schedule_at(idx, due);
+                }
+                Consider::NoHeartbeat { src } | Consider::NoWindow { src } => {
+                    self.cal.park_on_src(idx, src);
+                }
+                Consider::SkewClamped => {
+                    let next = self.cal.tick_of(now) + 1;
+                    self.cal.schedule_at(idx, next);
+                }
+                Consider::Deferred => {
+                    // A deferral is counted on every tick the machine
+                    // stays down.
+                    self.fault_stats.pushes_deferred += 1;
+                    let next = self.cal.tick_of(now) + 1;
+                    self.cal.schedule_at(idx, next);
+                }
+            }
+        }
+        #[cfg(test)]
+        self.assert_sleepers_idle(checked..self.sharings.len(), cluster, now, batch);
+        Ok(())
+    }
+
+    /// Wake soundness, checked in this crate's unit-test build only: an
+    /// idle slot the calendar left asleep this tick, shown the batch's
+    /// timestamp shadow it would see at its place in slot order, must be
+    /// one the guard chain neither fires nor defers. `machine_down` is
+    /// schedule-driven, so the extra `consider` calls draw nothing from
+    /// the fault streams.
+    #[cfg(test)]
+    fn assert_sleepers_idle(
+        &self,
+        slots: std::ops::Range<usize>,
+        cluster: &mut Cluster,
+        now: Timestamp,
+        batch: &Batch,
+    ) {
+        for idx in slots {
+            if !self.cal.is_live(idx) || self.cal.in_flight(idx) {
+                continue;
+            }
+            let outcome = self.consider(idx, cluster, now, batch);
+            assert!(
+                !matches!(outcome, Consider::Fire { .. } | Consider::Deferred),
+                "calendar slept through a due push: slot {idx} at {now}"
+            );
+        }
+    }
+
+    /// Evaluates sharing `idx` for a push at `now` against the batch's
+    /// timestamp shadow — the single guard chain.
+    fn consider(
+        &self,
+        idx: usize,
+        cluster: &mut Cluster,
+        now: Timestamp,
+        batch: &Batch,
+    ) -> Consider {
+        let rt = &self.sharings[idx];
+        let (min_src, min_vertex) = match self.src_min(rt) {
+            Ok(m) => m,
+            Err(src) => return Consider::NoHeartbeat { src }, // no heartbeats yet
+        };
+        let mv_data_ts = batch.ts(&self.data_ts, rt.mv);
+        if min_src <= mv_data_ts {
+            return Consider::NoWindow { src: min_vertex }; // nothing new to move
+        }
+        let window_secs = (min_src - mv_data_ts).as_secs_f64();
+        let cp = self.cp_for(idx, window_secs);
+        let staleness_now = now - self.visible_ts[rt.mv.index()];
+        if self.config.lazy {
+            // Wait as long as possible: fire only when finishing a push
+            // started one tick later would land at l·SLA or beyond.
+            let projected = staleness_now + cp + self.config.tick;
+            if projected < rt.sla.mul_f64(self.config.l_factor) {
+                return Consider::Lazy;
+            }
+        }
+        // Clamp the target to local time: a skewed machine clock can
+        // heartbeat a timestamp *ahead* of true time, and pushing past
+        // `now` would permanently skip entries that arrive inside the
+        // already-consumed window.
+        let min_src = min_src.min(now);
+        if min_src <= mv_data_ts {
+            return Consider::SkewClamped;
+        }
+        // Crash-aware re-planning: a push that needs a down machine is
+        // deferred to a later tick instead of being fired into a
+        // guaranteed timeout (the staleness it accrues meanwhile is real
+        // and shows up in the snapshot audit).
+        if self.needs_down_machine(idx, cluster, now) {
+            return Consider::Deferred;
+        }
+        Consider::Fire {
+            target: self.choose_target(idx, mv_data_ts, min_src, now),
+        }
+    }
+
+    /// Critical path of sharing `idx` over a window of `x_secs`, from the
+    /// cached compact evaluator. It issues the `edge_estimate` call
+    /// sequence `plan::cost::critical_path` would over the sharing's
+    /// in-scope edges, so the result is byte-equal to the full plan walk
+    /// (`cached_critical_path_matches_full_walk`) — the cache only skips
+    /// re-walking (and re-toposorting) the whole merged plan.
+    pub(super) fn cp_for(&self, idx: usize, x_secs: f64) -> SimDuration {
+        self.sharings[idx].cp.eval(x_secs, &self.model)
+    }
+
+    /// Whether any machine hosting the sharing's subgraph or sources is
+    /// currently down — over the machine set cached at plan install.
+    /// `machine_down` is schedule-driven and idempotent, so probing the
+    /// deduplicated set gives the same answer as the old per-vertex walk
+    /// without touching the fault draw streams.
+    fn needs_down_machine(&self, idx: usize, cluster: &mut Cluster, now: Timestamp) -> bool {
+        self.sharings[idx]
+            .machines
+            .iter()
+            .any(|&m| cluster.faults.machine_down(m, now))
+    }
+
+    /// First tick at which the lazy guard could pass for idle sharing
+    /// `idx`. Conservative by construction: staleness grows at 1 s/s
+    /// (`visible_ts` only advances), the window upper bound grows at
+    /// ≤ 1 s/s (heartbeats lead true time by at most `skew_bound`, and the
+    /// committed `data_ts` only advances), and the critical path is bounded
+    /// by the cached affine majorant scaled by the calendar's inflation
+    /// bound. So the projection grows at ≤ `1 + Ib·slope` per second, and
+    /// sleeping until it could first reach `l·SLA` — minus one tick of
+    /// margin for µs rounding — can never skip past the tick the guard
+    /// chain first fires on. An early wake just re-evaluates and goes back
+    /// to sleep.
+    fn project_wake_tick(&self, idx: usize, now: Timestamp, skew_bound: SimDuration) -> u64 {
+        let cal = &self.cal;
+        let rt = &self.sharings[idx];
+        let cp = &rt.cp;
+        let tick_secs = self.config.tick.as_secs_f64();
+        let l_sla = rt.sla.mul_f64(self.config.l_factor).as_secs_f64();
+        let staleness = (now - self.visible_ts[rt.mv.index()]).as_secs_f64();
+        // Window bound from the *committed* data_ts, not the plan shadow: a
+        // same-tick overlay entry can be rolled back by a failed push, so
+        // the bound must not assume it.
+        let w0 = ((now + skew_bound) - self.data_ts[rt.mv.index()]).as_secs_f64();
+        let ib = cal.inflation_bound;
+        let projected0 = staleness + tick_secs + ib * (cp.const_secs + cp.slope_per_sec * w0);
+        let gap = l_sla - projected0;
+        if gap <= 0.0 {
+            return cal.tick_of(now) + 1;
+        }
+        let denom = 1.0 + ib * cp.slope_per_sec;
+        let dt_ticks = ((gap / denom) / tick_secs).floor() - 1.0;
+        let dt = if dt_ticks >= 1.0 {
+            // Clamp before the u64 cast so the tick sum cannot overflow.
+            dt_ticks.min(1e18) as u64
+        } else {
+            1
+        };
+        cal.tick_of(now) + dt
+    }
+
+    /// Binary search (§8.2) for the latest target `t` in
+    /// `(TS(MV), MINTS(SRC)]` whose projected completion staleness fits the
+    /// SLA; falls back to `MINTS(SRC)` (best effort) when none does.
+    fn choose_target(
+        &self,
+        idx: usize,
+        mv_ts: Timestamp,
+        min_src: Timestamp,
+        now: Timestamp,
+    ) -> Timestamp {
+        let rt = &self.sharings[idx];
+        let projected = |t: Timestamp| -> SimDuration {
+            let x = (t - mv_ts).as_secs_f64();
+            let cp = self.cp_for(idx, x);
+            // Completion at now + cp; sources will have advanced there too.
+            (now + cp) - t
+        };
+        if projected(min_src) <= rt.sla {
+            return min_src;
+        }
+        // Overloaded: the freshest target already misses. Search for the
+        // largest t that still fits; if none fits, best-effort full push.
+        let (mut lo, mut hi) = (mv_ts, min_src);
+        let mut best = None;
+        for _ in 0..20 {
+            let mid = lo.midpoint(hi);
+            if mid == lo || mid == hi {
+                break;
+            }
+            if projected(mid) <= rt.sla {
+                best = Some(mid);
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        best.unwrap_or(min_src)
+    }
+}

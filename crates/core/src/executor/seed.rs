@@ -182,6 +182,7 @@ mod tests {
             ExprSig::base(RelationId::new(1)),
             JoinOn::on(0, 1),
             true,
+            (MachineId::new(0), MachineId::new(1)),
         );
         assert!(eval_sig(&sig, &cluster, &catalog, None).is_err());
     }

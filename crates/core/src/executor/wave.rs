@@ -41,7 +41,7 @@ use smile_sim::meter::ResourceUsage;
 use smile_telemetry::{Histogram, Telemetry};
 use smile_types::{Result, SmileError, Timestamp};
 use std::collections::HashMap;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One edge job dispatched as part of a wave, with every scheduling
@@ -57,10 +57,9 @@ pub(crate) struct WaveJob {
     pub from: Timestamp,
     /// Window end (inclusive).
     pub to: Timestamp,
-    /// For half-join jobs: the sibling join's coverage at planning time —
-    /// the snapshot anchor (`None` falls back to the edge's static
-    /// snapshot semantics).
-    pub anchor: Option<Timestamp>,
+    /// For a half-join job, the instant its relation side is read at: the
+    /// sibling half's landed coverage. Other operators ignore it.
+    pub snapshot_at: Timestamp,
     /// Simulated submission time at the executing machine.
     pub submit: Timestamp,
     /// Pre-drawn fault outcomes for this job.
@@ -142,7 +141,10 @@ pub(crate) fn run_wave(
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("wave worker panicked"))
+                .flat_map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         })
     };
@@ -178,7 +180,9 @@ fn worker_run(
         let t0 = Instant::now();
         let res = push::ship_copy(src, plan, plan.edge(j.edge), j.from, j.to, j.submit);
         let nanos = host_nanos(t0);
-        *ships[slot].lock().expect("ship mailbox poisoned") = Some((res, nanos));
+        // A mailbox is written once and read once, so a writer that
+        // panicked cannot have left it half-updated.
+        *ships[slot].lock().unwrap_or_else(PoisonError::into_inner) = Some((res, nanos));
     }
     barrier.wait();
 
@@ -187,9 +191,9 @@ fn worker_run(
     // by the barrier, and window bounds exclude entries later jobs append.
     let mut out = Vec::new();
     for (slot, j) in jobs.iter().enumerate() {
-        if !mine.contains_key(&j.exec_machine) {
+        let Some(machine) = mine.get_mut(&j.exec_machine) else {
             continue;
-        }
+        };
         let mut charges: Vec<ResourceUsage> = Vec::new();
         let mut ship_nanos = None;
         let edge = plan.edge(j.edge);
@@ -197,9 +201,12 @@ fn worker_run(
         let result = if j.ship_machine.is_some() {
             let (ship_res, nanos) = ships[slot]
                 .lock()
-                .expect("ship mailbox poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .take()
-                .expect("cross-machine copy was not shipped in phase A");
+                .unwrap_or_else(|| {
+                    let unshipped = "cross-machine copy was not shipped in phase A";
+                    (Err(SmileError::Internal(unshipped.into())), 0)
+                });
             ship_nanos = Some(nanos);
             match ship_res {
                 Ok(ship) => {
@@ -213,11 +220,8 @@ fn worker_run(
                             ),
                         })
                     } else {
-                        let dst = mine
-                            .get_mut(&j.exec_machine)
-                            .expect("exec machine checked above");
                         push::land_copy(
-                            dst,
+                            machine,
                             plan,
                             edge,
                             j.from,
@@ -233,16 +237,13 @@ fn worker_run(
                 Err(e) => Err(e),
             }
         } else {
-            let m = mine
-                .get_mut(&j.exec_machine)
-                .expect("exec machine checked above");
             push::run_local(
-                m,
+                machine,
                 plan,
                 edge,
                 j.from,
                 j.to,
-                j.anchor,
+                j.snapshot_at,
                 j.submit,
                 model,
                 j.faults.ack_lost,

@@ -77,6 +77,7 @@ impl MergeCatalog {
             right,
             on,
             delta_left,
+            ..
         } = &vert.sig
         {
             let (rel_sig, rel_cols) = if *delta_left {

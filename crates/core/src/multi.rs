@@ -460,7 +460,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
             let EdgeOp::Join {
                 on,
                 delta_side,
-                snapshot,
                 snapshot_filter,
             } = producer.op.clone()
             else {
@@ -531,7 +530,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                     EdgeOp::Join {
                         on,
                         delta_side,
-                        snapshot,
                         snapshot_filter,
                     },
                     vec![local_delta, *rel_src],

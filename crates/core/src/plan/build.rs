@@ -14,7 +14,7 @@
 //! copy both) are expressed as `replica` calls followed by `join_step`.
 
 use crate::catalog::Catalog;
-use crate::plan::dag::{DeltaSide, EdgeOp, Plan, SnapshotSem, VertexKind};
+use crate::plan::dag::{DeltaSide, EdgeOp, Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
 use smile_storage::{AggregateSpec, Predicate};
@@ -254,7 +254,8 @@ impl<'a> PlanBuilder<'a> {
 
         // ---- half-join 1: Δ(ΔL ⋈ R@old), computed at right's machine ----
         let (dl, dl_filter) = self.local_delta(plan, left, right.machine, sharing)?;
-        let sig1 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), true);
+        let pair = (left.machine, right.machine);
+        let sig1 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), true, pair);
         let d1 = plan.add_vertex(
             VertexKind::Delta,
             sig1.clone(),
@@ -270,7 +271,6 @@ impl<'a> PlanBuilder<'a> {
             EdgeOp::Join {
                 on: on.clone(),
                 delta_side: DeltaSide::Left,
-                snapshot: SnapshotSem::WindowStart,
                 snapshot_filter: right.pending_filter.clone(),
             },
             vec![dl, right.rel],
@@ -284,7 +284,7 @@ impl<'a> PlanBuilder<'a> {
 
         // ---- half-join 2: Δ(L@new ⋈ ΔR), computed at left's machine -----
         let (dr, dr_filter) = self.local_delta(plan, right, left.machine, sharing)?;
-        let sig2 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), false);
+        let sig2 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), false, pair);
         let d2 = plan.add_vertex(
             VertexKind::Delta,
             sig2.clone(),
@@ -303,7 +303,6 @@ impl<'a> PlanBuilder<'a> {
                     right_cols: on.right_cols.clone(),
                 },
                 delta_side: DeltaSide::Right,
-                snapshot: SnapshotSem::WindowEnd,
                 snapshot_filter: left.pending_filter.clone(),
             },
             vec![dr, left.rel],

@@ -16,20 +16,6 @@ pub enum VertexKind {
     Delta,
 }
 
-/// Which snapshot of the non-delta join input a `Join` edge reads.
-///
-/// The incremental identity `Δ(A⋈B) = ΔA ⋈ B@t0 + A@t1 ⋈ ΔB` needs the
-/// *old* snapshot on one side and the *new* snapshot on the other; getting
-/// this wrong double-counts tuples whose both sides changed in the window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SnapshotSem {
-    /// Snapshot as of the push window's start (the output vertex's current
-    /// timestamp) — "old".
-    WindowStart,
-    /// Snapshot as of the push target timestamp — "new".
-    WindowEnd,
-}
-
 /// Which side of the join output the delta input occupies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeltaSide {
@@ -77,15 +63,14 @@ pub enum EdgeOp {
     /// Apply the pending delta window to the co-located relation.
     DeltaToRel,
     /// Join the delta window of `inputs[0]` against a snapshot of
-    /// `inputs[1]` (a Relation vertex).
+    /// `inputs[1]` (a Relation vertex) as of the sibling half-join's
+    /// coverage ([`Plan::half_join_anchors`]).
     Join {
         /// Equi-join condition, oriented left-to-right of the *output*
         /// schema.
         on: JoinOn,
         /// Which side of the output the delta occupies.
         delta_side: DeltaSide,
-        /// Which snapshot of the relation input to read.
-        snapshot: SnapshotSem,
         /// Selection applied to the snapshot side before joining (the other
         /// base relation's pushed-down predicate).
         snapshot_filter: Predicate,
@@ -417,12 +402,15 @@ impl Plan {
     /// execution. A half-join `Δb ⋈ a@x` is only consistent when `x` is the
     /// timestamp through which the sibling `Δa ⋈ b@y` has already landed its
     /// delta coverage — the invariant is `MV = a@ta ⋈ b@tb` with `ta`/`tb`
-    /// the two joins' coverages. When every push advances both halves in
-    /// lockstep this coincides with the edge's static [`SnapshotSem`], but
-    /// after a partial failure the halves can advance unequally and the
-    /// anchor must follow the sibling's actual coverage or the cross-term
-    /// `Δa ⋈ Δb` of the skewed window is double-counted (or dropped).
-    pub fn half_join_anchors(&self) -> HashMap<usize, VertexId> {
+    /// the two joins' coverages. The halves can advance unequally (a partial
+    /// failure, a twin sharing pushing first), so the anchor follows the
+    /// sibling's actual coverage or the cross-term `Δa ⋈ Δb` of the skewed
+    /// window is double-counted (or dropped).
+    ///
+    /// A half has one sibling by construction ([`ExprSig::HalfJoin`] carries
+    /// its pair); a live join edge that resolves to two is a plan the
+    /// executor cannot anchor, and is refused.
+    pub fn half_join_anchors(&self) -> Result<HashMap<usize, VertexId>> {
         let mut anchors = HashMap::new();
         for union in &self.edges {
             if !matches!(union.op, EdgeOp::Union) {
@@ -445,11 +433,20 @@ impl Plan {
                 }
             }
             if let [(ea, va), (eb, vb)] = halves[..] {
-                anchors.insert(ea, vb);
-                anchors.insert(eb, va);
+                for (e, sibling) in [(ea, vb), (eb, va)] {
+                    match anchors.insert(e, sibling) {
+                        Some(other) if other != sibling && !self.edges[e].sharings.is_empty() => {
+                            return Err(SmileError::InvalidPlan(format!(
+                                "join edge {e} is paired with two sibling halves, \
+                                 {other} and {sibling}"
+                            )));
+                        }
+                        _ => {}
+                    }
+                }
             }
         }
-        anchors
+        Ok(anchors)
     }
 
     /// `ANC(v)`: every vertex upstream of `v` (excluding `v` itself),
@@ -1019,90 +1016,113 @@ mod tests {
         assert_eq!(gc.edge_count(), 0);
     }
 
-    /// The real topology of a two-machine join sharing: Δb ships to m0 and
-    /// half-joins `a` there, Δa ships to m1 and half-joins `b` there, the
-    /// remote half's output ships back to m0 where the union merges the two
-    /// streams. Each half-join edge must anchor on the *sibling's* output
-    /// vertex, resolved through the copy chain between join and union.
-    #[test]
-    fn half_join_anchors_pair_through_copy_chains() {
-        use smile_storage::join::JoinOn;
-        let mut p = Plan::new();
-        let (ra, da) = base_pair(&mut p, 0, 0);
-        let (rb, db) = base_pair(&mut p, 1, 1);
-        let delta = |p: &mut Plan, rel: u32, m: u32| {
-            p.add_vertex(
-                VertexKind::Delta,
-                ExprSig::base(RelationId::new(rel)),
-                MachineId::new(m),
-                schema(),
-                false,
-                None,
-                10.0,
+    /// One join `a ⋈ b` planned twice and merged: in place for an MV at
+    /// `a`'s home m0, and with `a` replicated beside an MV on a third
+    /// machine m2. Returns the merged plan and each plan's halves as
+    /// `(Δa ⋈ b, a ⋈ Δb)`. Both left-delta halves run at `b`'s home and
+    /// compute the same expression, and both are shipped to their union.
+    fn twin_join_plans() -> (Plan, Vec<(VertexId, VertexId)>) {
+        use crate::catalog::{BaseStats, Catalog};
+        use crate::optimizer::PlannedSharing;
+        use crate::plan::build::PlanBuilder;
+        use smile_storage::SpjQuery;
+        let stats = BaseStats {
+            update_rate: 10.0,
+            cardinality: 100.0,
+            tuple_bytes: 24.0,
+            distinct: vec![100.0],
+        };
+        let mut catalog = Catalog::new();
+        let a = catalog.register_base("a", schema(), MachineId::new(0), stats.clone());
+        let b = catalog.register_base("b", schema(), MachineId::new(1), stats);
+        let (builder, on) = (PlanBuilder::new(&catalog), JoinOn::on(0, 0));
+        let query = SpjQuery::scan(a).join(b, on.clone(), Predicate::True);
+        let (mut merged, mut pairs) = (crate::multi::GlobalPlan::new(), Vec::new());
+        for (id, mv_machine) in [(1, MachineId::new(0)), (2, MachineId::new(2))] {
+            let mut plan = Plan::new();
+            let base = |plan: &mut Plan, rel| builder.base_handle(plan, rel, Predicate::True, None);
+            let left = base(&mut plan, a).unwrap();
+            let left = builder.replica(&mut plan, &left, mv_machine, None).unwrap();
+            let right = base(&mut plan, b).unwrap();
+            let mv = builder
+                .join_step(&mut plan, &left, &right, &on, mv_machine, None, None, None)
+                .unwrap();
+            let sharing = crate::sharing::Sharing::new(
+                SharingId::new(id),
+                "twin",
+                query.clone(),
+                smile_types::SimDuration::from_secs(10),
                 0.0,
-                24.0,
-            )
-        };
-        let dbr = delta(&mut p, 1, 0); // Δb replica on m0
-        let dar = delta(&mut p, 0, 1); // Δa replica on m1
-        let j0 = delta(&mut p, 2, 0); // Δb ⋈ a
-        let j1 = delta(&mut p, 3, 1); // Δa ⋈ b
-        let j1c = delta(&mut p, 4, 0); // j1's output shipped home
-        let u = delta(&mut p, 5, 0);
-        let copy = |p: &mut Plan, from: VertexId, to: VertexId| {
-            p.add_edge(
-                EdgeOp::CopyDelta,
-                vec![from],
-                to,
-                Predicate::True,
-                None,
-                None,
-                10.0,
-                24.0,
-            )
-            .unwrap()
-        };
-        copy(&mut p, db, dbr);
-        copy(&mut p, da, dar);
-        let join = |p: &mut Plan, d: VertexId, r: VertexId, out: VertexId, side: DeltaSide| {
-            p.add_edge(
-                EdgeOp::Join {
-                    on: JoinOn::on(0, 0),
-                    delta_side: side,
-                    snapshot: match side {
-                        DeltaSide::Left => SnapshotSem::WindowStart,
-                        DeltaSide::Right => SnapshotSem::WindowEnd,
-                    },
-                    snapshot_filter: Predicate::True,
-                },
-                vec![d, r],
-                out,
-                Predicate::True,
-                None,
-                None,
-                10.0,
-                24.0,
-            )
-            .unwrap()
-        };
-        let e0 = join(&mut p, dbr, ra, j0, DeltaSide::Left);
-        let e1 = join(&mut p, dar, rb, j1, DeltaSide::Right);
-        copy(&mut p, j1, j1c);
+            );
+            let planned = PlannedSharing {
+                plan,
+                mv: mv.rel,
+                mv_machine,
+                query: query.clone(),
+                critical_path: smile_types::SimDuration::ZERO,
+                dollar_cost: 0.0,
+            };
+            merged.merge(&sharing, &planned).unwrap();
+            let half = |delta_left: bool, at: MachineId| {
+                let (l, r) = (left.sig.clone(), right.sig.clone());
+                let pair = (mv_machine, right.machine);
+                let sig = ExprSig::half_join(l, r, on.clone(), delta_left, pair);
+                let found = merged.plan.find_vertex(VertexKind::Delta, &sig, at);
+                found.unwrap()
+            };
+            pairs.push((half(true, right.machine), half(false, mv_machine)));
+        }
+        merged.plan.validate().unwrap();
+        (merged.plan, pairs)
+    }
+
+    /// A half-join snapshots against its own sibling, so the twins' halves
+    /// at `b`'s home must stay two vertices, and every join edge anchors on
+    /// the sibling it was built with — its *join output*, resolved through
+    /// the copy that ships a remote half to its union.
+    #[test]
+    fn merged_twin_plans_keep_each_half_join_with_its_own_sibling() {
+        let (p, pairs) = twin_join_plans();
+        let anchors = p.half_join_anchors().unwrap();
+        assert_eq!(anchors.len(), 4, "two pairs, no half shared between them");
+        for (d1, d2) in pairs {
+            assert_eq!(anchors[&p.producer(d1).unwrap().id], d2);
+            assert_eq!(anchors[&p.producer(d2).unwrap().id], d1);
+        }
+    }
+
+    /// A live half-join feeding a second union with a different sibling
+    /// cannot be anchored and is refused, naming the edge and both siblings.
+    #[test]
+    fn a_half_join_with_two_siblings_is_refused() {
+        let (mut p, pairs) = twin_join_plans();
+        let ((d1, d2), (_, other_d2)) = (pairs[0], pairs[1]);
+        let stray = p.add_vertex(
+            VertexKind::Delta,
+            ExprSig::base(RelationId::new(9)),
+            MachineId::new(2),
+            schema(),
+            false,
+            None,
+            1.0,
+            0.0,
+            24.0,
+        );
         p.add_edge(
             EdgeOp::Union,
-            vec![j0, j1c],
-            u,
+            vec![d1, other_d2],
+            stray,
             Predicate::True,
             None,
-            None,
-            10.0,
+            Some(SharingId::new(3)),
+            1.0,
             24.0,
         )
         .unwrap();
-        p.validate().unwrap();
-        let anchors = p.half_join_anchors();
-        assert_eq!(anchors.len(), 2);
-        assert_eq!(anchors[&e0], j1);
-        assert_eq!(anchors[&e1], j0);
+        let err = p.half_join_anchors().unwrap_err().to_string();
+        let edge = format!("edge {} ", p.producer(d1).unwrap().id);
+        for part in [edge, d2.to_string(), other_d2.to_string()] {
+            assert!(err.contains(&part), "{err:?} does not name {part:?}");
+        }
     }
 }

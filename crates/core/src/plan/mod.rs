@@ -21,6 +21,6 @@ pub mod sig;
 pub mod timecost;
 
 pub use build::PlanBuilder;
-pub use dag::{Edge, EdgeOp, Plan, SnapshotSem, Vertex, VertexKind};
+pub use dag::{Edge, EdgeOp, Plan, Vertex, VertexKind};
 pub use sig::ExprSig;
 pub use timecost::{LinearModel, TimeCostModel};

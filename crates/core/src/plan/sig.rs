@@ -8,7 +8,7 @@
 
 use smile_storage::join::JoinOn;
 use smile_storage::{AggregateSpec, Predicate};
-use smile_types::RelationId;
+use smile_types::{MachineId, RelationId};
 use std::fmt;
 
 /// Canonical relational expression identifying a vertex's contents.
@@ -49,7 +49,10 @@ pub enum ExprSig {
     },
     /// One half of an incremental join: the delta stream
     /// `Δleft ⋈ right@old` (side = left) or `left@new ⋈ Δright`
-    /// (side = right). The two halves union into the full `Join` delta.
+    /// (side = right). The two halves union into the full `Join` delta,
+    /// and only together: each snapshots its relation side at the *other's*
+    /// coverage, so a half's stream depends on which sibling it is paired
+    /// with. `pair` names that pair, making it part of the vertex identity.
     HalfJoin {
         /// Left input.
         left: Box<ExprSig>,
@@ -59,6 +62,11 @@ pub enum ExprSig {
         on: JoinOn,
         /// True when the delta flows on the left side.
         delta_left: bool,
+        /// The machines the join's `(left, right)` inputs are read on — the
+        /// left-delta half runs at `pair.1`, the right-delta half at
+        /// `pair.0`. Two plans of one join that read an input on different
+        /// machines build different pairs and must not share a half.
+        pair: (MachineId, MachineId),
     },
 }
 
@@ -90,12 +98,19 @@ impl ExprSig {
     }
 
     /// Half-join signature (one leg of the incremental join identity).
-    pub fn half_join(left: ExprSig, right: ExprSig, on: JoinOn, delta_left: bool) -> Self {
+    pub fn half_join(
+        left: ExprSig,
+        right: ExprSig,
+        on: JoinOn,
+        delta_left: bool,
+        pair: (MachineId, MachineId),
+    ) -> Self {
         ExprSig::HalfJoin {
             left: Box::new(left),
             right: Box::new(right),
             on,
             delta_left,
+            pair,
         }
     }
 

@@ -173,7 +173,6 @@ mod tests {
         EdgeOp::Join {
             on: JoinOn::on(0, 0),
             delta_side: crate::plan::dag::DeltaSide::Left,
-            snapshot: crate::plan::dag::SnapshotSem::WindowStart,
             snapshot_filter: Predicate::True,
         }
     }

@@ -12,8 +12,8 @@
 //! * **resource metering** of CPU-seconds, network bytes and disk
 //!   byte-seconds, attributed per sharing and priced with the paper's EC2
 //!   price sheet ($0.34/h instance, $0.01/GB transfer, $0.11/GB-month EBS);
-//! * a **pub/sub bus** with delivery latency for heartbeats and push
-//!   completion messages;
+//! * a **mailbox** with delivery latency carrying the agents' heartbeats
+//!   to the executor;
 //! * a **distributed clock** with bounded per-machine skew and periodic
 //!   resynchronization;
 //! * a generic **event queue** with deterministic FIFO tie-breaking, so
@@ -29,15 +29,15 @@ pub mod cluster;
 pub mod event;
 pub mod faults;
 pub mod machine;
+pub mod mailbox;
 pub mod meter;
 pub mod pricing;
-pub mod pubsub;
 
 pub use clock::DistributedClock;
 pub use cluster::{Cluster, MachineState};
 pub use event::EventQueue;
 pub use faults::{FaultCounters, FaultEvent, FaultInjector, FaultProfile};
 pub use machine::{Machine, MachineConfig};
+pub use mailbox::Mailbox;
 pub use meter::{ResourceUsage, UsageLedger, WaveMeter};
 pub use pricing::PriceSheet;
-pub use pubsub::PubSub;

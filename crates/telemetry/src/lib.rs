@@ -264,17 +264,8 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let t = Telemetry::disabled();
-        t.record_span(SpanRecord {
-            id: t.next_span_id(),
-            parent: None,
-            kind: SpanKind::Tick,
-            start_us: 0,
-            end_us: 1,
-            machine: None,
-            sharing: None,
-            batch_id: None,
-            attrs: vec![],
-        });
+        let id = t.next_span_id();
+        t.record_span(SpanRecord::new(id, None, SpanKind::Tick, 0, 1));
         assert!(t.spans().is_empty());
         assert_eq!(t.spans_dropped(), 0);
         // Instruments still work in quiet mode.
@@ -285,17 +276,8 @@ mod tests {
     #[test]
     fn snapshot_includes_ring_and_worker_hist() {
         let t = Telemetry::new(&TelemetryConfig::default());
-        t.record_span(SpanRecord {
-            id: t.next_span_id(),
-            parent: None,
-            kind: SpanKind::Wave,
-            start_us: 5,
-            end_us: 9,
-            machine: None,
-            sharing: None,
-            batch_id: None,
-            attrs: vec![],
-        });
+        let id = t.next_span_id();
+        t.record_span(SpanRecord::new(id, None, SpanKind::Wave, 5, 9));
         t.worker_nanos_shard(3).record(1234);
         let s = t.snapshot();
         assert_eq!(s.counter("spans.retained"), Some(1));

@@ -145,16 +145,10 @@ mod tests {
     use super::*;
 
     fn span(id: u64, kind: SpanKind, sharing: Option<u32>) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent: None,
-            kind,
-            start_us: id,
-            end_us: id + 1,
-            machine: None,
-            sharing,
-            batch_id: None,
-            attrs: vec![],
+        let span = SpanRecord::new(id, None, kind, id, id + 1);
+        match sharing {
+            Some(s) => span.for_sharing(s),
+            None => span,
         }
     }
 

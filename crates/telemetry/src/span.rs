@@ -82,6 +82,46 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// A span over `[start_us, end_us]` bound to no machine, sharing or
+    /// batch and carrying no attributes; the builders below add those.
+    pub fn new(id: u64, parent: Option<u64>, kind: SpanKind, start_us: u64, end_us: u64) -> Self {
+        Self {
+            id,
+            parent,
+            kind,
+            start_us,
+            end_us,
+            machine: None,
+            sharing: None,
+            batch_id: None,
+            attrs: Vec::new(),
+        }
+    }
+
+    /// Binds the span to the machine the work ran on.
+    pub fn on_machine(mut self, machine: u32) -> Self {
+        self.machine = Some(machine);
+        self
+    }
+
+    /// Binds the span to the sharing the work belongs to.
+    pub fn for_sharing(mut self, sharing: u32) -> Self {
+        self.sharing = Some(sharing);
+        self
+    }
+
+    /// Tags the span with the delta batch it moves.
+    pub fn moving_batch(mut self, batch_id: u64) -> Self {
+        self.batch_id = Some(batch_id);
+        self
+    }
+
+    /// Appends one attribute.
+    pub fn with(mut self, key: &'static str, value: impl ToString) -> Self {
+        self.attrs.push((key, value.to_string()));
+        self
+    }
+
     /// The value of attribute `key`, if present.
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
@@ -144,17 +184,7 @@ mod tests {
     use super::*;
 
     fn span(id: u64) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent: None,
-            kind: SpanKind::Tick,
-            start_us: id,
-            end_us: id + 1,
-            machine: None,
-            sharing: None,
-            batch_id: None,
-            attrs: vec![],
-        }
+        SpanRecord::new(id, None, SpanKind::Tick, id, id + 1)
     }
 
     #[test]
@@ -171,8 +201,7 @@ mod tests {
 
     #[test]
     fn attr_lookup() {
-        let mut s = span(1);
-        s.attrs.push(("outcome", "ok".to_string()));
+        let s = span(1).with("outcome", "ok");
         assert_eq!(s.attr("outcome"), Some("ok"));
         assert_eq!(s.attr("missing"), None);
     }

@@ -138,17 +138,11 @@ mod tests {
 
     #[test]
     fn renders_lanes_spans_and_instants() {
-        let spans = vec![SpanRecord {
-            id: 1,
-            parent: None,
-            kind: SpanKind::EdgeJob,
-            start_us: 10,
-            end_us: 25,
-            machine: Some(2),
-            sharing: Some(7),
-            batch_id: Some(99),
-            attrs: vec![("outcome", "ok".to_string())],
-        }];
+        let spans = vec![SpanRecord::new(1, None, SpanKind::EdgeJob, 10, 25)
+            .on_machine(2)
+            .for_sharing(7)
+            .moving_batch(99)
+            .with("outcome", "ok")];
         let instants = vec![TraceInstant {
             at_us: 12,
             name: "fault.crash".to_string(),

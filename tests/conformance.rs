@@ -5,11 +5,12 @@
 //! chaos} × {static, adaptive}`. Within every `(faults, adaptive)` cell the
 //! whole observable surface must be byte-identical at any worker count: MV
 //! contents, fault attribution, the PUSH record stream, billing, the
-//! exported Perfetto trace, the logical metrics snapshot, alert and action
-//! streams, and `explain()`. Every cell's MV must also equal the ground
-//! truth (`SpjQuery::evaluate` over base snapshots as of the MV's
-//! timestamp), and four pinned digests hold the default engine's
-//! observables fixed across rewrites.
+//! exported Perfetto trace (full-fidelity and sampled), the logical metrics
+//! snapshot, alert and action streams, flight-recorder incidents, and
+//! `explain()`. Every cell's MV must also equal the ground truth
+//! (`SpjQuery::evaluate` over base snapshots as of the MV's timestamp), and
+//! four pinned digests hold the default engine's observables fixed across
+//! rewrites.
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
@@ -38,6 +39,9 @@ struct Scenario {
     /// Staleness SLA; the adaptive axis tightens it so the burn-rate
     /// monitor actually pages and the actuator has something to do.
     sla: SimDuration,
+    /// 1 keeps every span; N > 1 puts the exported trace through the
+    /// deterministic 1-in-N sharing sampler.
+    span_sample_rate: u32,
 }
 
 /// Everything observable about a run that must not depend on the worker
@@ -62,9 +66,22 @@ struct RunResult {
     /// `Smile::explain` report for the sharing — assembled only from
     /// deterministic state, so its bytes are a conformance surface too.
     explain: String,
+    /// Flight-recorder incidents as `(sharing, at_us, reason, span ids)` —
+    /// captured coordinator-side in canonical order. Not part of the pinned
+    /// digests, which predate it.
+    flight: String,
 }
 
 impl Scenario {
+    /// The default engine: one worker, faults off, static, full trace.
+    const DEFAULT: Scenario = Scenario {
+        workers: 1,
+        chaos: false,
+        adaptive: false,
+        sla: SimDuration::from_secs(20),
+        span_sample_rate: 1,
+    };
+
     /// Two machines, one cross-machine joined sharing with a real ship-side
     /// filter (so the filtered frame encoder is on the hot path), seeded
     /// chaos when requested. Inserts *and* deletes feed both bases so
@@ -72,6 +89,7 @@ impl Scenario {
     fn run(self) -> RunResult {
         let mut config = SmileConfig::with_machines(2);
         config.exec.workers = self.workers;
+        config.telemetry.span_sample_rate = self.span_sample_rate;
         if self.chaos {
             config.faults = FaultProfile::chaos(4242);
         }
@@ -133,6 +151,15 @@ impl Scenario {
         let alerts = format!("{:?}", smile.alerts());
         let actions = format!("{:?}", smile.actions());
         let explain = smile.explain(id).unwrap();
+        let flight = smile
+            .flight_incidents()
+            .iter()
+            .map(|i| {
+                let spans: Vec<u64> = i.spans.iter().map(|s| s.id).collect();
+                format!("({}, {}, {}, {spans:?})", i.sharing, i.at_us, i.reason)
+            })
+            .collect::<Vec<_>>()
+            .join(";");
         let executor = smile.executor.as_ref().unwrap();
         RunResult {
             mv: format!("{:?}", smile.mv_contents(id).unwrap().sorted_entries()),
@@ -149,6 +176,7 @@ impl Scenario {
             alerts,
             actions,
             explain,
+            flight,
         }
     }
 }
@@ -196,33 +224,25 @@ fn assert_identical(base: &RunResult, other: &RunResult, cell: &str) {
         other.explain, base.explain,
         "explain() report differs: {cell}"
     );
+    assert_eq!(other.flight, base.flight, "flight incidents differ: {cell}");
 }
 
-/// Runs one `(chaos, adaptive)` cell at workers 1, 2 and 8, requires MV ==
-/// ground truth and byte-identical observables at every worker count, and
-/// returns the workers=1 run.
-fn cell_agrees_across_workers(chaos: bool, adaptive: bool, sla: SimDuration) -> RunResult {
+/// Runs one cell at workers 1, 2 and 8 (whatever `cell.workers` says),
+/// requires MV == ground truth and byte-identical observables at every
+/// worker count, and returns the workers=1 run.
+fn cell_agrees_across_workers(cell: Scenario) -> RunResult {
     let run = |workers: usize| {
-        let r = Scenario {
-            workers,
-            chaos,
-            adaptive,
-            sla,
-        }
-        .run();
+        let r = Scenario { workers, ..cell }.run();
         assert_eq!(
             r.mv, r.expected,
-            "MV != ground truth: workers={workers} chaos={chaos} adaptive={adaptive}"
+            "MV != ground truth: workers={workers} {cell:?}"
         );
         r
     };
     let base = run(1);
     for workers in [2usize, 8] {
-        assert_identical(
-            &base,
-            &run(workers),
-            &format!("workers={workers} vs workers=1 at chaos={chaos} adaptive={adaptive}"),
-        );
+        let cell = format!("workers={workers} vs workers=1 at {cell:?}");
+        assert_identical(&base, &run(workers), &cell);
     }
     base
 }
@@ -231,20 +251,14 @@ fn cell_agrees_across_workers(chaos: bool, adaptive: bool, sla: SimDuration) -> 
 fn matches_ground_truth_fault_free() {
     // The simplest cell on its own, so a plain maintenance bug fails here
     // by name before it fails the matrix.
-    let r = Scenario {
-        workers: 1,
-        chaos: false,
-        adaptive: false,
-        sla: SimDuration::from_secs(20),
-    }
-    .run();
+    let r = Scenario::DEFAULT.run();
     assert_eq!(r.mv, r.expected, "MV diverged from ground truth");
     assert!(!r.pushes.is_empty(), "no pushes completed");
 }
 
 #[test]
 fn static_fault_free_cell_is_exact_and_worker_deterministic() {
-    let r = cell_agrees_across_workers(false, false, SimDuration::from_secs(20));
+    let r = cell_agrees_across_workers(Scenario::DEFAULT);
     assert_eq!(r.actions, "[]", "static run must take no actions");
 }
 
@@ -252,24 +266,53 @@ fn static_fault_free_cell_is_exact_and_worker_deterministic() {
 fn static_chaos_cell_is_exact_and_worker_deterministic() {
     // The most adversarial static cell, pinned on its own so a failure
     // names it directly.
-    let r = cell_agrees_across_workers(true, false, SimDuration::from_secs(20));
+    let r = cell_agrees_across_workers(Scenario {
+        chaos: true,
+        ..Scenario::DEFAULT
+    });
     // The comparison must not be vacuous: the fault machinery actually
     // fired and recovery ran.
+    assert!(r.report.crashes >= 1, "no crashes: {:?}", r.report);
+    assert!(r.report.pushes_retried >= 1, "no retries: {:?}", r.report);
+    assert!(!r.pushes.is_empty(), "no pushes completed");
+    // Nor is the byte-compared trace trivially empty: it names every span
+    // kind a chaos run exercises, and the injected faults.
+    for kind in ["tick", "plan_batch", "wave", "edge_job", "mv_apply", "retry"] {
+        assert!(
+            r.trace.contains(&format!("\"name\": \"{kind}\"")),
+            "trace has no {kind} span"
+        );
+    }
     assert!(
-        r.report.crashes + r.report.deltas_dropped >= 1,
-        "chaos profile injected nothing: {:?}",
-        r.report
+        r.trace.contains("fault."),
+        "trace has no fault instant despite chaos profile"
     );
     assert!(
-        r.report.crashes >= 1 || r.report.pushes_retried >= 1,
-        "chaos run exercised no recovery: {:?}",
-        r.report
+        r.metrics.contains("push.staleness_headroom_us"),
+        "metrics lack the headroom histogram"
     );
+}
+
+/// The sampled trace is a determinism surface of its own: with a 1-in-4
+/// sharing sampler the retained span set (and everything else) must still
+/// be byte-identical at any worker count, chaos included.
+#[test]
+fn sampled_chaos_cell_is_exact_and_worker_deterministic() {
+    let r = cell_agrees_across_workers(Scenario {
+        chaos: true,
+        span_sample_rate: 4,
+        ..Scenario::DEFAULT
+    });
+    assert!(!r.pushes.is_empty(), "no pushes completed");
 }
 
 #[test]
 fn adaptive_fault_free_cell_is_exact_and_worker_deterministic() {
-    cell_agrees_across_workers(false, true, SimDuration::from_secs(1));
+    cell_agrees_across_workers(Scenario {
+        adaptive: true,
+        sla: SimDuration::from_secs(1),
+        ..Scenario::DEFAULT
+    });
 }
 
 #[test]
@@ -281,14 +324,16 @@ fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
     // and alert streams included — must be byte-identical at any worker
     // count; and because the actuator only moves work (never changes the
     // query), the sharing's ground truth must match the static run's.
-    let static_run = Scenario {
-        workers: 1,
+    let tight_chaos = Scenario {
         chaos: true,
-        adaptive: false,
         sla: SimDuration::from_secs(1),
-    }
-    .run();
-    let base = cell_agrees_across_workers(true, true, SimDuration::from_secs(1));
+        ..Scenario::DEFAULT
+    };
+    let static_run = tight_chaos.run();
+    let base = cell_agrees_across_workers(Scenario {
+        adaptive: true,
+        ..tight_chaos
+    });
     // The axis is not vacuous: the monitor paged and the actuator acted.
     assert_ne!(base.alerts, "[]", "tight-SLA chaos run raised no alert");
     assert!(
@@ -343,8 +388,7 @@ fn default_engine_observables_match_pinned_digests() {
         let r = Scenario {
             workers,
             chaos,
-            adaptive: false,
-            sla: SimDuration::from_secs(20),
+            ..Scenario::DEFAULT
         }
         .run();
         assert_eq!(

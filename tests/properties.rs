@@ -38,7 +38,12 @@ fn arb_ops() -> impl Strategy<Value = Vec<Vec<Op>>> {
 }
 
 fn build_platform() -> (Smile, RelationId, RelationId) {
-    let mut smile = Smile::new(SmileConfig::with_machines(2));
+    build_platform_with(SmileConfig::with_machines(2))
+}
+
+/// The two bases live on machines 0 and 1 whatever the fleet size.
+fn build_platform_with(config: SmileConfig) -> (Smile, RelationId, RelationId) {
+    let mut smile = Smile::new(config);
     let left = smile
         .register_base(
             "left",
@@ -497,15 +502,21 @@ use smile::core::plan::cost::{machine_utilization, Scope};
 use std::collections::HashMap;
 
 /// One randomized sharing request: query shape, predicate literal, SLA
-/// seconds, and MV pin (0 = unpinned, 1/2 = machine 0/1).
+/// seconds, and MV pin (0 = unpinned, 1..=4 = machine 0..=3).
 type SharingSpec = (u8, i64, u64, u8);
 
-fn arb_admission_case() -> impl Strategy<Value = (Vec<SharingSpec>, Vec<bool>, Vec<Vec<Op>>)> {
+/// Four machines for two bases, so a pin can land on a machine that hosts
+/// neither: two sharings with one query then plan different replicas of a
+/// join input, the shape whose half-joins must not be shared. With and
+/// without the hill-climbing pass, which rewires exactly those vertices.
+fn arb_admission_case() -> impl Strategy<Value = (Vec<SharingSpec>, Vec<bool>, Vec<Vec<Op>>, bool)>
+{
     (
-        proptest::collection::vec((0u8..4, 0i64..3, 2u64..12, 0u8..3), 1..4),
+        proptest::collection::vec((0u8..4, 0i64..3, 2u64..12, 0u8..5), 1..4),
         // Retire mask over the admitted sharings (padded; extra bits unused).
         proptest::collection::vec(any::<bool>(), 4..5),
-        // A short ingest tail so retired and surviving MVs both see data.
+        // An ingest tail so retired and surviving MVs both see data — long
+        // enough for sharings with different SLAs to push out of step.
         proptest::collection::vec(
             proptest::collection::vec(
                 prop_oneof![
@@ -515,8 +526,9 @@ fn arb_admission_case() -> impl Strategy<Value = (Vec<SharingSpec>, Vec<bool>, V
                 ],
                 0..4,
             ),
-            1..12,
+            1..40,
         ),
+        any::<bool>(),
     )
 }
 
@@ -575,9 +587,11 @@ proptest! {
 
     #[test]
     fn incremental_admission_state_matches_recomputation(
-        (specs, retire_mask, ticks) in arb_admission_case()
+        (specs, retire_mask, ticks, hill_climb) in arb_admission_case()
     ) {
-        let (mut smile, left, right) = build_platform();
+        let mut config = SmileConfig::with_machines(4);
+        config.hill_climb = hill_climb;
+        let (mut smile, left, right) = build_platform_with(config);
         let mut admitted = Vec::new();
         for (i, &(shape, lit, sla, pin)) in specs.iter().enumerate() {
             let pin = match pin {

@@ -83,10 +83,14 @@ impl Executor {
         } else {
             SpanKind::EdgeJob
         };
+        let error;
         let (end, outcome, tuples) = match result {
-            Ok(run) if run.deduped => (run.end, "deduped".to_string(), run.tuples),
-            Ok(run) => (run.end, "ok".to_string(), run.tuples),
-            Err(e) => (d.submit, format!("error: {e}"), 0),
+            Ok(run) if run.deduped => (run.end, "deduped", run.tuples),
+            Ok(run) => (run.end, "ok", run.tuples),
+            Err(e) => {
+                error = format!("error: {e}");
+                (d.submit, error.as_str(), 0)
+            }
         };
         let span = self
             .span(Some(wave_span), kind, d.submit, end)

@@ -58,8 +58,9 @@ pub enum ExprSig {
         left: Box<ExprSig>,
         /// Right input.
         right: Box<ExprSig>,
-        /// Join condition.
-        on: JoinOn,
+        /// Join condition (boxed so the pair does not grow every `ExprSig`
+        /// node past the `Join` variant's size).
+        on: Box<JoinOn>,
         /// True when the delta flows on the left side.
         delta_left: bool,
         /// The machines the join's `(left, right)` inputs are read on — the
@@ -108,7 +109,7 @@ impl ExprSig {
         ExprSig::HalfJoin {
             left: Box::new(left),
             right: Box::new(right),
-            on,
+            on: Box::new(on),
             delta_left,
             pair,
         }

@@ -149,8 +149,11 @@ impl SpanRing {
         }
     }
 
-    /// Appends a span, evicting the oldest when full.
-    pub fn push(&mut self, rec: SpanRecord) {
+    /// Appends a span, evicting the oldest when full. The ring outlives
+    /// the tick by far, so it does not keep the slack the attribute
+    /// builder grew.
+    pub fn push(&mut self, mut rec: SpanRecord) {
+        rec.attrs.shrink_to_fit();
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;

@@ -79,44 +79,20 @@ const SHARINGS: usize = 4;
 /// needed (the quiet machine is a valid target) nor affordable.
 const BUDGET_DOLLARS_PER_HOUR: f64 = 0.68;
 
-struct Config {
-    mode: &'static str,
-    /// Calm seconds before the crowd arrives.
-    onset_secs: u64,
-    /// Seconds of the backlog-building spike.
-    spike_secs: u64,
-    /// Total driven seconds of each regime arm; everything past the
-    /// spike runs at the elevated plateau.
-    total_secs: u64,
-    /// When the handoff section invokes `migrate_sharing`.
-    handoff_migrate_at_secs: u64,
-    /// Total driven seconds of the handoff section.
-    handoff_total_secs: u64,
-}
-
-impl Config {
-    fn full() -> Self {
-        Self {
-            mode: "full",
-            onset_secs: 120,
-            spike_secs: 90,
-            total_secs: 780,
-            handoff_migrate_at_secs: 120,
-            handoff_total_secs: 360,
-        }
-    }
-
-    fn quick() -> Self {
-        Self {
-            mode: "quick",
-            onset_secs: 60,
-            spike_secs: 60,
-            total_secs: 660,
-            handoff_migrate_at_secs: 60,
-            handoff_total_secs: 240,
-        }
-    }
-}
+/// Calm seconds before the crowd arrives.
+const ONSET_SECS: u64 = 120;
+/// Seconds of the backlog-building spike.
+const SPIKE_SECS: u64 = 90;
+/// Total driven seconds of each regime arm; everything past the spike runs
+/// at the elevated plateau.
+const TOTAL_SECS: u64 = 780;
+/// When the handoff section invokes `migrate_sharing`.
+const HANDOFF_MIGRATE_AT_SECS: u64 = 120;
+/// Total driven seconds of the handoff section.
+const HANDOFF_TOTAL_SECS: u64 = 360;
+/// Idle seconds after each arm's driven run, before its MVs are compared
+/// with recomputation: enough for the static arm's NIC backlog to drain.
+const DRAIN_SECS: u64 = 600;
 
 /// The shared two-machine topology: quiet `src` on m0, crowd-hit `events`
 /// on m1, `n` join sharings pinned on m0 — the side the flash crowd does
@@ -251,6 +227,26 @@ fn preload_src(smile: &mut Smile, src: RelationId) {
     smile.ingest(src, batch).expect("preload src");
 }
 
+/// Lets the platform catch up with no further ingest, then requires every
+/// MV to equal recomputation. Every arm runs this after its numbers are
+/// read and before they are reported: misses and dollars measured on MVs
+/// that are short of rows are cheap for the wrong reason.
+fn assert_mvs_exact(smile: &mut Smile, ids: &[SharingId], arm: &str) {
+    smile
+        .run_idle(SimDuration::from_secs(DRAIN_SECS))
+        .expect("drain");
+    for &id in ids {
+        let got = smile.mv_contents(id).expect("MV contents");
+        let want = smile.expected_mv_contents(id).expect("recomputation");
+        assert!(
+            got == want,
+            "{arm} arm: MV of {id} holds {} rows, recomputation gives {}",
+            got.len(),
+            want.len(),
+        );
+    }
+}
+
 struct RegimeArm {
     pushes: usize,
     misses: u64,
@@ -269,21 +265,21 @@ struct RegimeArm {
     alert_stream: String,
 }
 
-/// Drives the flash-crowd regime for `cfg.total_secs` with the adaptive
+/// Drives the flash-crowd regime for [`TOTAL_SECS`] with the adaptive
 /// actuator on or off.
-fn run_regime(cfg: &Config, adaptive: bool, workers: usize) -> RegimeArm {
-    let (mut smile, src, events, _ids) = build(workers, adaptive, SHARINGS);
+fn run_regime(adaptive: bool, workers: usize) -> RegimeArm {
+    let (mut smile, src, events, ids) = build(workers, adaptive, SHARINGS);
     preload_src(&mut smile, src);
     let mut integrator = RateIntegrator::new(RateTrace::Phases(vec![
-        (SimDuration::from_secs(cfg.onset_secs), CROWD_CALM_RATE),
-        (SimDuration::from_secs(cfg.spike_secs), CROWD_SPIKE_RATE),
+        (SimDuration::from_secs(ONSET_SECS), CROWD_CALM_RATE),
+        (SimDuration::from_secs(SPIKE_SECS), CROWD_SPIKE_RATE),
         (
-            SimDuration::from_secs(cfg.total_secs - cfg.onset_secs - cfg.spike_secs),
+            SimDuration::from_secs(TOTAL_SECS - ONSET_SECS - SPIKE_SECS),
             CROWD_ELEVATED_RATE,
         ),
     ]));
     let (mut crowd_seq, mut src_seq) = (0i64, 0i64);
-    for _ in 0..cfg.total_secs {
+    for _ in 0..TOTAL_SECS {
         drive_tick(&mut smile, src, events, &mut integrator, &mut crowd_seq, &mut src_seq);
     }
 
@@ -307,7 +303,7 @@ fn run_regime(cfg: &Config, adaptive: bool, workers: usize) -> RegimeArm {
         .iter()
         .find(|a| matches!(a.kind, ActionKind::MigrationStarted { .. }))
         .map_or(-1.0, |a| a.at_us as f64 / 1e6);
-    RegimeArm {
+    let arm = RegimeArm {
         pushes,
         misses,
         first_miss_secs: if first_miss_secs.is_finite() {
@@ -330,7 +326,10 @@ fn run_regime(cfg: &Config, adaptive: bool, workers: usize) -> RegimeArm {
             .map(|a| a.to_string())
             .collect::<Vec<_>>()
             .join("\n"),
-    }
+    };
+    let arm_name = if adaptive { "adaptive" } else { "static" };
+    assert_mvs_exact(&mut smile, &ids, arm_name);
+    arm
 }
 
 struct HandoffOut {
@@ -347,19 +346,19 @@ struct HandoffOut {
 /// The protocol-in-isolation run: calm constant rates, one sharing, one
 /// operator-invoked migration mid-feed. The bar is zero misses across the
 /// entire run — the dual-write handoff never stops serving the MV.
-fn run_handoff(cfg: &Config) -> HandoffOut {
+fn run_handoff() -> HandoffOut {
     let (mut smile, src, events, ids) = build(1, false, 1);
     preload_src(&mut smile, src);
     let mut integrator = RateIntegrator::new(RateTrace::Constant(CROWD_CALM_RATE));
     let (mut crowd_seq, mut src_seq) = (0i64, 0i64);
-    for _ in 0..cfg.handoff_migrate_at_secs {
+    for _ in 0..HANDOFF_MIGRATE_AT_SECS {
         drive_tick(&mut smile, src, events, &mut integrator, &mut crowd_seq, &mut src_seq);
     }
     let started = smile
         .migrate_sharing(ids[0], Some(MachineId::new(1)))
         .expect("migration plans");
     assert!(started, "calm-regime migration did not begin");
-    for _ in cfg.handoff_migrate_at_secs..cfg.handoff_total_secs {
+    for _ in HANDOFF_MIGRATE_AT_SECS..HANDOFF_TOTAL_SECS {
         drive_tick(&mut smile, src, events, &mut integrator, &mut crowd_seq, &mut src_seq);
     }
 
@@ -378,10 +377,10 @@ fn run_handoff(cfg: &Config) -> HandoffOut {
         .find(|a| matches!(a.kind, ActionKind::MigrationCompleted { .. }))
         .map_or(-1.0, |a| {
             let done = a.at_us as f64 / 1e6;
-            done - cfg.handoff_migrate_at_secs as f64
+            done - HANDOFF_MIGRATE_AT_SECS as f64
         });
     let trace = smile.export_trace();
-    HandoffOut {
+    let out = HandoffOut {
         migrations_started: count(&|k| matches!(k, ActionKind::MigrationStarted { .. })),
         migrations_completed: count(&|k| matches!(k, ActionKind::MigrationCompleted { .. })),
         migrations_aborted: count(&|k| matches!(k, ActionKind::MigrationAborted { .. })),
@@ -390,11 +389,12 @@ fn run_handoff(cfg: &Config) -> HandoffOut {
         migration_secs,
         trace_migration_spans: trace.matches("\"name\": \"migration\"").count(),
         trace,
-    }
+    };
+    assert_mvs_exact(&mut smile, &ids, "handoff");
+    out
 }
 
 fn emit_json(
-    cfg: &Config,
     stat: &RegimeArm,
     adapt: &RegimeArm,
     det: &[(usize, bool, bool)],
@@ -410,7 +410,7 @@ fn emit_json(
         r#"{{
   "bench_id": "BENCH_0010",
   "config": {{
-    "mode": "{mode}",
+    "mv_check": "every MV of every arm equals recomputation after a {drain} s drain; records of this bench from before that check were taken on MVs missing 92-99% of their rows (ROADMAP item 1, root cause 3)",
     "machines": 2,
     "net_bandwidth": {bw:.0},
     "sharings": {sharings},
@@ -460,16 +460,16 @@ fn emit_json(
   }}
 }}
 "#,
-        mode = cfg.mode,
+        drain = DRAIN_SECS,
         bw = NET_BANDWIDTH,
         sharings = SHARINGS,
         sla = SLA_SECS,
         calm = CROWD_CALM_RATE,
         spike = CROWD_SPIKE_RATE,
         elevated = CROWD_ELEVATED_RATE,
-        onset = cfg.onset_secs,
-        spikes = cfg.spike_secs,
-        total = cfg.total_secs,
+        onset = ONSET_SECS,
+        spikes = SPIKE_SECS,
+        total = TOTAL_SECS,
         budget = BUDGET_DOLLARS_PER_HOUR,
         sp = stat.pushes,
         sm = stat.misses,
@@ -488,8 +488,8 @@ fn emit_json(
         su = adapt.scale_ups,
         sden = adapt.scale_denied,
         fmig = adapt.first_migration_secs,
-        hat = cfg.handoff_migrate_at_secs,
-        htot = cfg.handoff_total_secs,
+        hat = HANDOFF_MIGRATE_AT_SECS,
+        htot = HANDOFF_TOTAL_SECS,
         hp = handoff.pushes,
         hm = handoff.misses,
         hms = handoff.migrations_started,
@@ -592,8 +592,6 @@ fn main() {
         return;
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let cfg = if quick { Config::quick() } else { Config::full() };
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -601,20 +599,15 @@ fn main() {
         .unwrap_or_else(|| "results/BENCH_0010.json".to_string());
 
     eprintln!(
-        "adaptive regime ({}): {:.0}→{:.0} t/s crowd at t={}s over a {:.0} B/s NIC, {} sharings ...",
-        cfg.mode,
-        CROWD_CALM_RATE,
-        CROWD_SPIKE_RATE,
-        cfg.onset_secs,
-        NET_BANDWIDTH,
-        SHARINGS,
+        "adaptive regime: {:.0}→{:.0} t/s crowd at t={}s over a {:.0} B/s NIC, {} sharings ...",
+        CROWD_CALM_RATE, CROWD_SPIKE_RATE, ONSET_SECS, NET_BANDWIDTH, SHARINGS,
     );
-    let stat = run_regime(&cfg, false, 1);
+    let stat = run_regime(false, 1);
     eprintln!(
         "  static:   {} pushes, {} misses (first {:.1}s), ${:.6}",
         stat.pushes, stat.misses, stat.first_miss_secs, stat.dollars
     );
-    let adapt = run_regime(&cfg, true, 1);
+    let adapt = run_regime(true, 1);
     eprintln!(
         "  adaptive: {} pushes, {} misses, ${:.6}, {} alerts, {} migrations ({} completed, first at {:.1}s)",
         adapt.pushes,
@@ -628,7 +621,7 @@ fn main() {
 
     let mut det = vec![(1usize, true, true)];
     for workers in [2usize, 8] {
-        let other = run_regime(&cfg, true, workers);
+        let other = run_regime(true, workers);
         det.push((
             workers,
             other.action_stream == adapt.action_stream,
@@ -642,16 +635,15 @@ fn main() {
     }
 
     eprintln!(
-        "  handoff: calm migration at t={}s over {}s ...",
-        cfg.handoff_migrate_at_secs, cfg.handoff_total_secs
+        "  handoff: calm migration at t={HANDOFF_MIGRATE_AT_SECS}s over {HANDOFF_TOTAL_SECS}s ..."
     );
-    let handoff = run_handoff(&cfg);
+    let handoff = run_handoff();
     eprintln!(
         "  handoff: {} pushes, {} misses, cutover in {:.1}s, {} migration span(s) in trace",
         handoff.pushes, handoff.misses, handoff.migration_secs, handoff.trace_migration_spans
     );
 
-    let json = emit_json(&cfg, &stat, &adapt, &det, &handoff);
+    let json = emit_json(&stat, &adapt, &det, &handoff);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create output dir");
     }

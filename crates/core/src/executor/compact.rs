@@ -1,5 +1,5 @@
 //! Delta-log compaction: every slot's log is cut below the oldest
-//! timestamp any consumer could still ask for.
+//! timestamp any live consumer could still ask for.
 
 use super::Executor;
 use smile_sim::Cluster;
@@ -13,8 +13,10 @@ const COMPACTION_MARGIN: SimDuration = SimDuration::from_secs(10);
 
 impl Executor {
     /// Once per [`COMPACTION_PERIOD`], compacts every slot's delta log
-    /// below the minimum timestamp its consumers could still request
-    /// (minus the safety margin).
+    /// below the minimum timestamp its live consumers could still request
+    /// (minus the safety margin). Only [`Executor::live`] vertices and
+    /// edges pin a log: a retired sharing's inert chain must not hold its
+    /// inputs' logs for ever.
     pub(super) fn compact_if_due(&mut self, cluster: &mut Cluster, now: Timestamp) -> Result<()> {
         if now - self.last_compaction < COMPACTION_PERIOD {
             return Ok(());
@@ -23,7 +25,9 @@ impl Executor {
         // Seed bounds with each vertex's own data_ts (slots nobody consumes
         // can be compacted to their own progress).
         for v in self.global.plan.vertices() {
-            let Some(slot) = v.slot else { continue };
+            let Some(slot) = v.slot.filter(|_| v.is_base || self.live(v.id)) else {
+                continue;
+            };
             let own = if v.is_base {
                 // Base slots have no data_ts of their own; they are bounded
                 // purely by consumers below.
@@ -48,10 +52,7 @@ impl Executor {
             .live_sharings()
             .map(|rt| (rt.id, self.visible_ts[rt.mv.index()]))
             .collect();
-        for e in self.global.plan.edges() {
-            if e.inputs.is_empty() {
-                continue; // detached
-            }
+        for e in self.live_edges() {
             let mut out_ts = self.data_ts[e.output.index()];
             if let Some(sib) = self.anchor_of.get(&e.id) {
                 out_ts = out_ts.min(self.data_ts[sib.index()]);
@@ -76,10 +77,9 @@ impl Executor {
             }
         }
         for ((machine, slot), ts) in bound {
-            if ts == Timestamp::MAX {
-                continue;
-            }
-            let cut = ts - COMPACTION_MARGIN;
+            // Still unbounded: a base slot no live edge reads. Whoever
+            // reads it next is seeded from its table, not its log.
+            let cut = if ts == Timestamp::MAX { now } else { ts } - COMPACTION_MARGIN;
             let m = cluster.machine_mut(machine)?;
             if m.db.has_relation(slot) {
                 m.db.compact(slot, cut)?;

@@ -7,9 +7,11 @@
 //! 1. **Shadow install** ([`Executor::begin_migration`]): the re-planned
 //!    arrangement is merged into the running global plan as a *shadow
 //!    chain* — deduplicated against the live plan but registered with no
-//!    sharing, so the scheduler ignores it. The platform then materializes
-//!    and seeds the new vertices: the sharing's full state ships to the
-//!    new placement as ordinary seeding + WAL frames.
+//!    sharing, so the scheduler ignores it. The whole chain is live
+//!    ([`Executor::live`]) while the migration is in flight, so the
+//!    platform's storage reconcile gives the part of it that has no storage
+//!    a slot and seeds it: the sharing's full state ships to the new
+//!    placement as ordinary seeding + WAL frames.
 //! 2. **Dual write**: while the migration is in flight, every push of the
 //!    migrating sharing additionally plans a *shadow request* over the new
 //!    chain to the same target, in the same batch. Vertices the two
@@ -25,12 +27,12 @@
 //!    the runtime's sources/push-order swap to the new chain, the cached
 //!    critical-path evaluator is rebuilt (a placement change invalidates
 //!    `CpEval`), the push calendar re-evaluates the slot, and the old
-//!    chain's now-unserved storage slots are reported for the platform to
-//!    drop and reconcile against the arrangement registry.
+//!    chain's exclusive vertices stop being live — the platform's storage
+//!    reconcile drops their slots when it picks the outcome up.
 //! 4. **Abort**: any shadow-side failure — the target machine crashing
 //!    mid-handoff, a lost frame, a failed dependency — marks the migration
-//!    failed; the shadow chain's exclusive slots are torn down and the old
-//!    placement continues untouched. Under crash-only fault profiles the
+//!    failed; the shadow chain's exclusive vertices stop being live and the
+//!    old placement continues untouched. Under crash-only fault profiles the
 //!    shadow work consumes no fault draws, so MV bytes are identical to a
 //!    run that never attempted the migration (pinned by the chaos suite).
 //!
@@ -42,8 +44,7 @@ use super::{Executor, SharingRt};
 use crate::merge_catalog::MergeCatalog;
 use crate::optimizer::PlannedSharing;
 use crate::plan::sig::ExprSig;
-use smile_types::{MachineId, RelationId, Result, SharingId, SmileError, Timestamp, VertexId};
-use std::collections::HashSet;
+use smile_types::{MachineId, Result, SharingId, SmileError, Timestamp, VertexId};
 
 /// Runtime state of one in-flight migration, keyed by the sharing's slot
 /// index in the executor's migration table.
@@ -64,11 +65,9 @@ pub(crate) struct MigrationRt {
     pub to: MachineId,
     /// `SRC(S_i)` of the new placement.
     pub new_srcs: Vec<VertexId>,
-    /// Push-order subgraph of the new placement.
+    /// Push-order subgraph of the new placement — the shadow chain, every
+    /// vertex of which is live while the migration is in flight.
     pub new_order: Vec<VertexId>,
-    /// Vertices the shadow merge added to the global plan (the chain's
-    /// exclusive part; shared vertices were deduplicated away).
-    pub shadow_vertices: Vec<VertexId>,
     /// When the migration began (span timing).
     pub started: Timestamp,
     /// At least one dual-write push has fully succeeded on the new chain.
@@ -79,8 +78,8 @@ pub(crate) struct MigrationRt {
 }
 
 /// Settled migration, handed to the platform by
-/// [`Executor::take_migration_outcomes`] for slot drops, arrangement
-/// reconciliation and action logging.
+/// [`Executor::take_migration_outcomes`] for the storage reconcile and
+/// action logging.
 #[derive(Clone, Debug)]
 pub struct MigrationOutcome {
     /// The sharing that migrated (or tried to).
@@ -95,20 +94,16 @@ pub struct MigrationOutcome {
     pub finished: Timestamp,
     /// `true` = cut over; `false` = aborted (old placement still serves).
     pub completed: bool,
-    /// Storage slots that no longer serve any sharing and should be
-    /// dropped by the platform (old-chain exclusives on completion,
-    /// shadow-chain exclusives on abort), in canonical order.
-    pub dropped: Vec<(MachineId, RelationId)>,
 }
 
 impl Executor {
     /// Installs the shadow chain of a live migration: merges the re-planned
     /// arrangement into the running global plan (through the merge catalog,
     /// like an admission) without registering the sharing on it. The
-    /// platform must then materialize and seed the vertices new to the plan
-    /// and call [`Executor::mark_vertices_seeded`]. The sharing keeps being
-    /// served by its old placement; every subsequent push dual-writes both
-    /// chains until [`Executor::finish_migrations`] cuts over.
+    /// platform's storage reconcile then slots and seeds the part of the
+    /// chain that has no storage. The sharing keeps being served by its old
+    /// placement; every subsequent push dual-writes both chains until
+    /// [`Executor::finish_migrations`] cuts over.
     pub fn begin_migration(
         &mut self,
         id: SharingId,
@@ -124,9 +119,7 @@ impl Executor {
         }
         let old_mv = self.sharings[idx].mv;
         let from = self.global.plan.vertex(old_mv).machine;
-        let before = self.global.plan.vertex_count();
         let remap = self.global.merge_shadow(planned, cat)?;
-        let after = self.global.plan.vertex_count();
         let new_mv = *remap.get(&planned.mv).ok_or_else(|| {
             SmileError::Internal("shadow merge lost the MV vertex".into())
         })?;
@@ -140,8 +133,6 @@ impl Executor {
         self.plan_grew()?;
         let new_mv_sig = self.global.plan.vertex(new_mv).sig.clone();
         let (new_srcs, new_order) = Self::subgraph_of(&self.global, id, new_mv, &self.topo_rank)?;
-        let shadow_vertices: Vec<VertexId> =
-            (before..after).map(|i| VertexId::new(i as u32)).collect();
         self.migrations.insert(
             idx,
             MigrationRt {
@@ -153,12 +144,12 @@ impl Executor {
                 to: planned.mv_machine,
                 new_srcs,
                 new_order,
-                shadow_vertices,
                 started: now,
                 pushed_ok: false,
                 failed: false,
             },
         );
+        self.refresh_live();
         Ok(())
     }
 
@@ -190,8 +181,8 @@ impl Executor {
     }
 
     /// Settles in-flight migrations, in sharing-slot order. A failed one
-    /// aborts: its shadow-exclusive slots are reported droppable and the
-    /// old placement continues untouched. A ready one cuts over: ready
+    /// aborts: its shadow chain stops being live and the old placement
+    /// continues untouched. A ready one cuts over: ready
     /// means a dual write succeeded, no push is in flight, and the shadow
     /// MV's committed timestamp has caught up with the old MV's — so the
     /// swap can never publish an MV staler than the one it replaces.
@@ -235,9 +226,6 @@ impl Executor {
                 // placement's critical path; re-evaluate it next tick.
                 self.cal.wake_now(idx);
             }
-            // Old-chain exclusives on completion, shadow-chain exclusives
-            // on abort.
-            let dropped = self.release_unserved_slots();
             self.record_migration_span(&mig, now, if failed { "aborted" } else { "completed" });
             self.migration_outcomes.push(MigrationOutcome {
                 id: mig.id,
@@ -246,48 +234,11 @@ impl Executor {
                 started: mig.started,
                 finished: now,
                 completed: !failed,
-                dropped,
             });
+            // Old-chain exclusives on completion, shadow-chain exclusives
+            // on abort, are no longer live.
+            self.refresh_live();
         }
         Ok(())
-    }
-
-    /// Releases the storage slots that no longer serve any sharing and
-    /// returns them, in canonical order, for the platform to drop — shared
-    /// by sharing retirement and migration settlement. A slot is released
-    /// only if *all* vertices mapped to it are unserved, it is not a base
-    /// relation's, and it is not part of an in-flight migration's shadow
-    /// chain (shadow vertices serve no sharing until cutover, but their
-    /// storage is the handoff target). The vertices' slot assignments are
-    /// cleared here, so a slot is reported exactly once and a future
-    /// identical sharing re-materializes.
-    pub(crate) fn release_unserved_slots(&mut self) -> Vec<(MachineId, RelationId)> {
-        let mut still_used: HashSet<(MachineId, RelationId)> = HashSet::new();
-        let mut candidates: HashSet<(MachineId, RelationId)> = HashSet::new();
-        for v in self.global.plan.vertices() {
-            let Some(slot) = v.slot else { continue };
-            if v.is_base || !v.sharings.is_empty() {
-                still_used.insert((v.machine, slot));
-            } else {
-                candidates.insert((v.machine, slot));
-            }
-        }
-        for mig in self.migrations.values() {
-            for &v in &mig.shadow_vertices {
-                let vert = self.global.plan.vertex(v);
-                if let Some(slot) = vert.slot {
-                    still_used.insert((vert.machine, slot));
-                }
-            }
-        }
-        candidates.retain(|c| !still_used.contains(c));
-        for i in 0..self.global.plan.vertex_count() {
-            let vert = self.global.plan.vertex_mut(VertexId::new(i as u32));
-            let machine = vert.machine;
-            vert.slot.take_if(|slot| candidates.contains(&(machine, *slot)));
-        }
-        let mut out: Vec<(MachineId, RelationId)> = candidates.into_iter().collect();
-        out.sort();
-        out
     }
 }

@@ -50,7 +50,7 @@ pub use migrate::MigrationOutcome;
 
 use crate::merge_catalog::MergeCatalog;
 use crate::multi::GlobalPlan;
-use crate::plan::dag::{Plan, VertexKind};
+use crate::plan::dag::{Edge, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use calendar::{CalendarState, CpEval, INFLATION_HEADROOM};
@@ -59,9 +59,7 @@ use smile_sim::{Cluster, EventQueue, Mailbox, WaveMeter};
 use smile_telemetry::{
     Alert, BurnRateMonitor, Counter, FleetRollup, Gauge, Histogram, SharingSummary, Telemetry,
 };
-use smile_types::{
-    MachineId, RelationId, Result, SharingId, SimDuration, SmileError, Timestamp, VertexId,
-};
+use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp, VertexId};
 use spans::us;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -258,6 +256,10 @@ pub struct Executor {
     data_ts: Vec<Timestamp>,
     /// Committed timestamp per vertex (staleness accounting).
     visible_ts: Vec<Timestamp>,
+    /// Per vertex: whether anyone still needs it ([`Executor::live`]). The
+    /// plan is append-only, so after the first retire or cutover part of it
+    /// is inert; this is the one record of which part is not.
+    live: Vec<bool>,
     /// Last heartbeat-reported timestamp per base vertex.
     heartbeats: HashMap<VertexId, Timestamp>,
     sharings: Vec<SharingRt>,
@@ -411,6 +413,7 @@ impl Executor {
             config,
             data_ts: Vec::new(),
             visible_ts: Vec::new(),
+            live: Vec::new(),
             heartbeats: HashMap::new(),
             sharings: Vec::new(),
             by_id: HashMap::new(),
@@ -470,7 +473,38 @@ impl Executor {
         self.topo_rank = Self::rank_of(&self.global)?;
         self.base_beats = self.global.base_relation_vertices();
         self.anchor_of = self.global.plan.half_join_anchors()?;
+        self.refresh_live();
         Ok(())
+    }
+
+    /// Re-derives [`Executor::live`] for every vertex. Called wherever an
+    /// `SHR` set or the migration table changes: the plan growing, a
+    /// sharing retiring, a migration starting or settling.
+    fn refresh_live(&mut self) {
+        let vertices = self.global.plan.vertices();
+        self.live = vertices.iter().map(|v| !v.sharings.is_empty()).collect();
+        for mig in self.migrations.values() {
+            for v in &mig.new_order {
+                self.live[v.index()] = true;
+            }
+        }
+    }
+
+    /// Whether a derived vertex is live: it serves a sharing (`SHR`
+    /// non-empty) or lies on an in-flight migration's shadow chain — all of
+    /// it, including vertices the shadow merge found already in the plan.
+    /// Everything that keeps, feeds or pays for a vertex asks this: the
+    /// platform's storage reconcile, log compaction, admission's view of
+    /// the load. Base vertices are the applications' own storage, which the
+    /// platform never reclaims, and are not asked about.
+    pub fn live(&self, v: VertexId) -> bool {
+        self.live[v.index()]
+    }
+
+    /// The edges that produce a live vertex, in edge order.
+    pub fn live_edges(&self) -> impl Iterator<Item = &Edge> {
+        let live = |e: &&Edge| self.live[e.output.index()];
+        self.global.plan.edges().iter().filter(live)
     }
 
     /// Gives a sharing already merged into the global plan its runtime
@@ -516,8 +550,8 @@ impl Executor {
 
     /// **On-the-fly addition** (paper §10 future work): merges a newly
     /// admitted sharing's plan into the running global plan through the
-    /// merge catalog and registers it. The platform must then materialize
-    /// and seed the vertices new to the plan and call
+    /// merge catalog and registers it. The platform's storage reconcile then
+    /// gives the newly live vertices storage, seeds them and calls
     /// [`Executor::mark_vertices_seeded`].
     pub fn add_sharing(
         &mut self,
@@ -530,38 +564,38 @@ impl Executor {
         self.register(sharing)
     }
 
-    /// Marks freshly materialized vertices as seeded at `now`.
-    pub fn mark_vertices_seeded(&mut self, vertices: &[VertexId], now: Timestamp) {
+    /// Stamps derived vertices whose storage was just seeded as of `at`:
+    /// their first push window starts there.
+    pub fn mark_vertices_seeded(&mut self, vertices: &[VertexId], at: Timestamp) {
         for &v in vertices {
-            if !self.global.plan.vertex(v).is_base {
-                self.data_ts[v.index()] = now;
-                self.visible_ts[v.index()] = now;
-            }
+            self.data_ts[v.index()] = at;
+            self.visible_ts[v.index()] = at;
         }
     }
 
     /// **On-the-fly removal** (paper §10 future work): retires a sharing.
     /// Its runtime slot becomes a tombstone (indexes in queued events must
-    /// stay stable), its id leaves every `SHR` set, and the storage slots of
-    /// vertices that no longer serve anyone are returned for the platform
-    /// to drop. The inert plan vertices themselves remain until the next
-    /// full install — they cost nothing at run time.
-    pub fn remove_sharing(&mut self, id: SharingId) -> Result<Vec<(MachineId, RelationId)>> {
+    /// stay stable) and its id leaves every `SHR` set. The plan vertices
+    /// that served only it stay in the append-only plan but stop being
+    /// [`Executor::live`]: the platform's storage reconcile drops their
+    /// slots, compaction stops pinning logs through their edges, admission
+    /// stops counting their load, and no later reconcile gives them storage
+    /// again unless a new sharing dedups onto them — which is what makes
+    /// them free at run time.
+    pub fn remove_sharing(&mut self, id: SharingId) -> Result<()> {
         // `by_id` indexes only live sharings, so a hit is never a tombstone.
         let idx = self.by_id.remove(&id).ok_or(SmileError::UnknownSharing(id))?;
         self.rollup.retire(idx);
         self.cal.retire(idx);
-        // Retiring mid-migration abandons the handoff: the next settle
-        // pass tears the shadow chain down with the rest of the sharing's
-        // now-unserved slots.
+        // Retiring mid-migration abandons the handoff: the shadow chain
+        // stays live until the next settle pass takes the migration off the
+        // table.
         if let Some(mig) = self.migrations.get_mut(&idx) {
             mig.failed = true;
         }
         self.global.strip_sharing(id);
-        // Every slot (Relation+Delta pairs share one; half-join deltas have
-        // their own) that no longer serves any sharing — the same reconcile
-        // migration settlement runs.
-        Ok(self.release_unserved_slots())
+        self.refresh_live();
+        Ok(())
     }
 
     /// Current staleness of a sharing: base relations are current as of

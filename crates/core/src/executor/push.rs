@@ -622,7 +622,6 @@ mod tests {
             m,
             two_cols(),
             false,
-            None,
             1.0,
             0.0,
             16.0,
@@ -633,7 +632,6 @@ mod tests {
             m,
             two_cols(),
             false,
-            None,
             1.0,
             2.0,
             16.0,
@@ -644,7 +642,6 @@ mod tests {
             m,
             four_cols(),
             false,
-            None,
             1.0,
             0.0,
             32.0,
@@ -662,7 +659,6 @@ mod tests {
                 vec![vd, vr],
                 vo,
                 Predicate::True,
-                None,
                 None,
                 1.0,
                 32.0,
@@ -762,7 +758,6 @@ mod tests {
             m0,
             two_cols(),
             false,
-            None,
             1.0,
             0.0,
             16.0,
@@ -773,7 +768,6 @@ mod tests {
             m1,
             two_cols(),
             false,
-            None,
             1.0,
             0.0,
             16.0,
@@ -786,7 +780,6 @@ mod tests {
                 vec![vs],
                 vd,
                 Predicate::True,
-                None,
                 None,
                 1.0,
                 16.0,

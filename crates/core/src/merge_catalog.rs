@@ -1,19 +1,21 @@
-//! Cross-tenant merge catalog: the admission-time index over every admitted
-//! plan's shareable sub-structures.
+//! Merge catalog: a content-keyed index over a plan's vertices, for the
+//! questions that `Plan`'s own dedup index cannot answer.
 //!
-//! Without it, admitting sharing *N+1* discovers commonality by scanning all
-//! *N* resident plans — quadratic on the road to the "millions of users"
-//! target. The catalog keeps two indexes over the global plan, both keyed
-//! by content so lookups replace scans:
+//! Admission does *not* find commonality through it: merging dedups on
+//! `Plan::index` (`(kind, signature, machine)` → vertex, one probe per
+//! incoming vertex), and the catalog the platform carries through
+//! `merge_indexed` is only written there — it counts reuse (`hits` /
+//! `misses`, exported as `catalog.*`) and records new vertices. Its two
+//! indexes have one reader each:
 //!
-//! * **fingerprints** — `(vertex kind, expression signature)` → vertex ids.
-//!   One probe answers "does this SPJ sub-plan already run somewhere, and
-//!   on which machines?", which is exactly the question copy/join plumbing
-//!   enumeration asks per candidate.
+//! * **fingerprints** — `(vertex kind, expression signature)` → vertex ids
+//!   on *any* machine. [`MergeCatalog::peers_iter`] answers "where else
+//!   does this expression already run?", the question copy/join plumbing
+//!   enumeration asks per candidate; `enumerate_plumbings` builds its own
+//!   catalog over the plan it is rewiring.
 //! * **probes** — `(snapshot-side signature, snapshot-side join columns)` →
-//!   half-join vertices probing that arrangement. Mirrors the storage
-//!   layer's arrangement identity, so the platform can derive the global
-//!   arrangement-registry refcounts without walking every edge twice.
+//!   half-join vertices probing that arrangement. Only its key count is
+//!   read, by one gauge and one line of `explain()`.
 //!
 //! All postings lists are `BTreeSet<VertexId>`, so every lookup yields
 //! candidates in vertex-id order. That is the determinism argument:

@@ -214,7 +214,6 @@ impl GlobalPlan {
                 vert.machine,
                 vert.schema.clone(),
                 vert.is_base,
-                None,
                 vert.est_rate,
                 vert.est_card,
                 vert.est_tuple_bytes,
@@ -238,7 +237,6 @@ impl GlobalPlan {
                         nid,
                         e.filter.clone(),
                         e.projection.clone(),
-                        None,
                         e.est_rate,
                         e.est_tuple_bytes,
                     )?;
@@ -439,7 +437,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                 *dst,
                 Predicate::True,
                 None,
-                None,
                 src_v.est_rate,
                 src_v.est_tuple_bytes,
             )?;
@@ -492,7 +489,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                     rel_v.machine,
                     delta_v.schema.clone(),
                     false,
-                    None,
                     delta_v.est_rate,
                     0.0,
                     delta_v.est_tuple_bytes,
@@ -503,7 +499,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                         vec![*delta_src],
                         d,
                         Predicate::True,
-                        None,
                         None,
                         delta_v.est_rate,
                         delta_v.est_tuple_bytes,
@@ -519,7 +514,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                 rel_v.machine,
                 dst_v.schema.clone(),
                 false,
-                None,
                 dst_v.est_rate,
                 0.0,
                 dst_v.est_tuple_bytes,
@@ -536,7 +530,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                     half_at_rel,
                     old_filter,
                     None,
-                    None,
                     dst_v.est_rate,
                     dst_v.est_tuple_bytes,
                 )?;
@@ -548,7 +541,6 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                 vec![half_at_rel],
                 *dst,
                 Predicate::True,
-                None,
                 None,
                 dst_v.est_rate,
                 dst_v.est_tuple_bytes,

@@ -205,12 +205,7 @@ impl<'a> Optimizer<'a> {
         // Seed: singleton sequences at their home machines.
         for (i, step) in steps.iter().enumerate() {
             let mut plan = Plan::new();
-            let handle = builder.base_handle(
-                &mut plan,
-                step.relation,
-                step.predicate.clone(),
-                Some(sharing.id),
-            )?;
+            let handle = builder.base_handle(&mut plan, step.relation, step.predicate.clone())?;
             let machine = handle.machine;
             let cand = Candidate {
                 plan,
@@ -314,7 +309,6 @@ impl<'a> Optimizer<'a> {
                 sharing.query.projection.clone(),
                 sharing.query.aggregate.clone(),
                 m,
-                Some(sharing.id),
             )?;
             let Some(metric) = self.metric(&plan, &handle, sharing, objective) else {
                 continue;
@@ -354,12 +348,7 @@ impl<'a> Optimizer<'a> {
         objective: Objective,
     ) -> Result<Option<Candidate>> {
         let mut plan = sub.plan.clone();
-        let base = builder.base_handle(
-            &mut plan,
-            steps[a].relation,
-            steps[a].predicate.clone(),
-            Some(sharing.id),
-        )?;
+        let base = builder.base_handle(&mut plan, steps[a].relation, steps[a].predicate.clone())?;
 
         // Skip degenerate copies that equal case (a).
         let (left, right) = match case {
@@ -368,24 +357,22 @@ impl<'a> Optimizer<'a> {
                 if sub.handle.machine == base.machine {
                     return Ok(None);
                 }
-                let moved =
-                    builder.replica(&mut plan, &sub.handle, base.machine, Some(sharing.id))?;
+                let moved = builder.replica(&mut plan, &sub.handle, base.machine)?;
                 (moved, base)
             }
             2 => {
                 if base.machine == sub.handle.machine {
                     return Ok(None);
                 }
-                let moved =
-                    builder.replica(&mut plan, &base, sub.handle.machine, Some(sharing.id))?;
+                let moved = builder.replica(&mut plan, &base, sub.handle.machine)?;
                 (sub.handle.clone(), moved)
             }
             _ => {
                 if sub.handle.machine == mi && base.machine == mi {
                     return Ok(None);
                 }
-                let l = builder.replica(&mut plan, &sub.handle, mi, Some(sharing.id))?;
-                let r = builder.replica(&mut plan, &base, mi, Some(sharing.id))?;
+                let l = builder.replica(&mut plan, &sub.handle, mi)?;
+                let r = builder.replica(&mut plan, &base, mi)?;
                 (l, r)
             }
         };
@@ -399,16 +386,7 @@ impl<'a> Optimizer<'a> {
         } else {
             (None, None)
         };
-        let handle = builder.join_step(
-            &mut plan,
-            &left,
-            &right,
-            &on,
-            mi,
-            projection,
-            aggregate,
-            Some(sharing.id),
-        )?;
+        let handle = builder.join_step(&mut plan, &left, &right, &on, mi, projection, aggregate)?;
         let Some(metric) = self.metric(&plan, &handle, sharing, objective) else {
             return Ok(None);
         };

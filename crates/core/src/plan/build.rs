@@ -18,7 +18,7 @@ use crate::plan::dag::{DeltaSide, EdgeOp, Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
 use smile_storage::{AggregateSpec, Predicate};
-use smile_types::{MachineId, RelationId, Result, Schema, SharingId, VertexId};
+use smile_types::{MachineId, RelationId, Result, Schema, VertexId};
 
 /// A relation available inside a plan under construction: its vertex pair,
 /// placement, and the estimates the cost model needs.
@@ -84,7 +84,6 @@ impl<'a> PlanBuilder<'a> {
         plan: &mut Plan,
         rel: RelationId,
         predicate: Predicate,
-        sharing: Option<SharingId>,
     ) -> Result<RelHandle> {
         let base = self.catalog.base(rel)?;
         let sel = predicate.default_selectivity();
@@ -97,7 +96,6 @@ impl<'a> PlanBuilder<'a> {
             base.machine,
             base.schema.clone(),
             true,
-            sharing,
             rate,
             card,
             base.stats.tuple_bytes,
@@ -108,7 +106,6 @@ impl<'a> PlanBuilder<'a> {
             base.machine,
             base.schema.clone(),
             true,
-            sharing,
             rate,
             0.0,
             base.stats.tuple_bytes,
@@ -141,7 +138,6 @@ impl<'a> PlanBuilder<'a> {
         plan: &mut Plan,
         handle: &RelHandle,
         machine: MachineId,
-        sharing: Option<SharingId>,
     ) -> Result<(VertexId, Predicate)> {
         if handle.machine == machine {
             return Ok((handle.delta, handle.pending_filter.clone()));
@@ -152,7 +148,6 @@ impl<'a> PlanBuilder<'a> {
             machine,
             handle.schema.clone(),
             false,
-            sharing,
             handle.rate,
             0.0,
             handle.tuple_bytes,
@@ -163,11 +158,9 @@ impl<'a> PlanBuilder<'a> {
             dst,
             handle.pending_filter.clone(),
             None,
-            sharing,
             handle.rate,
             handle.tuple_bytes,
         )?;
-        plan.vertex_mut(dst).sharings.extend(sharing);
         Ok((dst, Predicate::True))
     }
 
@@ -180,12 +173,11 @@ impl<'a> PlanBuilder<'a> {
         plan: &mut Plan,
         handle: &RelHandle,
         machine: MachineId,
-        sharing: Option<SharingId>,
     ) -> Result<RelHandle> {
         if handle.machine == machine {
             return Ok(handle.clone());
         }
-        let (delta_v, residual) = self.local_delta(plan, handle, machine, sharing)?;
+        let (delta_v, residual) = self.local_delta(plan, handle, machine)?;
         debug_assert_eq!(residual, Predicate::True, "copy consumed the filter");
         let rel_v = plan.add_vertex(
             VertexKind::Relation,
@@ -193,7 +185,6 @@ impl<'a> PlanBuilder<'a> {
             machine,
             handle.schema.clone(),
             false,
-            sharing,
             handle.rate,
             handle.card,
             handle.tuple_bytes,
@@ -204,7 +195,6 @@ impl<'a> PlanBuilder<'a> {
             rel_v,
             Predicate::True,
             None,
-            sharing,
             handle.rate,
             handle.tuple_bytes,
         )?;
@@ -225,8 +215,8 @@ impl<'a> PlanBuilder<'a> {
     /// The in-place incremental join of Figure 2: joins `left` and `right`
     /// (wherever they live), materializing the result on `out_machine`.
     ///
-    /// `projection`/`aggregate`/`sharing` mark the final MV step (at most
-    /// one of projection/aggregate); intermediates pass `None`.
+    /// `projection`/`aggregate` mark the final MV step (at most one of
+    /// them); intermediates pass `None`.
     /// `on.left_cols` index `left.schema`, `on.right_cols` index
     /// `right.schema`.
     #[allow(clippy::too_many_arguments)]
@@ -239,7 +229,6 @@ impl<'a> PlanBuilder<'a> {
         out_machine: MachineId,
         projection: Option<Vec<usize>>,
         aggregate: Option<AggregateSpec>,
-        sharing: Option<SharingId>,
     ) -> Result<RelHandle> {
         // ---- estimates --------------------------------------------------
         let fan_l2r = right.fanout(&on.right_cols);
@@ -253,7 +242,7 @@ impl<'a> PlanBuilder<'a> {
         let join_sig = ExprSig::join(left.sig.clone(), right.sig.clone(), on.clone());
 
         // ---- half-join 1: Δ(ΔL ⋈ R@old), computed at right's machine ----
-        let (dl, dl_filter) = self.local_delta(plan, left, right.machine, sharing)?;
+        let (dl, dl_filter) = self.local_delta(plan, left, right.machine)?;
         let pair = (left.machine, right.machine);
         let sig1 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), true, pair);
         let d1 = plan.add_vertex(
@@ -262,7 +251,6 @@ impl<'a> PlanBuilder<'a> {
             right.machine,
             out_schema.clone(),
             false,
-            sharing,
             rate1,
             0.0,
             out_bytes,
@@ -277,13 +265,12 @@ impl<'a> PlanBuilder<'a> {
             d1,
             dl_filter,
             None,
-            sharing,
             rate1,
             out_bytes,
         )?;
 
         // ---- half-join 2: Δ(L@new ⋈ ΔR), computed at left's machine -----
-        let (dr, dr_filter) = self.local_delta(plan, right, left.machine, sharing)?;
+        let (dr, dr_filter) = self.local_delta(plan, right, left.machine)?;
         let sig2 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), false, pair);
         let d2 = plan.add_vertex(
             VertexKind::Delta,
@@ -291,7 +278,6 @@ impl<'a> PlanBuilder<'a> {
             left.machine,
             out_schema.clone(),
             false,
-            sharing,
             rate2,
             0.0,
             out_bytes,
@@ -309,14 +295,13 @@ impl<'a> PlanBuilder<'a> {
             d2,
             dr_filter,
             None,
-            sharing,
             rate2,
             out_bytes,
         )?;
 
         // ---- move both half streams to the output machine ---------------
-        let d1_local = self.move_delta(plan, d1, &sig1, out_machine, rate1, out_bytes, sharing)?;
-        let d2_local = self.move_delta(plan, d2, &sig2, out_machine, rate2, out_bytes, sharing)?;
+        let d1_local = self.move_delta(plan, d1, &sig1, out_machine, rate1, out_bytes)?;
+        let d2_local = self.move_delta(plan, d2, &sig2, out_machine, rate2, out_bytes)?;
 
         // ---- union and apply --------------------------------------------
         let (mv_schema, mv_bytes) = if let Some(spec) = &aggregate {
@@ -370,7 +355,6 @@ impl<'a> PlanBuilder<'a> {
             out_machine,
             mv_schema.clone(),
             false,
-            sharing,
             out_rate,
             0.0,
             mv_bytes,
@@ -385,7 +369,6 @@ impl<'a> PlanBuilder<'a> {
             } else {
                 projection
             },
-            sharing,
             out_rate,
             mv_bytes,
         )?;
@@ -398,7 +381,6 @@ impl<'a> PlanBuilder<'a> {
             out_machine,
             mv_schema.clone(),
             false,
-            sharing,
             out_rate,
             out_card,
             mv_bytes,
@@ -409,7 +391,6 @@ impl<'a> PlanBuilder<'a> {
             r_out,
             Predicate::True,
             None,
-            sharing,
             out_rate,
             mv_bytes,
         )?;
@@ -429,7 +410,6 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Moves a delta vertex to `machine` with a `CopyDelta` when needed.
-    #[allow(clippy::too_many_arguments)]
     fn move_delta(
         &self,
         plan: &mut Plan,
@@ -438,7 +418,6 @@ impl<'a> PlanBuilder<'a> {
         machine: MachineId,
         rate: f64,
         bytes: f64,
-        sharing: Option<SharingId>,
     ) -> Result<VertexId> {
         if plan.vertex(delta).machine == machine {
             return Ok(delta);
@@ -450,7 +429,6 @@ impl<'a> PlanBuilder<'a> {
             machine,
             schema,
             false,
-            sharing,
             rate,
             0.0,
             bytes,
@@ -461,7 +439,6 @@ impl<'a> PlanBuilder<'a> {
             dst,
             Predicate::True,
             None,
-            sharing,
             rate,
             bytes,
         )?;
@@ -470,7 +447,6 @@ impl<'a> PlanBuilder<'a> {
 
     /// A single-relation sharing (select/project/aggregate only): the MV is
     /// a maintained filtered copy of the base.
-    #[allow(clippy::too_many_arguments)]
     pub fn scan_plan(
         &self,
         plan: &mut Plan,
@@ -479,9 +455,8 @@ impl<'a> PlanBuilder<'a> {
         projection: Option<Vec<usize>>,
         aggregate: Option<AggregateSpec>,
         out_machine: MachineId,
-        sharing: Option<SharingId>,
     ) -> Result<RelHandle> {
-        let base = self.base_handle(plan, rel, predicate.clone(), sharing)?;
+        let base = self.base_handle(plan, rel, predicate.clone())?;
         // An identity scan (no filter, projection or aggregation) hosted on
         // the base's own machine would have the base relation's exact
         // signature and dedup into it — a self-loop. Materialize it as an
@@ -518,7 +493,6 @@ impl<'a> PlanBuilder<'a> {
             out_machine,
             mv_schema.clone(),
             false,
-            sharing,
             base.rate,
             0.0,
             mv_bytes,
@@ -533,7 +507,6 @@ impl<'a> PlanBuilder<'a> {
             } else {
                 projection
             },
-            sharing,
             base.rate,
             mv_bytes,
         )?;
@@ -546,7 +519,6 @@ impl<'a> PlanBuilder<'a> {
             out_machine,
             mv_schema.clone(),
             false,
-            sharing,
             base.rate,
             base.card,
             mv_bytes,
@@ -557,7 +529,6 @@ impl<'a> PlanBuilder<'a> {
             r_mv,
             Predicate::True,
             None,
-            sharing,
             base.rate,
             mv_bytes,
         )?;
@@ -626,12 +597,11 @@ mod tests {
         let cat = catalog();
         let b = PlanBuilder::new(&cat);
         let mut plan = Plan::new();
-        let s = Some(SharingId::new(0));
         let users = b
-            .base_handle(&mut plan, RelationId::new(0), Predicate::True, s)
+            .base_handle(&mut plan, RelationId::new(0), Predicate::True)
             .unwrap();
         let tweets = b
-            .base_handle(&mut plan, RelationId::new(1), Predicate::True, s)
+            .base_handle(&mut plan, RelationId::new(1), Predicate::True)
             .unwrap();
         let mv = b
             .join_step(
@@ -642,7 +612,6 @@ mod tests {
                 MachineId::new(2),
                 None,
                 None,
-                s,
             )
             .unwrap();
         plan.validate().unwrap();
@@ -675,10 +644,10 @@ mod tests {
         let b = PlanBuilder::new(&cat);
         let mut plan = Plan::new();
         let ah = b
-            .base_handle(&mut plan, RelationId::new(0), Predicate::True, None)
+            .base_handle(&mut plan, RelationId::new(0), Predicate::True)
             .unwrap();
         let bh = b
-            .base_handle(&mut plan, RelationId::new(1), Predicate::True, None)
+            .base_handle(&mut plan, RelationId::new(1), Predicate::True)
             .unwrap();
         b.join_step(
             &mut plan,
@@ -686,7 +655,6 @@ mod tests {
             &bh,
             &JoinOn::on(0, 0),
             MachineId::new(0),
-            None,
             None,
             None,
         )
@@ -707,12 +675,10 @@ mod tests {
         let mut plan = Plan::new();
         let pred = Predicate::eq(1, "ann");
         let users = b
-            .base_handle(&mut plan, RelationId::new(0), pred.clone(), None)
+            .base_handle(&mut plan, RelationId::new(0), pred.clone())
             .unwrap();
         assert_eq!(users.pending_filter, pred);
-        let replica = b
-            .replica(&mut plan, &users, MachineId::new(1), None)
-            .unwrap();
+        let replica = b.replica(&mut plan, &users, MachineId::new(1)).unwrap();
         assert_eq!(replica.pending_filter, Predicate::True);
         assert_eq!(replica.machine, MachineId::new(1));
         // The copy edge carries the filter.
@@ -734,11 +700,9 @@ mod tests {
         let b = PlanBuilder::new(&cat);
         let mut plan = Plan::new();
         let users = b
-            .base_handle(&mut plan, RelationId::new(0), Predicate::True, None)
+            .base_handle(&mut plan, RelationId::new(0), Predicate::True)
             .unwrap();
-        let same = b
-            .replica(&mut plan, &users, MachineId::new(0), None)
-            .unwrap();
+        let same = b.replica(&mut plan, &users, MachineId::new(0)).unwrap();
         assert_eq!(same.rel, users.rel);
         assert_eq!(plan.edge_count(), 0);
     }
@@ -756,7 +720,6 @@ mod tests {
                 Some(vec![0]),
                 None,
                 MachineId::new(1),
-                Some(SharingId::new(3)),
             )
             .unwrap();
         plan.validate().unwrap();
@@ -771,10 +734,10 @@ mod tests {
         let b = PlanBuilder::new(&cat);
         let mut plan = Plan::new();
         let users = b
-            .base_handle(&mut plan, RelationId::new(0), Predicate::True, None)
+            .base_handle(&mut plan, RelationId::new(0), Predicate::True)
             .unwrap();
         let tweets = b
-            .base_handle(&mut plan, RelationId::new(1), Predicate::True, None)
+            .base_handle(&mut plan, RelationId::new(1), Predicate::True)
             .unwrap();
         // users.uid is a key: one match per probing tweet.
         assert!((users.fanout(&[0]) - 1.0).abs() < 1e-9);
@@ -787,12 +750,11 @@ mod tests {
         let cat = catalog();
         let b = PlanBuilder::new(&cat);
         let mut plan = Plan::new();
-        let s = Some(SharingId::new(1));
         let users = b
-            .base_handle(&mut plan, RelationId::new(0), Predicate::True, s)
+            .base_handle(&mut plan, RelationId::new(0), Predicate::True)
             .unwrap();
         let tweets = b
-            .base_handle(&mut plan, RelationId::new(1), Predicate::True, s)
+            .base_handle(&mut plan, RelationId::new(1), Predicate::True)
             .unwrap();
         let ut = b
             .join_step(
@@ -803,13 +765,12 @@ mod tests {
                 MachineId::new(2),
                 None,
                 None,
-                s,
             )
             .unwrap();
         // Join the intermediate with users again (self-join shape, exercises
         // intermediate-as-left).
         let users2 = b
-            .base_handle(&mut plan, RelationId::new(0), Predicate::True, s)
+            .base_handle(&mut plan, RelationId::new(0), Predicate::True)
             .unwrap();
         let mv = b
             .join_step(
@@ -820,7 +781,6 @@ mod tests {
                 MachineId::new(2),
                 Some(vec![0, 2]),
                 None,
-                s,
             )
             .unwrap();
         plan.validate().unwrap();

@@ -1,6 +1,6 @@
 //! Critical time path and dollar cost of sharing plans (paper §5.1–5.2).
 
-use crate::plan::dag::{EdgeOp, Plan, VertexKind};
+use crate::plan::dag::{Edge, EdgeOp, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::PriceSheet;
 use smile_types::{SharingId, SimDuration};
@@ -178,11 +178,19 @@ pub fn machine_utilization(
     scope: Scope,
     model: &TimeCostModel,
 ) -> HashMap<smile_types::MachineId, f64> {
+    let in_scope = plan.edges().iter().filter(|e| scope.includes(&e.sharings));
+    edge_utilization(plan, in_scope, model)
+}
+
+/// [`machine_utilization`] over a caller-chosen set of `plan`'s edges (the
+/// running platform sums the edges the executor holds live).
+pub fn edge_utilization<'a>(
+    plan: &Plan,
+    edges: impl Iterator<Item = &'a Edge>,
+    model: &TimeCostModel,
+) -> HashMap<smile_types::MachineId, f64> {
     let mut load: HashMap<smile_types::MachineId, f64> = HashMap::new();
-    for e in plan.edges() {
-        if !scope.includes(&e.sharings) {
-            continue;
-        }
+    for e in edges {
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
         *load.entry(e.runs_on(plan)).or_default() += per_tuple * e.est_rate;
     }
@@ -211,7 +219,6 @@ mod tests {
             MachineId::new(0),
             schema(),
             true,
-            None,
             rate,
             0.0,
             24.0,
@@ -222,7 +229,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            Some(SharingId::new(0)),
             rate,
             0.0,
             24.0,
@@ -233,7 +239,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            Some(SharingId::new(0)),
             rate,
             1000.0,
             24.0,
@@ -244,7 +249,6 @@ mod tests {
             d1,
             Predicate::True,
             None,
-            Some(SharingId::new(0)),
             rate,
             24.0,
         )
@@ -255,11 +259,17 @@ mod tests {
             r1,
             Predicate::True,
             None,
-            Some(SharingId::new(0)),
             rate,
             24.0,
         )
         .unwrap();
+        // Everything off the base serves sharing 0.
+        for v in [d1, r1] {
+            p.vertex_mut(v).sharings.insert(SharingId::new(0));
+        }
+        for e in p.edges_mut() {
+            e.sharings.insert(SharingId::new(0));
+        }
         p
     }
 

@@ -219,7 +219,9 @@ impl Plan {
     }
 
     /// Adds a vertex, deduplicating on (kind, sig, machine): if an identical
-    /// vertex exists, its sharings are extended and its id returned.
+    /// vertex exists, its id is returned. A new vertex serves no sharing
+    /// yet — `SHR` sets are the global plan's to write
+    /// ([`GlobalPlan`](crate::multi::GlobalPlan)).
     #[allow(clippy::too_many_arguments)]
     pub fn add_vertex(
         &mut self,
@@ -228,22 +230,14 @@ impl Plan {
         machine: MachineId,
         schema: Schema,
         is_base: bool,
-        sharing: Option<SharingId>,
         est_rate: f64,
         est_card: f64,
         est_tuple_bytes: f64,
     ) -> VertexId {
         if let Some(&existing) = self.index.get(&(kind, sig.clone(), machine)) {
-            if let Some(s) = sharing {
-                self.vertices[existing.index()].sharings.insert(s);
-            }
             return existing;
         }
         let id = VertexId::new(self.vertices.len() as u32);
-        let mut sharings = BTreeSet::new();
-        if let Some(s) = sharing {
-            sharings.insert(s);
-        }
         self.index.insert((kind, sig.clone(), machine), id);
         self.vertices.push(Vertex {
             id,
@@ -253,7 +247,7 @@ impl Plan {
             schema,
             is_base,
             slot: None,
-            sharings,
+            sharings: BTreeSet::new(),
             est_rate,
             est_card,
             est_tuple_bytes,
@@ -264,7 +258,7 @@ impl Plan {
     }
 
     /// Adds an edge. If the output vertex already has a producer with the
-    /// same operator and inputs, the edge is deduplicated (sharings union).
+    /// same operator and inputs, the edge is deduplicated.
     ///
     /// Returns an error if the output already has a *different* producer —
     /// a structural conflict the optimizer must resolve before merging.
@@ -276,7 +270,6 @@ impl Plan {
         output: VertexId,
         filter: Predicate,
         projection: Option<Vec<usize>>,
-        sharing: Option<SharingId>,
         est_rate: f64,
         est_tuple_bytes: f64,
     ) -> Result<usize> {
@@ -284,9 +277,6 @@ impl Plan {
             let e = &self.edges[existing];
             if e.op == op && e.inputs == inputs && e.filter == filter && e.projection == projection
             {
-                if let Some(s) = sharing {
-                    self.edges[existing].sharings.insert(s);
-                }
                 return Ok(existing);
             }
             return Err(SmileError::InvalidPlan(format!(
@@ -294,10 +284,6 @@ impl Plan {
             )));
         }
         let id = self.edges.len();
-        let mut sharings = BTreeSet::new();
-        if let Some(s) = sharing {
-            sharings.insert(s);
-        }
         for &input in &inputs {
             self.consumers[input.index()].push(id);
         }
@@ -310,7 +296,7 @@ impl Plan {
             filter,
             projection,
             aggregate: None,
-            sharings,
+            sharings: BTreeSet::new(),
             est_rate,
             est_tuple_bytes,
         });
@@ -562,7 +548,6 @@ impl Plan {
                 vert.machine,
                 vert.schema.clone(),
                 vert.is_base,
-                None,
                 vert.est_rate,
                 vert.est_card,
                 vert.est_tuple_bytes,
@@ -587,7 +572,6 @@ impl Plan {
                     output,
                     e.filter.clone(),
                     e.projection.clone(),
-                    None,
                     e.est_rate,
                     e.est_tuple_bytes,
                 )
@@ -616,7 +600,6 @@ mod tests {
             MachineId::new(m),
             schema(),
             true,
-            None,
             10.0,
             100.0,
             24.0,
@@ -627,7 +610,6 @@ mod tests {
             MachineId::new(m),
             schema(),
             true,
-            None,
             10.0,
             0.0,
             24.0,
@@ -639,6 +621,7 @@ mod tests {
     fn dedup_on_add_vertex() {
         let mut p = Plan::new();
         let (r1, _) = base_pair(&mut p, 0, 0);
+        p.vertex_mut(r1).sharings.insert(SharingId::new(5));
         let sig = ExprSig::base(RelationId::new(0));
         let r2 = p.add_vertex(
             VertexKind::Relation,
@@ -646,7 +629,6 @@ mod tests {
             MachineId::new(0),
             schema(),
             true,
-            Some(SharingId::new(5)),
             10.0,
             100.0,
             24.0,
@@ -667,7 +649,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             10.0,
             0.0,
             24.0,
@@ -678,7 +659,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             10.0,
             100.0,
             24.0,
@@ -689,7 +669,6 @@ mod tests {
             d1,
             Predicate::True,
             None,
-            None,
             10.0,
             24.0,
         )
@@ -699,7 +678,6 @@ mod tests {
             vec![d1],
             r1,
             Predicate::True,
-            None,
             None,
             10.0,
             24.0,
@@ -725,7 +703,6 @@ mod tests {
             MachineId::new(0),
             schema(),
             false,
-            None,
             1.0,
             0.0,
             24.0,
@@ -735,7 +712,6 @@ mod tests {
             vec![d0],
             out,
             Predicate::True,
-            None,
             None,
             1.0,
             24.0,
@@ -748,7 +724,6 @@ mod tests {
             out,
             Predicate::True,
             None,
-            Some(SharingId::new(1)),
             1.0,
             24.0,
         );
@@ -760,7 +735,6 @@ mod tests {
             vec![d1],
             out,
             Predicate::True,
-            None,
             None,
             1.0,
             24.0,
@@ -778,7 +752,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             10.0,
             100.0,
             24.0,
@@ -788,7 +761,6 @@ mod tests {
             vec![d0],
             r1,
             Predicate::True,
-            None,
             None,
             10.0,
             24.0,
@@ -808,7 +780,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             10.0,
             0.0,
             24.0,
@@ -819,7 +790,6 @@ mod tests {
             MachineId::new(2),
             schema(),
             false,
-            None,
             10.0,
             0.0,
             24.0,
@@ -830,7 +800,6 @@ mod tests {
             d1,
             Predicate::True,
             None,
-            None,
             10.0,
             24.0,
         )
@@ -840,7 +809,6 @@ mod tests {
             vec![d1],
             d2,
             Predicate::True,
-            None,
             None,
             10.0,
             24.0,
@@ -866,7 +834,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             10.0,
             0.0,
             24.0,
@@ -877,7 +844,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             10.0,
             100.0,
             24.0,
@@ -888,7 +854,6 @@ mod tests {
             d1,
             Predicate::True,
             None,
-            None,
             10.0,
             24.0,
         )
@@ -898,7 +863,6 @@ mod tests {
             vec![d1],
             r1,
             Predicate::True,
-            None,
             None,
             10.0,
             24.0,
@@ -924,7 +888,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             1.0,
             0.0,
             24.0,
@@ -935,7 +898,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             1.0,
             0.0,
             24.0,
@@ -946,7 +908,6 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            None,
             1.0,
             0.0,
             24.0,
@@ -958,7 +919,6 @@ mod tests {
                 dst,
                 Predicate::True,
                 None,
-                None,
                 1.0,
                 24.0,
             )
@@ -969,7 +929,6 @@ mod tests {
             vec![ca, cb],
             u,
             Predicate::True,
-            None,
             None,
             1.0,
             24.0,
@@ -990,27 +949,22 @@ mod tests {
             MachineId::new(1),
             schema(),
             false,
-            Some(SharingId::new(1)),
             10.0,
             0.0,
             24.0,
         );
-        let e = p
-            .add_edge(
-                EdgeOp::CopyDelta,
-                vec![d0],
-                d1,
-                Predicate::True,
-                None,
-                Some(SharingId::new(1)),
-                10.0,
-                24.0,
-            )
-            .unwrap();
-        // Strip the sharing: GC should drop the derived vertex and edge but
-        // keep the base pair.
-        p.vertex_mut(d1).sharings.clear();
-        p.edges[e].sharings.clear();
+        p.add_edge(
+            EdgeOp::CopyDelta,
+            vec![d0],
+            d1,
+            Predicate::True,
+            None,
+            10.0,
+            24.0,
+        )
+        .unwrap();
+        // The copy serves no sharing: GC should drop the derived vertex and
+        // edge but keep the base pair.
         let gc = p.garbage_collect();
         assert_eq!(gc.vertex_count(), 2);
         assert_eq!(gc.edge_count(), 0);
@@ -1040,12 +994,12 @@ mod tests {
         let (mut merged, mut pairs) = (crate::multi::GlobalPlan::new(), Vec::new());
         for (id, mv_machine) in [(1, MachineId::new(0)), (2, MachineId::new(2))] {
             let mut plan = Plan::new();
-            let base = |plan: &mut Plan, rel| builder.base_handle(plan, rel, Predicate::True, None);
+            let base = |plan: &mut Plan, rel| builder.base_handle(plan, rel, Predicate::True);
             let left = base(&mut plan, a).unwrap();
-            let left = builder.replica(&mut plan, &left, mv_machine, None).unwrap();
+            let left = builder.replica(&mut plan, &left, mv_machine).unwrap();
             let right = base(&mut plan, b).unwrap();
             let mv = builder
-                .join_step(&mut plan, &left, &right, &on, mv_machine, None, None, None)
+                .join_step(&mut plan, &left, &right, &on, mv_machine, None, None)
                 .unwrap();
             let sharing = crate::sharing::Sharing::new(
                 SharingId::new(id),
@@ -1103,7 +1057,6 @@ mod tests {
             MachineId::new(2),
             schema(),
             false,
-            None,
             1.0,
             0.0,
             24.0,
@@ -1114,7 +1067,6 @@ mod tests {
             stray,
             Predicate::True,
             None,
-            Some(SharingId::new(3)),
             1.0,
             24.0,
         )

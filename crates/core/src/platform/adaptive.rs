@@ -187,10 +187,9 @@ impl Smile {
             return Ok(false); // the current placement already wins
         }
         // Shadow install: merge the new chain into the running plan, then
-        // materialize + seed its storage exactly like a live admission. No
-        // arrangement sync yet — the shadow chain serves no sharing until
-        // cutover recomputes SHR; its physical indexes already exist from
-        // materialization.
+        // reconcile storage exactly like a live admission — the chain is
+        // live from here on although it serves no sharing until cutover
+        // recomputes SHR.
         running_mut(&mut self.executor)?.begin_migration(
             id,
             &planned,
@@ -205,7 +204,7 @@ impl Smile {
         // other; seeding at `mv_ts` makes the correction algebra telescope
         // exactly (base logs are retained back to every live MV's commit
         // point by the executor's compaction bound).
-        self.materialize_and_seed(Some(seed_at))?;
+        self.reconcile_storage(Some(seed_at))?;
         self.last_migration.insert(id, self.now);
         let to = planned.mv_machine;
         self.pending_plans.insert(id, planned);
@@ -217,15 +216,15 @@ impl Smile {
         Ok(true)
     }
 
-    /// Applies migration outcomes the executor settled this tick: drops
-    /// now-unserved slots, swaps the sharing's admitted plan on completion,
-    /// reconciles arrangements, logs the action — and retires any drained
-    /// machine that no longer hosts MVs, migrations or base relations.
+    /// Applies migration outcomes the executor settled this tick: swaps the
+    /// sharing's admitted plan on completion, logs the action, reconciles
+    /// storage (old-chain exclusives on completion, shadow-chain exclusives
+    /// on abort, are no longer live) — and retires any drained machine that
+    /// no longer hosts MVs, migrations or base relations.
     pub(super) fn settle_migrations(&mut self) -> Result<()> {
         let outcomes = running_mut(&mut self.executor)?.take_migration_outcomes();
         let any = !outcomes.is_empty();
         for o in outcomes {
-            self.drop_slots(&o.dropped)?;
             let new_plan = self.pending_plans.remove(&o.id);
             let (sharing, from, to) = (o.id, o.from, o.to);
             let kind = if o.completed {
@@ -241,7 +240,7 @@ impl Smile {
             self.push_action(kind);
         }
         if any {
-            self.sync_arrangements()?;
+            self.reconcile_storage(None)?;
         }
         // Drain-before-retire: a Draining machine leaves the fleet only
         // once nothing is homed on it — no live MV, no in-flight handoff

@@ -34,8 +34,9 @@ use crate::executor::{ExecConfig, Executor};
 use crate::merge_catalog::MergeCatalog;
 use crate::multi::{GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, PlannedSharing};
-use crate::plan::cost::{machine_utilization, Scope};
-use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, VertexKind};
+use crate::plan::cost::{edge_utilization, machine_utilization, Scope};
+use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, Vertex, VertexKind};
+use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
 use crate::reoptimizer::Reoptimizer;
 use crate::sharing::Sharing;
@@ -45,7 +46,7 @@ use smile_storage::registry::ArrangementKey;
 use smile_storage::{ArrangementRegistry, DeltaBatch, SpjQuery};
 use smile_telemetry::{Telemetry, TelemetryConfig};
 use smile_types::{
-    MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp,
+    MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -316,7 +317,7 @@ impl Smile {
     }
 
     /// Validate → plan against the phase's utilization → merge through the
-    /// merge catalog → materialize and seed when running. The phase selects
+    /// merge catalog → reconcile storage when running. The phase selects
     /// only the utilization view and where the plan merges.
     fn plan_and_merge(
         &mut self,
@@ -343,8 +344,7 @@ impl Smile {
         match &mut self.executor {
             Some(executor) => {
                 executor.add_sharing(sharing, &planned, &mut self.merge_catalog)?;
-                self.materialize_and_seed(None)?;
-                self.sync_arrangements()?;
+                self.reconcile_storage(None)?;
             }
             None => {
                 self.staged
@@ -372,15 +372,16 @@ impl Smile {
         .with_force_objective(self.config.force_objective)
     }
 
-    /// Per-machine utilization of the *running* global plan.
+    /// Per-machine utilization of the live part of the *running* global
+    /// plan: what a retired sharing loaded is admission capacity again.
     fn live_utilization(&self) -> Result<HashMap<MachineId, f64>> {
         let executor = running(&self.executor)?;
-        let live = machine_utilization(&executor.global.plan, Scope::All, &self.config.model);
-        Ok(live)
+        let (plan, model) = (&executor.global.plan, &self.config.model);
+        Ok(edge_utilization(plan, executor.live_edges(), model))
     }
 
     /// Runs the plumbing pass over the staged global plan, starts the
-    /// executor on it, and materializes and seeds its storage.
+    /// executor on it, and gives the plan its storage.
     pub fn install(&mut self) -> Result<()> {
         if self.executor.is_some() {
             return Err(SmileError::Internal(
@@ -410,35 +411,109 @@ impl Smile {
             self.config.exec.clone(),
             Arc::clone(&self.telemetry),
         )?);
-        self.materialize_and_seed(None)?;
-        self.sync_arrangements()
+        self.reconcile_storage(None)
     }
 
-    /// Gives every vertex of the running plan that lacks one its storage
-    /// ([`materialize_into`]), tells the executor the new vertices are
-    /// seeded, and lifts the ingest floor past the seed instant: entries
-    /// stamped at or before it are baked into the seed and would fall
-    /// outside the new vertices' half-open push windows. `None` seeds from
-    /// the current base contents, stamped `now`.
-    fn materialize_and_seed(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
+    /// The one storage reconcile, run wherever liveness may have changed
+    /// (install, live admission, retirement, migration start and
+    /// settlement): afterwards a derived vertex holds a storage slot exactly
+    /// when the executor says it is [`live`](Executor::live).
+    ///
+    /// * Every live vertex without a slot gets one, in vertex-id order — its
+    ///   twin's if the twin holds one (a Relation vertex and the Delta
+    ///   vertex of the same signature and machine share table + log), else
+    ///   a new relation whose log starts at the seed instant.
+    /// * Every Relation vertex slotted here is seeded from ground truth and
+    ///   every vertex slotted here is stamped with the seed instant — per
+    ///   vertex, so a relation adopting the slot its delta twin has long
+    ///   been landing windows in is seeded like any other. The ingest floor
+    ///   is lifted past the seed instant: entries stamped at or before it
+    ///   are in the seed and would fall outside the new vertices' half-open
+    ///   push windows.
+    /// * Every vertex that is no longer live gives its slot up, and a slot
+    ///   nobody holds any more is dropped.
+    /// * The arrangement registry is reconciled against the plan.
+    ///
+    /// `seed_at` pins the seed: the relations are evaluated from base
+    /// snapshots *as of* that instant and stamped with it. Admissions seed
+    /// at `now` (base tables are current); a migration must instead seed at
+    /// the old chain's committed MV timestamp so the shadow chain's push
+    /// windows tile exactly against the anchored half-join jobs it shares
+    /// with the old chain.
+    fn reconcile_storage(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
         let executor = running_mut(&mut self.executor)?;
-        let created = materialize_into(
-            &mut self.catalog,
-            &mut self.cluster,
-            &mut executor.global,
-            seed_at,
-            self.now,
-        )?;
-        let seeded = seed_at.unwrap_or(self.now);
-        executor.mark_vertices_seeded(&created, seeded);
-        self.seed_floor = self.seed_floor.max(seeded + SimDuration::from_micros(1));
-        Ok(())
+        // The one place the seed instant is chosen.
+        let seed = seed_at.unwrap_or(self.now);
+        let vertex_ids = (0..executor.global.plan.vertex_count()).map(|i| VertexId::new(i as u32));
+        let mut slotted: Vec<VertexId> = Vec::new();
+        for v in vertex_ids.clone() {
+            let plan = &executor.global.plan;
+            let vert = plan.vertex(v);
+            if vert.slot.is_some() || !(vert.is_base || executor.live(v)) {
+                continue;
+            }
+            let slot = match (&vert.sig, vert.is_base) {
+                (ExprSig::Base(rel), true) => *rel,
+                (other, true) => {
+                    return Err(SmileError::Internal(format!(
+                        "base vertex with non-base signature {other}"
+                    )))
+                }
+                (_, false) => twin_slot(plan, vert).unwrap_or_else(|| self.catalog.alloc_derived()),
+            };
+            let db = &mut self.cluster.machine_mut(vert.machine)?.db;
+            if !db.has_relation(slot) {
+                db.create_relation(slot, vert.schema.clone())?;
+                db.compact(slot, seed)?;
+            }
+            if !vert.is_base {
+                slotted.push(v);
+            }
+            executor.global.plan.vertex_mut(v).slot = Some(slot);
+        }
+        let plan = &executor.global.plan;
+        // Arrangements the newly slotted join edges probe, before seeding
+        // fills the tables (idempotent; edges on one (relation, key) pair
+        // share one arrangement).
+        for &v in &slotted {
+            if let Some((machine, slot, cols)) =
+                plan.producer(v).and_then(|e| probed_arrangement(plan, e))
+            {
+                let db = &mut self.cluster.machine_mut(machine)?.db;
+                db.ensure_index(slot, &cols)?;
+            }
+        }
+        for vert in slotted.iter().map(|&v| plan.vertex(v)) {
+            if let (VertexKind::Relation, Some(slot)) = (vert.kind, vert.slot) {
+                let rows = eval_sig(&vert.sig, &self.cluster, &self.catalog, seed_at)?;
+                let db = &mut self.cluster.machine_mut(vert.machine)?.db;
+                db.seed_relation(slot, rows, seed)?;
+            }
+        }
+        if !slotted.is_empty() {
+            executor.mark_vertices_seeded(&slotted, seed);
+            self.seed_floor = self.seed_floor.max(seed + SimDuration::from_micros(1));
+        }
+        for v in vertex_ids {
+            let plan = &executor.global.plan;
+            let vert = plan.vertex(v);
+            let Some(slot) = vert.slot.filter(|_| !(vert.is_base || executor.live(v))) else {
+                continue;
+            };
+            if twin_slot(plan, vert) != Some(slot) {
+                let db = &mut self.cluster.machine_mut(vert.machine)?.db;
+                db.drop_relation(slot)?;
+            }
+            executor.global.plan.vertex_mut(v).slot = None;
+        }
+        self.sync_arrangements()
     }
 
     /// Reconciles the global arrangement registry against the live plan's
     /// join edges and applies the physical delta: first references
-    /// build arrangements (idempotent — materialization usually already
-    /// did), last references drop them so retired sharings reclaim memory.
+    /// build arrangements (idempotent — the storage reconcile usually
+    /// already did), last references drop them so retired sharings reclaim
+    /// memory.
     fn sync_arrangements(&mut self) -> Result<()> {
         let executor = running(&self.executor)?;
         let delta = self
@@ -490,24 +565,14 @@ impl Smile {
     /// sharing and drops the storage that served only it. Other sharings
     /// are untouched — shared vertices keep running for them.
     pub fn retire(&mut self, id: SharingId) -> Result<()> {
-        let dropped = running_mut(&mut self.executor)?.remove_sharing(id)?;
-        self.drop_slots(&dropped)?;
+        running_mut(&mut self.executor)?.remove_sharing(id)?;
         if let Some(pos) = self.sharings.iter().position(|s| s.id == id) {
             self.sharings.remove(pos);
             self.planned.remove(pos);
         }
         self.pending_plans.remove(&id);
         self.last_migration.remove(&id);
-        self.sync_arrangements()
-    }
-
-    /// Drops the storage slots the executor released — the single reconcile
-    /// shared by sharing retirement and live-migration settlement.
-    fn drop_slots(&mut self, released: &[(MachineId, RelationId)]) -> Result<()> {
-        for &(machine, slot) in released {
-            self.cluster.machine_mut(machine)?.db.drop_relation(slot)?;
-        }
-        Ok(())
+        self.reconcile_storage(None)
     }
 
     /// Ingests an application update batch into a base relation (delta
@@ -618,95 +683,14 @@ fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> 
     desired
 }
 
-/// The incremental storage materializer: allocates storage slots for plan
-/// vertices that lack one, creates the relations, declares the secondary
-/// indexes join edges probe, seeds the new derived relations from ground
-/// truth, and returns the vertices whose storage it created. `seed_at`
-/// pins the seed: the relations are evaluated from base snapshots *as of*
-/// that instant and stamped with it. Admissions seed at `now` (base tables
-/// are current); a migration must instead seed at the old chain's
-/// committed MV timestamp so the shadow chain's push windows tile exactly
-/// against the anchored half-join jobs it shares with the old chain.
-fn materialize_into(
-    catalog: &mut Catalog,
-    cluster: &mut Cluster,
-    global: &mut GlobalPlan,
-    seed_at: Option<Timestamp>,
-    now: Timestamp,
-) -> Result<Vec<smile_types::VertexId>> {
-    use crate::plan::sig::ExprSig;
-    // Existing slot assignments seed the (sig, machine) → slot map so a new
-    // Delta vertex pairs with its already-materialized Relation twin.
-    let mut slots: HashMap<(ExprSig, MachineId), RelationId> = HashMap::new();
-    for v in global.plan.vertices() {
-        if let Some(slot) = v.slot {
-            slots.insert((v.sig.clone(), v.machine), slot);
-        }
-    }
-    let mut created: Vec<smile_types::VertexId> = Vec::new();
-    let mut created_slots: std::collections::HashSet<(MachineId, RelationId)> =
-        std::collections::HashSet::new();
-    for i in 0..global.plan.vertex_count() {
-        let v = smile_types::VertexId::new(i as u32);
-        let vert = global.plan.vertex(v);
-        if vert.slot.is_some() {
-            continue;
-        }
-        let machine = vert.machine;
-        let slot = if vert.is_base {
-            match &vert.sig {
-                ExprSig::Base(r) => *r,
-                other => {
-                    return Err(SmileError::Internal(format!(
-                        "base vertex with non-base signature {other}"
-                    )))
-                }
-            }
-        } else {
-            *slots
-                .entry((vert.sig.clone(), machine))
-                .or_insert_with(|| catalog.alloc_derived())
-        };
-        if !cluster.machine(machine)?.db.has_relation(slot) {
-            cluster
-                .machine_mut(machine)?
-                .db
-                .create_relation(slot, vert.schema.clone())?;
-            created_slots.insert((machine, slot));
-        }
-        global.plan.vertex_mut(v).slot = Some(slot);
-        if created_slots.contains(&(machine, slot)) {
-            created.push(v);
-        }
-    }
-    // Arrangements for join probes (idempotent; edges on the same
-    // (relation, key) pair share one arrangement).
-    for e in global.plan.edges() {
-        if let Some((machine, slot, cols)) = probed_arrangement(&global.plan, e) {
-            cluster.machine_mut(machine)?.db.ensure_index(slot, &cols)?;
-        }
-    }
-    // Seed the freshly created derived relations in topological order.
-    let mut seeded: std::collections::HashSet<(MachineId, RelationId)> =
-        std::collections::HashSet::new();
-    for v in global.plan.topo_order()? {
-        let vert = global.plan.vertex(v);
-        if vert.is_base || vert.kind != VertexKind::Relation {
-            continue;
-        }
-        let slot = vert.slot.ok_or_else(|| {
-            SmileError::Internal(format!("derived vertex {v} left without a storage slot"))
-        })?;
-        if !created_slots.contains(&(vert.machine, slot)) || !seeded.insert((vert.machine, slot)) {
-            continue;
-        }
-        let rows = eval_sig(&vert.sig, cluster, catalog, seed_at)?;
-        cluster
-            .machine_mut(vert.machine)?
-            .db
-            .seed_relation(slot, rows, seed_at.unwrap_or(now))?;
-    }
-    Ok(created)
+/// The slot held by `vert`'s twin — the vertex of the other kind with the
+/// same signature on the same machine, with which it shares one slot.
+fn twin_slot(plan: &Plan, vert: &Vertex) -> Option<RelationId> {
+    let other = match vert.kind {
+        VertexKind::Relation => VertexKind::Delta,
+        VertexKind::Delta => VertexKind::Relation,
+    };
+    plan.vertex(plan.find_vertex(other, &vert.sig, vert.machine)?).slot
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 //!   can be exercised reproducibly.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod clock;
 pub mod cluster;

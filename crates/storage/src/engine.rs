@@ -238,23 +238,22 @@ impl Database {
         Ok(n)
     }
 
-    /// Seeds a relation's table with initial contents at `ts`, bypassing
-    /// the delta log (used when a new plan vertex is materialized from a
-    /// ground-truth evaluation). The delta horizon advances to `ts` so that
-    /// snapshots before the seed time are refused rather than wrong.
+    /// Seeds a relation's table with initial contents at `ts` (used when a
+    /// plan vertex is materialized from a ground-truth evaluation),
+    /// replacing whatever an earlier reader of the table left behind. The
+    /// delta log is not touched: the slot's delta vertex may have had it
+    /// first, and its readers can be mid-window on entries at or below
+    /// `ts`. Whoever creates the slot sets the log's horizon
+    /// ([`Database::compact`]) so that snapshots before the seed time are
+    /// refused rather than wrong.
     pub fn seed_relation(&mut self, rel: RelationId, rows: ZSet, ts: Timestamp) -> Result<()> {
         let slot = self.slot_mut(rel)?;
-        if !slot.table.is_empty() {
-            return Err(SmileError::Internal(format!(
-                "relation {rel} already has contents; refusing to re-seed"
-            )));
-        }
+        slot.table.clear();
         let batch: DeltaBatch = rows
             .into_iter_entries()
             .map(|(tuple, weight)| DeltaEntry { tuple, weight, ts })
             .collect();
         slot.table.apply(&batch, ts)?;
-        slot.delta.compact(ts);
         slot.stats
             .refresh_size(slot.table.len(), slot.table.byte_size());
         Ok(())
@@ -495,14 +494,41 @@ mod tests {
         let mut d = db();
         let rows = crate::zset::ZSet::from_tuples([tuple![1i64, "ann"], tuple![2i64, "bob"]]);
         d.seed_relation(R, rows, Timestamp::from_secs(5)).unwrap();
+        // The creator of a slot starts its log at the seed time.
+        d.compact(R, Timestamp::from_secs(5)).unwrap();
         assert_eq!(d.relation(R).unwrap().table.len(), 2);
         assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(5));
         // Snapshots before the seed time are refused.
         assert!(d.snapshot_at(R, Timestamp::from_secs(1)).is_err());
         assert!(d.snapshot_at(R, Timestamp::from_secs(5)).is_ok());
-        // Re-seeding a non-empty relation is refused.
+        // Re-seeding replaces what the table's previous reader left.
         let again = crate::zset::ZSet::from_tuples([tuple![3i64, "cat"]]);
-        assert!(d.seed_relation(R, again, Timestamp::from_secs(6)).is_err());
+        d.seed_relation(R, again, Timestamp::from_secs(6)).unwrap();
+        assert_eq!(d.relation(R).unwrap().table.len(), 1);
+        assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(6));
+    }
+
+    /// A relation vertex can adopt the slot its delta twin has been landing
+    /// windows in: seeding the table must leave the log to its readers.
+    #[test]
+    fn seeding_keeps_log_entries_another_reader_has_not_consumed() {
+        let mut d = db();
+        d.append_delta(
+            R,
+            [ins(1, "ann", 3), ins(2, "bob", 6)].into_iter().collect(),
+        )
+        .unwrap();
+        let rows = crate::zset::ZSet::from_tuples([tuple![1i64, "ann"]]);
+        d.seed_relation(R, rows, Timestamp::from_secs(5)).unwrap();
+        // The join reading this log is still at t=2: its next window is whole.
+        let window = d
+            .delta_window(R, Timestamp::from_secs(2), Timestamp::from_secs(6))
+            .unwrap();
+        assert_eq!(window.len(), 2);
+        assert_eq!(d.relation(R).unwrap().delta.horizon(), Timestamp::ZERO);
+        // And the table applies only what lies past its seed.
+        assert_eq!(d.apply_pending(R, Timestamp::from_secs(6)).unwrap(), 1);
+        assert_eq!(d.relation(R).unwrap().table.len(), 2);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! correct.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod instrument;
 pub mod monitor;
@@ -42,7 +43,7 @@ pub mod trace;
 pub mod window;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedHistogram};
 pub use monitor::{cohort_of, Alert, AlertKind, BurnRateMonitor, Severity};
@@ -103,6 +104,13 @@ pub struct Telemetry {
     flight: Mutex<FlightRecorder>,
 }
 
+/// Locks the span ring or the flight recorder. Both take one whole record
+/// per update, so the data behind a lock poisoned by a panicking recorder
+/// is still valid and the guard is recovered.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Telemetry {
     /// Creates a handle from `cfg`.
     pub fn new(cfg: &TelemetryConfig) -> Self {
@@ -157,12 +165,12 @@ impl Telemetry {
         if let Some(sampler) = &self.sampler {
             if !sampler.keep(&rec) {
                 self.sampled_out.fetch_add(1, Ordering::Relaxed);
-                self.flight.lock().unwrap().note(rec);
+                lock(&self.flight).note(rec);
                 return;
             }
         }
-        self.flight.lock().unwrap().note(rec.clone());
-        self.ring.lock().unwrap().push(rec);
+        lock(&self.flight).note(rec.clone());
+        lock(&self.ring).push(rec);
     }
 
     /// Freezes the flight-recorder window around an incident for `sharing`.
@@ -171,12 +179,12 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        self.flight.lock().unwrap().capture(sharing, at_us, reason);
+        lock(&self.flight).capture(sharing, at_us, reason);
     }
 
     /// Copies the frozen flight incidents, oldest first.
     pub fn flight_incidents(&self) -> Vec<FlightIncident> {
-        self.flight.lock().unwrap().incidents().to_vec()
+        lock(&self.flight).incidents().to_vec()
     }
 
     /// Number of spans dropped from the main ring by the sampler.
@@ -186,17 +194,17 @@ impl Telemetry {
 
     /// Copies the retained spans, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.ring.lock().unwrap().to_vec()
+        lock(&self.ring).to_vec()
     }
 
     /// Number of spans currently retained.
     pub fn spans_len(&self) -> usize {
-        self.ring.lock().unwrap().len()
+        lock(&self.ring).len()
     }
 
     /// Number of spans evicted from the ring so far.
     pub fn spans_dropped(&self) -> u64 {
-        self.ring.lock().unwrap().dropped()
+        lock(&self.ring).dropped()
     }
 
     /// The host-time histogram shard for wave worker `worker`.
@@ -216,10 +224,10 @@ impl Telemetry {
             snap.gauges.len(),
             snap.histograms.len(),
         );
-        let ring = self.ring.lock().unwrap();
+        let ring = lock(&self.ring);
         let (ring_dropped, ring_len) = (ring.dropped(), ring.len() as u64);
         drop(ring);
-        let flight = self.flight.lock().unwrap();
+        let flight = lock(&self.flight);
         let (flight_incidents, flight_suppressed) =
             (flight.incidents().len() as u64, flight.suppressed());
         drop(flight);

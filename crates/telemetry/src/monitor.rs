@@ -260,15 +260,12 @@ impl BurnRateMonitor {
                     .iter()
                     .map(|&(e, n, sum)| (e as f64, sum as f64 / n as f64))
                     .collect();
-                let trending = match slope(&pts) {
-                    Some(m) if m < 0.0 => {
-                        let last = pts.last().unwrap().1;
-                        last + m * TREND_HORIZON_SUBS as f64 <= 0.0
-                    }
-                    _ => false,
-                };
-                if trending && !c.trend_active {
-                    let m = slope(&pts).unwrap();
+                // The fitted slope, if it falls fast enough to reach zero
+                // headroom within the horizon.
+                let falling = slope(&pts).zip(pts.last()).and_then(|(m, last)| {
+                    (m < 0.0 && last.1 + m * TREND_HORIZON_SUBS as f64 <= 0.0).then_some(m)
+                });
+                if let (Some(m), false) = (falling, c.trend_active) {
                     fired.push(Alert {
                         at_us: now_us,
                         cohort: ci as u8,
@@ -278,7 +275,7 @@ impl BurnRateMonitor {
                         value_ppm: (-m) as u64,
                     });
                 }
-                c.trend_active = trending;
+                c.trend_active = falling.is_some();
             } else {
                 c.trend_active = false;
             }

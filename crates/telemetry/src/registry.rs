@@ -13,7 +13,7 @@
 //! atomics (see [`crate::instrument`]).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -26,12 +26,14 @@ pub struct Registry {
 }
 
 fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(v) = map.read().unwrap().get(name) {
+    // A map only ever gains whole entries, so one poisoned by a panicking
+    // caller is still valid and the guard is recovered.
+    if let Some(v) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
         return Arc::clone(v);
     }
     Arc::clone(
         map.write()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(T::default())),
     )
@@ -61,29 +63,17 @@ impl Registry {
     /// Point-in-time copy of every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            counters: read_all(&self.counters, Counter::get),
+            gauges: read_all(&self.gauges, Gauge::get),
+            histograms: read_all(&self.histograms, Histogram::snapshot),
         }
     }
+}
+
+/// `(name, read(instrument))` for every instrument of one kind, in name order.
+fn read_all<T, V>(map: &RwLock<BTreeMap<String, Arc<T>>>, read: fn(&T) -> V) -> Vec<(String, V)> {
+    let map = map.read().unwrap_or_else(PoisonError::into_inner);
+    map.iter().map(|(k, v)| (k.clone(), read(v))).collect()
 }
 
 /// An owned, name-sorted copy of a [`Registry`]'s contents, plus whatever

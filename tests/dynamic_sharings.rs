@@ -281,3 +281,132 @@ fn live_submit_before_install_stages_and_runs_after_it() {
         smile.expected_mv_contents(id).unwrap().sorted_entries()
     );
 }
+
+/// `users ⋈ σ(tid < lit)(tweets)`: one literal per sharing, so no two of
+/// them share a half-join pair.
+fn filtered_join(w: &TwitterWorkload, lit: i64) -> smile::storage::SpjQuery {
+    use smile::storage::predicate::CmpOp;
+    use smile::storage::{join::JoinOn, Predicate, SpjQuery};
+    let rels = w.rels();
+    SpjQuery::scan(rels.users).join(
+        rels.tweets,
+        JoinOn::on(0, 1),
+        Predicate::cmp(0, CmpOp::Lt, lit),
+    )
+}
+
+fn base_log_len(smile: &Smile, rel: smile::types::RelationId) -> usize {
+    let home = smile.catalog.base(rel).unwrap().machine;
+    let db = &smile.cluster.machine(home).unwrap().db;
+    db.relation(rel).unwrap().delta.len()
+}
+
+#[test]
+fn retire_returns_admission_capacity() {
+    use smile::types::SmileError;
+    let mut config = SmileConfig::with_machines(2);
+    config.capacity = 0.25;
+    config.hill_climb = false;
+    let mut smile = Smile::new(config);
+    let twitter = TwitterConfig {
+        assumed_tweet_rate: 400.0,
+        ..TwitterConfig::default()
+    };
+    let w = TwitterWorkload::register(&mut smile, twitter).unwrap();
+    let pin = Some(MachineId::new(1));
+    let sla = SimDuration::from_secs(60);
+    smile
+        .submit_pinned("resident", filtered_join(&w, 1_000), sla, 0.001, pin)
+        .unwrap();
+    smile.install().unwrap();
+
+    let mut admitted = Vec::new();
+    let rejection = loop {
+        let lit = 2_000 + admitted.len() as i64;
+        match smile.submit_live("churn", filtered_join(&w, lit), sla, 0.001, pin) {
+            Ok(id) => admitted.push(id),
+            Err(e) => break e,
+        }
+        assert!(admitted.len() < 1_000, "capacity 0.25 never filled");
+    };
+    assert!(
+        matches!(rejection, SmileError::CapacityExhausted { .. }),
+        "{rejection}"
+    );
+    assert!(!admitted.is_empty(), "nothing fitted beside the resident");
+    for id in admitted {
+        smile.retire(id).unwrap();
+    }
+    smile
+        .submit_live("after", filtered_join(&w, 9_000), sla, 0.001, pin)
+        .expect("retiring every live admission must free the capacity they held");
+}
+
+#[test]
+fn base_log_compacts_after_a_consumer_retires() {
+    let mut smile = Smile::new(SmileConfig::with_machines(3));
+    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 500).unwrap();
+    let pin = Some(MachineId::new(2));
+    let sla = SimDuration::from_secs(20);
+    let keep = smile
+        .submit_pinned("keep", filtered_join(&w, 1_000_000), sla, 0.001, pin)
+        .unwrap();
+    let gone = smile
+        .submit_pinned("gone", filtered_join(&w, 2_000_000), sla, 0.001, pin)
+        .unwrap();
+    smile.install().unwrap();
+    drive(&mut smile, &mut w, 20.0, 60);
+    smile.retire(gone).unwrap();
+    drive(&mut smile, &mut w, 20.0, 600);
+    // 12,000 tweets since the retire; the live reader is never more than an
+    // SLA plus the compaction period and margin behind.
+    let tweets = w.rels().tweets;
+    let with_reader = base_log_len(&smile, tweets);
+    assert!(
+        with_reader < 2_400,
+        "the retired consumer still pins the tweets log: {with_reader} entries"
+    );
+    smile.run_idle(SimDuration::from_secs(30)).unwrap();
+    assert_eq!(
+        smile.mv_contents(keep).unwrap().sorted_entries(),
+        smile.expected_mv_contents(keep).unwrap().sorted_entries()
+    );
+    // With no reader left at all the log is still cut.
+    smile.retire(keep).unwrap();
+    drive(&mut smile, &mut w, 20.0, 120);
+    let without_reader = base_log_len(&smile, tweets);
+    assert!(
+        without_reader < 1_200,
+        "an unread base log is never cut: {without_reader} entries"
+    );
+}
+
+#[test]
+fn inert_plan_vertices_hold_no_storage() {
+    let mut smile = Smile::new(SmileConfig::with_machines(3));
+    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 500).unwrap();
+    let all = paper_sharings(&w.rels());
+    let sla = SimDuration::from_secs(20);
+    let s5 = all[4].clone();
+    let first = smile.submit(s5.app, s5.query, sla, 0.001).unwrap();
+    let s6 = all[5].clone();
+    smile.submit(s6.app, s6.query, sla, 0.001).unwrap();
+    smile.install().unwrap();
+    drive(&mut smile, &mut w, 20.0, 30);
+    smile.retire(first).unwrap();
+    // A different query admitted live must not bring the retired chain back.
+    let s17 = all[16].clone();
+    smile
+        .submit_live(s17.app, s17.query, sla, 0.001, None)
+        .unwrap();
+    let plan = &smile.global_plan().unwrap().plan;
+    let inert: Vec<_> = plan
+        .vertices()
+        .iter()
+        .filter(|v| !v.is_base && v.sharings.is_empty())
+        .collect();
+    assert!(!inert.is_empty(), "the retired chain left the plan");
+    for v in inert {
+        assert_eq!(v.slot, None, "inert vertex {} is back in storage", v.id);
+    }
+}

@@ -321,3 +321,85 @@ fn fleet_scales_up_within_budget_migrates_then_shrinks_when_idle() {
     assert_eq!(smile.cluster.machine_state(MachineId::new(1)), MachineState::Retired);
     assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
 }
+
+/// BENCH_0010's topology at small scale: a small `src` dimension on m0, a
+/// busier `events` stream on m1, `events ⋈ src` pinned on m0 — so `Δσ(src)`
+/// already lands on m1 for the half-join there — then migrated to m1, where
+/// the new plan replicates `σ(src)` itself. The replica adopts the storage
+/// slot its delta twin has been using and must be seeded all the same.
+#[test]
+fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
+    const SRC_KEYS: i64 = 40;
+    let mut config = SmileConfig::with_machines(2);
+    config.hill_climb = false;
+    let mut smile = Smile::new(config);
+    let cols = [
+        ("id", ColumnType::I64),
+        ("fk", ColumnType::I64),
+        ("g", ColumnType::I64),
+    ];
+    // BENCH_0010's catalog priors, under which the planner joins in place.
+    let base_stats = |update_rate: f64, distinct: [f64; 3]| BaseStats {
+        update_rate,
+        cardinality: distinct[0],
+        tuple_bytes: 24.0,
+        distinct: distinct.to_vec(),
+    };
+    let (m0, m1) = (MachineId::new(0), MachineId::new(1));
+    let src_stats = base_stats(2.0, [1_000.0, 100.0, 50.0]);
+    let src = smile
+        .register_base("src", schema(&cols, vec![0]), m0, src_stats)
+        .unwrap();
+    let events_stats = base_stats(30.0, [100_000.0, 1_000.0, 4.0]);
+    let events = smile
+        .register_base("events", schema(&cols, vec![0]), m1, events_stats)
+        .unwrap();
+    let q = SpjQuery::scan(events).join(src, JoinOn::on(1, 0), Predicate::True);
+    let id = smile
+        .submit_pinned("crowd", q, SimDuration::from_secs(20), 0.01, Some(m0))
+        .unwrap();
+    smile.install().unwrap();
+    let preload = (0..SRC_KEYS).map(|k| DeltaEntry::insert(tuple![k, k, k % 4], smile.now()));
+    let entries = preload.collect();
+    smile.ingest(src, DeltaBatch { entries }).unwrap();
+    let mut seq = 0i64;
+    let mut feed = |smile: &mut Smile, ticks: u64| {
+        for _ in 0..ticks {
+            let now = smile.now();
+            let crowd = (0..3).map(|i| {
+                let n = seq * 3 + i;
+                DeltaEntry::insert(tuple![n, n % SRC_KEYS, n % 4], now)
+            });
+            let entries = crowd.collect();
+            smile.ingest(events, DeltaBatch { entries }).unwrap();
+            let fresh = DeltaEntry::insert(tuple![SRC_KEYS + seq, seq, seq % 4], now);
+            let entries = vec![fresh];
+            smile.ingest(src, DeltaBatch { entries }).unwrap();
+            seq += 1;
+            smile.step().unwrap();
+        }
+    };
+    feed(&mut smile, 50);
+    // The shape in question: `Δsrc` lands on m1 before the migration, and
+    // the shadow chain replicates `src` there in the same storage slot.
+    let src_on_m1 = |smile: &Smile, kind| {
+        let plan = &smile.global_plan().unwrap().plan;
+        let is_copy = |v: &&smile::core::plan::dag::Vertex| {
+            !v.is_base && v.kind == kind && v.machine == m1 && v.schema.arity() == 3
+        };
+        plan.vertices().iter().find(is_copy).and_then(|v| v.slot)
+    };
+    use smile::core::plan::dag::VertexKind::{Delta, Relation};
+    let delta_slot = src_on_m1(&smile, Delta);
+    assert!(delta_slot.is_some(), "the plan does not ship Δsrc to m1");
+    assert_eq!(src_on_m1(&smile, Relation), None);
+    assert!(smile.migrate_sharing(id, Some(m1)).unwrap());
+    assert_eq!(src_on_m1(&smile, Relation), delta_slot);
+
+    feed(&mut smile, 150);
+    smile.run_idle(SimDuration::from_secs(60)).unwrap();
+    let acts = labels(&smile);
+    assert!(acts.contains(&"migration_completed m0->m1".to_string()), "{acts:?}");
+    assert!(!smile.mv_contents(id).unwrap().is_empty());
+    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+}

@@ -651,6 +651,153 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Live lifecycles: sharings over *distinct* queries join and leave a running
+// platform, dedup'ing onto whatever the plan already holds — a delta copy
+// another sharing ships, the inert chain a retired one left behind. Every
+// MV still being served must equal recomputation at the end. Each sharing
+// filters the relation in the middle of its join chain on a literal of its
+// own, so no two of them share a half-join pair: identical queries across
+// machines are ROADMAP item 1's, not this property's.
+// ---------------------------------------------------------------------------
+
+/// One randomized sharing: which of the four bases it chains (an index
+/// into the 24 ordered triples), two- or three-way, SLA seconds, MV pin
+/// (0 = unpinned, 1..=5 = machine 0..=4).
+type LiveSpec = (usize, bool, u64, u8);
+
+use smile::types::SmileError;
+
+fn arb_live_spec() -> impl Strategy<Value = LiveSpec> {
+    (0usize..24, any::<bool>(), 5u64..20, 0u8..6)
+}
+
+/// Sharings admitted before `install`, then one lifecycle event every 13th
+/// tick (two in three a `submit_live`, one in three a `retire`), and the
+/// per-tick updates `(base, key, value, delete)`.
+type LiveLifecycle = (
+    Vec<LiveSpec>,
+    Vec<(u8, LiveSpec)>,
+    Vec<Vec<(usize, i64, i64, bool)>>,
+);
+
+fn arb_live_lifecycle() -> impl Strategy<Value = LiveLifecycle> {
+    (
+        proptest::collection::vec(arb_live_spec(), 2..7),
+        proptest::collection::vec((0u8..3, arb_live_spec()), 18..19),
+        proptest::collection::vec(
+            proptest::collection::vec((0usize..4, 0i64..12, 0i64..8, any::<bool>()), 0..3),
+            240..241,
+        ),
+    )
+}
+
+/// `a ⋈ σ(v < lit)(b)` on `k`, optionally `⋈ c` on `b.k = c.k`: a chain, so
+/// every join the planner can start with involves the filtered `b`.
+fn live_query(bases: &[RelationId], (triple, three_way, _, _): LiveSpec, lit: i64) -> SpjQuery {
+    use smile::storage::predicate::CmpOp;
+    let a = triple % 4;
+    let b = (a + 1 + (triple / 4) % 3) % 4;
+    let rest: Vec<usize> = (0..4).filter(|r| *r != a && *r != b).collect();
+    let c = rest[triple / 12];
+    let q = SpjQuery::scan(bases[a]).join(
+        bases[b],
+        JoinOn::on(0, 0),
+        Predicate::cmp(1, CmpOp::Lt, lit),
+    );
+    if three_way {
+        q.join(bases[c], JoinOn::on(2, 0), Predicate::True)
+    } else {
+        q
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        // 0.8 s a case in the debug profile; the parent fails six in ten.
+        cases: 16,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn live_lifecycles_keep_every_served_mv_exact(
+        (initial, events, ticks) in arb_live_lifecycle()
+    ) {
+        let mut config = SmileConfig::with_machines(5);
+        config.hill_climb = false;
+        let mut smile = Smile::new(config);
+        // Four keyless two-column bases on machines 0..=3; machine 4 hosts none.
+        let bases: Vec<RelationId> = (0..4)
+            .map(|i| {
+                let cols = vec![Column::new("k", ColumnType::I64), Column::new("v", ColumnType::I64)];
+                let stats = BaseStats {
+                    update_rate: 1.0,
+                    cardinality: 60.0,
+                    tuple_bytes: 16.0,
+                    distinct: vec![12.0, 8.0],
+                };
+                let home = MachineId::new(i);
+                smile.register_base(&format!("b{i}"), Schema::new(cols, vec![]), home, stats).unwrap()
+            })
+            .collect();
+        let mut serial = 0i64;
+        let mut admit = |smile: &mut Smile, spec: LiveSpec| {
+            serial += 1;
+            let pin = spec.3.checked_sub(1).map(|m| MachineId::new(m as u32));
+            let q = live_query(&bases, spec, 2 + serial);
+            let sla = SimDuration::from_secs(spec.2);
+            // A refusal is an answer; anything else is a platform bug.
+            match smile.submit_pinned(&format!("q{serial}"), q, sla, 0.001, pin) {
+                Ok(id) => Some(id),
+                Err(SmileError::Inadmissible { .. } | SmileError::CapacityExhausted { .. }) => None,
+                Err(e) => panic!("admitting q{serial} failed: {e}"),
+            }
+        };
+        let mut served: Vec<_> = initial.iter().filter_map(|&spec| admit(&mut smile, spec)).collect();
+        if served.is_empty() {
+            return Ok(());
+        }
+        smile.install().unwrap();
+
+        let mut rows: Vec<Vec<(i64, i64)>> = vec![Vec::new(); bases.len()];
+        for (t, ops) in ticks.iter().enumerate() {
+            let now = smile.now();
+            for &(r, k, v, delete) in ops {
+                let live = &mut rows[r];
+                let entry = match live.iter().position(|row| row.0 == k).filter(|_| delete) {
+                    Some(pos) => {
+                        let (k, v) = live.swap_remove(pos);
+                        DeltaEntry::delete(tuple![k, v], now)
+                    }
+                    None => {
+                        live.push((k, v));
+                        DeltaEntry::insert(tuple![k, v], now)
+                    }
+                };
+                smile.ingest(bases[r], DeltaBatch { entries: vec![entry] }).unwrap();
+            }
+            if t % 13 == 12 {
+                match events[t / 13] {
+                    (2, (pick, ..)) if !served.is_empty() => {
+                        smile.retire(served.remove(pick % served.len())).unwrap();
+                    }
+                    (_, spec) => served.extend(admit(&mut smile, spec)),
+                }
+            }
+            smile.step().unwrap();
+        }
+
+        smile.run_idle(SimDuration::from_secs(45)).unwrap();
+        for id in served {
+            prop_assert_eq!(
+                smile.mv_contents(id).unwrap().sorted_entries(),
+                smile.expected_mv_contents(id).unwrap().sorted_entries(),
+                "MV of {} != ground truth", id
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Columnar hot-path properties: the arena-backed batch must behave exactly
 // like the row-at-a-time z-set algebra it replaces.
 

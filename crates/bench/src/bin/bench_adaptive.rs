@@ -232,18 +232,13 @@ fn preload_src(smile: &mut Smile, src: RelationId) {
 /// read and before they are reported: misses and dollars measured on MVs
 /// that are short of rows are cheap for the wrong reason.
 fn assert_mvs_exact(smile: &mut Smile, ids: &[SharingId], arm: &str) {
-    smile
-        .run_idle(SimDuration::from_secs(DRAIN_SECS))
-        .expect("drain");
+    let drain = SimDuration::from_secs(DRAIN_SECS);
+    smile.run_idle(drain).expect("drain");
     for &id in ids {
         let got = smile.mv_contents(id).expect("MV contents");
         let want = smile.expected_mv_contents(id).expect("recomputation");
-        assert!(
-            got == want,
-            "{arm} arm: MV of {id} holds {} rows, recomputation gives {}",
-            got.len(),
-            want.len(),
-        );
+        let (rows, truth) = (got.len(), want.len());
+        assert!(got == want, "{arm} arm: MV of {id} holds {rows} rows, recomputation {truth}");
     }
 }
 

@@ -25,9 +25,7 @@ impl Executor {
         // Seed bounds with each vertex's own data_ts (slots nobody consumes
         // can be compacted to their own progress).
         for v in self.global.plan.vertices() {
-            let Some(slot) = v.slot.filter(|_| v.is_base || self.live(v.id)) else {
-                continue;
-            };
+            let Some(slot) = v.slot.filter(|_| self.live(v.id)) else { continue };
             let own = if v.is_base {
                 // Base slots have no data_ts of their own; they are bounded
                 // purely by consumers below.

@@ -7,11 +7,10 @@
 //! 1. **Shadow install** ([`Executor::begin_migration`]): the re-planned
 //!    arrangement is merged into the running global plan as a *shadow
 //!    chain* — deduplicated against the live plan but registered with no
-//!    sharing, so the scheduler ignores it. The whole chain is live
-//!    ([`Executor::live`]) while the migration is in flight, so the
-//!    platform's storage reconcile gives the part of it that has no storage
-//!    a slot and seeds it: the sharing's full state ships to the new
-//!    placement as ordinary seeding + WAL frames.
+//!    sharing, so the scheduler ignores it. The whole chain is
+//!    [`Executor::live`] while the migration is in flight, so the storage
+//!    reconcile slots and seeds the part of it that has no storage: the
+//!    sharing's state ships as ordinary seeding + WAL frames.
 //! 2. **Dual write**: while the migration is in flight, every push of the
 //!    migrating sharing additionally plans a *shadow request* over the new
 //!    chain to the same target, in the same batch. Vertices the two
@@ -100,10 +99,9 @@ impl Executor {
     /// Installs the shadow chain of a live migration: merges the re-planned
     /// arrangement into the running global plan (through the merge catalog,
     /// like an admission) without registering the sharing on it. The
-    /// platform's storage reconcile then slots and seeds the part of the
-    /// chain that has no storage. The sharing keeps being served by its old
-    /// placement; every subsequent push dual-writes both chains until
-    /// [`Executor::finish_migrations`] cuts over.
+    /// storage reconcile then slots and seeds the part of the chain that has
+    /// no storage. The sharing keeps being served by its old placement; every
+    /// push dual-writes both chains until [`Executor::finish_migrations`].
     pub fn begin_migration(
         &mut self,
         id: SharingId,

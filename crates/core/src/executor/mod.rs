@@ -256,9 +256,8 @@ pub struct Executor {
     data_ts: Vec<Timestamp>,
     /// Committed timestamp per vertex (staleness accounting).
     visible_ts: Vec<Timestamp>,
-    /// Per vertex: whether anyone still needs it ([`Executor::live`]). The
-    /// plan is append-only, so after the first retire or cutover part of it
-    /// is inert; this is the one record of which part is not.
+    /// Per vertex, [`Executor::live`]: the plan is append-only, so after the
+    /// first retire or cutover part of it is inert — the one record of which.
     live: Vec<bool>,
     /// Last heartbeat-reported timestamp per base vertex.
     heartbeats: HashMap<VertexId, Timestamp>,
@@ -482,7 +481,7 @@ impl Executor {
     /// sharing retiring, a migration starting or settling.
     fn refresh_live(&mut self) {
         let vertices = self.global.plan.vertices();
-        self.live = vertices.iter().map(|v| !v.sharings.is_empty()).collect();
+        self.live = vertices.iter().map(|v| v.is_base || !v.sharings.is_empty()).collect();
         for mig in self.migrations.values() {
             for v in &mig.new_order {
                 self.live[v.index()] = true;
@@ -490,13 +489,12 @@ impl Executor {
         }
     }
 
-    /// Whether a derived vertex is live: it serves a sharing (`SHR`
-    /// non-empty) or lies on an in-flight migration's shadow chain — all of
-    /// it, including vertices the shadow merge found already in the plan.
-    /// Everything that keeps, feeds or pays for a vertex asks this: the
-    /// platform's storage reconcile, log compaction, admission's view of
-    /// the load. Base vertices are the applications' own storage, which the
-    /// platform never reclaims, and are not asked about.
+    /// Whether a vertex is live: it is a base vertex (the applications' own
+    /// storage), serves a sharing (`SHR` non-empty) or lies on an in-flight
+    /// migration's shadow chain — all of it, including vertices the shadow
+    /// merge found already in the plan. Everything that keeps, feeds or
+    /// pays for a vertex asks this: the platform's storage reconcile, log
+    /// compaction, admission's view of the load.
     pub fn live(&self, v: VertexId) -> bool {
         self.live[v.index()]
     }
@@ -566,7 +564,7 @@ impl Executor {
 
     /// Stamps derived vertices whose storage was just seeded as of `at`:
     /// their first push window starts there.
-    pub fn mark_vertices_seeded(&mut self, vertices: &[VertexId], at: Timestamp) {
+    pub(crate) fn mark_vertices_seeded(&mut self, vertices: &[VertexId], at: Timestamp) {
         for &v in vertices {
             self.data_ts[v.index()] = at;
             self.visible_ts[v.index()] = at;
@@ -577,11 +575,10 @@ impl Executor {
     /// Its runtime slot becomes a tombstone (indexes in queued events must
     /// stay stable) and its id leaves every `SHR` set. The plan vertices
     /// that served only it stay in the append-only plan but stop being
-    /// [`Executor::live`]: the platform's storage reconcile drops their
-    /// slots, compaction stops pinning logs through their edges, admission
-    /// stops counting their load, and no later reconcile gives them storage
-    /// again unless a new sharing dedups onto them — which is what makes
-    /// them free at run time.
+    /// [`Executor::live`] until a new sharing dedups onto them: the storage
+    /// reconcile drops their slots, compaction stops pinning logs through
+    /// their edges and admission stops counting their load — which is what
+    /// makes them free at run time.
     pub fn remove_sharing(&mut self, id: SharingId) -> Result<()> {
         // `by_id` indexes only live sharings, so a hit is never a tombstone.
         let idx = self.by_id.remove(&id).ok_or(SmileError::UnknownSharing(id))?;

@@ -2,17 +2,15 @@
 //! questions that `Plan`'s own dedup index cannot answer.
 //!
 //! Admission does *not* find commonality through it: merging dedups on
-//! `Plan::index` (`(kind, signature, machine)` → vertex, one probe per
-//! incoming vertex), and the catalog the platform carries through
-//! `merge_indexed` is only written there — it counts reuse (`hits` /
-//! `misses`, exported as `catalog.*`) and records new vertices. Its two
-//! indexes have one reader each:
+//! `Plan::index` (`(kind, signature, machine)` → vertex), and the catalog
+//! the platform carries through `merge_indexed` is only written there — it
+//! counts reuse (`hits` / `misses`, exported as `catalog.*`) and records
+//! new vertices. Its two indexes have one reader each:
 //!
 //! * **fingerprints** — `(vertex kind, expression signature)` → vertex ids
 //!   on *any* machine. [`MergeCatalog::peers_iter`] answers "where else
-//!   does this expression already run?", the question copy/join plumbing
-//!   enumeration asks per candidate; `enumerate_plumbings` builds its own
-//!   catalog over the plan it is rewiring.
+//!   does this expression already run?" for copy/join plumbing
+//!   enumeration, which builds its own catalog over the plan it rewires.
 //! * **probes** — `(snapshot-side signature, snapshot-side join columns)` →
 //!   half-join vertices probing that arrangement. Only its key count is
 //!   read, by one gauge and one line of `explain()`.

@@ -3,6 +3,7 @@
 //! fleet elasticity.
 
 use super::{running, running_mut, Smile, WORST_ROWS};
+use crate::plan::dag::VertexKind;
 use smile_sim::MachineState;
 use smile_telemetry::Alert;
 use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp};
@@ -151,9 +152,10 @@ impl Smile {
     /// running sharing over the active machine set — optionally pinning the
     /// new MV to `to` — and, if a better placement exists, starts the
     /// executor's dual-write handoff. Returns `Ok(true)` when a migration
-    /// began, `Ok(false)` when the current placement already wins (or the
-    /// sharing is mid-migration). The MV keeps serving throughout; the
-    /// cutover settles in a later [`Smile::step`].
+    /// began, `Ok(false)` when the current placement already wins, the
+    /// sharing is mid-migration, or the new placement cannot be seeded as of
+    /// the committed MV yet. The MV keeps serving throughout; the cutover
+    /// settles in a later [`Smile::step`].
     pub fn migrate_sharing(&mut self, id: SharingId, to: Option<MachineId>) -> Result<bool> {
         let machines = self.cluster.active_machine_ids();
         self.replan_and_migrate(id, machines, to)
@@ -185,6 +187,20 @@ impl Smile {
         )?;
         if planned.mv_machine == cur_machine {
             return Ok(false); // the current placement already wins
+        }
+        // A relation the new plan replicates onto a machine where its delta
+        // twin already lands adopts the twin's slot and catches up from its
+        // log, which compaction keeps for the twin's readers — not back to
+        // this sharing's commit point. Cut past it already: not now.
+        let plan = &executor.global.plan;
+        for v in planned.plan.vertices().iter().filter(|v| v.kind == VertexKind::Relation) {
+            let slot_of = |kind| plan.vertex(plan.find_vertex(kind, &v.sig, v.machine)?).slot;
+            let db = &self.cluster.machine(v.machine)?.db;
+            if let (None, Some(log)) = (slot_of(VertexKind::Relation), slot_of(VertexKind::Delta)) {
+                if seed_at < db.relation(log)?.delta.horizon() {
+                    return Ok(false);
+                }
+            }
         }
         // Shadow install: merge the new chain into the running plan, then
         // reconcile storage exactly like a live admission — the chain is

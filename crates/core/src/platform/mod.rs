@@ -417,7 +417,8 @@ impl Smile {
     /// The one storage reconcile, run wherever liveness may have changed
     /// (install, live admission, retirement, migration start and
     /// settlement): afterwards a derived vertex holds a storage slot exactly
-    /// when the executor says it is [`live`](Executor::live).
+    /// when the executor says it is [`live`](Executor::live), and the
+    /// arrangement registry matches the plan.
     ///
     /// * Every live vertex without a slot gets one, in vertex-id order — its
     ///   twin's if the twin holds one (a Relation vertex and the Delta
@@ -427,19 +428,17 @@ impl Smile {
     ///   every vertex slotted here is stamped with the seed instant — per
     ///   vertex, so a relation adopting the slot its delta twin has long
     ///   been landing windows in is seeded like any other. The ingest floor
-    ///   is lifted past the seed instant: entries stamped at or before it
-    ///   are in the seed and would fall outside the new vertices' half-open
-    ///   push windows.
-    /// * Every vertex that is no longer live gives its slot up, and a slot
-    ///   nobody holds any more is dropped.
-    /// * The arrangement registry is reconciled against the plan.
+    ///   is lifted past the seed: entries stamped at or before it are in the
+    ///   seed and would fall outside the new vertices' half-open windows.
+    /// * Every vertex that is no longer live gives its slot up: a slot nobody
+    ///   holds any more is dropped, and a relation vertex whose delta twin
+    ///   keeps the slot empties its table.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
     /// snapshots *as of* that instant and stamped with it. Admissions seed
-    /// at `now` (base tables are current); a migration must instead seed at
-    /// the old chain's committed MV timestamp so the shadow chain's push
-    /// windows tile exactly against the anchored half-join jobs it shares
-    /// with the old chain.
+    /// at `now` (base tables are current); a migration seeds at the old
+    /// chain's committed MV timestamp so the shadow chain's push windows
+    /// tile exactly against the anchored half-join jobs it shares with it.
     fn reconcile_storage(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
         let executor = running_mut(&mut self.executor)?;
         // The one place the seed instant is chosen.
@@ -449,7 +448,7 @@ impl Smile {
         for v in vertex_ids.clone() {
             let plan = &executor.global.plan;
             let vert = plan.vertex(v);
-            if vert.slot.is_some() || !(vert.is_base || executor.live(v)) {
+            if vert.slot.is_some() || !executor.live(v) {
                 continue;
             }
             let slot = match (&vert.sig, vert.is_base) {
@@ -475,12 +474,9 @@ impl Smile {
         // Arrangements the newly slotted join edges probe, before seeding
         // fills the tables (idempotent; edges on one (relation, key) pair
         // share one arrangement).
-        for &v in &slotted {
-            if let Some((machine, slot, cols)) =
-                plan.producer(v).and_then(|e| probed_arrangement(plan, e))
-            {
-                let db = &mut self.cluster.machine_mut(machine)?.db;
-                db.ensure_index(slot, &cols)?;
+        for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
+            if let Some((machine, slot, cols)) = probed_arrangement(plan, e) {
+                self.cluster.machine_mut(machine)?.db.ensure_index(slot, &cols)?;
             }
         }
         for vert in slotted.iter().map(|&v| plan.vertex(v)) {
@@ -497,12 +493,13 @@ impl Smile {
         for v in vertex_ids {
             let plan = &executor.global.plan;
             let vert = plan.vertex(v);
-            let Some(slot) = vert.slot.filter(|_| !(vert.is_base || executor.live(v))) else {
-                continue;
-            };
+            let Some(slot) = vert.slot.filter(|_| !executor.live(v)) else { continue };
+            let db = &mut self.cluster.machine_mut(vert.machine)?.db;
             if twin_slot(plan, vert) != Some(slot) {
-                let db = &mut self.cluster.machine_mut(vert.machine)?.db;
                 db.drop_relation(slot)?;
+            } else if vert.kind == VertexKind::Relation {
+                // The delta twin keeps the log; the rows go now.
+                db.clear_table(slot)?;
             }
             executor.global.plan.vertex_mut(v).slot = None;
         }
@@ -511,9 +508,8 @@ impl Smile {
 
     /// Reconciles the global arrangement registry against the live plan's
     /// join edges and applies the physical delta: first references
-    /// build arrangements (idempotent — the storage reconcile usually
-    /// already did), last references drop them so retired sharings reclaim
-    /// memory.
+    /// build arrangements (idempotent — the storage reconcile usually already
+    /// did), last references drop them so retired sharings reclaim memory.
     fn sync_arrangements(&mut self) -> Result<()> {
         let executor = running(&self.executor)?;
         let delta = self

@@ -239,16 +239,18 @@ impl Database {
     }
 
     /// Seeds a relation's table with initial contents at `ts` (used when a
-    /// plan vertex is materialized from a ground-truth evaluation),
-    /// replacing whatever an earlier reader of the table left behind. The
+    /// plan vertex is materialized from a ground-truth evaluation). The
     /// delta log is not touched: the slot's delta vertex may have had it
     /// first, and its readers can be mid-window on entries at or below
-    /// `ts`. Whoever creates the slot sets the log's horizon
-    /// ([`Database::compact`]) so that snapshots before the seed time are
-    /// refused rather than wrong.
+    /// `ts`. Refused if the table has contents (a double seed) or the log
+    /// is already cut past `ts` (the table could not catch up from it).
     pub fn seed_relation(&mut self, rel: RelationId, rows: ZSet, ts: Timestamp) -> Result<()> {
         let slot = self.slot_mut(rel)?;
-        slot.table.clear();
+        if !slot.table.is_empty() || ts < slot.delta.horizon() {
+            return Err(SmileError::Internal(format!(
+                "relation {rel} has contents or a log cut past {ts}; refusing to seed"
+            )));
+        }
         let batch: DeltaBatch = rows
             .into_iter_entries()
             .map(|(tuple, weight)| DeltaEntry { tuple, weight, ts })
@@ -256,6 +258,15 @@ impl Database {
         slot.table.apply(&batch, ts)?;
         slot.stats
             .refresh_size(slot.table.len(), slot.table.byte_size());
+        Ok(())
+    }
+
+    /// Empties a relation's table and keeps its delta log: the relation
+    /// vertex gave the slot up, its delta twin still lands windows in it.
+    pub fn clear_table(&mut self, rel: RelationId) -> Result<()> {
+        let slot = self.slot_mut(rel)?;
+        slot.table.clear();
+        slot.stats.refresh_size(0, 0);
         Ok(())
     }
 
@@ -501,34 +512,34 @@ mod tests {
         // Snapshots before the seed time are refused.
         assert!(d.snapshot_at(R, Timestamp::from_secs(1)).is_err());
         assert!(d.snapshot_at(R, Timestamp::from_secs(5)).is_ok());
-        // Re-seeding replaces what the table's previous reader left.
+        // Re-seeding a non-empty relation is refused.
         let again = crate::zset::ZSet::from_tuples([tuple![3i64, "cat"]]);
-        d.seed_relation(R, again, Timestamp::from_secs(6)).unwrap();
-        assert_eq!(d.relation(R).unwrap().table.len(), 1);
-        assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(6));
+        assert!(d.seed_relation(R, again, Timestamp::from_secs(6)).is_err());
     }
 
     /// A relation vertex can adopt the slot its delta twin has been landing
     /// windows in: seeding the table must leave the log to its readers.
     #[test]
     fn seeding_keeps_log_entries_another_reader_has_not_consumed() {
-        let mut d = db();
-        d.append_delta(
-            R,
-            [ins(1, "ann", 3), ins(2, "bob", 6)].into_iter().collect(),
-        )
-        .unwrap();
+        let (mut d, t) = (db(), Timestamp::from_secs);
+        let log = [ins(1, "ann", 3), ins(2, "bob", 6)].into_iter().collect();
+        d.append_delta(R, log).unwrap();
         let rows = crate::zset::ZSet::from_tuples([tuple![1i64, "ann"]]);
-        d.seed_relation(R, rows, Timestamp::from_secs(5)).unwrap();
+        d.seed_relation(R, rows.clone(), t(5)).unwrap();
         // The join reading this log is still at t=2: its next window is whole.
-        let window = d
-            .delta_window(R, Timestamp::from_secs(2), Timestamp::from_secs(6))
-            .unwrap();
-        assert_eq!(window.len(), 2);
+        assert_eq!(d.delta_window(R, t(2), t(6)).unwrap().len(), 2);
         assert_eq!(d.relation(R).unwrap().delta.horizon(), Timestamp::ZERO);
         // And the table applies only what lies past its seed.
-        assert_eq!(d.apply_pending(R, Timestamp::from_secs(6)).unwrap(), 1);
+        assert_eq!(d.apply_pending(R, t(6)).unwrap(), 1);
         assert_eq!(d.relation(R).unwrap().table.len(), 2);
+        // The relation vertex gives the slot up: the rows go, the log stays.
+        d.clear_table(R).unwrap();
+        assert!(d.relation(R).unwrap().table.is_empty());
+        assert_eq!(d.relation(R).unwrap().delta.len(), 2);
+        // Its next seed must reach back to where the log has since been cut.
+        d.compact(R, t(6)).unwrap();
+        assert!(d.seed_relation(R, rows.clone(), t(5)).is_err());
+        d.seed_relation(R, rows, t(6)).unwrap();
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! coordinator-side — so each assertion pins one concrete protocol path.
 
 use smile::core::catalog::BaseStats;
+use smile::core::plan::dag::VertexKind::{self, Delta, Relation};
 use smile::core::platform::{ActionKind, Smile, SmileConfig};
 use smile::sim::{FaultProfile, MachineState};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
@@ -322,14 +323,13 @@ fn fleet_scales_up_within_budget_migrates_then_shrinks_when_idle() {
     assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
 }
 
-/// BENCH_0010's topology at small scale: a small `src` dimension on m0, a
-/// busier `events` stream on m1, `events ⋈ src` pinned on m0 — so `Δσ(src)`
-/// already lands on m1 for the half-join there — then migrated to m1, where
-/// the new plan replicates `σ(src)` itself. The replica adopts the storage
-/// slot its delta twin has been using and must be seeded all the same.
-#[test]
-fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
-    const SRC_KEYS: i64 = 40;
+const SRC_KEYS: i64 = 40;
+
+/// BENCH_0010's topology at small scale: a small `src` dimension on m0
+/// (preloaded with [`SRC_KEYS`] rows) and a busier `events` stream on m1,
+/// with one `events ⋈ src` sharing per `(sla_secs, projected)` pinned on m0 —
+/// so `Δσ(src)` already lands on m1 for the half-join there.
+fn crowd(sharings: &[(u64, bool)]) -> (Smile, RelationId, RelationId, Vec<SharingId>) {
     let mut config = SmileConfig::with_machines(2);
     config.hill_climb = false;
     let mut smile = Smile::new(config);
@@ -354,42 +354,63 @@ fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
     let events = smile
         .register_base("events", schema(&cols, vec![0]), m1, events_stats)
         .unwrap();
-    let q = SpjQuery::scan(events).join(src, JoinOn::on(1, 0), Predicate::True);
-    let id = smile
-        .submit_pinned("crowd", q, SimDuration::from_secs(20), 0.01, Some(m0))
-        .unwrap();
+    let mut ids = Vec::new();
+    for &(sla_secs, projected) in sharings {
+        let mut q = SpjQuery::scan(events).join(src, JoinOn::on(1, 0), Predicate::True);
+        if projected {
+            q = q.project(vec![0, 1, 3]);
+        }
+        let sla = SimDuration::from_secs(sla_secs);
+        ids.push(smile.submit_pinned("crowd", q, sla, 0.01, Some(m0)).unwrap());
+    }
     smile.install().unwrap();
     let preload = (0..SRC_KEYS).map(|k| DeltaEntry::insert(tuple![k, k, k % 4], smile.now()));
     let entries = preload.collect();
     smile.ingest(src, DeltaBatch { entries }).unwrap();
+    (smile, src, events, ids)
+}
+
+/// One tick of the crowd: three events that join `src` rows old and new —
+/// among them the row of three ticks ago — and one fresh `src` row.
+fn crowd_tick(smile: &mut Smile, src: RelationId, events: RelationId, seq: &mut i64) {
+    let now = smile.now();
+    let crowd = (0..3).map(|i| {
+        let n = *seq * 3 + i;
+        let fk = if i == 0 { SRC_KEYS + *seq - 3 } else { n % SRC_KEYS };
+        DeltaEntry::insert(tuple![n, fk, n % 4], now)
+    });
+    let entries = crowd.collect();
+    smile.ingest(events, DeltaBatch { entries }).unwrap();
+    let entries = vec![DeltaEntry::insert(tuple![SRC_KEYS + *seq, *seq, *seq % 4], now)];
+    smile.ingest(src, DeltaBatch { entries }).unwrap();
+    *seq += 1;
+    smile.step().unwrap();
+}
+
+/// The storage slot of `src`'s copy of `kind` on m1, if it holds one.
+fn src_on_m1(smile: &Smile, kind: VertexKind) -> Option<RelationId> {
+    let plan = &smile.global_plan().unwrap().plan;
+    let is_copy = |v: &&smile::core::plan::dag::Vertex| {
+        !v.is_base && v.kind == kind && v.machine == MachineId::new(1) && v.schema.arity() == 3
+    };
+    plan.vertices().iter().find(is_copy).and_then(|v| v.slot)
+}
+
+/// `events ⋈ src` pinned on m0 is migrated to m1, where the new plan
+/// replicates `σ(src)` itself. The replica adopts the storage slot its
+/// delta twin has been using and must be seeded all the same — and when the
+/// MV moves back, it gives the slot's rows up while the twin keeps the log.
+#[test]
+fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
+    let (mut smile, src, events, ids) = crowd(&[(20, false)]);
+    let (id, m0, m1) = (ids[0], MachineId::new(0), MachineId::new(1));
     let mut seq = 0i64;
     let mut feed = |smile: &mut Smile, ticks: u64| {
-        for _ in 0..ticks {
-            let now = smile.now();
-            let crowd = (0..3).map(|i| {
-                let n = seq * 3 + i;
-                DeltaEntry::insert(tuple![n, n % SRC_KEYS, n % 4], now)
-            });
-            let entries = crowd.collect();
-            smile.ingest(events, DeltaBatch { entries }).unwrap();
-            let fresh = DeltaEntry::insert(tuple![SRC_KEYS + seq, seq, seq % 4], now);
-            let entries = vec![fresh];
-            smile.ingest(src, DeltaBatch { entries }).unwrap();
-            seq += 1;
-            smile.step().unwrap();
-        }
+        (0..ticks).for_each(|_| crowd_tick(smile, src, events, &mut seq));
     };
     feed(&mut smile, 50);
     // The shape in question: `Δsrc` lands on m1 before the migration, and
     // the shadow chain replicates `src` there in the same storage slot.
-    let src_on_m1 = |smile: &Smile, kind| {
-        let plan = &smile.global_plan().unwrap().plan;
-        let is_copy = |v: &&smile::core::plan::dag::Vertex| {
-            !v.is_base && v.kind == kind && v.machine == m1 && v.schema.arity() == 3
-        };
-        plan.vertices().iter().find(is_copy).and_then(|v| v.slot)
-    };
-    use smile::core::plan::dag::VertexKind::{Delta, Relation};
     let delta_slot = src_on_m1(&smile, Delta);
     assert!(delta_slot.is_some(), "the plan does not ship Δsrc to m1");
     assert_eq!(src_on_m1(&smile, Relation), None);
@@ -402,4 +423,57 @@ fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
     assert!(acts.contains(&"migration_completed m0->m1".to_string()), "{acts:?}");
     assert!(!smile.mv_contents(id).unwrap().is_empty());
     assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+
+    // And back: the replica goes inert while `Δsrc` still lands on m1 for
+    // the half-join there. Its rows are freed now, not at a later revival.
+    assert!(smile.migrate_sharing(id, Some(m0)).unwrap());
+    feed(&mut smile, 150);
+    smile.run_idle(SimDuration::from_secs(60)).unwrap();
+    let acts = labels(&smile);
+    assert!(acts.contains(&"migration_completed m1->m0".to_string()), "{acts:?}");
+    assert_eq!(src_on_m1(&smile, Relation), None);
+    assert_eq!(src_on_m1(&smile, Delta), delta_slot);
+    let db = &smile.cluster.machine(m1).unwrap().db;
+    assert!(db.relation(delta_slot.unwrap()).unwrap().table.is_empty());
+    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+}
+
+/// The same move for the lazier of two sharings over one half-join pair.
+/// `Δsrc`'s log on m1 is kept for the pair, which the tighter SLA drives, so
+/// it is cut past the lazy MV's commit point — the instant a shadow chain
+/// must be seeded at. The replica of `src` could not catch up from that log:
+/// the migration is declined until the commit point is inside the log again.
+#[test]
+fn a_migration_whose_seed_predates_an_adopted_log_waits() {
+    let (mut smile, src, events, ids) = crowd(&[(5, false), (120, true)]);
+    let (lazy, m1) = (ids[1], MachineId::new(1));
+    let mut seq = 0i64;
+    let mut feed = |smile: &mut Smile, ticks: u64| {
+        (0..ticks).for_each(|_| crowd_tick(smile, src, events, &mut seq));
+    };
+    feed(&mut smile, 150);
+    let slot = src_on_m1(&smile, Delta).expect("the plan does not ship Δsrc to m1");
+    let horizon = |smile: &Smile| {
+        let db = &smile.cluster.machine(m1).unwrap().db;
+        db.relation(slot).unwrap().delta.horizon()
+    };
+    let mv_ts = |smile: &Smile| smile.executor.as_ref().unwrap().mv_ts(lazy).unwrap();
+    assert!(mv_ts(&smile) < horizon(&smile), "the lazy MV is not behind the log");
+    assert!(!smile.migrate_sharing(lazy, Some(m1)).unwrap());
+    assert_eq!(src_on_m1(&smile, Relation), None);
+    // Its next push commits past the horizon; then the move goes ahead.
+    let mut waited = 0;
+    while !smile.migrate_sharing(lazy, Some(m1)).unwrap() {
+        feed(&mut smile, 1);
+        waited += 1;
+        assert!(waited < 200, "the migration was never accepted");
+    }
+    assert!(mv_ts(&smile) >= horizon(&smile));
+    feed(&mut smile, 150);
+    smile.run_idle(SimDuration::from_secs(150)).unwrap();
+    let acts = labels(&smile);
+    assert!(acts.contains(&"migration_completed m0->m1".to_string()), "{acts:?}");
+    for id in ids {
+        assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+    }
 }

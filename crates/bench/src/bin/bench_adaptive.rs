@@ -24,10 +24,10 @@
 //!   misses across the whole run — the MV never stops serving — and the
 //!   exported Perfetto trace must document the handoff as a `migration`
 //!   span (written next to the JSON artifact).
-//! * **determinism** — the adaptive regime arm replayed at workers 1, 2
-//!   and 8: the action and alert streams must be byte-identical, because
-//!   control decisions are derived from deterministic sim-time state, not
-//!   from worker scheduling.
+//! * **determinism** — the adaptive regime arm replayed once with the same
+//!   configuration: the action and alert streams must be byte-identical,
+//!   because control decisions are derived from deterministic sim-time
+//!   state, not from host time or a hash map's iteration order.
 //!
 //! Headline metrics, validated by `--validate`:
 //! * `miss_reduction_pct` ≥ 30 with `dollar_overhead_pct` ≤ 10;
@@ -36,7 +36,7 @@
 //! * `handoff_migrations_completed` ≥ 1 with `handoff_misses` == 0 and
 //!   `trace_migration_spans` ≥ 1;
 //! * `action_streams_identical` == 1 and `alert_streams_identical` == 1
-//!   across workers 1/2/8.
+//!   between the adaptive arm and its replay.
 
 use smile_core::catalog::BaseStats;
 use smile_core::platform::{ActionKind, Smile, SmileConfig};
@@ -98,11 +98,10 @@ const DRAIN_SECS: u64 = 600;
 /// on m1, `n` join sharings pinned on m0 — the side the flash crowd does
 /// NOT land on, so the raw crowd delta stream must cross the NIC until a
 /// migration moves the MVs to the data.
-fn build(workers: usize, adaptive: bool, n: usize) -> (Smile, RelationId, RelationId, Vec<SharingId>) {
+fn build(adaptive: bool, n: usize) -> (Smile, RelationId, RelationId, Vec<SharingId>) {
     let mut config = SmileConfig::with_machines(2);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.exec.workers = workers;
     config.machine_config.net_bandwidth = NET_BANDWIDTH;
     if adaptive {
         config.adaptive.enabled = true;
@@ -262,8 +261,8 @@ struct RegimeArm {
 
 /// Drives the flash-crowd regime for [`TOTAL_SECS`] with the adaptive
 /// actuator on or off.
-fn run_regime(adaptive: bool, workers: usize) -> RegimeArm {
-    let (mut smile, src, events, ids) = build(workers, adaptive, SHARINGS);
+fn run_regime(adaptive: bool) -> RegimeArm {
+    let (mut smile, src, events, ids) = build(adaptive, SHARINGS);
     preload_src(&mut smile, src);
     let mut integrator = RateIntegrator::new(RateTrace::Phases(vec![
         (SimDuration::from_secs(ONSET_SECS), CROWD_CALM_RATE),
@@ -342,7 +341,7 @@ struct HandoffOut {
 /// operator-invoked migration mid-feed. The bar is zero misses across the
 /// entire run — the dual-write handoff never stops serving the MV.
 fn run_handoff() -> HandoffOut {
-    let (mut smile, src, events, ids) = build(1, false, 1);
+    let (mut smile, src, events, ids) = build(false, 1);
     preload_src(&mut smile, src);
     let mut integrator = RateIntegrator::new(RateTrace::Constant(CROWD_CALM_RATE));
     let (mut crowd_seq, mut src_seq) = (0i64, 0i64);
@@ -392,15 +391,12 @@ fn run_handoff() -> HandoffOut {
 fn emit_json(
     stat: &RegimeArm,
     adapt: &RegimeArm,
-    det: &[(usize, bool, bool)],
+    (actions_identical, alerts_identical): (bool, bool),
     handoff: &HandoffOut,
 ) -> String {
     let miss_reduction_pct =
         (stat.misses as f64 - adapt.misses as f64) / (stat.misses as f64).max(1e-9) * 100.0;
     let dollar_overhead_pct = (adapt.dollars - stat.dollars) / stat.dollars.max(1e-9) * 100.0;
-    let workers: Vec<String> = det.iter().map(|(w, _, _)| w.to_string()).collect();
-    let actions_identical = det.iter().all(|&(_, a, _)| a);
-    let alerts_identical = det.iter().all(|&(_, _, a)| a);
     format!(
         r#"{{
   "bench_id": "BENCH_0010",
@@ -449,7 +445,6 @@ fn emit_json(
     "trace_migration_spans": {tms}
   }},
   "determinism": {{
-    "workers": [{workers}],
     "action_streams_identical": {acti},
     "alert_streams_identical": {alei}
   }}
@@ -492,7 +487,6 @@ fn emit_json(
         hma = handoff.migrations_aborted,
         hsec = handoff.migration_secs,
         tms = handoff.trace_migration_spans,
-        workers = workers.join(", "),
         acti = i32::from(actions_identical),
         alei = i32::from(alerts_identical),
     )
@@ -563,12 +557,12 @@ fn validate(path: &str) -> Result<(), String> {
     if num("trace_migration_spans")? < 1.0 {
         return Err("exported trace documents no migration span".into());
     }
-    // Decision determinism across worker counts.
+    // Decision determinism between the adaptive arm and its replay.
     if num("action_streams_identical")? != 1.0 {
-        return Err("action streams diverged across workers 1/2/8".into());
+        return Err("action streams diverged between identical runs".into());
     }
     if num("alert_streams_identical")? != 1.0 {
-        return Err("alert streams diverged across workers 1/2/8".into());
+        return Err("alert streams diverged between identical runs".into());
     }
     Ok(())
 }
@@ -597,12 +591,12 @@ fn main() {
         "adaptive regime: {:.0}→{:.0} t/s crowd at t={}s over a {:.0} B/s NIC, {} sharings ...",
         CROWD_CALM_RATE, CROWD_SPIKE_RATE, ONSET_SECS, NET_BANDWIDTH, SHARINGS,
     );
-    let stat = run_regime(false, 1);
+    let stat = run_regime(false);
     eprintln!(
         "  static:   {} pushes, {} misses (first {:.1}s), ${:.6}",
         stat.pushes, stat.misses, stat.first_miss_secs, stat.dollars
     );
-    let adapt = run_regime(true, 1);
+    let adapt = run_regime(true);
     eprintln!(
         "  adaptive: {} pushes, {} misses, ${:.6}, {} alerts, {} migrations ({} completed, first at {:.1}s)",
         adapt.pushes,
@@ -614,20 +608,15 @@ fn main() {
         adapt.first_migration_secs,
     );
 
-    let mut det = vec![(1usize, true, true)];
-    for workers in [2usize, 8] {
-        let other = run_regime(true, workers);
-        det.push((
-            workers,
-            other.action_stream == adapt.action_stream,
-            other.alert_stream == adapt.alert_stream,
-        ));
-        eprintln!(
-            "  workers={workers}: actions identical={}, alerts identical={}",
-            other.action_stream == adapt.action_stream,
-            other.alert_stream == adapt.alert_stream,
-        );
-    }
+    let replay = run_regime(true);
+    let identical = (
+        replay.action_stream == adapt.action_stream,
+        replay.alert_stream == adapt.alert_stream,
+    );
+    eprintln!(
+        "  replay: actions identical={}, alerts identical={}",
+        identical.0, identical.1,
+    );
 
     eprintln!(
         "  handoff: calm migration at t={HANDOFF_MIGRATE_AT_SECS}s over {HANDOFF_TOTAL_SECS}s ..."
@@ -638,7 +627,7 @@ fn main() {
         handoff.pushes, handoff.misses, handoff.migration_secs, handoff.trace_migration_spans
     );
 
-    let json = emit_json(&stat, &adapt, &det, &handoff);
+    let json = emit_json(&stat, &adapt, identical, &handoff);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create output dir");
     }

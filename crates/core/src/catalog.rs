@@ -112,11 +112,6 @@ impl Catalog {
             .ok_or(SmileError::UnknownRelation(rel))
     }
 
-    /// Looks a base relation up by name.
-    pub fn base_by_name(&self, name: &str) -> Option<&BaseRelation> {
-        self.bases.iter().find(|b| b.name == name)
-    }
-
     /// All registered base relations.
     pub fn bases(&self) -> &[BaseRelation] {
         &self.bases
@@ -164,8 +159,6 @@ mod tests {
         let r = c.register_base("users", schema(), MachineId::new(2), stats());
         assert_eq!(r, RelationId::new(0));
         assert_eq!(c.base(r).unwrap().machine, MachineId::new(2));
-        assert_eq!(c.base_by_name("users").unwrap().id, r);
-        assert!(c.base_by_name("nope").is_none());
     }
 
     #[test]

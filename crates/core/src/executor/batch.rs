@@ -181,24 +181,23 @@ impl Executor {
         Ok(())
     }
 
-    /// Executes a planned batch wave by wave on the worker pool and merges
-    /// the outcomes back in canonical job order.
+    /// Executes a planned batch wave by wave and merges the outcomes back
+    /// in canonical job order.
     ///
-    /// Per wave, the coordinator makes every non-deterministic decision
-    /// up front, in job order: dependency-failure propagation, crash-window
-    /// checks at the submission time, and the shared fault-stream draws
-    /// (delta drop, then ack loss) for cross-machine copies. The wave then
-    /// runs on however many workers are configured, and the merge — ledger
-    /// charges, `data_ts` advances, commit events, retry decisions — is
-    /// single-threaded in job order. Nothing downstream can observe the
-    /// worker count.
+    /// Per wave, the coordinator decides, runs, then merges. It makes every
+    /// decision that consumes shared state up front, in job order:
+    /// dependency-failure propagation, crash-window checks at the
+    /// submission time, and the shared fault-stream draws (delta drop, then
+    /// ack loss) for cross-machine copies. [`wave::run_wave`] then moves the
+    /// data, and the merge — ledger charges, `data_ts` advances, commit
+    /// events, retry decisions — follows in job order.
     ///
     /// A request with a transiently-failed job keeps the progress of the
     /// jobs that succeeded (their windows landed; a retry re-plans from the
     /// advanced `data_ts` and batch dedup absorbs overlap) and is retried
     /// or abandoned per the policy. Jobs depending on a failed job are
-    /// skipped without consuming fault draws — skipping is itself
-    /// deterministic, so the stream stays aligned at any worker count.
+    /// skipped without consuming fault draws, so the stream stays aligned
+    /// with the jobs that did run.
     pub(super) fn execute_batch(
         &mut self,
         cluster: &mut Cluster,
@@ -218,8 +217,8 @@ impl Executor {
         let mut hard_error: Option<SmileError> = None;
 
         // The tick span roots this batch's span tree. Allocation and every
-        // attribute below happen coordinator-side in canonical job order, so
-        // span ids and logical content are identical at any worker count.
+        // attribute below happen in canonical job order and carry simulated
+        // time only, so span ids and content repeat run to run.
         let tick_span = self
             .telemetry
             .enabled()
@@ -272,8 +271,7 @@ impl Executor {
                     .any(|&m| cluster.faults.machine_down(m, submit))
                 {
                     // Crash windows are schedule-driven, not stream-driven:
-                    // failing here consumes no draws, same as the serial
-                    // `check_up` early return.
+                    // failing here consumes no draws.
                     req_failed[job.req] = true;
                     if let Some(ts_id) = tick_span {
                         let down = Some(exec_machine);
@@ -294,8 +292,8 @@ impl Executor {
                 // half's landed coverage as of this wave. The pairing
                 // dependency added at planning guarantees the sibling's
                 // current step ran in an earlier wave (or was skipped,
-                // failing this job's request), so `data_ts` is exact here at
-                // any worker count. Other operators read no snapshot.
+                // failing this job's request), so `data_ts` is exact here.
+                // Other operators read no snapshot.
                 let snapshot_at = self
                     .anchor_of
                     .get(&job.edge)
@@ -320,18 +318,15 @@ impl Executor {
                 &self.global.plan,
                 &self.model,
                 &dispatch,
-                self.config.workers,
-                &self.telemetry,
+                self.telemetry.host_job_nanos(),
             );
             let wave_span = tick_span.map(|_| self.telemetry.next_span_id());
             let wave_start = dispatch.iter().map(|d| d.submit).min().unwrap_or(now);
             let mut wave_end = wave_start;
             let (mut wave_jobs, mut wave_busy) = (0u64, 0u64);
-            // Outcomes are sorted by canonical job index and dispatch was
-            // built in that same order, so the two line up one-to-one.
+            // One outcome per dispatched job, in dispatch order.
             for (o, d) in outcomes.into_iter().zip(dispatch.iter()) {
-                debug_assert_eq!(o.job, d.job);
-                let job = &jobs[o.job];
+                let job = &jobs[d.job];
                 let req = &requests[job.req];
                 for u in o.charges {
                     cluster.ledger.charge(u, &[req.sharing]);
@@ -348,8 +343,8 @@ impl Executor {
                         if run.deduped {
                             self.fault_stats.batches_deduped += 1;
                         }
-                        job_ok[o.job] = true;
-                        job_end[o.job] = run.end;
+                        job_ok[d.job] = true;
+                        job_end[d.job] = run.end;
                         wave_end = wave_end.max(run.end);
                         max_end = max_end.max(run.end);
                         self.data_ts[job.vertex.index()] = job.to;

@@ -37,7 +37,7 @@
 //!
 //! Every decision here is made coordinator-side from deterministic
 //! simulation state in canonical (sharing-slot) order, so migrations are
-//! byte-stable at any worker count.
+//! byte-stable run to run.
 
 use super::{Executor, SharingRt};
 use crate::merge_catalog::MergeCatalog;

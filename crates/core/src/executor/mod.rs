@@ -83,10 +83,9 @@ pub struct ExecConfig {
     pub feedback: bool,
     /// How transiently-failed pushes are retried.
     pub retry: RetryPolicy,
-    /// Worker threads for wave execution. `1` runs the same engine inline
-    /// on the scheduler thread (the ablation baseline); results are
-    /// byte-identical at any value. Defaults to the host's available
-    /// parallelism, overridable with the `SMILE_WORKERS` env var.
+    /// Vestige, read by nothing: the push engine is one thread. The field
+    /// stays only because the frozen harness assigns it
+    /// (`benchmark/src/workloads.rs`); ROADMAP item 2(h) drops it.
     pub workers: usize,
 }
 
@@ -98,24 +97,9 @@ impl Default for ExecConfig {
             lazy: true,
             feedback: true,
             retry: RetryPolicy::default(),
-            workers: default_workers(),
+            workers: 1,
         }
     }
-}
-
-/// `SMILE_WORKERS` if set to a positive integer, else the host's available
-/// parallelism. The env override is what lets CI run the whole suite at
-/// several worker counts without touching any test.
-fn default_workers() -> usize {
-    std::env::var("SMILE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
 }
 
 /// Retry/backoff policy for pushes that fail with a transient fault
@@ -666,17 +650,16 @@ impl Executor {
     /// One scheduler tick at simulated time `now`: drain message/event
     /// queues, plan every push that should fire this tick (due retries plus
     /// newly triggered pushes) into one batch of edge jobs, then execute the
-    /// batch wave by wave on the worker pool.
+    /// batch wave by wave.
     pub fn tick(&mut self, cluster: &mut Cluster, now: Timestamp) -> Result<()> {
         // Host wall-clock over the scheduling phase only (drain + heartbeats
         // + planning) — the cost the calendar makes O(due + invalidated).
         // Execution cost is proportional to planned work either way.
         let sched_start = std::time::Instant::now();
         self.drain_events(now);
-        // Evaluate the burn-rate monitor right after completions land,
-        // coordinator-side — the alert stream is identical across worker
-        // counts by construction. Gated on telemetry so quiet mode stays
-        // silent.
+        // Evaluate the burn-rate monitor right after completions land, on
+        // simulated time only, so the alert stream repeats run to run.
+        // Gated on telemetry so quiet mode stays silent.
         if self.telemetry.enabled() {
             let fired = self.monitor.on_tick(us(now));
             for a in &fired {

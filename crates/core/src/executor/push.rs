@@ -24,16 +24,14 @@
 //!
 //! Every operator except a cross-machine `CopyDelta` touches exactly one
 //! machine (plan validation enforces co-location), so the execution
-//! primitives here take `&mut Machine`, not the whole cluster. That is what
-//! lets the parallel wave engine ([`super::wave`]) hand disjoint machine
-//! partitions to worker threads: a cross-machine copy splits into
-//! [`ship_copy`] on the source machine and [`land_copy`] on the destination,
-//! exchanging immutable `Arc`-backed WAL bytes; everything else is
-//! [`run_local`] on the output's machine. Fault decisions (crash windows,
-//! delta drops, ack losses) are **not** drawn here — the coordinator
-//! pre-draws them in canonical order and passes the outcomes in as
-//! [`JobFaults`], keeping the seeded fault streams independent of the
-//! worker count.
+//! primitives here take `&mut Machine`, not the whole cluster. A
+//! cross-machine copy splits into [`ship_copy`] on the source machine and
+//! [`land_copy`] on the destination, exchanging immutable WAL bytes;
+//! everything else is [`run_local`] on the output's machine
+//! ([`super::wave`] sequences them). Fault decisions (crash windows, delta
+//! drops, ack losses) are **not** drawn here — the coordinator pre-draws
+//! them in canonical order and passes the outcomes in as [`JobFaults`], so
+//! the seeded fault streams are consumed in one place.
 
 use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
@@ -67,8 +65,7 @@ pub struct EdgeRun {
 
 /// Pre-drawn fault outcomes for one edge job. The coordinator consumes the
 /// shared fault stream in canonical job order *before* dispatching a wave,
-/// so these booleans — not the injector — are what the (possibly
-/// multi-threaded) execution sees.
+/// so these booleans — not the injector — are what the execution sees.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct JobFaults {
     /// A cross-machine delta batch is lost in transit after the NIC time
@@ -83,8 +80,7 @@ pub(crate) struct JobFaults {
 /// window encoded as WAL bytes and already pushed through the NIC.
 #[derive(Clone, Debug)]
 pub(crate) struct ShipOutput {
-    /// Encoded WAL bytes — an immutable, cheaply cloneable `Arc`-backed
-    /// buffer handed to the destination machine's worker.
+    /// Encoded WAL bytes, handed to the land half on the destination.
     pub bytes: Bytes,
     /// Arrival time at the destination (NIC serialization + latency).
     pub arrive: Timestamp,

@@ -1,6 +1,6 @@
 //! Span records of the push lifecycle. Every span is built coordinator-side
-//! from simulation state in canonical job order, so ids and content never
-//! depend on the worker count.
+//! from simulation state in canonical job order, so ids and content repeat
+//! run to run.
 
 use super::batch::{BatchJob, BatchRequest};
 use super::migrate::MigrationRt;
@@ -10,7 +10,7 @@ use smile_telemetry::{SpanKind, SpanRecord};
 use smile_types::{MachineId, Result, Timestamp};
 
 /// Simulated instant as microseconds since time zero — the only clock that
-/// appears in span timing fields, so traces are worker-count-independent.
+/// appears in span timing fields, so traces carry no host time.
 pub(super) fn us(t: Timestamp) -> u64 {
     (t - Timestamp::ZERO).as_micros()
 }
@@ -66,8 +66,7 @@ impl Executor {
 
     /// Records one edge job's span (plus ship/land child spans for a
     /// cross-machine copy) under its wave. Every field is derived from
-    /// coordinator-side state, so span content never depends on the worker
-    /// count.
+    /// coordinator-side simulation state.
     pub(super) fn record_job_span(
         &self,
         wave_span: u64,

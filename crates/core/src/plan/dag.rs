@@ -352,10 +352,10 @@ impl Plan {
         Ok(order)
     }
 
-    /// Vertex → *wavefront* index over a vertex subset (the parallel push
-    /// engine's schedule): a vertex's wave is one past the maximum wave of
-    /// its producer inputs inside the subset, so no two vertices in one wave
-    /// depend on each other and their producing edges can run concurrently.
+    /// Vertex → *wavefront* index over a vertex subset (the push engine's
+    /// schedule): a vertex's wave is one past the maximum wave of its
+    /// producer inputs inside the subset, so no two vertices in one wave
+    /// depend on each other.
     /// Inputs outside the subset (base vertices, vertices already at the
     /// target timestamp) impose no ordering.
     ///

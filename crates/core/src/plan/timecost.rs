@@ -102,12 +102,6 @@ impl TimeCostModel {
         &self.ops[Self::op_index(op)]
     }
 
-    /// Overrides an operator's linear model (used by the Figure 5
-    /// calibration harness).
-    pub fn set_op_model(&mut self, op: &EdgeOp, model: LinearModel) {
-        self.ops[Self::op_index(op)] = model;
-    }
-
     /// CPU service time of moving `n` tuples through an edge (no queueing,
     /// no network), as the simulator charges it.
     pub fn edge_service(&self, op: &EdgeOp, n: f64, _tuple_bytes: f64) -> SimDuration {
@@ -234,21 +228,5 @@ mod tests {
     fn slowest_per_tuple_is_the_apply_slope() {
         let m = TimeCostModel::paper_defaults();
         assert_eq!(m.slowest_per_tuple(), SimDuration::from_micros(55));
-    }
-
-    #[test]
-    fn set_op_model_overrides() {
-        let mut m = TimeCostModel::paper_defaults();
-        m.set_op_model(
-            &EdgeOp::Union,
-            LinearModel {
-                fixed: SimDuration::ZERO,
-                per_tuple: SimDuration::from_micros(1),
-            },
-        );
-        assert_eq!(
-            m.edge_service(&EdgeOp::Union, 10.0, 24.0),
-            SimDuration::from_micros(10)
-        );
     }
 }

@@ -47,8 +47,8 @@ impl Default for AdaptiveConfig {
 
 /// One decision the adaptive actuator took, stamped with the sim-time it
 /// was made at. The action log is derived exclusively from deterministic
-/// simulation state in canonical order, so it is byte-identical at any
-/// worker count — pinned by the adaptive conformance suite.
+/// simulation state in canonical order, so it is byte-identical run to
+/// run — pinned by the adaptive conformance suite.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Action {
     /// Simulated microseconds since time zero.
@@ -136,7 +136,7 @@ impl ActionKind {
 
 impl Smile {
     /// Typed log of every adaptive-actuator decision so far, in decision
-    /// order (byte-identical at any worker count).
+    /// order (byte-identical run to run).
     pub fn actions(&self) -> &[Action] {
         &self.actions
     }
@@ -280,7 +280,7 @@ impl Smile {
                 }
             }
             for m in retire {
-                self.cluster.retire_machine(m, self.now);
+                self.cluster.retire_machine(m);
                 self.push_action(ActionKind::ScaleDown { machine: m });
             }
         }
@@ -319,7 +319,7 @@ impl Smile {
                 // reserved machine still fits the hourly dollar budget.
                 let next = (self.cluster.reserved_count() + 1) as f64;
                 if next * self.config.prices.cpu_per_hour <= cfg.budget_dollars_per_hour {
-                    let m = self.cluster.add_machine(self.config.machine_config, self.now);
+                    let m = self.cluster.add_machine(self.config.machine_config);
                     self.push_action(ActionKind::ScaleUp { machine: m });
                     machines.push(m);
                 } else {

@@ -99,7 +99,7 @@ impl Smile {
         self.cluster.arrangement_meter()
     }
 
-    /// Host-side totals of the parallel push engine: waves, jobs and their
+    /// Host-side totals of the push engine: waves, jobs and their
     /// summed host busy time. Zero before `install`.
     pub fn wave_meter(&self) -> smile_sim::WaveMeter {
         self.executor
@@ -238,9 +238,8 @@ impl Smile {
     /// hit rates, headroom percentiles from the bounded rollup, burn-rate
     /// state, dollar attribution, alerts and flight incidents. The text is
     /// assembled exclusively from deterministic state (sim-time, fixed
-    /// float precision, canonical orders), so it is byte-identical at any
-    /// worker count and across scheduler modes — and pinned as a golden
-    /// output in the test suite.
+    /// float precision, canonical orders), so it is byte-identical run to
+    /// run — and pinned as a golden output in the test suite.
     pub fn explain(&self, id: SharingId) -> Result<String> {
         use std::fmt::Write as _;
         let sharing = self
@@ -394,7 +393,7 @@ impl Smile {
     /// Exports the retained spans plus the injected fault events as Chrome
     /// `trace_event` JSON (Perfetto-loadable): one lane per simulated
     /// machine plus a coordinator lane. All timing fields are simulated
-    /// microseconds, so the artifact is byte-stable across worker counts.
+    /// microseconds, so the artifact is byte-stable run to run.
     pub fn export_trace(&self) -> String {
         let spans = self.telemetry.spans();
         let instants: Vec<TraceInstant> = self

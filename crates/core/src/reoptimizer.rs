@@ -15,7 +15,7 @@
 //! a [`PlannedSharing`]; applying it is the executor's live-migration
 //! protocol (`executor/migrate.rs`). Decisions are pure functions of
 //! deterministic simulation state, so the adaptive control loop stays
-//! byte-reproducible at any worker count.
+//! byte-reproducible run to run.
 
 use crate::catalog::Catalog;
 use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};

@@ -21,21 +21,13 @@ pub enum MachineState {
     Retired,
 }
 
-/// Reservation bookkeeping for one machine slot.
-#[derive(Clone, Copy, Debug)]
-struct MachineLife {
-    state: MachineState,
-    spawned: Timestamp,
-    retired_at: Option<Timestamp>,
-}
-
 /// The set of machines available to implement the sharings, plus the shared
 /// clock, price sheet and the per-sharing usage ledger.
 #[derive(Debug)]
 pub struct Cluster {
     machines: Vec<Machine>,
     /// Per-slot lifecycle (parallel to `machines`).
-    lives: Vec<MachineLife>,
+    states: Vec<MachineState>,
     /// Distributed clock used to stamp deltas and heartbeats.
     pub clock: DistributedClock,
     /// Prices applied to metered usage.
@@ -64,14 +56,7 @@ impl Cluster {
         let n = machines.len();
         Self {
             machines,
-            lives: vec![
-                MachineLife {
-                    state: MachineState::Active,
-                    spawned: Timestamp::ZERO,
-                    retired_at: None,
-                };
-                n
-            ],
+            states: vec![MachineState::Active; n],
             clock: DistributedClock::perfect(n),
             prices: PriceSheet::default(),
             ledger: UsageLedger::new(),
@@ -84,14 +69,10 @@ impl Cluster {
     /// the installed fault profile through a fresh per-machine crash stream
     /// — existing machines' fault streams are untouched, so growing the
     /// fleet never perturbs already-scheduled faults.
-    pub fn add_machine(&mut self, config: MachineConfig, now: Timestamp) -> MachineId {
+    pub fn add_machine(&mut self, config: MachineConfig) -> MachineId {
         let id = MachineId::new(self.machines.len() as u32);
         self.machines.push(Machine::new(id, config));
-        self.lives.push(MachineLife {
-            state: MachineState::Active,
-            spawned: now,
-            retired_at: None,
-        });
+        self.states.push(MachineState::Active);
         self.clock.add_machine();
         self.faults.add_machine();
         id
@@ -99,30 +80,27 @@ impl Cluster {
 
     /// The lifecycle state of machine `m`.
     pub fn machine_state(&self, m: MachineId) -> MachineState {
-        self.lives
+        self.states
             .get(m.index())
-            .map(|l| l.state)
+            .copied()
             .unwrap_or(MachineState::Retired)
     }
 
     /// Marks `m` draining: no new placements land there while its existing
     /// state is migrated off.
     pub fn begin_drain(&mut self, m: MachineId) {
-        if let Some(l) = self.lives.get_mut(m.index()) {
-            if l.state == MachineState::Active {
-                l.state = MachineState::Draining;
+        if let Some(state) = self.states.get_mut(m.index()) {
+            if *state == MachineState::Active {
+                *state = MachineState::Draining;
             }
         }
     }
 
-    /// Retires `m` at `now` (drain-before-retire is the caller's contract);
-    /// the slot stays as a tombstone so machine ids remain dense.
-    pub fn retire_machine(&mut self, m: MachineId, now: Timestamp) {
-        if let Some(l) = self.lives.get_mut(m.index()) {
-            if l.state != MachineState::Retired {
-                l.state = MachineState::Retired;
-                l.retired_at = Some(now);
-            }
+    /// Retires `m` (drain-before-retire is the caller's contract); the slot
+    /// stays as a tombstone so machine ids remain dense.
+    pub fn retire_machine(&mut self, m: MachineId) {
+        if let Some(state) = self.states.get_mut(m.index()) {
+            *state = MachineState::Retired;
         }
     }
 
@@ -130,8 +108,8 @@ impl Cluster {
     pub fn active_machine_ids(&self) -> Vec<MachineId> {
         self.machines
             .iter()
-            .zip(&self.lives)
-            .filter(|(_, l)| l.state == MachineState::Active)
+            .zip(&self.states)
+            .filter(|(_, &state)| state == MachineState::Active)
             .map(|(m, _)| m.id())
             .collect()
     }
@@ -139,24 +117,10 @@ impl Cluster {
     /// Number of machines not yet retired (reserved capacity the fleet is
     /// paying for).
     pub fn reserved_count(&self) -> usize {
-        self.lives
+        self.states
             .iter()
-            .filter(|l| l.state != MachineState::Retired)
+            .filter(|&&state| state != MachineState::Retired)
             .count()
-    }
-
-    /// Dollars of reserved machine-hours through `now` at `hourly` $/hour
-    /// per machine: each slot is billed from its spawn until its retirement
-    /// (or `now` if still reserved). This is the elasticity budget's view of
-    /// cost — paid whether or not the machine did metered work.
-    pub fn reserved_dollars(&self, now: Timestamp, hourly: f64) -> f64 {
-        self.lives
-            .iter()
-            .map(|l| {
-                let end = l.retired_at.unwrap_or(now).max(l.spawned);
-                (end - l.spawned).as_secs_f64() / 3600.0 * hourly
-            })
-            .sum()
     }
 
     /// Installs a fault profile, replacing the injector (and its history).
@@ -204,9 +168,8 @@ impl Cluster {
             .ok_or(SmileError::UnknownMachine(m))
     }
 
-    /// Mutable access to the whole fleet at once. The parallel push engine
-    /// partitions this slice by machine index so each worker thread owns its
-    /// machines' simulated resources and tables exclusively for a wave.
+    /// Mutable access to the whole fleet at once, indexed by machine index:
+    /// a wave of the push engine touches several machines in one call.
     pub fn machines_mut(&mut self) -> &mut [Machine] {
         &mut self.machines
     }
@@ -334,7 +297,7 @@ mod tests {
         let mut c = Cluster::homogeneous(2);
         c.set_fault_profile(FaultProfile::chaos(9));
         let spawn_at = Timestamp::from_secs(100);
-        let m2 = c.add_machine(MachineConfig::default(), spawn_at);
+        let m2 = c.add_machine(MachineConfig::default());
         assert_eq!(m2, MachineId::new(2));
         assert_eq!(c.len(), 3);
         assert_eq!(c.machine_state(m2), MachineState::Active);
@@ -346,14 +309,9 @@ mod tests {
         assert_eq!(c.machine_state(m2), MachineState::Draining);
         assert_eq!(c.active_machine_ids().len(), 2);
         assert_eq!(c.reserved_count(), 3);
-        c.retire_machine(m2, Timestamp::from_secs(1900));
+        c.retire_machine(m2);
         assert_eq!(c.machine_state(m2), MachineState::Retired);
         assert_eq!(c.reserved_count(), 2);
-        // Billed for exactly the 1800 reserved seconds at $2/hour, plus the
-        // two seed machines' full lifetime.
-        let d = c.reserved_dollars(Timestamp::from_secs(1900), 2.0);
-        let expect = 0.5 * 2.0 + 2.0 * (1900.0 / 3600.0) * 2.0;
-        assert!((d - expect).abs() < 1e-9, "d = {d}");
     }
 
     #[test]
@@ -362,7 +320,7 @@ mod tests {
         let mut b = Cluster::homogeneous(2);
         a.set_fault_profile(FaultProfile::chaos(77));
         b.set_fault_profile(FaultProfile::chaos(77));
-        b.add_machine(MachineConfig::default(), Timestamp::from_secs(5));
+        b.add_machine(MachineConfig::default());
         for s in (0..7200).step_by(13) {
             let t = Timestamp::from_secs(s);
             for m in 0..2u32 {

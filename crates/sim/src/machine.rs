@@ -44,13 +44,6 @@ pub struct Reservation {
     pub end: Timestamp,
 }
 
-impl Reservation {
-    /// Queueing delay experienced before service began.
-    pub fn queue_delay(&self, submitted: Timestamp) -> SimDuration {
-        self.start - submitted
-    }
-}
-
 /// One simulated machine: database + FIFO CPU + FIFO outbound NIC.
 #[derive(Debug)]
 pub struct Machine {
@@ -166,13 +159,6 @@ impl Machine {
     }
 }
 
-// The parallel push engine hands `&mut Machine` slices to scoped worker
-// threads, one partition per worker.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Machine>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +177,6 @@ mod tests {
         let (r2, _) = m.run_cpu(now, SimDuration::from_secs(1));
         assert_eq!(r2.start, Timestamp::from_secs(12));
         assert_eq!(r2.end, Timestamp::from_secs(13));
-        assert_eq!(r2.queue_delay(now), SimDuration::from_secs(2));
         assert_eq!(m.cpu_backlog(now), SimDuration::from_secs(3));
     }
 

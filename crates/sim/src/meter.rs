@@ -36,8 +36,8 @@ impl ArrangementMeter {
     }
 }
 
-/// Host-side (wall-clock, not simulated) totals of the parallel push
-/// engine: how many waves and wave-jobs ran and how much real CPU time the
+/// Host-side (wall-clock, not simulated) totals of the push engine: how
+/// many waves and wave-jobs ran and how much real CPU time the
 /// jobs cost. The counts live in the telemetry registry (`wave.waves`,
 /// `wave.jobs`, `wave.host_busy_nanos`); this struct is the *view* of them
 /// that `Smile::wave_meter()` assembles on demand.

@@ -11,10 +11,8 @@
 //! 2020).
 //!
 //! Probe-side statistics are kept in relaxed [`AtomicU64`]s so read-only
-//! probes through a shared `&Table` still count — including probes from the
-//! parallel push engine's worker threads, which hold `&Table` borrows of
-//! machine-partitioned state; [`ArrangementCounters`] snapshots them for the
-//! simulator's meter.
+//! probes through a shared `&Table` still count; [`ArrangementCounters`]
+//! snapshots them for the simulator's meter.
 
 use crate::zset::ZSet;
 use smile_types::{FastMap, Tuple, Value};
@@ -211,16 +209,6 @@ impl Arrangement {
             .collect()
     }
 
-    /// Number of distinct keys currently indexed.
-    pub fn key_count(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Number of rows currently indexed (across all buckets).
-    pub fn row_count(&self) -> usize {
-        self.index.values().map(FastMap::len).sum()
-    }
-
     /// True iff no rows are indexed.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
@@ -244,13 +232,6 @@ impl Arrangement {
     }
 }
 
-// The parallel push engine moves machine-partitioned storage across worker
-// threads; keep these guarantees checked at compile time.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Arrangement>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,8 +241,6 @@ mod tests {
     fn build_then_probe() {
         let rows = ZSet::from_tuples([tuple![1i64, "a"], tuple![1i64, "b"], tuple![2i64, "c"]]);
         let arr = Arrangement::build(vec![0], &rows);
-        assert_eq!(arr.key_count(), 2);
-        assert_eq!(arr.row_count(), 3);
         assert_eq!(arr.probe(&tuple![1i64]).len(), 2);
         assert!(arr.probe(&tuple![9i64]).is_empty());
         let c = arr.counters();

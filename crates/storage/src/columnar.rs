@@ -27,12 +27,9 @@
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::zset::ZSet;
 use smile_types::{Result, SmileError, Timestamp, Tuple, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
-/// Value tag bytes of the row codec. These deliberately coincide with
-/// `Value`'s ordering rank so batched hashing (below) can feed the tag
-/// straight into the hasher the way `Value::hash` feeds the rank.
+/// Value tag bytes of the row codec; they coincide with `Value`'s ordering
+/// rank.
 pub(crate) const TAG_NULL: u8 = 0;
 /// Tag byte for [`Value::I64`].
 pub(crate) const TAG_I64: u8 = 1;
@@ -493,62 +490,7 @@ impl ColumnarBatch {
             merged_runs: false,
         }
     }
-
-    /// Hashes every row's projection onto `cols` in one pass over the arena
-    /// — no `Tuple` or `Value` is materialized. The hash of row `i` equals
-    /// feeding `tuple(i).project(cols)` to a fresh `DefaultHasher` (pinned
-    /// by a unit test and a property test), because the row codec's tags
-    /// coincide with `Value`'s hash rank and strings are hashed from their
-    /// in-arena UTF-8 slices.
-    pub fn key_hashes(&self, cols: &[usize]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut starts: Vec<usize> = Vec::new();
-        for i in 0..self.len() {
-            let row = self.row(i);
-            starts.clear();
-            let mut pos = 0;
-            while pos < row.len() {
-                starts.push(pos);
-                pos = validate_value(row, pos).expect("columnar rows are valid by construction");
-            }
-            let mut h = DefaultHasher::new();
-            // Mirror of `Tuple`'s derived hash: slice length prefix, then
-            // per value the rank byte and the payload exactly as
-            // `Value::hash` writes them.
-            h.write_usize(cols.len());
-            for &c in cols {
-                let p = starts[c];
-                let tag = row[p];
-                h.write_u8(tag);
-                match tag {
-                    TAG_NULL => {}
-                    TAG_I64 => {
-                        h.write_i64(i64::from_le_bytes(row[p + 1..p + 9].try_into().unwrap()))
-                    }
-                    TAG_F64 => {
-                        h.write_u64(u64::from_le_bytes(row[p + 1..p + 9].try_into().unwrap()))
-                    }
-                    TAG_STR => {
-                        let len =
-                            u32::from_le_bytes(row[p + 1..p + 5].try_into().unwrap()) as usize;
-                        let s = std::str::from_utf8(&row[p + 5..p + 5 + len])
-                            .expect("validated UTF-8");
-                        s.hash(&mut h);
-                    }
-                    _ => unreachable!("validated tag"),
-                }
-            }
-            out.push(h.finish());
-        }
-        out
-    }
 }
-
-// Batches cross worker threads inside shipped WAL frames.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ColumnarBatch>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -557,12 +499,6 @@ mod tests {
 
     fn ts(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
-    }
-
-    fn default_hash(t: &Tuple) -> u64 {
-        let mut h = DefaultHasher::new();
-        t.hash(&mut h);
-        h.finish()
     }
 
     #[test]
@@ -667,29 +603,5 @@ mod tests {
         let batch = DeltaBatch { entries };
         assert_eq!(cb.to_zset(), batch.to_zset());
         assert_eq!(cb.to_batch(), batch);
-    }
-
-    #[test]
-    fn key_hashes_match_per_tuple_hashing() {
-        let rows = vec![
-            tuple![1i64, "ann", 2.5f64],
-            tuple![2i64, Value::Null, f64::NAN],
-            tuple![1i64, "ann", 2.5f64],
-            tuple![-9i64, "", 0.0f64],
-        ];
-        let mut cb = ColumnarBatch::new();
-        for t in &rows {
-            cb.push(t, 1, ts(1));
-        }
-        for cols in [vec![0], vec![1, 0], vec![2], vec![0, 1, 2], vec![]] {
-            let batched = cb.key_hashes(&cols);
-            for (i, t) in rows.iter().enumerate() {
-                assert_eq!(
-                    batched[i],
-                    default_hash(&t.project(&cols)),
-                    "cols {cols:?} row {i}"
-                );
-            }
-        }
     }
 }

@@ -178,16 +178,6 @@ impl DeltaTable {
         &self.entries[start..end]
     }
 
-    /// Consolidated z-set of all entries with `ts > lo` — the amount by which
-    /// the relation at `lo` differs from the relation at `last_ts`.
-    pub fn since(&self, lo: Timestamp) -> ZSet {
-        let start = self.entries.partition_point(|e| e.ts <= lo);
-        self.entries[start..]
-            .iter()
-            .map(|e| (e.tuple.clone(), e.weight))
-            .collect()
-    }
-
     /// Number of entries with `lo < ts <= hi` without materializing them.
     pub fn count_window(&self, lo: Timestamp, hi: Timestamp) -> usize {
         let start = self.entries.partition_point(|e| e.ts <= lo);
@@ -251,17 +241,6 @@ mod tests {
         d.append(e(3, 1, 4));
         let ts: Vec<u64> = d.iter().map(|x| x.ts.0 / 1_000_000).collect();
         assert_eq!(ts, vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn since_consolidates() {
-        let mut d = DeltaTable::new();
-        d.append(e(1, 1, 1));
-        d.append(e(1, -1, 2));
-        d.append(e(2, 1, 3));
-        let z = d.since(Timestamp::ZERO);
-        assert_eq!(z.len(), 1);
-        assert_eq!(z.weight(&tuple![2i64]), 1);
     }
 
     #[test]

@@ -11,22 +11,18 @@
 
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::spj::RelationProvider;
-use crate::stats::RelationStats;
 use crate::table::Table;
 use crate::zset::ZSet;
 use smile_types::{RelationId, Result, Schema, SmileError, Timestamp};
 use std::collections::{HashMap, HashSet};
 
-/// One relation slot: materialized contents plus the captured delta log and
-/// statistics.
+/// One relation slot: materialized contents plus the captured delta log.
 #[derive(Clone, Debug)]
 pub struct RelationSlot {
     /// Materialized contents.
     pub table: Table,
     /// Captured / shipped delta entries.
     pub delta: DeltaTable,
-    /// Statistics for cost estimation.
-    pub stats: RelationStats,
     /// Ids of push batches already appended (see
     /// [`Database::append_delta_dedup`]); one id per push edge per window,
     /// so the set stays small relative to the data.
@@ -40,17 +36,11 @@ pub struct RelationSlot {
 
 impl RelationSlot {
     /// Appends shipped entries to the delta log (pending until a
-    /// `DeltaToRel` push applies them), accumulating the update statistics
-    /// in the same pass.
+    /// `DeltaToRel` push applies them).
     fn land(&mut self, entries: impl Iterator<Item = DeltaEntry>) {
-        let (mut count, mut bytes, mut max_ts) = (0u64, 0usize, Timestamp::ZERO);
         for entry in entries {
-            count += 1;
-            bytes += entry.byte_size();
-            max_ts = max_ts.max(entry.ts);
             self.delta.append(entry);
         }
-        self.stats.record_updates(count, bytes, max_ts);
     }
 }
 
@@ -79,7 +69,6 @@ impl Database {
             RelationSlot {
                 table: Table::new(schema),
                 delta: DeltaTable::new(),
-                stats: RelationStats::new(),
                 applied_batches: HashSet::new(),
                 shipped_through: HashMap::new(),
             },
@@ -124,13 +113,8 @@ impl Database {
     pub fn ingest(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
         let slot = self.slot_mut(rel)?;
         let through = batch.max_ts().unwrap_or(slot.table.ts());
-        let bytes = batch.byte_size();
-        let count = batch.len() as u64;
         slot.table.apply(&batch, through)?;
-        slot.stats.record_updates(count, bytes, through);
         slot.delta.append_batch(batch);
-        slot.stats
-            .refresh_size(slot.table.len(), slot.table.byte_size());
         Ok(())
     }
 
@@ -233,8 +217,6 @@ impl Database {
         let n = slot.delta.window_ref(from, through).len();
         slot.table
             .apply_entries(slot.delta.window_ref(from, through), through)?;
-        slot.stats
-            .refresh_size(slot.table.len(), slot.table.byte_size());
         Ok(n)
     }
 
@@ -256,17 +238,13 @@ impl Database {
             .map(|(tuple, weight)| DeltaEntry { tuple, weight, ts })
             .collect();
         slot.table.apply(&batch, ts)?;
-        slot.stats
-            .refresh_size(slot.table.len(), slot.table.byte_size());
         Ok(())
     }
 
     /// Empties a relation's table and keeps its delta log: the relation
     /// vertex gave the slot up, its delta twin still lands windows in it.
     pub fn clear_table(&mut self, rel: RelationId) -> Result<()> {
-        let slot = self.slot_mut(rel)?;
-        slot.table.clear();
-        slot.stats.refresh_size(0, 0);
+        self.slot_mut(rel)?.table.clear();
         Ok(())
     }
 
@@ -360,7 +338,7 @@ impl Database {
 
     /// WAL traffic instrumentation cells: the executor's ship half notes
     /// encoded bytes leaving, the land half notes decoded bytes arriving.
-    /// Interior atomics, so worker threads record through `&Database`.
+    /// Interior atomics, so both halves record through `&Database`.
     pub fn wal_stats(&self) -> &crate::wal::WalStats {
         &self.wal
     }
@@ -437,7 +415,6 @@ mod tests {
         assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(5));
         assert_eq!(d.relation(R).unwrap().table.len(), 1);
         assert_eq!(d.relation(R).unwrap().delta.len(), 1);
-        assert_eq!(d.relation(R).unwrap().stats.updates_total, 1);
     }
 
     #[test]
@@ -548,7 +525,7 @@ mod tests {
         d.ingest(R, [ins(1, "ann", 1)].into_iter().collect())
             .unwrap();
         d.ensure_index(R, &[1]).unwrap();
-        assert!(d.relation(R).unwrap().table.has_index(&[1]));
+        assert!(d.relation(R).unwrap().table.arrangement(&[1]).is_some());
         assert!(d.ensure_index(RelationId::new(9), &[0]).is_err());
     }
 

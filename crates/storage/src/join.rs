@@ -86,18 +86,6 @@ fn join_inner(
     out
 }
 
-/// The full incremental delta for a join over one window:
-/// `ΔA ⋈ B_old  +  A_new ⋈ ΔB`.
-///
-/// This is the composition of the plan's two `Join` edges plus the `Union`
-/// edge; it is exposed as one function for tests and for single-machine
-/// fast paths.
-pub fn delta_join(a_new: &ZSet, delta_a: &ZSet, b_old: &ZSet, delta_b: &ZSet, on: &JoinOn) -> ZSet {
-    let mut out = join_zsets(delta_a, b_old, on);
-    out.merge_owned(join_zsets(a_new, delta_b, on));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +165,9 @@ mod tests {
             let mut truth = join_zsets(&a_new, &b_new, &on);
             truth.merge_owned(join_zsets(&a_old, &b_old, &on).negated());
 
-            let inc = delta_join(&a_new, &da, &b_old, &db, &on);
+            // The plan's two `Join` edges plus the `Union`: ΔA ⋈ B_old + A_new ⋈ ΔB.
+            let mut inc = join_zsets(&da, &b_old, &on);
+            inc.merge_owned(join_zsets(&a_new, &db, &on));
             prop_assert_eq!(truth, inc);
         }
 

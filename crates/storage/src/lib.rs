@@ -29,7 +29,6 @@ pub mod join;
 pub mod predicate;
 pub mod registry;
 pub mod spj;
-pub mod stats;
 pub mod table;
 pub mod wal;
 pub mod zset;

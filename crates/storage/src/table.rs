@@ -143,11 +143,6 @@ impl Table {
         Some(self.arrangements.get(cols)?.probe(key))
     }
 
-    /// True iff an arrangement exists on exactly `cols`.
-    pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.arrangements.contains_key(cols)
-    }
-
     /// Drops the arrangement on exactly `cols`, freeing its memory. Returns
     /// `true` when one existed. The reverse of [`Table::ensure_index`], used
     /// when the last plan edge probing the key is retired.
@@ -212,12 +207,6 @@ impl Table {
         self.rows.byte_size()
     }
 }
-
-// Tables are owned per-machine by the parallel push engine's workers.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Table>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -321,7 +310,6 @@ mod tests {
         assert_eq!(anns.len(), 1);
         assert!(t.probe_index(&[1], &tuple!["zed"]).unwrap().is_empty());
         assert!(t.probe_index(&[0], &tuple![1i64]).is_none());
-        assert!(t.has_index(&[1]));
     }
 
     #[test]

@@ -29,8 +29,7 @@ use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::predicate::Predicate;
 use bytes::{BufMut, BytesMut};
 /// Encoded WAL bytes: a cheaply cloneable, immutable `Arc`-backed buffer —
-/// the unit the parallel push engine shares between the source worker that
-/// encodes a delta batch and the destination worker that decodes it.
+/// the unit a push's ship half hands to its land half.
 pub use bytes::Bytes;
 use smile_types::{Result, SmileError, Timestamp, Tuple};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +63,7 @@ impl WalCounters {
 }
 
 /// Atomic cells backing [`WalCounters`], embedded in each database so the
-/// ship/land halves of a parallel push can note traffic with `&Database`
-/// from worker threads.
+/// ship/land halves of a push can note traffic through `&Database`.
 #[derive(Debug, Default)]
 pub struct WalStats {
     batches_shipped: AtomicU64,

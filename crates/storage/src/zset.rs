@@ -18,13 +18,6 @@ pub struct ZSet {
     bytes: usize,
 }
 
-// Delta batches built from z-sets are `Arc`-shared across the parallel push
-// engine's worker threads.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ZSet>();
-};
-
 impl ZSet {
     /// The empty z-set.
     pub fn new() -> Self {

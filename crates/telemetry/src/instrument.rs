@@ -1,15 +1,9 @@
 //! Typed instruments: monotonic counters, gauges and fixed-bucket log2
 //! histograms.
 //!
-//! Every instrument is a handful of relaxed atomics, so recording never
-//! takes a lock and never allocates — cheap enough for the wave worker
-//! pool's hot path. Determinism at any `SMILE_WORKERS` follows from the
-//! operations being commutative: counter adds, histogram bucket increments
-//! and min/max folds produce the same snapshot regardless of the
-//! interleaving in which worker threads apply them. Where a *distribution*
-//! is recorded concurrently, [`ShardedHistogram`] gives each worker its own
-//! shard and merges them in shard-index order, so even the per-shard
-//! breakdown is canonical.
+//! Every instrument is a handful of relaxed atomics, so recording goes
+//! through a shared `&` handle, never takes a lock and never allocates —
+//! cheap enough for the push engine's per-job hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -141,7 +135,7 @@ impl Histogram {
 
     /// Consistent point-in-time copy (consistent provided recording has
     /// quiesced, which holds everywhere snapshots are taken: the simulator
-    /// is single-threaded between waves).
+    /// is single-threaded).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
         HistogramSnapshot {
@@ -162,7 +156,7 @@ impl Histogram {
     }
 }
 
-/// Owned, mergeable copy of a [`Histogram`].
+/// Owned copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts, `HISTOGRAM_BUCKETS` entries.
@@ -177,42 +171,7 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
 impl HistogramSnapshot {
-    /// An empty snapshot.
-    pub fn empty() -> Self {
-        Self {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-
-    /// Folds `other` into `self`; equivalent to having recorded both
-    /// shards' samples into one histogram.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        if other.count > 0 {
-            self.min = if self.count == 0 {
-                other.min
-            } else {
-                self.min.min(other.min)
-            };
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
     /// Mean sample value, 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -237,37 +196,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-}
-
-/// A histogram split into per-worker shards so concurrent recording never
-/// contends on the same cache lines; shards merge in index order, keeping
-/// the merged snapshot canonical at any worker count.
-#[derive(Debug)]
-pub struct ShardedHistogram {
-    shards: Vec<Histogram>,
-}
-
-impl ShardedHistogram {
-    /// Creates `shards` empty shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| Histogram::new()).collect(),
-        }
-    }
-
-    /// The shard for worker `i` (wraps modulo the shard count).
-    pub fn shard(&self, i: usize) -> &Histogram {
-        &self.shards[i % self.shards.len()]
-    }
-
-    /// Merged snapshot of all shards, folded in shard-index order.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::empty();
-        for s in &self.shards {
-            out.merge(&s.snapshot());
-        }
-        out
     }
 }
 
@@ -302,17 +230,6 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 1000);
         assert_eq!(s.buckets.iter().sum::<u64>(), 6);
-    }
-
-    #[test]
-    fn sharded_merge_matches_single() {
-        let sharded = ShardedHistogram::new(4);
-        let single = Histogram::new();
-        for v in 0..100u64 {
-            sharded.shard(v as usize).record(v * 13);
-            single.record(v * 13);
-        }
-        assert_eq!(sharded.snapshot(), single.snapshot());
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //! DESIGN.md §10 for the full model; in short:
 //!
 //! * [`instrument`] — counters, gauges and log2 histograms on relaxed
-//!   atomics (commutative updates ⇒ worker-count-independent snapshots),
-//!   with [`instrument::ShardedHistogram`] for per-worker recording merged
-//!   in canonical shard order;
+//!   atomics;
 //! * [`registry`] — get-or-create instruments by name, name-sorted
 //!   deterministic snapshots rendered as JSON or text;
 //! * [`span`] — parented spans over the push lifecycle in a bounded ring,
-//!   recorded coordinator-side in canonical order, sim-time only;
+//!   recorded in canonical job order, sim-time only;
 //! * [`trace`] — Chrome `trace_event` JSON export (Perfetto-loadable);
 //! * [`window`] — sim-time sliding windows (fixed ring of rotating
 //!   sub-windows) for recent-statistics instruments;
@@ -45,7 +43,7 @@ pub mod window;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedHistogram};
+pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{cohort_of, Alert, AlertKind, BurnRateMonitor, Severity};
 pub use registry::{MetricsSnapshot, Registry};
 pub use rollup::{FleetRollup, SharingSummary, WorstRow};
@@ -76,8 +74,6 @@ impl Default for TelemetryConfig {
 
 /// Maximum number of spans retained in the ring.
 const RING_CAPACITY: usize = 1 << 16;
-/// Number of shards for per-worker histograms (worker indices wrap).
-const WORKER_SHARDS: usize = 64;
 /// Seed for the span-sampling hash.
 const SAMPLE_SEED: u64 = 0x5137_1e5eed;
 /// Flight-recorder recent-span ring capacity.
@@ -85,7 +81,7 @@ const FLIGHT_RECENT: usize = 2048;
 /// Maximum frozen incidents the flight recorder retains.
 const FLIGHT_MAX_INCIDENTS: usize = 16;
 
-/// Shared handle owning the registry, the span ring and the per-worker
+/// Shared handle owning the registry, the span ring and the per-job
 /// host-time histogram. One per `Smile` platform, shared with the executor
 /// behind an `Arc`.
 #[derive(Debug)]
@@ -94,10 +90,10 @@ pub struct Telemetry {
     next_span: AtomicU64,
     ring: Mutex<SpanRing>,
     registry: Registry,
-    /// Host nanoseconds each wave worker spent per job — wall-clock, hence
+    /// Host nanoseconds the push engine spent per job — wall-clock, hence
     /// nondeterministic; named with the `host_` prefix that marks a metric
     /// as excluded from logical-determinism comparisons.
-    job_host_nanos: ShardedHistogram,
+    host_job_nanos: Histogram,
     /// `None` at rate 1 (keep everything): the common case skips the hash.
     sampler: Option<SpanSampler>,
     sampled_out: AtomicU64,
@@ -119,7 +115,7 @@ impl Telemetry {
             next_span: AtomicU64::new(1),
             ring: Mutex::new(SpanRing::new(RING_CAPACITY)),
             registry: Registry::new(),
-            job_host_nanos: ShardedHistogram::new(WORKER_SHARDS),
+            host_job_nanos: Histogram::new(),
             sampler: (cfg.span_sample_rate > 1)
                 .then(|| SpanSampler::new(cfg.span_sample_rate, SAMPLE_SEED)),
             sampled_out: AtomicU64::new(0),
@@ -207,13 +203,14 @@ impl Telemetry {
         lock(&self.ring).dropped()
     }
 
-    /// The host-time histogram shard for wave worker `worker`.
-    pub fn worker_nanos_shard(&self, worker: usize) -> &Histogram {
-        self.job_host_nanos.shard(worker)
+    /// The histogram the push engine records each job's host nanoseconds
+    /// into; snapshots export it as `wave.host_job_nanos`.
+    pub fn host_job_nanos(&self) -> &Histogram {
+        &self.host_job_nanos
     }
 
-    /// Snapshot of every instrument: the registry plus the merged
-    /// per-worker host-time histogram, span-ring occupancy counters,
+    /// Snapshot of every instrument: the registry plus the per-job
+    /// host-time histogram, span-ring occupancy counters,
     /// sampler/flight counters, and — so silent span loss and cardinality
     /// creep are visible — registry instrument counts and ring-loss gauges.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -255,7 +252,7 @@ impl Telemetry {
         snap.gauges
             .push(("telemetry.instruments_histograms".to_string(), nh as f64));
         snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let host = self.job_host_nanos.snapshot();
+        let host = self.host_job_nanos.snapshot();
         if host.count > 0 {
             snap.histograms
                 .push(("wave.host_job_nanos".to_string(), host));
@@ -282,11 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_includes_ring_and_worker_hist() {
+    fn snapshot_includes_ring_and_host_job_hist() {
         let t = Telemetry::new(&TelemetryConfig::default());
         let id = t.next_span_id();
         t.record_span(SpanRecord::new(id, None, SpanKind::Wave, 5, 9));
-        t.worker_nanos_shard(3).record(1234);
+        t.host_job_nanos().record(1234);
         let s = t.snapshot();
         assert_eq!(s.counter("spans.retained"), Some(1));
         assert_eq!(s.histogram("wave.host_job_nanos").unwrap().count, 1);

@@ -18,9 +18,9 @@
 //! Alerts are edge-triggered per (cohort, kind): one record when the
 //! condition starts or escalates, silence while it persists, re-arm when it
 //! clears. All inputs are sim-time and recorded coordinator-side in
-//! canonical merge order, so the alert stream is byte-identical at any
-//! worker count — it is the control signal ROADMAP item 5's adaptive
-//! runtime will consume.
+//! canonical merge order, so the alert stream is byte-identical run to
+//! run — it is the control signal ROADMAP item 5's adaptive runtime will
+//! consume.
 
 use crate::window::{slope, SlidingWindow, WindowSpec, WindowStats};
 use std::fmt;

@@ -78,7 +78,7 @@ fn read_all<T, V>(map: &RwLock<BTreeMap<String, Arc<T>>>, read: fn(&T) -> V) -> 
 
 /// An owned, name-sorted copy of a [`Registry`]'s contents, plus whatever
 /// extra histograms the caller folds in (the telemetry handle adds its
-/// sharded worker histograms here).
+/// per-job host-time histogram here).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` counter pairs, name-sorted.

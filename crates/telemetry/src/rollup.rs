@@ -171,8 +171,8 @@ impl FleetRollup {
 
     /// The deterministic top-`k` worst-headroom sharings: live slots with
     /// at least one push, ordered by (smallest min-headroom, most misses,
-    /// smallest sharing id). The ordering key is total, so the result is
-    /// identical at any worker count and across scheduler modes.
+    /// smallest sharing id). The ordering key is total, so the result
+    /// does not depend on slot iteration order.
     pub fn top_k_worst(&self, k: usize) -> Vec<WorstRow> {
         let mut rows: Vec<WorstRow> = self
             .slots

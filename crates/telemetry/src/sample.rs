@@ -8,7 +8,7 @@
 //! plans, waves) are always kept so sampled traces stay well-parented. The
 //! decision depends only on the span's content, and spans are recorded
 //! coordinator-side in canonical merge order — so a sampled trace is
-//! byte-identical at any worker count, exactly like the full trace.
+//! byte-identical run to run, exactly like the full trace.
 //!
 //! The [`FlightRecorder`] complements sampling: it keeps a small ring of
 //! the *unsampled* recent spans, and when the executor sees an SLA miss or

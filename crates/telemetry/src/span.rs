@@ -5,7 +5,7 @@
 //! `tick → plan_batch`, `tick → wave → edge_job → {ship, land}`,
 //! `tick → retry`. Spans are recorded coordinator-side only, in canonical
 //! batch order, and carry no host wall-clock fields — the recorded stream
-//! (ids included) is byte-identical at any worker count.
+//! (ids included) is byte-identical run to run.
 //!
 //! The ring is bounded: when full, the oldest span is dropped and a drop
 //! counter advances, so long simulations keep the most recent window of

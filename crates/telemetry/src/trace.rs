@@ -5,7 +5,7 @@
 //! Spans become `"ph": "X"` complete events and fault events become
 //! `"ph": "i"` instants. Timestamps are *simulated* microseconds, which is
 //! exactly the unit the format expects; because no host wall-clock enters
-//! the file, the exported bytes are identical at any worker count.
+//! the file, the exported bytes are identical run to run.
 //!
 //! Lane layout: one process (`pid` 0, named `smile-sim`), one thread lane
 //! per simulated machine (`tid = machine + 1`, named `machine-N`), and lane

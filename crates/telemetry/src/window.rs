@@ -7,8 +7,8 @@
 //! for the current epoch lazily, so there is no timer wheel and no
 //! allocation after construction. Everything is keyed off the simulated
 //! clock passed by the caller, which is what keeps windowed values
-//! byte-identical at any worker count: the coordinator drives all
-//! recordings in canonical order with deterministic timestamps.
+//! byte-identical run to run: the coordinator drives all recordings in
+//! canonical order with deterministic timestamps.
 
 /// Shape of a sliding window: `subs` sub-windows of `sub_width_us` each,
 /// covering the last `subs * sub_width_us` microseconds of sim-time.

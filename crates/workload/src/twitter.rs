@@ -434,19 +434,14 @@ impl TwitterWorkload {
     pub fn refresh_stats(&self, smile: &mut Smile) -> Result<()> {
         for rel in self.rels.all() {
             let machine = smile.catalog.base(rel)?.machine;
-            let (rows, bytes, updates) = {
+            let (rows, bytes) = {
                 let slot = smile.cluster.machine(machine)?.db.relation(rel)?;
-                (
-                    slot.table.len() as f64,
-                    slot.table.byte_size() as f64,
-                    slot.stats.updates_total,
-                )
+                (slot.table.len() as f64, slot.table.byte_size() as f64)
             };
             if rows > 0.0 {
                 let base = smile.catalog.base_mut(rel)?;
                 base.stats.cardinality = rows;
                 base.stats.tuple_bytes = bytes / rows;
-                let _ = updates;
                 for d in &mut base.stats.distinct {
                     *d = d.min(rows.max(1.0));
                 }

@@ -1,16 +1,20 @@
 //! Cross-suite conformance harness for the engine.
 //!
 //! One seeded workload — a cross-machine joined, filtered sharing fed
-//! inserts and deletes — runs through `workers {1, 2, 8} × faults {off,
-//! chaos} × {static, adaptive}`. Within every `(faults, adaptive)` cell the
-//! whole observable surface must be byte-identical at any worker count: MV
+//! inserts and deletes — runs through `faults {off, chaos} × {static,
+//! adaptive}`. Every cell runs twice with the same configuration and the
+//! whole observable surface must be byte-identical run to run: MV
 //! contents, fault attribution, the PUSH record stream, billing, the
 //! exported Perfetto trace (full-fidelity and sampled), the logical metrics
 //! snapshot, alert and action streams, flight-recorder incidents, and
 //! `explain()`. Every cell's MV must also equal the ground truth
 //! (`SpjQuery::evaluate` over base snapshots as of the MV's timestamp), and
-//! four pinned digests hold the default engine's observables fixed across
+//! two pinned digests hold the default engine's observables fixed across
 //! rewrites.
+//!
+//! The cell tests keep the `_worker_deterministic` names they had when the
+//! matrix had a worker-count axis; what they assert is the run-to-run
+//! determinism above.
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
@@ -31,7 +35,6 @@ fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
 /// One cell of the conformance matrix.
 #[derive(Clone, Copy, Debug)]
 struct Scenario {
-    workers: usize,
     chaos: bool,
     /// Closed-loop actuation: the control loop drains alerts into
     /// re-planning, live migration and budgeted elasticity.
@@ -44,8 +47,8 @@ struct Scenario {
     span_sample_rate: u32,
 }
 
-/// Everything observable about a run that must not depend on the worker
-/// count or on fault-schedule replay.
+/// Everything observable about a run that must repeat byte for byte when
+/// the same configuration runs again.
 struct RunResult {
     mv: String,
     expected: String,
@@ -56,26 +59,24 @@ struct RunResult {
     /// Exported Chrome trace — sim-time only, canonical order.
     trace: String,
     /// Metrics snapshot with host wall-clock lines (`host_` marker)
-    /// filtered out; the rest is logical and must be worker-independent.
+    /// filtered out; the rest is logical and must repeat.
     metrics: String,
     /// Burn-rate monitor alert stream, Debug-formatted.
     alerts: String,
     /// Typed control-loop action stream, Debug-formatted. Empty in static
-    /// runs; in adaptive runs it must be byte-identical across workers.
+    /// runs.
     actions: String,
     /// `Smile::explain` report for the sharing — assembled only from
     /// deterministic state, so its bytes are a conformance surface too.
     explain: String,
-    /// Flight-recorder incidents as `(sharing, at_us, reason, span ids)` —
-    /// captured coordinator-side in canonical order. Not part of the pinned
-    /// digests, which predate it.
+    /// Flight-recorder incidents as `(sharing, at_us, reason, span ids)`.
+    /// Not part of the pinned digests, which predate it.
     flight: String,
 }
 
 impl Scenario {
-    /// The default engine: one worker, faults off, static, full trace.
+    /// The default engine: faults off, static, full trace.
     const DEFAULT: Scenario = Scenario {
-        workers: 1,
         chaos: false,
         adaptive: false,
         sla: SimDuration::from_secs(20),
@@ -88,7 +89,6 @@ impl Scenario {
     /// negative weights cross the wire.
     fn run(self) -> RunResult {
         let mut config = SmileConfig::with_machines(2);
-        config.exec.workers = self.workers;
         config.telemetry.span_sample_rate = self.span_sample_rate;
         if self.chaos {
             config.faults = FaultProfile::chaos(4242);
@@ -227,24 +227,20 @@ fn assert_identical(base: &RunResult, other: &RunResult, cell: &str) {
     assert_eq!(other.flight, base.flight, "flight incidents differ: {cell}");
 }
 
-/// Runs one cell at workers 1, 2 and 8 (whatever `cell.workers` says),
-/// requires MV == ground truth and byte-identical observables at every
-/// worker count, and returns the workers=1 run.
-fn cell_agrees_across_workers(cell: Scenario) -> RunResult {
-    let run = |workers: usize| {
-        let r = Scenario { workers, ..cell }.run();
-        assert_eq!(
-            r.mv, r.expected,
-            "MV != ground truth: workers={workers} {cell:?}"
-        );
+/// Runs one cell twice with the same configuration, requires MV == ground
+/// truth in both runs and byte-identical observables between them, and
+/// returns the first. Two `Smile`s in one process get differently seeded
+/// `std` `HashMap`s, so a map's iteration order or host time leaking into
+/// any compared surface shows up here.
+fn cell_repeats(cell: Scenario) -> RunResult {
+    let run = || {
+        let r = cell.run();
+        assert_eq!(r.mv, r.expected, "MV != ground truth: {cell:?}");
         r
     };
-    let base = run(1);
-    for workers in [2usize, 8] {
-        let cell = format!("workers={workers} vs workers=1 at {cell:?}");
-        assert_identical(&base, &run(workers), &cell);
-    }
-    base
+    let first = run();
+    assert_identical(&first, &run(), &format!("second run of {cell:?}"));
+    first
 }
 
 #[test]
@@ -258,7 +254,7 @@ fn matches_ground_truth_fault_free() {
 
 #[test]
 fn static_fault_free_cell_is_exact_and_worker_deterministic() {
-    let r = cell_agrees_across_workers(Scenario::DEFAULT);
+    let r = cell_repeats(Scenario::DEFAULT);
     assert_eq!(r.actions, "[]", "static run must take no actions");
 }
 
@@ -266,7 +262,7 @@ fn static_fault_free_cell_is_exact_and_worker_deterministic() {
 fn static_chaos_cell_is_exact_and_worker_deterministic() {
     // The most adversarial static cell, pinned on its own so a failure
     // names it directly.
-    let r = cell_agrees_across_workers(Scenario {
+    let r = cell_repeats(Scenario {
         chaos: true,
         ..Scenario::DEFAULT
     });
@@ -295,10 +291,10 @@ fn static_chaos_cell_is_exact_and_worker_deterministic() {
 
 /// The sampled trace is a determinism surface of its own: with a 1-in-4
 /// sharing sampler the retained span set (and everything else) must still
-/// be byte-identical at any worker count, chaos included.
+/// be byte-identical run to run, chaos included.
 #[test]
 fn sampled_chaos_cell_is_exact_and_worker_deterministic() {
-    let r = cell_agrees_across_workers(Scenario {
+    let r = cell_repeats(Scenario {
         chaos: true,
         span_sample_rate: 4,
         ..Scenario::DEFAULT
@@ -308,7 +304,7 @@ fn sampled_chaos_cell_is_exact_and_worker_deterministic() {
 
 #[test]
 fn adaptive_fault_free_cell_is_exact_and_worker_deterministic() {
-    cell_agrees_across_workers(Scenario {
+    cell_repeats(Scenario {
         adaptive: true,
         sla: SimDuration::from_secs(1),
         ..Scenario::DEFAULT
@@ -319,18 +315,18 @@ fn adaptive_fault_free_cell_is_exact_and_worker_deterministic() {
 fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
     // The actuation axis: a tight SLA under chaos pages the burn-rate
     // monitor, and the adaptive control loop re-plans and live-migrates
-    // the alerted sharing. Every control decision is made coordinator-side
-    // from deterministic state, so the full observable surface — action
-    // and alert streams included — must be byte-identical at any worker
-    // count; and because the actuator only moves work (never changes the
-    // query), the sharing's ground truth must match the static run's.
+    // the alerted sharing. Every control decision is made from
+    // deterministic state, so the full observable surface — action and
+    // alert streams included — must be byte-identical run to run; and
+    // because the actuator only moves work (never changes the query), the
+    // sharing's ground truth must match the static run's.
     let tight_chaos = Scenario {
         chaos: true,
         sla: SimDuration::from_secs(1),
         ..Scenario::DEFAULT
     };
     let static_run = tight_chaos.run();
-    let base = cell_agrees_across_workers(Scenario {
+    let base = cell_repeats(Scenario {
         adaptive: true,
         ..tight_chaos
     });
@@ -378,28 +374,22 @@ fn digest(r: &RunResult) -> u64 {
 /// moves any digest changed behaviour, not just code.
 #[test]
 fn default_engine_observables_match_pinned_digests() {
-    let pinned: [(usize, bool, u64); 4] = [
-        (1, false, 0xad03_ec7c_d387_396e),
-        (1, true, 0x17fe_1651_b903_b946),
-        (4, false, 0xad03_ec7c_d387_396e),
-        (4, true, 0x17fe_1651_b903_b946),
+    let pinned: [(bool, u64); 2] = [
+        (false, 0xad03_ec7c_d387_396e),
+        (true, 0x17fe_1651_b903_b946),
     ];
-    let got = pinned.map(|(workers, chaos, _)| {
+    let got = pinned.map(|(chaos, _)| {
         let r = Scenario {
-            workers,
             chaos,
             ..Scenario::DEFAULT
         }
         .run();
-        assert_eq!(
-            r.mv, r.expected,
-            "MV != ground truth: workers={workers} chaos={chaos}"
-        );
-        (workers, chaos, digest(&r))
+        assert_eq!(r.mv, r.expected, "MV != ground truth: chaos={chaos}");
+        (chaos, digest(&r))
     });
     assert_eq!(
-        got.map(|(w, c, d)| format!("workers={w} chaos={c} {d:#018x}")),
-        pinned.map(|(w, c, d)| format!("workers={w} chaos={c} {d:#018x}")),
+        got.map(|(c, d)| format!("chaos={c} {d:#018x}")),
+        pinned.map(|(c, d)| format!("chaos={c} {d:#018x}")),
         "observable digest moved"
     );
 }

@@ -1055,7 +1055,7 @@ fn ablations(scale: Scale) {
             0.001,
         );
         let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), &model, &prices);
-        let planned = opt.plan_pair(&sharing).unwrap().choose(&sharing).unwrap();
+        let planned = opt.plan_admission(&sharing, Default::default(), None).unwrap();
         let mv_rate = planned.plan.vertex(planned.mv).est_rate;
         let with = plan_cost(
             &planned.plan,

@@ -336,7 +336,7 @@ impl CpEval {
             let Some(edge) = plan.producer(v) else {
                 continue;
             };
-            if !edge.sharings.contains(&id) {
+            if !plan.vertex(v).sharings.contains(&id) {
                 // Mirrors the scope filter of the full sweep: the vertex
                 // contributes zero distance.
                 continue;

@@ -55,8 +55,8 @@ impl Executor {
             if let Some(sib) = self.anchor_of.get(&e.id) {
                 out_ts = out_ts.min(self.data_ts[sib.index()]);
             }
-            let base_floor = e
-                .sharings
+            let served = &self.global.plan.vertex(e.output).sharings;
+            let base_floor = served
                 .iter()
                 .filter_map(|s| mv_floor.get(s))
                 .min()

@@ -40,7 +40,6 @@
 //! byte-stable run to run.
 
 use super::{Executor, SharingRt};
-use crate::merge_catalog::MergeCatalog;
 use crate::optimizer::PlannedSharing;
 use crate::plan::sig::ExprSig;
 use smile_types::{MachineId, Result, SharingId, SmileError, Timestamp, VertexId};
@@ -97,8 +96,8 @@ pub struct MigrationOutcome {
 
 impl Executor {
     /// Installs the shadow chain of a live migration: merges the re-planned
-    /// arrangement into the running global plan (through the merge catalog,
-    /// like an admission) without registering the sharing on it. The
+    /// arrangement into the running global plan (deduplicated like an
+    /// admission) without registering the sharing on it. The
     /// storage reconcile then slots and seeds the part of the chain that has
     /// no storage. The sharing keeps being served by its old placement; every
     /// push dual-writes both chains until [`Executor::finish_migrations`].
@@ -107,7 +106,6 @@ impl Executor {
         id: SharingId,
         planned: &PlannedSharing,
         now: Timestamp,
-        cat: &mut MergeCatalog,
     ) -> Result<()> {
         let idx = *self.by_id.get(&id).ok_or(SmileError::UnknownSharing(id))?;
         if self.migrations.contains_key(&idx) {
@@ -117,7 +115,7 @@ impl Executor {
         }
         let old_mv = self.sharings[idx].mv;
         let from = self.global.plan.vertex(old_mv).machine;
-        let remap = self.global.merge_shadow(planned, cat)?;
+        let remap = self.global.merge_shadow(planned)?;
         let new_mv = *remap.get(&planned.mv).ok_or_else(|| {
             SmileError::Internal("shadow merge lost the MV vertex".into())
         })?;

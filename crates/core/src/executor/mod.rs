@@ -48,7 +48,6 @@ mod wave;
 
 pub use migrate::MigrationOutcome;
 
-use crate::merge_catalog::MergeCatalog;
 use crate::multi::GlobalPlan;
 use crate::plan::dag::{Edge, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
@@ -531,17 +530,16 @@ impl Executor {
     }
 
     /// **On-the-fly addition** (paper §10 future work): merges a newly
-    /// admitted sharing's plan into the running global plan through the
-    /// merge catalog and registers it. The platform's storage reconcile then
-    /// gives the newly live vertices storage, seeds them and calls
+    /// admitted sharing's plan into the running global plan and registers
+    /// it. The platform's storage reconcile then gives the newly live
+    /// vertices storage, seeds them and calls
     /// [`Executor::mark_vertices_seeded`].
     pub fn add_sharing(
         &mut self,
         sharing: &Sharing,
         planned: &crate::optimizer::PlannedSharing,
-        cat: &mut MergeCatalog,
     ) -> Result<()> {
-        self.global.merge_indexed(sharing, planned, cat)?;
+        self.global.merge(sharing, planned)?;
         self.plan_grew()?;
         self.register(sharing)
     }

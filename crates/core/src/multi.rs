@@ -17,7 +17,6 @@
 //! best-benefit plumbing repeatedly until none remains — the `+HC` variants
 //! of the evaluation (Figures 12–13).
 
-use crate::merge_catalog::MergeCatalog;
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::{critical_path, res_cost, Scope};
 use crate::plan::dag::{EdgeOp, Plan, VertexKind};
@@ -42,6 +41,20 @@ pub struct SharingMeta {
     pub mv_machine: MachineId,
     /// Staleness SLA.
     pub sla: SimDuration,
+}
+
+/// Vestigial and empty: dedup is `Plan::index`, and reuse is counted from
+/// [`Plan::vertex_count`] around a merge. The type stays only because the
+/// frozen `benchmark/` harness builds one to call
+/// [`GlobalPlan::merge_indexed`]; drop both names in the next `benchmark` PR.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MergeCatalog;
+
+impl MergeCatalog {
+    /// The one value of the type.
+    pub fn new() -> Self {
+        Self
+    }
 }
 
 /// The merged global plan `D` plus sharing metadata.
@@ -100,49 +113,39 @@ impl GlobalPlan {
     /// edges and never rewires an existing producer, so no previously
     /// admitted sharing's ancestor set can change.
     pub fn merge(&mut self, sharing: &Sharing, planned: &PlannedSharing) -> Result<()> {
-        self.merge_sharing(sharing, planned, None)
-    }
-
-    /// [`GlobalPlan::merge`] plus catalog bookkeeping: the catalog records
-    /// every new structure and counts reuse.
-    pub fn merge_indexed(
-        &mut self,
-        sharing: &Sharing,
-        planned: &PlannedSharing,
-        cat: &mut MergeCatalog,
-    ) -> Result<()> {
-        self.merge_sharing(sharing, planned, Some(cat))
-    }
-
-    fn merge_sharing(
-        &mut self,
-        sharing: &Sharing,
-        planned: &PlannedSharing,
-        cat: Option<&mut MergeCatalog>,
-    ) -> Result<()> {
-        let remap = self.merge_vertices(&planned.plan, cat)?;
-        let mv = remap[&planned.mv];
+        let remap = self.merge_vertices(&planned.plan)?;
         self.sharings.push(SharingMeta {
             id: sharing.id,
             mv_sig: planned.plan.vertex(planned.mv).sig.clone(),
             mv_machine: planned.mv_machine,
             sla: sharing.staleness_sla,
         });
-        let (verts, edges) = self.plan.ancestors(mv);
-        self.plan.vertex_mut(mv).sharings.insert(sharing.id);
-        for v in verts {
-            self.plan.vertex_mut(v).sharings.insert(sharing.id);
-        }
-        for e in edges {
-            self.plan.edges_mut()[e].sharings.insert(sharing.id);
-        }
+        self.serve(remap[&planned.mv], sharing.id);
         Ok(())
+    }
+
+    /// [`GlobalPlan::merge`] under the name and signature the frozen
+    /// `benchmark/` harness calls; the catalog argument is ignored.
+    pub fn merge_indexed(
+        &mut self,
+        sharing: &Sharing,
+        planned: &PlannedSharing,
+        _cat: &mut MergeCatalog,
+    ) -> Result<()> {
+        self.merge(sharing, planned)
+    }
+
+    /// Adds `id` to `SHR(v)` for the MV and every vertex upstream of it.
+    fn serve(&mut self, mv: VertexId, id: SharingId) {
+        let (verts, _) = self.plan.ancestors(mv);
+        for v in verts.into_iter().chain([mv]) {
+            self.plan.vertex_mut(v).sharings.insert(id);
+        }
     }
 
     /// Merges a re-planned sharing's vertices into the global plan *without*
     /// registering the sharing on them: the shadow chain of a live
-    /// migration. Dedup and catalog bookkeeping work exactly as in
-    /// [`GlobalPlan::merge_indexed`], so any
+    /// migration. Dedup works exactly as in [`GlobalPlan::merge`], so any
     /// vertex the new placement shares with the existing plan is reused;
     /// vertices unique to the new placement are created with empty `SHR`
     /// sets (no sharing serves through them until cutover flips the
@@ -152,9 +155,8 @@ impl GlobalPlan {
     pub fn merge_shadow(
         &mut self,
         planned: &PlannedSharing,
-        cat: &mut MergeCatalog,
     ) -> Result<HashMap<VertexId, VertexId>> {
-        self.merge_vertices(&planned.plan, Some(cat))
+        self.merge_vertices(&planned.plan)
     }
 
     /// Atomically repoints sharing `id`'s MV to `(mv_sig, mv_machine)` —
@@ -189,25 +191,18 @@ impl GlobalPlan {
                 .sharings
                 .remove(&id);
         }
-        for e in self.plan.edges_mut() {
-            e.sharings.remove(&id);
-        }
     }
 
-    /// The topo-walk shared by sharing and shadow merges: copies `src`'s vertices
-    /// and producers into the global plan, deduplicating on
-    /// (kind, signature, machine). With a catalog, newly created vertices
-    /// are indexed and reuse is counted.
-    fn merge_vertices(
-        &mut self,
-        src: &Plan,
-        mut cat: Option<&mut MergeCatalog>,
-    ) -> Result<HashMap<VertexId, VertexId>> {
+    /// The topo-walk shared by sharing and shadow merges: copies `src`'s
+    /// vertices and producers into the global plan, deduplicating on
+    /// (kind, signature, machine) — `Plan::index` is the one record of what
+    /// is already there. How much was reused is the difference between
+    /// `src`'s vertex count and what [`Plan::vertex_count`] grew by.
+    fn merge_vertices(&mut self, src: &Plan) -> Result<HashMap<VertexId, VertexId>> {
         let order = src.topo_order()?;
         let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
         for v in order {
             let vert = src.vertex(v);
-            let before = self.plan.vertex_count();
             let nid = self.plan.add_vertex(
                 vert.kind,
                 vert.sig.clone(),
@@ -218,14 +213,6 @@ impl GlobalPlan {
                 vert.est_card,
                 vert.est_tuple_bytes,
             );
-            if let Some(cat) = cat.as_deref_mut() {
-                if self.plan.vertex_count() > before {
-                    cat.misses += 1;
-                    cat.note_vertex(&self.plan, nid);
-                } else {
-                    cat.hits += 1;
-                }
-            }
             remap.insert(v, nid);
             // Install the producer unless the global plan already has one.
             if self.plan.producer(nid).is_none() {
@@ -249,8 +236,8 @@ impl GlobalPlan {
         Ok(remap)
     }
 
-    /// Recomputes every `SHR` set from first principles: a vertex/edge
-    /// serves sharing `s` iff it is the MV of `s` or an ancestor of it.
+    /// Recomputes every `SHR` set from first principles: a vertex serves
+    /// sharing `s` iff it is the MV of `s` or an ancestor of it.
     pub fn recompute_shr(&mut self) -> Result<()> {
         for i in 0..self.plan.vertex_count() {
             self.plan
@@ -258,25 +245,16 @@ impl GlobalPlan {
                 .sharings
                 .clear();
         }
-        for e in self.plan.edges_mut() {
-            e.sharings.clear();
-        }
-        for meta in &self.sharings {
+        for i in 0..self.sharings.len() {
+            let meta = &self.sharings[i];
+            let id = meta.id;
             let mv = self
                 .plan
                 .find_vertex(VertexKind::Relation, &meta.mv_sig, meta.mv_machine)
                 .ok_or_else(|| {
-                    SmileError::Internal(format!("MV of {} missing during SHR rebuild", meta.id))
+                    SmileError::Internal(format!("MV of {id} missing during SHR rebuild"))
                 })?;
-            let (verts, edges) = self.plan.ancestors(mv);
-            self.plan.vertex_mut(mv).sharings.insert(meta.id);
-            for v in verts {
-                self.plan.vertex_mut(v).sharings.insert(meta.id);
-            }
-            let edge_ids: Vec<usize> = edges.into_iter().collect();
-            for e in edge_ids {
-                self.plan.edges_mut()[e].sharings.insert(meta.id);
-            }
+            self.serve(mv, id);
         }
         Ok(())
     }
@@ -340,15 +318,19 @@ pub struct HillClimbReport {
 }
 
 /// Enumerates candidate plumbing operations on the current global plan.
-/// Signature peers come from a merge catalog built over the plan: one hash
-/// probe into the fingerprint index per lookup.
+/// Signature peers — "where else does this expression already run?" — come
+/// from postings lists built here over the plan being rewired.
 ///
 /// Candidate order is load-bearing: hill climbing keeps the *first* found
 /// among equal-benefit candidates. Destinations are walked in vertex-id
-/// order and catalog postings are id-ordered sets, so the sequence is
-/// deterministic.
+/// order and every postings list is filled in vertex-id order, so the
+/// sequence is the same on every run and the resulting plans byte-equal.
 pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
-    let cat = MergeCatalog::from_plan(&g.plan);
+    let mut postings: HashMap<(VertexKind, &ExprSig), Vec<VertexId>> = HashMap::new();
+    for v in g.plan.vertices() {
+        postings.entry((v.kind, &v.sig)).or_default().push(v.id);
+    }
+    let peers = |kind: VertexKind, sig| postings.get(&(kind, sig)).into_iter().flatten().copied();
     let mut out = Vec::new();
     // Copy plumbing: same sig on different machines, dst not already fed by
     // a CopyDelta (from anywhere) and not a base capture point.
@@ -363,7 +345,7 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
         if already_copy_fed {
             continue;
         }
-        for src in cat.peers_iter(VertexKind::Delta, &dst.sig) {
+        for src in peers(VertexKind::Delta, &dst.sig) {
             if src == dst.id || g.plan.vertex(src).machine == dst.machine {
                 continue;
             }
@@ -400,12 +382,12 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
         // The current producer already is a join co-located with some
         // relation; a re-plumb is interesting when the *relation* exists on
         // a different machine closer to an existing delta stream.
-        for rel_v in cat.peers_iter(VertexKind::Relation, rel_sig) {
+        for rel_v in peers(VertexKind::Relation, rel_sig) {
             let rel = g.plan.vertex(rel_v);
             if rel.machine == dst.machine {
                 continue; // that is what the current producer already does
             }
-            for delta_v in cat.peers_iter(VertexKind::Delta, delta_sig) {
+            for delta_v in peers(VertexKind::Delta, delta_sig) {
                 let (anc_r, _) = g.plan.ancestors(rel_v);
                 let (anc_d, _) = g.plan.ancestors(delta_v);
                 if anc_r.contains(&dst.id) || anc_d.contains(&dst.id) || delta_v == dst.id {
@@ -586,7 +568,7 @@ pub fn hill_climb_filtered(
     for _ in 0..max_iterations {
         let current_cost = g.total_cost(model, prices);
         let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
-        // Enumeration rebuilds its catalog each iteration: plumbing and
+        // Enumeration rebuilds its peer lists each iteration: plumbing and
         // garbage collection remap vertex ids.
         for cand in enumerate_plumbings(g) {
             if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
@@ -719,7 +701,7 @@ mod tests {
         let mut g = GlobalPlan::new();
         for (id, q, sla) in [(1, q1, 45), (2, q2, 60), (3, q3, 45)] {
             let s = sharing(id, q, sla);
-            let planned = opt.plan_pair(&s).unwrap().choose(&s).unwrap();
+            let planned = opt.plan_admission(&s, HashMap::new(), None).unwrap();
             g.merge(&s, &planned).unwrap();
         }
         (g, model, prices)
@@ -819,7 +801,8 @@ mod tests {
     }
 
     /// Incremental SHR maintenance (install on merge, strip on removal)
-    /// equals the from-scratch rebuild, with or without a catalog.
+    /// equals the from-scratch rebuild, and reuse is what a merge did not
+    /// grow the plan by.
     #[test]
     fn incremental_shr_matches_full_recompute() {
         let cat = catalog();
@@ -844,29 +827,25 @@ mod tests {
             fresh.plan.canonical_string()
         };
         let mut plain = GlobalPlan::new();
-        let mut cataloged = GlobalPlan::new();
-        let mut mc = MergeCatalog::new();
+        let (mut hits, mut misses) = (0, 0);
         for (id, q, sla) in [(1, q1, 45), (2, q2, 60), (3, q3, 45)] {
             let s = sharing(id, q, sla);
-            let planned = opt.plan_pair(&s).unwrap().choose(&s).unwrap();
+            let planned = opt.plan_admission(&s, HashMap::new(), None).unwrap();
+            let before = plain.plan.vertex_count();
             plain.merge(&s, &planned).unwrap();
-            cataloged.merge_indexed(&s, &planned, &mut mc).unwrap();
+            let grew = plain.plan.vertex_count() - before;
+            misses += grew;
+            hits += planned.plan.vertex_count() - grew;
             assert_eq!(
                 plain.plan.canonical_string(),
                 rebuilt(&plain),
                 "incremental SHR diverged from rebuild after sharing {id}"
             );
-            assert_eq!(
-                plain.plan.canonical_string(),
-                cataloged.plan.canonical_string(),
-                "catalog bookkeeping changed the merged plan at sharing {id}"
-            );
         }
         // Sharings 1 and 2 are identical: the second admission reused every
-        // vertex, so the catalog saw hits.
-        let (hits, misses) = mc.take_counters();
-        assert!(hits > 0, "duplicate sharing produced no catalog hits");
-        assert_eq!(misses as usize, cataloged.plan.vertex_count());
+        // vertex, so its merge grew the plan by less than it brought.
+        assert!(hits > 0, "duplicate sharing reused no vertex");
+        assert_eq!(misses, plain.plan.vertex_count());
 
         plain.strip_sharing(SharingId::new(2));
         assert_eq!(plain.plan.canonical_string(), rebuilt(&plain));

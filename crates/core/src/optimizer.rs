@@ -9,11 +9,24 @@
 //!
 //! Running the DP with the dollar-cost objective yields **DPD** (cheapest,
 //! ignoring time); with the critical-time-path objective it yields **DPT**
-//! (fastest, ignoring dollars). The admissibility test is `CP(DPT) ≤ SLA`:
-//! if even the fastest plan cannot keep up, no plan can, and the sharing is
-//! rejected before the provider signs an SLA it would pay penalties on.
+//! (fastest, ignoring dollars). The selection rule of §6.2 reads DPT only
+//! when DPD misses the SLA, so [`Optimizer::plan_admission`] searches once
+//! whenever the cheapest plan keeps up: if it does not and even the fastest
+//! plan cannot, no plan can, and the sharing is rejected before the provider
+//! signs an SLA it would pay penalties on.
+//!
+//! The same type is the decision layer at admission time *and* online: it
+//! borrows only immutable planning inputs (catalog, cost model, price sheet,
+//! a machine list) and takes the utilization view and the MV pin per call,
+//! so the control loop re-invokes it mid-run for one alerted sharing against
+//! live fleet state ([`Optimizer::replan`]). It only *returns* a
+//! [`PlannedSharing`]; applying one is the executor's live-migration
+//! protocol (`executor/migrate.rs`). Decisions are pure functions of
+//! deterministic simulation state, so the adaptive control loop stays
+//! byte-reproducible run to run.
 
 use crate::catalog::Catalog;
+use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
 use crate::plan::build::{PlanBuilder, RelHandle};
 use crate::plan::cost::{critical_path, machine_utilization, plan_cost, Scope};
 use crate::plan::dag::Plan;
@@ -54,40 +67,6 @@ pub struct PlannedSharing {
     pub dollar_cost: f64,
 }
 
-/// Outcome of planning one sharing with both objectives.
-#[derive(Clone, Debug)]
-pub struct PlanPair {
-    /// The cheapest plan (Dynamic Programming Dollar).
-    pub dpd: PlannedSharing,
-    /// The fastest plan (Dynamic Programming Time).
-    pub dpt: PlannedSharing,
-}
-
-impl PlanPair {
-    /// The paper's §6.2 selection rule: reject if no plan fits the SLA,
-    /// prefer DPD when it is itself admissible, else fall back to DPT.
-    ///
-    /// The DP is the System-R/R* polynomial-time *heuristic*, so DPT is not
-    /// provably CP-minimal; the admissibility test therefore considers the
-    /// faster of the two plans rather than DPT alone.
-    pub fn choose(self, sharing: &Sharing) -> Result<PlannedSharing> {
-        let sla = sharing.staleness_sla;
-        let fastest = self.dpt.critical_path.min(self.dpd.critical_path);
-        if fastest > sla {
-            return Err(SmileError::Inadmissible {
-                sharing: sharing.id,
-                critical_path_secs: fastest.as_secs_f64(),
-                sla_secs: sla.as_secs_f64(),
-            });
-        }
-        if self.dpd.critical_path <= sla {
-            Ok(self.dpd)
-        } else {
-            Ok(self.dpt)
-        }
-    }
-}
-
 /// A join condition between two of the sharing's base relations, expressed
 /// as (step index in the original query, column within that base).
 #[derive(Clone, Debug)]
@@ -106,19 +85,17 @@ struct Candidate {
     metric: f64,
 }
 
-/// The sharing optimizer.
+/// The sharing optimizer: plan search, the §6.2 selection rule and the
+/// install-time placement pass. Cheap to construct — build one per decision
+/// against whatever machine set is current.
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     machines: Vec<MachineId>,
     model: &'a TimeCostModel,
     prices: &'a PriceSheet,
-    /// CPU utilization already committed per machine by admitted sharings.
-    committed: HashMap<MachineId, f64>,
     /// Per-machine CPU capacity in operator-seconds per second.
     capacity: f64,
-    /// Pins the MV to a specific machine (the paper's §9.1 setup assigns
-    /// each sharing to a machine arbitrarily).
-    mv_machine: Option<MachineId>,
+    force_objective: Option<Objective>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -134,42 +111,129 @@ impl<'a> Optimizer<'a> {
             machines,
             model,
             prices,
-            committed: HashMap::new(),
             capacity: 1.0,
-            mv_machine: None,
+            force_objective: None,
         }
     }
 
-    /// Sets the CPU utilization already committed on each machine (so
-    /// capacity checks account for previously admitted sharings).
-    pub fn with_committed(mut self, committed: HashMap<MachineId, f64>) -> Self {
-        self.committed = committed;
-        self
-    }
-
-    /// Overrides the per-machine CPU capacity (default 1.0).
+    /// Overrides the per-machine CPU capacity the admission test enforces
+    /// (default 1.0).
     pub fn with_capacity(mut self, capacity: f64) -> Self {
         self.capacity = capacity;
         self
     }
 
-    /// Pins the sharing's MV to one machine; the DP still places
-    /// intermediates freely.
-    pub fn with_mv_machine(mut self, machine: Option<MachineId>) -> Self {
-        self.mv_machine = machine;
+    /// Forces one planning objective instead of the paper's DPD-else-DPT
+    /// rule (the Figure 12 algorithm comparison).
+    pub fn with_force_objective(mut self, objective: Option<Objective>) -> Self {
+        self.force_objective = objective;
         self
     }
 
-    /// Plans `sharing` under both objectives.
-    pub fn plan_pair(&self, sharing: &Sharing) -> Result<PlanPair> {
-        Ok(PlanPair {
-            dpd: self.plan_with(sharing, Objective::Dollars)?,
-            dpt: self.plan_with(sharing, Objective::Time)?,
-        })
+    /// The admission-time decision: plan `sharing` against `committed`
+    /// per-machine utilization (what previously admitted sharings already
+    /// load) with its MV pinned to `mv_machine` if given (the paper's §9.1
+    /// setup assigns each sharing to a machine arbitrarily; the DP still
+    /// places intermediates freely), and choose DPD or DPT per the paper's
+    /// rule — or the forced objective, still subject to the admissibility
+    /// test.
+    pub fn plan_admission(
+        &self,
+        sharing: &Sharing,
+        committed: HashMap<MachineId, f64>,
+        mv_machine: Option<MachineId>,
+    ) -> Result<PlannedSharing> {
+        let Some(obj) = self.force_objective else {
+            return self.choose(sharing, &committed, mv_machine);
+        };
+        let p = self.plan_with(sharing, obj, &committed, mv_machine)?;
+        // Even a forced objective respects the admissibility test.
+        let dpt = self.plan_with(sharing, Objective::Time, &committed, mv_machine)?;
+        if dpt.critical_path > sharing.staleness_sla {
+            return Err(SmileError::Inadmissible {
+                sharing: sharing.id,
+                critical_path_secs: p.critical_path.as_secs_f64(),
+                sla_secs: sharing.sla_secs(),
+            });
+        }
+        Ok(p)
     }
 
-    /// Runs the JOINCOST DP under one objective.
-    pub fn plan_with(&self, sharing: &Sharing, objective: Objective) -> Result<PlannedSharing> {
+    /// The online decision: re-plan a *running* sharing against live fleet
+    /// utilization. `live_utilization` is the running global plan's
+    /// per-machine load; the sharing's own current plan (`current`) is
+    /// subtracted out (it stops consuming its old placement after the
+    /// migration), clamped at zero so float dust never goes negative.
+    /// `mv_machine` pins the new MV (None lets placement roam the machine
+    /// list — which the caller has typically already restricted, e.g. to
+    /// the active machines minus the saturated one).
+    pub fn replan(
+        &self,
+        sharing: &Sharing,
+        live_utilization: HashMap<MachineId, f64>,
+        current: &PlannedSharing,
+        mv_machine: Option<MachineId>,
+    ) -> Result<PlannedSharing> {
+        let mut committed = live_utilization;
+        for (m, u) in machine_utilization(&current.plan, Scope::All, self.model) {
+            let e = committed.entry(m).or_default();
+            *e = (*e - u).max(0.0);
+        }
+        self.choose(sharing, &committed, mv_machine)
+    }
+
+    /// The placement-improvement pass run at install time (and re-runnable
+    /// on any global plan): greedy hill-climbing plumbing. The `bool` is
+    /// vestigial and ignored — it once selected scan enumeration; it stays
+    /// only because the frozen `benchmark/` harness passes it.
+    pub fn hill_climb_placement(
+        &self,
+        global: &mut GlobalPlan,
+        _indexed: bool,
+        max_iterations: usize,
+    ) -> HillClimbReport {
+        hill_climb(global, self.model, self.prices, max_iterations)
+    }
+
+    /// The paper's §6.2 selection rule, applied lazily: DPD is the plan when
+    /// it is itself admissible; only otherwise is DPT searched, and taken
+    /// iff some plan fits the SLA.
+    ///
+    /// The DP is the System-R/R* polynomial-time *heuristic*, so DPT is not
+    /// provably CP-minimal; the admissibility test therefore considers the
+    /// faster of the two plans rather than DPT alone.
+    fn choose(
+        &self,
+        sharing: &Sharing,
+        committed: &HashMap<MachineId, f64>,
+        mv_machine: Option<MachineId>,
+    ) -> Result<PlannedSharing> {
+        let sla = sharing.staleness_sla;
+        let dpd = self.plan_with(sharing, Objective::Dollars, committed, mv_machine)?;
+        if dpd.critical_path <= sla {
+            return Ok(dpd);
+        }
+        let dpt = self.plan_with(sharing, Objective::Time, committed, mv_machine)?;
+        let fastest = dpt.critical_path.min(dpd.critical_path);
+        if fastest > sla {
+            return Err(SmileError::Inadmissible {
+                sharing: sharing.id,
+                critical_path_secs: fastest.as_secs_f64(),
+                sla_secs: sla.as_secs_f64(),
+            });
+        }
+        Ok(dpt)
+    }
+
+    /// Runs the JOINCOST DP under one objective, against `committed`
+    /// utilization and with the MV pinned to `mv_machine` if given.
+    pub fn plan_with(
+        &self,
+        sharing: &Sharing,
+        objective: Objective,
+        committed: &HashMap<MachineId, f64>,
+        mv_machine: Option<MachineId>,
+    ) -> Result<PlannedSharing> {
         let steps = &sharing.query.steps;
         let n = steps.len();
         if n == 0 {
@@ -184,7 +248,7 @@ impl<'a> Optimizer<'a> {
         let builder = PlanBuilder::new(self.catalog);
 
         if n == 1 {
-            return self.plan_single(sharing, &builder, objective);
+            return self.plan_single(sharing, &builder, objective, committed, mv_machine);
         }
 
         // Machines already at their admission ceiling cannot take any new
@@ -196,7 +260,7 @@ impl<'a> Optimizer<'a> {
             .machines
             .iter()
             .copied()
-            .filter(|m| self.committed.get(m).copied().unwrap_or(0.0) < self.capacity)
+            .filter(|m| committed.get(m).copied().unwrap_or(0.0) < self.capacity)
             .collect();
 
         // dp[(mask, machine)] -> best candidate.
@@ -248,7 +312,7 @@ impl<'a> Optimizer<'a> {
                         for case in 0..4u8 {
                             let Ok(cand) = self.expand(
                                 &builder, &sub, a, mi, case, steps, &conds, sharing, is_final,
-                                objective,
+                                objective, committed,
                             ) else {
                                 continue;
                             };
@@ -269,7 +333,7 @@ impl<'a> Optimizer<'a> {
         let best = self
             .machines
             .iter()
-            .filter(|&&m| self.mv_machine.is_none_or(|pin| pin == m))
+            .filter(|&&m| mv_machine.is_none_or(|pin| pin == m))
             .filter_map(|&m| dp.get(&(full, m)))
             .min_by(|a, b| a.metric.total_cmp(&b.metric))
             .ok_or_else(|| SmileError::CapacityExhausted {
@@ -291,14 +355,16 @@ impl<'a> Optimizer<'a> {
         sharing: &Sharing,
         builder: &PlanBuilder<'_>,
         objective: Objective,
+        committed: &HashMap<MachineId, f64>,
+        mv_machine: Option<MachineId>,
     ) -> Result<PlannedSharing> {
         let step = &sharing.query.steps[0];
         let mut best: Option<Candidate> = None;
         for &m in &self.machines {
-            if self.mv_machine.is_some_and(|pin| pin != m) {
+            if mv_machine.is_some_and(|pin| pin != m) {
                 continue;
             }
-            if self.committed.get(&m).copied().unwrap_or(0.0) >= self.capacity {
+            if committed.get(&m).copied().unwrap_or(0.0) >= self.capacity {
                 continue; // full machine: metric() would reject any placement
             }
             let mut plan = Plan::new();
@@ -310,7 +376,7 @@ impl<'a> Optimizer<'a> {
                 sharing.query.aggregate.clone(),
                 m,
             )?;
-            let Some(metric) = self.metric(&plan, &handle, sharing, objective) else {
+            let Some(metric) = self.metric(&plan, &handle, sharing, objective, committed) else {
                 continue;
             };
             let cand = Candidate {
@@ -346,6 +412,7 @@ impl<'a> Optimizer<'a> {
         sharing: &Sharing,
         is_final: bool,
         objective: Objective,
+        committed: &HashMap<MachineId, f64>,
     ) -> Result<Option<Candidate>> {
         let mut plan = sub.plan.clone();
         let base = builder.base_handle(&mut plan, steps[a].relation, steps[a].predicate.clone())?;
@@ -387,7 +454,7 @@ impl<'a> Optimizer<'a> {
             (None, None)
         };
         let handle = builder.join_step(&mut plan, &left, &right, &on, mi, projection, aggregate)?;
-        let Some(metric) = self.metric(&plan, &handle, sharing, objective) else {
+        let Some(metric) = self.metric(&plan, &handle, sharing, objective, committed) else {
             return Ok(None);
         };
         let mut order = sub.order.clone();
@@ -520,11 +587,11 @@ impl<'a> Optimizer<'a> {
         handle: &RelHandle,
         sharing: &Sharing,
         objective: Objective,
+        committed: &HashMap<MachineId, f64>,
     ) -> Option<f64> {
         let load = machine_utilization(plan, Scope::All, self.model);
         for (m, util) in &load {
-            let committed = self.committed.get(m).copied().unwrap_or(0.0);
-            if committed + util > self.capacity {
+            if committed.get(m).copied().unwrap_or(0.0) + util > self.capacity {
                 return None;
             }
         }
@@ -756,11 +823,12 @@ mod tests {
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
-        let pair = opt.plan_pair(&two_way(45)).unwrap();
-        assert!(pair.dpt.critical_path <= pair.dpd.critical_path);
-        assert!(pair.dpd.dollar_cost <= pair.dpt.dollar_cost + 1e-12);
-        pair.dpd.plan.validate().unwrap();
-        pair.dpt.plan.validate().unwrap();
+        let plan = |objective| opt.plan_with(&two_way(45), objective, &HashMap::new(), None);
+        let (dpd, dpt) = (plan(Objective::Dollars).unwrap(), plan(Objective::Time).unwrap());
+        assert!(dpt.critical_path <= dpd.critical_path);
+        assert!(dpd.dollar_cost <= dpt.dollar_cost + 1e-12);
+        dpd.plan.validate().unwrap();
+        dpt.plan.validate().unwrap();
     }
 
     #[test]
@@ -770,7 +838,7 @@ mod tests {
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
         let sharing = two_way(45);
-        let planned = opt.plan_pair(&sharing).unwrap().choose(&sharing).unwrap();
+        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
         assert!(planned.critical_path <= SimDuration::from_secs(45));
         assert!(planned.plan.vertex_count() >= 8);
     }
@@ -789,7 +857,7 @@ mod tests {
             SimDuration::from_millis(1),
             0.001,
         );
-        let err = opt.plan_pair(&sharing).unwrap().choose(&sharing);
+        let err = opt.plan_admission(&sharing, HashMap::new(), None);
         assert!(matches!(err, Err(SmileError::Inadmissible { .. })));
     }
 
@@ -800,7 +868,7 @@ mod tests {
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
         let sharing = three_way();
-        let planned = opt.plan_pair(&sharing).unwrap().choose(&sharing).unwrap();
+        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
         planned.plan.validate().unwrap();
         // The reordered query covers the same base relations.
         let mut orig: Vec<_> = sharing.query.sources();
@@ -820,8 +888,8 @@ mod tests {
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
         let committed: HashMap<_, _> = machines().into_iter().map(|m| (m, 0.999)).collect();
-        let opt = Optimizer::new(&cat, machines(), &model, &prices).with_committed(committed);
-        let r = opt.plan_with(&two_way(45), Objective::Dollars);
+        let opt = Optimizer::new(&cat, machines(), &model, &prices);
+        let r = opt.plan_with(&two_way(45), Objective::Dollars, &committed, None);
         assert!(matches!(r, Err(SmileError::CapacityExhausted { .. })));
     }
 
@@ -840,7 +908,7 @@ mod tests {
             SimDuration::from_secs(10),
             0.001,
         );
-        let planned = opt.plan_pair(&sharing).unwrap().choose(&sharing).unwrap();
+        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
         assert_eq!(planned.plan.edge_count(), 2);
         assert_eq!(planned.plan.vertex(planned.mv).schema.arity(), 1);
     }

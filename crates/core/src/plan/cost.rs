@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// subgraph serving one sharing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scope {
-    /// Every vertex and edge.
+    /// Every vertex and every edge that still produces its output.
     All,
     /// Only vertices/edges whose `SHR` set contains the sharing.
     Sharing(SharingId),
@@ -42,7 +42,7 @@ pub fn critical_path(plan: &Plan, scope: Scope, x_secs: f64, model: &TimeCostMod
         let Some(edge) = plan.producer(v) else {
             continue;
         };
-        if !scope.includes(&edge.sharings) {
+        if !scope.includes(&plan.vertex(v).sharings) {
             continue;
         }
         let n = edge.est_rate * x_secs;
@@ -85,11 +85,11 @@ pub fn resource_rates(
 ) -> ResourceRates {
     let mut r = ResourceRates::default();
     for e in plan.edges() {
-        if !scope.includes(&e.sharings) {
+        let Some(shr) = e.shr(plan).filter(|shr| scope.includes(shr)) else {
             continue;
-        }
+        };
         let share = if amortized {
-            1.0 / e.sharings.len().max(1) as f64
+            1.0 / shr.len().max(1) as f64
         } else {
             1.0
         };
@@ -178,8 +178,8 @@ pub fn machine_utilization(
     scope: Scope,
     model: &TimeCostModel,
 ) -> HashMap<smile_types::MachineId, f64> {
-    let in_scope = plan.edges().iter().filter(|e| scope.includes(&e.sharings));
-    edge_utilization(plan, in_scope, model)
+    let in_scope = |e: &&Edge| e.shr(plan).is_some_and(|shr| scope.includes(shr));
+    edge_utilization(plan, plan.edges().iter().filter(in_scope), model)
 }
 
 /// [`machine_utilization`] over a caller-chosen set of `plan`'s edges (the
@@ -267,9 +267,6 @@ mod tests {
         for v in [d1, r1] {
             p.vertex_mut(v).sharings.insert(SharingId::new(0));
         }
-        for e in p.edges_mut() {
-            e.sharings.insert(SharingId::new(0));
-        }
         p
     }
 
@@ -314,21 +311,11 @@ mod tests {
                 .sharings
                 .insert(s2);
         }
-        for e in 0..p.edge_count() {
-            let edge = &mut unsafe_edges(&mut p)[e];
-            edge.sharings.insert(s2);
-        }
         let m = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
         let solo = res_cost(&p, Scope::Sharing(SharingId::new(0)), &m, &prices, false);
         let shared = res_cost(&p, Scope::Sharing(SharingId::new(0)), &m, &prices, true);
         assert!((shared - solo / 2.0).abs() < 1e-12);
-    }
-
-    /// Test-only access to mutate edge sharings.
-    fn unsafe_edges(p: &mut Plan) -> &mut [crate::plan::dag::Edge] {
-        // Plan doesn't expose mutable edges publicly; go through a helper.
-        p.edges_mut()
     }
 
     #[test]

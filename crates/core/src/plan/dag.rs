@@ -113,8 +113,6 @@ pub struct Edge {
     /// into aggregate-space delete/insert entries against the MV's current
     /// rows.
     pub aggregate: Option<smile_storage::AggregateSpec>,
-    /// Sharings served by this edge.
-    pub sharings: BTreeSet<SharingId>,
     /// Estimated tuple arrival rate through this edge (tuples/second).
     pub est_rate: f64,
     /// Estimated mean tuple payload bytes moved.
@@ -127,6 +125,14 @@ impl Edge {
     /// NIC.
     pub fn runs_on(&self, plan: &Plan) -> MachineId {
         plan.vertex(self.output).machine
+    }
+
+    /// `SHR(e)`: an edge serves what its output serves. `None` for an edge
+    /// [`Plan::detach_producer`] took off its output: it is no longer that
+    /// vertex's producer, serves nothing and awaits collection.
+    pub fn shr<'p>(&self, plan: &'p Plan) -> Option<&'p BTreeSet<SharingId>> {
+        let attached = plan.producer[self.output.index()] == Some(self.id);
+        attached.then(|| &plan.vertex(self.output).sharings)
     }
 }
 
@@ -175,12 +181,6 @@ impl Plan {
     /// All edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
-    }
-
-    /// Mutable access to edges (plumbing-pass bookkeeping only; structural
-    /// changes must go through `add_edge`/`garbage_collect`).
-    pub fn edges_mut(&mut self) -> &mut [Edge] {
-        &mut self.edges
     }
 
     /// Vertex by id (panics on stale id — plan ids are internal).
@@ -296,7 +296,6 @@ impl Plan {
             filter,
             projection,
             aggregate: None,
-            sharings: BTreeSet::new(),
             est_rate,
             est_tuple_bytes,
         });
@@ -310,16 +309,16 @@ impl Plan {
     }
 
     /// Detaches the producing edge of `v`, leaving `v` source-like until a
-    /// new producer is added. The detached edge becomes inert (no inputs, no
-    /// sharings) and is dropped by the next [`Plan::garbage_collect`];
-    /// `validate` must not be called before that collection happens.
+    /// new producer is added. The detached edge becomes inert (no inputs,
+    /// [`Edge::shr`] `None`) and is dropped by the next
+    /// [`Plan::garbage_collect`]; `validate` must not be called before that
+    /// collection happens.
     pub fn detach_producer(&mut self, v: VertexId) -> Option<usize> {
         let e = self.producer[v.index()].take()?;
         let inputs = std::mem::take(&mut self.edges[e].inputs);
         for input in inputs {
             self.consumers[input.index()].retain(|&c| c != e);
         }
-        self.edges[e].sharings.clear();
         Some(e)
     }
 
@@ -419,9 +418,11 @@ impl Plan {
                 }
             }
             if let [(ea, va), (eb, vb)] = halves[..] {
-                for (e, sibling) in [(ea, vb), (eb, va)] {
+                for (e, own, sibling) in [(ea, va, vb), (eb, vb, va)] {
                     match anchors.insert(e, sibling) {
-                        Some(other) if other != sibling && !self.edges[e].sharings.is_empty() => {
+                        Some(other)
+                            if other != sibling && !self.vertex(own).sharings.is_empty() =>
+                        {
                             return Err(SmileError::InvalidPlan(format!(
                                 "join edge {e} is paired with two sibling halves, \
                                  {other} and {sibling}"
@@ -557,7 +558,7 @@ impl Plan {
             remap.insert(v, nid);
         }
         for e in &self.edges {
-            if e.sharings.is_empty() {
+            if e.shr(self).is_none_or(BTreeSet::is_empty) {
                 continue;
             }
             let inputs: Option<Vec<VertexId>> =
@@ -576,7 +577,6 @@ impl Plan {
                     e.est_tuple_bytes,
                 )
                 .expect("gc preserves producer uniqueness");
-            out.edges[id].sharings = e.sharings.clone();
             out.edges[id].aggregate = e.aggregate.clone();
         }
         out
@@ -968,6 +968,43 @@ mod tests {
         let gc = p.garbage_collect();
         assert_eq!(gc.vertex_count(), 2);
         assert_eq!(gc.edge_count(), 0);
+    }
+
+    /// A detached edge is no longer its output's producer: it serves nothing
+    /// whatever that vertex serves, no scope — not even `Scope::All` —
+    /// charges it, and the next collection drops it.
+    #[test]
+    fn detached_edge_is_collected_and_never_in_scope() {
+        use crate::plan::cost::{machine_utilization, Scope};
+        let mut p = Plan::new();
+        let (_, d0) = base_pair(&mut p, 0, 0);
+        let (_, d1) = base_pair(&mut p, 1, 0);
+        let sig = ExprSig::base(RelationId::new(2));
+        let m1 = MachineId::new(1);
+        let out = p.add_vertex(VertexKind::Delta, sig, m1, schema(), false, 10.0, 0.0, 24.0);
+        let s = SharingId::new(1);
+        p.vertex_mut(out).sharings.insert(s);
+        let copy_from = |p: &mut Plan, src| {
+            let (op, filter) = (EdgeOp::CopyDelta, Predicate::True);
+            p.add_edge(op, vec![src], out, filter, None, 10.0, 24.0).unwrap()
+        };
+        let old = copy_from(&mut p, d0);
+        assert_eq!(p.edge(old).shr(&p), Some(&BTreeSet::from([s])));
+        let model = crate::plan::timecost::TimeCostModel::paper_defaults();
+        let one_copy = machine_utilization(&p, Scope::All, &model);
+
+        // Re-feed `out` from the other base: same operator, same rate.
+        assert_eq!(p.detach_producer(out), Some(old));
+        let new = copy_from(&mut p, d1);
+        assert_eq!(p.edge(old).shr(&p), None, "a detached edge serves nothing");
+        assert_eq!(p.edge(new).shr(&p), Some(&BTreeSet::from([s])));
+        for scope in [Scope::All, Scope::Sharing(s)] {
+            let load = machine_utilization(&p, scope, &model);
+            assert_eq!(load, one_copy, "the detached edge is charged under {scope:?}");
+        }
+        let gc = p.garbage_collect();
+        assert_eq!(gc.edge_count(), 1);
+        assert_eq!(gc.edge(0).inputs, vec![d1]);
     }
 
     /// One join `a ⋈ b` planned twice and merged: in place for an MV at

@@ -11,7 +11,7 @@ use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timesta
 /// Settings for the adaptive runtime actuator (the control loop run by
 /// [`Smile::step`] when `enabled`): it drains burn-rate alerts, re-plans
 /// alerted sharings off their saturated machine through the
-/// [`Reoptimizer`](crate::reoptimizer::Reoptimizer), live-migrates their MVs, and grows/shrinks the fleet
+/// [`Optimizer`](crate::optimizer::Optimizer), live-migrates their MVs, and grows/shrinks the fleet
 /// against an hourly dollar budget.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveConfig {
@@ -179,7 +179,7 @@ impl Smile {
             return Ok(false);
         }
         let (cur_machine, seed_at) = (executor.mv_machine(id)?, executor.mv_ts(id)?);
-        let planned = self.reoptimizer(machines).replan(
+        let planned = self.optimizer(machines).replan(
             &self.sharings[pos],
             self.live_utilization()?,
             &self.planned[pos],
@@ -206,12 +206,9 @@ impl Smile {
         // reconcile storage exactly like a live admission — the chain is
         // live from here on although it serves no sharing until cutover
         // recomputes SHR.
-        running_mut(&mut self.executor)?.begin_migration(
-            id,
-            &planned,
-            self.now,
-            &mut self.merge_catalog,
-        )?;
+        let before = self.current_plan().vertex_count();
+        running_mut(&mut self.executor)?.begin_migration(id, &planned, self.now)?;
+        self.count_reuse(&planned, before);
         // Seed the shadow chain *as of the old chain's committed MV
         // timestamp*, not `now`: the shadow reuses the old chain's anchored
         // half-join vertices, whose push windows tile forward from that

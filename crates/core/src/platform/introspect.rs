@@ -2,9 +2,10 @@
 //! truth, meters, the metrics snapshot, `explain()`, the Chrome trace
 //! export and the fault report.
 
-use super::{running, Action, Smile, WORST_ROWS};
+use super::{live_probes, running, Action, Smile, WORST_ROWS};
 use crate::catalog::Catalog;
-use crate::plan::dag::VertexKind;
+use crate::plan::dag::{Plan, VertexKind};
+use crate::plan::sig::ExprSig;
 use smile_sim::Cluster;
 use smile_storage::spj::RelationProvider;
 use smile_storage::ZSet;
@@ -12,6 +13,7 @@ use smile_telemetry::{
     chrome_trace, Alert, FlightIncident, MetricsSnapshot, Severity, Telemetry, TraceInstant,
 };
 use smile_types::{RelationId, Result, Schema, SharingId, SmileError, Timestamp};
+use std::collections::HashSet;
 
 /// Summary of the faults injected into a run and the recovery work they
 /// caused. Derived `Debug` output is byte-identical across runs with the
@@ -177,15 +179,17 @@ impl Smile {
         }
         reg.gauge("snapshot.sla_violations")
             .set(self.snapshot.violations_total() as f64);
-        reg.gauge("catalog.entries").set(self.merge_catalog.len() as f64);
-        reg.gauge("catalog.probe_keys")
-            .set(self.merge_catalog.probe_key_count() as f64);
+        let (entries, probe_keys) = catalog_keys(self.current_plan());
+        reg.gauge("catalog.entries").set(entries as f64);
+        reg.gauge("catalog.probe_keys").set(probe_keys as f64);
+        // One reference per live join edge, one entry per distinct
+        // arrangement they probe.
+        let probes: Vec<_> = self.executor.iter().flat_map(live_probes).collect();
         reg.gauge("arrangement_registry.entries")
-            .set(self.arrangements.len() as f64);
-        reg.gauge("arrangement_registry.refs")
-            .set(self.arrangements.total_refs() as f64);
+            .set(probes.iter().collect::<HashSet<_>>().len() as f64);
+        reg.gauge("arrangement_registry.refs").set(probes.len() as f64);
         reg.gauge("arrangement_registry.reclaimed")
-            .set(self.arrangements.reclaimed as f64);
+            .set(self.arrangements_reclaimed as f64);
         let mut snap = self.telemetry.snapshot();
         if let Some(e) = &self.executor {
             // The top-K worst-headroom rows are folded into the snapshot
@@ -234,7 +238,7 @@ impl Smile {
     }
 
     /// One-call introspection report for a sharing: plan shape and
-    /// placement, structures shared through the merge catalog, arrangement
+    /// placement, structures shared with other sharings, arrangement
     /// hit rates, headroom percentiles from the bounded rollup, burn-rate
     /// state, dollar attribution, alerts and flight incidents. The text is
     /// assembled exclusively from deterministic state (sim-time, fixed
@@ -285,8 +289,8 @@ impl Smile {
             }
         );
         // Plan shape: the sharing's push subgraph (sources + non-base
-        // vertices in push order), flagging vertices the merge catalog
-        // shares with other sharings.
+        // vertices in push order), flagging vertices that serve other
+        // sharings too.
         let shared = order
             .iter()
             .chain(srcs.iter())
@@ -317,11 +321,12 @@ impl Smile {
         }
         // Fleet-shared infrastructure this sharing rides on.
         let arr = self.arrangement_meter();
+        let (entries, probe_keys) = catalog_keys(plan);
         let _ = writeln!(
             out,
             "catalog: {} entries, {} probe keys  arrangements: {} installed, hit_rate {:.4}",
-            self.merge_catalog.len(),
-            self.merge_catalog.probe_key_count(),
+            entries,
+            probe_keys,
             arr.arrangements,
             arr.hit_rate()
         );
@@ -459,6 +464,24 @@ impl Smile {
             sla_violations_attributable: attributable,
         }
     }
+}
+
+/// What admission can dedup onto, counted over the plan's vertices: the
+/// distinct `(kind, signature)` pairs on any machine, and the distinct
+/// `(snapshot-side signature, probe columns)` pairs its half-joins ask an
+/// arrangement for.
+fn catalog_keys(plan: &Plan) -> (usize, usize) {
+    let (mut entries, mut probe_keys) = (HashSet::new(), HashSet::new());
+    for v in plan.vertices() {
+        entries.insert((v.kind, &v.sig));
+        if let ExprSig::HalfJoin { left, right, on, delta_left, .. } = &v.sig {
+            probe_keys.insert(match delta_left {
+                true => (right, &on.right_cols),
+                false => (left, &on.left_cols),
+            });
+        }
+    }
+    (entries.len(), probe_keys.len())
 }
 
 /// `RelationProvider` reading base snapshots as of a fixed timestamp.

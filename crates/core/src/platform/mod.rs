@@ -31,24 +31,21 @@ pub use introspect::FaultReport;
 use crate::catalog::{BaseStats, Catalog};
 use crate::executor::seed::eval_sig;
 use crate::executor::{ExecConfig, Executor};
-use crate::merge_catalog::MergeCatalog;
 use crate::multi::{GlobalPlan, HillClimbReport};
-use crate::optimizer::{Objective, PlannedSharing};
+use crate::optimizer::{Objective, Optimizer, PlannedSharing};
 use crate::plan::cost::{edge_utilization, machine_utilization, Scope};
 use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, Vertex, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
-use crate::reoptimizer::Reoptimizer;
 use crate::sharing::Sharing;
 use crate::snapshot::SnapshotModule;
 use smile_sim::{Cluster, FaultProfile, MachineConfig, PriceSheet};
-use smile_storage::registry::ArrangementKey;
-use smile_storage::{ArrangementRegistry, DeltaBatch, SpjQuery};
+use smile_storage::{DeltaBatch, SpjQuery};
 use smile_telemetry::{Telemetry, TelemetryConfig};
 use smile_types::{
     MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// How many worst-headroom sharings the metrics snapshot exports as rows
@@ -114,21 +111,6 @@ impl SmileConfig {
     }
 }
 
-/// One sharing in a [`Smile::submit_batch`] admission request.
-#[derive(Clone, Debug)]
-pub struct SharingRequest {
-    /// Human-readable sharing name.
-    pub name: String,
-    /// The SPJ transformation over registered base relations.
-    pub query: SpjQuery,
-    /// Staleness SLA.
-    pub staleness_sla: SimDuration,
-    /// Penalty dollars per stale tuple.
-    pub penalty_per_tuple: f64,
-    /// Optional MV machine pin.
-    pub mv_machine: Option<MachineId>,
-}
-
 /// The SMILE platform.
 pub struct Smile {
     /// The simulated machine fleet.
@@ -152,15 +134,13 @@ pub struct Smile {
     /// The global plan built incrementally at submit time; `install`
     /// consumes it.
     staged: GlobalPlan,
-    /// The cross-tenant index over admitted structures.
-    merge_catalog: MergeCatalog,
     /// Utilization per machine committed to the staged sharings; `install`
     /// consumes it with the staged plan (the running plan's own load is
     /// what later admissions are planned against).
     committed: HashMap<MachineId, f64>,
-    /// Refcounted fleet-wide arrangement bookkeeping, reconciled against
-    /// the live plan after install / live admission / retirement.
-    arrangements: ArrangementRegistry,
+    /// Arrangements that stopped existing because no live join probed them
+    /// any more, dropped alone or with their relation.
+    arrangements_reclaimed: u64,
     now: Timestamp,
     next_sharing: u32,
     /// Entries ingested at or before the latest seed instant would fall
@@ -198,9 +178,8 @@ impl Smile {
             hc_report: None,
             telemetry,
             staged: GlobalPlan::new(),
-            merge_catalog: MergeCatalog::new(),
             committed: HashMap::new(),
-            arrangements: ArrangementRegistry::new(),
+            arrangements_reclaimed: 0,
             now: Timestamp::ZERO,
             next_sharing: 1,
             seed_floor: Timestamp::ZERO,
@@ -256,8 +235,8 @@ impl Smile {
     /// Like [`Smile::submit`], but pins the MV to a machine — the paper's
     /// setup "arbitrarily assigned" the 25 sharings to the 6 machines. This
     /// is the one admission routine behind every `submit*` entry:
-    /// `plan_and_merge`, its host-latency and catalog telemetry recorded
-    /// whether the sharing was admitted or not, then the sharing registered.
+    /// `plan_and_merge`, its host latency recorded whether the sharing was
+    /// admitted or not, then the sharing registered.
     pub fn submit_pinned(
         &mut self,
         name: &str,
@@ -270,14 +249,12 @@ impl Smile {
         let id = SharingId::new(self.next_sharing);
         let sharing = Sharing::new(id, name, query, staleness_sla, penalty_per_tuple);
         let planned = self.plan_and_merge(&sharing, mv_machine);
-        let reg = self.telemetry.registry();
         // `host_` marks the one wall-clock (nondeterministic) metric here;
         // determinism suites filter on that marker.
-        reg.histogram("admission.host_latency_us")
+        self.telemetry
+            .registry()
+            .histogram("admission.host_latency_us")
             .record(started.elapsed().as_micros() as u64);
-        let (hits, misses) = self.merge_catalog.take_counters();
-        reg.counter("catalog.hits").add(hits);
-        reg.counter("catalog.misses").add(misses);
         self.planned.push(planned?);
         self.sharings.push(sharing);
         self.snapshot.register_penalty(id, penalty_per_tuple);
@@ -298,27 +275,9 @@ impl Smile {
         self.submit_pinned(name, query, staleness_sla, penalty_per_tuple, mv_machine)
     }
 
-    /// Admits a vector of sharings in request order. Per-member results come
-    /// back in the same order — a rejection does not abort the rest of the
-    /// batch.
-    pub fn submit_batch(&mut self, requests: Vec<SharingRequest>) -> Vec<Result<SharingId>> {
-        requests
-            .into_iter()
-            .map(|r| {
-                self.submit_pinned(
-                    &r.name,
-                    r.query,
-                    r.staleness_sla,
-                    r.penalty_per_tuple,
-                    r.mv_machine,
-                )
-            })
-            .collect()
-    }
-
-    /// Validate → plan against the phase's utilization → merge through the
-    /// merge catalog → reconcile storage when running. The phase selects
-    /// only the utilization view and where the plan merges.
+    /// Validate → plan against the phase's utilization → merge, counting
+    /// what the merge reused → reconcile storage when running. The phase
+    /// selects only the utilization view and where the plan merges.
     fn plan_and_merge(
         &mut self,
         sharing: &Sharing,
@@ -333,7 +292,7 @@ impl Smile {
         };
         let reg = self.telemetry.registry();
         let planned = self
-            .reoptimizer(self.cluster.active_machine_ids())
+            .optimizer(self.cluster.active_machine_ids())
             .plan_admission(sharing, utilization, mv_machine)
             .inspect_err(|e| {
                 if matches!(e, SmileError::Inadmissible { .. }) {
@@ -341,28 +300,46 @@ impl Smile {
                 }
             })?;
         reg.counter("planner.sharings_admitted").inc();
+        let before = self.current_plan().vertex_count();
         match &mut self.executor {
-            Some(executor) => {
-                executor.add_sharing(sharing, &planned, &mut self.merge_catalog)?;
-                self.reconcile_storage(None)?;
-            }
+            Some(executor) => executor.add_sharing(sharing, &planned)?,
             None => {
-                self.staged
-                    .merge_indexed(sharing, &planned, &mut self.merge_catalog)?;
+                self.staged.merge(sharing, &planned)?;
                 for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
                     *self.committed.entry(m).or_default() += u;
                 }
             }
         }
+        self.count_reuse(&planned, before);
+        if self.executor.is_some() {
+            self.reconcile_storage(None)?;
+        }
         Ok(planned)
+    }
+
+    /// Posts what merging `planned` reused, at the merge: of the vertices it
+    /// brought, those the global plan (`before` vertices until then) did not
+    /// grow by were already there.
+    fn count_reuse(&self, planned: &PlannedSharing, before: usize) {
+        let grew = self.current_plan().vertex_count() - before;
+        let reg = self.telemetry.registry();
+        reg.counter("catalog.misses").add(grew as u64);
+        reg.counter("catalog.hits")
+            .add((planned.plan.vertex_count() - grew) as u64);
+    }
+
+    /// The global plan admissions merge into: the running one once
+    /// installed, the staged one before.
+    fn current_plan(&self) -> &Plan {
+        &self.global_plan().unwrap_or(&self.staged).plan
     }
 
     /// The decision layer every plan search, install-time plumbing pass and
     /// online re-plan goes through, choosing placements among `machines`.
     /// Only *active* machines are ever passed: a draining or retired
     /// machine must not gain new MVs.
-    fn reoptimizer(&self, machines: Vec<MachineId>) -> Reoptimizer<'_> {
-        Reoptimizer::new(
+    fn optimizer(&self, machines: Vec<MachineId>) -> Optimizer<'_> {
+        Optimizer::new(
             &self.catalog,
             machines,
             &self.config.model,
@@ -393,11 +370,9 @@ impl Smile {
         self.committed.clear();
         if self.config.hill_climb {
             let report = self
-                .reoptimizer(self.cluster.active_machine_ids())
+                .optimizer(self.cluster.active_machine_ids())
                 .hill_climb_placement(&mut global, true, self.config.hill_climb_iterations);
             self.hc_report = Some(report);
-            // Plumbing + garbage collection remapped vertex ids.
-            self.merge_catalog.rebuild(&global.plan);
         }
         global.plan.validate()?;
         let reg = self.telemetry.registry();
@@ -417,8 +392,8 @@ impl Smile {
     /// The one storage reconcile, run wherever liveness may have changed
     /// (install, live admission, retirement, migration start and
     /// settlement): afterwards a derived vertex holds a storage slot exactly
-    /// when the executor says it is [`live`](Executor::live), and the
-    /// arrangement registry matches the plan.
+    /// when the executor says it is [`live`](Executor::live), and an
+    /// arrangement exists exactly when a live join edge probes it.
     ///
     /// * Every live vertex without a slot gets one, in vertex-id order — its
     ///   twin's if the twin holds one (a Relation vertex and the Delta
@@ -433,6 +408,10 @@ impl Smile {
     /// * Every vertex that is no longer live gives its slot up: a slot nobody
     ///   holds any more is dropped, and a relation vertex whose delta twin
     ///   keeps the slot empties its table.
+    /// * Every arrangement still installed that no live join edge probes is
+    ///   dropped. The live join edges *are* the readers (a migration's
+    ///   shadow chain included, from its start), so there is no count to keep
+    ///   beside them.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
     /// snapshots *as of* that instant and stamped with it. Admissions seed
@@ -476,7 +455,7 @@ impl Smile {
         // share one arrangement).
         for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
             if let Some((machine, slot, cols)) = probed_arrangement(plan, e) {
-                self.cluster.machine_mut(machine)?.db.ensure_index(slot, &cols)?;
+                self.cluster.machine_mut(machine)?.db.ensure_index(slot, cols)?;
             }
         }
         for vert in slotted.iter().map(|&v| plan.vertex(v)) {
@@ -496,6 +475,8 @@ impl Smile {
             let Some(slot) = vert.slot.filter(|_| !executor.live(v)) else { continue };
             let db = &mut self.cluster.machine_mut(vert.machine)?.db;
             if twin_slot(plan, vert) != Some(slot) {
+                let installed = db.relation(slot)?.table.arrangements().count();
+                self.arrangements_reclaimed += installed as u64;
                 db.drop_relation(slot)?;
             } else if vert.kind == VertexKind::Relation {
                 // The delta twin keeps the log; the rows go now.
@@ -503,40 +484,23 @@ impl Smile {
             }
             executor.global.plan.vertex_mut(v).slot = None;
         }
-        self.sync_arrangements()
-    }
-
-    /// Reconciles the global arrangement registry against the live plan's
-    /// join edges and applies the physical delta: first references
-    /// build arrangements (idempotent — the storage reconcile usually already
-    /// did), last references drop them so retired sharings reclaim memory.
-    fn sync_arrangements(&mut self) -> Result<()> {
-        let executor = running(&self.executor)?;
-        let delta = self
-            .arrangements
-            .reconcile(desired_arrangements(&executor.global));
-        for (machine, slot, cols) in delta.added {
-            if self.cluster.machine(machine)?.db.has_relation(slot) {
-                self.cluster
-                    .machine_mut(machine)?
-                    .db
-                    .ensure_index(slot, &cols)?;
+        let plan = &executor.global.plan;
+        let probed: HashSet<ArrangementKey<'_>> = live_probes(executor).collect();
+        for vert in plan.vertices() {
+            let Some(slot) = vert.slot else { continue };
+            let db = &mut self.cluster.machine_mut(vert.machine)?.db;
+            let installed = db.relation(slot)?.table.arrangements();
+            let unread: Vec<Vec<usize>> = installed
+                .map(|a| a.cols())
+                .filter(|&cols| !probed.contains(&(vert.machine, slot, cols)))
+                .map(<[usize]>::to_vec)
+                .collect();
+            for cols in unread {
+                db.drop_index(slot, &cols);
+                self.arrangements_reclaimed += 1;
             }
         }
-        for (machine, slot, cols) in delta.removed {
-            self.cluster.machine_mut(machine)?.db.drop_index(slot, &cols);
-        }
         Ok(())
-    }
-
-    /// The refcounted fleet-wide arrangement registry.
-    pub fn arrangement_registry(&self) -> &ArrangementRegistry {
-        &self.arrangements
-    }
-
-    /// The cross-tenant merge catalog.
-    pub fn merge_catalog(&self) -> &MergeCatalog {
-        &self.merge_catalog
     }
 
     /// The running global plan, once installed.
@@ -648,10 +612,14 @@ fn not_installed() -> SmileError {
     SmileError::Internal("the platform is not running: call install() first".into())
 }
 
+/// Identity of one physical arrangement: the machine hosting it, the
+/// relation slot it indexes and the columns it is keyed by.
+type ArrangementKey<'p> = (MachineId, RelationId, &'p [usize]);
+
 /// The arrangement a join edge probes — its snapshot side's (machine,
 /// relation slot, probe columns). `None` for any other operator, or while
 /// the relation has no storage.
-fn probed_arrangement(plan: &Plan, e: &Edge) -> Option<ArrangementKey> {
+fn probed_arrangement<'p>(plan: &'p Plan, e: &'p Edge) -> Option<ArrangementKey<'p>> {
     let EdgeOp::Join { on, delta_side, .. } = &e.op else {
         return None;
     };
@@ -660,23 +628,16 @@ fn probed_arrangement(plan: &Plan, e: &Edge) -> Option<ArrangementKey> {
         DeltaSide::Right => &on.left_cols,
     };
     let rel_v = plan.vertex(e.inputs[1]);
-    Some((rel_v.machine, rel_v.slot?, snap_cols.clone()))
+    Some((rel_v.machine, rel_v.slot?, snap_cols))
 }
 
-/// Desired arrangement refcounts from the live plan: one reference per
-/// *live* (serving at least one sharing) join edge. `BTreeMap`, so
-/// reconciliation walks keys deterministically.
-fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> {
-    let mut desired: BTreeMap<ArrangementKey, usize> = BTreeMap::new();
-    for e in global.plan.edges() {
-        if e.sharings.is_empty() {
-            continue;
-        }
-        if let Some(key) = probed_arrangement(&global.plan, e) {
-            *desired.entry(key).or_default() += 1;
-        }
-    }
-    desired
+/// What the live join edges probe, one key per edge: edges on one
+/// (relation, key) pair share one arrangement.
+fn live_probes(executor: &Executor) -> impl Iterator<Item = ArrangementKey<'_>> {
+    let plan = &executor.global.plan;
+    executor
+        .live_edges()
+        .filter_map(|e| probed_arrangement(plan, e))
 }
 
 /// The slot held by `vert`'s twin — the vertex of the other kind with the

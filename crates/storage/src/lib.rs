@@ -27,7 +27,6 @@ pub mod delta;
 pub mod engine;
 pub mod join;
 pub mod predicate;
-pub mod registry;
 pub mod spj;
 pub mod table;
 pub mod wal;
@@ -39,7 +38,6 @@ pub use columnar::{ColumnarBatch, ConsolidateStats};
 pub use delta::{DeltaBatch, DeltaEntry, DeltaTable};
 pub use engine::Database;
 pub use predicate::Predicate;
-pub use registry::{ArrangementKey, ArrangementRegistry, ReconcileDelta};
 pub use spj::SpjQuery;
 pub use table::Table;
 pub use wal::Frame;

@@ -14,6 +14,7 @@ use smile::storage::{Predicate, SpjQuery};
 use smile::types::{Column, ColumnType, MachineId, Schema, SharingId, SimDuration, SmileError};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{TwitterConfig, TwitterWorkload};
+use std::collections::HashMap;
 
 fn platform(machines: usize) -> (Smile, smile::workload::twitter::TwitterRels) {
     let mut smile = Smile::new(SmileConfig::with_machines(machines));
@@ -71,9 +72,7 @@ fn admissibility_is_monotone_in_sla() {
             0.001,
         );
         let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), &model, &prices);
-        opt.plan_pair(&sharing)
-            .map(|p| p.choose(&sharing).is_ok())
-            .unwrap_or(false)
+        opt.plan_admission(&sharing, HashMap::new(), None).is_ok()
     };
     let mut last = false;
     for ms in [1u64, 5, 20, 100, 1_000, 10_000, 60_000] {
@@ -101,29 +100,30 @@ fn dpt_tracks_dpd_critical_path_across_all_25() {
             0.001,
         );
         let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), &model, &prices);
-        let pair = opt.plan_pair(&sharing).unwrap();
+        let plan = |objective| opt.plan_with(&sharing, objective, &HashMap::new(), None);
+        let (dpd, dpt) = (plan(Objective::Dollars).unwrap(), plan(Objective::Time).unwrap());
         // The DP is a polynomial-time heuristic, so DPT is not provably
         // CP-optimal — but it must stay in the same ballpark as DPD's CP,
         // and usually beat it.
         assert!(
-            pair.dpt.critical_path <= pair.dpd.critical_path.mul_f64(2.0),
+            dpt.critical_path <= dpd.critical_path.mul_f64(2.0),
             "S{}: DPT ({}) way slower than DPD ({})",
             p.index,
-            pair.dpt.critical_path,
-            pair.dpd.critical_path
+            dpt.critical_path,
+            dpd.critical_path
         );
         assert!(
-            pair.dpd.dollar_cost <= pair.dpt.dollar_cost + 1e-12,
+            dpd.dollar_cost <= dpt.dollar_cost + 1e-12,
             "S{}: DPD dearer than DPT",
             p.index
         );
         // Both plans are structurally valid and their CP is what the cost
         // module recomputes.
-        pair.dpd.plan.validate().unwrap();
-        pair.dpt.plan.validate().unwrap();
+        dpd.plan.validate().unwrap();
+        dpt.plan.validate().unwrap();
         assert_eq!(
-            pair.dpt.critical_path,
-            critical_path(&pair.dpt.plan, Scope::All, 1.0, &model)
+            dpt.critical_path,
+            critical_path(&dpt.plan, Scope::All, 1.0, &model)
         );
     }
 }

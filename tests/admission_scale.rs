@@ -1,10 +1,10 @@
-//! Admission at scale: 10k sharings admitted in batches through the merge
-//! catalog, then executed under chaos. Asserts the load-bearing properties
-//! of the scale-out layer: structure sharing is real (the fleet holds far
-//! fewer arrangements than the unshared sum and the refcounted registry
-//! mirrors it), and fault recovery stays exact at this population.
+//! Admission at scale: 10k sharings admitted one `submit_pinned` at a time,
+//! then executed under chaos. Asserts the load-bearing properties of the
+//! scale-out layer: structure sharing is real (the fleet holds far fewer
+//! arrangements than the unshared sum, and exactly those the live join
+//! edges probe), and fault recovery stays exact at this population.
 
-use smile::core::platform::{SharingRequest, Smile, SmileConfig};
+use smile::core::platform::{Smile, SmileConfig};
 use smile::core::catalog::BaseStats;
 use smile::core::plan::dag::EdgeOp;
 use smile::sim::FaultProfile;
@@ -17,7 +17,9 @@ use smile::types::{
 
 const MACHINES: u32 = 4;
 const SHARINGS: usize = 10_000;
-const BATCH: usize = 500;
+
+mod common;
+use common::{distinct, fleet_arrangements, live_probes};
 
 fn build() -> (Smile, Vec<RelationId>) {
     let mut config = SmileConfig::with_machines(MACHINES as usize);
@@ -67,30 +69,11 @@ fn build() -> (Smile, Vec<RelationId>) {
 /// The i-th generated sharing: a two-way cross-machine join whose equality
 /// literal advances as `isqrt(i)`, so most admissions dedup into a resident
 /// structure while distinct structures keep appearing throughout the sweep.
-fn request(rels: &[RelationId], i: usize) -> SharingRequest {
+fn query(rels: &[RelationId], i: usize) -> SpjQuery {
     let shape = i % 4;
     let k = (i as f64).sqrt().floor() as i64;
     let (a, b) = (rels[shape], rels[(shape + 1) % rels.len()]);
-    SharingRequest {
-        name: format!("S{i}"),
-        query: SpjQuery::scan(a).join(b, JoinOn::on(1, 1), Predicate::eq(2, k)),
-        staleness_sla: SimDuration::from_secs(25),
-        penalty_per_tuple: 0.001,
-        mv_machine: Some(MachineId::new((i % MACHINES as usize) as u32)),
-    }
-}
-
-fn fleet_arrangements(smile: &Smile) -> usize {
-    (0..MACHINES)
-        .map(|m| {
-            smile
-                .cluster
-                .machine(MachineId::new(m))
-                .unwrap()
-                .db
-                .arrangement_count()
-        })
-        .sum()
+    SpjQuery::scan(a).join(b, JoinOn::on(1, 1), Predicate::eq(2, k))
 }
 
 #[test]
@@ -98,22 +81,17 @@ fn ten_thousand_sharings_share_structure_and_stay_exact_under_chaos() {
     let started = std::time::Instant::now();
     let (mut smile, rels) = build();
 
-    // Admit 10k sharings in batches of 500; every one must be admitted
-    // (capacity is ample, the SLA generous).
-    let mut admitted: Vec<SharingId> = Vec::with_capacity(SHARINGS);
-    let mut start = 0;
-    while start < SHARINGS {
-        let batch: Vec<SharingRequest> = (start..start + BATCH)
-            .map(|i| request(&rels, i))
-            .collect();
-        for (off, res) in smile.submit_batch(batch).into_iter().enumerate() {
-            admitted.push(res.unwrap_or_else(|e| {
-                panic!("sharing {} rejected at scale: {e}", start + off)
-            }));
-        }
-        start += BATCH;
-    }
-    assert_eq!(admitted.len(), SHARINGS);
+    // Admit 10k sharings; every one must be admitted (capacity is ample,
+    // the SLA generous).
+    let admitted: Vec<SharingId> = (0..SHARINGS)
+        .map(|i| {
+            let pin = Some(MachineId::new((i % MACHINES as usize) as u32));
+            let sla = SimDuration::from_secs(25);
+            smile
+                .submit_pinned(&format!("S{i}"), query(&rels, i), sla, 0.001, pin)
+                .unwrap_or_else(|e| panic!("sharing {i} rejected at scale: {e}"))
+        })
+        .collect();
 
     // Per-sharing arrangement demand as if nothing were shared: one
     // arrangement per join edge of each planned plan, no
@@ -161,14 +139,14 @@ fn ten_thousand_sharings_share_structure_and_stay_exact_under_chaos() {
     eprintln!("[scale] driven at {:.1}s", started.elapsed().as_secs_f64());
 
     // Structure sharing: the fleet's physical arrangement count is strictly
-    // below the unshared per-sharing sum, and the refcounted registry
-    // mirrors the physical fleet exactly.
+    // below the unshared per-sharing sum, and the fleet holds exactly the
+    // arrangements the live join edges probe.
     let fleet = fleet_arrangements(&smile);
     assert!(
         fleet < unshared,
         "no structure sharing: {fleet} arrangements vs unshared sum {unshared}"
     );
-    assert_eq!(fleet, smile.arrangement_registry().len());
+    assert_eq!(fleet, distinct(&live_probes(&smile)));
 
     // Chaos actually fired, and recovery stayed exact: every sampled MV
     // matches the from-scratch oracle. The sample spans the population:

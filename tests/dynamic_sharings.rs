@@ -8,18 +8,14 @@ use smile::workload::rates::{RateIntegrator, RateTrace};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{standard_setup, TwitterConfig, TwitterWorkload};
 
-/// Fleet-wide count of physical arrangements across `machines` machines.
-fn fleet_arrangements(smile: &Smile, machines: u32) -> usize {
-    (0..machines)
-        .map(|m| {
-            smile
-                .cluster
-                .machine(MachineId::new(m))
-                .unwrap()
-                .db
-                .arrangement_count()
-        })
-        .sum()
+mod common;
+use common::{distinct, fleet_arrangements, live_probes};
+
+/// Arrangements dropped so far because no live join probed them any more,
+/// as exported.
+fn reclaimed(smile: &Smile) -> f64 {
+    let snap = smile.telemetry_snapshot();
+    snap.gauge("arrangement_registry.reclaimed").unwrap()
 }
 
 fn drive(smile: &mut Smile, w: &mut TwitterWorkload, rate: f64, secs: u64) {
@@ -151,14 +147,14 @@ fn retired_sharing_frees_storage_and_spares_others() {
                 .total_bytes()
         })
         .sum();
-    // The refcounted registry mirrors the physical fleet exactly while both
-    // sharings are live.
-    let refs_before = smile.arrangement_registry().total_refs();
-    assert!(refs_before > 0);
+    // The installed arrangements are exactly what the live join edges probe
+    // while both sharings are live.
+    let probes_before = live_probes(&smile);
+    assert!(!probes_before.is_empty());
     assert_eq!(
-        fleet_arrangements(&smile, 4),
-        smile.arrangement_registry().len(),
-        "registry out of sync with physical arrangements before retire"
+        fleet_arrangements(&smile),
+        distinct(&probes_before),
+        "physical arrangements differ from what live joins probe before retire"
     );
     smile.retire(gone).unwrap();
     let bytes_after: usize = (0..4)
@@ -175,16 +171,16 @@ fn retired_sharing_frees_storage_and_spares_others() {
         bytes_after < bytes_before,
         "retiring freed no storage ({bytes_before} -> {bytes_after})"
     );
-    // The retired sharing's arrangement references were released, the last
-    // references were physically reclaimed, and the registry still mirrors
-    // the fleet.
-    let reg = smile.arrangement_registry();
+    // The retired sharing's joins stopped probing, the arrangements only
+    // they read were physically reclaimed, and the fleet still holds exactly
+    // what the live joins probe.
+    let probes = live_probes(&smile);
     assert!(
-        reg.total_refs() < refs_before,
+        probes.len() < probes_before.len(),
         "retire released no arrangement references"
     );
-    assert!(reg.reclaimed >= 1, "no arrangement was reclaimed");
-    assert_eq!(fleet_arrangements(&smile, 4), reg.len());
+    assert!(reclaimed(&smile) >= 1.0, "no arrangement was reclaimed");
+    assert_eq!(fleet_arrangements(&smile), distinct(&probes));
     assert!(smile.mv_contents(gone).is_err() || smile.planned(gone).is_err());
 
     // The surviving sharing keeps running exactly.
@@ -241,24 +237,22 @@ fn registry_reclaims_after_last_reference() {
         .unwrap();
     smile.install().unwrap();
     assert!(
-        smile.arrangement_registry().total_refs() > 0,
-        "an indexed join sharing must hold arrangement references"
+        !live_probes(&smile).is_empty(),
+        "an indexed join sharing must probe arrangements"
     );
     drive(&mut smile, &mut w, 20.0, 30);
 
-    // Retiring the only sharing drops every refcount to zero and reclaims
-    // all arrangement memory fleet-wide.
+    // Retiring the only sharing leaves no live join and reclaims all
+    // arrangement memory fleet-wide.
     smile.retire(only).unwrap();
-    let reg = smile.arrangement_registry();
     assert_eq!(
-        reg.total_refs(),
-        0,
-        "refcounts must reach zero after the last referencing sharing retires"
+        live_probes(&smile),
+        vec![],
+        "no join may stay live after the last sharing retires"
     );
-    assert_eq!(reg.len(), 0);
-    assert!(reg.reclaimed >= 1);
+    assert!(reclaimed(&smile) >= 1.0);
     assert_eq!(
-        fleet_arrangements(&smile, 4),
+        fleet_arrangements(&smile),
         0,
         "arrangement memory must be reclaimed with no live references"
     );

@@ -186,11 +186,12 @@ fn crash_mid_handoff_aborts_cleanly_and_mv_matches_never_migrated() {
             feed(&mut smile, a, b, 40);
         }
         smile.run_idle(SimDuration::from_secs(120)).unwrap();
-        (mv_bytes(&smile, id), truth_bytes(&smile, id), labels(&smile))
+        let installed = smile.arrangement_meter().arrangements;
+        (mv_bytes(&smile, id), truth_bytes(&smile, id), labels(&smile), installed)
     };
 
-    let (mv_migrated, truth_migrated, acts) = run(true);
-    let (mv_baseline, truth_baseline, baseline_acts) = run(false);
+    let (mv_migrated, truth_migrated, acts, arrangements_migrated) = run(true);
+    let (mv_baseline, truth_baseline, baseline_acts, arrangements_baseline) = run(false);
 
     // The chaos schedule actually exercised both protocol outcomes.
     assert!(
@@ -208,6 +209,12 @@ fn crash_mid_handoff_aborts_cleanly_and_mv_matches_never_migrated() {
     assert_eq!(truth_migrated, truth_baseline, "ground truth diverged");
     assert_eq!(mv_baseline, truth_baseline, "baseline did not converge");
     assert_eq!(mv_migrated, mv_baseline, "migration left residue in the MV");
+    // Nor in storage: an aborted shadow chain's joins stop probing, so the
+    // arrangements only they read go with them.
+    assert_eq!(
+        arrangements_migrated, arrangements_baseline,
+        "a settled handoff left an arrangement no live join probes"
+    );
 }
 
 #[test]

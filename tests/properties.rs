@@ -458,13 +458,12 @@ proptest! {
 // incrementally — SHR sets on the merged plan, the staged global plan, and
 // committed per-machine utilization. On randomized sharing workloads with
 // removals, each must equal its from-scratch recomputation by functions
-// production also calls (`recompute_shr`, a `merge_indexed` fold,
+// production also calls (`recompute_shr`, a `merge` fold,
 // `machine_utilization`), after every admit (and, for the SHR sets the
 // running plan keeps, every retire); and every surviving MV must equal the
 // SPJ ground truth after execution.
 // ---------------------------------------------------------------------------
 
-use smile::core::merge_catalog::MergeCatalog;
 use smile::core::multi::GlobalPlan;
 use smile::core::plan::cost::{machine_utilization, Scope};
 use std::collections::HashMap;
@@ -577,9 +576,8 @@ proptest! {
             assert_shr_fresh(smile.staged_plan(), &when);
             assert_committed_fresh(&smile, &when);
             let mut fold = GlobalPlan::new();
-            let mut cat = MergeCatalog::new();
             for s in smile.sharings() {
-                fold.merge_indexed(s, smile.planned(s.id).unwrap(), &mut cat).unwrap();
+                fold.merge(s, smile.planned(s.id).unwrap()).unwrap();
             }
             prop_assert_eq!(
                 smile.staged_plan().plan.canonical_string(),
@@ -591,7 +589,8 @@ proptest! {
             return Ok(());
         }
         smile.install().unwrap();
-        prop_assert!(!smile.merge_catalog().is_empty(), "catalog must index the installed plan");
+        let entries = smile.telemetry_snapshot().gauge("catalog.entries");
+        prop_assert!(entries > Some(0.0), "catalog.entries must count the installed plan");
         assert_shr_fresh(smile.global_plan().unwrap(), "after install");
 
         drive_ticks(&mut smile, left, right, &ticks);
@@ -614,6 +613,117 @@ proptest! {
                 smile.expected_mv_contents(id).unwrap().sorted_entries(),
                 "MV of {} != ground truth", id
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy admission ≡ §6.2: `plan_admission` searches DPT only when DPD misses
+// the SLA. Whatever it returns must be what the rule written out over both
+// searches returns — reject if neither fits, DPD if it fits, else DPT — on
+// the admission generator's queries and pins, committed loads drawn around
+// capacity, and SLAs aimed where the rule's arms meet: on, or a microsecond
+// either side of, one of the case's own two critical paths.
+// ---------------------------------------------------------------------------
+
+use smile::core::optimizer::{Objective, Optimizer};
+use smile::core::sharing::Sharing;
+use smile::types::SharingId;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+const LAZY_CASES: u32 = 512;
+/// Cases seen; then cases per arm (DPD fits / DPD misses and DPT is taken /
+/// nothing fits); then cases where DPD fits and the DPT search fails — the
+/// one outcome the lazy rule may change, since §6.2 never reads that result.
+static LAZY_DRAWN: [AtomicU32; 5] = [const { AtomicU32::new(0) }; 5];
+
+/// Query shape, literal and pin as in [`SharingSpec`]; an SLA in
+/// microseconds and where to aim it instead (0..3: around `CP(DPD)`, 3..6:
+/// around `CP(DPT)`, else as drawn); committed load per machine as a choice
+/// of empty (twice as likely) / a hair under capacity / full.
+fn arb_lazy_case() -> impl Strategy<Value = (u8, i64, u8, (u64, u64), Vec<u8>)> {
+    let load = proptest::collection::vec(0u8..4, 4..5);
+    (0u8..4, 0i64..3, 0u8..5, (4_000u64..14_000, 0u64..8), load)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: LAZY_CASES,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn lazy_admission_matches_the_selection_rule(
+        (shape, lit, pin, (sla_us, aim), load) in arb_lazy_case()
+    ) {
+        let (smile, left, right) = build_platform_with(SmileConfig::with_machines(4));
+        let query = spec_query(left, right, shape, lit);
+        let sharing = |sla_us| {
+            let sla = SimDuration::from_micros(sla_us);
+            Sharing::new(SharingId::new(1), "d", query.clone(), sla, 0.001)
+        };
+        let pin = pin.checked_sub(1).map(|m| MachineId::new(m as u32));
+        let committed: HashMap<MachineId, f64> = load
+            .iter()
+            .enumerate()
+            .map(|(m, &l)| (MachineId::new(m as u32), [0.0, 0.0, 0.9995, 1.0][l as usize]))
+            .collect();
+        let (model, prices) = (&smile.config.model, &smile.config.prices);
+        let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), model, prices);
+
+        let search = |s: &Sharing, objective| opt.plan_with(s, objective, &committed, pin);
+        let probe = |objective| {
+            search(&sharing(sla_us), objective).map(|p| p.critical_path.as_micros())
+        };
+        let sharing = sharing(match (probe(Objective::Dollars), probe(Objective::Time)) {
+            (Ok(dpd), Ok(_)) if aim < 3 => dpd + aim - 1,
+            (Ok(_), Ok(dpt)) if aim < 6 => dpt + aim - 4,
+            _ => sla_us,
+        });
+        let sla = sharing.staleness_sla;
+
+        // §6.2 over two explicit searches.
+        let (dpd, dpt) = (search(&sharing, Objective::Dollars), search(&sharing, Objective::Time));
+        let (arm, want) = match (dpd, dpt) {
+            (Err(e), _) => (None, Err(e)),
+            (Ok(dpd), dpt) if dpd.critical_path <= sla => {
+                (Some(if dpt.is_ok() { 1 } else { 4 }), Ok(dpd))
+            }
+            (Ok(_), Err(e)) => (None, Err(e)),
+            (Ok(dpd), Ok(dpt)) => match dpt.critical_path.min(dpd.critical_path) {
+                fastest if fastest <= sla => (Some(2), Ok(dpt)),
+                fastest => (Some(3), Err(SmileError::Inadmissible {
+                    sharing: sharing.id,
+                    critical_path_secs: fastest.as_secs_f64(),
+                    sla_secs: sla.as_secs_f64(),
+                })),
+            },
+        };
+        let got = opt.plan_admission(&sharing, committed.clone(), pin);
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(got.plan.canonical_string(), want.plan.canonical_string());
+                prop_assert_eq!(got.mv_machine, want.mv_machine);
+                prop_assert_eq!(got.critical_path, want.critical_path);
+                prop_assert_eq!(got.dollar_cost, want.dollar_cost);
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            _ => prop_assert!(false, "lazy admitted: {}, the rule: {}", got.is_ok(), want.is_ok()),
+        }
+
+        for slot in arm.into_iter().chain([0]) {
+            LAZY_DRAWN[slot].fetch_add(1, Ordering::Relaxed);
+        }
+        if LAZY_DRAWN[0].load(Ordering::Relaxed) == LAZY_CASES {
+            let drawn: Vec<u32> = LAZY_DRAWN.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+            eprintln!(
+                "[lazy] cases {} | DPD fits {} | DPT taken {} | nothing fits {} \
+                 | DPD fits, DPT search fails {}",
+                drawn[0], drawn[1], drawn[2], drawn[3], drawn[4]
+            );
+            let all_drawn = drawn[1..4].iter().all(|&n| n > 0);
+            prop_assert!(all_drawn, "an arm of §6.2 was never drawn: {:?}", drawn);
+            prop_assert_eq!(drawn[4], 0, "DPD fitted while the DPT search failed");
         }
     }
 }

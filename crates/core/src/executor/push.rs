@@ -15,16 +15,23 @@
 //! Δ ⋈ R@at  =  Δ ⋈ R@now  −  Δ ⋈ (R@now − R@at)
 //! ```
 //!
-//! where `R@now − R@at` is the (small) consolidated delta window between
-//! the snapshot and the table's current state — so the big side is probed
-//! through its persistent secondary index and only the correction is
-//! materialized.
+//! The first term probes the big side through its persistent arrangement.
+//! For the second, `R@now − R@at` is the relation's log between the two
+//! instants, and it is never materialized: the *delta window* is the
+//! indexed side (by the probe keys it was just probed with) and the log
+//! streams past it by reference. Only rows some delta entry joins are kept,
+//! and those are netted — a delete cancels its insert, a repeat adds up —
+//! so the output has one entry per (delta entry, distinct surviving row):
+//! the multiset and the entry count of consolidating the window first.
+//! Outputs are handed over stably sorted by timestamp, probe run ahead of
+//! correction run, which is the order sorted insertion into the log gives.
 //!
 //! ## Machine-local primitives
 //!
 //! Every operator except a cross-machine `CopyDelta` touches exactly one
 //! machine (plan validation enforces co-location), so the execution
-//! primitives here take `&mut Machine`, not the whole cluster. A
+//! primitives here take one [`Job`] — a `&mut Machine`, the edge and its
+//! window, where the simulated cost goes — not the whole cluster. A
 //! cross-machine copy splits into [`ship_copy`] on the source machine and
 //! [`land_copy`] on the destination, exchanging immutable WAL bytes;
 //! everything else is [`run_local`] on the output's machine
@@ -40,7 +47,7 @@ use smile_sim::meter::ResourceUsage;
 use smile_storage::delta::{DeltaBatch, DeltaEntry};
 use smile_storage::wal::Bytes;
 use smile_storage::{wal, Predicate};
-use smile_types::{Result, SmileError, Timestamp, Tuple, VertexId};
+use smile_types::{FastMap, Result, SmileError, Timestamp, Tuple, Value, VertexId};
 
 /// Outcome of executing one edge.
 #[derive(Clone, Copy, Debug)]
@@ -61,6 +68,18 @@ pub struct EdgeRun {
     /// and land halves, exported as the ship/land span split in the push
     /// trace. `None` for machine-local edges.
     pub ship_arrive: Option<Timestamp>,
+}
+
+impl EdgeRun {
+    /// A run on one machine; [`land_copy`] adds the ship/land boundary.
+    fn local(end: Timestamp, tuples: u64, appended: bool) -> Self {
+        Self {
+            end,
+            tuples,
+            deduped: !appended,
+            ship_arrive: None,
+        }
+    }
 }
 
 /// Pre-drawn fault outcomes for one edge job. The coordinator consumes the
@@ -163,32 +182,79 @@ pub(crate) fn ship_copy(
     })
 }
 
+/// What every machine-local primitive is handed: the machine the job runs
+/// on, the edge and its window, and where its simulated cost goes.
+pub(crate) struct Job<'a> {
+    /// The machine the edge's output lives on.
+    pub machine: &'a mut Machine,
+    pub plan: &'a Plan,
+    pub edge: &'a Edge,
+    /// Window start (exclusive).
+    pub from: Timestamp,
+    /// Window end (inclusive).
+    pub to: Timestamp,
+    /// Simulated instant the work reaches this machine's CPU: the job's
+    /// submission, or the shipped bytes' arrival for a landing copy.
+    pub start: Timestamp,
+    pub model: &'a TimeCostModel,
+    /// `CopyDelta` only (the other operators have no acknowledgement fault
+    /// in the model): the batch lands, then its acknowledgement is lost.
+    pub ack_lost: bool,
+    /// Resource usages to charge, in the order they were incurred.
+    pub charges: &'a mut Vec<ResourceUsage>,
+}
+
+impl Job<'_> {
+    /// Occupies the machine's CPU for the edge's service time over `n`
+    /// tuples, charges it, and returns the simulated completion time.
+    fn bill(&mut self, n: u64) -> Timestamp {
+        let edge = self.edge;
+        let service = self
+            .model
+            .edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
+        let (res, usage) = self.machine.run_cpu(self.start, service);
+        self.charges.push(usage);
+        res.end
+    }
+
+    /// Applies the edge's aggregation (if any) to a batch destined for the
+    /// MV's delta: the raw window is folded into aggregate-space delete/insert
+    /// entries against the MV's current rows (the output slot is the MV's).
+    fn aggregate(&self, batch: DeltaBatch) -> Result<DeltaBatch> {
+        let Some(spec) = &self.edge.aggregate else {
+            return Ok(batch);
+        };
+        let slot = slot_of(self.plan, self.edge.output)?;
+        let table = &self.machine.db.relation(slot)?.table;
+        spec.delta_transform(&batch, |g| table.get_by_key(g))
+    }
+
+    /// Idempotent append of the edge's output for this window; `false` when
+    /// batch-id dedup absorbed it.
+    fn append(&mut self, landing: Landing) -> Result<bool> {
+        let out = self.edge.output;
+        let (slot, id) = (slot_of(self.plan, out)?, batch_id(out, self.from, self.to));
+        let (db, producer, to) = (&mut self.machine.db, out.index() as u64, self.to);
+        match landing {
+            Landing::Batch(batch) => db.append_delta_dedup(slot, batch, id, producer, to),
+            Landing::Frame(frame) => db.append_frame_dedup(slot, frame, id, producer, to),
+        }
+    }
+}
+
 /// Destination-machine half of a cross-machine copy: land the shipped WAL
-/// bytes (CPU service, aggregation, idempotent append).
+/// bytes (CPU service, aggregation, idempotent append); `job.start` is their
+/// arrival.
 ///
 /// The shipped bytes are validated once as a zero-copy [`wal::Frame`] and
 /// handed to [`finish_copy`], which lands a plain copy straight from the
 /// frame and materializes a batch only for an aggregate-bearing edge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn land_copy(
-    dst: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    from: Timestamp,
-    to: Timestamp,
-    bytes: Bytes,
-    arrive: Timestamp,
-    model: &TimeCostModel,
-    ack_lost: bool,
-    charges: &mut Vec<ResourceUsage>,
-) -> Result<EdgeRun> {
+pub(crate) fn land_copy(job: Job<'_>, bytes: Bytes) -> Result<EdgeRun> {
     // The WAL round-trip is the real data path: parse/decode on arrival.
-    dst.db.wal_stats().note_landed(bytes.len() as u64);
+    job.machine.db.wal_stats().note_landed(bytes.len() as u64);
     let frame = wal::Frame::parse(bytes)?;
-    let landing = Landing::Frame(&frame);
-    let mut run = finish_copy(
-        dst, plan, edge, landing, arrive, from, to, model, ack_lost, charges,
-    )?;
+    let arrive = job.start;
+    let mut run = finish_copy(job, Landing::Frame(&frame))?;
     run.ship_arrive = Some(arrive);
     Ok(run)
 }
@@ -197,59 +263,37 @@ pub(crate) fn land_copy(
 /// a delta application, a join, or a union. `snapshot_at` only applies to
 /// `Join` (the instant its relation side is read at: the sibling half's
 /// landed coverage, which keeps the two halves consistent even when
-/// failures have skewed their windows). `ack_lost` only applies to
-/// `CopyDelta` (the other operators have no acknowledgement fault in the
-/// model) and fires *after* the batch landed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_local(
-    machine: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    from: Timestamp,
-    to: Timestamp,
-    snapshot_at: Timestamp,
-    submit: Timestamp,
-    model: &TimeCostModel,
-    ack_lost: bool,
-    charges: &mut Vec<ResourceUsage>,
-) -> Result<EdgeRun> {
+/// failures have skewed their windows).
+pub(crate) fn run_local(mut job: Job<'_>, snapshot_at: Timestamp) -> Result<EdgeRun> {
+    let edge = job.edge;
     match &edge.op {
         EdgeOp::CopyDelta => {
             // Same-machine copies never hit the wire, so there is no frame
             // to land zero-copy; the window is materialized.
-            let src_slot = slot_of(plan, edge.inputs[0])?;
-            let raw = machine.db.delta_window(src_slot, from, to)?;
+            let src_slot = slot_of(job.plan, edge.inputs[0])?;
+            let raw = job.machine.db.delta_window(src_slot, job.from, job.to)?;
             let batch = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
-            let landing = Landing::Batch(batch);
-            finish_copy(
-                machine, plan, edge, landing, submit, from, to, model, ack_lost, charges,
-            )
+            finish_copy(job, Landing::Batch(batch))
         }
-        EdgeOp::DeltaToRel => run_apply(machine, plan, edge, to, submit, model, charges),
+        EdgeOp::DeltaToRel => {
+            // `apply_pending` is naturally idempotent: it only moves the
+            // table forward from its current timestamp, so a retry
+            // re-applies nothing.
+            let slot = slot_of(job.plan, edge.output)?;
+            let n = job.machine.db.apply_pending(slot, job.to)? as u64;
+            Ok(EdgeRun::local(job.bill(n), n, true))
+        }
         EdgeOp::Join {
             on,
             delta_side,
             snapshot_filter,
-        } => run_join(
-            machine,
-            plan,
-            edge,
-            from,
-            to,
-            snapshot_at,
-            submit,
-            model,
-            charges,
-            on,
-            *delta_side,
-            snapshot_filter,
-        ),
-        EdgeOp::Union => run_union(machine, plan, edge, from, to, submit, model, charges),
+        } => run_join(job, snapshot_at, on, *delta_side, snapshot_filter),
+        EdgeOp::Union => run_union(job),
     }
 }
 
-/// What a copy lands: the materialized window of a same-machine copy, or
-/// the validated frame a cross-machine copy shipped.
+/// What lands in an output log: a materialized batch, or the validated
+/// frame a cross-machine copy shipped.
 enum Landing<'a> {
     Batch(DeltaBatch),
     Frame(&'a wal::Frame),
@@ -261,114 +305,38 @@ enum Landing<'a> {
 /// [`smile_storage::Database::append_frame_dedup`]; everything else goes
 /// through a batch (the aggregate transform needs one). `tests/properties.rs`
 /// pins the two routes to the same log contents, stats and dedup books.
-#[allow(clippy::too_many_arguments)]
-fn finish_copy(
-    dst: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    landing: Landing,
-    start: Timestamp,
-    from: Timestamp,
-    to: Timestamp,
-    model: &TimeCostModel,
-    ack_lost: bool,
-    charges: &mut Vec<ResourceUsage>,
-) -> Result<EdgeRun> {
-    let dst_v = plan.vertex(edge.output);
-    let dst_slot = slot_of(plan, dst_v.id)?;
+fn finish_copy(mut job: Job<'_>, landing: Landing) -> Result<EdgeRun> {
     let n = match &landing {
         Landing::Batch(batch) => batch.len(),
         Landing::Frame(frame) => frame.len(),
     } as u64;
-    let service = model.edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
-    let (res, usage) = dst.run_cpu(start, service);
-    charges.push(usage);
-    let (id, producer) = (batch_id(dst_v.id, from, to), dst_v.id.index() as u64);
-    let appended = match landing {
-        Landing::Frame(frame) if edge.aggregate.is_none() => dst
-            .db
-            .append_frame_dedup(dst_slot, frame, id, producer, to)?,
-        landing => {
-            let batch = match landing {
-                Landing::Batch(batch) => batch,
-                Landing::Frame(frame) => frame.to_batch(),
-            };
-            let batch = apply_aggregate(dst, dst_slot, batch, edge)?;
-            dst.db
-                .append_delta_dedup(dst_slot, batch, id, producer, to)?
-        }
+    let end = job.bill(n);
+    let landing = match landing {
+        Landing::Frame(frame) if job.edge.aggregate.is_none() => Landing::Frame(frame),
+        Landing::Frame(frame) => Landing::Batch(job.aggregate(frame.to_batch())?),
+        Landing::Batch(batch) => Landing::Batch(job.aggregate(batch)?),
     };
-    if ack_lost {
+    let appended = job.append(landing)?;
+    if job.ack_lost {
         // The batch landed but the completion message did not; the retry
         // will re-ship and be absorbed by the batch-id dedup above.
         return Err(SmileError::Transient {
-            detail: format!("acknowledgement for vertex {} push lost", dst_v.id),
+            detail: format!("acknowledgement for vertex {} push lost", job.edge.output),
         });
     }
-    Ok(EdgeRun {
-        end: res.end,
-        tuples: n,
-        deduped: !appended,
-        ship_arrive: None,
-    })
+    Ok(EdgeRun::local(end, n, appended))
 }
 
-/// Applies the edge's aggregation (if any) to a batch destined for the MV's
-/// delta: the raw window is folded into aggregate-space delete/insert
-/// entries against the MV's current rows (the output slot is the MV's).
-fn apply_aggregate(
-    machine: &Machine,
-    slot: smile_types::RelationId,
-    batch: DeltaBatch,
-    edge: &Edge,
-) -> Result<DeltaBatch> {
-    let Some(spec) = &edge.aggregate else {
-        return Ok(batch);
-    };
-    let table = &machine.db.relation(slot)?.table;
-    spec.delta_transform(&batch, |g| table.get_by_key(g))
-}
-
-fn run_apply(
-    machine: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    to: Timestamp,
-    submit: Timestamp,
-    model: &TimeCostModel,
-    charges: &mut Vec<ResourceUsage>,
-) -> Result<EdgeRun> {
-    let out_v = plan.vertex(edge.output);
-    let slot = slot_of(plan, out_v.id)?;
-    // `apply_pending` is naturally idempotent: it only moves the table
-    // forward from its current timestamp, so a retry re-applies nothing.
-    let n = machine.db.apply_pending(slot, to)? as u64;
-    let service = model.edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
-    let (res, usage) = machine.run_cpu(submit, service);
-    charges.push(usage);
-    Ok(EdgeRun {
-        end: res.end,
-        tuples: n,
-        deduped: false,
-        ship_arrive: None,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
+/// One half-join: `Δ(from, to] ⋈ R@at`, the relation side read at the
+/// snapshot `at` without rolling the table there (module doc).
 fn run_join(
-    machine: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    from: Timestamp,
-    to: Timestamp,
+    mut job: Job<'_>,
     at: Timestamp,
-    submit: Timestamp,
-    model: &TimeCostModel,
-    charges: &mut Vec<ResourceUsage>,
     on: &smile_storage::join::JoinOn,
     delta_side: DeltaSide,
     snapshot_filter: &Predicate,
 ) -> Result<EdgeRun> {
+    let (plan, edge) = (job.plan, job.edge);
     let delta_v = plan.vertex(edge.inputs[0]);
     let rel_v = plan.vertex(edge.inputs[1]);
     let out_v = plan.vertex(edge.output);
@@ -377,7 +345,6 @@ fn run_join(
     debug_assert_eq!(rel_v.kind, VertexKind::Relation);
     let delta_slot = slot_of(plan, delta_v.id)?;
     let rel_slot = slot_of(plan, rel_v.id)?;
-    let out_slot = slot_of(plan, out_v.id)?;
 
     // Column orientation: the delta probes with its side's join columns and
     // matches rows on the snapshot side's columns.
@@ -385,101 +352,97 @@ fn run_join(
         DeltaSide::Left => (&on.left_cols, &on.right_cols),
         DeltaSide::Right => (&on.right_cols, &on.left_cols),
     };
-    let (outputs, window_len) = {
-        let db = &machine.db;
-        // Borrow the window straight from the delta log (no clone), build
-        // one flattened key buffer for the whole window, and probe the
-        // arrangement in a single batched pass.
-        let all = db.delta_window_entries(delta_slot, from, to)?;
-        let unfiltered = edge.filter == Predicate::True;
-        let entries: Vec<&DeltaEntry> = all
-            .iter()
-            .filter(|e| unfiltered || edge.filter.eval(&e.tuple))
-            .collect();
-        let window_len = entries.len() as u64;
-        let mut outputs: Vec<DeltaEntry> = Vec::new();
-        if !entries.is_empty() {
-            let slot_ref = db.relation(rel_slot)?;
-            let table = &slot_ref.table;
-            let concat = |d: &Tuple, s: &Tuple| match delta_side {
-                DeltaSide::Left => d.concat(s),
-                DeltaSide::Right => s.concat(d),
-            };
-            let Some(arr) = table.arrangement(snap_cols) else {
-                return Err(SmileError::Internal(format!(
-                    "relation vertex {} lacks the arrangement on {:?} its join edge probes",
-                    rel_v.id, snap_cols
-                )));
-            };
-            // One contiguous key arena for the whole window: keys are
-            // assembled back to back and hashed/probed in one batched
-            // pass instead of allocating a key `Tuple` per entry.
-            let arity = delta_cols.len();
-            let mut keys_flat: Vec<smile_types::Value> = Vec::with_capacity(arity * entries.len());
-            for e in &entries {
-                for &c in delta_cols.iter() {
-                    keys_flat.push(e.tuple.values()[c].clone());
-                }
+    // Borrow the window straight from the delta log (no clone).
+    let db = &job.machine.db;
+    let all = db.delta_window_entries(delta_slot, job.from, job.to)?;
+    let entries: Vec<&DeltaEntry> = all.iter().filter(|e| edge.filter.eval(&e.tuple)).collect();
+    let window_len = entries.len() as u64;
+    let mut outputs: Vec<DeltaEntry> = Vec::new();
+    if !entries.is_empty() {
+        let rel = db.relation(rel_slot)?;
+        let Some(arr) = rel.table.arrangement(snap_cols) else {
+            return Err(SmileError::Internal(format!(
+                "relation vertex {} lacks the arrangement on {:?} its join edge probes",
+                rel_v.id, snap_cols
+            )));
+        };
+        let mut emit = |e: &DeltaEntry, row: &Tuple, weight: i64| {
+            if weight != 0 {
+                outputs.push(DeltaEntry {
+                    tuple: match delta_side {
+                        DeltaSide::Left => e.tuple.concat(row),
+                        DeltaSide::Right => row.concat(&e.tuple),
+                    },
+                    weight,
+                    ts: e.ts,
+                });
             }
-            let buckets = arr.probe_batch(&keys_flat, arity, entries.len());
-            for (e, bucket) in entries.iter().zip(buckets) {
-                for (row, &w) in bucket {
-                    if !snapshot_filter.eval(row) {
-                        continue;
-                    }
-                    let weight = e.weight * w;
-                    if weight != 0 {
-                        outputs.push(DeltaEntry {
-                            tuple: concat(&e.tuple, row),
-                            weight,
-                            ts: e.ts,
-                        });
-                    }
-                }
-            }
-            // Correction: the table is at `table.ts()`, we need it at `at`.
-            //   R@at = R@now − Σ(at, now]   (at < now)
-            //   R@at = R@now + Σ(now, at]   (at > now)
-            let table_ts = table.ts();
-            if at != table_ts {
-                let (corr, sign) = if at < table_ts {
-                    (slot_ref.delta.window(at, table_ts).to_zset(), -1)
-                } else {
-                    (slot_ref.delta.window(table_ts, at).to_zset(), 1)
-                };
-                if !corr.is_empty() {
-                    // Index the correction by the snapshot-side join columns.
-                    let mut corr_index: std::collections::HashMap<Tuple, Vec<(&Tuple, i64)>> =
-                        std::collections::HashMap::new();
-                    for (t, w) in corr.iter() {
-                        if !snapshot_filter.eval(t) {
-                            continue;
-                        }
-                        corr_index
-                            .entry(t.project(snap_cols))
-                            .or_default()
-                            .push((t, w));
-                    }
-                    for e in &entries {
-                        let key = e.tuple.project(delta_cols);
-                        if let Some(matches) = corr_index.get(&key) {
-                            for (row, w) in matches {
-                                let weight = e.weight * w * sign;
-                                if weight != 0 {
-                                    outputs.push(DeltaEntry {
-                                        tuple: concat(&e.tuple, row),
-                                        weight,
-                                        ts: e.ts,
-                                    });
-                                }
-                            }
-                        }
-                    }
+        };
+        // One contiguous key arena for the whole window: keys are assembled
+        // back to back and hashed/probed in one batched pass instead of
+        // allocating a key `Tuple` per entry.
+        let arity = delta_cols.len();
+        let mut keys_flat: Vec<Value> = Vec::with_capacity(arity * entries.len());
+        for e in &entries {
+            keys_flat.extend(delta_cols.iter().map(|&c| e.tuple.values()[c].clone()));
+        }
+        let buckets = arr.probe_batch(&keys_flat, arity, entries.len());
+        for (e, bucket) in entries.iter().zip(buckets) {
+            for (row, &w) in bucket {
+                if snapshot_filter.eval(row) {
+                    emit(e, row, e.weight * w);
                 }
             }
         }
-        (outputs, window_len)
-    };
+        // Correction: the table is at `table.ts()`, we need it at `at`.
+        //   R@at = R@now − Σ(at, now]   (at < now)
+        //   R@at = R@now + Σ(now, at]   (at > now)
+        // The window between the two is empty when they agree.
+        let now = rel.table.ts();
+        let (missed, sign) = if at < now {
+            (rel.delta.window_ref(at, now), -1)
+        } else {
+            (rel.delta.window_ref(now, at), 1)
+        };
+        if !missed.is_empty() {
+            // The delta window is the indexed side — by the probe keys
+            // already in `keys_flat` — and the relation's log streams past
+            // it by reference: only rows some delta entry joins are netted
+            // (a delete cancels its insert, a repeat adds up), so the output
+            // holds one entry per (delta entry, distinct surviving row),
+            // exactly as if the whole window had been consolidated first.
+            let key_of = |i: usize| &keys_flat[i * arity..(i + 1) * arity];
+            let mut matched: FastMap<&[Value], Vec<&Tuple>> = (0..entries.len())
+                .map(|i| (key_of(i), Vec::new()))
+                .collect();
+            let mut net: FastMap<&Tuple, i64> = FastMap::default();
+            let mut key: Vec<Value> = Vec::with_capacity(arity);
+            for r in missed {
+                key.clear();
+                key.extend(snap_cols.iter().map(|&c| r.tuple.values()[c].clone()));
+                let Some(rows) = matched.get_mut(key.as_slice()) else {
+                    continue;
+                };
+                if snapshot_filter.eval(&r.tuple) {
+                    let w = net.entry(&r.tuple).or_insert_with(|| {
+                        // First sighting: list the row under its key.
+                        rows.push(&r.tuple);
+                        0
+                    });
+                    *w += r.weight;
+                }
+            }
+            for (i, e) in entries.iter().enumerate() {
+                for &row in &matched[key_of(i)] {
+                    emit(e, row, e.weight * net[row] * sign);
+                }
+            }
+        }
+    }
+    // Hand the output over in log order: each run is already in delta-entry
+    // (timestamp) order, and the stable sort keeps a probe output ahead of a
+    // correction output of the same instant — where sorted insertion put it.
+    outputs.sort_by_key(|e| e.ts);
 
     // Service time is billed on the work actually done — reading the window
     // and writing the outputs, whichever dominates. The *moved* count is
@@ -487,195 +450,163 @@ fn run_join(
     // delivered it, and probe-served snapshot rows are read in place, so
     // counting the window again would double-bill it in the meter.
     let produced = outputs.len() as u64;
-    let n = window_len.max(produced);
-    let batch = DeltaBatch { entries: outputs };
-    let service = model.edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
-    let (res, usage) = machine.run_cpu(submit, service);
-    charges.push(usage);
-    let appended = machine.db.append_delta_dedup(
-        out_slot,
-        batch,
-        batch_id(out_v.id, from, to),
-        out_v.id.index() as u64,
-        to,
-    )?;
-    Ok(EdgeRun {
-        end: res.end,
-        tuples: produced,
-        deduped: !appended,
-        ship_arrive: None,
-    })
+    let end = job.bill(window_len.max(produced));
+    let appended = job.append(Landing::Batch(DeltaBatch { entries: outputs }))?;
+    Ok(EdgeRun::local(end, produced, appended))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_union(
-    machine: &mut Machine,
-    plan: &Plan,
-    edge: &Edge,
-    from: Timestamp,
-    to: Timestamp,
-    submit: Timestamp,
-    model: &TimeCostModel,
-    charges: &mut Vec<ResourceUsage>,
-) -> Result<EdgeRun> {
-    let out_v = plan.vertex(edge.output);
-    let out_slot = slot_of(plan, out_v.id)?;
+fn run_union(mut job: Job<'_>) -> Result<EdgeRun> {
+    let edge = job.edge;
     let mut merged: Vec<DeltaEntry> = Vec::new();
     for &input in &edge.inputs {
-        let in_v = plan.vertex(input);
-        debug_assert_eq!(in_v.machine, out_v.machine);
-        let in_slot = slot_of(plan, input)?;
-        let raw = machine.db.delta_window(in_slot, from, to)?;
+        debug_assert_eq!(
+            job.plan.vertex(input).machine,
+            job.plan.vertex(edge.output).machine
+        );
+        let in_slot = slot_of(job.plan, input)?;
+        let raw = job.machine.db.delta_window(in_slot, job.from, job.to)?;
         let filtered = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
         merged.extend(filtered.entries);
     }
     // Keep the output log timestamp-sorted.
     merged.sort_by_key(|e| e.ts);
     let n = merged.len() as u64;
-    let service = model.edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
-    let (res, usage) = machine.run_cpu(submit, service);
-    charges.push(usage);
-    let batch = apply_aggregate(machine, out_slot, DeltaBatch { entries: merged }, edge)?;
-    let appended = machine.db.append_delta_dedup(
-        out_slot,
-        batch,
-        batch_id(out_v.id, from, to),
-        out_v.id.index() as u64,
-        to,
-    )?;
-    Ok(EdgeRun {
-        end: res.end,
-        tuples: n,
-        deduped: !appended,
-        ship_arrive: None,
-    })
+    let end = job.bill(n);
+    let batch = job.aggregate(DeltaBatch { entries: merged })?;
+    let appended = job.append(Landing::Batch(batch))?;
+    Ok(EdgeRun::local(end, n, appended))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::sig::ExprSig;
+    use proptest::prelude::*;
     use smile_sim::Cluster;
     use smile_storage::join::JoinOn;
+    use smile_storage::predicate::CmpOp;
     use smile_storage::ZSet;
     use smile_types::{tuple, Column, ColumnType, MachineId, RelationId, Schema};
 
-    fn two_cols() -> Schema {
-        Schema::new(
-            vec![
-                Column::new("k", ColumnType::I64),
-                Column::new("v", ColumnType::I64),
-            ],
-            vec![],
-        )
+    const M0: MachineId = MachineId::new(0);
+
+    /// `n` unkeyed `I64` columns.
+    fn cols(n: usize) -> Schema {
+        let columns = (0..n).map(|i| Column::new(format!("c{i}"), ColumnType::I64));
+        Schema::new(columns.collect(), vec![])
     }
 
-    fn four_cols() -> Schema {
-        Schema::new(
-            vec![
-                Column::new("k", ColumnType::I64),
-                Column::new("v", ColumnType::I64),
-                Column::new("k2", ColumnType::I64),
-                Column::new("w", ColumnType::I64),
-            ],
-            vec![],
-        )
+    /// A plan vertex of `width` columns stored in `slot` on machine `m`.
+    fn vertex(
+        plan: &mut Plan,
+        kind: VertexKind,
+        slot: u32,
+        m: MachineId,
+        width: usize,
+    ) -> VertexId {
+        let slot = RelationId::new(slot);
+        let v = plan.add_vertex(
+            kind,
+            ExprSig::Base(slot),
+            m,
+            cols(width),
+            false,
+            1.0,
+            0.0,
+            16.0,
+        );
+        plan.vertex_mut(v).slot = Some(slot);
+        v
     }
 
-    /// One machine, one Join edge: a 5-entry delta window probing a relation
-    /// in which only key 1 has (two) matching rows.
-    fn join_fixture(build_index: bool) -> (Cluster, Plan, usize) {
-        let m = MachineId::new(0);
+    /// One machine, one Join edge `Δ0 ⋈ R1 → Δ2` over `width`-column
+    /// relations: `window` sits in slot 0's log, `log` in slot 1's with the
+    /// table applied through `applied` and, if `index`, arranged on the
+    /// columns the edge probes.
+    fn join_fixture(
+        width: usize,
+        op: EdgeOp,
+        window: Vec<DeltaEntry>,
+        log: Vec<DeltaEntry>,
+        applied: Timestamp,
+        index: bool,
+    ) -> (Cluster, Plan, usize) {
         let mut cluster = Cluster::homogeneous(1);
-        let (d_slot, r_slot, o_slot) = (
-            RelationId::new(0),
-            RelationId::new(1),
-            RelationId::new(2),
-        );
-        let db = &mut cluster.machine_mut(m).unwrap().db;
-        db.create_relation(d_slot, two_cols()).unwrap();
-        db.create_relation(r_slot, two_cols()).unwrap();
-        db.create_relation(o_slot, four_cols()).unwrap();
-        // Window (0, 2s]: five entries, only key 1 matches the relation.
-        let ts = Timestamp::from_secs(2);
-        let batch: DeltaBatch = (1..=5)
-            .map(|k| DeltaEntry::insert(tuple![k, 100 + k], ts))
-            .collect();
-        db.append_delta(d_slot, batch).unwrap();
-        // Two rows under key 1, seeded current through `to` (no correction).
-        let rows: ZSet = [(tuple![1i64, 10i64], 1), (tuple![1i64, 11i64], 1)]
-            .into_iter()
-            .collect();
-        db.seed_relation(r_slot, rows, ts).unwrap();
-        if build_index {
-            db.ensure_index(r_slot, &[0]).unwrap();
+        let [d, r, o] = [0, 1, 2].map(RelationId::new);
+        let db = &mut cluster.machine_mut(M0).unwrap().db;
+        db.create_relation(d, cols(width)).unwrap();
+        db.create_relation(r, cols(width)).unwrap();
+        db.create_relation(o, cols(2 * width)).unwrap();
+        db.append_delta(d, window.into_iter().collect()).unwrap();
+        db.append_delta(r, log.into_iter().collect()).unwrap();
+        db.apply_pending(r, applied).unwrap();
+        if let (EdgeOp::Join { on, delta_side, .. }, true) = (&op, index) {
+            let snap_cols = match delta_side {
+                DeltaSide::Left => &on.right_cols,
+                DeltaSide::Right => &on.left_cols,
+            };
+            db.ensure_index(r, snap_cols).unwrap();
         }
-
         let mut plan = Plan::new();
-        let vd = plan.add_vertex(
-            VertexKind::Delta,
-            ExprSig::Base(d_slot),
-            m,
-            two_cols(),
-            false,
-            1.0,
-            0.0,
-            16.0,
-        );
-        let vr = plan.add_vertex(
-            VertexKind::Relation,
-            ExprSig::Base(r_slot),
-            m,
-            two_cols(),
-            false,
-            1.0,
-            2.0,
-            16.0,
-        );
-        let vo = plan.add_vertex(
-            VertexKind::Delta,
-            ExprSig::Base(o_slot),
-            m,
-            four_cols(),
-            false,
-            1.0,
-            0.0,
-            32.0,
-        );
-        plan.vertex_mut(vd).slot = Some(d_slot);
-        plan.vertex_mut(vr).slot = Some(r_slot);
-        plan.vertex_mut(vo).slot = Some(o_slot);
+        let vd = vertex(&mut plan, VertexKind::Delta, 0, M0, width);
+        let vr = vertex(&mut plan, VertexKind::Relation, 1, M0, width);
+        let vo = vertex(&mut plan, VertexKind::Delta, 2, M0, 2 * width);
         let e = plan
-            .add_edge(
-                EdgeOp::Join {
-                    on: JoinOn::on(0, 0),
-                    delta_side: DeltaSide::Left,
-                    snapshot_filter: Predicate::True,
-                },
-                vec![vd, vr],
-                vo,
-                Predicate::True,
-                None,
-                1.0,
-                32.0,
-            )
+            .add_edge(op, vec![vd, vr], vo, Predicate::True, None, 1.0, 32.0)
             .unwrap();
         (cluster, plan, e)
     }
 
-    fn run_fixture(cluster: &mut Cluster, plan: &Plan, e: usize) -> Result<EdgeRun> {
-        let model = TimeCostModel::paper_defaults();
-        run_local(
-            cluster.machine_mut(MachineId::new(0)).unwrap(),
+    /// A 5-entry delta window `(0, 2s]` probing a relation, current through
+    /// 2s, in which only key 1 has (two) matching rows.
+    fn key_one_fixture(index: bool) -> (Cluster, Plan, usize) {
+        let ts = Timestamp::from_secs(2);
+        let window = (1..=5).map(|k| DeltaEntry::insert(tuple![k, 100 + k], ts));
+        let log = [10i64, 11].map(|v| DeltaEntry::insert(tuple![1i64, v], ts));
+        let op = EdgeOp::Join {
+            on: JoinOn::on(0, 0),
+            delta_side: DeltaSide::Left,
+            snapshot_filter: Predicate::True,
+        };
+        join_fixture(2, op, window.collect(), log.to_vec(), ts, index)
+    }
+
+    /// A job over the window `(0, to]` submitted at its end.
+    fn job<'a>(
+        machine: &'a mut Machine,
+        plan: &'a Plan,
+        edge: &'a Edge,
+        to: Timestamp,
+        model: &'a TimeCostModel,
+        charges: &'a mut Vec<ResourceUsage>,
+    ) -> Job<'a> {
+        Job {
+            machine,
             plan,
-            plan.edge(e),
-            Timestamp::ZERO,
-            Timestamp::from_secs(2),
-            Timestamp::from_secs(2),
-            Timestamp::from_secs(2),
-            &model,
-            false,
-            &mut Vec::new(),
+            edge,
+            from: Timestamp::ZERO,
+            to,
+            start: to,
+            model,
+            ack_lost: false,
+            charges,
+        }
+    }
+
+    /// Runs the fixture's edge over `(0, to]`, its relation side read at `at`.
+    fn run_fixture(
+        cluster: &mut Cluster,
+        plan: &Plan,
+        e: usize,
+        to: Timestamp,
+        at: Timestamp,
+    ) -> Result<EdgeRun> {
+        let model = TimeCostModel::paper_defaults();
+        let mut charges = Vec::new();
+        let machine = cluster.machine_mut(M0).unwrap();
+        run_local(
+            job(machine, plan, plan.edge(e), to, &model, &mut charges),
+            at,
         )
     }
 
@@ -685,14 +616,15 @@ mod tests {
     /// window the CopyDelta edge had already counted as moved.
     #[test]
     fn join_counts_produced_tuples_not_window() {
-        let (mut cluster, plan, e) = join_fixture(true);
-        let run = run_fixture(&mut cluster, &plan, e).unwrap();
+        let (mut cluster, plan, e) = key_one_fixture(true);
+        let ts = Timestamp::from_secs(2);
+        let run = run_fixture(&mut cluster, &plan, e, ts, ts).unwrap();
         assert_eq!(run.tuples, 2, "only the two matched outputs moved");
         assert!(!run.deduped);
         // The output batch really landed, with the probed rows attached.
-        let db = &cluster.machine(MachineId::new(0)).unwrap().db;
+        let db = &cluster.machine(M0).unwrap().db;
         let out = db
-            .delta_window(RelationId::new(2), Timestamp::ZERO, Timestamp::from_secs(2))
+            .delta_window(RelationId::new(2), Timestamp::ZERO, ts)
             .unwrap();
         assert_eq!(
             out.to_zset().sorted_entries(),
@@ -711,9 +643,77 @@ mod tests {
     /// scan.
     #[test]
     fn indexed_join_without_arrangement_errors() {
-        let (mut cluster, plan, e) = join_fixture(false);
-        let err = run_fixture(&mut cluster, &plan, e).unwrap_err();
+        let (mut cluster, plan, e) = key_one_fixture(false);
+        let ts = Timestamp::from_secs(2);
+        let err = run_fixture(&mut cluster, &plan, e, ts, ts).unwrap_err();
         assert!(matches!(err, SmileError::Internal(_)));
+    }
+
+    /// Log entries over a domain small enough that deletes meet their
+    /// inserts and rows repeat (weight 2) inside one window.
+    fn arb_entries() -> impl Strategy<Value = Vec<DeltaEntry>> {
+        let entry = (0i64..3, 0i64..2, 0i64..3, 0i64..3, 1u64..10);
+        prop::collection::vec(entry, 0..24).prop_map(|raw| {
+            let entry = |(a, b, c, w, ts)| DeltaEntry {
+                tuple: tuple![a, b, c],
+                weight: if w == 0 { -1 } else { 1 },
+                ts: Timestamp::from_secs(ts),
+            };
+            let mut entries: Vec<DeltaEntry> = raw.into_iter().map(entry).collect();
+            entries.sort_by_key(|e| e.ts);
+            entries
+        })
+    }
+
+    proptest! {
+        /// The streamed correction equals the definition: whatever the
+        /// table's timestamp — behind `at`, ahead of it, or at it — a
+        /// half-join lands `Δ ⋈ σ(R@at)`, with one log entry per (delta
+        /// entry, matching row) of `R@now` and of the *consolidated* window
+        /// between the two, in timestamp order. Dropping the netting leaves
+        /// the z-set equal and breaks the count.
+        #[test]
+        fn half_join_lands_delta_join_snapshot(
+            window in arb_entries(),
+            log in arb_entries(),
+            (applied, at) in (0u64..11, 0u64..11),
+            (right, two_cols) in (prop::bool::ANY, prop::bool::ANY),
+        ) {
+            let [applied, at, to] = [applied, at, 10].map(Timestamp::from_secs);
+            let on = if two_cols { JoinOn::on_all(&[(0, 0), (1, 1)]) } else { JoinOn::on(0, 0) };
+            let (keys, filter) = (on.left_cols.len(), Predicate::cmp(2, CmpOp::Ge, 1i64));
+            let op = EdgeOp::Join {
+                on,
+                delta_side: if right { DeltaSide::Right } else { DeltaSide::Left },
+                snapshot_filter: filter.clone(),
+            };
+            let (mut cluster, plan, e) = join_fixture(3, op, window.clone(), log, applied, true);
+            let run = run_fixture(&mut cluster, &plan, e, to, at).unwrap();
+            let db = &cluster.machine(M0).unwrap().db;
+            let landed = db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
+
+            let rel = db.relation(RelationId::new(1)).unwrap();
+            let joins = |d: &Tuple, row: &Tuple| {
+                d.values()[..keys] == row.values()[..keys] && filter.eval(row)
+            };
+            let snapshot = rel.table.snapshot_at(&rel.delta, at).unwrap();
+            let mut expected = ZSet::new();
+            for d in &window {
+                for (row, w) in snapshot.iter().filter(|(row, _)| joins(&d.tuple, row)) {
+                    let out = if right { row.concat(&d.tuple) } else { d.tuple.concat(row) };
+                    expected.add(out, d.weight * w);
+                }
+            }
+            prop_assert_eq!(landed.to_zset(), expected);
+
+            let now = rel.table.ts();
+            let missed = rel.delta.window(at.min(now), at.max(now)).to_zset();
+            let sources = || rel.table.rows().iter().chain(missed.iter());
+            let matches = |d: &DeltaEntry| sources().filter(|(row, _)| joins(&d.tuple, row)).count();
+            prop_assert_eq!(landed.len(), window.iter().map(matches).sum::<usize>());
+            prop_assert_eq!(run.tuples, landed.len() as u64);
+            prop_assert!(landed.entries.windows(2).all(|w| w[0].ts <= w[1].ts));
+        }
     }
 
     /// The split primitives compose: ship on the source, land on the
@@ -722,54 +722,20 @@ mod tests {
     fn ship_then_land_moves_the_window_across_machines() {
         let mut cluster = Cluster::homogeneous(2);
         let (m0, m1) = (MachineId::new(0), MachineId::new(1));
-        let slot = RelationId::new(0);
-        let dst_slot = RelationId::new(1);
-        cluster
-            .machine_mut(m0)
-            .unwrap()
-            .db
-            .create_relation(slot, two_cols())
-            .unwrap();
-        cluster
-            .machine_mut(m1)
-            .unwrap()
-            .db
-            .create_relation(dst_slot, two_cols())
-            .unwrap();
+        let [slot, dst_slot] = [0, 1].map(RelationId::new);
+        let db0 = &mut cluster.machine_mut(m0).unwrap().db;
+        db0.create_relation(slot, cols(2)).unwrap();
         let ts = Timestamp::from_secs(1);
         let batch: DeltaBatch = (0..4)
             .map(|k| DeltaEntry::insert(tuple![k, k], ts))
             .collect();
-        cluster
-            .machine_mut(m0)
-            .unwrap()
-            .db
-            .append_delta(slot, batch)
-            .unwrap();
+        db0.append_delta(slot, batch).unwrap();
+        let db1 = &mut cluster.machine_mut(m1).unwrap().db;
+        db1.create_relation(dst_slot, cols(2)).unwrap();
 
         let mut plan = Plan::new();
-        let vs = plan.add_vertex(
-            VertexKind::Delta,
-            ExprSig::Base(slot),
-            m0,
-            two_cols(),
-            false,
-            1.0,
-            0.0,
-            16.0,
-        );
-        let vd = plan.add_vertex(
-            VertexKind::Delta,
-            ExprSig::Base(dst_slot),
-            m1,
-            two_cols(),
-            false,
-            1.0,
-            0.0,
-            16.0,
-        );
-        plan.vertex_mut(vs).slot = Some(slot);
-        plan.vertex_mut(vd).slot = Some(dst_slot);
+        let vs = vertex(&mut plan, VertexKind::Delta, 0, m0, 2);
+        let vd = vertex(&mut plan, VertexKind::Delta, 1, m1, 2);
         let e = plan
             .add_edge(
                 EdgeOp::CopyDelta,
@@ -796,19 +762,10 @@ mod tests {
         assert!(ship.usage.net_bytes > 0, "the wire was used");
         assert!(ship.arrive > ts, "latency applied");
         let mut charges = Vec::new();
-        let run = land_copy(
-            cluster.machine_mut(m1).unwrap(),
-            &plan,
-            &edge,
-            Timestamp::ZERO,
-            ts,
-            ship.bytes,
-            ship.arrive,
-            &model,
-            false,
-            &mut charges,
-        )
-        .unwrap();
+        let dst = cluster.machine_mut(m1).unwrap();
+        let mut job = job(dst, &plan, &edge, ts, &model, &mut charges);
+        job.start = ship.arrive;
+        let run = land_copy(job, ship.bytes).unwrap();
         assert_eq!(run.tuples, 4);
         assert_eq!(charges.len(), 1, "one CPU charge on the destination");
         let landed = cluster

@@ -120,45 +120,36 @@ pub(crate) fn run_wave(
             let edge = plan.edge(j.edge);
             let t0 = Instant::now();
             let (shipped, ship_nanos) = ship.unzip();
-            let result = machine(machines, j.exec_machine).and_then(|dst| match shipped {
-                Some(Ok(ship)) => {
-                    // The NIC time was spent whether or not the batch lands.
-                    charges.push(ship.usage);
-                    if j.faults.drop_delta {
-                        Err(SmileError::Transient {
-                            detail: format!(
-                                "delta batch for vertex {} lost in transit",
-                                plan.vertex(edge.output).id
-                            ),
-                        })
-                    } else {
-                        push::land_copy(
-                            dst,
-                            plan,
-                            edge,
-                            j.from,
-                            j.to,
-                            ship.bytes,
-                            ship.arrive,
-                            model,
-                            j.faults.ack_lost,
-                            &mut charges,
-                        )
-                    }
-                }
-                Some(Err(e)) => Err(e),
-                None => push::run_local(
-                    dst,
+            let result = machine(machines, j.exec_machine).and_then(|dst| {
+                let mut job = push::Job {
+                    machine: dst,
                     plan,
                     edge,
-                    j.from,
-                    j.to,
-                    j.snapshot_at,
-                    j.submit,
+                    from: j.from,
+                    to: j.to,
+                    start: j.submit,
                     model,
-                    j.faults.ack_lost,
-                    &mut charges,
-                ),
+                    ack_lost: j.faults.ack_lost,
+                    charges: &mut charges,
+                };
+                match shipped {
+                    Some(Ok(ship)) => {
+                        // The NIC time was spent whether or not the batch lands.
+                        job.charges.push(ship.usage);
+                        if j.faults.drop_delta {
+                            return Err(SmileError::Transient {
+                                detail: format!(
+                                    "delta batch for vertex {} lost in transit",
+                                    edge.output
+                                ),
+                            });
+                        }
+                        job.start = ship.arrive;
+                        push::land_copy(job, ship.bytes)
+                    }
+                    Some(Err(e)) => Err(e),
+                    None => push::run_local(job, j.snapshot_at),
+                }
             });
             let exec_nanos = host_nanos(t0);
             if let Some(nanos) = ship_nanos {

@@ -540,12 +540,10 @@ impl Smile {
     /// at or below the latest seed instant (install, a live admission, a
     /// migration's shadow seed) are clamped just above it so they stay
     /// inside the executor's half-open push windows.
-    pub fn ingest(&mut self, rel: RelationId, mut batch: DeltaBatch) -> Result<()> {
-        for e in &mut batch.entries {
-            e.ts = e.ts.max(self.seed_floor);
-        }
+    pub fn ingest(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
         let machine = self.catalog.base(rel)?.machine;
-        self.cluster.machine_mut(machine)?.db.ingest(rel, batch)
+        let db = &mut self.cluster.machine_mut(machine)?.db;
+        db.ingest_above(rel, batch, self.seed_floor)
     }
 
     /// Advances the platform by one executor tick, settles any live

@@ -10,13 +10,14 @@
 //! and share the state (cf. "Shared Arrangements", McSherry et al., VLDB
 //! 2020).
 //!
-//! Probe-side statistics are kept in relaxed [`AtomicU64`]s so read-only
-//! probes through a shared `&Table` still count; [`ArrangementCounters`]
-//! snapshots them for the simulator's meter.
+//! Probe-side statistics are kept in [`Cell`]s so read-only probes through
+//! a `&Table` still count (the push engine is one thread, so nothing shares
+//! an arrangement across threads); [`ArrangementCounters`] snapshots them
+//! for the simulator's meter.
 
 use crate::zset::ZSet;
 use smile_types::{FastMap, Tuple, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Snapshot of one arrangement's (or a fleet aggregate's) operational
 /// counters: probe traffic, hit rate, and maintenance volume.
@@ -60,13 +61,13 @@ impl ArrangementCounters {
 /// `key`, with its z-set weight. Weight-zero rows are never stored — updates
 /// consolidate in place — so probing yields exactly the rows a scan of the
 /// consolidated relation would.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Arrangement {
     cols: Vec<usize>,
     index: FastMap<Tuple, FastMap<Tuple, i64>>,
-    probes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    probes: Cell<u64>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
     maintained: u64,
     built_rows: u64,
     /// Reusable key buffer for [`update`]: the delta tuple's projection is
@@ -78,30 +79,15 @@ pub struct Arrangement {
     scratch: Vec<Value>,
 }
 
-impl Clone for Arrangement {
-    fn clone(&self) -> Self {
-        Self {
-            cols: self.cols.clone(),
-            index: self.index.clone(),
-            probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
-            maintained: self.maintained,
-            built_rows: self.built_rows,
-            scratch: Vec::new(),
-        }
-    }
-}
-
 impl Arrangement {
     /// An empty arrangement keyed by `cols`.
     pub fn new(cols: Vec<usize>) -> Self {
         Self {
             cols,
             index: FastMap::default(),
-            probes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            probes: Cell::new(0),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
             maintained: 0,
             built_rows: 0,
             scratch: Vec::new(),
@@ -182,14 +168,14 @@ impl Arrangement {
     /// [`probe`]: Arrangement::probe
     pub fn probe_slice(&self, key: &[Value]) -> &FastMap<Tuple, i64> {
         static EMPTY: std::sync::OnceLock<FastMap<Tuple, i64>> = std::sync::OnceLock::new();
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.probes.set(self.probes.get() + 1);
         match self.index.get(key) {
             Some(bucket) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.set(self.hits.get() + 1);
                 bucket
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.set(self.misses.get() + 1);
                 EMPTY.get_or_init(FastMap::default)
             }
         }
@@ -223,9 +209,9 @@ impl Arrangement {
     /// Snapshot of the probe/maintenance counters.
     pub fn counters(&self) -> ArrangementCounters {
         ArrangementCounters {
-            probes: self.probes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            probes: self.probes.get(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             maintained: self.maintained,
             built_rows: self.built_rows,
         }

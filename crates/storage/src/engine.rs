@@ -24,8 +24,8 @@ pub struct RelationSlot {
     /// Captured / shipped delta entries.
     pub delta: DeltaTable,
     /// Ids of push batches already appended (see
-    /// [`Database::append_delta_dedup`]); one id per push edge per window,
-    /// so the set stays small relative to the data.
+    /// [`Database::append_delta_dedup`]); one id per push edge per window.
+    /// Never pruned: it grows for as long as the slot lives (ROADMAP item 5).
     pub applied_batches: HashSet<u64>,
     /// Per-producer high-water mark of shipped window ends: entries at or
     /// below the mark already landed and are clipped from re-shipments
@@ -111,8 +111,24 @@ impl Database {
     /// the table. The table's timestamp advances to the batch's max
     /// timestamp (base relations are always current on their home machine).
     pub fn ingest(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
+        self.ingest_above(rel, batch, Timestamp::ZERO)
+    }
+
+    /// [`Database::ingest`] with every stamp below `floor` raised to it (the
+    /// platform's seed floor), in the same walk that finds the batch's max
+    /// timestamp.
+    pub fn ingest_above(
+        &mut self,
+        rel: RelationId,
+        mut batch: DeltaBatch,
+        floor: Timestamp,
+    ) -> Result<()> {
         let slot = self.slot_mut(rel)?;
-        let through = batch.max_ts().unwrap_or(slot.table.ts());
+        let mut through = slot.table.ts();
+        for e in &mut batch.entries {
+            e.ts = e.ts.max(floor);
+            through = through.max(e.ts);
+        }
         slot.table.apply(&batch, through)?;
         slot.delta.append_batch(batch);
         Ok(())

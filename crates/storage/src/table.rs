@@ -12,17 +12,20 @@ use crate::arrangement::{Arrangement, ArrangementCounters};
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::zset::ZSet;
 use smile_types::{FastMap, Schema, SmileError, Timestamp, Tuple};
+use std::cell::OnceCell;
 
 /// The materialized contents of a relation plus its applied-through
-/// timestamp and (for keyed relations) a primary-key index.
+/// timestamp and the indexes its readers hold.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,
     rows: ZSet,
-    /// PK → tuple index, maintained only when the schema has a key and the
-    /// relation is a set (weights exactly one); lets update capture find the
-    /// old image of a row in O(1).
-    pk_index: FastMap<Tuple, Tuple>,
+    /// PK → tuple index of a keyed set relation (weights exactly one). Its
+    /// one reader is [`Table::get_by_key`], so it comes to exist on the
+    /// first such read, built from `rows`, and is maintained per entry only
+    /// from then on; a table nobody reads by key never pays for one. Not an
+    /// arrangement: no plan edge installs or probes it.
+    pk_index: OnceCell<FastMap<Tuple, Tuple>>,
     /// Shared arrangements keyed by column sets, maintained incrementally;
     /// join edges declare the columns they probe at install time so pushes
     /// never scan the full relation, and every edge probing the same key
@@ -39,7 +42,7 @@ impl Table {
         Self {
             schema,
             rows: ZSet::new(),
-            pk_index: FastMap::default(),
+            pk_index: OnceCell::new(),
             arrangements: FastMap::default(),
             ts: Timestamp::ZERO,
         }
@@ -71,9 +74,17 @@ impl Table {
     }
 
     /// Looks up the current row with the given primary key, if the schema is
-    /// keyed and such a row exists.
+    /// keyed and such a row exists. The first call builds the key index from
+    /// the current rows.
     pub fn get_by_key(&self, key: &Tuple) -> Option<&Tuple> {
-        self.pk_index.get(key)
+        if self.schema.key().is_empty() {
+            return None;
+        }
+        let index = self.pk_index.get_or_init(|| {
+            let keyed = |(t, _): (&Tuple, i64)| (self.schema.key_of(t), t.clone());
+            self.rows.iter().map(keyed).collect()
+        });
+        index.get(key)
     }
 
     /// Applies a batch of deltas, advancing the applied-through timestamp to
@@ -110,12 +121,12 @@ impl Table {
     }
 
     fn apply_entry(&mut self, e: &DeltaEntry) {
-        if !self.schema.key().is_empty() {
+        if let Some(index) = self.pk_index.get_mut() {
             let key = self.schema.key_of(&e.tuple);
             if e.weight > 0 {
-                self.pk_index.insert(key, e.tuple.clone());
+                index.insert(key, e.tuple.clone());
             } else {
-                self.pk_index.remove(&key);
+                index.remove(&key);
             }
         }
         for arr in self.arrangements.values_mut() {
@@ -195,7 +206,7 @@ impl Table {
     /// installed (emptied) so the re-seed repopulates them incrementally.
     pub fn clear(&mut self) {
         self.rows = ZSet::new();
-        self.pk_index.clear();
+        self.pk_index.take();
         for arr in self.arrangements.values_mut() {
             arr.clear();
         }

@@ -996,3 +996,121 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// A table's primary-key index comes to exist on the first `get_by_key`:
+// whenever that first read falls, every answer must be the one an index
+// maintained from the table's first entry would give.
+
+/// One step against a keyed `(k, v)` relation.
+#[derive(Clone, Debug)]
+enum KeyOp {
+    /// One batch at one timestamp: `(k, v)` inserts or updates key `k`
+    /// (delete of the old row, then insert of the new), `v < 0` deletes it.
+    Apply(Vec<(i64, i64)>),
+    /// An update whose delete ends one batch and whose insert starts the
+    /// next, at one timestamp, with or without a read of the key between.
+    SplitUpdate(i64, i64, bool),
+    Read(i64),
+    /// `clear_table`, then (if any rows are given) `seed_relation`.
+    Reseed(Vec<(i64, i64)>),
+}
+
+fn arb_key_ops() -> impl Strategy<Value = Vec<KeyOp>> {
+    let pairs = |v_lo: i64| proptest::collection::vec((0i64..6, v_lo..4), 0..5);
+    proptest::collection::vec(
+        prop_oneof![
+            pairs(-2).prop_map(KeyOp::Apply),
+            (0i64..6, 0i64..4, prop::bool::ANY)
+                .prop_map(|(k, v, read)| KeyOp::SplitUpdate(k, v, read)),
+            (0i64..6).prop_map(KeyOp::Read),
+            (0i64..6).prop_map(KeyOp::Read),
+            pairs(0).prop_map(KeyOp::Reseed),
+        ],
+        1..40,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// First-read index ≡ eager index: `get_by_key` at random points of a
+    /// random apply / seed / clear history answers like a model map kept
+    /// from the first entry on by the index's own rule (an insert sets the
+    /// key's row, a delete removes the key).
+    #[test]
+    fn key_index_built_on_first_read_matches_an_eager_one(ops in arb_key_ops()) {
+        let rel = RelationId::new(0);
+        let schema = Schema::new(
+            vec![Column::new("k", ColumnType::I64), Column::new("v", ColumnType::I64)],
+            vec![0],
+        );
+        let mut db = Database::new();
+        db.create_relation(rel, schema).unwrap();
+        let (mut model, mut now) = (HashMap::new(), 0u64);
+        // Applies one batch of `(k, v, weight)` rows stamped `now`, and keeps
+        // the model as an eager index would.
+        type Model = HashMap<i64, i64>;
+        let apply = |db: &mut Database, model: &mut Model, now: u64, rows: &[(i64, i64, i64)]| {
+            let ts = Timestamp::from_secs(now);
+            let entry = |&(k, v, weight)| DeltaEntry { tuple: tuple![k, v], weight, ts };
+            db.ingest(rel, rows.iter().map(entry).collect()).unwrap();
+            for &(k, v, weight) in rows {
+                if weight > 0 {
+                    model.insert(k, v);
+                } else {
+                    model.remove(&k);
+                }
+            }
+        };
+        let read = |db: &Database, model: &Model, k: i64| {
+            let got = db.relation(rel).unwrap().table.get_by_key(&tuple![k]).cloned();
+            (got, model.get(&k).map(|&v| tuple![k, v]))
+        };
+        for op in ops {
+            now += 1;
+            match op {
+                KeyOp::Apply(puts) => {
+                    let (mut rows, mut state) = (Vec::new(), model.clone());
+                    for (k, v) in puts {
+                        if let Some(old) = state.remove(&k) {
+                            rows.push((k, old, -1));
+                        }
+                        if v >= 0 {
+                            rows.push((k, v, 1));
+                            state.insert(k, v);
+                        }
+                    }
+                    apply(&mut db, &mut model, now, &rows);
+                }
+                KeyOp::SplitUpdate(k, v, read_between) => {
+                    if let Some(&old) = model.get(&k) {
+                        apply(&mut db, &mut model, now, &[(k, old, -1)]);
+                    }
+                    if read_between {
+                        let (got, want) = read(&db, &model, k);
+                        prop_assert_eq!(got, want, "between an update's delete and its insert");
+                    }
+                    apply(&mut db, &mut model, now, &[(k, v, 1)]);
+                }
+                KeyOp::Read(k) => {
+                    let (got, want) = read(&db, &model, k);
+                    prop_assert_eq!(got, want);
+                }
+                KeyOp::Reseed(rows) => {
+                    db.clear_table(rel).unwrap();
+                    model = rows.into_iter().collect();
+                    if !model.is_empty() {
+                        let seed = model.iter().map(|(&k, &v)| tuple![k, v]);
+                        let at = Timestamp::from_secs(now);
+                        db.seed_relation(rel, ZSet::from_tuples(seed), at).unwrap();
+                    }
+                }
+            }
+        }
+        for k in 0..6 {
+            let (got, want) = read(&db, &model, k);
+            prop_assert_eq!(got, want, "after the whole history");
+        }
+    }
+}

@@ -15,10 +15,13 @@
 //! minus the new edges' cost) is positive and no sharing's critical time
 //! path grows beyond its SLA. The [`hill_climb`] pass applies the
 //! best-benefit plumbing repeatedly until none remains — the `+HC` variants
-//! of the evaluation (Figures 12–13).
+//! of the evaluation (Figures 12–13). It weighs a candidate on the rewired
+//! plan and garbage-collects only a candidate it is about to keep.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::optimizer::PlannedSharing;
-use crate::plan::cost::{critical_path, res_cost, Scope};
+use crate::plan::cost::{critical_path, res_cost, resource_rates_in, Scope};
 use crate::plan::dag::{EdgeOp, Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
@@ -259,12 +262,6 @@ impl GlobalPlan {
         Ok(())
     }
 
-    /// Garbage-collects unserved vertices/edges (after plumbing re-routes
-    /// supply), rebuilding the plan with dense ids.
-    pub fn gc(&mut self) {
-        self.plan = self.plan.garbage_collect();
-    }
-
     /// The provider's total steady-state dollar rate for running `D`.
     pub fn total_cost(&self, model: &TimeCostModel, prices: &PriceSheet) -> f64 {
         res_cost(&self.plan, Scope::All, model, prices, false)
@@ -408,6 +405,23 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
 /// rewired (SHR-recomputed, garbage-collected) result. Fails when the
 /// rewiring is structurally impossible.
 pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
+    materialize(rewire(g, p)?.0)
+}
+
+/// The second half of [`apply_plumbing`]: drops what the rewiring left
+/// unserved and checks the result. Hill climbing pays this only for a
+/// candidate it is about to keep.
+fn materialize(mut rewired: GlobalPlan) -> Result<GlobalPlan> {
+    rewired.plan = rewired.plan.garbage_collect()?;
+    rewired.plan.validate()?;
+    Ok(rewired)
+}
+
+/// The first half of [`apply_plumbing`]: rewires a clone of the global plan
+/// and recomputes its `SHR` sets, leaving the replaced supply chain in place
+/// but unserved. Also returns the rewired plan's topological order — the
+/// order [`Plan::garbage_collect`] would renumber its vertices in.
+fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
     let mut out = g.clone();
     match p {
         Plumbing::Copy { src, dst } => {
@@ -529,13 +543,26 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
             )?;
         }
     }
-    // Guard against any cycle the rewiring may have introduced before the
-    // (panicking) garbage collection walks the graph.
-    out.plan.topo_order()?;
+    // Errors on any cycle the rewiring may have introduced.
+    let order = out.plan.topo_order()?;
     out.recompute_shr()?;
-    out.gc();
-    out.plan.validate()?;
-    Ok(out)
+    Ok((out, order))
+}
+
+/// What [`GlobalPlan::total_cost`] will report once `rewired` is collected,
+/// to the bit: the same elements (those still serving a sharing) summed in
+/// the same order (edges in edge order, stored bytes in the order
+/// collection renumbers vertices, which is `order`).
+fn served_cost(
+    rewired: &GlobalPlan,
+    order: &[VertexId],
+    model: &TimeCostModel,
+    prices: &PriceSheet,
+) -> f64 {
+    let plan = &rewired.plan;
+    let vertices = order.iter().map(|&v| plan.vertex(v));
+    let r = resource_rates_in(plan, vertices, Scope::Served, model, false);
+    prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
 }
 
 /// Greedy hill climbing (paper §7.2): repeatedly applies the plumbing with
@@ -574,17 +601,18 @@ pub fn hill_climb_filtered(
             if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
                 continue;
             }
-            let Ok(next) = apply_plumbing(g, &cand) else {
+            let Ok((next, order)) = rewire(g, &cand) else {
                 continue;
             };
-            if !next.all_slas_hold(model) {
+            // A candidate is costed and SLA-tested as rewired — neither
+            // reads an unserved element — and collected only if it would
+            // become the best so far.
+            let benefit = current_cost - served_cost(&next, &order, model, prices);
+            let improves = best.as_ref().is_none_or(|(b, _, _)| benefit > *b);
+            if benefit <= 1e-15 || !improves || !next.all_slas_hold(model) {
                 continue;
             }
-            let benefit = current_cost - next.total_cost(model, prices);
-            if benefit <= 1e-15 {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(b, _, _)| benefit > *b) {
+            if let Ok(next) = materialize(next) {
                 best = Some((benefit, cand, next));
             }
         }
@@ -781,6 +809,32 @@ mod tests {
                 assert!(next.total_cost(&model, &prices).is_finite());
             }
         }
+    }
+
+    /// The hill climb costs and SLA-tests a candidate as rewired and
+    /// collects it only if it wins: both readings must equal the collected
+    /// plan's, the cost to the bit (it breaks ties between candidates).
+    #[test]
+    fn rewired_cost_and_sla_verdict_equal_the_collected_plans() {
+        let (g, model, prices) = setup();
+        let (mut checked, mut shrunk) = (0, 0);
+        for cand in enumerate_plumbings(&g) {
+            let Ok((rewired, order)) = rewire(&g, &cand) else {
+                continue;
+            };
+            let before = served_cost(&rewired, &order, &model, &prices);
+            let holds = rewired.all_slas_hold(&model);
+            let uncollected = rewired.plan.vertex_count();
+            let Ok(next) = materialize(rewired) else {
+                continue;
+            };
+            let after = next.total_cost(&model, &prices);
+            assert_eq!(before.to_bits(), after.to_bits(), "{cand:?}: {before} vs {after}");
+            assert_eq!(holds, next.all_slas_hold(&model), "{cand:?}");
+            checked += 1;
+            shrunk += usize::from(next.plan.vertex_count() < uncollected);
+        }
+        assert!(checked > 0 && shrunk > 0, "{checked} candidates, {shrunk} left garbage");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! when DPD misses the SLA, so [`Optimizer::plan_admission`] searches once
 //! whenever the cheapest plan keeps up: if it does not and even the fastest
 //! plan cannot, no plan can, and the sharing is rejected before the provider
-//! signs an SLA it would pay penalties on.
+//! signs an SLA it would pay penalties on. A search whose MV is pinned
+//! builds the last layer of the DP — the full join sequence — on the pinned
+//! machine only: nothing extends that layer, so no other state of it is read.
 //!
 //! The same type is the decision layer at admission time *and* online: it
 //! borrows only immutable planning inputs (catalog, cost model, price sheet,
@@ -25,6 +27,8 @@
 //! deterministic simulation state, so the adaptive control loop stays
 //! byte-reproducible run to run.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::catalog::Catalog;
 use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
 use crate::plan::build::{PlanBuilder, RelHandle};
@@ -35,6 +39,7 @@ use crate::sharing::Sharing;
 use smile_sim::PriceSheet;
 use smile_storage::join::JoinOn;
 use smile_storage::spj::{SpjQuery, SpjStep};
+use smile_storage::{AggFunc, AggregateSpec};
 use smile_types::{MachineId, Result, SimDuration, SmileError, VertexId};
 use std::collections::HashMap;
 
@@ -69,14 +74,12 @@ pub struct PlannedSharing {
 
 /// A join condition between two of the sharing's base relations, expressed
 /// as (step index in the original query, column within that base).
-#[derive(Clone, Debug)]
 struct PairCond {
     a: (usize, usize),
     b: (usize, usize),
 }
 
 /// One DP state: the plan fragment producing a join sequence at a machine.
-#[derive(Clone)]
 struct Candidate {
     plan: Plan,
     handle: RelHandle,
@@ -135,28 +138,14 @@ impl<'a> Optimizer<'a> {
     /// load) with its MV pinned to `mv_machine` if given (the paper's §9.1
     /// setup assigns each sharing to a machine arbitrarily; the DP still
     /// places intermediates freely), and choose DPD or DPT per the paper's
-    /// rule — or the forced objective, still subject to the admissibility
-    /// test.
+    /// rule — or the forced objective, under the same admissibility test.
     pub fn plan_admission(
         &self,
         sharing: &Sharing,
         committed: HashMap<MachineId, f64>,
         mv_machine: Option<MachineId>,
     ) -> Result<PlannedSharing> {
-        let Some(obj) = self.force_objective else {
-            return self.choose(sharing, &committed, mv_machine);
-        };
-        let p = self.plan_with(sharing, obj, &committed, mv_machine)?;
-        // Even a forced objective respects the admissibility test.
-        let dpt = self.plan_with(sharing, Objective::Time, &committed, mv_machine)?;
-        if dpt.critical_path > sharing.staleness_sla {
-            return Err(SmileError::Inadmissible {
-                sharing: sharing.id,
-                critical_path_secs: p.critical_path.as_secs_f64(),
-                sla_secs: sharing.sla_secs(),
-            });
-        }
-        Ok(p)
+        self.choose(sharing, &committed, mv_machine, self.force_objective)
     }
 
     /// The online decision: re-plan a *running* sharing against live fleet
@@ -179,7 +168,7 @@ impl<'a> Optimizer<'a> {
             let e = committed.entry(m).or_default();
             *e = (*e - u).max(0.0);
         }
-        self.choose(sharing, &committed, mv_machine)
+        self.choose(sharing, &committed, mv_machine, None)
     }
 
     /// The placement-improvement pass run at install time (and re-runnable
@@ -197,7 +186,9 @@ impl<'a> Optimizer<'a> {
 
     /// The paper's §6.2 selection rule, applied lazily: DPD is the plan when
     /// it is itself admissible; only otherwise is DPT searched, and taken
-    /// iff some plan fits the SLA.
+    /// iff some plan fits the SLA. With a `forced` objective that plan is
+    /// searched first and is the one returned; the other objective is still
+    /// searched only when it misses, and only to decide admissibility.
     ///
     /// The DP is the System-R/R* polynomial-time *heuristic*, so DPT is not
     /// provably CP-minimal; the admissibility test therefore considers the
@@ -207,14 +198,19 @@ impl<'a> Optimizer<'a> {
         sharing: &Sharing,
         committed: &HashMap<MachineId, f64>,
         mv_machine: Option<MachineId>,
+        forced: Option<Objective>,
     ) -> Result<PlannedSharing> {
         let sla = sharing.staleness_sla;
-        let dpd = self.plan_with(sharing, Objective::Dollars, committed, mv_machine)?;
-        if dpd.critical_path <= sla {
-            return Ok(dpd);
+        let (first, second) = match forced {
+            Some(Objective::Time) => (Objective::Time, Objective::Dollars),
+            _ => (Objective::Dollars, Objective::Time),
+        };
+        let plan = self.plan_with(sharing, first, committed, mv_machine)?;
+        if plan.critical_path <= sla {
+            return Ok(plan);
         }
-        let dpt = self.plan_with(sharing, Objective::Time, committed, mv_machine)?;
-        let fastest = dpt.critical_path.min(dpd.critical_path);
+        let other = self.plan_with(sharing, second, committed, mv_machine)?;
+        let fastest = other.critical_path.min(plan.critical_path);
         if fastest > sla {
             return Err(SmileError::Inadmissible {
                 sharing: sharing.id,
@@ -222,7 +218,7 @@ impl<'a> Optimizer<'a> {
                 sla_secs: sla.as_secs_f64(),
             });
         }
-        Ok(dpt)
+        Ok(if forced.is_some() { plan } else { other })
     }
 
     /// Runs the JOINCOST DP under one objective, against `committed`
@@ -244,11 +240,10 @@ impl<'a> Optimizer<'a> {
                 "JOINCOST supports at most 16 base relations".into(),
             ));
         }
-        let conds = self.pairwise_conditions(&sharing.query)?;
-        let builder = PlanBuilder::new(self.catalog);
+        let search = Search::new(self.catalog, sharing, objective, committed, mv_machine)?;
 
         if n == 1 {
-            return self.plan_single(sharing, &builder, objective, committed, mv_machine);
+            return self.plan_single(&search);
         }
 
         // Machines already at their admission ceiling cannot take any new
@@ -262,11 +257,20 @@ impl<'a> Optimizer<'a> {
             .copied()
             .filter(|m| committed.get(m).copied().unwrap_or(0.0) < self.capacity)
             .collect();
+        // The full mask has no successor and the answer is read off the
+        // pinned machine alone, so its layer is built there and nowhere
+        // else. (Every shorter sequence still roams: an intermediate on any
+        // machine can feed the pinned final join.)
+        let final_targets: Vec<MachineId> = match mv_machine {
+            Some(pin) => placeable.iter().copied().filter(|&m| m == pin).collect(),
+            None => placeable.clone(),
+        };
 
         // dp[(mask, machine)] -> best candidate.
         let mut dp: HashMap<(u32, MachineId), Candidate> = HashMap::new();
 
         // Seed: singleton sequences at their home machines.
+        let builder = &search.builder;
         for (i, step) in steps.iter().enumerate() {
             let mut plan = Plan::new();
             let handle = builder.base_handle(&mut plan, step.relation, step.predicate.clone())?;
@@ -282,21 +286,21 @@ impl<'a> Optimizer<'a> {
 
         let full: u32 = (1 << n) - 1;
         for mask in 1..=full {
-            let size = mask.count_ones();
-            if size < 2 {
+            if mask.count_ones() < 2 {
                 continue;
             }
             let is_final = mask == full;
+            let targets = if is_final { &final_targets } else { &placeable };
+            // This mask's winner per target, first of the minima; inserted
+            // once the mask is done, since `dp` is being read until then.
+            let mut winners: Vec<Option<Candidate>> = targets.iter().map(|_| None).collect();
             for a in 0..n {
                 if mask & (1 << a) == 0 {
                     continue;
                 }
                 let sub_mask = mask & !(1 << a);
-                if sub_mask == 0 {
-                    continue;
-                }
                 // Skip orders that would need a cross product.
-                let connected = conds.iter().any(|c| {
+                let connected = search.conds.iter().any(|c| {
                     (c.a.0 == a && sub_mask & (1 << c.b.0) != 0)
                         || (c.b.0 == a && sub_mask & (1 << c.a.0) != 0)
                 });
@@ -307,34 +311,30 @@ impl<'a> Optimizer<'a> {
                     let Some(sub) = dp.get(&(sub_mask, mj)) else {
                         continue;
                     };
-                    let sub = sub.clone();
-                    for &mi in &placeable {
+                    for (&mi, best) in targets.iter().zip(&mut winners) {
                         for case in 0..4u8 {
-                            let Ok(cand) = self.expand(
-                                &builder, &sub, a, mi, case, steps, &conds, sharing, is_final,
-                                objective, committed,
-                            ) else {
+                            let Ok(Some(cand)) = self.expand(&search, sub, a, mi, case, is_final)
+                            else {
                                 continue;
                             };
-                            let Some(cand) = cand else { continue };
-                            let key = (mask, mi);
-                            match dp.get(&key) {
-                                Some(best) if best.metric <= cand.metric => {}
-                                _ => {
-                                    dp.insert(key, cand);
-                                }
+                            match best {
+                                Some(b) if b.metric <= cand.metric => {}
+                                _ => *best = Some(cand),
                             }
                         }
                     }
                 }
             }
+            for (&mi, cand) in targets.iter().zip(winners) {
+                if let Some(cand) = cand {
+                    dp.insert((mask, mi), cand);
+                }
+            }
         }
 
-        let best = self
-            .machines
+        let best = final_targets
             .iter()
-            .filter(|&&m| mv_machine.is_none_or(|pin| pin == m))
-            .filter_map(|&m| dp.get(&(full, m)))
+            .filter_map(|&m| dp.remove(&(full, m)))
             .min_by(|a, b| a.metric.total_cmp(&b.metric))
             .ok_or_else(|| SmileError::CapacityExhausted {
                 detail: format!(
@@ -342,41 +342,34 @@ impl<'a> Optimizer<'a> {
                     sharing.id,
                     self.machines.len()
                 ),
-            })?
-            .clone();
+            })?;
 
-        self.finish(sharing, best)
+        self.finish(&search, best)
     }
 
     /// Plans a single-relation sharing: a filtered/projected maintained copy
     /// on the best machine.
-    fn plan_single(
-        &self,
-        sharing: &Sharing,
-        builder: &PlanBuilder<'_>,
-        objective: Objective,
-        committed: &HashMap<MachineId, f64>,
-        mv_machine: Option<MachineId>,
-    ) -> Result<PlannedSharing> {
-        let step = &sharing.query.steps[0];
+    fn plan_single(&self, s: &Search<'_>) -> Result<PlannedSharing> {
+        let query = &s.sharing.query;
+        let step = &query.steps[0];
         let mut best: Option<Candidate> = None;
         for &m in &self.machines {
-            if mv_machine.is_some_and(|pin| pin != m) {
+            if s.pin.is_some_and(|pin| pin != m) {
                 continue;
             }
-            if committed.get(&m).copied().unwrap_or(0.0) >= self.capacity {
+            if s.committed.get(&m).copied().unwrap_or(0.0) >= self.capacity {
                 continue; // full machine: metric() would reject any placement
             }
             let mut plan = Plan::new();
-            let handle = builder.scan_plan(
+            let handle = s.builder.scan_plan(
                 &mut plan,
                 step.relation,
                 step.predicate.clone(),
-                sharing.query.projection.clone(),
-                sharing.query.aggregate.clone(),
+                query.projection.clone(),
+                query.aggregate.clone(),
                 m,
             )?;
-            let Some(metric) = self.metric(&plan, &handle, sharing, objective, committed) else {
+            let Some(metric) = self.metric(s, &plan, &handle) else {
                 continue;
             };
             let cand = Candidate {
@@ -390,32 +383,28 @@ impl<'a> Optimizer<'a> {
             }
         }
         let best = best.ok_or(SmileError::CapacityExhausted {
-            detail: format!("no machine can host sharing {}", sharing.id),
+            detail: format!("no machine can host sharing {}", s.sharing.id),
         })?;
-        self.finish(sharing, best)
+        self.finish(s, best)
     }
 
     /// Applies one of the four Figure 3 cases to extend `sub` with base
     /// relation (original step) `a`, producing the result on `mi`. Returns
     /// `Ok(None)` when the placement is infeasible (capacity) or the case is
     /// a no-op duplicate of case (a).
-    #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
-        builder: &PlanBuilder<'_>,
+        s: &Search<'_>,
         sub: &Candidate,
         a: usize,
         mi: MachineId,
         case: u8,
-        steps: &[SpjStep],
-        conds: &[PairCond],
-        sharing: &Sharing,
         is_final: bool,
-        objective: Objective,
-        committed: &HashMap<MachineId, f64>,
     ) -> Result<Option<Candidate>> {
+        let builder = &s.builder;
+        let step = &s.steps[a];
         let mut plan = sub.plan.clone();
-        let base = builder.base_handle(&mut plan, steps[a].relation, steps[a].predicate.clone())?;
+        let base = builder.base_handle(&mut plan, step.relation, step.predicate.clone())?;
 
         // Skip degenerate copies that equal case (a).
         let (left, right) = match case {
@@ -444,21 +433,18 @@ impl<'a> Optimizer<'a> {
             }
         };
 
-        let on = self.join_condition(&sub.order, a, steps, conds)?;
+        let mut order = sub.order.clone();
+        order.push(a);
+        let on = s.join_condition(&sub.order, a)?;
         let (projection, aggregate) = if is_final {
-            (
-                self.remapped_projection(sharing, &sub.order, a, steps)?,
-                self.remapped_aggregate(sharing, &sub.order, a, steps)?,
-            )
+            (s.remapped_projection(&order)?, s.remapped_aggregate(&order)?)
         } else {
             (None, None)
         };
         let handle = builder.join_step(&mut plan, &left, &right, &on, mi, projection, aggregate)?;
-        let Some(metric) = self.metric(&plan, &handle, sharing, objective, committed) else {
+        let Some(metric) = self.metric(s, &plan, &handle) else {
             return Ok(None);
         };
-        let mut order = sub.order.clone();
-        order.push(a);
         Ok(Some(Candidate {
             plan,
             handle,
@@ -467,32 +453,148 @@ impl<'a> Optimizer<'a> {
         }))
     }
 
+    /// COSTCALC: the DP objective, or `None` when the fragment exceeds
+    /// machine capacity (the paper costs infeasible plans at ∞).
+    fn metric(&self, s: &Search<'_>, plan: &Plan, handle: &RelHandle) -> Option<f64> {
+        let load = machine_utilization(plan, Scope::All, self.model);
+        for (m, util) in &load {
+            if s.committed.get(m).copied().unwrap_or(0.0) + util > self.capacity {
+                return None;
+            }
+        }
+        Some(match s.objective {
+            Objective::Time => critical_path(plan, Scope::All, 1.0, self.model).as_secs_f64(),
+            Objective::Dollars => self.dollars(s.sharing, plan, handle),
+        })
+    }
+
+    /// Eq. 1 for a single-sharing plan whose MV is `handle`.
+    fn dollars(&self, sharing: &Sharing, plan: &Plan, handle: &RelHandle) -> f64 {
+        plan_cost(
+            plan,
+            Scope::All,
+            self.model,
+            self.prices,
+            sharing.staleness_sla,
+            sharing.penalty_per_tuple,
+            handle.rate,
+            false,
+        )
+    }
+
+    /// Packages a winning candidate with its admission metrics and the
+    /// equivalent reordered query.
+    fn finish(&self, s: &Search<'_>, cand: Candidate) -> Result<PlannedSharing> {
+        cand.plan.validate()?;
+        let query = s.reordered_query(&cand.order)?;
+        Ok(PlannedSharing {
+            mv: cand.handle.rel,
+            mv_machine: cand.handle.machine,
+            critical_path: critical_path(&cand.plan, Scope::All, 1.0, self.model),
+            dollar_cost: self.dollars(s.sharing, &cand.plan, &cand.handle),
+            plan: cand.plan,
+            query,
+        })
+    }
+}
+
+/// What one [`Optimizer::plan_with`] call holds fixed while it enumerates
+/// candidates, borrowed by every step of the search.
+struct Search<'s> {
+    sharing: &'s Sharing,
+    /// `sharing.query.steps`: the base relations in the original join order.
+    steps: &'s [SpjStep],
+    /// Columns each step contributes to a concatenated schema.
+    arity: Vec<usize>,
+    conds: Vec<PairCond>,
+    builder: PlanBuilder<'s>,
+    objective: Objective,
+    committed: &'s HashMap<MachineId, f64>,
+    pin: Option<MachineId>,
+}
+
+impl<'s> Search<'s> {
+    /// Reads each step's arity off the catalog and extracts the pairwise
+    /// join conditions from the left-deep query: each accumulated-schema
+    /// column of a step's condition is traced back to the base relation
+    /// that owns it.
+    fn new(
+        catalog: &'s Catalog,
+        sharing: &'s Sharing,
+        objective: Objective,
+        committed: &'s HashMap<MachineId, f64>,
+        pin: Option<MachineId>,
+    ) -> Result<Self> {
+        let steps = &sharing.query.steps;
+        let mut arity = Vec::with_capacity(steps.len());
+        let mut offsets = Vec::with_capacity(steps.len());
+        let mut off = 0usize;
+        for step in steps {
+            let columns = catalog.base(step.relation)?.schema.arity();
+            arity.push(columns);
+            offsets.push(off);
+            off += columns;
+        }
+        let mut conds = Vec::new();
+        for (i, step) in steps.iter().enumerate().skip(1) {
+            let Some(on) = &step.join else {
+                return Err(SmileError::InvalidPlan(format!(
+                    "step {i} of the query lacks a join condition"
+                )));
+            };
+            for (&l, &r) in on.left_cols.iter().zip(&on.right_cols) {
+                let owner = offsets[..i]
+                    .iter()
+                    .rposition(|&o| o <= l)
+                    .ok_or_else(|| SmileError::InvalidPlan("bad join column".into()))?;
+                conds.push(PairCond {
+                    a: (owner, l - offsets[owner]),
+                    b: (i, r),
+                });
+            }
+        }
+        Ok(Self {
+            sharing,
+            steps,
+            arity,
+            conds,
+            builder: PlanBuilder::new(catalog),
+            objective,
+            committed,
+            pin,
+        })
+    }
+
+    /// Where each original step's columns start in the concatenated schema
+    /// of the steps joined in `order`; `None` for a step `order` leaves out.
+    fn offsets_in(&self, order: &[usize]) -> Vec<Option<usize>> {
+        let mut offsets = vec![None; self.steps.len()];
+        let mut off = 0usize;
+        for &s in order {
+            offsets[s] = Some(off);
+            off += self.arity[s];
+        }
+        offsets
+    }
+
     /// The join condition between a fragment (original steps `placed`, in
     /// that order) and base step `a`.
-    fn join_condition(
-        &self,
-        placed: &[usize],
-        a: usize,
-        steps: &[SpjStep],
-        conds: &[PairCond],
-    ) -> Result<JoinOn> {
-        let mut offsets: HashMap<usize, usize> = HashMap::new();
-        let mut off = 0usize;
-        for &s in placed {
-            offsets.insert(s, off);
-            off += self.catalog.base(steps[s].relation)?.schema.arity();
-        }
+    fn join_condition(&self, placed: &[usize], a: usize) -> Result<JoinOn> {
+        let offsets = self.offsets_in(placed);
         let mut left_cols = Vec::new();
         let mut right_cols = Vec::new();
-        for c in conds {
-            let (other, acol) = if c.a.0 == a && offsets.contains_key(&c.b.0) {
+        for c in &self.conds {
+            let (other, acol) = if c.a.0 == a {
                 (c.b, c.a.1)
-            } else if c.b.0 == a && offsets.contains_key(&c.a.0) {
+            } else if c.b.0 == a {
                 (c.a, c.b.1)
             } else {
                 continue;
             };
-            left_cols.push(offsets[&other.0] + other.1);
+            let Some(off) = offsets[other.0] else {
+                continue;
+            };
+            left_cols.push(off + other.1);
             right_cols.push(acol);
         }
         if left_cols.is_empty() {
@@ -506,208 +608,82 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Builds the column remapper from the original join order's
-    /// concatenated schema into the order `placed ++ [a]`.
-    fn column_remapper(
-        &self,
-        placed: &[usize],
-        a: usize,
-        steps: &[SpjStep],
-    ) -> Result<impl Fn(usize) -> usize> {
-        let mut orig_offsets = Vec::with_capacity(steps.len());
-        let mut off = 0usize;
-        for step in steps {
-            orig_offsets.push(off);
-            off += self.catalog.base(step.relation)?.schema.arity();
+    /// Maps every column of the original join order's concatenated schema
+    /// to its index in the schema of the complete join order `order`.
+    fn column_map(&self, order: &[usize]) -> Result<Vec<usize>> {
+        let offsets = self.offsets_in(order);
+        let mut map = Vec::with_capacity(self.arity.iter().sum());
+        for (step, &arity) in self.arity.iter().enumerate() {
+            let off = offsets[step].ok_or_else(|| {
+                SmileError::InvalidPlan(format!("join order {order:?} leaves out step {step}"))
+            })?;
+            map.extend(off..off + arity);
         }
-        let mut new_order = placed.to_vec();
-        new_order.push(a);
-        let mut new_offsets: HashMap<usize, usize> = HashMap::new();
-        let mut off = 0usize;
-        for &s in &new_order {
-            new_offsets.insert(s, off);
-            off += self.catalog.base(steps[s].relation)?.schema.arity();
-        }
-        Ok(move |c: usize| {
-            let step = orig_offsets
-                .iter()
-                .rposition(|&o| o <= c)
-                .expect("offsets start at 0");
-            let within = c - orig_offsets[step];
-            new_offsets[&step] + within
-        })
+        Ok(map)
     }
 
     /// Remaps the sharing's projection (defined over the original join
-    /// order's concatenated schema) into the order `placed ++ [a]`.
-    fn remapped_projection(
-        &self,
-        sharing: &Sharing,
-        placed: &[usize],
-        a: usize,
-        steps: &[SpjStep],
-    ) -> Result<Option<Vec<usize>>> {
-        let Some(proj) = &sharing.query.projection else {
+    /// order's concatenated schema) into the join order `order`.
+    fn remapped_projection(&self, order: &[usize]) -> Result<Option<Vec<usize>>> {
+        let Some(proj) = &self.sharing.query.projection else {
             return Ok(None);
         };
-        let remap = self.column_remapper(placed, a, steps)?;
-        Ok(Some(proj.iter().map(|&c| remap(c)).collect()))
+        let map = self.column_map(order)?;
+        proj.iter().map(|&c| remap(&map, c)).collect::<Result<_>>().map(Some)
     }
 
-    /// Remaps the sharing's aggregation spec into the new join order.
-    fn remapped_aggregate(
-        &self,
-        sharing: &Sharing,
-        placed: &[usize],
-        a: usize,
-        steps: &[SpjStep],
-    ) -> Result<Option<smile_storage::AggregateSpec>> {
-        let Some(spec) = &sharing.query.aggregate else {
+    /// Remaps the sharing's aggregation spec into the join order `order`.
+    fn remapped_aggregate(&self, order: &[usize]) -> Result<Option<AggregateSpec>> {
+        let Some(spec) = &self.sharing.query.aggregate else {
             return Ok(None);
         };
-        let remap = self.column_remapper(placed, a, steps)?;
-        Ok(Some(smile_storage::AggregateSpec {
-            group_cols: spec.group_cols.iter().map(|&c| remap(c)).collect(),
-            aggs: spec
-                .aggs
-                .iter()
-                .map(|f| match f {
-                    smile_storage::AggFunc::SumI64(c) => smile_storage::AggFunc::SumI64(remap(*c)),
-                    smile_storage::AggFunc::SumF64(c) => smile_storage::AggFunc::SumF64(remap(*c)),
-                })
-                .collect(),
+        let map = self.column_map(order)?;
+        let group_cols = spec.group_cols.iter().map(|&c| remap(&map, c));
+        let aggs = spec.aggs.iter().map(|f| {
+            Ok(match f {
+                AggFunc::SumI64(c) => AggFunc::SumI64(remap(&map, *c)?),
+                AggFunc::SumF64(c) => AggFunc::SumF64(remap(&map, *c)?),
+            })
+        });
+        Ok(Some(AggregateSpec {
+            group_cols: group_cols.collect::<Result<_>>()?,
+            aggs: aggs.collect::<Result<_>>()?,
         }))
     }
 
-    /// COSTCALC: the DP objective, or `None` when the fragment exceeds
-    /// machine capacity (the paper costs infeasible plans at ∞).
-    fn metric(
-        &self,
-        plan: &Plan,
-        handle: &RelHandle,
-        sharing: &Sharing,
-        objective: Objective,
-        committed: &HashMap<MachineId, f64>,
-    ) -> Option<f64> {
-        let load = machine_utilization(plan, Scope::All, self.model);
-        for (m, util) in &load {
-            if committed.get(m).copied().unwrap_or(0.0) + util > self.capacity {
-                return None;
-            }
-        }
-        Some(match objective {
-            Objective::Time => critical_path(plan, Scope::All, 1.0, self.model).as_secs_f64(),
-            Objective::Dollars => plan_cost(
-                plan,
-                Scope::All,
-                self.model,
-                self.prices,
-                sharing.staleness_sla,
-                sharing.penalty_per_tuple,
-                handle.rate,
-                false,
-            ),
-        })
-    }
-
-    /// Extracts pairwise join conditions from the left-deep query: each
-    /// accumulated-schema column of a step's condition is traced back to the
-    /// base relation that owns it.
-    fn pairwise_conditions(&self, query: &SpjQuery) -> Result<Vec<PairCond>> {
-        let mut offsets = Vec::with_capacity(query.steps.len());
-        let mut off = 0usize;
-        for step in &query.steps {
-            offsets.push(off);
-            off += self.catalog.base(step.relation)?.schema.arity();
-        }
-        let mut out = Vec::new();
-        for (i, step) in query.steps.iter().enumerate().skip(1) {
-            let Some(on) = &step.join else {
-                return Err(SmileError::InvalidPlan(format!(
-                    "step {i} of the query lacks a join condition"
-                )));
-            };
-            for (&l, &r) in on.left_cols.iter().zip(&on.right_cols) {
-                let owner = offsets[..i]
-                    .iter()
-                    .rposition(|&o| o <= l)
-                    .ok_or_else(|| SmileError::InvalidPlan("bad join column".into()))?;
-                out.push(PairCond {
-                    a: (owner, l - offsets[owner]),
-                    b: (i, r),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Packages a winning candidate with its admission metrics and the
-    /// equivalent reordered query.
-    fn finish(&self, sharing: &Sharing, cand: Candidate) -> Result<PlannedSharing> {
-        cand.plan.validate()?;
-        let cp = critical_path(&cand.plan, Scope::All, 1.0, self.model);
-        let cost = plan_cost(
-            &cand.plan,
-            Scope::All,
-            self.model,
-            self.prices,
-            sharing.staleness_sla,
-            sharing.penalty_per_tuple,
-            cand.handle.rate,
-            false,
-        );
-        let query = self.reordered_query(sharing, &cand)?;
-        Ok(PlannedSharing {
-            mv: cand.handle.rel,
-            mv_machine: cand.handle.machine,
-            plan: cand.plan,
-            query,
-            critical_path: cp,
-            dollar_cost: cost,
-        })
-    }
-
-    /// Rebuilds the SPJ query in the candidate's join order so that full
+    /// Rebuilds the SPJ query in the join order `order` so that full
     /// evaluation reproduces the plan's MV exactly.
-    fn reordered_query(&self, sharing: &Sharing, cand: &Candidate) -> Result<SpjQuery> {
-        let steps = &sharing.query.steps;
-        if cand.order.len() == 1 {
-            return Ok(sharing.query.clone());
+    fn reordered_query(&self, order: &[usize]) -> Result<SpjQuery> {
+        if order.len() == 1 {
+            return Ok(self.sharing.query.clone());
         }
-        let conds = self.pairwise_conditions(&sharing.query)?;
-        let mut new_steps: Vec<SpjStep> = Vec::with_capacity(cand.order.len());
-        let mut placed: Vec<usize> = Vec::new();
-        for (pos, &s) in cand.order.iter().enumerate() {
-            let join = if pos == 0 {
-                None
-            } else {
-                Some(self.join_condition(&placed, s, steps, &conds)?)
-            };
-            new_steps.push(SpjStep {
-                relation: steps[s].relation,
-                predicate: steps[s].predicate.clone(),
-                join,
+        let mut steps = Vec::with_capacity(order.len());
+        for (pos, &s) in order.iter().enumerate() {
+            steps.push(SpjStep {
+                relation: self.steps[s].relation,
+                predicate: self.steps[s].predicate.clone(),
+                join: match pos {
+                    0 => None,
+                    _ => Some(self.join_condition(&order[..pos], s)?),
+                },
             });
-            placed.push(s);
         }
-        let last = *cand.order.last().expect("non-empty order");
-        let placed = &cand.order[..cand.order.len() - 1];
-        let projection = if sharing.query.projection.is_some() {
-            self.remapped_projection(sharing, placed, last, steps)?
-        } else {
-            None
-        };
-        let aggregate = if sharing.query.aggregate.is_some() {
-            self.remapped_aggregate(sharing, placed, last, steps)?
-        } else {
-            None
-        };
         Ok(SpjQuery {
-            steps: new_steps,
-            projection,
-            aggregate,
+            steps,
+            projection: self.remapped_projection(order)?,
+            aggregate: self.remapped_aggregate(order)?,
         })
     }
+}
+
+/// Looks one original-order column up in a [`Search::column_map`].
+fn remap(map: &[usize], col: usize) -> Result<usize> {
+    map.get(col).copied().ok_or_else(|| {
+        SmileError::InvalidPlan(format!(
+            "column {col} is outside the query's {}-column join schema",
+            map.len()
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
 //! Critical time path and dollar cost of sharing plans (paper §5.1–5.2).
 
-use crate::plan::dag::{Edge, EdgeOp, Plan, VertexKind};
+use crate::plan::dag::{Edge, EdgeOp, Plan, Vertex, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::PriceSheet;
 use smile_types::{SharingId, SimDuration};
 use std::collections::HashMap;
 
-/// Scope restriction for plan metrics: the whole (global) plan, or only the
-/// subgraph serving one sharing.
+/// Scope restriction for plan metrics: the whole (global) plan, the part of
+/// it that serves anything, or only the subgraph serving one sharing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scope {
     /// Every vertex and every edge that still produces its output.
     All,
+    /// Only vertices/edges whose `SHR` set is non-empty — what
+    /// [`Plan::garbage_collect`] keeps, measured without collecting.
+    Served,
     /// Only vertices/edges whose `SHR` set contains the sharing.
     Sharing(SharingId),
 }
@@ -20,6 +23,7 @@ impl Scope {
     fn includes(&self, sharings: &std::collections::BTreeSet<SharingId>) -> bool {
         match self {
             Scope::All => true,
+            Scope::Served => !sharings.is_empty(),
             Scope::Sharing(s) => sharings.contains(s),
         }
     }
@@ -83,6 +87,21 @@ pub fn resource_rates(
     model: &TimeCostModel,
     amortized: bool,
 ) -> ResourceRates {
+    resource_rates_in(plan, plan.vertices().iter(), scope, model, amortized)
+}
+
+/// [`resource_rates`] with the storage footprint summed over `vertices` in
+/// the order given. Float addition is not associative, so a caller that
+/// must reproduce to the bit what a *renumbered* plan would report (hill
+/// climbing costs a candidate before collecting it) passes the vertices in
+/// that plan's id order.
+pub fn resource_rates_in<'p>(
+    plan: &'p Plan,
+    vertices: impl Iterator<Item = &'p Vertex>,
+    scope: Scope,
+    model: &TimeCostModel,
+    amortized: bool,
+) -> ResourceRates {
     let mut r = ResourceRates::default();
     for e in plan.edges() {
         let Some(shr) = e.shr(plan).filter(|shr| scope.includes(shr)) else {
@@ -102,7 +121,7 @@ pub fn resource_rates(
             r.net_bytes_per_sec += e.est_rate * e.est_tuple_bytes * share;
         }
     }
-    for v in plan.vertices() {
+    for v in vertices {
         if v.is_base || v.kind != VertexKind::Relation || !scope.includes(&v.sharings) {
             continue;
         }

@@ -4,6 +4,7 @@ use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
 use smile_storage::Predicate;
 use smile_types::{MachineId, RelationId, Result, Schema, SharingId, SmileError, VertexId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Whether a vertex holds materialized relation contents or a delta log.
@@ -234,11 +235,15 @@ impl Plan {
         est_card: f64,
         est_tuple_bytes: f64,
     ) -> VertexId {
-        if let Some(&existing) = self.index.get(&(kind, sig.clone(), machine)) {
-            return existing;
-        }
         let id = VertexId::new(self.vertices.len() as u32);
-        self.index.insert((kind, sig.clone(), machine), id);
+        let sig = match self.index.entry((kind, sig, machine)) {
+            Entry::Occupied(existing) => return *existing.get(),
+            Entry::Vacant(slot) => {
+                let sig = slot.key().1.clone();
+                slot.insert(id);
+                sig
+            }
+        };
         self.vertices.push(Vertex {
             id,
             kind,
@@ -526,19 +531,14 @@ impl Plan {
         Ok(())
     }
 
-    /// Machines used by this plan.
-    pub fn machines(&self) -> BTreeSet<MachineId> {
-        self.vertices.iter().map(|v| v.machine).collect()
-    }
-
     /// Rebuilds the plan keeping only vertices/edges whose `SHR` set is
-    /// non-empty, remapping ids densely. Returns the new plan. Used by the
-    /// plumbing pass after it strips sharings from replaced supply chains.
-    pub fn garbage_collect(&self) -> Plan {
+    /// non-empty, remapping ids densely in topological order. Returns the
+    /// new plan. Used by the plumbing pass after it strips sharings from
+    /// replaced supply chains; errors on a cyclic plan.
+    pub fn garbage_collect(&self) -> Result<Plan> {
         let mut out = Plan::new();
         let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
-        let order = self.topo_order().expect("validated plan");
-        for v in order {
+        for v in self.topo_order()? {
             let vert = self.vertex(v);
             if vert.sharings.is_empty() && !vert.is_base {
                 continue;
@@ -566,20 +566,20 @@ impl Plan {
             let (Some(inputs), Some(&output)) = (inputs, remap.get(&e.output)) else {
                 continue;
             };
-            let id = out
-                .add_edge(
-                    e.op.clone(),
-                    inputs,
-                    output,
-                    e.filter.clone(),
-                    e.projection.clone(),
-                    e.est_rate,
-                    e.est_tuple_bytes,
-                )
-                .expect("gc preserves producer uniqueness");
+            // A kept vertex has one attached producer, so this never meets
+            // a second edge for `output`; `add_edge` says so if it does.
+            let id = out.add_edge(
+                e.op.clone(),
+                inputs,
+                output,
+                e.filter.clone(),
+                e.projection.clone(),
+                e.est_rate,
+                e.est_tuple_bytes,
+            )?;
             out.edges[id].aggregate = e.aggregate.clone();
         }
-        out
+        Ok(out)
     }
 }
 
@@ -965,7 +965,7 @@ mod tests {
         .unwrap();
         // The copy serves no sharing: GC should drop the derived vertex and
         // edge but keep the base pair.
-        let gc = p.garbage_collect();
+        let gc = p.garbage_collect().unwrap();
         assert_eq!(gc.vertex_count(), 2);
         assert_eq!(gc.edge_count(), 0);
     }
@@ -1002,7 +1002,7 @@ mod tests {
             let load = machine_utilization(&p, scope, &model);
             assert_eq!(load, one_copy, "the detached edge is charged under {scope:?}");
         }
-        let gc = p.garbage_collect();
+        let gc = p.garbage_collect().unwrap();
         assert_eq!(gc.edge_count(), 1);
         assert_eq!(gc.edge(0).inputs, vec![d1]);
     }

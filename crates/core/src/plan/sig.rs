@@ -10,8 +10,14 @@ use smile_storage::join::JoinOn;
 use smile_storage::{AggregateSpec, Predicate};
 use smile_types::{MachineId, RelationId};
 use std::fmt;
+use std::sync::Arc;
 
 /// Canonical relational expression identifying a vertex's contents.
+///
+/// Signatures are immutable and their children shared: cloning one (per
+/// vertex, per `Plan::index` key, per candidate plan) copies the top node
+/// and bumps its children's reference counts. Equality and hashing are
+/// structural, so separately built equal expressions still dedup.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ExprSig {
     /// A base relation.
@@ -21,14 +27,14 @@ pub enum ExprSig {
         /// The predicate.
         pred: Predicate,
         /// The filtered input.
-        input: Box<ExprSig>,
+        input: Arc<ExprSig>,
     },
     /// An equi-join of two inputs.
     Join {
         /// Left input.
-        left: Box<ExprSig>,
+        left: Arc<ExprSig>,
         /// Right input.
-        right: Box<ExprSig>,
+        right: Arc<ExprSig>,
         /// Join condition (left columns index the left input's schema).
         on: JoinOn,
     },
@@ -37,7 +43,7 @@ pub enum ExprSig {
         /// Retained column indexes.
         cols: Vec<usize>,
         /// The projected input.
-        input: Box<ExprSig>,
+        input: Arc<ExprSig>,
     },
     /// A group-by aggregation over an input (the §10 aggregate-operator
     /// extension).
@@ -45,7 +51,7 @@ pub enum ExprSig {
         /// The aggregation.
         spec: AggregateSpec,
         /// The aggregated input.
-        input: Box<ExprSig>,
+        input: Arc<ExprSig>,
     },
     /// One half of an incremental join: the delta stream
     /// `Δleft ⋈ right@old` (side = left) or `left@new ⋈ Δright`
@@ -55,9 +61,9 @@ pub enum ExprSig {
     /// with. `pair` names that pair, making it part of the vertex identity.
     HalfJoin {
         /// Left input.
-        left: Box<ExprSig>,
+        left: Arc<ExprSig>,
         /// Right input.
-        right: Box<ExprSig>,
+        right: Arc<ExprSig>,
         /// Join condition (boxed so the pair does not grow every `ExprSig`
         /// node past the `Join` variant's size).
         on: Box<JoinOn>,
@@ -84,7 +90,7 @@ impl ExprSig {
         } else {
             ExprSig::Filter {
                 pred,
-                input: Box::new(input),
+                input: Arc::new(input),
             }
         }
     }
@@ -92,8 +98,8 @@ impl ExprSig {
     /// Join signature.
     pub fn join(left: ExprSig, right: ExprSig, on: JoinOn) -> Self {
         ExprSig::Join {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: Arc::new(left),
+            right: Arc::new(right),
             on,
         }
     }
@@ -107,8 +113,8 @@ impl ExprSig {
         pair: (MachineId, MachineId),
     ) -> Self {
         ExprSig::HalfJoin {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: Arc::new(left),
+            right: Arc::new(right),
             on: Box::new(on),
             delta_left,
             pair,
@@ -120,7 +126,7 @@ impl ExprSig {
         match cols {
             Some(cols) => ExprSig::Project {
                 cols,
-                input: Box::new(input),
+                input: Arc::new(input),
             },
             None => input,
         }
@@ -131,22 +137,9 @@ impl ExprSig {
         match spec {
             Some(spec) => ExprSig::Aggregate {
                 spec,
-                input: Box::new(input),
+                input: Arc::new(input),
             },
             None => input,
-        }
-    }
-
-    /// Number of join operators in the expression (plan size heuristic).
-    pub fn join_depth(&self) -> usize {
-        match self {
-            ExprSig::Base(_) => 0,
-            ExprSig::Filter { input, .. }
-            | ExprSig::Project { input, .. }
-            | ExprSig::Aggregate { input, .. } => input.join_depth(),
-            ExprSig::Join { left, right, .. } | ExprSig::HalfJoin { left, right, .. } => {
-                1 + left.join_depth() + right.join_depth()
-            }
         }
     }
 }
@@ -193,28 +186,38 @@ mod tests {
         assert!(matches!(t, ExprSig::Filter { .. }));
     }
 
+    /// Children are shared by reference, identity stays structural: two
+    /// expressions built separately are equal, hash equal and are one
+    /// vertex to `Plan::index`, exactly like an expression and its clone.
     #[test]
-    fn identical_expressions_hash_equal() {
+    fn separately_built_expressions_hash_equal_and_dedup() {
+        use crate::plan::dag::{Plan, VertexKind};
+        use smile_types::{Column, ColumnType, Schema};
         use std::collections::HashSet;
-        let a = ExprSig::join(
-            ExprSig::base(r(0)),
-            ExprSig::filter(Predicate::eq(1, "x"), ExprSig::base(r(1))),
-            JoinOn::on(0, 0),
-        );
-        let b = a.clone();
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
-    }
+        let sig = || {
+            ExprSig::half_join(
+                ExprSig::base(r(0)),
+                ExprSig::filter(Predicate::eq(1, "x"), ExprSig::base(r(1))),
+                JoinOn::on(0, 0),
+                true,
+                (MachineId::new(0), MachineId::new(1)),
+            )
+        };
+        let schema = || Schema::new(vec![Column::new("k", ColumnType::I64)], vec![0]);
+        let (a, b) = (sig(), sig());
+        assert_eq!(a, b);
+        assert_eq!(schema(), schema());
+        let set = HashSet::from([(a.clone(), schema()), (a.clone(), schema())]);
+        assert!(set.len() == 1 && set.contains(&(b, schema())));
 
-    #[test]
-    fn join_depth_counts_join_operators() {
-        let s = ExprSig::join(
-            ExprSig::join(ExprSig::base(r(2)), ExprSig::base(r(0)), JoinOn::on(0, 0)),
-            ExprSig::base(r(1)),
-            JoinOn::on(1, 0),
-        );
-        assert_eq!(s.join_depth(), 2);
+        let mut plan = Plan::new();
+        let m = MachineId::new(1);
+        let mut add = |sig| plan.add_vertex(VertexKind::Delta, sig, m, schema(), false, 1.0, 0.0, 8.0);
+        let first = add(sig());
+        assert_eq!(add(sig()), first);
+        assert_eq!(add(a), first);
+        assert_eq!(plan.vertex_count(), 1);
+        assert_eq!(plan.find_vertex(VertexKind::Delta, &sig(), m), Some(first));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Column data types supported by the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,11 +54,16 @@ impl Column {
 /// combine base relations "using a common key"; the key columns recorded
 /// here drive both the hash index of the storage engine and join-selectivity
 /// estimation in the cost model.
+///
+/// A schema is immutable once built and both halves are shared: a clone
+/// (one per plan vertex, per candidate plan the optimizer weighs) bumps two
+/// reference counts and copies no column name. Equality, hashing and
+/// `Debug` stay structural.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
     /// Indexes of the primary-key columns (may be empty for keyless views).
-    key: Vec<usize>,
+    key: Arc<[usize]>,
 }
 
 impl Schema {
@@ -79,7 +85,10 @@ impl Schema {
                 );
             }
         }
-        Self { columns, key }
+        Self {
+            columns: columns.into(),
+            key: key.into(),
+        }
     }
 
     /// The ordered columns.
@@ -108,7 +117,7 @@ impl Schema {
         t.arity() == self.arity()
             && t.values()
                 .iter()
-                .zip(&self.columns)
+                .zip(self.columns.iter())
                 .all(|(v, c)| c.ty.admits(v))
     }
 
@@ -125,7 +134,7 @@ impl Schema {
         let ambiguous =
             |name: &str| self.column_index(name).is_some() && other.column_index(name).is_some();
         let mut columns = Vec::with_capacity(self.arity() + other.arity());
-        for c in &self.columns {
+        for c in self.columns.iter() {
             let name = if ambiguous(&c.name) {
                 format!("{left_name}.{}", c.name)
             } else {
@@ -133,7 +142,7 @@ impl Schema {
             };
             columns.push(Column::new(name, c.ty));
         }
-        for c in &other.columns {
+        for c in other.columns.iter() {
             let name = if ambiguous(&c.name) {
                 format!("{right_name}.{}", c.name)
             } else {
@@ -157,7 +166,7 @@ impl Schema {
                 columns[i].name = format!("{base}#{k}");
             }
         }
-        Schema::new(columns, self.key.clone())
+        Schema::new(columns, self.key.to_vec())
     }
 
     /// Schema of a projection onto the given column indexes; key columns that
@@ -241,6 +250,28 @@ mod tests {
         let p = s.project(&[1, 0]);
         assert_eq!(p.key(), &[1]);
         assert_eq!(p.columns()[0].name, "name");
+    }
+
+    /// A clone shares the columns it was cloned from; equality and hashing
+    /// look through the sharing, so a schema built again from scratch is the
+    /// same value.
+    #[test]
+    fn clones_share_storage_and_identity_stays_structural() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |s: &Schema| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let (a, rebuilt) = (users(), users());
+        let shared = a.clone();
+        assert!(std::ptr::eq(a.columns(), shared.columns()));
+        assert!(!std::ptr::eq(a.columns(), rebuilt.columns()));
+        assert_eq!(a, rebuilt);
+        assert_eq!(hash(&a), hash(&rebuilt));
+        assert_ne!(a, locs());
+        assert_eq!(format!("{a:?}"), format!("{rebuilt:?}"));
     }
 
     #[test]

@@ -466,6 +466,8 @@ proptest! {
 
 use smile::core::multi::GlobalPlan;
 use smile::core::plan::cost::{machine_utilization, Scope};
+use smile::core::plan::dag::VertexKind;
+use smile::core::plan::sig::ExprSig;
 use std::collections::HashMap;
 
 /// One randomized sharing request: query shape, predicate literal, SLA
@@ -620,13 +622,14 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Lazy admission ≡ §6.2: `plan_admission` searches DPT only when DPD misses
 // the SLA. Whatever it returns must be what the rule written out over both
-// searches returns — reject if neither fits, DPD if it fits, else DPT — on
+// searches returns — reject if neither fits, DPD if it fits, else DPT; with
+// an objective forced, that objective's plan instead, under the same test — on
 // the admission generator's queries and pins, committed loads drawn around
 // capacity, and SLAs aimed where the rule's arms meet: on, or a microsecond
 // either side of, one of the case's own two critical paths.
 // ---------------------------------------------------------------------------
 
-use smile::core::optimizer::{Objective, Optimizer};
+use smile::core::optimizer::{Objective, Optimizer, PlannedSharing};
 use smile::core::sharing::Sharing;
 use smile::types::SharingId;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -637,13 +640,53 @@ const LAZY_CASES: u32 = 512;
 /// one outcome the lazy rule may change, since §6.2 never reads that result.
 static LAZY_DRAWN: [AtomicU32; 5] = [const { AtomicU32::new(0) }; 5];
 
-/// Query shape, literal and pin as in [`SharingSpec`]; an SLA in
+/// Query shape (0..4 as in [`SharingSpec`], 4..7 the three-way shapes of
+/// [`lazy_query`]), literal and pin as in [`SharingSpec`]; an SLA in
 /// microseconds and where to aim it instead (0..3: around `CP(DPD)`, 3..6:
 /// around `CP(DPT)`, else as drawn); committed load per machine as a choice
 /// of empty (twice as likely) / a hair under capacity / full.
 fn arb_lazy_case() -> impl Strategy<Value = (u8, i64, u8, (u64, u64), Vec<u8>)> {
     let load = proptest::collection::vec(0u8..4, 4..5);
-    (0u8..4, 0i64..3, 0u8..5, (4_000u64..14_000, 0u64..8), load)
+    (0u8..7, 0i64..3, 0u8..5, (4_000u64..14_000, 0u64..8), load)
+}
+
+/// The admission generator's four machines and two bases, plus a third base
+/// on machine 2 so a query can have an intermediate to place.
+fn lazy_platform() -> (Smile, [RelationId; 3]) {
+    let (mut smile, left, right) = build_platform_with(SmileConfig::with_machines(4));
+    let cols = vec![Column::new("k", ColumnType::I64), Column::new("x", ColumnType::I64)];
+    let stats = BaseStats {
+        update_rate: 2.0,
+        cardinality: 30.0,
+        tuple_bytes: 16.0,
+        distinct: vec![8.0, 4.0],
+    };
+    let home = MachineId::new(2);
+    let third = smile.register_base("third", Schema::new(cols, vec![]), home, stats).unwrap();
+    (smile, [left, right, third])
+}
+
+/// [`spec_query`]'s shapes, then three-way ones: a chain `left ⋈ right ⋈
+/// third`, the chain filtered and projected (so the final step remaps
+/// columns into whatever join order wins), and a star around `left`.
+fn lazy_query([left, right, third]: [RelationId; 3], shape: u8, lit: i64) -> SpjQuery {
+    let pair = |pred| SpjQuery::scan(left).join(right, JoinOn::on(0, 0), pred);
+    match shape {
+        4 => pair(Predicate::True).join(third, JoinOn::on(2, 0), Predicate::True),
+        5 => pair(Predicate::eq(1, lit))
+            .join(third, JoinOn::on(2, 0), Predicate::True)
+            .project(vec![1, 3, 5]),
+        6 => pair(Predicate::True).join(third, JoinOn::on(0, 0), Predicate::eq(1, lit)),
+        _ => spec_query(left, right, shape, lit),
+    }
+}
+
+/// A drawn load choice per machine as committed utilization.
+fn lazy_committed(load: &[u8]) -> HashMap<MachineId, f64> {
+    load.iter()
+        .enumerate()
+        .map(|(m, &l)| (MachineId::new(m as u32), [0.0, 0.0, 0.9995, 1.0][l as usize]))
+        .collect()
 }
 
 proptest! {
@@ -656,18 +699,14 @@ proptest! {
     fn lazy_admission_matches_the_selection_rule(
         (shape, lit, pin, (sla_us, aim), load) in arb_lazy_case()
     ) {
-        let (smile, left, right) = build_platform_with(SmileConfig::with_machines(4));
-        let query = spec_query(left, right, shape, lit);
+        let (smile, bases) = lazy_platform();
+        let query = lazy_query(bases, shape, lit);
         let sharing = |sla_us| {
             let sla = SimDuration::from_micros(sla_us);
             Sharing::new(SharingId::new(1), "d", query.clone(), sla, 0.001)
         };
         let pin = pin.checked_sub(1).map(|m| MachineId::new(m as u32));
-        let committed: HashMap<MachineId, f64> = load
-            .iter()
-            .enumerate()
-            .map(|(m, &l)| (MachineId::new(m as u32), [0.0, 0.0, 0.9995, 1.0][l as usize]))
-            .collect();
+        let committed = lazy_committed(&load);
         let (model, prices) = (&smile.config.model, &smile.config.prices);
         let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), model, prices);
 
@@ -682,33 +721,49 @@ proptest! {
         });
         let sla = sharing.staleness_sla;
 
-        // §6.2 over two explicit searches.
+        // §6.2 over two explicit searches: the first plan if it fits, else
+        // admit iff the faster of the two fits — with the second plan, or
+        // still the first when its objective is forced.
         let (dpd, dpt) = (search(&sharing, Objective::Dollars), search(&sharing, Objective::Time));
-        let (arm, want) = match (dpd, dpt) {
-            (Err(e), _) => (None, Err(e)),
-            (Ok(dpd), dpt) if dpd.critical_path <= sla => {
-                (Some(if dpt.is_ok() { 1 } else { 4 }), Ok(dpd))
+        type Searched = Result<PlannedSharing, SmileError>;
+        let rule = |first: &Searched, second: &Searched, forced| {
+            match (first.clone(), second.clone()) {
+                (Err(e), _) => (None, Err(e)),
+                (Ok(first), second) if first.critical_path <= sla => {
+                    (Some(if second.is_ok() { 1 } else { 4 }), Ok(first))
+                }
+                (Ok(_), Err(e)) => (None, Err(e)),
+                (Ok(first), Ok(second)) => match second.critical_path.min(first.critical_path) {
+                    fastest if fastest <= sla => (Some(2), Ok(if forced { first } else { second })),
+                    fastest => (Some(3), Err(SmileError::Inadmissible {
+                        sharing: sharing.id,
+                        critical_path_secs: fastest.as_secs_f64(),
+                        sla_secs: sla.as_secs_f64(),
+                    })),
+                },
             }
-            (Ok(_), Err(e)) => (None, Err(e)),
-            (Ok(dpd), Ok(dpt)) => match dpt.critical_path.min(dpd.critical_path) {
-                fastest if fastest <= sla => (Some(2), Ok(dpt)),
-                fastest => (Some(3), Err(SmileError::Inadmissible {
-                    sharing: sharing.id,
-                    critical_path_secs: fastest.as_secs_f64(),
-                    sla_secs: sla.as_secs_f64(),
-                })),
-            },
         };
-        let got = opt.plan_admission(&sharing, committed.clone(), pin);
-        match (&got, &want) {
-            (Ok(got), Ok(want)) => {
-                prop_assert_eq!(got.plan.canonical_string(), want.plan.canonical_string());
-                prop_assert_eq!(got.mv_machine, want.mv_machine);
-                prop_assert_eq!(got.critical_path, want.critical_path);
-                prop_assert_eq!(got.dollar_cost, want.dollar_cost);
+        let (arm, _) = rule(&dpd, &dpt, false);
+        for (force, (_, want)) in [
+            (None, rule(&dpd, &dpt, false)),
+            (Some(Objective::Dollars), rule(&dpd, &dpt, true)),
+            (Some(Objective::Time), rule(&dpt, &dpd, true)),
+        ] {
+            let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), model, prices)
+                .with_force_objective(force);
+            let got = opt.plan_admission(&sharing, committed.clone(), pin);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.plan.canonical_string(), want.plan.canonical_string());
+                    prop_assert_eq!(got.mv_machine, want.mv_machine);
+                    prop_assert_eq!(got.critical_path, want.critical_path);
+                    prop_assert_eq!(got.dollar_cost, want.dollar_cost);
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                _ => prop_assert!(
+                    false, "forcing {:?} admitted: {}, the rule: {}", force, got.is_ok(), want.is_ok()
+                ),
             }
-            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
-            _ => prop_assert!(false, "lazy admitted: {}, the rule: {}", got.is_ok(), want.is_ok()),
         }
 
         for slot in arm.into_iter().chain([0]) {
@@ -725,6 +780,218 @@ proptest! {
             prop_assert!(all_drawn, "an arm of §6.2 was never drawn: {:?}", drawn);
             prop_assert_eq!(drawn[4], 0, "DPD fitted while the DPT search failed");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A pinned search builds its last layer on the pinned machine only. The
+// unpinned search builds it on every machine and keeps the first minimum, so
+// through the public API the two are tied together: `plan_with(.., None)`
+// must be the first minimum, over the machines in list order, of
+// `plan_with(.., Some(m))`. Restricting any *earlier* layer to the pin breaks
+// this on the three-way shapes, whose intermediate is free to sit elsewhere.
+// ---------------------------------------------------------------------------
+
+const PINNED_CASES: u32 = 64;
+const SQUEEZE: f64 = 0.6;
+/// Cases seen; searches that placed a join intermediate apart from the MV —
+/// the plans a prune of a non-final layer would lose.
+static PINNED_DRAWN: [AtomicU32; 2] = [const { AtomicU32::new(0) }; 2];
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: PINNED_CASES,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn pinned_search_is_the_unpinned_search_restricted(
+        (shape, lit, _, (sla_us, _), load) in arb_lazy_case()
+    ) {
+        let (smile, bases) = lazy_platform();
+        let sla = SimDuration::from_micros(sla_us);
+        let sharing = Sharing::new(SharingId::new(1), "d", lazy_query(bases, shape, lit), sla, 0.001);
+        let machines = smile.cluster.machine_ids();
+        let (model, prices) = (&smile.config.model, &smile.config.prices);
+        let opt = Optimizer::new(&smile.catalog, machines.clone(), model, prices);
+        // The drawn fleet, then a squeezed one: every machine has room for
+        // SQUEEZE of what the unconstrained plan loads its busiest machine
+        // with, so no machine holds a whole plan and a three-way join's
+        // intermediate has to sit apart from its MV.
+        let free = opt.plan_with(&sharing, Objective::Dollars, &HashMap::new(), None).unwrap();
+        let busiest = machine_utilization(&free.plan, Scope::All, model).into_values().fold(0.0, f64::max);
+        let squeezed = machines.iter().map(|&m| (m, 1.0 - SQUEEZE * busiest)).collect();
+        for (committed, objective) in [lazy_committed(&load), squeezed]
+            .iter()
+            .flat_map(|c| [(c, Objective::Dollars), (c, Objective::Time)])
+        {
+            let metric = |p: &PlannedSharing| match objective {
+                Objective::Dollars => p.dollar_cost,
+                Objective::Time => p.critical_path.as_secs_f64(),
+            };
+            let pinned: Vec<_> = machines
+                .iter()
+                .map(|&m| opt.plan_with(&sharing, objective, committed, Some(m)))
+                .collect();
+            for (m, planned) in machines.iter().zip(&pinned) {
+                match planned {
+                    Ok(p) => prop_assert_eq!(p.mv_machine, *m),
+                    Err(e) => {
+                        let exhausted = matches!(e, SmileError::CapacityExhausted { .. });
+                        prop_assert!(exhausted, "pin {} fails with {}", m, e);
+                    }
+                }
+                prop_assert!(committed[m] < 1.0 || planned.is_err(), "an MV sits on full {}", m);
+            }
+            // `min_by` keeps the first of equal minima, as the search does.
+            let want = pinned.iter().flatten().min_by(|a, b| metric(a).total_cmp(&metric(b)));
+            match (opt.plan_with(&sharing, objective, committed, None), want) {
+                (Ok(got), Some(want)) => {
+                    prop_assert_eq!(got.plan.canonical_string(), want.plan.canonical_string());
+                    prop_assert_eq!(got.mv_machine, want.mv_machine);
+                    prop_assert_eq!(got.critical_path, want.critical_path);
+                    prop_assert_eq!(got.dollar_cost.to_bits(), want.dollar_cost.to_bits());
+                    let apart = got.plan.vertices().iter().any(|v| {
+                        let join = matches!(v.sig, ExprSig::Join { .. });
+                        join && v.kind == VertexKind::Relation && v.machine != got.mv_machine
+                    });
+                    PINNED_DRAWN[1].fetch_add(u32::from(apart), Ordering::Relaxed);
+                }
+                (Err(e), None) => {
+                    prop_assert!(matches!(e, SmileError::CapacityExhausted { .. }), "{}", e);
+                }
+                (got, want) => prop_assert!(
+                    false, "unpinned admitted: {}, some pin admitted: {}", got.is_ok(), want.is_some()
+                ),
+            }
+        }
+        if PINNED_DRAWN[0].fetch_add(1, Ordering::Relaxed) + 1 == PINNED_CASES {
+            let apart = PINNED_DRAWN[1].load(Ordering::Relaxed);
+            eprintln!("[pinned] cases {PINNED_CASES} | searches whose intermediate sits apart {apart}");
+            prop_assert!(apart > 0, "no search placed an intermediate apart from its MV");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hill climbing ≡ the loop of §7.2 written out: materialize every candidate
+// (`apply_plumbing`: rewire, recompute SHR, collect, validate), drop those
+// that break an SLA, cost what is left, keep the first of the maxima.
+// `hill_climb_filtered` costs a candidate before it collects it and collects
+// only one that wins; it must apply the same plumbings in the same order and
+// report the same trajectory, costs to the bit.
+// ---------------------------------------------------------------------------
+
+use smile::core::multi::{apply_plumbing, enumerate_plumbings, hill_climb_filtered, Plumbing};
+use smile::core::plan::timecost::TimeCostModel;
+use smile::sim::PriceSheet;
+
+type Trajectory = Vec<(usize, usize, u64)>;
+
+fn reference_hill_climb(
+    g: &mut GlobalPlan,
+    (model, prices): (&TimeCostModel, &PriceSheet),
+    max_iterations: usize,
+    allow_join_plumbing: bool,
+) -> (Vec<Plumbing>, Trajectory) {
+    let point = |g: &GlobalPlan| {
+        let cost = g.total_cost(model, prices).to_bits();
+        (g.plan.vertex_count(), g.plan.edge_count(), cost)
+    };
+    let (mut applied, mut trajectory) = (Vec::new(), vec![point(g)]);
+    for _ in 0..max_iterations {
+        let current_cost = g.total_cost(model, prices);
+        let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
+        for cand in enumerate_plumbings(g) {
+            if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
+                continue;
+            }
+            let Ok(next) = apply_plumbing(g, &cand) else { continue };
+            if !next.all_slas_hold(model) {
+                continue;
+            }
+            let benefit = current_cost - next.total_cost(model, prices);
+            if benefit > 1e-15 && best.as_ref().is_none_or(|(b, _, _)| benefit > *b) {
+                best = Some((benefit, cand, next));
+            }
+        }
+        let Some((_, cand, next)) = best else { break };
+        *g = next;
+        applied.push(cand);
+        trajectory.push(point(g));
+    }
+    (applied, trajectory)
+}
+
+/// Climbs clones of `staged` both ways, with and without join plumbing.
+/// Returns how many plumbings the full climb applied.
+fn assert_hill_climb_matches_reference(
+    staged: &GlobalPlan,
+    costs: (&TimeCostModel, &PriceSheet),
+    max_iterations: usize,
+) -> usize {
+    let mut applied = 0;
+    for allow_join in [false, true] {
+        let (mut fast, mut slow) = (staged.clone(), staged.clone());
+        let report = hill_climb_filtered(&mut fast, costs.0, costs.1, max_iterations, allow_join);
+        let (want_applied, want_trajectory) =
+            reference_hill_climb(&mut slow, costs, max_iterations, allow_join);
+        assert_eq!(report.applied, want_applied, "allow_join_plumbing = {allow_join}");
+        let trajectory: Trajectory =
+            report.trajectory.iter().map(|&(v, e, c)| (v, e, c.to_bits())).collect();
+        assert_eq!(trajectory, want_trajectory, "allow_join_plumbing = {allow_join}");
+        assert_eq!(fast.plan.canonical_string(), slow.plan.canonical_string());
+        applied = report.applied.len();
+    }
+    applied
+}
+
+/// The paper's 25 sharings, admitted and merged as `experiments fig13` does.
+/// The reference collects all ~600 candidates of every iteration, so the
+/// unoptimized profile compares the first two iterations and `--release`
+/// (CI) the whole climb.
+#[test]
+fn hill_climb_matches_the_reference_loop_on_the_paper_sharings() {
+    use smile::workload::sharings::paper_sharings;
+    use smile::workload::twitter::{standard_setup, TwitterConfig};
+    let mut config = SmileConfig::with_machines(6);
+    config.hill_climb = false;
+    config.capacity = 4.0;
+    let mut smile = Smile::new(config);
+    let twitter = TwitterConfig {
+        assumed_tweet_rate: 1000.0,
+        ..TwitterConfig::default()
+    };
+    let workload = standard_setup(&mut smile, twitter, 2_000).unwrap();
+    for (pin, s) in paper_sharings(&workload.rels()).into_iter().enumerate() {
+        let m = Some(MachineId::new(pin as u32 % 6));
+        smile.submit_pinned(s.app, s.query, SimDuration::from_secs(45), 0.001, m).unwrap();
+    }
+    let costs = (&TimeCostModel::paper_defaults(), &PriceSheet::ec2_same_region());
+    let iterations = if cfg!(debug_assertions) { 2 } else { 128 };
+    let applied = assert_hill_climb_matches_reference(smile.staged_plan(), costs, iterations);
+    assert!(applied >= iterations.min(10), "only {applied} plumbings applied");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn hill_climb_matches_the_reference_loop((specs, _, _, _) in arb_admission_case()) {
+        let mut config = SmileConfig::with_machines(4);
+        config.hill_climb = false;
+        let (mut smile, left, right) = build_platform_with(config);
+        for (i, &(shape, lit, sla, pin)) in specs.iter().enumerate() {
+            let pin = pin.checked_sub(1).map(|m| MachineId::new(m as u32));
+            let q = spec_query(left, right, shape, lit);
+            // A refusal just makes the fleet smaller.
+            let _ = smile.submit_pinned(&format!("d{i}"), q, SimDuration::from_secs(sla), 0.001, pin);
+        }
+        let costs = (&smile.config.model, &smile.config.prices);
+        assert_hill_climb_matches_reference(smile.staged_plan(), costs, 32);
     }
 }
 

@@ -150,8 +150,8 @@ pub struct ExecFaultStats {
     /// Pushes deferred at scheduling time because a machine they need was
     /// down.
     pub pushes_deferred: u64,
-    /// Delta batches a retry re-shipped that were suppressed by batch-id
-    /// deduplication (the first attempt had landed).
+    /// Delta batches a retry re-shipped that the producer's watermark
+    /// suppressed (the first attempt had landed).
     pub batches_deduped: u64,
     /// Stacked retries for the same sharing slot that were collapsed into
     /// one attempt at the freshest target (the dropped duplicates).

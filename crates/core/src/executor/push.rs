@@ -60,8 +60,8 @@ pub struct EdgeRun {
     /// — their movement was already billed by the `CopyDelta`/`DeltaToRel`
     /// edges that delivered them.
     pub tuples: u64,
-    /// True iff the output batch was suppressed by batch-id deduplication
-    /// (a retry re-shipping a window that already landed).
+    /// True iff the producer's watermark suppressed the output batch (a
+    /// retry re-shipping a window that already landed).
     pub deduped: bool,
     /// When the edge was a cross-machine copy, the simulated instant the
     /// WAL bytes arrived at the destination — the boundary between the ship
@@ -91,7 +91,7 @@ pub(crate) struct JobFaults {
     /// was spent.
     pub drop_delta: bool,
     /// The batch lands but its acknowledgement is lost; the retry re-ships
-    /// and is absorbed by batch-id dedup.
+    /// and is absorbed by the producer's watermark.
     pub ack_lost: bool,
 }
 
@@ -230,31 +230,25 @@ impl Job<'_> {
     }
 
     /// Idempotent append of the edge's output for this window; `false` when
-    /// batch-id dedup absorbed it.
-    fn append(&mut self, landing: Landing) -> Result<bool> {
+    /// the producer's watermark absorbed it.
+    fn append(&mut self, batch: DeltaBatch) -> Result<bool> {
         let out = self.edge.output;
         let (slot, id) = (slot_of(self.plan, out)?, batch_id(out, self.from, self.to));
-        let (db, producer, to) = (&mut self.machine.db, out.index() as u64, self.to);
-        match landing {
-            Landing::Batch(batch) => db.append_delta_dedup(slot, batch, id, producer, to),
-            Landing::Frame(frame) => db.append_frame_dedup(slot, frame, id, producer, to),
-        }
+        let db = &mut self.machine.db;
+        db.append_delta_dedup(slot, batch, id, out.index() as u64, self.to)
     }
 }
 
 /// Destination-machine half of a cross-machine copy: land the shipped WAL
 /// bytes (CPU service, aggregation, idempotent append); `job.start` is their
-/// arrival.
-///
-/// The shipped bytes are validated once as a zero-copy [`wal::Frame`] and
-/// handed to [`finish_copy`], which lands a plain copy straight from the
-/// frame and materializes a batch only for an aggregate-bearing edge.
+/// arrival. The bytes are validated and decoded here, every row before any
+/// of them reaches the log.
 pub(crate) fn land_copy(job: Job<'_>, bytes: Bytes) -> Result<EdgeRun> {
     // The WAL round-trip is the real data path: parse/decode on arrival.
     job.machine.db.wal_stats().note_landed(bytes.len() as u64);
-    let frame = wal::Frame::parse(bytes)?;
+    let batch = wal::decode(bytes)?;
     let arrive = job.start;
-    let mut run = finish_copy(job, Landing::Frame(&frame))?;
+    let mut run = finish_copy(job, batch)?;
     run.ship_arrive = Some(arrive);
     Ok(run)
 }
@@ -268,12 +262,11 @@ pub(crate) fn run_local(mut job: Job<'_>, snapshot_at: Timestamp) -> Result<Edge
     let edge = job.edge;
     match &edge.op {
         EdgeOp::CopyDelta => {
-            // Same-machine copies never hit the wire, so there is no frame
-            // to land zero-copy; the window is materialized.
+            // Same-machine copies never hit the wire: the window is cloned.
             let src_slot = slot_of(job.plan, edge.inputs[0])?;
             let raw = job.machine.db.delta_window(src_slot, job.from, job.to)?;
             let batch = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
-            finish_copy(job, Landing::Batch(batch))
+            finish_copy(job, batch)
         }
         EdgeOp::DeltaToRel => {
             // `apply_pending` is naturally idempotent: it only moves the
@@ -292,34 +285,16 @@ pub(crate) fn run_local(mut job: Job<'_>, snapshot_at: Timestamp) -> Result<Edge
     }
 }
 
-/// What lands in an output log: a materialized batch, or the validated
-/// frame a cross-machine copy shipped.
-enum Landing<'a> {
-    Batch(DeltaBatch),
-    Frame(&'a wal::Frame),
-}
-
 /// Shared tail of both copy variants: CPU service, aggregation against the
 /// output table, idempotent append, then the (possibly pre-drawn) ack loss.
-/// An aggregate-free frame lands straight from the shipped bytes via
-/// [`smile_storage::Database::append_frame_dedup`]; everything else goes
-/// through a batch (the aggregate transform needs one). `tests/properties.rs`
-/// pins the two routes to the same log contents, stats and dedup books.
-fn finish_copy(mut job: Job<'_>, landing: Landing) -> Result<EdgeRun> {
-    let n = match &landing {
-        Landing::Batch(batch) => batch.len(),
-        Landing::Frame(frame) => frame.len(),
-    } as u64;
+fn finish_copy(mut job: Job<'_>, batch: DeltaBatch) -> Result<EdgeRun> {
+    let n = batch.len() as u64;
     let end = job.bill(n);
-    let landing = match landing {
-        Landing::Frame(frame) if job.edge.aggregate.is_none() => Landing::Frame(frame),
-        Landing::Frame(frame) => Landing::Batch(job.aggregate(frame.to_batch())?),
-        Landing::Batch(batch) => Landing::Batch(job.aggregate(batch)?),
-    };
-    let appended = job.append(landing)?;
+    let batch = job.aggregate(batch)?;
+    let appended = job.append(batch)?;
     if job.ack_lost {
         // The batch landed but the completion message did not; the retry
-        // will re-ship and be absorbed by the batch-id dedup above.
+        // will re-ship and be absorbed by the watermark above.
         return Err(SmileError::Transient {
             detail: format!("acknowledgement for vertex {} push lost", job.edge.output),
         });
@@ -451,7 +426,7 @@ fn run_join(
     // counting the window again would double-bill it in the meter.
     let produced = outputs.len() as u64;
     let end = job.bill(window_len.max(produced));
-    let appended = job.append(Landing::Batch(DeltaBatch { entries: outputs }))?;
+    let appended = job.append(DeltaBatch { entries: outputs })?;
     Ok(EdgeRun::local(end, produced, appended))
 }
 
@@ -473,7 +448,7 @@ fn run_union(mut job: Job<'_>) -> Result<EdgeRun> {
     let n = merged.len() as u64;
     let end = job.bill(n);
     let batch = job.aggregate(DeltaBatch { entries: merged })?;
-    let appended = job.append(Landing::Batch(batch))?;
+    let appended = job.append(batch)?;
     Ok(EdgeRun::local(end, n, appended))
 }
 

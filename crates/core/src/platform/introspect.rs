@@ -38,7 +38,7 @@ pub struct FaultReport {
     pub pushes_abandoned: u64,
     /// Pushes deferred because a machine they needed was down.
     pub pushes_deferred: u64,
-    /// Retried delta batches suppressed by batch-id deduplication.
+    /// Retried delta batches suppressed by their producer's watermark.
     pub batches_deduped: u64,
     /// Pending retries dropped because a later push of the same sharing
     /// superseded their target.

@@ -37,7 +37,7 @@ pub struct FaultProfile {
     pub delta_drop: f64,
     /// Probability a delta batch lands but its *acknowledgement* is lost:
     /// the executor sees a failure and retries a shipment that actually
-    /// succeeded — the case batch-id deduplication exists for.
+    /// succeeded — the case the producer watermark exists for.
     pub ack_loss: f64,
     /// Probability a pub/sub message (heartbeat) is lost.
     pub message_loss: f64,

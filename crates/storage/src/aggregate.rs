@@ -14,8 +14,10 @@
 
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::zset::ZSet;
-use smile_types::{Column, ColumnType, Result, Schema, SmileError, Timestamp, Tuple, Value};
-use std::collections::HashMap;
+use smile_types::{
+    Column, ColumnType, FastMap, Result, Schema, SmileError, Timestamp, Tuple, Value,
+};
+use std::hash::{Hash, Hasher};
 
 /// An aggregate function over the pre-aggregation schema.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -46,13 +48,42 @@ pub struct AggregateSpec {
     pub aggs: Vec<AggFunc>,
 }
 
-/// Accumulator state for one group.
-#[derive(Clone, Debug, Default)]
-struct GroupAcc {
-    count: i64,
-    sums_i: Vec<i64>,
-    sums_f: Vec<f64>,
-    last_ts: Timestamp,
+/// A row seen through its group columns: hashes and compares as the
+/// projected key `Tuple` would (NULLs equal, `F64` by bit pattern), without
+/// building one.
+struct GroupKey<'a> {
+    row: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.cols.iter().for_each(|&c| self.row[c].hash(state));
+    }
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.iter().all(|&c| self.row[c] == other.row[c])
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+/// One aggregate's running sum; the half its type does not use stays zero.
+type Sum = (i64, f64);
+
+/// Per-group contributions of a run of weighted rows. Groups are numbered
+/// in first-seen order, so everything built from a fold is a function of
+/// its input alone.
+#[derive(Default)]
+struct Fold<'a> {
+    /// Each group's first row; its values at `group_cols` are the key.
+    firsts: Vec<&'a [Value]>,
+    counts: Vec<i64>,
+    last_ts: Vec<Timestamp>,
+    /// `aggs.len()` sums per group, back to back.
+    sums: Vec<Sum>,
 }
 
 impl AggregateSpec {
@@ -106,49 +137,54 @@ impl AggregateSpec {
         Ok(Schema::new(columns, key))
     }
 
-    fn accumulate(&self, acc: &mut GroupAcc, tuple: &Tuple, weight: i64, ts: Timestamp) {
-        acc.count += weight;
-        acc.last_ts = acc.last_ts.max(ts);
-        if acc.sums_i.len() != self.aggs.len() {
-            acc.sums_i = vec![0; self.aggs.len()];
-            acc.sums_f = vec![0.0; self.aggs.len()];
-        }
-        for (i, a) in self.aggs.iter().enumerate() {
-            match a {
-                AggFunc::SumI64(c) => {
-                    acc.sums_i[i] += weight * tuple.get(*c).as_i64().unwrap_or(0);
-                }
-                AggFunc::SumF64(c) => {
-                    acc.sums_f[i] += weight as f64 * tuple.get(*c).as_f64().unwrap_or(0.0);
+    /// The one maintenance routine: folds weighted rows into per-group
+    /// contributions. Groups are found by a borrowed view of each row's own
+    /// group columns, so nothing is allocated per row.
+    fn fold<'a>(&'a self, rows: impl Iterator<Item = (&'a [Value], i64, Timestamp)>) -> Fold<'a> {
+        let (n, cols) = (self.aggs.len(), &self.group_cols[..]);
+        let mut ids: FastMap<GroupKey<'a>, usize> = FastMap::default();
+        let mut f = Fold::default();
+        for (row, weight, ts) in rows {
+            let g = *ids.entry(GroupKey { row, cols }).or_insert_with(|| {
+                f.firsts.push(row);
+                f.counts.push(0);
+                f.last_ts.push(Timestamp::ZERO);
+                f.sums.resize(f.sums.len() + n, (0, 0.0));
+                f.firsts.len() - 1
+            });
+            f.counts[g] += weight;
+            f.last_ts[g] = f.last_ts[g].max(ts);
+            for (sum, a) in f.sums[g * n..].iter_mut().zip(&self.aggs) {
+                match a {
+                    AggFunc::SumI64(c) => sum.0 += weight * row[*c].as_i64().unwrap_or(0),
+                    AggFunc::SumF64(c) => sum.1 += weight as f64 * row[*c].as_f64().unwrap_or(0.0),
                 }
             }
         }
+        f
     }
 
-    fn row_of(&self, group: &Tuple, acc_count: i64, sums_i: &[i64], sums_f: &[f64]) -> Tuple {
-        let mut vals: Vec<Value> = group.values().to_vec();
-        vals.push(Value::I64(acc_count));
-        for (i, a) in self.aggs.iter().enumerate() {
-            vals.push(match a {
-                AggFunc::SumI64(_) => Value::I64(sums_i[i]),
-                AggFunc::SumF64(_) => Value::F64(sums_f[i]),
-            });
-        }
-        Tuple::new(vals)
+    /// A view row — group values, count, then one sum per aggregate —
+    /// collected straight into the tuple's payload.
+    fn row_of(&self, group: impl Iterator<Item = Value>, count: i64, sums: &[Sum]) -> Tuple {
+        let sums = self.aggs.iter().zip(sums).map(|(a, &(i, f))| match a {
+            AggFunc::SumI64(_) => Value::I64(i),
+            AggFunc::SumF64(_) => Value::F64(f),
+        });
+        let count = std::iter::once(Value::I64(count));
+        group.chain(count).chain(sums).collect()
     }
 
     /// Ground-truth evaluation: aggregates a full z-set into the view's
     /// contents (unit weights, one row per live group).
     pub fn eval(&self, input: &ZSet) -> ZSet {
-        let mut groups: HashMap<Tuple, GroupAcc> = HashMap::new();
-        for (t, w) in input.iter() {
-            let g = t.project(&self.group_cols);
-            self.accumulate(groups.entry(g).or_default(), t, w, Timestamp::ZERO);
-        }
+        let fold = self.fold(input.iter().map(|(t, w)| (t.values(), w, Timestamp::ZERO)));
         let mut out = ZSet::new();
-        for (g, acc) in groups {
-            if acc.count != 0 {
-                out.add(self.row_of(&g, acc.count, &acc.sums_i, &acc.sums_f), 1);
+        for (g, first) in fold.firsts.iter().enumerate() {
+            if fold.counts[g] != 0 {
+                let group = self.group_cols.iter().map(|&c| first[c].clone());
+                let sums = &fold.sums[g * self.aggs.len()..];
+                out.add(self.row_of(group, fold.counts[g], sums), 1);
             }
         }
         out
@@ -156,70 +192,60 @@ impl AggregateSpec {
 
     /// The incremental step: turns a raw delta window into aggregate-space
     /// delete/insert entries, given a lookup of each group's *current* view
-    /// row (`None` when the group is new).
+    /// row by its key values (`None` when the group is new).
     ///
     /// Output entries carry the max timestamp of the group's contributions,
-    /// so they stay inside the push window downstream.
+    /// so they stay inside the push window downstream. Within a timestamp
+    /// groups come out in first-seen order, a surviving group's delete
+    /// directly before its insert (the pair `Table::apply` replaces in place).
     pub fn delta_transform<'a>(
         &self,
         window: &DeltaBatch,
-        mut current: impl FnMut(&Tuple) -> Option<&'a Tuple>,
+        mut current: impl FnMut(&[Value]) -> Option<&'a Tuple>,
     ) -> Result<DeltaBatch> {
-        // Fold the window into per-group contributions.
-        let mut groups: HashMap<Tuple, GroupAcc> = HashMap::new();
-        for e in &window.entries {
-            let g = e.tuple.project(&self.group_cols);
-            self.accumulate(groups.entry(g).or_default(), &e.tuple, e.weight, e.ts);
-        }
-        let mut out = Vec::with_capacity(groups.len() * 2);
-        for (g, acc) in groups {
-            if acc.count == 0
-                && acc.sums_i.iter().all(|&s| s == 0)
-                && acc.sums_f.iter().all(|&s| s == 0.0)
-            {
+        let (n, base) = (self.aggs.len(), self.group_cols.len());
+        let rows = window.entries.iter();
+        let fold = self.fold(rows.map(|e| (e.tuple.values(), e.weight, e.ts)));
+        let mut out = Vec::with_capacity(fold.firsts.len() * 2);
+        // Reused across groups: the key the view is read by, and old + new sums.
+        let (mut key, mut sums) = (Vec::new(), vec![(0, 0.0); n]);
+        for (g, first) in fold.firsts.iter().enumerate() {
+            let (add, ts) = (&fold.sums[g * n..][..n], fold.last_ts[g]);
+            if fold.counts[g] == 0 && add.iter().all(|&(i, f)| i == 0 && f == 0.0) {
                 continue; // the window cancelled itself out for this group
             }
-            let (old_count, old_i, old_f) = match current(&g) {
-                Some(row) => {
-                    let base = self.group_cols.len();
-                    let count = row.get(base).as_i64().ok_or_else(|| {
-                        SmileError::Internal("aggregate view row lost its count".into())
-                    })?;
-                    let mut oi = Vec::with_capacity(self.aggs.len());
-                    let mut of = Vec::with_capacity(self.aggs.len());
-                    for (i, a) in self.aggs.iter().enumerate() {
-                        match a {
-                            AggFunc::SumI64(_) => {
-                                oi.push(row.get(base + 1 + i).as_i64().unwrap_or(0));
-                                of.push(0.0);
-                            }
-                            AggFunc::SumF64(_) => {
-                                oi.push(0);
-                                of.push(row.get(base + 1 + i).as_f64().unwrap_or(0.0));
-                            }
-                        }
+            key.clear();
+            key.extend(self.group_cols.iter().map(|&c| first[c].clone()));
+            sums.fill((0, 0.0));
+            let mut count = 0;
+            if let Some(row) = current(&key) {
+                count = row.get(base).as_i64().ok_or_else(|| {
+                    SmileError::Internal("aggregate view row lost its count".into())
+                })?;
+                for (i, (sum, a)) in sums.iter_mut().zip(&self.aggs).enumerate() {
+                    match a {
+                        AggFunc::SumI64(_) => sum.0 = row.get(base + 1 + i).as_i64().unwrap_or(0),
+                        AggFunc::SumF64(_) => sum.1 = row.get(base + 1 + i).as_f64().unwrap_or(0.0),
                     }
-                    out.push(DeltaEntry::delete(row.clone(), acc.last_ts));
-                    (count, oi, of)
                 }
-                None => (0, vec![0; self.aggs.len()], vec![0.0; self.aggs.len()]),
-            };
-            let new_count = old_count + acc.count;
-            if new_count < 0 {
+                out.push(DeltaEntry::delete(row.clone(), ts));
+            }
+            count += fold.counts[g];
+            if count < 0 {
+                let group = Tuple::new(key);
                 return Err(SmileError::Internal(format!(
-                    "aggregate group {g:?} count went negative ({new_count})"
+                    "aggregate group {group:?} count went negative ({count})"
                 )));
             }
-            if new_count > 0 {
-                let sums_i: Vec<i64> = old_i.iter().zip(&acc.sums_i).map(|(a, b)| a + b).collect();
-                let sums_f: Vec<f64> = old_f.iter().zip(&acc.sums_f).map(|(a, b)| a + b).collect();
-                out.push(DeltaEntry::insert(
-                    self.row_of(&g, new_count, &sums_i, &sums_f),
-                    acc.last_ts,
-                ));
+            if count > 0 {
+                for (sum, add) in sums.iter_mut().zip(add) {
+                    *sum = (sum.0 + add.0, sum.1 + add.1);
+                }
+                let row = self.row_of(key.drain(..), count, &sums);
+                out.push(DeltaEntry::insert(row, ts));
             }
         }
-        // Keep timestamp order for the delta log.
+        // Keep timestamp order for the delta log (stable: pairs stay adjacent).
         out.sort_by_key(|e| e.ts);
         Ok(DeltaBatch { entries: out })
     }
@@ -348,6 +374,25 @@ mod tests {
         .into_iter()
         .collect();
         assert!(spec().delta_transform(&window, |_| None).is_err());
+    }
+
+    /// An aggregate MV's delta log is a function of its input: the same
+    /// window gives the same entries, groups in first-seen order.
+    #[test]
+    fn equal_timestamp_groups_come_out_in_first_seen_order() {
+        let ts = Timestamp::from_secs(3);
+        let order: Vec<i64> = (0..64).map(|i| (i * 37) % 64).collect();
+        let window: DeltaBatch = order
+            .iter()
+            .chain(&order[..8])
+            .map(|&k| DeltaEntry::insert(tuple![format!("g{k}").as_str(), k], ts))
+            .collect();
+        let out = spec().delta_transform(&window, |_| None).unwrap();
+        let again = spec().delta_transform(&window, |_| None).unwrap();
+        assert_eq!(out.entries, again.entries);
+        let groups: Vec<Value> = out.entries.iter().map(|e| e.tuple.get(0).clone()).collect();
+        let want: Vec<Value> = order.iter().map(|k| Value::str(format!("g{k}"))).collect();
+        assert_eq!(groups, want);
     }
 
     proptest! {

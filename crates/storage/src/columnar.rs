@@ -103,17 +103,9 @@ pub(crate) fn validate_row(row: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Decodes a validated row back into values. Call only on rows produced by
-/// [`encode_value`] or accepted by [`validate_row`].
-pub(crate) fn decode_row(row: &[u8]) -> Result<Vec<Value>> {
-    let mut values = Vec::new();
-    decode_row_into(row, &mut values)?;
-    Ok(values)
-}
-
-/// [`decode_row`] into a caller-retained buffer, so the land hot path can
-/// materialize one tuple per row with a single `Arc` allocation (drain the
-/// scratch into the tuple) instead of a fresh `Vec` per row.
+/// Decodes a row back into values, appended to a caller-retained buffer, so
+/// the land hot path can materialize one tuple per row with a single `Arc`
+/// allocation (drain the scratch into the tuple) instead of a `Vec` per row.
 pub(crate) fn decode_row_into(row: &[u8], values: &mut Vec<Value>) -> Result<()> {
     let mut pos = 0;
     while pos < row.len() {
@@ -328,7 +320,9 @@ impl ColumnarBatch {
 
     /// Materializes row `i` as a tuple.
     pub fn tuple(&self, i: usize) -> Tuple {
-        Tuple::new(decode_row(self.row(i)).expect("columnar rows are valid by construction"))
+        let mut values = Vec::new();
+        decode_row_into(self.row(i), &mut values).expect("columnar rows are valid by construction");
+        Tuple::new(values)
     }
 
     /// Materializes row `i` as a delta entry.

@@ -14,7 +14,7 @@ use crate::spj::RelationProvider;
 use crate::table::Table;
 use crate::zset::ZSet;
 use smile_types::{RelationId, Result, Schema, SmileError, Timestamp};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One relation slot: materialized contents plus the captured delta log.
 #[derive(Clone, Debug)]
@@ -23,25 +23,9 @@ pub struct RelationSlot {
     pub table: Table,
     /// Captured / shipped delta entries.
     pub delta: DeltaTable,
-    /// Ids of push batches already appended (see
-    /// [`Database::append_delta_dedup`]); one id per push edge per window.
-    /// Never pruned: it grows for as long as the slot lives (ROADMAP item 5).
-    pub applied_batches: HashSet<u64>,
-    /// Per-producer high-water mark of shipped window ends: entries at or
-    /// below the mark already landed and are clipped from re-shipments
-    /// whose window overlaps (a retried-then-abandoned push followed by a
-    /// wider one).
+    /// Per-producer end of the highest window landed: what makes a retried
+    /// push idempotent (see [`Database::append_delta_dedup`]).
     pub shipped_through: HashMap<u64, Timestamp>,
-}
-
-impl RelationSlot {
-    /// Appends shipped entries to the delta log (pending until a
-    /// `DeltaToRel` push applies them).
-    fn land(&mut self, entries: impl Iterator<Item = DeltaEntry>) {
-        for entry in entries {
-            self.delta.append(entry);
-        }
-    }
 }
 
 /// A single machine's database instance.
@@ -69,7 +53,6 @@ impl Database {
             RelationSlot {
                 table: Table::new(schema),
                 delta: DeltaTable::new(),
-                applied_batches: HashSet::new(),
                 shipped_through: HashMap::new(),
             },
         );
@@ -138,36 +121,44 @@ impl Database {
     /// delta log *without* applying them (they are pending until a
     /// `DeltaToRel` push applies them).
     pub fn append_delta(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
-        self.slot_mut(rel)?.land(batch.entries.into_iter());
+        self.slot_mut(rel)?.delta.append_batch(batch);
         Ok(())
     }
 
     /// **Executor path**: idempotent variant of [`Database::append_delta`]
-    /// for retried pushes. `batch_id` identifies the push work that produced
-    /// the batch (edge output + window); a batch whose id already landed —
-    /// the first attempt succeeded but its acknowledgement was lost — is
-    /// skipped outright. A *different* window from the same `producer` that
-    /// overlaps what already landed (an abandoned push followed by a wider
-    /// one) has the landed prefix clipped via the per-producer
-    /// `shipped_through` watermark. Either way retried pushes never
-    /// double-apply z-set deltas. Returns `true` when anything was
-    /// appended, `false` when the batch was fully deduplicated.
+    /// for retried pushes. `producer` is the push edge, `through` the end of
+    /// the window it moved, and the slot keeps the highest end landed per
+    /// producer. A window ending at or below that mark — a push that landed
+    /// but lost its acknowledgement, or an older window after a wider one —
+    /// is skipped outright; one that overlaps it (an abandoned push, then a
+    /// wider one) has the landed prefix clipped, so retried pushes never
+    /// double-apply z-set deltas. Returns `true` when anything was appended.
+    /// `_batch_id` is not read — a repeated id repeats its `through` — and
+    /// stays because the frozen harness passes it (ROADMAP item 3).
     pub fn append_delta_dedup(
         &mut self,
         rel: RelationId,
-        batch: DeltaBatch,
-        batch_id: u64,
+        mut batch: DeltaBatch,
+        _batch_id: u64,
         producer: u64,
         through: Timestamp,
     ) -> Result<bool> {
-        self.append_dedup(rel, batch.entries.into_iter(), batch_id, producer, through)
+        let slot = self.slot_mut(rel)?;
+        let mark = slot.shipped_through.entry(producer).or_default();
+        if through <= *mark {
+            return Ok(false);
+        }
+        if *mark != Timestamp::ZERO {
+            batch.entries.retain(|e| e.ts > *mark);
+        }
+        *mark = through;
+        slot.delta.append_batch(batch);
+        Ok(true)
     }
 
-    /// Land-side fast path: [`Database::append_delta_dedup`] fed straight
-    /// from a validated WAL [`Frame`]. The frame is walked once, each row
-    /// decoded through one scratch buffer and drained into the tuple's
-    /// `Arc` payload, so landing a row costs exactly one allocation; no
-    /// intermediate `DeltaBatch` is built and nothing is re-serialized.
+    /// [`Database::append_delta_dedup`] fed from a WAL [`Frame`]. Every row
+    /// is decoded before the books move, so a row that fails to decode
+    /// leaves the log and the watermark as they were.
     ///
     /// [`Frame`]: crate::wal::Frame
     pub fn append_frame_dedup(
@@ -178,44 +169,7 @@ impl Database {
         producer: u64,
         through: Timestamp,
     ) -> Result<bool> {
-        let mut scratch: Vec<smile_types::Value> = Vec::new();
-        let entries = (0..frame.len()).map(|i| {
-            crate::columnar::decode_row_into(frame.row(i), &mut scratch)
-                .expect("frame rows were validated at parse");
-            DeltaEntry {
-                tuple: scratch.drain(..).collect(),
-                weight: frame.weight(i),
-                ts: frame.ts(i),
-            }
-        });
-        self.append_dedup(rel, entries, batch_id, producer, through)
-    }
-
-    /// The one landing tail: batch-id dedup and watermark clip, then
-    /// [`RelationSlot::land`] for the surviving entries.
-    fn append_dedup(
-        &mut self,
-        rel: RelationId,
-        entries: impl Iterator<Item = DeltaEntry>,
-        batch_id: u64,
-        producer: u64,
-        through: Timestamp,
-    ) -> Result<bool> {
-        let slot = self.slot_mut(rel)?;
-        if !slot.applied_batches.insert(batch_id) {
-            return Ok(false);
-        }
-        let mark = slot
-            .shipped_through
-            .entry(producer)
-            .or_insert(Timestamp::ZERO);
-        if through <= *mark {
-            return Ok(false);
-        }
-        let clip = *mark;
-        *mark = through;
-        slot.land(entries.filter(|e| clip == Timestamp::ZERO || e.ts > clip));
-        Ok(true)
+        self.append_delta_dedup(rel, frame.to_batch()?, batch_id, producer, through)
     }
 
     /// **Executor path**: applies the pending delta window
@@ -459,6 +413,32 @@ mod tests {
         assert_eq!(d.apply_pending(R, Timestamp::from_secs(5)).unwrap(), 0);
         assert_eq!(d.apply_pending(R, Timestamp::from_secs(2)).unwrap(), 0);
         assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(5));
+    }
+
+    /// Row bytes `Frame::parse` would have rejected reach the landing as a
+    /// typed error, and the slot's books are as they were before the call.
+    #[test]
+    fn a_frame_row_that_fails_to_decode_moves_no_book() {
+        use crate::wal::{self, Frame};
+        let (mut d, t) = (db(), Timestamp::from_secs);
+        let good = [ins(1, "ann", 1)].into_iter().collect();
+        assert!(d.append_delta_dedup(R, good, 0, 7, t(1)).unwrap());
+
+        let batch = [ins(2, "bob", 2), ins(3, "cat", 3)].into_iter().collect();
+        let mut raw = wal::encode(&batch).to_vec();
+        let last_row_tag = raw.len() - (1 + 4 + 3);
+        raw[last_row_tag] = 99; // the second row's string tag
+        let bytes = wal::Bytes::from(raw);
+        assert!(Frame::parse(bytes.clone()).is_err());
+        let landed = d.append_frame_dedup(R, &Frame::unvalidated(bytes), 1, 7, t(3));
+        assert!(matches!(landed, Err(SmileError::WalCorrupt(_))));
+        let slot = d.relation(R).unwrap();
+        assert_eq!(slot.delta.len(), 1, "the frame's first row must not land");
+        assert_eq!(slot.shipped_through[&7], t(1));
+        // So the producer's re-shipment of the same window lands whole.
+        let frame = Frame::parse(wal::encode(&batch)).unwrap();
+        assert!(d.append_frame_dedup(R, &frame, 1, 7, t(3)).unwrap());
+        assert_eq!(d.relation(R).unwrap().delta.len(), 3);
     }
 
     #[test]

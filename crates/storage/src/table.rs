@@ -11,7 +11,8 @@
 use crate::arrangement::{Arrangement, ArrangementCounters};
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::zset::ZSet;
-use smile_types::{FastMap, Schema, SmileError, Timestamp, Tuple};
+use smile_types::{FastMap, Schema, SmileError, Timestamp, Tuple, Value};
+use std::borrow::Borrow;
 use std::cell::OnceCell;
 
 /// The materialized contents of a relation plus its applied-through
@@ -73,10 +74,10 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Looks up the current row with the given primary key, if the schema is
-    /// keyed and such a row exists. The first call builds the key index from
-    /// the current rows.
-    pub fn get_by_key(&self, key: &Tuple) -> Option<&Tuple> {
+    /// Looks up the current row with the given primary key — a key `Tuple`
+    /// or a borrowed slice of key values — if the schema is keyed and such a
+    /// row exists. The first call builds the key index from the current rows.
+    pub fn get_by_key<K: Borrow<[Value]> + ?Sized>(&self, key: &K) -> Option<&Tuple> {
         if self.schema.key().is_empty() {
             return None;
         }
@@ -84,7 +85,7 @@ impl Table {
             let keyed = |(t, _): (&Tuple, i64)| (self.schema.key_of(t), t.clone());
             self.rows.iter().map(keyed).collect()
         });
-        index.get(key)
+        index.get(key.borrow())
     }
 
     /// Applies a batch of deltas, advancing the applied-through timestamp to
@@ -105,34 +106,47 @@ impl Table {
         entries: &[DeltaEntry],
         through: Timestamp,
     ) -> Result<(), SmileError> {
-        for e in entries {
+        // Reused across entries: the key a built `pk_index` is reached by.
+        let mut key = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
             if !self.schema.admits(&e.tuple) {
                 return Err(SmileError::SchemaMismatch {
                     relation: smile_types::RelationId::new(u32::MAX),
                     detail: format!("tuple {:?} does not match schema {}", e.tuple, self.schema),
                 });
             }
-            self.apply_entry(e);
+            if let Some(index) = self.pk_index.get_mut() {
+                let cols = self.schema.key();
+                // An update — a delete, then an insert of the same key, the
+                // pair an aggregate emits for every surviving group — leaves
+                // the delete nothing to do: its insert replaces the row.
+                let updated_next = e.weight <= 0
+                    && entries.get(i + 1).is_some_and(|n| {
+                        n.weight > 0
+                            && self.schema.admits(&n.tuple)
+                            && cols.iter().all(|&c| n.tuple.get(c) == e.tuple.get(c))
+                    });
+                if !updated_next {
+                    key.clear();
+                    key.extend(cols.iter().map(|&c| e.tuple.get(c).clone()));
+                    if e.weight <= 0 {
+                        index.remove(key.as_slice());
+                    } else if let Some(row) = index.get_mut(key.as_slice()) {
+                        *row = e.tuple.clone();
+                    } else {
+                        index.insert(key.drain(..).collect(), e.tuple.clone());
+                    }
+                }
+            }
+            for arr in self.arrangements.values_mut() {
+                arr.update(&e.tuple, e.weight);
+            }
+            self.rows.add(e.tuple.clone(), e.weight);
         }
         if through > self.ts {
             self.ts = through;
         }
         Ok(())
-    }
-
-    fn apply_entry(&mut self, e: &DeltaEntry) {
-        if let Some(index) = self.pk_index.get_mut() {
-            let key = self.schema.key_of(&e.tuple);
-            if e.weight > 0 {
-                index.insert(key, e.tuple.clone());
-            } else {
-                index.remove(&key);
-            }
-        }
-        for arr in self.arrangements.values_mut() {
-            arr.update(&e.tuple, e.weight);
-        }
-        self.rows.add(e.tuple.clone(), e.weight);
     }
 
     /// Builds an arrangement on `cols` from the current contents (idempotent

@@ -9,8 +9,7 @@
 //! Format version 2 is **columnar** — the wire layout *is* the
 //! [`ColumnarBatch`] layout, so the landing side can validate once and then
 //! read timestamps, weights and row bytes straight out of the shipped
-//! `Arc`-backed [`Bytes`] without materializing a `Vec<DeltaEntry>`
-//! (see [`Frame`]):
+//! `Arc`-backed [`Bytes`] (see [`Frame`]):
 //!
 //! ```text
 //! magic "SWAL" | version u8 (=2) | count u32
@@ -31,7 +30,7 @@ use bytes::{BufMut, BytesMut};
 /// Encoded WAL bytes: a cheaply cloneable, immutable `Arc`-backed buffer —
 /// the unit a push's ship half hands to its land half.
 pub use bytes::Bytes;
-use smile_types::{Result, SmileError, Timestamp, Tuple};
+use smile_types::{Result, SmileError, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC: &[u8; 4] = b"SWAL";
@@ -165,9 +164,8 @@ fn corrupt(detail: &str) -> SmileError {
 /// [`Frame::parse`] checks the whole frame once — header, column bounds,
 /// offset monotonicity, exact length, and every row's value encoding — after
 /// which the accessors read timestamps, weights and row bytes directly out
-/// of the shared [`Bytes`] buffer. Landing a shipped batch therefore never
-/// re-serializes and never builds an intermediate entry vector: the landing
-/// side walks the frame and appends straight into the destination delta log.
+/// of the shared [`Bytes`] buffer, and [`Frame::to_batch`] materializes the
+/// rows (one allocation each) without re-serializing anything.
 #[derive(Clone, Debug)]
 pub struct Frame {
     bytes: Bytes,
@@ -217,6 +215,13 @@ impl Frame {
         Ok(frame)
     }
 
+    /// A frame over bytes `parse` never saw; only the header's count is read.
+    #[cfg(test)]
+    pub(crate) fn unvalidated(bytes: Bytes) -> Frame {
+        let count = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        Frame { bytes, count }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.count
@@ -225,11 +230,6 @@ impl Frame {
     /// True iff the frame carries no entries.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// The full wire bytes of the frame.
-    pub fn bytes(&self) -> &Bytes {
-        &self.bytes
     }
 
     fn offset(&self, i: usize) -> u32 {
@@ -259,43 +259,34 @@ impl Frame {
         &self.bytes[arena + self.offset(i) as usize..arena + self.offset(i + 1) as usize]
     }
 
-    /// Largest timestamp in the frame, if any.
-    pub fn max_ts(&self) -> Option<Timestamp> {
-        (0..self.count).map(|i| self.ts(i)).max()
-    }
-
-    /// Materializes entry `i`'s tuple (the only point values are allocated).
-    pub fn tuple(&self, i: usize) -> Tuple {
-        Tuple::new(columnar::decode_row(self.row(i)).expect("rows were validated at parse"))
-    }
-
-    /// Materializes entry `i`.
-    pub fn entry(&self, i: usize) -> DeltaEntry {
-        DeltaEntry {
-            tuple: self.tuple(i),
-            weight: self.weight(i),
-            ts: self.ts(i),
-        }
-    }
-
-    /// Materializes the whole frame in row form.
-    pub fn to_batch(&self) -> DeltaBatch {
-        DeltaBatch {
-            entries: (0..self.count).map(|i| self.entry(i)).collect(),
-        }
+    /// Materializes the whole frame in row form, each row decoded through
+    /// one scratch buffer and drained into the tuple's `Arc` payload (one
+    /// allocation per row). The bytes crossed a machine boundary: a row
+    /// that fails to decode is a typed error even after `parse` passed it.
+    pub fn to_batch(&self) -> Result<DeltaBatch> {
+        let mut scratch = Vec::new();
+        let entry = |i| {
+            columnar::decode_row_into(self.row(i), &mut scratch)?;
+            Ok(DeltaEntry {
+                tuple: scratch.drain(..).collect(),
+                weight: self.weight(i),
+                ts: self.ts(i),
+            })
+        };
+        (0..self.count).map(entry).collect()
     }
 }
 
 /// Decodes WAL bytes back into a delta batch, validating structure.
 pub fn decode(bytes: Bytes) -> Result<DeltaBatch> {
-    Ok(Frame::parse(bytes)?.to_batch())
+    Frame::parse(bytes)?.to_batch()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use smile_types::{tuple, Value};
+    use smile_types::{tuple, Tuple, Value};
 
     fn sample_batch() -> DeltaBatch {
         DeltaBatch {
@@ -325,9 +316,7 @@ mod tests {
         assert_eq!(frame.len(), 2);
         assert_eq!(frame.ts(0), Timestamp::from_secs(1));
         assert_eq!(frame.weight(1), -1);
-        assert_eq!(frame.max_ts(), Some(Timestamp::from_secs(2)));
-        assert_eq!(frame.tuple(0), tuple![1i64, "ann", 2.5f64]);
-        assert_eq!(frame.to_batch(), b);
+        assert_eq!(frame.to_batch().unwrap(), b);
     }
 
     #[test]

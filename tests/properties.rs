@@ -468,7 +468,7 @@ use smile::core::multi::GlobalPlan;
 use smile::core::plan::cost::{machine_utilization, Scope};
 use smile::core::plan::dag::VertexKind;
 use smile::core::plan::sig::ExprSig;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One randomized sharing request: query shape, predicate literal, SLA
 /// seconds, and MV pin (0 = unpinned, 1..=4 = machine 0..=3).
@@ -1217,49 +1217,67 @@ proptest! {
         );
     }
 
-    /// The two production routes a shipped frame lands by — the zero-copy
-    /// `append_frame_dedup(Frame::parse(bytes))` of plain copy edges and
-    /// the `append_delta_dedup(wal::decode(bytes))` of aggregate copy edges
-    /// — leave identical log contents, dedup books and return
-    /// values, batch after batch: deletes and zero weights, duplicate batch
-    /// ids (a retry whose first attempt landed), and windows overlapping a
-    /// producer's watermark (clipped prefix, or wholly stale).
+    /// The two entries a shipped frame can land by — `append_frame_dedup` of
+    /// the parsed frame (the harness's) and `append_delta_dedup` of the
+    /// decoded batch (the executor's) — leave identical log contents,
+    /// watermarks and return values, push after push, and both agree with a
+    /// reference that also keeps the set of landed batch ids the slot used
+    /// to keep: for ids that name a producer's window, as the executor's
+    /// do, the watermark alone decides. Two producers ship windows of their
+    /// own logs into one slot on a drawn schedule: exact retries (the first
+    /// attempt landed), an abandoned window then a wider one (clipped
+    /// prefix), an older window after a wider one (wholly stale); deletes
+    /// and zero weights ride along.
     #[test]
     fn frame_landing_matches_decoded_landing(
-        batches in proptest::collection::vec(
-            // (entries, batch id, producer, window end): small domains so
-            // ids repeat and windows fall at or below earlier watermarks.
-            (arb_columnar_entries(), 0u64..6, 0u64..2, 0u64..5),
-            1..8,
-        )
+        sources in (arb_columnar_entries(), arb_columnar_entries()),
+        // (producer, window start, window length): small domains so windows
+        // repeat, nest and overlap.
+        pushes in proptest::collection::vec((0usize..2, 0u64..4, 1u64..4), 1..12),
     ) {
-        let rel = RelationId::new(0);
+        let (rel, t) = (RelationId::new(0), Timestamp::from_secs);
         let schema = || Schema::new(
             vec![Column::new("a", ColumnType::I64), Column::new("b", ColumnType::I64)],
             vec![],
         );
-        let (mut framed, mut decoded) = (Database::new(), Database::new());
-        framed.create_relation(rel, schema()).unwrap();
-        decoded.create_relation(rel, schema()).unwrap();
-        for (entries, batch_id, producer, through) in batches {
-            let bytes = wal::encode(&DeltaBatch { entries });
-            let through = Timestamp::from_secs(through);
+        let mut sources = [sources.0, sources.1];
+        sources.iter_mut().for_each(|log| log.sort_by_key(|e| e.ts));
+        let (mut framed, mut decoded, mut reference) =
+            (Database::new(), Database::new(), Database::new());
+        for db in [&mut framed, &mut decoded, &mut reference] {
+            db.create_relation(rel, schema()).unwrap();
+        }
+        let (mut landed_ids, mut marks) = (HashSet::new(), HashMap::new());
+        for (producer, from, len) in pushes {
+            // One id per producer and window, as `push::batch_id` gives.
+            let id = producer as u64 * 100 + from * 10 + (from + len);
+            let (from, to, producer) = (t(from), t(from + len), producer as u64);
+            let in_window = |e: &&DeltaEntry| from < e.ts && e.ts <= to;
+            let source = &sources[producer as usize];
+            let mut entries: Vec<_> = source.iter().filter(in_window).cloned().collect();
+            let bytes = wal::encode(&DeltaBatch { entries: entries.clone() });
             let frame = Frame::parse(bytes.clone()).unwrap();
-            let by_frame = framed
-                .append_frame_dedup(rel, &frame, batch_id, producer, through)
-                .unwrap();
+            let by_frame = framed.append_frame_dedup(rel, &frame, id, producer, to).unwrap();
             let by_decode = decoded
-                .append_delta_dedup(rel, wal::decode(bytes).unwrap(), batch_id, producer, through)
+                .append_delta_dedup(rel, wal::decode(bytes).unwrap(), id, producer, to)
                 .unwrap();
+            // The reference: skip an id seen before, then the watermark.
+            let fresh = landed_ids.insert(id);
+            let mark = marks.entry(producer).or_insert(Timestamp::ZERO);
+            let by_set = fresh && to > *mark;
+            if by_set {
+                let clip = std::mem::replace(mark, to);
+                entries.retain(|e| clip == Timestamp::ZERO || e.ts > clip);
+                reference.append_delta(rel, DeltaBatch { entries }).unwrap();
+            }
             prop_assert_eq!(by_frame, by_decode, "appended-anything flag differs");
+            prop_assert_eq!(by_frame, by_set, "the id set decided something the watermark did not");
+            let log = |db: &Database| db.delta_window(rel, Timestamp::ZERO, Timestamp::MAX).unwrap();
+            prop_assert_eq!(log(&framed), log(&decoded), "log contents differ");
+            prop_assert_eq!(log(&framed), log(&reference), "log differs from the set-keeping reference");
             let (f, d) = (framed.relation(rel).unwrap(), decoded.relation(rel).unwrap());
-            prop_assert_eq!(
-                framed.delta_window(rel, Timestamp::ZERO, Timestamp::MAX).unwrap(),
-                decoded.delta_window(rel, Timestamp::ZERO, Timestamp::MAX).unwrap(),
-                "log contents differ"
-            );
-            prop_assert_eq!(&f.applied_batches, &d.applied_batches, "batch-id book differs");
             prop_assert_eq!(&f.shipped_through, &d.shipped_through, "watermarks differ");
+            prop_assert_eq!(&f.shipped_through, &marks, "watermarks differ from the reference");
         }
     }
 }
@@ -1278,6 +1296,11 @@ enum KeyOp {
     /// An update whose delete ends one batch and whose insert starts the
     /// next, at one timestamp, with or without a read of the key between.
     SplitUpdate(i64, i64, bool),
+    /// One batch of `(k, v, insert?)` entries applied as drawn, whatever the
+    /// table holds: an insert of a key that is present, a delete of one that
+    /// is absent (or of another row than the key's), a delete directly
+    /// before an insert of the same key or of a different one.
+    Raw(Vec<(i64, i64, bool)>),
     Read(i64),
     /// `clear_table`, then (if any rows are given) `seed_relation`.
     Reseed(Vec<(i64, i64)>),
@@ -1290,6 +1313,8 @@ fn arb_key_ops() -> impl Strategy<Value = Vec<KeyOp>> {
             pairs(-2).prop_map(KeyOp::Apply),
             (0i64..6, 0i64..4, prop::bool::ANY)
                 .prop_map(|(k, v, read)| KeyOp::SplitUpdate(k, v, read)),
+            proptest::collection::vec((0i64..3, 0i64..2, prop::bool::ANY), 1..5)
+                .prop_map(KeyOp::Raw),
             (0i64..6).prop_map(KeyOp::Read),
             (0i64..6).prop_map(KeyOp::Read),
             pairs(0).prop_map(KeyOp::Reseed),
@@ -1304,7 +1329,11 @@ proptest! {
     /// First-read index ≡ eager index: `get_by_key` at random points of a
     /// random apply / seed / clear history answers like a model map kept
     /// from the first entry on by the index's own rule (an insert sets the
-    /// key's row, a delete removes the key).
+    /// key's row, a delete removes the key) — however the table reaches the
+    /// key: an update pair replaced in place, a lone delete or insert, a
+    /// pair split across batches. From the first read on every key is
+    /// compared after every step, and `rows()` with a plain z-set fold of
+    /// the same entries.
     #[test]
     fn key_index_built_on_first_read_matches_an_eager_one(ops in arb_key_ops()) {
         let rel = RelationId::new(0);
@@ -1314,31 +1343,33 @@ proptest! {
         );
         let mut db = Database::new();
         db.create_relation(rel, schema).unwrap();
-        let (mut model, mut now) = (HashMap::new(), 0u64);
+        // The eager index, and the rows folded as a plain z-set.
+        type Model = (HashMap<i64, i64>, ZSet);
+        let (mut model, mut now, mut read_once): (Model, _, _) = (Default::default(), 0u64, false);
         // Applies one batch of `(k, v, weight)` rows stamped `now`, and keeps
         // the model as an eager index would.
-        type Model = HashMap<i64, i64>;
         let apply = |db: &mut Database, model: &mut Model, now: u64, rows: &[(i64, i64, i64)]| {
             let ts = Timestamp::from_secs(now);
             let entry = |&(k, v, weight)| DeltaEntry { tuple: tuple![k, v], weight, ts };
             db.ingest(rel, rows.iter().map(entry).collect()).unwrap();
             for &(k, v, weight) in rows {
+                model.1.add(tuple![k, v], weight);
                 if weight > 0 {
-                    model.insert(k, v);
+                    model.0.insert(k, v);
                 } else {
-                    model.remove(&k);
+                    model.0.remove(&k);
                 }
             }
         };
         let read = |db: &Database, model: &Model, k: i64| {
             let got = db.relation(rel).unwrap().table.get_by_key(&tuple![k]).cloned();
-            (got, model.get(&k).map(|&v| tuple![k, v]))
+            (got, model.0.get(&k).map(|&v| tuple![k, v]))
         };
         for op in ops {
             now += 1;
             match op {
                 KeyOp::Apply(puts) => {
-                    let (mut rows, mut state) = (Vec::new(), model.clone());
+                    let (mut rows, mut state) = (Vec::new(), model.0.clone());
                     for (k, v) in puts {
                         if let Some(old) = state.remove(&k) {
                             rows.push((k, old, -1));
@@ -1351,33 +1382,207 @@ proptest! {
                     apply(&mut db, &mut model, now, &rows);
                 }
                 KeyOp::SplitUpdate(k, v, read_between) => {
-                    if let Some(&old) = model.get(&k) {
+                    if let Some(&old) = model.0.get(&k) {
                         apply(&mut db, &mut model, now, &[(k, old, -1)]);
                     }
                     if read_between {
                         let (got, want) = read(&db, &model, k);
                         prop_assert_eq!(got, want, "between an update's delete and its insert");
+                        read_once = true;
                     }
                     apply(&mut db, &mut model, now, &[(k, v, 1)]);
+                }
+                KeyOp::Raw(entries) => {
+                    // The index goes by key and `rows` by row, so across a
+                    // batch like this only an index that exists is comparable.
+                    let (got, want) = read(&db, &model, 0);
+                    prop_assert_eq!(got, want);
+                    read_once = true;
+                    let weighted = |&(k, v, insert)| (k, v, if insert { 1 } else { -1 });
+                    let rows: Vec<_> = entries.iter().map(weighted).collect();
+                    apply(&mut db, &mut model, now, &rows);
                 }
                 KeyOp::Read(k) => {
                     let (got, want) = read(&db, &model, k);
                     prop_assert_eq!(got, want);
+                    read_once = true;
                 }
                 KeyOp::Reseed(rows) => {
                     db.clear_table(rel).unwrap();
-                    model = rows.into_iter().collect();
-                    if !model.is_empty() {
-                        let seed = model.iter().map(|(&k, &v)| tuple![k, v]);
+                    model.0 = rows.into_iter().collect();
+                    model.1 = ZSet::from_tuples(model.0.iter().map(|(&k, &v)| tuple![k, v]));
+                    if !model.0.is_empty() {
                         let at = Timestamp::from_secs(now);
-                        db.seed_relation(rel, ZSet::from_tuples(seed), at).unwrap();
+                        db.seed_relation(rel, model.1.clone(), at).unwrap();
                     }
                 }
             }
+            // The first read falls where the history put it; from then on
+            // the index exists and every step is checked in full.
+            for k in (0..6).filter(|_| read_once) {
+                let (got, want) = read(&db, &model, k);
+                prop_assert_eq!(got, want, "after a step");
+            }
+            prop_assert_eq!(db.relation(rel).unwrap().table.rows(), &model.1);
         }
         for k in 0..6 {
             let (got, want) = read(&db, &model, k);
             prop_assert_eq!(got, want, "after the whole history");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate maintenance numbers groups by a borrowed view of each entry's
+// group columns; the map-of-key-tuples fold it replaced is the oracle.
+
+use smile::storage::{AggFunc, AggregateSpec};
+
+/// The fold this module had before it numbered groups by borrowed key,
+/// kept as the oracle: a key `Tuple` per entry, a SipHash map, two `Vec`s
+/// per group — and an order of groups that differs from call to call.
+fn oracle_transform(
+    spec: &AggregateSpec,
+    window: &DeltaBatch,
+    view: &HashMap<Tuple, Tuple>,
+) -> Result<DeltaBatch, SmileError> {
+    type Acc = (i64, Vec<i64>, Vec<f64>, Timestamp);
+    let n = spec.aggs.len();
+    let mut groups: HashMap<Tuple, Acc> = HashMap::new();
+    for e in &window.entries {
+        let acc = groups
+            .entry(e.tuple.project(&spec.group_cols))
+            .or_insert_with(|| (0, vec![0; n], vec![0.0; n], Timestamp::ZERO));
+        acc.0 += e.weight;
+        acc.3 = acc.3.max(e.ts);
+        for (i, a) in spec.aggs.iter().enumerate() {
+            let v = |c: &usize| e.tuple.get(*c);
+            match a {
+                AggFunc::SumI64(c) => acc.1[i] += e.weight * v(c).as_i64().unwrap_or(0),
+                AggFunc::SumF64(c) => acc.2[i] += e.weight as f64 * v(c).as_f64().unwrap_or(0.0),
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (g, (count, add_i, add_f, ts)) in groups {
+        if count == 0 && add_i.iter().all(|&s| s == 0) && add_f.iter().all(|&s| s == 0.0) {
+            continue;
+        }
+        let base = spec.group_cols.len();
+        let old = view.get(&g);
+        let new_count = old.map_or(0, |row| row.get(base).as_i64().unwrap()) + count;
+        if let Some(row) = old {
+            out.push(DeltaEntry::delete(row.clone(), ts));
+        }
+        if new_count < 0 {
+            return Err(SmileError::Internal("count went negative".into()));
+        }
+        if new_count > 0 {
+            let mut vals = g.values().to_vec();
+            vals.push(Value::I64(new_count));
+            for (i, a) in spec.aggs.iter().enumerate() {
+                let was = old.map(|row| row.get(base + 1 + i));
+                vals.push(match a {
+                    AggFunc::SumI64(_) => {
+                        Value::I64(was.and_then(Value::as_i64).unwrap_or(0) + add_i[i])
+                    }
+                    AggFunc::SumF64(_) => {
+                        Value::F64(was.and_then(Value::as_f64).unwrap_or(0.0) + add_f[i])
+                    }
+                });
+            }
+            out.push(DeltaEntry::insert(Tuple::new(vals), ts));
+        }
+    }
+    out.sort_by_key(|e| e.ts);
+    Ok(DeltaBatch { entries: out })
+}
+
+/// Group-column values: every variant, with the floats whose hash and
+/// equality go by bit pattern.
+fn arb_group_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::I64(0)),
+        (0usize..3).prop_map(|i| Value::F64([f64::NAN, -0.0, 0.0][i])),
+        Just(Value::str("ß")),
+    ]
+}
+
+/// `(g0, g1, i64 addend, f64 addend)` rows with weights ±1..3.
+fn arb_weighted_rows(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(Tuple, i64)>> {
+    let addend = (0usize..5).prop_map(|i| [f64::NAN, -0.0, 0.5, -2.25, 1e300][i]);
+    let row = (arb_group_value(), arb_group_value(), -3i64..4, addend);
+    let weight = (1i64..4, prop::bool::ANY).prop_map(|(w, neg)| if neg { -w } else { w });
+    proptest::collection::vec((row, weight), len).prop_map(|rows| {
+        let tupled = |((g0, g1, i, f), w)| (tuple![g0, g1, Value::I64(i), Value::F64(f)], w);
+        rows.into_iter().map(tupled).collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The fold is the old fold in a fixed order: against the oracle,
+    /// `delta_transform` gives the same z-set (so the same sums bit for
+    /// bit — `Value` compares `F64` by `to_bits`) in as many entries,
+    /// in timestamp order, each surviving group's delete directly
+    /// before its insert.
+    #[test]
+    fn delta_transform_matches_the_keyed_map_oracle(
+        prior in arb_weighted_rows(0..12),
+        rows in arb_weighted_rows(0..24),
+        // Per window row: its timestamp, whether the window retracts it
+        // again, and (when 0) whether the view lacks what it deletes.
+        marks in proptest::collection::vec((1u64..4, prop::bool::ANY, 0u8..8), 24..25),
+    ) {
+        let spec = AggregateSpec {
+            group_cols: vec![0, 1],
+            aggs: vec![AggFunc::SumI64(2), AggFunc::SumF64(3)],
+        };
+        // The view holds some of the window's groups and not others, and
+        // (mostly) the rows the window deletes.
+        let mut held = ZSet::new();
+        prior.into_iter().for_each(|(t, w)| held.add(t, w.abs()));
+        for ((t, w), &(_, _, ghost)) in rows.iter().zip(&marks) {
+            if *w < 0 && ghost != 0 {
+                held.add(t.clone(), -w);
+            }
+        }
+        let view: HashMap<Tuple, Tuple> = spec
+            .eval(&held)
+            .iter()
+            .map(|(row, _)| (row.project(&[0, 1]), row.clone()))
+            .collect();
+        // Some rows are retracted again inside the window.
+        let mut window = DeltaBatch::new();
+        for sign in [1, -1] {
+            for ((tuple, w), &(ts, cancelled, _)) in rows.iter().zip(&marks) {
+                if sign == 1 || cancelled {
+                    let (tuple, ts) = (tuple.clone(), Timestamp::from_secs(ts));
+                    window.entries.push(DeltaEntry { tuple, weight: sign * w, ts });
+                }
+            }
+        }
+
+        let want = oracle_transform(&spec, &window, &view);
+        let got = spec.delta_transform(&window, |g| view.get(g));
+        prop_assert_eq!(got.is_err(), want.is_err());
+        if let (Ok(got), Ok(want)) = (got, want) {
+            prop_assert_eq!(got.to_zset().sorted_entries(), want.to_zset().sorted_entries());
+            prop_assert_eq!(got.len(), want.len());
+            let group = |e: &DeltaEntry| e.tuple.project(&[0, 1]);
+            for (i, e) in got.entries.iter().enumerate() {
+                let next = got.entries.get(i + 1);
+                prop_assert!(next.is_none_or(|n| e.ts <= n.ts), "timestamps fall");
+                let survives = got.entries.iter().any(|o| o.weight > 0 && group(o) == group(e));
+                if e.weight < 0 && survives {
+                    let paired = next.is_some_and(|n| {
+                        n.weight > 0 && n.ts == e.ts && group(n) == group(e)
+                    });
+                    prop_assert!(paired, "delete {:?} not directly before its insert", e);
+                }
+            }
         }
     }
 }

@@ -1,16 +1,53 @@
 //! One tick's batch of pushes: planning each push request into edge jobs,
-//! then executing the jobs wave by wave and merging the outcomes.
+//! assigning the jobs to waves, and executing them wave by wave.
+//!
+//! ## The wave order
+//!
+//! A job's wave lies past every dependency's ([`Batch::assign_waves`]), and
+//! [`Executor::execute_batch`] takes one wave at a time in three steps, each
+//! in canonical (job-index) order:
+//!
+//! 1. **decide** ([`Executor::decide_wave`]): dependency skips, crash-window
+//!    checks and the two fault draws of every job, one [`Dispatch`] each;
+//! 2. **ship** ([`ship_half`]): the source-machine half of every
+//!    cross-machine copy;
+//! 3. **land or run, and merge**: per job, the output-machine half
+//!    ([`land_or_run`]), then its result into executor state
+//!    ([`Executor::merge_job`]).
+//!
+//! Two ordering facts are what every observable stream rests on. **A wave
+//! ships all its copies before it lands any**, so every ship reads its
+//! source log exactly as the previous wave left it, whatever its job index,
+//! and each machine's NIC FIFO sees the wave's ships, its CPU FIFO the
+//! wave's lands and local operators, in one fixed submission sequence. And
+//! **everything that consumes shared state happens in job order**: fault
+//! draws (a skipped job drawing nothing), ledger charges, `data_ts`
+//! advances, event pushes, span-id allocation. Merging a job right after it
+//! runs, not after the whole wave ran, is the same sequence: a run reads
+//! the machines its job names, the plan and the time model — nothing a
+//! merge writes — and the wave's decisions, the half-join anchors read from
+//! `data_ts` among them, were all taken before its first ship.
+//!
+//! Machine concurrency is reproduced in *simulated* time (each machine's
+//! CPU/NIC FIFO), so the host needs no threads to get the paper's schedule.
+//! Host wall-clock is measured per half ([`HostMeter`]) for the `wave.*`
+//! instruments only; it never reaches the simulation.
 
 use super::liveness::{ExecEvent, PendingRetry};
-use super::push::JobFaults;
+use super::push::{self, EdgeRun, ShipOutput};
 use super::spans::us;
-use super::{wave, Executor, COMMAND_LATENCY};
-use crate::plan::dag::EdgeOp;
+use super::{Executor, COMMAND_LATENCY};
+use crate::plan::dag::{EdgeOp, Plan};
+use crate::plan::timecost::TimeCostModel;
+use smile_sim::machine::Machine;
+use smile_sim::meter::{ResourceUsage, UsageLedger};
 use smile_sim::Cluster;
-use smile_telemetry::{SpanKind, SpanRecord};
-use smile_types::{Result, SharingId, SimDuration, SmileError, Timestamp, VertexId};
+use smile_telemetry::{Histogram, SpanKind, SpanRecord};
+use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp, VertexId};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One push planned into the current tick's batch: sharing `idx` advancing
 /// its subgraph to `target`.
@@ -69,9 +106,8 @@ pub(super) struct BatchJob {
 pub(super) struct Batch {
     pub requests: Vec<BatchRequest>,
     pub jobs: Vec<BatchJob>,
-    /// Vertex index → the timestamp the jobs planned so far advance it to.
-    planned_ts: HashMap<usize, Timestamp>,
-    /// The latest job planned on each vertex.
+    /// The latest job planned on each vertex: what later jobs on or below
+    /// the vertex depend on, and (its `to`) the vertex's shadow timestamp.
     last_job_on: HashMap<VertexId, usize>,
 }
 
@@ -79,11 +115,148 @@ impl Batch {
     /// `v`'s timestamp once the jobs planned so far have run; `committed`
     /// is the executor's `data_ts`.
     pub fn ts(&self, committed: &[Timestamp], v: VertexId) -> Timestamp {
-        self.planned_ts
-            .get(&v.index())
-            .copied()
-            .unwrap_or(committed[v.index()])
+        self.last_job_on
+            .get(&v)
+            .map_or(committed[v.index()], |&j| self.jobs[j].to)
     }
+
+    /// Wave assignment, once every request is planned: a job's wave is at
+    /// least its vertex's wavefront within the batch's vertex subset, and
+    /// strictly after every dependency's wave (deps always have lower job
+    /// indexes, so one ascending pass settles everything). `topo_rank` is
+    /// a topological rank per vertex of `plan`.
+    pub fn assign_waves(&mut self, plan: &Plan, topo_rank: &[u32]) {
+        let jobs = &mut self.jobs;
+        if jobs.is_empty() {
+            return;
+        }
+        let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
+        subset.sort_unstable_by_key(|v| topo_rank[v.index()]);
+        subset.dedup();
+        let vwave = plan.wavefronts(&subset);
+        for jid in 0..jobs.len() {
+            let mut w = vwave.get(&jobs[jid].vertex).copied().unwrap_or(0);
+            for &d in &jobs[jid].deps {
+                w = w.max(jobs[d].wave + 1);
+            }
+            jobs[jid].wave = w;
+        }
+    }
+}
+
+/// One job of the wave being executed, as the coordinator decided it: the
+/// planned job and its request, plus everything that had to be settled
+/// before anything in the wave runs.
+pub(super) struct Dispatch<'b> {
+    /// Index of `job` in the batch (merge order).
+    pub jid: usize,
+    pub job: &'b BatchJob,
+    pub req: &'b BatchRequest,
+    /// Simulated submission time at the executing machine.
+    pub submit: Timestamp,
+    /// For a cross-machine copy: the source machine (the ship half).
+    pub ship_machine: Option<MachineId>,
+    /// The machine the job's output lives on; for a cross-machine copy
+    /// this is the destination (the land half).
+    pub exec_machine: MachineId,
+    /// Drawn: the shipped batch is lost in transit, its NIC time spent.
+    drop_delta: bool,
+    /// Drawn: the batch lands but its acknowledgement is lost; the retry
+    /// re-ships and is absorbed by the producer's watermark.
+    ack_lost: bool,
+    /// For a half-join, the instant its relation side is read at: the
+    /// sibling half's landed coverage. Other operators ignore it.
+    snapshot_at: Timestamp,
+}
+
+/// How far a batch has got: what the waves run so far leave for the waves
+/// after them and for [`Executor::settle_requests`].
+struct Progress {
+    /// Per job, its simulated completion once it has succeeded — what a
+    /// dependent job's submission waits for. `None` before that, and for
+    /// good if the job failed or was skipped.
+    job_end: Vec<Option<Timestamp>>,
+    reqs: Vec<RequestProgress>,
+    /// The latest job completion (the tick span's end).
+    max_end: Timestamp,
+    /// The first non-transient error, returned once the batch is settled.
+    hard_error: Option<SmileError>,
+}
+
+#[derive(Clone, Copy)]
+struct RequestProgress {
+    /// One of the request's jobs failed or was skipped.
+    failed: bool,
+    /// Tuples its successful jobs moved.
+    tuples: u64,
+    /// When its MV's job completed; `now` for a push that had nothing left
+    /// to do (everything shared and ahead).
+    completion: Timestamp,
+}
+
+/// Host wall-clock of one batch, a record per ship half and per land/run
+/// half: each into the `host_job_nanos` histogram, their count and sum
+/// into the counters behind [`Executor::wave_meter_view`].
+struct HostMeter<'a> {
+    host_job_nanos: &'a Histogram,
+    halves: u64,
+    busy_nanos: u64,
+}
+
+impl HostMeter<'_> {
+    fn time<T>(&mut self, half: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = half();
+        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.host_job_nanos.record(nanos);
+        self.halves += 1;
+        self.busy_nanos = self.busy_nanos.saturating_add(nanos);
+        out
+    }
+}
+
+/// The source-machine half of a cross-machine copy, touching `src` alone:
+/// encode the window and reserve the NIC.
+fn ship_half(src: &mut Machine, plan: &Plan, d: &Dispatch<'_>) -> Result<ShipOutput> {
+    let edge = plan.edge(d.job.edge);
+    push::ship_copy(src, plan, edge, d.job.from, d.job.to, d.submit)
+}
+
+/// The output-machine half of a job, touching `dst` alone: land the bytes
+/// the ship half sent, or run the machine-local operator.
+fn land_or_run(
+    dst: &mut Machine,
+    plan: &Plan,
+    model: &TimeCostModel,
+    d: &Dispatch<'_>,
+    shipped: Option<Result<ShipOutput>>,
+    charges: &mut Vec<ResourceUsage>,
+) -> Result<EdgeRun> {
+    let edge = plan.edge(d.job.edge);
+    let mut job = push::Job {
+        machine: dst,
+        plan,
+        edge,
+        from: d.job.from,
+        to: d.job.to,
+        start: d.submit,
+        model,
+        ack_lost: d.ack_lost,
+        charges,
+    };
+    let Some(shipped) = shipped else {
+        return push::run_local(job, d.snapshot_at);
+    };
+    let ship = shipped?;
+    // The NIC time was spent whether or not the batch lands.
+    job.charges.push(ship.usage);
+    if d.drop_delta {
+        return Err(SmileError::Transient {
+            detail: format!("delta batch for vertex {} lost in transit", edge.output),
+        });
+    }
+    job.start = ship.arrive;
+    push::land_copy(job, ship.bytes)
 }
 
 impl Executor {
@@ -176,218 +349,242 @@ impl Executor {
                 deps,
                 wave: 0,
             });
-            batch.planned_ts.insert(v.index(), request.target);
         }
         Ok(())
     }
 
-    /// Executes a planned batch wave by wave and merges the outcomes back
-    /// in canonical job order.
-    ///
-    /// Per wave, the coordinator decides, runs, then merges. It makes every
-    /// decision that consumes shared state up front, in job order:
-    /// dependency-failure propagation, crash-window checks at the
-    /// submission time, and the shared fault-stream draws (delta drop, then
-    /// ack loss) for cross-machine copies. [`wave::run_wave`] then moves the
-    /// data, and the merge — ledger charges, `data_ts` advances, commit
-    /// events, retry decisions — follows in job order.
+    /// Executes a planned batch wave by wave, in the order the module doc
+    /// lays down.
     ///
     /// A request with a transiently-failed job keeps the progress of the
     /// jobs that succeeded (their windows landed; a retry re-plans from the
     /// advanced `data_ts` and batch dedup absorbs overlap) and is retried
-    /// or abandoned per the policy. Jobs depending on a failed job are
-    /// skipped without consuming fault draws, so the stream stays aligned
-    /// with the jobs that did run.
+    /// or abandoned per the policy.
     pub(super) fn execute_batch(
         &mut self,
         cluster: &mut Cluster,
         now: Timestamp,
         batch: &Batch,
     ) -> Result<()> {
-        let Batch { requests, jobs, .. } = batch;
-        if requests.is_empty() {
+        if batch.requests.is_empty() {
             return Ok(());
         }
-        let mut job_ok = vec![false; jobs.len()];
-        let mut job_end = vec![now; jobs.len()];
-        let mut req_failed = vec![false; requests.len()];
-        let mut req_tuples = vec![0u64; requests.len()];
-        // A fully-skipped push (everything shared and ahead) commits now.
-        let mut completion = vec![now; requests.len()];
-        let mut hard_error: Option<SmileError> = None;
-
+        let request = RequestProgress {
+            failed: false,
+            tuples: 0,
+            completion: now,
+        };
+        let mut progress = Progress {
+            job_end: vec![None; batch.jobs.len()],
+            reqs: vec![request; batch.requests.len()],
+            max_end: now,
+            hard_error: None,
+        };
+        // Its own handle, so the meter's borrow outlives the merges' `&mut self`.
+        let telemetry = Arc::clone(&self.telemetry);
+        let mut host = HostMeter {
+            host_job_nanos: telemetry.host_job_nanos(),
+            halves: 0,
+            busy_nanos: 0,
+        };
         // The tick span roots this batch's span tree. Allocation and every
         // attribute below happen in canonical job order and carry simulated
         // time only, so span ids and content repeat run to run.
-        let tick_span = self
-            .telemetry
-            .enabled()
-            .then(|| self.telemetry.next_span_id());
+        let tick_span = telemetry.enabled().then(|| telemetry.next_span_id());
         if let Some(ts_id) = tick_span {
-            self.telemetry.record_span(
+            telemetry.record_span(
                 self.span(Some(ts_id), SpanKind::PlanBatch, now, now)
-                    .with("requests", requests.len())
-                    .with("jobs", jobs.len()),
+                    .with("requests", batch.requests.len())
+                    .with("jobs", batch.jobs.len()),
             );
         }
-        let mut max_end = now;
+        let mut charges: Vec<ResourceUsage> = Vec::new();
+        let waves = batch.jobs.iter().map(|j| j.wave + 1).max().unwrap_or(0);
+        for wave in 0..waves {
+            let dispatch = self.decide_wave(cluster, now, batch, wave, &mut progress, tick_span);
+            if dispatch.is_empty() {
+                continue;
+            }
+            // Step 2: every ship, before anything lands.
+            let plan = &self.global.plan;
+            let mut ships = Vec::with_capacity(dispatch.len());
+            for d in &dispatch {
+                let ship = |src| host.time(|| ship_half(cluster.machine_mut(src)?, plan, d));
+                ships.push(d.ship_machine.map(ship));
+            }
+            // Step 3: land or run, then merge, one job at a time.
+            let wave_span = tick_span.map(|_| telemetry.next_span_id());
+            for (d, shipped) in dispatch.iter().zip(ships) {
+                let plan = &self.global.plan;
+                let result = host.time(|| {
+                    let dst = cluster.machine_mut(d.exec_machine)?;
+                    land_or_run(dst, plan, &self.model, d, shipped, &mut charges)
+                });
+                let ledger = &mut cluster.ledger;
+                self.merge_job(ledger, d, &mut charges, result, wave_span, &mut progress);
+            }
+            self.ctr_waves.inc();
+            if let Some(ws) = wave_span {
+                let start = dispatch.iter().map(|d| d.submit).min().unwrap_or(now);
+                let ends = dispatch.iter().filter_map(|d| progress.job_end[d.jid]);
+                let end = ends.fold(start, Timestamp::max);
+                telemetry.record_span(
+                    SpanRecord::new(ws, tick_span, SpanKind::Wave, us(start), us(end))
+                        .with("wave", wave)
+                        .with("jobs", dispatch.len()),
+                );
+            }
+        }
+        self.ctr_jobs.add(host.halves);
+        self.ctr_busy_nanos.add(host.busy_nanos);
+        self.settle_requests(now, batch, &progress, tick_span);
+        if let Some(ts_id) = tick_span {
+            telemetry.record_span(
+                SpanRecord::new(ts_id, None, SpanKind::Tick, us(now), us(progress.max_end))
+                    .with("requests", batch.requests.len()),
+            );
+        }
+        progress.hard_error.map_or(Ok(()), Err)
+    }
 
-        let max_wave = jobs.iter().map(|j| j.wave).max().unwrap_or(0);
-        for wave in 0..=max_wave {
-            let mut dispatch: Vec<wave::WaveJob> = Vec::new();
-            for (jid, job) in jobs.iter().enumerate() {
-                if job.wave != wave {
-                    continue;
-                }
-                if req_failed[job.req] || job.deps.iter().any(|&d| !job_ok[d]) {
-                    // A failed dependency means this job would read a
-                    // window its producer never filled; fail the request
-                    // so the retry re-plans from true state.
-                    req_failed[job.req] = true;
-                    if let Some(ts_id) = tick_span {
-                        self.record_undispatched_job(ts_id, now, job, &requests[job.req], None);
-                    }
-                    continue;
-                }
-                let edge = self.global.plan.edge(job.edge);
-                let submit = job
-                    .deps
-                    .iter()
-                    .map(|&d| job_end[d])
-                    .max()
-                    .unwrap_or(now)
-                    .max(now + COMMAND_LATENCY);
-                let (ship_machine, exec_machine) = match &edge.op {
-                    EdgeOp::CopyDelta => {
-                        let src = self.global.plan.vertex(edge.inputs[0]).machine;
-                        let dst = self.global.plan.vertex(edge.output).machine;
-                        ((src != dst).then_some(src), dst)
-                    }
-                    _ => (None, self.global.plan.vertex(edge.output).machine),
+    /// Step 1 of a wave: every decision that consumes shared state, for
+    /// every job of `wave` in job order, before any of them runs. A job
+    /// that is not dispatched fails its request and, so that the fault
+    /// stream stays aligned with the jobs that do run, draws nothing.
+    fn decide_wave<'b>(
+        &self,
+        cluster: &mut Cluster,
+        now: Timestamp,
+        batch: &'b Batch,
+        wave: usize,
+        progress: &mut Progress,
+        tick_span: Option<u64>,
+    ) -> Vec<Dispatch<'b>> {
+        let plan = &self.global.plan;
+        let mut dispatch = Vec::new();
+        for (jid, job) in batch.jobs.iter().enumerate() {
+            if job.wave != wave {
+                continue;
+            }
+            let req = &batch.requests[job.req];
+            // `Err` names the machine whose crash window blocks the job, or
+            // nothing for a job skipped behind a failure.
+            let decided = 'job: {
+                // Submission waits for the command to arrive and for every
+                // dependency to complete. A failed dependency means this
+                // job would read a window its producer never filled; fail
+                // the request so the retry re-plans from true state.
+                let mut deps = job.deps.iter().map(|&d| progress.job_end[d]);
+                let submit = deps.try_fold(now + COMMAND_LATENCY, |at, end| Some(at.max(end?)));
+                let Some(submit) = submit.filter(|_| !progress.reqs[job.req].failed) else {
+                    break 'job Err(None);
                 };
-                if ship_machine
-                    .iter()
-                    .chain(std::iter::once(&exec_machine))
-                    .any(|&m| cluster.faults.machine_down(m, submit))
-                {
-                    // Crash windows are schedule-driven, not stream-driven:
-                    // failing here consumes no draws.
-                    req_failed[job.req] = true;
-                    if let Some(ts_id) = tick_span {
-                        let down = Some(exec_machine);
-                        self.record_undispatched_job(ts_id, now, job, &requests[job.req], down);
-                    }
-                    continue;
+                let edge = plan.edge(job.edge);
+                let is_copy = matches!(edge.op, EdgeOp::CopyDelta);
+                let exec_machine = plan.vertex(edge.output).machine;
+                let ship_machine = is_copy
+                    .then(|| plan.vertex(edge.inputs[0]).machine)
+                    .filter(|&src| src != exec_machine);
+                // Crash windows are schedule-driven, not stream-driven.
+                let mut machines = ship_machine.into_iter().chain([exec_machine]);
+                if machines.any(|m| cluster.faults.machine_down(m, submit)) {
+                    break 'job Err(Some(exec_machine));
                 }
-                let mut faults = JobFaults::default();
-                if matches!(edge.op, EdgeOp::CopyDelta) {
-                    if ship_machine.is_some() {
-                        faults.drop_delta = cluster.faults.drop_delta(submit);
-                    }
-                    if !faults.drop_delta {
-                        faults.ack_lost = cluster.faults.ack_lost(submit);
-                    }
-                }
+                // The shared fault stream: delta drop, then ack loss, each
+                // only for the copies that can suffer it.
+                let drop_delta = ship_machine.is_some() && cluster.faults.drop_delta(submit);
+                let ack_lost = is_copy && !drop_delta && cluster.faults.ack_lost(submit);
                 // A half-join reads its relation side as of the sibling
                 // half's landed coverage as of this wave. The pairing
                 // dependency added at planning guarantees the sibling's
                 // current step ran in an earlier wave (or was skipped,
                 // failing this job's request), so `data_ts` is exact here.
                 // Other operators read no snapshot.
-                let snapshot_at = self
-                    .anchor_of
-                    .get(&job.edge)
-                    .map_or(job.to, |sib| self.data_ts[sib.index()]);
-                dispatch.push(wave::WaveJob {
-                    job: jid,
-                    edge: job.edge,
-                    from: job.from,
-                    to: job.to,
-                    snapshot_at,
+                let anchor = self.anchor_of.get(&job.edge);
+                let snapshot_at = anchor.map_or(job.to, |sib| self.data_ts[sib.index()]);
+                Ok(Dispatch {
+                    jid,
+                    job,
+                    req,
                     submit,
-                    faults,
-                    ship_machine: ship_machine.map(|m| m.index()),
-                    exec_machine: exec_machine.index(),
-                });
-            }
-            if dispatch.is_empty() {
-                continue;
-            }
-            let outcomes = wave::run_wave(
-                cluster.machines_mut(),
-                &self.global.plan,
-                &self.model,
-                &dispatch,
-                self.telemetry.host_job_nanos(),
-            );
-            let wave_span = tick_span.map(|_| self.telemetry.next_span_id());
-            let wave_start = dispatch.iter().map(|d| d.submit).min().unwrap_or(now);
-            let mut wave_end = wave_start;
-            let (mut wave_jobs, mut wave_busy) = (0u64, 0u64);
-            // One outcome per dispatched job, in dispatch order.
-            for (o, d) in outcomes.into_iter().zip(dispatch.iter()) {
-                let job = &jobs[d.job];
-                let req = &requests[job.req];
-                for u in o.charges {
-                    cluster.ledger.charge(u, &[req.sharing]);
-                }
-                wave_jobs += 1 + u64::from(o.ship_nanos.is_some());
-                wave_busy = wave_busy
-                    .saturating_add(o.exec_nanos)
-                    .saturating_add(o.ship_nanos.unwrap_or(0));
-                if let Some(ws) = wave_span {
-                    self.record_job_span(ws, job, req, d, &o.result);
-                }
-                match o.result {
-                    Ok(run) => {
-                        if run.deduped {
-                            self.fault_stats.batches_deduped += 1;
-                        }
-                        job_ok[d.job] = true;
-                        job_end[d.job] = run.end;
-                        wave_end = wave_end.max(run.end);
-                        max_end = max_end.max(run.end);
-                        self.data_ts[job.vertex.index()] = job.to;
-                        req_tuples[job.req] += run.tuples;
-                        self.events.push(
-                            run.end,
-                            ExecEvent::Commit {
-                                vertex: job.vertex,
-                                ts: job.to,
-                            },
-                        );
-                        if job.vertex == req.mv {
-                            completion[job.req] = run.end;
-                        }
-                    }
-                    Err(SmileError::Transient { .. }) => {
-                        req_failed[job.req] = true;
-                    }
-                    Err(e) => {
-                        req_failed[job.req] = true;
-                        if hard_error.is_none() {
-                            hard_error = Some(e);
-                        }
+                    ship_machine,
+                    exec_machine,
+                    drop_delta,
+                    ack_lost,
+                    snapshot_at,
+                })
+            };
+            match decided {
+                Ok(d) => dispatch.push(d),
+                Err(down) => {
+                    progress.reqs[job.req].failed = true;
+                    if let Some(ts_id) = tick_span {
+                        self.record_undispatched_job(ts_id, now, job, req, down);
                     }
                 }
             }
-            if let Some(ws) = wave_span {
-                self.telemetry.record_span(
-                    SpanRecord::new(ws, tick_span, SpanKind::Wave, us(wave_start), us(wave_end))
-                        .with("wave", wave)
-                        .with("jobs", dispatch.len()),
-                );
-            }
-            self.ctr_waves.inc();
-            self.ctr_jobs.add(wave_jobs);
-            self.ctr_busy_nanos.add(wave_busy);
         }
+        dispatch
+    }
 
-        for (r, req) in requests.iter().enumerate() {
+    /// The merge half of step 3: one job's charges and result into the
+    /// ledger, `data_ts`, the event queue, the fault statistics, the span
+    /// tree and the batch's progress.
+    fn merge_job(
+        &mut self,
+        ledger: &mut UsageLedger,
+        d: &Dispatch<'_>,
+        charges: &mut Vec<ResourceUsage>,
+        result: Result<EdgeRun>,
+        wave_span: Option<u64>,
+        progress: &mut Progress,
+    ) {
+        let (job, req) = (d.job, d.req);
+        for usage in charges.drain(..) {
+            ledger.charge(usage, &[req.sharing]);
+        }
+        if let Some(ws) = wave_span {
+            self.record_job_span(ws, d, &result);
+        }
+        let request = &mut progress.reqs[job.req];
+        match result {
+            Ok(run) => {
+                if run.deduped {
+                    self.fault_stats.batches_deduped += 1;
+                }
+                progress.job_end[d.jid] = Some(run.end);
+                progress.max_end = progress.max_end.max(run.end);
+                self.data_ts[job.vertex.index()] = job.to;
+                request.tuples += run.tuples;
+                let (vertex, ts) = (job.vertex, job.to);
+                self.events.push(run.end, ExecEvent::Commit { vertex, ts });
+                if job.vertex == req.mv {
+                    request.completion = run.end;
+                }
+            }
+            Err(e) => {
+                request.failed = true;
+                if !matches!(e, SmileError::Transient { .. }) && progress.hard_error.is_none() {
+                    progress.hard_error = Some(e);
+                }
+            }
+        }
+    }
+
+    /// After the last wave: each request's PushDone, retry, abandonment or
+    /// shadow hand-off, in request order.
+    fn settle_requests(
+        &mut self,
+        now: Timestamp,
+        batch: &Batch,
+        progress: &Progress,
+        tick_span: Option<u64>,
+    ) {
+        for (req, done) in batch.requests.iter().zip(&progress.reqs) {
             // Progress made before a fault is kept: the tuples moved and
             // the commit events of successful jobs are already in.
-            self.tuples_moved += req_tuples[r];
-            *self.tuples_per_sharing.entry(req.sharing).or_default() += req_tuples[r];
+            self.tuples_moved += done.tuples;
+            *self.tuples_per_sharing.entry(req.sharing).or_default() += done.tuples;
             if req.shadow {
                 // A shadow request only advances the migration's handoff
                 // state: no PushDone, no push record, no retry — the real
@@ -395,57 +592,112 @@ impl Executor {
                 // the next real push re-plans the shadow chain from its
                 // landed `data_ts`.
                 if let Some(mig) = self.migrations.get_mut(&req.idx) {
-                    if req_failed[r] {
+                    if done.failed {
                         mig.failed = true;
                     } else {
                         mig.pushed_ok = true;
                     }
                 }
-                continue;
-            }
-            if req_failed[r] {
-                if req.attempt >= self.config.retry.max_attempts {
-                    self.fault_stats.pushes_abandoned += 1;
-                    // The slot went in flight when its push fired; hand it
-                    // back to the scheduler at the next tick.
-                    let next = self.cal.tick_of(now) + 1;
-                    self.cal.schedule_at(req.idx, next);
-                    if let Some(ts_id) = tick_span {
-                        self.record_retry_span(ts_id, req, now, now, "abandoned");
-                    }
-                } else {
-                    self.fault_stats.pushes_retried += 1;
-                    let due = now + self.config.retry.delay_after(req.attempt);
-                    self.pending_retries.push(Reverse(PendingRetry {
-                        due,
-                        idx: req.idx,
-                        target: req.target,
-                        attempt: req.attempt + 1,
-                    }));
-                    if let Some(ts_id) = tick_span {
-                        self.record_retry_span(ts_id, req, now, due, "scheduled");
-                    }
-                }
-            } else {
+            } else if !done.failed {
                 self.events.push(
-                    completion[r].max(now),
+                    done.completion.max(now),
                     ExecEvent::PushDone {
                         req: *req,
                         issued: now,
-                        tuples: req_tuples[r],
+                        tuples: done.tuples,
                     },
                 );
+            } else if req.attempt >= self.config.retry.max_attempts {
+                self.fault_stats.pushes_abandoned += 1;
+                // The slot went in flight when its push fired; hand it
+                // back to the scheduler at the next tick.
+                let next = self.cal.tick_of(now) + 1;
+                self.cal.schedule_at(req.idx, next);
+                if let Some(ts_id) = tick_span {
+                    self.record_retry_span(ts_id, req, now, now, "abandoned");
+                }
+            } else {
+                self.fault_stats.pushes_retried += 1;
+                let due = now + self.config.retry.delay_after(req.attempt);
+                self.pending_retries.push(Reverse(PendingRetry {
+                    due,
+                    idx: req.idx,
+                    target: req.target,
+                    attempt: req.attempt + 1,
+                }));
+                if let Some(ts_id) = tick_span {
+                    self.record_retry_span(ts_id, req, now, due, "scheduled");
+                }
             }
         }
-        if let Some(ts_id) = tick_span {
-            self.telemetry.record_span(
-                SpanRecord::new(ts_id, None, SpanKind::Tick, us(now), us(max_end))
-                    .with("requests", requests.len()),
-            );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::installed_pinned;
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The wave rule on a merged plan — twins on two machines, sharing
+        /// the half-join pair — over request sequences no scheduler would
+        /// restrict itself to: a sharing asked for repeatedly at rising and
+        /// falling targets, and shadow requests (a twin's chain planned
+        /// under the other's name, which is what a migration's new
+        /// placement is).
+        #[test]
+        fn waves_respect_dependencies_wavefronts_and_pairs(
+            requests in prop::collection::vec((0usize..2, 1u64..40, prop::bool::ANY), 1..8),
+        ) {
+            let pins = [0, 1].map(|m| Some(MachineId::new(m)));
+            let (smile, ..) = installed_pinned(true, 20, &pins);
+            let ex = smile.executor.as_ref().unwrap();
+            let now = Timestamp::from_secs(40);
+            let mut batch = Batch::default();
+            for (idx, target, shadow) in requests {
+                let target = Timestamp::from_secs(target);
+                if !shadow {
+                    ex.push_request(idx, target, 1, now, &mut batch).unwrap();
+                    continue;
+                }
+                let (rt, twin) = (&ex.sharings[idx], &ex.sharings[1 - idx]);
+                let request = BatchRequest {
+                    idx,
+                    target,
+                    attempt: 1,
+                    staleness_before: SimDuration::ZERO,
+                    predicted: SimDuration::ZERO,
+                    mv: twin.mv,
+                    sharing: rt.id,
+                    shadow: true,
+                };
+                ex.plan_vertex_jobs(&twin.order, request, &mut batch).unwrap();
+            }
+            batch.assign_waves(&ex.global.plan, &ex.topo_rank);
+
+            let jobs = &batch.jobs;
+            let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
+            subset.sort_unstable_by_key(|v| ex.topo_rank[v.index()]);
+            subset.dedup();
+            let wavefront = ex.global.plan.wavefronts(&subset);
+            prop_assert!(jobs.iter().any(|j| ex.anchor_of.contains_key(&j.edge)));
+            for (jid, job) in jobs.iter().enumerate() {
+                for &d in &job.deps {
+                    prop_assert!(d < jid && jobs[d].wave < job.wave, "job {jid} vs dependency {d}");
+                }
+                prop_assert!(job.wave >= wavefront[&job.vertex]);
+                // Jobs on one vertex come in increasing waves, each window
+                // starting where the one before it ended.
+                if let Some(prev) = jobs[..jid].iter().rfind(|e| e.vertex == job.vertex) {
+                    prop_assert!(prev.wave < job.wave && prev.to == job.from);
+                }
+                // The halves of a pair never share a wave.
+                if let Some(sibling) = ex.anchor_of.get(&job.edge) {
+                    let mut halves = jobs.iter().filter(|s| s.vertex == *sibling);
+                    prop_assert!(halves.all(|s| s.wave != job.wave));
+                }
+            }
         }
-        if let Some(e) = hard_error {
-            return Err(e);
-        }
-        Ok(())
     }
 }

@@ -56,7 +56,9 @@ impl Executor {
     /// sharing slot), coalescing stacked retries for the same slot into one
     /// attempt at the freshest target — re-running the stale window too
     /// would only be thrown away by batch dedup. Dropped duplicates are
-    /// counted in [`super::ExecFaultStats::retries_coalesced`].
+    /// counted in [`super::ExecFaultStats::retries_coalesced`]. A retry dies
+    /// with its sharing: one whose slot was retired while it waited is
+    /// dropped here, as the storage its push would run over already is.
     pub(super) fn collect_due_retries(&mut self, now: Timestamp) -> Vec<(usize, Timestamp, u32)> {
         // Early return without allocating on the overwhelmingly common
         // no-retries-due tick.
@@ -70,6 +72,9 @@ impl Executor {
                 break;
             }
             self.pending_retries.pop();
+            if !self.cal.is_live(r.idx) {
+                continue;
+            }
             if let Some(e) = out.iter_mut().find(|e| e.0 == r.idx) {
                 e.1 = e.1.max(r.target);
                 e.2 = e.2.max(r.attempt);

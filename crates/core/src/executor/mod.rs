@@ -27,9 +27,10 @@
 //!
 //! The tick is laid out over the submodules in the order it runs:
 //! `liveness` (events, heartbeats, due retries), `sched` (which sharings
-//! push, to what target), `batch` (planning a push into edge jobs, running
-//! them on `wave`/`push`, merging the outcomes), `spans`, `compact`; this
-//! file keeps the executor's state, registration and accessors.
+//! push, to what target), `batch` (planning a push into edge jobs and
+//! running them wave by wave on `push`'s machine-local primitives), `spans`,
+//! `compact`; this file keeps the executor's state, registration and
+//! accessors.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -44,7 +45,6 @@ pub mod seed;
 mod spans;
 #[cfg(test)]
 mod wake_tests;
-mod wave;
 
 pub use migrate::MigrationOutcome;
 
@@ -84,7 +84,7 @@ pub struct ExecConfig {
     pub retry: RetryPolicy,
     /// Vestige, read by nothing: the push engine is one thread. The field
     /// stays only because the frozen harness assigns it
-    /// (`benchmark/src/workloads.rs`); ROADMAP item 2(h) drops it.
+    /// (`benchmark/src/workloads.rs`); ROADMAP item 3(f) drops it.
     pub workers: usize,
 }
 
@@ -707,7 +707,7 @@ impl Executor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::catalog::BaseStats;
     use crate::plan::cost::{critical_path, Scope};
@@ -723,6 +723,19 @@ mod tests {
 
     /// Two machines, one joined sharing, workload helper.
     fn installed(lazy: bool, sla_secs: u64) -> (Smile, RelationId, RelationId, SharingId) {
+        let (smile, a, b, ids) = installed_pinned(lazy, sla_secs, &[None]);
+        (smile, a, b, ids[0])
+    }
+
+    /// [`installed`] with one sharing of the same join per entry of `pins`,
+    /// its MV pinned there (or left to the optimizer): sharings pinned to
+    /// different machines share the half-join pair and its feeding copies
+    /// and differ in the chain from the halves to the MV.
+    pub(super) fn installed_pinned(
+        lazy: bool,
+        sla_secs: u64,
+        pins: &[Option<MachineId>],
+    ) -> (Smile, RelationId, RelationId, Vec<SharingId>) {
         let mut config = SmileConfig::with_machines(2);
         config.exec.lazy = lazy;
         let mut smile = Smile::new(config);
@@ -752,12 +765,14 @@ mod tests {
                 },
             )
             .unwrap();
-        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-        let id = smile
-            .submit("t", q, SimDuration::from_secs(sla_secs), 0.001)
-            .unwrap();
+        let sla = SimDuration::from_secs(sla_secs);
+        let ids = pins.iter().map(|&pin| {
+            let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
+            smile.submit_pinned("t", q, sla, 0.001, pin).unwrap()
+        });
+        let ids = ids.collect();
         smile.install().unwrap();
-        (smile, a, b, id)
+        (smile, a, b, ids)
     }
 
     fn feed(smile: &mut Smile, a: RelationId, b: RelationId, ticks: u64) {

@@ -34,11 +34,11 @@
 //! window, where the simulated cost goes — not the whole cluster. A
 //! cross-machine copy splits into [`ship_copy`] on the source machine and
 //! [`land_copy`] on the destination, exchanging immutable WAL bytes;
-//! everything else is [`run_local`] on the output's machine
-//! ([`super::wave`] sequences them). Fault decisions (crash windows, delta
-//! drops, ack losses) are **not** drawn here — the coordinator pre-draws
-//! them in canonical order and passes the outcomes in as [`JobFaults`], so
-//! the seeded fault streams are consumed in one place.
+//! everything else is [`run_local`] on the output's machine (the wave loop
+//! of `executor::batch` sequences them). Fault decisions (crash windows,
+//! delta drops, ack losses) are **not** drawn here — the coordinator draws
+//! them in canonical order before a wave runs and passes the outcomes in,
+//! so the seeded fault streams are consumed in one place.
 
 use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
@@ -80,19 +80,6 @@ impl EdgeRun {
             ship_arrive: None,
         }
     }
-}
-
-/// Pre-drawn fault outcomes for one edge job. The coordinator consumes the
-/// shared fault stream in canonical job order *before* dispatching a wave,
-/// so these booleans — not the injector — are what the execution sees.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct JobFaults {
-    /// A cross-machine delta batch is lost in transit after the NIC time
-    /// was spent.
-    pub drop_delta: bool,
-    /// The batch lands but its acknowledgement is lost; the retry re-ships
-    /// and is absorbed by the producer's watermark.
-    pub ack_lost: bool,
 }
 
 /// The source-machine half of a cross-machine `CopyDelta`: the filtered

@@ -70,24 +70,7 @@ impl Executor {
         }
         self.plan_calendar(cluster, now, &mut batch)?;
 
-        // Wave assignment: a job's wave is at least its vertex's wavefront
-        // within the batch's vertex subset, and strictly after every
-        // dependency's wave (deps always have lower job indexes, so one
-        // ascending pass settles everything).
-        let jobs = &mut batch.jobs;
-        if !jobs.is_empty() {
-            let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
-            subset.sort_unstable_by_key(|v| self.topo_rank[v.index()]);
-            subset.dedup();
-            let vwave = self.global.plan.wavefronts(&subset);
-            for jid in 0..jobs.len() {
-                let mut w = vwave.get(&jobs[jid].vertex).copied().unwrap_or(0);
-                for &d in &jobs[jid].deps {
-                    w = w.max(jobs[d].wave + 1);
-                }
-                jobs[jid].wave = w;
-            }
-        }
+        batch.assign_waves(&self.global.plan, &self.topo_rank);
         Ok(batch)
     }
 

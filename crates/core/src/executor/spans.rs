@@ -2,9 +2,9 @@
 //! from simulation state in canonical job order, so ids and content repeat
 //! run to run.
 
-use super::batch::{BatchJob, BatchRequest};
+use super::batch::{BatchJob, BatchRequest, Dispatch};
 use super::migrate::MigrationRt;
-use super::{push, wave, Executor};
+use super::{push, Executor};
 use crate::plan::dag::EdgeOp;
 use smile_telemetry::{SpanKind, SpanRecord};
 use smile_types::{MachineId, Result, Timestamp};
@@ -70,11 +70,10 @@ impl Executor {
     pub(super) fn record_job_span(
         &self,
         wave_span: u64,
-        job: &BatchJob,
-        req: &BatchRequest,
-        d: &wave::WaveJob,
+        d: &Dispatch<'_>,
         result: &Result<push::EdgeRun>,
     ) {
+        let (job, req) = (d.job, d.req);
         let edge = self.global.plan.edge(job.edge);
         let bid = push::batch_id(edge.output, job.from, job.to);
         let kind = if job.vertex == req.mv {
@@ -93,7 +92,7 @@ impl Executor {
         };
         let span = self
             .span(Some(wave_span), kind, d.submit, end)
-            .on_machine(d.exec_machine as u32)
+            .on_machine(d.exec_machine.0)
             .for_sharing(req.sharing.0)
             .moving_batch(bid)
             .with("vertex", job.vertex)
@@ -111,7 +110,7 @@ impl Executor {
                 ] {
                     self.telemetry.record_span(
                         self.span(Some(id), kind, start, end)
-                            .on_machine(machine as u32)
+                            .on_machine(machine.0)
                             .for_sharing(req.sharing.0)
                             .moving_batch(bid),
                     );

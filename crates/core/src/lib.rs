@@ -21,6 +21,9 @@
 //! [`platform::Smile`] ties the pieces together behind one facade.
 
 #![warn(missing_docs)]
+// The size ratchet: a function over the default 100 lines needs an `#[allow]`
+// that says why (CI runs clippy with `-D warnings`).
+#![warn(clippy::too_many_lines)]
 
 pub mod catalog;
 pub mod executor;

@@ -205,34 +205,15 @@ impl GlobalPlan {
         let order = src.topo_order()?;
         let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
         for v in order {
-            let vert = src.vertex(v);
-            let nid = self.plan.add_vertex(
-                vert.kind,
-                vert.sig.clone(),
-                vert.machine,
-                vert.schema.clone(),
-                vert.is_base,
-                vert.est_rate,
-                vert.est_card,
-                vert.est_tuple_bytes,
-            );
+            // A planned sharing's vertices serve nothing and have no slot
+            // yet, so the copy starts that way too.
+            let nid = self.plan.add_vertex_copy(src.vertex(v));
             remap.insert(v, nid);
             // Install the producer unless the global plan already has one.
             if self.plan.producer(nid).is_none() {
                 if let Some(e) = src.producer(v) {
                     let inputs = e.inputs.iter().map(|i| remap[i]).collect::<Vec<_>>();
-                    let id = self.plan.add_edge(
-                        e.op.clone(),
-                        inputs,
-                        nid,
-                        e.filter.clone(),
-                        e.projection.clone(),
-                        e.est_rate,
-                        e.est_tuple_bytes,
-                    )?;
-                    if let Some(spec) = &e.aggregate {
-                        self.plan.set_edge_aggregate(id, spec.clone());
-                    }
+                    self.plan.add_edge_copy(e, inputs, nid)?;
                 }
             }
         }
@@ -421,6 +402,10 @@ fn materialize(mut rewired: GlobalPlan) -> Result<GlobalPlan> {
 /// and recomputes its `SHR` sets, leaving the replaced supply chain in place
 /// but unserved. Also returns the rewired plan's topological order — the
 /// order [`Plan::garbage_collect`] would renumber its vertices in.
+// Long because its copy and join stanzas are not the plan builder's: each
+// guards on `producer(..).is_none()` and checks acyclicity against a plan
+// that may already hold the vertex, so they cannot call it.
+#[allow(clippy::too_many_lines)]
 fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
     let mut out = g.clone();
     match p {

@@ -177,30 +177,11 @@ impl<'a> PlanBuilder<'a> {
         if handle.machine == machine {
             return Ok(handle.clone());
         }
-        let (delta_v, residual) = self.local_delta(plan, handle, machine)?;
+        let (delta, residual) = self.local_delta(plan, handle, machine)?;
         debug_assert_eq!(residual, Predicate::True, "copy consumed the filter");
-        let rel_v = plan.add_vertex(
-            VertexKind::Relation,
-            handle.sig.clone(),
-            machine,
-            handle.schema.clone(),
-            false,
-            handle.rate,
-            handle.card,
-            handle.tuple_bytes,
-        );
-        plan.add_edge(
-            EdgeOp::DeltaToRel,
-            vec![delta_v],
-            rel_v,
-            Predicate::True,
-            None,
-            handle.rate,
-            handle.tuple_bytes,
-        )?;
-        Ok(RelHandle {
-            rel: rel_v,
-            delta: delta_v,
+        let replica = RelHandle {
+            rel: handle.rel, // replaced by `applied`
+            delta,
             sig: handle.sig.clone(),
             machine,
             schema: handle.schema.clone(),
@@ -209,7 +190,8 @@ impl<'a> PlanBuilder<'a> {
             card: handle.card,
             tuple_bytes: handle.tuple_bytes,
             distinct: handle.distinct.clone(),
-        })
+        };
+        applied(plan, replica)
     }
 
     /// The in-place incremental join of Figure 2: joins `left` and `right`
@@ -230,183 +212,83 @@ impl<'a> PlanBuilder<'a> {
         projection: Option<Vec<usize>>,
         aggregate: Option<AggregateSpec>,
     ) -> Result<RelHandle> {
-        // ---- estimates --------------------------------------------------
         let fan_l2r = right.fanout(&on.right_cols);
         let fan_r2l = left.fanout(&on.left_cols);
         let rate1 = left.rate * fan_l2r; // Δ(ΔL ⋈ R)
         let rate2 = right.rate * fan_r2l; // Δ(L ⋈ ΔR)
-        let out_rate = rate1 + rate2;
         let out_card = (left.card * fan_l2r).max(0.0);
         let out_bytes = left.tuple_bytes + right.tuple_bytes;
         let out_schema = left.schema.join(&right.schema, "l", "r");
-        let join_sig = ExprSig::join(left.sig.clone(), right.sig.clone(), on.clone());
 
-        // ---- half-join 1: Δ(ΔL ⋈ R@old), computed at right's machine ----
-        let (dl, dl_filter) = self.local_delta(plan, left, right.machine)?;
+        // The half-joins, each computed at its snapshot side's machine:
+        // Δ(ΔL ⋈ R@old) at right's, then Δ(L@new ⋈ ΔR) at left's.
         let pair = (left.machine, right.machine);
-        let sig1 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), true, pair);
-        let d1 = plan.add_vertex(
-            VertexKind::Delta,
-            sig1.clone(),
-            right.machine,
-            out_schema.clone(),
-            false,
-            rate1,
-            0.0,
-            out_bytes,
-        );
-        plan.add_edge(
-            EdgeOp::Join {
+        let mut halves = Vec::with_capacity(2);
+        for (delta, snapshot, delta_side, rate) in [
+            (left, right, DeltaSide::Left, rate1),
+            (right, left, DeltaSide::Right, rate2),
+        ] {
+            let (d_in, filter) = self.local_delta(plan, delta, snapshot.machine)?;
+            let delta_left = delta_side == DeltaSide::Left;
+            let (l, r) = (left.sig.clone(), right.sig.clone());
+            let sig = ExprSig::half_join(l, r, on.clone(), delta_left, pair);
+            let d_half = plan.add_vertex(
+                VertexKind::Delta,
+                sig.clone(),
+                snapshot.machine,
+                out_schema.clone(),
+                false,
+                rate,
+                0.0,
+                out_bytes,
+            );
+            let op = EdgeOp::Join {
                 on: on.clone(),
-                delta_side: DeltaSide::Left,
-                snapshot_filter: right.pending_filter.clone(),
-            },
-            vec![dl, right.rel],
-            d1,
-            dl_filter,
-            None,
-            rate1,
-            out_bytes,
-        )?;
+                delta_side,
+                snapshot_filter: snapshot.pending_filter.clone(),
+            };
+            let inputs = vec![d_in, snapshot.rel];
+            plan.add_edge(op, inputs, d_half, filter, None, rate, out_bytes)?;
+            halves.push((d_half, sig, rate));
+        }
+        // Both streams move to the output machine once both exist.
+        let mut moved = Vec::with_capacity(2);
+        for (d_half, sig, rate) in &halves {
+            moved.push(self.move_delta(plan, *d_half, sig, out_machine, *rate, out_bytes)?);
+        }
 
-        // ---- half-join 2: Δ(L@new ⋈ ΔR), computed at left's machine -----
-        let (dr, dr_filter) = self.local_delta(plan, right, left.machine)?;
-        let sig2 = ExprSig::half_join(left.sig.clone(), right.sig.clone(), on.clone(), false, pair);
-        let d2 = plan.add_vertex(
-            VertexKind::Delta,
-            sig2.clone(),
-            left.machine,
-            out_schema.clone(),
-            false,
-            rate2,
-            0.0,
-            out_bytes,
-        );
-        plan.add_edge(
-            EdgeOp::Join {
-                on: JoinOn {
-                    left_cols: on.left_cols.clone(),
-                    right_cols: on.right_cols.clone(),
-                },
-                delta_side: DeltaSide::Right,
-                snapshot_filter: left.pending_filter.clone(),
-            },
-            vec![dr, left.rel],
-            d2,
-            dr_filter,
-            None,
-            rate2,
-            out_bytes,
-        )?;
-
-        // ---- move both half streams to the output machine ---------------
-        let d1_local = self.move_delta(plan, d1, &sig1, out_machine, rate1, out_bytes)?;
-        let d2_local = self.move_delta(plan, d2, &sig2, out_machine, rate2, out_bytes)?;
-
-        // ---- union and apply --------------------------------------------
-        let (mv_schema, mv_bytes) = if let Some(spec) = &aggregate {
-            let s = spec.output_schema(&out_schema)?;
-            (s, out_bytes * 0.5)
-        } else {
-            match &projection {
-                Some(cols) => {
-                    let s = out_schema.project(cols);
-                    // Rough byte estimate: share of columns kept.
-                    let frac = cols.len() as f64 / out_schema.arity().max(1) as f64;
-                    (s, out_bytes * frac)
-                }
-                None => (out_schema.clone(), out_bytes),
-            }
-        };
         // Distinct estimates of the join output: concatenated, capped, and
         // remapped through the projection if one applies.
-        let full_distinct: Vec<f64> = left
-            .distinct
-            .iter()
-            .chain(right.distinct.iter())
-            .map(|&d| d.min(out_card.max(1.0)))
-            .collect();
-        let distinct: Vec<f64> = match &projection {
-            Some(cols) => cols
-                .iter()
-                .map(|&c| full_distinct.get(c).copied().unwrap_or(out_card.max(1.0)))
-                .collect(),
-            None => full_distinct.clone(),
-        };
-        let out_sig = ExprSig::aggregate(
-            aggregate.clone(),
-            ExprSig::project(projection.clone(), join_sig),
-        );
+        let cap = out_card.max(1.0);
+        let sides = left.distinct.iter().chain(&right.distinct);
+        let full_distinct: Vec<f64> = sides.map(|&d| d.min(cap)).collect();
+        let distinct_of = |c: &usize| full_distinct.get(*c).copied().unwrap_or(cap);
         // Aggregate views hold roughly one row per live group.
-        let out_card = if let Some(spec) = &aggregate {
-            let groups: f64 = spec
-                .group_cols
-                .iter()
-                .map(|&c| full_distinct.get(c).copied().unwrap_or(out_card.max(1.0)))
-                .product::<f64>()
-                .min(out_card.max(1.0));
-            groups
-        } else {
-            out_card
+        let card = match &aggregate {
+            Some(spec) => {
+                let groups: f64 = spec.group_cols.iter().map(distinct_of).product();
+                groups.min(cap)
+            }
+            None => out_card,
         };
-        let d_out = plan.add_vertex(
-            VertexKind::Delta,
-            out_sig.clone(),
-            out_machine,
-            mv_schema.clone(),
-            false,
-            out_rate,
-            0.0,
-            mv_bytes,
-        );
-        let union_edge = plan.add_edge(
-            EdgeOp::Union,
-            vec![d1_local, d2_local],
-            d_out,
-            Predicate::True,
-            if aggregate.is_some() {
-                None
-            } else {
-                projection
-            },
-            out_rate,
-            mv_bytes,
-        )?;
-        if let Some(spec) = aggregate {
-            plan.set_edge_aggregate(union_edge, spec);
-        }
-        let r_out = plan.add_vertex(
-            VertexKind::Relation,
-            out_sig.clone(),
-            out_machine,
-            mv_schema.clone(),
-            false,
-            out_rate,
-            out_card,
-            mv_bytes,
-        );
-        plan.add_edge(
-            EdgeOp::DeltaToRel,
-            vec![d_out],
-            r_out,
-            Predicate::True,
-            None,
-            out_rate,
-            mv_bytes,
-        )?;
-
-        Ok(RelHandle {
-            rel: r_out,
-            delta: d_out,
-            sig: out_sig,
+        let distinct = match &projection {
+            Some(cols) => cols.iter().map(distinct_of).collect(),
+            None => full_distinct,
+        };
+        let joined = RelHandle {
+            rel: left.rel, // both replaced by `mv_step`
+            delta: left.delta,
+            sig: ExprSig::join(left.sig.clone(), right.sig.clone(), on.clone()),
             machine: out_machine,
-            schema: mv_schema,
+            schema: out_schema,
             pending_filter: Predicate::True,
-            rate: out_rate,
-            card: out_card,
-            tuple_bytes: mv_bytes,
+            rate: rate1 + rate2,
+            card,
+            tuple_bytes: out_bytes,
             distinct,
-        })
+        };
+        let feed = (EdgeOp::Union, moved, Predicate::True);
+        mv_step(plan, joined, feed, projection, aggregate)
     }
 
     /// Moves a delta vertex to `machine` with a `CopyDelta` when needed.
@@ -471,80 +353,98 @@ impl<'a> PlanBuilder<'a> {
         } else {
             projection
         };
-        let (mv_schema, mv_bytes) = if let Some(spec) = &aggregate {
-            (spec.output_schema(&base.schema)?, base.tuple_bytes * 0.5)
-        } else {
-            match &projection {
-                Some(cols) => {
-                    let s = base.schema.project(cols);
-                    let frac = cols.len() as f64 / base.schema.arity().max(1) as f64;
-                    (s, base.tuple_bytes * frac)
-                }
-                None => (base.schema.clone(), base.tuple_bytes),
-            }
-        };
-        let out_sig = ExprSig::aggregate(
-            aggregate.clone(),
-            ExprSig::project(projection.clone(), base.sig.clone()),
-        );
-        let d_mv = plan.add_vertex(
-            VertexKind::Delta,
-            out_sig.clone(),
-            out_machine,
-            mv_schema.clone(),
-            false,
-            base.rate,
-            0.0,
-            mv_bytes,
-        );
-        let copy_edge = plan.add_edge(
-            EdgeOp::CopyDelta,
-            vec![base.delta],
-            d_mv,
-            predicate,
-            if aggregate.is_some() {
-                None
-            } else {
-                projection
-            },
-            base.rate,
-            mv_bytes,
-        )?;
-        if let Some(spec) = aggregate {
-            plan.set_edge_aggregate(copy_edge, spec);
-        }
-        let r_mv = plan.add_vertex(
-            VertexKind::Relation,
-            out_sig.clone(),
-            out_machine,
-            mv_schema.clone(),
-            false,
-            base.rate,
-            base.card,
-            mv_bytes,
-        );
-        plan.add_edge(
-            EdgeOp::DeltaToRel,
-            vec![d_mv],
-            r_mv,
-            Predicate::True,
-            None,
-            base.rate,
-            mv_bytes,
-        )?;
-        Ok(RelHandle {
-            rel: r_mv,
-            delta: d_mv,
-            sig: out_sig,
+        let feed = (EdgeOp::CopyDelta, vec![base.delta], predicate);
+        // The filtered base, re-homed: `mv_step` replaces its vertex pair.
+        let scanned = RelHandle {
             machine: out_machine,
-            schema: mv_schema,
             pending_filter: Predicate::True,
-            rate: base.rate,
-            card: base.card,
-            tuple_bytes: mv_bytes,
-            distinct: base.distinct,
-        })
+            ..base
+        };
+        mv_step(plan, scanned, feed, projection, aggregate)
     }
+}
+
+/// The MV step, built once for every plan shape. `out` describes the
+/// result before the final projection or aggregation (its vertex pair is
+/// replaced here); `feed` is the edge — operator, inputs, filter — that
+/// produces the MV's delta from what the caller built. Derives the MV's
+/// schema, byte estimate and signature, adds the delta vertex and its
+/// producing edge (the projection riding it, or the aggregate replacing
+/// it), and hands over to [`applied`].
+fn mv_step(
+    plan: &mut Plan,
+    mut out: RelHandle,
+    feed: (EdgeOp, Vec<VertexId>, Predicate),
+    projection: Option<Vec<usize>>,
+    aggregate: Option<AggregateSpec>,
+) -> Result<RelHandle> {
+    if let Some(spec) = &aggregate {
+        out.schema = spec.output_schema(&out.schema)?;
+        out.tuple_bytes *= 0.5;
+    } else if let Some(cols) = &projection {
+        // Rough byte estimate: share of columns kept.
+        out.tuple_bytes *= cols.len() as f64 / out.schema.arity().max(1) as f64;
+        out.schema = out.schema.project(cols);
+    }
+    out.sig = ExprSig::aggregate(
+        aggregate.clone(),
+        ExprSig::project(projection.clone(), out.sig),
+    );
+    out.delta = plan.add_vertex(
+        VertexKind::Delta,
+        out.sig.clone(),
+        out.machine,
+        out.schema.clone(),
+        false,
+        out.rate,
+        0.0,
+        out.tuple_bytes,
+    );
+    let (op, inputs, filter) = feed;
+    // An aggregate's group and value columns index the unprojected rows.
+    let riding = if aggregate.is_some() {
+        None
+    } else {
+        projection
+    };
+    let edge = plan.add_edge(
+        op,
+        inputs,
+        out.delta,
+        filter,
+        riding,
+        out.rate,
+        out.tuple_bytes,
+    )?;
+    if let Some(spec) = aggregate {
+        plan.set_edge_aggregate(edge, spec);
+    }
+    applied(plan, out)
+}
+
+/// The applied relation of `handle`'s delta: a `Relation` vertex beside it
+/// and the `DeltaToRel` edge that maintains it, as `handle.rel`.
+fn applied(plan: &mut Plan, mut handle: RelHandle) -> Result<RelHandle> {
+    handle.rel = plan.add_vertex(
+        VertexKind::Relation,
+        handle.sig.clone(),
+        handle.machine,
+        handle.schema.clone(),
+        false,
+        handle.rate,
+        handle.card,
+        handle.tuple_bytes,
+    );
+    plan.add_edge(
+        EdgeOp::DeltaToRel,
+        vec![handle.delta],
+        handle.rel,
+        Predicate::True,
+        None,
+        handle.rate,
+        handle.tuple_bytes,
+    )?;
+    Ok(handle)
 }
 
 #[cfg(test)]

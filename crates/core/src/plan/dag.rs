@@ -244,7 +244,7 @@ impl Plan {
                 sig
             }
         };
-        self.vertices.push(Vertex {
+        self.push_vertex(Vertex {
             id,
             kind,
             sig,
@@ -256,7 +256,26 @@ impl Plan {
             est_rate,
             est_card,
             est_tuple_bytes,
-        });
+        })
+    }
+
+    /// Adds a copy of `v` — a vertex of another plan — under this plan's
+    /// next id, every other field carried over (`SHR` set and storage slot
+    /// included). Deduplicates like [`Plan::add_vertex`]: an identical
+    /// vertex already here is returned as it is.
+    pub fn add_vertex_copy(&mut self, v: &Vertex) -> VertexId {
+        let id = VertexId::new(self.vertices.len() as u32);
+        match self.index.entry((v.kind, v.sig.clone(), v.machine)) {
+            Entry::Occupied(existing) => return *existing.get(),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
+        self.push_vertex(Vertex { id, ..v.clone() })
+    }
+
+    /// The tail of both vertex adders: `v` is new and already indexed.
+    fn push_vertex(&mut self, v: Vertex) -> VertexId {
+        let id = v.id;
+        self.vertices.push(v);
         self.producer.push(None);
         self.consumers.push(Vec::new());
         id
@@ -278,23 +297,8 @@ impl Plan {
         est_rate: f64,
         est_tuple_bytes: f64,
     ) -> Result<usize> {
-        if let Some(existing) = self.producer[output.index()] {
-            let e = &self.edges[existing];
-            if e.op == op && e.inputs == inputs && e.filter == filter && e.projection == projection
-            {
-                return Ok(existing);
-            }
-            return Err(SmileError::InvalidPlan(format!(
-                "vertex {output} already produced by a different edge"
-            )));
-        }
-        let id = self.edges.len();
-        for &input in &inputs {
-            self.consumers[input.index()].push(id);
-        }
-        self.producer[output.index()] = Some(id);
-        self.edges.push(Edge {
-            id,
+        self.attach(Edge {
+            id: self.edges.len(),
             op,
             inputs,
             output,
@@ -303,7 +307,56 @@ impl Plan {
             aggregate: None,
             est_rate,
             est_tuple_bytes,
-        });
+        })
+    }
+
+    /// Adds a copy of `e` — an edge of another plan — between `inputs` and
+    /// `output` of this one, every other field carried over (the aggregate
+    /// included). Deduplicates and conflicts like [`Plan::add_edge`].
+    pub fn add_edge_copy(
+        &mut self,
+        e: &Edge,
+        inputs: Vec<VertexId>,
+        output: VertexId,
+    ) -> Result<usize> {
+        // Every field by name, so a field added to `Edge` fails to compile
+        // here until the copy carries it.
+        self.attach(Edge {
+            id: self.edges.len(),
+            op: e.op.clone(),
+            inputs,
+            output,
+            filter: e.filter.clone(),
+            projection: e.projection.clone(),
+            aggregate: e.aggregate.clone(),
+            est_rate: e.est_rate,
+            est_tuple_bytes: e.est_tuple_bytes,
+        })
+    }
+
+    /// The tail of both edge adders: `edge` becomes its output's producer
+    /// unless an equal one already is.
+    fn attach(&mut self, edge: Edge) -> Result<usize> {
+        if let Some(existing) = self.producer[edge.output.index()] {
+            let e = &self.edges[existing];
+            if e.op == edge.op
+                && e.inputs == edge.inputs
+                && e.filter == edge.filter
+                && e.projection == edge.projection
+            {
+                return Ok(existing);
+            }
+            return Err(SmileError::InvalidPlan(format!(
+                "vertex {} already produced by a different edge",
+                edge.output
+            )));
+        }
+        let id = edge.id;
+        for &input in &edge.inputs {
+            self.consumers[input.index()].push(id);
+        }
+        self.producer[edge.output.index()] = Some(id);
+        self.edges.push(edge);
         Ok(id)
     }
 
@@ -543,18 +596,7 @@ impl Plan {
             if vert.sharings.is_empty() && !vert.is_base {
                 continue;
             }
-            let nid = out.add_vertex(
-                vert.kind,
-                vert.sig.clone(),
-                vert.machine,
-                vert.schema.clone(),
-                vert.is_base,
-                vert.est_rate,
-                vert.est_card,
-                vert.est_tuple_bytes,
-            );
-            out.vertex_mut(nid).sharings = vert.sharings.clone();
-            out.vertex_mut(nid).slot = vert.slot;
+            let nid = out.add_vertex_copy(vert);
             remap.insert(v, nid);
         }
         for e in &self.edges {
@@ -568,16 +610,7 @@ impl Plan {
             };
             // A kept vertex has one attached producer, so this never meets
             // a second edge for `output`; `add_edge` says so if it does.
-            let id = out.add_edge(
-                e.op.clone(),
-                inputs,
-                output,
-                e.filter.clone(),
-                e.projection.clone(),
-                e.est_rate,
-                e.est_tuple_bytes,
-            )?;
-            out.edges[id].aggregate = e.aggregate.clone();
+            out.add_edge_copy(e, inputs, output)?;
         }
         Ok(out)
     }

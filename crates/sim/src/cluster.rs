@@ -168,12 +168,6 @@ impl Cluster {
             .ok_or(SmileError::UnknownMachine(m))
     }
 
-    /// Mutable access to the whole fleet at once, indexed by machine index:
-    /// a wave of the push engine touches several machines in one call.
-    pub fn machines_mut(&mut self) -> &mut [Machine] {
-        &mut self.machines
-    }
-
     /// Samples disk occupancy on every machine into the ledger's total
     /// (storage is platform overhead shared by all sharings hosted on the
     /// machine; per-sharing attribution happens through plan vertices).

@@ -31,7 +31,7 @@ use bytes::{BufMut, BytesMut};
 /// the unit a push's ship half hands to its land half.
 pub use bytes::Bytes;
 use smile_types::{Result, SmileError, Timestamp};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 const MAGIC: &[u8; 4] = b"SWAL";
 const VERSION: u8 = 2;
@@ -61,49 +61,32 @@ impl WalCounters {
     }
 }
 
-/// Atomic cells backing [`WalCounters`], embedded in each database so the
-/// ship/land halves of a push can note traffic through `&Database`.
-#[derive(Debug, Default)]
-pub struct WalStats {
-    batches_shipped: AtomicU64,
-    bytes_shipped: AtomicU64,
-    batches_landed: AtomicU64,
-    bytes_landed: AtomicU64,
-}
-
-impl Clone for WalStats {
-    fn clone(&self) -> Self {
-        let c = self.counters();
-        Self {
-            batches_shipped: AtomicU64::new(c.batches_shipped),
-            bytes_shipped: AtomicU64::new(c.bytes_shipped),
-            batches_landed: AtomicU64::new(c.batches_landed),
-            bytes_landed: AtomicU64::new(c.bytes_landed),
-        }
-    }
-}
+/// The cell backing [`WalCounters`], embedded in each database so the
+/// ship/land halves of a push can note traffic through `&Database` (the
+/// engine is one thread; `Arrangement` counts its probes the same way).
+#[derive(Clone, Debug, Default)]
+pub struct WalStats(Cell<WalCounters>);
 
 impl WalStats {
     /// Notes one encoded batch of `bytes` leaving this database.
     pub fn note_shipped(&self, bytes: u64) {
-        self.batches_shipped.fetch_add(1, Ordering::Relaxed);
-        self.bytes_shipped.fetch_add(bytes, Ordering::Relaxed);
+        let mut c = self.0.get();
+        c.batches_shipped += 1;
+        c.bytes_shipped += bytes;
+        self.0.set(c);
     }
 
     /// Notes one decoded batch of `bytes` landing in this database.
     pub fn note_landed(&self, bytes: u64) {
-        self.batches_landed.fetch_add(1, Ordering::Relaxed);
-        self.bytes_landed.fetch_add(bytes, Ordering::Relaxed);
+        let mut c = self.0.get();
+        c.batches_landed += 1;
+        c.bytes_landed += bytes;
+        self.0.set(c);
     }
 
     /// Point-in-time copy of the counters.
     pub fn counters(&self) -> WalCounters {
-        WalCounters {
-            batches_shipped: self.batches_shipped.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            batches_landed: self.batches_landed.load(Ordering::Relaxed),
-            bytes_landed: self.bytes_landed.load(Ordering::Relaxed),
-        }
+        self.0.get()
     }
 }
 

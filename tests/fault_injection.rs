@@ -21,6 +21,17 @@ fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
 
 /// Two machines, one cross-machine joined sharing, fault profile as given.
 fn build(faults: FaultProfile, sla_secs: u64) -> (Smile, RelationId, RelationId, SharingId) {
+    let (smile, a, b, ids) = build_pinned(faults, sla_secs, &[None]);
+    (smile, a, b, ids[0])
+}
+
+/// [`build`] with one sharing of the same join per entry of `mv_machines`,
+/// its MV pinned there (or left to the optimizer).
+fn build_pinned(
+    faults: FaultProfile,
+    sla_secs: u64,
+    mv_machines: &[Option<MachineId>],
+) -> (Smile, RelationId, RelationId, Vec<SharingId>) {
     let mut config = SmileConfig::with_machines(2);
     config.faults = faults;
     let mut smile = Smile::new(config);
@@ -50,12 +61,14 @@ fn build(faults: FaultProfile, sla_secs: u64) -> (Smile, RelationId, RelationId,
             },
         )
         .unwrap();
-    let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-    let id = smile
-        .submit("t", q, SimDuration::from_secs(sla_secs), 0.01)
-        .unwrap();
+    let sla = SimDuration::from_secs(sla_secs);
+    let ids = mv_machines.iter().map(|&m| {
+        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
+        smile.submit_pinned("t", q, sla, 0.01, m).unwrap()
+    });
+    let ids = ids.collect();
     smile.install().unwrap();
-    (smile, a, b, id)
+    (smile, a, b, ids)
 }
 
 /// One insert into each base per tick, then a tick.
@@ -194,4 +207,67 @@ fn disabled_faults_report_all_zero() {
     );
     assert_eq!(report.sla_violations_attributable, 0);
     assert!(smile.cluster.faults.events.is_empty());
+}
+
+/// Feeds until a tick ends with every one of `ids` waiting out a retry
+/// backoff: `ids.len()` pushes failed in that tick and all slots are in
+/// flight.
+fn feed_until_retries_pending(smile: &mut Smile, a: RelationId, b: RelationId, ids: &[SharingId]) {
+    for _ in 0..200 {
+        let before = smile.fault_report().pushes_retried;
+        feed(smile, a, b, 1);
+        let failed = smile.fault_report().pushes_retried - before;
+        let executor = smile.executor.as_ref().unwrap();
+        if failed == ids.len() as u64 && ids.iter().all(|&id| executor.in_flight(id)) {
+            return;
+        }
+    }
+    panic!("no tick left every sharing with a retry pending");
+}
+
+/// A retry dies with its sharing: retiring a sharing whose push awaits a
+/// retry must not leave the retry to fire over the storage the retire
+/// dropped (`step` used to fail with "vertex … has no storage slot", on
+/// every remaining attempt).
+#[test]
+fn retiring_a_sharing_with_a_retry_pending_keeps_stepping() {
+    let mut profile = FaultProfile::disabled();
+    profile.seed = 7;
+    profile.ack_loss = 1.0;
+    let (mut smile, a, b, id) = build(profile, 20);
+    feed_until_retries_pending(&mut smile, a, b, &[id]);
+    smile.retire(id).unwrap();
+    for _ in 0..30 {
+        smile.step().unwrap();
+    }
+    let report = smile.fault_report();
+    assert_eq!(
+        (report.pushes_retried, report.pushes_abandoned),
+        (1, 0),
+        "the retired sharing's retry still ran: {report:?}"
+    );
+}
+
+/// The same with a live twin on the other machine sharing the retired
+/// sharing's half-joins: the twin keeps pushing over the shared vertices
+/// and its MV equals recomputation after the drain.
+#[test]
+fn retiring_a_twin_with_a_retry_pending_leaves_the_other_exact() {
+    let mut profile = FaultProfile::disabled();
+    profile.seed = 7;
+    profile.ack_loss = 0.5;
+    let pins = [0, 1].map(|m| Some(MachineId::new(m)));
+    let (mut smile, a, b, ids) = build_pinned(profile, 20, &pins);
+    feed_until_retries_pending(&mut smile, a, b, &ids);
+    smile.retire(ids[0]).unwrap();
+    feed(&mut smile, a, b, 100);
+    smile.run_idle(SimDuration::from_secs(60)).unwrap();
+
+    let twin = ids[1];
+    let mv_ts = smile.executor.as_ref().unwrap().mv_ts(twin).unwrap();
+    assert!(mv_ts.as_secs_f64() > 100.0, "twin's MV stuck at {mv_ts}");
+    let got = smile.mv_contents(twin).unwrap();
+    let want = smile.expected_mv_contents(twin).unwrap();
+    assert!(!want.is_empty());
+    assert_eq!(got.sorted_entries(), want.sorted_entries());
 }

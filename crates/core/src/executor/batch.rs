@@ -46,7 +46,7 @@ use smile_telemetry::{Histogram, SpanKind, SpanRecord};
 use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp, VertexId};
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// One push planned into the current tick's batch: sharing `idx` advancing
@@ -271,6 +271,13 @@ impl Executor {
         batch: &mut Batch,
     ) -> Result<()> {
         let rt = &self.sharings[idx];
+        // An instant inside a window some other request pushed a shared join
+        // or aggregate output through is no state of it (`ExprSig::windowed`),
+        // so the request goes to the furthest such window's end instead
+        // (never past `now`: that request's target was a `now` of its own).
+        let plan = &self.global.plan;
+        let shared = rt.order.iter().filter(|&&v| plan.vertex(v).sig.windowed());
+        let target = shared.fold(target, |t, &v| t.max(batch.ts(&self.data_ts, v)));
         let staleness_before = now - self.visible_ts[rt.mv.index()];
         let window_secs = (target - batch.ts(&self.data_ts, rt.mv)).as_secs_f64();
         let mut request = BatchRequest {
@@ -381,7 +388,7 @@ impl Executor {
             hard_error: None,
         };
         // Its own handle, so the meter's borrow outlives the merges' `&mut self`.
-        let telemetry = Arc::clone(&self.telemetry);
+        let telemetry = Rc::clone(&self.telemetry);
         let mut host = HostMeter {
             host_job_nanos: telemetry.host_job_nanos(),
             halves: 0,

@@ -62,7 +62,7 @@ use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timesta
 use spans::us;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Command dispatch latency (executor → agent).
 const COMMAND_LATENCY: SimDuration = SimDuration::from_millis(5);
@@ -72,9 +72,6 @@ const COMMAND_LATENCY: SimDuration = SimDuration::from_millis(5);
 pub struct ExecConfig {
     /// Scheduler tick period.
     pub tick: SimDuration,
-    /// The `l` factor of §8.2: fire a push when the projected staleness at
-    /// completion reaches `l · SLA`.
-    pub l_factor: f64,
     /// Lazy scheduling (the paper's design). `false` pushes every tick —
     /// the eager baseline of the ablation benches.
     pub lazy: bool,
@@ -92,7 +89,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         Self {
             tick: SimDuration::from_secs(1),
-            l_factor: 0.8,
             lazy: true,
             feedback: true,
             retry: RetryPolicy::default(),
@@ -265,12 +261,12 @@ pub struct Executor {
     /// Completed pushes (Figure 7 data).
     pub push_records: Vec<PushRecord>,
     /// Shared telemetry handle: spans, counters, histograms.
-    telemetry: Arc<Telemetry>,
+    telemetry: Rc<Telemetry>,
     /// Registry counters behind [`Executor::wave_meter_view`], cached at
     /// build time so the merge loop records without a registry lookup.
-    ctr_waves: Arc<Counter>,
-    ctr_jobs: Arc<Counter>,
-    ctr_busy_nanos: Arc<Counter>,
+    ctr_waves: Rc<Counter>,
+    ctr_jobs: Rc<Counter>,
+    ctr_busy_nanos: Rc<Counter>,
     /// Per join edge id: the sibling half-join's output vertex, whose
     /// coverage anchors this join's snapshot (consistency under skew).
     anchor_of: HashMap<usize, VertexId>,
@@ -287,24 +283,24 @@ pub struct Executor {
     /// Host wall-clock per tick spent in the scheduling phase (drain +
     /// heartbeats + planning), µs. `host_` marks it excluded from
     /// determinism comparisons.
-    hist_sched_us: Arc<Histogram>,
+    hist_sched_us: Rc<Histogram>,
     /// The same per-tick scheduling latencies as a raw log, for benches
     /// that window percentiles past warmup (host-side only).
     pub sched_host_us: Vec<u64>,
-    ctr_cal_wakes: Arc<Counter>,
-    ctr_cal_early: Arc<Counter>,
-    gauge_cal_scheduled: Arc<Gauge>,
-    gauge_cal_waiting: Arc<Gauge>,
-    gauge_cal_wheel: Arc<Gauge>,
+    ctr_cal_wakes: Rc<Counter>,
+    ctr_cal_early: Rc<Counter>,
+    gauge_cal_scheduled: Rc<Gauge>,
+    gauge_cal_waiting: Rc<Gauge>,
+    gauge_cal_wheel: Rc<Gauge>,
     /// Fleet-wide staleness-headroom histogram (one instrument for the
     /// whole fleet — the per-sharing `{sharing=N}` family it replaces was
     /// O(N) registry cardinality at 100k sharings). Cached at build so the
     /// completion path is an O(1) handle deref, never a name lookup.
-    hist_headroom_us: Arc<Histogram>,
+    hist_headroom_us: Rc<Histogram>,
     /// Fleet-wide staleness-at-completion histogram.
-    hist_after_us: Arc<Histogram>,
+    hist_after_us: Rc<Histogram>,
     /// Fleet-wide SLA-miss counter.
-    ctr_sla_missed: Arc<Counter>,
+    ctr_sla_missed: Rc<Counter>,
     /// Bounded per-sharing accounting: compact summaries + deterministic
     /// top-K worst-headroom rows, O(K) snapshot cardinality.
     rollup: FleetRollup,
@@ -385,7 +381,7 @@ impl Executor {
         sharings: &[Sharing],
         model: TimeCostModel,
         config: ExecConfig,
-        telemetry: Arc<Telemetry>,
+        telemetry: Rc<Telemetry>,
     ) -> Result<Self> {
         let cal = CalendarState::new(0, config.tick, model.inflation() * INFLATION_HEADROOM);
         let reg = telemetry.registry();
@@ -551,6 +547,11 @@ impl Executor {
             self.data_ts[v.index()] = at;
             self.visible_ts[v.index()] = at;
         }
+    }
+
+    /// How far a derived vertex's contents reach: its landed `data_ts`.
+    pub(crate) fn coverage(&self, v: VertexId) -> Timestamp {
+        self.data_ts[v.index()]
     }
 
     /// **On-the-fly removal** (paper §10 future work): retires a sharing.

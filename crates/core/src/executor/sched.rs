@@ -9,6 +9,10 @@ use super::{Executor, SharingRt};
 use smile_sim::Cluster;
 use smile_types::{Result, SimDuration, Timestamp, VertexId};
 
+/// The `l` factor of §8.2: a lazy push fires when the staleness projected
+/// at its completion reaches `L_FACTOR · SLA`.
+const L_FACTOR: f64 = 0.8;
+
 /// Outcome of evaluating one sharing for a push at the current tick. Only
 /// `Fire`/`Deferred` have effects; the calendar maps every other variant
 /// to the event that will next make the outcome change, so the slot can
@@ -191,7 +195,7 @@ impl Executor {
             // Wait as long as possible: fire only when finishing a push
             // started one tick later would land at l·SLA or beyond.
             let projected = staleness_now + cp + self.config.tick;
-            if projected < rt.sla.mul_f64(self.config.l_factor) {
+            if projected < rt.sla.mul_f64(L_FACTOR) {
                 return Consider::Lazy;
             }
         }
@@ -253,7 +257,7 @@ impl Executor {
         let rt = &self.sharings[idx];
         let cp = &rt.cp;
         let tick_secs = self.config.tick.as_secs_f64();
-        let l_sla = rt.sla.mul_f64(self.config.l_factor).as_secs_f64();
+        let l_sla = rt.sla.mul_f64(L_FACTOR).as_secs_f64();
         let staleness = (now - self.visible_ts[rt.mv.index()]).as_secs_f64();
         // Window bound from the *committed* data_ts, not the plan shadow: a
         // same-tick overlay entry can be rolled back by a failed push, so

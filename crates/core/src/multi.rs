@@ -311,9 +311,13 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
     let peers = |kind: VertexKind, sig| postings.get(&(kind, sig)).into_iter().flatten().copied();
     let mut out = Vec::new();
     // Copy plumbing: same sig on different machines, dst not already fed by
-    // a CopyDelta (from anywhere) and not a base capture point.
+    // a CopyDelta (from anywhere) and not a base capture point. Nor an
+    // aggregate: its delta is written against its own view's rows (delete
+    // the old row, insert the new), so a copy read without that view in step
+    // replays stale rows.
     for dst in g.plan.vertices() {
-        if dst.kind != VertexKind::Delta || dst.is_base {
+        let aggregate = matches!(dst.sig, ExprSig::Aggregate { .. });
+        if dst.kind != VertexKind::Delta || dst.is_base || aggregate {
             continue;
         }
         let already_copy_fed = g

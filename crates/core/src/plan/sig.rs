@@ -142,6 +142,20 @@ impl ExprSig {
             None => input,
         }
     }
+
+    /// Whether this expression's entries are a join's or an aggregate's
+    /// output: a half-join stamps a cross-term with its delta side's
+    /// timestamp, an aggregate a group's update with its last entry's, so
+    /// only the end of a window it was pushed through is a state of the
+    /// expression. Copies, filters and projections of a base stream are one
+    /// at every instant.
+    pub fn windowed(&self) -> bool {
+        match self {
+            ExprSig::Base(_) => false,
+            ExprSig::Filter { input, .. } | ExprSig::Project { input, .. } => input.windowed(),
+            _ => true,
+        }
+    }
 }
 
 impl fmt::Display for ExprSig {

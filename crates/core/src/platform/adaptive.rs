@@ -3,7 +3,6 @@
 //! fleet elasticity.
 
 use super::{running, running_mut, Smile, WORST_ROWS};
-use crate::plan::dag::VertexKind;
 use smile_sim::MachineState;
 use smile_telemetry::Alert;
 use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp};
@@ -188,19 +187,11 @@ impl Smile {
         if planned.mv_machine == cur_machine {
             return Ok(false); // the current placement already wins
         }
-        // A relation the new plan replicates onto a machine where its delta
-        // twin already lands adopts the twin's slot and catches up from its
-        // log, which compaction keeps for the twin's readers — not back to
-        // this sharing's commit point. Cut past it already: not now.
-        let plan = &executor.global.plan;
-        for v in planned.plan.vertices().iter().filter(|v| v.kind == VertexKind::Relation) {
-            let slot_of = |kind| plan.vertex(plan.find_vertex(kind, &v.sig, v.machine)?).slot;
-            let db = &self.cluster.machine(v.machine)?.db;
-            if let (None, Some(log)) = (slot_of(VertexKind::Relation), slot_of(VertexKind::Delta)) {
-                if seed_at < db.relation(log)?.delta.horizon() {
-                    return Ok(false);
-                }
-            }
+        // The new chain cannot start reading a resident input at this
+        // sharing's commit point yet: not now.
+        let own = executor.sharing_topology(id).map_or(&[][..], |(order, _)| order);
+        if self.unseedable(&self.resident_inputs(&planned)?, seed_at, own)?.is_some() {
+            return Ok(false);
         }
         // Shadow install: merge the new chain into the running plan, then
         // reconcile storage exactly like a live admission — the chain is

@@ -46,7 +46,7 @@ use smile_types::{
     MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// How many worst-headroom sharings the metrics snapshot exports as rows
 /// and the adaptive loop considers as migration candidates per alert — the
@@ -81,7 +81,7 @@ pub struct SmileConfig {
     /// [`FaultProfile::chaos`] for a hostile preset).
     pub faults: FaultProfile,
     /// Telemetry settings: span recording on/off and the span sampling
-    /// rate. Instruments always record (pure atomics); disabling only
+    /// rate. Instruments always record (plain cells); disabling only
     /// quiets span recording (zero allocation).
     pub telemetry: TelemetryConfig,
     /// Adaptive-runtime actuator settings: online re-planning, live MV
@@ -130,7 +130,7 @@ pub struct Smile {
     /// The hill-climbing report from the last `install`.
     pub hc_report: Option<HillClimbReport>,
     /// Shared telemetry handle (spans, counters, histograms).
-    telemetry: Arc<Telemetry>,
+    telemetry: Rc<Telemetry>,
     /// The global plan built incrementally at submit time; `install`
     /// consumes it.
     staged: GlobalPlan,
@@ -166,7 +166,7 @@ impl Smile {
         let mut cluster = Cluster::with_configs(vec![config.machine_config; config.machines]);
         cluster.prices = config.prices;
         cluster.set_fault_profile(config.faults);
-        let telemetry = Arc::new(Telemetry::new(&config.telemetry));
+        let telemetry = Rc::new(Telemetry::new(&config.telemetry));
         Self {
             cluster,
             catalog: Catalog::new(),
@@ -299,6 +299,23 @@ impl Smile {
                     reg.counter("planner.sharings_rejected").inc();
                 }
             })?;
+        // A running plan's admission is seeded no later than the resident
+        // vertices it attaches to, and refused before it merges if one of
+        // them holds no state to read from at that instant.
+        let seed = match &self.executor {
+            Some(executor) => {
+                let inputs = self.resident_inputs(&planned)?;
+                let derived = inputs.iter().filter(|&&v| !executor.global.plan.vertex(v).is_base);
+                let seed = derived.map(|&v| executor.coverage(v)).fold(self.now, Timestamp::min);
+                if let Some(relation) = self.unseedable(&inputs, seed, &[])? {
+                    reg.counter("planner.sharings_rejected").inc();
+                    reg.counter("planner.sharings_unseedable").inc();
+                    return Err(SmileError::SeedUnavailable { relation, seed });
+                }
+                Some(seed)
+            }
+            None => None,
+        };
         reg.counter("planner.sharings_admitted").inc();
         let before = self.current_plan().vertex_count();
         match &mut self.executor {
@@ -311,10 +328,84 @@ impl Smile {
             }
         }
         self.count_reuse(&planned, before);
-        if self.executor.is_some() {
-            self.reconcile_storage(None)?;
+        if let Some(seed) = seed {
+            self.reconcile_storage(Some(seed).filter(|&s| s < self.now))?;
         }
         Ok(planned)
+    }
+
+    /// The vertices already holding storage that `planned`'s newly live
+    /// vertices read from, once merged into the running plan — where their
+    /// first windows start, at the seed instant. The walk follows the merge:
+    /// a vertex the running plan has keeps its producer there (slotless:
+    /// inert, about to be revived), one it lacks brings its planned one.
+    ///
+    /// A live admission seeds no later than the oldest coverage among them:
+    /// a twin that dedups into a half-join pair whose last push lags `now`
+    /// must see the pair's next window whole, since its cross-term is
+    /// stamped inside the lag. And neither a live admission nor a migration
+    /// can seed before one of their logs' horizons.
+    fn resident_inputs(&self, planned: &PlannedSharing) -> Result<Vec<VertexId>> {
+        /// A vertex of the merged plan: one the running plan has, or one only
+        /// `planned` brings.
+        #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+        enum Merged {
+            Running(VertexId),
+            New(VertexId),
+        }
+        let (plan, global) = (&planned.plan, &running(&self.executor)?.global.plan);
+        let merged = |v: VertexId| {
+            let vert = plan.vertex(v);
+            let found = global.find_vertex(vert.kind, &vert.sig, vert.machine);
+            found.map_or(Merged::New(v), Merged::Running)
+        };
+        let resident = |v| matches!(v, Merged::Running(g) if global.vertex(g).slot.is_some());
+        let (mut live, mut seen, mut inputs) = (vec![merged(planned.mv)], HashSet::new(), vec![]);
+        live.retain(|&v| !resident(v));
+        while let Some(v) = live.pop() {
+            let producer = match v {
+                Merged::Running(g) => global.producer(g).map(|e| (e, true)),
+                Merged::New(p) => plan.producer(p).map(|e| (e, false)),
+            };
+            let Some((edge, in_global)) = producer else { continue };
+            for &i in &edge.inputs {
+                let input = if in_global { Merged::Running(i) } else { merged(i) };
+                match input {
+                    _ if !seen.insert(input) => {}
+                    Merged::Running(g) if resident(input) => inputs.push(g),
+                    _ => live.push(input),
+                }
+            }
+        }
+        Ok(inputs)
+    }
+
+    /// The first of `inputs` that new vertices seeded at `seed` could not
+    /// start reading there: its log is cut past it — compaction keeps a log
+    /// for its current readers, who may be far ahead (a Relation replicated
+    /// where its Delta twin already lands catches up from the twin's log the
+    /// same way) — or it is a join's or an aggregate's output, which is a
+    /// state of its expression only at the end of a window it was pushed
+    /// through, and `seed` is not its coverage. `own` are vertices `seed` is
+    /// known to end a window of: a migrating sharing's chain, which each of
+    /// its pushes took to its target.
+    fn unseedable(
+        &self,
+        inputs: &[VertexId],
+        seed: Timestamp,
+        own: &[VertexId],
+    ) -> Result<Option<RelationId>> {
+        let executor = running(&self.executor)?;
+        for &v in inputs {
+            let vert = executor.global.plan.vertex(v);
+            let Some(slot) = vert.slot else { continue };
+            let horizon = self.cluster.machine(vert.machine)?.db.relation(slot)?.delta.horizon();
+            let mid_window = executor.coverage(v) != seed && vert.sig.windowed();
+            if seed < horizon || (mid_window && !own.contains(&v)) {
+                return Ok(Some(slot));
+            }
+        }
+        Ok(None)
     }
 
     /// Posts what merging `planned` reused, at the merge: of the vertices it
@@ -384,7 +475,7 @@ impl Smile {
             &self.sharings,
             self.config.model.clone(),
             self.config.exec.clone(),
-            Arc::clone(&self.telemetry),
+            Rc::clone(&self.telemetry),
         )?);
         self.reconcile_storage(None)
     }
@@ -414,13 +505,14 @@ impl Smile {
     ///   beside them.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
-    /// snapshots *as of* that instant and stamped with it. Admissions seed
-    /// at `now` (base tables are current); a migration seeds at the old
-    /// chain's committed MV timestamp so the shadow chain's push windows
-    /// tile exactly against the anchored half-join jobs it shares with it.
+    /// snapshots *as of* that instant and stamped with it. Install, retire
+    /// and settlement seed at `now` (base tables are current); a live
+    /// admission no later than the resident vertices it attaches to
+    /// (`resident_inputs`); a migration at the old chain's committed MV
+    /// timestamp, so the shadow chain's push windows tile exactly against
+    /// the anchored half-join jobs it shares with it.
     fn reconcile_storage(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
         let executor = running_mut(&mut self.executor)?;
-        // The one place the seed instant is chosen.
         let seed = seed_at.unwrap_or(self.now);
         let vertex_ids = (0..executor.global.plan.vertex_count()).map(|i| VertexId::new(i as u32));
         let mut slotted: Vec<VertexId> = Vec::new();

@@ -8,7 +8,7 @@
 //! the evaluation.
 
 use smile_types::{SharingId, SimDuration};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Re-exported so meter consumers read arrangement statistics through one
 /// module.
@@ -93,8 +93,9 @@ impl ResourceUsage {
 pub struct UsageLedger {
     total: ResourceUsage,
     per_sharing: HashMap<SharingId, ResourceUsage>,
-    /// SLA penalty dollars accrued per sharing (violations × pens).
-    penalties: HashMap<SharingId, f64>,
+    /// SLA penalty dollars accrued per sharing (violations × pens), in id
+    /// order: their float sum is billed and must not depend on a hash seed.
+    penalties: BTreeMap<SharingId, f64>,
 }
 
 impl UsageLedger {

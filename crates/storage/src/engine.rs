@@ -308,7 +308,7 @@ impl Database {
 
     /// WAL traffic instrumentation cells: the executor's ship half notes
     /// encoded bytes leaving, the land half notes decoded bytes arriving.
-    /// Interior atomics, so both halves record through `&Database`.
+    /// Interior cells, so both halves record through `&Database`.
     pub fn wal_stats(&self) -> &crate::wal::WalStats {
         &self.wal
     }

@@ -1,11 +1,12 @@
 //! Typed instruments: monotonic counters, gauges and fixed-bucket log2
 //! histograms.
 //!
-//! Every instrument is a handful of relaxed atomics, so recording goes
-//! through a shared `&` handle, never takes a lock and never allocates —
-//! cheap enough for the push engine's per-job hot path.
+//! Every instrument is a handful of `Cell`s, so recording goes through a
+//! shared `&` handle and never allocates — cheap enough for the push
+//! engine's per-job hot path. The engine is one thread, so nothing here is
+//! `Sync`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Number of histogram buckets: one for zero plus one per power of two up
 /// to `2^63`.
@@ -13,17 +14,17 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(Cell<u64>);
 
 impl Counter {
     /// Creates a counter at zero.
     pub fn new() -> Self {
-        Self(AtomicU64::new(0))
+        Self::default()
     }
 
-    /// Adds `n` to the counter.
+    /// Adds `n` to the counter, wrapping at `u64::MAX`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.set(self.0.get().wrapping_add(n));
     }
 
     /// Adds one to the counter.
@@ -33,7 +34,7 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
@@ -43,29 +44,23 @@ impl Counter {
 /// authoritative state (the usage ledger, storage counters) are projected
 /// into the registry by setting gauges at snapshot time instead of
 /// double-booking every update.
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Default)]
+pub struct Gauge(Cell<f64>);
 
 impl Gauge {
     /// Creates a gauge at zero.
     pub fn new() -> Self {
-        Self(AtomicU64::new(0f64.to_bits()))
+        Self::default()
     }
 
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
+        self.0.set(v);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        self.0.get()
     }
 }
 
@@ -90,15 +85,14 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 
 /// A fixed-bucket log2 histogram with exact `count`/`sum`/`min`/`max`.
 ///
-/// Recording touches three unconditional atomics plus two conditional
-/// min/max folds; there are no locks and no allocation.
+/// Recording touches five cells; there is no allocation.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: [Cell<u64>; HISTOGRAM_BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
 }
 
 impl Default for Histogram {
@@ -111,47 +105,38 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            min: Cell::new(u64::MAX),
+            max: Cell::new(0),
         }
     }
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        let bucket = &self.buckets[bucket_index(v)];
+        bucket.set(bucket.get() + 1);
+        self.count.set(self.count.get() + 1);
+        self.sum.set(self.sum.get().wrapping_add(v));
+        self.min.set(self.min.get().min(v));
+        self.max.set(self.max.get().max(v));
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.get()
     }
 
-    /// Consistent point-in-time copy (consistent provided recording has
-    /// quiesced, which holds everywhere snapshots are taken: the simulator
-    /// is single-threaded).
+    /// Point-in-time copy.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let count = self.count.get();
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            buckets: self.buckets.iter().map(Cell::get).collect(),
             count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
+            sum: self.sum.get(),
+            min: if count == 0 { 0 } else { self.min.get() },
+            max: self.max.get(),
         }
     }
 }

@@ -6,8 +6,7 @@
 //! simulator is deterministic and telemetry must not break that**. See
 //! DESIGN.md §10 for the full model; in short:
 //!
-//! * [`instrument`] — counters, gauges and log2 histograms on relaxed
-//!   atomics;
+//! * [`instrument`] — counters, gauges and log2 histograms on `Cell`s;
 //! * [`registry`] — get-or-create instruments by name, name-sorted
 //!   deterministic snapshots rendered as JSON or text;
 //! * [`span`] — parented spans over the push lifecycle in a bounded ring,
@@ -24,9 +23,10 @@
 //!
 //! The [`Telemetry`] handle ties these together and implements the quiet
 //! mode: when disabled, span recording is a branch on a `bool` — nothing is
-//! allocated, the ring stays empty — while instruments (plain atomics that
+//! allocated, the ring stays empty — while instruments (plain cells that
 //! never allocate after creation) keep working so accounting views stay
-//! correct.
+//! correct. The push engine is one thread, and so is all of this: nothing
+//! here is `Send` or `Sync`.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -40,8 +40,7 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::{Cell, RefCell};
 
 pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{cohort_of, Alert, AlertKind, BurnRateMonitor, Severity};
@@ -56,7 +55,7 @@ pub use window::{SlidingWindow, WindowSpec, WindowStats};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for span recording. Off ⇒ the ring stays empty and no
-    /// span ids are allocated; instrument atomics still record.
+    /// span ids are allocated; instruments still record.
     pub enabled: bool,
     /// Span sampling rate: keep spans for roughly 1-in-`rate` sharings
     /// (sharing-coherent, seeded). 1 keeps every span.
@@ -83,12 +82,12 @@ const FLIGHT_MAX_INCIDENTS: usize = 16;
 
 /// Shared handle owning the registry, the span ring and the per-job
 /// host-time histogram. One per `Smile` platform, shared with the executor
-/// behind an `Arc`.
+/// behind an `Rc`.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
-    next_span: AtomicU64,
-    ring: Mutex<SpanRing>,
+    next_span: Cell<u64>,
+    ring: RefCell<SpanRing>,
     registry: Registry,
     /// Host nanoseconds the push engine spent per job — wall-clock, hence
     /// nondeterministic; named with the `host_` prefix that marks a metric
@@ -96,15 +95,8 @@ pub struct Telemetry {
     host_job_nanos: Histogram,
     /// `None` at rate 1 (keep everything): the common case skips the hash.
     sampler: Option<SpanSampler>,
-    sampled_out: AtomicU64,
-    flight: Mutex<FlightRecorder>,
-}
-
-/// Locks the span ring or the flight recorder. Both take one whole record
-/// per update, so the data behind a lock poisoned by a panicking recorder
-/// is still valid and the guard is recovered.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    sampled_out: Cell<u64>,
+    flight: RefCell<FlightRecorder>,
 }
 
 impl Telemetry {
@@ -112,14 +104,14 @@ impl Telemetry {
     pub fn new(cfg: &TelemetryConfig) -> Self {
         Self {
             enabled: cfg.enabled,
-            next_span: AtomicU64::new(1),
-            ring: Mutex::new(SpanRing::new(RING_CAPACITY)),
+            next_span: Cell::new(1),
+            ring: RefCell::new(SpanRing::new(RING_CAPACITY)),
             registry: Registry::new(),
             host_job_nanos: Histogram::new(),
             sampler: (cfg.span_sample_rate > 1)
                 .then(|| SpanSampler::new(cfg.span_sample_rate, SAMPLE_SEED)),
-            sampled_out: AtomicU64::new(0),
-            flight: Mutex::new(FlightRecorder::new(FLIGHT_RECENT, FLIGHT_MAX_INCIDENTS)),
+            sampled_out: Cell::new(0),
+            flight: RefCell::new(FlightRecorder::new(FLIGHT_RECENT, FLIGHT_MAX_INCIDENTS)),
         }
     }
 
@@ -143,10 +135,12 @@ impl Telemetry {
 
     /// Allocates the next span id (sequential, coordinator-side).
     pub fn next_span_id(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
+        let id = self.next_span.get();
+        self.next_span.set(id + 1);
+        id
     }
 
-    /// Records a span. No-op (no allocation, no lock) when disabled;
+    /// Records a span. No-op (no allocation) when disabled;
     /// callers building attribute strings should guard on [`Self::enabled`]
     /// to keep quiet mode allocation-free end to end.
     ///
@@ -160,13 +154,13 @@ impl Telemetry {
         }
         if let Some(sampler) = &self.sampler {
             if !sampler.keep(&rec) {
-                self.sampled_out.fetch_add(1, Ordering::Relaxed);
-                lock(&self.flight).note(rec);
+                self.sampled_out.set(self.sampled_out.get() + 1);
+                self.flight.borrow_mut().note(rec);
                 return;
             }
         }
-        lock(&self.flight).note(rec.clone());
-        lock(&self.ring).push(rec);
+        self.flight.borrow_mut().note(rec.clone());
+        self.ring.borrow_mut().push(rec);
     }
 
     /// Freezes the flight-recorder window around an incident for `sharing`.
@@ -175,32 +169,32 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        lock(&self.flight).capture(sharing, at_us, reason);
+        self.flight.borrow_mut().capture(sharing, at_us, reason);
     }
 
     /// Copies the frozen flight incidents, oldest first.
     pub fn flight_incidents(&self) -> Vec<FlightIncident> {
-        lock(&self.flight).incidents().to_vec()
+        self.flight.borrow().incidents().to_vec()
     }
 
     /// Number of spans dropped from the main ring by the sampler.
     pub fn spans_sampled_out(&self) -> u64 {
-        self.sampled_out.load(Ordering::Relaxed)
+        self.sampled_out.get()
     }
 
     /// Copies the retained spans, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        lock(&self.ring).to_vec()
+        self.ring.borrow().to_vec()
     }
 
     /// Number of spans currently retained.
     pub fn spans_len(&self) -> usize {
-        lock(&self.ring).len()
+        self.ring.borrow().len()
     }
 
     /// Number of spans evicted from the ring so far.
     pub fn spans_dropped(&self) -> u64 {
-        lock(&self.ring).dropped()
+        self.ring.borrow().dropped()
     }
 
     /// The histogram the push engine records each job's host nanoseconds
@@ -221,10 +215,8 @@ impl Telemetry {
             snap.gauges.len(),
             snap.histograms.len(),
         );
-        let ring = lock(&self.ring);
-        let (ring_dropped, ring_len) = (ring.dropped(), ring.len() as u64);
-        drop(ring);
-        let flight = lock(&self.flight);
+        let (ring_dropped, ring_len) = (self.spans_dropped(), self.spans_len() as u64);
+        let flight = self.flight.borrow();
         let (flight_incidents, flight_suppressed) =
             (flight.incidents().len() as u64, flight.suppressed());
         drop(flight);

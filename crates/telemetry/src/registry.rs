@@ -8,35 +8,31 @@
 //! `BTreeMap`s, which makes every snapshot iterate in name order — the
 //! rendered output is deterministic byte-for-byte.
 //!
-//! Lookup takes a short `RwLock` read; hot paths are expected to look an
-//! instrument up once and keep the `Arc`, after which recording is pure
-//! atomics (see [`crate::instrument`]).
+//! Hot paths are expected to look an instrument up once and keep the
+//! `Rc`, after which recording is a few `Cell` writes (see
+//! [`crate::instrument`]).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::rc::Rc;
 
 use crate::instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
 
-/// Thread-safe, name-keyed store of typed instruments.
+/// Name-keyed store of typed instruments, for the one thread the engine
+/// runs on.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    counters: RefCell<BTreeMap<String, Rc<Counter>>>,
+    gauges: RefCell<BTreeMap<String, Rc<Gauge>>>,
+    histograms: RefCell<BTreeMap<String, Rc<Histogram>>>,
 }
 
-fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    // A map only ever gains whole entries, so one poisoned by a panicking
-    // caller is still valid and the guard is recovered.
-    if let Some(v) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
-        return Arc::clone(v);
+fn get_or_create<T: Default>(map: &RefCell<BTreeMap<String, Rc<T>>>, name: &str) -> Rc<T> {
+    let mut map = map.borrow_mut();
+    if let Some(v) = map.get(name) {
+        return Rc::clone(v);
     }
-    Arc::clone(
-        map.write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(T::default())),
-    )
+    Rc::clone(map.entry(name.to_string()).or_default())
 }
 
 impl Registry {
@@ -46,17 +42,17 @@ impl Registry {
     }
 
     /// Returns the counter named `name`, creating it if absent.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub fn counter(&self, name: &str) -> Rc<Counter> {
         get_or_create(&self.counters, name)
     }
 
     /// Returns the gauge named `name`, creating it if absent.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub fn gauge(&self, name: &str) -> Rc<Gauge> {
         get_or_create(&self.gauges, name)
     }
 
     /// Returns the histogram named `name`, creating it if absent.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub fn histogram(&self, name: &str) -> Rc<Histogram> {
         get_or_create(&self.histograms, name)
     }
 
@@ -71,9 +67,8 @@ impl Registry {
 }
 
 /// `(name, read(instrument))` for every instrument of one kind, in name order.
-fn read_all<T, V>(map: &RwLock<BTreeMap<String, Arc<T>>>, read: fn(&T) -> V) -> Vec<(String, V)> {
-    let map = map.read().unwrap_or_else(PoisonError::into_inner);
-    map.iter().map(|(k, v)| (k.clone(), read(v))).collect()
+fn read_all<T, V>(map: &RefCell<BTreeMap<String, Rc<T>>>, read: fn(&T) -> V) -> Vec<(String, V)> {
+    map.borrow().iter().map(|(k, v)| (k.clone(), read(v))).collect()
 }
 
 /// An owned, name-sorted copy of a [`Registry`]'s contents, plus whatever

@@ -1,6 +1,7 @@
 //! Platform-wide error type.
 
 use crate::id::{MachineId, RelationId, SharingId, VertexId};
+use crate::time::Timestamp;
 use std::fmt;
 
 /// Convenient alias used across all SMILE crates.
@@ -53,6 +54,16 @@ pub enum SmileError {
         /// What failed.
         detail: String,
     },
+    /// A live admission's new vertices cannot start reading a resident input
+    /// at the instant they would be seeded at: its log is cut past it, or
+    /// holds no consistent state there. Nothing was merged; a later attempt
+    /// can succeed.
+    SeedUnavailable {
+        /// The input's storage slot.
+        relation: RelationId,
+        /// The instant the admission had to seed at.
+        seed: Timestamp,
+    },
     /// Catch-all for invariant violations with context.
     Internal(String),
 }
@@ -83,6 +94,9 @@ impl fmt::Display for SmileError {
             SmileError::WalCorrupt(d) => write!(f, "corrupt WAL stream: {d}"),
             SmileError::UnknownColumn(c) => write!(f, "unknown column {c:?}"),
             SmileError::Transient { detail } => write!(f, "transient fault: {detail}"),
+            SmileError::SeedUnavailable { relation, seed } => {
+                write!(f, "cannot seed as of {seed}: {relation} holds no state to read from there")
+            }
             SmileError::Internal(d) => write!(f, "internal invariant violated: {d}"),
         }
     }

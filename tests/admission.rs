@@ -2,7 +2,9 @@
 //! sharing iff some plan can keep it within its SLA and the fleet has
 //! capacity.
 
-use smile::core::catalog::BaseStats;
+mod common;
+
+use common::{fleet, stats, Base};
 use smile::core::optimizer::{Objective, Optimizer};
 use smile::core::plan::cost::{critical_path, Scope};
 use smile::core::plan::timecost::TimeCostModel;
@@ -11,7 +13,7 @@ use smile::core::sharing::Sharing;
 use smile::sim::PriceSheet;
 use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{Column, ColumnType, MachineId, Schema, SharingId, SimDuration, SmileError};
+use smile::types::{ColumnType, MachineId, SharingId, SimDuration, SmileError};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{TwitterConfig, TwitterWorkload};
 use std::collections::HashMap;
@@ -173,28 +175,15 @@ fn admission_reflects_previously_committed_capacity() {
 fn forced_objective_still_respects_admissibility() {
     let mut config = SmileConfig::with_machines(3);
     config.force_objective = Some(Objective::Dollars);
-    let mut smile = Smile::new(config);
-    let users = smile
-        .register_base(
-            "users",
-            Schema::new(
-                vec![
-                    Column::new("uid", ColumnType::I64),
-                    Column::new("name", ColumnType::Str),
-                ],
-                vec![0],
-            ),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 40.0,
-                distinct: vec![100.0, 90.0],
-            },
-        )
-        .unwrap();
-    let q = SpjQuery::scan(users);
-    let err = smile.submit("nope", q, SimDuration::from_millis(1), 0.001);
+    let users = Base {
+        name: "users".into(),
+        cols: vec![("uid", ColumnType::I64), ("name", ColumnType::Str)],
+        key: vec![0],
+        home: 0,
+        stats: stats(5.0, 100.0, 40.0, &[100.0, 90.0]),
+    };
+    let (mut smile, rels) = fleet(config, &[users]);
+    let err = smile.submit("nope", SpjQuery::scan(rels[0]), SimDuration::from_millis(1), 0.001);
     assert!(matches!(err, Err(SmileError::Inadmissible { .. })));
 }
 

@@ -3,56 +3,28 @@
 //! delta windows as SPJ views and must always equal a from-scratch
 //! aggregation.
 
-use smile::core::catalog::BaseStats;
+mod common;
+
+use common::{assert_exact, feed, fleet, stats, Base};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::storage::aggregate::{AggFunc, AggregateSpec};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{tuple, Column, ColumnType, MachineId, RelationId, Schema, SimDuration};
+use smile::types::{tuple, ColumnType, RelationId, SimDuration};
 
 fn platform() -> (Smile, RelationId, RelationId) {
-    let mut smile = Smile::new(SmileConfig::with_machines(2));
-    let users = smile
-        .register_base(
-            "users",
-            Schema::new(
-                vec![
-                    Column::new("uid", ColumnType::I64),
-                    Column::new("city", ColumnType::Str),
-                ],
-                vec![0],
-            ),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 3.0,
-                cardinality: 100.0,
-                tuple_bytes: 32.0,
-                distinct: vec![100.0, 10.0],
-            },
-        )
-        .unwrap();
-    let orders = smile
-        .register_base(
-            "orders",
-            Schema::new(
-                vec![
-                    Column::new("oid", ColumnType::I64),
-                    Column::new("uid", ColumnType::I64),
-                    Column::new("amount", ColumnType::I64),
-                ],
-                vec![0],
-            ),
-            MachineId::new(1),
-            BaseStats {
-                update_rate: 10.0,
-                cardinality: 1000.0,
-                tuple_bytes: 32.0,
-                distinct: vec![1000.0, 100.0, 50.0],
-            },
-        )
-        .unwrap();
-    (smile, users, orders)
+    let users = Base {
+        name: "users".into(),
+        cols: vec![("uid", ColumnType::I64), ("city", ColumnType::Str)],
+        key: vec![0],
+        home: 0,
+        stats: stats(3.0, 100.0, 32.0, &[100.0, 10.0]),
+    };
+    let orders_stats = stats(10.0, 1000.0, 32.0, &[1000.0, 100.0, 50.0]);
+    let orders = Base::i64("orders", &["oid", "uid", "amount"], &[0], 1, orders_stats);
+    let (smile, rels) = fleet(SmileConfig::with_machines(2), &[users, orders]);
+    (smile, rels[0], rels[1])
 }
 
 /// Revenue per city: users ⋈ orders, grouped by city, count + sum(amount).
@@ -65,21 +37,18 @@ fn revenue_query(users: RelationId, orders: RelationId) -> SpjQuery {
         })
 }
 
-fn drive(smile: &mut Smile, users: RelationId, orders: RelationId, seconds: i64) {
+/// A new user every fourth second, three orders a second from known users,
+/// and now and then a cancelled order (a delete).
+fn drive(smile: &mut Smile, users: RelationId, orders: RelationId, seconds: u64) {
     let mut live_orders: Vec<(i64, i64, i64)> = Vec::new();
-    for s in 0..seconds {
-        let now = smile.now();
+    feed(smile, seconds, |smile, s| {
+        let (now, s) = (smile.now(), s as i64);
+        let mut batches = Vec::new();
         if s % 4 == 0 {
             let uid = s / 4;
             let city = format!("city{}", uid % 5);
-            smile
-                .ingest(
-                    users,
-                    DeltaBatch {
-                        entries: vec![DeltaEntry::insert(tuple![uid, city.as_str()], now)],
-                    },
-                )
-                .unwrap();
+            let entries = vec![DeltaEntry::insert(tuple![uid, city.as_str()], now)];
+            batches.push((users, DeltaBatch { entries }));
         }
         let mut entries = Vec::new();
         for k in 0..3 {
@@ -94,9 +63,9 @@ fn drive(smile: &mut Smile, users: RelationId, orders: RelationId, seconds: i64)
             let (oid, uid, amount) = live_orders.swap_remove(s as usize % live_orders.len());
             entries.push(DeltaEntry::delete(tuple![oid, uid, amount], now));
         }
-        smile.ingest(orders, DeltaBatch { entries }).unwrap();
-        smile.step().unwrap();
-    }
+        batches.push((orders, DeltaBatch { entries }));
+        batches
+    });
 }
 
 #[test]
@@ -113,10 +82,8 @@ fn aggregated_join_view_matches_ground_truth() {
     smile.install().unwrap();
     drive(&mut smile, users, orders, 120);
 
+    assert!(assert_exact(&smile, &[id]) > 0);
     let got = smile.mv_contents(id).unwrap();
-    let want = smile.expected_mv_contents(id).unwrap();
-    assert!(!want.is_empty());
-    assert_eq!(got.sorted_entries(), want.sorted_entries());
     // The view's shape: (city, count, sum) with ≤5 groups, unit weights.
     assert!(got.len() <= 5);
     for (row, w) in got.iter() {
@@ -135,17 +102,13 @@ fn aggregated_scan_view_counts_per_key() {
         .submit("orders-per-user", q, SimDuration::from_secs(10), 0.001)
         .unwrap();
     smile.install().unwrap();
-    for s in 0..60i64 {
-        let now = smile.now();
-        let entries = (0..4)
-            .map(|k| DeltaEntry::insert(tuple![s * 4 + k, (s + k) % 7, 5i64], now))
-            .collect();
-        smile.ingest(orders, DeltaBatch { entries }).unwrap();
-        smile.step().unwrap();
-    }
+    feed(&mut smile, 60, |smile, s| {
+        let (now, s) = (smile.now(), s as i64);
+        let orders_of = |k| DeltaEntry::insert(tuple![s * 4 + k, (s + k) % 7, 5i64], now);
+        [(orders, (0..4).map(orders_of).collect())]
+    });
+    assert_exact(&smile, &[id]);
     let got = smile.mv_contents(id).unwrap();
-    let want = smile.expected_mv_contents(id).unwrap();
-    assert_eq!(got.sorted_entries(), want.sorted_entries());
     assert_eq!(got.len(), 7, "seven uid groups expected");
     // Total count across groups equals total applied orders.
     let total: i64 = got
@@ -168,8 +131,8 @@ fn aggregate_survives_deletion_churn() {
     smile.install().unwrap();
     // Insert then fully delete group 0; group 1 stays.
     let mut held: Vec<(i64, i64, i64)> = Vec::new();
-    for s in 0..40i64 {
-        let now = smile.now();
+    feed(&mut smile, 40, |smile, s| {
+        let (now, s) = (smile.now(), s as i64);
         let mut entries = Vec::new();
         if s < 10 {
             held.push((s, 0, 7));
@@ -178,13 +141,11 @@ fn aggregate_survives_deletion_churn() {
             entries.push(DeltaEntry::delete(tuple![oid, uid, amt], now));
         }
         entries.push(DeltaEntry::insert(tuple![1000 + s, 1i64, 2i64], now));
-        smile.ingest(orders, DeltaBatch { entries }).unwrap();
-        smile.step().unwrap();
-    }
+        [(orders, DeltaBatch { entries })]
+    });
     smile.run_idle(SimDuration::from_secs(20)).unwrap();
+    assert_exact(&smile, &[id]);
     let got = smile.mv_contents(id).unwrap();
-    let want = smile.expected_mv_contents(id).unwrap();
-    assert_eq!(got.sorted_entries(), want.sorted_entries());
     // Group 0 fully cancelled: it must have vanished.
     assert!(
         !got.iter().any(|(row, _)| row.get(0).as_i64() == Some(0)),

@@ -2,32 +2,20 @@
 //! implemented as an extension): sharings join and leave a *running*
 //! platform without disturbing the others.
 
+mod common;
+
+use common::scenario::{Chain, JoinEq, Off, Scenario, Spec};
+use common::{assert_exact, distinct, fleet_arrangements, live_probes, tweet};
 use smile::core::platform::{Smile, SmileConfig};
-use smile::types::{MachineId, SimDuration};
-use smile::workload::rates::{RateIntegrator, RateTrace};
+use smile::types::{MachineId, SimDuration, SmileError};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{standard_setup, TwitterConfig, TwitterWorkload};
-
-mod common;
-use common::{distinct, fleet_arrangements, live_probes};
 
 /// Arrangements dropped so far because no live join probed them any more,
 /// as exported.
 fn reclaimed(smile: &Smile) -> f64 {
     let snap = smile.telemetry_snapshot();
     snap.gauge("arrangement_registry.reclaimed").unwrap()
-}
-
-fn drive(smile: &mut Smile, w: &mut TwitterWorkload, rate: f64, secs: u64) {
-    let mut integrator = RateIntegrator::new(RateTrace::Constant(rate));
-    let end = smile.now() + SimDuration::from_secs(secs);
-    while smile.now() < end {
-        let n = integrator.tick(smile.now(), SimDuration::from_secs(1));
-        for (rel, batch) in w.tweets(n, smile.now()) {
-            smile.ingest(rel, batch).unwrap();
-        }
-        smile.step().unwrap();
-    }
 }
 
 #[test]
@@ -42,7 +30,7 @@ fn sharing_added_mid_run_is_maintained_exactly() {
         .submit(s5.app, s5.query, SimDuration::from_secs(20), 0.001)
         .unwrap();
     smile.install().unwrap();
-    drive(&mut smile, &mut w, 30.0, 60);
+    tweet(&mut smile, &mut w, 30.0, 60);
 
     // Mid-run, S6 (tweets ⋈ curloc) joins the platform.
     let s6 = all[5].clone();
@@ -61,16 +49,11 @@ fn sharing_added_mid_run_is_maintained_exactly() {
     let third = smile
         .submit(s17.app, s17.query, SimDuration::from_secs(20), 0.001)
         .unwrap();
-    drive(&mut smile, &mut w, 30.0, 90);
+    tweet(&mut smile, &mut w, 30.0, 90);
     smile.run_idle(SimDuration::from_secs(30)).unwrap();
 
     for id in [first, second, third] {
-        assert_eq!(
-            smile.mv_contents(id).unwrap().sorted_entries(),
-            smile.expected_mv_contents(id).unwrap().sorted_entries(),
-            "{id} diverged"
-        );
-        assert!(!smile.mv_contents(id).unwrap().is_empty());
+        assert!(assert_exact(&smile, &[id]) > 0, "{id} is empty");
     }
     // The live-added sharing is audited and pushed.
     assert!(smile
@@ -96,7 +79,7 @@ fn live_added_sharing_reuses_existing_supply() {
         .unwrap();
     smile.install().unwrap();
     let mv_machine = smile.planned(first).unwrap().mv_machine;
-    drive(&mut smile, &mut w, 20.0, 40);
+    tweet(&mut smile, &mut w, 20.0, 40);
 
     let before = smile.executor.as_ref().unwrap().global.plan.vertex_count();
     let second = smile
@@ -112,7 +95,7 @@ fn live_added_sharing_reuses_existing_supply() {
     // Identical sharing, identical placement: full dedup, no new vertices.
     assert_eq!(before, after, "identical live sharing duplicated the plan");
 
-    drive(&mut smile, &mut w, 20.0, 60);
+    tweet(&mut smile, &mut w, 20.0, 60);
     assert_eq!(
         smile.mv_contents(first).unwrap().sorted_entries(),
         smile.mv_contents(second).unwrap().sorted_entries()
@@ -135,7 +118,7 @@ fn retired_sharing_frees_storage_and_spares_others() {
         .submit(s23.app, s23.query, SimDuration::from_secs(20), 0.001)
         .unwrap();
     smile.install().unwrap();
-    drive(&mut smile, &mut w, 25.0, 60);
+    tweet(&mut smile, &mut w, 25.0, 60);
 
     let bytes_before: usize = (0..4)
         .map(|m| {
@@ -184,11 +167,8 @@ fn retired_sharing_frees_storage_and_spares_others() {
     assert!(smile.mv_contents(gone).is_err() || smile.planned(gone).is_err());
 
     // The surviving sharing keeps running exactly.
-    drive(&mut smile, &mut w, 25.0, 60);
-    assert_eq!(
-        smile.mv_contents(keep).unwrap().sorted_entries(),
-        smile.expected_mv_contents(keep).unwrap().sorted_entries()
-    );
+    tweet(&mut smile, &mut w, 25.0, 60);
+    assert_exact(&smile, &[keep]);
     assert_eq!(smile.snapshot.violations_of(keep), 0);
 }
 
@@ -203,9 +183,9 @@ fn retire_then_resubmit_the_same_sharing() {
         .unwrap();
     smile.install().unwrap();
     let pin = smile.planned(first).unwrap().mv_machine;
-    drive(&mut smile, &mut w, 20.0, 45);
+    tweet(&mut smile, &mut w, 20.0, 45);
     smile.retire(first).unwrap();
-    drive(&mut smile, &mut w, 20.0, 20);
+    tweet(&mut smile, &mut w, 20.0, 20);
 
     // Resurrect the identical sharing: storage must re-materialize and the
     // view must be exact from the re-seed onward.
@@ -218,44 +198,8 @@ fn retire_then_resubmit_the_same_sharing() {
             Some(pin),
         )
         .unwrap();
-    drive(&mut smile, &mut w, 20.0, 60);
-    assert_eq!(
-        smile.mv_contents(again).unwrap().sorted_entries(),
-        smile.expected_mv_contents(again).unwrap().sorted_entries()
-    );
-}
-
-#[test]
-fn registry_reclaims_after_last_reference() {
-    let mut smile = Smile::new(SmileConfig::with_machines(4));
-    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 1_000).unwrap();
-    let all = paper_sharings(&w.rels());
-
-    let s5 = all[4].clone();
-    let only = smile
-        .submit(s5.app, s5.query, SimDuration::from_secs(20), 0.001)
-        .unwrap();
-    smile.install().unwrap();
-    assert!(
-        !live_probes(&smile).is_empty(),
-        "an indexed join sharing must probe arrangements"
-    );
-    drive(&mut smile, &mut w, 20.0, 30);
-
-    // Retiring the only sharing leaves no live join and reclaims all
-    // arrangement memory fleet-wide.
-    smile.retire(only).unwrap();
-    assert_eq!(
-        live_probes(&smile),
-        vec![],
-        "no join may stay live after the last sharing retires"
-    );
-    assert!(reclaimed(&smile) >= 1.0);
-    assert_eq!(
-        fleet_arrangements(&smile),
-        0,
-        "arrangement memory must be reclaimed with no live references"
-    );
+    tweet(&mut smile, &mut w, 20.0, 60);
+    assert_exact(&smile, &[again]);
 }
 
 #[test]
@@ -268,12 +212,8 @@ fn live_submit_before_install_stages_and_runs_after_it() {
         .unwrap();
     assert_eq!(smile.staged_plan().sharings.len(), 1, "not staged");
     smile.install().unwrap();
-    drive(&mut smile, &mut w, 20.0, 60);
-    assert!(!smile.mv_contents(id).unwrap().is_empty());
-    assert_eq!(
-        smile.mv_contents(id).unwrap().sorted_entries(),
-        smile.expected_mv_contents(id).unwrap().sorted_entries()
-    );
+    tweet(&mut smile, &mut w, 20.0, 60);
+    assert!(assert_exact(&smile, &[id]) > 0);
 }
 
 /// `users ⋈ σ(tid < lit)(tweets)`: one literal per sharing, so no two of
@@ -297,7 +237,6 @@ fn base_log_len(smile: &Smile, rel: smile::types::RelationId) -> usize {
 
 #[test]
 fn retire_returns_admission_capacity() {
-    use smile::types::SmileError;
     let mut config = SmileConfig::with_machines(2);
     config.capacity = 0.25;
     config.hill_climb = false;
@@ -349,9 +288,9 @@ fn base_log_compacts_after_a_consumer_retires() {
         .submit_pinned("gone", filtered_join(&w, 2_000_000), sla, 0.001, pin)
         .unwrap();
     smile.install().unwrap();
-    drive(&mut smile, &mut w, 20.0, 60);
+    tweet(&mut smile, &mut w, 20.0, 60);
     smile.retire(gone).unwrap();
-    drive(&mut smile, &mut w, 20.0, 600);
+    tweet(&mut smile, &mut w, 20.0, 600);
     // 12,000 tweets since the retire; the live reader is never more than an
     // SLA plus the compaction period and margin behind.
     let tweets = w.rels().tweets;
@@ -361,13 +300,10 @@ fn base_log_compacts_after_a_consumer_retires() {
         "the retired consumer still pins the tweets log: {with_reader} entries"
     );
     smile.run_idle(SimDuration::from_secs(30)).unwrap();
-    assert_eq!(
-        smile.mv_contents(keep).unwrap().sorted_entries(),
-        smile.expected_mv_contents(keep).unwrap().sorted_entries()
-    );
+    assert_exact(&smile, &[keep]);
     // With no reader left at all the log is still cut.
     smile.retire(keep).unwrap();
-    drive(&mut smile, &mut w, 20.0, 120);
+    tweet(&mut smile, &mut w, 20.0, 120);
     let without_reader = base_log_len(&smile, tweets);
     assert!(
         without_reader < 1_200,
@@ -375,32 +311,45 @@ fn base_log_compacts_after_a_consumer_retires() {
     );
 }
 
+/// A live admission whose new vertices would read two resident join outputs
+/// — one at an instant inside a window the other was pushed through — is
+/// refused with a typed error before anything merges; a later attempt,
+/// when their pushes line up, goes in.
 #[test]
-fn inert_plan_vertices_hold_no_storage() {
-    let mut smile = Smile::new(SmileConfig::with_machines(3));
-    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 500).unwrap();
-    let all = paper_sharings(&w.rels());
-    let sla = SimDuration::from_secs(20);
-    let s5 = all[4].clone();
-    let first = smile.submit(s5.app, s5.query, sla, 0.001).unwrap();
-    let s6 = all[5].clone();
-    smile.submit(s6.app, s6.query, sla, 0.001).unwrap();
-    smile.install().unwrap();
-    drive(&mut smile, &mut w, 20.0, 30);
-    smile.retire(first).unwrap();
-    // A different query admitted live must not bring the retired chain back.
-    let s17 = all[16].clone();
-    smile
-        .submit_live(s17.app, s17.query, sla, 0.001, None)
-        .unwrap();
-    let plan = &smile.global_plan().unwrap().plan;
-    let inert: Vec<_> = plan
-        .vertices()
-        .iter()
-        .filter(|v| !v.is_base && v.sharings.is_empty())
-        .collect();
-    assert!(!inert.is_empty(), "the retired chain left the plan");
-    for v in inert {
-        assert_eq!(v.slot, None, "inert vertex {} is back in storage", v.id);
+fn a_live_admission_that_cannot_be_seeded_is_refused_before_it_merges() {
+    let scenario = Scenario {
+        machines: 5,
+        bases: vec![(30.0, 60.0, 12.0), (4.0, 60.0, 60.0), (1.0, 60.0, 12.0), (1.0, 1e3, 1e3)],
+        hill_climb: false,
+        faults: Off,
+        adaptive: false,
+        sharings: vec![
+            Spec { query: JoinEq(2, 0, 5), sla: 13, pin: Some(3) },
+            Spec { query: Chain(2, 0, 1, 4), sla: 11, pin: Some(3) },
+        ],
+        initial: vec![0, 1],
+        script: vec![],
+    };
+    let (mut smile, rels) = scenario.platform(scenario.config());
+    for i in 0..2 {
+        scenario.admit(&mut smile, &rels, i).unwrap();
     }
+    smile.install().unwrap();
+    let twin = |smile: &mut Smile| {
+        let (q, sla) = (Chain(2, 0, 1, 4).build(&rels), SimDuration::from_secs(10));
+        smile.submit_live("twin", q, sla, 0.001, Some(MachineId::new(0)))
+    };
+    smile.run_idle(SimDuration::from_secs(23)).unwrap();
+    let vertices = smile.global_plan().unwrap().plan.vertex_count();
+    let refused = twin(&mut smile);
+    assert!(matches!(refused, Err(SmileError::SeedUnavailable { .. })), "{refused:?}");
+    assert_eq!(smile.global_plan().unwrap().plan.vertex_count(), vertices, "it merged");
+    assert_eq!(smile.sharings().len(), 2);
+    let snap = smile.telemetry_snapshot();
+    let counted = ["planner.sharings_unseedable", "planner.sharings_rejected"];
+    assert_eq!(counted.map(|c| snap.counter(c)), [Some(1), Some(1)], "the refusal is counted");
+    smile.run_idle(SimDuration::from_secs(6)).unwrap();
+    let id = twin(&mut smile).unwrap();
+    smile.run_idle(SimDuration::from_secs(30)).unwrap();
+    assert_exact(&smile, &[id]);
 }

@@ -6,11 +6,13 @@
 //! MV's contents equal the ground-truth SPJ evaluation at the MV's
 //! timestamp (incremental maintenance is exact).
 
+mod common;
+
+use common::{assert_exact, tweet};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::types::{SimDuration, Timestamp};
-use smile::workload::rates::{RateIntegrator, RateTrace};
 use smile::workload::sharings::paper_sharings;
-use smile::workload::twitter::{standard_setup, TwitterConfig, TwitterWorkload};
+use smile::workload::twitter::{standard_setup, TwitterConfig};
 
 fn run_ecosystem(
     machines: usize,
@@ -29,21 +31,8 @@ fn run_ecosystem(
         ids.push(id);
     }
     smile.install().unwrap();
-    drive(&mut smile, &mut w, rate, seconds);
+    tweet(&mut smile, &mut w, rate, seconds);
     (smile, ids)
-}
-
-fn drive(smile: &mut Smile, w: &mut TwitterWorkload, rate: f64, seconds: u64) {
-    let mut integrator = RateIntegrator::new(RateTrace::Constant(rate));
-    let tick = SimDuration::from_secs(1);
-    let end = smile.now() + SimDuration::from_secs(seconds);
-    while smile.now() < end {
-        let n = integrator.tick(smile.now(), tick);
-        for (rel, batch) in w.tweets(n, smile.now()) {
-            smile.ingest(rel, batch).unwrap();
-        }
-        smile.step().unwrap();
-    }
 }
 
 #[test]
@@ -58,15 +47,7 @@ fn all_25_sharings_admitted_and_exact() {
     assert!(!executor.push_records.is_empty());
 
     // Exactness: every MV equals ground truth at its own timestamp.
-    for &id in &ids {
-        let got = smile.mv_contents(id).unwrap();
-        let want = smile.expected_mv_contents(id).unwrap();
-        assert_eq!(
-            got.sorted_entries(),
-            want.sorted_entries(),
-            "MV of {id} diverged from ground truth"
-        );
-    }
+    assert_exact(&smile, &ids);
 }
 
 #[test]

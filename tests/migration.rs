@@ -5,94 +5,19 @@
 //! pure functions of the fault seed, and all actuator decisions are made
 //! coordinator-side — so each assertion pins one concrete protocol path.
 
-use smile::core::catalog::BaseStats;
+mod common;
+
+use common::{ab_bases, ab_feed, ab_join, ab_sharing, assert_exact, feed, fleet, stats, Base};
 use smile::core::plan::dag::VertexKind::{self, Delta, Relation};
 use smile::core::platform::{ActionKind, Smile, SmileConfig};
 use smile::sim::{FaultProfile, MachineState};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{
-    tuple, Column, ColumnType, MachineId, RelationId, Schema, SharingId, SimDuration,
-};
-
-fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
-    Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect(), key)
-}
-
-fn stats(width: usize) -> BaseStats {
-    BaseStats {
-        update_rate: 5.0,
-        cardinality: 100.0,
-        tuple_bytes: 16.0,
-        distinct: vec![100.0; width],
-    }
-}
-
-/// Bases `a` on `m0` and `b` on `m1`, one joined sharing with the MV
-/// optionally pinned; installs and returns the platform ready to feed.
-fn build(
-    config: SmileConfig,
-    sla: SimDuration,
-    pin: Option<MachineId>,
-) -> (Smile, RelationId, RelationId, SharingId) {
-    let mut smile = Smile::new(config);
-    let a = smile
-        .register_base(
-            "a",
-            schema(&[("k", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            stats(1),
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(1),
-            stats(2),
-        )
-        .unwrap();
-    let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-    let id = smile.submit_pinned("mig", q, sla, 0.01, pin).unwrap();
-    smile.install().unwrap();
-    (smile, a, b, id)
-}
-
-fn feed(smile: &mut Smile, a: RelationId, b: RelationId, ticks: u64) {
-    for s in 0..ticks {
-        let now = smile.now();
-        let k = (s % 20) as i64;
-        smile
-            .ingest(
-                a,
-                DeltaBatch {
-                    entries: vec![DeltaEntry::insert(tuple![k], now)],
-                },
-            )
-            .unwrap();
-        smile
-            .ingest(
-                b,
-                DeltaBatch {
-                    entries: vec![DeltaEntry::insert(tuple![k, s as i64], now)],
-                },
-            )
-            .unwrap();
-        smile.step().unwrap();
-    }
-}
+use smile::types::{tuple, MachineId, RelationId, SharingId, SimDuration};
 
 fn labels(smile: &Smile) -> Vec<String> {
     smile.actions().iter().map(|a| a.kind.label()).collect()
-}
-
-fn mv_bytes(smile: &Smile, id: SharingId) -> String {
-    format!("{:?}", smile.mv_contents(id).unwrap().sorted_entries())
-}
-
-fn truth_bytes(smile: &Smile, id: SharingId) -> String {
-    format!("{:?}", smile.expected_mv_contents(id).unwrap().sorted_entries())
 }
 
 /// Crash-only profile: schedule-driven machine down windows, zero
@@ -124,19 +49,15 @@ fn handoff_chaos(seed: u64) -> FaultProfile {
 
 #[test]
 fn live_migration_completes_and_mv_serves_from_new_machine() {
-    let (mut smile, a, b, id) = build(
-        SmileConfig::with_machines(2),
-        SimDuration::from_secs(20),
-        None,
-    );
-    feed(&mut smile, a, b, 50);
+    let (mut smile, a, b, id) = ab_sharing(SmileConfig::with_machines(2), "mig", 20, None);
+    ab_feed(&mut smile, a, b, 50, false);
     assert!(smile.explain(id).unwrap().contains("live on m0"));
 
     assert!(smile.migrate_sharing(id, Some(MachineId::new(1))).unwrap());
     // A second request while the handoff is in flight is a no-op.
     assert!(!smile.migrate_sharing(id, Some(MachineId::new(1))).unwrap());
 
-    feed(&mut smile, a, b, 150);
+    ab_feed(&mut smile, a, b, 150, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     let acts = labels(&smile);
@@ -147,7 +68,7 @@ fn live_migration_completes_and_mv_serves_from_new_machine() {
     assert!(report.contains("live on m1"), "{report}");
     assert!(report.contains("migration_completed m0->m1"), "{report}");
     // The handoff preserved semantics: the served MV equals ground truth.
-    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+    assert_exact(&smile, &[id]);
     // Migrating onto the machine the MV already lives on is a no-op.
     assert!(!smile.migrate_sharing(id, Some(MachineId::new(1))).unwrap());
 }
@@ -164,7 +85,7 @@ fn crash_mid_handoff_aborts_cleanly_and_mv_matches_never_migrated() {
     let run = |migrate: bool| {
         let mut config = SmileConfig::with_machines(2);
         config.faults = handoff_chaos(20260807);
-        let (mut smile, a, b, id) = build(config, SimDuration::from_secs(2), None);
+        let (mut smile, a, b, id) = ab_sharing(config, "mig", 2, None);
         for _ in 0..12 {
             if migrate {
                 // Flip the MV to whichever machine it is not on; a request
@@ -183,15 +104,16 @@ fn crash_mid_handoff_aborts_cleanly_and_mv_matches_never_migrated() {
                 let target = MachineId::new(1 - cur.0);
                 let _ = smile.migrate_sharing(id, Some(target)).unwrap();
             }
-            feed(&mut smile, a, b, 40);
+            ab_feed(&mut smile, a, b, 40, false);
         }
         smile.run_idle(SimDuration::from_secs(120)).unwrap();
+        assert_exact(&smile, &[id]);
         let installed = smile.arrangement_meter().arrangements;
-        (mv_bytes(&smile, id), truth_bytes(&smile, id), labels(&smile), installed)
+        (smile.mv_contents(id).unwrap().sorted_entries(), labels(&smile), installed)
     };
 
-    let (mv_migrated, truth_migrated, acts, arrangements_migrated) = run(true);
-    let (mv_baseline, truth_baseline, baseline_acts, arrangements_baseline) = run(false);
+    let (mv_migrated, acts, arrangements_migrated) = run(true);
+    let (mv_baseline, baseline_acts, arrangements_baseline) = run(false);
 
     // The chaos schedule actually exercised both protocol outcomes.
     assert!(
@@ -206,8 +128,6 @@ fn crash_mid_handoff_aborts_cleanly_and_mv_matches_never_migrated() {
 
     // Faults delay but never lose data: both runs converge to ground
     // truth, so the migrated MV is byte-identical to never-migrated.
-    assert_eq!(truth_migrated, truth_baseline, "ground truth diverged");
-    assert_eq!(mv_baseline, truth_baseline, "baseline did not converge");
     assert_eq!(mv_migrated, mv_baseline, "migration left residue in the MV");
     // Nor in storage: an aborted shadow chain's joins stop probing, so the
     // arrangements only they read go with them.
@@ -220,12 +140,9 @@ fn crash_mid_handoff_aborts_cleanly_and_mv_matches_never_migrated() {
 #[test]
 fn drain_machine_moves_mvs_off_and_retires_it() {
     // Three machines, MV pinned to m2 (which hosts no base relations).
-    let (mut smile, a, b, id) = build(
-        SmileConfig::with_machines(3),
-        SimDuration::from_secs(20),
-        Some(MachineId::new(2)),
-    );
-    feed(&mut smile, a, b, 50);
+    let config = SmileConfig::with_machines(3);
+    let (mut smile, a, b, id) = ab_sharing(config, "mig", 20, Some(MachineId::new(2)));
+    ab_feed(&mut smile, a, b, 50, false);
     assert!(smile.explain(id).unwrap().contains("live on m2"));
 
     // Base-hosting machines refuse to drain.
@@ -233,7 +150,7 @@ fn drain_machine_moves_mvs_off_and_retires_it() {
 
     let moved = smile.drain_machine(MachineId::new(2)).unwrap();
     assert_eq!(moved, vec![id]);
-    feed(&mut smile, a, b, 200);
+    ab_feed(&mut smile, a, b, 200, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     let acts = labels(&smile);
@@ -247,7 +164,7 @@ fn drain_machine_moves_mvs_off_and_retires_it() {
     );
     assert_eq!(smile.cluster.machine_state(MachineId::new(2)), MachineState::Retired);
     assert!(!smile.explain(id).unwrap().contains("live on m2"));
-    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+    assert_exact(&smile, &[id]);
 }
 
 /// Builds the single-machine saturation scenario: both bases and the MV
@@ -260,27 +177,9 @@ fn saturated_single_machine(budget: f64) -> (Smile, RelationId, RelationId, Shar
     config.adaptive.enabled = true;
     config.adaptive.budget_dollars_per_hour = budget;
     config.adaptive.idle_retire_after = SimDuration::from_secs(2);
-    let mut smile = Smile::new(config);
-    let a = smile
-        .register_base(
-            "a",
-            schema(&[("k", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            stats(1),
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            stats(2),
-        )
-        .unwrap();
-    let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-    let id = smile
-        .submit("hot", q, SimDuration::from_secs(1), 0.01)
-        .unwrap();
+    let (mut smile, rels) = fleet(config, &ab_bases(0));
+    let (a, b) = (rels[0], rels[1]);
+    let id = smile.submit("hot", ab_join(a, b), SimDuration::from_secs(1), 0.01).unwrap();
     smile.install().unwrap();
     (smile, a, b, id)
 }
@@ -289,7 +188,7 @@ fn saturated_single_machine(budget: f64) -> (Smile, RelationId, RelationId, Shar
 fn scale_up_beyond_budget_is_denied() {
     // $0.40/h covers one $0.34/h machine but not two.
     let (mut smile, a, b, _id) = saturated_single_machine(0.40);
-    feed(&mut smile, a, b, 400);
+    ab_feed(&mut smile, a, b, 400, false);
     let acts = labels(&smile);
     assert!(
         acts.contains(&"scale_denied at 1 machines".to_string()),
@@ -307,7 +206,7 @@ fn fleet_scales_up_within_budget_migrates_then_shrinks_when_idle() {
     // $1.00/h covers two machines: the page triggers a scale-up and the
     // MV live-migrates onto the new machine.
     let (mut smile, a, b, id) = saturated_single_machine(1.00);
-    feed(&mut smile, a, b, 400);
+    ab_feed(&mut smile, a, b, 400, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
     let acts = labels(&smile);
     assert!(acts.contains(&"scale_up m1".to_string()), "{acts:?}");
@@ -320,14 +219,14 @@ fn fleet_scales_up_within_budget_migrates_then_shrinks_when_idle() {
     // shrink half of the loop drains and retires it within the budget
     // window — logged as a scale-down.
     assert!(smile.migrate_sharing(id, Some(MachineId::new(0))).unwrap());
-    feed(&mut smile, a, b, 400);
+    ab_feed(&mut smile, a, b, 400, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
     let acts = labels(&smile);
     assert!(acts.contains(&"migration_completed m1->m0".to_string()), "{acts:?}");
     assert!(acts.contains(&"scale_down m1".to_string()), "{acts:?}");
     assert_eq!(smile.cluster.reserved_count(), 1);
     assert_eq!(smile.cluster.machine_state(MachineId::new(1)), MachineState::Retired);
-    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+    assert_exact(&smile, &[id]);
 }
 
 const SRC_KEYS: i64 = 40;
@@ -339,28 +238,16 @@ const SRC_KEYS: i64 = 40;
 fn crowd(sharings: &[(u64, bool)]) -> (Smile, RelationId, RelationId, Vec<SharingId>) {
     let mut config = SmileConfig::with_machines(2);
     config.hill_climb = false;
-    let mut smile = Smile::new(config);
-    let cols = [
-        ("id", ColumnType::I64),
-        ("fk", ColumnType::I64),
-        ("g", ColumnType::I64),
-    ];
     // BENCH_0010's catalog priors, under which the planner joins in place.
-    let base_stats = |update_rate: f64, distinct: [f64; 3]| BaseStats {
-        update_rate,
-        cardinality: distinct[0],
-        tuple_bytes: 24.0,
-        distinct: distinct.to_vec(),
+    let base = |name, home, rate: f64, distinct: [f64; 3]| {
+        let stats = stats(rate, distinct[0], 24.0, &distinct);
+        Base::i64(name, &["id", "fk", "g"], &[0], home, stats)
     };
-    let (m0, m1) = (MachineId::new(0), MachineId::new(1));
-    let src_stats = base_stats(2.0, [1_000.0, 100.0, 50.0]);
-    let src = smile
-        .register_base("src", schema(&cols, vec![0]), m0, src_stats)
-        .unwrap();
-    let events_stats = base_stats(30.0, [100_000.0, 1_000.0, 4.0]);
-    let events = smile
-        .register_base("events", schema(&cols, vec![0]), m1, events_stats)
-        .unwrap();
+    let m0 = MachineId::new(0);
+    let src = base("src", 0, 2.0, [1_000.0, 100.0, 50.0]);
+    let bases = [src, base("events", 1, 30.0, [100_000.0, 1_000.0, 4.0])];
+    let (mut smile, rels) = fleet(config, &bases);
+    let (src, events) = (rels[0], rels[1]);
     let mut ids = Vec::new();
     for &(sla_secs, projected) in sharings {
         let mut q = SpjQuery::scan(events).join(src, JoinOn::on(1, 0), Predicate::True);
@@ -377,21 +264,21 @@ fn crowd(sharings: &[(u64, bool)]) -> (Smile, RelationId, RelationId, Vec<Sharin
     (smile, src, events, ids)
 }
 
-/// One tick of the crowd: three events that join `src` rows old and new —
-/// among them the row of three ticks ago — and one fresh `src` row.
-fn crowd_tick(smile: &mut Smile, src: RelationId, events: RelationId, seq: &mut i64) {
-    let now = smile.now();
-    let crowd = (0..3).map(|i| {
-        let n = *seq * 3 + i;
-        let fk = if i == 0 { SRC_KEYS + *seq - 3 } else { n % SRC_KEYS };
-        DeltaEntry::insert(tuple![n, fk, n % 4], now)
+/// `ticks` of the crowd, `seq` counting them: each three events that join
+/// `src` rows old and new — among them the row of three ticks ago — and one
+/// fresh `src` row.
+fn crowd_feed(smile: &mut Smile, src: RelationId, events: RelationId, seq: &mut i64, ticks: u64) {
+    feed(smile, ticks, |smile, _| {
+        let (now, s) = (smile.now(), *seq);
+        *seq += 1;
+        let crowd = (0..3).map(|i| {
+            let n = s * 3 + i;
+            let fk = if i == 0 { SRC_KEYS + s - 3 } else { n % SRC_KEYS };
+            DeltaEntry::insert(tuple![n, fk, n % 4], now)
+        });
+        let fresh = vec![DeltaEntry::insert(tuple![SRC_KEYS + s, s, s % 4], now)];
+        [(events, crowd.collect()), (src, DeltaBatch { entries: fresh })]
     });
-    let entries = crowd.collect();
-    smile.ingest(events, DeltaBatch { entries }).unwrap();
-    let entries = vec![DeltaEntry::insert(tuple![SRC_KEYS + *seq, *seq, *seq % 4], now)];
-    smile.ingest(src, DeltaBatch { entries }).unwrap();
-    *seq += 1;
-    smile.step().unwrap();
 }
 
 /// The storage slot of `src`'s copy of `kind` on m1, if it holds one.
@@ -412,9 +299,7 @@ fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
     let (mut smile, src, events, ids) = crowd(&[(20, false)]);
     let (id, m0, m1) = (ids[0], MachineId::new(0), MachineId::new(1));
     let mut seq = 0i64;
-    let mut feed = |smile: &mut Smile, ticks: u64| {
-        (0..ticks).for_each(|_| crowd_tick(smile, src, events, &mut seq));
-    };
+    let mut feed = |smile: &mut Smile, ticks| crowd_feed(smile, src, events, &mut seq, ticks);
     feed(&mut smile, 50);
     // The shape in question: `Δsrc` lands on m1 before the migration, and
     // the shadow chain replicates `src` there in the same storage slot.
@@ -428,8 +313,7 @@ fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
     let acts = labels(&smile);
     assert!(acts.contains(&"migration_completed m0->m1".to_string()), "{acts:?}");
-    assert!(!smile.mv_contents(id).unwrap().is_empty());
-    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+    assert!(assert_exact(&smile, &[id]) > 0);
 
     // And back: the replica goes inert while `Δsrc` still lands on m1 for
     // the half-join there. Its rows are freed now, not at a later revival.
@@ -442,7 +326,7 @@ fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
     assert_eq!(src_on_m1(&smile, Delta), delta_slot);
     let db = &smile.cluster.machine(m1).unwrap().db;
     assert!(db.relation(delta_slot.unwrap()).unwrap().table.is_empty());
-    assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
+    assert_exact(&smile, &[id]);
 }
 
 /// The same move for the lazier of two sharings over one half-join pair.
@@ -455,9 +339,7 @@ fn a_migration_whose_seed_predates_an_adopted_log_waits() {
     let (mut smile, src, events, ids) = crowd(&[(5, false), (120, true)]);
     let (lazy, m1) = (ids[1], MachineId::new(1));
     let mut seq = 0i64;
-    let mut feed = |smile: &mut Smile, ticks: u64| {
-        (0..ticks).for_each(|_| crowd_tick(smile, src, events, &mut seq));
-    };
+    let mut feed = |smile: &mut Smile, ticks| crowd_feed(smile, src, events, &mut seq, ticks);
     feed(&mut smile, 150);
     let slot = src_on_m1(&smile, Delta).expect("the plan does not ship Δsrc to m1");
     let horizon = |smile: &Smile| {
@@ -480,7 +362,5 @@ fn a_migration_whose_seed_predates_an_adopted_log_waits() {
     smile.run_idle(SimDuration::from_secs(150)).unwrap();
     let acts = labels(&smile);
     assert!(acts.contains(&"migration_completed m0->m1".to_string()), "{acts:?}");
-    for id in ids {
-        assert_eq!(mv_bytes(&smile, id), truth_bytes(&smile, id));
-    }
+    assert_exact(&smile, &ids);
 }

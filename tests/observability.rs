@@ -5,88 +5,30 @@
 //! guarantee of the metric registry as the fleet grows, and detection of an
 //! injected ingest regime shift.
 
-use smile::core::catalog::BaseStats;
+mod common;
+
+use common::{ab, ab_feed, ab_join, ab_sharing, feed, fleet, stats, Base};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::sim::FaultProfile;
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
 use smile::telemetry::Severity;
-use smile::types::{
-    tuple, Column, ColumnType, MachineId, RelationId, Schema, SharingId, SimDuration, Timestamp,
-};
+use smile::types::{tuple, MachineId, SharingId, SimDuration, Timestamp};
 
-fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
-    Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect(), key)
-}
-
-/// Two machines, one cross-machine join; `sla_secs` staleness bound; chaos
-/// when requested; optional 1-in-`sample_rate` sharing sampler. Feeds 200
-/// ticks and idles 60 s.
+/// The two-machine fixture with one sharing; `sla_secs` staleness bound;
+/// chaos when requested; optional 1-in-`sample_rate` sharing sampler.
+/// Feeds 200 ticks and idles 60 s.
 fn run(sla_secs: u64, chaos: bool, sample_rate: u32) -> (Smile, SharingId) {
     let mut config = SmileConfig::with_machines(2);
     if chaos {
         config.faults = FaultProfile::chaos(4242);
     }
     config.telemetry.span_sample_rate = sample_rate;
-    let mut smile = Smile::new(config);
-    let a = smile
-        .register_base(
-            "a",
-            schema(&[("k", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0],
-            },
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(1),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0, 50.0],
-            },
-        )
-        .unwrap();
-    let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-    let id = smile
-        .submit("obs", q, SimDuration::from_secs(sla_secs), 0.01)
-        .unwrap();
-    smile.install().unwrap();
-    feed(&mut smile, a, b, 200);
+    let (mut smile, a, b, id) = ab_sharing(config, "obs", sla_secs, None);
+    ab_feed(&mut smile, a, b, 200, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
     (smile, id)
-}
-
-fn feed(smile: &mut Smile, a: RelationId, b: RelationId, ticks: u64) {
-    for s in 0..ticks {
-        let now = smile.now();
-        smile
-            .ingest(
-                a,
-                DeltaBatch {
-                    entries: vec![DeltaEntry::insert(tuple![(s % 20) as i64], now)],
-                },
-            )
-            .unwrap();
-        smile
-            .ingest(
-                b,
-                DeltaBatch {
-                    entries: vec![DeltaEntry::insert(tuple![(s % 20) as i64, s as i64], now)],
-                },
-            )
-            .unwrap();
-        smile.step().unwrap();
-    }
 }
 
 /// The full report is a pinned golden: every section is assembled from
@@ -236,46 +178,13 @@ fn sampler_drops_sharing_spans_but_keeps_skeleton_and_accounting() {
 /// registry's self-reported instrument count plus the number of exported
 /// worst-headroom rows.
 fn fleet_instruments(n: usize) -> (f64, usize) {
-    let mut smile = Smile::new(SmileConfig::with_machines(2));
-    let a = smile
-        .register_base(
-            "a",
-            schema(&[("k", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0],
-            },
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(1),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0, 50.0],
-            },
-        )
-        .unwrap();
+    let (mut smile, a, b) = ab(SmileConfig::with_machines(2));
     for i in 0..n {
-        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-        smile
-            .submit(
-                &format!("s{i}"),
-                q,
-                SimDuration::from_secs(20 + i as u64),
-                0.01,
-            )
-            .unwrap();
+        let sla = SimDuration::from_secs(20 + i as u64);
+        smile.submit(&format!("s{i}"), ab_join(a, b), sla, 0.01).unwrap();
     }
     smile.install().unwrap();
-    feed(&mut smile, a, b, 40);
+    ab_feed(&mut smile, a, b, 40, false);
     smile.run_idle(SimDuration::from_secs(30)).unwrap();
     let snap = smile.telemetry_snapshot();
     let instruments = snap.gauge("telemetry.instruments").unwrap();
@@ -319,38 +228,13 @@ fn regime_shift_pages_within_the_detection_bar() {
     config.capacity = 1e12;
     config.hill_climb = false;
     config.machine_config.net_bandwidth = 50_000.0;
-    let mut smile = Smile::new(config);
-    let cols = [
-        ("id", ColumnType::I64),
-        ("fk", ColumnType::I64),
-        ("g", ColumnType::I64),
+    let cols = ["id", "fk", "g"];
+    let bases = [
+        Base::i64("src", &cols, &[0], 0, stats(50.0, 50_000.0, 24.0, &[50_000.0, 5_000.0, 1000.0])),
+        Base::i64("dim", &cols, &[0], 1, stats(1.0, 1000.0, 24.0, &[1000.0, 100.0, 50.0])),
     ];
-    let src = smile
-        .register_base(
-            "src",
-            schema(&cols, vec![0]),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 50.0,
-                cardinality: 50_000.0,
-                tuple_bytes: 24.0,
-                distinct: vec![50_000.0, 5_000.0, 1000.0],
-            },
-        )
-        .unwrap();
-    let dim = smile
-        .register_base(
-            "dim",
-            schema(&cols, vec![0]),
-            MachineId::new(1),
-            BaseStats {
-                update_rate: 1.0,
-                cardinality: 1000.0,
-                tuple_bytes: 24.0,
-                distinct: vec![1000.0, 100.0, 50.0],
-            },
-        )
-        .unwrap();
+    let (mut smile, rels) = fleet(config, &bases);
+    let (src, dim) = (rels[0], rels[1]);
     for i in 0..8 {
         let q = SpjQuery::scan(src).join(dim, JoinOn::on(1, 0), Predicate::eq(2, i as i64));
         smile
@@ -378,8 +262,8 @@ fn regime_shift_pages_within_the_detection_bar() {
             .map(|s| DeltaEntry::insert(tuple![s, s % 977, s % 8], now))
             .collect();
         seq += rate;
-        smile.ingest(src, batch).unwrap();
-        smile.step().unwrap();
+        let mut tick = Some((src, batch));
+        feed(&mut smile, 1, |_, _| tick.take());
         if let Some(page) = smile.alerts().iter().find(|a| a.severity == Severity::Page) {
             paged_at = Some(page.at_us);
             break;

@@ -3,9 +3,11 @@
 //! identical MV contents for every sharing — plumbing may only change *how*
 //! updates travel, never *what* arrives.
 
+mod common;
+
+use common::{exact, feed, fleet, stats, tweet, Base};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::types::{MachineId, SimDuration};
-use smile::workload::rates::{RateIntegrator, RateTrace};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{standard_setup, TwitterConfig};
 
@@ -31,29 +33,15 @@ fn run(hill_climb: bool) -> Vec<(usize, Vec<(smile::types::Tuple, i64)>)> {
     }
     smile.install().unwrap();
 
-    let mut rate = RateIntegrator::new(RateTrace::Constant(40.0));
-    let end = smile.now() + SimDuration::from_secs(120);
-    while smile.now() < end {
-        let n = rate.tick(smile.now(), SimDuration::from_secs(1));
-        for (rel, batch) in workload.tweets(n, smile.now()) {
-            smile.ingest(rel, batch).unwrap();
-        }
-        smile.step().unwrap();
-    }
+    tweet(&mut smile, &mut workload, 40.0, 120);
     // Settle: one final full push per sharing by idling past the SLA window.
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     ids.into_iter()
         .map(|(index, id)| {
             // Also assert each run individually matches its own ground truth.
-            let got = smile.mv_contents(id).unwrap();
-            let want = smile.expected_mv_contents(id).unwrap();
-            assert_eq!(
-                got.sorted_entries(),
-                want.sorted_entries(),
-                "S{index} diverged from ground truth (hill_climb={hill_climb})"
-            );
-            (index, got.sorted_entries())
+            exact(&smile, id).unwrap_or_else(|e| panic!("S{index}, hill_climb={hill_climb}: {e}"));
+            (index, smile.mv_contents(id).unwrap().sorted_entries())
         })
         .collect()
 }
@@ -107,16 +95,11 @@ fn hill_climbing_shrinks_or_keeps_the_plan() {
 // fault injection.
 // ---------------------------------------------------------------------------
 
-use smile::core::catalog::BaseStats;
 use smile::sim::FaultProfile;
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{tuple, Column, ColumnType, RelationId, Schema, SharingId};
-
-fn base_schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
-    Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect(), key)
-}
+use smile::types::{tuple, RelationId, SharingId};
 
 /// Two machines; delta streams `a1`/`a2` on machine 0, shared snapshot
 /// relation `b` on machine 1. `which` picks the sharings to submit
@@ -126,50 +109,16 @@ fn shared_platform(
     faults: FaultProfile,
     which: &[usize],
 ) -> (Smile, Vec<SharingId>, [RelationId; 3]) {
-    let mut config = SmileConfig::with_machines(2);
-    config.faults = faults;
-    let mut smile = Smile::new(config);
-    let stats = || BaseStats {
-        update_rate: 5.0,
-        cardinality: 100.0,
-        tuple_bytes: 16.0,
-        distinct: vec![100.0, 50.0],
-    };
-    let a1 = smile
-        .register_base(
-            "a1",
-            base_schema(&[("k", ColumnType::I64), ("x", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            stats(),
-        )
-        .unwrap();
-    let a2 = smile
-        .register_base(
-            "a2",
-            base_schema(&[("k", ColumnType::I64), ("y", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            stats(),
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            base_schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(1),
-            stats(),
-        )
-        .unwrap();
+    let stats = stats(5.0, 100.0, 16.0, &[100.0, 50.0]);
+    let base = |name, cols, home| Base::i64(name, cols, &[0], home, stats.clone());
+    let bases = [base("a1", &["k", "x"], 0), base("a2", &["k", "y"], 0), base("b", &["k", "v"], 1)];
+    let (mut smile, rels) = fleet(SmileConfig { faults, ..SmileConfig::with_machines(2) }, &bases);
+    let [a1, a2, b] = [rels[0], rels[1], rels[2]];
     let mut ids = Vec::new();
     for &i in which {
-        let src = if i == 0 { a1 } else { a2 };
-        let q = SpjQuery::scan(src).join(b, JoinOn::on(0, 0), Predicate::True);
+        let q = SpjQuery::scan([a1, a2][i]).join(b, JoinOn::on(0, 0), Predicate::True);
         let id = smile
-            .submit(
-                if i == 0 { "app1" } else { "app2" },
-                q,
-                SimDuration::from_secs(30),
-                0.01,
-            )
+            .submit(["app1", "app2"][i], q, SimDuration::from_secs(30), 0.01)
             .unwrap();
         ids.push(id);
     }
@@ -178,27 +127,16 @@ fn shared_platform(
 }
 
 /// Identical deterministic feed for every platform under comparison.
-fn feed_shared(smile: &mut Smile, rels: [RelationId; 3], ticks: u64) {
-    let [a1, a2, b] = rels;
-    for s in 0..ticks {
-        let now = smile.now();
-        let k = (s % 16) as i64;
-        for (rel, t) in [
+fn feed_shared(smile: &mut Smile, [a1, a2, b]: [RelationId; 3], ticks: u64) {
+    feed(smile, ticks, |smile, s| {
+        let (now, k) = (smile.now(), (s % 16) as i64);
+        let rows = [
             (a1, tuple![k, s as i64]),
             (a2, tuple![(s * 3 % 16) as i64, s as i64]),
             (b, tuple![k, (s * 7) as i64]),
-        ] {
-            smile
-                .ingest(
-                    rel,
-                    DeltaBatch {
-                        entries: vec![DeltaEntry::insert(t, now)],
-                    },
-                )
-                .unwrap();
-        }
-        smile.step().unwrap();
-    }
+        ];
+        rows.map(|(rel, t)| (rel, DeltaBatch { entries: vec![DeltaEntry::insert(t, now)] }))
+    });
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 }
 
@@ -231,14 +169,7 @@ fn compare_merged_vs_unmerged(faults: impl Fn() -> FaultProfile) {
         (&solo1, sids1[0], "solo S0"),
         (&solo2, sids2[0], "solo S1"),
     ] {
-        let got = smile.mv_contents(id).unwrap();
-        let want = smile.expected_mv_contents(id).unwrap();
-        assert!(!want.is_empty(), "{tag}: empty ground truth");
-        assert_eq!(
-            got.sorted_entries(),
-            want.sorted_entries(),
-            "{tag} diverged from ground truth"
-        );
+        assert!(exact(smile, id).unwrap_or_else(|e| panic!("{tag}: {e}")) > 0, "{tag}: empty");
     }
 
     // Byte-identical MVs: merged plumbing changed how updates travel, not

@@ -2,6 +2,9 @@
 //! rate and reader load must not push staleness past the SLA — the feedback
 //! loop detects slower pushes and schedules earlier.
 
+mod common;
+
+use common::{assert_exact, feed};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::sim::FaultProfile;
 use smile::types::{MachineId, SharingId, SimDuration};
@@ -55,27 +58,20 @@ fn setup_faulty(feedback: bool, faults: FaultProfile) -> Setup {
 fn run_phases(s: &mut Setup, phases: &[(usize, f64)], phase_secs: u64) -> f64 {
     let mut peak = 0.0f64;
     let s4 = s.ids[3];
+    let second = SimDuration::from_secs(1);
     for &(users, rate) in phases {
         let load = ReadLoad::new(s.ids.clone(), users);
         let mut integrator = RateIntegrator::new(RateTrace::Constant(rate));
-        let end = s.smile.now() + SimDuration::from_secs(phase_secs);
-        while s.smile.now() < end {
-            let n = integrator.tick(s.smile.now(), SimDuration::from_secs(1));
-            for (rel, batch) in s.workload.tweets(n, s.smile.now()) {
-                s.smile.ingest(rel, batch).unwrap();
-            }
-            load.apply(&mut s.smile, SimDuration::from_secs(1)).unwrap();
-            s.smile.step().unwrap();
-            peak = peak.max(
-                s.smile
-                    .executor
-                    .as_ref()
-                    .unwrap()
-                    .staleness(s4, s.smile.now())
-                    .unwrap()
-                    .as_secs_f64(),
-            );
-        }
+        feed(&mut s.smile, phase_secs, |smile, _| {
+            let now = smile.now();
+            // The staleness the previous tick left, before this one's load.
+            let staleness = smile.executor.as_ref().unwrap().staleness(s4, now).unwrap();
+            peak = peak.max(staleness.as_secs_f64());
+            load.apply(smile, second).unwrap();
+            s.workload.tweets(integrator.tick(now, second), now)
+        });
+        let executor = s.smile.executor.as_ref().unwrap();
+        peak = peak.max(executor.staleness(s4, s.smile.now()).unwrap().as_secs_f64());
     }
     peak
 }
@@ -121,13 +117,7 @@ fn executor_recovers_after_load_clears() {
         staleness <= SimDuration::from_secs(50),
         "never recovered: staleness {staleness}"
     );
-    for &id in &s.ids {
-        assert_eq!(
-            s.smile.mv_contents(id).unwrap().sorted_entries(),
-            s.smile.expected_mv_contents(id).unwrap().sorted_entries(),
-            "{id} diverged during overload"
-        );
-    }
+    assert_exact(&s.smile, &s.ids);
 }
 
 #[test]

@@ -5,81 +5,14 @@
 //! quiet mode must record no spans at all while the accounting
 //! instruments keep working.
 
-use smile::core::catalog::BaseStats;
+mod common;
+
+use common::{ab_feed, ab_join, ab_sharing};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::sim::FaultProfile;
-use smile::storage::delta::{DeltaBatch, DeltaEntry};
-use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
 use smile::telemetry::{SpanKind, SpanRecord};
-use smile::types::{
-    tuple, Column, ColumnType, MachineId, RelationId, Schema, SharingId, SimDuration,
-};
-
-fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
-    Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect(), key)
-}
-
-/// Two machines, one cross-machine joined sharing.
-fn build(config: SmileConfig, sla_secs: u64) -> (Smile, RelationId, RelationId, SharingId) {
-    let mut smile = Smile::new(config);
-    let a = smile
-        .register_base(
-            "a",
-            schema(&[("k", ColumnType::I64)], vec![0]),
-            MachineId::new(0),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0],
-            },
-        )
-        .unwrap();
-    let b = smile
-        .register_base(
-            "b",
-            schema(&[("k", ColumnType::I64), ("v", ColumnType::I64)], vec![0]),
-            MachineId::new(1),
-            BaseStats {
-                update_rate: 5.0,
-                cardinality: 100.0,
-                tuple_bytes: 16.0,
-                distinct: vec![100.0, 50.0],
-            },
-        )
-        .unwrap();
-    let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
-    let id = smile
-        .submit("t", q, SimDuration::from_secs(sla_secs), 0.01)
-        .unwrap();
-    smile.install().unwrap();
-    (smile, a, b, id)
-}
-
-/// One insert into each base per tick, then a tick.
-fn feed(smile: &mut Smile, a: RelationId, b: RelationId, ticks: u64) {
-    for s in 0..ticks {
-        let now = smile.now();
-        smile
-            .ingest(
-                a,
-                DeltaBatch {
-                    entries: vec![DeltaEntry::insert(tuple![(s % 20) as i64], now)],
-                },
-            )
-            .unwrap();
-        smile
-            .ingest(
-                b,
-                DeltaBatch {
-                    entries: vec![DeltaEntry::insert(tuple![(s % 20) as i64, s as i64], now)],
-                },
-            )
-            .unwrap();
-        smile.step().unwrap();
-    }
-}
+use smile::types::SimDuration;
 
 fn find_span(spans: &[SpanRecord], id: u64) -> &SpanRecord {
     spans
@@ -96,12 +29,9 @@ fn find_span(spans: &[SpanRecord], id: u64) -> &SpanRecord {
 #[test]
 fn retries_are_attributable_through_the_span_tree() {
     let mut config = SmileConfig::with_machines(2);
-    let mut profile = FaultProfile::disabled();
-    profile.seed = 7;
-    profile.ack_loss = 0.5;
-    config.faults = profile;
-    let (mut smile, a, b, id) = build(config, 20);
-    feed(&mut smile, a, b, 300);
+    config.faults = FaultProfile { seed: 7, ack_loss: 0.5, ..FaultProfile::disabled() };
+    let (mut smile, a, b, id) = ab_sharing(config, "t", 20, None);
+    ab_feed(&mut smile, a, b, 300, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     let report = smile.fault_report();
@@ -165,8 +95,8 @@ fn retries_are_attributable_through_the_span_tree() {
 /// count — the per-sharing `{sharing=N}` instrument family is gone.
 #[test]
 fn snapshot_exposes_staleness_headroom_rollup() {
-    let (mut smile, a, b, id) = build(SmileConfig::with_machines(2), 20);
-    feed(&mut smile, a, b, 200);
+    let (mut smile, a, b, id) = ab_sharing(SmileConfig::with_machines(2), "t", 20, None);
+    ab_feed(&mut smile, a, b, 200, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     let snap = smile.telemetry_snapshot();
@@ -241,8 +171,8 @@ fn snapshot_exposes_staleness_headroom_rollup() {
 /// the catalog, the rejected one is counted.
 #[test]
 fn live_admissions_feed_the_admission_instruments() {
-    let (mut smile, a, b, _id) = build(SmileConfig::with_machines(2), 20);
-    feed(&mut smile, a, b, 20);
+    let (mut smile, a, b, _) = ab_sharing(SmileConfig::with_machines(2), "t", 20, None);
+    ab_feed(&mut smile, a, b, 20, false);
     let read = |smile: &Smile| {
         let snap = smile.telemetry_snapshot();
         (
@@ -258,9 +188,8 @@ fn live_admissions_feed_the_admission_instruments() {
     smile
         .submit_live("filtered", filtered, SimDuration::from_secs(20), 0.01, None)
         .unwrap();
-    let too_fast = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
     assert!(smile
-        .submit_live("too-fast", too_fast, SimDuration::from_millis(1), 0.01, None)
+        .submit_live("too-fast", ab_join(a, b), SimDuration::from_millis(1), 0.01, None)
         .is_err());
     let after = read(&smile);
     assert_eq!(after.0, before.0 + 2, "one latency sample per live admission");
@@ -273,8 +202,8 @@ fn live_admissions_feed_the_admission_instruments() {
 /// whatever order the executor drained them in.
 #[test]
 fn push_records_are_sorted_by_time_then_sharing() {
-    let (mut smile, a, b, _id) = build(SmileConfig::with_machines(2), 20);
-    feed(&mut smile, a, b, 200);
+    let (mut smile, a, b, _) = ab_sharing(SmileConfig::with_machines(2), "t", 20, None);
+    ab_feed(&mut smile, a, b, 200, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     let sorted = smile.push_records();
@@ -298,8 +227,8 @@ fn push_records_are_sorted_by_time_then_sharing() {
 fn quiet_mode_keeps_the_ring_empty() {
     let mut config = SmileConfig::with_machines(2);
     config.telemetry.enabled = false;
-    let (mut smile, a, b, id) = build(config, 20);
-    feed(&mut smile, a, b, 120);
+    let (mut smile, a, b, id) = ab_sharing(config, "t", 20, None);
+    ab_feed(&mut smile, a, b, 120, false);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
 
     assert!(!smile.telemetry().enabled());
@@ -327,8 +256,8 @@ fn quiet_mode_keeps_the_ring_empty() {
 
     // Observability records what happens and never changes it: the same
     // drive with the layer on moves the same tuples through the same pushes.
-    let (mut loud, a, b, _) = build(SmileConfig::with_machines(2), 20);
-    feed(&mut loud, a, b, 120);
+    let (mut loud, a, b, _) = ab_sharing(SmileConfig::with_machines(2), "t", 20, None);
+    ab_feed(&mut loud, a, b, 120, false);
     loud.run_idle(SimDuration::from_secs(60)).unwrap();
     assert!(loud.telemetry().spans_len() > 0);
     assert_eq!(

@@ -15,16 +15,21 @@
 //! Δ ⋈ R@at  =  Δ ⋈ R@now  −  Δ ⋈ (R@now − R@at)
 //! ```
 //!
-//! The first term probes the big side through its persistent arrangement.
-//! For the second, `R@now − R@at` is the relation's log between the two
-//! instants, and it is never materialized: the *delta window* is the
-//! indexed side (by the probe keys it was just probed with) and the log
-//! streams past it by reference. Only rows some delta entry joins are kept,
-//! and those are netted — a delete cancels its insert, a repeat adds up —
-//! so the output has one entry per (delta entry, distinct surviving row):
-//! the multiset and the entry count of consolidating the window first.
-//! Outputs are handed over stably sorted by timestamp, probe run ahead of
-//! correction run, which is the order sorted insertion into the log gives.
+//! The first term probes the big side through its persistent arrangement —
+//! only the partition the snapshot filter's `col = literal` conjuncts name
+//! (`Plan::probed_arrangement`), so a reader that differs from others on
+//! the same relation only by a literal never walks their rows; the whole
+//! filter is still evaluated on each row found. For the second,
+//! `R@now − R@at` is the relation's log between the two instants, and it is
+//! never materialized: the log streams through the snapshot filter first,
+//! by reference, and whichever side is then smaller — the kept log rows or
+//! the delta window's keys — is hashed by join key while the other streams
+//! past it. The kept rows are netted — a delete cancels its insert, a
+//! repeat adds up — so the output has one entry per (delta entry, distinct
+//! surviving row): the multiset and the entry count of consolidating the
+//! window first. Outputs are handed over stably sorted by timestamp, probe
+//! run ahead of correction run, which is the order sorted insertion into
+//! the log gives.
 //!
 //! ## Machine-local primitives
 //!
@@ -306,13 +311,14 @@ fn run_join(
     debug_assert_eq!(rel_v.machine, out_v.machine);
     debug_assert_eq!(rel_v.kind, VertexKind::Relation);
     let delta_slot = slot_of(plan, delta_v.id)?;
-    let rel_slot = slot_of(plan, rel_v.id)?;
+    let ((_, rel_slot, index), partition) = plan
+        .probed_arrangement(edge)
+        .ok_or_else(|| SmileError::Internal(format!("vertex {} has no storage slot", rel_v.id)))?;
 
-    // Column orientation: the delta probes with its side's join columns and
-    // matches rows on the snapshot side's columns.
-    let (delta_cols, snap_cols) = match delta_side {
-        DeltaSide::Left => (&on.left_cols, &on.right_cols),
-        DeltaSide::Right => (&on.right_cols, &on.left_cols),
+    // The delta probes with its side's join columns.
+    let delta_cols = match delta_side {
+        DeltaSide::Left => &on.left_cols,
+        DeltaSide::Right => &on.right_cols,
     };
     // Borrow the window straight from the delta log (no clone).
     let db = &job.machine.db;
@@ -322,10 +328,10 @@ fn run_join(
     let mut outputs: Vec<DeltaEntry> = Vec::new();
     if !entries.is_empty() {
         let rel = db.relation(rel_slot)?;
-        let Some(arr) = rel.table.arrangement(snap_cols) else {
+        let Some(arr) = rel.table.arrangement_on(&index) else {
             return Err(SmileError::Internal(format!(
-                "relation vertex {} lacks the arrangement on {:?} its join edge probes",
-                rel_v.id, snap_cols
+                "relation vertex {} lacks the arrangement on {index:?} its join edge probes",
+                rel_v.id
             )));
         };
         let mut emit = |e: &DeltaEntry, row: &Tuple, weight: i64| {
@@ -348,7 +354,8 @@ fn run_join(
         for e in &entries {
             keys_flat.extend(delta_cols.iter().map(|&c| e.tuple.values()[c].clone()));
         }
-        let buckets = arr.probe_batch(&keys_flat, arity, entries.len());
+        // Only the partition of the filter's literals can hold a kept row.
+        let buckets = arr.partition(&partition).probe_batch(&keys_flat, arity, entries.len());
         for (e, bucket) in entries.iter().zip(buckets) {
             for (row, &w) in bucket {
                 if snapshot_filter.eval(row) {
@@ -366,40 +373,10 @@ fn run_join(
         } else {
             (rel.delta.window_ref(now, at), 1)
         };
-        if !missed.is_empty() {
-            // The delta window is the indexed side — by the probe keys
-            // already in `keys_flat` — and the relation's log streams past
-            // it by reference: only rows some delta entry joins are netted
-            // (a delete cancels its insert, a repeat adds up), so the output
-            // holds one entry per (delta entry, distinct surviving row),
-            // exactly as if the whole window had been consolidated first.
-            let key_of = |i: usize| &keys_flat[i * arity..(i + 1) * arity];
-            let mut matched: FastMap<&[Value], Vec<&Tuple>> = (0..entries.len())
-                .map(|i| (key_of(i), Vec::new()))
-                .collect();
-            let mut net: FastMap<&Tuple, i64> = FastMap::default();
-            let mut key: Vec<Value> = Vec::with_capacity(arity);
-            for r in missed {
-                key.clear();
-                key.extend(snap_cols.iter().map(|&c| r.tuple.values()[c].clone()));
-                let Some(rows) = matched.get_mut(key.as_slice()) else {
-                    continue;
-                };
-                if snapshot_filter.eval(&r.tuple) {
-                    let w = net.entry(&r.tuple).or_insert_with(|| {
-                        // First sighting: list the row under its key.
-                        rows.push(&r.tuple);
-                        0
-                    });
-                    *w += r.weight;
-                }
-            }
-            for (i, e) in entries.iter().enumerate() {
-                for &row in &matched[key_of(i)] {
-                    emit(e, row, e.weight * net[row] * sign);
-                }
-            }
-        }
+        let kept: Vec<&DeltaEntry> = missed.iter().filter(|r| snapshot_filter.eval(&r.tuple)).collect();
+        correct(&keys_flat, entries.len(), &kept, &index.key, |i, row, w| {
+            emit(entries[i], row, entries[i].weight * w * sign);
+        });
     }
     // Hand the output over in log order: each run is already in delta-entry
     // (timestamp) order, and the stable sort keeps a probe output ahead of a
@@ -415,6 +392,75 @@ fn run_join(
     let end = job.bill(window_len.max(produced));
     let appended = job.append(DeltaBatch { entries: outputs })?;
     Ok(EdgeRun::local(end, produced, appended))
+}
+
+/// The correction term `Δ ⋈ kept`, where `kept` are the log rows between
+/// the table's instant and the snapshot's that pass the snapshot filter and
+/// `keys_flat` holds the `n` delta entries' join keys back to back. Calls
+/// `emit(i, row, w)` for each delta entry `i` in order and, under it, each
+/// distinct kept row with `i`'s key at `key_cols`, in the order the row was
+/// first seen, `w` its net weight over `kept` (a delete cancels its insert,
+/// a repeat adds up) — one call per (delta entry, distinct row), as if the
+/// rows had been consolidated first.
+///
+/// Whichever side is smaller is hashed by join key, and the other streams
+/// past it: the kept rows, or the delta window's keys. Both give the same
+/// calls in the same order. Neither side is smaller as a rule: a half-join
+/// behind a literal filter keeps a few rows against thousands of window
+/// entries, an unfiltered one thousands of rows against a few, and hashing
+/// either side always loses on the other (DESIGN §9a).
+fn correct<'r>(
+    keys_flat: &[Value],
+    n: usize,
+    kept: &[&'r DeltaEntry],
+    key_cols: &[usize],
+    mut emit: impl FnMut(usize, &'r Tuple, i64),
+) {
+    if kept.is_empty() {
+        return;
+    }
+    let arity = key_cols.len();
+    let range = |i: usize| i * arity..(i + 1) * arity;
+    let hash_kept = kept.len() <= n;
+    let kept_keys: Vec<Value> = if hash_kept {
+        let keys = kept.iter().map(|r| key_cols.iter().map(|&c| r.tuple.values()[c].clone()));
+        keys.flatten().collect()
+    } else {
+        Vec::new()
+    };
+    let mut net: FastMap<&Tuple, i64> = FastMap::default();
+    let mut rows_of: FastMap<&[Value], Vec<&Tuple>> = FastMap::default();
+    if hash_kept {
+        // Hash the kept rows: each netted and listed under its key.
+        for (j, r) in kept.iter().enumerate() {
+            let w = net.entry(&r.tuple).or_insert_with(|| {
+                rows_of.entry(&kept_keys[range(j)]).or_default().push(&r.tuple);
+                0
+            });
+            *w += r.weight;
+        }
+    } else {
+        // Hash the window's keys; only kept rows some entry joins are netted.
+        rows_of.extend((0..n).map(|i| (&keys_flat[range(i)], Vec::new())));
+        let mut key: Vec<Value> = Vec::with_capacity(arity);
+        for r in kept {
+            key.clear();
+            key.extend(key_cols.iter().map(|&c| r.tuple.values()[c].clone()));
+            let Some(rows) = rows_of.get_mut(key.as_slice()) else {
+                continue;
+            };
+            let w = net.entry(&r.tuple).or_insert_with(|| {
+                rows.push(&r.tuple);
+                0
+            });
+            *w += r.weight;
+        }
+    }
+    for i in 0..n {
+        for &row in rows_of.get(&keys_flat[range(i)]).into_iter().flatten() {
+            emit(i, row, net[row]);
+        }
+    }
 }
 
 fn run_union(mut job: Job<'_>) -> Result<EdgeRun> {
@@ -483,8 +529,8 @@ mod tests {
 
     /// One machine, one Join edge `Δ0 ⋈ R1 → Δ2` over `width`-column
     /// relations: `window` sits in slot 0's log, `log` in slot 1's with the
-    /// table applied through `applied` and, if `index`, arranged on the
-    /// columns the edge probes.
+    /// table applied through `applied` and, if `index`, the arrangement the
+    /// edge probes installed.
     fn join_fixture(
         width: usize,
         op: EdgeOp,
@@ -493,6 +539,13 @@ mod tests {
         applied: Timestamp,
         index: bool,
     ) -> (Cluster, Plan, usize) {
+        let mut plan = Plan::new();
+        let vd = vertex(&mut plan, VertexKind::Delta, 0, M0, width);
+        let vr = vertex(&mut plan, VertexKind::Relation, 1, M0, width);
+        let vo = vertex(&mut plan, VertexKind::Delta, 2, M0, 2 * width);
+        let e = plan
+            .add_edge(op, vec![vd, vr], vo, Predicate::True, None, 1.0, 32.0)
+            .unwrap();
         let mut cluster = Cluster::homogeneous(1);
         let [d, r, o] = [0, 1, 2].map(RelationId::new);
         let db = &mut cluster.machine_mut(M0).unwrap().db;
@@ -502,20 +555,10 @@ mod tests {
         db.append_delta(d, window.into_iter().collect()).unwrap();
         db.append_delta(r, log.into_iter().collect()).unwrap();
         db.apply_pending(r, applied).unwrap();
-        if let (EdgeOp::Join { on, delta_side, .. }, true) = (&op, index) {
-            let snap_cols = match delta_side {
-                DeltaSide::Left => &on.right_cols,
-                DeltaSide::Right => &on.left_cols,
-            };
-            db.ensure_index(r, snap_cols).unwrap();
+        if index {
+            let ((_, slot, on), _) = plan.probed_arrangement(plan.edge(e)).unwrap();
+            db.ensure_arrangement(slot, &on).unwrap();
         }
-        let mut plan = Plan::new();
-        let vd = vertex(&mut plan, VertexKind::Delta, 0, M0, width);
-        let vr = vertex(&mut plan, VertexKind::Relation, 1, M0, width);
-        let vo = vertex(&mut plan, VertexKind::Delta, 2, M0, 2 * width);
-        let e = plan
-            .add_edge(op, vec![vd, vr], vo, Predicate::True, None, 1.0, 32.0)
-            .unwrap();
         (cluster, plan, e)
     }
 
@@ -611,11 +654,11 @@ mod tests {
         assert!(matches!(err, SmileError::Internal(_)));
     }
 
-    /// Log entries over a domain small enough that deletes meet their
-    /// inserts and rows repeat (weight 2) inside one window.
-    fn arb_entries() -> impl Strategy<Value = Vec<DeltaEntry>> {
+    /// Up to `max` log entries over a domain small enough that deletes meet
+    /// their inserts and rows repeat (weight 2) inside one window.
+    fn arb_entries(max: usize) -> impl Strategy<Value = Vec<DeltaEntry>> {
         let entry = (0i64..3, 0i64..2, 0i64..3, 0i64..3, 1u64..10);
-        prop::collection::vec(entry, 0..24).prop_map(|raw| {
+        prop::collection::vec(entry, 0..max).prop_map(|raw| {
             let entry = |(a, b, c, w, ts)| DeltaEntry {
                 tuple: tuple![a, b, c],
                 weight: if w == 0 { -1 } else { 1 },
@@ -627,23 +670,40 @@ mod tests {
         })
     }
 
+    /// A few entries or many, so that either the delta window or the
+    /// relation's log window is the smaller side of a correction.
+    fn arb_lopsided() -> impl Strategy<Value = Vec<DeltaEntry>> {
+        prop_oneof![arb_entries(4), arb_entries(40)]
+    }
+
     proptest! {
-        /// The streamed correction equals the definition: whatever the
-        /// table's timestamp — behind `at`, ahead of it, or at it — a
-        /// half-join lands `Δ ⋈ σ(R@at)`, with one log entry per (delta
-        /// entry, matching row) of `R@now` and of the *consolidated* window
-        /// between the two, in timestamp order. Dropping the netting leaves
-        /// the z-set equal and breaks the count.
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The correction equals the definition: whatever the table's
+        /// timestamp — behind `at`, ahead of it, or at it — a half-join lands
+        /// `Δ ⋈ σ(R@at)`, with one log entry per (delta entry, matching row)
+        /// of `R@now` and of the *consolidated* window between the two, in
+        /// timestamp order. The snapshot filter is a range conjunct alone
+        /// (an unpartitioned arrangement), an equality literal (a partition
+        /// of one) or an equality literal beside a residual range conjunct,
+        /// which still has to be evaluated on the partition's rows. Dropping
+        /// the netting leaves the z-set equal and breaks the count.
         #[test]
         fn half_join_lands_delta_join_snapshot(
-            window in arb_entries(),
-            log in arb_entries(),
+            window in arb_lopsided(),
+            log in arb_lopsided(),
             (applied, at) in (0u64..11, 0u64..11),
             (right, two_cols) in (prop::bool::ANY, prop::bool::ANY),
+            (filter_kind, literal) in (0u8..3, 0i64..3),
         ) {
             let [applied, at, to] = [applied, at, 10].map(Timestamp::from_secs);
             let on = if two_cols { JoinOn::on_all(&[(0, 0), (1, 1)]) } else { JoinOn::on(0, 0) };
-            let (keys, filter) = (on.left_cols.len(), Predicate::cmp(2, CmpOp::Ge, 1i64));
+            let keys = on.left_cols.len();
+            let filter = match filter_kind {
+                0 => Predicate::cmp(2, CmpOp::Ge, 1i64),
+                1 => Predicate::eq(2, literal),
+                _ => Predicate::eq(2, literal).and(Predicate::cmp(1, CmpOp::Ge, 1i64)),
+            };
             let op = EdgeOp::Join {
                 on,
                 delta_side: if right { DeltaSide::Right } else { DeltaSide::Left },
@@ -655,6 +715,8 @@ mod tests {
             let landed = db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
 
             let rel = db.relation(RelationId::new(1)).unwrap();
+            let partitioned: Vec<_> = rel.table.arrangements().map(|a| a.on().partition.clone()).collect();
+            prop_assert_eq!(partitioned, vec![if filter_kind == 0 { vec![] } else { vec![2] }]);
             let joins = |d: &Tuple, row: &Tuple| {
                 d.values()[..keys] == row.values()[..keys] && filter.eval(row)
             };

@@ -2,8 +2,8 @@
 
 use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
-use smile_storage::Predicate;
-use smile_types::{MachineId, RelationId, Result, Schema, SharingId, SmileError, VertexId};
+use smile_storage::{IndexCols, Predicate};
+use smile_types::{MachineId, RelationId, Result, Schema, SharingId, SmileError, Value, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -25,6 +25,10 @@ pub enum DeltaSide {
     /// Output tuples are `snapshot ++ delta`.
     Right,
 }
+
+/// Identity of one physical arrangement: the machine hosting it, the
+/// relation slot it indexes and its partition and key columns.
+pub type ArrangementId = (MachineId, RelationId, IndexCols);
 
 /// One plan vertex: a relation or delta pinned to a machine.
 #[derive(Clone, Debug)]
@@ -202,6 +206,32 @@ impl Plan {
     /// The edge producing `v`, if any.
     pub fn producer(&self, v: VertexId) -> Option<&Edge> {
         self.producer[v.index()].map(|e| &self.edges[e])
+    }
+
+    /// The arrangement join edge `e` probes, and the partition of it `e`
+    /// reads: on the snapshot side's machine and relation slot, keyed by
+    /// that side's join columns and partitioned by the `col = literal`
+    /// conjuncts of the snapshot filter ([`Predicate::eq_literals`]), whose
+    /// literals name the partition. Edges that differ only by those
+    /// literals share one arrangement. `None` for any other operator, or
+    /// while the relation has no storage. The one definition install,
+    /// reconcile, introspection and the push engine use.
+    pub fn probed_arrangement(&self, e: &Edge) -> Option<(ArrangementId, Vec<Value>)> {
+        let EdgeOp::Join { on, delta_side, snapshot_filter } = &e.op else {
+            return None;
+        };
+        let key = match delta_side {
+            DeltaSide::Left => &on.right_cols,
+            DeltaSide::Right => &on.left_cols,
+        };
+        let (partition, literals) = snapshot_filter
+            .eq_literals()
+            .into_iter()
+            .map(|(col, value)| (col, value.clone()))
+            .unzip();
+        let rel = self.vertex(e.inputs[1]);
+        let cols = IndexCols { partition, key: key.clone() };
+        Some(((rel.machine, rel.slot?, cols), literals))
     }
 
     /// Edges consuming `v`.

@@ -34,13 +34,13 @@ use crate::executor::{ExecConfig, Executor};
 use crate::multi::{GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, Optimizer, PlannedSharing};
 use crate::plan::cost::{edge_utilization, machine_utilization, Scope};
-use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, Vertex, VertexKind};
+use crate::plan::dag::{ArrangementId, Plan, Vertex, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use crate::snapshot::SnapshotModule;
 use smile_sim::{Cluster, FaultProfile, MachineConfig, PriceSheet};
-use smile_storage::{DeltaBatch, SpjQuery};
+use smile_storage::{DeltaBatch, IndexCols, SpjQuery};
 use smile_telemetry::{Telemetry, TelemetryConfig};
 use smile_types::{
     MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
@@ -543,11 +543,11 @@ impl Smile {
         }
         let plan = &executor.global.plan;
         // Arrangements the newly slotted join edges probe, before seeding
-        // fills the tables (idempotent; edges on one (relation, key) pair
-        // share one arrangement).
+        // fills the tables (idempotent; edges with one (relation, index
+        // columns) identity share one arrangement).
         for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
-            if let Some((machine, slot, cols)) = probed_arrangement(plan, e) {
-                self.cluster.machine_mut(machine)?.db.ensure_index(slot, cols)?;
+            if let Some(((machine, slot, on), _)) = plan.probed_arrangement(e) {
+                self.cluster.machine_mut(machine)?.db.ensure_arrangement(slot, &on)?;
             }
         }
         for vert in slotted.iter().map(|&v| plan.vertex(v)) {
@@ -577,18 +577,17 @@ impl Smile {
             executor.global.plan.vertex_mut(v).slot = None;
         }
         let plan = &executor.global.plan;
-        let probed: HashSet<ArrangementKey<'_>> = live_probes(executor).collect();
+        let probed: HashSet<ArrangementId> = live_probes(executor).collect();
         for vert in plan.vertices() {
             let Some(slot) = vert.slot else { continue };
             let db = &mut self.cluster.machine_mut(vert.machine)?.db;
             let installed = db.relation(slot)?.table.arrangements();
-            let unread: Vec<Vec<usize>> = installed
-                .map(|a| a.cols())
-                .filter(|&cols| !probed.contains(&(vert.machine, slot, cols)))
-                .map(<[usize]>::to_vec)
+            let unread: Vec<IndexCols> = installed
+                .map(|a| a.on().clone())
+                .filter(|on| !probed.contains(&(vert.machine, slot, on.clone())))
                 .collect();
-            for cols in unread {
-                db.drop_index(slot, &cols);
+            for on in unread {
+                db.drop_arrangement(slot, &on);
                 self.arrangements_reclaimed += 1;
             }
         }
@@ -702,32 +701,13 @@ fn not_installed() -> SmileError {
     SmileError::Internal("the platform is not running: call install() first".into())
 }
 
-/// Identity of one physical arrangement: the machine hosting it, the
-/// relation slot it indexes and the columns it is keyed by.
-type ArrangementKey<'p> = (MachineId, RelationId, &'p [usize]);
-
-/// The arrangement a join edge probes — its snapshot side's (machine,
-/// relation slot, probe columns). `None` for any other operator, or while
-/// the relation has no storage.
-fn probed_arrangement<'p>(plan: &'p Plan, e: &'p Edge) -> Option<ArrangementKey<'p>> {
-    let EdgeOp::Join { on, delta_side, .. } = &e.op else {
-        return None;
-    };
-    let snap_cols = match delta_side {
-        DeltaSide::Left => &on.right_cols,
-        DeltaSide::Right => &on.left_cols,
-    };
-    let rel_v = plan.vertex(e.inputs[1]);
-    Some((rel_v.machine, rel_v.slot?, snap_cols))
-}
-
-/// What the live join edges probe, one key per edge: edges on one
-/// (relation, key) pair share one arrangement.
-fn live_probes(executor: &Executor) -> impl Iterator<Item = ArrangementKey<'_>> {
+/// What the live join edges probe, one arrangement per edge: edges on one
+/// arrangement share it.
+fn live_probes(executor: &Executor) -> impl Iterator<Item = ArrangementId> + '_ {
     let plan = &executor.global.plan;
     executor
         .live_edges()
-        .filter_map(|e| probed_arrangement(plan, e))
+        .filter_map(|e| Some(plan.probed_arrangement(e)?.0))
 }
 
 /// The slot held by `vert`'s twin — the vertex of the other kind with the

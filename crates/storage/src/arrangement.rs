@@ -10,6 +10,16 @@
 //! and share the state (cf. "Shared Arrangements", McSherry et al., VLDB
 //! 2020).
 //!
+//! An arrangement may also be **partitioned** by further columns: the rows
+//! are grouped by their values there first, then by join key. Join edges
+//! whose snapshot filters differ only by a `col = literal` conjunct then
+//! share one arrangement partitioned by `col`, and each reads only its
+//! literal's partition instead of scanning every reader's rows for its own.
+//! [`IndexCols`] — partition columns, then key columns — is the identity;
+//! every row sits in exactly one partition, so it is indexed once either
+//! way. An unpartitioned arrangement is the same structure with the single
+//! empty partition.
+//!
 //! Probe-side statistics are kept in [`Cell`]s so read-only probes through
 //! a `&Table` still count (the push engine is one thread, so nothing shares
 //! an arrangement across threads); [`ArrangementCounters`] snapshots them
@@ -55,36 +65,66 @@ impl ArrangementCounters {
     }
 }
 
+/// Which arrangement: the columns its rows are partitioned by, then the
+/// join-key columns each partition is indexed by. Two readers with equal
+/// `IndexCols` on one relation share one arrangement.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct IndexCols {
+    /// Partition columns (empty: one partition holds every row).
+    pub partition: Vec<usize>,
+    /// Join-key columns.
+    pub key: Vec<usize>,
+}
+
+impl IndexCols {
+    /// The unpartitioned arrangement keyed by `key`.
+    pub fn unpartitioned(key: &[usize]) -> Self {
+        Self {
+            partition: Vec::new(),
+            key: key.to_vec(),
+        }
+    }
+}
+
+/// The rows of one key, with their z-set weights.
+type Bucket = FastMap<Tuple, i64>;
+
+/// One partition: join key → bucket.
+type Index = FastMap<Tuple, Bucket>;
+
 /// A persistent hash index over a relation keyed by a column projection.
 ///
-/// `index[key]` holds every current row whose projection onto `cols` equals
-/// `key`, with its z-set weight. Weight-zero rows are never stored — updates
-/// consolidate in place — so probing yields exactly the rows a scan of the
-/// consolidated relation would.
+/// `partitions[p][key]` holds every current row whose projection onto the
+/// partition columns equals `p` and onto the key columns equals `key`, with
+/// its z-set weight. Weight-zero rows are never stored — updates
+/// consolidate in place, and an emptied bucket or partition is removed — so
+/// probing yields exactly the rows a scan of the consolidated relation
+/// would.
 #[derive(Clone, Debug)]
 pub struct Arrangement {
-    cols: Vec<usize>,
-    index: FastMap<Tuple, FastMap<Tuple, i64>>,
+    on: IndexCols,
+    partitions: FastMap<Tuple, Index>,
     probes: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     maintained: u64,
     built_rows: u64,
-    /// Reusable key buffer for [`update`]: the delta tuple's projection is
-    /// assembled here and looked up as a `&[Value]` slice (via `Tuple`'s
-    /// `Borrow<[Value]>`), so maintenance allocates a key `Tuple` only when
-    /// a previously-unseen key first appears — not once per delta entry.
+    /// Reusable buffer for [`update`]: the row's partition values then its
+    /// key values are assembled here and looked up as `&[Value]` slices
+    /// (via `Tuple`'s `Borrow<[Value]>`), so maintenance allocates a
+    /// `Tuple` only when a previously unseen partition or key first appears
+    /// — not once per delta entry.
     ///
     /// [`update`]: Arrangement::update
     scratch: Vec<Value>,
 }
 
 impl Arrangement {
-    /// An empty arrangement keyed by `cols`.
-    pub fn new(cols: Vec<usize>) -> Self {
+    /// An empty arrangement on `on`.
+    pub fn new(on: IndexCols) -> Self {
         Self {
-            cols,
-            index: FastMap::default(),
+            on,
+            partitions: FastMap::default(),
             probes: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
@@ -94,116 +134,92 @@ impl Arrangement {
         }
     }
 
-    /// Builds an arrangement keyed by `cols` from a relation's current rows
-    /// — the one-time cost paid at install; afterwards only [`update`]
-    /// touches it.
+    /// Builds an arrangement on `on` from a relation's current rows — the
+    /// one-time cost paid at install; afterwards only [`update`] touches it.
     ///
     /// [`update`]: Arrangement::update
-    pub fn build(cols: Vec<usize>, rows: &ZSet) -> Self {
-        let mut arr = Arrangement::new(cols);
+    pub fn build(on: IndexCols, rows: &ZSet) -> Self {
+        let mut arr = Arrangement::new(on);
         for (t, w) in rows.iter() {
-            arr.index
-                .entry(t.project(&arr.cols))
-                .or_default()
-                .insert(t.clone(), w);
+            arr.fold(t, w);
             arr.built_rows += 1;
         }
         arr
     }
 
-    /// The key columns this arrangement indexes.
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
+    /// The partition and key columns this arrangement indexes.
+    pub fn on(&self) -> &IndexCols {
+        &self.on
     }
 
     /// Folds one delta entry into the index, consolidating in place: the
     /// row's weight is adjusted and dropped from its bucket when it cancels
-    /// to zero (empty buckets are removed so misses stay cheap).
-    ///
-    /// The key projection is assembled in a retained scratch buffer and
-    /// looked up as a slice; a key `Tuple` is allocated only when a new key
-    /// first enters the index.
+    /// to zero (empty buckets and partitions are removed so misses stay
+    /// cheap).
     pub fn update(&mut self, tuple: &Tuple, weight: i64) {
         if weight == 0 {
             return;
         }
         self.maintained += 1;
-        let mut key = std::mem::take(&mut self.scratch);
-        key.clear();
-        key.extend(self.cols.iter().map(|&c| tuple.values()[c].clone()));
-        if let Some(bucket) = self.index.get_mut(key.as_slice()) {
-            match bucket.get_mut(tuple) {
-                Some(w) => {
-                    *w += weight;
-                    if *w == 0 {
-                        bucket.remove(tuple);
-                    }
-                }
-                None => {
-                    bucket.insert(tuple.clone(), weight);
-                }
-            }
-            if bucket.is_empty() {
-                self.index.remove(key.as_slice());
-            }
-        } else {
-            let mut bucket = FastMap::default();
-            bucket.insert(tuple.clone(), weight);
-            self.index.insert(Tuple::new(key.clone()), bucket);
-        }
-        self.scratch = key;
+        self.fold(tuple, weight);
     }
 
-    /// Probes the index: every current row whose key projection equals
-    /// `key`, by reference. Counts the probe as a hit or miss.
-    pub fn probe(&self, key: &Tuple) -> &FastMap<Tuple, i64> {
-        self.probe_slice(key.values())
-    }
-
-    /// [`probe`] driven by a borrowed value slice — the hot-path variant
-    /// that lets callers reuse one projection buffer across a whole delta
-    /// window instead of allocating a key `Tuple` per probe. Counts exactly
-    /// like [`probe`].
-    ///
-    /// [`probe`]: Arrangement::probe
-    pub fn probe_slice(&self, key: &[Value]) -> &FastMap<Tuple, i64> {
-        static EMPTY: std::sync::OnceLock<FastMap<Tuple, i64>> = std::sync::OnceLock::new();
-        self.probes.set(self.probes.get() + 1);
-        match self.index.get(key) {
-            Some(bucket) => {
-                self.hits.set(self.hits.get() + 1);
-                bucket
+    fn fold(&mut self, tuple: &Tuple, weight: i64) {
+        let mut values = std::mem::take(&mut self.scratch);
+        values.clear();
+        let cols = self.on.partition.iter().chain(&self.on.key);
+        values.extend(cols.map(|&c| tuple.values()[c].clone()));
+        let (part, key) = values.split_at(self.on.partition.len());
+        let emptied = match self.partitions.get_mut(part) {
+            Some(index) => {
+                fold_into(index, key, tuple, weight);
+                index.is_empty()
             }
             None => {
-                self.misses.set(self.misses.get() + 1);
-                EMPTY.get_or_init(FastMap::default)
+                let mut index = Index::default();
+                fold_into(&mut index, key, tuple, weight);
+                self.partitions.insert(Tuple::new(part.to_vec()), index);
+                false
             }
+        };
+        if emptied {
+            self.partitions.remove(part);
+        }
+        self.scratch = values;
+    }
+
+    /// The partition whose values at the partition columns are `values` (in
+    /// [`IndexCols::partition`] order), for probing. An absent partition is
+    /// an empty one.
+    pub fn partition(&self, values: &[Value]) -> Partition<'_> {
+        Partition {
+            arr: self,
+            index: self.partitions.get(values),
         }
     }
 
-    /// Probes a whole delta's keys in one pass. `keys_flat` holds `n` keys
-    /// of `arity` values each, laid out back to back (one contiguous buffer
-    /// for the entire window — the batched-hashing layout the executor's
-    /// join builds). Returns the matched bucket per key, in order; every key
-    /// is counted as one probe, identical to `n` calls to [`probe_slice`].
-    ///
-    /// [`probe_slice`]: Arrangement::probe_slice
+    /// Probes an unpartitioned arrangement: every current row whose key
+    /// projection equals `key`, by reference. Counts the probe as a hit or
+    /// miss.
+    pub fn probe(&self, key: &Tuple) -> &FastMap<Tuple, i64> {
+        self.partition(&[]).probe(key.values())
+    }
+
+    /// Probes a whole delta's keys against an unpartitioned arrangement in
+    /// one pass; [`Partition::probe_batch`] over the single partition.
     pub fn probe_batch(&self, keys_flat: &[Value], arity: usize, n: usize) -> Vec<&FastMap<Tuple, i64>> {
-        assert_eq!(keys_flat.len(), arity * n, "flattened key buffer mismatch");
-        (0..n)
-            .map(|i| self.probe_slice(&keys_flat[i * arity..(i + 1) * arity]))
-            .collect()
+        self.partition(&[]).probe_batch(keys_flat, arity, n)
     }
 
     /// True iff no rows are indexed.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.partitions.is_empty()
     }
 
-    /// Drops all indexed rows but keeps the key columns and counters (used
-    /// when a relation copy is re-seeded).
+    /// Drops all indexed rows but keeps the index columns and counters
+    /// (used when a relation copy is re-seeded).
     pub fn clear(&mut self) {
-        self.index.clear();
+        self.partitions.clear();
     }
 
     /// Snapshot of the probe/maintenance counters.
@@ -218,15 +234,93 @@ impl Arrangement {
     }
 }
 
+/// Folds `weight` of `tuple` into `key`'s bucket of one partition, removing
+/// the row when it cancels and the bucket when it empties.
+fn fold_into(index: &mut Index, key: &[Value], tuple: &Tuple, weight: i64) {
+    let Some(bucket) = index.get_mut(key) else {
+        let mut bucket = Bucket::default();
+        bucket.insert(tuple.clone(), weight);
+        index.insert(Tuple::new(key.to_vec()), bucket);
+        return;
+    };
+    match bucket.get_mut(tuple) {
+        Some(w) => {
+            *w += weight;
+            if *w == 0 {
+                bucket.remove(tuple);
+            }
+        }
+        None => {
+            bucket.insert(tuple.clone(), weight);
+        }
+    }
+    if bucket.is_empty() {
+        index.remove(key);
+    }
+}
+
+/// One partition of an [`Arrangement`], looked up once and then probed by
+/// join key. Probes count toward the arrangement's statistics; every probe
+/// of an absent partition is a miss.
+#[derive(Clone, Copy, Debug)]
+pub struct Partition<'a> {
+    arr: &'a Arrangement,
+    index: Option<&'a Index>,
+}
+
+impl<'a> Partition<'a> {
+    /// Every current row of the partition whose key projection equals
+    /// `key`, by reference — driven by a borrowed value slice so callers
+    /// can reuse one projection buffer across a whole delta window. Counts
+    /// the probe as a hit or miss.
+    pub fn probe(&self, key: &[Value]) -> &'a FastMap<Tuple, i64> {
+        static EMPTY: std::sync::OnceLock<FastMap<Tuple, i64>> = std::sync::OnceLock::new();
+        let arr = self.arr;
+        arr.probes.set(arr.probes.get() + 1);
+        match self.index.and_then(|index| index.get(key)) {
+            Some(bucket) => {
+                arr.hits.set(arr.hits.get() + 1);
+                bucket
+            }
+            None => {
+                arr.misses.set(arr.misses.get() + 1);
+                EMPTY.get_or_init(FastMap::default)
+            }
+        }
+    }
+
+    /// Probes a whole delta's keys in one pass. `keys_flat` holds `n` keys
+    /// of `arity` values each, laid out back to back (one contiguous buffer
+    /// for the entire window — the batched-hashing layout the executor's
+    /// join builds). Returns the matched bucket per key, in order; every key
+    /// is counted as one probe, identical to `n` calls to [`probe`].
+    ///
+    /// [`probe`]: Partition::probe
+    pub fn probe_batch(&self, keys_flat: &[Value], arity: usize, n: usize) -> Vec<&'a FastMap<Tuple, i64>> {
+        assert_eq!(keys_flat.len(), arity * n, "flattened key buffer mismatch");
+        (0..n)
+            .map(|i| self.probe(&keys_flat[i * arity..(i + 1) * arity]))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smile_types::tuple;
+
+    fn on(partition: &[usize], key: &[usize]) -> IndexCols {
+        IndexCols {
+            partition: partition.to_vec(),
+            key: key.to_vec(),
+        }
+    }
 
     #[test]
     fn build_then_probe() {
         let rows = ZSet::from_tuples([tuple![1i64, "a"], tuple![1i64, "b"], tuple![2i64, "c"]]);
-        let arr = Arrangement::build(vec![0], &rows);
+        let arr = Arrangement::build(IndexCols::unpartitioned(&[0]), &rows);
         assert_eq!(arr.probe(&tuple![1i64]).len(), 2);
         assert!(arr.probe(&tuple![9i64]).is_empty());
         let c = arr.counters();
@@ -236,7 +330,7 @@ mod tests {
 
     #[test]
     fn update_consolidates_in_place() {
-        let mut arr = Arrangement::new(vec![0]);
+        let mut arr = Arrangement::new(IndexCols::unpartitioned(&[0]));
         arr.update(&tuple![1i64, "a"], 2);
         arr.update(&tuple![1i64, "a"], -2);
         // Cancelled to zero: row gone, bucket gone.
@@ -249,10 +343,10 @@ mod tests {
     #[test]
     fn slice_and_batch_probes_match_tuple_probes() {
         let rows = ZSet::from_tuples([tuple![1i64, "a"], tuple![1i64, "b"], tuple![2i64, "c"]]);
-        let arr = Arrangement::build(vec![0], &rows);
+        let arr = Arrangement::build(IndexCols::unpartitioned(&[0]), &rows);
         // Slice probe sees the same bucket as the tuple probe.
         assert_eq!(
-            arr.probe_slice(&[Value::I64(1)]).len(),
+            arr.partition(&[]).probe(&[Value::I64(1)]).len(),
             arr.probe(&tuple![1i64]).len()
         );
         // Batched probe over a flattened key buffer: same buckets, and the
@@ -269,11 +363,106 @@ mod tests {
 
     #[test]
     fn multi_column_keys() {
-        let mut arr = Arrangement::new(vec![0, 2]);
+        let mut arr = Arrangement::new(IndexCols::unpartitioned(&[0, 2]));
         arr.update(&tuple![1i64, "x", 7i64], 1);
         arr.update(&tuple![1i64, "y", 7i64], 1);
         arr.update(&tuple![1i64, "y", 8i64], 1);
         assert_eq!(arr.probe(&tuple![1i64, 7i64]).len(), 2);
         assert_eq!(arr.probe(&tuple![1i64, 8i64]).len(), 1);
+    }
+
+    /// A partition holds only its literal's rows; each row is indexed once.
+    #[test]
+    fn partitions_split_rows_by_their_values() {
+        let rows = ZSet::from_tuples([tuple![1i64, "a"], tuple![1i64, "b"], tuple![2i64, "a"]]);
+        let arr = Arrangement::build(on(&[1], &[0]), &rows);
+        assert_eq!(arr.partitions.len(), 2);
+        assert_eq!(arr.counters().built_rows, 3);
+        let a = arr.partition(&[Value::str("a")]);
+        assert_eq!(a.probe(&[Value::I64(1)]).keys().collect::<Vec<_>>(), [&tuple![1i64, "a"]]);
+        assert_eq!(a.probe(&[Value::I64(2)]).len(), 1);
+        assert_eq!(arr.partition(&[Value::str("b")]).probe(&[Value::I64(2)]).len(), 0);
+    }
+
+    /// A cancelled row drops its bucket, and the emptied partition goes
+    /// with it; the other partition is untouched.
+    #[test]
+    fn cancelled_rows_drop_their_bucket_and_partition() {
+        let mut arr = Arrangement::new(on(&[1], &[0]));
+        arr.update(&tuple![1i64, "a"], 1);
+        arr.update(&tuple![2i64, "a"], 1);
+        arr.update(&tuple![1i64, "b"], 1);
+        arr.update(&tuple![1i64, "a"], -1);
+        assert_eq!(arr.partitions.len(), 2);
+        let a = arr.partition(&[Value::str("a")]);
+        assert!(a.probe(&[Value::I64(1)]).is_empty());
+        assert_eq!(a.index.map(FastMap::len), Some(1), "key 1's bucket is gone");
+        arr.update(&tuple![2i64, "a"], -1);
+        assert_eq!(arr.partitions.len(), 1, "partition 'a' is gone");
+        assert!(arr.partition(&[Value::str("a")]).index.is_none());
+        assert_eq!(arr.partition(&[Value::str("b")]).probe(&[Value::I64(1)]).len(), 1);
+    }
+
+    #[test]
+    fn clear_empties_every_partition() {
+        let rows = ZSet::from_tuples([tuple![1i64, "a"], tuple![2i64, "b"]]);
+        let mut arr = Arrangement::build(on(&[1], &[0]), &rows);
+        arr.clear();
+        assert!(arr.is_empty());
+        assert_eq!(arr.partitions.len(), 0);
+        assert!(arr.partition(&[Value::str("a")]).probe(&[Value::I64(1)]).is_empty());
+        assert_eq!(arr.on(), &on(&[1], &[0]), "the index columns stay");
+    }
+
+    /// Probing a partition no row has counts one miss per key.
+    #[test]
+    fn probing_an_absent_partition_counts_misses() {
+        let rows = ZSet::from_tuples([tuple![1i64, "a"]]);
+        let arr = Arrangement::build(on(&[1], &[0]), &rows);
+        let keys = [Value::I64(1), Value::I64(2)];
+        let buckets = arr.partition(&[Value::str("zed")]).probe_batch(&keys, 1, 2);
+        assert!(buckets.iter().all(|b| b.is_empty()));
+        let c = arr.counters();
+        assert_eq!((c.probes, c.hits, c.misses), (2, 0, 2));
+    }
+
+    /// Every (partition, key, row, weight) the arrangement holds, sorted.
+    fn contents(arr: &Arrangement) -> Vec<(Tuple, Tuple, Tuple, i64)> {
+        let mut out: Vec<_> = arr
+            .partitions
+            .iter()
+            .flat_map(|(p, index)| {
+                index.iter().flat_map(move |(k, bucket)| {
+                    bucket.iter().map(move |(row, &w)| (p.clone(), k.clone(), row.clone(), w))
+                })
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    proptest! {
+        /// Incremental maintenance equals a build from the consolidated
+        /// rows after any sequence of signed updates, partitioned or not:
+        /// the same rows under the same partitions and keys, no empty
+        /// bucket or partition left behind.
+        #[test]
+        fn maintenance_matches_a_build_from_rows(
+            updates in prop::collection::vec((0i64..3, 0i64..3, 0i64..2, -2i64..3), 0..40),
+            partitioned in prop::bool::ANY,
+        ) {
+            let on = if partitioned { on(&[1], &[0]) } else { IndexCols::unpartitioned(&[0]) };
+            let mut arr = Arrangement::new(on.clone());
+            let mut rows = ZSet::new();
+            for (a, b, c, w) in updates {
+                arr.update(&tuple![a, b, c], w);
+                rows.add(tuple![a, b, c], w);
+            }
+            prop_assert_eq!(contents(&arr), contents(&Arrangement::build(on, &rows)));
+            let no_empty = arr.partitions.values().all(|index| {
+                !index.is_empty() && index.values().all(|bucket| !bucket.is_empty())
+            });
+            prop_assert!(no_empty);
+        }
     }
 }

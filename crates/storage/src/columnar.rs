@@ -62,6 +62,15 @@ fn corrupt(detail: &str) -> SmileError {
     SmileError::WalCorrupt(detail.to_string())
 }
 
+/// The `N` bytes of `bytes` at `at`, as an array: a fixed-width field read
+/// that cannot fail once the caller has checked `at + N <= bytes.len()`
+/// (past the end it panics like any slice index).
+pub(crate) fn bytes_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[at..at + N]);
+    out
+}
+
 /// Advances past the value starting at `pos`, validating tag, bounds and
 /// UTF-8. Returns the start of the next value.
 pub(crate) fn validate_value(row: &[u8], pos: usize) -> Result<usize> {
@@ -82,7 +91,7 @@ pub(crate) fn validate_value(row: &[u8], pos: usize) -> Result<usize> {
             if row.len() < pos + 5 {
                 return Err(corrupt("truncated string length"));
             }
-            let len = u32::from_le_bytes(row[pos + 1..pos + 5].try_into().unwrap()) as usize;
+            let len = u32::from_le_bytes(bytes_at(row, pos + 1)) as usize;
             if row.len() < pos + 5 + len {
                 return Err(corrupt("truncated string payload"));
             }
@@ -119,25 +128,21 @@ pub(crate) fn decode_row_into(row: &[u8], values: &mut Vec<Value>) -> Result<()>
                 if row.len() < pos + 9 {
                     return Err(corrupt("truncated i64"));
                 }
-                values.push(Value::I64(i64::from_le_bytes(
-                    row[pos + 1..pos + 9].try_into().unwrap(),
-                )));
+                values.push(Value::I64(i64::from_le_bytes(bytes_at(row, pos + 1))));
                 pos += 9;
             }
             TAG_F64 => {
                 if row.len() < pos + 9 {
                     return Err(corrupt("truncated f64"));
                 }
-                values.push(Value::F64(f64::from_le_bytes(
-                    row[pos + 1..pos + 9].try_into().unwrap(),
-                )));
+                values.push(Value::F64(f64::from_le_bytes(bytes_at(row, pos + 1))));
                 pos += 9;
             }
             TAG_STR => {
                 if row.len() < pos + 5 {
                     return Err(corrupt("truncated string length"));
                 }
-                let len = u32::from_le_bytes(row[pos + 1..pos + 5].try_into().unwrap()) as usize;
+                let len = u32::from_le_bytes(bytes_at(row, pos + 1)) as usize;
                 if row.len() < pos + 5 + len {
                     return Err(corrupt("truncated string payload"));
                 }
@@ -318,35 +323,30 @@ impl ColumnarBatch {
         Timestamp(self.tss[i])
     }
 
-    /// Materializes row `i` as a tuple.
-    pub fn tuple(&self, i: usize) -> Tuple {
+    /// Materializes row `i` as a tuple. Rows pushed into a batch always
+    /// decode; the error is the WAL's for bytes that do not.
+    pub fn tuple(&self, i: usize) -> Result<Tuple> {
         let mut values = Vec::new();
-        decode_row_into(self.row(i), &mut values).expect("columnar rows are valid by construction");
-        Tuple::new(values)
-    }
-
-    /// Materializes row `i` as a delta entry.
-    pub fn entry(&self, i: usize) -> DeltaEntry {
-        DeltaEntry {
-            tuple: self.tuple(i),
-            weight: self.weight(i),
-            ts: self.ts(i),
-        }
+        decode_row_into(self.row(i), &mut values)?;
+        Ok(Tuple::new(values))
     }
 
     /// Materializes the whole batch in row form.
-    pub fn to_batch(&self) -> DeltaBatch {
-        DeltaBatch {
-            entries: (0..self.len()).map(|i| self.entry(i)).collect(),
-        }
+    pub fn to_batch(&self) -> Result<DeltaBatch> {
+        let entry = |i| {
+            let (weight, ts) = (self.weight(i), self.ts(i));
+            Ok(DeltaEntry { tuple: self.tuple(i)?, weight, ts })
+        };
+        (0..self.len()).map(entry).collect()
     }
 
     /// Consolidates into a z-set (timestamps dropped), materializing rows.
-    pub fn to_zset(&self) -> ZSet {
+    pub fn to_zset(&self) -> Result<ZSet> {
         let mut z = ZSet::with_capacity(self.len());
-        z.extend_unconsolidated((0..self.len()).map(|i| (self.tuple(i), self.weight(i))));
-        z.consolidate();
-        z
+        for i in 0..self.len() {
+            z.add(self.tuple(i)?, self.weight(i));
+        }
+        Ok(z)
     }
 
     /// Detects the maximal non-descending runs of the row byte order:
@@ -501,7 +501,7 @@ mod tests {
         let t = tuple![7i64, "abc", 2.5f64, Value::Null];
         cb.push(&t, -3, ts(9));
         assert_eq!(cb.len(), 1);
-        assert_eq!(cb.tuple(0), t);
+        assert_eq!(cb.tuple(0).unwrap(), t);
         assert_eq!(cb.weight(0), -3);
         assert_eq!(cb.ts(0), ts(9));
         validate_row(cb.row(0)).unwrap();
@@ -512,7 +512,7 @@ mod tests {
         let t = tuple![1i64, "x", 3i64];
         let mut cb = ColumnarBatch::new();
         cb.push_projected(&t, Some(&[2, 0]), 1, ts(1));
-        assert_eq!(cb.tuple(0), t.project(&[2, 0]));
+        assert_eq!(cb.tuple(0).unwrap(), t.project(&[2, 0]));
     }
 
     #[test]
@@ -526,7 +526,7 @@ mod tests {
         assert_eq!(stats.rows_in, 4);
         assert_eq!(stats.rows_out, 2);
         assert_eq!(
-            (0..cb.len()).map(|i| (cb.tuple(i), cb.weight(i))).collect::<Vec<_>>(),
+            (0..cb.len()).map(|i| (cb.tuple(i).unwrap(), cb.weight(i))).collect::<Vec<_>>(),
             vec![(tuple![2i64], 1), (tuple![3i64], -4)]
         );
         assert!(cb.timestamps().is_empty(), "consolidation drops timestamps");
@@ -595,7 +595,7 @@ mod tests {
         ];
         let cb = ColumnarBatch::from_entries(&entries);
         let batch = DeltaBatch { entries };
-        assert_eq!(cb.to_zset(), batch.to_zset());
-        assert_eq!(cb.to_batch(), batch);
+        assert_eq!(cb.to_zset().unwrap(), batch.to_zset());
+        assert_eq!(cb.to_batch().unwrap(), batch);
     }
 }

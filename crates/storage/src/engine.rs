@@ -9,6 +9,7 @@
 //! them to the table atomically, exactly like the streaming-replication tap
 //! of the paper's §4.0.1.
 
+use crate::arrangement::IndexCols;
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::spj::RelationProvider;
 use crate::table::Table;
@@ -218,19 +219,25 @@ impl Database {
         Ok(())
     }
 
-    /// Ensures a secondary index on `cols` exists for the relation.
+    /// Ensures the unpartitioned arrangement keyed by `cols` exists for the
+    /// relation.
     pub fn ensure_index(&mut self, rel: RelationId, cols: &[usize]) -> Result<()> {
-        self.slot_mut(rel)?.table.ensure_index(cols);
+        self.ensure_arrangement(rel, &IndexCols::unpartitioned(cols))
+    }
+
+    /// Ensures the arrangement `on` exists for the relation.
+    pub fn ensure_arrangement(&mut self, rel: RelationId, on: &IndexCols) -> Result<()> {
+        self.slot_mut(rel)?.table.ensure_arrangement(on);
         Ok(())
     }
 
-    /// Drops the secondary index on exactly `cols`, reclaiming its memory.
-    /// Returns `true` when an arrangement existed. Unknown relations are
-    /// fine (the whole relation may already have been dropped).
-    pub fn drop_index(&mut self, rel: RelationId, cols: &[usize]) -> bool {
+    /// Drops the arrangement `on`, reclaiming its memory. Returns `true`
+    /// when one existed. Unknown relations are fine (the whole relation may
+    /// already have been dropped).
+    pub fn drop_arrangement(&mut self, rel: RelationId, on: &IndexCols) -> bool {
         self.relations
             .get_mut(&rel)
-            .is_some_and(|s| s.table.drop_index(cols))
+            .is_some_and(|s| s.table.drop_arrangement(on))
     }
 
     /// Current timestamp `TS(v)` of a relation vertex.
@@ -523,6 +530,12 @@ mod tests {
         d.ensure_index(R, &[1]).unwrap();
         assert!(d.relation(R).unwrap().table.arrangement(&[1]).is_some());
         assert!(d.ensure_index(RelationId::new(9), &[0]).is_err());
+        let by_name = IndexCols { partition: vec![1], key: vec![0] };
+        d.ensure_arrangement(R, &by_name).unwrap();
+        assert_eq!(d.arrangement_count(), 2, "partitioned is another arrangement");
+        assert!(d.drop_arrangement(R, &by_name));
+        assert!(!d.drop_arrangement(R, &by_name));
+        assert!(d.relation(R).unwrap().table.arrangement(&[1]).is_some());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 // The size ratchet: a function over the default 100 lines needs an `#[allow]`
 // that says why (CI runs clippy with `-D warnings`).
 #![warn(clippy::too_many_lines)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
 pub mod arrangement;
@@ -36,7 +37,7 @@ pub mod wal;
 pub mod zset;
 
 pub use aggregate::{AggFunc, AggregateSpec};
-pub use arrangement::{Arrangement, ArrangementCounters};
+pub use arrangement::{Arrangement, ArrangementCounters, IndexCols, Partition};
 pub use columnar::{ColumnarBatch, ConsolidateStats};
 pub use delta::{DeltaBatch, DeltaEntry, DeltaTable};
 pub use engine::Database;

@@ -119,6 +119,32 @@ impl Predicate {
         }
     }
 
+    /// The `col = literal` conjuncts every row this predicate keeps must
+    /// satisfy: the `Eq` leaves among the top-level `AND`s whose literal is
+    /// not NULL, sorted by column, the first literal per column. These name
+    /// the partition of an arrangement that holds all the kept rows (and
+    /// maybe others, which evaluating the whole predicate still removes).
+    pub fn eq_literals(&self) -> Vec<(usize, &Value)> {
+        fn collect<'p>(p: &'p Predicate, out: &mut Vec<(usize, &'p Value)>) {
+            match p {
+                Predicate::Cmp { col, op: CmpOp::Eq, value } if !value.is_null() => {
+                    out.push((*col, value));
+                }
+                Predicate::And(a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+                _ => {}
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        // Stable: of two literals on one column, the first leaf's stays.
+        out.sort_by_key(|&(col, _)| col);
+        out.dedup_by_key(|&mut (col, _)| col);
+        out
+    }
+
     /// Checks every referenced column exists in `schema`.
     pub fn validate(&self, schema: &Schema) -> Result<(), SmileError> {
         match self {
@@ -228,6 +254,20 @@ mod tests {
         assert_eq!(p, Predicate::eq(0, 1i64));
         let q = Predicate::eq(0, 1i64).and(Predicate::True);
         assert_eq!(q, Predicate::eq(0, 1i64));
+    }
+
+    #[test]
+    fn eq_literals_take_top_level_conjuncts_only() {
+        let p = Predicate::eq(3, "x")
+            .and(Predicate::cmp(0, CmpOp::Ge, 1i64))
+            .and(Predicate::eq(1, 7i64).and(Predicate::eq(3, "y")))
+            .and(Predicate::eq(2, Value::Null))
+            .and(Predicate::eq(4, 1i64).or(Predicate::eq(4, 2i64)))
+            .and(Predicate::Not(Box::new(Predicate::eq(5, 1i64))));
+        let (x, seven) = (Value::str("x"), Value::I64(7));
+        assert_eq!(p.eq_literals(), vec![(1, &seven), (3, &x)]);
+        assert!(Predicate::True.eq_literals().is_empty());
+        assert!(Predicate::cmp(0, CmpOp::Ne, 1i64).eq_literals().is_empty());
     }
 
     #[test]

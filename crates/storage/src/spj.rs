@@ -199,10 +199,9 @@ impl SpjQuery {
             if step.predicate != Predicate::True {
                 right = right.filter(|t| step.predicate.eval(t));
             }
-            let on = step
-                .join
-                .as_ref()
-                .expect("validated query has join conditions after step 0");
+            let on = step.join.as_ref().ok_or_else(|| {
+                SmileError::InvalidPlan(format!("join step on {} has no join condition", step.relation))
+            })?;
             acc = join_zsets(&acc, &right, on);
         }
         if let Some(agg) = &self.aggregate {

@@ -8,7 +8,7 @@
 //! view maintenance: subtract deltas newer than the requested snapshot, or
 //! add not-yet-applied deltas to look forward.
 
-use crate::arrangement::{Arrangement, ArrangementCounters};
+use crate::arrangement::{Arrangement, ArrangementCounters, IndexCols};
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::zset::ZSet;
 use smile_types::{FastMap, Schema, SmileError, Timestamp, Tuple, Value};
@@ -27,11 +27,12 @@ pub struct Table {
     /// from then on; a table nobody reads by key never pays for one. Not an
     /// arrangement: no plan edge installs or probes it.
     pk_index: OnceCell<FastMap<Tuple, Tuple>>,
-    /// Shared arrangements keyed by column sets, maintained incrementally;
-    /// join edges declare the columns they probe at install time so pushes
-    /// never scan the full relation, and every edge probing the same key
-    /// shares one arrangement.
-    arrangements: FastMap<Vec<usize>, Arrangement>,
+    /// Shared arrangements, one per distinct [`IndexCols`], maintained
+    /// incrementally; join edges declare the arrangement they probe at
+    /// install time so pushes never scan the full relation, and every edge
+    /// probing the same index columns shares one. A table holds a handful,
+    /// so they are found by a scan.
+    arrangements: Vec<Arrangement>,
     /// The contents are consistent with the sources as of this timestamp —
     /// `TS(v)` in the paper's notation.
     ts: Timestamp,
@@ -44,7 +45,7 @@ impl Table {
             schema,
             rows: ZSet::new(),
             pk_index: OnceCell::new(),
-            arrangements: FastMap::default(),
+            arrangements: Vec::new(),
             ts: Timestamp::ZERO,
         }
     }
@@ -138,7 +139,7 @@ impl Table {
                     }
                 }
             }
-            for arr in self.arrangements.values_mut() {
+            for arr in &mut self.arrangements {
                 arr.update(&e.tuple, e.weight);
             }
             self.rows.add(e.tuple.clone(), e.weight);
@@ -149,46 +150,52 @@ impl Table {
         Ok(())
     }
 
-    /// Builds an arrangement on `cols` from the current contents (idempotent
-    /// — an existing arrangement on the same key is shared, not rebuilt);
-    /// subsequent applies maintain it incrementally.
-    pub fn ensure_index(&mut self, cols: &[usize]) {
-        if self.arrangements.contains_key(cols) {
-            return;
+    /// Builds the arrangement `on` from the current contents (idempotent —
+    /// an existing arrangement with the same index columns is shared, not
+    /// rebuilt); subsequent applies maintain it incrementally.
+    pub fn ensure_arrangement(&mut self, on: &IndexCols) {
+        if self.arrangement_on(on).is_none() {
+            self.arrangements.push(Arrangement::build(on.clone(), &self.rows));
         }
-        self.arrangements
-            .insert(cols.to_vec(), Arrangement::build(cols.to_vec(), &self.rows));
     }
 
-    /// Probes the arrangement on `cols`: all current rows whose `cols`
-    /// projection equals `key`. Returns `None` when no arrangement exists on
-    /// `cols` (callers fall back to a scan). Counts toward the arrangement's
-    /// hit/miss statistics.
+    /// Probes the unpartitioned arrangement on `cols`: all current rows whose
+    /// `cols` projection equals `key`. `None` when no such arrangement is
+    /// installed. Counts toward the arrangement's hit/miss statistics.
     pub fn probe_index(&self, cols: &[usize], key: &Tuple) -> Option<&FastMap<Tuple, i64>> {
-        Some(self.arrangements.get(cols)?.probe(key))
+        Some(self.arrangement(cols)?.probe(key))
     }
 
-    /// Drops the arrangement on exactly `cols`, freeing its memory. Returns
-    /// `true` when one existed. The reverse of [`Table::ensure_index`], used
-    /// when the last plan edge probing the key is retired.
-    pub fn drop_index(&mut self, cols: &[usize]) -> bool {
-        self.arrangements.remove(cols).is_some()
+    /// Drops the arrangement `on`, freeing its memory. Returns `true` when
+    /// one existed. The reverse of [`Table::ensure_arrangement`], used when
+    /// the last plan edge probing it is retired.
+    pub fn drop_arrangement(&mut self, on: &IndexCols) -> bool {
+        let before = self.arrangements.len();
+        self.arrangements.retain(|a| a.on() != on);
+        self.arrangements.len() < before
     }
 
-    /// The arrangement on exactly `cols`, if one was installed.
+    /// The arrangement `on`, if one was installed.
+    pub fn arrangement_on(&self, on: &IndexCols) -> Option<&Arrangement> {
+        self.arrangements.iter().find(|a| a.on() == on)
+    }
+
+    /// The unpartitioned arrangement keyed by exactly `cols`, if one was
+    /// installed.
     pub fn arrangement(&self, cols: &[usize]) -> Option<&Arrangement> {
-        self.arrangements.get(cols)
+        let unpartitioned = |a: &&Arrangement| a.on().partition.is_empty() && a.on().key == cols;
+        self.arrangements.iter().find(unpartitioned)
     }
 
     /// Iterates over every arrangement installed on this table.
     pub fn arrangements(&self) -> impl Iterator<Item = &Arrangement> {
-        self.arrangements.values()
+        self.arrangements.iter()
     }
 
     /// Summed probe/maintenance counters across this table's arrangements.
     pub fn arrangement_counters(&self) -> ArrangementCounters {
         let mut total = ArrangementCounters::default();
-        for arr in self.arrangements.values() {
+        for arr in &self.arrangements {
             total.add(&arr.counters());
         }
         total
@@ -221,7 +228,7 @@ impl Table {
     pub fn clear(&mut self) {
         self.rows = ZSet::new();
         self.pk_index.take();
-        for arr in self.arrangements.values_mut() {
+        for arr in &mut self.arrangements {
             arr.clear();
         }
         self.ts = Timestamp::ZERO;
@@ -316,7 +323,7 @@ mod tests {
     #[test]
     fn secondary_index_tracks_applies() {
         let mut t = Table::new(schema());
-        t.ensure_index(&[1]);
+        t.ensure_arrangement(&IndexCols::unpartitioned(&[1]));
         t.apply(
             &[ins(1, "ann", 1), ins(2, "ann", 1), ins(3, "bob", 1)]
                 .into_iter()
@@ -345,11 +352,35 @@ mod tests {
             Timestamp::from_secs(1),
         )
         .unwrap();
-        t.ensure_index(&[1]);
+        t.ensure_arrangement(&IndexCols::unpartitioned(&[1]));
         assert_eq!(t.probe_index(&[1], &tuple!["ann"]).unwrap().len(), 2);
         // Idempotent.
-        t.ensure_index(&[1]);
+        t.ensure_arrangement(&IndexCols::unpartitioned(&[1]));
         assert_eq!(t.probe_index(&[1], &tuple!["ann"]).unwrap().len(), 2);
+    }
+
+    /// Applies maintain a partitioned arrangement beside an unpartitioned
+    /// one on the same key; the unpartitioned lookup never returns it.
+    #[test]
+    fn partitioned_arrangement_tracks_applies() {
+        let mut t = Table::new(schema());
+        let by_name = IndexCols { partition: vec![1], key: vec![0] };
+        t.ensure_arrangement(&by_name);
+        t.apply(
+            &[ins(1, "ann", 1), ins(2, "bob", 1)].into_iter().collect(),
+            Timestamp::from_secs(1),
+        )
+        .unwrap();
+        assert!(t.arrangement(&[0]).is_none());
+        t.ensure_arrangement(&IndexCols::unpartitioned(&[0]));
+        assert_eq!(t.arrangements().count(), 2);
+        let arr = t.arrangement_on(&by_name).unwrap();
+        let ann = arr.partition(&[Value::str("ann")]);
+        assert_eq!(ann.probe(&[Value::I64(1)]).len(), 1);
+        assert!(ann.probe(&[Value::I64(2)]).is_empty());
+        assert_eq!(t.probe_index(&[0], &tuple![2i64]).unwrap().len(), 1);
+        assert!(t.drop_arrangement(&by_name));
+        assert_eq!(t.arrangements().count(), 1);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl Frame {
                 "unsupported version {version}"
             )));
         }
-        let count = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let count = u32::from_le_bytes(columnar::bytes_at(&bytes, 5)) as usize;
         let fixed = 16 * count + 4 * (count + 1);
         if bytes.len() < HEADER + fixed {
             return Err(corrupt("truncated entry table"));
@@ -201,7 +201,7 @@ impl Frame {
     /// A frame over bytes `parse` never saw; only the header's count is read.
     #[cfg(test)]
     pub(crate) fn unvalidated(bytes: Bytes) -> Frame {
-        let count = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let count = u32::from_le_bytes(columnar::bytes_at(&bytes, 5)) as usize;
         Frame { bytes, count }
     }
 
@@ -217,23 +217,21 @@ impl Frame {
 
     fn offset(&self, i: usize) -> u32 {
         let base = HEADER + 16 * self.count + 4 * i;
-        u32::from_le_bytes(self.bytes[base..base + 4].try_into().unwrap())
+        u32::from_le_bytes(columnar::bytes_at(&self.bytes, base))
     }
 
     /// Commit timestamp of entry `i`.
     pub fn ts(&self, i: usize) -> Timestamp {
         debug_assert!(i < self.count);
         let base = HEADER + 8 * i;
-        Timestamp(u64::from_le_bytes(
-            self.bytes[base..base + 8].try_into().unwrap(),
-        ))
+        Timestamp(u64::from_le_bytes(columnar::bytes_at(&self.bytes, base)))
     }
 
     /// Signed weight of entry `i`.
     pub fn weight(&self, i: usize) -> i64 {
         debug_assert!(i < self.count);
         let base = HEADER + 8 * self.count + 8 * i;
-        i64::from_le_bytes(self.bytes[base..base + 8].try_into().unwrap())
+        i64::from_le_bytes(columnar::bytes_at(&self.bytes, base))
     }
 
     /// Encoded row bytes of entry `i`, borrowed from the shared buffer.

@@ -10,7 +10,7 @@ pub mod scenario;
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
-use smile::core::plan::dag::{DeltaSide, EdgeOp};
+use smile::core::plan::dag::ArrangementId;
 use smile::core::platform::{FaultReport, Smile, SmileConfig};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
@@ -211,31 +211,19 @@ pub fn assert_exact(smile: &Smile, ids: &[SharingId]) -> usize {
     ids.iter().map(|&id| exact(smile, id).unwrap_or_else(|e| panic!("{e}"))).sum()
 }
 
-/// One physical arrangement: hosting machine, relation slot, key columns.
-pub type ArrangementKey = (MachineId, RelationId, Vec<usize>);
-
-/// What the live join edges of the running plan probe, one key per edge —
-/// the length counts references, [`distinct`] of it the arrangements that
+/// What the live join edges of the running plan probe, one arrangement per
+/// edge, as the platform defines it (`Plan::probed_arrangement`) — the
+/// length counts references, [`distinct`] of it the arrangements that
 /// should exist.
-pub fn live_probes(smile: &Smile) -> Vec<ArrangementKey> {
+pub fn live_probes(smile: &Smile) -> Vec<ArrangementId> {
     let executor = smile.executor.as_ref().expect("installed");
     let plan = &executor.global.plan;
-    let probe = |e: &smile::core::plan::dag::Edge| {
-        let EdgeOp::Join { on, delta_side, .. } = &e.op else {
-            return None;
-        };
-        let cols = match delta_side {
-            DeltaSide::Left => &on.right_cols,
-            DeltaSide::Right => &on.left_cols,
-        };
-        let rel = plan.vertex(e.inputs[1]);
-        Some((rel.machine, rel.slot?, cols.clone()))
-    };
+    let probe = |e| Some(plan.probed_arrangement(e)?.0);
     executor.live_edges().filter_map(probe).collect()
 }
 
 /// Number of distinct keys.
-pub fn distinct(probes: &[ArrangementKey]) -> usize {
+pub fn distinct(probes: &[ArrangementId]) -> usize {
     probes.iter().collect::<BTreeSet<_>>().len()
 }
 

@@ -17,6 +17,7 @@ use super::{mv_table, observe, stats, Base};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use smile::core::plan::dag::ArrangementId;
 use smile::core::platform::{Smile, SmileConfig};
 use smile::sim::FaultProfile;
 use smile::storage::aggregate::AggregateSpec;
@@ -468,9 +469,9 @@ impl Checker<'_> {
     /// The installed arrangements are exactly those the live joins probe.
     fn arrangements_are_probed(&self) -> Result<(), String> {
         let probes = live_probes(self.0);
-        let installed = |(m, slot, cols): &&(MachineId, RelationId, Vec<usize>)| {
+        let installed = |(m, slot, on): &&ArrangementId| {
             let db = &self.0.cluster.machine(*m).unwrap().db;
-            db.relation(*slot).is_ok_and(|r| r.table.arrangements().any(|a| a.cols() == &cols[..]))
+            db.relation(*slot).is_ok_and(|r| r.table.arrangement_on(on).is_some())
         };
         let missing = probes.iter().find(|p| !installed(p));
         let (count, want) = (fleet_arrangements(self.0), distinct(&probes));

@@ -1012,7 +1012,7 @@ proptest! {
         // Z-set semantics oracle: same multiset as the legacy row pipeline.
         let legacy = DeltaBatch { entries }.to_zset();
         prop_assert_eq!(
-            fast.to_zset().sorted_entries(),
+            fast.to_zset().map_err(|e| e.to_string())?.sorted_entries(),
             legacy.sorted_entries()
         );
     }

@@ -758,7 +758,7 @@ fn fig12(scale: Scale) {
             .iter()
             .map(|sh| {
                 let planned = smile.planned(sh.id).unwrap();
-                smile_core::plan::cost::res_cost(&planned.plan, Scope::All, &model, &prices, false)
+                smile_core::plan::cost::res_cost(&planned.plan, Scope::All, &model, &prices)
             })
             .sum();
         let mut global = GlobalPlan::new();
@@ -1065,11 +1065,9 @@ fn ablations(scale: Scale) {
             SimDuration::from_secs(10),
             0.001,
             mv_rate,
-            false,
         );
         // Without over-provisioning: resCost + penalty only.
-        let rescost =
-            smile_core::plan::cost::res_cost(&planned.plan, Scope::All, &model, &prices, false);
+        let rescost = smile_core::plan::cost::res_cost(&planned.plan, Scope::All, &model, &prices);
         let cp = critical_path(&planned.plan, Scope::All, 1.0, &model).as_secs_f64();
         let without = with - rescost * (cp / 10.0);
         rows.push(vec![

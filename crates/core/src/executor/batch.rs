@@ -548,7 +548,7 @@ impl Executor {
     ) {
         let (job, req) = (d.job, d.req);
         for usage in charges.drain(..) {
-            ledger.charge(usage, &[req.sharing]);
+            ledger.charge(usage, Some(req.sharing));
         }
         if let Some(ws) = wave_span {
             self.record_job_span(ws, d, &result);

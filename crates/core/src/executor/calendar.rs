@@ -11,12 +11,11 @@
 //!    (the slot re-projects and goes back to sleep); popping late never
 //!    happens (the bound is proven conservative, see
 //!    `Executor::project_wake_tick`).
-//! 2. **[`CalendarState`]** — the per-slot state machine plus the
-//!    invalidation index. Heartbeat advances wake only the sharings parked
-//!    on that base vertex; push completions, retry abandonment, deferral
-//!    and live submit/retire re-enqueue only the affected slot. Every
-//!    transition bumps the slot's generation, lazily invalidating stale
-//!    heap entries.
+//! 2. **[`CalendarState`]** — the per-slot state machine. Push
+//!    completions, retry abandonment, deferral and live submit/retire
+//!    re-enqueue only the affected slot; a slot with nothing to move yet
+//!    sleeps one tick, the heartbeat period. Every transition bumps the
+//!    slot's generation, lazily invalidating stale heap entries.
 //! 3. **[`CpEval`]** — a cached compact critical-path evaluator: the
 //!    sharing's in-scope edges in topological order with their estimate
 //!    parameters, so one evaluation is O(subgraph) with no full-plan
@@ -94,9 +93,6 @@ enum SlotState {
     /// Queued in the heap (or the due-now buffer) under the current
     /// generation.
     Scheduled,
-    /// Parked until the heartbeat of this base vertex advances — either no
-    /// heartbeat has arrived yet or the push window is empty.
-    WaitingSrc(VertexId),
     /// A push or retry is active; completion/abandonment events re-enqueue
     /// the slot.
     InFlight,
@@ -111,17 +107,13 @@ struct Slot {
     state: SlotState,
 }
 
-/// The calendar scheduler's state: wake heap + per-slot state machine + the
-/// base-vertex → waiting-slots invalidation index.
+/// The calendar scheduler's state: wake heap + per-slot state machine.
 pub(crate) struct CalendarState {
     wakes: PushCalendar,
     slots: Vec<Slot>,
     /// Slots to evaluate at the next planning pass regardless of the heap
-    /// (freshly added, push-completed, heartbeat-woken).
+    /// (freshly added, push-completed).
     due_now: Vec<usize>,
-    /// Base vertex → slots parked on its heartbeat, with the generation
-    /// each was parked under (stale entries are dropped lazily on drain).
-    src_waiters: HashMap<VertexId, Vec<(usize, u64)>>,
     /// High-water bound on the model's inflation folded into every
     /// scheduled wake projection. When the learned inflation crosses it,
     /// every scheduled wake is stale: the executor wakes all scheduled
@@ -129,7 +121,6 @@ pub(crate) struct CalendarState {
     pub inflation_bound: f64,
     tick_us: u64,
     n_scheduled: usize,
-    n_waiting: usize,
 }
 
 impl CalendarState {
@@ -146,11 +137,9 @@ impl CalendarState {
                 n
             ],
             due_now: (0..n).collect(),
-            src_waiters: HashMap::new(),
             inflation_bound,
             tick_us: tick.as_micros().max(1),
             n_scheduled: n,
-            n_waiting: 0,
         }
     }
 
@@ -163,32 +152,24 @@ impl CalendarState {
         self.n_scheduled
     }
 
-    pub fn waiting_count(&self) -> usize {
-        self.n_waiting
-    }
-
     pub fn wheel_len(&self) -> usize {
         self.wakes.len()
     }
 
     /// Moves the slot to `state` under a fresh generation, which
-    /// invalidates its previous attachment (heap entry, waiter
-    /// registration, due-now membership), and returns that generation. A
-    /// tombstone stays one — the completion or retry of a push that was in
-    /// flight at retirement must not bring the slot back — so `None` means
-    /// nothing changed.
+    /// invalidates its previous attachment (heap entry, due-now
+    /// membership), and returns that generation. A tombstone stays one —
+    /// the completion or retry of a push that was in flight at retirement
+    /// must not bring the slot back — so `None` means nothing changed.
     fn set_state(&mut self, idx: usize, state: SlotState) -> Option<u64> {
         let slot = &mut self.slots[idx];
         match slot.state {
             SlotState::Retired => return None,
             SlotState::Scheduled => self.n_scheduled -= 1,
-            SlotState::WaitingSrc(_) => self.n_waiting -= 1,
             SlotState::InFlight => {}
         }
-        match state {
-            SlotState::Scheduled => self.n_scheduled += 1,
-            SlotState::WaitingSrc(_) => self.n_waiting += 1,
-            SlotState::InFlight | SlotState::Retired => {}
+        if state == SlotState::Scheduled {
+            self.n_scheduled += 1;
         }
         slot.gen += 1;
         slot.state = state;
@@ -206,13 +187,6 @@ impl CalendarState {
     pub fn wake_now(&mut self, idx: usize) {
         if self.set_state(idx, SlotState::Scheduled).is_some() {
             self.due_now.push(idx);
-        }
-    }
-
-    /// Parks the slot until `src`'s heartbeat advances.
-    pub fn park_on_src(&mut self, idx: usize, src: VertexId) {
-        if let Some(gen) = self.set_state(idx, SlotState::WaitingSrc(src)) {
-            self.src_waiters.entry(src).or_default().push((idx, gen));
         }
     }
 
@@ -248,24 +222,9 @@ impl CalendarState {
         self.due_now.push(idx);
     }
 
-    /// A base vertex's heartbeat advanced: wake every slot parked on it.
-    pub fn heartbeat_advanced(&mut self, src: VertexId) {
-        let Some(waiters) = self.src_waiters.remove(&src) else {
-            return;
-        };
-        for (idx, gen) in waiters {
-            let slot = self.slots[idx];
-            if slot.gen == gen && slot.state == SlotState::WaitingSrc(src) {
-                self.wake_now(idx);
-            }
-        }
-    }
-
     /// The learned inflation crossed the folded-in bound: every scheduled
     /// wake projection is stale. Wake all scheduled slots (they re-project
-    /// under the new bound) and raise the bound. Parked slots are
-    /// unaffected — their gating (missing heartbeat, empty window) does not
-    /// depend on the time model.
+    /// under the new bound) and raise the bound.
     pub fn raise_inflation_bound(&mut self, new_bound: f64) {
         self.inflation_bound = new_bound;
         for idx in 0..self.slots.len() {
@@ -496,45 +455,23 @@ mod tests {
         assert_eq!(c.scheduled_count(), 0);
     }
 
-    /// The completion, abandonment or heartbeat of a slot retired meanwhile
-    /// must not bring it back.
+    /// The completion or abandonment of a push whose slot was retired
+    /// meanwhile must not bring it back.
     #[test]
     fn a_retired_slot_stays_retired() {
-        let src = VertexId::new(7);
         let mut c = CalendarState::new(3, SimDuration::from_secs(1), 1.25);
         c.take_woken(Timestamp::ZERO);
         c.mark_in_flight(0);
         c.mark_in_flight(1);
-        c.park_on_src(2, src);
+        c.schedule_at(2, 1);
         for idx in 0..3 {
             c.retire(idx);
         }
         c.wake_now(0);
         c.schedule_at(1, 1);
-        c.heartbeat_advanced(src);
         assert!(c.take_woken(Timestamp::from_secs(1)).is_empty());
         assert!((0..3).all(|idx| !c.is_live(idx) && !c.in_flight(idx)));
-        assert_eq!((c.scheduled_count(), c.waiting_count()), (0, 0));
-    }
-
-    #[test]
-    fn heartbeat_wakes_only_parked_waiters() {
-        let src_a = VertexId::new(7);
-        let src_b = VertexId::new(9);
-        let mut c = CalendarState::new(3, SimDuration::from_secs(1), 1.25);
-        c.take_woken(Timestamp::ZERO);
-        c.park_on_src(0, src_a);
-        c.park_on_src(1, src_b);
-        c.schedule_at(2, 1_000);
-        assert_eq!(c.waiting_count(), 2);
-        c.heartbeat_advanced(src_a);
-        let woken = c.take_woken(Timestamp::from_secs(1));
-        assert_eq!(woken, vec![0], "only the slot parked on src_a wakes");
-        // Re-parking under a new generation drops the old registration.
-        c.park_on_src(0, src_b);
-        c.heartbeat_advanced(src_b);
-        let woken = c.take_woken(Timestamp::from_secs(2));
-        assert_eq!(woken, vec![0, 1]);
+        assert_eq!(c.scheduled_count(), 0);
     }
 
     #[test]

@@ -53,12 +53,11 @@ pub(super) enum ExecEvent {
 
 impl Executor {
     /// Drains every retry whose backoff expired, in due order (ties by
-    /// sharing slot), coalescing stacked retries for the same slot into one
-    /// attempt at the freshest target — re-running the stale window too
-    /// would only be thrown away by batch dedup. Dropped duplicates are
-    /// counted in [`super::ExecFaultStats::retries_coalesced`]. A retry dies
-    /// with its sharing: one whose slot was retired while it waited is
-    /// dropped here, as the storage its push would run over already is.
+    /// sharing slot). A slot has at most one pending retry: a slot waiting
+    /// out a retry is in flight, so neither the calendar nor a second push
+    /// can give it another. A retry dies with its sharing: one whose slot
+    /// was retired while it waited is dropped here, as the storage its push
+    /// would run over already is.
     pub(super) fn collect_due_retries(&mut self, now: Timestamp) -> Vec<(usize, Timestamp, u32)> {
         // Early return without allocating on the overwhelmingly common
         // no-retries-due tick.
@@ -75,13 +74,12 @@ impl Executor {
             if !self.cal.is_live(r.idx) {
                 continue;
             }
-            if let Some(e) = out.iter_mut().find(|e| e.0 == r.idx) {
-                e.1 = e.1.max(r.target);
-                e.2 = e.2.max(r.attempt);
-                self.fault_stats.retries_coalesced += 1;
-            } else {
-                out.push((r.idx, r.target, r.attempt));
-            }
+            debug_assert!(
+                out.iter().all(|e| e.0 != r.idx),
+                "slot {} had two pending retries",
+                r.idx
+            );
+            out.push((r.idx, r.target, r.attempt));
         }
         out
     }
@@ -185,14 +183,9 @@ impl Executor {
 
     pub(super) fn poll_bus(&mut self, now: Timestamp) {
         while let Some(Heartbeat { vertex, ts }) = self.bus.pop_due(now) {
-            // A first or advancing report (late and duplicate deliveries are
-            // neither) is exactly what unblocks a sharing parked on
-            // NoHeartbeat/NoWindow. Waking here, before `plan_batch` runs,
-            // means the slot is evaluated on the first tick the guard chain
-            // can see the new minimum.
+            // Late and duplicate deliveries never move the cache back.
             if self.heartbeats.get(&vertex).is_none_or(|&seen| ts > seen) {
                 self.heartbeats.insert(vertex, ts);
-                self.cal.heartbeat_advanced(vertex);
             }
         }
     }

@@ -32,8 +32,6 @@
 //! `compact`; this file keeps the executor's state, registration and
 //! accessors.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 mod batch;
 mod calendar;
 mod compact;
@@ -149,9 +147,6 @@ pub struct ExecFaultStats {
     /// Delta batches a retry re-shipped that the producer's watermark
     /// suppressed (the first attempt had landed).
     pub batches_deduped: u64,
-    /// Stacked retries for the same sharing slot that were collapsed into
-    /// one attempt at the freshest target (the dropped duplicates).
-    pub retries_coalesced: u64,
 }
 
 /// One completed PUSH, as recorded for the Figure 7 analysis.
@@ -290,7 +285,6 @@ pub struct Executor {
     ctr_cal_wakes: Rc<Counter>,
     ctr_cal_early: Rc<Counter>,
     gauge_cal_scheduled: Rc<Gauge>,
-    gauge_cal_waiting: Rc<Gauge>,
     gauge_cal_wheel: Rc<Gauge>,
     /// Fleet-wide staleness-headroom histogram (one instrument for the
     /// whole fleet — the per-sharing `{sharing=N}` family it replaces was
@@ -416,7 +410,6 @@ impl Executor {
             ctr_cal_wakes: reg.counter("sched.calendar.host_wakes"),
             ctr_cal_early: reg.counter("sched.calendar.host_early_wakes"),
             gauge_cal_scheduled: reg.gauge("sched.calendar.host_scheduled"),
-            gauge_cal_waiting: reg.gauge("sched.calendar.host_waiting"),
             gauge_cal_wheel: reg.gauge("sched.calendar.host_wheel_len"),
             hist_headroom_us: reg.histogram("push.staleness_headroom_us"),
             hist_after_us: reg.histogram("push.staleness_after_us"),
@@ -680,7 +673,6 @@ impl Executor {
         self.sched_host_us.push(sched_us);
         self.gauge_cal_scheduled
             .set(self.cal.scheduled_count() as f64);
-        self.gauge_cal_waiting.set(self.cal.waiting_count() as f64);
         self.gauge_cal_wheel.set(self.cal.wheel_len() as f64);
         self.execute_batch(cluster, now, &batch)?;
         self.compact_if_due(cluster, now)
@@ -881,46 +873,26 @@ pub(super) mod tests {
         assert_eq!(executor.sla(SharingId::new(99)), None);
     }
 
+    /// A slot waiting out a retry is in flight, so nothing gives it a
+    /// second one: after every tick of a chaos run that retries, each
+    /// pending retry names a distinct in-flight slot.
     #[test]
-    fn due_retries_coalesce_to_the_freshest_target() {
-        let (mut smile, _a, _b, _id) = installed(true, 20);
-        let ex = smile.executor.as_mut().unwrap();
-        let t = Timestamp::from_secs;
-        ex.pending_retries = vec![
-            PendingRetry {
-                due: t(1),
-                idx: 0,
-                target: t(5),
-                attempt: 2,
-            },
-            PendingRetry {
-                due: t(2),
-                idx: 0,
-                target: t(7),
-                attempt: 3,
-            },
-            PendingRetry {
-                due: t(3),
-                idx: 0,
-                target: t(6),
-                attempt: 2,
-            },
-            // Not yet due: must survive untouched.
-            PendingRetry {
-                due: t(9),
-                idx: 0,
-                target: t(8),
-                attempt: 2,
-            },
-        ]
-        .into_iter()
-        .map(Reverse)
-        .collect();
-        let due = ex.collect_due_retries(t(4));
-        assert_eq!(due, vec![(0, t(7), 3)], "one attempt at the max target");
-        assert_eq!(ex.fault_stats.retries_coalesced, 2);
-        assert_eq!(ex.pending_retries.len(), 1);
-        assert_eq!(ex.pending_retries.peek().unwrap().0.due, t(9));
+    fn a_slot_has_at_most_one_pending_retry() {
+        let pins = [None, Some(MachineId::new(0)), Some(MachineId::new(1))];
+        let (mut smile, a, b, _) = installed_pinned(true, 20, &pins);
+        smile.cluster.set_fault_profile(smile_sim::FaultProfile::chaos(4242));
+        for _ in 0..300 {
+            feed(&mut smile, a, b, 1);
+            let ex = smile.executor.as_ref().unwrap();
+            let mut slots: Vec<usize> = ex.pending_retries.iter().map(|r| r.0.idx).collect();
+            assert!(slots.iter().all(|&idx| ex.cal.in_flight(idx)));
+            slots.sort_unstable();
+            let pending = slots.len();
+            slots.dedup();
+            assert_eq!(slots.len(), pending, "a slot has two pending retries");
+        }
+        let retried = smile.executor.as_ref().unwrap().fault_stats.pushes_retried;
+        assert!(retried > 0, "the chaos run never retried");
     }
 
     #[test]

@@ -7,54 +7,35 @@ use super::batch::Batch;
 use super::calendar::INFLATION_HEADROOM;
 use super::{Executor, SharingRt};
 use smile_sim::Cluster;
-use smile_types::{Result, SimDuration, Timestamp, VertexId};
+use smile_types::{Result, SimDuration, Timestamp};
 
 /// The `l` factor of §8.2: a lazy push fires when the staleness projected
 /// at its completion reaches `L_FACTOR · SLA`.
 const L_FACTOR: f64 = 0.8;
 
 /// Outcome of evaluating one sharing for a push at the current tick. Only
-/// `Fire`/`Deferred` have effects; the calendar maps every other variant
-/// to the event that will next make the outcome change, so the slot can
-/// sleep until then.
+/// `Fire`/`Deferred` have effects; the calendar maps the others to the
+/// tick at which the outcome can next change, so the slot sleeps until then.
 enum Consider {
     /// Push now, to `target`.
     Fire { target: Timestamp },
-    /// A source has no heartbeat yet; changes when `src` first beats.
-    NoHeartbeat { src: VertexId },
-    /// `MINTS(SRC) ≤ TS(MV)` — nothing to move; changes when the minimum
-    /// source heartbeat (`src`) advances.
-    NoWindow { src: VertexId },
+    /// Nothing to move yet: a source has no heartbeat, `MINTS(SRC) ≤ TS(MV)`,
+    /// or the skew clamp `min(MINTS(SRC), now)` emptied the window. Every
+    /// base vertex heartbeats once per second, so re-evaluate next tick.
+    Idle,
     /// The lazy projection has not reached `l·SLA`; time-driven.
     Lazy,
-    /// The skew clamp `min(MINTS(SRC), now)` emptied the window; resolves
-    /// as `now` advances, so re-evaluate next tick.
-    SkewClamped,
     /// A machine the push needs is down; re-evaluate (and re-count) next
     /// tick.
     Deferred,
 }
 
 impl Executor {
-    /// `MINTS(SRC(S_i))` from the heartbeat cache, with its argmin source
-    /// (the first minimal vertex in `srcs` order — the vertex whose next
-    /// heartbeat advance can change the scheduling outcome). `Err(src)`
-    /// names the first source with no heartbeat yet.
-    fn src_min(&self, rt: &SharingRt) -> std::result::Result<(Timestamp, VertexId), VertexId> {
-        let mut min: Option<(Timestamp, VertexId)> = None;
-        for &v in &rt.srcs {
-            let Some(&ts) = self.heartbeats.get(&v) else {
-                return Err(v);
-            };
-            let better = match min {
-                Some((m, _)) => ts < m,
-                None => true,
-            };
-            if better {
-                min = Some((ts, v));
-            }
-        }
-        min.ok_or(rt.mv) // srcs is never empty (checked at build)
+    /// `MINTS(SRC(S_i))` from the heartbeat cache; `None` while a source
+    /// has no heartbeat yet (`srcs` is never empty, checked at build).
+    fn src_min(&self, rt: &SharingRt) -> Option<Timestamp> {
+        let min = |m: Timestamp, v| Some(m.min(*self.heartbeats.get(v)?));
+        rt.srcs.iter().try_fold(Timestamp::MAX, min)
     }
 
     /// Plans everything that should fire this tick — due retries first,
@@ -82,8 +63,8 @@ impl Executor {
     /// woke this tick, in ascending slot order. Every wake is conservative
     /// — never later than the first tick the guard chain would say `Fire`
     /// or `Deferred` — and an early wake is side-effect-free (the guard
-    /// chain says `Lazy` and the slot goes back to sleep), so the batch is
-    /// the one a visit to every live slot would plan.
+    /// chain says `Lazy` or `Idle` and the slot goes back to sleep), so the
+    /// batch is the one a visit to every live slot would plan.
     fn plan_calendar(
         &mut self,
         cluster: &mut Cluster,
@@ -123,10 +104,7 @@ impl Executor {
                     let due = self.project_wake_tick(idx, now, skew_bound);
                     self.cal.schedule_at(idx, due);
                 }
-                Consider::NoHeartbeat { src } | Consider::NoWindow { src } => {
-                    self.cal.park_on_src(idx, src);
-                }
-                Consider::SkewClamped => {
+                Consider::Idle => {
                     let next = self.cal.tick_of(now) + 1;
                     self.cal.schedule_at(idx, next);
                 }
@@ -180,13 +158,12 @@ impl Executor {
         batch: &Batch,
     ) -> Consider {
         let rt = &self.sharings[idx];
-        let (min_src, min_vertex) = match self.src_min(rt) {
-            Ok(m) => m,
-            Err(src) => return Consider::NoHeartbeat { src }, // no heartbeats yet
+        let Some(min_src) = self.src_min(rt) else {
+            return Consider::Idle; // no heartbeats yet
         };
         let mv_data_ts = batch.ts(&self.data_ts, rt.mv);
         if min_src <= mv_data_ts {
-            return Consider::NoWindow { src: min_vertex }; // nothing new to move
+            return Consider::Idle; // nothing new to move
         }
         let window_secs = (min_src - mv_data_ts).as_secs_f64();
         let cp = self.cp_for(idx, window_secs);
@@ -205,7 +182,7 @@ impl Executor {
         // already-consumed window.
         let min_src = min_src.min(now);
         if min_src <= mv_data_ts {
-            return Consider::SkewClamped;
+            return Consider::Idle;
         }
         // Crash-aware re-planning: a push that needs a down machine is
         // deferred to a later tick instead of being fired into a

@@ -24,6 +24,7 @@
 // The size ratchet: a function over the default 100 lines needs an `#[allow]`
 // that says why (CI runs clippy with `-D warnings`).
 #![warn(clippy::too_many_lines)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod catalog;
 pub mod executor;

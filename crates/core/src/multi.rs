@@ -18,8 +18,6 @@
 //! of the evaluation (Figures 12–13). It weighs a candidate on the rewired
 //! plan and garbage-collects only a candidate it is about to keep.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::{critical_path, res_cost, resource_rates_in, Scope};
 use crate::plan::dag::{EdgeOp, Plan, VertexKind};
@@ -245,7 +243,7 @@ impl GlobalPlan {
 
     /// The provider's total steady-state dollar rate for running `D`.
     pub fn total_cost(&self, model: &TimeCostModel, prices: &PriceSheet) -> f64 {
-        res_cost(&self.plan, Scope::All, model, prices, false)
+        res_cost(&self.plan, Scope::All, model, prices)
     }
 
     /// Critical time path of one sharing within the global plan.
@@ -550,7 +548,7 @@ fn served_cost(
 ) -> f64 {
     let plan = &rewired.plan;
     let vertices = order.iter().map(|&v| plan.vertex(v));
-    let r = resource_rates_in(plan, vertices, Scope::Served, model, false);
+    let r = resource_rates_in(plan, vertices, Scope::Served, model);
     prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
 }
 

@@ -27,8 +27,6 @@
 //! deterministic simulation state, so the adaptive control loop stays
 //! byte-reproducible run to run.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::catalog::Catalog;
 use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
 use crate::plan::build::{PlanBuilder, RelHandle};
@@ -478,7 +476,6 @@ impl<'a> Optimizer<'a> {
             sharing.staleness_sla,
             sharing.penalty_per_tuple,
             handle.rate,
-            false,
         )
     }
 

@@ -78,16 +78,10 @@ pub struct ResourceRates {
 
 /// `resCost` inputs: sums each edge's CPU utilization (service seconds per
 /// second of updates), each `CopyDelta`'s byte rate, and each materialized
-/// vertex's storage footprint. With `amortized = true`, every element is
-/// divided by `|SHR|` — the per-sharing share under multi-sharing cost
-/// amortization.
-pub fn resource_rates(
-    plan: &Plan,
-    scope: Scope,
-    model: &TimeCostModel,
-    amortized: bool,
-) -> ResourceRates {
-    resource_rates_in(plan, plan.vertices().iter(), scope, model, amortized)
+/// vertex's storage footprint, each counted whole however many sharings it
+/// serves.
+pub fn resource_rates(plan: &Plan, scope: Scope, model: &TimeCostModel) -> ResourceRates {
+    resource_rates_in(plan, plan.vertices().iter(), scope, model)
 }
 
 /// [`resource_rates`] with the storage footprint summed over `vertices` in
@@ -100,50 +94,33 @@ pub fn resource_rates_in<'p>(
     vertices: impl Iterator<Item = &'p Vertex>,
     scope: Scope,
     model: &TimeCostModel,
-    amortized: bool,
 ) -> ResourceRates {
     let mut r = ResourceRates::default();
     for e in plan.edges() {
-        let Some(shr) = e.shr(plan).filter(|shr| scope.includes(shr)) else {
+        if !e.shr(plan).is_some_and(|shr| scope.includes(shr)) {
             continue;
-        };
-        let share = if amortized {
-            1.0 / shr.len().max(1) as f64
-        } else {
-            1.0
-        };
+        }
         // CPU seconds consumed per second: marginal service time at the
         // steady arrival rate (fixed overheads amortize over batching and
         // are charged by the simulator, not the steady-state estimate).
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
-        r.cpu_util += per_tuple * e.est_rate * share;
+        r.cpu_util += per_tuple * e.est_rate;
         if matches!(e.op, EdgeOp::CopyDelta) {
-            r.net_bytes_per_sec += e.est_rate * e.est_tuple_bytes * share;
+            r.net_bytes_per_sec += e.est_rate * e.est_tuple_bytes;
         }
     }
     for v in vertices {
         if v.is_base || v.kind != VertexKind::Relation || !scope.includes(&v.sharings) {
             continue;
         }
-        let share = if amortized {
-            1.0 / v.sharings.len().max(1) as f64
-        } else {
-            1.0
-        };
-        r.stored_bytes += v.est_card * v.est_tuple_bytes * share;
+        r.stored_bytes += v.est_card * v.est_tuple_bytes;
     }
     r
 }
 
 /// `resCost(p)` in dollars per second.
-pub fn res_cost(
-    plan: &Plan,
-    scope: Scope,
-    model: &TimeCostModel,
-    prices: &PriceSheet,
-    amortized: bool,
-) -> f64 {
-    let r = resource_rates(plan, scope, model, amortized);
+pub fn res_cost(plan: &Plan, scope: Scope, model: &TimeCostModel, prices: &PriceSheet) -> f64 {
+    let r = resource_rates(plan, scope, model);
     prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
 }
 
@@ -171,7 +148,6 @@ pub fn mm1_late_fraction(lambda: f64, mu: f64, s_secs: f64) -> f64 {
 ///   multiplies `pens` by the late *fraction*; we additionally multiply by
 ///   `λ` so the term has dollars-per-second units consistent with
 ///   `resCost` — documented substitution.)
-#[allow(clippy::too_many_arguments)]
 pub fn plan_cost(
     plan: &Plan,
     scope: Scope,
@@ -180,10 +156,9 @@ pub fn plan_cost(
     sla: SimDuration,
     penalty_per_tuple: f64,
     mv_rate: f64,
-    amortized: bool,
 ) -> f64 {
     let s = sla.as_secs_f64().max(1e-6);
-    let rescost = res_cost(plan, scope, model, prices, amortized);
+    let rescost = res_cost(plan, scope, model, prices);
     let cp = critical_path(plan, scope, 1.0, model).as_secs_f64();
     let mu = 1.0 / model.slowest_per_tuple().as_secs_f64().max(1e-9);
     let late = mm1_late_fraction(mv_rate, mu, s);
@@ -315,26 +290,9 @@ mod tests {
     fn rescost_scales_with_rate() {
         let m = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
-        let slow = res_cost(&copy_plan(10.0), Scope::All, &m, &prices, false);
-        let fast = res_cost(&copy_plan(1000.0), Scope::All, &m, &prices, false);
+        let slow = res_cost(&copy_plan(10.0), Scope::All, &m, &prices);
+        let fast = res_cost(&copy_plan(1000.0), Scope::All, &m, &prices);
         assert!(fast > slow * 10.0);
-    }
-
-    #[test]
-    fn amortization_halves_shared_cost() {
-        let mut p = copy_plan(100.0);
-        // Mark everything as serving a second sharing too.
-        let s2 = SharingId::new(7);
-        for i in 0..p.vertex_count() {
-            p.vertex_mut(smile_types::VertexId::new(i as u32))
-                .sharings
-                .insert(s2);
-        }
-        let m = TimeCostModel::paper_defaults();
-        let prices = PriceSheet::ec2_cross_zone();
-        let solo = res_cost(&p, Scope::Sharing(SharingId::new(0)), &m, &prices, false);
-        let shared = res_cost(&p, Scope::Sharing(SharingId::new(0)), &m, &prices, true);
-        assert!((shared - solo / 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -362,7 +320,6 @@ mod tests {
             SimDuration::from_secs(60),
             0.001,
             100.0,
-            false,
         );
         let tight = plan_cost(
             &p,
@@ -372,7 +329,6 @@ mod tests {
             SimDuration::from_secs(1),
             0.001,
             100.0,
-            false,
         );
         assert!(tight > loose);
     }

@@ -14,8 +14,6 @@
 //! of updates — [`cost::critical_path`]) and the **dollar cost**
 //! ([`cost::plan_cost`], Eq. 1 of the paper).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod build;
 pub mod cost;
 pub mod dag;

@@ -40,9 +40,6 @@ pub struct FaultReport {
     pub pushes_deferred: u64,
     /// Retried delta batches suppressed by their producer's watermark.
     pub batches_deduped: u64,
-    /// Pending retries dropped because a later push of the same sharing
-    /// superseded their target.
-    pub retries_coalesced: u64,
     /// SLA violations observed by the snapshot auditor.
     pub sla_violations: u64,
     /// Violations whose staleness window overlapped an injected fault
@@ -172,8 +169,6 @@ impl Smile {
                 .set(fs.pushes_deferred as f64);
             reg.gauge("exec.batches_deduped")
                 .set(fs.batches_deduped as f64);
-            reg.gauge("exec.retries_coalesced")
-                .set(fs.retries_coalesced as f64);
             reg.gauge("exec.tuples_moved").set(e.tuples_moved as f64);
             reg.gauge("exec.push_records").set(e.push_records.len() as f64);
         }
@@ -463,7 +458,6 @@ impl Smile {
             pushes_abandoned: stats.pushes_abandoned,
             pushes_deferred: stats.pushes_deferred,
             batches_deduped: stats.batches_deduped,
-            retries_coalesced: stats.retries_coalesced,
             sla_violations,
             sla_violations_attributable: attributable,
         }

@@ -20,8 +20,6 @@
 //! the `Smile` handle and that lifecycle; `adaptive.rs` holds the control
 //! loop and live migration, `introspect.rs` the read-only reports.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 mod adaptive;
 mod introspect;
 

@@ -169,10 +169,9 @@ impl SnapshotModule {
     /// Violations per sharing-hour: total violations divided by
     /// (sharings × audited hours) — the unit of Figure 8b and Table 2.
     pub fn violations_per_sharing_hour(&self) -> f64 {
-        let Some(first) = self.records.first() else {
+        let (Some(first), Some(last)) = (self.records.first(), self.records.last()) else {
             return 0.0;
         };
-        let last = self.records.last().expect("non-empty");
         let hours = (last.at - first.at).as_secs_f64() / 3600.0;
         let sharings = last.sharings.len().max(1) as f64;
         if hours <= 0.0 {

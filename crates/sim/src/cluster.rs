@@ -174,7 +174,7 @@ impl Cluster {
     pub fn sample_disks(&mut self, now: Timestamp) {
         for m in &mut self.machines {
             let u = m.sample_disk(now);
-            self.ledger.charge(u, &[]);
+            self.ledger.charge(u, None);
         }
     }
 

@@ -1,11 +1,10 @@
 //! Resource usage accounting, attributed per sharing.
 //!
 //! The provider "pays for the resources (CPU, Disk, Network) consumed in the
-//! cloud" (§1) and the multi-sharing optimizer amortizes that cost: when an
-//! edge of the global plan serves several sharings, its resource consumption
-//! is split equally among them. The [`UsageLedger`] implements that
-//! attribution and is the source of every dollars-per-sharing-hour figure in
-//! the evaluation.
+//! cloud" (§1). The [`UsageLedger`] charges each operation's usage to the
+//! sharing whose push ran it — the same triggered-pays rule the executor's
+//! tuple meter follows — or to the total only, for platform overhead. It is
+//! the source of every dollars-per-sharing-hour figure in the evaluation.
 
 use smile_types::{SharingId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
@@ -75,17 +74,6 @@ impl ResourceUsage {
         self.net_bytes += other.net_bytes;
         self.disk_byte_secs += other.disk_byte_secs;
     }
-
-    /// Usage scaled by `1/n` — the per-sharing share of an operation that
-    /// served `n` sharings.
-    pub fn split(&self, n: usize) -> ResourceUsage {
-        let n = n.max(1) as u64;
-        ResourceUsage {
-            cpu: self.cpu / n,
-            net_bytes: self.net_bytes / n,
-            disk_byte_secs: self.disk_byte_secs / n as f64,
-        }
-    }
 }
 
 /// Per-sharing and total resource ledger.
@@ -104,17 +92,12 @@ impl UsageLedger {
         Self::default()
     }
 
-    /// Charges `usage` to the given sharings, split equally; the total is
-    /// charged once. An empty sharing list charges only the total (platform
-    /// overhead such as heartbeats).
-    pub fn charge(&mut self, usage: ResourceUsage, sharings: &[SharingId]) {
+    /// Charges `usage` to the total and, when given, to `sharing`. `None`
+    /// charges only the total (platform overhead such as heartbeats).
+    pub fn charge(&mut self, usage: ResourceUsage, sharing: Option<SharingId>) {
         self.total.add(&usage);
-        if sharings.is_empty() {
-            return;
-        }
-        let share = usage.split(sharings.len());
-        for &s in sharings {
-            self.per_sharing.entry(s).or_default().add(&share);
+        if let Some(s) = sharing {
+            self.per_sharing.entry(s).or_default().add(&usage);
         }
     }
 
@@ -157,32 +140,14 @@ mod tests {
     }
 
     #[test]
-    fn charge_splits_equally() {
+    fn a_charge_hits_the_total_and_at_most_one_sharing() {
         let mut l = UsageLedger::new();
-        let (a, b) = (SharingId::new(1), SharingId::new(2));
-        l.charge(usage(100, 1000), &[a, b]);
-        assert_eq!(l.sharing(a).cpu, SimDuration::from_millis(50));
-        assert_eq!(l.sharing(b).net_bytes, 500);
-        assert_eq!(l.total().cpu, SimDuration::from_millis(100));
-    }
-
-    #[test]
-    fn unattributed_charge_hits_total_only() {
-        let mut l = UsageLedger::new();
-        l.charge(usage(10, 0), &[]);
+        l.charge(usage(10, 0), None);
         assert_eq!(l.total().cpu, SimDuration::from_millis(10));
         assert_eq!(l.sharing(SharingId::new(0)), ResourceUsage::zero());
-    }
-
-    #[test]
-    fn amortization_reduces_per_sharing_cost() {
-        // The core claim of multi-sharing optimization: the same work charged
-        // to two sharings costs each half as much as working alone.
-        let mut alone = UsageLedger::new();
-        alone.charge(usage(100, 100), &[SharingId::new(1)]);
-        let mut shared = UsageLedger::new();
-        shared.charge(usage(100, 100), &[SharingId::new(1), SharingId::new(2)]);
-        assert!(shared.sharing(SharingId::new(1)).cpu < alone.sharing(SharingId::new(1)).cpu);
+        l.charge(usage(5, 7), Some(SharingId::new(0)));
+        assert_eq!(l.sharing(SharingId::new(0)), usage(5, 7));
+        assert_eq!(l.total().cpu, SimDuration::from_millis(15));
     }
 
     #[test]

@@ -281,11 +281,8 @@ impl Database {
         filter: &crate::predicate::Predicate,
         projection: Option<&[usize]>,
     ) -> Result<crate::wal::Bytes> {
-        Ok(crate::wal::encode_filtered(
-            self.slot(rel)?.delta.window_ref(lo, hi),
-            filter,
-            projection,
-        ))
+        let window = self.slot(rel)?.delta.window_ref(lo, hi);
+        Ok(crate::wal::ColumnarBatch::from_window(window, filter, projection).frame())
     }
 
     /// Snapshot of a relation as of `at` (compensation read).
@@ -422,8 +419,9 @@ mod tests {
         assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(5));
     }
 
-    /// Row bytes `Frame::parse` would have rejected reach the landing as a
-    /// typed error, and the slot's books are as they were before the call.
+    /// A row that fails to decode reaches the landing as a typed error —
+    /// `Frame::parse` checks the layout only — and the slot's books are as
+    /// they were before the call.
     #[test]
     fn a_frame_row_that_fails_to_decode_moves_no_book() {
         use crate::wal::{self, Frame};
@@ -435,9 +433,8 @@ mod tests {
         let mut raw = wal::encode(&batch).to_vec();
         let last_row_tag = raw.len() - (1 + 4 + 3);
         raw[last_row_tag] = 99; // the second row's string tag
-        let bytes = wal::Bytes::from(raw);
-        assert!(Frame::parse(bytes.clone()).is_err());
-        let landed = d.append_frame_dedup(R, &Frame::unvalidated(bytes), 1, 7, t(3));
+        let frame = Frame::parse(wal::Bytes::from(raw)).unwrap();
+        let landed = d.append_frame_dedup(R, &frame, 1, 7, t(3));
         assert!(matches!(landed, Err(SmileError::WalCorrupt(_))));
         let slot = d.relation(R).unwrap();
         assert_eq!(slot.delta.len(), 1, "the frame's first row must not land");

@@ -26,7 +26,6 @@
 
 pub mod aggregate;
 pub mod arrangement;
-pub mod columnar;
 pub mod delta;
 pub mod engine;
 pub mod join;
@@ -38,11 +37,10 @@ pub mod zset;
 
 pub use aggregate::{AggFunc, AggregateSpec};
 pub use arrangement::{Arrangement, ArrangementCounters, IndexCols, Partition};
-pub use columnar::{ColumnarBatch, ConsolidateStats};
 pub use delta::{DeltaBatch, DeltaEntry, DeltaTable};
 pub use engine::Database;
 pub use predicate::Predicate;
 pub use spj::SpjQuery;
 pub use table::Table;
-pub use wal::Frame;
+pub use wal::{ColumnarBatch, Frame};
 pub use zset::ZSet;

@@ -64,7 +64,7 @@ impl ReadLoad {
                 .mul_f64(queries_per_user * self.users_per_mv as f64);
             if busy > SimDuration::ZERO {
                 let (_res, usage) = smile.cluster.machine_mut(m)?.run_cpu(now, busy);
-                smile.cluster.ledger.charge(usage, &[]);
+                smile.cluster.ledger.charge(usage, None);
             }
         }
         Ok(())

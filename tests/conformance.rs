@@ -202,8 +202,8 @@ fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
 #[test]
 fn default_engine_observables_match_pinned_digests() {
     let pinned: [(bool, u64); 2] = [
-        (false, 0xad03_ec7c_d387_396e),
-        (true, 0x17fe_1651_b903_b946),
+        (false, 0x3002_20c7_f265_8ed7),
+        (true, 0xc0af_f0cf_7903_a62d),
     ];
     let got = pinned.map(|(chaos, _)| {
         let r = Cell {

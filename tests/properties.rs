@@ -946,11 +946,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar hot-path properties: the arena-backed batch must behave exactly
-// like the row-at-a-time z-set algebra it replaces.
+// WAL frames at the landing: both ways a frame can land agree, and a hostile
+// frame either decodes to itself or moves no book.
 
 use smile::storage::wal::{self, Frame};
-use smile::storage::ColumnarBatch;
 use smile::types::Value;
 
 /// Small scalar domain covering every codec tag, hash-sensitive floats and
@@ -965,8 +964,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 /// Raw delta entries with duplicate-prone rows, zero and negative weights,
-/// and non-monotone timestamps — everything consolidation must normalize.
-fn arb_columnar_entries() -> impl Strategy<Value = Vec<DeltaEntry>> {
+/// and non-monotone timestamps.
+fn arb_frame_entries() -> impl Strategy<Value = Vec<DeltaEntry>> {
     proptest::collection::vec(
         (arb_value(), arb_value(), -3i64..4, 0u64..4),
         0..48,
@@ -985,38 +984,6 @@ fn arb_columnar_entries() -> impl Strategy<Value = Vec<DeltaEntry>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// In-place consolidation (sorted-run merge fast path included) is
-    /// byte-identical to the unconditional sort-and-merge oracle, drops
-    /// every annihilated weight, leaves rows strictly ascending, and agrees
-    /// with the row-at-a-time z-set semantics of the batch.
-    #[test]
-    fn columnar_consolidate_matches_sort_merge_oracle(
-        entries in arb_columnar_entries()
-    ) {
-        let mut fast = ColumnarBatch::from_entries(&entries);
-        let mut naive = ColumnarBatch::from_entries(&entries);
-        let stats = fast.consolidate_in_place();
-        naive.consolidate_naive();
-        prop_assert_eq!(&fast, &naive, "in-place != sort-and-merge oracle");
-        prop_assert_eq!(stats.rows_in, entries.len());
-        prop_assert_eq!(stats.rows_out, fast.len());
-
-        // Zero-weight annihilation and strict row order.
-        for i in 0..fast.len() {
-            prop_assert!(fast.weight(i) != 0, "weight-zero row survived");
-            if i > 0 {
-                prop_assert!(fast.row(i - 1) < fast.row(i), "rows not strictly ascending");
-            }
-        }
-
-        // Z-set semantics oracle: same multiset as the legacy row pipeline.
-        let legacy = DeltaBatch { entries }.to_zset();
-        prop_assert_eq!(
-            fast.to_zset().map_err(|e| e.to_string())?.sorted_entries(),
-            legacy.sorted_entries()
-        );
-    }
-
     /// The two entries a shipped frame can land by — `append_frame_dedup` of
     /// the parsed frame (the harness's) and `append_delta_dedup` of the
     /// decoded batch (the executor's) — leave identical log contents,
@@ -1030,7 +997,7 @@ proptest! {
     /// and zero weights ride along.
     #[test]
     fn frame_landing_matches_decoded_landing(
-        sources in (arb_columnar_entries(), arb_columnar_entries()),
+        sources in (arb_frame_entries(), arb_frame_entries()),
         // (producer, window start, window length): small domains so windows
         // repeat, nest and overlap.
         pushes in proptest::collection::vec((0usize..2, 0u64..4, 1u64..4), 1..12),
@@ -1080,6 +1047,63 @@ proptest! {
             prop_assert_eq!(&f.shipped_through, &marks, "watermarks differ from the reference");
         }
     }
+}
+
+/// A frame with 1–3 bytes flipped anywhere — header, timestamps, weights,
+/// offsets or arena — is refused with a typed error or decodes to a batch
+/// whose encoding is exactly those bytes: the codec is one-to-one on what it
+/// accepts. A frame whose layout passes `parse` but whose rows do not decode
+/// moves neither the log nor the watermark. Both outcomes must occur.
+#[test]
+fn hostile_frames_decode_to_themselves_or_move_no_book() {
+    let mut rng = proptest::TestRng::from_name("hostile_frames");
+    let flips = proptest::collection::vec((0usize..1 << 16, 1u16..256), 1..4);
+    let (rel, t) = (RelationId::new(0), Timestamp::from_secs);
+    let schema = Schema::new(
+        vec![Column::new("a", ColumnType::I64), Column::new("b", ColumnType::I64)],
+        vec![],
+    );
+    let books = |db: &Database| {
+        let log = db.delta_window(rel, Timestamp::ZERO, Timestamp::MAX).unwrap();
+        (log, db.relation(rel).unwrap().shipped_through.clone())
+    };
+    let (mut accepted, mut refused_by_parse, mut refused_at_landing) = (0, 0, 0);
+    for _ in 0..2048 {
+        let entries = arb_frame_entries().generate(&mut rng);
+        let mut raw = wal::encode(&DeltaBatch { entries }).to_vec();
+        for (at, mask) in flips.generate(&mut rng) {
+            let len = raw.len();
+            raw[at % len] ^= mask as u8;
+        }
+        let bytes = wal::Bytes::from(raw);
+        let err = match wal::decode(bytes.clone()) {
+            Ok(batch) => {
+                accepted += 1;
+                assert_eq!(wal::encode(&batch), bytes, "an accepted frame re-encodes differently");
+                continue;
+            }
+            Err(err) => err,
+        };
+        assert!(matches!(err, SmileError::WalCorrupt(_)), "untyped refusal: {err}");
+        let Ok(frame) = Frame::parse(bytes) else {
+            refused_by_parse += 1;
+            continue;
+        };
+        refused_at_landing += 1;
+        let mut db = Database::new();
+        db.create_relation(rel, schema.clone()).unwrap();
+        let landed = [DeltaEntry::insert(tuple![1i64, 1i64], t(1))].into_iter().collect();
+        db.append_delta_dedup(rel, landed, 0, 7, t(1)).unwrap();
+        let before = books(&db);
+        assert!(db.append_frame_dedup(rel, &frame, 1, 7, t(9)).is_err());
+        assert_eq!(books(&db), before, "a frame that failed to decode moved a book");
+    }
+    eprintln!(
+        "hostile frames: {accepted} accepted, {refused_by_parse} refused by parse, \
+         {refused_at_landing} refused at landing"
+    );
+    assert!(accepted > 0, "no flipped frame decoded");
+    assert!(refused_at_landing > 0, "no flipped frame got past parse and failed to decode");
 }
 
 // ---------------------------------------------------------------------------

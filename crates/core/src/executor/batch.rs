@@ -43,9 +43,9 @@ use smile_sim::machine::Machine;
 use smile_sim::meter::{ResourceUsage, UsageLedger};
 use smile_sim::Cluster;
 use smile_telemetry::{Histogram, SpanKind, SpanRecord};
-use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp, VertexId};
+use smile_types::{FastMap, Timestamp, VertexId};
+use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError};
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -108,7 +108,7 @@ pub(super) struct Batch {
     pub jobs: Vec<BatchJob>,
     /// The latest job planned on each vertex: what later jobs on or below
     /// the vertex depend on, and (its `to`) the vertex's shadow timestamp.
-    last_job_on: HashMap<VertexId, usize>,
+    last_job_on: FastMap<VertexId, usize>,
 }
 
 impl Batch {
@@ -338,7 +338,7 @@ impl Executor {
             let mut deps: Vec<usize> = Vec::new();
             for on in std::iter::once(&v)
                 .chain(&edge.inputs)
-                .chain(self.anchor_of.get(&edge.id))
+                .chain(&self.anchor_of[edge.id])
             {
                 if let Some(&d) = batch.last_job_on.get(on) {
                     if !deps.contains(&d) {
@@ -507,7 +507,7 @@ impl Executor {
                 // current step ran in an earlier wave (or was skipped,
                 // failing this job's request), so `data_ts` is exact here.
                 // Other operators read no snapshot.
-                let anchor = self.anchor_of.get(&job.edge);
+                let anchor = self.anchor_of[job.edge];
                 let snapshot_at = anchor.map_or(job.to, |sib| self.data_ts[sib.index()]);
                 Ok(Dispatch {
                     jid,
@@ -688,7 +688,7 @@ mod tests {
             subset.sort_unstable_by_key(|v| ex.topo_rank[v.index()]);
             subset.dedup();
             let wavefront = ex.global.plan.wavefronts(&subset);
-            prop_assert!(jobs.iter().any(|j| ex.anchor_of.contains_key(&j.edge)));
+            prop_assert!(jobs.iter().any(|j| ex.anchor_of[j.edge].is_some()));
             for (jid, job) in jobs.iter().enumerate() {
                 for &d in &job.deps {
                     prop_assert!(d < jid && jobs[d].wave < job.wave, "job {jid} vs dependency {d}");
@@ -700,8 +700,8 @@ mod tests {
                     prop_assert!(prev.wave < job.wave && prev.to == job.from);
                 }
                 // The halves of a pair never share a wave.
-                if let Some(sibling) = ex.anchor_of.get(&job.edge) {
-                    let mut halves = jobs.iter().filter(|s| s.vertex == *sibling);
+                if let Some(sibling) = ex.anchor_of[job.edge] {
+                    let mut halves = jobs.iter().filter(|s| s.vertex == sibling);
                     prop_assert!(halves.all(|s| s.wave != job.wave));
                 }
             }

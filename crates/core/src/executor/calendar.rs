@@ -2,29 +2,27 @@
 //!
 //! Reconsidering every sharing on every tick, recomputing its critical
 //! path from the full plan graph, is O(N·plan-size) even when nothing is
-//! due. This module avoids that with three pieces:
+//! due. This module avoids that with two pieces:
 //!
-//! 1. **[`PushCalendar`]** — a min-heap of wake entries keyed on scheduler
-//!    ticks. Each idle sharing carries a *conservative lower bound* on the
-//!    first tick at which its lazy projection `staleness + CP + tick` can
-//!    reach `l·SLA`; a tick pops only the due slots. Popping early is safe
-//!    (the slot re-projects and goes back to sleep); popping late never
-//!    happens (the bound is proven conservative, see
-//!    `Executor::project_wake_tick`).
-//! 2. **[`CalendarState`]** — the per-slot state machine. Push
-//!    completions, retry abandonment, deferral and live submit/retire
-//!    re-enqueue only the affected slot; a slot with nothing to move yet
-//!    sleeps one tick, the heartbeat period. Every transition bumps the
-//!    slot's generation, lazily invalidating stale heap entries.
-//! 3. **[`CpEval`]** — a cached compact critical-path evaluator: the
+//! 1. **[`CalendarState`]** — a per-slot state machine over two min-heaps.
+//!    Each idle sharing sleeps on the *wake heap* until a conservative
+//!    lower bound on the first tick its lazy projection `staleness + CP +
+//!    tick` can reach `l·SLA`, given a bound on the feedback inflation:
+//!    the model's clamp far from firing, the live inflation ×
+//!    [`INFLATION_HEADROOM`] close to it — and then the *bound heap* holds
+//!    the slot until [`CalendarState::wake_over`] sees the inflation pass.
+//!    Popping early is safe (the slot re-projects and goes back to sleep);
+//!    popping late never happens (see `Executor::project_wake_tick`). Every
+//!    transition bumps the slot's generation, so entries go stale in place.
+//! 2. **[`CpEval`]** — a cached compact critical-path evaluator: the
 //!    sharing's in-scope edges in topological order with their estimate
 //!    parameters, so one evaluation is O(subgraph) with no full-plan
 //!    topo sort. It calls the *same* `TimeCostModel::edge_estimate` the
 //!    full sweep calls, so its result is byte-identical to
 //!    `critical_path(plan, Scope::Sharing(id), x, model)`, the walk
-//!    admission uses. Alongside the
-//!    exact evaluator it derives affine coefficients `(C, S)` with
-//!    `CP(x) ≤ inflation · (C + S·x)`, used only for wake projection.
+//!    admission uses. Alongside the exact evaluator it derives affine
+//!    coefficients `(C, S)` with `CP(x) ≤ inflation · (C + S·x)`, used only
+//!    for wake projection.
 //!
 //! ### Cache invalidation obligations
 //!
@@ -35,9 +33,7 @@
 //! sharings' edges, and operator models are only overridden before
 //! install (the Figure 5 calibration harness). The one run-time moving
 //! part — the feedback inflation factor — multiplies every edge uniformly,
-//! so the exact evaluator reads it live from the model and the affine
-//! bound folds in a high-water bound that triggers a wake-all when
-//! crossed (see `CalendarState::inflation_bound`).
+//! so the exact evaluator reads it live and a wake assumes a bound on it.
 
 use crate::plan::dag::{EdgeOp, Plan};
 use crate::plan::timecost::TimeCostModel;
@@ -45,10 +41,9 @@ use smile_types::{SharingId, SimDuration, Timestamp, VertexId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// Headroom multiplied onto the observed inflation when (re)setting the
-/// affine bound, so a slowly creeping inflation does not trigger a
-/// wake-all every tick. The clamp on inflation ([1, 50]) bounds the number
-/// of crossings over a run's lifetime to ~log₁.₂₅(50) ≈ 18.
+/// Headroom multiplied onto the live inflation to get the bound a slot
+/// close to firing sleeps under, so a slowly creeping inflation does not
+/// wake it every tick.
 pub(crate) const INFLATION_HEADROOM: f64 = 1.25;
 
 /// Min-heap of `(due tick, slot, generation)` wake entries. An entry whose
@@ -107,18 +102,18 @@ struct Slot {
     state: SlotState,
 }
 
-/// The calendar scheduler's state: wake heap + per-slot state machine.
+/// The calendar scheduler's state: wake heap, bound heap and per-slot
+/// state machine.
 pub(crate) struct CalendarState {
     wakes: PushCalendar,
+    /// Min-heap of `(inflation bound, slot, generation)` for slots whose
+    /// wake assumed a bound below the model's clamp; a positive `f64`'s
+    /// bits order as the number does.
+    bounds: BinaryHeap<Reverse<(u64, usize, u64)>>,
     slots: Vec<Slot>,
     /// Slots to evaluate at the next planning pass regardless of the heap
     /// (freshly added, push-completed).
     due_now: Vec<usize>,
-    /// High-water bound on the model's inflation folded into every
-    /// scheduled wake projection. When the learned inflation crosses it,
-    /// every scheduled wake is stale: the executor wakes all scheduled
-    /// slots and raises the bound.
-    pub inflation_bound: f64,
     tick_us: u64,
     n_scheduled: usize,
 }
@@ -126,9 +121,10 @@ pub(crate) struct CalendarState {
 impl CalendarState {
     /// A fresh calendar with every slot due at the next planning pass —
     /// the first tick evaluates everything.
-    pub fn new(n: usize, tick: SimDuration, inflation_bound: f64) -> Self {
+    pub fn new(n: usize, tick: SimDuration) -> Self {
         Self {
             wakes: PushCalendar::default(),
+            bounds: BinaryHeap::new(),
             slots: vec![
                 Slot {
                     gen: 0,
@@ -137,7 +133,6 @@ impl CalendarState {
                 n
             ],
             due_now: (0..n).collect(),
-            inflation_bound,
             tick_us: tick.as_micros().max(1),
             n_scheduled: n,
         }
@@ -183,6 +178,32 @@ impl CalendarState {
         }
     }
 
+    /// Queues the slot to wake at `due_tick`, a projection that assumed
+    /// the model's inflation stays at or below `bound`, or as soon as
+    /// [`CalendarState::wake_over`] sees it pass.
+    pub fn schedule_under(&mut self, idx: usize, due_tick: u64, bound: f64) {
+        if let Some(gen) = self.set_state(idx, SlotState::Scheduled) {
+            self.wakes.schedule(idx, gen, due_tick);
+            // Stale entries whose bound is never passed would never pop.
+            if self.bounds.len() >= 2 * self.slots.len() {
+                self.bounds.retain(|e| self.slots[e.0 .1].gen == e.0 .2);
+            }
+            self.bounds.push(Reverse((bound.to_bits(), idx, gen)));
+        }
+    }
+
+    /// Wakes, for the next planning pass, every slot asleep under a bound
+    /// the model's `inflation` has passed. Stale entries are dropped.
+    pub fn wake_over(&mut self, inflation: f64) {
+        let passed = |e: &&Reverse<(u64, usize, u64)>| f64::from_bits(e.0 .0) < inflation;
+        while let Some(&Reverse((_, idx, gen))) = self.bounds.peek().filter(passed) {
+            self.bounds.pop();
+            if self.slots[idx].gen == gen {
+                self.wake_now(idx);
+            }
+        }
+    }
+
     /// Queues the slot for the next planning pass.
     pub fn wake_now(&mut self, idx: usize) {
         if self.set_state(idx, SlotState::Scheduled).is_some() {
@@ -222,16 +243,11 @@ impl CalendarState {
         self.due_now.push(idx);
     }
 
-    /// The learned inflation crossed the folded-in bound: every scheduled
-    /// wake projection is stale. Wake all scheduled slots (they re-project
-    /// under the new bound) and raise the bound.
-    pub fn raise_inflation_bound(&mut self, new_bound: f64) {
-        self.inflation_bound = new_bound;
-        for idx in 0..self.slots.len() {
-            if self.slots[idx].state == SlotState::Scheduled {
-                self.wake_now(idx);
-            }
-        }
+    /// Slots asleep under a live entry of the bound heap.
+    #[cfg(test)]
+    pub fn sleeping_under_bound(&self) -> usize {
+        let live = |e: &&Reverse<(u64, usize, u64)>| self.slots[e.0 .1].gen == e.0 .2;
+        self.bounds.iter().filter(live).count()
     }
 
     /// Drains everything due at `now`: heap pops up to the current tick
@@ -439,7 +455,7 @@ mod tests {
 
     #[test]
     fn calendar_generations_invalidate_stale_entries() {
-        let mut c = CalendarState::new(2, SimDuration::from_secs(1), 1.25);
+        let mut c = CalendarState::new(2, SimDuration::from_secs(1));
         // Initial state: both slots due now.
         let woken = c.take_woken(Timestamp::ZERO);
         assert_eq!(woken, vec![0, 1]);
@@ -459,7 +475,7 @@ mod tests {
     /// meanwhile must not bring it back.
     #[test]
     fn a_retired_slot_stays_retired() {
-        let mut c = CalendarState::new(3, SimDuration::from_secs(1), 1.25);
+        let mut c = CalendarState::new(3, SimDuration::from_secs(1));
         c.take_woken(Timestamp::ZERO);
         c.mark_in_flight(0);
         c.mark_in_flight(1);
@@ -474,16 +490,53 @@ mod tests {
         assert_eq!(c.scheduled_count(), 0);
     }
 
+    /// An inflation wakes exactly the slots whose bound it passed; a slot
+    /// asleep at the clamp, one whose bound it has not reached, and the
+    /// stale entries of slots that moved on stay put.
     #[test]
-    fn inflation_crossing_wakes_all_scheduled() {
-        let mut c = CalendarState::new(3, SimDuration::from_secs(1), 1.25);
+    fn wake_over_wakes_only_slots_whose_bound_the_inflation_passed() {
+        let mut c = CalendarState::new(5, SimDuration::from_secs(1));
         c.take_woken(Timestamp::ZERO);
-        c.schedule_at(0, 500);
-        c.schedule_at(1, 900);
-        c.mark_in_flight(2);
-        c.raise_inflation_bound(2.0);
-        assert_eq!(c.inflation_bound, 2.0);
-        let woken = c.take_woken(Timestamp::from_secs(1));
-        assert_eq!(woken, vec![0, 1], "scheduled slots re-project, in-flight does not");
+        c.schedule_under(0, 500, 1.5);
+        c.schedule_under(1, 900, 3.0);
+        c.schedule_at(2, 700);
+        // Stale: slot 3 moved in flight, slot 4 re-slept under a higher
+        // bound after its first one.
+        c.schedule_under(3, 600, 1.2);
+        c.mark_in_flight(3);
+        c.schedule_under(4, 800, 1.1);
+        c.schedule_under(4, 800, 4.0);
+        assert_eq!(c.sleeping_under_bound(), 3);
+
+        c.wake_over(1.5);
+        assert!(c.take_woken(Timestamp::from_secs(1)).is_empty());
+        c.wake_over(2.0);
+        assert_eq!(c.take_woken(Timestamp::from_secs(2)), vec![0]);
+        assert_eq!(c.sleeping_under_bound(), 2);
+        c.wake_over(50.0);
+        assert_eq!(c.take_woken(Timestamp::from_secs(3)), vec![1, 4]);
+        assert_eq!(c.sleeping_under_bound(), 0);
+        assert!(c.bounds.is_empty(), "stale entries popped too");
+        assert!(c.in_flight(3));
+        // The clamp-projected slot still wakes on its tick.
+        c.schedule_at(0, 10);
+        c.schedule_at(1, 10);
+        c.schedule_at(4, 10);
+        assert_eq!(c.take_woken(Timestamp::from_secs(700)), vec![0, 1, 2, 4]);
+    }
+
+    /// Entries whose bound no inflation reaches go stale without popping;
+    /// the heap sweeps them instead of growing with every sleep.
+    #[test]
+    fn stale_bound_entries_are_swept() {
+        let mut c = CalendarState::new(4, SimDuration::from_secs(1));
+        c.take_woken(Timestamp::ZERO);
+        for round in 0..100 {
+            for idx in 0..4 {
+                c.schedule_under(idx, 1_000 + round, 1.25);
+            }
+        }
+        assert!(c.bounds.len() <= 8, "{} entries", c.bounds.len());
+        assert_eq!(c.sleeping_under_bound(), 4);
     }
 }

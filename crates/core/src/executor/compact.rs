@@ -3,7 +3,7 @@
 
 use super::Executor;
 use smile_sim::Cluster;
-use smile_types::{MachineId, RelationId, Result, SharingId, SimDuration, Timestamp};
+use smile_types::{MachineId, RelationId, Result, SimDuration, Timestamp, VertexId};
 use std::collections::HashMap;
 
 /// How often delta logs are compacted.
@@ -46,22 +46,13 @@ impl Executor {
         // timestamp*, so every base slot an edge reads must stay
         // reconstructable back to the oldest committed MV among the
         // sharings that edge serves.
-        let mv_floor: HashMap<SharingId, Timestamp> = self
-            .live_sharings()
-            .map(|rt| (rt.id, self.visible_ts[rt.mv.index()]))
-            .collect();
+        let mv_floor = self.mv_floors();
         for e in self.live_edges() {
             let mut out_ts = self.data_ts[e.output.index()];
-            if let Some(sib) = self.anchor_of.get(&e.id) {
+            if let Some(sib) = self.anchor_of[e.id] {
                 out_ts = out_ts.min(self.data_ts[sib.index()]);
             }
-            let served = &self.global.plan.vertex(e.output).sharings;
-            let base_floor = served
-                .iter()
-                .filter_map(|s| mv_floor.get(s))
-                .min()
-                .copied()
-                .unwrap_or(Timestamp::MAX);
+            let base_floor = mv_floor[e.output.index()];
             for &input in &e.inputs {
                 let iv = self.global.plan.vertex(input);
                 let Some(slot) = iv.slot else { continue };
@@ -85,5 +76,80 @@ impl Executor {
         }
         self.last_compaction = now;
         Ok(())
+    }
+
+    /// Per vertex, the oldest committed MV among the live sharings it
+    /// serves. `SHR(v)` is the sharings whose MV is `v` or downstream of
+    /// it, so one reverse-topological pass carries each MV's up.
+    fn mv_floors(&self) -> Vec<Timestamp> {
+        let plan = &self.global.plan;
+        let mut floor = vec![Timestamp::MAX; plan.vertex_count()];
+        for rt in self.live_sharings() {
+            let f = &mut floor[rt.mv.index()];
+            *f = (*f).min(self.visible_ts[rt.mv.index()]);
+        }
+        let mut order = vec![VertexId::new(0); floor.len()];
+        for (v, &rank) in self.topo_rank.iter().enumerate() {
+            order[rank as usize] = VertexId::new(v as u32);
+        }
+        for v in order.into_iter().rev() {
+            for &input in plan.producer(v).map_or(&[][..], |e| &e.inputs) {
+                floor[input.index()] = floor[input.index()].min(floor[v.index()]);
+            }
+        }
+        floor
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{feed, installed_pinned};
+    use smile_storage::join::JoinOn;
+    use smile_storage::{Predicate, SpjQuery};
+    use smile_types::{MachineId, SharingId, SimDuration, Timestamp};
+    use std::collections::HashMap;
+
+    /// The one-pass floors equal the per-edge `SHR` walk they replace, on
+    /// a plan with twins (two MVs sharing a half-join pair, and two
+    /// sharings on one MV), a retired sharing's inert chain and a
+    /// migration's shadow chain, at every tick from the migration's start
+    /// past its cutover.
+    #[test]
+    fn mv_floors_match_the_shr_walk() {
+        let m = MachineId::new;
+        let pins = [Some(m(0)), Some(m(1)), Some(m(1))];
+        let (mut smile, a, b, _) = installed_pinned(true, 20, &pins);
+        feed(&mut smile, a, b, 10);
+        let mut submit = |name, q, sla, pin| {
+            let sla = SimDuration::from_secs(sla);
+            smile.submit_live(name, q, sla, 0.001, Some(pin)).unwrap()
+        };
+        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::eq(1, 1i64));
+        let moved = submit("f", q, 9, m(0));
+        let retired = submit("s", SpjQuery::scan(a), 7, m(1));
+        feed(&mut smile, a, b, 25);
+        smile.retire(retired).unwrap();
+        assert!(smile.migrate_sharing(moved, Some(m(1))).unwrap());
+        assert!(smile.executor.as_ref().unwrap().migrating(moved));
+        let mut floors_seen = std::collections::BTreeSet::new();
+        for tick in 0..40 {
+            let ex = smile.executor.as_ref().unwrap();
+            let mv_ts: HashMap<SharingId, Timestamp> = ex
+                .live_sharings()
+                .map(|rt| (rt.id, ex.visible_ts[rt.mv.index()]))
+                .collect();
+            let floors = ex.mv_floors();
+            for e in ex.live_edges() {
+                let served = &ex.global.plan.vertex(e.output).sharings;
+                let walk = served.iter().filter_map(|s| mv_ts.get(s)).min();
+                let walk = walk.copied().unwrap_or(Timestamp::MAX);
+                assert_eq!(floors[e.output.index()], walk, "edge {}, tick {tick}", e.id);
+                floors_seen.insert(walk);
+            }
+            feed(&mut smile, a, b, 1);
+        }
+        let ex = smile.executor.as_ref().unwrap();
+        assert!(!ex.migrating(moved), "never cut over");
+        assert!(floors_seen.len() > 2, "{floors_seen:?}");
     }
 }

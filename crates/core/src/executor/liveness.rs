@@ -184,8 +184,9 @@ impl Executor {
     pub(super) fn poll_bus(&mut self, now: Timestamp) {
         while let Some(Heartbeat { vertex, ts }) = self.bus.pop_due(now) {
             // Late and duplicate deliveries never move the cache back.
-            if self.heartbeats.get(&vertex).is_none_or(|&seen| ts > seen) {
-                self.heartbeats.insert(vertex, ts);
+            let seen = &mut self.heartbeats[vertex.index()];
+            if seen.is_none_or(|seen| ts > seen) {
+                *seen = Some(ts);
             }
         }
     }

@@ -50,13 +50,14 @@ use crate::multi::GlobalPlan;
 use crate::plan::dag::{Edge, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
-use calendar::{CalendarState, CpEval, INFLATION_HEADROOM};
+use calendar::{CalendarState, CpEval};
 use liveness::{ExecEvent, Heartbeat, PendingRetry};
 use smile_sim::{Cluster, EventQueue, Mailbox, WaveMeter};
 use smile_telemetry::{
     Alert, BurnRateMonitor, Counter, FleetRollup, Gauge, Histogram, SharingSummary, Telemetry,
 };
-use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp, VertexId};
+use smile_types::{FastMap, MachineId, Result, SharingId, SimDuration};
+use smile_types::{SmileError, Timestamp, VertexId};
 use spans::us;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -233,12 +234,12 @@ pub struct Executor {
     /// Per vertex, [`Executor::live`]: the plan is append-only, so after the
     /// first retire or cutover part of it is inert — the one record of which.
     live: Vec<bool>,
-    /// Last heartbeat-reported timestamp per base vertex.
-    heartbeats: HashMap<VertexId, Timestamp>,
+    /// Last heartbeat-reported timestamp per vertex (base vertices only).
+    heartbeats: Vec<Option<Timestamp>>,
     sharings: Vec<SharingRt>,
     /// Live (non-retired) sharing id → slot index, so the per-id accessors
-    /// the snapshot auditor hits every period stay O(1) at 100k sharings.
-    by_id: HashMap<SharingId, usize>,
+    /// stay O(1) at 100k sharings.
+    by_id: FastMap<SharingId, usize>,
     events: EventQueue<ExecEvent>,
     /// The agents' channel to the executor.
     bus: Mailbox<Heartbeat>,
@@ -262,9 +263,9 @@ pub struct Executor {
     ctr_waves: Rc<Counter>,
     ctr_jobs: Rc<Counter>,
     ctr_busy_nanos: Rc<Counter>,
-    /// Per join edge id: the sibling half-join's output vertex, whose
-    /// coverage anchors this join's snapshot (consistency under skew).
-    anchor_of: HashMap<usize, VertexId>,
+    /// Per edge id, for a half-join: the sibling half-join's output vertex,
+    /// whose coverage anchors this join's snapshot (consistency under skew).
+    anchor_of: Vec<Option<VertexId>>,
     /// Per-vertex position in one canonical topological order of the
     /// merged plan, shared by every per-sharing build and the wave
     /// assignment pass (rebuilt on live submit).
@@ -377,7 +378,7 @@ impl Executor {
         config: ExecConfig,
         telemetry: Rc<Telemetry>,
     ) -> Result<Self> {
-        let cal = CalendarState::new(0, config.tick, model.inflation() * INFLATION_HEADROOM);
+        let cal = CalendarState::new(0, config.tick);
         let reg = telemetry.registry();
         let mut executor = Self {
             global,
@@ -386,9 +387,9 @@ impl Executor {
             data_ts: Vec::new(),
             visible_ts: Vec::new(),
             live: Vec::new(),
-            heartbeats: HashMap::new(),
+            heartbeats: Vec::new(),
             sharings: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: FastMap::default(),
             events: EventQueue::new(),
             bus: Mailbox::new(COMMAND_LATENCY),
             last_heartbeat: None,
@@ -401,7 +402,7 @@ impl Executor {
             ctr_waves: reg.counter("wave.waves"),
             ctr_jobs: reg.counter("wave.jobs"),
             ctr_busy_nanos: reg.counter("wave.host_busy_nanos"),
-            anchor_of: HashMap::new(),
+            anchor_of: Vec::new(),
             topo_rank: Vec::new(),
             base_beats: Vec::new(),
             cal,
@@ -441,6 +442,7 @@ impl Executor {
         let n = self.global.plan.vertex_count();
         self.data_ts.resize(n, Timestamp::ZERO);
         self.visible_ts.resize(n, Timestamp::ZERO);
+        self.heartbeats.resize(n, None);
         self.topo_rank = Self::rank_of(&self.global)?;
         self.base_beats = self.global.base_relation_vertices();
         self.anchor_of = self.global.plan.half_join_anchors()?;
@@ -688,9 +690,14 @@ impl Executor {
             .map(|(_, rt)| rt)
     }
 
-    /// The sharings this executor maintains (retired ones excluded).
-    pub fn sharing_ids(&self) -> Vec<SharingId> {
-        self.live_sharings().map(|rt| rt.id).collect()
+    /// `(id, staleness at now, SLA)` of each sharing this executor
+    /// maintains (retired ones excluded), in slot order.
+    pub fn staleness_by_sharing(
+        &self,
+        now: Timestamp,
+    ) -> impl Iterator<Item = (SharingId, SimDuration, SimDuration)> + '_ {
+        self.live_sharings()
+            .map(move |rt| (rt.id, now - self.visible_ts[rt.mv.index()], rt.sla))
     }
 
     /// Whether a push for the sharing is currently in flight.
@@ -768,7 +775,7 @@ pub(super) mod tests {
         (smile, a, b, ids)
     }
 
-    fn feed(smile: &mut Smile, a: RelationId, b: RelationId, ticks: u64) {
+    pub(super) fn feed(smile: &mut Smile, a: RelationId, b: RelationId, ticks: u64) {
         for s in 0..ticks {
             let now = smile.now();
             smile

@@ -6,8 +6,9 @@
 use super::batch::Batch;
 use super::calendar::INFLATION_HEADROOM;
 use super::{Executor, SharingRt};
+use crate::plan::timecost::MAX_INFLATION;
 use smile_sim::Cluster;
-use smile_types::{Result, SimDuration, Timestamp};
+use smile_types::{Result, SimDuration, Timestamp, VertexId};
 
 /// The `l` factor of §8.2: a lazy push fires when the staleness projected
 /// at its completion reaches `L_FACTOR · SLA`.
@@ -34,7 +35,7 @@ impl Executor {
     /// `MINTS(SRC(S_i))` from the heartbeat cache; `None` while a source
     /// has no heartbeat yet (`srcs` is never empty, checked at build).
     fn src_min(&self, rt: &SharingRt) -> Option<Timestamp> {
-        let min = |m: Timestamp, v| Some(m.min(*self.heartbeats.get(v)?));
+        let min = |m: Timestamp, v: &VertexId| Some(m.min(self.heartbeats[v.index()]?));
         rt.srcs.iter().try_fold(Timestamp::MAX, min)
     }
 
@@ -71,16 +72,9 @@ impl Executor {
         now: Timestamp,
         batch: &mut Batch,
     ) -> Result<()> {
-        // Wake projections assume the model's inflation factor stays below
-        // the calendar's ratcheted bound. When feedback pushes it past, all
-        // scheduled slots' bounds are void: re-derive them. Rare — the
-        // bound ratchets ×1.25 inside the model's [1, 50] clamp, so this
-        // fires O(log_1.25 50) times over a run, not per tick.
-        let inflation = self.model.inflation();
-        if inflation > self.cal.inflation_bound {
-            self.cal
-                .raise_inflation_bound(inflation * INFLATION_HEADROOM);
-        }
+        // A slot asleep under an inflation bound that feedback has since
+        // passed may be due sooner than its projection said: re-derive it.
+        self.cal.wake_over(self.model.inflation());
         let skew_bound = cluster.clock.skew_bound();
         let woken = self.cal.take_woken(now);
         self.ctr_cal_wakes.add(woken.len() as u64);
@@ -101,8 +95,7 @@ impl Executor {
                 }
                 Consider::Lazy => {
                     self.ctr_cal_early.inc();
-                    let due = self.project_wake_tick(idx, now, skew_bound);
-                    self.cal.schedule_at(idx, due);
+                    self.sleep_lazy(idx, now, skew_bound);
                 }
                 Consider::Idle => {
                     let next = self.cal.tick_of(now) + 1;
@@ -218,18 +211,35 @@ impl Executor {
             .any(|&m| cluster.faults.machine_down(m, now))
     }
 
+    /// Puts a `Lazy` slot to sleep under the model's inflation clamp, which
+    /// no feedback can pass — or, when that would wake it next tick anyway,
+    /// under the live inflation × [`INFLATION_HEADROOM`], which it can.
+    /// The live bound alone would be sound, but feedback swings past it for
+    /// thousands of far slots at once (1.85× the wakes on `fleet_idle`,
+    /// DESIGN §13); a far slot pays one clamp-projected wake per cycle.
+    fn sleep_lazy(&mut self, idx: usize, now: Timestamp, skew: SimDuration) {
+        let due = self.project_wake_tick(idx, now, skew, MAX_INFLATION);
+        let bound = self.model.inflation() * INFLATION_HEADROOM;
+        if due > self.cal.tick_of(now) + 1 || bound >= MAX_INFLATION {
+            self.cal.schedule_at(idx, due);
+        } else {
+            let due = self.project_wake_tick(idx, now, skew, bound);
+            self.cal.schedule_under(idx, due, bound);
+        }
+    }
+
     /// First tick at which the lazy guard could pass for idle sharing
-    /// `idx`. Conservative by construction: staleness grows at 1 s/s
+    /// `idx`, while the model's inflation stays at or below `ib`.
+    /// Conservative by construction: staleness grows at 1 s/s
     /// (`visible_ts` only advances), the window upper bound grows at
-    /// ≤ 1 s/s (heartbeats lead true time by at most `skew_bound`, and the
+    /// ≤ 1 s/s (heartbeats lead true time by at most `skew`, and the
     /// committed `data_ts` only advances), and the critical path is bounded
-    /// by the cached affine majorant scaled by the calendar's inflation
-    /// bound. So the projection grows at ≤ `1 + Ib·slope` per second, and
-    /// sleeping until it could first reach `l·SLA` — minus one tick of
-    /// margin for µs rounding — can never skip past the tick the guard
-    /// chain first fires on. An early wake just re-evaluates and goes back
-    /// to sleep.
-    fn project_wake_tick(&self, idx: usize, now: Timestamp, skew_bound: SimDuration) -> u64 {
+    /// by the cached affine majorant scaled by `ib`. So the projection
+    /// grows at ≤ `1 + ib·slope` per second, and sleeping until it could
+    /// first reach `l·SLA` — minus one tick of margin for µs rounding —
+    /// can never skip past the tick the guard chain first fires on. An
+    /// early wake just re-evaluates and goes back to sleep.
+    fn project_wake_tick(&self, idx: usize, now: Timestamp, skew: SimDuration, ib: f64) -> u64 {
         let cal = &self.cal;
         let rt = &self.sharings[idx];
         let cp = &rt.cp;
@@ -239,8 +249,7 @@ impl Executor {
         // Window bound from the *committed* data_ts, not the plan shadow: a
         // same-tick overlay entry can be rolled back by a failed push, so
         // the bound must not assume it.
-        let w0 = ((now + skew_bound) - self.data_ts[rt.mv.index()]).as_secs_f64();
-        let ib = cal.inflation_bound;
+        let w0 = ((now + skew) - self.data_ts[rt.mv.index()]).as_secs_f64();
         let projected0 = staleness + tick_secs + ib * (cp.const_secs + cp.slope_per_sec * w0);
         let gap = l_sla - projected0;
         if gap <= 0.0 {

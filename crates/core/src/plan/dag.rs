@@ -468,8 +468,8 @@ impl Plan {
 
     /// Pairs up the half-joins of every delta-join decomposition: for each
     /// `Union` vertex fed (possibly through `CopyDelta` chains) by exactly
-    /// two `Join` edges, maps each join edge's id to the *sibling* join's
-    /// output vertex.
+    /// two `Join` edges, gives each join edge (indexed by edge id) the
+    /// *sibling* join's output vertex; every other edge gets `None`.
     ///
     /// The sibling output is the snapshot **anchor** for incremental
     /// execution. A half-join `Δb ⋈ a@x` is only consistent when `x` is the
@@ -483,8 +483,8 @@ impl Plan {
     /// A half has one sibling by construction ([`ExprSig::HalfJoin`] carries
     /// its pair); a live join edge that resolves to two is a plan the
     /// executor cannot anchor, and is refused.
-    pub fn half_join_anchors(&self) -> Result<HashMap<usize, VertexId>> {
-        let mut anchors = HashMap::new();
+    pub fn half_join_anchors(&self) -> Result<Vec<Option<VertexId>>> {
+        let mut anchors = vec![None; self.edges.len()];
         for union in &self.edges {
             if !matches!(union.op, EdgeOp::Union) {
                 continue;
@@ -507,7 +507,7 @@ impl Plan {
             }
             if let [(ea, va), (eb, vb)] = halves[..] {
                 for (e, own, sibling) in [(ea, va, vb), (eb, vb, va)] {
-                    match anchors.insert(e, sibling) {
+                    match anchors[e].replace(sibling) {
                         Some(other)
                             if other != sibling && !self.vertex(own).sharings.is_empty() =>
                         {
@@ -1138,10 +1138,11 @@ mod tests {
     fn merged_twin_plans_keep_each_half_join_with_its_own_sibling() {
         let (p, pairs) = twin_join_plans();
         let anchors = p.half_join_anchors().unwrap();
-        assert_eq!(anchors.len(), 4, "two pairs, no half shared between them");
+        let paired = anchors.iter().flatten().count();
+        assert_eq!(paired, 4, "two pairs, no half shared between them");
         for (d1, d2) in pairs {
-            assert_eq!(anchors[&p.producer(d1).unwrap().id], d2);
-            assert_eq!(anchors[&p.producer(d2).unwrap().id], d1);
+            assert_eq!(anchors[p.producer(d1).unwrap().id], Some(d2));
+            assert_eq!(anchors[p.producer(d2).unwrap().id], Some(d1));
         }
     }
 

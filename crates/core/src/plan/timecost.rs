@@ -36,6 +36,10 @@ const OP_COPY_DELTA: usize = 1;
 const OP_JOIN: usize = 2;
 const OP_UNION: usize = 3;
 
+/// The learned inflation's ceiling; the push calendar relies on no feedback
+/// passing it.
+pub const MAX_INFLATION: f64 = 50.0;
+
 /// Linear time model per operator plus network parameters and the feedback
 /// inflation factor.
 #[derive(Clone, Debug)]
@@ -122,9 +126,9 @@ impl TimeCostModel {
 
     /// Feedback: records that an edge predicted to take `predicted`
     /// actually took `actual` (queueing included). The inflation factor
-    /// follows the ratio with EWMA smoothing, clamped to [1, 50] — the model
-    /// never assumes machines are faster than calibration, and a runaway
-    /// ratio (one stalled push) must not poison future estimates.
+    /// follows the ratio with EWMA smoothing, clamped to `[1, MAX_INFLATION]`
+    /// — the model never assumes machines are faster than calibration, and
+    /// a runaway ratio (one stalled push) must not poison future estimates.
     pub fn observe(&mut self, predicted: SimDuration, actual: SimDuration) {
         let p = predicted.as_secs_f64().max(1e-6);
         let ratio = (actual.as_secs_f64() / p).clamp(0.02, 50.0);
@@ -132,7 +136,7 @@ impl TimeCostModel {
         // normalize so the EWMA tracks the raw correction.
         let raw = ratio * self.inflation;
         self.inflation += self.alpha * (raw - self.inflation);
-        self.inflation = self.inflation.clamp(1.0, 50.0);
+        self.inflation = self.inflation.clamp(1.0, MAX_INFLATION);
     }
 
     /// Current inflation factor.

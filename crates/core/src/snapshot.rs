@@ -92,9 +92,7 @@ impl SnapshotModule {
         cluster.sample_disks(now);
 
         let mut sharings = Vec::new();
-        for id in executor.sharing_ids() {
-            let staleness = executor.staleness(id, now).unwrap_or(SimDuration::ZERO);
-            let sla = executor.sla(id).unwrap_or(SimDuration::ZERO);
+        for (id, staleness, sla) in executor.staleness_by_sharing(now) {
             let violated = staleness > sla;
             if violated {
                 // Charge the per-tuple penalty on the tuples the sharing

@@ -732,7 +732,7 @@ mod tests {
 
             let now = rel.table.ts();
             let missed = rel.delta.window(at.min(now), at.max(now)).to_zset();
-            let sources = || rel.table.rows().iter().chain(missed.iter());
+            let sources = || rel.table.rows().chain(missed.iter());
             let matches = |d: &DeltaEntry| sources().filter(|(row, _)| joins(&d.tuple, row)).count();
             prop_assert_eq!(landed.len(), window.iter().map(matches).sum::<usize>());
             prop_assert_eq!(run.tuples, landed.len() as u64);

@@ -63,7 +63,7 @@ impl Smile {
             .relation(slot)?
             .table
             .rows()
-            .clone())
+            .collect())
     }
 
     /// Ground truth: what the MV *should* contain — the sharing's query

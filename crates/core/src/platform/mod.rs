@@ -27,7 +27,7 @@ pub use adaptive::{Action, ActionKind, AdaptiveConfig};
 pub use introspect::FaultReport;
 
 use crate::catalog::{BaseStats, Catalog};
-use crate::executor::seed::eval_sig;
+use crate::executor::seed::{eval_sig, BaseReads};
 use crate::executor::{ExecConfig, Executor};
 use crate::multi::{GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, Optimizer, PlannedSharing};
@@ -488,8 +488,9 @@ impl Smile {
     ///   twin's if the twin holds one (a Relation vertex and the Delta
     ///   vertex of the same signature and machine share table + log), else
     ///   a new relation whose log starts at the seed instant.
-    /// * Every Relation vertex slotted here is seeded from ground truth and
-    ///   every vertex slotted here is stamped with the seed instant — per
+    /// * Every Relation vertex slotted here is seeded from ground truth (all
+    ///   evaluated first, reading each base once: [`BaseReads`]) and every
+    ///   vertex slotted here is stamped with the seed instant — per
     ///   vertex, so a relation adopting the slot its delta twin has long
     ///   been landing windows in is seeded like any other. The ingest floor
     ///   is lifted past the seed: entries stamped at or before it are in the
@@ -548,12 +549,16 @@ impl Smile {
                 self.cluster.machine_mut(machine)?.db.ensure_arrangement(slot, &on)?;
             }
         }
+        let mut reads = BaseReads::new();
+        let mut seeds = Vec::new();
         for vert in slotted.iter().map(|&v| plan.vertex(v)) {
             if let (VertexKind::Relation, Some(slot)) = (vert.kind, vert.slot) {
-                let rows = eval_sig(&vert.sig, &self.cluster, &self.catalog, seed_at)?;
-                let db = &mut self.cluster.machine_mut(vert.machine)?.db;
-                db.seed_relation(slot, rows, seed)?;
+                let rows = eval_sig(&vert.sig, &self.cluster, &self.catalog, seed_at, &mut reads)?;
+                seeds.push((vert.machine, slot, rows));
             }
+        }
+        for (machine, slot, rows) in seeds {
+            self.cluster.machine_mut(machine)?.db.seed_relation(slot, rows, seed)?;
         }
         if !slotted.is_empty() {
             executor.mark_vertices_seeded(&slotted, seed);

@@ -175,10 +175,12 @@ impl AggregateSpec {
         group.chain(count).chain(sums).collect()
     }
 
-    /// Ground-truth evaluation: aggregates a full z-set into the view's
-    /// contents (unit weights, one row per live group).
-    pub fn eval(&self, input: &ZSet) -> ZSet {
-        let fold = self.fold(input.iter().map(|(t, w)| (t.values(), w, Timestamp::ZERO)));
+    /// Ground-truth evaluation: aggregates a full set of rows — a z-set, or
+    /// a table's rows read in place — into the view's contents (unit
+    /// weights, one row per live group).
+    pub fn eval<'a>(&self, input: impl IntoIterator<Item = (&'a Tuple, i64)>) -> ZSet {
+        let rows = input.into_iter();
+        let fold = self.fold(rows.map(|(t, w)| (t.values(), w, Timestamp::ZERO)));
         let mut out = ZSet::new();
         for (g, first) in fold.firsts.iter().enumerate() {
             if fold.counts[g] != 0 {
@@ -437,7 +439,7 @@ mod tests {
                 view.apply(&out, ts).unwrap();
             }
             let want = spec.eval(&accumulated);
-            prop_assert_eq!(view.rows().sorted_entries(), want.sorted_entries());
+            prop_assert_eq!(view.rows().collect::<ZSet>(), want);
         }
     }
 }

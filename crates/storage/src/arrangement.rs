@@ -2,13 +2,14 @@
 //!
 //! An [`Arrangement`] indexes a relation's current z-set by a projection of
 //! its columns (the join key). It is built **once** when a join edge is
-//! installed and from then on maintained **incrementally** from the same
-//! delta entries that update the base rows — no per-push rebuild, no full
-//! scan. Every plan vertex that joins on the same `(relation, key columns)`
-//! pair probes the same arrangement, which is the storage-level half of the
-//! platform's plumbing story: merged sharings pay for index maintenance once
-//! and share the state (cf. "Shared Arrangements", McSherry et al., VLDB
-//! 2020).
+//! installed and from then on maintained **incrementally** from the delta
+//! entries the table applies — no per-push rebuild, no full scan. It holds
+//! every row, so a table's first arrangement is where its rows live
+//! ([`Table`](crate::table::Table)). Every plan vertex that joins on the
+//! same `(relation, key columns)` pair probes the same arrangement, which
+//! is the storage-level half of the platform's plumbing story: merged
+//! sharings pay for index maintenance once and share the state (cf.
+//! "Shared Arrangements", McSherry et al., VLDB 2020).
 //!
 //! An arrangement may also be **partitioned** by further columns: the rows
 //! are grouped by their values there first, then by join key. Join edges
@@ -25,8 +26,9 @@
 //! an arrangement across threads); [`ArrangementCounters`] snapshots them
 //! for the simulator's meter.
 
-use crate::zset::ZSet;
+use crate::zset::{RowChange, ZSet};
 use smile_types::{FastMap, Tuple, Value};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Snapshot of one arrangement's (or a fleet aggregate's) operational
@@ -138,9 +140,18 @@ impl Arrangement {
     /// one-time cost paid at install; afterwards only [`update`] touches it.
     ///
     /// [`update`]: Arrangement::update
-    pub fn build(on: IndexCols, rows: &ZSet) -> Self {
+    pub fn build<'a>(on: IndexCols, rows: impl IntoIterator<Item = (&'a Tuple, i64)>) -> Self {
+        Self::build_from(on, rows.into_iter().map(|(t, w)| (Cow::Borrowed(t), w)))
+    }
+
+    /// [`Arrangement::build`] from rows taken by value, which move in uncloned.
+    pub fn build_owned(on: IndexCols, rows: ZSet) -> Self {
+        Self::build_from(on, rows.into_iter_entries().map(|(t, w)| (Cow::Owned(t), w)))
+    }
+
+    fn build_from<'a>(on: IndexCols, rows: impl Iterator<Item = (Cow<'a, Tuple>, i64)>) -> Self {
         let mut arr = Arrangement::new(on);
-        for (t, w) in rows.iter() {
+        for (t, w) in rows {
             arr.fold(t, w);
             arr.built_rows += 1;
         }
@@ -152,40 +163,50 @@ impl Arrangement {
         &self.on
     }
 
+    /// Every row indexed, with its weight, in unspecified order.
+    pub fn rows(&self) -> impl Iterator<Item = (&Tuple, i64)> {
+        let buckets = self.partitions.values().flat_map(FastMap::values);
+        buckets.flat_map(|bucket| bucket.iter().map(|(t, &w)| (t, w)))
+    }
+
+    /// Consumes the arrangement, yielding its rows by value.
+    pub fn into_rows(self) -> impl Iterator<Item = (Tuple, i64)> {
+        let buckets = self.partitions.into_values().flat_map(FastMap::into_values);
+        buckets.flatten()
+    }
+
     /// Folds one delta entry into the index, consolidating in place: the
     /// row's weight is adjusted and dropped from its bucket when it cancels
     /// to zero (empty buckets and partitions are removed so misses stay
-    /// cheap).
-    pub fn update(&mut self, tuple: &Tuple, weight: i64) {
+    /// cheap). Reports what the update did to the rows indexed.
+    pub fn update(&mut self, tuple: &Tuple, weight: i64) -> RowChange {
         if weight == 0 {
-            return;
+            return RowChange::Reweighted;
         }
         self.maintained += 1;
-        self.fold(tuple, weight);
+        self.fold(Cow::Borrowed(tuple), weight)
     }
 
-    fn fold(&mut self, tuple: &Tuple, weight: i64) {
+    fn fold(&mut self, tuple: Cow<'_, Tuple>, weight: i64) -> RowChange {
         let mut values = std::mem::take(&mut self.scratch);
         values.clear();
         let cols = self.on.partition.iter().chain(&self.on.key);
         values.extend(cols.map(|&c| tuple.values()[c].clone()));
         let (part, key) = values.split_at(self.on.partition.len());
-        let emptied = match self.partitions.get_mut(part) {
-            Some(index) => {
-                fold_into(index, key, tuple, weight);
-                index.is_empty()
-            }
+        let (change, emptied) = match self.partitions.get_mut(part) {
+            Some(index) => (fold_into(index, key, tuple, weight), index.is_empty()),
             None => {
                 let mut index = Index::default();
-                fold_into(&mut index, key, tuple, weight);
+                let change = fold_into(&mut index, key, tuple, weight);
                 self.partitions.insert(Tuple::new(part.to_vec()), index);
-                false
+                (change, false)
             }
         };
         if emptied {
             self.partitions.remove(part);
         }
         self.scratch = values;
+        change
     }
 
     /// The partition whose values at the partition columns are `values` (in
@@ -232,30 +253,50 @@ impl Arrangement {
             built_rows: self.built_rows,
         }
     }
+
+    /// Every (partition, key, row, weight) the arrangement holds, sorted.
+    #[cfg(test)]
+    pub(crate) fn contents(&self) -> Vec<(Tuple, Tuple, Tuple, i64)> {
+        let mut out: Vec<_> = self
+            .partitions
+            .iter()
+            .flat_map(|(p, index)| {
+                index.iter().flat_map(move |(k, bucket)| {
+                    bucket.iter().map(move |(row, &w)| (p.clone(), k.clone(), row.clone(), w))
+                })
+            })
+            .collect();
+        out.sort();
+        out
+    }
 }
 
 /// Folds `weight` of `tuple` into `key`'s bucket of one partition, removing
-/// the row when it cancels and the bucket when it empties.
-fn fold_into(index: &mut Index, key: &[Value], tuple: &Tuple, weight: i64) {
+/// the row when it cancels and the bucket when it empties. The tuple is
+/// cloned only if it is borrowed and new.
+fn fold_into(index: &mut Index, key: &[Value], tuple: Cow<'_, Tuple>, weight: i64) -> RowChange {
     let Some(bucket) = index.get_mut(key) else {
         let mut bucket = Bucket::default();
-        bucket.insert(tuple.clone(), weight);
+        bucket.insert(tuple.into_owned(), weight);
         index.insert(Tuple::new(key.to_vec()), bucket);
-        return;
+        return RowChange::Appeared;
     };
-    match bucket.get_mut(tuple) {
-        Some(w) => {
-            *w += weight;
-            if *w == 0 {
-                bucket.remove(tuple);
-            }
-        }
+    match bucket.get_mut(tuple.as_ref()) {
         None => {
-            bucket.insert(tuple.clone(), weight);
+            bucket.insert(tuple.into_owned(), weight);
+            RowChange::Appeared
         }
-    }
-    if bucket.is_empty() {
-        index.remove(key);
+        Some(w) if *w + weight != 0 => {
+            *w += weight;
+            RowChange::Reweighted
+        }
+        Some(_) => {
+            bucket.remove(tuple.as_ref());
+            if bucket.is_empty() {
+                index.remove(key);
+            }
+            RowChange::Vanished
+        }
     }
 }
 
@@ -426,21 +467,6 @@ mod tests {
         assert_eq!((c.probes, c.hits, c.misses), (2, 0, 2));
     }
 
-    /// Every (partition, key, row, weight) the arrangement holds, sorted.
-    fn contents(arr: &Arrangement) -> Vec<(Tuple, Tuple, Tuple, i64)> {
-        let mut out: Vec<_> = arr
-            .partitions
-            .iter()
-            .flat_map(|(p, index)| {
-                index.iter().flat_map(move |(k, bucket)| {
-                    bucket.iter().map(move |(row, &w)| (p.clone(), k.clone(), row.clone(), w))
-                })
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
     proptest! {
         /// Incremental maintenance equals a build from the consolidated
         /// rows after any sequence of signed updates, partitioned or not:
@@ -458,7 +484,7 @@ mod tests {
                 arr.update(&tuple![a, b, c], w);
                 rows.add(tuple![a, b, c], w);
             }
-            prop_assert_eq!(contents(&arr), contents(&Arrangement::build(on, &rows)));
+            prop_assert_eq!(arr.contents(), Arrangement::build(on, &rows).contents());
             let no_empty = arr.partitions.values().all(|index| {
                 !index.is_empty() && index.values().all(|bucket| !bucket.is_empty())
             });

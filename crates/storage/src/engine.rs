@@ -113,7 +113,7 @@ impl Database {
             e.ts = e.ts.max(floor);
             through = through.max(e.ts);
         }
-        slot.table.apply(&batch, through)?;
+        slot.table.apply(&batch, through).map_err(naming(rel))?;
         slot.delta.append_batch(batch);
         Ok(())
     }
@@ -185,10 +185,9 @@ impl Database {
         }
         // Disjoint field borrows: the table applies straight from the delta
         // log's borrowed window slice — no per-batch clone of the window.
-        let n = slot.delta.window_ref(from, through).len();
-        slot.table
-            .apply_entries(slot.delta.window_ref(from, through), through)?;
-        Ok(n)
+        let window = slot.delta.window_ref(from, through);
+        slot.table.apply_entries(window, through).map_err(naming(rel))?;
+        Ok(window.len())
     }
 
     /// Seeds a relation's table with initial contents at `ts` (used when a
@@ -208,8 +207,7 @@ impl Database {
             .into_iter_entries()
             .map(|(tuple, weight)| DeltaEntry { tuple, weight, ts })
             .collect();
-        slot.table.apply(&batch, ts)?;
-        Ok(())
+        slot.table.apply(&batch, ts).map_err(naming(rel))
     }
 
     /// Empties a relation's table and keeps its delta log: the relation
@@ -350,7 +348,15 @@ impl RelationProvider for Database {
     }
 
     fn rows(&self, rel: RelationId) -> Result<ZSet> {
-        Ok(self.slot(rel)?.table.rows().clone())
+        Ok(self.slot(rel)?.table.rows().collect())
+    }
+}
+
+/// Names `rel` in a schema error its table raised (a table has no id).
+fn naming(rel: RelationId) -> impl Fn(SmileError) -> SmileError {
+    move |e| match e {
+        SmileError::SchemaMismatch { detail, .. } => SmileError::SchemaMismatch { relation: rel, detail },
+        e => e,
     }
 }
 
@@ -389,6 +395,27 @@ mod tests {
         assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(5));
         assert_eq!(d.relation(R).unwrap().table.len(), 1);
         assert_eq!(d.relation(R).unwrap().delta.len(), 1);
+    }
+
+    /// A batch with one row off the schema is refused whole, and the error
+    /// names the relation: the table, its log and `TS` are as they were,
+    /// so the table still matches its log. Seeding is refused the same way.
+    #[test]
+    fn a_refused_batch_changes_nothing() {
+        let mut d = db();
+        let short = || DeltaEntry::insert(tuple![2i64], Timestamp::from_secs(1));
+        let refused = d.ingest(R, [ins(1, "ann", 1), short()].into_iter().collect());
+        assert!(matches!(refused, Err(SmileError::SchemaMismatch { relation: R, .. })));
+        let slot = d.relation(R).unwrap();
+        assert!(slot.table.is_empty() && slot.table.rows().next().is_none());
+        assert_eq!((slot.delta.len(), slot.table.ts()), (0, Timestamp::ZERO));
+
+        let rows = ZSet::from_tuples([tuple![1i64, "ann"], tuple![2i64]]);
+        let refused = d.seed_relation(R, rows, Timestamp::from_secs(5));
+        assert!(matches!(refused, Err(SmileError::SchemaMismatch { relation: R, .. })));
+        let slot = d.relation(R).unwrap();
+        assert!(slot.table.is_empty() && slot.table.rows().next().is_none());
+        assert_eq!((slot.delta.len(), slot.table.ts()), (0, Timestamp::ZERO));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! counting tuples whose both sides changed within the window.
 
 use crate::zset::ZSet;
-use smile_types::Tuple;
-use std::collections::HashMap;
+use smile_types::{FastMap, Tuple};
 
 /// Equi-join condition: pairs of column indexes that must be equal
 /// (`left.0 == right.0 && left.1 == right.1 && ...`).
@@ -45,10 +44,18 @@ impl JoinOn {
     }
 }
 
-/// Joins two z-sets, concatenating matched tuples; the weight of an output
-/// tuple is the product of the input weights (the z-set join semantics that
-/// make incremental maintenance exact under deletes).
-pub fn join_zsets(left: &ZSet, right: &ZSet, on: &JoinOn) -> ZSet {
+/// Joins two sets of rows — z-sets, or a table's rows read in place —
+/// concatenating matched tuples; the weight of an output tuple is the
+/// product of the input weights (the z-set join semantics that make
+/// incremental maintenance exact under deletes).
+pub fn join_zsets<'l, 'r, L, R>(left: L, right: R, on: &JoinOn) -> ZSet
+where
+    L: IntoIterator<Item = (&'l Tuple, i64)>,
+    L::IntoIter: ExactSizeIterator,
+    R: IntoIterator<Item = (&'r Tuple, i64)>,
+    R::IntoIter: ExactSizeIterator,
+{
+    let (left, right) = (left.into_iter(), right.into_iter());
     // Build the hash table on the smaller side.
     if right.len() < left.len() {
         return join_inner(right, &on.right_cols, left, &on.left_cols, true);
@@ -58,19 +65,20 @@ pub fn join_zsets(left: &ZSet, right: &ZSet, on: &JoinOn) -> ZSet {
 
 /// `build` is hashed; `probe` streams. `swapped` says build is the *right*
 /// join input, so output tuples must still be `left ++ right`.
-fn join_inner(
-    build: &ZSet,
+fn join_inner<'b, 'p>(
+    build: impl ExactSizeIterator<Item = (&'b Tuple, i64)>,
     build_cols: &[usize],
-    probe: &ZSet,
+    probe: impl Iterator<Item = (&'p Tuple, i64)>,
     probe_cols: &[usize],
     swapped: bool,
 ) -> ZSet {
-    let mut index: HashMap<Tuple, Vec<(&Tuple, i64)>> = HashMap::with_capacity(build.len());
-    for (t, w) in build.iter() {
+    let mut index: FastMap<Tuple, Vec<(&Tuple, i64)>> =
+        FastMap::with_capacity_and_hasher(build.len(), Default::default());
+    for (t, w) in build {
         index.entry(t.project(build_cols)).or_default().push((t, w));
     }
     let mut out = ZSet::new();
-    for (pt, pw) in probe.iter() {
+    for (pt, pw) in probe {
         let key = pt.project(probe_cols);
         if let Some(matches) = index.get(&key) {
             for (bt, bw) in matches {

@@ -192,12 +192,12 @@ impl SpjQuery {
         let first = &self.steps[0];
         let mut acc = provider.rows(first.relation)?;
         if first.predicate != Predicate::True {
-            acc = acc.filter(|t| first.predicate.eval(t));
+            acc = acc.iter().filter(|(t, _)| first.predicate.eval(t)).collect();
         }
         for step in self.steps.iter().skip(1) {
             let mut right = provider.rows(step.relation)?;
             if step.predicate != Predicate::True {
-                right = right.filter(|t| step.predicate.eval(t));
+                right = right.iter().filter(|(t, _)| step.predicate.eval(t)).collect();
             }
             let on = step.join.as_ref().ok_or_else(|| {
                 SmileError::InvalidPlan(format!("join step on {} has no join condition", step.relation))
@@ -208,7 +208,7 @@ impl SpjQuery {
             return Ok(agg.eval(&acc));
         }
         Ok(match &self.projection {
-            Some(cols) => acc.project(cols),
+            Some(cols) => acc.iter().map(|(t, w)| (t.project(cols), w)).collect(),
             None => acc,
         })
     }

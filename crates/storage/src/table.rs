@@ -1,17 +1,19 @@
 //! Materialized relation storage.
 //!
 //! A [`Table`] stores the current contents of a relation (base relation,
-//! intermediate join result, or MV) as a z-set whose weights are positive,
-//! together with the timestamp the contents are consistent with. Paired with
-//! its [`DeltaTable`] it supports **snapshot
-//! reads** at nearby timestamps — the compensation primitive of asynchronous
-//! view maintenance: subtract deltas newer than the requested snapshot, or
-//! add not-yet-applied deltas to look forward.
+//! intermediate join result, or MV), each row once: in a z-set while no
+//! join probes the table, in its first [`Arrangement`] once one does (every
+//! arrangement indexes every row once, so a z-set beside it would be a
+//! second copy every applied entry pays for). Readers borrow the rows where
+//! they live ([`Table::rows`]), and with the paired [`DeltaTable`] read them
+//! **as of** nearby timestamps ([`Table::rows_at`]) — the compensation
+//! primitive of asynchronous view maintenance: subtract deltas newer than
+//! the requested instant, or add not-yet-applied ones to look forward.
 
 use crate::arrangement::{Arrangement, ArrangementCounters, IndexCols};
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
-use crate::zset::ZSet;
-use smile_types::{FastMap, Schema, SmileError, Timestamp, Tuple, Value};
+use crate::zset::{RowChange, ZSet};
+use smile_types::{FastMap, RelationId, Schema, SmileError, Timestamp, Tuple, Value};
 use std::borrow::Borrow;
 use std::cell::OnceCell;
 
@@ -20,12 +22,14 @@ use std::cell::OnceCell;
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,
+    /// The rows while no arrangement is installed. Empty while one is: the
+    /// first arrangement holds them until the last is dropped.
     rows: ZSet,
     /// PK → tuple index of a keyed set relation (weights exactly one). Its
     /// one reader is [`Table::get_by_key`], so it comes to exist on the
-    /// first such read, built from `rows`, and is maintained per entry only
-    /// from then on; a table nobody reads by key never pays for one. Not an
-    /// arrangement: no plan edge installs or probes it.
+    /// first such read, built from the rows, and is maintained per entry
+    /// only from then on; a table nobody reads by key never pays for one.
+    /// Not an arrangement: no plan edge installs or probes it.
     pk_index: OnceCell<FastMap<Tuple, Tuple>>,
     /// Shared arrangements, one per distinct [`IndexCols`], maintained
     /// incrementally; join edges declare the arrangement they probe at
@@ -33,6 +37,10 @@ pub struct Table {
     /// probing the same index columns shares one. A table holds a handful,
     /// so they are found by a scan.
     arrangements: Vec<Arrangement>,
+    /// Distinct rows stored, and the sum of their `Tuple::byte_size` (the
+    /// disk meter), kept from the [`RowChange`] each applied entry reports.
+    len: usize,
+    bytes: usize,
     /// The contents are consistent with the sources as of this timestamp —
     /// `TS(v)` in the paper's notation.
     ts: Timestamp,
@@ -46,6 +54,8 @@ impl Table {
             rows: ZSet::new(),
             pk_index: OnceCell::new(),
             arrangements: Vec::new(),
+            len: 0,
+            bytes: 0,
             ts: Timestamp::ZERO,
         }
     }
@@ -60,19 +70,21 @@ impl Table {
         self.ts
     }
 
-    /// Current contents as a z-set.
-    pub fn rows(&self) -> &ZSet {
-        &self.rows
+    /// The current rows with their weights, in unspecified order, borrowed
+    /// from wherever they live.
+    pub fn rows(&self) -> impl Iterator<Item = (&Tuple, i64)> {
+        let home = self.arrangements.first().into_iter().flat_map(Arrangement::rows);
+        self.rows.iter().chain(home)
     }
 
     /// Number of distinct rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True iff the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Looks up the current row with the given primary key — a key `Tuple`
@@ -84,7 +96,7 @@ impl Table {
         }
         let index = self.pk_index.get_or_init(|| {
             let keyed = |(t, _): (&Tuple, i64)| (self.schema.key_of(t), t.clone());
-            self.rows.iter().map(keyed).collect()
+            self.rows().map(keyed).collect()
         });
         index.get(key.borrow())
     }
@@ -99,7 +111,8 @@ impl Table {
     }
 
     /// [`apply`] driven by a borrowed entry slice — lets the engine apply a
-    /// delta-log window in place without cloning it into a batch first.
+    /// delta-log window in place without cloning it into a batch first. A
+    /// refused batch changes nothing (the `Database` names the relation).
     ///
     /// [`apply`]: Table::apply
     pub fn apply_entries(
@@ -107,15 +120,15 @@ impl Table {
         entries: &[DeltaEntry],
         through: Timestamp,
     ) -> Result<(), SmileError> {
+        if let Some(e) = entries.iter().find(|e| !self.schema.admits(&e.tuple)) {
+            return Err(SmileError::SchemaMismatch {
+                relation: RelationId::new(u32::MAX),
+                detail: format!("tuple {:?} does not match schema {}", e.tuple, self.schema),
+            });
+        }
         // Reused across entries: the key a built `pk_index` is reached by.
         let mut key = Vec::new();
         for (i, e) in entries.iter().enumerate() {
-            if !self.schema.admits(&e.tuple) {
-                return Err(SmileError::SchemaMismatch {
-                    relation: smile_types::RelationId::new(u32::MAX),
-                    detail: format!("tuple {:?} does not match schema {}", e.tuple, self.schema),
-                });
-            }
             if let Some(index) = self.pk_index.get_mut() {
                 let cols = self.schema.key();
                 // An update — a delete, then an insert of the same key, the
@@ -123,9 +136,7 @@ impl Table {
                 // the delete nothing to do: its insert replaces the row.
                 let updated_next = e.weight <= 0
                     && entries.get(i + 1).is_some_and(|n| {
-                        n.weight > 0
-                            && self.schema.admits(&n.tuple)
-                            && cols.iter().all(|&c| n.tuple.get(c) == e.tuple.get(c))
+                        n.weight > 0 && cols.iter().all(|&c| n.tuple.get(c) == e.tuple.get(c))
                     });
                 if !updated_next {
                     key.clear();
@@ -139,10 +150,22 @@ impl Table {
                     }
                 }
             }
+            // Every arrangement holds every row, so each reports the same.
+            let mut change = None;
             for arr in &mut self.arrangements {
-                arr.update(&e.tuple, e.weight);
+                change = Some(arr.update(&e.tuple, e.weight));
             }
-            self.rows.add(e.tuple.clone(), e.weight);
+            match change.unwrap_or_else(|| self.rows.add(e.tuple.clone(), e.weight)) {
+                RowChange::Appeared => {
+                    self.len += 1;
+                    self.bytes += e.tuple.byte_size();
+                }
+                RowChange::Vanished => {
+                    self.len -= 1;
+                    self.bytes -= e.tuple.byte_size();
+                }
+                RowChange::Reweighted => {}
+            }
         }
         if through > self.ts {
             self.ts = through;
@@ -152,11 +175,18 @@ impl Table {
 
     /// Builds the arrangement `on` from the current contents (idempotent —
     /// an existing arrangement with the same index columns is shared, not
-    /// rebuilt); subsequent applies maintain it incrementally.
+    /// rebuilt); subsequent applies maintain it incrementally. The first
+    /// arrangement takes the z-set's rows by value and becomes their home; a
+    /// later one is built from the first.
     pub fn ensure_arrangement(&mut self, on: &IndexCols) {
-        if self.arrangement_on(on).is_none() {
-            self.arrangements.push(Arrangement::build(on.clone(), &self.rows));
+        if self.arrangement_on(on).is_some() {
+            return;
         }
+        let arr = match self.arrangements.first() {
+            Some(home) => Arrangement::build(on.clone(), home.rows()),
+            None => Arrangement::build_owned(on.clone(), std::mem::take(&mut self.rows)),
+        };
+        self.arrangements.push(arr);
     }
 
     /// Probes the unpartitioned arrangement on `cols`: all current rows whose
@@ -168,11 +198,17 @@ impl Table {
 
     /// Drops the arrangement `on`, freeing its memory. Returns `true` when
     /// one existed. The reverse of [`Table::ensure_arrangement`], used when
-    /// the last plan edge probing it is retired.
+    /// the last plan edge probing it is retired; the last one to go hands
+    /// the rows back to the z-set.
     pub fn drop_arrangement(&mut self, on: &IndexCols) -> bool {
-        let before = self.arrangements.len();
-        self.arrangements.retain(|a| a.on() != on);
-        self.arrangements.len() < before
+        let Some(i) = self.arrangements.iter().position(|a| a.on() == on) else {
+            return false;
+        };
+        let dropped = self.arrangements.remove(i);
+        if self.arrangements.is_empty() {
+            self.rows = dropped.into_rows().collect();
+        }
+        true
     }
 
     /// The arrangement `on`, if one was installed.
@@ -201,26 +237,37 @@ impl Table {
         total
     }
 
-    /// Snapshot of the contents as of timestamp `at`, reconstructed from the
-    /// paired delta table. Works both backwards (compensate away newer
-    /// deltas) and forwards (fold in not-yet-applied deltas), as long as the
-    /// delta table still retains the needed window.
-    pub fn snapshot_at(&self, delta: &DeltaTable, at: Timestamp) -> Result<ZSet, SmileError> {
+    /// The rows as of `at`, each once, borrowed from the table and its
+    /// paired delta table: every current row corrected by the log window
+    /// between `TS(v)` and `at` netted per row (taken away rolling back,
+    /// added rolling forward), then the window's rows the table lacks.
+    pub fn rows_at<'a>(
+        &'a self,
+        delta: &'a DeltaTable,
+        at: Timestamp,
+    ) -> Result<Vec<(&'a Tuple, i64)>, SmileError> {
         if at < delta.horizon() {
             return Err(SmileError::Internal(format!(
                 "snapshot at {at} requested but delta table compacted through {}",
                 delta.horizon()
             )));
         }
-        let mut snap = self.rows.clone();
-        if at < self.ts {
-            // Roll back: remove the effect of entries in (at, ts].
-            snap.merge_owned(delta.window(at, self.ts).to_zset().negated());
-        } else if at > self.ts {
-            // Roll forward: apply pending entries in (ts, at].
-            snap.merge_owned(delta.window(self.ts, at).to_zset());
+        let (lo, hi, sign) = if at < self.ts { (at, self.ts, -1) } else { (self.ts, at, 1) };
+        let mut net: FastMap<&Tuple, i64> = FastMap::default();
+        for e in delta.window_ref(lo, hi) {
+            *net.entry(&e.tuple).or_default() += sign * e.weight;
         }
-        Ok(snap)
+        // Once every correction is taken, the remaining rows hash nothing.
+        let mut correct = |t| if net.is_empty() { 0 } else { net.remove(t).unwrap_or(0) };
+        let mut rows: Vec<_> = self.rows().map(|(t, w)| (t, w + correct(t))).collect();
+        rows.extend(net);
+        rows.retain(|&(_, w)| w != 0);
+        Ok(rows)
+    }
+
+    /// [`Table::rows_at`] collected into a z-set, for callers that need one.
+    pub fn snapshot_at(&self, delta: &DeltaTable, at: Timestamp) -> Result<ZSet, SmileError> {
+        Ok(self.rows_at(delta, at)?.into_iter().collect())
     }
 
     /// Clears all contents (used when re-seeding a copy). Arrangements stay
@@ -231,18 +278,20 @@ impl Table {
         for arr in &mut self.arrangements {
             arr.clear();
         }
+        (self.len, self.bytes) = (0, 0);
         self.ts = Timestamp::ZERO;
     }
 
     /// Total payload bytes of the current contents (disk metering).
     pub fn byte_size(&self) -> usize {
-        self.rows.byte_size()
+        self.bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smile_types::{tuple, Column, ColumnType};
 
     fn schema() -> Schema {
@@ -317,7 +366,7 @@ mod tests {
         assert_eq!(fwd.cardinality(), 3);
 
         let now = t.snapshot_at(&d, Timestamp::from_secs(2)).unwrap();
-        assert_eq!(&now, t.rows());
+        assert_eq!(now, t.rows().collect::<ZSet>());
     }
 
     #[test]
@@ -396,5 +445,85 @@ mod tests {
         d.compact(Timestamp::from_secs(1));
         assert!(t.snapshot_at(&d, Timestamp::ZERO).is_err());
         assert!(t.snapshot_at(&d, Timestamp::from_secs(1)).is_ok());
+    }
+
+    /// One step of a table's life, for the one-copy property.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Signed entries logged at the next instant, then applied — unless
+        /// `pending`, when the next applied step takes them along.
+        Apply { entries: Vec<(i64, bool, i64)>, pending: bool },
+        Ensure(usize),
+        Drop(usize),
+        Clear,
+    }
+
+    /// Applies four times in nine (one in five of them pending), ensures and
+    /// drops twice each, a clear once; weights −1 to 2, zero included.
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let entries = prop::collection::vec((0i64..3, prop::bool::ANY, -1i64..3), 1..5);
+        (0u8..9, entries, 0u8..5, 0usize..3).prop_map(|(kind, entries, pending, i)| match kind {
+            0..=3 => Step::Apply { entries, pending: pending == 0 },
+            4 | 5 => Step::Ensure(i),
+            6 | 7 => Step::Drop(i),
+            _ => Step::Clear,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Wherever a table's rows live — its z-set, or its first arrangement
+        /// once one is installed — the rows, the row and byte counters, every
+        /// arrangement and every as-of read agree with a z-set fed the same
+        /// log, and no second row map is kept beside an arrangement. Dropping
+        /// the last arrangement hands the rows back; a clear starts over.
+        #[test]
+        fn one_copy_table_matches_a_zset_model(steps in prop::collection::vec(arb_step(), 1..24)) {
+            let ons = [
+                IndexCols::unpartitioned(&[0]),
+                IndexCols { partition: vec![1], key: vec![0] },
+                IndexCols::unpartitioned(&[1]),
+            ];
+            let (mut t, mut log, mut tick) = (Table::new(schema()), DeltaTable::new(), 0);
+            for step in steps {
+                match step {
+                    Step::Apply { entries, pending } => {
+                        tick += 1;
+                        let at = Timestamp::from_secs(tick);
+                        for (uid, ann, weight) in entries {
+                            let tuple = tuple![uid, if ann { "ann" } else { "bob" }];
+                            log.append(DeltaEntry { tuple, weight, ts: at });
+                        }
+                        if !pending {
+                            t.apply_entries(log.window_ref(t.ts(), at), at).unwrap();
+                        }
+                    }
+                    Step::Ensure(i) => t.ensure_arrangement(&ons[i]),
+                    Step::Drop(i) => _ = t.drop_arrangement(&ons[i]),
+                    Step::Clear => {
+                        t.clear();
+                        log = DeltaTable::new();
+                    }
+                }
+                // The model: the log's entries through an instant, consolidated.
+                let model = |at: Timestamp| -> ZSet {
+                    log.window_ref(Timestamp::ZERO, at).iter().map(|e| (e.tuple.clone(), e.weight)).collect()
+                };
+                let now = model(t.ts());
+                prop_assert_eq!(t.rows().count(), now.len(), "each row once");
+                prop_assert_eq!(t.rows().collect::<ZSet>(), now.clone());
+                prop_assert_eq!((t.len(), t.byte_size()), (now.len(), now.byte_size()));
+                prop_assert!(t.arrangements.is_empty() || t.rows.is_empty(), "a second row map");
+                for arr in t.arrangements() {
+                    prop_assert_eq!(arr.contents(), Arrangement::build(arr.on().clone(), &now).contents());
+                }
+                for at in (0..=tick).map(Timestamp::from_secs) {
+                    let rolled = t.rows_at(&log, at).unwrap();
+                    prop_assert_eq!(rolled.len(), model(at).len(), "each row once as of {}", at);
+                    prop_assert_eq!(rolled.into_iter().collect::<ZSet>(), model(at));
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,17 @@
 
 use smile_types::{FastMap, Tuple};
 
+/// What one signed update did to the rows stored; a table's counters follow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowChange {
+    /// The row was absent and is now stored.
+    Appeared,
+    /// The same rows are stored: one changed weight, or the update was zero.
+    Reweighted,
+    /// The row's weight cancelled to zero and it is no longer stored.
+    Vanished,
+}
+
 /// A multiset of tuples with signed multiplicities. Entries with weight zero
 /// are never stored.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,9 +54,9 @@ impl ZSet {
 
     /// Adds `weight` to the multiplicity of `tuple`, dropping the entry if it
     /// cancels to zero.
-    pub fn add(&mut self, tuple: Tuple, weight: i64) {
+    pub fn add(&mut self, tuple: Tuple, weight: i64) -> RowChange {
         if weight == 0 {
-            return;
+            return RowChange::Reweighted;
         }
         use std::collections::hash_map::Entry;
         match self.entries.entry(tuple) {
@@ -55,13 +66,15 @@ impl ZSet {
                     let sz = e.key().byte_size();
                     e.remove();
                     self.bytes -= sz;
-                } else {
-                    *e.get_mut() = w;
+                    return RowChange::Vanished;
                 }
+                *e.get_mut() = w;
+                RowChange::Reweighted
             }
             Entry::Vacant(e) => {
                 self.bytes += e.key().byte_size();
                 e.insert(weight);
+                RowChange::Appeared
             }
         }
     }
@@ -88,8 +101,8 @@ impl ZSet {
     }
 
     /// Iterates over `(tuple, weight)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.entries.iter().map(|(t, &w)| (t, w))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Tuple, i64)> {
+        self.into_iter()
     }
 
     /// Consumes the z-set, yielding `(tuple, weight)` pairs.
@@ -164,6 +177,8 @@ impl ZSet {
     /// [`consolidate`]: ZSet::consolidate
     pub fn extend_unconsolidated<I: IntoIterator<Item = (Tuple, i64)>>(&mut self, pairs: I) {
         use std::collections::hash_map::Entry;
+        let pairs = pairs.into_iter();
+        self.entries.reserve(pairs.size_hint().0);
         for (t, w) in pairs {
             match self.entries.entry(t) {
                 Entry::Occupied(mut e) => *e.get_mut() += w,
@@ -190,27 +205,6 @@ impl ZSet {
         self.bytes -= removed;
     }
 
-    /// Keeps only tuples satisfying `pred` (applied to the tuple, weight
-    /// unchanged).
-    pub fn filter(&self, mut pred: impl FnMut(&Tuple) -> bool) -> ZSet {
-        let mut out = ZSet::new();
-        for (t, &w) in self.entries.iter().filter(|(t, _)| pred(t)) {
-            out.bytes += t.byte_size();
-            out.entries.insert(t.clone(), w);
-        }
-        out
-    }
-
-    /// Projects every tuple onto `cols`, consolidating weights of tuples that
-    /// become identical.
-    pub fn project(&self, cols: &[usize]) -> ZSet {
-        let mut out = ZSet::with_capacity(self.entries.len());
-        for (t, w) in self.iter() {
-            out.add(t.project(cols), w);
-        }
-        out
-    }
-
     /// Total payload bytes across entries (weights ignored); used by the
     /// resource meters. O(1): the sum is maintained incrementally as entries
     /// are inserted and removed, so per-batch stat refreshes no longer scan
@@ -235,6 +229,26 @@ impl FromIterator<(Tuple, i64)> for ZSet {
         z.extend_unconsolidated(iter);
         z.consolidate();
         z
+    }
+}
+
+/// Collects borrowed rows — a table's, read in place — cloning each tuple.
+impl<'a> FromIterator<(&'a Tuple, i64)> for ZSet {
+    fn from_iter<I: IntoIterator<Item = (&'a Tuple, i64)>>(iter: I) -> Self {
+        iter.into_iter().map(|(t, w)| (t.clone(), w)).collect()
+    }
+}
+
+/// Joins and aggregates take a `&ZSet` or a table's rows read in place alike.
+impl<'a> IntoIterator for &'a ZSet {
+    type Item = (&'a Tuple, i64);
+    type IntoIter = std::iter::Map<
+        std::collections::hash_map::Iter<'a, Tuple, i64>,
+        fn((&'a Tuple, &'a i64)) -> (&'a Tuple, i64),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(|(t, &w)| (t, w))
     }
 }
 
@@ -299,23 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn project_consolidates() {
-        let z = ZSet::from_tuples([tuple![1i64, "a"], tuple![1i64, "b"]]);
-        let p = z.project(&[0]);
-        assert_eq!(p.weight(&tuple![1i64]), 2);
-    }
-
-    #[test]
-    fn filter_preserves_weights() {
-        let mut z = ZSet::new();
-        z.add(tuple![1i64], 4);
-        z.add(tuple![2i64], 1);
-        let f = z.filter(|t| t.get(0).as_i64() == Some(1));
-        assert_eq!(f.weight(&tuple![1i64]), 4);
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
     fn byte_size_is_maintained_incrementally() {
         let mut z = ZSet::new();
         z.add(tuple![1i64, "ann"], 2);
@@ -328,7 +325,7 @@ mod tests {
         other.add(tuple![9i64, "zed"], 1);
         z.merge(&other);
         z.merge_owned(ZSet::from_tuples([tuple![10i64, "qq"]]));
-        let f = z.filter(|t| t.get(0).as_i64() != Some(9));
+        let f: ZSet = z.iter().filter(|(t, _)| t.get(0).as_i64() != Some(9)).collect();
         for set in [&z, &f] {
             let recomputed: usize = set.iter().map(|(t, _)| t.byte_size()).sum();
             assert_eq!(set.byte_size(), recomputed);

@@ -162,7 +162,7 @@ impl RelationProvider for AsOf<'_> {
 /// `id`'s MV table: its rows, the instant it was applied through and the
 /// MV's committed timestamp, which trails the first while a push lands but
 /// never leads it.
-pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(&ZSet, Timestamp, Timestamp), String> {
+pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(ZSet, Timestamp, Timestamp), String> {
     let e = |e: smile::types::SmileError| format!("MV of {id}: {e}");
     let (global, executor) = (smile.global_plan().ok_or("not installed")?, smile.executor.as_ref());
     let mv = global.plan.vertex(global.mv_vertex(id).map_err(e)?);
@@ -173,7 +173,7 @@ pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(&ZSet, Timestamp, Times
     if committed > applied {
         return Err(format!("MV of {id} committed as of {committed}, past its table's {applied}"));
     }
-    Ok((db.relation(slot).map_err(e)?.table.rows(), applied, committed))
+    Ok((db.relation(slot).map_err(e)?.table.rows().collect(), applied, committed))
 }
 
 /// Whether `id`'s MV equals ground truth as of its committed timestamp
@@ -182,7 +182,7 @@ pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(&ZSet, Timestamp, Times
 /// landing past that instant fails it unless no base changed since.
 pub fn exact(smile: &Smile, id: SharingId) -> Result<usize, String> {
     let got = mv_table(smile, id)?.0;
-    same(id, got, &smile.expected_mv_contents(id).map_err(|e| format!("MV of {id}: {e}"))?)
+    same(id, &got, &smile.expected_mv_contents(id).map_err(|e| format!("MV of {id}: {e}"))?)
 }
 
 /// [`exact`] mid-run, while a push may be landing: the table against ground
@@ -191,7 +191,7 @@ pub fn exact_in_flight(smile: &Smile, id: SharingId) -> Result<usize, String> {
     let e = |e: smile::types::SmileError| format!("MV of {id}: {e}");
     let (got, applied, _) = mv_table(smile, id)?;
     let want = smile.planned(id).map_err(e)?.query.evaluate(&AsOf(smile, applied)).map_err(e)?;
-    same(id, got, &want)
+    same(id, &got, &want)
 }
 
 /// `got`'s row count if it equals `want`. Rows are summarized, not printed:

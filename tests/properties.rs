@@ -284,8 +284,8 @@ proptest! {
             retried.snapshot_at(rel, from).unwrap().sorted_entries()
         );
         prop_assert_eq!(
-            once.relation(rel).unwrap().table.rows().cardinality(),
-            retried.relation(rel).unwrap().table.rows().cardinality()
+            once.relation(rel).unwrap().table.rows().collect::<ZSet>().cardinality(),
+            retried.relation(rel).unwrap().table.rows().collect::<ZSet>().cardinality()
         );
     }
 }
@@ -399,7 +399,7 @@ proptest! {
 
             // Snapshot of the right side *before* its delta lands, for the
             // scan path (the arrangement path reads it live instead).
-            let right_old = db.relation(right).unwrap().table.rows().clone();
+            let right_old: ZSet = db.relation(right).unwrap().table.rows().collect();
 
             // ΔL ⋈ R@old: probe the right arrangement before applying ΔR.
             let delta_arr_1 = probe_join(&dl_z, &db, right, &key_cols, true);
@@ -407,7 +407,7 @@ proptest! {
             // L@new ⋈ ΔR: probe the left arrangement after ΔL applied.
             let delta_arr_2 = probe_join(&dr_z, &db, left, &key_cols, false);
 
-            let left_new = db.relation(left).unwrap().table.rows().clone();
+            let left_new: ZSet = db.relation(left).unwrap().table.rows().collect();
             db.ingest(right, dr).map_err(|e| e.to_string())?;
 
             let mut delta_arr = delta_arr_1;
@@ -1247,7 +1247,7 @@ proptest! {
                 let (got, want) = read(&db, &model, k);
                 prop_assert_eq!(got, want, "after a step");
             }
-            prop_assert_eq!(db.relation(rel).unwrap().table.rows(), &model.1);
+            prop_assert_eq!(db.relation(rel).unwrap().table.rows().collect::<ZSet>(), model.1.clone());
         }
         for k in 0..6 {
             let (got, want) = read(&db, &model, k);
@@ -1367,7 +1367,7 @@ proptest! {
         // The view holds some of the window's groups and not others, and
         // (mostly) the rows the window deletes.
         let mut held = ZSet::new();
-        prior.into_iter().for_each(|(t, w)| held.add(t, w.abs()));
+        prior.into_iter().for_each(|(t, w)| _ = held.add(t, w.abs()));
         for ((t, w), &(_, _, ghost)) in rows.iter().zip(&marks) {
             if *w < 0 && ghost != 0 {
                 held.add(t.clone(), -w);

@@ -311,7 +311,8 @@ impl CpEval {
             let Some(edge) = plan.producer(v) else {
                 continue;
             };
-            if !plan.vertex(v).sharings.contains(&id) {
+            let out = plan.vertex(v);
+            if !out.sharings.contains(&id) {
                 // Mirrors the scope filter of the full sweep: the vertex
                 // contributes zero distance.
                 continue;
@@ -323,10 +324,10 @@ impl CpEval {
                 .collect();
             let lm = model.op_model(&edge.op);
             let mut a = lm.fixed.as_secs_f64();
-            let mut b = lm.per_tuple.as_secs_f64() * edge.est_rate.max(0.0);
+            let mut b = lm.per_tuple.as_secs_f64() * out.est_rate.max(0.0);
             if matches!(edge.op, EdgeOp::CopyDelta) {
                 a += model.net_latency.as_secs_f64();
-                b += edge.est_rate.max(0.0) * edge.est_tuple_bytes / model.net_bandwidth;
+                b += out.est_rate.max(0.0) * out.est_tuple_bytes / model.net_bandwidth;
             }
             // `edge_estimate` rounds to whole microseconds up to three
             // times (per-tuple term, wire term, inflation scaling); cover
@@ -347,8 +348,8 @@ impl CpEval {
             pos.insert(v, slot);
             edges.push(CpEdge {
                 op: edge.op.clone(),
-                est_rate: edge.est_rate,
-                est_tuple_bytes: edge.est_tuple_bytes,
+                est_rate: out.est_rate,
+                est_tuple_bytes: out.est_tuple_bytes,
                 inputs,
             });
             const_at.push(ac);

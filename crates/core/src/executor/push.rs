@@ -200,10 +200,8 @@ impl Job<'_> {
     /// Occupies the machine's CPU for the edge's service time over `n`
     /// tuples, charges it, and returns the simulated completion time.
     fn bill(&mut self, n: u64) -> Timestamp {
-        let edge = self.edge;
-        let service = self
-            .model
-            .edge_service(&edge.op, n as f64, edge.est_tuple_bytes);
+        let bytes = self.plan.vertex(self.edge.output).est_tuple_bytes;
+        let service = self.model.edge_service(&self.edge.op, n as f64, bytes);
         let (res, usage) = self.machine.run_cpu(self.start, service);
         self.charges.push(usage);
         res.end
@@ -544,7 +542,7 @@ mod tests {
         let vr = vertex(&mut plan, VertexKind::Relation, 1, M0, width);
         let vo = vertex(&mut plan, VertexKind::Delta, 2, M0, 2 * width);
         let e = plan
-            .add_edge(op, vec![vd, vr], vo, Predicate::True, None, 1.0, 32.0)
+            .add_edge(op, vec![vd, vr], vo, Predicate::True, None)
             .unwrap();
         let mut cluster = Cluster::homogeneous(1);
         let [d, r, o] = [0, 1, 2].map(RelationId::new);
@@ -761,15 +759,7 @@ mod tests {
         let vs = vertex(&mut plan, VertexKind::Delta, 0, m0, 2);
         let vd = vertex(&mut plan, VertexKind::Delta, 1, m1, 2);
         let e = plan
-            .add_edge(
-                EdgeOp::CopyDelta,
-                vec![vs],
-                vd,
-                Predicate::True,
-                None,
-                1.0,
-                16.0,
-            )
+            .add_edge(EdgeOp::CopyDelta, vec![vs], vd, Predicate::True, None)
             .unwrap();
         let edge = plan.edge(e).clone();
         let model = TimeCostModel::paper_defaults();

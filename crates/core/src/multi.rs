@@ -412,17 +412,9 @@ fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
     let mut out = g.clone();
     match p {
         Plumbing::Copy { src, dst } => {
-            let src_v = out.plan.vertex(*src).clone();
             out.plan.detach_producer(*dst);
-            out.plan.add_edge(
-                EdgeOp::CopyDelta,
-                vec![*src],
-                *dst,
-                Predicate::True,
-                None,
-                src_v.est_rate,
-                src_v.est_tuple_bytes,
-            )?;
+            out.plan
+                .add_edge(EdgeOp::CopyDelta, vec![*src], *dst, Predicate::True, None)?;
         }
         Plumbing::Join {
             dst,
@@ -483,8 +475,6 @@ fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
                         d,
                         Predicate::True,
                         None,
-                        delta_v.est_rate,
-                        delta_v.est_tuple_bytes,
                     )?;
                 }
                 ensure_acyclic(&out.plan, d)?;
@@ -513,8 +503,6 @@ fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
                     half_at_rel,
                     old_filter,
                     None,
-                    dst_v.est_rate,
-                    dst_v.est_tuple_bytes,
                 )?;
             }
             // Ship it to dst.
@@ -525,8 +513,6 @@ fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
                 *dst,
                 Predicate::True,
                 None,
-                dst_v.est_rate,
-                dst_v.est_tuple_bytes,
             )?;
         }
     }

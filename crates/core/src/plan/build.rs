@@ -158,8 +158,6 @@ impl<'a> PlanBuilder<'a> {
             dst,
             handle.pending_filter.clone(),
             None,
-            handle.rate,
-            handle.tuple_bytes,
         )?;
         Ok((dst, Predicate::True))
     }
@@ -248,7 +246,7 @@ impl<'a> PlanBuilder<'a> {
                 snapshot_filter: snapshot.pending_filter.clone(),
             };
             let inputs = vec![d_in, snapshot.rel];
-            plan.add_edge(op, inputs, d_half, filter, None, rate, out_bytes)?;
+            plan.add_edge(op, inputs, d_half, filter, None)?;
             halves.push((d_half, sig, rate));
         }
         // Both streams move to the output machine once both exist.
@@ -315,15 +313,7 @@ impl<'a> PlanBuilder<'a> {
             0.0,
             bytes,
         );
-        plan.add_edge(
-            EdgeOp::CopyDelta,
-            vec![delta],
-            dst,
-            Predicate::True,
-            None,
-            rate,
-            bytes,
-        )?;
+        plan.add_edge(EdgeOp::CopyDelta, vec![delta], dst, Predicate::True, None)?;
         Ok(dst)
     }
 
@@ -407,15 +397,7 @@ fn mv_step(
     } else {
         projection
     };
-    let edge = plan.add_edge(
-        op,
-        inputs,
-        out.delta,
-        filter,
-        riding,
-        out.rate,
-        out.tuple_bytes,
-    )?;
+    let edge = plan.add_edge(op, inputs, out.delta, filter, riding)?;
     if let Some(spec) = aggregate {
         plan.set_edge_aggregate(edge, spec);
     }
@@ -441,8 +423,6 @@ fn applied(plan: &mut Plan, mut handle: RelHandle) -> Result<RelHandle> {
         handle.rel,
         Predicate::True,
         None,
-        handle.rate,
-        handle.tuple_bytes,
     )?;
     Ok(handle)
 }

@@ -46,11 +46,12 @@ pub fn critical_path(plan: &Plan, scope: Scope, x_secs: f64, model: &TimeCostMod
         let Some(edge) = plan.producer(v) else {
             continue;
         };
-        if !scope.includes(&plan.vertex(v).sharings) {
+        let out = plan.vertex(v);
+        if !scope.includes(&out.sharings) {
             continue;
         }
-        let n = edge.est_rate * x_secs;
-        let w = model.edge_estimate(&edge.op, n, edge.est_tuple_bytes);
+        let n = out.est_rate * x_secs;
+        let w = model.edge_estimate(&edge.op, n, out.est_tuple_bytes);
         let arrive = edge
             .inputs
             .iter()
@@ -103,10 +104,11 @@ pub fn resource_rates_in<'p>(
         // CPU seconds consumed per second: marginal service time at the
         // steady arrival rate (fixed overheads amortize over batching and
         // are charged by the simulator, not the steady-state estimate).
+        let out = plan.vertex(e.output);
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
-        r.cpu_util += per_tuple * e.est_rate;
+        r.cpu_util += per_tuple * out.est_rate;
         if matches!(e.op, EdgeOp::CopyDelta) {
-            r.net_bytes_per_sec += e.est_rate * e.est_tuple_bytes;
+            r.net_bytes_per_sec += out.est_rate * out.est_tuple_bytes;
         }
     }
     for v in vertices {
@@ -186,7 +188,8 @@ pub fn edge_utilization<'a>(
     let mut load: HashMap<smile_types::MachineId, f64> = HashMap::new();
     for e in edges {
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
-        *load.entry(e.runs_on(plan)).or_default() += per_tuple * e.est_rate;
+        let rate = plan.vertex(e.output).est_rate;
+        *load.entry(e.runs_on(plan)).or_default() += per_tuple * rate;
     }
     load
 }
@@ -237,26 +240,10 @@ mod tests {
             1000.0,
             24.0,
         );
-        p.add_edge(
-            EdgeOp::CopyDelta,
-            vec![d0],
-            d1,
-            Predicate::True,
-            None,
-            rate,
-            24.0,
-        )
-        .unwrap();
-        p.add_edge(
-            EdgeOp::DeltaToRel,
-            vec![d1],
-            r1,
-            Predicate::True,
-            None,
-            rate,
-            24.0,
-        )
-        .unwrap();
+        p.add_edge(EdgeOp::CopyDelta, vec![d0], d1, Predicate::True, None)
+            .unwrap();
+        p.add_edge(EdgeOp::DeltaToRel, vec![d1], r1, Predicate::True, None)
+            .unwrap();
         // Everything off the base serves sharing 0.
         for v in [d1, r1] {
             p.vertex_mut(v).sharings.insert(SharingId::new(0));

@@ -209,13 +209,13 @@ impl Executor {
                 // critical-path evaluator with it.
                 self.global
                     .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
+                let old = &self.sharings[idx];
                 self.sharings[idx] = SharingRt::build(
                     &self.global.plan,
                     mig.id,
-                    self.sharings[idx].sla,
+                    (old.sla, old.penalty),
                     mig.new_mv,
-                    mig.new_srcs.clone(),
-                    mig.new_order.clone(),
+                    (mig.new_srcs.clone(), mig.new_order.clone()),
                     &self.model,
                 );
                 // The slot's projected wake was derived from the old

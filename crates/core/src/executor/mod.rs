@@ -179,6 +179,8 @@ pub struct PushRecord {
 struct SharingRt {
     id: SharingId,
     sla: SimDuration,
+    /// Dollars per late tuple, charged when the auditor finds the MV stale.
+    penalty: f64,
     mv: VertexId,
     /// Base Relation vertices feeding this sharing (`SRC(S_i)`).
     srcs: Vec<VertexId>,
@@ -192,13 +194,15 @@ struct SharingRt {
 }
 
 impl SharingRt {
+    /// The slot of sharing `id` under its contract's `(SLA, penalty per
+    /// late tuple)`, served at `mv` through the subgraph `(srcs, order)`
+    /// [`Executor::subgraph_of`] derives.
     fn build(
         plan: &Plan,
         id: SharingId,
-        sla: SimDuration,
+        (sla, penalty): (SimDuration, f64),
         mv: VertexId,
-        srcs: Vec<VertexId>,
-        order: Vec<VertexId>,
+        (srcs, order): (Vec<VertexId>, Vec<VertexId>),
         model: &TimeCostModel,
     ) -> Self {
         let mut machines: Vec<MachineId> = order
@@ -211,6 +215,7 @@ impl SharingRt {
         Self {
             id,
             sla,
+            penalty,
             mv,
             cp: CpEval::build(plan, id, &order, model),
             srcs,
@@ -484,16 +489,15 @@ impl Executor {
     /// due at the next planning pass.
     fn register(&mut self, s: &Sharing) -> Result<()> {
         let mv = self.global.mv_vertex(s.id)?;
-        let (srcs, order) = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
+        let subgraph = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
         self.rollup.register(s.id.0, s.staleness_sla.as_micros());
         self.by_id.insert(s.id, self.sharings.len());
         self.sharings.push(SharingRt::build(
             &self.global.plan,
             s.id,
-            s.staleness_sla,
+            (s.staleness_sla, s.penalty_per_tuple),
             mv,
-            srcs,
-            order,
+            subgraph,
             &self.model,
         ));
         self.cal.add_slot();
@@ -690,14 +694,17 @@ impl Executor {
             .map(|(_, rt)| rt)
     }
 
-    /// `(id, staleness at now, SLA)` of each sharing this executor
-    /// maintains (retired ones excluded), in slot order.
+    /// `(id, staleness at now, SLA, penalty per late tuple)` of each
+    /// sharing this executor maintains (retired ones excluded), in slot
+    /// order.
     pub fn staleness_by_sharing(
         &self,
         now: Timestamp,
-    ) -> impl Iterator<Item = (SharingId, SimDuration, SimDuration)> + '_ {
-        self.live_sharings()
-            .map(move |rt| (rt.id, now - self.visible_ts[rt.mv.index()], rt.sla))
+    ) -> impl Iterator<Item = (SharingId, SimDuration, SimDuration, f64)> + '_ {
+        self.live_sharings().map(move |rt| {
+            let staleness = now - self.visible_ts[rt.mv.index()];
+            (rt.id, staleness, rt.sla, rt.penalty)
+        })
     }
 
     /// Whether a push for the sharing is currently in flight.

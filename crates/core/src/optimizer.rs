@@ -36,7 +36,7 @@ use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use smile_sim::PriceSheet;
 use smile_storage::join::JoinOn;
-use smile_storage::spj::{SpjQuery, SpjStep};
+use smile_storage::spj::SpjStep;
 use smile_storage::{AggFunc, AggregateSpec};
 use smile_types::{MachineId, Result, SimDuration, SmileError, VertexId};
 use std::collections::HashMap;
@@ -50,8 +50,10 @@ pub enum Objective {
     Time,
 }
 
-/// A fully planned sharing: the plan, where its MV lives, the join order the
-/// plan implements, and the metrics the admission decision used.
+/// A fully planned sharing: the plan, where its MV lives, where the plan's
+/// join order puts the submitted query's columns, and the metrics the
+/// admission decision used. The sharing's submitted query stays the one
+/// definition of what the MV holds.
 #[derive(Clone, Debug)]
 pub struct PlannedSharing {
     /// The plan DAG (single-sharing; merge into the global plan to run).
@@ -60,10 +62,12 @@ pub struct PlannedSharing {
     pub mv: VertexId,
     /// The machine hosting the MV.
     pub mv_machine: MachineId,
-    /// The SPJ query in the join order the plan implements (predicates and
-    /// projection remapped); evaluating this against base snapshots yields
-    /// exactly the MV contents.
-    pub query: SpjQuery,
+    /// Where each output column of the submitted query sits in a stored MV
+    /// row, or `None` when a stored row is already in submitted order: a
+    /// declared projection (remapped in declared order), an aggregate (its
+    /// output does not depend on the join order) or a plan that joins in the
+    /// submitted order. Readers apply it; the plan never sees it.
+    pub columns: Option<Vec<usize>>,
     /// Critical time path `CP(p, 1)` of this plan.
     pub critical_path: SimDuration,
     /// Steady-state dollar cost per second (Eq. 1).
@@ -479,18 +483,17 @@ impl<'a> Optimizer<'a> {
         )
     }
 
-    /// Packages a winning candidate with its admission metrics and the
-    /// equivalent reordered query.
+    /// Packages a winning candidate with its admission metrics and where its
+    /// join order stores the submitted query's columns.
     fn finish(&self, s: &Search<'_>, cand: Candidate) -> Result<PlannedSharing> {
         cand.plan.validate()?;
-        let query = s.reordered_query(&cand.order)?;
         Ok(PlannedSharing {
             mv: cand.handle.rel,
             mv_machine: cand.handle.machine,
+            columns: s.stored_columns(&cand.order)?,
             critical_path: critical_path(&cand.plan, Scope::All, 1.0, self.model),
             dollar_cost: self.dollars(s.sharing, &cand.plan, &cand.handle),
             plan: cand.plan,
-            query,
         })
     }
 }
@@ -648,28 +651,16 @@ impl<'s> Search<'s> {
         }))
     }
 
-    /// Rebuilds the SPJ query in the join order `order` so that full
-    /// evaluation reproduces the plan's MV exactly.
-    fn reordered_query(&self, order: &[usize]) -> Result<SpjQuery> {
-        if order.len() == 1 {
-            return Ok(self.sharing.query.clone());
+    /// [`PlannedSharing::columns`] of the complete join order `order`: its
+    /// [`Search::column_map`] when the MV stores an unprojected join in
+    /// another order than the submitted one, else `None`.
+    fn stored_columns(&self, order: &[usize]) -> Result<Option<Vec<usize>>> {
+        let query = &self.sharing.query;
+        if query.projection.is_some() || query.aggregate.is_some() {
+            return Ok(None);
         }
-        let mut steps = Vec::with_capacity(order.len());
-        for (pos, &s) in order.iter().enumerate() {
-            steps.push(SpjStep {
-                relation: self.steps[s].relation,
-                predicate: self.steps[s].predicate.clone(),
-                join: match pos {
-                    0 => None,
-                    _ => Some(self.join_condition(&order[..pos], s)?),
-                },
-            });
-        }
-        Ok(SpjQuery {
-            steps,
-            projection: self.remapped_projection(order)?,
-            aggregate: self.remapped_aggregate(order)?,
-        })
+        let map = self.column_map(order)?;
+        Ok(map.iter().enumerate().any(|(i, &c)| i != c).then_some(map))
     }
 }
 
@@ -687,7 +678,7 @@ fn remap(map: &[usize], col: usize) -> Result<usize> {
 mod tests {
     use super::*;
     use crate::catalog::BaseStats;
-    use smile_storage::Predicate;
+    use smile_storage::{Predicate, SpjQuery};
     use smile_types::{Column, ColumnType, Schema, SharingId};
 
     /// users(uid, name) on m0; tweets(tid, uid) on m1; curloc(tid, lat) on m2.
@@ -835,24 +826,24 @@ mod tests {
     }
 
     #[test]
-    fn three_way_join_plans_and_reorders_consistently() {
+    fn three_way_join_stores_the_submitted_columns_or_says_where_they_are() {
         let cat = catalog();
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
-        let sharing = three_way();
+        let mut sharing = three_way();
         let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
         planned.plan.validate().unwrap();
-        // The reordered query covers the same base relations.
-        let mut orig: Vec<_> = sharing.query.sources();
-        let mut new: Vec<_> = planned.query.sources();
-        orig.sort();
-        new.sort();
-        assert_eq!(orig, new);
-        // Projection survives with the same arity.
-        assert_eq!(planned.query.projection.as_ref().map(Vec::len), Some(3));
-        // The plan's MV schema matches the projection arity.
+        // A declared projection is stored in declared order, whatever the
+        // join order.
+        assert_eq!(planned.columns, None);
         assert_eq!(planned.plan.vertex(planned.mv).schema.arity(), 3);
+        // Unprojected, a stored row holds every submitted column once.
+        sharing.query.projection = None;
+        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
+        let mut columns = planned.columns.unwrap_or_else(|| (0..6).collect());
+        columns.sort_unstable();
+        assert_eq!(columns, (0..6).collect::<Vec<_>>());
     }
 
     #[test]

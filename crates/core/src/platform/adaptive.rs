@@ -168,11 +168,7 @@ impl Smile {
         machines: Vec<MachineId>,
         pin: Option<MachineId>,
     ) -> Result<bool> {
-        let pos = self
-            .sharings
-            .iter()
-            .position(|s| s.id == id)
-            .ok_or(SmileError::UnknownSharing(id))?;
+        let pos = self.position(id)?;
         let executor = running(&self.executor)?;
         if executor.migrating(id) {
             return Ok(false);
@@ -232,9 +228,7 @@ impl Smile {
             let new_plan = self.pending_plans.remove(&o.id);
             let (sharing, from, to) = (o.id, o.from, o.to);
             let kind = if o.completed {
-                if let (Some(new_plan), Some(pos)) =
-                    (new_plan, self.sharings.iter().position(|s| s.id == o.id))
-                {
+                if let (Some(new_plan), Ok(pos)) = (new_plan, self.position(o.id)) {
                     self.planned[pos] = new_plan;
                 }
                 ActionKind::MigrationCompleted { sharing, from, to }

@@ -48,7 +48,9 @@ pub struct FaultReport {
 }
 
 impl Smile {
-    /// Current MV contents of a sharing.
+    /// Current MV contents of a sharing, in its submitted query's column
+    /// order whatever join order the plan serving it stores
+    /// ([`PlannedSharing::columns`](crate::optimizer::PlannedSharing::columns)).
     pub fn mv_contents(&self, id: SharingId) -> Result<ZSet> {
         let executor = running(&self.executor)?;
         let mv = executor.global.mv_vertex(id)?;
@@ -56,28 +58,25 @@ impl Smile {
         let slot = vert
             .slot
             .ok_or_else(|| SmileError::Internal("MV without slot".into()))?;
-        Ok(self
-            .cluster
-            .machine(vert.machine)?
-            .db
-            .relation(slot)?
-            .table
-            .rows()
-            .collect())
+        let db = &self.cluster.machine(vert.machine)?.db;
+        let rows = db.relation(slot)?.table.rows();
+        Ok(match &self.planned(id)?.columns {
+            Some(columns) => rows.map(|(row, w)| (row.project(columns), w)).collect(),
+            None => rows.collect(),
+        })
     }
 
-    /// Ground truth: what the MV *should* contain — the sharing's query
-    /// evaluated over base-relation snapshots as of the MV's committed
+    /// Ground truth: what the MV *should* contain — the sharing's submitted
+    /// query evaluated over base-relation snapshots as of the MV's committed
     /// timestamp.
     pub fn expected_mv_contents(&self, id: SharingId) -> Result<ZSet> {
         let at = running(&self.executor)?.mv_ts(id)?;
-        let planned = self.planned(id)?;
         let provider = AsOfProvider {
             cluster: &self.cluster,
             catalog: &self.catalog,
             at,
         };
-        planned.query.evaluate(&provider)
+        self.sharing(id)?.query.evaluate(&provider)
     }
 
     /// Dollars attributed to one sharing so far (resource share plus
@@ -245,11 +244,7 @@ impl Smile {
     #[allow(clippy::too_many_lines)]
     pub fn explain(&self, id: SharingId) -> Result<String> {
         use std::fmt::Write as _;
-        let sharing = self
-            .sharings
-            .iter()
-            .find(|s| s.id == id)
-            .ok_or(SmileError::UnknownSharing(id))?;
+        let sharing = self.sharing(id)?;
         let executor = running(&self.executor)?;
         let planned = self.planned(id)?;
         let (order, srcs) = executor

@@ -255,7 +255,6 @@ impl Smile {
             .record(started.elapsed().as_micros() as u64);
         self.planned.push(planned?);
         self.sharings.push(sharing);
-        self.snapshot.register_penalty(id, penalty_per_tuple);
         self.next_sharing += 1;
         Ok(id)
     }
@@ -620,7 +619,7 @@ impl Smile {
     /// are untouched — shared vertices keep running for them.
     pub fn retire(&mut self, id: SharingId) -> Result<()> {
         running_mut(&mut self.executor)?.remove_sharing(id)?;
-        if let Some(pos) = self.sharings.iter().position(|s| s.id == id) {
+        if let Ok(pos) = self.position(id) {
             self.sharings.remove(pos);
             self.planned.remove(pos);
         }
@@ -680,11 +679,18 @@ impl Smile {
 
     /// The chosen plan of a sharing.
     pub fn planned(&self, id: SharingId) -> Result<&PlannedSharing> {
-        self.sharings
-            .iter()
-            .position(|s| s.id == id)
-            .map(|i| &self.planned[i])
-            .ok_or(SmileError::UnknownSharing(id))
+        Ok(&self.planned[self.position(id)?])
+    }
+
+    /// An admitted sharing: its submitted query is what its MV holds.
+    fn sharing(&self, id: SharingId) -> Result<&Sharing> {
+        Ok(&self.sharings[self.position(id)?])
+    }
+
+    /// Where an admitted sharing sits in `sharings` and `planned`.
+    fn position(&self, id: SharingId) -> Result<usize> {
+        let pos = self.sharings.iter().position(|s| s.id == id);
+        pos.ok_or(SmileError::UnknownSharing(id))
     }
 }
 

@@ -46,8 +46,6 @@ pub struct SnapshotModule {
     last_tuples: u64,
     last_dollars: f64,
     last_tuples_per_sharing: HashMap<SharingId, u64>,
-    /// Per-tuple penalty per sharing (for violation charging).
-    penalties: HashMap<SharingId, f64>,
     /// All records, oldest first.
     pub records: Vec<SnapshotRecord>,
 }
@@ -66,14 +64,8 @@ impl SnapshotModule {
             last_tuples: 0,
             last_dollars: 0.0,
             last_tuples_per_sharing: HashMap::new(),
-            penalties: HashMap::new(),
             records: Vec::new(),
         }
-    }
-
-    /// Registers a sharing's per-tuple penalty for violation charging.
-    pub fn register_penalty(&mut self, id: SharingId, per_tuple: f64) {
-        self.penalties.insert(id, per_tuple);
     }
 
     /// Records an audit if one is due at `now`. Returns true when a record
@@ -92,7 +84,7 @@ impl SnapshotModule {
         cluster.sample_disks(now);
 
         let mut sharings = Vec::new();
-        for (id, staleness, sla) in executor.staleness_by_sharing(now) {
+        for (id, staleness, sla, penalty) in executor.staleness_by_sharing(now) {
             let violated = staleness > sla;
             if violated {
                 // Charge the per-tuple penalty on the tuples the sharing
@@ -100,8 +92,7 @@ impl SnapshotModule {
                 let moved_now = executor.tuples_per_sharing.get(&id).copied().unwrap_or(0);
                 let moved_last = self.last_tuples_per_sharing.get(&id).copied().unwrap_or(0);
                 let late = moved_now.saturating_sub(moved_last).max(1);
-                let pens = self.penalties.get(&id).copied().unwrap_or(0.0);
-                cluster.ledger.charge_penalty(id, pens * late as f64);
+                cluster.ledger.charge_penalty(id, penalty * late as f64);
             }
             sharings.push(SharingSnapshot {
                 id,
@@ -267,8 +258,7 @@ mod tests {
 
     #[test]
     fn custom_period_respected() {
-        let mut m = SnapshotModule::with_period(SimDuration::from_secs(2));
-        m.register_penalty(SharingId::new(1), 0.001);
+        let m = SnapshotModule::with_period(SimDuration::from_secs(2));
         assert!(m.records.is_empty());
         assert_eq!(m.violations_total(), 0);
         assert_eq!(m.violations_per_sharing_hour(), 0.0);

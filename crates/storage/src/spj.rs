@@ -7,10 +7,11 @@
 //! enumerates (§6.1 builds join sequences `R` one base relation at a time).
 //!
 //! [`SpjQuery::evaluate`] computes the query from scratch against relation
-//! snapshots. The platform never uses it on the hot path — views are
-//! maintained incrementally — but it is the ground truth that the test suite
-//! compares incremental maintenance against, and the seed used when a new
-//! sharing's MV is first materialized.
+//! snapshots. The platform never uses it to maintain or seed a view — views
+//! are maintained incrementally, and a new vertex is seeded from its plan
+//! signature (`smile-core`'s `executor::seed::eval_sig`) — but the submitted
+//! query evaluated this way is the ground truth every MV is compared
+//! against, in the submitted column order.
 
 use crate::aggregate::AggregateSpec;
 use crate::join::{join_zsets, JoinOn};

@@ -513,7 +513,8 @@ mod tests {
                 let now = model(t.ts());
                 prop_assert_eq!(t.rows().count(), now.len(), "each row once");
                 prop_assert_eq!(t.rows().collect::<ZSet>(), now.clone());
-                prop_assert_eq!((t.len(), t.byte_size()), (now.len(), now.byte_size()));
+                let bytes = now.iter().map(|(row, _)| row.byte_size()).sum::<usize>();
+                prop_assert_eq!((t.len(), t.byte_size()), (now.len(), bytes));
                 prop_assert!(t.arrangements.is_empty() || t.rows.is_empty(), "a second row map");
                 for arr in t.arrangements() {
                     prop_assert_eq!(arr.contents(), Arrangement::build(arr.on().clone(), &now).contents());

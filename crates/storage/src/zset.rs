@@ -23,10 +23,6 @@ pub enum RowChange {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ZSet {
     entries: FastMap<Tuple, i64>,
-    /// Sum of `Tuple::byte_size` over stored keys, maintained incrementally
-    /// on every insert/remove so [`ZSet::byte_size`] is O(1). A pure
-    /// function of `entries`, so the derived `PartialEq` stays consistent.
-    bytes: usize,
 }
 
 impl ZSet {
@@ -39,7 +35,6 @@ impl ZSet {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             entries: FastMap::with_capacity_and_hasher(n, Default::default()),
-            bytes: 0,
         }
     }
 
@@ -63,16 +58,13 @@ impl ZSet {
             Entry::Occupied(mut e) => {
                 let w = *e.get() + weight;
                 if w == 0 {
-                    let sz = e.key().byte_size();
                     e.remove();
-                    self.bytes -= sz;
                     return RowChange::Vanished;
                 }
                 *e.get_mut() = w;
                 RowChange::Reweighted
             }
             Entry::Vacant(e) => {
-                self.bytes += e.key().byte_size();
                 e.insert(weight);
                 RowChange::Appeared
             }
@@ -122,7 +114,6 @@ impl ZSet {
             match self.entries.get_mut(t) {
                 Some(s) => *s += w,
                 None => {
-                    self.bytes += t.byte_size();
                     self.entries.insert(t.clone(), w);
                 }
             }
@@ -134,20 +125,9 @@ impl ZSet {
     pub fn merge_owned(&mut self, other: ZSet) {
         if self.entries.is_empty() {
             self.entries = other.entries;
-            self.bytes = other.bytes;
             return;
         }
-        self.entries.reserve(other.entries.len());
-        use std::collections::hash_map::Entry;
-        for (t, w) in other.entries {
-            match self.entries.entry(t) {
-                Entry::Occupied(mut e) => *e.get_mut() += w,
-                Entry::Vacant(e) => {
-                    self.bytes += e.key().byte_size();
-                    e.insert(w);
-                }
-            }
-        }
+        self.extend_unconsolidated(other.entries);
         self.consolidate();
     }
 
@@ -176,42 +156,17 @@ impl ZSet {
     ///
     /// [`consolidate`]: ZSet::consolidate
     pub fn extend_unconsolidated<I: IntoIterator<Item = (Tuple, i64)>>(&mut self, pairs: I) {
-        use std::collections::hash_map::Entry;
         let pairs = pairs.into_iter();
         self.entries.reserve(pairs.size_hint().0);
         for (t, w) in pairs {
-            match self.entries.entry(t) {
-                Entry::Occupied(mut e) => *e.get_mut() += w,
-                Entry::Vacant(e) => {
-                    self.bytes += e.key().byte_size();
-                    e.insert(w);
-                }
-            }
+            *self.entries.entry(t).or_insert(0) += w;
         }
     }
 
     /// Restores the invariant that weight-zero entries are never stored, in
     /// place (single sweep, no clones).
     pub fn consolidate(&mut self) {
-        let mut removed = 0usize;
-        self.entries.retain(|t, w| {
-            if *w == 0 {
-                removed += t.byte_size();
-                false
-            } else {
-                true
-            }
-        });
-        self.bytes -= removed;
-    }
-
-    /// Total payload bytes across entries (weights ignored); used by the
-    /// resource meters. O(1): the sum is maintained incrementally as entries
-    /// are inserted and removed, so per-batch stat refreshes no longer scan
-    /// the whole relation (the old O(rows × values) walk dominated ingest
-    /// wall time at fig5 scale).
-    pub fn byte_size(&self) -> usize {
-        self.bytes
+        self.entries.retain(|_, w| *w != 0);
     }
 
     /// Returns the entries as a sorted vector — deterministic order for
@@ -310,26 +265,6 @@ mod tests {
         assert_eq!(z.weight(&tuple![1i64]), -3);
         assert_eq!(z.weight(&tuple![2i64]), 1);
         assert_eq!(z.len(), 2);
-    }
-
-    #[test]
-    fn byte_size_is_maintained_incrementally() {
-        let mut z = ZSet::new();
-        z.add(tuple![1i64, "ann"], 2);
-        z.add(tuple![2i64, "bobby"], 1);
-        z.add(tuple![1i64, "ann"], -2); // cancels → bytes reclaimed
-        z.extend_unconsolidated([(tuple![3i64, "c"], 1), (tuple![3i64, "c"], -1)]);
-        z.consolidate();
-        let mut other = ZSet::new();
-        other.add(tuple![2i64, "bobby"], 4);
-        other.add(tuple![9i64, "zed"], 1);
-        z.merge(&other);
-        z.merge_owned(ZSet::from_tuples([tuple![10i64, "qq"]]));
-        let f: ZSet = z.iter().filter(|(t, _)| t.get(0).as_i64() != Some(9)).collect();
-        for set in [&z, &f] {
-            let recomputed: usize = set.iter().map(|(t, _)| t.byte_size()).sum();
-            assert_eq!(set.byte_size(), recomputed);
-        }
     }
 
     fn arb_zset() -> impl Strategy<Value = ZSet> {

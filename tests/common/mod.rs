@@ -159,9 +159,10 @@ impl RelationProvider for AsOf<'_> {
     }
 }
 
-/// `id`'s MV table: its rows, the instant it was applied through and the
-/// MV's committed timestamp, which trails the first while a push lands but
-/// never leads it.
+/// `id`'s MV table: its rows as readers see them (`Smile::mv_contents`, in
+/// the submitted query's column order), the instant it was applied through
+/// and the MV's committed timestamp, which trails the first while a push
+/// lands but never leads it.
 pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(ZSet, Timestamp, Timestamp), String> {
     let e = |e: smile::types::SmileError| format!("MV of {id}: {e}");
     let (global, executor) = (smile.global_plan().ok_or("not installed")?, smile.executor.as_ref());
@@ -173,7 +174,7 @@ pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(ZSet, Timestamp, Timest
     if committed > applied {
         return Err(format!("MV of {id} committed as of {committed}, past its table's {applied}"));
     }
-    Ok((db.relation(slot).map_err(e)?.table.rows().collect(), applied, committed))
+    Ok((smile.mv_contents(id).map_err(e)?, applied, committed))
 }
 
 /// Whether `id`'s MV equals ground truth as of its committed timestamp
@@ -185,13 +186,13 @@ pub fn exact(smile: &Smile, id: SharingId) -> Result<usize, String> {
     same(id, &got, &smile.expected_mv_contents(id).map_err(|e| format!("MV of {id}: {e}"))?)
 }
 
-/// [`exact`] mid-run, while a push may be landing: the table against ground
-/// truth as of the instant it was applied through.
+/// [`exact`] mid-run, while a push may be landing: the table against the
+/// submitted query evaluated as of the instant it was applied through.
 pub fn exact_in_flight(smile: &Smile, id: SharingId) -> Result<usize, String> {
-    let e = |e: smile::types::SmileError| format!("MV of {id}: {e}");
     let (got, applied, _) = mv_table(smile, id)?;
-    let want = smile.planned(id).map_err(e)?.query.evaluate(&AsOf(smile, applied)).map_err(e)?;
-    same(id, &got, &want)
+    let sharing = smile.sharings().iter().find(|s| s.id == id).ok_or("not admitted")?;
+    let want = sharing.query.evaluate(&AsOf(smile, applied));
+    same(id, &got, &want.map_err(|e| format!("MV of {id}: {e}"))?)
 }
 
 /// `got`'s row count if it equals `want`. Rows are summarized, not printed:

@@ -202,8 +202,8 @@ fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
 #[test]
 fn default_engine_observables_match_pinned_digests() {
     let pinned: [(bool, u64); 2] = [
-        (false, 0x3002_20c7_f265_8ed7),
-        (true, 0xc0af_f0cf_7903_a62d),
+        (false, 0x7efb_a1a9_3a2f_d52f),
+        (true, 0x2e2e_c5e2_3742_b315),
     ];
     let got = pinned.map(|(chaos, _)| {
         let r = Cell {

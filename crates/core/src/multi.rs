@@ -15,12 +15,14 @@
 //! minus the new edges' cost) is positive and no sharing's critical time
 //! path grows beyond its SLA. The [`hill_climb`] pass applies the
 //! best-benefit plumbing repeatedly until none remains — the `+HC` variants
-//! of the evaluation (Figures 12–13). It weighs a candidate on the rewired
-//! plan and garbage-collects only a candidate it is about to keep.
+//! of the evaluation (Figures 12–13). It scores each candidate on the global
+//! plan itself — rewire in place, cost what still reaches an MV, undo — and
+//! clones, SLA-tests and garbage-collects only a candidate about to become
+//! the best so far.
 
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::{critical_path, res_cost, resource_rates_in, Scope};
-use crate::plan::dag::{EdgeOp, Plan, VertexKind};
+use crate::plan::dag::{EdgeOp, Plan, Undo, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
@@ -84,6 +86,12 @@ impl GlobalPlan {
             .iter()
             .find(|m| m.id == id)
             .ok_or(SmileError::UnknownSharing(id))?;
+        self.mv_of(meta)
+    }
+
+    /// Where `meta`'s MV is in the plan.
+    fn mv_of(&self, meta: &SharingMeta) -> Result<VertexId> {
+        let id = meta.id;
         self.plan
             .find_vertex(VertexKind::Relation, &meta.mv_sig, meta.mv_machine)
             .ok_or_else(|| SmileError::Internal(format!("MV vertex of {id} lost from global plan")))
@@ -228,17 +236,24 @@ impl GlobalPlan {
                 .clear();
         }
         for i in 0..self.sharings.len() {
-            let meta = &self.sharings[i];
-            let id = meta.id;
-            let mv = self
-                .plan
-                .find_vertex(VertexKind::Relation, &meta.mv_sig, meta.mv_machine)
-                .ok_or_else(|| {
-                    SmileError::Internal(format!("MV of {id} missing during SHR rebuild"))
-                })?;
-            self.serve(mv, id);
+            let mv = self.mv_of(&self.sharings[i])?;
+            self.serve(mv, self.sharings[i].id);
         }
         Ok(())
+    }
+
+    /// `served[v]` iff `v` is the MV in `mvs` or upstream of one: whether
+    /// [`GlobalPlan::recompute_shr`] would leave `SHR(v)` non-empty, read
+    /// without writing a set.
+    fn served_mask(&self, mvs: &[VertexId]) -> Vec<bool> {
+        let mut served = vec![false; self.plan.vertex_count()];
+        let mut stack = mvs.to_vec();
+        while let Some(v) = stack.pop() {
+            if !std::mem::replace(&mut served[v.index()], true) {
+                stack.extend(self.plan.producer(v).iter().flat_map(|e| &e.inputs));
+            }
+        }
+        served
     }
 
     /// The provider's total steady-state dollar rate for running `D`.
@@ -367,10 +382,12 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
             if rel.machine == dst.machine {
                 continue; // that is what the current producer already does
             }
+            // Neither source may be downstream of dst.
+            if g.plan.ancestors(rel_v).0.contains(&dst.id) {
+                continue;
+            }
             for delta_v in peers(VertexKind::Delta, delta_sig) {
-                let (anc_r, _) = g.plan.ancestors(rel_v);
-                let (anc_d, _) = g.plan.ancestors(delta_v);
-                if anc_r.contains(&dst.id) || anc_d.contains(&dst.id) || delta_v == dst.id {
+                if delta_v == dst.id || g.plan.ancestors(delta_v).0.contains(&dst.id) {
                     continue;
                 }
                 out.push(Plumbing::Join {
@@ -388,153 +405,146 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
 /// rewired (SHR-recomputed, garbage-collected) result. Fails when the
 /// rewiring is structurally impossible.
 pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
-    materialize(rewire(g, p)?.0)
+    materialize(rewired_clone(g, p)?)
 }
 
-/// The second half of [`apply_plumbing`]: drops what the rewiring left
-/// unserved and checks the result. Hill climbing pays this only for a
-/// candidate it is about to keep.
+/// A clone of `g` with `p` rewired in and every `SHR` set recomputed: the
+/// replaced supply chain is still there, serving nothing.
+fn rewired_clone(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
+    let mut out = g.clone();
+    rewire(&mut out.plan, p)?;
+    out.recompute_shr()?;
+    Ok(out)
+}
+
+/// The last step of [`apply_plumbing`]: drops what the rewiring left
+/// unserved and checks the result.
 fn materialize(mut rewired: GlobalPlan) -> Result<GlobalPlan> {
     rewired.plan = rewired.plan.garbage_collect()?;
     rewired.plan.validate()?;
     Ok(rewired)
 }
 
-/// The first half of [`apply_plumbing`]: rewires a clone of the global plan
-/// and recomputes its `SHR` sets, leaving the replaced supply chain in place
-/// but unserved. Also returns the rewired plan's topological order — the
-/// order [`Plan::garbage_collect`] would renumber its vertices in.
-// Long because its copy and join stanzas are not the plan builder's: each
-// guards on `producer(..).is_none()` and checks acyclicity against a plan
-// that may already hold the vertex, so they cannot call it.
-#[allow(clippy::too_many_lines)]
-fn rewire(g: &GlobalPlan, p: &Plumbing) -> Result<(GlobalPlan, Vec<VertexId>)> {
-    let mut out = g.clone();
-    match p {
+/// Rewires `plan` in place: re-feeds the plumbing's destination, leaving the
+/// replaced supply chain in place and every `SHR` set as it was. Returns the
+/// record [`Plan::undo`] takes the rewiring back with, and the rewired
+/// plan's topological order — the order [`Plan::garbage_collect`] would
+/// renumber its vertices in. A refused rewiring (a cycle, a producer
+/// conflict, a join plumbing onto a vertex no join produces) undoes itself
+/// before it returns its error, so no caller sees a half-rewired plan.
+fn rewire(plan: &mut Plan, p: &Plumbing) -> Result<(Undo, Vec<VertexId>)> {
+    let mut undo = plan.undo_point();
+    let rewired = match *p {
         Plumbing::Copy { src, dst } => {
-            out.plan.detach_producer(*dst);
-            out.plan
-                .add_edge(EdgeOp::CopyDelta, vec![*src], *dst, Predicate::True, None)?;
+            plan.detach_producer(dst, &mut undo);
+            plan.add_edge(EdgeOp::CopyDelta, vec![src], dst, Predicate::True, None).map(|_| ())
         }
         Plumbing::Join {
             dst,
             delta_src,
             rel_src,
-        } => {
-            let dst_v = out.plan.vertex(*dst).clone();
-            let rel_v = out.plan.vertex(*rel_src).clone();
-            let delta_v = out.plan.vertex(*delta_src).clone();
-            // Recover the join parameters from dst's current producer.
-            let producer = out
-                .plan
-                .producer(*dst)
-                .ok_or_else(|| SmileError::InvalidPlan("join plumbing on source vertex".into()))?;
-            let EdgeOp::Join {
-                on,
-                delta_side,
-                snapshot_filter,
-            } = producer.op.clone()
-            else {
-                return Err(SmileError::InvalidPlan(
-                    "join plumbing target is not produced by a Join".into(),
-                ));
-            };
-            let old_filter = producer.filter.clone();
-
-            // Bring the delta stream to the relation's machine. Vertex
-            // creation dedups on (kind, sig, machine): an existing vertex
-            // may sit *downstream* of `dst`, in which case wiring through
-            // it would close a cycle — reject such candidates.
-            let ensure_acyclic = |plan: &crate::plan::dag::Plan, v: smile_types::VertexId| {
-                let (anc, _) = plan.ancestors(v);
-                if anc.contains(dst) {
-                    Err(SmileError::InvalidPlan(
-                        "join plumbing would create a cycle".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
-            };
-            let local_delta = if delta_v.machine == rel_v.machine {
-                *delta_src
-            } else {
-                let d = out.plan.add_vertex(
-                    VertexKind::Delta,
-                    delta_v.sig.clone(),
-                    rel_v.machine,
-                    delta_v.schema.clone(),
-                    false,
-                    delta_v.est_rate,
-                    0.0,
-                    delta_v.est_tuple_bytes,
-                );
-                if out.plan.producer(d).is_none() {
-                    out.plan.add_edge(
-                        EdgeOp::CopyDelta,
-                        vec![*delta_src],
-                        d,
-                        Predicate::True,
-                        None,
-                    )?;
-                }
-                ensure_acyclic(&out.plan, d)?;
-                d
-            };
-            // Compute the half-join at the relation's machine.
-            let half_at_rel = out.plan.add_vertex(
-                VertexKind::Delta,
-                dst_v.sig.clone(),
-                rel_v.machine,
-                dst_v.schema.clone(),
-                false,
-                dst_v.est_rate,
-                0.0,
-                dst_v.est_tuple_bytes,
-            );
-            ensure_acyclic(&out.plan, half_at_rel)?;
-            if out.plan.producer(half_at_rel).is_none() {
-                out.plan.add_edge(
-                    EdgeOp::Join {
-                        on,
-                        delta_side,
-                        snapshot_filter,
-                    },
-                    vec![local_delta, *rel_src],
-                    half_at_rel,
-                    old_filter,
-                    None,
-                )?;
-            }
-            // Ship it to dst.
-            out.plan.detach_producer(*dst);
-            out.plan.add_edge(
-                EdgeOp::CopyDelta,
-                vec![half_at_rel],
-                *dst,
-                Predicate::True,
-                None,
-            )?;
+        } => join_plumbing(plan, dst, delta_src, rel_src, &mut undo),
+    };
+    // Errors on any cycle the rewiring may have introduced.
+    match rewired.and_then(|()| plan.topo_order()) {
+        Ok(order) => Ok((undo, order)),
+        Err(e) => {
+            plan.undo(undo);
+            Err(e)
         }
     }
-    // Errors on any cycle the rewiring may have introduced.
-    let order = out.plan.topo_order()?;
-    out.recompute_shr()?;
-    Ok((out, order))
 }
 
-/// What [`GlobalPlan::total_cost`] will report once `rewired` is collected,
-/// to the bit: the same elements (those still serving a sharing) summed in
-/// the same order (edges in edge order, stored bytes in the order
+/// The join half of [`rewire`]: computes half-join `dst` at `rel_src`'s
+/// machine, from `rel_src` and `delta_src` copied there if needed, and ships
+/// it to `dst`. Not the plan builder's steps: each guards on
+/// `producer(..).is_none()` and checks acyclicity against a plan that may
+/// already hold the vertex.
+fn join_plumbing(
+    plan: &mut Plan,
+    dst: VertexId,
+    delta_src: VertexId,
+    rel_src: VertexId,
+    undo: &mut Undo,
+) -> Result<()> {
+    // Recover the join parameters from dst's current producer.
+    let producer = plan
+        .producer(dst)
+        .ok_or_else(|| SmileError::InvalidPlan("join plumbing on source vertex".into()))?;
+    let EdgeOp::Join {
+        on,
+        delta_side,
+        snapshot_filter,
+    } = producer.op.clone()
+    else {
+        return Err(SmileError::InvalidPlan(
+            "join plumbing target is not produced by a Join".into(),
+        ));
+    };
+    let old_filter = producer.filter.clone();
+    let rel_machine = plan.vertex(rel_src).machine;
+    // Delta vertex `like` on `rel_machine`: the one already there, if any.
+    let delta_at_rel = |plan: &mut Plan, like: VertexId| {
+        let v = plan.vertex(like);
+        let (sig, schema) = (v.sig.clone(), v.schema.clone());
+        let (rate, bytes) = (v.est_rate, v.est_tuple_bytes);
+        plan.add_vertex(VertexKind::Delta, sig, rel_machine, schema, false, rate, 0.0, bytes)
+    };
+    // Vertex creation dedups on (kind, sig, machine): an existing vertex may
+    // sit *downstream* of `dst`, in which case wiring through it would close
+    // a cycle — reject such candidates.
+    let ensure_acyclic = |plan: &Plan, v: VertexId| {
+        if plan.ancestors(v).0.contains(&dst) {
+            Err(SmileError::InvalidPlan(
+                "join plumbing would create a cycle".into(),
+            ))
+        } else {
+            Ok(())
+        }
+    };
+    // Bring the delta stream to the relation's machine.
+    let local_delta = if plan.vertex(delta_src).machine == rel_machine {
+        delta_src
+    } else {
+        let d = delta_at_rel(plan, delta_src);
+        if plan.producer(d).is_none() {
+            plan.add_edge(EdgeOp::CopyDelta, vec![delta_src], d, Predicate::True, None)?;
+        }
+        ensure_acyclic(plan, d)?;
+        d
+    };
+    // Compute the half-join at the relation's machine.
+    let half_at_rel = delta_at_rel(plan, dst);
+    ensure_acyclic(plan, half_at_rel)?;
+    if plan.producer(half_at_rel).is_none() {
+        let op = EdgeOp::Join {
+            on,
+            delta_side,
+            snapshot_filter,
+        };
+        plan.add_edge(op, vec![local_delta, rel_src], half_at_rel, old_filter, None)?;
+    }
+    // Ship it to dst.
+    plan.detach_producer(dst, undo);
+    plan.add_edge(EdgeOp::CopyDelta, vec![half_at_rel], dst, Predicate::True, None)?;
+    Ok(())
+}
+
+/// What [`GlobalPlan::total_cost`] will report once `g`'s rewired plan has
+/// its `SHR` sets recomputed and is collected, to the bit: the same elements
+/// (those upstream of an MV in `mvs`, which is what collection keeps) summed
+/// in the same order (edges in edge order, stored bytes in the order
 /// collection renumbers vertices, which is `order`).
 fn served_cost(
-    rewired: &GlobalPlan,
+    g: &GlobalPlan,
+    mvs: &[VertexId],
     order: &[VertexId],
     model: &TimeCostModel,
     prices: &PriceSheet,
 ) -> f64 {
-    let plan = &rewired.plan;
-    let vertices = order.iter().map(|&v| plan.vertex(v));
-    let r = resource_rates_in(plan, vertices, Scope::Served, model);
+    let served = g.served_mask(mvs);
+    let vertices = order.iter().map(|&v| g.plan.vertex(v));
+    let r = resource_rates_in(&g.plan, vertices, |v| served[v.id.index()], model);
     prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
 }
 
@@ -567,6 +577,10 @@ pub fn hill_climb_filtered(
     )];
     for _ in 0..max_iterations {
         let current_cost = g.total_cost(model, prices);
+        // Rewiring appends only delta vertices: the MVs stay where they are
+        // while candidates are scored.
+        let mvs = g.sharings.iter().map(|m| g.mv_of(m));
+        let Ok(mvs) = mvs.collect::<Result<Vec<_>>>() else { break };
         let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
         // Enumeration rebuilds its peer lists each iteration: plumbing and
         // garbage collection remap vertex ids.
@@ -574,15 +588,22 @@ pub fn hill_climb_filtered(
             if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
                 continue;
             }
-            let Ok((next, order)) = rewire(g, &cand) else {
+            // A candidate is scored on the plan itself and taken back; only
+            // one about to become the best so far is rewired on a clone,
+            // SLA-tested and collected.
+            let Ok((undo, order)) = rewire(&mut g.plan, &cand) else {
                 continue;
             };
-            // A candidate is costed and SLA-tested as rewired — neither
-            // reads an unserved element — and collected only if it would
-            // become the best so far.
-            let benefit = current_cost - served_cost(&next, &order, model, prices);
+            let benefit = current_cost - served_cost(g, &mvs, &order, model, prices);
+            g.plan.undo(undo);
             let improves = best.as_ref().is_none_or(|(b, _, _)| benefit > *b);
-            if benefit <= 1e-15 || !improves || !next.all_slas_hold(model) {
+            if benefit <= 1e-15 || !improves {
+                continue;
+            }
+            let Ok(next) = rewired_clone(g, &cand) else {
+                continue;
+            };
+            if !next.all_slas_hold(model) {
                 continue;
             }
             if let Ok(next) = materialize(next) {
@@ -708,6 +729,31 @@ mod tests {
         (g, model, prices)
     }
 
+    /// Richer than [`setup`]: both joins and the three-way join, each with
+    /// its MV pinned on every machine, so supply chains cross and a vertex
+    /// feeds several consumers.
+    fn climb_fixture() -> (GlobalPlan, TimeCostModel, PriceSheet) {
+        let cat = catalog();
+        let model = TimeCostModel::paper_defaults();
+        let prices = PriceSheet::ec2_cross_zone();
+        let machines: Vec<_> = (0..3).map(MachineId::new).collect();
+        let opt = Optimizer::new(&cat, machines.clone(), &model, &prices);
+        let users = SpjQuery::scan(RelationId::new(0));
+        let tweets = users.clone().join(RelationId::new(1), JoinOn::on(0, 1), Predicate::True);
+        let socnet = users.join(RelationId::new(2), JoinOn::on(0, 0), Predicate::True);
+        let both = tweets.clone().join(RelationId::new(2), JoinOn::on(0, 0), Predicate::True);
+        let mut g = GlobalPlan::new();
+        for (i, q) in [tweets, socnet, both].iter().enumerate() {
+            for &m in &machines {
+                let id = (3 * i) as u32 + m.index() as u32 + 1;
+                let s = sharing(id, q.clone(), 45);
+                let planned = opt.plan_admission(&s, HashMap::new(), Some(m)).unwrap();
+                g.merge(&s, &planned).unwrap();
+            }
+        }
+        (g, model, prices)
+    }
+
     #[test]
     fn merge_dedups_identical_subplans() {
         let (g, _, _) = setup();
@@ -784,18 +830,28 @@ mod tests {
         }
     }
 
-    /// The hill climb costs and SLA-tests a candidate as rewired and
-    /// collects it only if it wins: both readings must equal the collected
-    /// plan's, the cost to the bit (it breaks ties between candidates).
+    /// The hill climb scores a candidate on the plan rewired in place, from
+    /// the served mask, and clones, SLA-tests and collects it only if it
+    /// wins: the mask must be what `recompute_shr` would write, the score
+    /// the collected plan's cost to the bit (it breaks ties between
+    /// candidates), and the SLA verdict on the uncollected clone the
+    /// collected plan's.
     #[test]
     fn rewired_cost_and_sla_verdict_equal_the_collected_plans() {
-        let (g, model, prices) = setup();
+        let (mut g, model, prices) = setup();
+        let mvs: Vec<_> = g.sharings.iter().map(|m| g.mv_of(m).unwrap()).collect();
         let (mut checked, mut shrunk) = (0, 0);
         for cand in enumerate_plumbings(&g) {
-            let Ok((rewired, order)) = rewire(&g, &cand) else {
+            let Ok((undo, order)) = rewire(&mut g.plan, &cand) else {
                 continue;
             };
-            let before = served_cost(&rewired, &order, &model, &prices);
+            let served = g.served_mask(&mvs);
+            let before = served_cost(&g, &mvs, &order, &model, &prices);
+            g.plan.undo(undo);
+            let rewired = rewired_clone(&g, &cand).unwrap();
+            let vertices = rewired.plan.vertices().iter();
+            let shr: Vec<bool> = vertices.map(|v| !v.sharings.is_empty()).collect();
+            assert_eq!(served, shr, "{cand:?}");
             let holds = rewired.all_slas_hold(&model);
             let uncollected = rewired.plan.vertex_count();
             let Ok(next) = materialize(rewired) else {
@@ -808,6 +864,66 @@ mod tests {
             shrunk += usize::from(next.plan.vertex_count() < uncollected);
         }
         assert!(checked > 0 && shrunk > 0, "{checked} candidates, {shrunk} left garbage");
+    }
+
+    /// Everything of a plan a rewiring may touch and its undo must restore:
+    /// the rendering, the topological order, every consumer list in order,
+    /// the index entry of every vertex, and the counts.
+    fn fingerprint(plan: &Plan) -> String {
+        let vertices = plan.vertices().iter();
+        let consumers: Vec<Vec<usize>> =
+            vertices.clone().map(|v| plan.consumers(v.id).map(|e| e.id).collect()).collect();
+        let indexed: Vec<_> =
+            vertices.map(|v| plan.find_vertex(v.kind, &v.sig, v.machine)).collect();
+        let order = plan.topo_order().unwrap();
+        let counts = (plan.vertex_count(), plan.edge_count());
+        format!("{};{order:?};{consumers:?};{indexed:?};{counts:?}", plan.canonical_string())
+    }
+
+    /// `rewire` then `undo` leaves the plan exactly as it was, for every
+    /// candidate of every iteration of a climb, and a refused rewiring
+    /// leaves it so by itself. Some detached producer stands before another
+    /// consumer of one of its inputs, so putting it back at the end of the
+    /// list would change the topological order.
+    #[test]
+    fn rewire_then_undo_leaves_the_plan_as_it_was() {
+        let (mut g, model, prices) = climb_fixture();
+        let (mut undone, mut refused, mut mid_list) = (0, 0, 0);
+        loop {
+            for cand in enumerate_plumbings(&g) {
+                let (before, count) = (fingerprint(&g.plan), g.plan.vertex_count());
+                let (Plumbing::Copy { dst, .. } | Plumbing::Join { dst, .. }) = cand;
+                let not_last = g.plan.producer(dst).is_some_and(|e| {
+                    e.inputs.iter().any(|&i| {
+                        let ids: Vec<usize> = g.plan.consumers(i).map(|c| c.id).collect();
+                        ids.len() >= 2 && ids.last() != Some(&e.id)
+                    })
+                });
+                match rewire(&mut g.plan, &cand) {
+                    Ok((undo, _)) => {
+                        let appended: Vec<_> = g.plan.vertices()[count..]
+                            .iter()
+                            .map(|v| (v.kind, v.sig.clone(), v.machine))
+                            .collect();
+                        g.plan.undo(undo);
+                        for (kind, sig, machine) in &appended {
+                            assert_eq!(g.plan.find_vertex(*kind, sig, *machine), None, "{cand:?}");
+                        }
+                        undone += 1;
+                        mid_list += usize::from(not_last);
+                    }
+                    Err(_) => refused += 1,
+                }
+                assert!(fingerprint(&g.plan) == before, "{cand:?} changed the plan");
+            }
+            if hill_climb(&mut g, &model, &prices, 1).applied.is_empty() {
+                break;
+            }
+        }
+        assert!(
+            undone > 0 && refused > 0 && mid_list > 0,
+            "{undone} undone, {refused} refused, {mid_list} detached mid-list"
+        );
     }
 
     #[test]

@@ -6,15 +6,12 @@ use smile_sim::PriceSheet;
 use smile_types::{SharingId, SimDuration};
 use std::collections::HashMap;
 
-/// Scope restriction for plan metrics: the whole (global) plan, the part of
-/// it that serves anything, or only the subgraph serving one sharing.
+/// Scope restriction for plan metrics: the whole (global) plan, or only the
+/// subgraph serving one sharing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scope {
     /// Every vertex and every edge that still produces its output.
     All,
-    /// Only vertices/edges whose `SHR` set is non-empty — what
-    /// [`Plan::garbage_collect`] keeps, measured without collecting.
-    Served,
     /// Only vertices/edges whose `SHR` set contains the sharing.
     Sharing(SharingId),
 }
@@ -23,7 +20,6 @@ impl Scope {
     fn includes(&self, sharings: &std::collections::BTreeSet<SharingId>) -> bool {
         match self {
             Scope::All => true,
-            Scope::Served => !sharings.is_empty(),
             Scope::Sharing(s) => sharings.contains(s),
         }
     }
@@ -82,29 +78,31 @@ pub struct ResourceRates {
 /// vertex's storage footprint, each counted whole however many sharings it
 /// serves.
 pub fn resource_rates(plan: &Plan, scope: Scope, model: &TimeCostModel) -> ResourceRates {
-    resource_rates_in(plan, plan.vertices().iter(), scope, model)
+    let includes = |v: &Vertex| scope.includes(&v.sharings);
+    resource_rates_in(plan, plan.vertices().iter(), includes, model)
 }
 
-/// [`resource_rates`] with the storage footprint summed over `vertices` in
-/// the order given. Float addition is not associative, so a caller that
-/// must reproduce to the bit what a *renumbered* plan would report (hill
-/// climbing costs a candidate before collecting it) passes the vertices in
-/// that plan's id order.
+/// [`resource_rates`] over the vertices `includes` admits, and every edge
+/// that still produces an admitted output, with the storage footprint summed
+/// over `vertices` in the order given. Float addition is not associative, so
+/// a caller that must reproduce to the bit what a *renumbered* plan would
+/// report (hill climbing costs a candidate before collecting it) passes the
+/// vertices in that plan's id order.
 pub fn resource_rates_in<'p>(
     plan: &'p Plan,
     vertices: impl Iterator<Item = &'p Vertex>,
-    scope: Scope,
+    includes: impl Fn(&Vertex) -> bool,
     model: &TimeCostModel,
 ) -> ResourceRates {
     let mut r = ResourceRates::default();
     for e in plan.edges() {
-        if !e.shr(plan).is_some_and(|shr| scope.includes(shr)) {
+        let out = plan.vertex(e.output);
+        if e.shr(plan).is_none() || !includes(out) {
             continue;
         }
         // CPU seconds consumed per second: marginal service time at the
         // steady arrival rate (fixed overheads amortize over batching and
         // are charged by the simulator, not the steady-state estimate).
-        let out = plan.vertex(e.output);
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
         r.cpu_util += per_tuple * out.est_rate;
         if matches!(e.op, EdgeOp::CopyDelta) {
@@ -112,7 +110,7 @@ pub fn resource_rates_in<'p>(
         }
     }
     for v in vertices {
-        if v.is_base || v.kind != VertexKind::Relation || !scope.includes(&v.sharings) {
+        if v.is_base || v.kind != VertexKind::Relation || !includes(v) {
             continue;
         }
         r.stored_bytes += v.est_card * v.est_tuple_bytes;

@@ -137,6 +137,25 @@ impl Edge {
     }
 }
 
+/// What [`Plan::undo`] needs to take back a rewiring: the plan's vertex and
+/// edge counts before it, and the producer it detached.
+#[derive(Debug)]
+pub(crate) struct Undo {
+    vertices: usize,
+    edges: usize,
+    detached: Option<Detached>,
+}
+
+/// A producer [`Plan::detach_producer`] took off its output: the edge, its
+/// inputs, and each input with the position the edge held in its consumer
+/// list.
+#[derive(Debug)]
+struct Detached {
+    edge: usize,
+    inputs: Vec<VertexId>,
+    at: Vec<(VertexId, usize)>,
+}
+
 /// A sharing plan (or the merged global plan `D`).
 #[derive(Clone, Debug, Default)]
 pub struct Plan {
@@ -390,14 +409,60 @@ impl Plan {
     /// new producer is added. The detached edge becomes inert (no inputs,
     /// [`Edge::shr`] `None`) and is dropped by the next
     /// [`Plan::garbage_collect`]; `validate` must not be called before that
-    /// collection happens.
-    pub fn detach_producer(&mut self, v: VertexId) -> Option<usize> {
-        let e = self.producer[v.index()].take()?;
-        let inputs = std::mem::take(&mut self.edges[e].inputs);
-        for input in inputs {
-            self.consumers[input.index()].retain(|&c| c != e);
+    /// collection happens. `undo` records the edge, its inputs and where it
+    /// stood in each input's consumer list, for [`Plan::undo`]; one undo
+    /// point takes back one detach.
+    pub(crate) fn detach_producer(&mut self, v: VertexId, undo: &mut Undo) -> Option<usize> {
+        let edge = self.producer[v.index()].take()?;
+        let inputs = std::mem::take(&mut self.edges[edge].inputs);
+        let at = inputs
+            .iter()
+            .filter_map(|&input| {
+                let list = &mut self.consumers[input.index()];
+                let pos = list.iter().position(|&c| c == edge)?;
+                list.remove(pos);
+                Some((input, pos))
+            })
+            .collect();
+        undo.detached = Some(Detached { edge, inputs, at });
+        Some(edge)
+    }
+
+    /// The point [`Plan::undo`] returns the plan to: its size now.
+    pub(crate) fn undo_point(&self) -> Undo {
+        Undo {
+            vertices: self.vertices.len(),
+            edges: self.edges.len(),
+            detached: None,
         }
-        Some(e)
+    }
+
+    /// Takes the plan back to `undo`'s point, assuming it has since only
+    /// appended vertices and edges and detached the one producer `undo`
+    /// recorded. Each appended edge is the last entry of its inputs'
+    /// consumer lists when popped newest first; the detached edge goes back
+    /// to the position it held in each list, because [`Plan::topo_order`]
+    /// walks consumers in list order; the appended vertices leave the index.
+    pub(crate) fn undo(&mut self, undo: Undo) {
+        for e in self.edges.drain(undo.edges..).rev() {
+            for input in &e.inputs {
+                self.consumers[input.index()].pop();
+            }
+            self.producer[e.output.index()] = None;
+        }
+        if let Some(Detached { edge, inputs, at }) = undo.detached {
+            for (input, pos) in at.into_iter().rev() {
+                self.consumers[input.index()].insert(pos, edge);
+            }
+            let e = &mut self.edges[edge];
+            e.inputs = inputs;
+            self.producer[e.output.index()] = Some(edge);
+        }
+        for v in self.vertices.drain(undo.vertices..) {
+            self.index.remove(&(v.kind, v.sig, v.machine));
+        }
+        self.producer.truncate(undo.vertices);
+        self.consumers.truncate(undo.vertices);
     }
 
     /// Topological order of vertices (sources first). Errors on cycles.
@@ -943,7 +1008,7 @@ mod tests {
         let one_copy = machine_utilization(&p, Scope::All, &model);
 
         // Re-feed `out` from the other base: same operator, same rate.
-        assert_eq!(p.detach_producer(out), Some(old));
+        assert_eq!(p.detach_producer(out, &mut p.undo_point()), Some(old));
         let new = copy_from(&mut p, d1);
         assert_eq!(p.edge(old).shr(&p), None, "a detached edge serves nothing");
         assert_eq!(p.edge(new).shr(&p), Some(&BTreeSet::from([s])));

@@ -47,6 +47,8 @@ mod wake_tests;
 pub use migrate::MigrationOutcome;
 
 use crate::multi::GlobalPlan;
+use crate::optimizer::PlannedSharing;
+use crate::plan::cost::edge_utilization;
 use crate::plan::dag::{Edge, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
@@ -314,6 +316,9 @@ pub struct Executor {
     /// Settled migrations awaiting platform pickup
     /// ([`Executor::take_migration_outcomes`]).
     migration_outcomes: Vec<MigrationOutcome>,
+    /// Until [`Executor::start`], what [`Executor::load`] reads, grown as
+    /// each merge adds live edges; `None` once started.
+    load_before_start: Option<HashMap<MachineId, f64>>,
 }
 
 impl Executor {
@@ -372,21 +377,15 @@ impl Executor {
         Ok((srcs, order))
     }
 
-    /// Builds an executor over an installed global plan. `sharings` must be
-    /// the admitted sharings whose plans were merged into `global`;
-    /// `telemetry` is the platform-wide handle the executor records spans
-    /// and instruments into.
-    pub fn new(
-        global: GlobalPlan,
-        sharings: &[Sharing],
-        model: TimeCostModel,
-        config: ExecConfig,
-        telemetry: Rc<Telemetry>,
-    ) -> Result<Self> {
+    /// An executor over an empty plan, not yet started: admissions merge
+    /// into its plan ([`Executor::add_sharing`]) and [`Executor::start`]
+    /// gives them their runtime. `telemetry` is the platform-wide handle
+    /// the executor records spans and instruments into.
+    pub fn new(model: TimeCostModel, config: ExecConfig, telemetry: Rc<Telemetry>) -> Self {
         let cal = CalendarState::new(0, config.tick);
         let reg = telemetry.registry();
-        let mut executor = Self {
-            global,
+        Self {
+            global: GlobalPlan::new(),
             model,
             config,
             data_ts: Vec::new(),
@@ -426,22 +425,39 @@ impl Executor {
             migrations: std::collections::BTreeMap::new(),
             migration_outcomes: Vec::new(),
             telemetry,
-        };
-        executor.plan_grew()?;
-        for s in sharings {
-            executor.register(s)?;
+            load_before_start: Some(HashMap::new()),
         }
-        Ok(executor)
+    }
+
+    /// Starts the runtime over the plan merged so far: the plan-wide state,
+    /// then a slot for each of `sharings`, the admitted ones in order.
+    pub fn start(&mut self, sharings: &[Sharing]) -> Result<()> {
+        self.plan_grew()?;
+        sharings.iter().try_for_each(|s| self.register(s))?;
+        self.load_before_start = None;
+        Ok(())
+    }
+
+    /// Whether [`Executor::start`] has run.
+    pub fn started(&self) -> bool {
+        self.load_before_start.is_none()
+    }
+
+    /// Per-machine load of the live edges under `model`, which admission
+    /// plans against; summed afresh once started, as a retire can free load.
+    pub fn load(&self, model: &TimeCostModel) -> HashMap<MachineId, f64> {
+        let live = || edge_utilization(HashMap::new(), &self.global.plan, self.live_edges(), model);
+        self.load_before_start.clone().unwrap_or_else(live)
     }
 
     /// Re-derives the plan-wide runtime state after the global plan gained
-    /// vertices (install, live admission, a migration's shadow chain): the
+    /// vertices (the start, live admission, a migration's shadow chain): the
     /// per-vertex timestamp vectors grow, and the shared rank vector,
     /// heartbeat roster and half-join anchors take in the new vertices.
     /// Merging only *adds* vertices and edges (dedup reuses existing ones
     /// untouched) and vertex ids are append-only, so per-sharing caches,
     /// in-flight pushes and queued events stay valid.
-    /// Fails on a plan whose half-joins cannot be anchored, so install,
+    /// Fails on a plan whose half-joins cannot be anchored, so the start,
     /// live admission and a shadow merge refuse it instead of losing rows.
     fn plan_grew(&mut self) -> Result<()> {
         let n = self.global.plan.vertex_count();
@@ -525,18 +541,35 @@ impl Executor {
     }
 
     /// **On-the-fly addition** (paper §10 future work): merges a newly
-    /// admitted sharing's plan into the running global plan and registers
-    /// it. The platform's storage reconcile then gives the newly live
-    /// vertices storage, seeds them and calls
+    /// admitted sharing's plan into the global plan. Before the start that
+    /// is all, but for the load under `model`. Once started, it registers
+    /// the sharing, and the platform's storage reconcile gives the newly
+    /// live vertices storage, seeds them and calls
     /// [`Executor::mark_vertices_seeded`].
     pub fn add_sharing(
         &mut self,
         sharing: &Sharing,
-        planned: &crate::optimizer::PlannedSharing,
+        planned: &PlannedSharing,
+        model: &TimeCostModel,
     ) -> Result<()> {
+        let appended = self.global.plan.edges().len();
         self.global.merge(sharing, planned)?;
-        self.plan_grew()?;
-        self.register(sharing)
+        let Some(load) = self.load_before_start.take() else {
+            self.plan_grew()?;
+            return self.register(sharing);
+        };
+        let was_live = std::mem::take(&mut self.live);
+        self.refresh_live();
+        // Nothing retires before the start, so the live edges only grow: by
+        // appended ones, and rarely by an old edge a merge brought for a
+        // vertex the plan already produced, revived when a later sharing
+        // dedups onto it. The load grows in edge order, so a revival re-sums.
+        let plan = &self.global.plan;
+        let revived = was_live.iter().zip(&self.live).any(|(&was, &is)| is && !was);
+        let (load, from) = if revived { (HashMap::new(), 0) } else { (load, appended) };
+        let live = plan.edges()[from..].iter().filter(|e| self.live[e.output.index()]);
+        self.load_before_start = Some(edge_utilization(load, plan, live, model));
+        Ok(())
     }
 
     /// Stamps derived vertices whose storage was just seeded as of `at`:

@@ -260,7 +260,7 @@ mod tests {
         smile.submit("count", counted, sla, 0.001).unwrap();
         smile.install().unwrap();
 
-        let plan = &smile.global_plan().unwrap().plan;
+        let plan = &smile.global_plan().plan;
         let seeded = plan.vertices().iter().filter(|v| v.kind == VertexKind::Relation && !v.is_base);
         let mut checked = 0;
         for v in seeded.filter(|v| v.slot.is_some()) {

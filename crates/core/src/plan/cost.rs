@@ -173,17 +173,19 @@ pub fn machine_utilization(
     model: &TimeCostModel,
 ) -> HashMap<smile_types::MachineId, f64> {
     let in_scope = |e: &&Edge| e.shr(plan).is_some_and(|shr| scope.includes(shr));
-    edge_utilization(plan, plan.edges().iter().filter(in_scope), model)
+    let edges = plan.edges().iter().filter(in_scope);
+    edge_utilization(HashMap::new(), plan, edges, model)
 }
 
 /// [`machine_utilization`] over a caller-chosen set of `plan`'s edges (the
-/// running platform sums the edges the executor holds live).
+/// executor's live ones), added onto `load` edge by edge in iteration order,
+/// so a load grown with a plan is bit-equal to one sum over all its edges.
 pub fn edge_utilization<'a>(
+    mut load: HashMap<smile_types::MachineId, f64>,
     plan: &Plan,
     edges: impl Iterator<Item = &'a Edge>,
     model: &TimeCostModel,
 ) -> HashMap<smile_types::MachineId, f64> {
-    let mut load: HashMap<smile_types::MachineId, f64> = HashMap::new();
     for e in edges {
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
         let rate = plan.vertex(e.output).est_rate;

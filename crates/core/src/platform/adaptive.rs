@@ -176,7 +176,7 @@ impl Smile {
         let (cur_machine, seed_at) = (executor.mv_machine(id)?, executor.mv_ts(id)?);
         let planned = self.optimizer(machines).replan(
             &self.sharings[pos],
-            self.live_utilization()?,
+            running(&self.executor)?.load(&self.config.model),
             &self.planned[pos],
             pin,
         )?;
@@ -193,7 +193,7 @@ impl Smile {
         // reconcile storage exactly like a live admission — the chain is
         // live from here on although it serves no sharing until cutover
         // recomputes SHR.
-        let before = self.current_plan().vertex_count();
+        let before = self.global_plan().plan.vertex_count();
         running_mut(&mut self.executor)?.begin_migration(id, &planned, self.now)?;
         self.count_reuse(&planned, before);
         // Seed the shadow chain *as of the old chain's committed MV
@@ -316,7 +316,7 @@ impl Smile {
             // relations regardless of where the MV lands — so moving off
             // the hot machine means pinning the MV to a cooler target,
             // not planning over a fleet with the hot machine excluded.
-            let util = self.live_utilization()?;
+            let util = running(&self.executor)?.load(&self.config.model);
             machines.sort_by(|x, y| {
                 let ux = util.get(x).copied().unwrap_or(0.0);
                 let uy = util.get(y).copied().unwrap_or(0.0);
@@ -403,8 +403,12 @@ impl Smile {
     /// land there) and live-migrates every MV it hosts to the remaining
     /// active machines. Returns the sharings whose migrations started; the
     /// machine retires via [`Smile::step`] once the handoffs settle.
+    /// Refused before the start, as [`Smile::retire`] is.
     pub fn drain_machine(&mut self, m: MachineId) -> Result<Vec<SharingId>> {
         let executor = running(&self.executor)?;
+        if !executor.started() {
+            return Err(SmileError::Internal("drain before the platform started".into()));
+        }
         if self.catalog.bases().iter().any(|b| b.machine == m) {
             return Err(SmileError::Internal(format!(
                 "machine m{} hosts base relations and cannot be drained",

@@ -98,7 +98,7 @@ impl Smile {
     }
 
     /// Host-side totals of the push engine: waves, jobs and their
-    /// summed host busy time. Zero before `install`.
+    /// summed host busy time. Zero before the start.
     pub fn wave_meter(&self) -> smile_sim::WaveMeter {
         self.executor
             .as_ref()
@@ -173,7 +173,7 @@ impl Smile {
         }
         reg.gauge("snapshot.sla_violations")
             .set(self.snapshot.violations_total() as f64);
-        let (entries, probe_keys) = catalog_keys(self.current_plan());
+        let (entries, probe_keys) = catalog_keys(&self.global_plan().plan);
         reg.gauge("catalog.entries").set(entries as f64);
         reg.gauge("catalog.probe_keys").set(probe_keys as f64);
         // One reference per live join edge, one entry per distinct

@@ -2,23 +2,23 @@
 //!
 //! Usage follows the paper's life cycle:
 //!
-//! 1. [`Smile::new`] builds the machine fleet;
+//! 1. [`Smile::new`] builds the fleet and an executor over an empty plan;
 //! 2. [`Smile::register_base`] declares each app's shared base relation
 //!    (schema, home machine, statistics) and creates its storage;
-//! 3. [`Smile::submit`] runs the sharing optimizer — the sharing is either
-//!    admitted (DPD/DPT chosen per §6.2) and merged into the global plan,
-//!    or rejected with [`SmileError::Inadmissible`];
-//! 4. [`Smile::install`] optionally hill-climbs the plumbing of the
-//!    staged global plan, allocates storage slots, seeds derived relations,
-//!    and starts the executor;
+//! 3. [`Smile::submit`] runs the sharing optimizer against the global
+//!    plan's load — the sharing is either admitted (DPD/DPT chosen per §6.2)
+//!    and merged into that plan, or rejected with [`SmileError::Inadmissible`];
+//! 4. [`Smile::install`] optionally hill-climbs the plumbing of the global
+//!    plan, then starts it: allocates storage slots, seeds derived
+//!    relations and gives every admitted sharing its runtime;
 //! 5. the driver loop alternates [`Smile::ingest`] (workload updates) and
-//!    [`Smile::step`] (one executor tick + audit).
+//!    [`Smile::step`] (one executor tick + audit; the first one starts the
+//!    platform if `install` did not).
 //!
-//! Admission is one routine in both phases: before `install` the admitted
-//! plan merges into the staged global plan, after it into the running one
-//! (and starts being maintained at once). This file holds the configuration,
-//! the `Smile` handle and that lifecycle; `adaptive.rs` holds the control
-//! loop and live migration, `introspect.rs` the read-only reports.
+//! Admission is one routine before and after the start; once started, an
+//! admitted sharing is maintained at once. This file holds the
+//! configuration, the `Smile` handle and that lifecycle; `adaptive.rs` holds
+//! the control loop and live migration, `introspect.rs` the read-only reports.
 
 mod adaptive;
 mod introspect;
@@ -29,9 +29,8 @@ pub use introspect::FaultReport;
 use crate::catalog::{BaseStats, Catalog};
 use crate::executor::seed::{eval_sig, BaseReads};
 use crate::executor::{ExecConfig, Executor};
-use crate::multi::{GlobalPlan, HillClimbReport};
+use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, Optimizer, PlannedSharing};
-use crate::plan::cost::{edge_utilization, machine_utilization, Scope};
 use crate::plan::dag::{ArrangementId, Plan, Vertex, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
@@ -121,7 +120,9 @@ pub struct Smile {
     sharings: Vec<Sharing>,
     /// Their chosen plans (order-matched with `sharings`).
     planned: Vec<PlannedSharing>,
-    /// The executor, live after `install`.
+    /// The executor, built by [`Smile::new`] and never taken out: the
+    /// `Option` stays only because the frozen `benchmark/` harness reads the
+    /// field as one (ROADMAP item 3(b)).
     pub executor: Option<Executor>,
     /// The staleness auditor.
     pub snapshot: SnapshotModule,
@@ -129,13 +130,6 @@ pub struct Smile {
     pub hc_report: Option<HillClimbReport>,
     /// Shared telemetry handle (spans, counters, histograms).
     telemetry: Rc<Telemetry>,
-    /// The global plan built incrementally at submit time; `install`
-    /// consumes it.
-    staged: GlobalPlan,
-    /// Utilization per machine committed to the staged sharings; `install`
-    /// consumes it with the staged plan (the running plan's own load is
-    /// what later admissions are planned against).
-    committed: HashMap<MachineId, f64>,
     /// Arrangements that stopped existing because no live join probed them
     /// any more, dropped alone or with their relation.
     arrangements_reclaimed: u64,
@@ -159,24 +153,28 @@ pub struct Smile {
 }
 
 impl Smile {
-    /// Builds the platform with `config.machines` simulated machines.
+    /// Builds the platform with `config.machines` simulated machines and an
+    /// executor over an empty plan, not yet started.
     pub fn new(config: SmileConfig) -> Self {
         let mut cluster = Cluster::with_configs(vec![config.machine_config; config.machines]);
         cluster.prices = config.prices;
         cluster.set_fault_profile(config.faults);
         let telemetry = Rc::new(Telemetry::new(&config.telemetry));
+        let executor = Executor::new(
+            config.model.clone(),
+            config.exec.clone(),
+            Rc::clone(&telemetry),
+        );
         Self {
             cluster,
             catalog: Catalog::new(),
             config,
             sharings: Vec::new(),
             planned: Vec::new(),
-            executor: None,
+            executor: Some(executor),
             snapshot: SnapshotModule::new(),
             hc_report: None,
             telemetry,
-            staged: GlobalPlan::new(),
-            committed: HashMap::new(),
             arrangements_reclaimed: 0,
             now: Timestamp::ZERO,
             next_sharing: 1,
@@ -214,12 +212,10 @@ impl Smile {
     }
 
     /// Submits a sharing for admission: runs the sharing optimizer against
-    /// the utilization already committed and, if admissible, merges the
-    /// chosen plan into the global plan. Before `install` the sharing is
-    /// staged and starts running at `install`; after it the sharing joins
-    /// the *running* plan (paper §10 future work) — the plan gains
-    /// deduplicated vertices, new storage is seeded from the current base
-    /// contents, and maintenance starts at the next tick.
+    /// the global plan's live load and, if admissible, merges the chosen
+    /// plan into it. Once started, that is a *running* plan (paper §10
+    /// future work): new storage is seeded from the current base contents,
+    /// and maintenance starts at the next tick.
     pub fn submit(
         &mut self,
         name: &str,
@@ -260,7 +256,8 @@ impl Smile {
     }
 
     /// The same operation as [`Smile::submit_pinned`], under the name
-    /// drivers use for admissions made while the platform runs.
+    /// callers use for admissions made while the platform runs (ROADMAP
+    /// item 9(c) folds the three names into one).
     pub fn submit_live(
         &mut self,
         name: &str,
@@ -272,69 +269,49 @@ impl Smile {
         self.submit_pinned(name, query, staleness_sla, penalty_per_tuple, mv_machine)
     }
 
-    /// Validate → plan against the phase's utilization → merge, counting
-    /// what the merge reused → reconcile storage when running. The phase
-    /// selects only the utilization view and where the plan merges.
+    /// Validate → plan against the live load → merge, counting what the
+    /// merge reused → reconcile storage (a no-op before the start, which
+    /// seeds everything at once).
     fn plan_and_merge(
         &mut self,
         sharing: &Sharing,
         mv_machine: Option<MachineId>,
     ) -> Result<PlannedSharing> {
         sharing.query.validate(&self.catalog)?;
-        // Staged admissions plan against the sum of the admitted plans;
-        // once running, against what the merged plan actually loads.
-        let utilization = match self.executor {
-            Some(_) => self.live_utilization()?,
-            None => self.committed.clone(),
-        };
         let reg = self.telemetry.registry();
         let planned = self
             .optimizer(self.cluster.active_machine_ids())
-            .plan_admission(sharing, utilization, mv_machine)
+            .plan_admission(sharing, running(&self.executor)?.load(&self.config.model), mv_machine)
             .inspect_err(|e| {
                 if matches!(e, SmileError::Inadmissible { .. }) {
                     reg.counter("planner.sharings_rejected").inc();
                 }
             })?;
-        // A running plan's admission is seeded no later than the resident
-        // vertices it attaches to, and refused before it merges if one of
-        // them holds no state to read from at that instant.
-        let seed = match &self.executor {
-            Some(executor) => {
-                let inputs = self.resident_inputs(&planned)?;
-                let derived = inputs.iter().filter(|&&v| !executor.global.plan.vertex(v).is_base);
-                let seed = derived.map(|&v| executor.coverage(v)).fold(self.now, Timestamp::min);
-                if let Some(relation) = self.unseedable(&inputs, seed, &[])? {
-                    reg.counter("planner.sharings_rejected").inc();
-                    reg.counter("planner.sharings_unseedable").inc();
-                    return Err(SmileError::SeedUnavailable { relation, seed });
-                }
-                Some(seed)
-            }
-            None => None,
-        };
+        // Seeded no later than the resident vertices it attaches to (none
+        // before the start), and refused before it merges if one of them
+        // holds no state to read from at that instant.
+        let executor = running(&self.executor)?;
+        let inputs = self.resident_inputs(&planned)?;
+        let derived = inputs.iter().filter(|&&v| !executor.global.plan.vertex(v).is_base);
+        let seed = derived.map(|&v| executor.coverage(v)).fold(self.now, Timestamp::min);
+        if let Some(relation) = self.unseedable(&inputs, seed, &[])? {
+            reg.counter("planner.sharings_rejected").inc();
+            reg.counter("planner.sharings_unseedable").inc();
+            return Err(SmileError::SeedUnavailable { relation, seed });
+        }
         reg.counter("planner.sharings_admitted").inc();
-        let before = self.current_plan().vertex_count();
-        match &mut self.executor {
-            Some(executor) => executor.add_sharing(sharing, &planned)?,
-            None => {
-                self.staged.merge(sharing, &planned)?;
-                for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
-                    *self.committed.entry(m).or_default() += u;
-                }
-            }
-        }
+        let before = self.global_plan().plan.vertex_count();
+        let model = &self.config.model;
+        running_mut(&mut self.executor)?.add_sharing(sharing, &planned, model)?;
         self.count_reuse(&planned, before);
-        if let Some(seed) = seed {
-            self.reconcile_storage(Some(seed).filter(|&s| s < self.now))?;
-        }
+        self.reconcile_storage(Some(seed).filter(|&s| s < self.now))?;
         Ok(planned)
     }
 
     /// The vertices already holding storage that `planned`'s newly live
-    /// vertices read from, once merged into the running plan — where their
+    /// vertices read from, once merged into the global plan — where their
     /// first windows start, at the seed instant. The walk follows the merge:
-    /// a vertex the running plan has keeps its producer there (slotless:
+    /// a vertex the global plan has keeps its producer there (slotless:
     /// inert, about to be revived), one it lacks brings its planned one.
     ///
     /// A live admission seeds no later than the oldest coverage among them:
@@ -343,7 +320,7 @@ impl Smile {
     /// stamped inside the lag. And neither a live admission nor a migration
     /// can seed before one of their logs' horizons.
     fn resident_inputs(&self, planned: &PlannedSharing) -> Result<Vec<VertexId>> {
-        /// A vertex of the merged plan: one the running plan has, or one only
+        /// A vertex of the merged plan: one the global plan has, or one only
         /// `planned` brings.
         #[derive(Clone, Copy, PartialEq, Eq, Hash)]
         enum Merged {
@@ -409,21 +386,15 @@ impl Smile {
     /// brought, those the global plan (`before` vertices until then) did not
     /// grow by were already there.
     fn count_reuse(&self, planned: &PlannedSharing, before: usize) {
-        let grew = self.current_plan().vertex_count() - before;
+        let grew = self.global_plan().plan.vertex_count() - before;
         let reg = self.telemetry.registry();
         reg.counter("catalog.misses").add(grew as u64);
         reg.counter("catalog.hits")
             .add((planned.plan.vertex_count() - grew) as u64);
     }
 
-    /// The global plan admissions merge into: the running one once
-    /// installed, the staged one before.
-    fn current_plan(&self) -> &Plan {
-        &self.global_plan().unwrap_or(&self.staged).plan
-    }
-
-    /// The decision layer every plan search, install-time plumbing pass and
-    /// online re-plan goes through, choosing placements among `machines`.
+    /// The decision layer every plan search and online re-plan goes
+    /// through, choosing placements among `machines`.
     /// Only *active* machines are ever passed: a draining or retired
     /// machine must not gain new MVs.
     fn optimizer(&self, machines: Vec<MachineId>) -> Optimizer<'_> {
@@ -437,48 +408,41 @@ impl Smile {
         .with_force_objective(self.config.force_objective)
     }
 
-    /// Per-machine utilization of the live part of the *running* global
-    /// plan: what a retired sharing loaded is admission capacity again.
-    fn live_utilization(&self) -> Result<HashMap<MachineId, f64>> {
-        let executor = running(&self.executor)?;
-        let (plan, model) = (&executor.global.plan, &self.config.model);
-        Ok(edge_utilization(plan, executor.live_edges(), model))
+    /// Whether [`Smile::install`] or the first [`Smile::step`] has run.
+    pub fn started(&self) -> bool {
+        self.executor.as_ref().is_some_and(Executor::started)
     }
 
-    /// Runs the plumbing pass over the staged global plan, starts the
-    /// executor on it, and gives the plan its storage.
+    /// Plumb, then start: runs the hill-climbing pass over the global plan
+    /// (when configured) and starts the platform on it. Refused with
+    /// [`SmileError::AlreadyStarted`] once started — a plumbing cannot move
+    /// seeded state — leaving the platform running as it was.
     pub fn install(&mut self) -> Result<()> {
-        if self.executor.is_some() {
-            return Err(SmileError::Internal(
-                "platform already installed; dynamic re-install is not supported".into(),
-            ));
+        if self.started() {
+            return Err(SmileError::AlreadyStarted);
         }
-        // Already merged incrementally, one sharing at a time, at submit.
-        let mut global = std::mem::take(&mut self.staged);
-        self.committed.clear();
         if self.config.hill_climb {
-            let report = self
-                .optimizer(self.cluster.active_machine_ids())
-                .hill_climb_placement(&mut global, true, self.config.hill_climb_iterations);
-            self.hc_report = Some(report);
+            let (global, c) = (&mut running_mut(&mut self.executor)?.global, &self.config);
+            self.hc_report = Some(hill_climb(global, &c.model, &c.prices, c.hill_climb_iterations));
         }
-        global.plan.validate()?;
+        self.start()
+    }
+
+    /// Starts the executor on the global plan and gives the plan its
+    /// storage: the one seed of everything admitted before the start.
+    fn start(&mut self) -> Result<()> {
+        let executor = running_mut(&mut self.executor)?;
+        let plan = &executor.global.plan;
+        plan.validate()?;
         let reg = self.telemetry.registry();
-        reg.gauge("plan.vertices")
-            .set(global.plan.vertex_count() as f64);
-        reg.gauge("plan.edges").set(global.plan.edges().len() as f64);
-        self.executor = Some(Executor::new(
-            global,
-            &self.sharings,
-            self.config.model.clone(),
-            self.config.exec.clone(),
-            Rc::clone(&self.telemetry),
-        )?);
+        reg.gauge("plan.vertices").set(plan.vertex_count() as f64);
+        reg.gauge("plan.edges").set(plan.edges().len() as f64);
+        executor.start(&self.sharings)?;
         self.reconcile_storage(None)
     }
 
     /// The one storage reconcile, run wherever liveness may have changed
-    /// (install, live admission, retirement, migration start and
+    /// (the start, live admission, retirement, migration start and
     /// settlement): afterwards a derived vertex holds a storage slot exactly
     /// when the executor says it is [`live`](Executor::live), and an
     /// arrangement exists exactly when a live join edge probes it.
@@ -503,14 +467,16 @@ impl Smile {
     ///   beside them.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
-    /// snapshots *as of* that instant and stamped with it. Install, retire
+    /// snapshots *as of* that instant and stamped with it. The start, retire
     /// and settlement seed at `now` (base tables are current); a live
     /// admission no later than the resident vertices it attaches to
     /// (`resident_inputs`); a migration at the old chain's committed MV
     /// timestamp, so the shadow chain's push windows tile exactly against
     /// the anchored half-join jobs it shares with it.
+    ///
+    /// Before the start there is nothing to reconcile: the start runs it.
     fn reconcile_storage(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
-        let executor = running_mut(&mut self.executor)?;
+        let Some(executor) = self.executor.as_mut().filter(|e| e.started()) else { return Ok(()) };
         let seed = seed_at.unwrap_or(self.now);
         let vertex_ids = (0..executor.global.plan.vertex_count()).map(|i| VertexId::new(i as u32));
         let mut slotted: Vec<VertexId> = Vec::new();
@@ -596,28 +562,24 @@ impl Smile {
         Ok(())
     }
 
-    /// The running global plan, once installed.
-    pub fn global_plan(&self) -> Option<&GlobalPlan> {
-        self.executor.as_ref().map(|e| &e.global)
-    }
-
-    /// The global plan staged admissions have merged so far; empty once
-    /// `install` has consumed it.
-    pub fn staged_plan(&self) -> &GlobalPlan {
-        &self.staged
-    }
-
-    /// Per-machine utilization committed to staged sharings — what the
-    /// next admission before `install` is planned against; empty once
-    /// `install` has consumed the staged plan.
-    pub fn committed_utilization(&self) -> &HashMap<MachineId, f64> {
-        &self.committed
+    /// The global plan every admission merges into. (The empty fallback
+    /// only keeps this infallible: the executor never leaves its `Option`.)
+    pub fn global_plan(&self) -> &GlobalPlan {
+        static EMPTY: std::sync::OnceLock<GlobalPlan> = std::sync::OnceLock::new();
+        match &self.executor {
+            Some(executor) => &executor.global,
+            None => EMPTY.get_or_init(GlobalPlan::new),
+        }
     }
 
     /// **On-the-fly removal** (paper §10 future work): stops maintaining a
     /// sharing and drops the storage that served only it. Other sharings
-    /// are untouched — shared vertices keep running for them.
+    /// are untouched — shared vertices keep running for them. Refused
+    /// before the start.
     pub fn retire(&mut self, id: SharingId) -> Result<()> {
+        if !self.started() {
+            return Err(SmileError::Internal("retire before the platform started".into()));
+        }
         running_mut(&mut self.executor)?.remove_sharing(id)?;
         if let Ok(pos) = self.position(id) {
             self.sharings.remove(pos);
@@ -644,7 +606,11 @@ impl Smile {
     /// actuator is enabled — runs one deterministic control decision:
     /// drain new burn-rate alerts, re-plan and migrate alerted sharings off
     /// their saturated machine, and grow/shrink the fleet within budget.
+    /// The first step starts a platform `install` did not, unplumbed.
     pub fn step(&mut self) -> Result<()> {
+        if !self.started() {
+            self.start()?;
+        }
         let executor = running_mut(&mut self.executor)?;
         // Crashes due now take machines out of service before the executor
         // plans around them.
@@ -694,20 +660,19 @@ impl Smile {
     }
 }
 
-/// The running executor, or the one error every entry point that needs it
-/// returns before `install`. Free functions over the field rather than
+/// The platform's executor. Free functions over the field rather than
 /// methods, so callers can keep borrowing the cluster and catalog beside it.
 fn running(executor: &Option<Executor>) -> Result<&Executor> {
-    executor.as_ref().ok_or_else(not_installed)
+    executor.as_ref().ok_or_else(no_executor)
 }
 
 /// [`running`], mutably.
 fn running_mut(executor: &mut Option<Executor>) -> Result<&mut Executor> {
-    executor.as_mut().ok_or_else(not_installed)
+    executor.as_mut().ok_or_else(no_executor)
 }
 
-fn not_installed() -> SmileError {
-    SmileError::Internal("the platform is not running: call install() first".into())
+fn no_executor() -> SmileError {
+    SmileError::Internal("the executor was taken out of the platform".into())
 }
 
 /// What the live join edges probe, one arrangement per edge: edges on one
@@ -896,11 +861,5 @@ mod tests {
         let err = smile.submit("too-fast", q, SimDuration::from_millis(1), 0.001);
         assert!(matches!(err, Err(SmileError::Inadmissible { .. })));
         assert!(smile.sharings().is_empty());
-    }
-
-    #[test]
-    fn step_before_install_errors() {
-        let (mut smile, _, _) = setup();
-        assert!(smile.step().is_err());
     }
 }

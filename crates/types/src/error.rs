@@ -64,6 +64,10 @@ pub enum SmileError {
         /// The instant the admission had to seed at.
         seed: Timestamp,
     },
+    /// `install` was called on a platform that has already started (by an
+    /// earlier `install` or a tick): plumbing cannot move seeded state, so
+    /// the platform keeps running as it was.
+    AlreadyStarted,
     /// Catch-all for invariant violations with context.
     Internal(String),
 }
@@ -96,6 +100,9 @@ impl fmt::Display for SmileError {
             SmileError::Transient { detail } => write!(f, "transient fault: {detail}"),
             SmileError::SeedUnavailable { relation, seed } => {
                 write!(f, "cannot seed as of {seed}: {relation} holds no state to read from there")
+            }
+            SmileError::AlreadyStarted => {
+                write!(f, "the platform has already started; install runs only before the first tick")
             }
             SmileError::Internal(d) => write!(f, "internal invariant violated: {d}"),
         }

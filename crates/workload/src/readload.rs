@@ -37,16 +37,10 @@ impl ReadLoad {
 
     /// Machines hosting the target MVs.
     fn mv_machines(&self, smile: &Smile) -> Result<Vec<MachineId>> {
-        let executor = smile
-            .executor
-            .as_ref()
-            .ok_or_else(|| smile_types::SmileError::Internal("read load before install".into()))?;
+        let global = smile.global_plan();
         self.targets
             .iter()
-            .map(|&id| {
-                let mv = executor.global.mv_vertex(id)?;
-                Ok(executor.global.plan.vertex(mv).machine)
-            })
+            .map(|&id| Ok(global.plan.vertex(global.mv_vertex(id)?).machine))
             .collect()
     }
 

@@ -6,12 +6,13 @@ mod common;
 
 use common::{fleet, stats, Base};
 use smile::core::optimizer::{Objective, Optimizer};
-use smile::core::plan::cost::{critical_path, Scope};
+use smile::core::plan::cost::{critical_path, machine_utilization, Scope};
 use smile::core::plan::timecost::TimeCostModel;
 use smile::core::platform::{Smile, SmileConfig};
 use smile::core::sharing::Sharing;
 use smile::sim::PriceSheet;
 use smile::storage::join::JoinOn;
+use smile::storage::predicate::CmpOp;
 use smile::storage::{Predicate, SpjQuery};
 use smile::types::{ColumnType, MachineId, SharingId, SimDuration, SmileError};
 use smile::workload::sharings::paper_sharings;
@@ -132,8 +133,10 @@ fn dpt_tracks_dpd_critical_path_across_all_25() {
 
 #[test]
 fn admission_reflects_previously_committed_capacity() {
-    // A tiny fleet with expensive operators fills up: submitting the same
-    // heavy sharing repeatedly must eventually be rejected for capacity.
+    // A tiny fleet with expensive operators fills up: submitting heavy
+    // sharings repeatedly must eventually be rejected for capacity. Each
+    // filters on its own literal, so none dedups into another and each adds
+    // its load (a duplicate adds none: `a_duplicate_adds_no_admission_load`).
     let mut config = SmileConfig::with_machines(1);
     config.capacity = 0.25; // tiny machine
     let mut smile = Smile::new(config);
@@ -146,13 +149,14 @@ fn admission_reflects_previously_committed_capacity() {
     )
     .unwrap();
     let r = w.rels();
-    let q = SpjQuery::scan(r.users).join(r.tweets, JoinOn::on(0, 1), Predicate::True);
     let mut accepted = 0;
     let mut rejected = false;
     for i in 0..24 {
+        let own = Predicate::cmp(0, CmpOp::Ne, i as i64);
+        let q = SpjQuery::scan(r.users).join(r.tweets, JoinOn::on(0, 1), own);
         match smile.submit(
             &format!("s{i}"),
-            q.clone(),
+            q,
             SimDuration::from_secs(45),
             0.001,
         ) {
@@ -169,6 +173,29 @@ fn admission_reflects_previously_committed_capacity() {
         rejected,
         "capacity never filled after {accepted} admissions"
     );
+}
+
+/// Admission plans against what the merged plan loads, not the sum of the
+/// admitted plans: a duplicate dedups into the first copy and adds no load.
+/// Each copy is still priced at its own plan's load, so on one machine at
+/// 2.5× that load two copies fit either way; the third fits only because
+/// the second loaded nothing — the sum (3×) would refuse it.
+#[test]
+fn a_duplicate_adds_no_admission_load() {
+    let (mut smile, r) = platform(1);
+    let q = SpjQuery::scan(r.users).join(r.tweets, JoinOn::on(0, 1), Predicate::True);
+    let sla = SimDuration::from_secs(45);
+    let first = smile.submit("s0", q.clone(), sla, 0.001).unwrap();
+    let m = MachineId::new(0);
+    let load = machine_utilization(&smile.planned(first).unwrap().plan, Scope::All, &smile.config.model)[&m];
+    smile.config.capacity = 2.5 * load;
+    for i in 1..3 {
+        smile.submit(&format!("s{i}"), q.clone(), sla, 0.001).unwrap();
+    }
+    let executor = smile.executor.as_ref().unwrap();
+    assert_eq!(executor.load(&smile.config.model)[&m].to_bits(), load.to_bits());
+    smile.install().unwrap();
+    assert_eq!(smile.sharings().len(), 3);
 }
 
 #[test]

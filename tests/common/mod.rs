@@ -165,7 +165,7 @@ impl RelationProvider for AsOf<'_> {
 /// lands but never leads it.
 pub fn mv_table(smile: &Smile, id: SharingId) -> Result<(ZSet, Timestamp, Timestamp), String> {
     let e = |e: smile::types::SmileError| format!("MV of {id}: {e}");
-    let (global, executor) = (smile.global_plan().ok_or("not installed")?, smile.executor.as_ref());
+    let (global, executor) = (smile.global_plan(), smile.executor.as_ref());
     let mv = global.plan.vertex(global.mv_vertex(id).map_err(e)?);
     let db = &smile.cluster.machine(mv.machine).map_err(e)?.db;
     let slot = mv.slot.ok_or(format!("MV of {id} holds no storage"))?;

@@ -267,9 +267,9 @@ impl Scenario {
 
     /// [`Scenario::run`] with the checker after every step too.
     pub fn run_checked(&self) -> Result<Run, String> {
-        let checked = |smile: &Smile| match smile.global_plan() {
-            Some(_) => Checker(smile).check(),
-            None => Ok(()),
+        let checked = |smile: &Smile| match smile.started() {
+            true => Checker(smile).check(),
+            false => Ok(()),
         };
         self.run_with(self.config(), checked)
     }

@@ -202,6 +202,8 @@ fn retire_then_resubmit_the_same_sharing() {
     assert_exact(&smile, &[again]);
 }
 
+/// A `submit_live` before the start merges into the one global plan like
+/// any admission and gets its storage and runtime at `install`.
 #[test]
 fn live_submit_before_install_stages_and_runs_after_it() {
     let mut smile = Smile::new(SmileConfig::with_machines(2));
@@ -210,8 +212,41 @@ fn live_submit_before_install_stages_and_runs_after_it() {
     let id = smile
         .submit_live(s.app, s.query, SimDuration::from_secs(20), 0.001, None)
         .unwrap();
-    assert_eq!(smile.staged_plan().sharings.len(), 1, "not staged");
+    let global = smile.global_plan();
+    let mv = global.plan.vertex(global.mv_vertex(id).unwrap());
+    assert!(!smile.started() && mv.slot.is_none(), "storage before the start");
     smile.install().unwrap();
+    assert!(smile.started());
+    tweet(&mut smile, &mut w, 20.0, 60);
+    assert!(assert_exact(&smile, &[id]) > 0);
+}
+
+/// Without `install`, the first step starts the platform (no plumbing
+/// pass) and the MV is maintained from there on.
+#[test]
+fn step_without_install_starts_the_platform() {
+    let mut smile = Smile::new(SmileConfig::with_machines(2));
+    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 100).unwrap();
+    let s = paper_sharings(&w.rels())[4].clone();
+    let id = smile.submit(s.app, s.query, SimDuration::from_secs(20), 0.001).unwrap();
+    assert!(!smile.started());
+    tweet(&mut smile, &mut w, 20.0, 60);
+    assert!(smile.started() && smile.hc_report.is_none());
+    assert!(assert_exact(&smile, &[id]) > 0);
+}
+
+/// `install` after a tick is refused with its own error, and the platform
+/// runs on as if it had not been called.
+#[test]
+fn install_after_a_tick_is_refused_and_the_platform_runs_on() {
+    let mut smile = Smile::new(SmileConfig::with_machines(2));
+    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 100).unwrap();
+    let s = paper_sharings(&w.rels())[4].clone();
+    let id = smile.submit(s.app, s.query, SimDuration::from_secs(20), 0.001).unwrap();
+    tweet(&mut smile, &mut w, 20.0, 10);
+    let plan = smile.global_plan().plan.canonical_string();
+    assert_eq!(smile.install(), Err(SmileError::AlreadyStarted));
+    assert_eq!(smile.global_plan().plan.canonical_string(), plan);
     tweet(&mut smile, &mut w, 20.0, 60);
     assert!(assert_exact(&smile, &[id]) > 0);
 }
@@ -340,10 +375,10 @@ fn a_live_admission_that_cannot_be_seeded_is_refused_before_it_merges() {
         smile.submit_live("twin", q, sla, 0.001, Some(MachineId::new(0)))
     };
     smile.run_idle(SimDuration::from_secs(23)).unwrap();
-    let vertices = smile.global_plan().unwrap().plan.vertex_count();
+    let vertices = smile.global_plan().plan.vertex_count();
     let refused = twin(&mut smile);
     assert!(matches!(refused, Err(SmileError::SeedUnavailable { .. })), "{refused:?}");
-    assert_eq!(smile.global_plan().unwrap().plan.vertex_count(), vertices, "it merged");
+    assert_eq!(smile.global_plan().plan.vertex_count(), vertices, "it merged");
     assert_eq!(smile.sharings().len(), 2);
     let snap = smile.telemetry_snapshot();
     let counted = ["planner.sharings_unseedable", "planner.sharings_rejected"];

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{ab_bases, ab_feed, ab_join, ab_sharing, assert_exact, feed, fleet, stats, Base};
+use common::{ab, ab_bases, ab_feed, ab_join, ab_sharing, assert_exact, feed, fleet, stats, Base};
 use smile::core::plan::dag::VertexKind::{self, Delta, Relation};
 use smile::core::platform::{ActionKind, Smile, SmileConfig};
 use smile::sim::{FaultProfile, MachineState};
@@ -167,6 +167,19 @@ fn drain_machine_moves_mvs_off_and_retires_it() {
     assert_exact(&smile, &[id]);
 }
 
+/// Before the start nothing runs to stop or move: `retire` and
+/// `drain_machine` are refused, and the admitted sharing starts as planned.
+#[test]
+fn retire_and_drain_are_refused_before_the_start() {
+    let (mut smile, a, b) = ab(SmileConfig::with_machines(3));
+    let (sla, m2) = (SimDuration::from_secs(20), MachineId::new(2));
+    let id = smile.submit_pinned("s", ab_join(a, b), sla, 0.01, Some(m2)).unwrap();
+    assert!(smile.retire(id).is_err() && smile.drain_machine(m2).is_err());
+    assert_eq!(smile.cluster.machine_state(m2), MachineState::Active);
+    ab_feed(&mut smile, a, b, 60, false);
+    assert!(assert_exact(&smile, &[id]) > 0);
+}
+
 /// Builds the single-machine saturation scenario: both bases and the MV
 /// on m0, a 1-second SLA, and crash-only faults whose down windows make
 /// every covered push miss — so the burn-rate monitor pages and the
@@ -283,7 +296,7 @@ fn crowd_feed(smile: &mut Smile, src: RelationId, events: RelationId, seq: &mut 
 
 /// The storage slot of `src`'s copy of `kind` on m1, if it holds one.
 fn src_on_m1(smile: &Smile, kind: VertexKind) -> Option<RelationId> {
-    let plan = &smile.global_plan().unwrap().plan;
+    let plan = &smile.global_plan().plan;
     let is_copy = |v: &&smile::core::plan::dag::Vertex| {
         !v.is_base && v.kind == kind && v.machine == MachineId::new(1) && v.schema.arity() == 3
     };

@@ -509,18 +509,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Admission-state oracle: admission keeps three pieces of state
-// incrementally — SHR sets on the merged plan, the staged global plan, and
-// committed per-machine utilization. On the lifecycle scenarios, each must
-// equal its from-scratch recomputation by functions production also calls
-// (`recompute_shr`, a `merge` fold, `machine_utilization`) after every
-// admission before `install`, refused or not; the running plan's SHR sets
-// after every step once installed; and the checker must hold after the
-// drain.
+// Admission-state oracle: admission keeps two pieces of state
+// incrementally — SHR sets on the global plan, and before the start the
+// per-machine load, grown by the edges each merge appends. On the lifecycle
+// scenarios, each must equal its from-scratch recomputation by functions
+// production also calls (`recompute_shr`, `edge_utilization` over the live
+// edges) — the load bit for bit — after every admission before the start,
+// refused or not, after the start, and after every step, live admission and
+// retire; and the checker must hold after the drain.
 // ---------------------------------------------------------------------------
 
 use smile::core::multi::GlobalPlan;
-use smile::core::plan::cost::{machine_utilization, Scope};
+use smile::core::plan::cost::{edge_utilization, machine_utilization, Scope};
 use smile::core::plan::dag::VertexKind;
 use smile::core::plan::sig::ExprSig;
 use std::collections::{HashMap, HashSet};
@@ -533,38 +533,46 @@ fn shr_fresh(plan: &GlobalPlan) -> Result<(), String> {
     same.then_some(()).ok_or_else(|| "SHR sets diverged from recompute_shr".into())
 }
 
-/// Staged committed utilization == a fresh sum over the admitted plans
-/// (relative 1e-9 over a 1e-12 floor).
-fn committed_fresh(smile: &Smile) -> Result<(), String> {
-    let mut fresh: HashMap<MachineId, f64> = HashMap::new();
-    for s in smile.sharings() {
-        let plan = &smile.planned(s.id).unwrap().plan;
-        for (m, u) in machine_utilization(plan, Scope::All, &smile.config.model) {
-            *fresh.entry(m).or_default() += u;
-        }
-    }
-    let running = smile.committed_utilization();
-    for m in fresh.keys().chain(running.keys()) {
-        let (a, b) = (running.get(m).copied().unwrap_or(0.0), fresh.get(m).copied().unwrap_or(0.0));
-        if (a - b).abs() > 1e-9 * a.abs().max(b.abs()) + 1e-12 {
-            return Err(format!("committed utilization on {m} is {a}, fresh sum {b}"));
-        }
-    }
-    Ok(())
+/// The load admission plans against == `edge_utilization` over the live
+/// edges, bit for bit.
+fn load_fresh(smile: &Smile) -> Result<(), String> {
+    let (executor, model) = (smile.executor.as_ref().ok_or("no executor")?, &smile.config.model);
+    let fresh = edge_utilization(HashMap::new(), &smile.global_plan().plan, executor.live_edges(), model);
+    let read = executor.load(model);
+    let bits = |load: &HashMap<MachineId, f64>| {
+        let mut bits: Vec<_> = load.iter().map(|(m, u)| (m.index(), u.to_bits())).collect();
+        bits.sort_unstable();
+        bits
+    };
+    let same = bits(&read) == bits(&fresh);
+    same.then_some(()).ok_or_else(|| format!("admission reads {read:?}, the live edges load {fresh:?}"))
 }
 
 fn admission_state_is_fresh(smile: &Smile) -> Result<(), String> {
-    let Some(running) = smile.global_plan() else {
-        shr_fresh(smile.staged_plan())?;
-        committed_fresh(smile)?;
-        let mut fold = GlobalPlan::new();
-        for s in smile.sharings() {
-            fold.merge(s, smile.planned(s.id).unwrap()).unwrap();
-        }
-        let same = smile.staged_plan().plan.canonical_string() == fold.plan.canonical_string();
-        return same.then_some(()).ok_or_else(|| "staged plan diverged from a merge fold".into());
+    shr_fresh(smile.global_plan())?;
+    load_fresh(smile)
+}
+
+/// A merge brings its own chain even for a vertex the plan already
+/// produces; the chain serves nothing until a later sharing dedups onto it.
+/// Here the third admission revives such a chain, and the load admission
+/// reads must take the revived edges in too, in edge order.
+#[test]
+fn a_revived_chain_rejoins_the_admission_load() {
+    let scenario = Scenario {
+        machines: 3,
+        bases: vec![(30.0, 1000.0, 12.0), (30.0, 1000.0, 12.0)],
+        hill_climb: true,
+        faults: Off,
+        adaptive: false,
+        sharings: vec![
+            Spec { query: Count(0, 1), sla: 56, pin: Some(1) },
+            Spec { query: Count(0, 1), sla: 43, pin: Some(0) },
+        ],
+        initial: vec![1, 1, 0],
+        script: vec![],
     };
-    shr_fresh(running)
+    scenario.run_with(scenario.config(), admission_state_is_fresh).unwrap();
 }
 
 proptest! {
@@ -876,16 +884,16 @@ fn reference_hill_climb(
     (applied, trajectory)
 }
 
-/// Climbs clones of `staged` both ways, with and without join plumbing.
+/// Climbs clones of `global` both ways, with and without join plumbing.
 /// Returns how many plumbings the full climb applied.
 fn assert_hill_climb_matches_reference(
-    staged: &GlobalPlan,
+    global: &GlobalPlan,
     costs: (&TimeCostModel, &PriceSheet),
     max_iterations: usize,
 ) -> usize {
     let mut applied = 0;
     for allow_join in [false, true] {
-        let (mut fast, mut slow) = (staged.clone(), staged.clone());
+        let (mut fast, mut slow) = (global.clone(), global.clone());
         let report = hill_climb_filtered(&mut fast, costs.0, costs.1, max_iterations, allow_join);
         let (want_applied, want_trajectory) =
             reference_hill_climb(&mut slow, costs, max_iterations, allow_join);
@@ -922,15 +930,15 @@ fn hill_climb_matches_the_reference_loop_on_the_paper_sharings() {
     }
     let costs = (&TimeCostModel::paper_defaults(), &PriceSheet::ec2_same_region());
     let iterations = if cfg!(debug_assertions) { 2 } else { 128 };
-    let applied = assert_hill_climb_matches_reference(smile.staged_plan(), costs, iterations);
+    let applied = assert_hill_climb_matches_reference(smile.global_plan(), costs, iterations);
     assert!(applied >= iterations.min(10), "only {applied} plumbings applied");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// On the lifecycle scenarios' install-time sharings, staged with hill
-    /// climbing off.
+    /// On the lifecycle scenarios' install-time sharings, admitted with hill
+    /// climbing off and not started.
     #[test]
     fn hill_climb_matches_the_reference_loop(scenario in arb_scenario()) {
         let mut config = scenario.config();
@@ -940,7 +948,7 @@ proptest! {
             scenario.admit(&mut smile, &rels, i)?;
         }
         let costs = (&smile.config.model, &smile.config.prices);
-        assert_hill_climb_matches_reference(smile.staged_plan(), costs, 32);
+        assert_hill_climb_matches_reference(smile.global_plan(), costs, 32);
     }
 }
 

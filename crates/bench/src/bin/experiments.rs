@@ -12,7 +12,7 @@
 use smile_bench::{print_table, run_experiment, RunConfig, RunOutcome, Scale, SlaAssignment};
 use smile_core::multi::{hill_climb_filtered, GlobalPlan};
 use smile_core::optimizer::{Objective, Optimizer};
-use smile_core::plan::cost::{critical_path, plan_cost, Scope};
+use smile_core::plan::cost::{critical_path, plan_cost};
 use smile_core::plan::timecost::TimeCostModel;
 use smile_core::platform::{Smile, SmileConfig};
 use smile_sim::PriceSheet;
@@ -758,7 +758,7 @@ fn fig12(scale: Scale) {
             .iter()
             .map(|sh| {
                 let planned = smile.planned(sh.id).unwrap();
-                smile_core::plan::cost::res_cost(&planned.plan, Scope::All, &model, &prices)
+                smile_core::plan::cost::res_cost(&planned.plan, &model, &prices)
             })
             .sum();
         let mut global = GlobalPlan::new();
@@ -1059,7 +1059,6 @@ fn ablations(scale: Scale) {
         let mv_rate = planned.plan.vertex(planned.mv).est_rate;
         let with = plan_cost(
             &planned.plan,
-            Scope::All,
             &model,
             &prices,
             SimDuration::from_secs(10),
@@ -1067,8 +1066,8 @@ fn ablations(scale: Scale) {
             mv_rate,
         );
         // Without over-provisioning: resCost + penalty only.
-        let rescost = smile_core::plan::cost::res_cost(&planned.plan, Scope::All, &model, &prices);
-        let cp = critical_path(&planned.plan, Scope::All, 1.0, &model).as_secs_f64();
+        let rescost = smile_core::plan::cost::res_cost(&planned.plan, &model, &prices);
+        let cp = critical_path(&planned.plan, 1.0, &model).as_secs_f64();
         let without = with - rescost * (cp / 10.0);
         rows.push(vec![
             format!("S{}", s.index),

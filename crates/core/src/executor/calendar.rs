@@ -15,29 +15,31 @@
 //!    popping late never happens (see `Executor::project_wake_tick`). Every
 //!    transition bumps the slot's generation, so entries go stale in place.
 //! 2. **[`CpEval`]** — a cached compact critical-path evaluator: the
-//!    sharing's in-scope edges in topological order with their estimate
-//!    parameters, so one evaluation is O(subgraph) with no full-plan
-//!    topo sort. It calls the *same* `TimeCostModel::edge_estimate` the
-//!    full sweep calls, so its result is byte-identical to
-//!    `critical_path(plan, Scope::Sharing(id), x, model)`, the walk
-//!    admission uses. Alongside the exact evaluator it derives affine
-//!    coefficients `(C, S)` with `CP(x) ≤ inflation · (C + S·x)`, used only
-//!    for wake projection.
+//!    producer edges of the sharing's MV and its non-base ancestors, in
+//!    topological order with their estimate parameters, so one evaluation
+//!    is O(subgraph) with no full-plan topo sort. It calls the *same*
+//!    `TimeCostModel::edge_estimate` the full sweep calls, so its result is
+//!    byte-identical to the MV's entry in `cost::path_lengths(plan, x,
+//!    model)`, the sweep admission and the plumbing SLA test read. Alongside
+//!    the exact evaluator it derives affine coefficients `(C, S)` with
+//!    `CP(x) ≤ inflation · (C + S·x)`, used only for wake projection.
 //!
 //! ### Cache invalidation obligations
 //!
 //! The cached evaluator snapshots edge op/rate/byte estimates at build
 //! time. This is sound because merging a new sharing only *adds* vertices
 //! and edges (dedup reuses existing ones without touching their
-//! estimates), retiring a sharing only shrinks `SHR` sets of *other*
-//! sharings' edges, and operator models are only overridden before
-//! install (the Figure 5 calibration harness). The one run-time moving
+//! estimates) and never rewires a producer, so no MV's ancestors change;
+//! retiring a sharing changes no other sharing's MV; and operator models
+//! are only overridden before install (the Figure 5 calibration harness).
+//! A migration's cutover gives its sharing a new MV and rebuilds its
+//! evaluator. The one run-time moving
 //! part — the feedback inflation factor — multiplies every edge uniformly,
 //! so the exact evaluator reads it live and a wake assumes a bound on it.
 
 use crate::plan::dag::{EdgeOp, Plan};
 use crate::plan::timecost::TimeCostModel;
-use smile_types::{SharingId, SimDuration, Timestamp, VertexId};
+use smile_types::{SimDuration, Timestamp, VertexId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -270,14 +272,14 @@ impl CalendarState {
     }
 }
 
-/// One cached in-scope edge of a sharing's subgraph, in topological order.
+/// One cached edge of a sharing's subgraph, in topological order.
 #[derive(Clone, Debug)]
 struct CpEdge {
     op: EdgeOp,
     est_rate: f64,
     est_tuple_bytes: f64,
-    /// Positions (into [`CpEval::edges`]) of inputs produced in scope;
-    /// out-of-scope inputs contribute zero distance, as in the full sweep.
+    /// Positions (into [`CpEval::edges`]) of the inputs the subgraph
+    /// produces; the others are plan sources, at distance zero.
     inputs: Vec<u32>,
 }
 
@@ -295,10 +297,9 @@ pub(crate) struct CpEval {
 }
 
 impl CpEval {
-    /// Builds the evaluator from a sharing's push order (its non-base
-    /// subgraph vertices in topological order — exactly the vertices whose
-    /// producer edges `critical_path` sweeps for this scope).
-    pub fn build(plan: &Plan, id: SharingId, order: &[VertexId], model: &TimeCostModel) -> Self {
+    /// Builds the evaluator from a sharing's push order: its MV and the
+    /// MV's non-base ancestors, in topological order.
+    pub fn build(plan: &Plan, order: &[VertexId], model: &TimeCostModel) -> Self {
         let mut pos: HashMap<VertexId, u32> = HashMap::with_capacity(order.len());
         let mut edges: Vec<CpEdge> = Vec::with_capacity(order.len());
         // Affine bound per cached edge position: longest-path constant and
@@ -312,11 +313,6 @@ impl CpEval {
                 continue;
             };
             let out = plan.vertex(v);
-            if !out.sharings.contains(&id) {
-                // Mirrors the scope filter of the full sweep: the vertex
-                // contributes zero distance.
-                continue;
-            }
             let inputs: Vec<u32> = edge
                 .inputs
                 .iter()
@@ -363,11 +359,11 @@ impl CpEval {
     }
 
     /// `CP(x)` over the cached subgraph — the same topological sweep as
-    /// `critical_path`, calling the same `edge_estimate`, restricted to
-    /// the in-scope edges. Byte-identical to the full sweep by
-    /// construction: the scope's subgraph is closed under in-scope
-    /// ancestors and any topo-consistent visit order yields the same
-    /// distances.
+    /// `path_lengths`, calling the same `edge_estimate`, over the MV's
+    /// ancestors only. Byte-identical to the MV's entry in the full sweep
+    /// by construction: the subgraph is closed under ancestors, any
+    /// topo-consistent visit order yields the same distances, and none of
+    /// them exceeds the MV's.
     pub fn eval(&self, x_secs: f64, model: &TimeCostModel) -> SimDuration {
         let mut dist: Vec<SimDuration> = vec![SimDuration::ZERO; self.edges.len()];
         let mut best = SimDuration::ZERO;

@@ -79,8 +79,8 @@ impl Executor {
     }
 
     /// Per vertex, the oldest committed MV among the live sharings it
-    /// serves. `SHR(v)` is the sharings whose MV is `v` or downstream of
-    /// it, so one reverse-topological pass carries each MV's up.
+    /// serves — those whose MV is `v` or downstream of it — so one
+    /// reverse-topological pass carries each MV's up.
     fn mv_floors(&self) -> Vec<Timestamp> {
         let plan = &self.global.plan;
         let mut floor = vec![Timestamp::MAX; plan.vertex_count()];
@@ -109,13 +109,14 @@ mod tests {
     use smile_types::{MachineId, SharingId, SimDuration, Timestamp};
     use std::collections::HashMap;
 
-    /// The one-pass floors equal the per-edge `SHR` walk they replace, on
+    /// The one-pass floors equal a per-edge walk over the sharings each edge
+    /// serves (those whose MV is its output or downstream of it), on
     /// a plan with twins (two MVs sharing a half-join pair, and two
     /// sharings on one MV), a retired sharing's inert chain and a
     /// migration's shadow chain, at every tick from the migration's start
     /// past its cutover.
     #[test]
-    fn mv_floors_match_the_shr_walk() {
+    fn mv_floors_match_the_per_edge_walk() {
         let m = MachineId::new;
         let pins = [Some(m(0)), Some(m(1)), Some(m(1))];
         let (mut smile, a, b, _) = installed_pinned(true, 20, &pins);
@@ -139,9 +140,11 @@ mod tests {
                 .map(|rt| (rt.id, ex.visible_ts[rt.mv.index()]))
                 .collect();
             let floors = ex.mv_floors();
+            let plan = &ex.global.plan;
             for e in ex.live_edges() {
-                let served = &ex.global.plan.vertex(e.output).sharings;
-                let walk = served.iter().filter_map(|s| mv_ts.get(s)).min();
+                let reach = plan.downstream(e.output);
+                let served = ex.live_sharings().filter(|rt| reach.contains(&rt.mv)).map(|rt| rt.id);
+                let walk = served.filter_map(|s| mv_ts.get(&s)).min();
                 let walk = walk.copied().unwrap_or(Timestamp::MAX);
                 assert_eq!(floors[e.output.index()], walk, "edge {}, tick {tick}", e.id);
                 floors_seen.insert(walk);

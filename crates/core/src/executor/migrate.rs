@@ -126,7 +126,8 @@ impl Executor {
                 "migration of sharing {id} would not move its MV"
             )));
         }
-        self.plan_grew()?;
+        self.mark_live(new_mv);
+        self.plan_grew(&[])?;
         let new_mv_sig = self.global.plan.vertex(new_mv).sig.clone();
         let (new_srcs, new_order) = Self::subgraph_of(&self.global, id, new_mv, &self.topo_rank)?;
         self.migrations.insert(
@@ -145,8 +146,13 @@ impl Executor {
                 failed: false,
             },
         );
-        self.refresh_live();
         Ok(())
+    }
+
+    /// The shadow MV of every migration in flight — one whose sharing
+    /// retired included, until the next settle abandons it.
+    pub fn shadow_mvs(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.migrations.values().map(|mig| mig.new_mv)
     }
 
     /// True while `id` has a migration in flight.
@@ -202,11 +208,11 @@ impl Executor {
                 continue;
             };
             if !failed {
-                // Atomic cutover: repoint the sharing's MV coordinates (SHR
-                // sets recompute, so the old chain's exclusive vertices
-                // drop out) and rebuild the runtime slot over the new
-                // subgraph — the placement change invalidates the cached
-                // critical-path evaluator with it.
+                // Atomic cutover: repoint the sharing's MV coordinates (the
+                // old chain's exclusive vertices serve nothing from here
+                // on) and rebuild the runtime slot over the new subgraph —
+                // the placement change invalidates the cached critical-path
+                // evaluator with it.
                 self.global
                     .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
                 let old = &self.sharings[idx];

@@ -183,6 +183,8 @@ struct SharingRt {
     sla: SimDuration,
     /// Dollars per late tuple, charged when the auditor finds the MV stale.
     penalty: f64,
+    /// The MV vertex its meta in the global plan resolves to: read there at
+    /// registration, repointed with it at cutover.
     mv: VertexId,
     /// Base Relation vertices feeding this sharing (`SRC(S_i)`).
     srcs: Vec<VertexId>,
@@ -219,7 +221,7 @@ impl SharingRt {
             sla,
             penalty,
             mv,
-            cp: CpEval::build(plan, id, &order, model),
+            cp: CpEval::build(plan, &order, model),
             srcs,
             order,
             machines,
@@ -239,7 +241,8 @@ pub struct Executor {
     /// Committed timestamp per vertex (staleness accounting).
     visible_ts: Vec<Timestamp>,
     /// Per vertex, [`Executor::live`]: the plan is append-only, so after the
-    /// first retire or cutover part of it is inert — the one record of which.
+    /// first retire or cutover part of it is inert. A merge marks what it
+    /// adds; a retire, a settled migration and the start recompute it.
     live: Vec<bool>,
     /// Last heartbeat-reported timestamp per vertex (base vertices only).
     heartbeats: Vec<Option<Timestamp>>,
@@ -326,14 +329,14 @@ impl Executor {
     /// sources (`SRC(S_i)`) and the push-order list of its non-base
     /// vertices. Shared by runtime construction and the live-migration
     /// shadow install (which derives the *new* placement's subgraph before
-    /// any SHR set mentions it).
+    /// the sharing's MV is repointed there).
     fn subgraph_of(
         global: &GlobalPlan,
         id: SharingId,
         mv: VertexId,
         topo_rank: &[u32],
     ) -> Result<(Vec<VertexId>, Vec<VertexId>)> {
-        let (anc, _) = global.plan.ancestors(mv);
+        let anc = global.plan.ancestors(mv);
         // `SRC(S_i)`: the base *relations* feeding the sharing. A plan may
         // reference a base only through its delta vertex (scan plans copy
         // Δbase without touching the base table), so map every base
@@ -432,8 +435,13 @@ impl Executor {
     /// Starts the runtime over the plan merged so far: the plan-wide state,
     /// then a slot for each of `sharings`, the admitted ones in order.
     pub fn start(&mut self, sharings: &[Sharing]) -> Result<()> {
-        self.plan_grew()?;
+        // None is registered yet, so every admitted MV is passed in.
+        let mvs = self.global.mvs()?;
+        self.plan_grew(&mvs)?;
         sharings.iter().try_for_each(|s| self.register(s))?;
+        // Recomputed, not carried over: hill climbing may have rewired the
+        // plan the merges marked.
+        self.refresh_live();
         self.load_before_start = None;
         Ok(())
     }
@@ -457,39 +465,53 @@ impl Executor {
     /// Merging only *adds* vertices and edges (dedup reuses existing ones
     /// untouched) and vertex ids are append-only, so per-sharing caches,
     /// in-flight pushes and queued events stay valid.
-    /// Fails on a plan whose half-joins cannot be anchored, so the start,
+    /// Fails on a plan whose half-joins cannot be anchored — among the
+    /// vertices upstream of a registered sharing's MV or of one of
+    /// `unregistered`, the MVs merged but not registered yet — so the start,
     /// live admission and a shadow merge refuse it instead of losing rows.
-    fn plan_grew(&mut self) -> Result<()> {
+    fn plan_grew(&mut self, unregistered: &[VertexId]) -> Result<()> {
         let n = self.global.plan.vertex_count();
         self.data_ts.resize(n, Timestamp::ZERO);
         self.visible_ts.resize(n, Timestamp::ZERO);
         self.heartbeats.resize(n, None);
         self.topo_rank = Self::rank_of(&self.global)?;
         self.base_beats = self.global.base_relation_vertices();
-        self.anchor_of = self.global.plan.half_join_anchors()?;
-        self.refresh_live();
+        // Walked only if a join resolves to two siblings: from 3,000 MVs the
+        // walk alone takes ≈0.1 ms (2-core host), five times the anchors.
+        let mvs = || self.live_sharings().map(|rt| rt.mv).chain(unregistered.iter().copied());
+        let served = || self.global.plan.upstream_mask(mvs());
+        self.anchor_of = self.global.plan.half_join_anchors(served)?;
         Ok(())
     }
 
-    /// Re-derives [`Executor::live`] for every vertex. Called wherever an
-    /// `SHR` set or the migration table changes: the plan growing, a
-    /// sharing retiring, a migration starting or settling.
+    /// Recomputes [`Executor::live`] for every vertex: after a sharing
+    /// retires or cuts over, a migration settles, or at the start.
     fn refresh_live(&mut self) {
-        let vertices = self.global.plan.vertices();
-        self.live = vertices.iter().map(|v| v.is_base || !v.sharings.is_empty()).collect();
-        for mig in self.migrations.values() {
-            for v in &mig.new_order {
-                self.live[v.index()] = true;
-            }
-        }
+        let plan = &self.global.plan;
+        let mut live: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
+        let mvs = self.live_sharings().map(|rt| rt.mv);
+        plan.mark_upstream(&mut live, mvs.chain(self.shadow_mvs()));
+        self.live = live;
+    }
+
+    /// Marks what a merge made live — `mv` and everything upstream of it, as
+    /// far as the first vertex already live (liveness is closed under
+    /// ancestors) — over the appended vertices, of which the base ones are
+    /// live. Whether it marked an older vertex: a dead chain revived.
+    fn mark_live(&mut self, mv: VertexId) -> bool {
+        let (plan, before) = (&self.global.plan, self.live.len());
+        self.live.extend(plan.vertices()[before..].iter().map(|v| v.is_base));
+        let marked = plan.mark_upstream(&mut self.live, [mv]);
+        marked.iter().any(|v| v.index() < before)
     }
 
     /// Whether a vertex is live: it is a base vertex (the applications' own
-    /// storage), serves a sharing (`SHR` non-empty) or lies on an in-flight
-    /// migration's shadow chain — all of it, including vertices the shadow
-    /// merge found already in the plan. Everything that keeps, feeds or
-    /// pays for a vertex asks this: the platform's storage reconcile, log
-    /// compaction, admission's view of the load.
+    /// storage), serves a sharing (it is an admitted sharing's MV or
+    /// upstream of one) or lies on an in-flight migration's shadow chain —
+    /// all of it, including vertices the shadow merge found already in the
+    /// plan. Everything that keeps, feeds or pays for a vertex asks this:
+    /// the platform's storage reconcile, log compaction, admission's view
+    /// of the load.
     pub fn live(&self, v: VertexId) -> bool {
         self.live[v.index()]
     }
@@ -553,19 +575,17 @@ impl Executor {
         model: &TimeCostModel,
     ) -> Result<()> {
         let appended = self.global.plan.edges().len();
-        self.global.merge(sharing, planned)?;
+        let mv = self.global.merge(sharing, planned)?;
+        let revived = self.mark_live(mv);
         let Some(load) = self.load_before_start.take() else {
-            self.plan_grew()?;
+            self.plan_grew(&[mv])?;
             return self.register(sharing);
         };
-        let was_live = std::mem::take(&mut self.live);
-        self.refresh_live();
         // Nothing retires before the start, so the live edges only grow: by
         // appended ones, and rarely by an old edge a merge brought for a
         // vertex the plan already produced, revived when a later sharing
         // dedups onto it. The load grows in edge order, so a revival re-sums.
         let plan = &self.global.plan;
-        let revived = was_live.iter().zip(&self.live).any(|(&was, &is)| is && !was);
         let (load, from) = if revived { (HashMap::new(), 0) } else { (load, appended) };
         let live = plan.edges()[from..].iter().filter(|e| self.live[e.output.index()]);
         self.load_before_start = Some(edge_utilization(load, plan, live, model));
@@ -588,7 +608,7 @@ impl Executor {
 
     /// **On-the-fly removal** (paper §10 future work): retires a sharing.
     /// Its runtime slot becomes a tombstone (indexes in queued events must
-    /// stay stable) and its id leaves every `SHR` set. The plan vertices
+    /// stay stable) and its meta leaves the global plan. The plan vertices
     /// that served only it stay in the append-only plan but stop being
     /// [`Executor::live`] until a new sharing dedups onto them: the storage
     /// reconcile drops their slots, compaction stops pinning logs through
@@ -605,7 +625,7 @@ impl Executor {
         if let Some(mig) = self.migrations.get_mut(&idx) {
             mig.failed = true;
         }
-        self.global.strip_sharing(id);
+        self.global.retire(id);
         self.refresh_live();
         Ok(())
     }
@@ -750,7 +770,7 @@ impl Executor {
 pub(super) mod tests {
     use super::*;
     use crate::catalog::BaseStats;
-    use crate::plan::cost::{critical_path, Scope};
+    use crate::plan::cost::{path_lengths, restricted_cp};
     use crate::platform::{Smile, SmileConfig};
     use smile_storage::delta::{DeltaBatch, DeltaEntry};
     use smile_storage::join::JoinOn;
@@ -958,22 +978,22 @@ pub(super) mod tests {
         assert_eq!(ex.pending_retries.len(), 1);
     }
 
+    /// The cached evaluator, and the MV's entry in the one sweep, against
+    /// an independent per-sharing oracle (`cost::restricted_cp`).
     #[test]
     fn cached_critical_path_matches_full_walk() {
         let (mut smile, a, b, _id) = installed(true, 20);
         feed(&mut smile, a, b, 40); // feedback shifts inflation off 1.0
         let ex = smile.executor.as_ref().unwrap();
         assert!(ex.model.inflation() != 1.0, "feedback never calibrated");
-        for idx in 0..ex.sharings.len() {
+        let plan = &ex.global.plan;
+        for rt in &ex.sharings {
             for w in [0.0, 0.5, 1.0, 3.25, 10.0, 123.456, 3600.0] {
-                let cached = ex.sharings[idx].cp.eval(w, &ex.model);
-                let full = critical_path(
-                    &ex.global.plan,
-                    Scope::Sharing(ex.sharings[idx].id),
-                    w,
-                    &ex.model,
-                );
-                assert_eq!(cached, full, "window {w}s diverged at sharing {idx}");
+                let oracle = restricted_cp(plan, rt.mv, w, &ex.model);
+                let cached = rt.cp.eval(w, &ex.model);
+                assert_eq!(cached, oracle, "window {w}s diverged at sharing {}", rt.id);
+                let swept = path_lengths(plan, w, &ex.model).unwrap()[rt.mv.index()];
+                assert_eq!(swept, oracle, "window {w}s: one sweep diverged at sharing {}", rt.id);
             }
         }
     }

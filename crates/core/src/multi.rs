@@ -21,7 +21,7 @@
 //! the best so far.
 
 use crate::optimizer::PlannedSharing;
-use crate::plan::cost::{critical_path, res_cost, resource_rates_in, Scope};
+use crate::plan::cost::{path_lengths, res_cost, resource_rates_in};
 use crate::plan::dag::{EdgeOp, Plan, Undo, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
@@ -34,6 +34,9 @@ use std::collections::HashMap;
 /// Per-sharing bookkeeping the global plan needs: where the MV is, and the
 /// SLA constraints plumbing must respect. The MV is tracked by
 /// (signature, machine) so it survives garbage collection's id remapping.
+/// It is the one record of who is served: `SHR(v)`, the sharings a vertex
+/// serves, is those whose MV is `v` or downstream of it
+/// ([`Plan::mark_upstream`]).
 #[derive(Clone, Debug)]
 pub struct SharingMeta {
     /// Sharing identity.
@@ -67,9 +70,9 @@ pub struct GlobalPlan {
     pub plan: Plan,
     /// Metadata per admitted sharing.
     pub sharings: Vec<SharingMeta>,
-    /// Vestigial and never read: SHR maintenance is always incremental.
-    /// Kept only because the frozen `benchmark/` harness assigns it; drop
-    /// it together with that assignment in the next `benchmark` PR.
+    /// Vestigial and never read: nothing stores `SHR`. Kept only because
+    /// the frozen `benchmark/` harness assigns it; drop it together with
+    /// that assignment in the next `benchmark` PR.
     pub indexed_shr: bool,
 }
 
@@ -111,26 +114,20 @@ impl GlobalPlan {
             .collect()
     }
 
-    /// Merges a planned sharing into the global plan. Identical vertices
-    /// (kind, signature, machine) are reused; when a vertex already has a
-    /// producer in the global plan, the existing supply chain serves the new
-    /// sharing and the incoming duplicate chain is not added.
-    ///
-    /// The new sharing's `SHR` membership is installed on
-    /// `ancestors(mv) ∪ {mv}` only. That equals a full
-    /// [`GlobalPlan::recompute_shr`]: merging only *adds* vertices and
-    /// edges and never rewires an existing producer, so no previously
-    /// admitted sharing's ancestor set can change.
-    pub fn merge(&mut self, sharing: &Sharing, planned: &PlannedSharing) -> Result<()> {
-        let remap = self.merge_vertices(&planned.plan)?;
+    /// Merges a planned sharing into the global plan and returns its MV
+    /// vertex there. Identical vertices (kind, signature, machine) are
+    /// reused; when a vertex already has a producer in the global plan, the
+    /// existing supply chain serves the new sharing and the incoming
+    /// duplicate chain is not added.
+    pub fn merge(&mut self, sharing: &Sharing, planned: &PlannedSharing) -> Result<VertexId> {
+        let remap = self.merge_shadow(planned)?;
         self.sharings.push(SharingMeta {
             id: sharing.id,
             mv_sig: planned.plan.vertex(planned.mv).sig.clone(),
             mv_machine: planned.mv_machine,
             sla: sharing.staleness_sla,
         });
-        self.serve(remap[&planned.mv], sharing.id);
-        Ok(())
+        Ok(remap[&planned.mv])
     }
 
     /// [`GlobalPlan::merge`] under the name and signature the frozen
@@ -141,78 +138,28 @@ impl GlobalPlan {
         planned: &PlannedSharing,
         _cat: &mut MergeCatalog,
     ) -> Result<()> {
-        self.merge(sharing, planned)
-    }
-
-    /// Adds `id` to `SHR(v)` for the MV and every vertex upstream of it.
-    fn serve(&mut self, mv: VertexId, id: SharingId) {
-        let (verts, _) = self.plan.ancestors(mv);
-        for v in verts.into_iter().chain([mv]) {
-            self.plan.vertex_mut(v).sharings.insert(id);
-        }
+        self.merge(sharing, planned).map(drop)
     }
 
     /// Merges a re-planned sharing's vertices into the global plan *without*
-    /// registering the sharing on them: the shadow chain of a live
-    /// migration. Dedup works exactly as in [`GlobalPlan::merge`], so any
-    /// vertex the new placement shares with the existing plan is reused;
-    /// vertices unique to the new placement are created with empty `SHR`
-    /// sets (no sharing serves through them until cutover flips the
-    /// sharing's MV coordinates and SHR is recomputed). Returns the
-    /// old-plan → global-plan vertex remap so the caller can locate the
-    /// shadow MV (`remap[&planned.mv]`).
+    /// registering the sharing: the shadow chain of a live migration, and
+    /// the walk [`GlobalPlan::merge`] takes. Copies the planned vertices and
+    /// producers, deduplicating on (kind, signature, machine) —
+    /// `Plan::index` is the one record of what is already there, and how
+    /// much was reused is what [`Plan::vertex_count`] did not grow by.
+    /// Vertices unique to the new placement serve no sharing until cutover
+    /// repoints the sharing's MV to them. Returns the old-plan →
+    /// global-plan vertex remap, which locates the MV (`remap[&planned.mv]`).
     pub fn merge_shadow(
         &mut self,
         planned: &PlannedSharing,
     ) -> Result<HashMap<VertexId, VertexId>> {
-        self.merge_vertices(&planned.plan)
-    }
-
-    /// Atomically repoints sharing `id`'s MV to `(mv_sig, mv_machine)` —
-    /// the cutover step of a live migration — and recomputes every `SHR`
-    /// set so the old chain's exclusive vertices drop out and the shadow
-    /// chain's vertices gain the sharing.
-    pub fn repoint_mv(
-        &mut self,
-        id: SharingId,
-        mv_sig: ExprSig,
-        mv_machine: MachineId,
-    ) -> Result<()> {
-        let meta = self
-            .sharings
-            .iter_mut()
-            .find(|m| m.id == id)
-            .ok_or(SmileError::UnknownSharing(id))?;
-        meta.mv_sig = mv_sig;
-        meta.mv_machine = mv_machine;
-        self.recompute_shr()
-    }
-
-    /// Removes one sharing's metadata and strips it from every `SHR` set in
-    /// place. Equals dropping the meta and calling
-    /// [`GlobalPlan::recompute_shr`], because stripping an id never changes
-    /// any *other* sharing's ancestor walk.
-    pub fn strip_sharing(&mut self, id: SharingId) {
-        self.sharings.retain(|m| m.id != id);
-        for i in 0..self.plan.vertex_count() {
-            self.plan
-                .vertex_mut(VertexId::new(i as u32))
-                .sharings
-                .remove(&id);
-        }
-    }
-
-    /// The topo-walk shared by sharing and shadow merges: copies `src`'s
-    /// vertices and producers into the global plan, deduplicating on
-    /// (kind, signature, machine) — `Plan::index` is the one record of what
-    /// is already there. How much was reused is the difference between
-    /// `src`'s vertex count and what [`Plan::vertex_count`] grew by.
-    fn merge_vertices(&mut self, src: &Plan) -> Result<HashMap<VertexId, VertexId>> {
+        let src = &planned.plan;
         let order = src.topo_order()?;
         let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
         for v in order {
-            // A planned sharing's vertices serve nothing and have no slot
-            // yet, so the copy starts that way too.
+            // A planned sharing's vertices have no slot yet, so the copy
+            // starts that way too.
             let nid = self.plan.add_vertex_copy(src.vertex(v));
             remap.insert(v, nid);
             // Install the producer unless the global plan already has one.
@@ -226,51 +173,74 @@ impl GlobalPlan {
         Ok(remap)
     }
 
-    /// Recomputes every `SHR` set from first principles: a vertex serves
-    /// sharing `s` iff it is the MV of `s` or an ancestor of it.
-    pub fn recompute_shr(&mut self) -> Result<()> {
-        for i in 0..self.plan.vertex_count() {
-            self.plan
-                .vertex_mut(VertexId::new(i as u32))
-                .sharings
-                .clear();
-        }
-        for i in 0..self.sharings.len() {
-            let mv = self.mv_of(&self.sharings[i])?;
-            self.serve(mv, self.sharings[i].id);
-        }
+    /// Atomically repoints sharing `id`'s MV to `(mv_sig, mv_machine)` —
+    /// the cutover step of a live migration. From here on the new chain
+    /// serves the sharing and the old chain's exclusive vertices do not.
+    pub fn repoint_mv(
+        &mut self,
+        id: SharingId,
+        mv_sig: ExprSig,
+        mv_machine: MachineId,
+    ) -> Result<()> {
+        let meta = self
+            .sharings
+            .iter_mut()
+            .find(|m| m.id == id)
+            .ok_or(SmileError::UnknownSharing(id))?;
+        meta.mv_sig = mv_sig;
+        meta.mv_machine = mv_machine;
         Ok(())
     }
 
-    /// `served[v]` iff `v` is the MV in `mvs` or upstream of one: whether
-    /// [`GlobalPlan::recompute_shr`] would leave `SHR(v)` non-empty, read
-    /// without writing a set.
-    fn served_mask(&self, mvs: &[VertexId]) -> Vec<bool> {
-        let mut served = vec![false; self.plan.vertex_count()];
-        let mut stack = mvs.to_vec();
-        while let Some(v) = stack.pop() {
-            if !std::mem::replace(&mut served[v.index()], true) {
-                stack.extend(self.plan.producer(v).iter().flat_map(|e| &e.inputs));
+    /// Removes one sharing's metadata: the vertices that served only it
+    /// serve nothing from here on.
+    pub fn retire(&mut self, id: SharingId) {
+        self.sharings.retain(|m| m.id != id);
+    }
+
+    /// Every admitted sharing's MV vertex, in admission order.
+    pub fn mvs(&self) -> Result<Vec<VertexId>> {
+        self.sharings.iter().map(|m| self.mv_of(m)).collect()
+    }
+
+    /// `served[v]` iff `SHR(v)` is non-empty: `v` is an admitted sharing's
+    /// MV or upstream of one.
+    pub fn served(&self) -> Result<Vec<bool>> {
+        Ok(self.plan.upstream_mask(self.mvs()?))
+    }
+
+    /// `|SHR(v)|` for each of `vertices`: how many admitted sharings' MVs
+    /// it is or lies upstream of, counted by walking each MV (introspection).
+    pub fn shr_counts(&self, vertices: &[VertexId]) -> Result<Vec<usize>> {
+        let mut counts = vec![0; vertices.len()];
+        for mv in self.mvs()? {
+            let ancestors = self.plan.ancestors(mv);
+            for (count, v) in counts.iter_mut().zip(vertices) {
+                *count += usize::from(*v == mv || ancestors.contains(v));
             }
         }
-        served
+        Ok(counts)
     }
 
     /// The provider's total steady-state dollar rate for running `D`.
     pub fn total_cost(&self, model: &TimeCostModel, prices: &PriceSheet) -> f64 {
-        res_cost(&self.plan, Scope::All, model, prices)
+        res_cost(&self.plan, model, prices)
     }
 
-    /// Critical time path of one sharing within the global plan.
-    pub fn sharing_cp(&self, id: SharingId, model: &TimeCostModel) -> SimDuration {
-        critical_path(&self.plan, Scope::Sharing(id), 1.0, model)
+    /// Critical time path of one sharing within the global plan: its MV's
+    /// entry in the plan's [`path_lengths`].
+    pub fn sharing_cp(&self, id: SharingId, model: &TimeCostModel) -> Result<SimDuration> {
+        let mv = self.mv_vertex(id)?;
+        Ok(path_lengths(&self.plan, 1.0, model)?[mv.index()])
     }
 
-    /// True iff every sharing's CP fits its SLA.
+    /// True iff every sharing's CP fits its SLA, read off one sweep.
     pub fn all_slas_hold(&self, model: &TimeCostModel) -> bool {
-        self.sharings
-            .iter()
-            .all(|m| self.sharing_cp(m.id, model) <= m.sla)
+        let Ok(dist) = path_lengths(&self.plan, 1.0, model) else {
+            return self.sharings.is_empty();
+        };
+        let fits = |m: &SharingMeta| self.mv_of(m).is_ok_and(|mv| dist[mv.index()] <= m.sla);
+        self.sharings.iter().all(fits)
     }
 }
 
@@ -346,8 +316,7 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
             }
             // Feeding dst from src must not create a cycle: src must not
             // be a descendant of dst.
-            let (anc, _) = g.plan.ancestors(src);
-            if anc.contains(&dst.id) {
+            if g.plan.ancestors(src).contains(&dst.id) {
                 continue;
             }
             out.push(Plumbing::Copy { src, dst: dst.id });
@@ -383,11 +352,11 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
                 continue; // that is what the current producer already does
             }
             // Neither source may be downstream of dst.
-            if g.plan.ancestors(rel_v).0.contains(&dst.id) {
+            if g.plan.ancestors(rel_v).contains(&dst.id) {
                 continue;
             }
             for delta_v in peers(VertexKind::Delta, delta_sig) {
-                if delta_v == dst.id || g.plan.ancestors(delta_v).0.contains(&dst.id) {
+                if delta_v == dst.id || g.plan.ancestors(delta_v).contains(&dst.id) {
                     continue;
                 }
                 out.push(Plumbing::Join {
@@ -402,31 +371,30 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
 }
 
 /// Applies a plumbing operation to a clone of the global plan, returning the
-/// rewired (SHR-recomputed, garbage-collected) result. Fails when the
-/// rewiring is structurally impossible.
+/// rewired, garbage-collected result. Fails when the rewiring is
+/// structurally impossible.
 pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
     materialize(rewired_clone(g, p)?)
 }
 
-/// A clone of `g` with `p` rewired in and every `SHR` set recomputed: the
-/// replaced supply chain is still there, serving nothing.
+/// A clone of `g` with `p` rewired in: the replaced supply chain is still
+/// there, serving nothing.
 fn rewired_clone(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
     let mut out = g.clone();
     rewire(&mut out.plan, p)?;
-    out.recompute_shr()?;
     Ok(out)
 }
 
 /// The last step of [`apply_plumbing`]: drops what the rewiring left
 /// unserved and checks the result.
 fn materialize(mut rewired: GlobalPlan) -> Result<GlobalPlan> {
-    rewired.plan = rewired.plan.garbage_collect()?;
+    rewired.plan = rewired.plan.garbage_collect(&rewired.served()?)?;
     rewired.plan.validate()?;
     Ok(rewired)
 }
 
 /// Rewires `plan` in place: re-feeds the plumbing's destination, leaving the
-/// replaced supply chain in place and every `SHR` set as it was. Returns the
+/// replaced supply chain in place. Returns the
 /// record [`Plan::undo`] takes the rewiring back with, and the rewired
 /// plan's topological order — the order [`Plan::garbage_collect`] would
 /// renumber its vertices in. A refused rewiring (a cycle, a producer
@@ -494,7 +462,7 @@ fn join_plumbing(
     // sit *downstream* of `dst`, in which case wiring through it would close
     // a cycle — reject such candidates.
     let ensure_acyclic = |plan: &Plan, v: VertexId| {
-        if plan.ancestors(v).0.contains(&dst) {
+        if plan.ancestors(v).contains(&dst) {
             Err(SmileError::InvalidPlan(
                 "join plumbing would create a cycle".into(),
             ))
@@ -530,11 +498,11 @@ fn join_plumbing(
     Ok(())
 }
 
-/// What [`GlobalPlan::total_cost`] will report once `g`'s rewired plan has
-/// its `SHR` sets recomputed and is collected, to the bit: the same elements
-/// (those upstream of an MV in `mvs`, which is what collection keeps) summed
-/// in the same order (edges in edge order, stored bytes in the order
-/// collection renumbers vertices, which is `order`).
+/// What [`GlobalPlan::total_cost`] will report once `g`'s rewired plan is
+/// collected, to the bit: the same elements (those upstream of an MV in
+/// `mvs`, which is what collection keeps) summed in the same order (edges in
+/// edge order, stored bytes in the order collection renumbers vertices,
+/// which is `order`).
 fn served_cost(
     g: &GlobalPlan,
     mvs: &[VertexId],
@@ -542,7 +510,7 @@ fn served_cost(
     model: &TimeCostModel,
     prices: &PriceSheet,
 ) -> f64 {
-    let served = g.served_mask(mvs);
+    let served = g.plan.upstream_mask(mvs.iter().copied());
     let vertices = order.iter().map(|&v| g.plan.vertex(v));
     let r = resource_rates_in(&g.plan, vertices, |v| served[v.id.index()], model);
     prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
@@ -579,8 +547,7 @@ pub fn hill_climb_filtered(
         let current_cost = g.total_cost(model, prices);
         // Rewiring appends only delta vertices: the MVs stay where they are
         // while candidates are scored.
-        let mvs = g.sharings.iter().map(|m| g.mv_of(m));
-        let Ok(mvs) = mvs.collect::<Result<Vec<_>>>() else { break };
+        let Ok(mvs) = g.mvs() else { break };
         let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
         // Enumeration rebuilds its peer lists each iteration: plumbing and
         // garbage collection remap vertex ids.
@@ -630,9 +597,11 @@ mod tests {
     use super::*;
     use crate::catalog::{BaseStats, Catalog};
     use crate::optimizer::Optimizer;
+    use crate::plan::cost::restricted_cp;
     use smile_storage::join::JoinOn;
     use smile_storage::SpjQuery;
     use smile_types::{Column, ColumnType, RelationId, Schema};
+    use std::collections::BTreeSet;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -724,7 +693,8 @@ mod tests {
         for (id, q, sla) in [(1, q1, 45), (2, q2, 60), (3, q3, 45)] {
             let s = sharing(id, q, sla);
             let planned = opt.plan_admission(&s, HashMap::new(), None).unwrap();
-            g.merge(&s, &planned).unwrap();
+            let mv = g.merge(&s, &planned).unwrap();
+            assert_eq!(g.mv_vertex(s.id).unwrap(), mv);
         }
         (g, model, prices)
     }
@@ -760,15 +730,10 @@ mod tests {
         g.plan.validate().unwrap();
         // Sharings 1 and 2 have identical queries: their entire supply chain
         // should be shared, i.e. some vertex serves both.
-        let both: Vec<_> = g
-            .plan
-            .vertices()
-            .iter()
-            .filter(|v| {
-                v.sharings.contains(&SharingId::new(1)) && v.sharings.contains(&SharingId::new(2))
-            })
-            .collect();
-        assert!(!both.is_empty(), "no vertex shared between S1 and S2");
+        let pair = BTreeSet::from([SharingId::new(1), SharingId::new(2)]);
+        let both = (0..g.plan.vertex_count())
+            .filter(|&v| shr_downstream(&g, VertexId::new(v as u32)).is_superset(&pair));
+        assert!(both.count() > 0, "no vertex shared between S1 and S2");
         // The users base pair serves all three sharings.
         let users_delta = g
             .plan
@@ -778,7 +743,7 @@ mod tests {
                 MachineId::new(0),
             )
             .unwrap();
-        assert_eq!(g.plan.vertex(users_delta).sharings.len(), 3);
+        assert_eq!(shr_downstream(&g, users_delta).len(), 3);
     }
 
     #[test]
@@ -791,23 +756,40 @@ mod tests {
         assert!(g.mv_vertex(SharingId::new(99)).is_err());
     }
 
+    /// `SHR(v)` by a walk independent of the one the plan derives it with:
+    /// the sharings whose MV `v` reaches downstream, along consumer lists.
+    fn shr_downstream(g: &GlobalPlan, v: VertexId) -> BTreeSet<SharingId> {
+        let seen = g.plan.downstream(v);
+        let reached = |m: &&SharingMeta| seen.contains(&g.mv_of(m).unwrap());
+        g.sharings.iter().filter(reached).map(|m| m.id).collect()
+    }
+
+    /// The served mask and the `shr=` counts against the downstream walk,
+    /// on the merged plans, after a retire, and on every rewired candidate
+    /// before collection (the replaced chain still there, serving nothing).
     #[test]
-    fn shr_rebuild_is_idempotent() {
-        let (mut g, _, _) = setup();
-        let before: Vec<_> = g
-            .plan
-            .vertices()
-            .iter()
-            .map(|v| v.sharings.clone())
-            .collect();
-        g.recompute_shr().unwrap();
-        let after: Vec<_> = g
-            .plan
-            .vertices()
-            .iter()
-            .map(|v| v.sharings.clone())
-            .collect();
-        assert_eq!(before, after);
+    fn served_mask_and_shr_counts_match_a_downstream_walk() {
+        let check = |g: &GlobalPlan, what: &str| {
+            let all: Vec<_> = (0..g.plan.vertex_count()).map(|v| VertexId::new(v as u32)).collect();
+            let walked: Vec<_> = all.iter().map(|&v| shr_downstream(g, v)).collect();
+            let served: Vec<bool> = walked.iter().map(|shr| !shr.is_empty()).collect();
+            let counts: Vec<usize> = walked.iter().map(BTreeSet::len).collect();
+            assert_eq!(g.served().unwrap(), served, "{what}");
+            assert_eq!(g.shr_counts(&all).unwrap(), counts, "{what}");
+            counts.iter().any(|&n| n > 1) && served.contains(&false)
+        };
+        let (mut shared_and_idle, mut rewired) = (0, 0);
+        for (mut g, _, _) in [setup(), climb_fixture()] {
+            check(&g, "merged");
+            for cand in enumerate_plumbings(&g) {
+                let Ok(next) = rewired_clone(&g, &cand) else { continue };
+                shared_and_idle += usize::from(check(&next, &format!("{cand:?}")));
+                rewired += 1;
+            }
+            g.retire(SharingId::new(2));
+            check(&g, "after retiring sharing 2");
+        }
+        assert!(rewired > 0 && shared_and_idle > 0, "{rewired} rewired, {shared_and_idle} both");
     }
 
     #[test]
@@ -832,27 +814,35 @@ mod tests {
 
     /// The hill climb scores a candidate on the plan rewired in place, from
     /// the served mask, and clones, SLA-tests and collects it only if it
-    /// wins: the mask must be what `recompute_shr` would write, the score
-    /// the collected plan's cost to the bit (it breaks ties between
-    /// candidates), and the SLA verdict on the uncollected clone the
-    /// collected plan's.
+    /// wins: the mask must be the downstream walk's, the score the collected
+    /// plan's cost to the bit (it breaks ties between candidates), each
+    /// sharing's critical path in the one sweep the restricted sweep's to the
+    /// bit, and the SLA verdict on the uncollected clone the collected
+    /// plan's.
     #[test]
     fn rewired_cost_and_sla_verdict_equal_the_collected_plans() {
         let (mut g, model, prices) = setup();
-        let mvs: Vec<_> = g.sharings.iter().map(|m| g.mv_of(m).unwrap()).collect();
+        let mvs = g.mvs().unwrap();
         let (mut checked, mut shrunk) = (0, 0);
         for cand in enumerate_plumbings(&g) {
             let Ok((undo, order)) = rewire(&mut g.plan, &cand) else {
                 continue;
             };
-            let served = g.served_mask(&mvs);
+            let served = g.plan.upstream_mask(mvs.iter().copied());
             let before = served_cost(&g, &mvs, &order, &model, &prices);
             g.plan.undo(undo);
             let rewired = rewired_clone(&g, &cand).unwrap();
-            let vertices = rewired.plan.vertices().iter();
-            let shr: Vec<bool> = vertices.map(|v| !v.sharings.is_empty()).collect();
-            assert_eq!(served, shr, "{cand:?}");
+            let walked = (0..rewired.plan.vertex_count())
+                .map(|v| !shr_downstream(&rewired, VertexId::new(v as u32)).is_empty());
+            assert_eq!(served, walked.collect::<Vec<_>>(), "{cand:?}");
             let holds = rewired.all_slas_hold(&model);
+            let mut restricted_holds = true;
+            for meta in &rewired.sharings {
+                let cp = restricted_cp(&rewired.plan, rewired.mv_of(meta).unwrap(), 1.0, &model);
+                assert_eq!(rewired.sharing_cp(meta.id, &model).unwrap(), cp, "{cand:?}");
+                restricted_holds &= cp <= meta.sla;
+            }
+            assert_eq!(holds, restricted_holds, "{cand:?}");
             let uncollected = rewired.plan.vertex_count();
             let Ok(next) = materialize(rewired) else {
                 continue;
@@ -941,56 +931,5 @@ mod tests {
         }
         // Trajectory starts at the initial state.
         assert!(report.trajectory[0].0 >= g.plan.vertex_count());
-    }
-
-    /// Incremental SHR maintenance (install on merge, strip on removal)
-    /// equals the from-scratch rebuild, and reuse is what a merge did not
-    /// grow the plan by.
-    #[test]
-    fn incremental_shr_matches_full_recompute() {
-        let cat = catalog();
-        let model = TimeCostModel::paper_defaults();
-        let prices = PriceSheet::ec2_cross_zone();
-        let machines: Vec<_> = (0..3).map(MachineId::new).collect();
-        let opt = Optimizer::new(&cat, machines, &model, &prices);
-        let q1 = SpjQuery::scan(RelationId::new(0)).join(
-            RelationId::new(1),
-            JoinOn::on(0, 1),
-            Predicate::True,
-        );
-        let q2 = q1.clone();
-        let q3 = SpjQuery::scan(RelationId::new(0)).join(
-            RelationId::new(2),
-            JoinOn::on(0, 0),
-            Predicate::True,
-        );
-        let rebuilt = |g: &GlobalPlan| {
-            let mut fresh = g.clone();
-            fresh.recompute_shr().unwrap();
-            fresh.plan.canonical_string()
-        };
-        let mut plain = GlobalPlan::new();
-        let (mut hits, mut misses) = (0, 0);
-        for (id, q, sla) in [(1, q1, 45), (2, q2, 60), (3, q3, 45)] {
-            let s = sharing(id, q, sla);
-            let planned = opt.plan_admission(&s, HashMap::new(), None).unwrap();
-            let before = plain.plan.vertex_count();
-            plain.merge(&s, &planned).unwrap();
-            let grew = plain.plan.vertex_count() - before;
-            misses += grew;
-            hits += planned.plan.vertex_count() - grew;
-            assert_eq!(
-                plain.plan.canonical_string(),
-                rebuilt(&plain),
-                "incremental SHR diverged from rebuild after sharing {id}"
-            );
-        }
-        // Sharings 1 and 2 are identical: the second admission reused every
-        // vertex, so its merge grew the plan by less than it brought.
-        assert!(hits > 0, "duplicate sharing reused no vertex");
-        assert_eq!(misses, plain.plan.vertex_count());
-
-        plain.strip_sharing(SharingId::new(2));
-        assert_eq!(plain.plan.canonical_string(), rebuilt(&plain));
     }
 }

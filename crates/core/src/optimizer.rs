@@ -464,7 +464,7 @@ impl<'a> Optimizer<'a> {
             }
         }
         Some(match s.objective {
-            Objective::Time => critical_path(plan, Scope::All, 1.0, self.model).as_secs_f64(),
+            Objective::Time => critical_path(plan, 1.0, self.model).as_secs_f64(),
             Objective::Dollars => self.dollars(s.sharing, plan, handle),
         })
     }
@@ -473,7 +473,6 @@ impl<'a> Optimizer<'a> {
     fn dollars(&self, sharing: &Sharing, plan: &Plan, handle: &RelHandle) -> f64 {
         plan_cost(
             plan,
-            Scope::All,
             self.model,
             self.prices,
             sharing.staleness_sla,
@@ -490,7 +489,7 @@ impl<'a> Optimizer<'a> {
             mv: cand.handle.rel,
             mv_machine: cand.handle.machine,
             columns: s.stored_columns(&cand.order)?,
-            critical_path: critical_path(&cand.plan, Scope::All, 1.0, self.model),
+            critical_path: critical_path(&cand.plan, 1.0, self.model),
             dollar_cost: self.dollars(s.sharing, &cand.plan, &cand.handle),
             plan: cand.plan,
         })

@@ -3,66 +3,75 @@
 use crate::plan::dag::{Edge, EdgeOp, Plan, Vertex, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::PriceSheet;
-use smile_types::{SharingId, SimDuration};
+use smile_types::{Result, SimDuration};
 use std::collections::HashMap;
 
-/// Scope restriction for plan metrics: the whole (global) plan, or only the
-/// subgraph serving one sharing.
+/// The one scope plan metrics have: the whole plan. A sharing's share of it
+/// is its MV's ancestors, read off [`path_lengths`] or walked from the MV
+/// ([`Plan::mark_upstream`]). The name stays only because the frozen
+/// `benchmark/` harness passes it to [`machine_utilization`]; drop it with
+/// that argument in the next `benchmark` PR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scope {
     /// Every vertex and every edge that still produces its output.
     All,
-    /// Only vertices/edges whose `SHR` set contains the sharing.
-    Sharing(SharingId),
 }
 
-impl Scope {
-    fn includes(&self, sharings: &std::collections::BTreeSet<SharingId>) -> bool {
-        match self {
-            Scope::All => true,
-            Scope::Sharing(s) => sharings.contains(s),
-        }
+/// Per vertex, the longest transformation path from a plan source to it,
+/// in wall time, for moving `x` seconds worth of updates; an error on a
+/// cyclic plan. A sharing's critical path is its MV's entry: the subgraph
+/// serving it is exactly the MV's ancestors, and a path only grows along
+/// an edge, so none of them lies further out than the MV.
+///
+/// Edge weight = the time model's estimate at `n = rate · x` tuples. The
+/// plan is a DAG, so this is a single topological sweep.
+pub fn path_lengths(plan: &Plan, x_secs: f64, model: &TimeCostModel) -> Result<Vec<SimDuration>> {
+    let mut dist: Vec<SimDuration> = vec![SimDuration::ZERO; plan.vertex_count()];
+    for v in plan.topo_order()? {
+        let Some(edge) = plan.producer(v) else { continue };
+        let out = plan.vertex(v);
+        let n = out.est_rate * x_secs;
+        let w = model.edge_estimate(&edge.op, n, out.est_tuple_bytes);
+        let arrive = edge.inputs.iter().map(|i| dist[i.index()]).max();
+        dist[v.index()] = arrive.unwrap_or(SimDuration::ZERO) + w;
+    }
+    Ok(dist)
+}
+
+/// `CP(p, x)`: the critical time path — the longest of [`path_lengths`],
+/// to whichever MV it ends at. A cyclic plan has none and reports an
+/// unmeetable one.
+pub fn critical_path(plan: &Plan, x_secs: f64, model: &TimeCostModel) -> SimDuration {
+    match path_lengths(plan, x_secs, model) {
+        Ok(dist) => dist.into_iter().max().unwrap_or(SimDuration::ZERO),
+        Err(_) => SimDuration::from_secs(u64::MAX / 2_000_000),
     }
 }
 
-/// `CP(p, x)`: the critical time path — the longest transformation path, in
-/// wall time, for moving `x` seconds worth of updates from the base
-/// relations to the MV(s) in scope.
-///
-/// Edge weight = the time model's estimate at `n = rate · x` tuples. The
-/// plan is a DAG, so the longest path is a single topological sweep.
-pub fn critical_path(plan: &Plan, scope: Scope, x_secs: f64, model: &TimeCostModel) -> SimDuration {
-    let order = match plan.topo_order() {
-        Ok(o) => o,
-        Err(_) => return SimDuration::from_secs(u64::MAX / 2_000_000),
-    };
-    let mut dist: Vec<SimDuration> = vec![SimDuration::ZERO; plan.vertex_count()];
-    let mut best = SimDuration::ZERO;
-    for v in order {
-        let Some(edge) = plan.producer(v) else {
+/// A test oracle for a sharing's critical path, independent of reading the
+/// MV's entry off [`path_lengths`]: the sweep restricted to the vertices
+/// the MV lies downstream of, its longest path taken.
+#[cfg(test)]
+pub(crate) fn restricted_cp(
+    plan: &Plan,
+    mv: smile_types::VertexId,
+    x_secs: f64,
+    model: &TimeCostModel,
+) -> SimDuration {
+    let mut dist = vec![SimDuration::ZERO; plan.vertex_count()];
+    for v in plan.topo_order().unwrap() {
+        let Some(edge) = plan.producer(v).filter(|_| plan.downstream(v).contains(&mv)) else {
             continue;
         };
         let out = plan.vertex(v);
-        if !scope.includes(&out.sharings) {
-            continue;
-        }
-        let n = out.est_rate * x_secs;
-        let w = model.edge_estimate(&edge.op, n, out.est_tuple_bytes);
-        let arrive = edge
-            .inputs
-            .iter()
-            .map(|i| dist[i.index()])
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        dist[v.index()] = arrive + w;
-        if dist[v.index()] > best {
-            best = dist[v.index()];
-        }
+        let w = model.edge_estimate(&edge.op, out.est_rate * x_secs, out.est_tuple_bytes);
+        let arrive = edge.inputs.iter().map(|i| dist[i.index()]).max();
+        dist[v.index()] = arrive.unwrap_or(SimDuration::ZERO) + w;
     }
-    best
+    dist.into_iter().max().unwrap_or(SimDuration::ZERO)
 }
 
-/// Steady-state resource consumption of the plan in scope, as *rates*.
+/// Steady-state resource consumption of a plan, as *rates*.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceRates {
     /// CPU operator-seconds per second (summed over machines).
@@ -76,16 +85,10 @@ pub struct ResourceRates {
 /// `resCost` inputs: sums each edge's CPU utilization (service seconds per
 /// second of updates), each `CopyDelta`'s byte rate, and each materialized
 /// vertex's storage footprint, each counted whole however many sharings it
-/// serves.
-pub fn resource_rates(plan: &Plan, scope: Scope, model: &TimeCostModel) -> ResourceRates {
-    let includes = |v: &Vertex| scope.includes(&v.sharings);
-    resource_rates_in(plan, plan.vertices().iter(), includes, model)
-}
-
-/// [`resource_rates`] over the vertices `includes` admits, and every edge
-/// that still produces an admitted output, with the storage footprint summed
-/// over `vertices` in the order given. Float addition is not associative, so
-/// a caller that must reproduce to the bit what a *renumbered* plan would
+/// serves — over the vertices `includes` admits and every edge that still
+/// produces an admitted output, with the storage footprint summed over
+/// `vertices` in the order given. Float addition is not associative, so a
+/// caller that must reproduce to the bit what a *renumbered* plan would
 /// report (hill climbing costs a candidate before collecting it) passes the
 /// vertices in that plan's id order.
 pub fn resource_rates_in<'p>(
@@ -97,7 +100,7 @@ pub fn resource_rates_in<'p>(
     let mut r = ResourceRates::default();
     for e in plan.edges() {
         let out = plan.vertex(e.output);
-        if e.shr(plan).is_none() || !includes(out) {
+        if !e.attached(plan) || !includes(out) {
             continue;
         }
         // CPU seconds consumed per second: marginal service time at the
@@ -119,8 +122,8 @@ pub fn resource_rates_in<'p>(
 }
 
 /// `resCost(p)` in dollars per second.
-pub fn res_cost(plan: &Plan, scope: Scope, model: &TimeCostModel, prices: &PriceSheet) -> f64 {
-    let r = resource_rates(plan, scope, model);
+pub fn res_cost(plan: &Plan, model: &TimeCostModel, prices: &PriceSheet) -> f64 {
+    let r = resource_rates_in(plan, plan.vertices().iter(), |_| true, model);
     prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
 }
 
@@ -150,7 +153,6 @@ pub fn mm1_late_fraction(lambda: f64, mu: f64, s_secs: f64) -> f64 {
 ///   `resCost` — documented substitution.)
 pub fn plan_cost(
     plan: &Plan,
-    scope: Scope,
     model: &TimeCostModel,
     prices: &PriceSheet,
     sla: SimDuration,
@@ -158,22 +160,21 @@ pub fn plan_cost(
     mv_rate: f64,
 ) -> f64 {
     let s = sla.as_secs_f64().max(1e-6);
-    let rescost = res_cost(plan, scope, model, prices);
-    let cp = critical_path(plan, scope, 1.0, model).as_secs_f64();
+    let rescost = res_cost(plan, model, prices);
+    let cp = critical_path(plan, 1.0, model).as_secs_f64();
     let mu = 1.0 / model.slowest_per_tuple().as_secs_f64().max(1e-9);
     let late = mm1_late_fraction(mv_rate, mu, s);
     rescost * (1.0 + cp / s) + late * mv_rate * penalty_per_tuple
 }
 
-/// Per-machine CPU utilization of the plan in scope (operator-seconds per
-/// second), for capacity accounting.
+/// Per-machine CPU utilization of the plan (operator-seconds per second),
+/// for capacity accounting.
 pub fn machine_utilization(
     plan: &Plan,
-    scope: Scope,
+    _scope: Scope,
     model: &TimeCostModel,
 ) -> HashMap<smile_types::MachineId, f64> {
-    let in_scope = |e: &&Edge| e.shr(plan).is_some_and(|shr| scope.includes(shr));
-    let edges = plan.edges().iter().filter(in_scope);
+    let edges = plan.edges().iter().filter(|e| e.attached(plan));
     edge_utilization(HashMap::new(), plan, edges, model)
 }
 
@@ -244,10 +245,6 @@ mod tests {
             .unwrap();
         p.add_edge(EdgeOp::DeltaToRel, vec![d1], r1, Predicate::True, None)
             .unwrap();
-        // Everything off the base serves sharing 0.
-        for v in [d1, r1] {
-            p.vertex_mut(v).sharings.insert(SharingId::new(0));
-        }
         p
     }
 
@@ -255,8 +252,8 @@ mod tests {
     fn cp_grows_with_window() {
         let p = copy_plan(100.0);
         let m = TimeCostModel::paper_defaults();
-        let cp1 = critical_path(&p, Scope::All, 1.0, &m);
-        let cp10 = critical_path(&p, Scope::All, 10.0, &m);
+        let cp1 = critical_path(&p, 1.0, &m);
+        let cp10 = critical_path(&p, 10.0, &m);
         assert!(cp10 > cp1);
         // Path = copy + apply of 100 tuples plus fixed overheads & wire.
         let expected = m.edge_estimate(&EdgeOp::CopyDelta, 100.0, 24.0)
@@ -264,21 +261,24 @@ mod tests {
         assert_eq!(cp1, expected);
     }
 
+    /// Path lengths only grow along an edge, so the relation at the end of
+    /// the copy-and-apply chain — the MV — carries the critical path.
     #[test]
-    fn scope_restricts_cp() {
+    fn the_mv_ends_the_critical_path() {
         let p = copy_plan(100.0);
         let m = TimeCostModel::paper_defaults();
-        let other = Scope::Sharing(SharingId::new(9));
-        assert_eq!(critical_path(&p, other, 1.0, &m), SimDuration::ZERO);
-        assert!(critical_path(&p, Scope::Sharing(SharingId::new(0)), 1.0, &m) > SimDuration::ZERO);
+        let dist = path_lengths(&p, 1.0, &m).unwrap();
+        let (d0, d1, r1) = (dist[0], dist[1], dist[2]);
+        assert!(d0 == SimDuration::ZERO && d0 < d1 && d1 < r1, "{dist:?}");
+        assert_eq!(r1, critical_path(&p, 1.0, &m));
     }
 
     #[test]
     fn rescost_scales_with_rate() {
         let m = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
-        let slow = res_cost(&copy_plan(10.0), Scope::All, &m, &prices);
-        let fast = res_cost(&copy_plan(1000.0), Scope::All, &m, &prices);
+        let slow = res_cost(&copy_plan(10.0), &m, &prices);
+        let fast = res_cost(&copy_plan(1000.0), &m, &prices);
         assert!(fast > slow * 10.0);
     }
 
@@ -299,24 +299,8 @@ mod tests {
         let p = copy_plan(100.0);
         let m = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
-        let loose = plan_cost(
-            &p,
-            Scope::All,
-            &m,
-            &prices,
-            SimDuration::from_secs(60),
-            0.001,
-            100.0,
-        );
-        let tight = plan_cost(
-            &p,
-            Scope::All,
-            &m,
-            &prices,
-            SimDuration::from_secs(1),
-            0.001,
-            100.0,
-        );
+        let loose = plan_cost(&p, &m, &prices, SimDuration::from_secs(60), 0.001, 100.0);
+        let tight = plan_cost(&p, &m, &prices, SimDuration::from_secs(1), 0.001, 100.0);
         assert!(tight > loose);
     }
 

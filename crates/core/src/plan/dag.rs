@@ -3,9 +3,9 @@
 use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
 use smile_storage::{IndexCols, Predicate};
-use smile_types::{MachineId, RelationId, Result, Schema, SharingId, SmileError, Value, VertexId};
+use smile_types::{MachineId, RelationId, Result, Schema, SmileError, Value, VertexId};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Whether a vertex holds materialized relation contents or a delta log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,8 +50,6 @@ pub struct Vertex {
     /// candidate plans that were never instantiated). A Relation vertex and
     /// its Delta vertex share the slot.
     pub slot: Option<RelationId>,
-    /// `SHR(v)`: the sharings this vertex serves.
-    pub sharings: BTreeSet<SharingId>,
     /// Estimated delta arrival rate through this vertex (tuples/second).
     pub est_rate: f64,
     /// Estimated materialized cardinality (Relation vertices).
@@ -128,12 +126,11 @@ impl Edge {
         plan.vertex(self.output).machine
     }
 
-    /// `SHR(e)`: an edge serves what its output serves. `None` for an edge
-    /// [`Plan::detach_producer`] took off its output: it is no longer that
-    /// vertex's producer, serves nothing and awaits collection.
-    pub fn shr<'p>(&self, plan: &'p Plan) -> Option<&'p BTreeSet<SharingId>> {
-        let attached = plan.producer[self.output.index()] == Some(self.id);
-        attached.then(|| &plan.vertex(self.output).sharings)
+    /// Whether this edge still produces its output. An edge serves what its
+    /// output serves; one [`Plan::detach_producer`] took off its output
+    /// serves nothing and awaits collection.
+    pub fn attached(&self, plan: &Plan) -> bool {
+        plan.producer[self.output.index()] == Some(self.id)
     }
 }
 
@@ -265,9 +262,7 @@ impl Plan {
     }
 
     /// Adds a vertex, deduplicating on (kind, sig, machine): if an identical
-    /// vertex exists, its id is returned. A new vertex serves no sharing
-    /// yet — `SHR` sets are the global plan's to write
-    /// ([`GlobalPlan`](crate::multi::GlobalPlan)).
+    /// vertex exists, its id is returned.
     #[allow(clippy::too_many_arguments)]
     pub fn add_vertex(
         &mut self,
@@ -297,7 +292,6 @@ impl Plan {
             schema,
             is_base,
             slot: None,
-            sharings: BTreeSet::new(),
             est_rate,
             est_card,
             est_tuple_bytes,
@@ -305,7 +299,7 @@ impl Plan {
     }
 
     /// Adds a copy of `v` — a vertex of another plan — under this plan's
-    /// next id, every other field carried over (`SHR` set and storage slot
+    /// next id, every other field carried over (the storage slot
     /// included). Deduplicates like [`Plan::add_vertex`]: an identical
     /// vertex already here is returned as it is.
     pub fn add_vertex_copy(&mut self, v: &Vertex) -> VertexId {
@@ -407,7 +401,7 @@ impl Plan {
 
     /// Detaches the producing edge of `v`, leaving `v` source-like until a
     /// new producer is added. The detached edge becomes inert (no inputs,
-    /// [`Edge::shr`] `None`) and is dropped by the next
+    /// not [`Edge::attached`]) and is dropped by the next
     /// [`Plan::garbage_collect`]; `validate` must not be called before that
     /// collection happens. `undo` records the edge, its inputs and where it
     /// stood in each input's consumer list, for [`Plan::undo`]; one undo
@@ -536,9 +530,15 @@ impl Plan {
     /// window is double-counted (or dropped).
     ///
     /// A half has one sibling by construction ([`ExprSig::HalfJoin`] carries
-    /// its pair); a live join edge that resolves to two is a plan the
-    /// executor cannot anchor, and is refused.
-    pub fn half_join_anchors(&self) -> Result<Vec<Option<VertexId>>> {
+    /// its pair); a join edge that resolves to two and whose output is
+    /// served — in the mask `served` returns ([`Plan::mark_upstream`]),
+    /// asked for only then — is a plan the executor cannot anchor, and is
+    /// refused.
+    pub fn half_join_anchors(
+        &self,
+        served: impl FnOnce() -> Vec<bool>,
+    ) -> Result<Vec<Option<VertexId>>> {
+        let served = std::cell::LazyCell::new(served);
         let mut anchors = vec![None; self.edges.len()];
         for union in &self.edges {
             if !matches!(union.op, EdgeOp::Union) {
@@ -563,9 +563,7 @@ impl Plan {
             if let [(ea, va), (eb, vb)] = halves[..] {
                 for (e, own, sibling) in [(ea, va, vb), (eb, vb, va)] {
                     match anchors[e].replace(sibling) {
-                        Some(other)
-                            if other != sibling && !self.vertex(own).sharings.is_empty() =>
-                        {
+                        Some(other) if other != sibling && served[own.index()] => {
                             return Err(SmileError::InvalidPlan(format!(
                                 "join edge {e} is paired with two sibling halves, \
                                  {other} and {sibling}"
@@ -579,15 +577,51 @@ impl Plan {
         Ok(anchors)
     }
 
-    /// `ANC(v)`: every vertex upstream of `v` (excluding `v` itself),
-    /// together with the edges among them.
-    pub fn ancestors(&self, v: VertexId) -> (HashSet<VertexId>, HashSet<usize>) {
+    /// Marks each of `roots` and every vertex upstream of it in `mask`, no
+    /// further than a vertex already marked, and returns what it marked.
+    /// `SHR(v)` is the sharings whose MV is `v` or downstream of it, so from
+    /// every admitted MV over an empty mask this marks the *served* mask.
+    pub fn mark_upstream(
+        &self,
+        mask: &mut [bool],
+        roots: impl IntoIterator<Item = VertexId>,
+    ) -> Vec<VertexId> {
+        let mut marked = Vec::new();
+        let mut stack: Vec<VertexId> = roots.into_iter().collect();
+        while let Some(v) = stack.pop() {
+            if !std::mem::replace(&mut mask[v.index()], true) {
+                marked.push(v);
+                stack.extend(self.producer(v).iter().flat_map(|e| &e.inputs));
+            }
+        }
+        marked
+    }
+
+    /// [`Plan::mark_upstream`] over an empty mask: `mask[v]` iff `v` is one
+    /// of `roots` or upstream of one.
+    pub fn upstream_mask(&self, roots: impl IntoIterator<Item = VertexId>) -> Vec<bool> {
+        let mut mask = vec![false; self.vertex_count()];
+        self.mark_upstream(&mut mask, roots);
+        mask
+    }
+
+    /// A test oracle independent of the walks over producers: `v` and every
+    /// vertex downstream of it, along the consumer lists.
+    #[cfg(test)]
+    pub(crate) fn downstream(&self, v: VertexId) -> HashSet<VertexId> {
+        let (mut seen, mut stack) = (HashSet::from([v]), vec![v]);
+        while let Some(cur) = stack.pop() {
+            stack.extend(self.consumers(cur).map(|e| e.output).filter(|&o| seen.insert(o)));
+        }
+        seen
+    }
+
+    /// `ANC(v)`: every vertex upstream of `v` (excluding `v` itself).
+    pub fn ancestors(&self, v: VertexId) -> HashSet<VertexId> {
         let mut verts = HashSet::new();
-        let mut edges = HashSet::new();
         let mut stack = vec![v];
         while let Some(cur) = stack.pop() {
             if let Some(e) = self.producer[cur.index()] {
-                edges.insert(e);
                 for &input in &self.edges[e].inputs {
                     if verts.insert(input) {
                         stack.push(input);
@@ -595,7 +629,7 @@ impl Plan {
                 }
             }
         }
-        (verts, edges)
+        verts
     }
 
     /// Validates the structural invariants of a plan:
@@ -669,23 +703,24 @@ impl Plan {
         Ok(())
     }
 
-    /// Rebuilds the plan keeping only vertices/edges whose `SHR` set is
-    /// non-empty, remapping ids densely in topological order. Returns the
-    /// new plan. Used by the plumbing pass after it strips sharings from
-    /// replaced supply chains; errors on a cyclic plan.
-    pub fn garbage_collect(&self) -> Result<Plan> {
+    /// Rebuilds the plan keeping only the base vertices, the `served` ones
+    /// (see [`Plan::mark_upstream`]) and the edges that still produce a
+    /// served vertex, remapping ids densely in topological order. Returns
+    /// the new plan. Used by the plumbing pass after a rewiring left the
+    /// replaced supply chain serving nothing; errors on a cyclic plan.
+    pub fn garbage_collect(&self, served: &[bool]) -> Result<Plan> {
         let mut out = Plan::new();
         let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
         for v in self.topo_order()? {
             let vert = self.vertex(v);
-            if vert.sharings.is_empty() && !vert.is_base {
+            if !served[v.index()] && !vert.is_base {
                 continue;
             }
             let nid = out.add_vertex_copy(vert);
             remap.insert(v, nid);
         }
         for e in &self.edges {
-            if e.shr(self).is_none_or(BTreeSet::is_empty) {
+            if !e.attached(self) || !served[e.output.index()] {
                 continue;
             }
             let inputs: Option<Vec<VertexId>> =
@@ -704,7 +739,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smile_types::{Column, ColumnType};
+    use smile_types::{Column, ColumnType, SharingId};
 
     fn schema() -> Schema {
         Schema::new(vec![Column::new("k", ColumnType::I64)], vec![0])
@@ -739,7 +774,7 @@ mod tests {
     fn dedup_on_add_vertex() {
         let mut p = Plan::new();
         let (r1, _) = base_pair(&mut p, 0, 0);
-        p.vertex_mut(r1).sharings.insert(SharingId::new(5));
+        p.vertex_mut(r1).slot = Some(RelationId::new(5));
         let sig = ExprSig::base(RelationId::new(0));
         let r2 = p.add_vertex(
             VertexKind::Relation,
@@ -753,7 +788,7 @@ mod tests {
         );
         assert_eq!(r1, r2);
         assert_eq!(p.vertex_count(), 2);
-        assert!(p.vertex(r1).sharings.contains(&SharingId::new(5)));
+        assert_eq!(p.vertex(r1).slot, Some(RelationId::new(5)));
     }
 
     #[test]
@@ -868,10 +903,9 @@ mod tests {
             .unwrap();
         p.add_edge(EdgeOp::CopyDelta, vec![d1], d2, Predicate::True, None)
             .unwrap();
-        let (verts, edges) = p.ancestors(d2);
+        let verts = p.ancestors(d2);
         assert_eq!(verts.len(), 2);
         assert!(verts.contains(&d0) && verts.contains(&d1));
-        assert_eq!(edges.len(), 2);
     }
 
     /// Chain `Δbase → Δcopy → relation`: each derived vertex gets its own
@@ -979,16 +1013,16 @@ mod tests {
             .unwrap();
         // The copy serves no sharing: GC should drop the derived vertex and
         // edge but keep the base pair.
-        let gc = p.garbage_collect().unwrap();
+        let gc = p.garbage_collect(&[false; 3]).unwrap();
         assert_eq!(gc.vertex_count(), 2);
         assert_eq!(gc.edge_count(), 0);
     }
 
     /// A detached edge is no longer its output's producer: it serves nothing
-    /// whatever that vertex serves, no scope — not even `Scope::All` —
-    /// charges it, and the next collection drops it.
+    /// whatever that vertex serves, the utilization does not charge it, and
+    /// the next collection drops it.
     #[test]
-    fn detached_edge_is_collected_and_never_in_scope() {
+    fn detached_edge_is_collected_and_never_charged() {
         use crate::plan::cost::{machine_utilization, Scope};
         let mut p = Plan::new();
         let (_, d0) = base_pair(&mut p, 0, 0);
@@ -996,27 +1030,23 @@ mod tests {
         let sig = ExprSig::base(RelationId::new(2));
         let m1 = MachineId::new(1);
         let out = p.add_vertex(VertexKind::Delta, sig, m1, schema(), false, 10.0, 0.0, 24.0);
-        let s = SharingId::new(1);
-        p.vertex_mut(out).sharings.insert(s);
         let copy_from = |p: &mut Plan, src| {
             let (op, filter) = (EdgeOp::CopyDelta, Predicate::True);
             p.add_edge(op, vec![src], out, filter, None).unwrap()
         };
         let old = copy_from(&mut p, d0);
-        assert_eq!(p.edge(old).shr(&p), Some(&BTreeSet::from([s])));
+        assert!(p.edge(old).attached(&p));
         let model = crate::plan::timecost::TimeCostModel::paper_defaults();
         let one_copy = machine_utilization(&p, Scope::All, &model);
 
         // Re-feed `out` from the other base: same operator, same rate.
         assert_eq!(p.detach_producer(out, &mut p.undo_point()), Some(old));
         let new = copy_from(&mut p, d1);
-        assert_eq!(p.edge(old).shr(&p), None, "a detached edge serves nothing");
-        assert_eq!(p.edge(new).shr(&p), Some(&BTreeSet::from([s])));
-        for scope in [Scope::All, Scope::Sharing(s)] {
-            let load = machine_utilization(&p, scope, &model);
-            assert_eq!(load, one_copy, "the detached edge is charged under {scope:?}");
-        }
-        let gc = p.garbage_collect().unwrap();
+        assert!(!p.edge(old).attached(&p), "a detached edge serves nothing");
+        assert!(p.edge(new).attached(&p));
+        let load = machine_utilization(&p, Scope::All, &model);
+        assert_eq!(load, one_copy, "the detached edge is charged");
+        let gc = p.garbage_collect(&p.upstream_mask([out])).unwrap();
         assert_eq!(gc.edge_count(), 1);
         assert_eq!(gc.edge(0).inputs, vec![d1]);
     }
@@ -1088,7 +1118,7 @@ mod tests {
     #[test]
     fn merged_twin_plans_keep_each_half_join_with_its_own_sibling() {
         let (p, pairs) = twin_join_plans();
-        let anchors = p.half_join_anchors().unwrap();
+        let anchors = p.half_join_anchors(|| vec![true; p.vertex_count()]).unwrap();
         let paired = anchors.iter().flatten().count();
         assert_eq!(paired, 4, "two pairs, no half shared between them");
         for (d1, d2) in pairs {
@@ -1121,7 +1151,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let err = p.half_join_anchors().unwrap_err().to_string();
+        let err = p.half_join_anchors(|| vec![true; p.vertex_count()]).unwrap_err().to_string();
         let edge = format!("edge {} ", p.producer(d1).unwrap().id);
         for part in [edge, d2.to_string(), other_d2.to_string()] {
             assert!(err.contains(&part), "{err:?} does not name {part:?}");

@@ -192,7 +192,7 @@ impl Smile {
         // Shadow install: merge the new chain into the running plan, then
         // reconcile storage exactly like a live admission — the chain is
         // live from here on although it serves no sharing until cutover
-        // recomputes SHR.
+        // repoints the sharing's MV to it.
         let before = self.global_plan().plan.vertex_count();
         running_mut(&mut self.executor)?.begin_migration(id, &planned, self.now)?;
         self.count_reuse(&planned, before);
@@ -403,7 +403,10 @@ impl Smile {
     /// land there) and live-migrates every MV it hosts to the remaining
     /// active machines. Returns the sharings whose migrations started; the
     /// machine retires via [`Smile::step`] once the handoffs settle.
-    /// Refused before the start, as [`Smile::retire`] is.
+    /// Refused before the start, as [`Smile::retire`] is. An MV that finds no
+    /// place on the rest of the fleet returns the error with the machine as
+    /// the call found it (a Draining one homing an MV never retires); the
+    /// migrations already started go on.
     pub fn drain_machine(&mut self, m: MachineId) -> Result<Vec<SharingId>> {
         let executor = running(&self.executor)?;
         if !executor.started() {
@@ -426,6 +429,7 @@ impl Smile {
                 "cannot drain the last active machine".into(),
             ));
         }
+        let state = self.cluster.machine_state(m);
         self.cluster.begin_drain(m);
         let homed: Vec<SharingId> = self
             .sharings
@@ -435,8 +439,14 @@ impl Smile {
             .collect();
         let mut moved = Vec::new();
         for id in homed {
-            if self.replan_and_migrate(id, rest.clone(), None)? {
-                moved.push(id);
+            match self.replan_and_migrate(id, rest.clone(), None) {
+                Ok(started) => moved.extend(started.then_some(id)),
+                Err(e) => {
+                    if state == MachineState::Active {
+                        self.cluster.cancel_drain(m);
+                    }
+                    return Err(e);
+                }
             }
         }
         Ok(moved)

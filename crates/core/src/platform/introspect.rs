@@ -12,7 +12,7 @@ use smile_storage::ZSet;
 use smile_telemetry::{
     chrome_trace, Alert, FlightIncident, MetricsSnapshot, Severity, Telemetry, TraceInstant,
 };
-use smile_types::{RelationId, Result, Schema, SharingId, SmileError, Timestamp};
+use smile_types::{RelationId, Result, Schema, SharingId, SmileError, Timestamp, VertexId};
 use std::collections::HashSet;
 
 /// Summary of the faults injected into a run and the recovery work they
@@ -285,11 +285,9 @@ impl Smile {
         // Plan shape: the sharing's push subgraph (sources + non-base
         // vertices in push order), flagging vertices that serve other
         // sharings too.
-        let shared = order
-            .iter()
-            .chain(srcs.iter())
-            .filter(|&&v| plan.vertex(v).sharings.len() > 1)
-            .count();
+        let shown: Vec<VertexId> = srcs.iter().chain(order.iter()).copied().collect();
+        let shr = executor.global.shr_counts(&shown)?;
+        let shared = shr.iter().filter(|&&n| n > 1).count();
         let _ = writeln!(
             out,
             "plan: {} source(s), {} push vertices, {} shared with other sharings",
@@ -297,7 +295,7 @@ impl Smile {
             order.len(),
             shared
         );
-        for &v in srcs.iter().chain(order.iter()) {
+        for (&v, shr) in shown.iter().zip(shr) {
             let vert = plan.vertex(v);
             let kind = match vert.kind {
                 VertexKind::Relation => "relation",
@@ -309,7 +307,7 @@ impl Smile {
                 vert.id,
                 kind,
                 vert.machine.0,
-                vert.sharings.len(),
+                shr,
                 vert.sig
             );
         }

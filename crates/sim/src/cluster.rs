@@ -96,6 +96,15 @@ impl Cluster {
         }
     }
 
+    /// Takes a draining `m` back into service: it accepts placements again.
+    pub fn cancel_drain(&mut self, m: MachineId) {
+        if let Some(state) = self.states.get_mut(m.index()) {
+            if *state == MachineState::Draining {
+                *state = MachineState::Active;
+            }
+        }
+    }
+
     /// Retires `m` (drain-before-retire is the caller's contract); the slot
     /// stays as a tombstone so machine ids remain dense.
     pub fn retire_machine(&mut self, m: MachineId) {
@@ -301,6 +310,9 @@ mod tests {
         assert_eq!(c.active_machine_ids().len(), 3);
         c.begin_drain(m2);
         assert_eq!(c.machine_state(m2), MachineState::Draining);
+        c.cancel_drain(m2);
+        assert_eq!(c.machine_state(m2), MachineState::Active);
+        c.begin_drain(m2);
         assert_eq!(c.active_machine_ids().len(), 2);
         assert_eq!(c.reserved_count(), 3);
         c.retire_machine(m2);

@@ -126,7 +126,7 @@ fn dpt_tracks_dpd_critical_path_across_all_25() {
         dpt.plan.validate().unwrap();
         assert_eq!(
             dpt.critical_path,
-            critical_path(&dpt.plan, Scope::All, 1.0, &model)
+            critical_path(&dpt.plan, 1.0, &model)
         );
     }
 }

@@ -276,7 +276,8 @@ impl Scenario {
 
     /// Runs the scenario under `config`: the install-time admissions,
     /// `install`, the script, the drain; then the checker. `observe` sees the
-    /// platform after every admission and step.
+    /// platform after every admission and step, and the checker's
+    /// [`Checker::commits_advance`] after every tick.
     pub fn run_with(
         &self,
         config: SmileConfig,
@@ -297,12 +298,15 @@ impl Scenario {
         smile.install().map_err(|e| format!("install: {e}"))?;
         observe(&smile)?;
         let mut rows: Vec<Vec<(i64, i64)>> = vec![Vec::new(); rels.len()];
+        let mut commits = HashMap::new();
         for &step in &self.script {
             let pick = |served: &[SharingId], i| served.get(i % served.len().max(1)).copied();
             match step {
                 Ticks(n, seed) => {
                     let mut rng = StdRng::seed_from_u64(seed);
+                    let mut advanced = Ok(());
                     feed(&mut smile, n.into(), |smile, _| {
+                        advanced = advanced.clone().and_then(|()| Checker(smile).commits_advance(&mut commits));
                         let (now, count) = (smile.now(), rng.gen_range(0..3));
                         let draw = |_| {
                             let (r, k) = (rng.gen_range(0..rels.len()), rng.gen_range(0..12i64));
@@ -322,6 +326,7 @@ impl Scenario {
                         };
                         (0..count).map(draw).collect::<Vec<_>>()
                     });
+                    advanced?;
                 }
                 Admit(i) => admit(&mut smile, &mut served, i)?,
                 Retire(i) => {
@@ -339,6 +344,7 @@ impl Scenario {
                     }
                 }
             }
+            Checker(&smile).commits_advance(&mut commits)?;
             observe(&smile)?;
         }
         // The drain: until every served MV has committed past the script's
@@ -348,6 +354,7 @@ impl Scenario {
         let mv_ts = |smile: &Smile, id| smile.executor.as_ref().unwrap().mv_ts(id).unwrap();
         while smile.now() < cap && smile.sharings().iter().any(|s| mv_ts(&smile, s.id) < end) {
             smile.step().map_err(|e| format!("drain: {e}"))?;
+            Checker(&smile).commits_advance(&mut commits)?;
         }
         Checker(&smile).check_drained(end)?;
         Ok(Run { smile, served, admitted })
@@ -442,6 +449,23 @@ impl Checker<'_> {
             (_, applied, committed) if applied == committed => exact(smile, id),
             _ => exact_in_flight(smile, id),
         })
+    }
+
+    /// No served MV's committed timestamp moves back from the one `seen`
+    /// last recorded for it — across a migration's cutover, a retried push
+    /// and a crash — and `seen` takes the current ones.
+    pub fn commits_advance(&self, seen: &mut HashMap<SharingId, Timestamp>) -> Result<(), String> {
+        let Some(executor) = self.0.executor.as_ref().filter(|e| e.started()) else { return Ok(()) };
+        for s in self.0.sharings() {
+            let committed = executor.mv_ts(s.id).map_err(|e| e.to_string())?;
+            match seen.insert(s.id, committed) {
+                Some(before) if committed < before => {
+                    return Err(format!("MV of {} committed as of {committed} after {before}", s.id));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     fn check_with(

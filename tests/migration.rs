@@ -14,7 +14,7 @@ use smile::sim::{FaultProfile, MachineState};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{tuple, MachineId, RelationId, SharingId, SimDuration};
+use smile::types::{tuple, MachineId, RelationId, SharingId, SimDuration, SmileError};
 
 fn labels(smile: &Smile) -> Vec<String> {
     smile.actions().iter().map(|a| a.kind.label()).collect()
@@ -426,4 +426,36 @@ fn a_migration_that_reorders_the_joins_keeps_the_readers_columns() {
     feed_chain(&mut smile, 60);
     smile.run_idle(SimDuration::from_secs(60)).unwrap();
     assert!(assert_exact(&smile, &[id]) > served.len());
+}
+
+/// A drain whose replans do not all fit leaves the machine in service: the
+/// error returns with it Active, the migration already started completes,
+/// and once the fleet has room again the drain goes through and the machine
+/// retires.
+#[test]
+fn a_drain_that_cannot_place_every_mv_leaves_the_machine_active() {
+    let (mut smile, a, b) = ab(SmileConfig::with_machines(3));
+    let (sla, m2) = (SimDuration::from_secs(20), MachineId::new(2));
+    let scan = smile.submit_pinned("scan", SpjQuery::scan(a), sla, 0.01, Some(m2)).unwrap();
+    let join = smile.submit_pinned("join", ab_join(a, b), sla, 0.01, Some(m2)).unwrap();
+    smile.install().unwrap();
+    ab_feed(&mut smile, a, b, 30, false);
+    // Room on m0 and m1 for the scan's copy, not then for the join's union
+    // and MV as well.
+    let capacity = std::mem::replace(&mut smile.config.capacity, 0.0006);
+    let err = smile.drain_machine(m2).unwrap_err();
+    assert!(matches!(err, SmileError::CapacityExhausted { .. }), "{err}");
+    assert_eq!(smile.cluster.machine_state(m2), MachineState::Active);
+    let executor = smile.executor.as_ref().unwrap();
+    assert!(executor.migrating(scan) && !executor.migrating(join));
+    ab_feed(&mut smile, a, b, 60, false);
+    assert!(labels(&smile).iter().any(|l| l.starts_with("migration_completed m2->")));
+    assert_eq!(smile.cluster.machine_state(m2), MachineState::Active);
+    assert_exact(&smile, &[scan, join]);
+
+    smile.config.capacity = capacity;
+    assert_eq!(smile.drain_machine(m2).unwrap(), vec![join]);
+    ab_feed(&mut smile, a, b, 60, false);
+    assert_eq!(smile.cluster.machine_state(m2), MachineState::Retired);
+    assert_exact(&smile, &[scan, join]);
 }

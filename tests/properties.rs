@@ -509,28 +509,42 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Admission-state oracle: admission keeps two pieces of state
-// incrementally — SHR sets on the global plan, and before the start the
-// per-machine load, grown by the edges each merge appends. On the lifecycle
-// scenarios, each must equal its from-scratch recomputation by functions
-// production also calls (`recompute_shr`, `edge_utilization` over the live
-// edges) — the load bit for bit — after every admission before the start,
-// refused or not, after the start, and after every step, live admission and
-// retire; and the checker must hold after the drain.
+// Admission-state oracle: the executor keeps two pieces of state
+// incrementally — which vertices are live, marked by each merge, and before
+// the start the per-machine load, grown by the edges each merge appends. On
+// the lifecycle scenarios, each must equal its from-scratch recomputation —
+// liveness by a naive walk, the load by `edge_utilization` over the live
+// edges, bit for bit — after every admission before the start, refused or
+// not, after the start, and after every step, live admission and retire;
+// and the checker must hold after the drain.
 // ---------------------------------------------------------------------------
 
 use smile::core::multi::GlobalPlan;
 use smile::core::plan::cost::{edge_utilization, machine_utilization, Scope};
 use smile::core::plan::dag::VertexKind;
 use smile::core::plan::sig::ExprSig;
+use smile::types::VertexId;
 use std::collections::{HashMap, HashSet};
 
-/// Incremental SHR sets == a clone put through the full rebuild.
-fn shr_fresh(plan: &GlobalPlan) -> Result<(), String> {
-    let mut rebuilt = plan.clone();
-    rebuilt.recompute_shr().unwrap();
-    let same = plan.plan.canonical_string() == rebuilt.plan.canonical_string();
-    same.then_some(()).ok_or_else(|| "SHR sets diverged from recompute_shr".into())
+/// `Executor::live` == the base vertices, the ancestors-or-self of each
+/// admitted sharing's MV, and those of each in-flight migration's shadow
+/// MV (a retired sharing's included, until the next settle), by
+/// `Plan::ancestors`' own walk.
+fn live_fresh(smile: &Smile) -> Result<(), String> {
+    let (executor, global) = (smile.executor.as_ref().ok_or("no executor")?, smile.global_plan());
+    let plan = &global.plan;
+    let mut want: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
+    let admitted = global.sharings.iter().map(|m| global.mv_vertex(m.id).map_err(|e| e.to_string()));
+    let shadows = executor.shadow_mvs().map(Ok);
+    for mv in admitted.chain(shadows) {
+        let mv = mv?;
+        for v in plan.ancestors(mv).into_iter().chain([mv]) {
+            want[v.index()] = true;
+        }
+    }
+    let got: Vec<bool> = (0..plan.vertex_count()).map(|v| executor.live(VertexId::new(v as u32))).collect();
+    let diff: Vec<usize> = (0..want.len()).filter(|&v| got[v] != want[v]).collect();
+    diff.is_empty().then_some(()).ok_or_else(|| format!("liveness differs from the walk at vertices {diff:?}"))
 }
 
 /// The load admission plans against == `edge_utilization` over the live
@@ -549,7 +563,7 @@ fn load_fresh(smile: &Smile) -> Result<(), String> {
 }
 
 fn admission_state_is_fresh(smile: &Smile) -> Result<(), String> {
-    shr_fresh(smile.global_plan())?;
+    live_fresh(smile)?;
     load_fresh(smile)
 }
 
@@ -836,7 +850,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Hill climbing ≡ the loop of §7.2 written out: materialize every candidate
-// (`apply_plumbing`: rewire, recompute SHR, collect, validate), drop those
+// (`apply_plumbing`: rewire, collect what the MVs reach, validate), drop those
 // that break an SLA, cost what is left, keep the first of the maxima.
 // `hill_climb_filtered` costs a candidate before it collects it and collects
 // only one that wins; it must apply the same plumbings in the same order and

@@ -36,7 +36,7 @@ pub mod wal;
 pub mod zset;
 
 pub use aggregate::{AggFunc, AggregateSpec};
-pub use arrangement::{Arrangement, ArrangementCounters, IndexCols, Partition};
+pub use arrangement::{Arrangement, ArrangementCounters, Bucket, IndexCols, Partition};
 pub use delta::{DeltaBatch, DeltaEntry, DeltaTable};
 pub use engine::Database;
 pub use predicate::Predicate;

@@ -10,7 +10,7 @@
 //! primitive of asynchronous view maintenance: subtract deltas newer than
 //! the requested instant, or add not-yet-applied ones to look forward.
 
-use crate::arrangement::{Arrangement, ArrangementCounters, IndexCols};
+use crate::arrangement::{Arrangement, ArrangementCounters, Bucket, IndexCols};
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::zset::{RowChange, ZSet};
 use smile_types::{FastMap, RelationId, Schema, SmileError, Timestamp, Tuple, Value};
@@ -192,7 +192,7 @@ impl Table {
     /// Probes the unpartitioned arrangement on `cols`: all current rows whose
     /// `cols` projection equals `key`. `None` when no such arrangement is
     /// installed. Counts toward the arrangement's hit/miss statistics.
-    pub fn probe_index(&self, cols: &[usize], key: &Tuple) -> Option<&FastMap<Tuple, i64>> {
+    pub fn probe_index(&self, cols: &[usize], key: &Tuple) -> Option<&Bucket> {
         Some(self.arrangement(cols)?.probe(key))
     }
 

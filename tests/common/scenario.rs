@@ -25,7 +25,7 @@ use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::predicate::CmpOp;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{tuple, MachineId, RelationId, SharingId, SimDuration, SmileError, Timestamp};
+use smile::types::{tuple, ColumnType, MachineId, RelationId, SharingId, SimDuration, SmileError, Timestamp};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -277,7 +277,8 @@ impl Scenario {
     /// Runs the scenario under `config`: the install-time admissions,
     /// `install`, the script, the drain; then the checker. `observe` sees the
     /// platform after every admission and step, and the checker's
-    /// [`Checker::commits_advance`] after every tick.
+    /// [`Checker::commits_advance`] and [`Checker::columns_hold`] after every
+    /// tick.
     pub fn run_with(
         &self,
         config: SmileConfig,
@@ -298,7 +299,11 @@ impl Scenario {
         smile.install().map_err(|e| format!("install: {e}"))?;
         observe(&smile)?;
         let mut rows: Vec<Vec<(i64, i64)>> = vec![Vec::new(); rels.len()];
-        let mut commits = HashMap::new();
+        let (mut commits, mut columns) = (HashMap::new(), HashMap::new());
+        let mut each_tick = |smile: &Smile| {
+            let checker = Checker(smile);
+            checker.commits_advance(&mut commits).and_then(|()| checker.columns_hold(&mut columns))
+        };
         for &step in &self.script {
             let pick = |served: &[SharingId], i| served.get(i % served.len().max(1)).copied();
             match step {
@@ -306,7 +311,7 @@ impl Scenario {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let mut advanced = Ok(());
                     feed(&mut smile, n.into(), |smile, _| {
-                        advanced = advanced.clone().and_then(|()| Checker(smile).commits_advance(&mut commits));
+                        advanced = advanced.clone().and_then(|()| each_tick(smile));
                         let (now, count) = (smile.now(), rng.gen_range(0..3));
                         let draw = |_| {
                             let (r, k) = (rng.gen_range(0..rels.len()), rng.gen_range(0..12i64));
@@ -344,7 +349,7 @@ impl Scenario {
                     }
                 }
             }
-            Checker(&smile).commits_advance(&mut commits)?;
+            each_tick(&smile)?;
             observe(&smile)?;
         }
         // The drain: until every served MV has committed past the script's
@@ -354,7 +359,7 @@ impl Scenario {
         let mv_ts = |smile: &Smile, id| smile.executor.as_ref().unwrap().mv_ts(id).unwrap();
         while smile.now() < cap && smile.sharings().iter().any(|s| mv_ts(&smile, s.id) < end) {
             smile.step().map_err(|e| format!("drain: {e}"))?;
-            Checker(&smile).commits_advance(&mut commits)?;
+            each_tick(&smile)?;
         }
         Checker(&smile).check_drained(end)?;
         Ok(Run { smile, served, admitted })
@@ -461,6 +466,30 @@ impl Checker<'_> {
             match seen.insert(s.id, committed) {
                 Some(before) if committed < before => {
                     return Err(format!("MV of {} committed as of {committed} after {before}", s.id));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Each served MV shows its reader as many columns, of the same types,
+    /// as `seen` last recorded for it — across a migration's cutover, which
+    /// swaps the plan saying where each submitted column is stored — and
+    /// `seen` takes the current ones.
+    pub fn columns_hold(&self, seen: &mut HashMap<SharingId, Vec<ColumnType>>) -> Result<(), String> {
+        let global = self.0.global_plan();
+        for s in self.0.sharings() {
+            let e = |e: SmileError| format!("MV of {}: {e}", s.id);
+            let stored = &global.plan.vertex(global.mv_vertex(s.id).map_err(e)?).schema;
+            let shown = match &self.0.planned(s.id).map_err(e)?.columns {
+                Some(columns) => stored.project(columns),
+                None => stored.clone(),
+            };
+            let types: Vec<ColumnType> = shown.columns().iter().map(|c| c.ty).collect();
+            match seen.insert(s.id, types.clone()) {
+                Some(before) if before != types => {
+                    return Err(format!("MV of {} shows columns {types:?} after {before:?}", s.id));
                 }
                 _ => {}
             }

@@ -100,7 +100,7 @@ impl Executor {
     /// admission) without registering the sharing on it. The
     /// storage reconcile then slots and seeds the part of the chain that has
     /// no storage. The sharing keeps being served by its old placement; every
-    /// push dual-writes both chains until [`Executor::finish_migrations`].
+    /// push dual-writes both chains until `Executor::finish_migrations`.
     pub fn begin_migration(
         &mut self,
         id: SharingId,
@@ -177,7 +177,7 @@ impl Executor {
     }
 
     /// Drains settled migrations (completed or aborted) accumulated by
-    /// [`Executor::finish_migrations`], in settle order.
+    /// `Executor::finish_migrations`, in settle order.
     pub fn take_migration_outcomes(&mut self) -> Vec<MigrationOutcome> {
         std::mem::take(&mut self.migration_outcomes)
     }

@@ -19,7 +19,7 @@
 //!    critical-path projections track machine load (Figure 14).
 //!
 //! Scheduling itself is event-driven: a push calendar (wake heap + cached
-//! critical paths, see [`calendar`]) makes the per-tick host cost
+//! critical paths, see `executor::calendar`) makes the per-tick host cost
 //! O(due + invalidated) instead of O(sharings · plan-size). A slot the
 //! calendar leaves asleep must be one the guard chain would not fire; the
 //! crate's unit-test build asserts exactly that every tick
@@ -567,7 +567,7 @@ impl Executor {
     /// is all, but for the load under `model`. Once started, it registers
     /// the sharing, and the platform's storage reconcile gives the newly
     /// live vertices storage, seeds them and calls
-    /// [`Executor::mark_vertices_seeded`].
+    /// `Executor::mark_vertices_seeded`.
     pub fn add_sharing(
         &mut self,
         sharing: &Sharing,

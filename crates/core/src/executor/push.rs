@@ -21,25 +21,33 @@
 //! the same relation only by a literal never walks their rows; the whole
 //! filter is still evaluated on each row found. For the second,
 //! `R@now − R@at` is the relation's log between the two instants, and it is
-//! never materialized: the log streams through the snapshot filter first,
-//! by reference, and whichever side is then smaller — the kept log rows or
-//! the delta window's keys — is hashed by join key while the other streams
-//! past it. The kept rows are netted — a delete cancels its insert, a
-//! repeat adds up — so the output has one entry per (delta entry, distinct
-//! surviving row): the multiset and the entry count of consolidating the
-//! window first. Outputs are handed over stably sorted by timestamp, probe
+//! never materialized: the log is read by reference through its literal
+//! partition on the same columns (`Plan::read_log_partitions`), so only
+//! the entries carrying the reader's literal are visited, and each passes
+//! the whole snapshot filter first; whichever side is then smaller — the
+//! kept log rows or the delta window's keys — is hashed by join key while
+//! the other streams past it. The kept rows are netted — a delete cancels
+//! its insert, a repeat adds up — so the output has one entry per (delta
+//! entry, distinct surviving row): the multiset and the entry count of
+//! consolidating the window first. Outputs are handed over stably sorted by timestamp, probe
 //! run ahead of correction run, which is the order sorted insertion into
 //! the log gives.
+//!
+//! Every other log read that filters a window — a copy's, a union's, a
+//! join's delta window — goes through the same partitioned read
+//! (`DeltaTable::window_filtered`): with a partition on the filter's
+//! `col = literal` columns it visits only that literal's entries, without
+//! one it scans the window; the entries and their order are the same.
 //!
 //! ## Machine-local primitives
 //!
 //! Every operator except a cross-machine `CopyDelta` touches exactly one
 //! machine (plan validation enforces co-location), so the execution
-//! primitives here take one [`Job`] — a `&mut Machine`, the edge and its
+//! primitives here take one `Job` — a `&mut Machine`, the edge and its
 //! window, where the simulated cost goes — not the whole cluster. A
-//! cross-machine copy splits into [`ship_copy`] on the source machine and
-//! [`land_copy`] on the destination, exchanging immutable WAL bytes;
-//! everything else is [`run_local`] on the output's machine (the wave loop
+//! cross-machine copy splits into `ship_copy` on the source machine and
+//! `land_copy` on the destination, exchanging immutable WAL bytes;
+//! everything else is `run_local` on the output's machine (the wave loop
 //! of `executor::batch` sequences them). Fault decisions (crash windows,
 //! delta drops, ack losses) are **not** drawn here — the coordinator draws
 //! them in canonical order before a wave runs and passes the outcomes in,
@@ -123,27 +131,20 @@ pub(crate) fn batch_id(output: VertexId, from: Timestamp, to: Timestamp) -> u64 
     h
 }
 
-fn apply_filter_projection(
-    batch: DeltaBatch,
-    filter: &Predicate,
+/// Appends to `out` the entries a copy or union moves: each borrowed log
+/// entry it kept, cloned and projected onto `projection`. Room for every
+/// entry the read could yield is reserved first, as cloning the whole
+/// window did.
+fn project<'a>(
+    rows: impl Iterator<Item = &'a DeltaEntry>,
     projection: Option<&Vec<usize>>,
-) -> DeltaBatch {
-    if *filter == Predicate::True && projection.is_none() {
-        return batch;
-    }
-    DeltaBatch {
-        entries: batch
-            .entries
-            .into_iter()
-            .filter(|e| filter.eval(&e.tuple))
-            .map(|mut e| {
-                if let Some(cols) = projection {
-                    e.tuple = e.tuple.project(cols);
-                }
-                e
-            })
-            .collect(),
-    }
+    out: &mut Vec<DeltaEntry>,
+) {
+    out.reserve(rows.size_hint().1.unwrap_or(0));
+    out.extend(rows.map(|e| match projection {
+        Some(cols) => DeltaEntry { tuple: e.tuple.project(cols), ..*e },
+        None => e.clone(),
+    }));
 }
 
 /// Source-machine half of a cross-machine copy: read the window, filter and
@@ -252,11 +253,13 @@ pub(crate) fn run_local(mut job: Job<'_>, snapshot_at: Timestamp) -> Result<Edge
     let edge = job.edge;
     match &edge.op {
         EdgeOp::CopyDelta => {
-            // Same-machine copies never hit the wire: the window is cloned.
+            // Same-machine copies never hit the wire: the kept entries are
+            // cloned.
             let src_slot = slot_of(job.plan, edge.inputs[0])?;
-            let raw = job.machine.db.delta_window(src_slot, job.from, job.to)?;
-            let batch = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
-            finish_copy(job, batch)
+            let rows = job.machine.db.delta_window_filtered(src_slot, job.from, job.to, &edge.filter)?;
+            let mut entries = Vec::new();
+            project(rows, edge.projection.as_ref(), &mut entries);
+            finish_copy(job, DeltaBatch { entries })
         }
         EdgeOp::DeltaToRel => {
             // `apply_pending` is naturally idempotent: it only moves the
@@ -320,8 +323,8 @@ fn run_join(
     };
     // Borrow the window straight from the delta log (no clone).
     let db = &job.machine.db;
-    let all = db.delta_window_entries(delta_slot, job.from, job.to)?;
-    let entries: Vec<&DeltaEntry> = all.iter().filter(|e| edge.filter.eval(&e.tuple)).collect();
+    let entries: Vec<&DeltaEntry> =
+        db.delta_window_filtered(delta_slot, job.from, job.to, &edge.filter)?.collect();
     let window_len = entries.len() as u64;
     let mut outputs: Vec<DeltaEntry> = Vec::new();
     if !entries.is_empty() {
@@ -365,13 +368,11 @@ fn run_join(
         //   R@at = R@now − Σ(at, now]   (at < now)
         //   R@at = R@now + Σ(now, at]   (at > now)
         // The window between the two is empty when they agree.
+        // Only the log partition of the filter's literals can hold a kept
+        // row, as for the probe.
         let now = rel.table.ts();
-        let (missed, sign) = if at < now {
-            (rel.delta.window_ref(at, now), -1)
-        } else {
-            (rel.delta.window_ref(now, at), 1)
-        };
-        let kept: Vec<&DeltaEntry> = missed.iter().filter(|r| snapshot_filter.eval(&r.tuple)).collect();
+        let (lo, hi, sign) = if at < now { (at, now, -1) } else { (now, at, 1) };
+        let kept: Vec<&DeltaEntry> = rel.delta.window_filtered(lo, hi, snapshot_filter).collect();
         correct(&keys_flat, entries.len(), &kept, &index.key, |i, row, w| {
             emit(entries[i], row, entries[i].weight * w * sign);
         });
@@ -393,9 +394,11 @@ fn run_join(
 }
 
 /// The correction term `Δ ⋈ kept`, where `kept` are the log rows between
-/// the table's instant and the snapshot's that pass the snapshot filter and
-/// `keys_flat` holds the `n` delta entries' join keys back to back. Calls
-/// `emit(i, row, w)` for each delta entry `i` in order and, under it, each
+/// the table's instant and the snapshot's that pass the snapshot filter —
+/// read through the log's literal partition, so a literal reader never
+/// visits another literal's rows — and `keys_flat` holds the `n` delta
+/// entries' join keys back to back. Calls `emit(i, row, w)` for each
+/// delta entry `i` in order and, under it, each
 /// distinct kept row with `i`'s key at `key_cols`, in the order the row was
 /// first seen, `w` its net weight over `kept` (a delete cancels its insert,
 /// a repeat adds up) — one call per (delta entry, distinct row), as if the
@@ -470,9 +473,8 @@ fn run_union(mut job: Job<'_>) -> Result<EdgeRun> {
             job.plan.vertex(edge.output).machine
         );
         let in_slot = slot_of(job.plan, input)?;
-        let raw = job.machine.db.delta_window(in_slot, job.from, job.to)?;
-        let filtered = apply_filter_projection(raw, &edge.filter, edge.projection.as_ref());
-        merged.extend(filtered.entries);
+        let rows = job.machine.db.delta_window_filtered(in_slot, job.from, job.to, &edge.filter)?;
+        project(rows, edge.projection.as_ref(), &mut merged);
     }
     // Keep the output log timestamp-sorted.
     merged.sort_by_key(|e| e.ts);
@@ -528,14 +530,15 @@ mod tests {
     /// One machine, one Join edge `Δ0 ⋈ R1 → Δ2` over `width`-column
     /// relations: `window` sits in slot 0's log, `log` in slot 1's with the
     /// table applied through `applied` and, if `index`, the arrangement the
-    /// edge probes installed.
+    /// edge probes installed; if `partitioned`, the log partitions the edge
+    /// reads through too.
     fn join_fixture(
         width: usize,
         op: EdgeOp,
         window: Vec<DeltaEntry>,
         log: Vec<DeltaEntry>,
         applied: Timestamp,
-        index: bool,
+        (index, partitioned): (bool, bool),
     ) -> (Cluster, Plan, usize) {
         let mut plan = Plan::new();
         let vd = vertex(&mut plan, VertexKind::Delta, 0, M0, width);
@@ -557,6 +560,9 @@ mod tests {
             let ((_, slot, on), _) = plan.probed_arrangement(plan.edge(e)).unwrap();
             db.ensure_arrangement(slot, &on).unwrap();
         }
+        for (_, slot, cols) in plan.read_log_partitions(plan.edge(e)).into_iter().filter(|_| partitioned) {
+            db.ensure_log_partition(slot, &cols).unwrap();
+        }
         (cluster, plan, e)
     }
 
@@ -571,7 +577,7 @@ mod tests {
             delta_side: DeltaSide::Left,
             snapshot_filter: Predicate::True,
         };
-        join_fixture(2, op, window.collect(), log.to_vec(), ts, index)
+        join_fixture(2, op, window.collect(), log.to_vec(), ts, (index, false))
     }
 
     /// A job over the window `(0, to]` submitted at its end.
@@ -685,7 +691,10 @@ mod tests {
         /// (an unpartitioned arrangement), an equality literal (a partition
         /// of one) or an equality literal beside a residual range conjunct,
         /// which still has to be evaluated on the partition's rows. Dropping
-        /// the netting leaves the z-set equal and breaks the count.
+        /// the netting leaves the z-set equal and breaks the count. With the
+        /// relation's log partitioned on the literal's column, the
+        /// correction reads the partition and lands the same log, entry for
+        /// entry.
         #[test]
         fn half_join_lands_delta_join_snapshot(
             window in arb_lopsided(),
@@ -707,10 +716,23 @@ mod tests {
                 delta_side: if right { DeltaSide::Right } else { DeltaSide::Left },
                 snapshot_filter: filter.clone(),
             };
-            let (mut cluster, plan, e) = join_fixture(3, op, window.clone(), log, applied, true);
+            let fixture = |partitioned| {
+                join_fixture(3, op.clone(), window.clone(), log.clone(), applied, (true, partitioned))
+            };
+            let (mut cluster, plan, e) = fixture(false);
             let run = run_fixture(&mut cluster, &plan, e, to, at).unwrap();
             let db = &cluster.machine(M0).unwrap().db;
             let landed = db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
+
+            let (mut split, plan, e) = fixture(true);
+            let split_run = run_fixture(&mut split, &plan, e, to, at).unwrap();
+            let split_db = &split.machine(M0).unwrap().db;
+            let split_log = &split_db.relation(RelationId::new(1)).unwrap().delta;
+            let partitions: Vec<&[usize]> = split_log.partitions().collect();
+            prop_assert_eq!(partitions, if filter_kind == 0 { vec![] } else { vec![&[2][..]] });
+            let split_landed = split_db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
+            prop_assert_eq!(&split_landed, &landed);
+            prop_assert_eq!(split_run.tuples, run.tuples);
 
             let rel = db.relation(RelationId::new(1)).unwrap();
             let partitioned: Vec<_> = rel.table.arrangements().map(|a| a.on().partition.clone()).collect();

@@ -30,6 +30,10 @@ pub enum DeltaSide {
 /// relation slot it indexes and its partition and key columns.
 pub type ArrangementId = (MachineId, RelationId, IndexCols);
 
+/// Identity of one log partition: the machine hosting the delta log, the
+/// relation slot it belongs to and the columns its entries are grouped by.
+pub type LogPartitionId = (MachineId, RelationId, Vec<usize>);
+
 /// One plan vertex: a relation or delta pinned to a machine.
 #[derive(Clone, Debug)]
 pub struct Vertex {
@@ -127,7 +131,7 @@ impl Edge {
     }
 
     /// Whether this edge still produces its output. An edge serves what its
-    /// output serves; one [`Plan::detach_producer`] took off its output
+    /// output serves; one `Plan::detach_producer` took off its output
     /// serves nothing and awaits collection.
     pub fn attached(&self, plan: &Plan) -> bool {
         plan.producer[self.output.index()] == Some(self.id)
@@ -244,6 +248,34 @@ impl Plan {
         let rel = self.vertex(e.inputs[1]);
         let cols = IndexCols { partition, key: key.clone() };
         Some(((rel.machine, rel.slot?, cols), literals))
+    }
+
+    /// The log partitions edge `e` reads through: for every input log it
+    /// filters by `col = literal` conjuncts ([`Predicate::eq_literals`]),
+    /// that log's partition on their columns — the delta inputs of a copy,
+    /// a union or a join under the edge filter, and a join's relation log
+    /// under the snapshot filter, on the partition columns of
+    /// [`Plan::probed_arrangement`], which its correction reads. Empty for
+    /// `DeltaToRel`, for readers without a literal and for inputs without
+    /// storage. The one definition reconcile and the push engine's reads
+    /// agree on.
+    pub fn read_log_partitions(&self, e: &Edge) -> Vec<LogPartitionId> {
+        let cols: Vec<usize> = e.filter.eq_literals().into_iter().map(|(c, _)| c).collect();
+        let filtered = match &e.op {
+            _ if cols.is_empty() => &[][..],
+            EdgeOp::DeltaToRel => &[][..],
+            EdgeOp::Join { .. } => &e.inputs[..1],
+            EdgeOp::CopyDelta | EdgeOp::Union => &e.inputs[..],
+        };
+        let logs = filtered.iter().map(|&v| self.vertex(v));
+        let mut reads: Vec<LogPartitionId> =
+            logs.filter_map(|v| Some((v.machine, v.slot?, cols.clone()))).collect();
+        if let Some(((machine, slot, on), _)) = self.probed_arrangement(e) {
+            if !on.partition.is_empty() {
+                reads.push((machine, slot, on.partition));
+            }
+        }
+        reads
     }
 
     /// Edges consuming `v`.

@@ -31,7 +31,7 @@ use crate::executor::seed::{eval_sig, BaseReads};
 use crate::executor::{ExecConfig, Executor};
 use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, Optimizer, PlannedSharing};
-use crate::plan::dag::{ArrangementId, Plan, Vertex, VertexKind};
+use crate::plan::dag::{ArrangementId, LogPartitionId, Plan, Vertex, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
@@ -461,10 +461,11 @@ impl Smile {
     /// * Every vertex that is no longer live gives its slot up: a slot nobody
     ///   holds any more is dropped, and a relation vertex whose delta twin
     ///   keeps the slot empties its table.
-    /// * Every arrangement still installed that no live join edge probes is
-    ///   dropped. The live join edges *are* the readers (a migration's
-    ///   shadow chain included, from its start), so there is no count to keep
-    ///   beside them.
+    /// * Every arrangement still installed that no live join edge probes,
+    ///   and every log partition no live edge reads through
+    ///   ([`Plan::read_log_partitions`]), is dropped. The live edges *are*
+    ///   the readers (a migration's shadow chain included, from its start),
+    ///   so there is no count to keep beside them.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
     /// snapshots *as of* that instant and stamped with it. The start, retire
@@ -507,11 +508,14 @@ impl Smile {
         }
         let plan = &executor.global.plan;
         // Arrangements the newly slotted join edges probe, before seeding
-        // fills the tables (idempotent; edges with one (relation, index
-        // columns) identity share one arrangement).
+        // fills the tables, and the log partitions the newly slotted edges
+        // read through (idempotent; edges with one identity share one).
         for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
             if let Some(((machine, slot, on), _)) = plan.probed_arrangement(e) {
                 self.cluster.machine_mut(machine)?.db.ensure_arrangement(slot, &on)?;
+            }
+            for (machine, slot, cols) in plan.read_log_partitions(e) {
+                self.cluster.machine_mut(machine)?.db.ensure_log_partition(slot, &cols)?;
             }
         }
         let mut reads = BaseReads::new();
@@ -546,17 +550,29 @@ impl Smile {
         }
         let plan = &executor.global.plan;
         let probed: HashSet<ArrangementId> = live_probes(executor).collect();
+        let read: HashSet<LogPartitionId> = live_log_reads(executor).collect();
         for vert in plan.vertices() {
             let Some(slot) = vert.slot else { continue };
             let db = &mut self.cluster.machine_mut(vert.machine)?.db;
-            let installed = db.relation(slot)?.table.arrangements();
-            let unread: Vec<IndexCols> = installed
+            let stored = db.relation(slot)?;
+            let unread: Vec<IndexCols> = stored
+                .table
+                .arrangements()
                 .map(|a| a.on().clone())
                 .filter(|on| !probed.contains(&(vert.machine, slot, on.clone())))
+                .collect();
+            let unread_logs: Vec<Vec<usize>> = stored
+                .delta
+                .partitions()
+                .map(<[usize]>::to_vec)
+                .filter(|cols| !read.contains(&(vert.machine, slot, cols.clone())))
                 .collect();
             for on in unread {
                 db.drop_arrangement(slot, &on);
                 self.arrangements_reclaimed += 1;
+            }
+            for cols in unread_logs {
+                db.drop_log_partition(slot, &cols);
             }
         }
         Ok(())
@@ -682,6 +698,12 @@ fn live_probes(executor: &Executor) -> impl Iterator<Item = ArrangementId> + '_ 
     executor
         .live_edges()
         .filter_map(|e| Some(plan.probed_arrangement(e)?.0))
+}
+
+/// The log partitions the live edges read through.
+fn live_log_reads(executor: &Executor) -> impl Iterator<Item = LogPartitionId> + '_ {
+    let plan = &executor.global.plan;
+    executor.live_edges().flat_map(|e| plan.read_log_partitions(e))
 }
 
 /// The slot held by `vert`'s twin — the vertex of the other kind with the

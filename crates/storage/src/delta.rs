@@ -8,8 +8,9 @@
 //! compensation (rolling a relation to an arbitrary nearby timestamp)
 //! possible.
 
+use crate::predicate::Predicate;
 use crate::zset::ZSet;
-use smile_types::{Timestamp, Tuple};
+use smile_types::{FastMap, Timestamp, Tuple, Value};
 
 /// One captured modification: `weight = +1` for an insert, `-1` for a
 /// delete; an SQL UPDATE is captured as a delete of the old tuple followed by
@@ -103,12 +104,123 @@ impl FromIterator<DeltaEntry> for DeltaBatch {
 /// every push edge hands its output over sorted); what does arrive out of
 /// order — a second producer landing an overlapping window in the same
 /// log — is tolerated by sorted insertion.
+///
+/// A log may carry **literal partitions**: for a list of columns, the
+/// positions of every entry grouped by its values there. A reader whose
+/// filter has `col = literal` conjuncts on exactly those columns visits
+/// only its literal's entries ([`DeltaTable::window_where`]) instead of
+/// scanning the whole window through the filter. Positions count from the
+/// first retained entry's, which compaction advances; a log holds a
+/// handful of partitions, so they are found by a scan.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaTable {
     entries: Vec<DeltaEntry>,
     /// Everything strictly before this timestamp has been compacted away;
     /// rollbacks past the horizon are impossible.
     horizon: Timestamp,
+    /// The position of `entries[0]`. Positions wrap: a log never holds
+    /// 2³² entries at once, so `position − base` is always the index.
+    base: u32,
+    partitions: Vec<LogPartition>,
+}
+
+/// One literal partition of a [`DeltaTable`]: each literal tuple at `cols`
+/// with the positions of its entries, ascending. A literal no retained
+/// entry carries has no list.
+#[derive(Clone, Debug)]
+struct LogPartition {
+    cols: Vec<usize>,
+    positions: FastMap<Tuple, Vec<u32>>,
+}
+
+impl LogPartition {
+    /// Lists `entries`, the first at position `first`.
+    fn list(&mut self, entries: &[DeltaEntry], first: u32) {
+        let mut key: Vec<Value> = Vec::with_capacity(self.cols.len());
+        for (i, e) in entries.iter().enumerate() {
+            // A one-column literal is looked up in place; a wider one is
+            // assembled in `key`.
+            let literal: &[Value] = match self.cols[..] {
+                [c] => std::slice::from_ref(&e.tuple.values()[c]),
+                _ => {
+                    key.clear();
+                    key.extend(self.cols.iter().map(|&c| e.tuple.values()[c].clone()));
+                    &key
+                }
+            };
+            let at = first.wrapping_add(i as u32);
+            match self.positions.get_mut(literal) {
+                Some(list) => list.push(at),
+                None => {
+                    self.positions.insert(Tuple::new(literal.to_vec()), vec![at]);
+                }
+            }
+        }
+    }
+
+    /// Forgets the positions of the entries at the indices `gone`, where
+    /// `base` is the position of index 0; a literal left with none is
+    /// removed.
+    fn forget(&mut self, base: u32, gone: std::ops::Range<usize>) {
+        if gone.is_empty() {
+            return;
+        }
+        let index = |p: &u32| p.wrapping_sub(base) as usize;
+        self.positions.retain(|_, list| {
+            let start = list.partition_point(|p| index(p) < gone.start);
+            let end = start + list[start..].partition_point(|p| index(p) < gone.end);
+            list.drain(start..end);
+            !list.is_empty()
+        });
+    }
+}
+
+/// The entries of one literal in a log window, in log order: what
+/// [`DeltaTable::window_where`] returns.
+#[derive(Clone, Debug)]
+pub struct WindowWhere<'a> {
+    entries: &'a [DeltaEntry],
+    base: u32,
+    positions: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for WindowWhere<'a> {
+    type Item = &'a DeltaEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a DeltaEntry> {
+        let at = self.positions.next()?;
+        Some(&self.entries[at.wrapping_sub(self.base) as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.positions.size_hint()
+    }
+}
+
+/// A window read: through a literal partition, or the whole window.
+enum WindowRead<'a> {
+    Where(WindowWhere<'a>),
+    Scan(std::slice::Iter<'a, DeltaEntry>),
+}
+
+impl<'a> Iterator for WindowRead<'a> {
+    type Item = &'a DeltaEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a DeltaEntry> {
+        match self {
+            WindowRead::Where(w) => w.next(),
+            WindowRead::Scan(s) => s.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            WindowRead::Where(w) => w.size_hint(),
+            WindowRead::Scan(s) => s.size_hint(),
+        }
+    }
 }
 
 impl DeltaTable {
@@ -119,28 +231,56 @@ impl DeltaTable {
 
     /// Appends one entry, keeping timestamp order.
     pub fn append(&mut self, entry: DeltaEntry) {
+        let listed = self.entries.len();
+        let at = self.insert_sorted(entry);
+        self.relist(at, listed);
+    }
+
+    /// Puts `entry` after the last entry with `ts <= entry.ts` and returns
+    /// its index; the partitions are left to [`DeltaTable::relist`].
+    fn insert_sorted(&mut self, entry: DeltaEntry) -> usize {
         debug_assert!(entry.ts >= self.horizon, "append below compaction horizon");
         if self.entries.last().is_some_and(|last| last.ts > entry.ts) {
             // Rare out-of-order arrival (see the type's doc): insert after
             // the last entry with ts <= entry.ts to restore sorted order.
             let pos = self.entries.partition_point(|e| e.ts <= entry.ts);
             self.entries.insert(pos, entry);
+            pos
         } else {
             self.entries.push(entry);
+            self.entries.len() - 1
+        }
+    }
+
+    /// Brings the partitions up to date once `entries[from..]` changed and
+    /// the first `listed` entries were listed: an entry that moved had its
+    /// position change, so the lists forget every position from `from` on,
+    /// and then list `entries[from..]`.
+    fn relist(&mut self, from: usize, listed: usize) {
+        let first = self.base.wrapping_add(from as u32);
+        for part in &mut self.partitions {
+            part.forget(self.base, from..listed);
+            part.list(&self.entries[from..], first);
         }
     }
 
     /// Appends a whole batch: one `extend` when the batch is sorted and
     /// starts at or after the newest entry (the delta-capture case), entry
-    /// by entry through [`DeltaTable::append`] otherwise.
+    /// by entry through sorted insertion otherwise.
     pub fn append_batch(&mut self, batch: DeltaBatch) {
         let first = batch.entries.first().map_or(Timestamp::MAX, |e| e.ts);
         let sorted = batch.entries.windows(2).all(|w| w[0].ts <= w[1].ts);
+        let listed = self.entries.len();
         if sorted && self.last_ts().is_none_or(|last| last <= first) {
             debug_assert!(first >= self.horizon, "append below compaction horizon");
             self.entries.extend(batch.entries);
+            self.relist(listed, listed);
         } else {
-            batch.entries.into_iter().for_each(|e| self.append(e));
+            // An insertion shifts only what is at or past it, so every
+            // entry before the lowest insertion point keeps its position.
+            let inserted = batch.entries.into_iter().map(|e| self.insert_sorted(e));
+            let from = inserted.min().unwrap_or(listed);
+            self.relist(from, listed);
         }
     }
 
@@ -172,29 +312,119 @@ impl DeltaTable {
         }
     }
 
+    /// The index range of `(lo, hi]`; empty when `hi <= lo`.
+    fn bounds(&self, lo: Timestamp, hi: Timestamp) -> std::ops::Range<usize> {
+        if hi <= lo {
+            return 0..0;
+        }
+        let start = self.entries.partition_point(|e| e.ts <= lo);
+        start..self.entries.partition_point(|e| e.ts <= hi)
+    }
+
     /// All entries with `lo < ts <= hi`, borrowed from the log — the
     /// zero-copy window read the hot path uses: ship-side WAL encoding and
     /// join probing iterate the slice in place instead of cloning every
-    /// entry into a scratch batch.
+    /// entry into a scratch batch. Empty when `hi <= lo`.
     pub fn window_ref(&self, lo: Timestamp, hi: Timestamp) -> &[DeltaEntry] {
-        let start = self.entries.partition_point(|e| e.ts <= lo);
-        let end = self.entries.partition_point(|e| e.ts <= hi);
-        &self.entries[start..end]
+        &self.entries[self.bounds(lo, hi)]
     }
 
-    /// Number of entries with `lo < ts <= hi` without materializing them.
+    /// Number of entries with `lo < ts <= hi` without materializing them
+    /// (0 when `hi <= lo`).
     pub fn count_window(&self, lo: Timestamp, hi: Timestamp) -> usize {
-        let start = self.entries.partition_point(|e| e.ts <= lo);
-        let end = self.entries.partition_point(|e| e.ts <= hi);
-        end - start
+        self.bounds(lo, hi).len()
     }
 
-    /// Drops all entries with `ts <= before`, advancing the horizon. Returns
-    /// the number of compacted entries. Called once downstream consumers can
-    /// no longer request rollbacks past `before`.
+    /// The entries with `lo < ts <= hi` whose values at `cols` are
+    /// `literals`, in log order, read through the partition on `cols` —
+    /// exactly [`DeltaTable::window_ref`] filtered on the literal. `None`
+    /// when no partition on `cols` is installed; empty when `hi <= lo`.
+    pub fn window_where(
+        &self,
+        lo: Timestamp,
+        hi: Timestamp,
+        cols: &[usize],
+        literals: &[Value],
+    ) -> Option<WindowWhere<'_>> {
+        let part = self.partitions.iter().find(|p| p.cols == cols)?;
+        let range = self.bounds(lo, hi);
+        let positions = part.positions.get(literals).map_or(&[][..], Vec::as_slice);
+        let index = |p: &u32| p.wrapping_sub(self.base) as usize;
+        let start = positions.partition_point(|p| index(p) < range.start);
+        let end = start + positions[start..].partition_point(|p| index(p) < range.end);
+        Some(WindowWhere {
+            entries: &self.entries,
+            base: self.base,
+            positions: positions[start..end].iter(),
+        })
+    }
+
+    /// The entries with `lo < ts <= hi` that pass `filter`, in log order —
+    /// the read every edge that filters a log window makes. With a
+    /// partition on the columns of the filter's `col = literal` conjuncts
+    /// ([`Predicate::eq_literals`]) only that literal's entries are
+    /// visited, otherwise the whole window is; either way the whole filter
+    /// is evaluated on each.
+    pub fn window_filtered<'a>(
+        &'a self,
+        lo: Timestamp,
+        hi: Timestamp,
+        filter: &'a Predicate,
+    ) -> impl Iterator<Item = &'a DeltaEntry> + 'a {
+        let (cols, literals): (Vec<usize>, Vec<Value>) =
+            filter.eq_literals().into_iter().map(|(c, v)| (c, v.clone())).unzip();
+        let read = match self.window_where(lo, hi, &cols, &literals) {
+            Some(entries) => WindowRead::Where(entries),
+            None => WindowRead::Scan(self.window_ref(lo, hi).iter()),
+        };
+        read.filter(move |e| filter.eval(&e.tuple))
+    }
+
+    /// Installs the partition on `cols`, listing every retained entry
+    /// (idempotent: an installed one is kept).
+    pub fn ensure_partition(&mut self, cols: &[usize]) {
+        if self.partitions.iter().any(|p| p.cols == cols) {
+            return;
+        }
+        let mut part = LogPartition { cols: cols.to_vec(), positions: FastMap::default() };
+        part.list(&self.entries, self.base);
+        self.partitions.push(part);
+    }
+
+    /// Removes the partition on `cols`; `true` when one was installed.
+    pub fn drop_partition(&mut self, cols: &[usize]) -> bool {
+        let before = self.partitions.len();
+        self.partitions.retain(|p| p.cols != cols);
+        self.partitions.len() < before
+    }
+
+    /// The columns of every installed partition.
+    pub fn partitions(&self) -> impl Iterator<Item = &[usize]> {
+        self.partitions.iter().map(|p| p.cols.as_slice())
+    }
+
+    /// Each literal of the partition on `cols` with the indices, into
+    /// [`DeltaTable::iter`], of the entries it lists — for checking that a
+    /// partition lists exactly the retained entries. `None` when no such
+    /// partition is installed.
+    pub fn partition_listing(&self, cols: &[usize]) -> Option<Vec<(&[Value], Vec<usize>)>> {
+        let part = self.partitions.iter().find(|p| p.cols == cols)?;
+        let index = |p: &u32| p.wrapping_sub(self.base) as usize;
+        let listing = part.positions.iter().map(|(lit, list)| (lit.values(), list.iter().map(index).collect()));
+        Some(listing.collect())
+    }
+
+    /// Drops all entries with `ts <= before`, advancing the horizon and
+    /// the partitions' base. Returns the number of compacted entries.
+    /// Called once downstream consumers can no longer request rollbacks
+    /// past `before`.
     pub fn compact(&mut self, before: Timestamp) -> usize {
         let cut = self.entries.partition_point(|e| e.ts <= before);
         self.entries.drain(..cut);
+        for part in &mut self.partitions {
+            part.forget(self.base, 0..cut);
+        }
+        self.base = self.base.wrapping_add(cut as u32);
         if before > self.horizon {
             self.horizon = before;
         }
@@ -235,6 +465,23 @@ mod tests {
             d.count_window(Timestamp::from_secs(2), Timestamp::from_secs(4)),
             2
         );
+    }
+
+    /// A window whose end is before its start is empty, whatever lies
+    /// between the two, for every read.
+    #[test]
+    fn a_reversed_window_is_empty() {
+        let mut d = DeltaTable::new();
+        for i in 1..=5 {
+            d.append(e(i, 1, i as u64));
+        }
+        d.ensure_partition(&[0]);
+        let [lo, hi] = [4, 2].map(Timestamp::from_secs);
+        assert!(d.window_ref(lo, hi).is_empty());
+        assert_eq!(d.count_window(lo, hi), 0);
+        assert!(d.window(lo, hi).is_empty());
+        assert_eq!(d.window_where(lo, hi, &[0], &[Value::I64(3)]).unwrap().count(), 0);
+        assert_eq!(d.window_filtered(lo, hi, &Predicate::True).count(), 0);
     }
 
     #[test]
@@ -288,7 +535,88 @@ mod tests {
         assert_eq!(b.to_zset().weight(&tuple![2i64]), -1);
     }
 
+    /// One step of [`partition_reads_equal_filtered_scans`].
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// A batch, sorted by timestamp, each stamp raised to the horizon.
+        Batch(Vec<(i64, i64, u64)>),
+        /// One entry, often behind the newest.
+        Single(i64, i64, u64),
+        Compact(u64),
+        Ensure(usize),
+        Drop(usize),
+    }
+
+    /// The column lists a partition is drawn on.
+    const COLS: [&[usize]; 3] = [&[1], &[2], &[1, 2]];
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let row = (0i64..3, 0i64..3, 0u64..30);
+        prop_oneof![
+            prop::collection::vec(row.clone(), 0..8).prop_map(Op::Batch),
+            row.prop_map(|(a, b, ts)| Op::Single(a, b, ts)),
+            (0u64..30).prop_map(Op::Compact),
+            (0usize..3).prop_map(Op::Ensure),
+            (0usize..3).prop_map(Op::Drop),
+        ]
+    }
+
+    fn entry(a: i64, b: i64, ts: u64, horizon: Timestamp) -> DeltaEntry {
+        DeltaEntry::insert(tuple![ts as i64, a, b], Timestamp::from_secs(ts).max(horizon))
+    }
+
     proptest! {
+        /// Whatever appends, compactions and installs came before, reading
+        /// a window through a partition yields exactly the window's scan
+        /// filtered on the literal, in the same order, and every partition
+        /// lists each retained entry once, under its own literal.
+        #[test]
+        fn partition_reads_equal_filtered_scans(ops in prop::collection::vec(arb_op(), 1..24)) {
+            let mut d = DeltaTable::new();
+            for op in ops {
+                match op {
+                    Op::Batch(mut rows) => {
+                        rows.sort_by_key(|r| r.2);
+                        let h = d.horizon();
+                        d.append_batch(rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, h)).collect());
+                    }
+                    Op::Single(a, b, ts) => d.append(entry(a, b, ts, d.horizon())),
+                    Op::Compact(ts) => {
+                        d.compact(Timestamp::from_secs(ts));
+                    }
+                    Op::Ensure(i) => d.ensure_partition(COLS[i]),
+                    Op::Drop(i) => {
+                        d.drop_partition(COLS[i]);
+                    }
+                }
+                let installed: Vec<Vec<usize>> = d.partitions().map(<[usize]>::to_vec).collect();
+                for cols in &installed {
+                    let at = |t: &Tuple| cols.iter().map(|&c| t.values()[c].clone()).collect::<Vec<_>>();
+                    let mut listed = 0;
+                    for (lit, indices) in d.partition_listing(cols).unwrap() {
+                        prop_assert!(!indices.is_empty());
+                        prop_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+                        for &i in &indices {
+                            prop_assert!(i < d.len());
+                            prop_assert_eq!(&at(&d.entries[i].tuple)[..], lit);
+                        }
+                        listed += indices.len();
+                    }
+                    prop_assert_eq!(listed, d.len());
+                    let stamps = || (0u64..32).step_by(3).map(Timestamp::from_secs);
+                    for (lo, hi) in stamps().flat_map(|lo| stamps().map(move |hi| (lo, hi))) {
+                        for lit in (0i64..3).flat_map(|a| (0i64..3).map(move |b| [a, b])) {
+                            let lit: Vec<Value> = lit[..cols.len()].iter().map(|&v| Value::I64(v)).collect();
+                            let read: Vec<&DeltaEntry> = d.window_where(lo, hi, cols, &lit).unwrap().collect();
+                            let scan: Vec<&DeltaEntry> =
+                                d.window_ref(lo, hi).iter().filter(|e| at(&e.tuple) == lit).collect();
+                            prop_assert_eq!(read, scan);
+                        }
+                    }
+                }
+            }
+        }
+
         /// window(a,b) ∪ window(b,c) == window(a,c) for a<=b<=c.
         #[test]
         fn windows_compose(

@@ -11,6 +11,7 @@
 
 use crate::arrangement::IndexCols;
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
+use crate::predicate::Predicate;
 use crate::spj::RelationProvider;
 use crate::table::Table;
 use crate::zset::ZSet;
@@ -254,33 +255,57 @@ impl Database {
         Ok(self.slot(rel)?.delta.window(lo, hi))
     }
 
-    /// Borrows the delta window `(lo, hi]` straight from the log — the
-    /// zero-copy read the columnar hot path uses instead of
-    /// [`Database::delta_window`]'s per-entry clone.
-    pub fn delta_window_entries(
-        &self,
+    /// The entries of the delta window `(lo, hi]` that pass `filter`,
+    /// borrowed from the log in log order ([`DeltaTable::window_filtered`]:
+    /// through the log partition on the filter's literals when one is
+    /// installed).
+    pub fn delta_window_filtered<'a>(
+        &'a self,
         rel: RelationId,
         lo: Timestamp,
         hi: Timestamp,
-    ) -> Result<&[DeltaEntry]> {
-        Ok(self.slot(rel)?.delta.window_ref(lo, hi))
+        filter: &'a Predicate,
+    ) -> Result<impl Iterator<Item = &'a DeltaEntry> + 'a> {
+        Ok(self.slot(rel)?.delta.window_filtered(lo, hi, filter))
     }
 
     /// Ship-side fast path: encodes the delta window `(lo, hi]` as a WAL
     /// frame, applying the edge's filter and projection during encoding.
-    /// One pass from the log slice to wire bytes — no intermediate
-    /// `DeltaBatch`, no per-row `Tuple` allocation. Byte-identical to
-    /// materializing the filtered window and calling [`crate::wal::encode`].
+    /// One pass from the log to wire bytes — no intermediate `DeltaBatch`,
+    /// no per-row `Tuple` allocation — that visits only the filter's
+    /// literal's entries when the log is partitioned on its columns.
+    /// Byte-identical to materializing the filtered window and calling
+    /// [`crate::wal::encode`].
     pub fn delta_window_encode(
         &self,
         rel: RelationId,
         lo: Timestamp,
         hi: Timestamp,
-        filter: &crate::predicate::Predicate,
+        filter: &Predicate,
         projection: Option<&[usize]>,
     ) -> Result<crate::wal::Bytes> {
-        let window = self.slot(rel)?.delta.window_ref(lo, hi);
-        Ok(crate::wal::ColumnarBatch::from_window(window, filter, projection).frame())
+        let rows = self.delta_window_filtered(rel, lo, hi, filter)?;
+        Ok(crate::wal::ColumnarBatch::from_rows(rows, projection).frame())
+    }
+
+    /// Installs the log partition on `cols` for the relation
+    /// ([`DeltaTable::ensure_partition`]).
+    pub fn ensure_log_partition(&mut self, rel: RelationId, cols: &[usize]) -> Result<()> {
+        self.slot_mut(rel)?.delta.ensure_partition(cols);
+        Ok(())
+    }
+
+    /// Removes the log partition on `cols`; `true` when one existed.
+    /// Unknown relations are fine, as for [`Database::drop_arrangement`].
+    pub fn drop_log_partition(&mut self, rel: RelationId, cols: &[usize]) -> bool {
+        self.relations
+            .get_mut(&rel)
+            .is_some_and(|s| s.delta.drop_partition(cols))
+    }
+
+    /// Every relation stored here, in unspecified order.
+    pub fn relations(&self) -> impl Iterator<Item = (RelationId, &RelationSlot)> {
+        self.relations.iter().map(|(&rel, slot)| (rel, slot))
     }
 
     /// Snapshot of a relation as of `at` (compensation read).
@@ -416,6 +441,30 @@ mod tests {
         let slot = d.relation(R).unwrap();
         assert!(slot.table.is_empty() && slot.table.rows().next().is_none());
         assert_eq!((slot.delta.len(), slot.table.ts()), (0, Timestamp::ZERO));
+    }
+
+    /// A literal-filtered ship encodes the same bytes whether or not the
+    /// log is partitioned on the literal's column, and both are the bytes
+    /// of encoding the filtered, projected window.
+    #[test]
+    fn a_partitioned_ship_encodes_the_same_bytes() {
+        use crate::predicate::CmpOp;
+        let mut d = db();
+        let names = ["ann", "bob", "cy"];
+        let rows = (0..30).map(|i| ins(i, names[i as usize % 3], 1 + i as u64 / 4));
+        d.append_delta(R, rows.collect()).unwrap();
+        d.compact(R, Timestamp::from_secs(2)).unwrap();
+        let bob = Predicate::eq(1, "bob").and(Predicate::cmp(0, CmpOp::Ge, 10i64));
+        let (lo, hi) = (Timestamp::from_secs(3), Timestamp::from_secs(7));
+        let scanned = d.delta_window_encode(R, lo, hi, &bob, Some(&[1, 0])).unwrap();
+        d.ensure_log_partition(R, &[1]).unwrap();
+        let read = d.delta_window_encode(R, lo, hi, &bob, Some(&[1, 0])).unwrap();
+        assert_eq!(read, scanned);
+        let kept = d.delta_window(R, lo, hi).unwrap().entries.into_iter().filter(|e| bob.eval(&e.tuple));
+        let projected = kept.map(|e| DeltaEntry { tuple: e.tuple.project(&[1, 0]), ..e });
+        let expected = crate::wal::encode(&projected.collect());
+        assert_eq!(read, expected);
+        assert!(crate::wal::decode(read).unwrap().len() > 1);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! bytes are — so consolidation sorts and merges raw row bytes.
 
 use crate::delta::{DeltaBatch, DeltaEntry};
-use crate::predicate::Predicate;
 use bytes::{BufMut, BytesMut};
 /// Encoded WAL bytes: a cheaply cloneable, immutable `Arc`-backed buffer —
 /// the unit a push's ship half hands to its land half.
@@ -206,17 +205,16 @@ impl ColumnarBatch {
         }
     }
 
-    /// Encodes the entries of a borrowed log window that pass `filter`,
-    /// each projected onto `projection` during encoding: one pass from the
-    /// log slice to the columns, with no intermediate `DeltaBatch` and no
-    /// per-row `Tuple`.
-    pub fn from_window(
-        entries: &[DeltaEntry],
-        filter: &Predicate,
+    /// Encodes `rows`, borrowed log entries a reader kept, each projected
+    /// onto `projection` during encoding: one pass from the log to the
+    /// columns, with no intermediate `DeltaBatch` and no per-row `Tuple`.
+    pub fn from_rows<'a>(
+        rows: impl Iterator<Item = &'a DeltaEntry>,
         projection: Option<&[usize]>,
     ) -> Self {
-        let mut cb = Self::with_capacity(entries.len(), entries.len() * 16);
-        for e in entries.iter().filter(|e| filter.eval(&e.tuple)) {
+        let most = rows.size_hint().1.unwrap_or(0);
+        let mut cb = Self::with_capacity(most, most * 16);
+        for e in rows {
             let values = e.tuple.values();
             let mut encode = |v: &Value| encode_value(v, &mut cb.arena);
             match projection {
@@ -230,7 +228,7 @@ impl ColumnarBatch {
 
     /// Every entry of `entries`, unfiltered and unprojected.
     pub fn from_entries(entries: &[DeltaEntry]) -> Self {
-        Self::from_window(entries, &Predicate::True, None)
+        Self::from_rows(entries.iter(), None)
     }
 
     /// Ends the row whose values were just appended to the arena.
@@ -404,7 +402,7 @@ pub fn decode(bytes: Bytes) -> Result<DeltaBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::CmpOp;
+    use crate::predicate::{CmpOp, Predicate};
     use proptest::prelude::*;
     use smile_types::{tuple, Tuple};
 
@@ -447,7 +445,8 @@ mod tests {
             .map(|k| DeltaEntry::insert(tuple![k, "x", 100 + k], Timestamp::from_secs(k as u64)))
             .collect();
         let filter = Predicate::cmp(0, CmpOp::Lt, 6i64);
-        let frame = ColumnarBatch::from_window(&entries, &filter, Some(&[2, 0])).frame();
+        let kept = entries.iter().filter(|e| filter.eval(&e.tuple));
+        let frame = ColumnarBatch::from_rows(kept, Some(&[2, 0])).frame();
         let expected: DeltaBatch = entries[..6]
             .iter()
             .map(|e| DeltaEntry {

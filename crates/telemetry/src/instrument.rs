@@ -74,7 +74,7 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive value range covered by bucket `i` (see [`bucket_index`]).
+/// Inclusive value range covered by bucket `i` (see `bucket_index`).
 pub fn bucket_bounds(i: usize) -> (u64, u64) {
     match i {
         0 => (0, 0),

@@ -10,7 +10,7 @@ pub mod scenario;
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
-use smile::core::plan::dag::ArrangementId;
+use smile::core::plan::dag::{ArrangementId, LogPartitionId};
 use smile::core::platform::{FaultReport, Smile, SmileConfig};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
@@ -221,6 +221,14 @@ pub fn live_probes(smile: &Smile) -> Vec<ArrangementId> {
     let plan = &executor.global.plan;
     let probe = |e| Some(plan.probed_arrangement(e)?.0);
     executor.live_edges().filter_map(probe).collect()
+}
+
+/// The log partitions the live edges of the running plan read through, as
+/// the platform defines them (`Plan::read_log_partitions`), each once.
+pub fn live_log_reads(smile: &Smile) -> BTreeSet<LogPartitionId> {
+    let executor = smile.executor.as_ref().expect("installed");
+    let plan = &executor.global.plan;
+    executor.live_edges().flat_map(|e| plan.read_log_partitions(e)).collect()
 }
 
 /// Number of distinct keys.

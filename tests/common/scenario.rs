@@ -13,7 +13,7 @@
 //! named test.
 
 use super::{distinct, exact, exact_in_flight, feed, fleet, fleet_arrangements, live_probes};
-use super::{mv_table, observe, stats, Base};
+use super::{live_log_reads, mv_table, observe, stats, Base};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -25,8 +25,8 @@ use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::predicate::CmpOp;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{tuple, ColumnType, MachineId, RelationId, SharingId, SimDuration, SmileError, Timestamp};
-use std::collections::HashMap;
+use smile::types::{tuple, ColumnType, MachineId, RelationId, SharingId, SimDuration, SmileError, Timestamp, Value};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -506,6 +506,7 @@ impl Checker<'_> {
         }
         self.slots_follow_liveness()?;
         self.arrangements_are_probed()?;
+        self.log_partitions_are_read()?;
         self.misses_are_penalized()
     }
 
@@ -530,6 +531,37 @@ impl Checker<'_> {
         let (count, want) = (fleet_arrangements(self.0), distinct(&probes));
         if count != want || missing.is_some() {
             return Err(format!("{count} arrangements, {want} probed, missing {missing:?}"));
+        }
+        Ok(())
+    }
+
+    /// The installed log partitions are exactly those the live edges read
+    /// through, and each lists every retained entry of its log once, under
+    /// the literal the entry carries — nothing outlives a compaction, a
+    /// retirement or a cutover.
+    fn log_partitions_are_read(&self) -> Result<(), String> {
+        let mut installed = BTreeSet::new();
+        for m in self.0.cluster.machine_ids() {
+            for (rel, slot) in self.0.cluster.machine(m).unwrap().db.relations() {
+                for cols in slot.delta.partitions() {
+                    let mut want: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+                    for (i, e) in slot.delta.iter().enumerate() {
+                        let literal = cols.iter().map(|&c| e.tuple.values()[c].clone()).collect();
+                        want.entry(literal).or_default().push(i);
+                    }
+                    let listing = slot.delta.partition_listing(cols).unwrap();
+                    let got: HashMap<Vec<Value>, Vec<usize>> =
+                        listing.into_iter().map(|(lit, at)| (lit.to_vec(), at)).collect();
+                    if got != want {
+                        return Err(format!("log {rel} on {m} by {cols:?} lists {got:?}, holds {want:?}"));
+                    }
+                    installed.insert((m, rel, cols.to_vec()));
+                }
+            }
+        }
+        let read = live_log_reads(self.0);
+        if installed != read {
+            return Err(format!("log partitions {installed:?} installed, {read:?} read"));
         }
         Ok(())
     }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{assert_exact, tweet};
+use common::{assert_exact, live_log_reads, tweet};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::types::{SimDuration, Timestamp};
 use smile::workload::sharings::paper_sharings;
@@ -48,6 +48,14 @@ fn all_25_sharings_admitted_and_exact() {
 
     // Exactness: every MV equals ground truth at its own timestamp.
     assert_exact(&smile, &ids);
+
+    // No paper sharing filters a log by `col = literal`, so no edge reads
+    // through a log partition and none is installed.
+    assert!(live_log_reads(&smile).is_empty());
+    for m in smile.cluster.machine_ids() {
+        let db = &smile.cluster.machine(m).unwrap().db;
+        assert!(db.relations().all(|(_, slot)| slot.delta.partitions().next().is_none()));
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@ use super::batch::BatchRequest;
 use super::spans::us;
 use super::{Executor, PushRecord};
 use smile_sim::Cluster;
-use smile_types::{SimDuration, Timestamp, VertexId};
+use smile_types::{Result, SimDuration, Timestamp, VertexId};
 use std::cmp::Reverse;
 
 /// Heartbeat publication period.
@@ -161,12 +161,12 @@ impl Executor {
     /// Agents publish heartbeats for every base relation vertex. A crashed
     /// machine's agent publishes nothing, and every heartbeat rides the
     /// fault-prone bus (loss, duplication, latency spikes).
-    pub(super) fn heartbeat_round(&mut self, cluster: &mut Cluster, now: Timestamp) {
+    pub(super) fn heartbeat_round(&mut self, cluster: &mut Cluster, now: Timestamp) -> Result<()> {
         if self
             .last_heartbeat
             .is_some_and(|t| now - t < HEARTBEAT_PERIOD)
         {
-            return;
+            return Ok(());
         }
         self.last_heartbeat = Some(now);
         for &(machine, vertex) in &self.base_beats {
@@ -174,11 +174,14 @@ impl Executor {
                 continue;
             }
             // A base relation is consistent with itself as of the moment
-            // the agent reads it; report the machine clock.
+            // the agent reads it: report the machine clock, which a push
+            // window may end at, so the machine ingests past it from now on.
             let ts = cluster.clock.read(machine, now);
+            cluster.machine_mut(machine)?.db.vouch(ts);
             self.bus
                 .publish_faulty(now, Heartbeat { vertex, ts }, &mut cluster.faults);
         }
+        Ok(())
     }
 
     pub(super) fn poll_bus(&mut self, now: Timestamp) {

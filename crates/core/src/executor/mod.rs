@@ -724,7 +724,7 @@ impl Executor {
         // tick plans: a cutover that becomes ready at tick T re-plans the
         // sharing over its new placement in the same tick.
         self.finish_migrations(now)?;
-        self.heartbeat_round(cluster, now);
+        self.heartbeat_round(cluster, now)?;
         self.poll_bus(now);
         let batch = self.plan_batch(cluster, now)?;
         let sched_us = sched_start.elapsed().as_micros() as u64;

@@ -29,9 +29,9 @@
 //! the other streams past it. The kept rows are netted — a delete cancels
 //! its insert, a repeat adds up — so the output has one entry per (delta
 //! entry, distinct surviving row): the multiset and the entry count of
-//! consolidating the window first. Outputs are handed over stably sorted by timestamp, probe
-//! run ahead of correction run, which is the order sorted insertion into
-//! the log gives.
+//! consolidating the window first. Outputs are handed over stably sorted
+//! by timestamp, probe run ahead of correction run: a log only takes a
+//! batch in timestamp order, at its end.
 //!
 //! Every other log read that filters a window — a copy's, a union's, a
 //! join's delta window — goes through the same partitioned read
@@ -377,9 +377,9 @@ fn run_join(
             emit(entries[i], row, entries[i].weight * w * sign);
         });
     }
-    // Hand the output over in log order: each run is already in delta-entry
-    // (timestamp) order, and the stable sort keeps a probe output ahead of a
-    // correction output of the same instant — where sorted insertion put it.
+    // Hand the output over in log order, which the log refuses otherwise:
+    // each run is already in delta-entry (timestamp) order, and the stable
+    // sort keeps a probe output ahead of a correction output of its instant.
     outputs.sort_by_key(|e| e.ts);
 
     // Service time is billed on the work actually done — reading the window

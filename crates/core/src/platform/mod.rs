@@ -135,10 +135,6 @@ pub struct Smile {
     arrangements_reclaimed: u64,
     now: Timestamp,
     next_sharing: u32,
-    /// Entries ingested at or before the latest seed instant would fall
-    /// outside the half-open push windows `(seed, t]`; ingest clamps them
-    /// up to this floor just above it.
-    seed_floor: Timestamp,
     /// Typed log of every adaptive-actuator decision, in decision order.
     actions: Vec<Action>,
     /// How many of the executor's alerts the control loop has consumed.
@@ -178,7 +174,6 @@ impl Smile {
             arrangements_reclaimed: 0,
             now: Timestamp::ZERO,
             next_sharing: 1,
-            seed_floor: Timestamp::ZERO,
             actions: Vec::new(),
             alert_cursor: 0,
             last_migration: HashMap::new(),
@@ -531,7 +526,11 @@ impl Smile {
         }
         if !slotted.is_empty() {
             executor.mark_vertices_seeded(&slotted, seed);
-            self.seed_floor = self.seed_floor.max(seed + SimDuration::from_micros(1));
+            // The seed read base relations as of `seed`: an entry ingested
+            // at or before it would fall outside every push window `(seed, t]`.
+            for m in self.cluster.machine_ids() {
+                self.cluster.machine_mut(m)?.db.vouch(seed);
+            }
         }
         for v in vertex_ids {
             let plan = &executor.global.plan;
@@ -607,14 +606,16 @@ impl Smile {
     }
 
     /// Ingests an application update batch into a base relation (delta
-    /// capture). Entries should be stamped at or near `self.now()`; stamps
-    /// at or below the latest seed instant (install, a live admission, a
-    /// migration's shadow seed) are clamped just above it so they stay
-    /// inside the executor's half-open push windows.
+    /// capture). Entries should be stamped at or near `self.now()`; one
+    /// stamped behind what the relation's readers have already read — an
+    /// agent's heartbeat, a seed — or behind the relation's log is stamped
+    /// just past it instead ([`Database::ingest`]), so it still reaches
+    /// every MV.
+    ///
+    /// [`Database::ingest`]: smile_storage::Database::ingest
     pub fn ingest(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
         let machine = self.catalog.base(rel)?.machine;
-        let db = &mut self.cluster.machine_mut(machine)?.db;
-        db.ingest_above(rel, batch, self.seed_floor)
+        self.cluster.machine_mut(machine)?.db.ingest(rel, batch)
     }
 
     /// Advances the platform by one executor tick, settles any live

@@ -10,7 +10,7 @@
 
 use crate::predicate::Predicate;
 use crate::zset::ZSet;
-use smile_types::{FastMap, Timestamp, Tuple, Value};
+use smile_types::{FastMap, Result, SmileError, Timestamp, Tuple, Value};
 
 /// One captured modification: `weight = +1` for an insert, `-1` for a
 /// delete; an SQL UPDATE is captured as a delete of the old tuple followed by
@@ -97,13 +97,15 @@ impl FromIterator<DeltaEntry> for DeltaBatch {
     }
 }
 
-/// The delta relation `ΔR`: an append-mostly log of timestamped entries.
+/// The delta relation `ΔR`: an append-only log of timestamped entries.
 ///
-/// Entries are kept sorted by timestamp. Appends arrive in non-decreasing
-/// timestamp order (the distributed clock is monotonic per machine, and
-/// every push edge hands its output over sorted); what does arrive out of
-/// order — a second producer landing an overlapping window in the same
-/// log — is tolerated by sorted insertion.
+/// Entries are sorted by timestamp because the log only grows at its end
+/// ([`DeltaTable::end`]): log order is capture order, as on the paper's
+/// WAL tap (§4.0.1), and a reader that has consumed a window through `t`
+/// never looks behind `t` again. Delta capture stamps each entry past what
+/// readers have read ([`crate::engine::Database::ingest`]), every push edge
+/// hands its output over sorted, and each log has one appender; a batch
+/// that would reach behind the end is refused, not sorted in.
 ///
 /// A log may carry **literal partitions**: for a list of columns, the
 /// positions of every entry grouped by its values there. A reader whose
@@ -158,18 +160,15 @@ impl LogPartition {
         }
     }
 
-    /// Forgets the positions of the entries at the indices `gone`, where
-    /// `base` is the position of index 0; a literal left with none is
-    /// removed.
-    fn forget(&mut self, base: u32, gone: std::ops::Range<usize>) {
-        if gone.is_empty() {
+    /// Forgets the positions of the first `cut` entries, which compaction
+    /// dropped, where `base` is the position of index 0; a literal left
+    /// with none is removed.
+    fn forget(&mut self, base: u32, cut: usize) {
+        if cut == 0 {
             return;
         }
-        let index = |p: &u32| p.wrapping_sub(base) as usize;
         self.positions.retain(|_, list| {
-            let start = list.partition_point(|p| index(p) < gone.start);
-            let end = start + list[start..].partition_point(|p| index(p) < gone.end);
-            list.drain(start..end);
+            list.drain(..list.partition_point(|p| (p.wrapping_sub(base) as usize) < cut));
             !list.is_empty()
         });
     }
@@ -229,59 +228,24 @@ impl DeltaTable {
         Self::default()
     }
 
-    /// Appends one entry, keeping timestamp order.
-    pub fn append(&mut self, entry: DeltaEntry) {
-        let listed = self.entries.len();
-        let at = self.insert_sorted(entry);
-        self.relist(at, listed);
-    }
-
-    /// Puts `entry` after the last entry with `ts <= entry.ts` and returns
-    /// its index; the partitions are left to [`DeltaTable::relist`].
-    fn insert_sorted(&mut self, entry: DeltaEntry) -> usize {
-        debug_assert!(entry.ts >= self.horizon, "append below compaction horizon");
-        if self.entries.last().is_some_and(|last| last.ts > entry.ts) {
-            // Rare out-of-order arrival (see the type's doc): insert after
-            // the last entry with ts <= entry.ts to restore sorted order.
-            let pos = self.entries.partition_point(|e| e.ts <= entry.ts);
-            self.entries.insert(pos, entry);
-            pos
-        } else {
-            self.entries.push(entry);
-            self.entries.len() - 1
+    /// Appends a batch at the log's end ([`DeltaTable::end`]). A batch out
+    /// of timestamp order, or reaching below the end, is refused whole with
+    /// [`SmileError::OutOfOrder`] and changes nothing.
+    pub fn append_batch(&mut self, batch: DeltaBatch) -> Result<()> {
+        let mut end = self.end();
+        for e in &batch.entries {
+            if e.ts < end {
+                return Err(SmileError::OutOfOrder { at: e.ts, end });
+            }
+            end = e.ts;
         }
-    }
-
-    /// Brings the partitions up to date once `entries[from..]` changed and
-    /// the first `listed` entries were listed: an entry that moved had its
-    /// position change, so the lists forget every position from `from` on,
-    /// and then list `entries[from..]`.
-    fn relist(&mut self, from: usize, listed: usize) {
-        let first = self.base.wrapping_add(from as u32);
+        let listed = self.entries.len();
+        self.entries.extend(batch.entries);
+        let first = self.base.wrapping_add(listed as u32);
         for part in &mut self.partitions {
-            part.forget(self.base, from..listed);
-            part.list(&self.entries[from..], first);
+            part.list(&self.entries[listed..], first);
         }
-    }
-
-    /// Appends a whole batch: one `extend` when the batch is sorted and
-    /// starts at or after the newest entry (the delta-capture case), entry
-    /// by entry through sorted insertion otherwise.
-    pub fn append_batch(&mut self, batch: DeltaBatch) {
-        let first = batch.entries.first().map_or(Timestamp::MAX, |e| e.ts);
-        let sorted = batch.entries.windows(2).all(|w| w[0].ts <= w[1].ts);
-        let listed = self.entries.len();
-        if sorted && self.last_ts().is_none_or(|last| last <= first) {
-            debug_assert!(first >= self.horizon, "append below compaction horizon");
-            self.entries.extend(batch.entries);
-            self.relist(listed, listed);
-        } else {
-            // An insertion shifts only what is at or past it, so every
-            // entry before the lowest insertion point keeps its position.
-            let inserted = batch.entries.into_iter().map(|e| self.insert_sorted(e));
-            let from = inserted.min().unwrap_or(listed);
-            self.relist(from, listed);
-        }
+        Ok(())
     }
 
     /// Number of stored entries.
@@ -294,9 +258,10 @@ impl DeltaTable {
         self.entries.is_empty()
     }
 
-    /// Timestamp of the newest entry, if any.
-    pub fn last_ts(&self) -> Option<Timestamp> {
-        self.entries.last().map(|e| e.ts)
+    /// Where the log ends: the later of its newest entry's timestamp and
+    /// the compaction horizon. Nothing is ever appended below it.
+    pub fn end(&self) -> Timestamp {
+        self.entries.last().map_or(self.horizon, |e| e.ts.max(self.horizon))
     }
 
     /// The compaction horizon: rollbacks to timestamps `>= horizon` are safe.
@@ -422,7 +387,7 @@ impl DeltaTable {
         let cut = self.entries.partition_point(|e| e.ts <= before);
         self.entries.drain(..cut);
         for part in &mut self.partitions {
-            part.forget(self.base, 0..cut);
+            part.forget(self.base, cut);
         }
         self.base = self.base.wrapping_add(cut as u32);
         if before > self.horizon {
@@ -454,9 +419,7 @@ mod tests {
     #[test]
     fn window_is_half_open() {
         let mut d = DeltaTable::new();
-        for i in 1..=5 {
-            d.append(e(i, 1, i as u64));
-        }
+        d.append_batch((1..=5).map(|i| e(i, 1, i as u64)).collect()).unwrap();
         let w = d.window(Timestamp::from_secs(2), Timestamp::from_secs(4));
         assert_eq!(w.len(), 2);
         assert_eq!(w.entries[0].tuple, tuple![3i64]);
@@ -472,9 +435,7 @@ mod tests {
     #[test]
     fn a_reversed_window_is_empty() {
         let mut d = DeltaTable::new();
-        for i in 1..=5 {
-            d.append(e(i, 1, i as u64));
-        }
+        d.append_batch((1..=5).map(|i| e(i, 1, i as u64)).collect()).unwrap();
         d.ensure_partition(&[0]);
         let [lo, hi] = [4, 2].map(Timestamp::from_secs);
         assert!(d.window_ref(lo, hi).is_empty());
@@ -484,45 +445,46 @@ mod tests {
         assert_eq!(d.window_filtered(lo, hi, &Predicate::True).count(), 0);
     }
 
+    /// A log grows only at its end: a batch that reaches behind its newest
+    /// entry or its horizon, or is out of order within itself, is refused
+    /// whole, and the entries, every partition listing and the horizon are
+    /// as they were (the log's `Debug` form shows all three). A join's probe run followed by its correction run is
+    /// such a batch until `run_join` sorts it stably by timestamp; then it
+    /// lands, each probe output ahead of the correction outputs of its
+    /// instant.
     #[test]
-    fn out_of_order_append_restores_sorted_order() {
-        let mut d = DeltaTable::new();
-        d.append(e(1, 1, 5));
-        d.append(e(2, 1, 3));
-        d.append(e(3, 1, 4));
-        let ts: Vec<u64> = d.iter().map(|x| x.ts.0 / 1_000_000).collect();
-        assert_eq!(ts, vec![3, 4, 5]);
-    }
-
-    /// A join hands over its probe run and then its correction run, each in
-    /// timestamp order. Stably sorting the concatenation first lands the
-    /// same log, entry for entry, as the sorted insertion the second run
-    /// goes through when the batch is appended as it stands.
-    #[test]
-    fn stably_sorted_runs_land_like_sorted_insertion() {
+    fn an_append_behind_the_end_is_refused() {
+        let t = Timestamp::from_secs;
+        let behind = |at, end| -> Result<()> { Err(SmileError::OutOfOrder { at: t(at), end: t(end) }) };
         let mut log = DeltaTable::new();
-        log.append_batch([e(0, 1, 1), e(0, 1, 2)].into_iter().collect());
+        log.ensure_partition(&[0]);
+        log.append_batch([e(0, 1, 1), e(0, 1, 2)].into_iter().collect()).unwrap();
+        let before = format!("{log:?}");
+        assert_eq!(log.append_batch([e(9, 1, 1)].into_iter().collect()), behind(1, 2));
+        assert_eq!(log.append_batch([e(9, 1, 4), e(9, 1, 3)].into_iter().collect()), behind(3, 4));
         let probe = [e(1, 1, 3), e(2, 1, 3), e(3, 1, 5)];
         let correction = [e(4, -1, 3), e(5, -1, 4), e(6, -1, 5), e(7, -1, 5)];
-        let runs: Vec<DeltaEntry> = probe.into_iter().chain(correction).collect();
-        let (mut inserted, mut sorted) = (log.clone(), log);
-        inserted.append_batch(DeltaBatch {
-            entries: runs.clone(),
-        });
-        let mut entries = runs;
-        entries.sort_by_key(|x| x.ts);
-        sorted.append_batch(DeltaBatch { entries });
-        assert_eq!(inserted.entries, sorted.entries);
-        let keys: Vec<Tuple> = sorted.iter().map(|x| x.tuple.clone()).collect();
+        let mut runs: Vec<DeltaEntry> = probe.into_iter().chain(correction).collect();
+        assert_eq!(log.append_batch(DeltaBatch { entries: runs.clone() }), behind(3, 5));
+        assert_eq!(format!("{log:?}"), before);
+        runs.sort_by_key(|x| x.ts);
+        log.append_batch(DeltaBatch { entries: runs }).unwrap();
+        let keys: Vec<Tuple> = log.iter().map(|x| x.tuple.clone()).collect();
         assert_eq!(keys, [0i64, 0, 1, 2, 4, 5, 3, 6, 7].map(|k| tuple![k]));
+
+        // Past its newest entry, the horizon is the end.
+        log.compact(t(8));
+        let before = format!("{log:?}");
+        assert_eq!(log.append_batch([e(9, 1, 7)].into_iter().collect()), behind(7, 8));
+        assert_eq!(format!("{log:?}"), before);
+        log.append_batch([e(9, 1, 8)].into_iter().collect()).unwrap();
+        assert_eq!(log.partition_listing(&[0]).unwrap(), [(&[Value::I64(9)][..], vec![0])]);
     }
 
     #[test]
     fn compact_advances_horizon() {
         let mut d = DeltaTable::new();
-        for i in 1..=4 {
-            d.append(e(i, 1, i as u64));
-        }
+        d.append_batch((1..=4).map(|i| e(i, 1, i as u64)).collect()).unwrap();
         assert_eq!(d.compact(Timestamp::from_secs(2)), 2);
         assert_eq!(d.len(), 2);
         assert_eq!(d.horizon(), Timestamp::from_secs(2));
@@ -538,9 +500,10 @@ mod tests {
     /// One step of [`partition_reads_equal_filtered_scans`].
     #[derive(Clone, Debug)]
     enum Op {
-        /// A batch, sorted by timestamp, each stamp raised to the horizon.
+        /// A batch, sorted by timestamp, each stamp raised to the log's end.
         Batch(Vec<(i64, i64, u64)>),
-        /// One entry, often behind the newest.
+        /// One entry, its stamp raised to the horizon: often behind the
+        /// newest entry, and then refused.
         Single(i64, i64, u64),
         Compact(u64),
         Ensure(usize),
@@ -561,15 +524,17 @@ mod tests {
         ]
     }
 
-    fn entry(a: i64, b: i64, ts: u64, horizon: Timestamp) -> DeltaEntry {
-        DeltaEntry::insert(tuple![ts as i64, a, b], Timestamp::from_secs(ts).max(horizon))
+    fn entry(a: i64, b: i64, ts: u64, floor: Timestamp) -> DeltaEntry {
+        DeltaEntry::insert(tuple![ts as i64, a, b], Timestamp::from_secs(ts).max(floor))
     }
 
     proptest! {
         /// Whatever appends, compactions and installs came before, reading
         /// a window through a partition yields exactly the window's scan
         /// filtered on the literal, in the same order, and every partition
-        /// lists each retained entry once, under its own literal.
+        /// lists each retained entry once, under its own literal. An entry
+        /// behind the log's end is refused exactly when it is behind, and
+        /// leaves the log as it was.
         #[test]
         fn partition_reads_equal_filtered_scans(ops in prop::collection::vec(arb_op(), 1..24)) {
             let mut d = DeltaTable::new();
@@ -577,10 +542,19 @@ mod tests {
                 match op {
                     Op::Batch(mut rows) => {
                         rows.sort_by_key(|r| r.2);
-                        let h = d.horizon();
-                        d.append_batch(rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, h)).collect());
+                        let end = d.end();
+                        let batch = rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, end));
+                        prop_assert_eq!(d.append_batch(batch.collect()), Ok(()));
                     }
-                    Op::Single(a, b, ts) => d.append(entry(a, b, ts, d.horizon())),
+                    Op::Single(a, b, ts) => {
+                        let (single, before) = (entry(a, b, ts, d.horizon()), format!("{d:?}"));
+                        let behind = single.ts < d.end();
+                        let landed = d.append_batch(DeltaBatch { entries: vec![single] });
+                        prop_assert_eq!(landed.is_err(), behind);
+                        if behind {
+                            prop_assert_eq!(format!("{d:?}"), before);
+                        }
+                    }
                     Op::Compact(ts) => {
                         d.compact(Timestamp::from_secs(ts));
                     }
@@ -626,9 +600,7 @@ mod tests {
             let mut d = DeltaTable::new();
             let mut sorted = raw.clone();
             sorted.sort_by_key(|&(_, ts)| ts);
-            for (k, ts) in sorted {
-                d.append(e(k, 1, ts));
-            }
+            d.append_batch(sorted.into_iter().map(|(k, ts)| e(k, 1, ts)).collect()).unwrap();
             cuts.sort_unstable();
             let [a, b, c] = cuts.map(Timestamp::from_secs);
             let mut left = d.window(a, b).to_zset();

@@ -15,7 +15,7 @@ use crate::predicate::Predicate;
 use crate::spj::RelationProvider;
 use crate::table::Table;
 use crate::zset::ZSet;
-use smile_types::{RelationId, Result, Schema, SmileError, Timestamp};
+use smile_types::{RelationId, Result, Schema, SimDuration, SmileError, Timestamp};
 use std::collections::HashMap;
 
 /// One relation slot: materialized contents plus the captured delta log.
@@ -35,6 +35,9 @@ pub struct RelationSlot {
 pub struct Database {
     relations: HashMap<RelationId, RelationSlot>,
     wal: crate::wal::WalStats,
+    /// Just past the newest instant this machine's base relations were
+    /// read as of ([`Database::vouch`]); no entry is ingested below it.
+    read_floor: Timestamp,
 }
 
 impl Database {
@@ -93,38 +96,40 @@ impl Database {
 
     /// **Delta capture path**: applies an application update batch to a base
     /// relation, recording every entry in the delta log and applying it to
-    /// the table. The table's timestamp advances to the batch's max
-    /// timestamp (base relations are always current on their home machine).
-    pub fn ingest(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
-        self.ingest_above(rel, batch, Timestamp::ZERO)
+    /// the table. The log is capture order, so each entry is stamped no
+    /// earlier than the log's end — the entry captured before it — and no
+    /// earlier than just past the newest instant this machine's base
+    /// relations were read as of ([`Database::vouch`]): an entry stamped
+    /// behind what a reader has already consumed lands where every reader
+    /// still sees it. An in-order stream keeps its stamps. The table's
+    /// timestamp advances to the last stamp (base relations are always
+    /// current on their home machine).
+    pub fn ingest(&mut self, rel: RelationId, mut batch: DeltaBatch) -> Result<()> {
+        let floor = self.read_floor;
+        let slot = self.slot_mut(rel)?;
+        let mut end = slot.delta.end().max(floor);
+        for e in &mut batch.entries {
+            e.ts = e.ts.max(end);
+            end = e.ts;
+        }
+        let through = batch.entries.last().map_or(slot.table.ts(), |e| e.ts.max(slot.table.ts()));
+        slot.table.apply(&batch, through).map_err(naming(rel))?;
+        slot.delta.append_batch(batch)
     }
 
-    /// [`Database::ingest`] with every stamp below `floor` raised to it (the
-    /// platform's seed floor), in the same walk that finds the batch's max
-    /// timestamp.
-    pub fn ingest_above(
-        &mut self,
-        rel: RelationId,
-        mut batch: DeltaBatch,
-        floor: Timestamp,
-    ) -> Result<()> {
-        let slot = self.slot_mut(rel)?;
-        let mut through = slot.table.ts();
-        for e in &mut batch.entries {
-            e.ts = e.ts.max(floor);
-            through = through.max(e.ts);
-        }
-        slot.table.apply(&batch, through).map_err(naming(rel))?;
-        slot.delta.append_batch(batch);
-        Ok(())
+    /// Records that this machine's base relations were read as of `at` — by
+    /// an agent's heartbeat, or by a seed's snapshot — so that
+    /// [`Database::ingest`] stamps every later entry past it.
+    pub fn vouch(&mut self, at: Timestamp) {
+        self.read_floor = self.read_floor.max(at + SimDuration::from_micros(1));
     }
 
     /// **Executor path**: appends shipped delta entries to a relation's
     /// delta log *without* applying them (they are pending until a
-    /// `DeltaToRel` push applies them).
+    /// `DeltaToRel` push applies them). A batch that would reach behind the
+    /// log's end is refused ([`DeltaTable::append_batch`]).
     pub fn append_delta(&mut self, rel: RelationId, batch: DeltaBatch) -> Result<()> {
-        self.slot_mut(rel)?.delta.append_batch(batch);
-        Ok(())
+        self.slot_mut(rel)?.delta.append_batch(batch)
     }
 
     /// **Executor path**: idempotent variant of [`Database::append_delta`]
@@ -134,9 +139,11 @@ impl Database {
     /// but lost its acknowledgement, or an older window after a wider one —
     /// is skipped outright; one that overlaps it (an abandoned push, then a
     /// wider one) has the landed prefix clipped, so retried pushes never
-    /// double-apply z-set deltas. Returns `true` when anything was appended.
-    /// `_batch_id` is not read — a repeated id repeats its `through` — and
-    /// stays because the frozen harness passes it (ROADMAP item 3).
+    /// double-apply z-set deltas. The mark moves only once the batch is in
+    /// the log: a refused append moves neither. Returns `true` when
+    /// anything was appended. `_batch_id` is not read — a repeated id
+    /// repeats its `through` — and stays because the frozen harness passes
+    /// it (ROADMAP item 3).
     pub fn append_delta_dedup(
         &mut self,
         rel: RelationId,
@@ -146,15 +153,15 @@ impl Database {
         through: Timestamp,
     ) -> Result<bool> {
         let slot = self.slot_mut(rel)?;
-        let mark = slot.shipped_through.entry(producer).or_default();
-        if through <= *mark {
+        let mark = slot.shipped_through.get(&producer).copied().unwrap_or_default();
+        if through <= mark {
             return Ok(false);
         }
-        if *mark != Timestamp::ZERO {
-            batch.entries.retain(|e| e.ts > *mark);
+        if mark != Timestamp::ZERO {
+            batch.entries.retain(|e| e.ts > mark);
         }
-        *mark = through;
-        slot.delta.append_batch(batch);
+        slot.delta.append_batch(batch)?;
+        slot.shipped_through.insert(producer, through);
         Ok(true)
     }
 
@@ -420,6 +427,20 @@ mod tests {
         assert_eq!(d.relation_ts(R).unwrap(), Timestamp::from_secs(5));
         assert_eq!(d.relation(R).unwrap().table.len(), 1);
         assert_eq!(d.relation(R).unwrap().delta.len(), 1);
+    }
+
+    /// Ingest keeps an in-order stream's stamps, and stamps an entry behind
+    /// the instant the base was read as of, or behind the entry before it,
+    /// at the later of the two.
+    #[test]
+    fn ingest_stamps_past_what_was_read() {
+        let (mut d, t) = (db(), Timestamp::from_secs);
+        d.ingest(R, [ins(1, "ann", 2), ins(2, "bob", 4)].into_iter().collect()).unwrap();
+        d.vouch(t(6));
+        d.ingest(R, [ins(3, "cy", 1), ins(4, "di", 9), ins(5, "ed", 8)].into_iter().collect()).unwrap();
+        let stamps: Vec<Timestamp> = d.relation(R).unwrap().delta.iter().map(|e| e.ts).collect();
+        assert_eq!(stamps, [t(2), t(4), t(6) + SimDuration::from_micros(1), t(9), t(9)]);
+        assert_eq!(d.relation_ts(R).unwrap(), t(9));
     }
 
     /// A batch with one row off the schema is refused whole, and the error

@@ -348,9 +348,8 @@ mod tests {
     fn snapshot_rolls_back_and_forward() {
         let mut t = Table::new(schema());
         let mut d = DeltaTable::new();
-        for e in [ins(1, "ann", 1), ins(2, "bob", 2), ins(3, "cat", 3)] {
-            d.append(e.clone());
-        }
+        d.append_batch([ins(1, "ann", 1), ins(2, "bob", 2), ins(3, "cat", 3)].into_iter().collect())
+            .unwrap();
         // Apply only through ts=2 so entry at ts=3 is pending.
         t.apply(
             &d.window(Timestamp::ZERO, Timestamp::from_secs(2)),
@@ -436,7 +435,7 @@ mod tests {
     fn snapshot_past_horizon_fails() {
         let mut t = Table::new(schema());
         let mut d = DeltaTable::new();
-        d.append(ins(1, "ann", 1));
+        d.append_batch([ins(1, "ann", 1)].into_iter().collect()).unwrap();
         t.apply(
             &d.window(Timestamp::ZERO, Timestamp::from_secs(1)),
             Timestamp::from_secs(1),
@@ -493,7 +492,8 @@ mod tests {
                         let at = Timestamp::from_secs(tick);
                         for (uid, ann, weight) in entries {
                             let tuple = tuple![uid, if ann { "ann" } else { "bob" }];
-                            log.append(DeltaEntry { tuple, weight, ts: at });
+                            let entry = DeltaEntry { tuple, weight, ts: at };
+                            log.append_batch(DeltaBatch { entries: vec![entry] }).unwrap();
                         }
                         if !pending {
                             t.apply_entries(log.window_ref(t.ts(), at), at).unwrap();

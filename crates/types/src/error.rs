@@ -64,6 +64,16 @@ pub enum SmileError {
         /// The instant the admission had to seed at.
         seed: Timestamp,
     },
+    /// A delta log was asked to take an entry behind its end: behind its
+    /// newest entry or its compaction horizon, or behind an earlier entry
+    /// of the same batch. A log only grows at its end, so the batch was
+    /// refused whole.
+    OutOfOrder {
+        /// The entry's timestamp.
+        at: Timestamp,
+        /// Where the log (with the batch's earlier entries) ended.
+        end: Timestamp,
+    },
     /// `install` was called on a platform that has already started (by an
     /// earlier `install` or a tick): plumbing cannot move seeded state, so
     /// the platform keeps running as it was.
@@ -100,6 +110,9 @@ impl fmt::Display for SmileError {
             SmileError::Transient { detail } => write!(f, "transient fault: {detail}"),
             SmileError::SeedUnavailable { relation, seed } => {
                 write!(f, "cannot seed as of {seed}: {relation} holds no state to read from there")
+            }
+            SmileError::OutOfOrder { at, end } => {
+                write!(f, "delta entry stamped {at} is behind its log's end {end}")
             }
             SmileError::AlreadyStarted => {
                 write!(f, "the platform has already started; install runs only before the first tick")

@@ -7,10 +7,10 @@
 //! sharings whose queries repeat over distinct pins — the traffic
 //! structural dedup exists for, and where every invariant-1 bug so far
 //! was. Its script runs after the install-time admissions: ingest ticks,
-//! live admissions, retirements, migrations. Its `Debug` form is the Rust
-//! expression that rebuilds it, and a failing scenario shrinks itself before
-//! it reports, so a failure reads as a short script that pastes into a
-//! named test.
+//! late-stamped ingest, live admissions, retirements, migrations. Its
+//! `Debug` form is the Rust expression that rebuilds it, and a failing
+//! scenario shrinks itself before it reports, so a failure reads as a short
+//! script that pastes into a named test.
 
 use super::{distinct, exact, exact_in_flight, feed, fleet, fleet_arrangements, live_probes};
 use super::{live_log_reads, mv_table, observe, stats, Base};
@@ -107,6 +107,10 @@ pub enum Step {
     /// insert of `(k, v)`, or — more often than not, when the base holds a
     /// row with key `k` — the delete of one.
     Ticks(u32, u64),
+    /// One tick ingesting one or two rows drawn from `seed` as [`Ticks`]
+    /// draws them, all stamped one instant up to 30 s behind `now`: behind
+    /// windows already pushed, and often behind the rows they delete.
+    Late(u64),
     /// A live admission of sharing `i`.
     Admit(usize),
     /// Retires the `i`-th served sharing (modulo how many are served).
@@ -176,7 +180,8 @@ pub struct Run {
 impl Scenario {
     /// Two to four bases, two to eight sharings over one to three distinct
     /// queries, one to three of them admitted before `install`, up to a
-    /// dozen script steps of which half are ingest.
+    /// dozen script steps: five in eleven ingest ticks, one in eleven a late
+    /// ingest.
     pub fn seeded(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(2..5usize);
@@ -204,11 +209,12 @@ impl Scenario {
             .collect();
         let initial = (0..rng.gen_range(1..4)).map(|_| rng.gen_range(0..sharings.len())).collect();
         let script = (0..rng.gen_range(1..13))
-            .map(|_| match rng.gen_range(0..10) {
+            .map(|_| match rng.gen_range(0..11) {
                 0..=4 => Ticks(rng.gen_range(1..25u32), rng.next_u64() % 1000),
                 5 | 6 => Admit(rng.gen_range(0..sharings.len())),
                 7 | 8 => Retire(rng.gen_range(0..8usize)),
-                _ => Migrate(rng.gen_range(0..8usize), rng.gen_range(0..machines)),
+                9 => Migrate(rng.gen_range(0..8usize), rng.gen_range(0..machines)),
+                _ => Late(rng.next_u64() % 1000),
             })
             .collect();
         Self { machines, bases, hill_climb, faults, adaptive, sharings, initial, script }
@@ -307,24 +313,29 @@ impl Scenario {
         for &step in &self.script {
             let pick = |served: &[SharingId], i| served.get(i % served.len().max(1)).copied();
             match step {
-                Ticks(n, seed) => {
+                Ticks(_, seed) | Late(seed) => {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let mut advanced = Ok(());
+                    let n = if let Ticks(n, _) = step { n } else { 1 };
                     feed(&mut smile, n.into(), |smile, _| {
                         advanced = advanced.clone().and_then(|()| each_tick(smile));
-                        let (now, count) = (smile.now(), rng.gen_range(0..3));
+                        let (count, behind) = match step {
+                            Late(_) => (rng.gen_range(1..3), rng.gen_range(0..30_001u64)),
+                            _ => (rng.gen_range(0..3), 0),
+                        };
+                        let at = smile.now() - SimDuration::from_millis(behind);
                         let draw = |_| {
                             let (r, k) = (rng.gen_range(0..rels.len()), rng.gen_range(0..12i64));
                             let live = &mut rows[r];
                             let entry = match live.iter().position(|row| row.0 == k) {
-                                Some(at) if rng.gen_bool(0.6) => {
-                                    let (k, v) = live.swap_remove(at);
-                                    DeltaEntry::delete(tuple![k, v], now)
+                                Some(i) if rng.gen_bool(0.6) => {
+                                    let (k, v) = live.swap_remove(i);
+                                    DeltaEntry::delete(tuple![k, v], at)
                                 }
                                 _ => {
                                     let v = rng.gen_range(0..8i64);
                                     live.push((k, v));
-                                    DeltaEntry::insert(tuple![k, v], now)
+                                    DeltaEntry::insert(tuple![k, v], at)
                                 }
                             };
                             (rels[r], DeltaBatch { entries: vec![entry] })

@@ -4,10 +4,13 @@
 
 mod common;
 
-use common::{assert_exact, feed};
+use common::{assert_exact, feed, fleet, stats, Base};
 use smile::core::platform::{Smile, SmileConfig};
-use smile::sim::FaultProfile;
-use smile::types::{MachineId, SharingId, SimDuration};
+use smile::sim::{DistributedClock, FaultProfile};
+use smile::storage::delta::{DeltaBatch, DeltaEntry};
+use smile::storage::join::JoinOn;
+use smile::storage::{Predicate, SpjQuery};
+use smile::types::{tuple, ColumnType, MachineId, RelationId, SharingId, SimDuration, Timestamp};
 use smile::workload::rates::{RateIntegrator, RateTrace};
 use smile::workload::readload::ReadLoad;
 use smile::workload::sharings::paper_sharings;
@@ -149,4 +152,79 @@ fn fault_schedule_is_deterministic_per_seed() {
     assert_eq!(first.2, second.2, "MV contents differ across replays");
     let other = run(43);
     assert_ne!(first.1, other.1, "different seeds produced identical faults");
+}
+
+// ---------------------------------------------------------------------------
+// Late ingest: an entry stamped behind windows already pushed is stamped
+// past what readers have read, and reaches every MV.
+
+/// `accounts(uid, name)` on m0 and `events(eid, uid)` on m1, and the
+/// sharing `accounts ⋈ events` on `uid` at a 5 s SLA, installed; with
+/// `skewed`, the 80 ms of clock skew `clock_skew.rs` runs under.
+fn accounts_events(skewed: bool) -> (Smile, [RelationId; 2], SharingId) {
+    let accounts = Base {
+        name: "accounts".into(),
+        cols: vec![("uid", ColumnType::I64), ("name", ColumnType::Str)],
+        key: vec![0],
+        home: 0,
+        stats: stats(1.0, 10.0, 16.0, &[10.0, 1.0]),
+    };
+    let events = Base::i64("events", &["eid", "uid"], &[0], 1, stats(1.0, 100.0, 16.0, &[100.0, 10.0]));
+    let (mut smile, rels) = fleet(SmileConfig::with_machines(2), &[accounts, events]);
+    if skewed {
+        smile.cluster.clock =
+            DistributedClock::with_skew(2, SimDuration::from_millis(80), SimDuration::from_secs(10));
+    }
+    let query = SpjQuery::scan(rels[0]).join(rels[1], JoinOn::on(0, 1), Predicate::True);
+    let id = smile.submit("late", query, SimDuration::from_secs(5), 0.001).unwrap();
+    smile.install().unwrap();
+    (smile, [rels[0], rels[1]], id)
+}
+
+/// Ticks `from..to` of in-order ingest, stamped `now`: tick `s` inserts the
+/// account `(s, "u")` while `s < 10`, and the event `(s, s % 10)`.
+fn in_order(smile: &mut Smile, [accounts, events]: [RelationId; 2], from: u64, to: u64) {
+    feed(smile, to - from, |smile, t| {
+        let (s, now) = ((from + t) as i64, smile.now());
+        let event = (events, DeltaBatch { entries: vec![DeltaEntry::insert(tuple![s, s % 10], now)] });
+        let account = (accounts, DeltaBatch { entries: vec![DeltaEntry::insert(tuple![s, "u"], now)] });
+        std::iter::once(event).chain((s < 10).then_some(account))
+    });
+}
+
+/// Sixty ticks in order, `late(now)` ingested into `events`, sixty more
+/// ticks and a drain, under both clocks; the MV then equals recomputation
+/// and holds every `(uid, eid)` of `joined`.
+fn late_ingest_reaches_the_mv(late: impl Fn(Timestamp) -> Vec<DeltaEntry>, joined: &[(i64, i64)]) {
+    for skewed in [false, true] {
+        let (mut smile, rels, id) = accounts_events(skewed);
+        in_order(&mut smile, rels, 0, 60);
+        let entries = late(smile.now());
+        smile.ingest(rels[1], DeltaBatch { entries }).unwrap();
+        in_order(&mut smile, rels, 60, 120);
+        smile.run_idle(SimDuration::from_secs(20)).unwrap();
+        assert_exact(&smile, &[id]);
+        let mv = smile.mv_contents(id).unwrap();
+        for &(uid, eid) in joined {
+            assert_eq!(mv.weight(&tuple![uid, "u", eid, uid]), 1, "({uid}, {eid}) missing, skewed: {skewed}");
+        }
+    }
+}
+
+/// One event stamped 5 s, behind every window pushed in the minute before.
+#[test]
+fn a_row_stamped_behind_pushed_windows_reaches_the_mv() {
+    let row = |_| vec![DeltaEntry::insert(tuple![1000i64, 3i64], Timestamp::from_secs(5))];
+    late_ingest_reaches_the_mv(row, &[(3, 1000)]);
+}
+
+/// One tick's batch out of order: its events stamped 0, 3, 6 and 9 s
+/// behind `now`, in that order.
+#[test]
+fn an_unsorted_batch_reaches_the_mv() {
+    let batch = |now: Timestamp| {
+        let behind = |i: i64| now - SimDuration::from_secs(3 * i as u64);
+        (0..4).map(|i| DeltaEntry::insert(tuple![2000 + i, i], behind(i))).collect()
+    };
+    late_ingest_reaches_the_mv(batch, &[(0, 2000), (1, 2001), (2, 2002), (3, 2003)]);
 }

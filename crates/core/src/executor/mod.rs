@@ -49,7 +49,7 @@ pub use migrate::MigrationOutcome;
 use crate::multi::GlobalPlan;
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::edge_utilization;
-use crate::plan::dag::{Edge, Plan, VertexKind};
+use crate::plan::dag::{Edge, IndexId, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use calendar::{CalendarState, CpEval};
@@ -520,6 +520,13 @@ impl Executor {
     pub fn live_edges(&self) -> impl Iterator<Item = &Edge> {
         let live = |e: &&Edge| self.live[e.output.index()];
         self.global.plan.edges().iter().filter(live)
+    }
+
+    /// Every index the live edges read through ([`Plan::reads`]), in edge
+    /// order, once per reader: what the machines keep. The one walk the
+    /// storage reconcile, the registry gauges and the checks agree on.
+    pub fn live_reads(&self) -> impl Iterator<Item = IndexId> + '_ {
+        self.live_edges().flat_map(|e| self.global.plan.reads(e))
     }
 
     /// Gives a sharing already merged into the global plan its runtime

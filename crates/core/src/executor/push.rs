@@ -17,13 +17,14 @@
 //!
 //! The first term probes the big side through its persistent arrangement —
 //! only the partition the snapshot filter's `col = literal` conjuncts name
-//! (`Plan::probed_arrangement`), so a reader that differs from others on
-//! the same relation only by a literal never walks their rows; the whole
-//! filter is still evaluated on each row found. For the second,
-//! `R@now − R@at` is the relation's log between the two instants, and it is
-//! never materialized: the log is read by reference through its literal
-//! partition on the same columns (`Plan::read_log_partitions`), so only
-//! the entries carrying the reader's literal are visited, and each passes
+//! (`Plan::probed_arrangement`, the first index `Plan::reads` lists for the
+//! edge), so a reader that differs from others on the same relation only
+//! by a literal never walks their rows; the whole filter is still
+//! evaluated on each row found. For the second, `R@now − R@at` is the
+//! relation's log between the two instants, and it is never materialized:
+//! the log is read by reference through its literal partition on the same
+//! columns (the last index `Plan::reads` lists), so only the entries
+//! carrying the reader's literal are visited, and each passes
 //! the whole snapshot filter first; whichever side is then smaller — the
 //! kept log rows or the delta window's keys — is hashed by join key while
 //! the other streams past it. The kept rows are netted — a delete cancels
@@ -312,7 +313,7 @@ fn run_join(
     debug_assert_eq!(rel_v.machine, out_v.machine);
     debug_assert_eq!(rel_v.kind, VertexKind::Relation);
     let delta_slot = slot_of(plan, delta_v.id)?;
-    let ((_, rel_slot, index), partition) = plan
+    let (_, rel_slot, index, partition) = plan
         .probed_arrangement(edge)
         .ok_or_else(|| SmileError::Internal(format!("vertex {} has no storage slot", rel_v.id)))?;
 
@@ -493,7 +494,7 @@ mod tests {
     use smile_sim::Cluster;
     use smile_storage::join::JoinOn;
     use smile_storage::predicate::CmpOp;
-    use smile_storage::ZSet;
+    use smile_storage::{SlotIndex, ZSet};
     use smile_types::{tuple, Column, ColumnType, MachineId, RelationId, Schema};
 
     const M0: MachineId = MachineId::new(0);
@@ -556,12 +557,9 @@ mod tests {
         db.append_delta(d, window.into_iter().collect()).unwrap();
         db.append_delta(r, log.into_iter().collect()).unwrap();
         db.apply_pending(r, applied).unwrap();
-        if index {
-            let ((_, slot, on), _) = plan.probed_arrangement(plan.edge(e)).unwrap();
-            db.ensure_arrangement(slot, &on).unwrap();
-        }
-        for (_, slot, cols) in plan.read_log_partitions(plan.edge(e)).into_iter().filter(|_| partitioned) {
-            db.ensure_log_partition(slot, &cols).unwrap();
+        let wanted = |read: &SlotIndex| if let SlotIndex::Log(_) = read { partitioned } else { index };
+        for (_, slot, read) in plan.reads(plan.edge(e)).into_iter().filter(|(.., read)| wanted(read)) {
+            db.ensure(slot, &read).unwrap();
         }
         (cluster, plan, e)
     }

@@ -99,7 +99,7 @@ mod tests {
     use crate::plan::dag::VertexKind;
     use smile_storage::predicate::CmpOp;
     use smile_storage::join::JoinOn;
-    use smile_storage::{AggregateSpec, DeltaBatch, DeltaEntry, IndexCols, Predicate, SpjQuery};
+    use smile_storage::{AggregateSpec, DeltaBatch, DeltaEntry, IndexCols, Predicate, SlotIndex, SpjQuery};
     use smile_types::{tuple, Column, ColumnType, MachineId, Schema, SimDuration};
 
     const USERS: RelationId = RelationId(0);
@@ -214,7 +214,7 @@ mod tests {
         let (mut arranged, _) = setup();
         arranged.machine_mut(M0).unwrap().db.ensure_index(USERS, &[0]).unwrap();
         let by_uid = IndexCols { partition: vec![1], key: vec![0] };
-        arranged.machine_mut(M1).unwrap().db.ensure_arrangement(TWEETS, &by_uid).unwrap();
+        arranged.machine_mut(M1).unwrap().db.ensure(TWEETS, &SlotIndex::Arrangement(by_uid)).unwrap();
         later(&mut plain);
         later(&mut arranged);
 

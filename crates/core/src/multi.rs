@@ -15,10 +15,10 @@
 //! minus the new edges' cost) is positive and no sharing's critical time
 //! path grows beyond its SLA. The [`hill_climb`] pass applies the
 //! best-benefit plumbing repeatedly until none remains — the `+HC` variants
-//! of the evaluation (Figures 12–13). It scores each candidate on the global
-//! plan itself — rewire in place, cost what still reaches an MV, undo — and
-//! clones, SLA-tests and garbage-collects only a candidate about to become
-//! the best so far.
+//! of the evaluation (Figures 12–13). It scores and SLA-tests each candidate
+//! on the global plan itself — rewire in place, cost what still reaches an
+//! MV, test every SLA, undo — and clones and garbage-collects only the
+//! plumbing it applies.
 
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::{path_lengths, res_cost, resource_rates_in};
@@ -227,13 +227,6 @@ impl GlobalPlan {
         res_cost(&self.plan, model, prices)
     }
 
-    /// Critical time path of one sharing within the global plan: its MV's
-    /// entry in the plan's [`path_lengths`].
-    pub fn sharing_cp(&self, id: SharingId, model: &TimeCostModel) -> Result<SimDuration> {
-        let mv = self.mv_vertex(id)?;
-        Ok(path_lengths(&self.plan, 1.0, model)?[mv.index()])
-    }
-
     /// True iff every sharing's CP fits its SLA, read off one sweep.
     pub fn all_slas_hold(&self, model: &TimeCostModel) -> bool {
         let Ok(dist) = path_lengths(&self.plan, 1.0, model) else {
@@ -371,35 +364,24 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
 }
 
 /// Applies a plumbing operation to a clone of the global plan, returning the
-/// rewired, garbage-collected result. Fails when the rewiring is
-/// structurally impossible.
+/// rewired, garbage-collected result: what the rewiring left unserved is
+/// dropped and the result checked. Fails when the rewiring is structurally
+/// impossible.
 pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
-    materialize(rewired_clone(g, p)?)
-}
-
-/// A clone of `g` with `p` rewired in: the replaced supply chain is still
-/// there, serving nothing.
-fn rewired_clone(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
     let mut out = g.clone();
     rewire(&mut out.plan, p)?;
+    out.plan = out.plan.garbage_collect(&out.served()?)?;
+    out.plan.validate()?;
     Ok(out)
 }
 
-/// The last step of [`apply_plumbing`]: drops what the rewiring left
-/// unserved and checks the result.
-fn materialize(mut rewired: GlobalPlan) -> Result<GlobalPlan> {
-    rewired.plan = rewired.plan.garbage_collect(&rewired.served()?)?;
-    rewired.plan.validate()?;
-    Ok(rewired)
-}
-
 /// Rewires `plan` in place: re-feeds the plumbing's destination, leaving the
-/// replaced supply chain in place. Returns the
-/// record [`Plan::undo`] takes the rewiring back with, and the rewired
-/// plan's topological order — the order [`Plan::garbage_collect`] would
-/// renumber its vertices in. A refused rewiring (a cycle, a producer
-/// conflict, a join plumbing onto a vertex no join produces) undoes itself
-/// before it returns its error, so no caller sees a half-rewired plan.
+/// replaced supply chain in place. Returns the record [`Plan::undo`] takes
+/// the rewiring back with, and the rewired plan's topological order — the
+/// order [`Plan::garbage_collect`] would renumber its vertices in. A refused
+/// rewiring (a cycle, a producer conflict, a join plumbing onto a vertex no
+/// join produces) undoes itself before it returns its error, so no caller
+/// sees a half-rewired plan.
 fn rewire(plan: &mut Plan, p: &Plumbing) -> Result<(Undo, Vec<VertexId>)> {
     let mut undo = plan.undo_point();
     let rewired = match *p {
@@ -537,59 +519,41 @@ pub fn hill_climb_filtered(
     max_iterations: usize,
     allow_join_plumbing: bool,
 ) -> HillClimbReport {
-    let mut applied = Vec::new();
-    let mut trajectory = vec![(
-        g.plan.vertex_count(),
-        g.plan.edge_count(),
-        g.total_cost(model, prices),
-    )];
+    let point = |g: &GlobalPlan| (g.plan.vertex_count(), g.plan.edge_count(), g.total_cost(model, prices));
+    let (mut applied, mut trajectory) = (Vec::new(), vec![point(g)]);
     for _ in 0..max_iterations {
         let current_cost = g.total_cost(model, prices);
         // Rewiring appends only delta vertices: the MVs stay where they are
         // while candidates are scored.
         let Ok(mvs) = g.mvs() else { break };
-        let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
+        let mut best: Option<(f64, Plumbing)> = None;
         // Enumeration rebuilds its peer lists each iteration: plumbing and
         // garbage collection remap vertex ids.
         for cand in enumerate_plumbings(g) {
             if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
                 continue;
             }
-            // A candidate is scored on the plan itself and taken back; only
-            // one about to become the best so far is rewired on a clone,
-            // SLA-tested and collected.
+            // A candidate is scored and SLA-tested on the plan itself and
+            // taken back; only the iteration's winner is cloned, rewired
+            // and collected.
             let Ok((undo, order)) = rewire(&mut g.plan, &cand) else {
                 continue;
             };
             let benefit = current_cost - served_cost(g, &mvs, &order, model, prices);
+            let improves = benefit > 1e-15 && best.as_ref().is_none_or(|(b, _)| benefit > *b);
+            let wins = improves && g.all_slas_hold(model);
             g.plan.undo(undo);
-            let improves = best.as_ref().is_none_or(|(b, _, _)| benefit > *b);
-            if benefit <= 1e-15 || !improves {
-                continue;
-            }
-            let Ok(next) = rewired_clone(g, &cand) else {
-                continue;
-            };
-            if !next.all_slas_hold(model) {
-                continue;
-            }
-            if let Ok(next) = materialize(next) {
-                best = Some((benefit, cand, next));
+            if wins {
+                best = Some((benefit, cand));
             }
         }
-        let Some((_, cand, next)) = best else { break };
+        let Some((_, cand)) = best else { break };
+        let Ok(next) = apply_plumbing(g, &cand) else { break };
         *g = next;
         applied.push(cand);
-        trajectory.push((
-            g.plan.vertex_count(),
-            g.plan.edge_count(),
-            g.total_cost(model, prices),
-        ));
+        trajectory.push(point(g));
     }
-    HillClimbReport {
-        applied,
-        trajectory,
-    }
+    HillClimbReport { applied, trajectory }
 }
 
 #[cfg(test)]
@@ -782,9 +746,10 @@ mod tests {
         for (mut g, _, _) in [setup(), climb_fixture()] {
             check(&g, "merged");
             for cand in enumerate_plumbings(&g) {
-                let Ok(next) = rewired_clone(&g, &cand) else { continue };
-                shared_and_idle += usize::from(check(&next, &format!("{cand:?}")));
+                let Ok((undo, _)) = rewire(&mut g.plan, &cand) else { continue };
+                shared_and_idle += usize::from(check(&g, &format!("{cand:?}")));
                 rewired += 1;
+                g.plan.undo(undo);
             }
             g.retire(SharingId::new(2));
             check(&g, "after retiring sharing 2");
@@ -812,13 +777,13 @@ mod tests {
         }
     }
 
-    /// The hill climb scores a candidate on the plan rewired in place, from
-    /// the served mask, and clones, SLA-tests and collects it only if it
-    /// wins: the mask must be the downstream walk's, the score the collected
-    /// plan's cost to the bit (it breaks ties between candidates), each
-    /// sharing's critical path in the one sweep the restricted sweep's to the
-    /// bit, and the SLA verdict on the uncollected clone the collected
-    /// plan's.
+    /// The hill climb scores and SLA-tests a candidate on the plan rewired
+    /// in place, from the served mask, and clones and collects it only if
+    /// it wins: the mask must be the downstream walk's, the score the
+    /// collected plan's cost to the bit (it breaks ties between
+    /// candidates), each sharing's critical path in the one sweep the
+    /// restricted sweep's to the bit, and the SLA verdict on the
+    /// uncollected plan the collected plan's.
     #[test]
     fn rewired_cost_and_sla_verdict_equal_the_collected_plans() {
         let (mut g, model, prices) = setup();
@@ -830,23 +795,22 @@ mod tests {
             };
             let served = g.plan.upstream_mask(mvs.iter().copied());
             let before = served_cost(&g, &mvs, &order, &model, &prices);
-            g.plan.undo(undo);
-            let rewired = rewired_clone(&g, &cand).unwrap();
-            let walked = (0..rewired.plan.vertex_count())
-                .map(|v| !shr_downstream(&rewired, VertexId::new(v as u32)).is_empty());
+            let walked = (0..g.plan.vertex_count())
+                .map(|v| !shr_downstream(&g, VertexId::new(v as u32)).is_empty());
             assert_eq!(served, walked.collect::<Vec<_>>(), "{cand:?}");
-            let holds = rewired.all_slas_hold(&model);
+            let holds = g.all_slas_hold(&model);
+            let dist = path_lengths(&g.plan, 1.0, &model).unwrap();
             let mut restricted_holds = true;
-            for meta in &rewired.sharings {
-                let cp = restricted_cp(&rewired.plan, rewired.mv_of(meta).unwrap(), 1.0, &model);
-                assert_eq!(rewired.sharing_cp(meta.id, &model).unwrap(), cp, "{cand:?}");
+            for meta in &g.sharings {
+                let mv = g.mv_of(meta).unwrap();
+                let cp = restricted_cp(&g.plan, mv, 1.0, &model);
+                assert_eq!(dist[mv.index()], cp, "{cand:?}");
                 restricted_holds &= cp <= meta.sla;
             }
             assert_eq!(holds, restricted_holds, "{cand:?}");
-            let uncollected = rewired.plan.vertex_count();
-            let Ok(next) = materialize(rewired) else {
-                continue;
-            };
+            let uncollected = g.plan.vertex_count();
+            g.plan.undo(undo);
+            let next = apply_plumbing(&g, &cand).unwrap();
             let after = next.total_cost(&model, &prices);
             assert_eq!(before.to_bits(), after.to_bits(), "{cand:?}: {before} vs {after}");
             assert_eq!(holds, next.all_slas_hold(&model), "{cand:?}");

@@ -2,7 +2,7 @@
 
 use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
-use smile_storage::{IndexCols, Predicate};
+use smile_storage::{IndexCols, Predicate, SlotIndex};
 use smile_types::{MachineId, RelationId, Result, Schema, SmileError, Value, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -26,13 +26,9 @@ pub enum DeltaSide {
     Right,
 }
 
-/// Identity of one physical arrangement: the machine hosting it, the
-/// relation slot it indexes and its partition and key columns.
-pub type ArrangementId = (MachineId, RelationId, IndexCols);
-
-/// Identity of one log partition: the machine hosting the delta log, the
-/// relation slot it belongs to and the columns its entries are grouped by.
-pub type LogPartitionId = (MachineId, RelationId, Vec<usize>);
+/// Identity of one physical index: the machine hosting it, the relation
+/// slot it belongs to and which of the slot's indexes it is.
+pub type IndexId = (MachineId, RelationId, SlotIndex);
 
 /// One plan vertex: a relation or delta pinned to a machine.
 #[derive(Clone, Debug)]
@@ -224,15 +220,15 @@ impl Plan {
         self.producer[v.index()].map(|e| &self.edges[e])
     }
 
-    /// The arrangement join edge `e` probes, and the partition of it `e`
-    /// reads: on the snapshot side's machine and relation slot, keyed by
-    /// that side's join columns and partitioned by the `col = literal`
-    /// conjuncts of the snapshot filter ([`Predicate::eq_literals`]), whose
-    /// literals name the partition. Edges that differ only by those
-    /// literals share one arrangement. `None` for any other operator, or
-    /// while the relation has no storage. The one definition install,
-    /// reconcile, introspection and the push engine use.
-    pub fn probed_arrangement(&self, e: &Edge) -> Option<(ArrangementId, Vec<Value>)> {
+    /// The arrangement join edge `e` probes — on the snapshot side's
+    /// machine and relation slot, keyed by that side's join columns and
+    /// partitioned by the `col = literal` conjuncts of the snapshot filter
+    /// ([`Predicate::eq_literals`]) — and the literals naming the partition
+    /// `e` reads. Edges that differ only by those literals share one
+    /// arrangement. `None` for any other operator, or while the relation
+    /// has no storage. What the push engine probes, and the first of
+    /// [`Plan::reads`].
+    pub fn probed_arrangement(&self, e: &Edge) -> Option<(MachineId, RelationId, IndexCols, Vec<Value>)> {
         let EdgeOp::Join { on, delta_side, snapshot_filter } = &e.op else {
             return None;
         };
@@ -247,19 +243,20 @@ impl Plan {
             .unzip();
         let rel = self.vertex(e.inputs[1]);
         let cols = IndexCols { partition, key: key.clone() };
-        Some(((rel.machine, rel.slot?, cols), literals))
+        Some((rel.machine, rel.slot?, cols, literals))
     }
 
-    /// The log partitions edge `e` reads through: for every input log it
-    /// filters by `col = literal` conjuncts ([`Predicate::eq_literals`]),
-    /// that log's partition on their columns — the delta inputs of a copy,
-    /// a union or a join under the edge filter, and a join's relation log
-    /// under the snapshot filter, on the partition columns of
-    /// [`Plan::probed_arrangement`], which its correction reads. Empty for
-    /// `DeltaToRel`, for readers without a literal and for inputs without
-    /// storage. The one definition reconcile and the push engine's reads
-    /// agree on.
-    pub fn read_log_partitions(&self, e: &Edge) -> Vec<LogPartitionId> {
+    /// Every index edge `e` reads through. A join's probed arrangement
+    /// ([`Plan::probed_arrangement`]) comes first. Then, for every input
+    /// log it filters by `col = literal` conjuncts
+    /// ([`Predicate::eq_literals`]), that log's partition on their columns:
+    /// the delta inputs of a copy, a union or a join under the edge filter,
+    /// and last a join's relation log under the snapshot filter, on the
+    /// probed arrangement's partition columns, which its correction reads.
+    /// Nothing for `DeltaToRel` and nothing on inputs without storage. The
+    /// one definition install, reconcile, introspection and the push
+    /// engine's reads agree on.
+    pub fn reads(&self, e: &Edge) -> Vec<IndexId> {
         let cols: Vec<usize> = e.filter.eq_literals().into_iter().map(|(c, _)| c).collect();
         let filtered = match &e.op {
             _ if cols.is_empty() => &[][..],
@@ -268,14 +265,11 @@ impl Plan {
             EdgeOp::CopyDelta | EdgeOp::Union => &e.inputs[..],
         };
         let logs = filtered.iter().map(|&v| self.vertex(v));
-        let mut reads: Vec<LogPartitionId> =
-            logs.filter_map(|v| Some((v.machine, v.slot?, cols.clone()))).collect();
-        if let Some(((machine, slot, on), _)) = self.probed_arrangement(e) {
-            if !on.partition.is_empty() {
-                reads.push((machine, slot, on.partition));
-            }
-        }
-        reads
+        let logs = logs.filter_map(|v| Some((v.machine, v.slot?, SlotIndex::Log(cols.clone()))));
+        let Some((machine, slot, on, _)) = self.probed_arrangement(e) else { return logs.collect() };
+        let snapshot_log = (!on.partition.is_empty()).then(|| (machine, slot, SlotIndex::Log(on.partition.clone())));
+        let arrangement = (machine, slot, SlotIndex::Arrangement(on));
+        std::iter::once(arrangement).chain(logs).chain(snapshot_log).collect()
     }
 
     /// Edges consuming `v`.
@@ -800,6 +794,48 @@ mod tests {
             24.0,
         );
         (r, d)
+    }
+
+    /// The indexes each kind of edge reads, in order: a join's arrangement
+    /// first, then the log partitions its literal filters read, the
+    /// snapshot log last; nothing on a relation without a slot.
+    #[test]
+    fn reads_list_every_index_an_edge_reads_in_order() {
+        let (m, mut p) = (MachineId::new(3), Plan::new());
+        let mut vertex = |kind, n: u32, slot: Option<u32>| {
+            let v = p.add_vertex(kind, ExprSig::base(RelationId::new(n)), m, schema(), false, 1.0, 1.0, 8.0);
+            p.vertex_mut(v).slot = slot.map(RelationId::new);
+            v
+        };
+        let [d0, d1] = [(0, 10), (1, 11)].map(|(n, s)| vertex(VertexKind::Delta, n, Some(s)));
+        let [r2, r6] = [(2, Some(12)), (6, None)].map(|(n, s)| vertex(VertexKind::Relation, n, s));
+        let outs: Vec<VertexId> = (20..26).map(|n| vertex(VertexKind::Delta, n, None)).collect();
+        let join = |snapshot_filter| EdgeOp::Join { on: JoinOn::on(0, 1), delta_side: DeltaSide::Left, snapshot_filter };
+        let (ann, by_name) = (Predicate::eq(2, "ann"), Predicate::eq(2, "ann").and(Predicate::eq(0, 7i64)));
+        let edges = [
+            (EdgeOp::CopyDelta, vec![d0], by_name.clone()),
+            (EdgeOp::Union, vec![d0, d1], by_name.clone()),
+            (join(Predicate::eq(1, 4i64)), vec![d0, r2], ann.clone()),
+            (join(Predicate::True), vec![d1, r2], Predicate::True),
+            (EdgeOp::DeltaToRel, vec![d0], by_name),
+            (join(Predicate::eq(1, 4i64)), vec![d0, r6], ann),
+        ];
+        let reads = edges.into_iter().zip(outs).map(|((op, inputs, filter), out)| {
+            let e = p.add_edge(op, inputs, out, filter, None).unwrap();
+            p.reads(p.edge(e))
+        });
+        let at = |slot: u32, index| (m, RelationId::new(slot), index);
+        let log = |cols: &[usize]| SlotIndex::Log(cols.to_vec());
+        let arr = |partition: Vec<usize>| SlotIndex::Arrangement(IndexCols { partition, key: vec![1] });
+        let want = [
+            vec![at(10, log(&[0, 2]))],
+            vec![at(10, log(&[0, 2])), at(11, log(&[0, 2]))],
+            vec![at(12, arr(vec![1])), at(10, log(&[2])), at(12, log(&[1]))],
+            vec![at(12, arr(vec![]))],
+            vec![],
+            vec![at(10, log(&[2]))],
+        ];
+        assert_eq!(reads.collect::<Vec<_>>(), want);
     }
 
     #[test]

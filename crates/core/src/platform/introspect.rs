@@ -2,13 +2,14 @@
 //! truth, meters, the metrics snapshot, `explain()`, the Chrome trace
 //! export and the fault report.
 
-use super::{live_probes, running, Action, Smile, WORST_ROWS};
+use super::{running, Action, Smile, WORST_ROWS};
 use crate::catalog::Catalog;
+use crate::executor::Executor;
 use crate::plan::dag::{Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use smile_sim::Cluster;
 use smile_storage::spj::RelationProvider;
-use smile_storage::ZSet;
+use smile_storage::{SlotIndex, ZSet};
 use smile_telemetry::{
     chrome_trace, Alert, FlightIncident, MetricsSnapshot, Severity, Telemetry, TraceInstant,
 };
@@ -178,7 +179,8 @@ impl Smile {
         reg.gauge("catalog.probe_keys").set(probe_keys as f64);
         // One reference per live join edge, one entry per distinct
         // arrangement they probe.
-        let probes: Vec<_> = self.executor.iter().flat_map(live_probes).collect();
+        let reads = self.executor.iter().flat_map(Executor::live_reads);
+        let probes: Vec<_> = reads.filter(|(.., i)| matches!(i, SlotIndex::Arrangement(_))).collect();
         reg.gauge("arrangement_registry.entries")
             .set(probes.iter().collect::<HashSet<_>>().len() as f64);
         reg.gauge("arrangement_registry.refs").set(probes.len() as f64);

@@ -31,13 +31,13 @@ use crate::executor::seed::{eval_sig, BaseReads};
 use crate::executor::{ExecConfig, Executor};
 use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
 use crate::optimizer::{Objective, Optimizer, PlannedSharing};
-use crate::plan::dag::{ArrangementId, LogPartitionId, Plan, Vertex, VertexKind};
+use crate::plan::dag::{IndexId, Plan, Vertex, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use crate::snapshot::SnapshotModule;
 use smile_sim::{Cluster, FaultProfile, MachineConfig, PriceSheet};
-use smile_storage::{DeltaBatch, IndexCols, SpjQuery};
+use smile_storage::{DeltaBatch, SlotIndex, SpjQuery};
 use smile_telemetry::{Telemetry, TelemetryConfig};
 use smile_types::{
     MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
@@ -439,8 +439,8 @@ impl Smile {
     /// The one storage reconcile, run wherever liveness may have changed
     /// (the start, live admission, retirement, migration start and
     /// settlement): afterwards a derived vertex holds a storage slot exactly
-    /// when the executor says it is [`live`](Executor::live), and an
-    /// arrangement exists exactly when a live join edge probes it.
+    /// when the executor says it is [`live`](Executor::live), and an index
+    /// exists exactly when a live edge reads through it.
     ///
     /// * Every live vertex without a slot gets one, in vertex-id order — its
     ///   twin's if the twin holds one (a Relation vertex and the Delta
@@ -456,11 +456,11 @@ impl Smile {
     /// * Every vertex that is no longer live gives its slot up: a slot nobody
     ///   holds any more is dropped, and a relation vertex whose delta twin
     ///   keeps the slot empties its table.
-    /// * Every arrangement still installed that no live join edge probes,
-    ///   and every log partition no live edge reads through
-    ///   ([`Plan::read_log_partitions`]), is dropped. The live edges *are*
-    ///   the readers (a migration's shadow chain included, from its start),
-    ///   so there is no count to keep beside them.
+    /// * Every index still installed — arrangement or log partition — that
+    ///   no live edge reads through ([`Executor::live_reads`]) is dropped.
+    ///   The live edges *are* the readers (a migration's shadow chain
+    ///   included, from its start), so there is no count to keep beside
+    ///   them.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
     /// snapshots *as of* that instant and stamped with it. The start, retire
@@ -502,15 +502,11 @@ impl Smile {
             executor.global.plan.vertex_mut(v).slot = Some(slot);
         }
         let plan = &executor.global.plan;
-        // Arrangements the newly slotted join edges probe, before seeding
-        // fills the tables, and the log partitions the newly slotted edges
-        // read through (idempotent; edges with one identity share one).
+        // The indexes the newly slotted edges read through, before seeding
+        // fills the tables (idempotent: readers of one index share it).
         for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
-            if let Some(((machine, slot, on), _)) = plan.probed_arrangement(e) {
-                self.cluster.machine_mut(machine)?.db.ensure_arrangement(slot, &on)?;
-            }
-            for (machine, slot, cols) in plan.read_log_partitions(e) {
-                self.cluster.machine_mut(machine)?.db.ensure_log_partition(slot, &cols)?;
+            for (machine, slot, index) in plan.reads(e) {
+                self.cluster.machine_mut(machine)?.db.ensure(slot, &index)?;
             }
         }
         let mut reads = BaseReads::new();
@@ -548,30 +544,16 @@ impl Smile {
             executor.global.plan.vertex_mut(v).slot = None;
         }
         let plan = &executor.global.plan;
-        let probed: HashSet<ArrangementId> = live_probes(executor).collect();
-        let read: HashSet<LogPartitionId> = live_log_reads(executor).collect();
+        let read: HashSet<IndexId> = executor.live_reads().collect();
         for vert in plan.vertices() {
             let Some(slot) = vert.slot else { continue };
             let db = &mut self.cluster.machine_mut(vert.machine)?.db;
-            let stored = db.relation(slot)?;
-            let unread: Vec<IndexCols> = stored
-                .table
-                .arrangements()
-                .map(|a| a.on().clone())
-                .filter(|on| !probed.contains(&(vert.machine, slot, on.clone())))
-                .collect();
-            let unread_logs: Vec<Vec<usize>> = stored
-                .delta
-                .partitions()
-                .map(<[usize]>::to_vec)
-                .filter(|cols| !read.contains(&(vert.machine, slot, cols.clone())))
-                .collect();
-            for on in unread {
-                db.drop_arrangement(slot, &on);
-                self.arrangements_reclaimed += 1;
-            }
-            for cols in unread_logs {
-                db.drop_log_partition(slot, &cols);
+            let installed = db.relation(slot)?.indexes();
+            let unread: Vec<SlotIndex> =
+                installed.filter(|i| !read.contains(&(vert.machine, slot, i.clone()))).collect();
+            for index in unread {
+                db.drop_index(slot, &index);
+                self.arrangements_reclaimed += u64::from(matches!(index, SlotIndex::Arrangement(_)));
             }
         }
         Ok(())
@@ -690,21 +672,6 @@ fn running_mut(executor: &mut Option<Executor>) -> Result<&mut Executor> {
 
 fn no_executor() -> SmileError {
     SmileError::Internal("the executor was taken out of the platform".into())
-}
-
-/// What the live join edges probe, one arrangement per edge: edges on one
-/// arrangement share it.
-fn live_probes(executor: &Executor) -> impl Iterator<Item = ArrangementId> + '_ {
-    let plan = &executor.global.plan;
-    executor
-        .live_edges()
-        .filter_map(|e| Some(plan.probed_arrangement(e)?.0))
-}
-
-/// The log partitions the live edges read through.
-fn live_log_reads(executor: &Executor) -> impl Iterator<Item = LogPartitionId> + '_ {
-    let plan = &executor.global.plan;
-    executor.live_edges().flat_map(|e| plan.read_log_partitions(e))
 }
 
 /// The slot held by `vert`'s twin — the vertex of the other kind with the

@@ -30,6 +30,25 @@ pub struct RelationSlot {
     pub shipped_through: HashMap<u64, Timestamp>,
 }
 
+/// One index a relation slot keeps for its readers.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SlotIndex {
+    /// An arrangement of the table ([`Table::ensure_arrangement`]).
+    Arrangement(IndexCols),
+    /// A partition of the delta log on these columns
+    /// ([`DeltaTable::ensure_partition`]).
+    Log(Vec<usize>),
+}
+
+impl RelationSlot {
+    /// Every index installed: arrangements first, then log partitions,
+    /// each in install order.
+    pub fn indexes(&self) -> impl Iterator<Item = SlotIndex> + '_ {
+        let arrangements = self.table.arrangements().map(|a| SlotIndex::Arrangement(a.on().clone()));
+        arrangements.chain(self.delta.partitions().map(|cols| SlotIndex::Log(cols.to_vec())))
+    }
+}
+
 /// A single machine's database instance.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
@@ -228,22 +247,29 @@ impl Database {
     /// Ensures the unpartitioned arrangement keyed by `cols` exists for the
     /// relation.
     pub fn ensure_index(&mut self, rel: RelationId, cols: &[usize]) -> Result<()> {
-        self.ensure_arrangement(rel, &IndexCols::unpartitioned(cols))
+        self.ensure(rel, &SlotIndex::Arrangement(IndexCols::unpartitioned(cols)))
     }
 
-    /// Ensures the arrangement `on` exists for the relation.
-    pub fn ensure_arrangement(&mut self, rel: RelationId, on: &IndexCols) -> Result<()> {
-        self.slot_mut(rel)?.table.ensure_arrangement(on);
+    /// Installs `index` on the relation (idempotent: an installed one is
+    /// kept).
+    pub fn ensure(&mut self, rel: RelationId, index: &SlotIndex) -> Result<()> {
+        let slot = self.slot_mut(rel)?;
+        match index {
+            SlotIndex::Arrangement(on) => slot.table.ensure_arrangement(on),
+            SlotIndex::Log(cols) => slot.delta.ensure_partition(cols),
+        }
         Ok(())
     }
 
-    /// Drops the arrangement `on`, reclaiming its memory. Returns `true`
-    /// when one existed. Unknown relations are fine (the whole relation may
+    /// Drops `index`, reclaiming its memory. Returns `true` when one was
+    /// installed. Unknown relations are fine (the whole relation may
     /// already have been dropped).
-    pub fn drop_arrangement(&mut self, rel: RelationId, on: &IndexCols) -> bool {
-        self.relations
-            .get_mut(&rel)
-            .is_some_and(|s| s.table.drop_arrangement(on))
+    pub fn drop_index(&mut self, rel: RelationId, index: &SlotIndex) -> bool {
+        let Some(slot) = self.relations.get_mut(&rel) else { return false };
+        match index {
+            SlotIndex::Arrangement(on) => slot.table.drop_arrangement(on),
+            SlotIndex::Log(cols) => slot.delta.drop_partition(cols),
+        }
     }
 
     /// Current timestamp `TS(v)` of a relation vertex.
@@ -293,21 +319,6 @@ impl Database {
     ) -> Result<crate::wal::Bytes> {
         let rows = self.delta_window_filtered(rel, lo, hi, filter)?;
         Ok(crate::wal::ColumnarBatch::from_rows(rows, projection).frame())
-    }
-
-    /// Installs the log partition on `cols` for the relation
-    /// ([`DeltaTable::ensure_partition`]).
-    pub fn ensure_log_partition(&mut self, rel: RelationId, cols: &[usize]) -> Result<()> {
-        self.slot_mut(rel)?.delta.ensure_partition(cols);
-        Ok(())
-    }
-
-    /// Removes the log partition on `cols`; `true` when one existed.
-    /// Unknown relations are fine, as for [`Database::drop_arrangement`].
-    pub fn drop_log_partition(&mut self, rel: RelationId, cols: &[usize]) -> bool {
-        self.relations
-            .get_mut(&rel)
-            .is_some_and(|s| s.delta.drop_partition(cols))
     }
 
     /// Every relation stored here, in unspecified order.
@@ -478,7 +489,7 @@ mod tests {
         let bob = Predicate::eq(1, "bob").and(Predicate::cmp(0, CmpOp::Ge, 10i64));
         let (lo, hi) = (Timestamp::from_secs(3), Timestamp::from_secs(7));
         let scanned = d.delta_window_encode(R, lo, hi, &bob, Some(&[1, 0])).unwrap();
-        d.ensure_log_partition(R, &[1]).unwrap();
+        d.ensure(R, &SlotIndex::Log(vec![1])).unwrap();
         let read = d.delta_window_encode(R, lo, hi, &bob, Some(&[1, 0])).unwrap();
         assert_eq!(read, scanned);
         let kept = d.delta_window(R, lo, hi).unwrap().entries.into_iter().filter(|e| bob.eval(&e.tuple));
@@ -624,11 +635,15 @@ mod tests {
         d.ensure_index(R, &[1]).unwrap();
         assert!(d.relation(R).unwrap().table.arrangement(&[1]).is_some());
         assert!(d.ensure_index(RelationId::new(9), &[0]).is_err());
-        let by_name = IndexCols { partition: vec![1], key: vec![0] };
-        d.ensure_arrangement(R, &by_name).unwrap();
+        let by_name = SlotIndex::Arrangement(IndexCols { partition: vec![1], key: vec![0] });
+        let (on_name, by_uid) = (SlotIndex::Arrangement(IndexCols::unpartitioned(&[1])), SlotIndex::Log(vec![0]));
+        d.ensure(R, &by_uid).unwrap();
+        d.ensure(R, &by_name).unwrap();
         assert_eq!(d.arrangement_count(), 2, "partitioned is another arrangement");
-        assert!(d.drop_arrangement(R, &by_name));
-        assert!(!d.drop_arrangement(R, &by_name));
+        let listed: Vec<_> = d.relation(R).unwrap().indexes().collect();
+        assert_eq!(listed, [on_name, by_name.clone(), by_uid.clone()]);
+        assert!(d.drop_index(R, &by_name) && d.drop_index(R, &by_uid));
+        assert!(!d.drop_index(R, &by_name) && !d.drop_index(RelationId::new(9), &by_uid));
         assert!(d.relation(R).unwrap().table.arrangement(&[1]).is_some());
     }
 

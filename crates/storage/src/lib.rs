@@ -38,7 +38,7 @@ pub mod zset;
 pub use aggregate::{AggFunc, AggregateSpec};
 pub use arrangement::{Arrangement, ArrangementCounters, Bucket, IndexCols, Partition};
 pub use delta::{DeltaBatch, DeltaEntry, DeltaTable};
-pub use engine::Database;
+pub use engine::{Database, SlotIndex};
 pub use predicate::Predicate;
 pub use spj::SpjQuery;
 pub use table::Table;

@@ -10,12 +10,12 @@ pub mod scenario;
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
-use smile::core::plan::dag::{ArrangementId, LogPartitionId};
+use smile::core::plan::dag::IndexId;
 use smile::core::platform::{FaultReport, Smile, SmileConfig};
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::spj::RelationProvider;
-use smile::storage::{Predicate, SpjQuery, ZSet};
+use smile::storage::{Predicate, SlotIndex, SpjQuery, ZSet};
 use smile::types::{
     tuple, Column, ColumnType, MachineId, RelationId, Schema, SharingId, SimDuration, Timestamp,
 };
@@ -212,27 +212,22 @@ pub fn assert_exact(smile: &Smile, ids: &[SharingId]) -> usize {
     ids.iter().map(|&id| exact(smile, id).unwrap_or_else(|e| panic!("{e}"))).sum()
 }
 
-/// What the live join edges of the running plan probe, one arrangement per
-/// edge, as the platform defines it (`Plan::probed_arrangement`) — the
-/// length counts references, [`distinct`] of it the arrangements that
-/// should exist.
-pub fn live_probes(smile: &Smile) -> Vec<ArrangementId> {
-    let executor = smile.executor.as_ref().expect("installed");
-    let plan = &executor.global.plan;
-    let probe = |e| Some(plan.probed_arrangement(e)?.0);
-    executor.live_edges().filter_map(probe).collect()
+/// Every index the live edges of the running plan read through, once per
+/// reader, as the platform defines it (`Executor::live_reads`).
+pub fn live_reads(smile: &Smile) -> Vec<IndexId> {
+    smile.executor.as_ref().expect("installed").live_reads().collect()
 }
 
-/// The log partitions the live edges of the running plan read through, as
-/// the platform defines them (`Plan::read_log_partitions`), each once.
-pub fn live_log_reads(smile: &Smile) -> BTreeSet<LogPartitionId> {
-    let executor = smile.executor.as_ref().expect("installed");
-    let plan = &executor.global.plan;
-    executor.live_edges().flat_map(|e| plan.read_log_partitions(e)).collect()
+/// The arrangements of [`live_reads`], one per live join edge — the length
+/// counts references, [`distinct`] of it the arrangements that should
+/// exist.
+pub fn live_probes(smile: &Smile) -> Vec<IndexId> {
+    let reads = live_reads(smile).into_iter();
+    reads.filter(|(.., index)| matches!(index, SlotIndex::Arrangement(_))).collect()
 }
 
 /// Number of distinct keys.
-pub fn distinct(probes: &[ArrangementId]) -> usize {
+pub fn distinct(probes: &[IndexId]) -> usize {
     probes.iter().collect::<BTreeSet<_>>().len()
 }
 

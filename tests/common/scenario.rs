@@ -1,30 +1,28 @@
 //! Seeded lifecycles over a small fleet, run through the [`Checker`] that
 //! holds DESIGN §6 as code.
 //!
-//! A [`Scenario`] draws a fleet (two to four keyless `(k, v)` bases, base
-//! `i` on machine `i`, one or two machines hosting none), hill climbing on
-//! or off, a fault profile, rarely the adaptive actuator, and a handful of
-//! sharings whose queries repeat over distinct pins — the traffic
-//! structural dedup exists for, and where every invariant-1 bug so far
-//! was. Its script runs after the install-time admissions: ingest ticks,
-//! late-stamped ingest, live admissions, retirements, migrations. Its
-//! `Debug` form is the Rust expression that rebuilds it, and a failing
-//! scenario shrinks itself before it reports, so a failure reads as a short
-//! script that pastes into a named test.
+//! A [`Scenario`] draws a fleet (two to four keyless `(k, v, t)` bases,
+//! `t` derived from `v` ([`derived`]), base `i` on machine `i`, one or two
+//! machines hosting none), hill climbing on or off, a fault profile, rarely
+//! the adaptive actuator, and a handful of sharings whose queries repeat
+//! over distinct pins — the traffic structural dedup exists for, and where
+//! every invariant-1 bug so far was. Its script runs after the install-time
+//! admissions: ingest ticks, late-stamped ingest, live admissions,
+//! retirements, migrations. Its `Debug` form is the Rust expression that
+//! rebuilds it, and a failing scenario shrinks itself before it reports, so
+//! a failure reads as a short script that pastes into a named test.
 
-use super::{distinct, exact, exact_in_flight, feed, fleet, fleet_arrangements, live_probes};
-use super::{live_log_reads, mv_table, observe, stats, Base};
+use super::{exact, exact_in_flight, feed, fleet, live_reads, mv_table, observe, stats, Base};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use smile::core::plan::dag::ArrangementId;
 use smile::core::platform::{Smile, SmileConfig};
 use smile::sim::FaultProfile;
 use smile::storage::aggregate::AggregateSpec;
 use smile::storage::delta::{DeltaBatch, DeltaEntry};
 use smile::storage::join::JoinOn;
 use smile::storage::predicate::CmpOp;
-use smile::storage::{Predicate, SpjQuery};
+use smile::storage::{Predicate, SlotIndex, SpjQuery};
 use smile::types::{tuple, ColumnType, MachineId, RelationId, SharingId, SimDuration, SmileError, Timestamp, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -83,11 +81,22 @@ impl Query {
             SelectJoin(x, y, lit) => SpjQuery::select(rels[x], Predicate::eq(1, lit))
                 .join(rels[y], JoinOn::on(0, 0), Predicate::True),
             Chain(x, y, z, lit) => {
-                join(x, y, lt(lit)).join(rels[z], JoinOn::on(2, 0), Predicate::True)
+                join(x, y, lt(lit)).join(rels[z], JoinOn::on(3, 0), Predicate::True)
             }
             Scan(x, lit) => SpjQuery::select(rels[x], lt(lit)),
             Count(x, y) => join(x, y, Predicate::True).aggregate(AggregateSpec::count_by(vec![0])),
         }
+    }
+}
+
+/// Base `b`'s third column, its type and its value derived from `v`: text
+/// on even bases, a float on odd ones, so the blocks a join concatenates
+/// differ in type and a permuted MV column shows in
+/// [`Checker::columns_hold`].
+fn derived(b: usize, v: i64) -> (ColumnType, Value) {
+    match b % 2 {
+        0 => (ColumnType::Str, Value::str(format!("t{v}"))),
+        _ => (ColumnType::F64, Value::F64(v as f64)),
     }
 }
 
@@ -104,7 +113,7 @@ pub struct Spec {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Step {
     /// `n` ticks, each ingesting up to two rows drawn from `seed`: an
-    /// insert of `(k, v)`, or — more often than not, when the base holds a
+    /// insert of `(k, v, t)`, or — more often than not, when the base holds a
     /// row with key `k` — the delete of one.
     Ticks(u32, u64),
     /// One tick ingesting one or two rows drawn from `seed` as [`Ticks`]
@@ -240,7 +249,8 @@ impl Scenario {
     pub fn platform(&self, config: SmileConfig) -> (Smile, Vec<RelationId>) {
         let base = |(i, &(rate, card, keys)): (usize, &(f64, f64, f64))| {
             let stats = stats(rate, card, 16.0, &[keys, 8.0]);
-            Base::i64(&format!("b{i}"), &["k", "v"], &[], i as u32, stats)
+            let cols = vec![("k", ColumnType::I64), ("v", ColumnType::I64), ("t", derived(i, 0).0)];
+            Base { name: format!("b{i}"), cols, key: vec![], home: i as u32, stats }
         };
         fleet(config, &self.bases.iter().enumerate().map(base).collect::<Vec<_>>())
     }
@@ -330,12 +340,12 @@ impl Scenario {
                             let entry = match live.iter().position(|row| row.0 == k) {
                                 Some(i) if rng.gen_bool(0.6) => {
                                     let (k, v) = live.swap_remove(i);
-                                    DeltaEntry::delete(tuple![k, v], at)
+                                    DeltaEntry::delete(tuple![k, v, derived(r, v).1], at)
                                 }
                                 _ => {
                                     let v = rng.gen_range(0..8i64);
                                     live.push((k, v));
-                                    DeltaEntry::insert(tuple![k, v], at)
+                                    DeltaEntry::insert(tuple![k, v, derived(r, v).1], at)
                                 }
                             };
                             (rels[r], DeltaBatch { entries: vec![entry] })
@@ -516,8 +526,7 @@ impl Checker<'_> {
             exact(self.0, s.id)?;
         }
         self.slots_follow_liveness()?;
-        self.arrangements_are_probed()?;
-        self.log_partitions_are_read()?;
+        self.indexes_are_read()?;
         self.misses_are_penalized()
     }
 
@@ -531,48 +540,35 @@ impl Checker<'_> {
         }
     }
 
-    /// The installed arrangements are exactly those the live joins probe.
-    fn arrangements_are_probed(&self) -> Result<(), String> {
-        let probes = live_probes(self.0);
-        let installed = |(m, slot, on): &&ArrangementId| {
-            let db = &self.0.cluster.machine(*m).unwrap().db;
-            db.relation(*slot).is_ok_and(|r| r.table.arrangement_on(on).is_some())
-        };
-        let missing = probes.iter().find(|p| !installed(p));
-        let (count, want) = (fleet_arrangements(self.0), distinct(&probes));
-        if count != want || missing.is_some() {
-            return Err(format!("{count} arrangements, {want} probed, missing {missing:?}"));
-        }
-        Ok(())
-    }
-
-    /// The installed log partitions are exactly those the live edges read
-    /// through, and each lists every retained entry of its log once, under
-    /// the literal the entry carries — nothing outlives a compaction, a
-    /// retirement or a cutover.
-    fn log_partitions_are_read(&self) -> Result<(), String> {
+    /// The installed indexes are exactly those the live edges read
+    /// through, and each log partition lists every retained entry of its
+    /// log once, under the literal the entry carries — nothing outlives a
+    /// compaction, a retirement or a cutover.
+    fn indexes_are_read(&self) -> Result<(), String> {
         let mut installed = BTreeSet::new();
         for m in self.0.cluster.machine_ids() {
             for (rel, slot) in self.0.cluster.machine(m).unwrap().db.relations() {
-                for cols in slot.delta.partitions() {
-                    let mut want: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                    for (i, e) in slot.delta.iter().enumerate() {
-                        let literal = cols.iter().map(|&c| e.tuple.values()[c].clone()).collect();
-                        want.entry(literal).or_default().push(i);
+                for index in slot.indexes() {
+                    if let SlotIndex::Log(cols) = &index {
+                        let mut want: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+                        for (i, e) in slot.delta.iter().enumerate() {
+                            let literal = cols.iter().map(|&c| e.tuple.values()[c].clone()).collect();
+                            want.entry(literal).or_default().push(i);
+                        }
+                        let listing = slot.delta.partition_listing(cols).unwrap();
+                        let got: HashMap<Vec<Value>, Vec<usize>> =
+                            listing.into_iter().map(|(lit, at)| (lit.to_vec(), at)).collect();
+                        if got != want {
+                            return Err(format!("log {rel} on {m} by {cols:?} lists {got:?}, holds {want:?}"));
+                        }
                     }
-                    let listing = slot.delta.partition_listing(cols).unwrap();
-                    let got: HashMap<Vec<Value>, Vec<usize>> =
-                        listing.into_iter().map(|(lit, at)| (lit.to_vec(), at)).collect();
-                    if got != want {
-                        return Err(format!("log {rel} on {m} by {cols:?} lists {got:?}, holds {want:?}"));
-                    }
-                    installed.insert((m, rel, cols.to_vec()));
+                    installed.insert((m, rel, index));
                 }
             }
         }
-        let read = live_log_reads(self.0);
+        let read: BTreeSet<_> = live_reads(self.0).into_iter().collect();
         if installed != read {
-            return Err(format!("log partitions {installed:?} installed, {read:?} read"));
+            return Err(format!("indexes {installed:?} installed, {read:?} read"));
         }
         Ok(())
     }

@@ -8,8 +8,9 @@
 
 mod common;
 
-use common::{assert_exact, live_log_reads, tweet};
+use common::{assert_exact, live_reads, tweet};
 use smile::core::platform::{Smile, SmileConfig};
+use smile::storage::SlotIndex;
 use smile::types::{SimDuration, Timestamp};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{standard_setup, TwitterConfig};
@@ -51,10 +52,11 @@ fn all_25_sharings_admitted_and_exact() {
 
     // No paper sharing filters a log by `col = literal`, so no edge reads
     // through a log partition and none is installed.
-    assert!(live_log_reads(&smile).is_empty());
+    let log = |index: &SlotIndex| matches!(index, SlotIndex::Log(_));
+    assert!(!live_reads(&smile).iter().any(|(.., index)| log(index)));
     for m in smile.cluster.machine_ids() {
         let db = &smile.cluster.machine(m).unwrap().db;
-        assert!(db.relations().all(|(_, slot)| slot.delta.partitions().next().is_none()));
+        assert!(db.relations().all(|(_, slot)| !slot.indexes().any(|index| log(&index))));
     }
 }
 

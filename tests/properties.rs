@@ -852,9 +852,9 @@ proptest! {
 // Hill climbing ≡ the loop of §7.2 written out: materialize every candidate
 // (`apply_plumbing`: rewire, collect what the MVs reach, validate), drop those
 // that break an SLA, cost what is left, keep the first of the maxima.
-// `hill_climb_filtered` costs a candidate before it collects it and collects
-// only one that wins; it must apply the same plumbings in the same order and
-// report the same trajectory, costs to the bit.
+// `hill_climb_filtered` costs and SLA-tests a candidate in place and collects
+// only the iteration's winner; it must apply the same plumbings in the same
+// order and report the same trajectory, costs to the bit.
 // ---------------------------------------------------------------------------
 
 use smile::core::multi::{apply_plumbing, enumerate_plumbings, hill_climb_filtered, Plumbing};

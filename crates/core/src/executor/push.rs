@@ -20,12 +20,21 @@
 //! (`Plan::probed_arrangement`, the first index `Plan::reads` lists for the
 //! edge), so a reader that differs from others on the same relation only
 //! by a literal never walks their rows; the whole filter is still
-//! evaluated on each row found. For the second, `R@now − R@at` is the
-//! relation's log between the two instants, and it is never materialized:
-//! the log is read by reference through its literal partition on the same
-//! columns (the last index `Plan::reads` lists), so only the entries
-//! carrying the reader's literal are visited, and each passes
-//! the whole snapshot filter first; whichever side is then smaller — the
+//! evaluated on each row found. The smaller side drives it: each window
+//! entry's key probes the partition, or, when the partition's few keys
+//! (and the correction's kept rows) are fewer than a whole unfiltered
+//! window's entries, each partition key reads its own entries of the
+//! window through the delta log's join-key index — a log partition on the
+//! delta side's join columns, which `Plan::reads` lists for such an edge —
+//! and the hits are emitted in window order. Both directions land the same
+//! entries in the same order and count one probe per window entry.
+//!
+//! For the second term, `R@now − R@at` is the relation's log between the
+//! two instants, and it is never materialized: the log is read by
+//! reference through its literal partition on the same columns (the last
+//! index `Plan::reads` lists), so only the entries carrying the reader's
+//! literal are visited, and each passes the whole snapshot filter first;
+//! whichever side is then smaller — the
 //! kept log rows or the delta window's keys — is hashed by join key while
 //! the other streams past it. The kept rows are netted — a delete cancels
 //! its insert, a repeat adds up — so the output has one entry per (delta
@@ -60,7 +69,7 @@ use smile_sim::machine::Machine;
 use smile_sim::meter::ResourceUsage;
 use smile_storage::delta::{DeltaBatch, DeltaEntry};
 use smile_storage::wal::Bytes;
-use smile_storage::{wal, Predicate};
+use smile_storage::{wal, Bucket, Predicate};
 use smile_types::{FastMap, Result, SmileError, Timestamp, Tuple, Value, VertexId};
 
 /// Outcome of executing one edge.
@@ -298,6 +307,14 @@ fn finish_copy(mut job: Job<'_>, batch: DeltaBatch) -> Result<EdgeRun> {
 
 /// One half-join: `Δ(from, to] ⋈ R@at`, the relation side read at the
 /// snapshot `at` without rolling the table there (module doc).
+///
+/// Whichever side is smaller drives the join (DESIGN §9a). Every window
+/// entry's key probes the partition, or — when the edge keeps the whole
+/// window, its delta log has the join-key index `Plan::reads` lists, and
+/// the partition's keys and the kept correction rows are fewer than the
+/// window's entries — each of those keys reads its entries out of the
+/// window through the index. Both give the same outputs in the same order
+/// and count the same probes.
 fn run_join(
     mut job: Job<'_>,
     at: Timestamp,
@@ -316,19 +333,20 @@ fn run_join(
     let (_, rel_slot, index, partition) = plan
         .probed_arrangement(edge)
         .ok_or_else(|| SmileError::Internal(format!("vertex {} has no storage slot", rel_v.id)))?;
+    let (delta_cols, _) = delta_side.cols(on);
+    let arity = delta_cols.len();
 
-    // The delta probes with its side's join columns.
-    let delta_cols = match delta_side {
-        DeltaSide::Left => &on.left_cols,
-        DeltaSide::Right => &on.right_cols,
-    };
-    // Borrow the window straight from the delta log (no clone).
+    // Borrow the window straight from the delta log (no clone). An edge
+    // that keeps all of it may read it by key instead of scanning it.
     let db = &job.machine.db;
-    let entries: Vec<&DeltaEntry> =
-        db.delta_window_filtered(delta_slot, job.from, job.to, &edge.filter)?.collect();
-    let window_len = entries.len() as u64;
+    let log = &db.relation(delta_slot)?.delta;
+    let (range, window) = (log.window_range(job.from, job.to), log.window_ref(job.from, job.to));
+    let keyed = edge.filter == Predicate::True && log.partitions().any(|cols| cols == delta_cols);
+    let scan: Option<Vec<&DeltaEntry>> =
+        (!keyed).then(|| log.window_filtered(job.from, job.to, &edge.filter).collect());
+    let window_len = scan.as_ref().map_or(window.len(), Vec::len);
     let mut outputs: Vec<DeltaEntry> = Vec::new();
-    if !entries.is_empty() {
+    if window_len > 0 {
         let rel = db.relation(rel_slot)?;
         let Some(arr) = rel.table.arrangement_on(&index) else {
             return Err(SmileError::Internal(format!(
@@ -336,6 +354,52 @@ fn run_join(
                 rel_v.id
             )));
         };
+        // Only the partition of the filter's literals can hold a kept row.
+        let part = arr.partition(&partition);
+        // Correction: the table is at `table.ts()`, we need it at `at`.
+        //   R@at = R@now − Σ(at, now]   (at < now)
+        //   R@at = R@now + Σ(now, at]   (at > now)
+        // The window between the two is empty when they agree. Only the
+        // log partition of the filter's literals can hold a kept row, as
+        // for the probe.
+        let now = rel.table.ts();
+        let (lo, hi, sign) = if at < now { (at, now, -1) } else { (now, at, 1) };
+        let kept: Vec<&DeltaEntry> = rel.delta.window_filtered(lo, hi, snapshot_filter).collect();
+        // The probe run, then the correction run, each in window order.
+        let mut probed: Vec<(&DeltaEntry, &Bucket)> = Vec::new();
+        let mut corrected: Vec<(&DeltaEntry, &Tuple, i64)> = Vec::new();
+        match scan {
+            None if part.key_count() + kept.len() < window_len => {
+                // Small side: each key's entries, looked up in the window
+                // through the join-key index and sorted into window order.
+                let at_key = |key: &[Value]| log.positions_where(&range, delta_cols, key).into_iter().flatten();
+                let mut hits: Vec<(usize, &Bucket)> =
+                    part.buckets().flat_map(|(key, bucket)| at_key(key.values()).map(move |i| (i, bucket))).collect();
+                part.count_probes(window_len, hits.len());
+                hits.sort_unstable_by_key(|&(i, _)| i);
+                probed.extend(hits.into_iter().map(|(i, bucket)| (&window[i], bucket)));
+                let kept_keys = flat_keys(kept.iter().map(|r| &r.tuple), &index.key);
+                let (net, rows_of) = hash_kept(&kept, &kept_keys, arity);
+                let mut hits: Vec<(usize, &Vec<&Tuple>)> =
+                    rows_of.iter().flat_map(|(&key, rows)| at_key(key).map(move |i| (i, rows))).collect();
+                hits.sort_unstable_by_key(|&(i, _)| i);
+                for (i, rows) in hits {
+                    corrected.extend(rows.iter().map(|&row| (&window[i], row, net[row])));
+                }
+            }
+            scan => {
+                // Big side: one contiguous key arena for the whole window,
+                // hashed and probed in one batched pass instead of
+                // allocating a key `Tuple` per entry.
+                let entries = scan.unwrap_or_else(|| window.iter().collect());
+                let keys_flat = flat_keys(entries.iter().map(|e| &e.tuple), delta_cols);
+                let buckets = part.probe_batch(&keys_flat, arity, entries.len());
+                probed.extend(entries.iter().copied().zip(buckets).filter(|(_, bucket)| !bucket.is_empty()));
+                correct(&keys_flat, entries.len(), &kept, &index.key, |i, row, w| {
+                    corrected.push((entries[i], row, w));
+                });
+            }
+        }
         let mut emit = |e: &DeltaEntry, row: &Tuple, weight: i64| {
             if weight != 0 {
                 outputs.push(DeltaEntry {
@@ -348,35 +412,16 @@ fn run_join(
                 });
             }
         };
-        // One contiguous key arena for the whole window: keys are assembled
-        // back to back and hashed/probed in one batched pass instead of
-        // allocating a key `Tuple` per entry.
-        let arity = delta_cols.len();
-        let mut keys_flat: Vec<Value> = Vec::with_capacity(arity * entries.len());
-        for e in &entries {
-            keys_flat.extend(delta_cols.iter().map(|&c| e.tuple.values()[c].clone()));
-        }
-        // Only the partition of the filter's literals can hold a kept row.
-        let buckets = arr.partition(&partition).probe_batch(&keys_flat, arity, entries.len());
-        for (e, bucket) in entries.iter().zip(buckets) {
+        for (e, bucket) in probed {
             for (row, &w) in bucket {
                 if snapshot_filter.eval(row) {
                     emit(e, row, e.weight * w);
                 }
             }
         }
-        // Correction: the table is at `table.ts()`, we need it at `at`.
-        //   R@at = R@now − Σ(at, now]   (at < now)
-        //   R@at = R@now + Σ(now, at]   (at > now)
-        // The window between the two is empty when they agree.
-        // Only the log partition of the filter's literals can hold a kept
-        // row, as for the probe.
-        let now = rel.table.ts();
-        let (lo, hi, sign) = if at < now { (at, now, -1) } else { (now, at, 1) };
-        let kept: Vec<&DeltaEntry> = rel.delta.window_filtered(lo, hi, snapshot_filter).collect();
-        correct(&keys_flat, entries.len(), &kept, &index.key, |i, row, w| {
-            emit(entries[i], row, entries[i].weight * w * sign);
-        });
+        for (e, row, w) in corrected {
+            emit(e, row, e.weight * w * sign);
+        }
     }
     // Hand the output over in log order, which the log refuses otherwise:
     // each run is already in delta-entry (timestamp) order, and the stable
@@ -389,9 +434,39 @@ fn run_join(
     // delivered it, and probe-served snapshot rows are read in place, so
     // counting the window again would double-bill it in the meter.
     let produced = outputs.len() as u64;
-    let end = job.bill(window_len.max(produced));
+    let end = job.bill((window_len as u64).max(produced));
     let appended = job.append(DeltaBatch { entries: outputs })?;
     Ok(EdgeRun::local(end, produced, appended))
+}
+
+/// The values of `tuples` at `cols`, laid back to back: one key arena for
+/// a whole side of a join.
+fn flat_keys<'a>(tuples: impl Iterator<Item = &'a Tuple>, cols: &[usize]) -> Vec<Value> {
+    let mut keys = Vec::with_capacity(tuples.size_hint().0 * cols.len());
+    for t in tuples {
+        keys.extend(cols.iter().map(|&c| t.values()[c].clone()));
+    }
+    keys
+}
+
+/// Kept rows netted — a delete cancels its insert, a repeat adds up — and
+/// each distinct one listed under its join key, in the order first seen.
+type Netted<'k, 'r> = (FastMap<&'r Tuple, i64>, FastMap<&'k [Value], Vec<&'r Tuple>>);
+
+/// Hashes the kept rows by join key; `keys` holds their keys of `arity`
+/// values back to back.
+fn hash_kept<'k, 'r>(kept: &[&'r DeltaEntry], keys: &'k [Value], arity: usize) -> Netted<'k, 'r> {
+    let mut net: FastMap<&Tuple, i64> = FastMap::default();
+    let mut rows_of: FastMap<&[Value], Vec<&Tuple>> = FastMap::default();
+    for (j, r) in kept.iter().enumerate() {
+        let key = &keys[j * arity..(j + 1) * arity];
+        let w = net.entry(&r.tuple).or_insert_with(|| {
+            rows_of.entry(key).or_default().push(&r.tuple);
+            0
+        });
+        *w += r.weight;
+    }
+    (net, rows_of)
 }
 
 /// The correction term `Δ ⋈ kept`, where `kept` are the log rows between
@@ -423,27 +498,15 @@ fn correct<'r>(
     }
     let arity = key_cols.len();
     let range = |i: usize| i * arity..(i + 1) * arity;
-    let hash_kept = kept.len() <= n;
-    let kept_keys: Vec<Value> = if hash_kept {
-        let keys = kept.iter().map(|r| key_cols.iter().map(|&c| r.tuple.values()[c].clone()));
-        keys.flatten().collect()
-    } else {
-        Vec::new()
-    };
-    let mut net: FastMap<&Tuple, i64> = FastMap::default();
-    let mut rows_of: FastMap<&[Value], Vec<&Tuple>> = FastMap::default();
-    if hash_kept {
-        // Hash the kept rows: each netted and listed under its key.
-        for (j, r) in kept.iter().enumerate() {
-            let w = net.entry(&r.tuple).or_insert_with(|| {
-                rows_of.entry(&kept_keys[range(j)]).or_default().push(&r.tuple);
-                0
-            });
-            *w += r.weight;
-        }
+    let kept_keys: Vec<Value>;
+    let (net, rows_of): Netted = if kept.len() <= n {
+        kept_keys = flat_keys(kept.iter().map(|r| &r.tuple), key_cols);
+        hash_kept(kept, &kept_keys, arity)
     } else {
         // Hash the window's keys; only kept rows some entry joins are netted.
-        rows_of.extend((0..n).map(|i| (&keys_flat[range(i)], Vec::new())));
+        let mut net: FastMap<&Tuple, i64> = FastMap::default();
+        let mut rows_of: FastMap<&[Value], Vec<&Tuple>> =
+            (0..n).map(|i| (&keys_flat[range(i)], Vec::new())).collect();
         let mut key: Vec<Value> = Vec::with_capacity(arity);
         for r in kept {
             key.clear();
@@ -457,7 +520,8 @@ fn correct<'r>(
             });
             *w += r.weight;
         }
-    }
+        (net, rows_of)
+    };
     for i in 0..n {
         for &row in rows_of.get(&keys_flat[range(i)]).into_iter().flatten() {
             emit(i, row, net[row]);
@@ -530,16 +594,15 @@ mod tests {
 
     /// One machine, one Join edge `Δ0 ⋈ R1 → Δ2` over `width`-column
     /// relations: `window` sits in slot 0's log, `log` in slot 1's with the
-    /// table applied through `applied` and, if `index`, the arrangement the
-    /// edge probes installed; if `partitioned`, the log partitions the edge
-    /// reads through too.
+    /// table applied through `applied`, and of the indexes the edge reads
+    /// through, those `install` picks are installed.
     fn join_fixture(
         width: usize,
         op: EdgeOp,
         window: Vec<DeltaEntry>,
         log: Vec<DeltaEntry>,
         applied: Timestamp,
-        (index, partitioned): (bool, bool),
+        install: impl Fn(RelationId, &SlotIndex) -> bool,
     ) -> (Cluster, Plan, usize) {
         let mut plan = Plan::new();
         let vd = vertex(&mut plan, VertexKind::Delta, 0, M0, width);
@@ -557,8 +620,7 @@ mod tests {
         db.append_delta(d, window.into_iter().collect()).unwrap();
         db.append_delta(r, log.into_iter().collect()).unwrap();
         db.apply_pending(r, applied).unwrap();
-        let wanted = |read: &SlotIndex| if let SlotIndex::Log(_) = read { partitioned } else { index };
-        for (_, slot, read) in plan.reads(plan.edge(e)).into_iter().filter(|(.., read)| wanted(read)) {
+        for (_, slot, read) in plan.reads(plan.edge(e)).into_iter().filter(|(_, slot, read)| install(*slot, read)) {
             db.ensure(slot, &read).unwrap();
         }
         (cluster, plan, e)
@@ -575,7 +637,7 @@ mod tests {
             delta_side: DeltaSide::Left,
             snapshot_filter: Predicate::True,
         };
-        join_fixture(2, op, window.collect(), log.to_vec(), ts, (index, false))
+        join_fixture(2, op, window.collect(), log.to_vec(), ts, |_, _| index)
     }
 
     /// A job over the window `(0, to]` submitted at its end.
@@ -678,6 +740,17 @@ mod tests {
         prop_oneof![arb_entries(4), arb_entries(40)]
     }
 
+    /// Which of the indexes a join reads through a fixture installs.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Installed {
+        /// The probed arrangement only.
+        Arrangement,
+        /// And the relation log's literal partition.
+        SnapshotLog,
+        /// Every index: the delta log's join-key index too.
+        All,
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -689,13 +762,19 @@ mod tests {
         /// (an unpartitioned arrangement), an equality literal (a partition
         /// of one) or an equality literal beside a residual range conjunct,
         /// which still has to be evaluated on the partition's rows. Dropping
-        /// the netting leaves the z-set equal and breaks the count. With the
-        /// relation's log partitioned on the literal's column, the
-        /// correction reads the partition and lands the same log, entry for
-        /// entry.
+        /// the netting leaves the z-set equal and breaks the count.
+        ///
+        /// Both directions give one answer: with the relation's log
+        /// partitioned on the literal's column, and then with the delta
+        /// log's join-key index too, so that a window that outgrows the
+        /// partition's keys and the kept rows is read from the partition's
+        /// side, the edge lands the same log, entry for entry, moves the same
+        /// tuples and counts the same probes, hits and misses. A window of up
+        /// to 160 entries against a log of a few rows makes that side the
+        /// smaller one often.
         #[test]
         fn half_join_lands_delta_join_snapshot(
-            window in arb_lopsided(),
+            window in prop_oneof![arb_lopsided(), arb_entries(160)],
             log in arb_lopsided(),
             (applied, at) in (0u64..11, 0u64..11),
             (right, two_cols) in (prop::bool::ANY, prop::bool::ANY),
@@ -709,28 +788,42 @@ mod tests {
                 1 => Predicate::eq(2, literal),
                 _ => Predicate::eq(2, literal).and(Predicate::cmp(1, CmpOp::Ge, 1i64)),
             };
-            let op = EdgeOp::Join {
-                on,
-                delta_side: if right { DeltaSide::Right } else { DeltaSide::Left },
-                snapshot_filter: filter.clone(),
+            let delta_side = if right { DeltaSide::Right } else { DeltaSide::Left };
+            let delta_cols = delta_side.cols(&on).0.to_vec();
+            let op = EdgeOp::Join { on, delta_side, snapshot_filter: filter.clone() };
+            let installs = |installed: Installed| {
+                move |slot: RelationId, read: &SlotIndex| match installed {
+                    Installed::Arrangement => matches!(read, SlotIndex::Arrangement(_)),
+                    Installed::SnapshotLog => slot != RelationId::new(0),
+                    Installed::All => true,
+                }
             };
-            let fixture = |partitioned| {
-                join_fixture(3, op.clone(), window.clone(), log.clone(), applied, (true, partitioned))
-            };
-            let (mut cluster, plan, e) = fixture(false);
-            let run = run_fixture(&mut cluster, &plan, e, to, at).unwrap();
+            let runs = [Installed::Arrangement, Installed::SnapshotLog, Installed::All].map(|installed| {
+                let (mut cluster, plan, e) =
+                    join_fixture(3, op.clone(), window.clone(), log.clone(), applied, installs(installed));
+                let run = run_fixture(&mut cluster, &plan, e, to, at).unwrap();
+                (cluster, run)
+            });
+            let [(cluster, run), (split, split_run), (keyed, keyed_run)] = &runs;
             let db = &cluster.machine(M0).unwrap().db;
             let landed = db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
-
-            let (mut split, plan, e) = fixture(true);
-            let split_run = run_fixture(&mut split, &plan, e, to, at).unwrap();
-            let split_db = &split.machine(M0).unwrap().db;
-            let split_log = &split_db.relation(RelationId::new(1)).unwrap().delta;
-            let partitions: Vec<&[usize]> = split_log.partitions().collect();
-            prop_assert_eq!(partitions, if filter_kind == 0 { vec![] } else { vec![&[2][..]] });
-            let split_landed = split_db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
-            prop_assert_eq!(&split_landed, &landed);
-            prop_assert_eq!(split_run.tuples, run.tuples);
+            let log_partitions = |cluster: &Cluster, slot: u32| -> Vec<Vec<usize>> {
+                let db = &cluster.machine(M0).unwrap().db;
+                db.relation(RelationId::new(slot)).unwrap().delta.partitions().map(<[usize]>::to_vec).collect()
+            };
+            let literal_cols = if filter_kind == 0 { vec![] } else { vec![vec![2]] };
+            let join_key_cols = if filter_kind == 0 { vec![] } else { vec![delta_cols] };
+            prop_assert_eq!(log_partitions(split, 1), literal_cols.clone());
+            prop_assert_eq!(log_partitions(split, 0), vec![] as Vec<Vec<usize>>);
+            prop_assert_eq!(log_partitions(keyed, 1), literal_cols);
+            prop_assert_eq!(log_partitions(keyed, 0), join_key_cols);
+            for (other, other_run) in [(split, split_run), (keyed, keyed_run)] {
+                let other_db = &other.machine(M0).unwrap().db;
+                let other_landed = other_db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
+                prop_assert_eq!(&other_landed, &landed);
+                prop_assert_eq!(other_run.tuples, run.tuples);
+                prop_assert_eq!(other_db.arrangement_counters(), db.arrangement_counters());
+            }
 
             let rel = db.relation(RelationId::new(1)).unwrap();
             let partitioned: Vec<_> = rel.table.arrangements().map(|a| a.on().partition.clone()).collect();

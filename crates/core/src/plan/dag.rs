@@ -26,6 +26,16 @@ pub enum DeltaSide {
     Right,
 }
 
+impl DeltaSide {
+    /// `on`'s join columns on the delta side, then on the relation side.
+    pub fn cols(self, on: &JoinOn) -> (&[usize], &[usize]) {
+        match self {
+            DeltaSide::Left => (&on.left_cols, &on.right_cols),
+            DeltaSide::Right => (&on.right_cols, &on.left_cols),
+        }
+    }
+}
+
 /// Identity of one physical index: the machine hosting it, the relation
 /// slot it belongs to and which of the slot's indexes it is.
 pub type IndexId = (MachineId, RelationId, SlotIndex);
@@ -232,17 +242,14 @@ impl Plan {
         let EdgeOp::Join { on, delta_side, snapshot_filter } = &e.op else {
             return None;
         };
-        let key = match delta_side {
-            DeltaSide::Left => &on.right_cols,
-            DeltaSide::Right => &on.left_cols,
-        };
+        let (_, key) = delta_side.cols(on);
         let (partition, literals) = snapshot_filter
             .eq_literals()
             .into_iter()
             .map(|(col, value)| (col, value.clone()))
             .unzip();
         let rel = self.vertex(e.inputs[1]);
-        let cols = IndexCols { partition, key: key.clone() };
+        let cols = IndexCols { partition, key: key.to_vec() };
         Some((rel.machine, rel.slot?, cols, literals))
     }
 
@@ -250,12 +257,15 @@ impl Plan {
     /// ([`Plan::probed_arrangement`]) comes first. Then, for every input
     /// log it filters by `col = literal` conjuncts
     /// ([`Predicate::eq_literals`]), that log's partition on their columns:
-    /// the delta inputs of a copy, a union or a join under the edge filter,
-    /// and last a join's relation log under the snapshot filter, on the
-    /// probed arrangement's partition columns, which its correction reads.
-    /// Nothing for `DeltaToRel` and nothing on inputs without storage. The
-    /// one definition install, reconcile, introspection and the push
-    /// engine's reads agree on.
+    /// the delta inputs of a copy, a union or a join under the edge filter.
+    /// A join that probes an arrangement partition under no edge filter
+    /// reads its delta log by join key instead, through the log's partition
+    /// on its delta-side join columns (the small-side half-join, DESIGN
+    /// §9a). Last comes a join's relation log under the snapshot filter, on
+    /// the probed arrangement's partition columns, which its correction
+    /// reads. Nothing for `DeltaToRel` and nothing on inputs without
+    /// storage. The one definition install, reconcile, introspection and
+    /// the push engine's reads agree on.
     pub fn reads(&self, e: &Edge) -> Vec<IndexId> {
         let cols: Vec<usize> = e.filter.eq_literals().into_iter().map(|(c, _)| c).collect();
         let filtered = match &e.op {
@@ -267,9 +277,19 @@ impl Plan {
         let logs = filtered.iter().map(|&v| self.vertex(v));
         let logs = logs.filter_map(|v| Some((v.machine, v.slot?, SlotIndex::Log(cols.clone()))));
         let Some((machine, slot, on, _)) = self.probed_arrangement(e) else { return logs.collect() };
+        let join_key = match &e.op {
+            EdgeOp::Join { on: join, delta_side, .. }
+                if !on.partition.is_empty() && e.filter == Predicate::True =>
+            {
+                let delta = self.vertex(e.inputs[0]);
+                let cols = delta_side.cols(join).0.to_vec();
+                delta.slot.map(|slot| (delta.machine, slot, SlotIndex::Log(cols)))
+            }
+            _ => None,
+        };
         let snapshot_log = (!on.partition.is_empty()).then(|| (machine, slot, SlotIndex::Log(on.partition.clone())));
         let arrangement = (machine, slot, SlotIndex::Arrangement(on));
-        std::iter::once(arrangement).chain(logs).chain(snapshot_log).collect()
+        std::iter::once(arrangement).chain(logs).chain(join_key).chain(snapshot_log).collect()
     }
 
     /// Edges consuming `v`.
@@ -765,6 +785,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smile_storage::predicate::CmpOp;
     use smile_types::{Column, ColumnType, SharingId};
 
     fn schema() -> Schema {
@@ -797,7 +818,9 @@ mod tests {
     }
 
     /// The indexes each kind of edge reads, in order: a join's arrangement
-    /// first, then the log partitions its literal filters read, the
+    /// first, then the log partitions its literal filters read — or, for a
+    /// join probing an arrangement partition under no edge filter, its
+    /// delta log's partition on its delta-side join columns — the
     /// snapshot log last; nothing on a relation without a slot.
     #[test]
     fn reads_list_every_index_an_edge_reads_in_order() {
@@ -809,8 +832,10 @@ mod tests {
         };
         let [d0, d1] = [(0, 10), (1, 11)].map(|(n, s)| vertex(VertexKind::Delta, n, Some(s)));
         let [r2, r6] = [(2, Some(12)), (6, None)].map(|(n, s)| vertex(VertexKind::Relation, n, s));
-        let outs: Vec<VertexId> = (20..26).map(|n| vertex(VertexKind::Delta, n, None)).collect();
+        let outs: Vec<VertexId> = (20..30).map(|n| vertex(VertexKind::Delta, n, None)).collect();
         let join = |snapshot_filter| EdgeOp::Join { on: JoinOn::on(0, 1), delta_side: DeltaSide::Left, snapshot_filter };
+        let right = EdgeOp::Join { on: JoinOn::on(0, 1), delta_side: DeltaSide::Right, snapshot_filter: Predicate::eq(2, 5i64) };
+        let at_least = Predicate::cmp(2, CmpOp::Ge, 1i64);
         let (ann, by_name) = (Predicate::eq(2, "ann"), Predicate::eq(2, "ann").and(Predicate::eq(0, 7i64)));
         let edges = [
             (EdgeOp::CopyDelta, vec![d0], by_name.clone()),
@@ -818,7 +843,11 @@ mod tests {
             (join(Predicate::eq(1, 4i64)), vec![d0, r2], ann.clone()),
             (join(Predicate::True), vec![d1, r2], Predicate::True),
             (EdgeOp::DeltaToRel, vec![d0], by_name),
-            (join(Predicate::eq(1, 4i64)), vec![d0, r6], ann),
+            (join(Predicate::eq(1, 4i64)), vec![d0, r6], ann.clone()),
+            (join(Predicate::eq(1, 4i64)), vec![d1, r2], Predicate::True),
+            (right, vec![d1, r2], Predicate::True),
+            (join(Predicate::eq(1, 4i64)), vec![d1, r2], Predicate::eq(2, "bob")),
+            (join(Predicate::eq(1, 4i64)), vec![d1, r2], at_least),
         ];
         let reads = edges.into_iter().zip(outs).map(|((op, inputs, filter), out)| {
             let e = p.add_edge(op, inputs, out, filter, None).unwrap();
@@ -834,6 +863,10 @@ mod tests {
             vec![at(12, arr(vec![]))],
             vec![],
             vec![at(10, log(&[2]))],
+            vec![at(12, arr(vec![1])), at(11, log(&[0])), at(12, log(&[1]))],
+            vec![at(12, SlotIndex::Arrangement(IndexCols { partition: vec![2], key: vec![0] })), at(11, log(&[1])), at(12, log(&[2]))],
+            vec![at(12, arr(vec![1])), at(11, log(&[2])), at(12, log(&[1]))],
+            vec![at(12, arr(vec![1])), at(12, log(&[1]))],
         ];
         assert_eq!(reads.collect::<Vec<_>>(), want);
     }

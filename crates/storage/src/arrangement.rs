@@ -36,7 +36,10 @@ use std::collections::hash_map;
 /// counters: probe traffic, hit rate, and maintenance volume.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArrangementCounters {
-    /// Index probes served (one per delta tuple on the probe side).
+    /// Index probes served: one per delta entry presented to the index,
+    /// whichever side the join iterates — the window's entries, or the
+    /// partition's keys looked up in the window
+    /// ([`Partition::count_probes`]).
     pub probes: u64,
     /// Probes that found a non-empty bucket for the key.
     pub hits: u64,
@@ -428,6 +431,30 @@ impl<'a> Partition<'a> {
                 EMPTY.get_or_init(|| Bucket::Many(FastMap::default()))
             }
         }
+    }
+
+    /// How many join keys the partition holds (none when it is absent).
+    pub fn key_count(&self) -> usize {
+        self.index.map_or(0, FastMap::len)
+    }
+
+    /// Every join key of the partition with its bucket, in unspecified
+    /// order — for a join driven from the partition's side.
+    pub fn buckets(&self) -> impl Iterator<Item = (&'a Tuple, &'a Bucket)> {
+        self.index.into_iter().flatten()
+    }
+
+    /// Counts `n` probes of which `hits` found a key: what `n` calls to
+    /// [`probe`] count, for a join that looked the partition's keys up in
+    /// the delta instead of each delta entry's key up in the partition.
+    ///
+    /// [`probe`]: Partition::probe
+    pub fn count_probes(&self, n: usize, hits: usize) {
+        debug_assert!(hits <= n);
+        let arr = self.arr;
+        arr.probes.set(arr.probes.get() + n as u64);
+        arr.hits.set(arr.hits.get() + hits as u64);
+        arr.misses.set(arr.misses.get() + (n - hits) as u64);
     }
 
     /// Probes a whole delta's keys in one pass. `keys_flat` holds `n` keys

@@ -11,6 +11,7 @@
 use crate::predicate::Predicate;
 use crate::zset::ZSet;
 use smile_types::{FastMap, Result, SmileError, Timestamp, Tuple, Value};
+use std::ops::Range;
 
 /// One captured modification: `weight = +1` for an insert, `-1` for a
 /// delete; an SQL UPDATE is captured as a delete of the old tuple followed by
@@ -111,9 +112,11 @@ impl FromIterator<DeltaEntry> for DeltaBatch {
 /// positions of every entry grouped by its values there. A reader whose
 /// filter has `col = literal` conjuncts on exactly those columns visits
 /// only its literal's entries ([`DeltaTable::window_where`]) instead of
-/// scanning the whole window through the filter. Positions count from the
-/// first retained entry's, which compaction advances; a log holds a
-/// handful of partitions, so they are found by a scan.
+/// scanning the whole window through the filter, and a join reader with a
+/// partition on its join columns reads one key's entries of a window
+/// ([`DeltaTable::positions_where`]). Positions count from the first
+/// retained entry's, which compaction advances; a log holds a handful of
+/// partitions, so they are found by a scan.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaTable {
     entries: Vec<DeltaEntry>,
@@ -174,13 +177,34 @@ impl LogPartition {
     }
 }
 
+/// The offsets, within a window of a log, of one literal's entries,
+/// ascending: what [`DeltaTable::positions_where`] returns.
+#[derive(Clone, Debug)]
+pub struct Positions<'a> {
+    /// The position of the window's first entry.
+    first: u32,
+    positions: std::slice::Iter<'a, u32>,
+}
+
+impl Iterator for Positions<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        self.positions.next().map(|p| p.wrapping_sub(self.first) as usize)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.positions.size_hint()
+    }
+}
+
 /// The entries of one literal in a log window, in log order: what
 /// [`DeltaTable::window_where`] returns.
 #[derive(Clone, Debug)]
 pub struct WindowWhere<'a> {
-    entries: &'a [DeltaEntry],
-    base: u32,
-    positions: std::slice::Iter<'a, u32>,
+    window: &'a [DeltaEntry],
+    positions: Positions<'a>,
 }
 
 impl<'a> Iterator for WindowWhere<'a> {
@@ -188,8 +212,7 @@ impl<'a> Iterator for WindowWhere<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a DeltaEntry> {
-        let at = self.positions.next()?;
-        Some(&self.entries[at.wrapping_sub(self.base) as usize])
+        Some(&self.window[self.positions.next()?])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -277,8 +300,9 @@ impl DeltaTable {
         }
     }
 
-    /// The index range of `(lo, hi]`; empty when `hi <= lo`.
-    fn bounds(&self, lo: Timestamp, hi: Timestamp) -> std::ops::Range<usize> {
+    /// The index range of `(lo, hi]` in the log (into
+    /// [`DeltaTable::iter`]); empty when `hi <= lo`.
+    pub fn window_range(&self, lo: Timestamp, hi: Timestamp) -> Range<usize> {
         if hi <= lo {
             return 0..0;
         }
@@ -291,13 +315,32 @@ impl DeltaTable {
     /// join probing iterate the slice in place instead of cloning every
     /// entry into a scratch batch. Empty when `hi <= lo`.
     pub fn window_ref(&self, lo: Timestamp, hi: Timestamp) -> &[DeltaEntry] {
-        &self.entries[self.bounds(lo, hi)]
+        &self.entries[self.window_range(lo, hi)]
     }
 
     /// Number of entries with `lo < ts <= hi` without materializing them
     /// (0 when `hi <= lo`).
     pub fn count_window(&self, lo: Timestamp, hi: Timestamp) -> usize {
-        self.bounds(lo, hi).len()
+        self.window_range(lo, hi).len()
+    }
+
+    /// The offsets, within the window `range` of the log
+    /// ([`DeltaTable::window_range`]), of the entries whose values at
+    /// `cols` are `literals`, ascending, read through the partition on
+    /// `cols`. `None` when no partition on `cols` is installed.
+    pub fn positions_where(
+        &self,
+        range: &Range<usize>,
+        cols: &[usize],
+        literals: &[Value],
+    ) -> Option<Positions<'_>> {
+        let part = self.partitions.iter().find(|p| p.cols == cols)?;
+        let positions = part.positions.get(literals).map_or(&[][..], Vec::as_slice);
+        let index = |p: &u32| p.wrapping_sub(self.base) as usize;
+        let start = positions.partition_point(|p| index(p) < range.start);
+        let end = start + positions[start..].partition_point(|p| index(p) < range.end);
+        let first = self.base.wrapping_add(range.start as u32);
+        Some(Positions { first, positions: positions[start..end].iter() })
     }
 
     /// The entries with `lo < ts <= hi` whose values at `cols` are
@@ -311,17 +354,9 @@ impl DeltaTable {
         cols: &[usize],
         literals: &[Value],
     ) -> Option<WindowWhere<'_>> {
-        let part = self.partitions.iter().find(|p| p.cols == cols)?;
-        let range = self.bounds(lo, hi);
-        let positions = part.positions.get(literals).map_or(&[][..], Vec::as_slice);
-        let index = |p: &u32| p.wrapping_sub(self.base) as usize;
-        let start = positions.partition_point(|p| index(p) < range.start);
-        let end = start + positions[start..].partition_point(|p| index(p) < range.end);
-        Some(WindowWhere {
-            entries: &self.entries,
-            base: self.base,
-            positions: positions[start..end].iter(),
-        })
+        let range = self.window_range(lo, hi);
+        let positions = self.positions_where(&range, cols, literals)?;
+        Some(WindowWhere { window: &self.entries[range], positions })
     }
 
     /// The entries with `lo < ts <= hi` that pass `filter`, in log order —
@@ -479,6 +514,53 @@ mod tests {
         assert_eq!(format!("{log:?}"), before);
         log.append_batch([e(9, 1, 8)].into_iter().collect()).unwrap();
         assert_eq!(log.partition_listing(&[0]).unwrap(), [(&[Value::I64(9)][..], vec![0])]);
+    }
+
+    /// One key's positions in a window range are the offsets, within the
+    /// range, of its entries there, ascending: for ranges that start and
+    /// end between the key's entries, after compaction has advanced `base`,
+    /// and with `base` just below `u32::MAX`, so that positions wrap inside
+    /// the log and again after the compaction.
+    #[test]
+    fn positions_where_reads_one_key_of_a_window_range() {
+        let keys = [1, 2, 1, 1, 3, 1, 2, 1, 1, 2];
+        for base in [0, u32::MAX - 4] {
+            let mut d = DeltaTable { base, ..DeltaTable::default() };
+            d.ensure_partition(&[0]);
+            let batch = keys.iter().enumerate().map(|(i, &k)| e(k, 1, i as u64 + 1));
+            d.append_batch(batch.collect()).unwrap();
+            let offsets = |d: &DeltaTable, range: Range<usize>, k: i64| -> Vec<usize> {
+                d.positions_where(&range, &[0], &[Value::I64(k)]).unwrap().collect()
+            };
+            // Key 1 sits at indices 0, 2, 3, 5, 7 and 8; (2s, 6s] starts
+            // after its first entry and ends before its fifth.
+            let range = d.window_range(Timestamp::from_secs(2), Timestamp::from_secs(6));
+            assert_eq!(range, 2..6);
+            assert_eq!(offsets(&d, range.clone(), 1), [0, 1, 3]);
+            assert_eq!(offsets(&d, range.clone(), 3), [2]);
+            assert_eq!(offsets(&d, range, 9), [] as [usize; 0]);
+            assert_eq!(offsets(&d, 3..3, 1), [] as [usize; 0]);
+            assert!(d.positions_where(&(0..4), &[1], &[Value::I64(1)]).is_none());
+
+            d.compact(Timestamp::from_secs(3));
+            assert_eq!(d.base, base.wrapping_add(3));
+            d.append_batch([e(1, 1, 11), e(3, 1, 12)].into_iter().collect()).unwrap();
+            // After the cut key 1 sits at indices 0, 2, 4, 5 and 7.
+            let range = d.window_range(Timestamp::from_secs(4), Timestamp::from_secs(11));
+            assert_eq!(range, 1..8);
+            assert_eq!(offsets(&d, range.clone(), 1), [1, 3, 4, 6]);
+            for lo in 0..=13 {
+                for hi in lo..=13 {
+                    let [lo, hi] = [lo, hi].map(Timestamp::from_secs);
+                    let range = d.window_range(lo, hi);
+                    for k in 1..=3 {
+                        let scan = d.window_ref(lo, hi).iter().enumerate();
+                        let want: Vec<usize> = scan.filter(|(_, x)| x.tuple == tuple![k]).map(|(i, _)| i).collect();
+                        assert_eq!(offsets(&d, range.clone(), k), want, "key {k} in {range:?}, base {base}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

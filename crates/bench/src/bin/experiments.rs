@@ -8,6 +8,9 @@
 //! fig13 fig14 ablations all`. `--full` runs at the paper's rates and
 //! durations (hours of wall time); the default scale divides rates by 20
 //! and durations by 8, preserving shapes (see EXPERIMENTS.md).
+//!
+//! `heap` (not part of `all`) runs fig6's configuration under the counting
+//! allocator below and prints what the run allocated.
 
 use smile_bench::{print_table, run_experiment, RunConfig, RunOutcome, Scale, SlaAssignment};
 use smile_core::multi::{hill_climb_filtered, GlobalPlan};
@@ -25,6 +28,67 @@ use smile_workload::rates::RateTrace;
 use smile_workload::readload::ReadLoad;
 use smile_workload::sharings::paper_sharings;
 use smile_workload::twitter::{standard_setup, TwitterConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// The system allocator, counting: calls, bytes requested, and the peak of
+/// the bytes live. `heap` reads the counts; every other experiment pays a
+/// few relaxed atomic operations per call and ignores them.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+impl Counting {
+    /// Counts a call that made `new` bytes live in place of `old`.
+    fn count(new: usize, old: usize) {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        ALLOCATED.fetch_add(new as u64, Relaxed);
+        // Wrapping: a shrinking `realloc` adds a negative change.
+        let change = (new as u64).wrapping_sub(old as u64);
+        let live = LIVE.fetch_add(change, Relaxed).wrapping_add(change);
+        PEAK.fetch_max(live, Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's own arguments
+// and returns its result unchanged, so `System` upholds `GlobalAlloc`'s
+// contract; the counting only touches atomics and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            Counting::count(layout.size(), 0);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            Counting::count(layout.size(), 0);
+        }
+        p
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            Counting::count(new_size, layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,6 +118,7 @@ fn main() {
         "fig13" => fig13(),
         "fig14" => fig14(scale),
         "ablations" => ablations(scale),
+        "heap" => heap(scale),
         "all" => {
             table1();
             fig5();
@@ -72,7 +137,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment {other:?}");
             eprintln!(
-                "choose from: table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11 fig12 fig13 fig14 ablations all"
+                "choose from: table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11 fig12 fig13 fig14 ablations all heap"
             );
             std::process::exit(2);
         }
@@ -259,11 +324,15 @@ fn least_squares(xs: &[f64], ys: &[f64]) -> (f64, f64) {
 
 // ----------------------------------------------------------------- fig 6
 
-fn fig6(scale: Scale) {
-    let cfg = RunConfig::standard(
+fn fig6_config(scale: Scale) -> RunConfig {
+    RunConfig::standard(
         RateTrace::Constant(scale.rate(6000.0)),
         scale.duration(SimDuration::from_secs(2400)),
-    );
+    )
+}
+
+fn fig6(scale: Scale) {
+    let cfg = fig6_config(scale);
     let out = run_experiment(&cfg).expect("fig6 run");
     let mut rows = Vec::new();
     for (index, app, id) in &out.ids {
@@ -326,6 +395,41 @@ fn fig6(scale: Scale) {
     println!(
         "total violations: {} (paper: 31 over 40 min at 6k tweets/s)",
         out.smile.snapshot.violations_total()
+    );
+}
+
+// ------------------------------------------------------------------ heap
+
+/// What fig6's run allocates, from its start to its end: calls, bytes
+/// requested and the peak of the bytes live. Each is a count of what the
+/// platform asked for, not of host time, so two runs print the same file.
+fn heap(scale: Scale) {
+    let cfg = fig6_config(scale);
+    let (allocations, allocated) = (ALLOCATIONS.load(Relaxed), ALLOCATED.load(Relaxed));
+    // The peak is counted above what was live before the run (the
+    // command line's own strings, whose length depends on the path the
+    // binary was started by).
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let out = run_experiment(&cfg).expect("fig6 run");
+    let rows = [
+        ("allocations", ALLOCATIONS.load(Relaxed) - allocations),
+        ("bytes allocated", ALLOCATED.load(Relaxed) - allocated),
+        ("peak live bytes", PEAK.load(Relaxed) - before),
+    ];
+    drop(out);
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(k, n)| vec![k.to_string(), n.to_string()])
+        .collect();
+    print_table(
+        &format!(
+            "Heap: fig6's run (25 sharings, SLA 45 s, {} tweets/s, {} sim-s) under a counting allocator",
+            scale.rate(6000.0),
+            cfg.duration.as_secs_f64()
+        ),
+        &["count", "value"],
+        &rows,
     );
 }
 

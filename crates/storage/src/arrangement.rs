@@ -27,7 +27,7 @@
 //! for the simulator's meter.
 
 use crate::zset::{RowChange, ZSet};
-use smile_types::{FastMap, Tuple, Value};
+use smile_types::{FastMap, Key, Tuple, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::hash_map;
@@ -108,6 +108,12 @@ pub enum Bucket {
 }
 
 const _: () = assert!(std::mem::size_of::<Bucket>() == std::mem::size_of::<FastMap<Tuple, i64>>());
+// The sizes DESIGN §8 counts in: a value, a row and a key; an index slot
+// is a key and a bucket, 24 + 32 bytes.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+const _: () = assert!(std::mem::size_of::<Tuple>() == 16);
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+const _: () = assert!(std::mem::size_of::<Bucket>() == 32);
 
 impl Bucket {
     /// How many rows the key holds.
@@ -179,7 +185,7 @@ impl<I: Iterator> Iterator for BucketIter<I> {
 }
 
 /// One partition: join key → bucket.
-type Index = FastMap<Tuple, Bucket>;
+type Index = FastMap<Key, Bucket>;
 
 /// A persistent hash index over a relation keyed by a column projection.
 ///
@@ -192,7 +198,7 @@ type Index = FastMap<Tuple, Bucket>;
 #[derive(Clone, Debug)]
 pub struct Arrangement {
     on: IndexCols,
-    partitions: FastMap<Tuple, Index>,
+    partitions: FastMap<Key, Index>,
     probes: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -200,9 +206,9 @@ pub struct Arrangement {
     built_rows: u64,
     /// Reusable buffer for [`update`]: the row's partition values then its
     /// key values are assembled here and looked up as `&[Value]` slices
-    /// (via `Tuple`'s `Borrow<[Value]>`), so maintenance allocates a
-    /// `Tuple` only when a previously unseen partition or key first appears
-    /// — not once per delta entry.
+    /// (via [`Key`]'s `Borrow<[Value]>`), so maintenance builds a key only
+    /// when a previously unseen partition or key first appears — not once
+    /// per delta entry — and a one-column key allocates nothing.
     ///
     /// [`update`]: Arrangement::update
     scratch: Vec<Value>,
@@ -285,7 +291,7 @@ impl Arrangement {
             None => {
                 let mut index = Index::default();
                 let change = fold_into(&mut index, key, tuple, weight);
-                self.partitions.insert(Tuple::new(part.to_vec()), index);
+                self.partitions.insert(Key::from(part), index);
                 (change, false)
             }
         };
@@ -343,7 +349,7 @@ impl Arrangement {
 
     /// Every (partition, key, row, weight) the arrangement holds, sorted.
     #[cfg(test)]
-    pub(crate) fn contents(&self) -> Vec<(Tuple, Tuple, Tuple, i64)> {
+    pub(crate) fn contents(&self) -> Vec<(Key, Key, Tuple, i64)> {
         let mut out: Vec<_> = self
             .partitions
             .iter()
@@ -364,7 +370,7 @@ impl Arrangement {
 /// demoted back. The tuple is cloned only if it is borrowed and new.
 fn fold_into(index: &mut Index, key: &[Value], tuple: Cow<'_, Tuple>, weight: i64) -> RowChange {
     let Some(bucket) = index.get_mut(key) else {
-        index.insert(Tuple::new(key.to_vec()), Bucket::One(tuple.into_owned(), weight));
+        index.insert(Key::from(key), Bucket::One(tuple.into_owned(), weight));
         return RowChange::Appeared;
     };
     match bucket {
@@ -440,7 +446,7 @@ impl<'a> Partition<'a> {
 
     /// Every join key of the partition with its bucket, in unspecified
     /// order — for a join driven from the partition's side.
-    pub fn buckets(&self) -> impl Iterator<Item = (&'a Tuple, &'a Bucket)> {
+    pub fn buckets(&self) -> impl Iterator<Item = (&'a Key, &'a Bucket)> {
         self.index.into_iter().flatten()
     }
 
@@ -612,9 +618,13 @@ mod tests {
         /// rows after every step of any sequence of signed updates,
         /// partitioned or not: the same row change reported as a z-set's,
         /// the same rows under the same partitions and keys, every bucket
-        /// [`shaped`], and the rows by value the same z-set. A key holds at
-        /// most four rows (two per partition), so keys cross 0 ↔ 1 ↔ 2+
-        /// rows again and again.
+        /// [`shaped`], a probe of the updated row's key by borrowed slices
+        /// the z-set's rows there, and the rows by value the same z-set.
+        /// Rows are `(int, text, float)`; the key is the int, the float or
+        /// both, and the partition the text, so one-column keys of every
+        /// type and multi-column keys are all maintained and read. A key
+        /// holds at most six rows (three per partition), so keys cross
+        /// 0 ↔ 1 ↔ 2+ rows again and again.
         #[test]
         fn maintenance_matches_a_build_from_rows(
             updates in prop::collection::vec(
@@ -622,14 +632,23 @@ mod tests {
                 0..80,
             ),
             partitioned in prop::bool::ANY,
+            key in prop_oneof![Just(vec![0]), Just(vec![2]), Just(vec![0, 2])],
         ) {
-            let on = if partitioned { on(&[1], &[0]) } else { IndexCols::unpartitioned(&[0]) };
+            let on = IndexCols { partition: if partitioned { vec![1] } else { vec![] }, key };
             let mut arr = Arrangement::new(on.clone());
             let mut rows = ZSet::new();
             for (a, b, c, w) in updates {
-                prop_assert_eq!(arr.update(&tuple![a, b, c], w), rows.add(tuple![a, b, c], w));
+                let row = tuple![a, format!("t{b}").as_str(), c as f64 / 2.0];
+                prop_assert_eq!(arr.update(&row, w), rows.add(row.clone(), w));
                 prop_assert_eq!(arr.contents(), Arrangement::build(on.clone(), &rows).contents());
                 prop_assert!(shaped(&arr));
+                let (part, key) = (row.project(&on.partition), row.project(&on.key));
+                let at = |t: &Tuple| t.project(&on.partition) == part && t.project(&on.key) == key;
+                let mut probed: Vec<_> = arr.partition(part.values()).probe(key.values()).iter().collect();
+                let mut want: Vec<_> = rows.iter().filter(|(t, _)| at(t)).collect();
+                probed.sort();
+                want.sort();
+                prop_assert_eq!(probed.into_iter().map(|(t, &w)| (t, w)).collect::<Vec<_>>(), want);
             }
             prop_assert_eq!(arr.into_rows().collect::<ZSet>(), rows);
         }

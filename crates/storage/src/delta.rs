@@ -10,7 +10,7 @@
 
 use crate::predicate::Predicate;
 use crate::zset::ZSet;
-use smile_types::{FastMap, Result, SmileError, Timestamp, Tuple, Value};
+use smile_types::{FastMap, Key, Result, SmileError, Timestamp, Tuple, Value};
 use std::ops::Range;
 
 /// One captured modification: `weight = +1` for an insert, `-1` for a
@@ -129,13 +129,13 @@ pub struct DeltaTable {
     partitions: Vec<LogPartition>,
 }
 
-/// One literal partition of a [`DeltaTable`]: each literal tuple at `cols`
-/// with the positions of its entries, ascending. A literal no retained
-/// entry carries has no list.
+/// One literal partition of a [`DeltaTable`]: each literal at `cols` (a
+/// [`Key`], inline when `cols` is one column) with the positions of its
+/// entries, ascending. A literal no retained entry carries has no list.
 #[derive(Clone, Debug)]
 struct LogPartition {
     cols: Vec<usize>,
-    positions: FastMap<Tuple, Vec<u32>>,
+    positions: FastMap<Key, Vec<u32>>,
 }
 
 impl LogPartition {
@@ -157,7 +157,7 @@ impl LogPartition {
             match self.positions.get_mut(literal) {
                 Some(list) => list.push(at),
                 None => {
-                    self.positions.insert(Tuple::new(literal.to_vec()), vec![at]);
+                    self.positions.insert(Key::from(literal), vec![at]);
                 }
             }
         }
@@ -606,8 +606,19 @@ mod tests {
         ]
     }
 
-    fn entry(a: i64, b: i64, ts: u64, floor: Timestamp) -> DeltaEntry {
-        DeltaEntry::insert(tuple![ts as i64, a, b], Timestamp::from_secs(ts).max(floor))
+    /// Column `col`'s value `v`: an int, or with `typed` text in column 1
+    /// and a float in column 2.
+    fn value(col: usize, v: i64, typed: bool) -> Value {
+        match (typed, col) {
+            (true, 1) => Value::str(["", "ß", "t"][v as usize]),
+            (true, _) => Value::F64([-0.0, 0.0, 1.5][v as usize]),
+            (false, _) => Value::I64(v),
+        }
+    }
+
+    fn entry(a: i64, b: i64, ts: u64, floor: Timestamp, typed: bool) -> DeltaEntry {
+        let row = Tuple::new(vec![Value::I64(ts as i64), value(1, a, typed), value(2, b, typed)]);
+        DeltaEntry::insert(row, Timestamp::from_secs(ts).max(floor))
     }
 
     proptest! {
@@ -616,20 +627,24 @@ mod tests {
         /// filtered on the literal, in the same order, and every partition
         /// lists each retained entry once, under its own literal. An entry
         /// behind the log's end is refused exactly when it is behind, and
-        /// leaves the log as it was.
+        /// leaves the log as it was. The literal columns hold ints, or with
+        /// `typed` text and floats (`-0.0` among them).
         #[test]
-        fn partition_reads_equal_filtered_scans(ops in prop::collection::vec(arb_op(), 1..24)) {
+        fn partition_reads_equal_filtered_scans(
+            ops in prop::collection::vec(arb_op(), 1..24),
+            typed in prop::bool::ANY,
+        ) {
             let mut d = DeltaTable::new();
             for op in ops {
                 match op {
                     Op::Batch(mut rows) => {
                         rows.sort_by_key(|r| r.2);
                         let end = d.end();
-                        let batch = rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, end));
+                        let batch = rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, end, typed));
                         prop_assert_eq!(d.append_batch(batch.collect()), Ok(()));
                     }
                     Op::Single(a, b, ts) => {
-                        let (single, before) = (entry(a, b, ts, d.horizon()), format!("{d:?}"));
+                        let (single, before) = (entry(a, b, ts, d.horizon(), typed), format!("{d:?}"));
                         let behind = single.ts < d.end();
                         let landed = d.append_batch(DeltaBatch { entries: vec![single] });
                         prop_assert_eq!(landed.is_err(), behind);
@@ -662,7 +677,7 @@ mod tests {
                     let stamps = || (0u64..32).step_by(3).map(Timestamp::from_secs);
                     for (lo, hi) in stamps().flat_map(|lo| stamps().map(move |hi| (lo, hi))) {
                         for lit in (0i64..3).flat_map(|a| (0i64..3).map(move |b| [a, b])) {
-                            let lit: Vec<Value> = lit[..cols.len()].iter().map(|&v| Value::I64(v)).collect();
+                            let lit: Vec<Value> = cols.iter().zip(lit).map(|(&c, v)| value(c, v, typed)).collect();
                             let read: Vec<&DeltaEntry> = d.window_where(lo, hi, cols, &lit).unwrap().collect();
                             let scan: Vec<&DeltaEntry> =
                                 d.window_ref(lo, hi).iter().filter(|e| at(&e.tuple) == lit).collect();

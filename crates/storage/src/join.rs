@@ -14,7 +14,7 @@
 //! counting tuples whose both sides changed within the window.
 
 use crate::zset::ZSet;
-use smile_types::{FastMap, Tuple};
+use smile_types::{FastMap, Key, Tuple};
 
 /// Equi-join condition: pairs of column indexes that must be equal
 /// (`left.0 == right.0 && left.1 == right.1 && ...`).
@@ -72,14 +72,17 @@ fn join_inner<'b, 'p>(
     probe_cols: &[usize],
     swapped: bool,
 ) -> ZSet {
-    let mut index: FastMap<Tuple, Vec<(&Tuple, i64)>> =
+    let mut index: FastMap<Key, Vec<(&Tuple, i64)>> =
         FastMap::with_capacity_and_hasher(build.len(), Default::default());
     for (t, w) in build {
-        index.entry(t.project(build_cols)).or_default().push((t, w));
+        index
+            .entry(Key::of(t, build_cols))
+            .or_default()
+            .push((t, w));
     }
     let mut out = ZSet::new();
     for (pt, pw) in probe {
-        let key = pt.project(probe_cols);
+        let key = Key::of(pt, probe_cols);
         if let Some(matches) = index.get(&key) {
             for (bt, bw) in matches {
                 let joined = if swapped {

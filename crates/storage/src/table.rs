@@ -13,7 +13,7 @@
 use crate::arrangement::{Arrangement, ArrangementCounters, Bucket, IndexCols};
 use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use crate::zset::{RowChange, ZSet};
-use smile_types::{FastMap, RelationId, Schema, SmileError, Timestamp, Tuple, Value};
+use smile_types::{FastMap, Key, RelationId, Schema, SmileError, Timestamp, Tuple, Value};
 use std::borrow::Borrow;
 use std::cell::OnceCell;
 
@@ -30,7 +30,7 @@ pub struct Table {
     /// first such read, built from the rows, and is maintained per entry
     /// only from then on; a table nobody reads by key never pays for one.
     /// Not an arrangement: no plan edge installs or probes it.
-    pk_index: OnceCell<FastMap<Tuple, Tuple>>,
+    pk_index: OnceCell<FastMap<Key, Tuple>>,
     /// Shared arrangements, one per distinct [`IndexCols`], maintained
     /// incrementally; join edges declare the arrangement they probe at
     /// install time so pushes never scan the full relation, and every edge
@@ -146,7 +146,7 @@ impl Table {
                     } else if let Some(row) = index.get_mut(key.as_slice()) {
                         *row = e.tuple.clone();
                     } else {
-                        index.insert(key.drain(..).collect(), e.tuple.clone());
+                        index.insert(self.schema.key_of(&e.tuple), e.tuple.clone());
                     }
                 }
             }

@@ -18,6 +18,7 @@
 pub mod error;
 pub mod hash;
 pub mod id;
+pub mod key;
 pub mod schema;
 pub mod time;
 pub mod tuple;
@@ -26,6 +27,7 @@ pub mod value;
 pub use error::{Result, SmileError};
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use id::{MachineId, RelationId, SharingId, VertexId};
+pub use key::Key;
 pub use schema::{Column, ColumnType, Schema};
 pub use time::{SimDuration, Timestamp};
 pub use tuple::Tuple;

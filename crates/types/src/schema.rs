@@ -1,5 +1,6 @@
 //! Relation schemas.
 
+use crate::key::Key;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt;
@@ -121,9 +122,9 @@ impl Schema {
                 .all(|(v, c)| c.ty.admits(v))
     }
 
-    /// Extracts the key values of a tuple (used by PK indexes and join keys).
-    pub fn key_of(&self, t: &Tuple) -> Tuple {
-        t.project(&self.key)
+    /// Extracts the key values of a tuple (used by PK indexes).
+    pub fn key_of(&self, t: &Tuple) -> Key {
+        Key::of(t, &self.key)
     }
 
     /// Schema of the concatenation `self ⋈ other`, prefixing column names on
@@ -233,7 +234,7 @@ mod tests {
     #[test]
     fn key_extraction() {
         let s = users();
-        assert_eq!(s.key_of(&tuple![7i64, "ann"]), tuple![7i64]);
+        assert_eq!(s.key_of(&tuple![7i64, "ann"]).values(), [Value::I64(7)]);
     }
 
     #[test]

@@ -11,6 +11,14 @@ use std::sync::Arc;
 /// copies the same tuple through several plan vertices (delta capture →
 /// CopyDelta → Join → Union → DeltaToRel), so the payload is a shared
 /// `Arc<[Value]>` and a clone is a refcount bump.
+///
+/// **Layout.** A tuple is a 16-byte fat pointer to one block: the two
+/// counts, then the values at 16 bytes each (a three-int row's payload is
+/// 48 bytes). Building one is one allocation when the values come from an
+/// iterator of known length ([`Tuple::project`], [`Tuple::concat`],
+/// `collect`), plus two per text value that is new rather than shared.
+/// [`Tuple::byte_size`] is the cost model's meter and does not follow the
+/// layout.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     values: Arc<[Value]>,
@@ -41,19 +49,21 @@ impl Tuple {
 
     /// Projects the tuple onto the given column indexes (in order).
     pub fn project(&self, cols: &[usize]) -> Tuple {
-        Tuple::new(cols.iter().map(|&c| self.values[c].clone()).collect())
+        cols.iter().map(|&c| self.values[c].clone()).collect()
     }
 
     /// Concatenates two tuples (used by join to splice matched rows).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
+        self.values
+            .iter()
+            .chain(other.values.iter())
+            .cloned()
+            .collect()
     }
 
-    /// Approximate in-memory footprint in bytes; feeds the network / disk
-    /// resource meters of the cost model.
+    /// Approximate footprint in bytes; feeds the network / disk resource
+    /// meters of the cost model. A fixed model of a row, not its host
+    /// layout, so that dollars stay the same whatever the layout.
     pub fn byte_size(&self) -> usize {
         self.values.iter().map(Value::byte_size).sum::<usize>() + 16
     }

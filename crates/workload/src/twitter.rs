@@ -6,7 +6,7 @@ use smile_core::catalog::BaseStats;
 use smile_core::platform::Smile;
 use smile_storage::delta::{DeltaBatch, DeltaEntry};
 use smile_types::{tuple, Column, ColumnType, RelationId, Result, Schema, Timestamp};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Probability that one incoming tweet inserts a row into each non-`tweets`
 /// relation (§9.1: measured after 7M prepopulated tweets).
@@ -327,9 +327,11 @@ impl TwitterWorkload {
     }
 
     /// Generates `count` tweets at timestamp `ts`, returning the delta
-    /// batches per base relation (only non-empty batches are returned).
+    /// batches per base relation (only non-empty batches are returned), in
+    /// relation order, so a run ingests them in the same order every time
+    /// (its heap counts, `experiments heap`, depend on that order).
     pub fn tweets(&mut self, count: u64, ts: Timestamp) -> Vec<(RelationId, DeltaBatch)> {
-        let mut batches: HashMap<RelationId, Vec<DeltaEntry>> = HashMap::new();
+        let mut batches: BTreeMap<RelationId, Vec<DeltaEntry>> = BTreeMap::new();
         let mut push = |rel: RelationId, e: DeltaEntry| batches.entry(rel).or_default().push(e);
         let ratios = self.config.ratios;
         for _ in 0..count {

@@ -3,8 +3,7 @@
 
 use super::Executor;
 use smile_sim::Cluster;
-use smile_types::{MachineId, RelationId, Result, SimDuration, Timestamp, VertexId};
-use std::collections::HashMap;
+use smile_types::{FastMap, MachineId, RelationId, Result, SimDuration, Timestamp, VertexId};
 
 /// How often delta logs are compacted.
 const COMPACTION_PERIOD: SimDuration = SimDuration::from_secs(30);
@@ -21,7 +20,9 @@ impl Executor {
         if now - self.last_compaction < COMPACTION_PERIOD {
             return Ok(());
         }
-        let mut bound: HashMap<(MachineId, RelationId), Timestamp> = HashMap::new();
+        // On the seedless hasher, so slots are cut, and their entries freed,
+        // in the same order every run.
+        let mut bound: FastMap<(MachineId, RelationId), Timestamp> = FastMap::default();
         // Seed bounds with each vertex's own data_ts (slots nobody consumes
         // can be compacted to their own progress).
         for v in self.global.plan.vertices() {

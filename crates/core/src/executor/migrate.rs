@@ -126,10 +126,12 @@ impl Executor {
                 "migration of sharing {id} would not move its MV"
             )));
         }
-        self.mark_live(new_mv);
         self.plan_grew(&[])?;
         let new_mv_sig = self.global.plan.vertex(new_mv).sig.clone();
         let (new_srcs, new_order) = Self::subgraph_of(&self.global, id, new_mv, &self.topo_rank)?;
+        // Live, and rooted, only once nothing can refuse the migration.
+        self.mark_live(new_mv);
+        self.root(new_mv);
         self.migrations.insert(
             idx,
             MigrationRt {
@@ -210,9 +212,9 @@ impl Executor {
             if !failed {
                 // Atomic cutover: repoint the sharing's MV coordinates (the
                 // old chain's exclusive vertices serve nothing from here
-                // on) and rebuild the runtime slot over the new subgraph —
-                // the placement change invalidates the cached critical-path
-                // evaluator with it.
+                // on, and stop being live below) and rebuild the runtime
+                // slot over the new subgraph — the placement change
+                // invalidates the cached critical-path evaluator with it.
                 self.global
                     .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
                 let old = &self.sharings[idx];
@@ -227,7 +229,12 @@ impl Executor {
                 // The slot's projected wake was derived from the old
                 // placement's critical path; re-evaluate it next tick.
                 self.cal.wake_now(idx);
+                self.root(mig.new_mv);
+                self.unroot(mig.old_mv);
             }
+            // The shadow root goes either way: on abort, the shadow chain's
+            // exclusives stop being live.
+            self.unroot(mig.new_mv);
             self.record_migration_span(&mig, now, if failed { "aborted" } else { "completed" });
             self.migration_outcomes.push(MigrationOutcome {
                 id: mig.id,
@@ -237,9 +244,6 @@ impl Executor {
                 finished: now,
                 completed: !failed,
             });
-            // Old-chain exclusives on completion, shadow-chain exclusives
-            // on abort, are no longer live.
-            self.refresh_live();
         }
         Ok(())
     }

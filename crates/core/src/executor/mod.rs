@@ -49,7 +49,7 @@ pub use migrate::MigrationOutcome;
 use crate::multi::GlobalPlan;
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::edge_utilization;
-use crate::plan::dag::{Edge, IndexId, Plan, VertexKind};
+use crate::plan::dag::{Anchors, Edge, IndexId, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use calendar::{CalendarState, CpEval};
@@ -241,9 +241,21 @@ pub struct Executor {
     /// Committed timestamp per vertex (staleness accounting).
     visible_ts: Vec<Timestamp>,
     /// Per vertex, [`Executor::live`]: the plan is append-only, so after the
-    /// first retire or cutover part of it is inert. A merge marks what it
-    /// adds; a retire, a settled migration and the start recompute it.
+    /// first retire or cutover part of it is inert. The start computes it; a
+    /// merge marks what it adds, and a retire or a settled migration
+    /// un-marks what its root alone kept live.
     live: Vec<bool>,
+    /// Per vertex, how many registered sharings serve their MV there and
+    /// how many in-flight migrations have their shadow MV there: `live` is
+    /// the base vertices and everything at or upstream of a vertex with a
+    /// root.
+    roots: Vec<u32>,
+    /// The liveness journal: every vertex whose `live` bit flipped, or that
+    /// was appended live, since the storage reconcile last walked it
+    /// ([`Executor::sorted_journal`]). The start journals every vertex.
+    journal: Vec<VertexId>,
+    /// How many vertices the last journal taken held.
+    reconciled: usize,
     /// Last heartbeat-reported timestamp per vertex (base vertices only).
     heartbeats: Vec<Option<Timestamp>>,
     sharings: Vec<SharingRt>,
@@ -275,13 +287,14 @@ pub struct Executor {
     ctr_busy_nanos: Rc<Counter>,
     /// Per edge id, for a half-join: the sibling half-join's output vertex,
     /// whose coverage anchors this join's snapshot (consistency under skew).
-    anchor_of: Vec<Option<VertexId>>,
+    anchor_of: Anchors,
     /// Per-vertex position in one canonical topological order of the
     /// merged plan, shared by every per-sharing build and the wave
     /// assignment pass (rebuilt on live submit).
     topo_rank: Vec<u32>,
     /// Base Relation vertices that heartbeat each round, in plan order
-    /// (the publish order the per-vertex scan produced).
+    /// (the publish order the per-vertex scan produced, which the
+    /// fault-prone bus draws in): appended as the plan grows.
     base_beats: Vec<(MachineId, VertexId)>,
     /// Push-calendar scheduler state, and with it each slot's lifecycle
     /// (idle / in flight / retired).
@@ -394,6 +407,9 @@ impl Executor {
             data_ts: Vec::new(),
             visible_ts: Vec::new(),
             live: Vec::new(),
+            roots: Vec::new(),
+            journal: Vec::new(),
+            reconciled: 0,
             heartbeats: Vec::new(),
             sharings: Vec::new(),
             by_id: FastMap::default(),
@@ -409,7 +425,7 @@ impl Executor {
             ctr_waves: reg.counter("wave.waves"),
             ctr_jobs: reg.counter("wave.jobs"),
             ctr_busy_nanos: reg.counter("wave.host_busy_nanos"),
-            anchor_of: Vec::new(),
+            anchor_of: Anchors::default(),
             topo_rank: Vec::new(),
             base_beats: Vec::new(),
             cal,
@@ -437,11 +453,16 @@ impl Executor {
     pub fn start(&mut self, sharings: &[Sharing]) -> Result<()> {
         // None is registered yet, so every admitted MV is passed in.
         let mvs = self.global.mvs()?;
+        // Computed, not carried over: hill climbing may have rewired the
+        // plan the merges marked. The storage reconcile that follows walks
+        // every vertex.
+        let plan = &self.global.plan;
+        let mut live: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
+        plan.mark_upstream(&mut live, mvs.iter().copied());
+        self.live = live;
+        self.journal = plan.vertices().iter().map(|v| v.id).collect();
         self.plan_grew(&mvs)?;
         sharings.iter().try_for_each(|s| self.register(s))?;
-        // Recomputed, not carried over: hill climbing may have rewired the
-        // plan the merges marked.
-        self.refresh_live();
         self.load_before_start = None;
         Ok(())
     }
@@ -460,49 +481,117 @@ impl Executor {
 
     /// Re-derives the plan-wide runtime state after the global plan gained
     /// vertices (the start, live admission, a migration's shadow chain): the
-    /// per-vertex timestamp vectors grow, and the shared rank vector,
-    /// heartbeat roster and half-join anchors take in the new vertices.
+    /// per-vertex vectors grow (the appended base vertices are live), the
+    /// heartbeat roster and the half-join anchors take in what was
+    /// appended, and the shared rank vector is recomputed (a breadth-first
+    /// order of the whole plan, which decides the order jobs run in).
     /// Merging only *adds* vertices and edges (dedup reuses existing ones
     /// untouched) and vertex ids are append-only, so per-sharing caches,
-    /// in-flight pushes and queued events stay valid.
+    /// in-flight pushes and queued events stay valid. The start's call,
+    /// over empty caches, takes in the whole plan.
     /// Fails on a plan whose half-joins cannot be anchored — among the
     /// vertices upstream of a registered sharing's MV or of one of
     /// `unregistered`, the MVs merged but not registered yet — so the start,
     /// live admission and a shadow merge refuse it instead of losing rows.
     fn plan_grew(&mut self, unregistered: &[VertexId]) -> Result<()> {
-        let n = self.global.plan.vertex_count();
+        self.grow_live();
+        let plan = &self.global.plan;
+        let (before, n) = (self.data_ts.len(), plan.vertex_count());
         self.data_ts.resize(n, Timestamp::ZERO);
         self.visible_ts.resize(n, Timestamp::ZERO);
         self.heartbeats.resize(n, None);
+        self.roots.resize(n, 0);
+        let bases = plan.vertices()[before..].iter().filter(|v| v.is_base && v.kind == VertexKind::Relation);
+        self.base_beats.extend(bases.map(|v| (v.machine, v.id)));
         self.topo_rank = Self::rank_of(&self.global)?;
-        self.base_beats = self.global.base_relation_vertices();
         // Walked only if a join resolves to two siblings: from 3,000 MVs the
         // walk alone takes ≈0.1 ms (2-core host), five times the anchors.
+        let mut anchors = std::mem::take(&mut self.anchor_of);
         let mvs = || self.live_sharings().map(|rt| rt.mv).chain(unregistered.iter().copied());
         let served = || self.global.plan.upstream_mask(mvs());
-        self.anchor_of = self.global.plan.half_join_anchors(served)?;
-        Ok(())
+        let anchored = self.global.plan.half_join_anchors(&mut anchors, served);
+        self.anchor_of = anchors;
+        anchored
     }
 
-    /// Recomputes [`Executor::live`] for every vertex: after a sharing
-    /// retires or cuts over, a migration settles, or at the start.
-    fn refresh_live(&mut self) {
-        let plan = &self.global.plan;
-        let mut live: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
-        let mvs = self.live_sharings().map(|rt| rt.mv);
-        plan.mark_upstream(&mut live, mvs.chain(self.shadow_mvs()));
-        self.live = live;
+    /// Takes the vertices the plan appended into [`Executor::live`]: the
+    /// base ones are live, and journalled.
+    fn grow_live(&mut self) {
+        let appended = &self.global.plan.vertices()[self.live.len()..];
+        self.live.extend(appended.iter().map(|v| v.is_base));
+        self.journal.extend(appended.iter().filter(|v| v.is_base).map(|v| v.id));
     }
 
     /// Marks what a merge made live — `mv` and everything upstream of it, as
     /// far as the first vertex already live (liveness is closed under
-    /// ancestors) — over the appended vertices, of which the base ones are
-    /// live. Whether it marked an older vertex: a dead chain revived.
-    fn mark_live(&mut self, mv: VertexId) -> bool {
-        let (plan, before) = (&self.global.plan, self.live.len());
-        self.live.extend(plan.vertices()[before..].iter().map(|v| v.is_base));
-        let marked = plan.mark_upstream(&mut self.live, [mv]);
-        marked.iter().any(|v| v.index() < before)
+    /// ancestors) — and journals it. Returns what it marked.
+    fn mark_live(&mut self, mv: VertexId) -> Vec<VertexId> {
+        self.grow_live();
+        let marked = self.global.plan.mark_upstream(&mut self.live, [mv]);
+        self.journal.extend(&marked);
+        marked
+    }
+
+    /// `v` gains a root: a registered sharing's MV or a shadow MV.
+    fn root(&mut self, v: VertexId) {
+        self.roots[v.index()] += 1;
+    }
+
+    /// `v` loses a root. When it was the last, un-marks and journals what
+    /// only it kept live: from `v` upstream, in reverse topological order,
+    /// each vertex that is no base, no root and feeds no live vertex any
+    /// more. A vertex is taken only after every consumer of it the walk
+    /// reaches, so one pass settles each; the walk stops at vertices that
+    /// stay live, and costs what it un-marks and their inputs.
+    fn unroot(&mut self, v: VertexId) {
+        let roots = &mut self.roots[v.index()];
+        *roots -= 1;
+        if *roots > 0 {
+            return;
+        }
+        let plan = &self.global.plan;
+        let mut heap = BinaryHeap::from([(self.topo_rank[v.index()], v)]);
+        while let Some((_, v)) = heap.pop() {
+            let (i, live) = (v.index(), &self.live);
+            let kept = plan.vertex(v).is_base || self.roots[i] > 0;
+            if !live[i] || kept || plan.consumers(v).any(|e| live[e.output.index()]) {
+                continue;
+            }
+            self.live[i] = false;
+            self.journal.push(v);
+            let inputs = plan.producer(v).map_or(&[][..], |e| &e.inputs);
+            heap.extend(inputs.iter().map(|&u| (self.topo_rank[u.index()], u)));
+        }
+    }
+
+    /// The liveness journal in vertex-id order and without repeats: the
+    /// vertices the storage reconcile walks. It stays pending until the
+    /// reconcile succeeds ([`Executor::journal_reconciled`]), so one that
+    /// fails leaves it to the next.
+    pub(crate) fn sorted_journal(&self) -> Vec<VertexId> {
+        let mut journal = self.journal.clone();
+        journal.sort_unstable();
+        journal.dedup();
+        journal
+    }
+
+    /// Empties the liveness journal: the storage reconcile walked its
+    /// `walked` vertices.
+    pub(crate) fn journal_reconciled(&mut self, walked: usize) {
+        // Freed, not cleared: the start's journal holds every vertex.
+        self.journal = Vec::new();
+        self.reconciled = walked;
+    }
+
+    /// The liveness journal not yet reconciled: the vertices whose liveness
+    /// flipped since the last storage reconcile, in the order they flipped.
+    pub fn journal(&self) -> &[VertexId] {
+        &self.journal
+    }
+
+    /// How many vertices the last storage reconcile walked: its journal.
+    pub fn last_reconciled(&self) -> usize {
+        self.reconciled
     }
 
     /// Whether a vertex is live: it is a base vertex (the applications' own
@@ -523,8 +612,10 @@ impl Executor {
     }
 
     /// Every index the live edges read through ([`Plan::reads`]), in edge
-    /// order, once per reader: what the machines keep. The one walk the
-    /// storage reconcile, the registry gauges and the checks agree on.
+    /// order, once per reader: what the machines keep. A walk over the
+    /// whole plan, for the registry gauges and the checks; the storage
+    /// reconcile keeps the machines equal to it by reading only the edges
+    /// whose liveness flipped.
     pub fn live_reads(&self) -> impl Iterator<Item = IndexId> + '_ {
         self.live_edges().flat_map(|e| self.global.plan.reads(e))
     }
@@ -536,6 +627,7 @@ impl Executor {
         let mv = self.global.mv_vertex(s.id)?;
         let subgraph = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
         self.rollup.register(s.id.0, s.staleness_sla.as_micros());
+        self.root(mv);
         self.by_id.insert(s.id, self.sharings.len());
         self.sharings.push(SharingRt::build(
             &self.global.plan,
@@ -581,13 +673,23 @@ impl Executor {
         planned: &PlannedSharing,
         model: &TimeCostModel,
     ) -> Result<()> {
-        let appended = self.global.plan.edges().len();
+        let (appended, before) = (self.global.plan.edges().len(), self.live.len());
         let mv = self.global.merge(sharing, planned)?;
-        let revived = self.mark_live(mv);
         let Some(load) = self.load_before_start.take() else {
-            self.plan_grew(&[mv])?;
-            return self.register(sharing);
+            // Marked live only once nothing can refuse it: refused after the
+            // merge, the sharing leaves the global plan, and the vertices
+            // the merge appended stay inert.
+            let admitted = self.plan_grew(&[mv]).and_then(|()| self.register(sharing));
+            match admitted {
+                Ok(()) => {
+                    self.mark_live(mv);
+                }
+                Err(_) => self.global.retire(sharing.id),
+            }
+            return admitted;
         };
+        // Whether it marked an older vertex: a dead chain revived.
+        let revived = self.mark_live(mv).iter().any(|v| v.index() < before);
         // Nothing retires before the start, so the live edges only grow: by
         // appended ones, and rarely by an old edge a merge brought for a
         // vertex the plan already produced, revived when a later sharing
@@ -633,7 +735,7 @@ impl Executor {
             mig.failed = true;
         }
         self.global.retire(id);
-        self.refresh_live();
+        self.unroot(self.sharings[idx].mv);
         Ok(())
     }
 
@@ -1002,6 +1104,28 @@ pub(super) mod tests {
                 let swept = path_lengths(plan, w, &ex.model).unwrap()[rt.mv.index()];
                 assert_eq!(swept, oracle, "window {w}s: one sweep diverged at sharing {}", rt.id);
             }
+        }
+    }
+
+    /// The anchors `plan_grew` extends admission by admission, over twins
+    /// pinned to either machine, equal one pass over the grown plan.
+    #[test]
+    fn extended_anchors_equal_one_pass() {
+        let m = MachineId::new;
+        let (mut smile, a, b, _) = installed_pinned(true, 20, &[Some(m(0))]);
+        for (i, pin) in [m(1), m(0), m(1), m(0)].into_iter().enumerate() {
+            feed(&mut smile, a, b, 3);
+            let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::eq(1, i as i64 % 2));
+            smile.submit_live("t", q, SimDuration::from_secs(9), 0.001, Some(pin)).unwrap();
+        }
+        let ex = smile.executor.as_ref().unwrap();
+        let plan = &ex.global.plan;
+        let mut fresh = Anchors::default();
+        plan.half_join_anchors(&mut fresh, || vec![true; plan.vertex_count()]).unwrap();
+        let anchored = (0..plan.edge_count()).filter(|&e| fresh[e].is_some()).count();
+        assert!(anchored >= 6, "{anchored} anchored edges");
+        for e in 0..plan.edge_count() {
+            assert_eq!(ex.anchor_of[e], fresh[e], "edge {e}");
         }
     }
 

@@ -100,20 +100,6 @@ impl GlobalPlan {
             .ok_or_else(|| SmileError::Internal(format!("MV vertex of {id} lost from global plan")))
     }
 
-    /// Every base Relation vertex with its machine, in plan order — the
-    /// heartbeat roster the executor publishes each round. Cached by the
-    /// executor and rebuilt on live submit; plan order preserves the
-    /// publish order the per-vertex scan produced, keeping the fault-prone
-    /// bus draws aligned.
-    pub fn base_relation_vertices(&self) -> Vec<(MachineId, VertexId)> {
-        self.plan
-            .vertices()
-            .iter()
-            .filter(|v| v.is_base && v.kind == VertexKind::Relation)
-            .map(|v| (v.machine, v.id))
-            .collect()
-    }
-
     /// Merges a planned sharing into the global plan and returns its MV
     /// vertex there. Identical vertices (kind, signature, machine) are
     /// reused; when a vertex already has a producer in the global plan, the

@@ -40,6 +40,25 @@ impl DeltaSide {
 /// slot it belongs to and which of the slot's indexes it is.
 pub type IndexId = (MachineId, RelationId, SlotIndex);
 
+/// Each join edge's half-join anchor ([`Plan::half_join_anchors`]), indexed
+/// by edge id, over the edges it has been extended to.
+#[derive(Clone, Debug, Default)]
+pub struct Anchors {
+    /// Per edge, the sibling half-join's output vertex.
+    sibling: Vec<Option<VertexId>>,
+    /// Join edges two unions gave different siblings, with both: harmless
+    /// while the edge serves nothing, refused once it does.
+    paired_twice: Vec<(usize, VertexId, VertexId)>,
+}
+
+impl std::ops::Index<usize> for Anchors {
+    type Output = Option<VertexId>;
+
+    fn index(&self, edge: usize) -> &Option<VertexId> {
+        &self.sibling[edge]
+    }
+}
+
 /// One plan vertex: a relation or delta pinned to a machine.
 #[derive(Clone, Debug)]
 pub struct Vertex {
@@ -575,18 +594,21 @@ impl Plan {
     /// sibling's actual coverage or the cross-term `Δa ⋈ Δb` of the skewed
     /// window is double-counted (or dropped).
     ///
-    /// A half has one sibling by construction ([`ExprSig::HalfJoin`] carries
-    /// its pair); a join edge that resolves to two and whose output is
-    /// served — in the mask `served` returns ([`Plan::mark_upstream`]),
-    /// asked for only then — is a plan the executor cannot anchor, and is
-    /// refused.
-    pub fn half_join_anchors(
-        &self,
-        served: impl FnOnce() -> Vec<bool>,
-    ) -> Result<Vec<Option<VertexId>>> {
-        let served = std::cell::LazyCell::new(served);
-        let mut anchors = vec![None; self.edges.len()];
-        for union in &self.edges {
+    /// `anchors` covers the edges it was last extended over; this takes in
+    /// the unions appended since, in edge order, so extending it as the
+    /// plan grows ends where one pass over the whole plan would. A half has
+    /// one sibling by construction ([`ExprSig::HalfJoin`] carries its pair);
+    /// a join edge that resolves to two, now or in an earlier extension,
+    /// and whose output is served — in the mask `served` returns
+    /// ([`Plan::mark_upstream`]), asked for only then — is a plan the
+    /// executor cannot anchor, and is refused; a refused extension leaves
+    /// `anchors` as it was.
+    pub fn half_join_anchors(&self, anchors: &mut Anchors, served: impl FnOnce() -> Vec<bool>) -> Result<()> {
+        let (from, twice) = (anchors.sibling.len(), anchors.paired_twice.len());
+        anchors.sibling.resize(self.edges.len(), None);
+        // The anchors this extension overwrote, put back if it is refused.
+        let mut overwritten = Vec::new();
+        for union in &self.edges[from..] {
             if !matches!(union.op, EdgeOp::Union) {
                 continue;
             }
@@ -607,20 +629,30 @@ impl Plan {
                 }
             }
             if let [(ea, va), (eb, vb)] = halves[..] {
-                for (e, own, sibling) in [(ea, va, vb), (eb, vb, va)] {
-                    match anchors[e].replace(sibling) {
-                        Some(other) if other != sibling && served[own.index()] => {
-                            return Err(SmileError::InvalidPlan(format!(
-                                "join edge {e} is paired with two sibling halves, \
-                                 {other} and {sibling}"
-                            )));
-                        }
+                for (e, sibling) in [(ea, vb), (eb, va)] {
+                    let before = anchors.sibling[e].replace(sibling);
+                    match before {
+                        Some(other) if other != sibling => anchors.paired_twice.push((e, other, sibling)),
                         _ => {}
+                    }
+                    if e < from {
+                        overwritten.push((e, before));
                     }
                 }
             }
         }
-        Ok(anchors)
+        if anchors.paired_twice.is_empty() {
+            return Ok(());
+        }
+        let served = served();
+        let refused = anchors.paired_twice.iter().find(|&&(e, ..)| served[self.edges[e].output.index()]);
+        let Some(&(e, other, sibling)) = refused else { return Ok(()) };
+        for (e, before) in overwritten.into_iter().rev() {
+            anchors.sibling[e] = before;
+        }
+        anchors.sibling.truncate(from);
+        anchors.paired_twice.truncate(twice);
+        Err(SmileError::InvalidPlan(format!("join edge {e} is paired with two sibling halves, {other} and {sibling}")))
     }
 
     /// Marks each of `roots` and every vertex upstream of it in `mask`, no
@@ -1219,8 +1251,9 @@ mod tests {
     #[test]
     fn merged_twin_plans_keep_each_half_join_with_its_own_sibling() {
         let (p, pairs) = twin_join_plans();
-        let anchors = p.half_join_anchors(|| vec![true; p.vertex_count()]).unwrap();
-        let paired = anchors.iter().flatten().count();
+        let mut anchors = Anchors::default();
+        p.half_join_anchors(&mut anchors, || vec![true; p.vertex_count()]).unwrap();
+        let paired = (0..p.edge_count()).filter(|&e| anchors[e].is_some()).count();
         assert_eq!(paired, 4, "two pairs, no half shared between them");
         for (d1, d2) in pairs {
             assert_eq!(anchors[p.producer(d1).unwrap().id], Some(d2));
@@ -1229,11 +1262,15 @@ mod tests {
     }
 
     /// A live half-join feeding a second union with a different sibling
-    /// cannot be anchored and is refused, naming the edge and both siblings.
+    /// cannot be anchored and is refused, naming the edge and both siblings;
+    /// the refused extension leaves the anchors as they were.
     #[test]
     fn a_half_join_with_two_siblings_is_refused() {
         let (mut p, pairs) = twin_join_plans();
         let ((d1, d2), (_, other_d2)) = (pairs[0], pairs[1]);
+        let mut anchors = Anchors::default();
+        p.half_join_anchors(&mut anchors, || vec![true; p.vertex_count()]).unwrap();
+        let before = anchors.clone();
         let stray = p.add_vertex(
             VertexKind::Delta,
             ExprSig::base(RelationId::new(9)),
@@ -1252,10 +1289,12 @@ mod tests {
             None,
         )
         .unwrap();
-        let err = p.half_join_anchors(|| vec![true; p.vertex_count()]).unwrap_err().to_string();
+        let err = p.half_join_anchors(&mut anchors, || vec![true; p.vertex_count()]).unwrap_err();
+        let err = err.to_string();
         let edge = format!("edge {} ", p.producer(d1).unwrap().id);
         for part in [edge, d2.to_string(), other_d2.to_string()] {
             assert!(err.contains(&part), "{err:?} does not name {part:?}");
         }
+        assert_eq!((anchors.sibling, anchors.paired_twice), (before.sibling, before.paired_twice));
     }
 }

@@ -42,7 +42,7 @@ use smile_telemetry::{Telemetry, TelemetryConfig};
 use smile_types::{
     MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 /// How many worst-headroom sharings the metrics snapshot exports as rows
@@ -440,12 +440,17 @@ impl Smile {
     /// (the start, live admission, retirement, migration start and
     /// settlement): afterwards a derived vertex holds a storage slot exactly
     /// when the executor says it is [`live`](Executor::live), and an index
-    /// exists exactly when a live edge reads through it.
+    /// exists exactly when a live edge reads through it. It walks the
+    /// executor's liveness journal — the vertices whose liveness flipped
+    /// since the last reconcile, every vertex at the start — in vertex-id
+    /// order, so a lifecycle operation costs what it changed, not the plan,
+    /// and empties it only once it succeeded.
     ///
-    /// * Every live vertex without a slot gets one, in vertex-id order — its
-    ///   twin's if the twin holds one (a Relation vertex and the Delta
-    ///   vertex of the same signature and machine share table + log), else
-    ///   a new relation whose log starts at the seed instant.
+    /// * Every journalled live vertex without a slot gets one — its twin's
+    ///   if the twin holds one (a Relation vertex and the Delta vertex of
+    ///   the same signature and machine share table + log), else a new
+    ///   relation whose log starts at the seed instant — and every index its
+    ///   producer reads through ([`Plan::reads`]) is installed.
     /// * Every Relation vertex slotted here is seeded from ground truth (all
     ///   evaluated first, reading each base once: [`BaseReads`]) and every
     ///   vertex slotted here is stamped with the seed instant — per
@@ -453,14 +458,15 @@ impl Smile {
     ///   been landing windows in is seeded like any other. The ingest floor
     ///   is lifted past the seed: entries stamped at or before it are in the
     ///   seed and would fall outside the new vertices' half-open windows.
-    /// * Every vertex that is no longer live gives its slot up: a slot nobody
-    ///   holds any more is dropped, and a relation vertex whose delta twin
-    ///   keeps the slot empties its table.
-    /// * Every index still installed — arrangement or log partition — that
-    ///   no live edge reads through ([`Executor::live_reads`]) is dropped.
-    ///   The live edges *are* the readers (a migration's shadow chain
-    ///   included, from its start), so there is no count to keep beside
-    ///   them.
+    /// * Every journalled vertex that is no longer live gives its slot up: a
+    ///   slot nobody holds any more is dropped, and a relation vertex whose
+    ///   delta twin keeps the slot empties its table.
+    /// * Every index an edge that just died read through is dropped unless a
+    ///   live edge still reads it — one consuming the vertex that holds the
+    ///   index's slot or that vertex's twin, the only vertices that can,
+    ///   read until one covers the slot's pending indexes. The live edges
+    ///   *are* the readers (a migration's shadow chain included, from its
+    ///   start), so there is no count to keep beside them.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
     /// snapshots *as of* that instant and stamped with it. The start, retire
@@ -474,9 +480,9 @@ impl Smile {
     fn reconcile_storage(&mut self, seed_at: Option<Timestamp>) -> Result<()> {
         let Some(executor) = self.executor.as_mut().filter(|e| e.started()) else { return Ok(()) };
         let seed = seed_at.unwrap_or(self.now);
-        let vertex_ids = (0..executor.global.plan.vertex_count()).map(|i| VertexId::new(i as u32));
+        let journal = executor.sorted_journal();
         let mut slotted: Vec<VertexId> = Vec::new();
-        for v in vertex_ids.clone() {
+        for &v in &journal {
             let plan = &executor.global.plan;
             let vert = plan.vertex(v);
             if vert.slot.is_some() || !executor.live(v) {
@@ -528,7 +534,18 @@ impl Smile {
                 self.cluster.machine_mut(m)?.db.vouch(seed);
             }
         }
-        for v in vertex_ids {
+        // A journalled vertex still holding a slot but no longer live just
+        // died, and its producer with it: what that edge read, and the
+        // vertices that can hold the slots it read — its inputs — are taken
+        // before any of them gives its slot up.
+        let plan = &executor.global.plan;
+        let died = journal.iter().filter(|&&v| !executor.live(v) && plan.vertex(v).slot.is_some());
+        let (mut unread, mut holders) = (BTreeSet::new(), Vec::new());
+        for e in died.filter_map(|&v| plan.producer(v)) {
+            unread.extend(plan.reads(e));
+            holders.extend(&e.inputs);
+        }
+        for &v in &journal {
             let plan = &executor.global.plan;
             let vert = plan.vertex(v);
             let Some(slot) = vert.slot.filter(|_| !executor.live(v)) else { continue };
@@ -544,18 +561,29 @@ impl Smile {
             executor.global.plan.vertex_mut(v).slot = None;
         }
         let plan = &executor.global.plan;
-        let read: HashSet<IndexId> = executor.live_reads().collect();
-        for vert in plan.vertices() {
-            let Some(slot) = vert.slot else { continue };
-            let db = &mut self.cluster.machine_mut(vert.machine)?.db;
-            let installed = db.relation(slot)?.indexes();
-            let unread: Vec<SlotIndex> =
-                installed.filter(|i| !read.contains(&(vert.machine, slot, i.clone()))).collect();
-            for index in unread {
-                db.drop_index(slot, &index);
-                self.arrangements_reclaimed += u64::from(matches!(index, SlotIndex::Arrangement(_)));
+        let twins = holders.iter().filter_map(|&v| twin(plan, plan.vertex(v)));
+        let mut holders: Vec<VertexId> = holders.iter().copied().chain(twins).collect();
+        holders.sort_unstable();
+        holders.dedup();
+        for &v in &holders {
+            let Some(held) = plan.vertex(v).slot.map(|slot| (plan.vertex(v).machine, slot)) else { continue };
+            let pending = |unread: &BTreeSet<IndexId>| unread.iter().any(|&(m, slot, _)| (m, slot) == held);
+            // Up to the first live readers that cover what is pending here:
+            // all of them only when an index did lose its last reader.
+            for e in plan.consumers(v).filter(|e| executor.live(e.output)) {
+                if !pending(&unread) {
+                    break;
+                }
+                for read in plan.reads(e) {
+                    unread.remove(&read);
+                }
             }
         }
+        for (machine, slot, index) in unread {
+            let dropped = self.cluster.machine_mut(machine)?.db.drop_index(slot, &index);
+            self.arrangements_reclaimed += u64::from(dropped && matches!(index, SlotIndex::Arrangement(_)));
+        }
+        executor.journal_reconciled(journal.len());
         Ok(())
     }
 
@@ -677,11 +705,17 @@ fn no_executor() -> SmileError {
 /// The slot held by `vert`'s twin — the vertex of the other kind with the
 /// same signature on the same machine, with which it shares one slot.
 fn twin_slot(plan: &Plan, vert: &Vertex) -> Option<RelationId> {
+    plan.vertex(twin(plan, vert)?).slot
+}
+
+/// The vertex of the other kind with `vert`'s signature and machine, if the
+/// plan has one: the one vertex that can share `vert`'s slot.
+fn twin(plan: &Plan, vert: &Vertex) -> Option<VertexId> {
     let other = match vert.kind {
         VertexKind::Relation => VertexKind::Delta,
         VertexKind::Delta => VertexKind::Relation,
     };
-    plan.vertex(plan.find_vertex(other, &vert.sig, vert.machine)?).slot
+    plan.find_vertex(other, &vert.sig, vert.machine)
 }
 
 #[cfg(test)]

@@ -129,3 +129,37 @@ fn ten_thousand_sharings_share_structure_and_stay_exact_under_chaos() {
         "every sampled MV is empty — the exactness check is vacuous"
     );
 }
+
+/// At 3,000 resident sharings, a live admission and a retirement each make
+/// the storage reconcile walk no more vertices than their liveness changed:
+/// the executor's journal of flipped vertices, not the whole plan, which
+/// only the start walks.
+#[test]
+fn a_lifecycle_change_reconciles_only_what_it_changed() {
+    let (mut smile, rels) = build();
+    let (sla, pin) = (SimDuration::from_secs(25), Some(MachineId::new(0)));
+    for i in 0..3_000 {
+        smile.submit_pinned(&format!("S{i}"), query(&rels, i), sla, 0.001, pin).unwrap();
+    }
+    smile.install().unwrap();
+    let live = |smile: &Smile| {
+        let executor = smile.executor.as_ref().unwrap();
+        let vertices = smile.global_plan().plan.vertices().iter();
+        vertices.map(|v| executor.live(v.id)).collect::<Vec<bool>>()
+    };
+    let walked = |smile: &Smile| smile.executor.as_ref().unwrap().last_reconciled();
+    let all = smile.global_plan().plan.vertex_count();
+    assert_eq!(walked(&smile), all, "the start walks every vertex");
+    // A literal none of the 3,000 carries: the admission brings its own
+    // half-joins and MV.
+    let before = live(&smile);
+    let id = smile.submit_live("new", query(&rels, 10_000), sla, 0.001, pin).unwrap();
+    let after = live(&smile);
+    let flipped = (0..after.len()).filter(|&v| before.get(v) != Some(&after[v])).count();
+    assert!(flipped > 0 && walked(&smile) <= flipped, "walked {} of {all}, {flipped} flipped", walked(&smile));
+    smile.retire(id).unwrap();
+    let retired = live(&smile);
+    let flipped = (0..after.len()).filter(|&v| after[v] != retired[v]).count();
+    assert!(flipped > 0 && walked(&smile) <= flipped, "walked {} of {all}, {flipped} flipped", walked(&smile));
+    assert!(smile.executor.as_ref().unwrap().journal().is_empty());
+}

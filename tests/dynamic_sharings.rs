@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::scenario::{Chain, JoinEq, Off, Scenario, Spec};
+use common::scenario::{Chain, Checker, JoinEq, Off, Scenario, Spec};
 use common::{assert_exact, distinct, fleet_arrangements, live_probes, tweet};
 use smile::core::platform::{Smile, SmileConfig};
 use smile::types::{MachineId, SimDuration, SmileError};
@@ -387,4 +387,55 @@ fn a_live_admission_that_cannot_be_seeded_is_refused_before_it_merges() {
     let id = twin(&mut smile).unwrap();
     smile.run_idle(SimDuration::from_secs(30)).unwrap();
     assert_exact(&smile, &[id]);
+}
+
+/// What a lifecycle operation may change: each vertex's liveness and slot,
+/// every installed index, the bits of the load admission plans against and
+/// the liveness journal not yet reconciled.
+fn lifecycle_state(smile: &Smile) -> impl PartialEq + std::fmt::Debug {
+    use std::collections::BTreeSet;
+    let executor = smile.executor.as_ref().unwrap();
+    let plan = &smile.global_plan().plan;
+    let vertices: Vec<_> = plan.vertices().iter().map(|v| (executor.live(v.id), v.slot)).collect();
+    let mut indexes = BTreeSet::new();
+    for m in smile.cluster.machine_ids() {
+        for (rel, slot) in smile.cluster.machine(m).unwrap().db.relations() {
+            indexes.extend(slot.indexes().map(|index| (m, rel, index)));
+        }
+    }
+    let mut load: Vec<_> = executor.load(&smile.config.model).into_iter().map(|(m, u)| (m, u.to_bits())).collect();
+    load.sort_unstable();
+    (vertices, indexes, load, executor.journal().to_vec())
+}
+
+/// A live admission refused — by the §6.2 rule, or as a query naming a
+/// relation or a column that does not exist — leaves liveness, slots,
+/// indexes, the admission load and the liveness journal as they were, and
+/// the platform runs on under the checker.
+#[test]
+fn a_refused_live_admission_changes_nothing() {
+    use smile::storage::{join::JoinOn, Predicate, SpjQuery};
+    let mut smile = Smile::new(SmileConfig::with_machines(3));
+    let mut w = standard_setup(&mut smile, TwitterConfig::default(), 500).unwrap();
+    let sla = SimDuration::from_secs(20);
+    for (name, lit) in [("a", 1_000_000), ("b", 2_000_000)] {
+        smile.submit_pinned(name, filtered_join(&w, lit), sla, 0.001, Some(MachineId::new(2))).unwrap();
+    }
+    smile.install().unwrap();
+    tweet(&mut smile, &mut w, 20.0, 30);
+    let before = lifecycle_state(&smile);
+    let rels = w.rels();
+    let too_tight = smile.submit_live("tight", filtered_join(&w, 3_000_000), SimDuration::from_micros(1), 0.001, None);
+    assert!(matches!(too_tight, Err(SmileError::Inadmissible { .. })), "{too_tight:?}");
+    assert_eq!(lifecycle_state(&smile), before);
+    let no_relation = SpjQuery::scan(smile::types::RelationId::new(999));
+    let refused = smile.submit_live("nowhere", no_relation, sla, 0.001, None);
+    assert!(matches!(refused, Err(SmileError::UnknownRelation(_))), "{refused:?}");
+    assert_eq!(lifecycle_state(&smile), before);
+    let no_column = SpjQuery::scan(rels.users).join(rels.tweets, JoinOn::on(0, 42), Predicate::True);
+    let refused = smile.submit_live("no column", no_column, sla, 0.001, None);
+    assert!(matches!(refused, Err(SmileError::UnknownColumn(_))), "{refused:?}");
+    assert_eq!(lifecycle_state(&smile), before);
+    tweet(&mut smile, &mut w, 20.0, 1);
+    Checker(&smile).check().unwrap();
 }

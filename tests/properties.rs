@@ -589,6 +589,83 @@ fn a_revived_chain_rejoins_the_admission_load() {
     scenario.run_with(scenario.config(), admission_state_is_fresh).unwrap();
 }
 
+/// A live admission the half-join pairing check refuses is refused after
+/// its merge. Here a crafted plan unions a resident half-join with a half
+/// of another pair: the sharing leaves the global plan, liveness stays the
+/// fresh walk's, the admission load and the journal do not move, the
+/// running pairs keep their anchors and the platform runs on exactly.
+#[test]
+fn a_live_admission_refused_after_its_merge_leaves_the_admission_state_fresh() {
+    use common::{ab, ab_feed, ab_join};
+    use smile::core::optimizer::PlannedSharing;
+    use smile::core::plan::dag::EdgeOp;
+    use smile::core::Sharing;
+    use smile::types::SharingId;
+    let (m, sla) = (MachineId::new, SimDuration::from_secs(20));
+    let (mut smile, a, b) = ab(SmileConfig::with_machines(3));
+    // Two filters of one join: two half-join pairs.
+    for v in 0..2 {
+        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::eq(1, v));
+        smile.submit_pinned("twin", q, sla, 0.01, Some(m(v as u32))).unwrap();
+    }
+    smile.install().unwrap();
+    ab_feed(&mut smile, a, b, 10, false);
+    let mut plan = smile.global_plan().plan.clone();
+    // Each union of two half-joins, as (join edge, union input) per half.
+    let join_of = |mut v: VertexId| loop {
+        match plan.producer(v) {
+            Some(e) if matches!(e.op, EdgeOp::CopyDelta) => v = e.inputs[0],
+            Some(e) if matches!(e.op, EdgeOp::Join { .. }) => break Some(e.id),
+            _ => break None,
+        }
+    };
+    let unions = plan.edges().iter().filter(|e| matches!(e.op, EdgeOp::Union));
+    let pairs: Vec<[(usize, VertexId); 2]> = unions
+        .filter_map(|u| match u.inputs[..] {
+            [x, y] => Some([(join_of(x)?, x), (join_of(y)?, y)]),
+            _ => None,
+        })
+        .collect();
+    let disjoint = |p: &[(usize, VertexId); 2], q: &[(usize, VertexId); 2]| {
+        p.iter().all(|(e, _)| q.iter().all(|(f, _)| e != f))
+    };
+    let twins = pairs.iter().enumerate().find_map(|(i, p)| pairs[i + 1..].iter().find(|q| disjoint(p, q)).map(|q| (p, q)));
+    let (p, q) = twins.unwrap_or_else(|| panic!("no two disjoint half-join pairs among {pairs:?}"));
+    let half = plan.vertex(p[0].1);
+    let (schema, rate, card, bytes) = (half.schema.clone(), half.est_rate, half.est_card, half.est_tuple_bytes);
+    let sig = ExprSig::base(RelationId::new(9_999));
+    let stray = plan.add_vertex(VertexKind::Relation, sig, m(2), schema, false, rate, card, bytes);
+    plan.add_edge(EdgeOp::Union, vec![p[0].1, q[1].1], stray, Predicate::True, None).unwrap();
+    let planned = PlannedSharing {
+        plan,
+        mv: stray,
+        mv_machine: m(2),
+        columns: None,
+        critical_path: SimDuration::ZERO,
+        dollar_cost: 0.0,
+    };
+    let sharing = Sharing::new(SharingId::new(9_999), "stray", ab_join(a, b), sla, 0.01);
+    let load = |smile: &Smile| {
+        let load = smile.executor.as_ref().unwrap().load(&smile.config.model);
+        let mut bits: Vec<_> = load.into_iter().map(|(m, u)| (m.index(), u.to_bits())).collect();
+        bits.sort_unstable();
+        bits
+    };
+    let (before, admitted) = (load(&smile), smile.global_plan().sharings.len());
+    let model = smile.config.model.clone();
+    let refused = smile.executor.as_mut().unwrap().add_sharing(&sharing, &planned, &model);
+    match refused {
+        Err(SmileError::InvalidPlan(why)) => assert!(why.contains("two sibling halves"), "{why}"),
+        other => panic!("admitted a join edge with two siblings: {other:?}"),
+    }
+    assert_eq!(smile.global_plan().sharings.len(), admitted, "the refused sharing stays in the global plan");
+    live_fresh(&smile).unwrap();
+    assert_eq!(load(&smile), before);
+    assert!(smile.executor.as_ref().unwrap().journal().is_empty());
+    ab_feed(&mut smile, a, b, 40, false);
+    Checker(&smile).check().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 

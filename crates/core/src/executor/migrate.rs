@@ -40,6 +40,7 @@
 //! byte-stable run to run.
 
 use super::{Executor, SharingRt};
+use crate::multi::GlobalPlan;
 use crate::optimizer::PlannedSharing;
 use crate::plan::sig::ExprSig;
 use smile_types::{MachineId, Result, SharingId, SmileError, Timestamp, VertexId};
@@ -97,15 +98,20 @@ pub struct MigrationOutcome {
 impl Executor {
     /// Installs the shadow chain of a live migration: merges the re-planned
     /// arrangement into the running global plan (deduplicated like an
-    /// admission) without registering the sharing on it. The
-    /// storage reconcile then slots and seeds the part of the chain that has
-    /// no storage. The sharing keeps being served by its old placement; every
+    /// admission) without registering the sharing on it. The merge goes in
+    /// whole or not at all (`Executor::merge_or_undo`): it is taken back
+    /// when its shadow MV is the one serving now, when `check` — the
+    /// platform's refusal, made on the merged plan from the shadow MV —
+    /// refuses, or when the executor's own refusals do. The storage
+    /// reconcile then slots and seeds the part of the chain that has no
+    /// storage. The sharing keeps being served by its old placement; every
     /// push dual-writes both chains until `Executor::finish_migrations`.
     pub fn begin_migration(
         &mut self,
         id: SharingId,
         planned: &PlannedSharing,
         now: Timestamp,
+        check: impl FnOnce(&Self, VertexId) -> Result<()>,
     ) -> Result<()> {
         let idx = *self.by_id.get(&id).ok_or(SmileError::UnknownSharing(id))?;
         if self.migrations.contains_key(&idx) {
@@ -115,26 +121,22 @@ impl Executor {
         }
         let old_mv = self.sharings[idx].mv;
         let from = self.global.plan.vertex(old_mv).machine;
-        let remap = self.global.merge_shadow(planned)?;
-        let new_mv = *remap.get(&planned.mv).ok_or_else(|| {
-            SmileError::Internal("shadow merge lost the MV vertex".into())
-        })?;
-        if new_mv == old_mv {
+        let merge = |global: &mut GlobalPlan| match global.merge_shadow(planned)?.get(&planned.mv) {
+            None => Err(SmileError::Internal("shadow merge lost the MV vertex".into())),
             // The whole new plan deduplicated onto the current placement:
-            // nothing would move. Roll nothing back — merge added nothing.
-            return Err(SmileError::Internal(format!(
+            // nothing would move.
+            Some(&new_mv) if new_mv == old_mv => Err(SmileError::Internal(format!(
                 "migration of sharing {id} would not move its MV"
-            )));
-        }
-        self.plan_grew(&[])?;
-        let new_mv_sig = self.global.plan.vertex(new_mv).sig.clone();
-        let (new_srcs, new_order) = Self::subgraph_of(&self.global, id, new_mv, &self.topo_rank)?;
-        // Live, and rooted, only once nothing can refuse the migration.
-        self.mark_live(new_mv);
-        self.root(new_mv);
-        self.migrations.insert(
-            idx,
-            MigrationRt {
+            ))),
+            Some(&new_mv) => Ok(new_mv),
+        };
+        self.merge_or_undo(merge, |ex, new_mv| {
+            check(ex, new_mv)?;
+            let (new_srcs, new_order) = ex.admit_merged(id, new_mv)?;
+            ex.mark_live(new_mv);
+            ex.root(new_mv);
+            let new_mv_sig = ex.global.plan.vertex(new_mv).sig.clone();
+            let mig = MigrationRt {
                 id,
                 old_mv,
                 from,
@@ -146,9 +148,10 @@ impl Executor {
                 started: now,
                 pushed_ok: false,
                 failed: false,
-            },
-        );
-        Ok(())
+            };
+            ex.migrations.insert(idx, mig);
+            Ok(())
+        })
     }
 
     /// The shadow MV of every migration in flight — one whose sharing

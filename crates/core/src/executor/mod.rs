@@ -49,7 +49,7 @@ pub use migrate::MigrationOutcome;
 use crate::multi::GlobalPlan;
 use crate::optimizer::PlannedSharing;
 use crate::plan::cost::edge_utilization;
-use crate::plan::dag::{Anchors, Edge, IndexId, Plan, VertexKind};
+use crate::plan::dag::{Edge, IndexId, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use calendar::{CalendarState, CpEval};
@@ -287,7 +287,7 @@ pub struct Executor {
     ctr_busy_nanos: Rc<Counter>,
     /// Per edge id, for a half-join: the sibling half-join's output vertex,
     /// whose coverage anchors this join's snapshot (consistency under skew).
-    anchor_of: Anchors,
+    anchor_of: Vec<Option<VertexId>>,
     /// Per-vertex position in one canonical topological order of the
     /// merged plan, shared by every per-sharing build and the wave
     /// assignment pass (rebuilt on live submit).
@@ -425,7 +425,7 @@ impl Executor {
             ctr_waves: reg.counter("wave.waves"),
             ctr_jobs: reg.counter("wave.jobs"),
             ctr_busy_nanos: reg.counter("wave.host_busy_nanos"),
-            anchor_of: Anchors::default(),
+            anchor_of: Vec::new(),
             topo_rank: Vec::new(),
             base_beats: Vec::new(),
             cal,
@@ -449,20 +449,24 @@ impl Executor {
     }
 
     /// Starts the runtime over the plan merged so far: the plan-wide state,
-    /// then a slot for each of `sharings`, the admitted ones in order.
+    /// then a slot for each of `sharings`, the admitted ones in order. A
+    /// plan whose half-joins cannot be anchored is refused.
     pub fn start(&mut self, sharings: &[Sharing]) -> Result<()> {
-        // None is registered yet, so every admitted MV is passed in.
-        let mvs = self.global.mvs()?;
         // Computed, not carried over: hill climbing may have rewired the
         // plan the merges marked. The storage reconcile that follows walks
         // every vertex.
         let plan = &self.global.plan;
         let mut live: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
-        plan.mark_upstream(&mut live, mvs.iter().copied());
+        plan.mark_upstream(&mut live, self.global.mvs()?);
         self.live = live;
         self.journal = plan.vertices().iter().map(|v| v.id).collect();
-        self.plan_grew(&mvs)?;
-        sharings.iter().try_for_each(|s| self.register(s))?;
+        plan.half_join_anchors(&mut self.anchor_of)?;
+        self.plan_grew(Self::rank_of(&self.global)?);
+        for s in sharings {
+            let mv = self.global.mv_vertex(s.id)?;
+            let subgraph = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
+            self.register(s, mv, subgraph);
+        }
         self.load_before_start = None;
         Ok(())
     }
@@ -479,22 +483,50 @@ impl Executor {
         self.load_before_start.clone().unwrap_or_else(live)
     }
 
-    /// Re-derives the plan-wide runtime state after the global plan gained
-    /// vertices (the start, live admission, a migration's shadow chain): the
-    /// per-vertex vectors grow (the appended base vertices are live), the
-    /// heartbeat roster and the half-join anchors take in what was
-    /// appended, and the shared rank vector is recomputed (a breadth-first
-    /// order of the whole plan, which decides the order jobs run in).
-    /// Merging only *adds* vertices and edges (dedup reuses existing ones
-    /// untouched) and vertex ids are append-only, so per-sharing caches,
-    /// in-flight pushes and queued events stay valid. The start's call,
-    /// over empty caches, takes in the whole plan.
-    /// Fails on a plan whose half-joins cannot be anchored — among the
-    /// vertices upstream of a registered sharing's MV or of one of
-    /// `unregistered`, the MVs merged but not registered yet — so the start,
-    /// live admission and a shadow merge refuse it instead of losing rows.
-    fn plan_grew(&mut self, unregistered: &[VertexId]) -> Result<()> {
-        self.grow_live();
+    /// Merges into the global plan through `merge`, which returns the merged
+    /// MV, then runs `admit` on the merged plan: one step that goes in whole
+    /// or leaves no trace. `admit` makes every refusal before it changes
+    /// anything of the executor; when it refuses, [`Plan::undo`] takes the
+    /// merge back and the sharing's meta, if the merge pushed one, is popped.
+    fn merge_or_undo<T>(
+        &mut self,
+        merge: impl FnOnce(&mut GlobalPlan) -> Result<VertexId>,
+        admit: impl FnOnce(&mut Self, VertexId) -> Result<T>,
+    ) -> Result<T> {
+        let (undo, metas) = (self.global.plan.undo_point(), self.global.sharings.len());
+        let admitted = merge(&mut self.global).and_then(|mv| admit(self, mv));
+        if admitted.is_err() {
+            self.global.plan.undo(undo);
+            self.global.sharings.truncate(metas);
+        }
+        admitted
+    }
+
+    /// The executor's refusals of a merge into the running plan, made on the
+    /// merged plan after the platform's: a cycle (the rank), `mv`'s subgraph
+    /// ([`Executor::subgraph_of`]) and, last because it is the one that
+    /// writes, the half-join anchors of the appended unions. Once all pass,
+    /// the plan-wide state grows ([`Executor::plan_grew`]). Returns `mv`'s
+    /// subgraph.
+    fn admit_merged(&mut self, id: SharingId, mv: VertexId) -> Result<(Vec<VertexId>, Vec<VertexId>)> {
+        let rank = Self::rank_of(&self.global)?;
+        let subgraph = Self::subgraph_of(&self.global, id, mv, &rank)?;
+        self.global.plan.half_join_anchors(&mut self.anchor_of)?;
+        self.plan_grew(rank);
+        Ok(subgraph)
+    }
+
+    /// Grows the plan-wide runtime state over the vertices the global plan
+    /// gained (the start, live admission, a migration's shadow chain) once
+    /// nothing can refuse them: the per-vertex vectors grow, the heartbeat
+    /// roster takes in the appended base Relation vertices, and `rank`, the
+    /// merged plan's breadth-first order (which decides the order jobs run
+    /// in), replaces the shared one. Merging only *adds* vertices and edges
+    /// (dedup reuses existing ones untouched) and vertex ids are
+    /// append-only, so per-sharing caches, in-flight pushes and queued
+    /// events stay valid. The start's call, over empty caches, takes in the
+    /// whole plan.
+    fn plan_grew(&mut self, rank: Vec<u32>) {
         let plan = &self.global.plan;
         let (before, n) = (self.data_ts.len(), plan.vertex_count());
         self.data_ts.resize(n, Timestamp::ZERO);
@@ -503,15 +535,7 @@ impl Executor {
         self.roots.resize(n, 0);
         let bases = plan.vertices()[before..].iter().filter(|v| v.is_base && v.kind == VertexKind::Relation);
         self.base_beats.extend(bases.map(|v| (v.machine, v.id)));
-        self.topo_rank = Self::rank_of(&self.global)?;
-        // Walked only if a join resolves to two siblings: from 3,000 MVs the
-        // walk alone takes ≈0.1 ms (2-core host), five times the anchors.
-        let mut anchors = std::mem::take(&mut self.anchor_of);
-        let mvs = || self.live_sharings().map(|rt| rt.mv).chain(unregistered.iter().copied());
-        let served = || self.global.plan.upstream_mask(mvs());
-        let anchored = self.global.plan.half_join_anchors(&mut anchors, served);
-        self.anchor_of = anchors;
-        anchored
+        self.topo_rank = rank;
     }
 
     /// Takes the vertices the plan appended into [`Executor::live`]: the
@@ -620,12 +644,10 @@ impl Executor {
         self.live_edges().flat_map(|e| self.global.plan.reads(e))
     }
 
-    /// Gives a sharing already merged into the global plan its runtime
-    /// slot: subgraph, scheduling caches, rollup row and a calendar slot
-    /// due at the next planning pass.
-    fn register(&mut self, s: &Sharing) -> Result<()> {
-        let mv = self.global.mv_vertex(s.id)?;
-        let subgraph = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
+    /// Gives a sharing already merged into the global plan, served at `mv`
+    /// through `subgraph`, its runtime slot: scheduling caches, rollup row
+    /// and a calendar slot due at the next planning pass.
+    fn register(&mut self, s: &Sharing, mv: VertexId, subgraph: (Vec<VertexId>, Vec<VertexId>)) {
         self.rollup.register(s.id.0, s.staleness_sla.as_micros());
         self.root(mv);
         self.by_id.insert(s.id, self.sharings.len());
@@ -638,7 +660,6 @@ impl Executor {
             &self.model,
         ));
         self.cal.add_slot();
-        Ok(())
     }
 
     /// One canonical topological rank per vertex of the merged plan.
@@ -662,43 +683,44 @@ impl Executor {
     }
 
     /// **On-the-fly addition** (paper §10 future work): merges a newly
-    /// admitted sharing's plan into the global plan. Before the start that
-    /// is all, but for the load under `model`. Once started, it registers
-    /// the sharing, and the platform's storage reconcile gives the newly
-    /// live vertices storage, seeds them and calls
-    /// `Executor::mark_vertices_seeded`.
-    pub fn add_sharing(
+    /// admitted sharing's plan into the global plan and returns what `check`
+    /// returns, the platform's refusal, made first on the merged plan from
+    /// the sharing's MV there. A refusal takes the merge back
+    /// (`Executor::merge_or_undo`). Before the start that is all, but for
+    /// the load under `model`. Once started, the executor's own refusals
+    /// follow (`admit_merged`), then it registers the sharing, and the
+    /// platform's storage reconcile gives the newly live vertices storage,
+    /// seeds them and calls `Executor::mark_vertices_seeded`.
+    pub fn add_sharing<T>(
         &mut self,
         sharing: &Sharing,
         planned: &PlannedSharing,
         model: &TimeCostModel,
-    ) -> Result<()> {
+        check: impl FnOnce(&Self, VertexId) -> Result<T>,
+    ) -> Result<T> {
         let (appended, before) = (self.global.plan.edges().len(), self.live.len());
-        let mv = self.global.merge(sharing, planned)?;
-        let Some(load) = self.load_before_start.take() else {
-            // Marked live only once nothing can refuse it: refused after the
-            // merge, the sharing leaves the global plan, and the vertices
-            // the merge appended stay inert.
-            let admitted = self.plan_grew(&[mv]).and_then(|()| self.register(sharing));
-            match admitted {
-                Ok(()) => {
-                    self.mark_live(mv);
-                }
-                Err(_) => self.global.retire(sharing.id),
-            }
-            return admitted;
-        };
-        // Whether it marked an older vertex: a dead chain revived.
-        let revived = self.mark_live(mv).iter().any(|v| v.index() < before);
-        // Nothing retires before the start, so the live edges only grow: by
-        // appended ones, and rarely by an old edge a merge brought for a
-        // vertex the plan already produced, revived when a later sharing
-        // dedups onto it. The load grows in edge order, so a revival re-sums.
-        let plan = &self.global.plan;
-        let (load, from) = if revived { (HashMap::new(), 0) } else { (load, appended) };
-        let live = plan.edges()[from..].iter().filter(|e| self.live[e.output.index()]);
-        self.load_before_start = Some(edge_utilization(load, plan, live, model));
-        Ok(())
+        let merge = |global: &mut GlobalPlan| global.merge(sharing, planned);
+        self.merge_or_undo(merge, |ex, mv| {
+            let checked = check(ex, mv)?;
+            let Some(load) = ex.load_before_start.take() else {
+                let subgraph = ex.admit_merged(sharing.id, mv)?;
+                ex.register(sharing, mv, subgraph);
+                ex.mark_live(mv);
+                return Ok(checked);
+            };
+            // Whether it marked an older vertex: a dead chain revived.
+            let revived = ex.mark_live(mv).iter().any(|v| v.index() < before);
+            // Nothing retires before the start, so the live edges only grow:
+            // by appended ones, and rarely by an old edge a merge brought for
+            // a vertex the plan already produced, revived when a later
+            // sharing dedups onto it. The load grows in edge order, so a
+            // revival re-sums.
+            let plan = &ex.global.plan;
+            let (load, from) = if revived { (HashMap::new(), 0) } else { (load, appended) };
+            let live = plan.edges()[from..].iter().filter(|e| ex.live[e.output.index()]);
+            ex.load_before_start = Some(edge_utilization(load, plan, live, model));
+            Ok(checked)
+        })
     }
 
     /// Stamps derived vertices whose storage was just seeded as of `at`:
@@ -1120,13 +1142,11 @@ pub(super) mod tests {
         }
         let ex = smile.executor.as_ref().unwrap();
         let plan = &ex.global.plan;
-        let mut fresh = Anchors::default();
-        plan.half_join_anchors(&mut fresh, || vec![true; plan.vertex_count()]).unwrap();
+        let mut fresh = Vec::new();
+        plan.half_join_anchors(&mut fresh).unwrap();
         let anchored = (0..plan.edge_count()).filter(|&e| fresh[e].is_some()).count();
         assert!(anchored >= 6, "{anchored} anchored edges");
-        for e in 0..plan.edge_count() {
-            assert_eq!(ex.anchor_of[e], fresh[e], "edge {e}");
-        }
+        assert_eq!(ex.anchor_of, fresh);
     }
 
     #[test]

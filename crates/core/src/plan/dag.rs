@@ -40,25 +40,6 @@ impl DeltaSide {
 /// slot it belongs to and which of the slot's indexes it is.
 pub type IndexId = (MachineId, RelationId, SlotIndex);
 
-/// Each join edge's half-join anchor ([`Plan::half_join_anchors`]), indexed
-/// by edge id, over the edges it has been extended to.
-#[derive(Clone, Debug, Default)]
-pub struct Anchors {
-    /// Per edge, the sibling half-join's output vertex.
-    sibling: Vec<Option<VertexId>>,
-    /// Join edges two unions gave different siblings, with both: harmless
-    /// while the edge serves nothing, refused once it does.
-    paired_twice: Vec<(usize, VertexId, VertexId)>,
-}
-
-impl std::ops::Index<usize> for Anchors {
-    type Output = Option<VertexId>;
-
-    fn index(&self, edge: usize) -> &Option<VertexId> {
-        &self.sibling[edge]
-    }
-}
-
 /// One plan vertex: a relation or delta pinned to a machine.
 #[derive(Clone, Debug)]
 pub struct Vertex {
@@ -594,65 +575,50 @@ impl Plan {
     /// sibling's actual coverage or the cross-term `Δa ⋈ Δb` of the skewed
     /// window is double-counted (or dropped).
     ///
-    /// `anchors` covers the edges it was last extended over; this takes in
-    /// the unions appended since, in edge order, so extending it as the
+    /// `anchors`, indexed by edge id, covers the edges it was last extended
+    /// over; this takes in the unions appended since, so extending it as the
     /// plan grows ends where one pass over the whole plan would. A half has
-    /// one sibling by construction ([`ExprSig::HalfJoin`] carries its pair);
-    /// a join edge that resolves to two, now or in an earlier extension,
-    /// and whose output is served — in the mask `served` returns
-    /// ([`Plan::mark_upstream`]), asked for only then — is a plan the
-    /// executor cannot anchor, and is refused; a refused extension leaves
-    /// `anchors` as it was.
-    pub fn half_join_anchors(&self, anchors: &mut Anchors, served: impl FnOnce() -> Vec<bool>) -> Result<()> {
-        let (from, twice) = (anchors.sibling.len(), anchors.paired_twice.len());
-        anchors.sibling.resize(self.edges.len(), None);
-        // The anchors this extension overwrote, put back if it is refused.
-        let mut overwritten = Vec::new();
-        for union in &self.edges[from..] {
-            if !matches!(union.op, EdgeOp::Union) {
-                continue;
+    /// one sibling by construction ([`ExprSig::HalfJoin`] carries its pair),
+    /// so a union that pairs a join edge with a second sibling — one it is
+    /// already anchored to, or one another appended union pairs it with — is
+    /// a plan the executor cannot anchor, and is refused before anything is
+    /// written: a refused extension leaves `anchors` as it was.
+    pub fn half_join_anchors(&self, anchors: &mut Vec<Option<VertexId>>) -> Result<()> {
+        // A union input resolved back through copy chains to the join edge
+        // (if any) that produced it.
+        let join_of = |mut v: VertexId| loop {
+            match self.producer(v) {
+                Some(e) if matches!(e.op, EdgeOp::CopyDelta) => v = e.inputs[0],
+                Some(e) if matches!(e.op, EdgeOp::Join { .. }) => break Some(e),
+                _ => break None,
             }
-            // Resolve each union input back through copy chains to the join
-            // edge (if any) that produced it.
-            let mut halves: Vec<(usize, VertexId)> = Vec::new();
-            for &input in &union.inputs {
-                let mut cur = input;
-                let join = loop {
-                    match self.producer(cur) {
-                        Some(e) if matches!(e.op, EdgeOp::CopyDelta) => cur = e.inputs[0],
-                        Some(e) if matches!(e.op, EdgeOp::Join { .. }) => break Some(e),
-                        _ => break None,
-                    }
-                };
-                if let Some(e) = join {
-                    halves.push((e.id, e.output));
-                }
-            }
-            if let [(ea, va), (eb, vb)] = halves[..] {
-                for (e, sibling) in [(ea, vb), (eb, va)] {
-                    let before = anchors.sibling[e].replace(sibling);
-                    match before {
-                        Some(other) if other != sibling => anchors.paired_twice.push((e, other, sibling)),
-                        _ => {}
-                    }
-                    if e < from {
-                        overwritten.push((e, before));
-                    }
-                }
+        };
+        let mut pairs: Vec<(usize, VertexId)> = Vec::new();
+        for union in self.edges[anchors.len()..].iter().filter(|e| matches!(e.op, EdgeOp::Union)) {
+            let halves: Vec<&Edge> = union.inputs.iter().filter_map(|&v| join_of(v)).collect();
+            if let [a, b] = halves[..] {
+                pairs.extend([(a.id, b.output), (b.id, a.output)]);
             }
         }
-        if anchors.paired_twice.is_empty() {
-            return Ok(());
+        // Sorted and without repeats, an edge two appended unions pair
+        // differently shows as two neighbours.
+        pairs.sort_unstable();
+        pairs.dedup();
+        let anchored = |&(e, sibling): &(usize, VertexId)| {
+            let other = anchors.get(e).copied().flatten();
+            other.filter(|&other| other != sibling).map(|other| (e, other, sibling))
+        };
+        let between = pairs.windows(2).find(|w| w[0].0 == w[1].0).map(|w| (w[0].0, w[0].1, w[1].1));
+        if let Some((e, other, sibling)) = between.or_else(|| pairs.iter().find_map(anchored)) {
+            return Err(SmileError::InvalidPlan(format!(
+                "join edge {e} is paired with two sibling halves, {other} and {sibling}"
+            )));
         }
-        let served = served();
-        let refused = anchors.paired_twice.iter().find(|&&(e, ..)| served[self.edges[e].output.index()]);
-        let Some(&(e, other, sibling)) = refused else { return Ok(()) };
-        for (e, before) in overwritten.into_iter().rev() {
-            anchors.sibling[e] = before;
+        anchors.resize(self.edges.len(), None);
+        for (e, sibling) in pairs {
+            anchors[e] = Some(sibling);
         }
-        anchors.sibling.truncate(from);
-        anchors.paired_twice.truncate(twice);
-        Err(SmileError::InvalidPlan(format!("join edge {e} is paired with two sibling halves, {other} and {sibling}")))
+        Ok(())
     }
 
     /// Marks each of `roots` and every vertex upstream of it in `mask`, no
@@ -1251,8 +1217,8 @@ mod tests {
     #[test]
     fn merged_twin_plans_keep_each_half_join_with_its_own_sibling() {
         let (p, pairs) = twin_join_plans();
-        let mut anchors = Anchors::default();
-        p.half_join_anchors(&mut anchors, || vec![true; p.vertex_count()]).unwrap();
+        let mut anchors = Vec::new();
+        p.half_join_anchors(&mut anchors).unwrap();
         let paired = (0..p.edge_count()).filter(|&e| anchors[e].is_some()).count();
         assert_eq!(paired, 4, "two pairs, no half shared between them");
         for (d1, d2) in pairs {
@@ -1261,40 +1227,55 @@ mod tests {
         }
     }
 
-    /// A live half-join feeding a second union with a different sibling
-    /// cannot be anchored and is refused, naming the edge and both siblings;
-    /// the refused extension leaves the anchors as they were.
+    /// A half-join feeding a second union with a different sibling cannot
+    /// be anchored and is refused, naming the edge and both siblings —
+    /// whether the halves serve a sharing or nothing at all — and a refused
+    /// extension writes no anchor.
     #[test]
     fn a_half_join_with_two_siblings_is_refused() {
         let (mut p, pairs) = twin_join_plans();
         let ((d1, d2), (_, other_d2)) = (pairs[0], pairs[1]);
-        let mut anchors = Anchors::default();
-        p.half_join_anchors(&mut anchors, || vec![true; p.vertex_count()]).unwrap();
+        let mut anchors = Vec::new();
+        p.half_join_anchors(&mut anchors).unwrap();
         let before = anchors.clone();
-        let stray = p.add_vertex(
-            VertexKind::Delta,
-            ExprSig::base(RelationId::new(9)),
-            MachineId::new(2),
-            schema(),
-            false,
-            1.0,
-            0.0,
-            24.0,
-        );
-        p.add_edge(
-            EdgeOp::Union,
-            vec![d1, other_d2],
-            stray,
-            Predicate::True,
-            None,
-        )
-        .unwrap();
-        let err = p.half_join_anchors(&mut anchors, || vec![true; p.vertex_count()]).unwrap_err();
+        let stray = |p: &mut Plan, rel: u32, op: EdgeOp, inputs: Vec<VertexId>| {
+            let sig = ExprSig::base(RelationId::new(rel));
+            let m2 = MachineId::new(2);
+            let v = p.add_vertex(VertexKind::Delta, sig, m2, schema(), false, 1.0, 0.0, 24.0);
+            p.add_edge(op, inputs, v, Predicate::True, None).unwrap();
+            v
+        };
+        let undo = p.undo_point();
+        stray(&mut p, 9, EdgeOp::Union, vec![d1, other_d2]);
+        let err = p.half_join_anchors(&mut anchors).unwrap_err();
         let err = err.to_string();
         let edge = format!("edge {} ", p.producer(d1).unwrap().id);
         for part in [edge, d2.to_string(), other_d2.to_string()] {
             assert!(err.contains(&part), "{err:?} does not name {part:?}");
         }
-        assert_eq!((anchors.sibling, anchors.paired_twice), (before.sibling, before.paired_twice));
+        assert_eq!(anchors, before, "the refused extension wrote anchors");
+        p.undo(undo);
+        // Three halves no sharing reads. One of them paired with two
+        // siblings in one extension, and then in a later one with a sibling
+        // other than its anchor: both refused, and neither writes.
+        let join = EdgeOp::Join {
+            on: JoinOn::on(0, 0),
+            delta_side: DeltaSide::Left,
+            snapshot_filter: Predicate::True,
+        };
+        let [x, y, z] = [10, 11, 12].map(|rel| stray(&mut p, rel, join.clone(), vec![d1, d2]));
+        stray(&mut p, 13, EdgeOp::Union, vec![x, y]);
+        let undo = p.undo_point();
+        stray(&mut p, 14, EdgeOp::Union, vec![x, z]);
+        assert!(p.half_join_anchors(&mut anchors).is_err(), "paired twice in one extension");
+        assert_eq!(anchors, before, "the refused extension wrote anchors");
+        p.undo(undo);
+        p.half_join_anchors(&mut anchors).unwrap();
+        let (anchored, e) = (anchors.clone(), p.producer(x).unwrap().id);
+        assert_eq!(anchored[e], Some(y));
+        stray(&mut p, 14, EdgeOp::Union, vec![x, z]);
+        let err = p.half_join_anchors(&mut anchors).unwrap_err().to_string();
+        assert!(err.contains(&format!("edge {e} ")), "{err:?}");
+        assert_eq!(anchors, anchored, "the refused extension wrote anchors");
     }
 }

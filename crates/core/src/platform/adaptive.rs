@@ -2,7 +2,8 @@
 //! control loop [`Smile::step`] runs when enabled, and dollar-budgeted
 //! fleet elasticity.
 
-use super::{running, running_mut, Smile, WORST_ROWS};
+use super::{resident_inputs, running, running_mut, seedable, Smile, WORST_ROWS};
+use crate::executor::Executor;
 use smile_sim::MachineState;
 use smile_telemetry::Alert;
 use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, Timestamp};
@@ -168,33 +169,33 @@ impl Smile {
         machines: Vec<MachineId>,
         pin: Option<MachineId>,
     ) -> Result<bool> {
-        let pos = self.position(id)?;
         let executor = running(&self.executor)?;
         if executor.migrating(id) {
             return Ok(false);
         }
         let (cur_machine, seed_at) = (executor.mv_machine(id)?, executor.mv_ts(id)?);
-        let planned = self.optimizer(machines).replan(
-            &self.sharings[pos],
-            running(&self.executor)?.load(&self.config.model),
-            &self.planned[pos],
-            pin,
-        )?;
+        let load = executor.load(&self.config.model);
+        let planned = self.optimizer(machines).replan(self.sharing(id)?, load, self.planned(id)?, pin)?;
         if planned.mv_machine == cur_machine {
             return Ok(false); // the current placement already wins
-        }
-        // The new chain cannot start reading a resident input at this
-        // sharing's commit point yet: not now.
-        let own = executor.sharing_topology(id).map_or(&[][..], |(order, _)| order);
-        if self.unseedable(&self.resident_inputs(&planned)?, seed_at, own)?.is_some() {
-            return Ok(false);
         }
         // Shadow install: merge the new chain into the running plan, then
         // reconcile storage exactly like a live admission — the chain is
         // live from here on although it serves no sharing until cutover
-        // repoints the sharing's MV to it.
+        // repoints the sharing's MV to it. If the new chain cannot start
+        // reading a resident input at this sharing's commit point yet, the
+        // merge is taken back: not now.
+        let cluster = &self.cluster;
+        let seedable_at = |executor: &Executor, new_mv| {
+            let own = executor.sharing_topology(id).map_or(&[][..], |(order, _)| order);
+            let inputs = resident_inputs(&executor.global.plan, new_mv);
+            seedable(cluster, executor, &inputs, seed_at, own)
+        };
         let before = self.global_plan().plan.vertex_count();
-        running_mut(&mut self.executor)?.begin_migration(id, &planned, self.now)?;
+        match running_mut(&mut self.executor)?.begin_migration(id, &planned, self.now, seedable_at) {
+            Err(SmileError::SeedUnavailable { .. }) => return Ok(false),
+            begun => begun?,
+        }
         self.count_reuse(&planned, before);
         // Seed the shadow chain *as of the old chain's committed MV
         // timestamp*, not `now`: the shadow reuses the old chain's anchored
@@ -228,8 +229,8 @@ impl Smile {
             let new_plan = self.pending_plans.remove(&o.id);
             let (sharing, from, to) = (o.id, o.from, o.to);
             let kind = if o.completed {
-                if let (Some(new_plan), Ok(pos)) = (new_plan, self.position(o.id)) {
-                    self.planned[pos] = new_plan;
+                if let (Some(new_plan), Some(planned)) = (new_plan, self.planned.get_mut(&o.id)) {
+                    *planned = new_plan;
                 }
                 ActionKind::MigrationCompleted { sharing, from, to }
             } else {

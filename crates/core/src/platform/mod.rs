@@ -40,7 +40,8 @@ use smile_sim::{Cluster, FaultProfile, MachineConfig, PriceSheet};
 use smile_storage::{DeltaBatch, SlotIndex, SpjQuery};
 use smile_telemetry::{Telemetry, TelemetryConfig};
 use smile_types::{
-    MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp, VertexId,
+    FastMap, MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp,
+    VertexId,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
@@ -116,10 +117,10 @@ pub struct Smile {
     pub catalog: Catalog,
     /// Platform configuration.
     pub config: SmileConfig,
-    /// Admitted sharings.
+    /// Admitted sharings, in admission order, which is id order.
     sharings: Vec<Sharing>,
-    /// Their chosen plans (order-matched with `sharings`).
-    planned: Vec<PlannedSharing>,
+    /// Their chosen plans.
+    planned: FastMap<SharingId, PlannedSharing>,
     /// The executor, built by [`Smile::new`] and never taken out: the
     /// `Option` stays only because the frozen `benchmark/` harness reads the
     /// field as one (ROADMAP item 3(b)).
@@ -166,7 +167,7 @@ impl Smile {
             catalog: Catalog::new(),
             config,
             sharings: Vec::new(),
-            planned: Vec::new(),
+            planned: FastMap::default(),
             executor: Some(executor),
             snapshot: SnapshotModule::new(),
             hc_report: None,
@@ -244,7 +245,7 @@ impl Smile {
             .registry()
             .histogram("admission.host_latency_us")
             .record(started.elapsed().as_micros() as u64);
-        self.planned.push(planned?);
+        self.planned.insert(id, planned?);
         self.sharings.push(sharing);
         self.next_sharing += 1;
         Ok(id)
@@ -264,9 +265,9 @@ impl Smile {
         self.submit_pinned(name, query, staleness_sla, penalty_per_tuple, mv_machine)
     }
 
-    /// Validate → plan against the live load → merge, counting what the
-    /// merge reused → reconcile storage (a no-op before the start, which
-    /// seeds everything at once).
+    /// Validate → plan against the live load → merge, refused if it cannot
+    /// be seeded, counting what the merge reused → reconcile storage (a no-op
+    /// before the start, which seeds everything at once).
     fn plan_and_merge(
         &mut self,
         sharing: &Sharing,
@@ -283,98 +284,27 @@ impl Smile {
                 }
             })?;
         // Seeded no later than the resident vertices it attaches to (none
-        // before the start), and refused before it merges if one of them
-        // holds no state to read from at that instant.
-        let executor = running(&self.executor)?;
-        let inputs = self.resident_inputs(&planned)?;
-        let derived = inputs.iter().filter(|&&v| !executor.global.plan.vertex(v).is_base);
-        let seed = derived.map(|&v| executor.coverage(v)).fold(self.now, Timestamp::min);
-        if let Some(relation) = self.unseedable(&inputs, seed, &[])? {
+        // before the start), and refused, the merge taken back, if one of
+        // them holds no state to read from at that instant.
+        let (cluster, now) = (&self.cluster, self.now);
+        let seed_of = |executor: &Executor, mv| {
+            let plan = &executor.global.plan;
+            let inputs = resident_inputs(plan, mv);
+            let derived = inputs.iter().filter(|&&v| !plan.vertex(v).is_base);
+            let seed = derived.map(|&v| executor.coverage(v)).fold(now, Timestamp::min);
+            seedable(cluster, executor, &inputs, seed, &[]).map(|()| seed)
+        };
+        let (before, model) = (self.global_plan().plan.vertex_count(), &self.config.model);
+        let admitted = running_mut(&mut self.executor)?.add_sharing(sharing, &planned, model, seed_of);
+        if let Err(SmileError::SeedUnavailable { .. }) = admitted {
             reg.counter("planner.sharings_rejected").inc();
             reg.counter("planner.sharings_unseedable").inc();
-            return Err(SmileError::SeedUnavailable { relation, seed });
         }
+        let seed = admitted?;
         reg.counter("planner.sharings_admitted").inc();
-        let before = self.global_plan().plan.vertex_count();
-        let model = &self.config.model;
-        running_mut(&mut self.executor)?.add_sharing(sharing, &planned, model)?;
         self.count_reuse(&planned, before);
         self.reconcile_storage(Some(seed).filter(|&s| s < self.now))?;
         Ok(planned)
-    }
-
-    /// The vertices already holding storage that `planned`'s newly live
-    /// vertices read from, once merged into the global plan — where their
-    /// first windows start, at the seed instant. The walk follows the merge:
-    /// a vertex the global plan has keeps its producer there (slotless:
-    /// inert, about to be revived), one it lacks brings its planned one.
-    ///
-    /// A live admission seeds no later than the oldest coverage among them:
-    /// a twin that dedups into a half-join pair whose last push lags `now`
-    /// must see the pair's next window whole, since its cross-term is
-    /// stamped inside the lag. And neither a live admission nor a migration
-    /// can seed before one of their logs' horizons.
-    fn resident_inputs(&self, planned: &PlannedSharing) -> Result<Vec<VertexId>> {
-        /// A vertex of the merged plan: one the global plan has, or one only
-        /// `planned` brings.
-        #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-        enum Merged {
-            Running(VertexId),
-            New(VertexId),
-        }
-        let (plan, global) = (&planned.plan, &running(&self.executor)?.global.plan);
-        let merged = |v: VertexId| {
-            let vert = plan.vertex(v);
-            let found = global.find_vertex(vert.kind, &vert.sig, vert.machine);
-            found.map_or(Merged::New(v), Merged::Running)
-        };
-        let resident = |v| matches!(v, Merged::Running(g) if global.vertex(g).slot.is_some());
-        let (mut live, mut seen, mut inputs) = (vec![merged(planned.mv)], HashSet::new(), vec![]);
-        live.retain(|&v| !resident(v));
-        while let Some(v) = live.pop() {
-            let producer = match v {
-                Merged::Running(g) => global.producer(g).map(|e| (e, true)),
-                Merged::New(p) => plan.producer(p).map(|e| (e, false)),
-            };
-            let Some((edge, in_global)) = producer else { continue };
-            for &i in &edge.inputs {
-                let input = if in_global { Merged::Running(i) } else { merged(i) };
-                match input {
-                    _ if !seen.insert(input) => {}
-                    Merged::Running(g) if resident(input) => inputs.push(g),
-                    _ => live.push(input),
-                }
-            }
-        }
-        Ok(inputs)
-    }
-
-    /// The first of `inputs` that new vertices seeded at `seed` could not
-    /// start reading there: its log is cut past it — compaction keeps a log
-    /// for its current readers, who may be far ahead (a Relation replicated
-    /// where its Delta twin already lands catches up from the twin's log the
-    /// same way) — or it is a join's or an aggregate's output, which is a
-    /// state of its expression only at the end of a window it was pushed
-    /// through, and `seed` is not its coverage. `own` are vertices `seed` is
-    /// known to end a window of: a migrating sharing's chain, which each of
-    /// its pushes took to its target.
-    fn unseedable(
-        &self,
-        inputs: &[VertexId],
-        seed: Timestamp,
-        own: &[VertexId],
-    ) -> Result<Option<RelationId>> {
-        let executor = running(&self.executor)?;
-        for &v in inputs {
-            let vert = executor.global.plan.vertex(v);
-            let Some(slot) = vert.slot else { continue };
-            let horizon = self.cluster.machine(vert.machine)?.db.relation(slot)?.delta.horizon();
-            let mid_window = executor.coverage(v) != seed && vert.sig.windowed();
-            if seed < horizon || (mid_window && !own.contains(&v)) {
-                return Ok(Some(slot));
-            }
-        }
-        Ok(None)
     }
 
     /// Posts what merging `planned` reused, at the merge: of the vertices it
@@ -472,7 +402,7 @@ impl Smile {
     /// snapshots *as of* that instant and stamped with it. The start, retire
     /// and settlement seed at `now` (base tables are current); a live
     /// admission no later than the resident vertices it attaches to
-    /// (`resident_inputs`); a migration at the old chain's committed MV
+    /// ([`resident_inputs`]); a migration at the old chain's committed MV
     /// timestamp, so the shadow chain's push windows tile exactly against
     /// the anchored half-join jobs it shares with it.
     ///
@@ -606,9 +536,9 @@ impl Smile {
             return Err(SmileError::Internal("retire before the platform started".into()));
         }
         running_mut(&mut self.executor)?.remove_sharing(id)?;
+        self.planned.remove(&id);
         if let Ok(pos) = self.position(id) {
             self.sharings.remove(pos);
-            self.planned.remove(pos);
         }
         self.pending_plans.remove(&id);
         self.last_migration.remove(&id);
@@ -672,7 +602,7 @@ impl Smile {
 
     /// The chosen plan of a sharing.
     pub fn planned(&self, id: SharingId) -> Result<&PlannedSharing> {
-        Ok(&self.planned[self.position(id)?])
+        self.planned.get(&id).ok_or(SmileError::UnknownSharing(id))
     }
 
     /// An admitted sharing: its submitted query is what its MV holds.
@@ -680,10 +610,10 @@ impl Smile {
         Ok(&self.sharings[self.position(id)?])
     }
 
-    /// Where an admitted sharing sits in `sharings` and `planned`.
+    /// Where an admitted sharing sits in `sharings`, which is in id order.
     fn position(&self, id: SharingId) -> Result<usize> {
-        let pos = self.sharings.iter().position(|s| s.id == id);
-        pos.ok_or(SmileError::UnknownSharing(id))
+        let pos = self.sharings.binary_search_by_key(&id, |s| s.id);
+        pos.map_err(|_| SmileError::UnknownSharing(id))
     }
 }
 
@@ -700,6 +630,61 @@ fn running_mut(executor: &mut Option<Executor>) -> Result<&mut Executor> {
 
 fn no_executor() -> SmileError {
     SmileError::Internal("the executor was taken out of the platform".into())
+}
+
+/// The slotted vertices that the unslotted ones at and upstream of `mv` in
+/// the merged plan read from — where the newly live vertices' first windows
+/// start, at the seed instant — in the order of a depth-first walk from
+/// `mv` that stops at slotted vertices (an MV that has a slot reads from
+/// nothing new).
+///
+/// A live admission seeds no later than the oldest coverage among them: a
+/// twin that dedups into a half-join pair whose last push lags `now` must
+/// see the pair's next window whole, since its cross-term is stamped inside
+/// the lag. And neither a live admission nor a migration can seed before
+/// one of their logs' horizons.
+fn resident_inputs(plan: &Plan, mv: VertexId) -> Vec<VertexId> {
+    let resident = |v: VertexId| plan.vertex(v).slot.is_some();
+    let (mut walk, mut seen, mut inputs) = (vec![mv], HashSet::new(), vec![]);
+    walk.retain(|&v| !resident(v));
+    while let Some(v) = walk.pop() {
+        for &input in plan.producer(v).map_or(&[][..], |e| &e.inputs) {
+            match input {
+                _ if !seen.insert(input) => {}
+                _ if resident(input) => inputs.push(input),
+                _ => walk.push(input),
+            }
+        }
+    }
+    inputs
+}
+
+/// Refuses, with [`SmileError::SeedUnavailable`], new vertices seeded at
+/// `seed` that could not start reading one of `inputs` there: its log is cut
+/// past it — compaction keeps a log for its current readers, who may be far
+/// ahead (a Relation replicated where its Delta twin already lands catches
+/// up from the twin's log the same way) — or it is a join's or an
+/// aggregate's output, which is a state of its expression only at the end
+/// of a window it was pushed through, and `seed` is not its coverage. `own`
+/// are vertices `seed` is known to end a window of: a migrating sharing's
+/// chain, which each of its pushes took to its target.
+fn seedable(
+    cluster: &Cluster,
+    executor: &Executor,
+    inputs: &[VertexId],
+    seed: Timestamp,
+    own: &[VertexId],
+) -> Result<()> {
+    for &v in inputs {
+        let vert = executor.global.plan.vertex(v);
+        let Some(slot) = vert.slot else { continue };
+        let horizon = cluster.machine(vert.machine)?.db.relation(slot)?.delta.horizon();
+        let mid_window = executor.coverage(v) != seed && vert.sig.windowed();
+        if seed < horizon || (mid_window && !own.contains(&v)) {
+            return Err(SmileError::SeedUnavailable { relation: slot, seed });
+        }
+    }
+    Ok(())
 }
 
 /// The slot held by `vert`'s twin — the vertex of the other kind with the

@@ -347,6 +347,8 @@ fn migrating_onto_the_machine_where_the_delta_twin_already_lands_is_exact() {
 /// it is cut past the lazy MV's commit point — the instant a shadow chain
 /// must be seeded at. The replica of `src` could not catch up from that log:
 /// the migration is declined until the commit point is inside the log again.
+/// A declined shadow chain merges, and the merge is taken back, so the
+/// global plan is byte-equal to what it was and keeps its sharings.
 #[test]
 fn a_migration_whose_seed_predates_an_adopted_log_waits() {
     let (mut smile, src, events, ids) = crowd(&[(5, false), (120, true)]);
@@ -361,7 +363,13 @@ fn a_migration_whose_seed_predates_an_adopted_log_waits() {
     };
     let mv_ts = |smile: &Smile| smile.executor.as_ref().unwrap().mv_ts(lazy).unwrap();
     assert!(mv_ts(&smile) < horizon(&smile), "the lazy MV is not behind the log");
+    let global = |smile: &Smile| {
+        let global = smile.global_plan();
+        (global.plan.canonical_string(), global.sharings.iter().map(|m| m.id).collect::<Vec<_>>())
+    };
+    let before = global(&smile);
     assert!(!smile.migrate_sharing(lazy, Some(m1)).unwrap());
+    assert!(global(&smile) == before, "the declined merge left a trace in the global plan");
     assert_eq!(src_on_m1(&smile, Relation), None);
     // Its next push commits past the horizon; then the move goes ahead.
     let mut waited = 0;

@@ -36,12 +36,17 @@
 //! literal are visited, and each passes the whole snapshot filter first;
 //! whichever side is then smaller — the
 //! kept log rows or the delta window's keys — is hashed by join key while
-//! the other streams past it. The kept rows are netted — a delete cancels
-//! its insert, a repeat adds up — so the output has one entry per (delta
-//! entry, distinct surviving row): the multiset and the entry count of
-//! consolidating the window first. Outputs are handed over stably sorted
-//! by timestamp, probe run ahead of correction run: a log only takes a
-//! batch in timestamp order, at its end.
+//! the other streams past it. A *literal-delta half-join* — an unpartitioned
+//! arrangement probed by a delta side that is a literal's selection, under
+//! the edge filter or in a filtered copy — reads its relation log by key
+//! instead: `Plan::reads` lists the log's partition on the arrangement's
+//! key columns for it (the join-key history), and each window entry reads
+//! only its own key's log rows. The kept rows are netted
+//! — a delete cancels its insert, a repeat adds up — so the output has one
+//! entry per (delta entry, distinct surviving row): the multiset and the
+//! entry count of consolidating the window first. Outputs are handed over
+//! stably sorted by timestamp, probe run ahead of correction run: a log
+//! only takes a batch in timestamp order, at its end.
 //!
 //! Every other log read that filters a window — a copy's, a union's, a
 //! join's delta window — goes through the same partitioned read
@@ -67,7 +72,7 @@ use crate::plan::dag::{DeltaSide, Edge, EdgeOp, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::machine::Machine;
 use smile_sim::meter::ResourceUsage;
-use smile_storage::delta::{DeltaBatch, DeltaEntry};
+use smile_storage::delta::{DeltaBatch, DeltaEntry, DeltaTable};
 use smile_storage::wal::Bytes;
 use smile_storage::{wal, Bucket, Predicate};
 use smile_types::{FastMap, Result, SmileError, Timestamp, Tuple, Value, VertexId};
@@ -310,11 +315,14 @@ fn finish_copy(mut job: Job<'_>, batch: DeltaBatch) -> Result<EdgeRun> {
 ///
 /// Whichever side is smaller drives the join (DESIGN §9a). Every window
 /// entry's key probes the partition, or — when the edge keeps the whole
-/// window, its delta log has the join-key index `Plan::reads` lists, and
+/// window, its delta log has a join-key index (the one `Plan::reads`
+/// lists, or a literal-delta half-join's history on the same log), and
 /// the partition's keys and the kept correction rows are fewer than the
 /// window's entries — each of those keys reads its entries out of the
 /// window through the index. Both give the same outputs in the same order
-/// and count the same probes.
+/// and count the same probes. When the relation log carries its join-key
+/// history, the window-side arm reads each entry's correction through it
+/// ([`correct_by_key`]) instead of collecting the kept rows.
 fn run_join(
     mut job: Job<'_>,
     at: Timestamp,
@@ -364,7 +372,14 @@ fn run_join(
         // for the probe.
         let now = rel.table.ts();
         let (lo, hi, sign) = if at < now { (at, now, -1) } else { (now, at, 1) };
-        let kept: Vec<&DeltaEntry> = rel.delta.window_filtered(lo, hi, snapshot_filter).collect();
+        // With the log's join-key history installed, the big side reads
+        // each window entry's own key's rows and never collects the kept
+        // rows; the small side's condition counts them.
+        let history = rel.delta.partitions().any(|cols| cols == index.key);
+        let kept: Vec<&DeltaEntry> = match scan {
+            Some(_) if history => Vec::new(),
+            _ => rel.delta.window_filtered(lo, hi, snapshot_filter).collect(),
+        };
         // The probe run, then the correction run, each in window order.
         let mut probed: Vec<(&DeltaEntry, &Bucket)> = Vec::new();
         let mut corrected: Vec<(&DeltaEntry, &Tuple, i64)> = Vec::new();
@@ -395,9 +410,12 @@ fn run_join(
                 let keys_flat = flat_keys(entries.iter().map(|e| &e.tuple), delta_cols);
                 let buckets = part.probe_batch(&keys_flat, arity, entries.len());
                 probed.extend(entries.iter().copied().zip(buckets).filter(|(_, bucket)| !bucket.is_empty()));
-                correct(&keys_flat, entries.len(), &kept, &index.key, |i, row, w| {
-                    corrected.push((entries[i], row, w));
-                });
+                let emit = |i, row, w| corrected.push((entries[i], row, w));
+                if history {
+                    correct_by_key(&rel.delta, (lo, hi), snapshot_filter, &keys_flat, entries.len(), &index.key, emit);
+                } else {
+                    correct(&keys_flat, entries.len(), &kept, &index.key, emit);
+                }
             }
         }
         let mut emit = |e: &DeltaEntry, row: &Tuple, weight: i64| {
@@ -525,6 +543,43 @@ fn correct<'r>(
     for i in 0..n {
         for &row in rows_of.get(&keys_flat[range(i)]).into_iter().flatten() {
             emit(i, row, net[row]);
+        }
+    }
+}
+
+/// The correction term `Δ ⋈ kept` read through the relation log's
+/// join-key history (`DeltaTable::positions_where` on `key_cols`): each of
+/// the delta entries whose join keys `keys_flat` holds back to back reads
+/// only its own key's log rows in `(lo, hi]`, keeps those that pass
+/// `filter`, and nets them per row in log order. So it makes the calls
+/// [`correct`] makes, in the same order, without collecting the kept rows
+/// or hashing either side — a literal-delta half-join's few window entries
+/// against a relation log of thousands of rows (DESIGN §9a).
+fn correct_by_key<'r>(
+    log: &'r DeltaTable,
+    (lo, hi): (Timestamp, Timestamp),
+    filter: &Predicate,
+    keys_flat: &[Value],
+    n: usize,
+    key_cols: &[usize],
+    mut emit: impl FnMut(usize, &'r Tuple, i64),
+) {
+    let (range, rows) = (log.window_range(lo, hi), log.window_ref(lo, hi));
+    let arity = key_cols.len();
+    // A key's rows in one window are few: netted by a linear search.
+    let mut net: Vec<(&Tuple, i64)> = Vec::new();
+    for i in 0..n {
+        net.clear();
+        let key = &keys_flat[i * arity..(i + 1) * arity];
+        let kept = log.positions_where(&range, key_cols, key).into_iter().flatten().map(|p| &rows[p]);
+        for r in kept.filter(|r| filter.eval(&r.tuple)) {
+            match net.iter_mut().find(|(row, _)| *row == &r.tuple) {
+                Some((_, w)) => *w += r.weight,
+                None => net.push((&r.tuple, r.weight)),
+            }
+        }
+        for &(row, w) in &net {
+            emit(i, row, w);
         }
     }
 }
@@ -749,6 +804,12 @@ mod tests {
         SnapshotLog,
         /// Every index: the delta log's join-key index too.
         All,
+        /// Every index, the relation log's join-key history on the
+        /// arrangement key, which `Plan::reads` lists only for a
+        /// literal-delta half-join, and the delta log's join-key index even on an
+        /// unpartitioned arrangement: the big side reads its correction
+        /// by key, and the small side runs on a whole arrangement.
+        History,
     }
 
     proptest! {
@@ -771,7 +832,11 @@ mod tests {
         /// side, the edge lands the same log, entry for entry, moves the same
         /// tuples and counts the same probes, hits and misses. A window of up
         /// to 160 entries against a log of a few rows makes that side the
-        /// smaller one often.
+        /// smaller one often. With the relation log's join-key history and
+        /// the delta log's join-key index installed whatever the filter,
+        /// the big side reads each entry's correction by key, the small
+        /// side still hashes the kept rows and runs on an unpartitioned
+        /// arrangement too, and the edge lands the same log again.
         #[test]
         fn half_join_lands_delta_join_snapshot(
             window in prop_oneof![arb_lopsided(), arb_entries(160)],
@@ -789,22 +854,29 @@ mod tests {
                 _ => Predicate::eq(2, literal).and(Predicate::cmp(1, CmpOp::Ge, 1i64)),
             };
             let delta_side = if right { DeltaSide::Right } else { DeltaSide::Left };
-            let delta_cols = delta_side.cols(&on).0.to_vec();
+            let (delta_cols, key_cols) = delta_side.cols(&on);
+            let (delta_cols, key_cols) = (delta_cols.to_vec(), key_cols.to_vec());
             let op = EdgeOp::Join { on, delta_side, snapshot_filter: filter.clone() };
             let installs = |installed: Installed| {
                 move |slot: RelationId, read: &SlotIndex| match installed {
                     Installed::Arrangement => matches!(read, SlotIndex::Arrangement(_)),
                     Installed::SnapshotLog => slot != RelationId::new(0),
-                    Installed::All => true,
+                    Installed::All | Installed::History => true,
                 }
             };
-            let runs = [Installed::Arrangement, Installed::SnapshotLog, Installed::All].map(|installed| {
+            let arms = [Installed::Arrangement, Installed::SnapshotLog, Installed::All, Installed::History];
+            let runs = arms.map(|installed| {
                 let (mut cluster, plan, e) =
                     join_fixture(3, op.clone(), window.clone(), log.clone(), applied, installs(installed));
+                if installed == Installed::History {
+                    let db = &mut cluster.machine_mut(M0).unwrap().db;
+                    db.ensure(RelationId::new(1), &SlotIndex::Log(key_cols.clone())).unwrap();
+                    db.ensure(RelationId::new(0), &SlotIndex::Log(delta_cols.clone())).unwrap();
+                }
                 let run = run_fixture(&mut cluster, &plan, e, to, at).unwrap();
                 (cluster, run)
             });
-            let [(cluster, run), (split, split_run), (keyed, keyed_run)] = &runs;
+            let [(cluster, run), (split, split_run), (keyed, keyed_run), (history, history_run)] = &runs;
             let db = &cluster.machine(M0).unwrap().db;
             let landed = db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
             let log_partitions = |cluster: &Cluster, slot: u32| -> Vec<Vec<usize>> {
@@ -812,12 +884,14 @@ mod tests {
                 db.relation(RelationId::new(slot)).unwrap().delta.partitions().map(<[usize]>::to_vec).collect()
             };
             let literal_cols = if filter_kind == 0 { vec![] } else { vec![vec![2]] };
-            let join_key_cols = if filter_kind == 0 { vec![] } else { vec![delta_cols] };
+            let join_key_cols = if filter_kind == 0 { vec![] } else { vec![delta_cols.clone()] };
             prop_assert_eq!(log_partitions(split, 1), literal_cols.clone());
             prop_assert_eq!(log_partitions(split, 0), vec![] as Vec<Vec<usize>>);
-            prop_assert_eq!(log_partitions(keyed, 1), literal_cols);
+            prop_assert_eq!(log_partitions(keyed, 1), literal_cols.clone());
             prop_assert_eq!(log_partitions(keyed, 0), join_key_cols);
-            for (other, other_run) in [(split, split_run), (keyed, keyed_run)] {
+            prop_assert_eq!(log_partitions(history, 1), [literal_cols, vec![key_cols]].concat());
+            prop_assert_eq!(log_partitions(history, 0), vec![delta_cols]);
+            for (other, other_run) in [(split, split_run), (keyed, keyed_run), (history, history_run)] {
                 let other_db = &other.machine(M0).unwrap().db;
                 let other_landed = other_db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
                 prop_assert_eq!(&other_landed, &landed);

@@ -261,11 +261,16 @@ impl Plan {
     /// A join that probes an arrangement partition under no edge filter
     /// reads its delta log by join key instead, through the log's partition
     /// on its delta-side join columns (the small-side half-join, DESIGN
-    /// §9a). Last comes a join's relation log under the snapshot filter, on
-    /// the probed arrangement's partition columns, which its correction
-    /// reads. Nothing for `DeltaToRel` and nothing on inputs without
-    /// storage. The one definition install, reconcile, introspection and
-    /// the push engine's reads agree on.
+    /// §9a). Last comes a join's relation log, which its correction reads:
+    /// under the snapshot filter, on the probed arrangement's partition
+    /// columns; or, for a *literal-delta half-join* — an unpartitioned
+    /// arrangement probed by a delta side that is a selection with
+    /// `col = literal` conjuncts, under the edge filter or in the delta
+    /// input's signature (a filtered copy) — on the arrangement's key
+    /// columns, the join-key history each window entry reads its own key's
+    /// log rows through. Nothing for `DeltaToRel` and nothing on inputs
+    /// without storage. The one definition install, reconcile,
+    /// introspection and the push engine's reads agree on.
     pub fn reads(&self, e: &Edge) -> Vec<IndexId> {
         let cols: Vec<usize> = e.filter.eq_literals().into_iter().map(|(c, _)| c).collect();
         let filtered = match &e.op {
@@ -287,9 +292,16 @@ impl Plan {
             }
             _ => None,
         };
-        let snapshot_log = (!on.partition.is_empty()).then(|| (machine, slot, SlotIndex::Log(on.partition.clone())));
+        let literal_delta = !cols.is_empty()
+            || matches!(&self.vertex(e.inputs[0]).sig, ExprSig::Filter { pred, .. } if !pred.eq_literals().is_empty());
+        let rel_log = match (on.partition.is_empty(), literal_delta) {
+            (false, _) => Some(on.partition.clone()),
+            (true, true) => Some(on.key.clone()),
+            (true, false) => None,
+        };
+        let rel_log = rel_log.map(|cols| (machine, slot, SlotIndex::Log(cols)));
         let arrangement = (machine, slot, SlotIndex::Arrangement(on));
-        std::iter::once(arrangement).chain(logs).chain(join_key).chain(snapshot_log).collect()
+        std::iter::once(arrangement).chain(logs).chain(join_key).chain(rel_log).collect()
     }
 
     /// Edges consuming `v`.
@@ -865,6 +877,55 @@ mod tests {
             vec![at(12, SlotIndex::Arrangement(IndexCols { partition: vec![2], key: vec![0] })), at(11, log(&[1])), at(12, log(&[2]))],
             vec![at(12, arr(vec![1])), at(11, log(&[2])), at(12, log(&[1]))],
             vec![at(12, arr(vec![1])), at(12, log(&[1]))],
+        ];
+        assert_eq!(reads.collect::<Vec<_>>(), want);
+    }
+
+    /// A literal-delta half-join, `r0 ⋈ Δσ[#2 = k](r1)` on `r0.#1 = r1.#0`,
+    /// also reads `r0`'s log on the arrangement's key column: the join-key
+    /// history its correction reads by key, whether the literal is the
+    /// edge filter or the signature of a filtered copy of `Δr1`. Its
+    /// sibling `Δr0 ⋈ σ[#2 = k](r1)` (a partitioned arrangement), the
+    /// unfiltered `r0 ⋈ Δr1` and a delta side filtered by a range alone
+    /// read nothing new.
+    #[test]
+    fn reads_list_a_literal_half_joins_key_history() {
+        let (m, mut p) = (MachineId::new(1), Plan::new());
+        let mut vertex = |kind, sig, slot: u32| {
+            let v = p.add_vertex(kind, sig, m, schema(), false, 1.0, 1.0, 8.0);
+            p.vertex_mut(v).slot = Some(RelationId::new(slot));
+            v
+        };
+        let base = |n: u32| ExprSig::base(RelationId::new(n));
+        let (k, at_least) = (Predicate::eq(2, 7i64), Predicate::cmp(2, CmpOp::Ge, 7i64));
+        let [d0, d1] = [(0, 10), (1, 11)].map(|(n, s)| vertex(VertexKind::Delta, base(n), s));
+        let [r0, r1] = [(2, 12), (3, 13)].map(|(n, s)| vertex(VertexKind::Relation, base(n), s));
+        let [literal_copy, range_copy] =
+            [(k.clone(), 14), (at_least.clone(), 15)].map(|(pred, s)| vertex(VertexKind::Delta, ExprSig::filter(pred, base(1)), s));
+        let outs: Vec<VertexId> = (20..26).map(|n| vertex(VertexKind::Delta, base(n), 30 + n)).collect();
+        let half = |delta_side, snapshot_filter| EdgeOp::Join { on: JoinOn::on(1, 0), delta_side, snapshot_filter };
+        let edges = [
+            (half(DeltaSide::Right, Predicate::True), vec![d1, r0], k.clone()),
+            (half(DeltaSide::Right, Predicate::True), vec![literal_copy, r0], Predicate::True),
+            (half(DeltaSide::Left, k.clone()), vec![d0, r1], Predicate::True),
+            (half(DeltaSide::Right, Predicate::True), vec![d1, r0], Predicate::True),
+            (half(DeltaSide::Right, Predicate::True), vec![d1, r0], at_least),
+            (half(DeltaSide::Right, Predicate::True), vec![range_copy, r0], Predicate::True),
+        ];
+        let reads = edges.into_iter().zip(outs).map(|((op, inputs, filter), out)| {
+            let e = p.add_edge(op, inputs, out, filter, None).unwrap();
+            p.reads(p.edge(e))
+        });
+        let at = |slot: u32, index| (m, RelationId::new(slot), index);
+        let arr = |partition: Vec<usize>, key: usize| SlotIndex::Arrangement(IndexCols { partition, key: vec![key] });
+        let log = |col: usize| SlotIndex::Log(vec![col]);
+        let want = [
+            vec![at(12, arr(vec![], 1)), at(11, log(2)), at(12, log(1))],
+            vec![at(12, arr(vec![], 1)), at(12, log(1))],
+            vec![at(13, arr(vec![2], 0)), at(10, log(1)), at(13, log(2))],
+            vec![at(12, arr(vec![], 1))],
+            vec![at(12, arr(vec![], 1))],
+            vec![at(12, arr(vec![], 1))],
         ];
         assert_eq!(reads.collect::<Vec<_>>(), want);
     }

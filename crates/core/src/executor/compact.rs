@@ -1,5 +1,6 @@
 //! Delta-log compaction: every slot's log is cut below the oldest
-//! timestamp any live consumer could still ask for.
+//! timestamp any live consumer could still ask for, once per period, and
+//! the cut entries are freed over the ticks that follow.
 
 use super::Executor;
 use smile_sim::Cluster;
@@ -11,17 +12,62 @@ const COMPACTION_PERIOD: SimDuration = SimDuration::from_secs(30);
 const COMPACTION_MARGIN: SimDuration = SimDuration::from_secs(10);
 
 impl Executor {
-    /// Once per [`COMPACTION_PERIOD`], compacts every slot's delta log
-    /// below the minimum timestamp its live consumers could still request
-    /// (minus the safety margin). Only [`Executor::live`] vertices and
-    /// edges pin a log: a retired sharing's inert chain must not hold its
-    /// inputs' logs for ever.
+    /// Once per [`COMPACTION_PERIOD`], cuts every slot's delta log below
+    /// the minimum timestamp its live consumers could still request (minus
+    /// the safety margin): the horizon and every read move at once, and
+    /// the cut entries stay allocated. Every tick after frees a share of
+    /// them ([`Executor::reclaim_budget`]), so no tick pays for a whole
+    /// period's log.
     pub(super) fn compact_if_due(&mut self, cluster: &mut Cluster, now: Timestamp) -> Result<()> {
         if now - self.last_compaction < COMPACTION_PERIOD {
-            return Ok(());
+            return self.reclaim_cut(cluster);
         }
-        // On the seedless hasher, so slots are cut, and their entries freed,
-        // in the same order every run.
+        self.last_cut = 0;
+        for ((machine, slot), cut) in self.log_cuts(now) {
+            let Some(log) = cluster.machine_mut(machine)?.db.log_mut(slot) else { continue };
+            let n = log.compact(cut);
+            if n > 0 {
+                self.reclaiming.push_back((machine, slot));
+                self.last_cut += n;
+            }
+        }
+        self.last_compaction = now;
+        Ok(())
+    }
+
+    /// How many cut entries a tick frees: the last cut spread over half a
+    /// period's ticks, so every cut entry is freed well before the next
+    /// cut.
+    fn reclaim_budget(&self) -> usize {
+        let ticks = COMPACTION_PERIOD.as_micros() / self.config.tick.as_micros().max(1);
+        self.last_cut.div_ceil((ticks as usize / 2).max(1))
+    }
+
+    /// Frees up to the tick's budget of cut entries, from the slots in the
+    /// order they were cut; a slot leaves the queue once it holds none.
+    fn reclaim_cut(&mut self, cluster: &mut Cluster) -> Result<()> {
+        let mut budget = self.reclaim_budget();
+        while budget > 0 {
+            let Some(&(machine, slot)) = self.reclaiming.front() else { break };
+            // A slot dropped since its cut took its entries along.
+            if let Some(log) = cluster.machine_mut(machine)?.db.log_mut(slot) {
+                budget -= log.reclaim(budget);
+                if log.reclaimable() > 0 {
+                    break;
+                }
+            }
+            self.reclaiming.pop_front();
+        }
+        Ok(())
+    }
+
+    /// Where each slot's log is cut at `now`: the minimum timestamp its
+    /// live consumers could still request, minus the margin. Only
+    /// [`Executor::live`] vertices and edges pin a log: a retired sharing's
+    /// inert chain must not hold its inputs' logs for ever. On the seedless
+    /// hasher, so slots are cut, and their entries freed, in the same
+    /// order every run.
+    fn log_cuts(&self, now: Timestamp) -> FastMap<(MachineId, RelationId), Timestamp> {
         let mut bound: FastMap<(MachineId, RelationId), Timestamp> = FastMap::default();
         // Seed bounds with each vertex's own data_ts (slots nobody consumes
         // can be compacted to their own progress).
@@ -66,17 +112,12 @@ impl Executor {
                 *b = (*b).min(pin);
             }
         }
-        for ((machine, slot), ts) in bound {
+        for ts in bound.values_mut() {
             // Still unbounded: a base slot no live edge reads. Whoever
             // reads it next is seeded from its table, not its log.
-            let cut = if ts == Timestamp::MAX { now } else { ts } - COMPACTION_MARGIN;
-            let m = cluster.machine_mut(machine)?;
-            if m.db.has_relation(slot) {
-                m.db.compact(slot, cut)?;
-            }
+            *ts = if *ts == Timestamp::MAX { now } else { *ts } - COMPACTION_MARGIN;
         }
-        self.last_compaction = now;
-        Ok(())
+        bound
     }
 
     /// Per vertex, the oldest committed MV among the live sharings it
@@ -105,10 +146,81 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{feed, installed_pinned};
+    use crate::platform::Smile;
+    use smile_storage::delta::{DeltaBatch, DeltaEntry};
     use smile_storage::join::JoinOn;
     use smile_storage::{Predicate, SpjQuery};
-    use smile_types::{MachineId, SharingId, SimDuration, Timestamp};
+    use smile_types::{tuple, MachineId, RelationId, SharingId, SimDuration, Timestamp};
     use std::collections::HashMap;
+
+    /// Every log on every machine, with its slot.
+    fn logs(smile: &Smile) -> Vec<((MachineId, RelationId), &smile_storage::DeltaTable)> {
+        let machines = smile.cluster.machine_ids();
+        let dbs = machines.into_iter().map(|m| (m, &smile.cluster.machine(m).unwrap().db));
+        dbs.flat_map(|(m, db)| db.relations().map(move |(rel, slot)| ((m, rel), &slot.delta))).collect()
+    }
+
+    /// On a fleet of literal half-joins whose logs carry literal
+    /// partitions, over several periods: a boundary tick cuts and frees
+    /// nothing, no later tick frees more cut entries than its budget (and
+    /// than its appends into full rings), every cut is freed whole within
+    /// the half period after it, and every log's horizon is, at every
+    /// tick, the cut its last boundary computed.
+    #[test]
+    fn cuts_are_reclaimed_within_budget_before_the_next_cut() {
+        let m = MachineId::new;
+        let (mut smile, a, b, _) = installed_pinned(true, 10, &[Some(m(0)), Some(m(1))]);
+        assert_eq!(smile.config.exec.tick, SimDuration::from_secs(1));
+        for lit in 0..3i64 {
+            let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::eq(1, lit));
+            let sla = SimDuration::from_secs(8 + lit as u64);
+            smile.submit_live("lit", q, sla, 0.001, Some(m(lit as u32 % 2))).unwrap();
+        }
+        let held = |smile: &Smile| logs(smile).iter().map(|(_, log)| log.reclaimable()).sum::<usize>();
+        let retained = |smile: &Smile| logs(smile).iter().map(|(_, log)| log.len()).sum::<usize>();
+        let mut horizons: HashMap<(MachineId, RelationId), Timestamp> = HashMap::new();
+        let (mut boundaries, mut paced, mut partitioned, mut since) = (0, 0, false, 0);
+        for s in 0..130i64 {
+            let now = smile.now();
+            let rows = |f: &dyn Fn(i64) -> smile_types::Tuple| DeltaBatch {
+                entries: (0..12).map(|i| DeltaEntry::insert(f(s * 12 + i), now)).collect(),
+            };
+            smile.ingest(a, rows(&|k| tuple![k % 30])).unwrap();
+            smile.ingest(b, rows(&|k| tuple![k % 30, k % 4])).unwrap();
+            let last = smile.executor.as_ref().unwrap().last_compaction;
+            let (before, kept) = (held(&smile), retained(&smile));
+            smile.step().unwrap();
+            let ex = smile.executor.as_ref().unwrap();
+            let after = held(&smile);
+            since += 1;
+            if ex.last_compaction != last {
+                (boundaries, since) = (boundaries + 1, 0);
+                assert_eq!(before, 0, "tick {s}: a cut was still held when the next came");
+                assert_eq!(after, ex.last_cut, "tick {s}: the boundary freed part of its cut");
+                for (slot, cut) in ex.log_cuts(ex.last_compaction) {
+                    let h = horizons.entry(slot).or_insert(Timestamp::ZERO);
+                    *h = (*h).max(cut);
+                }
+            } else {
+                // Between boundaries nothing is cut, so what the logs
+                // gained was appended.
+                let (freed, appended) = (before - after, retained(&smile) - kept);
+                // The cut spread over half the period's one-second ticks.
+                let budget = ex.last_cut.div_ceil(15);
+                assert!(freed <= budget + appended, "tick {s}: freed {freed} > {budget} + {appended}");
+                paced += usize::from(freed > 0 && after > 0);
+                assert!(since < 15 || after == 0, "tick {s}: {after} held {since} ticks after the cut");
+            }
+            for (slot, log) in logs(&smile) {
+                let want = horizons.get(&slot).copied().unwrap_or(Timestamp::ZERO);
+                assert_eq!(log.horizon(), want, "tick {s}: the horizon of {slot:?}");
+                partitioned |= log.reclaimable() > 0 && log.partitions().next().is_some();
+            }
+        }
+        assert!(boundaries >= 3, "{boundaries} boundaries");
+        assert!(paced >= 2 * boundaries, "{paced} ticks freed part of a cut");
+        assert!(partitioned, "no partitioned log held a cut");
+    }
 
     /// The one-pass floors equal a per-edge walk over the sharings each edge
     /// serves (those whose MV is its output or downstream of it), on

@@ -58,11 +58,11 @@ use smile_sim::{Cluster, EventQueue, Mailbox, WaveMeter};
 use smile_telemetry::{
     Alert, BurnRateMonitor, Counter, FleetRollup, Gauge, Histogram, SharingSummary, Telemetry,
 };
-use smile_types::{FastMap, MachineId, Result, SharingId, SimDuration};
+use smile_types::{FastMap, MachineId, RelationId, Result, SharingId, SimDuration};
 use smile_types::{SmileError, Timestamp, VertexId};
 use spans::us;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::rc::Rc;
 
 /// Command dispatch latency (executor → agent).
@@ -267,6 +267,11 @@ pub struct Executor {
     bus: Mailbox<Heartbeat>,
     last_heartbeat: Option<Timestamp>,
     last_compaction: Timestamp,
+    /// Slots whose logs hold cut entries not yet freed, in the order they
+    /// were cut ([`Executor::compact_if_due`]).
+    reclaiming: VecDeque<(MachineId, RelationId)>,
+    /// How many entries the last compaction cut.
+    last_cut: usize,
     /// Transiently-failed pushes awaiting their backoff, min-heap keyed
     /// `(due, idx)`.
     pending_retries: BinaryHeap<Reverse<PendingRetry>>,
@@ -417,6 +422,8 @@ impl Executor {
             bus: Mailbox::new(COMMAND_LATENCY),
             last_heartbeat: None,
             last_compaction: Timestamp::ZERO,
+            reclaiming: VecDeque::new(),
+            last_cut: 0,
             pending_retries: BinaryHeap::new(),
             fault_stats: ExecFaultStats::default(),
             tuples_moved: 0,

@@ -392,14 +392,14 @@ fn run_join(
                     part.buckets().flat_map(|(key, bucket)| at_key(key.values()).map(move |i| (i, bucket))).collect();
                 part.count_probes(window_len, hits.len());
                 hits.sort_unstable_by_key(|&(i, _)| i);
-                probed.extend(hits.into_iter().map(|(i, bucket)| (&window[i], bucket)));
+                probed.extend(hits.into_iter().map(|(i, bucket)| (window.entry(i), bucket)));
                 let kept_keys = flat_keys(kept.iter().map(|r| &r.tuple), &index.key);
                 let (net, rows_of) = hash_kept(&kept, &kept_keys, arity);
                 let mut hits: Vec<(usize, &Vec<&Tuple>)> =
                     rows_of.iter().flat_map(|(&key, rows)| at_key(key).map(move |i| (i, rows))).collect();
                 hits.sort_unstable_by_key(|&(i, _)| i);
                 for (i, rows) in hits {
-                    corrected.extend(rows.iter().map(|&row| (&window[i], row, net[row])));
+                    corrected.extend(rows.iter().map(|&row| (window.entry(i), row, net[row])));
                 }
             }
             scan => {
@@ -571,7 +571,7 @@ fn correct_by_key<'r>(
     for i in 0..n {
         net.clear();
         let key = &keys_flat[i * arity..(i + 1) * arity];
-        let kept = log.positions_where(&range, key_cols, key).into_iter().flatten().map(|p| &rows[p]);
+        let kept = log.positions_where(&range, key_cols, key).into_iter().flatten().map(|p| rows.entry(p));
         for r in kept.filter(|r| filter.eval(&r.tuple)) {
             match net.iter_mut().find(|(row, _)| *row == &r.tuple) {
                 Some((_, w)) => *w += r.weight,

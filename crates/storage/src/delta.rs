@@ -11,6 +11,7 @@
 use crate::predicate::Predicate;
 use crate::zset::ZSet;
 use smile_types::{FastMap, Key, Result, SmileError, Timestamp, Tuple, Value};
+use std::collections::{vec_deque, VecDeque};
 use std::ops::Range;
 
 /// One captured modification: `weight = +1` for an insert, `-1` for a
@@ -108,18 +109,31 @@ impl FromIterator<DeltaEntry> for DeltaBatch {
 /// hands its output over sorted, and each log has one appender; a batch
 /// that would reach behind the end is refused, not sorted in.
 ///
+/// Compaction is two steps. [`DeltaTable::compact`] **cuts**: it advances
+/// the horizon, and from then on no read, length or listing sees the cut
+/// prefix; it costs O(log n). [`DeltaTable::reclaim`] frees cut entries
+/// later, oldest first, as many as its caller's budget allows, and an
+/// append into a full ring frees what it needs before the ring grows. The
+/// entries sit in a ring, so reclaiming never moves a retained entry, and
+/// a window is at most two slices ([`Window`]).
+///
 /// A log may carry **literal partitions**: for a list of columns, the
 /// positions of every entry grouped by its values there. A reader whose
 /// filter has `col = literal` conjuncts on exactly those columns visits
 /// only its literal's entries ([`DeltaTable::window_where`]) instead of
 /// scanning the whole window through the filter, and a join reader with a
 /// partition on its join columns reads one key's entries of a window
-/// ([`DeltaTable::positions_where`]). Positions count from the first
-/// retained entry's, which compaction advances; a log holds a handful of
-/// partitions, so they are found by a scan.
+/// ([`DeltaTable::positions_where`]). A partition lists cut entries until
+/// they are reclaimed; each reclaimed entry pops the front position of its
+/// own literal. A log holds a handful of partitions, so they are found by
+/// a scan.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaTable {
-    entries: Vec<DeltaEntry>,
+    /// Every entry not yet reclaimed: the `cut` oldest lie behind the
+    /// horizon, the rest are retained.
+    entries: VecDeque<DeltaEntry>,
+    /// How many entries at the front are cut and not yet reclaimed.
+    cut: usize,
     /// Everything strictly before this timestamp has been compacted away;
     /// rollbacks past the horizon are impossible.
     horizon: Timestamp,
@@ -131,49 +145,123 @@ pub struct DeltaTable {
 
 /// One literal partition of a [`DeltaTable`]: each literal at `cols` (a
 /// [`Key`], inline when `cols` is one column) with the positions of its
-/// entries, ascending. A literal no retained entry carries has no list.
+/// unreclaimed entries, ascending. A literal no such entry carries has no
+/// list.
 #[derive(Clone, Debug)]
 struct LogPartition {
     cols: Vec<usize>,
-    positions: FastMap<Key, Vec<u32>>,
+    positions: FastMap<Key, VecDeque<u32>>,
+}
+
+/// `entry`'s values at `cols`: a one-column literal is borrowed in place, a
+/// wider one is assembled in `scratch`.
+#[inline]
+fn literal<'e>(cols: &[usize], entry: &'e DeltaEntry, scratch: &'e mut Vec<Value>) -> &'e [Value] {
+    match *cols {
+        [c] => std::slice::from_ref(&entry.tuple.values()[c]),
+        _ => {
+            scratch.clear();
+            scratch.extend(cols.iter().map(|&c| entry.tuple.values()[c].clone()));
+            scratch
+        }
+    }
 }
 
 impl LogPartition {
     /// Lists `entries`, the first at position `first`.
-    fn list(&mut self, entries: &[DeltaEntry], first: u32) {
-        let mut key: Vec<Value> = Vec::with_capacity(self.cols.len());
-        for (i, e) in entries.iter().enumerate() {
-            // A one-column literal is looked up in place; a wider one is
-            // assembled in `key`.
-            let literal: &[Value] = match self.cols[..] {
-                [c] => std::slice::from_ref(&e.tuple.values()[c]),
-                _ => {
-                    key.clear();
-                    key.extend(self.cols.iter().map(|&c| e.tuple.values()[c].clone()));
-                    &key
-                }
-            };
+    fn list<'a>(&mut self, entries: impl Iterator<Item = &'a DeltaEntry>, first: u32) {
+        let mut scratch = Vec::with_capacity(self.cols.len());
+        for (i, e) in entries.enumerate() {
             let at = first.wrapping_add(i as u32);
+            let literal = literal(&self.cols, e, &mut scratch);
             match self.positions.get_mut(literal) {
-                Some(list) => list.push(at),
+                Some(list) => list.push_back(at),
                 None => {
-                    self.positions.insert(Key::from(literal), vec![at]);
+                    self.positions.insert(Key::from(literal), VecDeque::from([at]));
                 }
             }
         }
     }
 
-    /// Forgets the positions of the first `cut` entries, which compaction
-    /// dropped, where `base` is the position of index 0; a literal left
-    /// with none is removed.
-    fn forget(&mut self, base: u32, cut: usize) {
-        if cut == 0 {
+    /// Forgets `entry`, the oldest entry listed, at position `at`: pops the
+    /// front position of its literal, and removes a literal left with none.
+    fn forget(&mut self, entry: &DeltaEntry, at: u32, scratch: &mut Vec<Value>) {
+        let literal = literal(&self.cols, entry, scratch);
+        let Some(list) = self.positions.get_mut(literal) else {
+            debug_assert!(false, "every unreclaimed entry is listed");
             return;
+        };
+        debug_assert_eq!(list.front(), Some(&at), "a literal's oldest position is reclaimed first");
+        list.pop_front();
+        if list.is_empty() {
+            self.positions.remove(literal);
         }
-        self.positions.retain(|_, list| {
-            list.drain(..list.partition_point(|p| (p.wrapping_sub(base) as usize) < cut));
-            !list.is_empty()
-        });
+    }
+}
+
+/// Entries of a log borrowed in place, in log order: the log is a ring, so
+/// a window is at most two slices, `front` before `back`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Window<'a> {
+    front: &'a [DeltaEntry],
+    back: &'a [DeltaEntry],
+}
+
+impl<'a> Window<'a> {
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.front.len() + self.back.len()
+    }
+
+    /// True iff no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.front.is_empty() && self.back.is_empty()
+    }
+
+    /// The `i`-th entry, if the window has one.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&'a DeltaEntry> {
+        match i.checked_sub(self.front.len()) {
+            None => Some(&self.front[i]),
+            Some(j) => self.back.get(j),
+        }
+    }
+
+    /// The `i`-th entry; panics past the end.
+    #[inline]
+    pub fn entry(&self, i: usize) -> &'a DeltaEntry {
+        match i.checked_sub(self.front.len()) {
+            None => &self.front[i],
+            Some(j) => &self.back[j],
+        }
+    }
+
+    /// The entries in log order.
+    #[inline]
+    pub fn iter(&self) -> std::iter::Chain<std::slice::Iter<'a, DeltaEntry>, std::slice::Iter<'a, DeltaEntry>> {
+        self.front.iter().chain(self.back)
+    }
+
+    /// The entries, cloned.
+    pub fn to_vec(&self) -> Vec<DeltaEntry> {
+        [self.front, self.back].concat()
+    }
+}
+
+impl<'a> From<&'a [DeltaEntry]> for Window<'a> {
+    fn from(front: &'a [DeltaEntry]) -> Self {
+        Window { front, back: &[] }
+    }
+}
+
+impl<'a> IntoIterator for Window<'a> {
+    type Item = &'a DeltaEntry;
+    type IntoIter = std::iter::Chain<std::slice::Iter<'a, DeltaEntry>, std::slice::Iter<'a, DeltaEntry>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -183,7 +271,7 @@ impl LogPartition {
 pub struct Positions<'a> {
     /// The position of the window's first entry.
     first: u32,
-    positions: std::slice::Iter<'a, u32>,
+    positions: vec_deque::Iter<'a, u32>,
 }
 
 impl Iterator for Positions<'_> {
@@ -203,7 +291,7 @@ impl Iterator for Positions<'_> {
 /// [`DeltaTable::window_where`] returns.
 #[derive(Clone, Debug)]
 pub struct WindowWhere<'a> {
-    window: &'a [DeltaEntry],
+    window: Window<'a>,
     positions: Positions<'a>,
 }
 
@@ -212,7 +300,7 @@ impl<'a> Iterator for WindowWhere<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a DeltaEntry> {
-        Some(&self.window[self.positions.next()?])
+        self.window.get(self.positions.next()?)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -223,7 +311,7 @@ impl<'a> Iterator for WindowWhere<'a> {
 /// A window read: through a literal partition, or the whole window.
 enum WindowRead<'a> {
     Where(WindowWhere<'a>),
-    Scan(std::slice::Iter<'a, DeltaEntry>),
+    Scan(<Window<'a> as IntoIterator>::IntoIter),
 }
 
 impl<'a> Iterator for WindowRead<'a> {
@@ -262,29 +350,37 @@ impl DeltaTable {
             }
             end = e.ts;
         }
+        // A held cut never makes the ring grow: it is freed first. A ring
+        // touches all of its capacity as it turns, where a `Vec` touches
+        // only its longest length, so it grows by an eighth, not double.
+        let more = batch.entries.len();
+        self.reclaim((self.entries.len() + more).saturating_sub(self.entries.capacity()));
+        if self.entries.len() + more > self.entries.capacity() {
+            self.entries.reserve_exact(more.max(self.entries.len() / 8).max(8));
+        }
         let listed = self.entries.len();
         self.entries.extend(batch.entries);
         let first = self.base.wrapping_add(listed as u32);
         for part in &mut self.partitions {
-            part.list(&self.entries[listed..], first);
+            part.list(self.entries.range(listed..), first);
         }
         Ok(())
     }
 
-    /// Number of stored entries.
+    /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.cut
     }
 
-    /// True iff no stored entries.
+    /// True iff no retained entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Where the log ends: the later of its newest entry's timestamp and
     /// the compaction horizon. Nothing is ever appended below it.
     pub fn end(&self) -> Timestamp {
-        self.entries.last().map_or(self.horizon, |e| e.ts.max(self.horizon))
+        self.entries.back().map_or(self.horizon, |e| e.ts.max(self.horizon))
     }
 
     /// The compaction horizon: rollbacks to timestamps `>= horizon` are safe.
@@ -300,22 +396,37 @@ impl DeltaTable {
         }
     }
 
+    /// How many retained entries have `ts <= at`.
+    fn retained_through(&self, at: Timestamp) -> usize {
+        self.entries.partition_point(|e| e.ts <= at).max(self.cut) - self.cut
+    }
+
     /// The index range of `(lo, hi]` in the log (into
     /// [`DeltaTable::iter`]); empty when `hi <= lo`.
     pub fn window_range(&self, lo: Timestamp, hi: Timestamp) -> Range<usize> {
         if hi <= lo {
             return 0..0;
         }
-        let start = self.entries.partition_point(|e| e.ts <= lo);
-        start..self.entries.partition_point(|e| e.ts <= hi)
+        self.retained_through(lo)..self.retained_through(hi)
     }
 
     /// All entries with `lo < ts <= hi`, borrowed from the log — the
     /// zero-copy window read the hot path uses: ship-side WAL encoding and
-    /// join probing iterate the slice in place instead of cloning every
+    /// join probing iterate the window in place instead of cloning every
     /// entry into a scratch batch. Empty when `hi <= lo`.
-    pub fn window_ref(&self, lo: Timestamp, hi: Timestamp) -> &[DeltaEntry] {
-        &self.entries[self.window_range(lo, hi)]
+    pub fn window_ref(&self, lo: Timestamp, hi: Timestamp) -> Window<'_> {
+        self.slice(self.window_range(lo, hi))
+    }
+
+    /// The retained entries at `range` (indices into [`DeltaTable::iter`]).
+    fn slice(&self, range: Range<usize>) -> Window<'_> {
+        let (a, b) = self.entries.as_slices();
+        let (lo, hi) = (self.cut + range.start, self.cut + range.end);
+        let split = a.len();
+        Window {
+            front: &a[lo.min(split)..hi.min(split)],
+            back: &b[lo.saturating_sub(split)..hi.saturating_sub(split)],
+        }
     }
 
     /// Number of entries with `lo < ts <= hi` without materializing them
@@ -335,12 +446,16 @@ impl DeltaTable {
         literals: &[Value],
     ) -> Option<Positions<'_>> {
         let part = self.partitions.iter().find(|p| p.cols == cols)?;
-        let positions = part.positions.get(literals).map_or(&[][..], Vec::as_slice);
+        // Indices into `entries`, cut entries included.
+        let (lo, hi) = (self.cut + range.start, self.cut + range.end);
+        let first = self.base.wrapping_add(lo as u32);
+        let Some(positions) = part.positions.get(literals) else {
+            return Some(Positions { first, positions: Default::default() });
+        };
         let index = |p: &u32| p.wrapping_sub(self.base) as usize;
-        let start = positions.partition_point(|p| index(p) < range.start);
-        let end = start + positions[start..].partition_point(|p| index(p) < range.end);
-        let first = self.base.wrapping_add(range.start as u32);
-        Some(Positions { first, positions: positions[start..end].iter() })
+        let start = positions.partition_point(|p| index(p) < lo);
+        let end = positions.partition_point(|p| index(p) < hi);
+        Some(Positions { first, positions: positions.range(start..end) })
     }
 
     /// The entries with `lo < ts <= hi` whose values at `cols` are
@@ -356,7 +471,7 @@ impl DeltaTable {
     ) -> Option<WindowWhere<'_>> {
         let range = self.window_range(lo, hi);
         let positions = self.positions_where(&range, cols, literals)?;
-        Some(WindowWhere { window: &self.entries[range], positions })
+        Some(WindowWhere { window: self.slice(range), positions })
     }
 
     /// The entries with `lo < ts <= hi` that pass `filter`, in log order —
@@ -375,19 +490,19 @@ impl DeltaTable {
             filter.eq_literals().into_iter().map(|(c, v)| (c, v.clone())).unzip();
         let read = match self.window_where(lo, hi, &cols, &literals) {
             Some(entries) => WindowRead::Where(entries),
-            None => WindowRead::Scan(self.window_ref(lo, hi).iter()),
+            None => WindowRead::Scan(self.window_ref(lo, hi).into_iter()),
         };
         read.filter(move |e| filter.eval(&e.tuple))
     }
 
-    /// Installs the partition on `cols`, listing every retained entry
+    /// Installs the partition on `cols`, listing every unreclaimed entry
     /// (idempotent: an installed one is kept).
     pub fn ensure_partition(&mut self, cols: &[usize]) {
         if self.partitions.iter().any(|p| p.cols == cols) {
             return;
         }
         let mut part = LogPartition { cols: cols.to_vec(), positions: FastMap::default() };
-        part.list(&self.entries, self.base);
+        part.list(self.entries.iter(), self.base);
         self.partitions.push(part);
     }
 
@@ -404,36 +519,63 @@ impl DeltaTable {
     }
 
     /// Each literal of the partition on `cols` with the indices, into
-    /// [`DeltaTable::iter`], of the entries it lists — for checking that a
-    /// partition lists exactly the retained entries. `None` when no such
+    /// [`DeltaTable::iter`], of the retained entries it lists — for
+    /// checking that a partition lists exactly the retained entries. A
+    /// literal only cut entries carry is left out. `None` when no such
     /// partition is installed.
     pub fn partition_listing(&self, cols: &[usize]) -> Option<Vec<(&[Value], Vec<usize>)>> {
         let part = self.partitions.iter().find(|p| p.cols == cols)?;
         let index = |p: &u32| p.wrapping_sub(self.base) as usize;
-        let listing = part.positions.iter().map(|(lit, list)| (lit.values(), list.iter().map(index).collect()));
-        Some(listing.collect())
+        let retained = |list: &VecDeque<u32>| -> Vec<usize> {
+            list.iter().map(index).filter(|&i| i >= self.cut).map(|i| i - self.cut).collect()
+        };
+        let listing = part.positions.iter().map(|(lit, list)| (lit.values(), retained(list)));
+        Some(listing.filter(|(_, indices)| !indices.is_empty()).collect())
     }
 
-    /// Drops all entries with `ts <= before`, advancing the horizon and
-    /// the partitions' base. Returns the number of compacted entries.
-    /// Called once downstream consumers can no longer request rollbacks
-    /// past `before`.
+    /// Cuts all entries with `ts <= before`, advancing the horizon: no read
+    /// sees them again. Returns the number of entries newly cut, which stay
+    /// allocated until [`DeltaTable::reclaim`] frees them. Called once
+    /// downstream consumers can no longer request rollbacks past `before`.
+    /// O(1) when the oldest retained entry is already past `before`,
+    /// O(log n) otherwise.
     pub fn compact(&mut self, before: Timestamp) -> usize {
-        let cut = self.entries.partition_point(|e| e.ts <= before);
-        self.entries.drain(..cut);
-        for part in &mut self.partitions {
-            part.forget(self.base, cut);
-        }
-        self.base = self.base.wrapping_add(cut as u32);
+        let cut = match self.entries.get(self.cut) {
+            Some(oldest) if oldest.ts <= before => self.retained_through(before),
+            _ => 0,
+        };
+        self.cut += cut;
         if before > self.horizon {
             self.horizon = before;
         }
         cut
     }
 
+    /// Number of cut entries not yet reclaimed.
+    pub fn reclaimable(&self) -> usize {
+        self.cut
+    }
+
+    /// Frees up to `budget` of the oldest cut entries, and forgets each in
+    /// every partition through its own literal. Retained entries do not
+    /// move. Returns the number freed.
+    pub fn reclaim(&mut self, budget: usize) -> usize {
+        let n = budget.min(self.cut);
+        let mut scratch = Vec::new();
+        for _ in 0..n {
+            let Some(entry) = self.entries.pop_front() else { break };
+            for part in &mut self.partitions {
+                part.forget(&entry, self.base, &mut scratch);
+            }
+            self.base = self.base.wrapping_add(1);
+        }
+        self.cut -= n;
+        n
+    }
+
     /// Iterates all retained entries in timestamp order.
     pub fn iter(&self) -> impl Iterator<Item = &DeltaEntry> {
-        self.entries.iter()
+        self.entries.range(self.cut..)
     }
 }
 
@@ -518,13 +660,14 @@ mod tests {
 
     /// One key's positions in a window range are the offsets, within the
     /// range, of its entries there, ascending: for ranges that start and
-    /// end between the key's entries, after compaction has advanced `base`,
-    /// and with `base` just below `u32::MAX`, so that positions wrap inside
-    /// the log and again after the compaction.
+    /// end between the key's entries, after a cut, with the cut entries
+    /// still held and once they are reclaimed (which advances `base`), and
+    /// with `base` just below `u32::MAX`, so that positions wrap inside the
+    /// log and again after the reclaim.
     #[test]
     fn positions_where_reads_one_key_of_a_window_range() {
         let keys = [1, 2, 1, 1, 3, 1, 2, 1, 1, 2];
-        for base in [0, u32::MAX - 4] {
+        for (base, reclaim) in [0, u32::MAX - 4].into_iter().flat_map(|b| [(b, false), (b, true)]) {
             let mut d = DeltaTable { base, ..DeltaTable::default() };
             d.ensure_partition(&[0]);
             let batch = keys.iter().enumerate().map(|(i, &k)| e(k, 1, i as u64 + 1));
@@ -542,8 +685,12 @@ mod tests {
             assert_eq!(offsets(&d, 3..3, 1), [] as [usize; 0]);
             assert!(d.positions_where(&(0..4), &[1], &[Value::I64(1)]).is_none());
 
-            d.compact(Timestamp::from_secs(3));
-            assert_eq!(d.base, base.wrapping_add(3));
+            assert_eq!(d.compact(Timestamp::from_secs(3)), 3);
+            assert_eq!((d.len(), d.reclaimable(), d.base), (7, 3, base));
+            if reclaim {
+                assert_eq!(d.reclaim(usize::MAX), 3);
+                assert_eq!((d.reclaimable(), d.base), (0, base.wrapping_add(3)));
+            }
             d.append_batch([e(1, 1, 11), e(3, 1, 12)].into_iter().collect()).unwrap();
             // After the cut key 1 sits at indices 0, 2, 4, 5 and 7.
             let range = d.window_range(Timestamp::from_secs(4), Timestamp::from_secs(11));
@@ -554,13 +701,55 @@ mod tests {
                     let [lo, hi] = [lo, hi].map(Timestamp::from_secs);
                     let range = d.window_range(lo, hi);
                     for k in 1..=3 {
-                        let scan = d.window_ref(lo, hi).iter().enumerate();
+                        let scan = d.window_ref(lo, hi).into_iter().enumerate();
                         let want: Vec<usize> = scan.filter(|(_, x)| x.tuple == tuple![k]).map(|(i, _)| i).collect();
                         assert_eq!(offsets(&d, range.clone(), k), want, "key {k} in {range:?}, base {base}");
                     }
                 }
             }
         }
+    }
+
+    /// A cut hides its entries at once and a reclaim frees them, oldest
+    /// first and no more than its budget, without moving the rest.
+    #[test]
+    fn a_cut_hides_and_a_reclaim_frees() {
+        let mut d = DeltaTable::new();
+        d.ensure_partition(&[0]);
+        d.append_batch((1..=6).map(|i| e(i % 2, 1, i as u64)).collect()).unwrap();
+        assert_eq!(d.compact(Timestamp::from_secs(4)), 4);
+        assert_eq!((d.len(), d.reclaimable(), d.entries.len()), (2, 4, 6));
+        assert_eq!(d.iter().map(|x| x.ts).collect::<Vec<_>>(), [5, 6].map(Timestamp::from_secs));
+        assert_eq!(d.compact(Timestamp::from_secs(3)), 0, "a lower cut cuts nothing");
+        assert_eq!(d.horizon(), Timestamp::from_secs(4));
+        let retained: *const DeltaEntry = &d.entries[4];
+        assert_eq!(d.reclaim(3), 3);
+        assert_eq!((d.len(), d.reclaimable(), d.entries.len()), (2, 1, 3));
+        assert_eq!(d.reclaim(9), 1);
+        assert_eq!(d.reclaim(9), 0);
+        assert!(std::ptr::eq(&d.entries[0], retained), "a retained entry is where it was");
+        let mut listing = d.partition_listing(&[0]).unwrap();
+        listing.sort();
+        assert_eq!(listing, [(&[Value::I64(0)][..], vec![1]), (&[Value::I64(1)][..], vec![0])]);
+    }
+
+    /// An append into a full ring frees as many cut entries as it needs
+    /// before it grows the ring, and a ring that must grow grows by an
+    /// eighth, at least eight entries, or what the append brings, not by
+    /// doubling.
+    #[test]
+    fn a_full_ring_frees_its_cut_before_it_grows() {
+        let mut d = DeltaTable::new();
+        d.ensure_partition(&[0]);
+        d.append_batch((1..=8).map(|i| e(i % 3, 1, i as u64)).collect()).unwrap();
+        assert_eq!(d.entries.capacity(), 8);
+        assert_eq!(d.compact(Timestamp::from_secs(5)), 5);
+        d.append_batch((9..=11).map(|i| e(i % 3, 1, i as u64)).collect()).unwrap();
+        assert_eq!((d.entries.capacity(), d.reclaimable(), d.len()), (8, 2, 6));
+        d.append_batch((12..=15).map(|i| e(i % 3, 1, i as u64)).collect()).unwrap();
+        assert_eq!((d.entries.capacity(), d.reclaimable(), d.len()), (14, 0, 10));
+        let listed: usize = d.partition_listing(&[0]).unwrap().iter().map(|(_, at)| at.len()).sum();
+        assert_eq!(listed, 10);
     }
 
     #[test]
@@ -588,6 +777,8 @@ mod tests {
         /// newest entry, and then refused.
         Single(i64, i64, u64),
         Compact(u64),
+        /// Frees up to this many cut entries.
+        Reclaim(usize),
         Ensure(usize),
         Drop(usize),
     }
@@ -601,6 +792,7 @@ mod tests {
             prop::collection::vec(row.clone(), 0..8).prop_map(Op::Batch),
             row.prop_map(|(a, b, ts)| Op::Single(a, b, ts)),
             (0u64..30).prop_map(Op::Compact),
+            (0usize..12).prop_map(Op::Reclaim),
             (0usize..3).prop_map(Op::Ensure),
             (0usize..3).prop_map(Op::Drop),
         ]
@@ -622,66 +814,103 @@ mod tests {
     }
 
     proptest! {
-        /// Whatever appends, compactions and installs came before, reading
-        /// a window through a partition yields exactly the window's scan
-        /// filtered on the literal, in the same order, and every partition
-        /// lists each retained entry once, under its own literal. An entry
-        /// behind the log's end is refused exactly when it is behind, and
-        /// leaves the log as it was. The literal columns hold ints, or with
-        /// `typed` text and floats (`-0.0` among them).
+        /// Whatever appends, cuts, reclaims and installs came before,
+        /// reading a window through a partition yields exactly the window's
+        /// scan filtered on the literal, in the same order, and every
+        /// partition lists each retained entry once, under its own literal.
+        /// A twin log that reclaims everything right after each cut reads
+        /// the same at every step: every window, partition read and
+        /// listing, the horizon, the end and the length; so how much of a
+        /// cut is reclaimed shows in no read. An entry behind the log's end
+        /// is refused exactly when it is behind, and leaves the log as it
+        /// was. The literal columns hold ints, or with `typed` text and
+        /// floats (`-0.0` among them).
         #[test]
         fn partition_reads_equal_filtered_scans(
             ops in prop::collection::vec(arb_op(), 1..24),
             typed in prop::bool::ANY,
         ) {
-            let mut d = DeltaTable::new();
+            let (mut d, mut twin) = (DeltaTable::new(), DeltaTable::new());
             for op in ops {
                 match op {
                     Op::Batch(mut rows) => {
                         rows.sort_by_key(|r| r.2);
                         let end = d.end();
-                        let batch = rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, end, typed));
-                        prop_assert_eq!(d.append_batch(batch.collect()), Ok(()));
+                        let batch: DeltaBatch = rows.into_iter().map(|(a, b, ts)| entry(a, b, ts, end, typed)).collect();
+                        prop_assert_eq!(twin.append_batch(batch.clone()), Ok(()));
+                        prop_assert_eq!(d.append_batch(batch), Ok(()));
                     }
                     Op::Single(a, b, ts) => {
                         let (single, before) = (entry(a, b, ts, d.horizon(), typed), format!("{d:?}"));
                         let behind = single.ts < d.end();
-                        let landed = d.append_batch(DeltaBatch { entries: vec![single] });
-                        prop_assert_eq!(landed.is_err(), behind);
+                        let batch = DeltaBatch { entries: vec![single] };
+                        prop_assert_eq!(twin.append_batch(batch.clone()).is_err(), behind);
+                        prop_assert_eq!(d.append_batch(batch).is_err(), behind);
                         if behind {
                             prop_assert_eq!(format!("{d:?}"), before);
                         }
                     }
                     Op::Compact(ts) => {
-                        d.compact(Timestamp::from_secs(ts));
+                        let ts = Timestamp::from_secs(ts);
+                        prop_assert_eq!(d.compact(ts), twin.compact(ts));
+                        twin.reclaim(usize::MAX);
                     }
-                    Op::Ensure(i) => d.ensure_partition(COLS[i]),
+                    Op::Reclaim(n) => {
+                        let held = d.reclaimable();
+                        prop_assert_eq!(d.reclaim(n), n.min(held));
+                    }
+                    Op::Ensure(i) => {
+                        d.ensure_partition(COLS[i]);
+                        twin.ensure_partition(COLS[i]);
+                    }
                     Op::Drop(i) => {
-                        d.drop_partition(COLS[i]);
+                        prop_assert_eq!(d.drop_partition(COLS[i]), twin.drop_partition(COLS[i]));
                     }
                 }
+                prop_assert_eq!(twin.reclaimable(), 0);
+                prop_assert_eq!((d.len(), d.end(), d.horizon()), (twin.len(), twin.end(), twin.horizon()));
+                let retained: Vec<&DeltaEntry> = d.iter().collect();
+                prop_assert_eq!(&retained, &twin.iter().collect::<Vec<_>>());
+                prop_assert_eq!(retained.len(), d.len());
+                let stamps = || (0u64..32).step_by(3).map(Timestamp::from_secs);
+                let windows = || stamps().flat_map(|lo| stamps().map(move |hi| (lo, hi)));
+                for (lo, hi) in windows() {
+                    prop_assert_eq!(d.window_ref(lo, hi).to_vec(), twin.window_ref(lo, hi).to_vec());
+                    prop_assert_eq!(d.window_range(lo, hi), twin.window_range(lo, hi));
+                }
                 let installed: Vec<Vec<usize>> = d.partitions().map(<[usize]>::to_vec).collect();
+                prop_assert_eq!(&installed, &twin.partitions().map(<[usize]>::to_vec).collect::<Vec<_>>());
                 for cols in &installed {
                     let at = |t: &Tuple| cols.iter().map(|&c| t.values()[c].clone()).collect::<Vec<_>>();
+                    let mut listing = d.partition_listing(cols).unwrap();
+                    let mut twin_listing = twin.partition_listing(cols).unwrap();
+                    listing.sort();
+                    twin_listing.sort();
+                    prop_assert_eq!(&listing, &twin_listing);
                     let mut listed = 0;
-                    for (lit, indices) in d.partition_listing(cols).unwrap() {
+                    for (lit, indices) in listing {
                         prop_assert!(!indices.is_empty());
                         prop_assert!(indices.windows(2).all(|w| w[0] < w[1]));
                         for &i in &indices {
                             prop_assert!(i < d.len());
-                            prop_assert_eq!(&at(&d.entries[i].tuple)[..], lit);
+                            prop_assert_eq!(&at(&retained[i].tuple)[..], lit);
                         }
                         listed += indices.len();
                     }
                     prop_assert_eq!(listed, d.len());
-                    let stamps = || (0u64..32).step_by(3).map(Timestamp::from_secs);
-                    for (lo, hi) in stamps().flat_map(|lo| stamps().map(move |hi| (lo, hi))) {
+                    for (lo, hi) in windows() {
+                        let range = d.window_range(lo, hi);
                         for lit in (0i64..3).flat_map(|a| (0i64..3).map(move |b| [a, b])) {
                             let lit: Vec<Value> = cols.iter().zip(lit).map(|(&c, v)| value(c, v, typed)).collect();
                             let read: Vec<&DeltaEntry> = d.window_where(lo, hi, cols, &lit).unwrap().collect();
                             let scan: Vec<&DeltaEntry> =
-                                d.window_ref(lo, hi).iter().filter(|e| at(&e.tuple) == lit).collect();
-                            prop_assert_eq!(read, scan);
+                                d.window_ref(lo, hi).into_iter().filter(|e| at(&e.tuple) == lit).collect();
+                            prop_assert_eq!(&read, &scan);
+                            let twin_read: Vec<&DeltaEntry> = twin.window_where(lo, hi, cols, &lit).unwrap().collect();
+                            prop_assert_eq!(&read, &twin_read);
+                            let offsets: Vec<usize> = d.positions_where(&range, cols, &lit).unwrap().collect();
+                            let twin_offsets: Vec<usize> = twin.positions_where(&range, cols, &lit).unwrap().collect();
+                            prop_assert_eq!(offsets, twin_offsets);
                         }
                     }
                 }

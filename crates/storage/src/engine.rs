@@ -15,7 +15,7 @@ use crate::predicate::Predicate;
 use crate::spj::RelationProvider;
 use crate::table::Table;
 use crate::zset::ZSet;
-use smile_types::{RelationId, Result, Schema, SimDuration, SmileError, Timestamp};
+use smile_types::{FastMap, RelationId, Result, Schema, SimDuration, SmileError, Timestamp};
 use std::collections::HashMap;
 
 /// One relation slot: materialized contents plus the captured delta log.
@@ -52,7 +52,9 @@ impl RelationSlot {
 /// A single machine's database instance.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    relations: HashMap<RelationId, RelationSlot>,
+    /// On the seedless hasher: a slot lookup sits on every ingest, ship,
+    /// land and apply.
+    relations: FastMap<RelationId, RelationSlot>,
     wal: crate::wal::WalStats,
     /// Just past the newest instant this machine's base relations were
     /// read as of ([`Database::vouch`]); no entry is ingested below it.
@@ -332,10 +334,17 @@ impl Database {
         slot.table.snapshot_at(&slot.delta, at)
     }
 
-    /// Compacts a relation's delta log up to `before`; returns entries
-    /// dropped.
+    /// Cuts a relation's delta log through `before`
+    /// ([`DeltaTable::compact`]); returns the entries newly cut, which
+    /// [`DeltaTable::reclaim`] frees later.
     pub fn compact(&mut self, rel: RelationId, before: Timestamp) -> Result<usize> {
         Ok(self.slot_mut(rel)?.delta.compact(before))
+    }
+
+    /// A relation's delta log, for compaction to cut and reclaim it;
+    /// `None` when the relation is not stored here.
+    pub fn log_mut(&mut self, rel: RelationId) -> Option<&mut DeltaTable> {
+        self.relations.get_mut(&rel).map(|slot| &mut slot.delta)
     }
 
     /// Sum of materialized bytes across all relations (disk metering).

@@ -11,7 +11,7 @@
 //! the requested instant, or add not-yet-applied ones to look forward.
 
 use crate::arrangement::{Arrangement, ArrangementCounters, Bucket, IndexCols};
-use crate::delta::{DeltaBatch, DeltaEntry, DeltaTable};
+use crate::delta::{DeltaBatch, DeltaTable, Window};
 use crate::zset::{RowChange, ZSet};
 use smile_types::{FastMap, Key, RelationId, Schema, SmileError, Timestamp, Tuple, Value};
 use std::borrow::Borrow;
@@ -107,17 +107,17 @@ impl Table {
     ///
     /// Returns an error if a tuple does not match the schema.
     pub fn apply(&mut self, batch: &DeltaBatch, through: Timestamp) -> Result<(), SmileError> {
-        self.apply_entries(&batch.entries, through)
+        self.apply_entries(Window::from(&batch.entries[..]), through)
     }
 
-    /// [`apply`] driven by a borrowed entry slice — lets the engine apply a
+    /// [`apply`] driven by borrowed entries — lets the engine apply a
     /// delta-log window in place without cloning it into a batch first. A
     /// refused batch changes nothing (the `Database` names the relation).
     ///
     /// [`apply`]: Table::apply
     pub fn apply_entries(
         &mut self,
-        entries: &[DeltaEntry],
+        entries: Window<'_>,
         through: Timestamp,
     ) -> Result<(), SmileError> {
         if let Some(e) = entries.iter().find(|e| !self.schema.admits(&e.tuple)) {
@@ -291,6 +291,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaEntry;
     use proptest::prelude::*;
     use smile_types::{tuple, Column, ColumnType};
 

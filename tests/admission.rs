@@ -225,3 +225,63 @@ fn pinned_mv_lands_on_the_pinned_machine() {
     let planned = smile.planned(id).unwrap();
     assert_eq!(planned.mv_machine, pin);
 }
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Every output of a plan search that admission reads or stores, as one
+/// line: the plan, the MV's machine, the critical path, the dollar cost's
+/// bits and the stored column order.
+fn planned_line(smile: &Smile, id: SharingId) -> String {
+    let p = smile.planned(id).unwrap();
+    let (plan, cost) = (p.plan.canonical_string(), p.dollar_cost.to_bits());
+    format!("{plan}|{:?}|{:?}|{cost:x}|{:?}\u{1f}", p.mv_machine, p.critical_path, p.columns)
+}
+
+/// The planner's outputs, pinned: the 25 paper sharings admitted as
+/// `fig5_gardenhose` admits them (MVs round-robin on six machines), then
+/// unpinned, then under each forced objective; the first 500 sharings of
+/// the admission-at-scale set with their pins; and one `Inadmissible` and
+/// one `CapacityExhausted` refusal. A change to how plans are searched,
+/// costed or built that moves any plan, metric, tie-break or error moves
+/// the digest.
+#[test]
+fn planner_outputs_match_the_pinned_digest() {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let sla = SimDuration::from_secs(45);
+    let runs = [(true, None), (false, None), (false, Some(Objective::Dollars)), (false, Some(Objective::Time))];
+    for (pinned, force) in runs {
+        let mut config = SmileConfig::with_machines(6);
+        config.force_objective = force;
+        let mut smile = Smile::new(config);
+        let r = TwitterWorkload::register(&mut smile, TwitterConfig::default()).unwrap().rels();
+        for (i, s) in paper_sharings(&r).into_iter().enumerate() {
+            let pin = pinned.then(|| MachineId::new((i % 6) as u32));
+            let id = smile.submit_pinned(s.app, s.query, sla, 0.001, pin).unwrap();
+            h = fnv1a(h, planned_line(&smile, id).as_bytes());
+        }
+        if pinned {
+            let q = paper_sharings(&r).swap_remove(0).query;
+            let err = smile.submit("tight", q, SimDuration::from_millis(1), 0.001).unwrap_err();
+            assert!(matches!(err, SmileError::Inadmissible { .. }), "{err:?}");
+            h = fnv1a(h, format!("{err:?}").as_bytes());
+        }
+    }
+    let mut config = SmileConfig::with_machines(4);
+    config.capacity = 1e9;
+    let (mut smile, rels) = fleet(config, &common::scale_bases(4));
+    for i in 0..500 {
+        let pin = Some(MachineId::new((i % 4) as u32));
+        let id = smile.submit_pinned(&format!("S{i}"), common::scale_query(&rels, i), sla, 0.001, pin).unwrap();
+        h = fnv1a(h, planned_line(&smile, id).as_bytes());
+    }
+    let mut config = SmileConfig::with_machines(4);
+    config.capacity = 1e-6;
+    let (mut smile, rels) = fleet(config, &common::scale_bases(4));
+    let err = smile.submit("full", common::scale_query(&rels, 1), sla, 0.001).unwrap_err();
+    assert!(matches!(err, SmileError::CapacityExhausted { .. }), "{err:?}");
+    h = fnv1a(h, format!("{err:?}").as_bytes());
+    assert_eq!(h, 0x8bad_4ea7_e886_8540, "planner output digest moved");
+}

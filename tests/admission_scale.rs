@@ -8,15 +8,13 @@ use smile::core::plan::dag::EdgeOp;
 use smile::core::platform::{Smile, SmileConfig};
 use smile::sim::FaultProfile;
 use smile::storage::delta::DeltaEntry;
-use smile::storage::join::JoinOn;
-use smile::storage::{Predicate, SpjQuery};
 use smile::types::{tuple, MachineId, RelationId, SharingId, SimDuration};
 
 const MACHINES: u32 = 4;
 const SHARINGS: usize = 10_000;
 
 mod common;
-use common::{assert_exact, distinct, feed, fleet, fleet_arrangements, live_probes, stats, Base};
+use common::{assert_exact, distinct, feed, fleet, fleet_arrangements, live_probes, scale_bases, scale_query};
 
 fn build() -> (Smile, Vec<RelationId>) {
     let mut config = SmileConfig::with_machines(MACHINES as usize);
@@ -38,21 +36,7 @@ fn build() -> (Smile, Vec<RelationId>) {
     // resident sharings, and tick cadence affects freshness, not
     // correctness (a property the proptest suite pins down).
     config.exec.tick = SimDuration::from_secs(2);
-    let base = |m| {
-        let stats = stats(8.0, 1000.0, 24.0, &[1000.0, 100.0, 8.0]);
-        Base::i64(&format!("rel{m}"), &["id", "fk", "g"], &[0], m, stats)
-    };
-    fleet(config, &(0..MACHINES).map(base).collect::<Vec<_>>())
-}
-
-/// The i-th generated sharing: a two-way cross-machine join whose equality
-/// literal advances as `isqrt(i)`, so most admissions dedup into a resident
-/// structure while distinct structures keep appearing throughout the sweep.
-fn query(rels: &[RelationId], i: usize) -> SpjQuery {
-    let shape = i % 4;
-    let k = (i as f64).sqrt().floor() as i64;
-    let (a, b) = (rels[shape], rels[(shape + 1) % rels.len()]);
-    SpjQuery::scan(a).join(b, JoinOn::on(1, 1), Predicate::eq(2, k))
+    fleet(config, &scale_bases(MACHINES))
 }
 
 #[test]
@@ -67,7 +51,7 @@ fn ten_thousand_sharings_share_structure_and_stay_exact_under_chaos() {
             let pin = Some(MachineId::new((i % MACHINES as usize) as u32));
             let sla = SimDuration::from_secs(25);
             smile
-                .submit_pinned(&format!("S{i}"), query(&rels, i), sla, 0.001, pin)
+                .submit_pinned(&format!("S{i}"), scale_query(&rels, i), sla, 0.001, pin)
                 .unwrap_or_else(|e| panic!("sharing {i} rejected at scale: {e}"))
         })
         .collect();
@@ -139,7 +123,7 @@ fn a_lifecycle_change_reconciles_only_what_it_changed() {
     let (mut smile, rels) = build();
     let (sla, pin) = (SimDuration::from_secs(25), Some(MachineId::new(0)));
     for i in 0..3_000 {
-        smile.submit_pinned(&format!("S{i}"), query(&rels, i), sla, 0.001, pin).unwrap();
+        smile.submit_pinned(&format!("S{i}"), scale_query(&rels, i), sla, 0.001, pin).unwrap();
     }
     smile.install().unwrap();
     let live = |smile: &Smile| {
@@ -153,7 +137,7 @@ fn a_lifecycle_change_reconciles_only_what_it_changed() {
     // A literal none of the 3,000 carries: the admission brings its own
     // half-joins and MV.
     let before = live(&smile);
-    let id = smile.submit_live("new", query(&rels, 10_000), sla, 0.001, pin).unwrap();
+    let id = smile.submit_live("new", scale_query(&rels, 10_000), sla, 0.001, pin).unwrap();
     let after = live(&smile);
     let flipped = (0..after.len()).filter(|&v| before.get(v) != Some(&after[v])).count();
     assert!(flipped > 0 && walked(&smile) <= flipped, "walked {} of {all}, {flipped} flipped", walked(&smile));

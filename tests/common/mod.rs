@@ -59,6 +59,27 @@ pub fn fleet(config: SmileConfig, bases: &[Base]) -> (Smile, Vec<RelationId>) {
     (smile, rels)
 }
 
+/// The admission-at-scale fleet's bases: `rel{m}(id, fk, g)` on each of
+/// `machines` machines, with equal priors.
+pub fn scale_bases(machines: u32) -> Vec<Base> {
+    let base = |m| {
+        let stats = stats(8.0, 1000.0, 24.0, &[1000.0, 100.0, 8.0]);
+        Base::i64(&format!("rel{m}"), &["id", "fk", "g"], &[0], m, stats)
+    };
+    (0..machines).map(base).collect()
+}
+
+/// The i-th sharing of the admission-at-scale set over [`scale_bases`]: a
+/// two-way cross-machine join whose equality literal advances as
+/// `isqrt(i)`, so most admissions dedup into a resident structure while
+/// distinct structures keep appearing throughout the sweep.
+pub fn scale_query(rels: &[RelationId], i: usize) -> SpjQuery {
+    let shape = i % 4;
+    let k = (i as f64).sqrt().floor() as i64;
+    let (a, b) = (rels[shape], rels[(shape + 1) % rels.len()]);
+    SpjQuery::scan(a).join(b, JoinOn::on(1, 1), Predicate::eq(2, k))
+}
+
 /// The fixture the two-machine suites share: `a(k)` on m0 and `b(k, v)` on
 /// `b_home`, both keyed on `k`.
 pub fn ab_bases(b_home: u32) -> [Base; 2] {

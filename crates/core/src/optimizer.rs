@@ -17,6 +17,12 @@
 //! builds the last layer of the DP — the full join sequence — on the pinned
 //! machine only: nothing extends that layer, so no other state of it is read.
 //!
+//! A DP state is a cost, not a plan: a candidate is wired into a
+//! [`Tally`], which resumes its sub-state's sums with what the extension
+//! appends and so reads exactly what the built plan's walks would, to the
+//! bit. The same wiring, replayed from the winner's choices into a
+//! [`Plan`], is the one plan a search builds.
+//!
 //! The same type is the decision layer at admission time *and* online: it
 //! borrows only immutable planning inputs (catalog, cost model, price sheet,
 //! a machine list) and takes the utilization view and the MV pin per call,
@@ -29,8 +35,8 @@
 
 use crate::catalog::Catalog;
 use crate::multi::{hill_climb, GlobalPlan, HillClimbReport};
-use crate::plan::build::{PlanBuilder, RelHandle};
-use crate::plan::cost::{critical_path, machine_utilization, plan_cost, Scope};
+use crate::plan::build::{PlanBuilder, RelHandle, Sink};
+use crate::plan::cost::{machine_utilization, Scope, Shape, Tally};
 use crate::plan::dag::Plan;
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
@@ -38,7 +44,7 @@ use smile_sim::PriceSheet;
 use smile_storage::join::JoinOn;
 use smile_storage::spj::SpjStep;
 use smile_storage::{AggFunc, AggregateSpec};
-use smile_types::{MachineId, Result, SimDuration, SmileError, VertexId};
+use smile_types::{FastMap, MachineId, Result, Schema, SimDuration, SmileError, VertexId};
 use std::collections::HashMap;
 
 /// Which objective the DP's `COSTCALC` minimizes.
@@ -81,13 +87,27 @@ struct PairCond {
     b: (usize, usize),
 }
 
-/// One DP state: the plan fragment producing a join sequence at a machine.
-struct Candidate {
-    plan: Plan,
-    handle: RelHandle,
+/// One DP state: what the objective and the capacity test read of the plan
+/// fragment producing a join sequence at a machine — its output's
+/// estimates, its cost so far — and the choices that build it. No state
+/// holds a plan: a search builds one, its winner's.
+struct State<'m> {
+    tally: Tally<'m>,
+    handle: RelHandle<Shape>,
     /// Original-query step indexes, in the order this fragment joined them.
     order: Vec<usize>,
+    /// Per join after the first, the machine holding its result and its
+    /// Figure 3 case.
+    placed: Vec<(MachineId, u8)>,
     metric: f64,
+}
+
+/// The final projection and aggregate of a join sequence, remapped into
+/// its order; both `None` for a sequence short of the whole query.
+#[derive(Default)]
+struct MvSpec {
+    projection: Option<Vec<usize>>,
+    aggregate: Option<AggregateSpec>,
 }
 
 /// The sharing optimizer: plan search, the §6.2 selection rule and the
@@ -267,22 +287,17 @@ impl<'a> Optimizer<'a> {
             None => placeable.clone(),
         };
 
-        // dp[(mask, machine)] -> best candidate.
-        let mut dp: HashMap<(u32, MachineId), Candidate> = HashMap::new();
+        // dp[(mask, machine)] -> best state.
+        let mut dp: FastMap<(u32, MachineId), State<'_>> = FastMap::default();
 
         // Seed: singleton sequences at their home machines.
-        let builder = &search.builder;
         for (i, step) in steps.iter().enumerate() {
-            let mut plan = Plan::new();
-            let handle = builder.base_handle(&mut plan, step.relation, step.predicate.clone())?;
-            let machine = handle.machine;
-            let cand = Candidate {
-                plan,
-                handle,
-                order: vec![i],
-                metric: 0.0,
-            };
-            dp.insert((1 << i, machine), cand);
+            let mut tally = Tally::new(self.model);
+            let handle = search.builder.base_handle(&mut tally, step.relation, step.predicate.clone())?;
+            tally.keep([handle.rel, handle.delta]);
+            let (order, placed) = (vec![i], Vec::new());
+            let state = State { tally, handle, order, placed, metric: 0.0 };
+            dp.insert((1 << i, state.handle.machine), state);
         }
 
         let full: u32 = (1 << n) - 1;
@@ -290,45 +305,12 @@ impl<'a> Optimizer<'a> {
             if mask.count_ones() < 2 {
                 continue;
             }
-            let is_final = mask == full;
-            let targets = if is_final { &final_targets } else { &placeable };
-            // This mask's winner per target, first of the minima; inserted
-            // once the mask is done, since `dp` is being read until then.
-            let mut winners: Vec<Option<Candidate>> = targets.iter().map(|_| None).collect();
-            for a in 0..n {
-                if mask & (1 << a) == 0 {
-                    continue;
-                }
-                let sub_mask = mask & !(1 << a);
-                // Skip orders that would need a cross product.
-                let connected = search.conds.iter().any(|c| {
-                    (c.a.0 == a && sub_mask & (1 << c.b.0) != 0)
-                        || (c.b.0 == a && sub_mask & (1 << c.a.0) != 0)
-                });
-                if !connected {
-                    continue;
-                }
-                for &mj in &self.machines {
-                    let Some(sub) = dp.get(&(sub_mask, mj)) else {
-                        continue;
-                    };
-                    for (&mi, best) in targets.iter().zip(&mut winners) {
-                        for case in 0..4u8 {
-                            let Ok(Some(cand)) = self.expand(&search, sub, a, mi, case, is_final)
-                            else {
-                                continue;
-                            };
-                            match best {
-                                Some(b) if b.metric <= cand.metric => {}
-                                _ => *best = Some(cand),
-                            }
-                        }
-                    }
-                }
-            }
-            for (&mi, cand) in targets.iter().zip(winners) {
-                if let Some(cand) = cand {
-                    dp.insert((mask, mi), cand);
+            let targets = if mask == full { &final_targets } else { &placeable };
+            // Inserted once the mask is done, since `dp` is read until then.
+            let winners = self.layer(&search, &dp, mask, targets);
+            for (&mi, state) in targets.iter().zip(winners) {
+                if let Some(state) = state {
+                    dp.insert((mask, mi), state);
                 }
             }
         }
@@ -348,12 +330,76 @@ impl<'a> Optimizer<'a> {
         self.finish(&search, best)
     }
 
+    /// One layer of the DP: per target machine, the cheapest state of join
+    /// sequence `mask` on it (the first of the minima), each candidate
+    /// costed by extending a state of `mask` less one base relation with
+    /// that relation under one of the four Figure 3 cases. A candidate the
+    /// capacity test refuses, or whose wiring errors, is skipped.
+    fn layer<'s>(
+        &self,
+        s: &Search<'_>,
+        dp: &FastMap<(u32, MachineId), State<'s>>,
+        mask: u32,
+        targets: &[MachineId],
+    ) -> Vec<Option<State<'s>>> {
+        let mut winners: Vec<Option<State<'s>>> = targets.iter().map(|_| None).collect();
+        for a in 0..s.steps.len() {
+            if mask & (1 << a) == 0 {
+                continue;
+            }
+            let sub_mask = mask & !(1 << a);
+            // Skip orders that would need a cross product.
+            let connected = s.conds.iter().any(|c| {
+                (c.a.0 == a && sub_mask & (1 << c.b.0) != 0)
+                    || (c.b.0 == a && sub_mask & (1 << c.a.0) != 0)
+            });
+            if !connected {
+                continue;
+            }
+            for &mj in &self.machines {
+                let Some(sub) = dp.get(&(sub_mask, mj)) else {
+                    continue;
+                };
+                let order = [&sub.order[..], &[a]].concat();
+                let (Ok(on), Ok(mv)) = (s.join_condition(&sub.order, a), s.mv_spec(&order)) else {
+                    continue;
+                };
+                for (&mi, best) in targets.iter().zip(&mut winners) {
+                    for case in 0..4u8 {
+                        if degenerate(case, sub.handle.machine, s.home[a], mi) {
+                            continue;
+                        }
+                        let mut tally = sub.tally.clone();
+                        let extended = self.extend(s, &mut tally, &sub.handle, a, (mi, case), &on, &mv);
+                        #[cfg(test)]
+                        {
+                            let placed = [&sub.placed[..], &[(mi, case)]].concat();
+                            tests::assert_costed_as_built(self, s, (&order, &placed, mi), &tally, &extended);
+                        }
+                        let Ok(handle) = extended else { continue };
+                        let Some(metric) = self.metric(s, &tally, handle.rate) else {
+                            continue;
+                        };
+                        if best.as_ref().is_some_and(|b| b.metric <= metric) {
+                            continue;
+                        }
+                        tally.keep([handle.rel, handle.delta]);
+                        let placed = [&sub.placed[..], &[(mi, case)]].concat();
+                        let order = order.clone();
+                        *best = Some(State { tally, handle, order, placed, metric });
+                    }
+                }
+            }
+        }
+        winners
+    }
+
     /// Plans a single-relation sharing: a filtered/projected maintained copy
     /// on the best machine.
     fn plan_single(&self, s: &Search<'_>) -> Result<PlannedSharing> {
         let query = &s.sharing.query;
         let step = &query.steps[0];
-        let mut best: Option<Candidate> = None;
+        let mut best: Option<State<'_>> = None;
         for &m in &self.machines {
             if s.pin.is_some_and(|pin| pin != m) {
                 continue;
@@ -361,26 +407,24 @@ impl<'a> Optimizer<'a> {
             if s.committed.get(&m).copied().unwrap_or(0.0) >= self.capacity {
                 continue; // full machine: metric() would reject any placement
             }
-            let mut plan = Plan::new();
+            s.aggregate_fits.clone()?;
+            let mut tally = Tally::new(self.model);
             let handle = s.builder.scan_plan(
-                &mut plan,
+                &mut tally,
                 step.relation,
                 step.predicate.clone(),
-                query.projection.clone(),
-                query.aggregate.clone(),
+                query.projection.as_deref(),
+                query.aggregate.as_ref(),
                 m,
             )?;
-            let Some(metric) = self.metric(s, &plan, &handle) else {
+            #[cfg(test)]
+            tests::assert_costed_as_built(self, s, (&[0], &[], m), &tally, &Ok(handle.clone()));
+            let Some(metric) = self.metric(s, &tally, handle.rate) else {
                 continue;
             };
-            let cand = Candidate {
-                plan,
-                handle,
-                order: vec![0],
-                metric,
-            };
-            if best.as_ref().is_none_or(|b| cand.metric < b.metric) {
-                best = Some(cand);
+            if best.as_ref().is_none_or(|b| metric < b.metric) {
+                let (order, placed) = (vec![0], Vec::new());
+                best = Some(State { tally, handle, order, placed, metric });
             }
         }
         let best = best.ok_or(SmileError::CapacityExhausted {
@@ -389,110 +433,114 @@ impl<'a> Optimizer<'a> {
         self.finish(s, best)
     }
 
-    /// Applies one of the four Figure 3 cases to extend `sub` with base
-    /// relation (original step) `a`, producing the result on `mi`. Returns
-    /// `Ok(None)` when the placement is infeasible (capacity) or the case is
-    /// a no-op duplicate of case (a).
-    fn expand(
+    /// Extends the fragment whose output is `sub` with base relation
+    /// (original step) `a` under Figure 3 case `case`, producing the join on
+    /// `on` at machine `mi`, with the MV step `mv`: (a) in place, (b) `sub`
+    /// copied to `a`'s machine, (c) `a` copied to `sub`'s machine, (d) both
+    /// copied to `mi`. The one wiring of a candidate, written into a
+    /// [`Tally`] to cost it and into a [`Plan`] to build it.
+    #[allow(clippy::too_many_arguments)]
+    fn extend<S: Sink>(
         &self,
         s: &Search<'_>,
-        sub: &Candidate,
+        sink: &mut S,
+        sub: &RelHandle<S::Form>,
         a: usize,
-        mi: MachineId,
-        case: u8,
-        is_final: bool,
-    ) -> Result<Option<Candidate>> {
+        (mi, case): (MachineId, u8),
+        on: &JoinOn,
+        mv: &MvSpec,
+    ) -> Result<RelHandle<S::Form>> {
         let builder = &s.builder;
         let step = &s.steps[a];
-        let mut plan = sub.plan.clone();
-        let base = builder.base_handle(&mut plan, step.relation, step.predicate.clone())?;
-
-        // Skip degenerate copies that equal case (a).
-        let (left, right) = match case {
-            0 => (sub.handle.clone(), base),
-            1 => {
-                if sub.handle.machine == base.machine {
-                    return Ok(None);
-                }
-                let moved = builder.replica(&mut plan, &sub.handle, base.machine)?;
-                (moved, base)
-            }
-            2 => {
-                if base.machine == sub.handle.machine {
-                    return Ok(None);
-                }
-                let moved = builder.replica(&mut plan, &base, sub.handle.machine)?;
-                (sub.handle.clone(), moved)
-            }
-            _ => {
-                if sub.handle.machine == mi && base.machine == mi {
-                    return Ok(None);
-                }
-                let l = builder.replica(&mut plan, &sub.handle, mi)?;
-                let r = builder.replica(&mut plan, &base, mi)?;
-                (l, r)
-            }
+        let base = builder.base_handle(sink, step.relation, step.predicate.clone())?;
+        let moved_sub = match case {
+            1 => Some(builder.replica(sink, sub, base.machine)?),
+            3 => Some(builder.replica(sink, sub, mi)?),
+            _ => None,
         };
-
-        let mut order = sub.order.clone();
-        order.push(a);
-        let on = s.join_condition(&sub.order, a)?;
-        let (projection, aggregate) = if is_final {
-            (s.remapped_projection(&order)?, s.remapped_aggregate(&order)?)
-        } else {
-            (None, None)
+        let moved_base = match case {
+            2 => Some(builder.replica(sink, &base, sub.machine)?),
+            3 => Some(builder.replica(sink, &base, mi)?),
+            _ => None,
         };
-        let handle = builder.join_step(&mut plan, &left, &right, &on, mi, projection, aggregate)?;
-        let Some(metric) = self.metric(s, &plan, &handle) else {
-            return Ok(None);
-        };
-        Ok(Some(Candidate {
-            plan,
-            handle,
-            order,
-            metric,
-        }))
+        let left = moved_sub.as_ref().unwrap_or(sub);
+        let right = moved_base.as_ref().unwrap_or(&base);
+        let (projection, aggregate) = (mv.projection.as_deref(), mv.aggregate.as_ref());
+        builder.join_step(sink, left, right, on, mi, projection, aggregate)
     }
 
-    /// COSTCALC: the DP objective, or `None` when the fragment exceeds
+    /// COSTCALC: the DP objective of a fragment tallied in `tally` whose MV
+    /// receives `mv_rate` tuples per second, or `None` when it exceeds
     /// machine capacity (the paper costs infeasible plans at ∞).
-    fn metric(&self, s: &Search<'_>, plan: &Plan, handle: &RelHandle) -> Option<f64> {
-        let load = machine_utilization(plan, Scope::All, self.model);
-        for (m, util) in &load {
-            if s.committed.get(m).copied().unwrap_or(0.0) + util > self.capacity {
+    fn metric(&self, s: &Search<'_>, tally: &Tally<'_>, mv_rate: f64) -> Option<f64> {
+        for (m, util) in tally.load() {
+            if s.committed.get(&m).copied().unwrap_or(0.0) + util > self.capacity {
                 return None;
             }
         }
         Some(match s.objective {
-            Objective::Time => critical_path(plan, 1.0, self.model).as_secs_f64(),
-            Objective::Dollars => self.dollars(s.sharing, plan, handle),
+            Objective::Time => tally.critical_path().as_secs_f64(),
+            Objective::Dollars => self.dollars(s.sharing, tally, mv_rate),
         })
     }
 
-    /// Eq. 1 for a single-sharing plan whose MV is `handle`.
-    fn dollars(&self, sharing: &Sharing, plan: &Plan, handle: &RelHandle) -> f64 {
-        plan_cost(
-            plan,
-            self.model,
-            self.prices,
-            sharing.staleness_sla,
-            sharing.penalty_per_tuple,
-            handle.rate,
-        )
+    /// Eq. 1 for a single-sharing fragment whose MV receives `mv_rate`.
+    fn dollars(&self, sharing: &Sharing, tally: &Tally<'_>, mv_rate: f64) -> f64 {
+        tally.plan_cost(self.prices, sharing.staleness_sla, sharing.penalty_per_tuple, mv_rate)
     }
 
-    /// Packages a winning candidate with its admission metrics and where its
-    /// join order stores the submitted query's columns.
-    fn finish(&self, s: &Search<'_>, cand: Candidate) -> Result<PlannedSharing> {
-        cand.plan.validate()?;
+    /// Builds the plan of the fragment joining `order` with the choices
+    /// `placed` — the single-relation scan on `scan_at` when the query has
+    /// one relation.
+    fn build(
+        &self,
+        s: &Search<'_>,
+        order: &[usize],
+        placed: &[(MachineId, u8)],
+        scan_at: MachineId,
+    ) -> Result<(Plan, RelHandle)> {
+        let mut plan = Plan::new();
+        let first = &s.steps[order[0]];
+        if s.steps.len() == 1 {
+            let (query, pred) = (&s.sharing.query, first.predicate.clone());
+            let (projection, aggregate) = (query.projection.as_deref(), query.aggregate.as_ref());
+            let handle = s.builder.scan_plan(&mut plan, first.relation, pred, projection, aggregate, scan_at)?;
+            return Ok((plan, handle));
+        }
+        let mut handle = s.builder.base_handle(&mut plan, first.relation, first.predicate.clone())?;
+        for (k, &choice) in placed.iter().enumerate() {
+            let (joined, a) = (&order[..k + 2], order[k + 1]);
+            let (on, mv) = (s.join_condition(&joined[..k + 1], a)?, s.mv_spec(joined)?);
+            handle = self.extend(s, &mut plan, &handle, a, choice, &on, &mv)?;
+        }
+        Ok((plan, handle))
+    }
+
+    /// Builds the search's winner — the one plan a search materializes —
+    /// and packages it with its admission metrics and where its join order
+    /// stores the submitted query's columns.
+    fn finish(&self, s: &Search<'_>, state: State<'_>) -> Result<PlannedSharing> {
+        let (plan, handle) = self.build(s, &state.order, &state.placed, state.handle.machine)?;
+        plan.validate()?;
         Ok(PlannedSharing {
-            mv: cand.handle.rel,
-            mv_machine: cand.handle.machine,
-            columns: s.stored_columns(&cand.order)?,
-            critical_path: critical_path(&cand.plan, 1.0, self.model),
-            dollar_cost: self.dollars(s.sharing, &cand.plan, &cand.handle),
-            plan: cand.plan,
+            mv: handle.rel,
+            mv_machine: handle.machine,
+            columns: s.stored_columns(&state.order)?,
+            critical_path: state.tally.critical_path(),
+            dollar_cost: self.dollars(s.sharing, &state.tally, state.handle.rate),
+            plan,
         })
+    }
+}
+
+/// Whether Figure 3 case `case` over a fragment on `sub_at` and a base
+/// relation homed at `base_at`, joined on `mi`, is a no-op duplicate of
+/// case (a): a copy to where the relation already is.
+fn degenerate(case: u8, sub_at: MachineId, base_at: MachineId, mi: MachineId) -> bool {
+    match case {
+        1 | 2 => sub_at == base_at,
+        3 => sub_at == mi && base_at == mi,
+        _ => false,
     }
 }
 
@@ -504,6 +552,12 @@ struct Search<'s> {
     steps: &'s [SpjStep],
     /// Columns each step contributes to a concatenated schema.
     arity: Vec<usize>,
+    /// Each step's base relation's home machine.
+    home: Vec<MachineId>,
+    /// Whether the query's aggregate fits the column types of its join
+    /// schema — in any join order, since remapping keeps each column's
+    /// type — or the error a plan's MV step gives when it does not.
+    aggregate_fits: Result<()>,
     conds: Vec<PairCond>,
     builder: PlanBuilder<'s>,
     objective: Objective,
@@ -525,14 +579,26 @@ impl<'s> Search<'s> {
     ) -> Result<Self> {
         let steps = &sharing.query.steps;
         let mut arity = Vec::with_capacity(steps.len());
+        let mut home = Vec::with_capacity(steps.len());
         let mut offsets = Vec::with_capacity(steps.len());
         let mut off = 0usize;
+        let mut schema: Option<Schema> = None;
         for step in steps {
-            let columns = catalog.base(step.relation)?.schema.arity();
+            let base = catalog.base(step.relation)?;
+            let columns = base.schema.arity();
             arity.push(columns);
+            home.push(base.machine);
             offsets.push(off);
             off += columns;
+            if sharing.query.aggregate.is_some() {
+                let joined = schema.map(|s| s.join(&base.schema, "l", "r"));
+                schema = Some(joined.unwrap_or_else(|| base.schema.clone()));
+            }
         }
+        let aggregate_fits = match (&sharing.query.aggregate, &schema) {
+            (Some(spec), Some(schema)) => spec.output_schema(schema).map(drop),
+            _ => Ok(()),
+        };
         let mut conds = Vec::new();
         for (i, step) in steps.iter().enumerate().skip(1) {
             let Some(on) = &step.join else {
@@ -555,6 +621,8 @@ impl<'s> Search<'s> {
             sharing,
             steps,
             arity,
+            home,
+            aggregate_fits,
             conds,
             builder: PlanBuilder::new(catalog),
             objective,
@@ -620,6 +688,19 @@ impl<'s> Search<'s> {
         Ok(map)
     }
 
+    /// The MV step of the join sequence `order`: the sharing's projection
+    /// and aggregate remapped into it when it joins the whole query; an
+    /// error when either does not fit the query's join schema.
+    fn mv_spec(&self, order: &[usize]) -> Result<MvSpec> {
+        if order.len() < self.steps.len() {
+            return Ok(MvSpec::default());
+        }
+        let projection = self.remapped_projection(order)?;
+        let aggregate = self.remapped_aggregate(order)?;
+        self.aggregate_fits.clone()?;
+        Ok(MvSpec { projection, aggregate })
+    }
+
     /// Remaps the sharing's projection (defined over the original join
     /// order's concatenated schema) into the join order `order`.
     fn remapped_projection(&self, order: &[usize]) -> Result<Option<Vec<usize>>> {
@@ -676,8 +757,45 @@ fn remap(map: &[usize], col: usize) -> Result<usize> {
 mod tests {
     use super::*;
     use crate::catalog::BaseStats;
+    use crate::plan::cost::{critical_path, plan_cost};
+    use proptest::prelude::*;
     use smile_storage::{Predicate, SpjQuery};
     use smile_types::{Column, ColumnType, Schema, SharingId};
+
+    /// The search's cost model checked against the plans it stands for,
+    /// from inside every search these tests run: builds the candidate
+    /// `(order, placed, scan_at)` (see [`Optimizer::build`]) and asserts
+    /// that wiring it errs exactly when costing it into `tally` did, and
+    /// that otherwise the built plan's size, Eq. 1 cost, critical path and
+    /// per-machine load equal the tally's to the bit.
+    pub(super) fn assert_costed_as_built(
+        opt: &Optimizer<'_>,
+        s: &Search<'_>,
+        (order, placed, scan_at): (&[usize], &[(MachineId, u8)], MachineId),
+        tally: &Tally<'_>,
+        costed: &Result<RelHandle<Shape>>,
+    ) {
+        let built = opt.build(s, order, placed, scan_at);
+        let (Ok((plan, handle)), Ok(costed)) = (&built, costed) else {
+            assert_eq!(built.is_ok(), costed.is_ok(), "{order:?} {placed:?}: {built:?} / {costed:?}");
+            return;
+        };
+        let at = format!("{order:?} {placed:?}");
+        assert_eq!((plan.vertex_count(), plan.edge_count()), tally.size(), "{at}");
+        assert_eq!(handle.rate.to_bits(), costed.rate.to_bits(), "{at}");
+        let (sla, penalty) = (s.sharing.staleness_sla, s.sharing.penalty_per_tuple);
+        let cost = plan_cost(plan, opt.model, opt.prices, sla, penalty, handle.rate);
+        let tallied = tally.plan_cost(opt.prices, sla, penalty, costed.rate);
+        assert_eq!(cost.to_bits(), tallied.to_bits(), "{at}: Eq. 1 {cost} built, {tallied} costed");
+        assert_eq!(critical_path(plan, 1.0, opt.model), tally.critical_path(), "{at}");
+        let bits = |load: Vec<(MachineId, f64)>| {
+            let mut load: Vec<(MachineId, u64)> = load.into_iter().map(|(m, u)| (m, u.to_bits())).collect();
+            load.sort_unstable();
+            load
+        };
+        let built_load = machine_utilization(plan, Scope::All, opt.model).into_iter().collect();
+        assert_eq!(bits(built_load), bits(tally.load().collect()), "{at}: per-machine load");
+    }
 
     /// users(uid, name) on m0; tweets(tid, uid) on m1; curloc(tid, lat) on m2.
     fn catalog() -> Catalog {
@@ -853,6 +971,92 @@ mod tests {
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
         let r = opt.plan_with(&two_way(45), Objective::Dollars, &committed, None);
         assert!(matches!(r, Err(SmileError::CapacityExhausted { .. })));
+    }
+
+    /// Four bases `r{i}(k: I64, v: I64, x: F64)` homed on `homes`.
+    fn drawn_catalog(homes: &[u32]) -> Catalog {
+        let mut c = Catalog::new();
+        for (i, &home) in homes.iter().enumerate() {
+            let columns = vec![
+                Column::new("k", ColumnType::I64),
+                Column::new("v", ColumnType::I64),
+                Column::new("x", ColumnType::F64),
+            ];
+            let card = 1_000.0 * (i + 1) as f64;
+            let stats = BaseStats {
+                update_rate: 5.0 + 15.0 * i as f64,
+                cardinality: card,
+                tuple_bytes: 24.0 + 8.0 * i as f64,
+                distinct: vec![card, card / 10.0, card / 2.0],
+            };
+            c.register_base(format!("r{i}"), Schema::new(columns, vec![0]), MachineId::new(home), stats);
+        }
+        c
+    }
+
+    /// A drawn query: per step `(base, join column, predicate)` — a literal
+    /// on `k` or `v` or none — each step after the first joined to the step
+    /// before it (a chain) or to the first (a star); then by `last` nothing,
+    /// a projection, a count-and-sum aggregate over an `I64` or an `F64`
+    /// column, or one that sums an `F64` column as `I64` and fits no order.
+    fn drawn_query(steps: &[(usize, usize, u8)], star: bool, last: u8) -> SpjQuery {
+        let pred = |p: u8| match p {
+            0 => Predicate::True,
+            p => Predicate::eq(usize::from(p - 1), 3i64),
+        };
+        let rel = |b: usize| smile_types::RelationId::new(b as u32);
+        let (b0, _, p0) = steps[0];
+        let mut q = SpjQuery::select(rel(b0), pred(p0));
+        for (i, &(b, col, p)) in steps.iter().enumerate().skip(1) {
+            let left = if star { col } else { 3 * (i - 1) + col };
+            q = q.join(rel(b), JoinOn::on(left, col), pred(p));
+        }
+        let arity = 3 * steps.len();
+        match last {
+            1 => q.project(vec![arity - 1, 0]),
+            2 => q.aggregate(AggregateSpec { group_cols: vec![1], aggs: vec![AggFunc::SumI64(arity - 3)] }),
+            3 => q.aggregate(AggregateSpec { group_cols: vec![0], aggs: vec![AggFunc::SumF64(arity - 1)] }),
+            4 => q.aggregate(AggregateSpec { group_cols: vec![0], aggs: vec![AggFunc::SumI64(2)] }),
+            _ => q,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+        /// Every candidate a search costs is built beside it and compared
+        /// (`Optimizer::assert_costed_as_built`, which runs inside every
+        /// search of this crate's tests): one- to five-way chains and stars
+        /// over four bases on four machines, a base often named twice (with
+        /// the same literal or another), filters, projections, aggregates,
+        /// and machines loaded from idle to past capacity. The winner's
+        /// metrics are its built plan's.
+        #[test]
+        fn every_costed_candidate_is_its_built_plan(
+            homes in prop::collection::vec(0u32..4, 4..5),
+            steps in prop::collection::vec((0usize..4, 0usize..2, 0u8..3), 1..6),
+            (star, last) in (prop::bool::ANY, 0u8..5),
+            load in prop::collection::vec(0usize..6, 4..5),
+            (pin, time) in (0u32..5, prop::bool::ANY),
+        ) {
+            let cat = drawn_catalog(&homes);
+            let model = TimeCostModel::paper_defaults();
+            let prices = PriceSheet::ec2_cross_zone();
+            let opt = Optimizer::new(&cat, (0..4).map(MachineId::new).collect(), &model, &prices);
+            let levels = [0.0, 0.5, 0.99, 0.995, 0.999, 1.0];
+            let committed = load.iter().enumerate().map(|(m, &l)| (MachineId::new(m as u32), levels[l]));
+            let committed: HashMap<MachineId, f64> = committed.collect();
+            let query = drawn_query(&steps, star, last);
+            let sharing = Sharing::new(SharingId::new(0), "drawn", query, SimDuration::from_secs(30), 0.001);
+            let objective = if time { Objective::Time } else { Objective::Dollars };
+            let pin = (pin < 4).then(|| MachineId::new(pin));
+            if let Ok(planned) = opt.plan_with(&sharing, objective, &committed, pin) {
+                let plan = &planned.plan;
+                let rate = plan.vertex(planned.mv).est_rate;
+                let cost = plan_cost(plan, &model, &prices, sharing.staleness_sla, 0.001, rate);
+                prop_assert_eq!(cost.to_bits(), planned.dollar_cost.to_bits());
+                prop_assert_eq!(critical_path(plan, 1.0, &model), planned.critical_path);
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Critical time path and dollar cost of sharing plans (paper §5.1–5.2).
+//! Critical time path and dollar cost of sharing plans (paper §5.1–5.2):
+//! read off a whole plan, or tallied as a plan is built ([`Tally`]).
 
+use crate::plan::build::{Est, Form, Sink};
 use crate::plan::dag::{Edge, EdgeOp, Plan, Vertex, VertexKind};
+use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::PriceSheet;
-use smile_types::{Result, SimDuration};
+use smile_storage::join::JoinOn;
+use smile_storage::{AggregateSpec, Predicate};
+use smile_types::{MachineId, RelationId, Result, Schema, SimDuration, SmileError, VertexId};
 use std::collections::HashMap;
 
 /// The one scope plan metrics have: the whole plan. A sharing's share of it
@@ -159,9 +164,25 @@ pub fn plan_cost(
     penalty_per_tuple: f64,
     mv_rate: f64,
 ) -> f64 {
+    let rates = resource_rates_in(plan, plan.vertices().iter(), |_| true, model);
+    let cp = critical_path(plan, 1.0, model);
+    eq1(&rates, cp, model, prices, (sla, penalty_per_tuple), mv_rate)
+}
+
+/// Eq. 1 ([`plan_cost`]) of a plan with resource rates `rates` and
+/// critical path `cp`, for a sharing with `(SLA, penalty per tuple)`
+/// `terms` whose MV receives `mv_rate` tuples per second.
+fn eq1(
+    rates: &ResourceRates,
+    cp: SimDuration,
+    model: &TimeCostModel,
+    prices: &PriceSheet,
+    (sla, penalty_per_tuple): (SimDuration, f64),
+    mv_rate: f64,
+) -> f64 {
     let s = sla.as_secs_f64().max(1e-6);
-    let rescost = res_cost(plan, model, prices);
-    let cp = critical_path(plan, 1.0, model).as_secs_f64();
+    let rescost = prices.dollars_per_sec(rates.cpu_util, rates.net_bytes_per_sec, rates.stored_bytes);
+    let cp = cp.as_secs_f64();
     let mu = 1.0 / model.slowest_per_tuple().as_secs_f64().max(1e-9);
     let late = mm1_late_fraction(mv_rate, mu, s);
     rescost * (1.0 + cp / s) + late * mv_rate * penalty_per_tuple
@@ -193,6 +214,213 @@ pub fn edge_utilization<'a>(
         *load.entry(e.runs_on(plan)).or_default() += per_tuple * rate;
     }
     load
+}
+
+/// What plan search keeps of a relation's structure (the [`Form`] a
+/// [`Tally`] takes): its signature while it is one base relation or a
+/// selection over one, and its arity. Those signatures are the only ones a
+/// plan fragment can name twice — a query that names a base relation twice
+/// reaches its vertex pair twice, and its replicas when both copies move to
+/// one machine — so they are what [`Plan::add_vertex`] deduplicates. A
+/// compound relation (a join, one of its halves, a projection or an
+/// aggregate) covers more of the query at each join step than any relation
+/// before it, so each is built once per fragment and carries no signature.
+#[derive(Clone, Debug)]
+pub struct Shape {
+    sig: Option<ExprSig>,
+    arity: usize,
+}
+
+impl Form for Shape {
+    fn base(rel: RelationId, schema: &Schema) -> Self {
+        Self {
+            sig: Some(ExprSig::base(rel)),
+            arity: schema.arity(),
+        }
+    }
+
+    fn filtered(&self, pred: &Predicate) -> Self {
+        Self {
+            sig: self.sig.clone().map(|sig| ExprSig::filter(pred.clone(), sig)),
+            arity: self.arity,
+        }
+    }
+
+    fn joined(left: &Self, right: &Self, _on: &JoinOn) -> Self {
+        Self {
+            sig: None,
+            arity: left.arity + right.arity,
+        }
+    }
+
+    fn half(&self, _: &Self, _: &Self, _: &JoinOn, _: bool, _: (MachineId, MachineId)) -> Self {
+        Self {
+            sig: None,
+            arity: self.arity,
+        }
+    }
+
+    fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Infallible: whether an aggregate fits the relation's column types is
+    /// a property of the query, not of the join order, and plan search
+    /// checks it once.
+    fn finished(
+        self,
+        projection: Option<&[usize]>,
+        aggregate: Option<&AggregateSpec>,
+    ) -> Result<Self> {
+        let arity = match (aggregate, projection) {
+            (Some(spec), _) => spec.group_cols.len() + 1 + spec.aggs.len(),
+            (None, Some(cols)) => cols.len(),
+            (None, None) => return Ok(self),
+        };
+        Ok(Self { sig: None, arity })
+    }
+}
+
+/// A plan's cost, grown as the plan is built: the [`Sink`] plan search
+/// costs its candidates in. It takes the vertices and edges a
+/// [`PlanBuilder`](crate::plan::build::PlanBuilder) appends, in the same
+/// order, and adds each one's terms of [`resource_rates_in`],
+/// [`edge_utilization`] and [`path_lengths`] onto what its fragment has
+/// summed so far. A candidate's plan is its sub-plan followed by what the
+/// extension appends, so resuming the sub-plan's sums in append order
+/// reproduces a walk over the whole candidate plan to the bit; a path
+/// length is integer microseconds, added and maxed. It deduplicates a
+/// vertex with a single-relation signature ([`Shape`]) and the edge into
+/// one, and refuses a conflicting edge, as [`Plan`] does.
+#[derive(Clone, Debug)]
+pub struct Tally<'m> {
+    model: &'m TimeCostModel,
+    /// Vertices and edges the plan holds.
+    size: (usize, usize),
+    rates: ResourceRates,
+    /// Per machine an edge runs on, in first-use order, its CPU load.
+    load: Vec<(MachineId, f64)>,
+    critical_path: SimDuration,
+    /// The vertices a later step can name: every one with a signature, and
+    /// those added since the last [`Tally::keep`].
+    known: Vec<Known>,
+}
+
+/// One vertex a [`Tally`] can still be asked about.
+#[derive(Clone, Debug)]
+struct Known {
+    id: VertexId,
+    kind: VertexKind,
+    /// Its [`Shape`]'s signature: set iff it can be met again.
+    sig: Option<ExprSig>,
+    machine: MachineId,
+    est: Est,
+    /// Its entry of [`path_lengths`] at one second of updates.
+    dist: SimDuration,
+    /// The edge producing it, kept for a vertex that can be met again.
+    producer: Option<Edge>,
+}
+
+impl<'m> Tally<'m> {
+    /// The tally of an empty plan.
+    pub fn new(model: &'m TimeCostModel) -> Self {
+        Self {
+            model,
+            size: (0, 0),
+            rates: ResourceRates::default(),
+            load: Vec::new(),
+            critical_path: SimDuration::ZERO,
+            known: Vec::new(),
+        }
+    }
+
+    /// Forgets every vertex but those a later step can name: the ones with
+    /// a signature and `keep` (the fragment's output pair).
+    pub fn keep(&mut self, keep: [VertexId; 2]) {
+        self.known.retain(|k| k.sig.is_some() || keep.contains(&k.id));
+    }
+
+    /// Vertices and edges of the plan tallied.
+    pub fn size(&self) -> (usize, usize) {
+        self.size
+    }
+
+    /// [`critical_path`] of the plan tallied, at one second of updates.
+    pub fn critical_path(&self) -> SimDuration {
+        self.critical_path
+    }
+
+    /// [`machine_utilization`] of the plan tallied, as `(machine, load)`.
+    pub fn load(&self) -> impl Iterator<Item = (MachineId, f64)> + '_ {
+        self.load.iter().copied()
+    }
+
+    /// [`plan_cost`] of the plan tallied.
+    pub fn plan_cost(&self, prices: &PriceSheet, sla: SimDuration, penalty_per_tuple: f64, mv_rate: f64) -> f64 {
+        let terms = (sla, penalty_per_tuple);
+        eq1(&self.rates, self.critical_path, self.model, prices, terms, mv_rate)
+    }
+}
+
+impl Sink for Tally<'_> {
+    type Form = Shape;
+
+    fn vertex(&mut self, kind: VertexKind, form: &Shape, machine: MachineId, is_base: bool, est: Est) -> VertexId {
+        let same = |k: &&Known| k.kind == kind && k.machine == machine && k.sig == form.sig;
+        if let Some(existing) = self.known.iter().filter(|_| form.sig.is_some()).find(same) {
+            return existing.id;
+        }
+        let id = VertexId::new(self.size.0 as u32);
+        self.size.0 += 1;
+        if kind == VertexKind::Relation && !is_base {
+            self.rates.stored_bytes += est.card * est.tuple_bytes;
+        }
+        let (sig, dist) = (form.sig.clone(), SimDuration::ZERO);
+        self.known.push(Known { id, kind, sig, machine, est, dist, producer: None });
+        id
+    }
+
+    fn edge(
+        &mut self,
+        op: EdgeOp,
+        inputs: &[VertexId],
+        output: VertexId,
+        filter: &Predicate,
+        projection: Option<&[usize]>,
+        _aggregate: Option<&AggregateSpec>,
+    ) -> Result<usize> {
+        let dist = |v: VertexId| self.known.iter().rev().find(|k| k.id == v).map(|k| k.dist);
+        let arrive = inputs.iter().map(|&i| dist(i)).max().flatten();
+        let Some(out) = self.known.iter_mut().rev().find(|k| k.id == output) else {
+            return Err(SmileError::InvalidPlan(format!("edge output {output} was never tallied")));
+        };
+        // `resource_rates_in` and `edge_utilization`'s term, then
+        // `path_lengths`'s, each as those walks compute them: `x` is one
+        // second, and a machine's load starts from a zero entry.
+        let term = self.model.op_model(&op).per_tuple.as_secs_f64() * out.est.rate;
+        let w = self.model.edge_estimate(&op, out.est.rate * 1.0, out.est.tuple_bytes);
+        let copy = matches!(op, EdgeOp::CopyDelta);
+        if out.sig.is_some() {
+            let (inputs, filter, projection) = (inputs.to_vec(), filter.clone(), projection.map(<[usize]>::to_vec));
+            let edge = Edge { id: self.size.1, op, inputs, output, filter, projection, aggregate: None };
+            if let Some(existing) = &out.producer {
+                return existing.dedup(&edge);
+            }
+            out.producer = Some(edge);
+        }
+        self.rates.cpu_util += term;
+        match self.load.iter_mut().find(|(m, _)| *m == out.machine) {
+            Some((_, load)) => *load += term,
+            None => self.load.push((out.machine, 0.0 + term)),
+        }
+        if copy {
+            self.rates.net_bytes_per_sec += out.est.rate * out.est.tuple_bytes;
+        }
+        out.dist = arrive.unwrap_or(SimDuration::ZERO) + w;
+        self.critical_path = self.critical_path.max(out.dist);
+        self.size.1 += 1;
+        Ok(self.size.1 - 1)
+    }
 }
 
 #[cfg(test)]

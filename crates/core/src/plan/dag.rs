@@ -3,9 +3,9 @@
 use crate::plan::sig::ExprSig;
 use smile_storage::join::JoinOn;
 use smile_storage::{IndexCols, Predicate, SlotIndex};
-use smile_types::{MachineId, RelationId, Result, Schema, SmileError, Value, VertexId};
+use smile_types::{FastMap, MachineId, RelationId, Result, Schema, SmileError, Value, VertexId};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Whether a vertex holds materialized relation contents or a delta log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -142,6 +142,23 @@ impl Edge {
     pub fn attached(&self, plan: &Plan) -> bool {
         plan.producer[self.output.index()] == Some(self.id)
     }
+
+    /// What adding `other` gives where `self` already produces its output:
+    /// `self`'s id when `other` applies the same operator to the same
+    /// inputs with the same filter and projection, else the conflict.
+    pub(crate) fn dedup(&self, other: &Edge) -> Result<usize> {
+        if self.op == other.op
+            && self.inputs == other.inputs
+            && self.filter == other.filter
+            && self.projection == other.projection
+        {
+            return Ok(self.id);
+        }
+        Err(SmileError::InvalidPlan(format!(
+            "vertex {} already produced by a different edge",
+            other.output
+        )))
+    }
 }
 
 /// What [`Plan::undo`] needs to take back a rewiring: the plan's vertex and
@@ -172,15 +189,16 @@ pub struct Plan {
     producer: Vec<Option<usize>>,
     /// Consuming edges of each vertex.
     consumers: Vec<Vec<usize>>,
-    /// Fast duplicate detection: (kind, sig, machine) → vertex.
-    index: HashMap<(VertexKind, ExprSig, MachineId), VertexId>,
+    /// Fast duplicate detection: (kind, sig, machine) → vertex. Only
+    /// looked up, never iterated.
+    index: FastMap<(VertexKind, ExprSig, MachineId), VertexId>,
 }
 
 impl Plan {
     /// Deterministic rendering of the plan's structure — vertices, edges and
     /// producer wiring — for byte-comparison in differential tests. `Debug`
     /// on the whole `Plan` is unsuitable for that: the signature index is a
-    /// `HashMap`, so two structurally identical plans can print differently.
+    /// hash map, so two structurally identical plans can print differently.
     pub fn canonical_string(&self) -> String {
         format!("{:?};{:?};{:?}", self.vertices, self.edges, self.producer)
     }
@@ -429,18 +447,7 @@ impl Plan {
     /// unless an equal one already is.
     fn attach(&mut self, edge: Edge) -> Result<usize> {
         if let Some(existing) = self.producer[edge.output.index()] {
-            let e = &self.edges[existing];
-            if e.op == edge.op
-                && e.inputs == edge.inputs
-                && e.filter == edge.filter
-                && e.projection == edge.projection
-            {
-                return Ok(existing);
-            }
-            return Err(SmileError::InvalidPlan(format!(
-                "vertex {} already produced by a different edge",
-                edge.output
-            )));
+            return self.edges[existing].dedup(&edge);
         }
         let id = edge.id;
         for &input in &edge.inputs {
@@ -556,8 +563,8 @@ impl Plan {
     /// `subset` must be topologically sorted (the executor sorts by its
     /// cached topological rank); an input listed after its consumer is
     /// treated as outside the subset.
-    pub fn wavefronts(&self, subset: &[VertexId]) -> HashMap<VertexId, usize> {
-        let mut wave_of: HashMap<VertexId, usize> = HashMap::with_capacity(subset.len());
+    pub fn wavefronts(&self, subset: &[VertexId]) -> FastMap<VertexId, usize> {
+        let mut wave_of = FastMap::with_capacity_and_hasher(subset.len(), Default::default());
         for &v in subset {
             let w = match self.producer(v) {
                 Some(e) => e
@@ -766,7 +773,7 @@ impl Plan {
     /// replaced supply chain serving nothing; errors on a cyclic plan.
     pub fn garbage_collect(&self, served: &[bool]) -> Result<Plan> {
         let mut out = Plan::new();
-        let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
+        let mut remap: FastMap<VertexId, VertexId> = FastMap::default();
         for v in self.topo_order()? {
             let vert = self.vertex(v);
             if !served[v.index()] && !vert.is_base {
@@ -1100,10 +1107,10 @@ mod tests {
             .unwrap();
         p.add_edge(EdgeOp::DeltaToRel, vec![d1], r1, Predicate::True, None)
             .unwrap();
-        assert_eq!(p.wavefronts(&[d1, r1]), HashMap::from([(d1, 0), (r1, 1)]));
+        assert_eq!(p.wavefronts(&[d1, r1]), FastMap::from_iter([(d1, 0), (r1, 1)]));
         // The base source is never constrained; with the middle vertex
         // outside the subset the tail runs in wave 0.
-        assert_eq!(p.wavefronts(&[r1]), HashMap::from([(r1, 0)]));
+        assert_eq!(p.wavefronts(&[r1]), FastMap::from_iter([(r1, 0)]));
         assert!(p.wavefronts(&[]).is_empty());
     }
 
@@ -1151,7 +1158,7 @@ mod tests {
         p.add_edge(EdgeOp::Union, vec![ca, cb], u, Predicate::True, None)
             .unwrap();
         let waves = p.wavefronts(&[ca, cb, u]);
-        assert_eq!(waves, HashMap::from([(ca, 0), (cb, 0), (u, 1)]));
+        assert_eq!(waves, FastMap::from_iter([(ca, 0), (cb, 0), (u, 1)]));
     }
 
     #[test]
@@ -1259,7 +1266,7 @@ mod tests {
             };
             merged.merge(&sharing, &planned).unwrap();
             let half = |delta_left: bool, at: MachineId| {
-                let (l, r) = (left.sig.clone(), right.sig.clone());
+                let (l, r) = (left.form.sig.clone(), right.form.sig.clone());
                 let pair = (mv_machine, right.machine);
                 let sig = ExprSig::half_join(l, r, on.clone(), delta_left, pair);
                 let found = merged.plan.find_vertex(VertexKind::Delta, &sig, at);

@@ -12,7 +12,8 @@
 //! The two properties the optimizer reasons about are the **critical time
 //! path** `CP(p, x)` (longest transformation path in seconds for `x` seconds
 //! of updates — [`cost::critical_path`]) and the **dollar cost**
-//! ([`cost::plan_cost`], Eq. 1 of the paper).
+//! ([`cost::plan_cost`], Eq. 1 of the paper). Plan search reads both off a
+//! [`cost::Tally`] instead, summed as a candidate would be built.
 
 pub mod build;
 pub mod cost;

@@ -102,10 +102,13 @@ struct State<'m> {
     metric: f64,
 }
 
-/// The final projection and aggregate of a join sequence, remapped into
-/// its order; both `None` for a sequence short of the whole query.
-#[derive(Default)]
-struct MvSpec {
+/// What joining one more base relation onto a fragment takes besides the
+/// fragment: the base (an original step index), the join condition, and —
+/// when the join completes the query — the MV's projection or aggregate
+/// remapped into the join order.
+struct JoinSpec {
+    base: usize,
+    on: JoinOn,
     projection: Option<Vec<usize>>,
     aggregate: Option<AggregateSpec>,
 }
@@ -361,7 +364,7 @@ impl<'a> Optimizer<'a> {
                     continue;
                 };
                 let order = [&sub.order[..], &[a]].concat();
-                let (Ok(on), Ok(mv)) = (s.join_condition(&sub.order, a), s.mv_spec(&order)) else {
+                let Ok(join) = s.join_spec(&order) else {
                     continue;
                 };
                 for (&mi, best) in targets.iter().zip(&mut winners) {
@@ -370,7 +373,7 @@ impl<'a> Optimizer<'a> {
                             continue;
                         }
                         let mut tally = sub.tally.clone();
-                        let extended = self.extend(s, &mut tally, &sub.handle, a, (mi, case), &on, &mv);
+                        let extended = self.extend(s, &mut tally, &sub.handle, (mi, case), &join);
                         #[cfg(test)]
                         {
                             let placed = [&sub.placed[..], &[(mi, case)]].concat();
@@ -433,25 +436,21 @@ impl<'a> Optimizer<'a> {
         self.finish(s, best)
     }
 
-    /// Extends the fragment whose output is `sub` with base relation
-    /// (original step) `a` under Figure 3 case `case`, producing the join on
-    /// `on` at machine `mi`, with the MV step `mv`: (a) in place, (b) `sub`
-    /// copied to `a`'s machine, (c) `a` copied to `sub`'s machine, (d) both
+    /// Extends the fragment whose output is `sub` by `join`, on machine `mi`
+    /// under Figure 3 case `case`: (a) in place, (b) `sub` copied to the
+    /// base's machine, (c) the base copied to `sub`'s machine, (d) both
     /// copied to `mi`. The one wiring of a candidate, written into a
     /// [`Tally`] to cost it and into a [`Plan`] to build it.
-    #[allow(clippy::too_many_arguments)]
     fn extend<S: Sink>(
         &self,
         s: &Search<'_>,
         sink: &mut S,
         sub: &RelHandle<S::Form>,
-        a: usize,
         (mi, case): (MachineId, u8),
-        on: &JoinOn,
-        mv: &MvSpec,
+        join: &JoinSpec,
     ) -> Result<RelHandle<S::Form>> {
         let builder = &s.builder;
-        let step = &s.steps[a];
+        let step = &s.steps[join.base];
         let base = builder.base_handle(sink, step.relation, step.predicate.clone())?;
         let moved_sub = match case {
             1 => Some(builder.replica(sink, sub, base.machine)?),
@@ -465,8 +464,8 @@ impl<'a> Optimizer<'a> {
         };
         let left = moved_sub.as_ref().unwrap_or(sub);
         let right = moved_base.as_ref().unwrap_or(&base);
-        let (projection, aggregate) = (mv.projection.as_deref(), mv.aggregate.as_ref());
-        builder.join_step(sink, left, right, on, mi, projection, aggregate)
+        let (projection, aggregate) = (join.projection.as_deref(), join.aggregate.as_ref());
+        builder.join_step(sink, left, right, &join.on, mi, projection, aggregate)
     }
 
     /// COSTCALC: the DP objective of a fragment tallied in `tally` whose MV
@@ -509,9 +508,7 @@ impl<'a> Optimizer<'a> {
         }
         let mut handle = s.builder.base_handle(&mut plan, first.relation, first.predicate.clone())?;
         for (k, &choice) in placed.iter().enumerate() {
-            let (joined, a) = (&order[..k + 2], order[k + 1]);
-            let (on, mv) = (s.join_condition(&joined[..k + 1], a)?, s.mv_spec(joined)?);
-            handle = self.extend(s, &mut plan, &handle, a, choice, &on, &mv)?;
+            handle = self.extend(s, &mut plan, &handle, choice, &s.join_spec(&order[..k + 2])?)?;
         }
         Ok((plan, handle))
     }
@@ -688,17 +685,22 @@ impl<'s> Search<'s> {
         Ok(map)
     }
 
-    /// The MV step of the join sequence `order`: the sharing's projection
-    /// and aggregate remapped into it when it joins the whole query; an
-    /// error when either does not fit the query's join schema.
-    fn mv_spec(&self, order: &[usize]) -> Result<MvSpec> {
+    /// The join that ends the join sequence `order`: its last base onto
+    /// the fragment joining the others; an error when no condition connects
+    /// them, or when it completes the query and the sharing's projection or
+    /// aggregate does not fit the query's join schema.
+    fn join_spec(&self, order: &[usize]) -> Result<JoinSpec> {
+        let Some((&base, placed)) = order.split_last() else {
+            return Err(SmileError::InvalidPlan("an empty join sequence joins nothing".into()));
+        };
+        let on = self.join_condition(placed, base)?;
         if order.len() < self.steps.len() {
-            return Ok(MvSpec::default());
+            return Ok(JoinSpec { base, on, projection: None, aggregate: None });
         }
         let projection = self.remapped_projection(order)?;
         let aggregate = self.remapped_aggregate(order)?;
         self.aggregate_fits.clone()?;
-        Ok(MvSpec { projection, aggregate })
+        Ok(JoinSpec { base, on, projection, aggregate })
     }
 
     /// Remaps the sharing's projection (defined over the original join

@@ -169,6 +169,8 @@ impl From<&str> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FastHasher;
+    use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(v: &Value) -> u64 {
@@ -231,5 +233,60 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::I64(-7).to_string(), "-7");
         assert_eq!(Value::str("hi").to_string(), "'hi'");
+    }
+
+    /// Text of 0–24 bytes from one-, two-, three- and four-byte chars, NUL
+    /// included (it sorts below every other byte).
+    fn arb_text() -> impl Strategy<Value = String> {
+        const CHARS: [char; 7] = ['\0', 'a', 'b', '~', 'ß', '日', '𝄞'];
+        prop::collection::vec(0..CHARS.len(), 0..25).prop_map(|picks| {
+            let mut s = String::new();
+            for c in picks.into_iter().map(|i| CHARS[i]) {
+                if s.len() + c.len_utf8() <= 24 {
+                    s.push(c);
+                }
+            }
+            s
+        })
+    }
+
+    /// What a text value must hash as: its rank, then the `str`'s hash.
+    fn text_hash<H: Hasher>(s: &str, mut h: H) -> u64 {
+        3u8.hash(&mut h);
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    fn value_hash<H: Hasher>(v: &Value, mut h: H) -> u64 {
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// A text value reads back its text, hashes as its rank byte and
+        /// then the `str` under both hashers the platform uses, compares and
+        /// orders as the `str` does, and meters its length plus 8 bytes,
+        /// whatever its length.
+        #[test]
+        fn text_behaves_as_its_str(a in arb_text(), b in arb_text(), cut in 0usize..25) {
+            let va = Value::str(&a);
+            prop_assert_eq!(va.as_str(), Some(a.as_str()));
+            prop_assert_eq!(va.byte_size(), a.len() + 8);
+            prop_assert_eq!(value_hash(&va, FastHasher::default()), text_hash(&a, FastHasher::default()));
+            prop_assert_eq!(value_hash(&va, DefaultHasher::new()), text_hash(&a, DefaultHasher::new()));
+            prop_assert_eq!(va.to_string(), format!("'{a}'"));
+            prop_assert_eq!(format!("{va:?}"), format!("Str({a:?})"));
+            // `b`, and `b` behind a prefix of `a`: pairs that share a
+            // prefix and straddle the inline bound from either side.
+            let prefixed: String = a.chars().take(cut).chain(b.chars()).collect();
+            for other in [&b, &prefixed, &a] {
+                let vo = Value::str(other);
+                prop_assert_eq!(va == vo, a == *other);
+                prop_assert_eq!(va.cmp(&vo), a.as_str().cmp(other.as_str()));
+                prop_assert_eq!(vo.cmp(&va), other.as_str().cmp(a.as_str()));
+            }
+        }
     }
 }

@@ -111,12 +111,16 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.push(TAG_F64);
             out.extend_from_slice(&x.to_le_bytes());
         }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
+        Value::ShortStr(s) => encode_str(s.as_bytes(), out),
+        Value::LongStr(s) => encode_str(s.as_bytes(), out),
     }
+}
+
+/// Appends one text value's tagged encoding (either form) to `out`.
+fn encode_str(bytes: &[u8], out: &mut Vec<u8>) {
+    out.push(TAG_STR);
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 fn corrupt(detail: &str) -> SmileError {

@@ -116,7 +116,8 @@ mod tests {
     use std::hash::BuildHasher;
 
     /// Values that stress equality and hashing: NULL, NaN, both zeros,
-    /// empty and multibyte text, and a few plain ones.
+    /// empty and multibyte text, text of 14 bytes (the most held in place)
+    /// and of 15 (the least shared), and a few plain ones.
     fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             Just(Value::Null),
@@ -129,6 +130,9 @@ mod tests {
             Just(Value::str("ß")),
             Just(Value::str("日本")),
             Just(Value::str("a")),
+            Just(Value::str("abcdefghijklmn")),
+            Just(Value::str("abcdefghijklmno")),
+            Just(Value::str("abcdefghijklmß")),
         ]
     }
 

@@ -25,7 +25,7 @@ impl ColumnType {
             (_, Value::Null)
                 | (ColumnType::I64, Value::I64(_))
                 | (ColumnType::F64, Value::F64(_))
-                | (ColumnType::Str, Value::Str(_))
+                | (ColumnType::Str, Value::ShortStr(_) | Value::LongStr(_))
         )
     }
 }

@@ -5,24 +5,32 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+/// The most bytes of text a [`Value`] holds in place: a text value of up
+/// to this many bytes is a [`Value::ShortStr`], a longer one a
+/// [`Value::LongStr`].
+pub const SHORT_STR_BYTES: usize = 14;
+
 /// A scalar value in a tuple.
 ///
 /// The Twitter-derived datasets of the paper only need integers (ids),
 /// floats (latitude/longitude), short strings (urls, hashtags, place names)
-/// and NULLs, so the engine supports exactly those. Strings are reference
-/// counted because delta propagation copies tuples between machines freely
-/// and the strings themselves are immutable.
+/// and NULLs, so the engine supports exactly those.
 ///
-/// **Layout.** A value is 16 bytes: a tag and an 8-byte payload. A string
-/// is held through a thin pointer (`Arc<Box<str>>`: the `Arc` block holds
-/// the counts and the `Box`'s pointer and length, the text lives in a
-/// block of its own), so text costs two allocations and one more pointer
-/// hop, while every row and index key costs 8 bytes less per value than
-/// with a fat `Arc<str>`. Hash, equality, order and both printed forms
-/// delegate to the `str`, so none of them depends on the layout.
-/// [`Value::byte_size`] does not follow it either: it is the simulated
-/// network and disk meter, and dollars are billed from it.
-#[derive(Clone, Debug)]
+/// **Layout.** A value is 16 bytes: a tag byte and up to 15 bytes of
+/// payload. Text has two forms, and its length alone picks one:
+/// [`Value::str`], the only way to make text, keeps up to
+/// [`SHORT_STR_BYTES`] bytes in the value itself (a length byte and the
+/// bytes), so a user name or hashtag costs no allocation, no pointer hop
+/// and no reference count; longer text is shared behind a thin pointer
+/// (`Arc<Box<str>>`: two allocations, and a clone bumps a count), because
+/// delta propagation copies tuples freely and the text is immutable.
+/// Hash, equality, order and both printed forms read the text's bytes
+/// whatever the form (text hashes as its rank, then as `str::hash` would),
+/// so none of them depends on the layout, and the forms never compare
+/// equal because their lengths differ. [`Value::byte_size`] does not
+/// follow the layout either: it is the simulated network and disk meter,
+/// and dollars are billed from it.
+#[derive(Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -30,14 +38,68 @@ pub enum Value {
     I64(i64),
     /// 64-bit float (latitude / longitude).
     F64(f64),
-    /// Immutable UTF-8 string (urls, hashtags, place names, event types).
-    Str(Arc<Box<str>>),
+    /// Immutable UTF-8 text of at most [`SHORT_STR_BYTES`] bytes (user
+    /// names, hashtags, place names, event types), held in place.
+    ShortStr(ShortStr),
+    /// Immutable UTF-8 text of more than [`SHORT_STR_BYTES`] bytes (urls),
+    /// shared.
+    LongStr(LongStr),
+}
+
+/// The payload of a [`Value::ShortStr`]: a length and the text's bytes,
+/// zero past the length, so two equal texts are equal bytes. Made only by
+/// [`Value::str`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ShortStr {
+    len: u8,
+    bytes: [u8; SHORT_STR_BYTES],
+}
+
+/// The payload of a [`Value::LongStr`]: shared text of more than
+/// [`SHORT_STR_BYTES`] bytes. Made only by [`Value::str`].
+#[derive(Clone)]
+pub struct LongStr(Arc<Box<str>>);
+
+impl ShortStr {
+    /// The text's UTF-8 bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("short text holds the str it was made from")
+    }
+}
+
+impl LongStr {
+    /// The text's UTF-8 bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+}
+
+/// Writes what `str::hash` writes: the bytes, then `0xff` (a byte no
+/// UTF-8 text holds, so no text's hash is a prefix of another's).
+fn hash_text<H: Hasher>(bytes: &[u8], state: &mut H) {
+    state.write(bytes);
+    state.write_u8(0xff);
 }
 
 impl Value {
-    /// Convenience constructor for strings.
+    /// Makes a text value, in place if it is at most [`SHORT_STR_BYTES`]
+    /// bytes long and shared otherwise.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::new(Box::from(s.as_ref())))
+        let s = s.as_ref();
+        if s.len() <= SHORT_STR_BYTES {
+            let mut bytes = [0; SHORT_STR_BYTES];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Value::ShortStr(ShortStr {
+                len: s.len() as u8,
+                bytes,
+            })
+        } else {
+            Value::LongStr(LongStr(Arc::new(Box::from(s))))
+        }
     }
 
     /// Returns the integer payload, if this is an [`Value::I64`].
@@ -56,10 +118,21 @@ impl Value {
         }
     }
 
-    /// Returns the string payload, if this is a [`Value::Str`].
+    /// Returns the text, if this is a text value.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::ShortStr(s) => Some(s.as_str()),
+            Value::LongStr(s) => Some(&s.0),
+            _ => None,
+        }
+    }
+
+    /// Returns the text's bytes, if this is a text value: what
+    /// [`Value::as_str`] returns, without checking them again.
+    fn str_bytes(&self) -> Option<&[u8]> {
+        match self {
+            Value::ShortStr(s) => Some(s.as_bytes()),
+            Value::LongStr(s) => Some(s.as_bytes()),
             _ => None,
         }
     }
@@ -76,7 +149,8 @@ impl Value {
         match self {
             Value::Null => 1,
             Value::I64(_) | Value::F64(_) => 8,
-            Value::Str(s) => s.len() + 8,
+            Value::ShortStr(s) => s.as_bytes().len() + 8,
+            Value::LongStr(s) => s.as_bytes().len() + 8,
         }
     }
 
@@ -86,20 +160,40 @@ impl Value {
             Value::Null => 0,
             Value::I64(_) => 1,
             Value::F64(_) => 2,
-            Value::Str(_) => 3,
+            Value::ShortStr(_) | Value::LongStr(_) => 3,
+        }
+    }
+
+    /// True iff text is in the form its length picks, with a short form's
+    /// unused bytes zero: what equality and hashing rely on.
+    fn is_canonical(&self) -> bool {
+        match self {
+            Value::ShortStr(s) => {
+                let len = usize::from(s.len);
+                len <= SHORT_STR_BYTES
+                    && s.bytes[len..].iter().all(|&b| b == 0)
+                    && std::str::from_utf8(s.as_bytes()).is_ok()
+            }
+            Value::LongStr(s) => s.0.len() > SHORT_STR_BYTES,
+            _ => true,
         }
     }
 }
 
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
+        debug_assert!(self.is_canonical() && other.is_canonical());
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::I64(a), Value::I64(b)) => a == b,
             // Total equality on the bit pattern: NaN == NaN, so values can be
             // used as hash-join keys without surprises.
             (Value::F64(a), Value::F64(b)) => a.to_bits() == b.to_bits(),
-            (Value::Str(a), Value::Str(b)) => a == b,
+            // Length and all the bytes, the zeros past the length included.
+            (Value::ShortStr(a), Value::ShortStr(b)) => a == b,
+            (Value::LongStr(a), Value::LongStr(b)) => a.0 == b.0,
             _ => false,
         }
     }
@@ -118,21 +212,26 @@ impl Ord for Value {
         match (self, other) {
             (Value::I64(a), Value::I64(b)) => a.cmp(b),
             (Value::F64(a), Value::F64(b)) => a.total_cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Null, Value::Null) => Ordering::Equal,
-            _ => self.rank().cmp(&other.rank()),
+            // Text in either form orders as `str` does: by its bytes.
+            _ => match (self.str_bytes(), other.str_bytes()) {
+                (Some(a), Some(b)) => a.cmp(b),
+                _ => self.rank().cmp(&other.rank()),
+            },
         }
     }
 }
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        debug_assert!(self.is_canonical());
         self.rank().hash(state);
         match self {
             Value::Null => {}
             Value::I64(v) => v.hash(state),
             Value::F64(v) => v.to_bits().hash(state),
-            Value::Str(s) => str::hash(s, state),
+            Value::ShortStr(s) => hash_text(s.as_bytes(), state),
+            Value::LongStr(s) => hash_text(s.as_bytes(), state),
         }
     }
 }
@@ -143,7 +242,21 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::I64(v) => write!(f, "{v}"),
             Value::F64(v) => write!(f, "{v}"),
-            Value::Str(s) => write!(f, "'{s}'"),
+            Value::ShortStr(s) => write!(f, "'{}'", s.as_str()),
+            Value::LongStr(s) => write!(f, "'{}'", s.0),
+        }
+    }
+}
+
+/// Text prints as `Str("…")` in either form.
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("Null"),
+            Value::I64(v) => f.debug_tuple("I64").field(v).finish(),
+            Value::F64(v) => f.debug_tuple("F64").field(v).finish(),
+            Value::ShortStr(s) => f.debug_tuple("Str").field(&s.as_str()).finish(),
+            Value::LongStr(s) => f.debug_tuple("Str").field(&&**s.0).finish(),
         }
     }
 }
@@ -226,6 +339,18 @@ mod tests {
         assert_eq!(Value::Null.byte_size(), 1);
         assert_eq!(Value::I64(0).byte_size(), 8);
         assert_eq!(Value::str("abcd").byte_size(), 12);
+    }
+
+    #[test]
+    fn text_form_is_a_function_of_byte_length() {
+        let short = |s: &str| matches!(Value::str(s), Value::ShortStr(_));
+        assert!(short(""));
+        assert!(short(&"a".repeat(14)));
+        assert!(!short(&"a".repeat(15)));
+        // 13 chars in 14 bytes, then 14 chars in 15 bytes.
+        assert!(short(&format!("{}ß", "a".repeat(12))));
+        assert!(!short(&format!("{}ß", "a".repeat(13))));
+        assert!(!short(&"日".repeat(5)));
     }
 
     #[test]

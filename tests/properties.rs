@@ -1059,14 +1059,32 @@ proptest! {
 use smile::storage::wal::{self, Frame};
 use smile::types::Value;
 
-/// Small scalar domain covering every codec tag, hash-sensitive floats and
-/// multi-byte UTF-8.
+/// Text on both sides of the 14 bytes a value holds in place: short, 13 to
+/// 16 ASCII bytes, and a two- or three-byte char that ends at byte 14 or
+/// straddles it.
+const TEXTS: [&str; 12] = [
+    "",
+    "a",
+    "bb",
+    "ß",
+    "abcdefghijklm",
+    "abcdefghijklmn",
+    "abcdefghijklmno",
+    "abcdefghijklmnop",
+    "abcdefghijklß",
+    "abcdefghijklmß",
+    "abcdefghijk日",
+    "abcdefghijkl日",
+];
+
+/// Small scalar domain covering every codec tag, hash-sensitive floats,
+/// multi-byte UTF-8 and both forms of text.
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         (-4i64..5).prop_map(Value::I64),
         (-2i32..3).prop_map(|v| Value::F64(f64::from(v) * 0.5)),
-        (0usize..4).prop_map(|i| Value::str(["", "a", "bb", "ß"][i])),
+        (0usize..TEXTS.len()).prop_map(|i| Value::str(TEXTS[i])),
     ]
 }
 

@@ -76,6 +76,10 @@ impl LongStr {
     pub fn as_bytes(&self) -> &[u8] {
         self.0.as_bytes()
     }
+
+    fn as_str(&self) -> &str {
+        &self.0
+    }
 }
 
 /// Writes what `str::hash` writes: the bytes, then `0xff` (a byte no
@@ -122,7 +126,7 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::ShortStr(s) => Some(s.as_str()),
-            Value::LongStr(s) => Some(&s.0),
+            Value::LongStr(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -174,7 +178,7 @@ impl Value {
                     && s.bytes[len..].iter().all(|&b| b == 0)
                     && std::str::from_utf8(s.as_bytes()).is_ok()
             }
-            Value::LongStr(s) => s.0.len() > SHORT_STR_BYTES,
+            Value::LongStr(s) => s.as_bytes().len() > SHORT_STR_BYTES,
             _ => true,
         }
     }
@@ -243,7 +247,7 @@ impl fmt::Display for Value {
             Value::I64(v) => write!(f, "{v}"),
             Value::F64(v) => write!(f, "{v}"),
             Value::ShortStr(s) => write!(f, "'{}'", s.as_str()),
-            Value::LongStr(s) => write!(f, "'{}'", s.0),
+            Value::LongStr(s) => write!(f, "'{}'", s.as_str()),
         }
     }
 }
@@ -256,7 +260,7 @@ impl fmt::Debug for Value {
             Value::I64(v) => f.debug_tuple("I64").field(v).finish(),
             Value::F64(v) => f.debug_tuple("F64").field(v).finish(),
             Value::ShortStr(s) => f.debug_tuple("Str").field(&s.as_str()).finish(),
-            Value::LongStr(s) => f.debug_tuple("Str").field(&&**s.0).finish(),
+            Value::LongStr(s) => f.debug_tuple("Str").field(&s.as_str()).finish(),
         }
     }
 }

@@ -109,19 +109,13 @@ impl fmt::Display for SmileError {
             SmileError::UnknownColumn(c) => write!(f, "unknown column {c:?}"),
             SmileError::Transient { detail } => write!(f, "transient fault: {detail}"),
             SmileError::SeedUnavailable { relation, seed } => {
-                write!(
-                    f,
-                    "cannot seed as of {seed}: {relation} holds no state to read from there"
-                )
+                write!(f, "cannot seed as of {seed}: {relation} holds no state to read from there")
             }
             SmileError::OutOfOrder { at, end } => {
                 write!(f, "delta entry stamped {at} is behind its log's end {end}")
             }
             SmileError::AlreadyStarted => {
-                write!(
-                    f,
-                    "the platform has already started; install runs only before the first tick"
-                )
+                write!(f, "the platform has already started; install runs only before the first tick")
             }
             SmileError::Internal(d) => write!(f, "internal invariant violated: {d}"),
         }

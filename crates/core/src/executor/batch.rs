@@ -123,15 +123,16 @@ impl Batch {
     /// Wave assignment, once every request is planned: a job's wave is at
     /// least its vertex's wavefront within the batch's vertex subset, and
     /// strictly after every dependency's wave (deps always have lower job
-    /// indexes, so one ascending pass settles everything). `topo_rank` is
-    /// a topological rank per vertex of `plan`.
-    pub fn assign_waves(&mut self, plan: &Plan, topo_rank: &[u32]) {
+    /// indexes, so one ascending pass settles everything). The running
+    /// plan's vertex ids are a topological order, so the subset is sorted
+    /// by id.
+    pub fn assign_waves(&mut self, plan: &Plan) {
         let jobs = &mut self.jobs;
         if jobs.is_empty() {
             return;
         }
         let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
-        subset.sort_unstable_by_key(|v| topo_rank[v.index()]);
+        subset.sort_unstable();
         subset.dedup();
         let vwave = plan.wavefronts(&subset);
         for jid in 0..jobs.len() {
@@ -614,7 +615,7 @@ impl Executor {
                         tuples: done.tuples,
                     },
                 );
-            } else if req.attempt >= self.config.retry.max_attempts {
+            } else if req.attempt >= RETRY_ATTEMPTS {
                 self.fault_stats.pushes_abandoned += 1;
                 // The slot went in flight when its push fired; hand it
                 // back to the scheduler at the next tick.
@@ -625,7 +626,7 @@ impl Executor {
                 }
             } else {
                 self.fault_stats.pushes_retried += 1;
-                let due = now + self.config.retry.delay_after(req.attempt);
+                let due = now + retry_delay(req.attempt);
                 self.pending_retries.push(Reverse(PendingRetry {
                     due,
                     idx: req.idx,
@@ -638,6 +639,16 @@ impl Executor {
             }
         }
     }
+}
+
+/// Attempts per push that fails with a transient fault (machine down, delta
+/// lost, acknowledgement lost), the first included.
+const RETRY_ATTEMPTS: u32 = 4;
+
+/// Delay after failed attempt `attempt` (1-based): a 2 s detection timeout
+/// plus a backoff of 500 ms, doubled for each further retry.
+fn retry_delay(attempt: u32) -> SimDuration {
+    SimDuration::from_secs(2) + SimDuration::from_millis(500).mul_f64(2f64.powi(attempt.saturating_sub(1) as i32))
 }
 
 #[cfg(test)]
@@ -681,12 +692,12 @@ mod tests {
                 };
                 ex.plan_vertex_jobs(&twin.order, request, &mut batch).unwrap();
             }
-            batch.assign_waves(&ex.global.plan, &ex.topo_rank);
+            batch.assign_waves(&ex.global.plan);
 
-            let jobs = &batch.jobs;
-            let mut subset: Vec<VertexId> = jobs.iter().map(|j| j.vertex).collect();
-            subset.sort_unstable_by_key(|v| ex.topo_rank[v.index()]);
-            subset.dedup();
+            // The oracle's subset is in the whole plan's topological order,
+            // not in the vertex-id order the rule sorts by.
+            let (jobs, order) = (&batch.jobs, ex.global.plan.topo_order().unwrap());
+            let subset: Vec<VertexId> = order.into_iter().filter(|v| jobs.iter().any(|j| j.vertex == *v)).collect();
             let wavefront = ex.global.plan.wavefronts(&subset);
             prop_assert!(jobs.iter().any(|j| ex.anchor_of[j.edge].is_some()));
             for (jid, job) in jobs.iter().enumerate() {

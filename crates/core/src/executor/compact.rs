@@ -4,7 +4,7 @@
 
 use super::Executor;
 use smile_sim::Cluster;
-use smile_types::{FastMap, MachineId, RelationId, Result, SimDuration, Timestamp, VertexId};
+use smile_types::{FastMap, MachineId, RelationId, Result, SimDuration, Timestamp};
 
 /// How often delta logs are compacted.
 const COMPACTION_PERIOD: SimDuration = SimDuration::from_secs(30);
@@ -122,7 +122,7 @@ impl Executor {
 
     /// Per vertex, the oldest committed MV among the live sharings it
     /// serves — those whose MV is `v` or downstream of it — so one
-    /// reverse-topological pass carries each MV's up.
+    /// reverse-topological pass, in descending id, carries each MV's up.
     fn mv_floors(&self) -> Vec<Timestamp> {
         let plan = &self.global.plan;
         let mut floor = vec![Timestamp::MAX; plan.vertex_count()];
@@ -130,11 +130,7 @@ impl Executor {
             let f = &mut floor[rt.mv.index()];
             *f = (*f).min(self.visible_ts[rt.mv.index()]);
         }
-        let mut order = vec![VertexId::new(0); floor.len()];
-        for (v, &rank) in self.topo_rank.iter().enumerate() {
-            order[rank as usize] = VertexId::new(v as u32);
-        }
-        for v in order.into_iter().rev() {
+        for v in plan.vertices().iter().rev().map(|v| v.id) {
             for &input in plan.producer(v).map_or(&[][..], |e| &e.inputs) {
                 floor[input.index()] = floor[input.index()].min(floor[v.index()]);
             }

@@ -78,8 +78,6 @@ pub struct ExecConfig {
     pub lazy: bool,
     /// Whether PUSHDONE durations recalibrate the time model.
     pub feedback: bool,
-    /// How transiently-failed pushes are retried.
-    pub retry: RetryPolicy,
     /// Vestige, read by nothing: the push engine is one thread. The field
     /// stays only because the frozen harness assigns it
     /// (`benchmark/src/workloads.rs`); ROADMAP item 3(f) drops it.
@@ -92,46 +90,8 @@ impl Default for ExecConfig {
             tick: SimDuration::from_secs(1),
             lazy: true,
             feedback: true,
-            retry: RetryPolicy::default(),
             workers: 1,
         }
-    }
-}
-
-/// Retry/backoff policy for pushes that fail with a transient fault
-/// (machine down, delta lost in transit, acknowledgement lost).
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Attempts per push including the first; `1` disables retries.
-    pub max_attempts: u32,
-    /// Detection timeout before a failed attempt is retried (the executor
-    /// waits this long for the acknowledgement that never comes).
-    pub timeout: SimDuration,
-    /// Backoff added on top of the timeout before the first retry.
-    pub backoff_base: SimDuration,
-    /// Multiplier applied to the backoff for each further retry.
-    pub backoff_multiplier: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            timeout: SimDuration::from_secs(2),
-            backoff_base: SimDuration::from_millis(500),
-            backoff_multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay between a failed attempt number `attempt` (1-based) and the
-    /// next one: detection timeout plus exponential backoff.
-    pub fn delay_after(&self, attempt: u32) -> SimDuration {
-        self.timeout
-            + self
-                .backoff_base
-                .mul_f64(self.backoff_multiplier.powi(attempt.saturating_sub(1) as i32))
     }
 }
 
@@ -293,10 +253,6 @@ pub struct Executor {
     /// Per edge id, for a half-join: the sibling half-join's output vertex,
     /// whose coverage anchors this join's snapshot (consistency under skew).
     anchor_of: Vec<Option<VertexId>>,
-    /// Per-vertex position in one canonical topological order of the
-    /// merged plan, shared by every per-sharing build and the wave
-    /// assignment pass (rebuilt on live submit).
-    topo_rank: Vec<u32>,
     /// Base Relation vertices that heartbeat each round, in plan order
     /// (the publish order the per-vertex scan produced, which the
     /// fault-prone bus draws in): appended as the plan grows.
@@ -348,53 +304,30 @@ impl Executor {
     /// vertices. Shared by runtime construction and the live-migration
     /// shadow install (which derives the *new* placement's subgraph before
     /// the sharing's MV is repointed there).
-    fn subgraph_of(
-        global: &GlobalPlan,
-        id: SharingId,
-        mv: VertexId,
-        topo_rank: &[u32],
-    ) -> Result<(Vec<VertexId>, Vec<VertexId>)> {
-        let anc = global.plan.ancestors(mv);
+    fn subgraph_of(global: &GlobalPlan, id: SharingId, mv: VertexId) -> Result<(Vec<VertexId>, Vec<VertexId>)> {
+        let (plan, anc) = (&global.plan, global.plan.ancestors(mv));
         // `SRC(S_i)`: the base *relations* feeding the sharing. A plan may
         // reference a base only through its delta vertex (scan plans copy
         // Δbase without touching the base table), so map every base
         // ancestor back to its Relation twin by (signature, machine).
-        let mut src_keys: std::collections::BTreeSet<VertexId> = std::collections::BTreeSet::new();
-        for &v in &anc {
-            let vert = global.plan.vertex(v);
-            if !vert.is_base {
-                continue;
-            }
-            let rel = match vert.kind {
-                VertexKind::Relation => v,
-                VertexKind::Delta => global
-                    .plan
-                    .find_vertex(VertexKind::Relation, &vert.sig, vert.machine)
-                    .ok_or_else(|| {
-                        SmileError::Internal(format!(
-                            "base delta {v} has no Relation twin in the plan"
-                        ))
-                    })?,
+        let mut srcs = Vec::new();
+        for vert in anc.iter().map(|&v| plan.vertex(v)).filter(|vert| vert.is_base) {
+            let twin = match vert.kind {
+                VertexKind::Relation => Some(vert.id),
+                VertexKind::Delta => plan.find_vertex(VertexKind::Relation, &vert.sig, vert.machine),
             };
-            src_keys.insert(rel);
+            let v = vert.id;
+            srcs.push(twin.ok_or_else(|| SmileError::Internal(format!("base delta {v} has no Relation twin in the plan")))?);
         }
-        let srcs: Vec<VertexId> = src_keys.into_iter().collect();
+        srcs.sort_unstable();
+        srcs.dedup();
         if srcs.is_empty() {
-            return Err(SmileError::InvalidPlan(format!(
-                "sharing {id} has no base-relation sources"
-            )));
+            return Err(SmileError::InvalidPlan(format!("sharing {id} has no base-relation sources")));
         }
-        // Sorting the subgraph members by their rank in the shared
-        // canonical topo order yields exactly the filtered-topo order the
-        // old per-sharing full sweep produced, at O(sub log sub).
-        let mut order: Vec<VertexId> = anc
-            .iter()
-            .copied()
-            .chain(std::iter::once(mv))
-            .filter(|&v| !global.plan.vertex(v).is_base)
-            .collect();
-        order.sort_unstable_by_key(|v| topo_rank[v.index()]);
-        order.dedup();
+        // The whole plan's topological order restricted to `mv` and its
+        // ancestors, walked over those alone.
+        let mut order = plan.topo_order_within(anc.into_iter().chain([mv]))?;
+        order.retain(|&v| !plan.vertex(v).is_base);
         Ok((srcs, order))
     }
 
@@ -433,7 +366,6 @@ impl Executor {
             ctr_jobs: reg.counter("wave.jobs"),
             ctr_busy_nanos: reg.counter("wave.host_busy_nanos"),
             anchor_of: Vec::new(),
-            topo_rank: Vec::new(),
             base_beats: Vec::new(),
             cal,
             hist_sched_us: reg.histogram("sched.host_tick_us"),
@@ -468,10 +400,10 @@ impl Executor {
         self.live = live;
         self.journal = plan.vertices().iter().map(|v| v.id).collect();
         plan.half_join_anchors(&mut self.anchor_of)?;
-        self.plan_grew(Self::rank_of(&self.global)?);
+        self.plan_grew();
         for s in sharings {
             let mv = self.global.mv_vertex(s.id)?;
-            let subgraph = Self::subgraph_of(&self.global, s.id, mv, &self.topo_rank)?;
+            let subgraph = Self::subgraph_of(&self.global, s.id, mv)?;
             self.register(s, mv, subgraph);
         }
         self.load_before_start = None;
@@ -504,36 +436,39 @@ impl Executor {
         let admitted = merge(&mut self.global).and_then(|mv| admit(self, mv));
         if admitted.is_err() {
             self.global.plan.undo(undo);
-            self.global.sharings.truncate(metas);
+            if self.global.sharings.len() > metas {
+                self.global.sharings.pop_last();
+            }
         }
         admitted
     }
 
     /// The executor's refusals of a merge into the running plan, made on the
-    /// merged plan after the platform's: a cycle (the rank), `mv`'s subgraph
-    /// ([`Executor::subgraph_of`]) and, last because it is the one that
-    /// writes, the half-join anchors of the appended unions. Once all pass,
-    /// the plan-wide state grows ([`Executor::plan_grew`]). Returns `mv`'s
-    /// subgraph.
+    /// merged plan after the platform's: `mv`'s subgraph
+    /// ([`Executor::subgraph_of`], a cycle among its vertices included)
+    /// and, last because it is the one that writes, the half-join anchors
+    /// of the appended unions. Once all pass, the plan-wide state grows
+    /// ([`Executor::plan_grew`]). Returns `mv`'s subgraph.
     fn admit_merged(&mut self, id: SharingId, mv: VertexId) -> Result<(Vec<VertexId>, Vec<VertexId>)> {
-        let rank = Self::rank_of(&self.global)?;
-        let subgraph = Self::subgraph_of(&self.global, id, mv, &rank)?;
+        let subgraph = Self::subgraph_of(&self.global, id, mv)?;
         self.global.plan.half_join_anchors(&mut self.anchor_of)?;
-        self.plan_grew(rank);
+        self.plan_grew();
         Ok(subgraph)
     }
 
     /// Grows the plan-wide runtime state over the vertices the global plan
     /// gained (the start, live admission, a migration's shadow chain) once
     /// nothing can refuse them: the per-vertex vectors grow, the heartbeat
-    /// roster takes in the appended base Relation vertices, and `rank`, the
-    /// merged plan's breadth-first order (which decides the order jobs run
-    /// in), replaces the shared one. Merging only *adds* vertices and edges
-    /// (dedup reuses existing ones untouched) and vertex ids are
-    /// append-only, so per-sharing caches, in-flight pushes and queued
-    /// events stay valid. The start's call, over empty caches, takes in the
+    /// roster takes in the appended base Relation vertices. Merging only
+    /// *adds* vertices and edges (dedup reuses existing ones untouched) and
+    /// vertex ids are append-only, so per-sharing caches, in-flight pushes
+    /// and queued events stay valid. A merge gives a producer only to a
+    /// vertex it appended, after that vertex's inputs, and the start's plan
+    /// is either merged so or renumbered in topological order by hill
+    /// climbing's collection: in the running plan, vertex ids are a
+    /// topological order. The start's call, over empty caches, takes in the
     /// whole plan.
-    fn plan_grew(&mut self, rank: Vec<u32>) {
+    fn plan_grew(&mut self) {
         let plan = &self.global.plan;
         let (before, n) = (self.data_ts.len(), plan.vertex_count());
         self.data_ts.resize(n, Timestamp::ZERO);
@@ -542,7 +477,6 @@ impl Executor {
         self.roots.resize(n, 0);
         let bases = plan.vertices()[before..].iter().filter(|v| v.is_base && v.kind == VertexKind::Relation);
         self.base_beats.extend(bases.map(|v| (v.machine, v.id)));
-        self.topo_rank = rank;
     }
 
     /// Takes the vertices the plan appended into [`Executor::live`]: the
@@ -569,11 +503,12 @@ impl Executor {
     }
 
     /// `v` loses a root. When it was the last, un-marks and journals what
-    /// only it kept live: from `v` upstream, in reverse topological order,
-    /// each vertex that is no base, no root and feeds no live vertex any
-    /// more. A vertex is taken only after every consumer of it the walk
-    /// reaches, so one pass settles each; the walk stops at vertices that
-    /// stay live, and costs what it un-marks and their inputs.
+    /// only it kept live: from `v` upstream, in reverse topological order
+    /// (descending id, [`Executor::plan_grew`]), each vertex that is no
+    /// base, no root and feeds no live vertex any more. A vertex is taken
+    /// only after every consumer of it the walk reaches, so one pass
+    /// settles each; the walk stops at vertices that stay live, and costs
+    /// what it un-marks and their inputs.
     fn unroot(&mut self, v: VertexId) {
         let roots = &mut self.roots[v.index()];
         *roots -= 1;
@@ -581,8 +516,8 @@ impl Executor {
             return;
         }
         let plan = &self.global.plan;
-        let mut heap = BinaryHeap::from([(self.topo_rank[v.index()], v)]);
-        while let Some((_, v)) = heap.pop() {
+        let mut heap = BinaryHeap::from([v]);
+        while let Some(v) = heap.pop() {
             let (i, live) = (v.index(), &self.live);
             let kept = plan.vertex(v).is_base || self.roots[i] > 0;
             if !live[i] || kept || plan.consumers(v).any(|e| live[e.output.index()]) {
@@ -591,7 +526,7 @@ impl Executor {
             self.live[i] = false;
             self.journal.push(v);
             let inputs = plan.producer(v).map_or(&[][..], |e| &e.inputs);
-            heap.extend(inputs.iter().map(|&u| (self.topo_rank[u.index()], u)));
+            heap.extend(inputs);
         }
     }
 
@@ -667,16 +602,6 @@ impl Executor {
             &self.model,
         ));
         self.cal.add_slot();
-    }
-
-    /// One canonical topological rank per vertex of the merged plan.
-    fn rank_of(global: &GlobalPlan) -> Result<Vec<u32>> {
-        let topo = global.plan.topo_order()?;
-        let mut rank = vec![0u32; global.plan.vertex_count()];
-        for (i, v) in topo.iter().enumerate() {
-            rank[v.index()] = i as u32;
-        }
-        Ok(rank)
     }
 
     /// Host-side totals of the wave engine, read from the telemetry

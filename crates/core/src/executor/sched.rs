@@ -56,7 +56,7 @@ impl Executor {
         }
         self.plan_calendar(cluster, now, &mut batch)?;
 
-        batch.assign_waves(&self.global.plan, &self.topo_rank);
+        batch.assign_waves(&self.global.plan);
         Ok(batch)
     }
 

@@ -36,7 +36,7 @@ pub mod sharing;
 pub mod snapshot;
 
 pub use catalog::Catalog;
-pub use executor::{ExecConfig, RetryPolicy};
+pub use executor::ExecConfig;
 pub use multi::MergeCatalog;
 /// The name the frozen `benchmark/` harness knows the optimizer by.
 pub use optimizer::Optimizer as Reoptimizer;

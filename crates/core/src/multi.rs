@@ -29,7 +29,7 @@ use crate::sharing::Sharing;
 use smile_sim::PriceSheet;
 use smile_storage::Predicate;
 use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, VertexId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-sharing bookkeeping the global plan needs: where the MV is, and the
 /// SLA constraints plumbing must respect. The MV is tracked by
@@ -39,8 +39,6 @@ use std::collections::HashMap;
 /// ([`Plan::mark_upstream`]).
 #[derive(Clone, Debug)]
 pub struct SharingMeta {
-    /// Sharing identity.
-    pub id: SharingId,
     /// MV content signature.
     pub mv_sig: ExprSig,
     /// MV host machine.
@@ -68,11 +66,9 @@ impl MergeCatalog {
 pub struct GlobalPlan {
     /// The merged DAG.
     pub plan: Plan,
-    /// Metadata per admitted sharing, sorted by id: a merge pushes a
-    /// sharing newer than every other, and a meta is only repointed in
-    /// place, removed, or truncated away with a refused merge, so lookups
-    /// by id are binary searches.
-    pub sharings: Vec<SharingMeta>,
+    /// Metadata per admitted sharing, by id. A merge adds a sharing newer
+    /// than every other, so the one a refused merge added is the last.
+    pub sharings: BTreeMap<SharingId, SharingMeta>,
     /// Vestigial and never read: nothing stores `SHR`. Kept only because
     /// the frozen `benchmark/` harness assigns it; drop it together with
     /// that assignment in the next `benchmark` PR.
@@ -87,18 +83,11 @@ impl GlobalPlan {
 
     /// The MV Relation vertex of a sharing.
     pub fn mv_vertex(&self, id: SharingId) -> Result<VertexId> {
-        self.mv_of(&self.sharings[self.position(id)?])
+        self.mv_of(id, self.sharings.get(&id).ok_or(SmileError::UnknownSharing(id))?)
     }
 
-    /// Where sharing `id`'s meta is in the id-sorted metas.
-    fn position(&self, id: SharingId) -> Result<usize> {
-        let pos = self.sharings.binary_search_by_key(&id, |m| m.id);
-        pos.map_err(|_| SmileError::UnknownSharing(id))
-    }
-
-    /// Where `meta`'s MV is in the plan.
-    fn mv_of(&self, meta: &SharingMeta) -> Result<VertexId> {
-        let id = meta.id;
+    /// Where sharing `id`'s MV, as `meta` records it, is in the plan.
+    fn mv_of(&self, id: SharingId, meta: &SharingMeta) -> Result<VertexId> {
         self.plan
             .find_vertex(VertexKind::Relation, &meta.mv_sig, meta.mv_machine)
             .ok_or_else(|| SmileError::Internal(format!("MV vertex of {id} lost from global plan")))
@@ -109,19 +98,19 @@ impl GlobalPlan {
     /// reused; when a vertex already has a producer in the global plan, the
     /// existing supply chain serves the new sharing and the incoming
     /// duplicate chain is not added. A sharing no newer than every merged
-    /// one is refused before anything is merged: the metas stay sorted by
-    /// id.
+    /// one is refused before anything is merged, so the meta a merge adds
+    /// is the last.
     pub fn merge(&mut self, sharing: &Sharing, planned: &PlannedSharing) -> Result<VertexId> {
-        if self.sharings.last().is_some_and(|m| m.id >= sharing.id) {
+        if self.sharings.last_key_value().is_some_and(|(&id, _)| id >= sharing.id) {
             return Err(SmileError::Internal(format!("{} merged after a newer sharing", sharing.id)));
         }
         let remap = self.merge_shadow(planned)?;
-        self.sharings.push(SharingMeta {
-            id: sharing.id,
+        let meta = SharingMeta {
             mv_sig: planned.plan.vertex(planned.mv).sig.clone(),
             mv_machine: planned.mv_machine,
             sla: sharing.staleness_sla,
-        });
+        };
+        self.sharings.insert(sharing.id, meta);
         Ok(remap[&planned.mv])
     }
 
@@ -177,8 +166,7 @@ impl GlobalPlan {
         mv_sig: ExprSig,
         mv_machine: MachineId,
     ) -> Result<()> {
-        let pos = self.position(id)?;
-        let meta = &mut self.sharings[pos];
+        let meta = self.sharings.get_mut(&id).ok_or(SmileError::UnknownSharing(id))?;
         meta.mv_sig = mv_sig;
         meta.mv_machine = mv_machine;
         Ok(())
@@ -187,14 +175,12 @@ impl GlobalPlan {
     /// Removes one sharing's metadata: the vertices that served only it
     /// serve nothing from here on.
     pub fn retire(&mut self, id: SharingId) {
-        if let Ok(pos) = self.position(id) {
-            self.sharings.remove(pos);
-        }
+        self.sharings.remove(&id);
     }
 
-    /// Every admitted sharing's MV vertex, in admission order.
+    /// Every admitted sharing's MV vertex, in id (admission) order.
     pub fn mvs(&self) -> Result<Vec<VertexId>> {
-        self.sharings.iter().map(|m| self.mv_of(m)).collect()
+        self.sharings.iter().map(|(&id, m)| self.mv_of(id, m)).collect()
     }
 
     /// `served[v]` iff `SHR(v)` is non-empty: `v` is an admitted sharing's
@@ -226,7 +212,7 @@ impl GlobalPlan {
         let Ok(dist) = path_lengths(&self.plan, 1.0, model) else {
             return self.sharings.is_empty();
         };
-        let fits = |m: &SharingMeta| self.mv_of(m).is_ok_and(|mv| dist[mv.index()] <= m.sla);
+        let fits = |(&id, m): (&SharingId, &SharingMeta)| self.mv_of(id, m).is_ok_and(|mv| dist[mv.index()] <= m.sla);
         self.sharings.iter().all(fits)
     }
 }
@@ -551,7 +537,7 @@ pub fn hill_climb_filtered(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::catalog::{BaseStats, Catalog};
     use crate::optimizer::Optimizer;
@@ -561,7 +547,8 @@ mod tests {
     use smile_types::{Column, ColumnType, RelationId, Schema};
     use std::collections::BTreeSet;
 
-    fn catalog() -> Catalog {
+    /// Three bases, users, tweets and socnet, homed on machines 0 to 2.
+    pub(crate) fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let mk = |n: u32| MachineId::new(n);
         c.register_base(
@@ -714,13 +701,13 @@ mod tests {
         assert!(g.mv_vertex(SharingId::new(99)).is_err());
     }
 
-    /// The metas stay sorted by id across merges, retirements and a merge
-    /// taken back as `Executor::merge_or_undo` takes it back (`Plan::undo`,
-    /// then the metas truncated), so `mv_vertex`'s binary search finds what
-    /// a linear scan finds, for ids merged, retired and never seen. A merge
-    /// no newer than the newest meta is refused and changes nothing.
+    /// Across merges, retirements and a merge taken back as
+    /// `Executor::merge_or_undo` takes it back (`Plan::undo`, then the last
+    /// meta popped), `mv_vertex` finds an MV for exactly the ids merged and
+    /// not retired, and the metas are those ids. A merge no newer than the
+    /// newest meta is refused and changes nothing.
     #[test]
-    fn metas_stay_sorted_and_lookups_match_a_scan() {
+    fn metas_follow_merges_retirements_and_undo() {
         let cat = catalog();
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
@@ -732,31 +719,28 @@ mod tests {
             let planned = opt.plan_admission(&s, HashMap::new(), Some(MachineId::new(id % 3))).unwrap();
             (s, planned)
         };
-        let check = |g: &GlobalPlan, what: &str| {
-            assert!(g.sharings.windows(2).all(|w| w[0].id < w[1].id), "{what}: metas out of order");
-            for id in (0..12).map(SharingId::new) {
-                let scan = g.sharings.iter().find(|m| m.id == id).map(|m| g.mv_of(m).unwrap());
-                assert_eq!(g.mv_vertex(id).ok(), scan, "{what}: {id}");
+        let check = |g: &GlobalPlan, held: &[u32]| {
+            assert_eq!(g.sharings.keys().map(|id| id.index() as u32).collect::<Vec<_>>(), held);
+            for id in 0..12 {
+                assert_eq!(g.mv_vertex(SharingId::new(id)).is_ok(), held.contains(&id), "S{id}");
             }
         };
         let mut g = GlobalPlan::new();
         for id in 1..=6 {
             let (s, p) = planned(id);
             g.merge(&s, &p).unwrap();
-            check(&g, "merged");
         }
+        check(&g, &[1, 2, 3, 4, 5, 6]);
         for id in [3, 1, 6, 9] {
             g.retire(SharingId::new(id));
-            check(&g, &format!("retired S{id}"));
         }
+        check(&g, &[2, 4, 5]);
         let before = (g.plan.canonical_string(), format!("{:?}", g.sharings));
-        let (undo, metas) = (g.plan.undo_point(), g.sharings.len());
+        let undo = g.plan.undo_point();
         let (s, p) = planned(7);
         g.merge(&s, &p).unwrap();
-        check(&g, "merged S7");
         g.plan.undo(undo);
-        g.sharings.truncate(metas);
-        check(&g, "S7 taken back");
+        g.sharings.pop_last();
         assert_eq!((g.plan.canonical_string(), format!("{:?}", g.sharings)), before);
         let (s, p) = planned(5);
         assert!(g.merge(&s, &p).is_err(), "S5 merged behind S5");
@@ -764,17 +748,16 @@ mod tests {
         for id in [8, 10] {
             let (s, p) = planned(id);
             g.merge(&s, &p).unwrap();
-            check(&g, &format!("merged S{id}"));
         }
-        assert_eq!(g.sharings.iter().map(|m| m.id.index()).collect::<Vec<_>>(), [2, 4, 5, 8, 10]);
+        check(&g, &[2, 4, 5, 8, 10]);
     }
 
     /// `SHR(v)` by a walk independent of the one the plan derives it with:
     /// the sharings whose MV `v` reaches downstream, along consumer lists.
     fn shr_downstream(g: &GlobalPlan, v: VertexId) -> BTreeSet<SharingId> {
         let seen = g.plan.downstream(v);
-        let reached = |m: &&SharingMeta| seen.contains(&g.mv_of(m).unwrap());
-        g.sharings.iter().filter(reached).map(|m| m.id).collect()
+        let reached = |id: &&SharingId| seen.contains(&g.mv_vertex(**id).unwrap());
+        g.sharings.keys().filter(reached).copied().collect()
     }
 
     /// The served mask and the `shr=` counts against the downstream walk,
@@ -817,8 +800,8 @@ mod tests {
             if let Ok(next) = apply_plumbing(&g, c) {
                 next.plan.validate().unwrap();
                 // Every sharing's MV still resolves.
-                for meta in &next.sharings {
-                    next.mv_vertex(meta.id).unwrap();
+                for &id in next.sharings.keys() {
+                    next.mv_vertex(id).unwrap();
                 }
                 // Cost stays finite.
                 assert!(next.total_cost(&model, &prices).is_finite());
@@ -850,8 +833,8 @@ mod tests {
             let holds = g.all_slas_hold(&model);
             let dist = path_lengths(&g.plan, 1.0, &model).unwrap();
             let mut restricted_holds = true;
-            for meta in &g.sharings {
-                let mv = g.mv_of(meta).unwrap();
+            for (&id, meta) in &g.sharings {
+                let mv = g.mv_of(id, meta).unwrap();
                 let cp = restricted_cp(&g.plan, mv, 1.0, &model);
                 assert_eq!(dist[mv.index()], cp, "{cand:?}");
                 restricted_holds &= cp <= meta.sla;

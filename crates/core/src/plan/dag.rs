@@ -5,7 +5,7 @@ use smile_storage::join::JoinOn;
 use smile_storage::{IndexCols, Predicate, SlotIndex};
 use smile_types::{FastMap, MachineId, RelationId, Result, Schema, SmileError, Value, VertexId};
 use std::collections::hash_map::Entry;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// Whether a vertex holds materialized relation contents or a delta log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -526,28 +526,61 @@ impl Plan {
 
     /// Topological order of vertices (sources first). Errors on cycles.
     pub fn topo_order(&self) -> Result<Vec<VertexId>> {
-        let n = self.vertices.len();
-        let mut indegree = vec![0usize; n];
-        for (v, p) in self.producer.iter().enumerate() {
-            if let Some(e) = p {
-                indegree[v] = self.edges[*e].inputs.len();
-            }
-        }
-        let mut queue: VecDeque<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        // Track how many inputs of each produced vertex are already ordered.
-        let mut satisfied = vec![0usize; n];
-        while let Some(v) = queue.pop_front() {
-            order.push(VertexId::new(v as u32));
-            for &e in &self.consumers[v] {
-                let out = self.edges[e].output.index();
-                satisfied[out] += 1;
-                if satisfied[out] == indegree[out] && indegree[out] > 0 {
-                    queue.push_back(out);
+        let consumers = |v: VertexId| self.consumers[v.index()].iter().copied();
+        self.kahn(self.vertices.len(), |i| VertexId::new(i as u32), VertexId::index, consumers)
+    }
+
+    /// `members`, a vertex set closed under inputs (a vertex and its
+    /// ancestors), in the order [`Plan::topo_order`] lists them: the same
+    /// FIFO Kahn walk, run over the members alone. A member's consumers
+    /// inside the set are read off the members' own producers, sorted by
+    /// (input, edge id), never off the consumer lists, which hold every
+    /// chain ever merged onto a base. No vertex outside the set counts
+    /// toward or enqueues a member, and a consumer list holds only attached
+    /// edges in ascending id order, so FIFO keeps the members in their
+    /// whole-plan relative order. Errors on a cycle among the members.
+    pub fn topo_order_within(&self, members: impl IntoIterator<Item = VertexId>) -> Result<Vec<VertexId>> {
+        let mut members: Vec<VertexId> = members.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        let producers = members.iter().filter_map(|&v| self.producer(v));
+        let mut links: Vec<(VertexId, usize)> =
+            producers.flat_map(|e| e.inputs.iter().map(move |&input| (input, e.id))).collect();
+        links.sort_unstable();
+        let consumers = |v: VertexId| {
+            let from = links.partition_point(|&(input, _)| input < v);
+            links[from..].iter().take_while(move |&&(input, _)| input == v).map(|&(_, e)| e)
+        };
+        self.kahn(members.len(), |i| members[i], |v| members.partition_point(|&m| m < v), consumers)
+    }
+
+    /// Kahn's FIFO walk over `count` vertices in ascending id order, the
+    /// `i`th being `nth(i)` and `at` its inverse, where `consumers(v)` lists
+    /// the edges consuming `v` among them in ascending id order. FIFO pops
+    /// in the order it pushes, so the order is its own queue.
+    fn kahn<C: Iterator<Item = usize>>(
+        &self,
+        count: usize,
+        nth: impl Fn(usize) -> VertexId,
+        at: impl Fn(VertexId) -> usize,
+        consumers: impl Fn(VertexId) -> C,
+    ) -> Result<Vec<VertexId>> {
+        let mut indegree: Vec<usize> = (0..count).map(|i| self.producer(nth(i)).map_or(0, |e| e.inputs.len())).collect();
+        let mut order = Vec::with_capacity(count);
+        order.extend((0..count).filter(|&i| indegree[i] == 0).map(&nth));
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            next += 1;
+            for e in consumers(v) {
+                let out = self.edges[e].output;
+                let unordered = &mut indegree[at(out)];
+                *unordered -= 1;
+                if *unordered == 0 {
+                    order.push(out);
                 }
             }
         }
-        if order.len() != n {
+        if order.len() != count {
             return Err(SmileError::InvalidPlan("plan DAG contains a cycle".into()));
         }
         Ok(order)
@@ -560,9 +593,9 @@ impl Plan {
     /// Inputs outside the subset (base vertices, vertices already at the
     /// target timestamp) impose no ordering.
     ///
-    /// `subset` must be topologically sorted (the executor sorts by its
-    /// cached topological rank); an input listed after its consumer is
-    /// treated as outside the subset.
+    /// `subset` must be topologically sorted (in the running plan, vertex
+    /// ids are a topological order, so the executor sorts by id); an input
+    /// listed after its consumer is treated as outside the subset.
     pub fn wavefronts(&self, subset: &[VertexId]) -> FastMap<VertexId, usize> {
         let mut wave_of = FastMap::with_capacity_and_hasher(subset.len(), Default::default());
         for &v in subset {
@@ -802,6 +835,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smile_storage::predicate::CmpOp;
     use smile_types::{Column, ColumnType, SharingId};
 
@@ -1345,5 +1379,51 @@ mod tests {
         let err = p.half_join_anchors(&mut anchors).unwrap_err().to_string();
         assert!(err.contains(&format!("edge {e} ")), "{err:?}");
         assert_eq!(anchors, anchored, "the refused extension wrote anchors");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        /// On the plans the executor runs — admissions merged into one global
+        /// plan, the plan a hill climb collected, one a migration's shadow
+        /// chain was merged into — vertex ids are a topological order, and
+        /// the member walk over any vertex and its ancestors lists them as
+        /// the whole plan's order does.
+        #[test]
+        fn the_member_walk_is_the_whole_order_restricted(
+            admissions in prop::collection::vec((0usize..4, 0u32..4), 1..7),
+            kind in 0usize..3,
+            (moved, to) in (0usize..7, 0u32..3),
+        ) {
+            use crate::{multi::GlobalPlan, optimizer::Optimizer, sharing::Sharing};
+            use smile_storage::SpjQuery;
+            let (cat, machines) = (crate::multi::tests::catalog(), (0..3).map(MachineId::new).collect());
+            let (model, prices) = (crate::plan::timecost::TimeCostModel::paper_defaults(), smile_sim::PriceSheet::ec2_cross_zone());
+            let opt = Optimizer::new(&cat, machines, &model, &prices);
+            let rel = RelationId::new;
+            let tweets = SpjQuery::scan(rel(0)).join(rel(1), JoinOn::on(0, 1), Predicate::True);
+            let socnet = SpjQuery::scan(rel(0)).join(rel(2), JoinOn::on(0, 0), Predicate::True);
+            let both = tweets.clone().join(rel(2), JoinOn::on(0, 0), Predicate::True);
+            let queries = [SpjQuery::scan(rel(1)), tweets, socnet, both];
+            let sla = smile_types::SimDuration::from_secs(45);
+            let sharing = |i: usize| Sharing::new(SharingId::new(i as u32 + 1), "s", queries[admissions[i].0].clone(), sla, 0.001);
+            let plan = |i: usize, pin: u32| opt.plan_admission(&sharing(i), Default::default(), (pin < 3).then(|| MachineId::new(pin)));
+            let mut g = GlobalPlan::new();
+            for (i, &(_, pin)) in admissions.iter().enumerate() {
+                g.merge(&sharing(i), &plan(i, pin).unwrap()).unwrap();
+            }
+            match kind {
+                1 => drop(crate::multi::hill_climb(&mut g, &model, &prices, 8)),
+                2 => drop(g.merge_shadow(&plan(moved % admissions.len(), to).unwrap()).unwrap()),
+                _ => {}
+            }
+            let p = &g.plan;
+            prop_assert!(p.edges().iter().all(|e| !e.attached(p) || e.inputs.iter().all(|&i| i < e.output)));
+            let order = p.topo_order().unwrap();
+            for v in p.vertices().iter().map(|v| v.id) {
+                let members: HashSet<VertexId> = p.ancestors(v).into_iter().chain([v]).collect();
+                let want: Vec<VertexId> = order.iter().copied().filter(|u| members.contains(u)).collect();
+                prop_assert_eq!(p.topo_order_within(members).unwrap(), want);
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@ use smile::core::catalog::BaseStats;
 use smile::storage::join::JoinOn;
 use smile::storage::{DeltaBatch, DeltaEntry, Predicate, SpjQuery};
 use smile::types::{tuple, Column, ColumnType, MachineId, Schema, SimDuration};
-use smile::{FaultProfile, RetryPolicy, Smile, SmileConfig};
+use smile::{FaultProfile, Smile, SmileConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -18,12 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = SmileConfig::with_machines(2);
     config.faults = FaultProfile::chaos(seed);
     config.faults.delta_drop = drop;
-    config.exec.retry = RetryPolicy {
-        max_attempts: 5,
-        timeout: SimDuration::from_secs(2),
-        backoff_base: SimDuration::from_millis(500),
-        backoff_multiplier: 2.0,
-    };
     let mut smile = Smile::new(config);
 
     let users = smile.register_base(

@@ -13,6 +13,5 @@ pub use smile_telemetry as telemetry;
 pub use smile_types as types;
 pub use smile_workload as workload;
 
-pub use smile_core::executor::RetryPolicy;
 pub use smile_core::platform::{FaultReport, Smile, SmileConfig};
 pub use smile_sim::FaultProfile;

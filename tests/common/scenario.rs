@@ -293,8 +293,8 @@ impl Scenario {
     /// Runs the scenario under `config`: the install-time admissions,
     /// `install`, the script, the drain; then the checker. `observe` sees the
     /// platform after every admission and step, and the checker's
-    /// [`Checker::commits_advance`] and [`Checker::columns_hold`] after every
-    /// tick.
+    /// [`Checker::commits_advance`], [`Checker::columns_hold`] and
+    /// [`Checker::ids_are_topological`] after every tick.
     pub fn run_with(
         &self,
         config: SmileConfig,
@@ -318,7 +318,9 @@ impl Scenario {
         let (mut commits, mut columns) = (HashMap::new(), HashMap::new());
         let mut each_tick = |smile: &Smile| {
             let checker = Checker(smile);
-            checker.commits_advance(&mut commits).and_then(|()| checker.columns_hold(&mut columns))
+            checker.commits_advance(&mut commits)?;
+            checker.columns_hold(&mut columns)?;
+            checker.ids_are_topological()
         };
         for &step in &self.script {
             let pick = |served: &[SharingId], i| served.get(i % served.len().max(1)).copied();
@@ -516,6 +518,19 @@ impl Checker<'_> {
             }
         }
         Ok(())
+    }
+
+    /// In the running plan, vertex ids are a topological order: every
+    /// attached edge's inputs have smaller ids than its output. The wave
+    /// assignment, compaction's MV floors and the un-rooting walk order
+    /// vertices by id on the strength of it.
+    pub fn ids_are_topological(&self) -> Result<(), String> {
+        let plan = &self.0.global_plan().plan;
+        let mut attached = plan.edges().iter().filter(|e| e.attached(plan));
+        match attached.find(|e| e.inputs.iter().any(|&input| input >= e.output)) {
+            Some(e) => Err(format!("edge {} feeds {} from {:?}", e.id, e.output, e.inputs)),
+            None => Ok(()),
+        }
     }
 
     fn check_with(

@@ -378,7 +378,7 @@ fn a_live_admission_that_cannot_be_seeded_is_refused_before_it_merges() {
     smile.run_idle(SimDuration::from_secs(23)).unwrap();
     let global = |smile: &Smile| {
         let global = smile.global_plan();
-        (global.plan.canonical_string(), global.sharings.iter().map(|m| m.id).collect::<Vec<_>>())
+        (global.plan.canonical_string(), global.sharings.keys().copied().collect::<Vec<_>>())
     };
     let before = global(&smile);
     let refused = twin(&mut smile);

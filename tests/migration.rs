@@ -365,7 +365,7 @@ fn a_migration_whose_seed_predates_an_adopted_log_waits() {
     assert!(mv_ts(&smile) < horizon(&smile), "the lazy MV is not behind the log");
     let global = |smile: &Smile| {
         let global = smile.global_plan();
-        (global.plan.canonical_string(), global.sharings.iter().map(|m| m.id).collect::<Vec<_>>())
+        (global.plan.canonical_string(), global.sharings.keys().copied().collect::<Vec<_>>())
     };
     let before = global(&smile);
     assert!(!smile.migrate_sharing(lazy, Some(m1)).unwrap());

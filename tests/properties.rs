@@ -534,7 +534,7 @@ fn live_fresh(smile: &Smile) -> Result<(), String> {
     let (executor, global) = (smile.executor.as_ref().ok_or("no executor")?, smile.global_plan());
     let plan = &global.plan;
     let mut want: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
-    let admitted = global.sharings.iter().map(|m| global.mv_vertex(m.id).map_err(|e| e.to_string()));
+    let admitted = global.sharings.keys().map(|&id| global.mv_vertex(id).map_err(|e| e.to_string()));
     let shadows = executor.shadow_mvs().map(Ok);
     for mv in admitted.chain(shadows) {
         let mv = mv?;
@@ -655,7 +655,7 @@ fn a_live_admission_refused_after_its_merge_leaves_the_admission_state_fresh() {
     };
     let global = |smile: &Smile| {
         let global = smile.global_plan();
-        (global.plan.canonical_string(), global.sharings.iter().map(|m| m.id).collect::<Vec<_>>())
+        (global.plan.canonical_string(), global.sharings.keys().copied().collect::<Vec<_>>())
     };
     let (before, merged_into) = (load(&smile), global(&smile));
     let model = smile.config.model.clone();

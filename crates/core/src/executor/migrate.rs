@@ -121,20 +121,18 @@ impl Executor {
         }
         let old_mv = self.sharings[idx].mv;
         let from = self.global.plan.vertex(old_mv).machine;
-        let merge = |global: &mut GlobalPlan| match global.merge_shadow(planned)?.get(&planned.mv) {
-            None => Err(SmileError::Internal("shadow merge lost the MV vertex".into())),
+        let merge = |global: &mut GlobalPlan| match global.merge_shadow(planned)? {
             // The whole new plan deduplicated onto the current placement:
             // nothing would move.
-            Some(&new_mv) if new_mv == old_mv => Err(SmileError::Internal(format!(
+            new_mv if new_mv == old_mv => Err(SmileError::Internal(format!(
                 "migration of sharing {id} would not move its MV"
             ))),
-            Some(&new_mv) => Ok(new_mv),
+            new_mv => Ok(new_mv),
         };
         self.merge_or_undo(merge, |ex, new_mv| {
             check(ex, new_mv)?;
             let (new_srcs, new_order) = ex.admit_merged(id, new_mv)?;
-            ex.mark_live(new_mv);
-            ex.root(new_mv);
+            ex.hold(new_mv);
             let new_mv_sig = ex.global.plan.vertex(new_mv).sig.clone();
             let mig = MigrationRt {
                 id,
@@ -232,12 +230,12 @@ impl Executor {
                 // The slot's projected wake was derived from the old
                 // placement's critical path; re-evaluate it next tick.
                 self.cal.wake_now(idx);
-                self.root(mig.new_mv);
-                self.unroot(mig.old_mv);
+                // The shadow's hold becomes the sharing's.
+                self.release(mig.old_mv);
+            } else {
+                // The shadow chain's exclusives stop being live.
+                self.release(mig.new_mv);
             }
-            // The shadow root goes either way: on abort, the shadow chain's
-            // exclusives stop being live.
-            self.unroot(mig.new_mv);
             self.record_migration_span(&mig, now, if failed { "aborted" } else { "completed" });
             self.migration_outcomes.push(MigrationOutcome {
                 id: mig.id,

@@ -200,17 +200,15 @@ pub struct Executor {
     data_ts: Vec<Timestamp>,
     /// Committed timestamp per vertex (staleness accounting).
     visible_ts: Vec<Timestamp>,
-    /// Per vertex, [`Executor::live`]: the plan is append-only, so after the
-    /// first retire or cutover part of it is inert. The start computes it; a
-    /// merge marks what it adds, and a retire or a settled migration
-    /// un-marks what its root alone kept live.
-    live: Vec<bool>,
-    /// Per vertex, how many registered sharings serve their MV there and
-    /// how many in-flight migrations have their shadow MV there: `live` is
-    /// the base vertices and everything at or upstream of a vertex with a
-    /// root.
-    roots: Vec<u32>,
-    /// The liveness journal: every vertex whose `live` bit flipped, or that
+    /// Per vertex, how many holds keep it [`Executor::live`]: one per
+    /// registered sharing or in-flight migration whose MV it is, one per
+    /// input position of each live edge that reads it, and for a base vertex
+    /// one that is never released. The plan is append-only, so after the
+    /// first retire or cutover part of it is held by nothing. The start
+    /// counts them afresh; [`Executor::hold`] and [`Executor::release`]
+    /// step them where a handle is taken or let go.
+    holds: Vec<u32>,
+    /// The liveness journal: every vertex whose liveness flipped, or that
     /// was appended live, since the storage reconcile last walked it
     /// ([`Executor::sorted_journal`]). The start journals every vertex.
     journal: Vec<VertexId>,
@@ -344,8 +342,7 @@ impl Executor {
             config,
             data_ts: Vec::new(),
             visible_ts: Vec::new(),
-            live: Vec::new(),
-            roots: Vec::new(),
+            holds: Vec::new(),
             journal: Vec::new(),
             reconciled: 0,
             heartbeats: Vec::new(),
@@ -391,14 +388,11 @@ impl Executor {
     /// then a slot for each of `sharings`, the admitted ones in order. A
     /// plan whose half-joins cannot be anchored is refused.
     pub fn start(&mut self, sharings: &[Sharing]) -> Result<()> {
-        // Computed, not carried over: hill climbing may have rewired the
-        // plan the merges marked. The storage reconcile that follows walks
-        // every vertex.
+        // Counted afresh, not carried over: hill climbing may have rewired
+        // the plan the merges held. Each sharing's slot takes its hold. The
+        // storage reconcile that follows walks every vertex.
         let plan = &self.global.plan;
-        let mut live: Vec<bool> = plan.vertices().iter().map(|v| v.is_base).collect();
-        plan.mark_upstream(&mut live, self.global.mvs()?);
-        self.live = live;
-        self.journal = plan.vertices().iter().map(|v| v.id).collect();
+        self.holds = plan.vertices().iter().map(|v| u32::from(v.is_base)).collect();
         plan.half_join_anchors(&mut self.anchor_of)?;
         self.plan_grew();
         for s in sharings {
@@ -406,6 +400,7 @@ impl Executor {
             let subgraph = Self::subgraph_of(&self.global, s.id, mv)?;
             self.register(s, mv, subgraph);
         }
+        self.journal = self.global.plan.vertices().iter().map(|v| v.id).collect();
         self.load_before_start = None;
         Ok(())
     }
@@ -474,59 +469,45 @@ impl Executor {
         self.data_ts.resize(n, Timestamp::ZERO);
         self.visible_ts.resize(n, Timestamp::ZERO);
         self.heartbeats.resize(n, None);
-        self.roots.resize(n, 0);
         let bases = plan.vertices()[before..].iter().filter(|v| v.is_base && v.kind == VertexKind::Relation);
         self.base_beats.extend(bases.map(|v| (v.machine, v.id)));
     }
 
-    /// Takes the vertices the plan appended into [`Executor::live`]: the
-    /// base ones are live, and journalled.
-    fn grow_live(&mut self) {
-        let appended = &self.global.plan.vertices()[self.live.len()..];
-        self.live.extend(appended.iter().map(|v| v.is_base));
+    /// `v` gains a hold. When it is the first, `v` turns live, is
+    /// journalled, and its producer's inputs gain one each, as far as the
+    /// first vertex already held. The vertices the plan appended since the
+    /// last hold are taken in first: the base ones hold themselves, and are
+    /// journalled.
+    fn hold(&mut self, v: VertexId) {
+        let appended = &self.global.plan.vertices()[self.holds.len()..];
         self.journal.extend(appended.iter().filter(|v| v.is_base).map(|v| v.id));
+        self.holds.extend(appended.iter().map(|v| u32::from(v.is_base)));
+        self.step_holds(v, |holds| {
+            *holds += 1;
+            *holds == 1
+        });
     }
 
-    /// Marks what a merge made live — `mv` and everything upstream of it, as
-    /// far as the first vertex already live (liveness is closed under
-    /// ancestors) — and journals it. Returns what it marked.
-    fn mark_live(&mut self, mv: VertexId) -> Vec<VertexId> {
-        self.grow_live();
-        let marked = self.global.plan.mark_upstream(&mut self.live, [mv]);
-        self.journal.extend(&marked);
-        marked
+    /// `v` loses a hold. When it was the last, `v` stops being live, is
+    /// journalled, and its producer's inputs lose one each: the walk costs
+    /// what stops being live and their inputs, never a consumer list.
+    fn release(&mut self, v: VertexId) {
+        self.step_holds(v, |holds| {
+            *holds -= 1;
+            *holds == 0
+        });
     }
 
-    /// `v` gains a root: a registered sharing's MV or a shadow MV.
-    fn root(&mut self, v: VertexId) {
-        self.roots[v.index()] += 1;
-    }
-
-    /// `v` loses a root. When it was the last, un-marks and journals what
-    /// only it kept live: from `v` upstream, in reverse topological order
-    /// (descending id, [`Executor::plan_grew`]), each vertex that is no
-    /// base, no root and feeds no live vertex any more. A vertex is taken
-    /// only after every consumer of it the walk reaches, so one pass
-    /// settles each; the walk stops at vertices that stay live, and costs
-    /// what it un-marks and their inputs.
-    fn unroot(&mut self, v: VertexId) {
-        let roots = &mut self.roots[v.index()];
-        *roots -= 1;
-        if *roots > 0 {
-            return;
-        }
-        let plan = &self.global.plan;
-        let mut heap = BinaryHeap::from([v]);
-        while let Some(v) = heap.pop() {
-            let (i, live) = (v.index(), &self.live);
-            let kept = plan.vertex(v).is_base || self.roots[i] > 0;
-            if !live[i] || kept || plan.consumers(v).any(|e| live[e.output.index()]) {
-                continue;
+    /// Steps the holds of `v` and, wherever `step` says a count crossed
+    /// zero, journals that vertex and steps its producer's inputs, once per
+    /// input position.
+    fn step_holds(&mut self, v: VertexId, step: impl Fn(&mut u32) -> bool) {
+        let mut stack = vec![v];
+        while let Some(v) = stack.pop() {
+            if step(&mut self.holds[v.index()]) {
+                self.journal.push(v);
+                stack.extend(self.global.plan.producer(v).iter().flat_map(|e| &e.inputs));
             }
-            self.live[i] = false;
-            self.journal.push(v);
-            let inputs = plan.producer(v).map_or(&[][..], |e| &e.inputs);
-            heap.extend(inputs);
         }
     }
 
@@ -568,13 +549,12 @@ impl Executor {
     /// the platform's storage reconcile, log compaction, admission's view
     /// of the load.
     pub fn live(&self, v: VertexId) -> bool {
-        self.live[v.index()]
+        self.holds[v.index()] > 0
     }
 
     /// The edges that produce a live vertex, in edge order.
     pub fn live_edges(&self) -> impl Iterator<Item = &Edge> {
-        let live = |e: &&Edge| self.live[e.output.index()];
-        self.global.plan.edges().iter().filter(live)
+        self.global.plan.edges().iter().filter(|e| self.live(e.output))
     }
 
     /// Every index the live edges read through ([`Plan::reads`]), in edge
@@ -591,7 +571,7 @@ impl Executor {
     /// and a calendar slot due at the next planning pass.
     fn register(&mut self, s: &Sharing, mv: VertexId, subgraph: (Vec<VertexId>, Vec<VertexId>)) {
         self.rollup.register(s.id.0, s.staleness_sla.as_micros());
-        self.root(mv);
+        self.hold(mv);
         self.by_id.insert(s.id, self.sharings.len());
         self.sharings.push(SharingRt::build(
             &self.global.plan,
@@ -630,18 +610,20 @@ impl Executor {
         model: &TimeCostModel,
         check: impl FnOnce(&Self, VertexId) -> Result<T>,
     ) -> Result<T> {
-        let (appended, before) = (self.global.plan.edges().len(), self.live.len());
+        let (appended, before) = (self.global.plan.edges().len(), self.holds.len());
         let merge = |global: &mut GlobalPlan| global.merge(sharing, planned);
         self.merge_or_undo(merge, |ex, mv| {
             let checked = check(ex, mv)?;
             let Some(load) = ex.load_before_start.take() else {
                 let subgraph = ex.admit_merged(sharing.id, mv)?;
                 ex.register(sharing, mv, subgraph);
-                ex.mark_live(mv);
                 return Ok(checked);
             };
-            // Whether it marked an older vertex: a dead chain revived.
-            let revived = ex.mark_live(mv).iter().any(|v| v.index() < before);
+            // The sharing's hold until the start counts afresh. Whether it
+            // turned an older vertex live: a dead chain revived.
+            let journalled = ex.journal.len();
+            ex.hold(mv);
+            let revived = ex.journal[journalled..].iter().any(|v| v.index() < before);
             // Nothing retires before the start, so the live edges only grow:
             // by appended ones, and rarely by an old edge a merge brought for
             // a vertex the plan already produced, revived when a later
@@ -649,7 +631,7 @@ impl Executor {
             // revival re-sums.
             let plan = &ex.global.plan;
             let (load, from) = if revived { (HashMap::new(), 0) } else { (load, appended) };
-            let live = plan.edges()[from..].iter().filter(|e| ex.live[e.output.index()]);
+            let live = plan.edges()[from..].iter().filter(|e| ex.live(e.output));
             ex.load_before_start = Some(edge_utilization(load, plan, live, model));
             Ok(checked)
         })
@@ -689,7 +671,7 @@ impl Executor {
             mig.failed = true;
         }
         self.global.retire(id);
-        self.unroot(self.sharings[idx].mv);
+        self.release(self.sharings[idx].mv);
         Ok(())
     }
 

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, HashMap};
 /// (signature, machine) so it survives garbage collection's id remapping.
 /// It is the one record of who is served: `SHR(v)`, the sharings a vertex
 /// serves, is those whose MV is `v` or downstream of it
-/// ([`Plan::mark_upstream`]).
+/// ([`Plan::upstream_mask`]).
 #[derive(Clone, Debug)]
 pub struct SharingMeta {
     /// MV content signature.
@@ -104,14 +104,14 @@ impl GlobalPlan {
         if self.sharings.last_key_value().is_some_and(|(&id, _)| id >= sharing.id) {
             return Err(SmileError::Internal(format!("{} merged after a newer sharing", sharing.id)));
         }
-        let remap = self.merge_shadow(planned)?;
+        let mv = self.merge_shadow(planned)?;
         let meta = SharingMeta {
             mv_sig: planned.plan.vertex(planned.mv).sig.clone(),
             mv_machine: planned.mv_machine,
             sla: sharing.staleness_sla,
         };
         self.sharings.insert(sharing.id, meta);
-        Ok(remap[&planned.mv])
+        Ok(mv)
     }
 
     /// [`GlobalPlan::merge`] under the name and signature the frozen
@@ -132,29 +132,27 @@ impl GlobalPlan {
     /// `Plan::index` is the one record of what is already there, and how
     /// much was reused is what [`Plan::vertex_count`] did not grow by.
     /// Vertices unique to the new placement serve no sharing until cutover
-    /// repoints the sharing's MV to them. Returns the old-plan →
-    /// global-plan vertex remap, which locates the MV (`remap[&planned.mv]`).
-    pub fn merge_shadow(
-        &mut self,
-        planned: &PlannedSharing,
-    ) -> Result<HashMap<VertexId, VertexId>> {
+    /// repoints the sharing's MV to them. Returns the MV's vertex in the
+    /// global plan.
+    pub fn merge_shadow(&mut self, planned: &PlannedSharing) -> Result<VertexId> {
         let src = &planned.plan;
-        let order = src.topo_order()?;
-        let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
-        for v in order {
+        // The planned plan's ids are dense, and the walk covers every one of
+        // them, inputs first.
+        let mut remap = vec![VertexId::new(0); src.vertex_count()];
+        for v in src.topo_order()? {
             // A planned sharing's vertices have no slot yet, so the copy
             // starts that way too.
             let nid = self.plan.add_vertex_copy(src.vertex(v));
-            remap.insert(v, nid);
+            remap[v.index()] = nid;
             // Install the producer unless the global plan already has one.
             if self.plan.producer(nid).is_none() {
                 if let Some(e) = src.producer(v) {
-                    let inputs = e.inputs.iter().map(|i| remap[i]).collect::<Vec<_>>();
+                    let inputs = e.inputs.iter().map(|i| remap[i.index()]).collect();
                     self.plan.add_edge_copy(e, inputs, nid)?;
                 }
             }
         }
-        Ok(remap)
+        Ok(remap[planned.mv.index()])
     }
 
     /// Atomically repoints sharing `id`'s MV to `(mv_sig, mv_machine)` —
@@ -259,6 +257,8 @@ pub struct HillClimbReport {
 /// among equal-benefit candidates. Destinations are walked in vertex-id
 /// order and every postings list is filled in vertex-id order, so the
 /// sequence is the same on every run and the resulting plans byte-equal.
+/// A candidate may wire `dst` from its own descendant; `rewire`'s
+/// topological walk refuses the cycle, as it refuses any other.
 pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
     let mut postings: HashMap<(VertexKind, &ExprSig), Vec<VertexId>> = HashMap::new();
     for v in g.plan.vertices() {
@@ -285,11 +285,6 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
         }
         for src in peers(VertexKind::Delta, &dst.sig) {
             if src == dst.id || g.plan.vertex(src).machine == dst.machine {
-                continue;
-            }
-            // Feeding dst from src must not create a cycle: src must not
-            // be a descendant of dst.
-            if g.plan.ancestors(src).contains(&dst.id) {
                 continue;
             }
             out.push(Plumbing::Copy { src, dst: dst.id });
@@ -324,14 +319,7 @@ pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
             if rel.machine == dst.machine {
                 continue; // that is what the current producer already does
             }
-            // Neither source may be downstream of dst.
-            if g.plan.ancestors(rel_v).contains(&dst.id) {
-                continue;
-            }
             for delta_v in peers(VertexKind::Delta, delta_sig) {
-                if delta_v == dst.id || g.plan.ancestors(delta_v).contains(&dst.id) {
-                    continue;
-                }
                 out.push(Plumbing::Join {
                     dst: dst.id,
                     delta_src: delta_v,
@@ -388,8 +376,9 @@ fn rewire(plan: &mut Plan, p: &Plumbing) -> Result<(Undo, Vec<VertexId>)> {
 /// The join half of [`rewire`]: computes half-join `dst` at `rel_src`'s
 /// machine, from `rel_src` and `delta_src` copied there if needed, and ships
 /// it to `dst`. Not the plan builder's steps: each guards on
-/// `producer(..).is_none()` and checks acyclicity against a plan that may
-/// already hold the vertex.
+/// `producer(..).is_none()` against a plan that may already hold the
+/// vertex, downstream of `dst` included; the cycle wiring through such a
+/// vertex closes is [`rewire`]'s to refuse.
 fn join_plumbing(
     plan: &mut Plan,
     dst: VertexId,
@@ -420,18 +409,6 @@ fn join_plumbing(
         let (rate, bytes) = (v.est_rate, v.est_tuple_bytes);
         plan.add_vertex(VertexKind::Delta, sig, rel_machine, schema, false, rate, 0.0, bytes)
     };
-    // Vertex creation dedups on (kind, sig, machine): an existing vertex may
-    // sit *downstream* of `dst`, in which case wiring through it would close
-    // a cycle — reject such candidates.
-    let ensure_acyclic = |plan: &Plan, v: VertexId| {
-        if plan.ancestors(v).contains(&dst) {
-            Err(SmileError::InvalidPlan(
-                "join plumbing would create a cycle".into(),
-            ))
-        } else {
-            Ok(())
-        }
-    };
     // Bring the delta stream to the relation's machine.
     let local_delta = if plan.vertex(delta_src).machine == rel_machine {
         delta_src
@@ -440,12 +417,10 @@ fn join_plumbing(
         if plan.producer(d).is_none() {
             plan.add_edge(EdgeOp::CopyDelta, vec![delta_src], d, Predicate::True, None)?;
         }
-        ensure_acyclic(plan, d)?;
         d
     };
     // Compute the half-join at the relation's machine.
     let half_at_rel = delta_at_rel(plan, dst);
-    ensure_acyclic(plan, half_at_rel)?;
     if plan.producer(half_at_rel).is_none() {
         let op = EdgeOp::Join {
             on,
@@ -868,13 +843,14 @@ pub(crate) mod tests {
 
     /// `rewire` then `undo` leaves the plan exactly as it was, for every
     /// candidate of every iteration of a climb, and a refused rewiring
-    /// leaves it so by itself. Some detached producer stands before another
-    /// consumer of one of its inputs, so putting it back at the end of the
-    /// list would change the topological order.
+    /// leaves it so by itself — a cyclic one, which only `rewire` refuses,
+    /// included. Some detached producer stands before another consumer of
+    /// one of its inputs, so putting it back at the end of the list would
+    /// change the topological order.
     #[test]
     fn rewire_then_undo_leaves_the_plan_as_it_was() {
         let (mut g, model, prices) = climb_fixture();
-        let (mut undone, mut refused, mut mid_list) = (0, 0, 0);
+        let (mut undone, mut refused, mut cycles, mut mid_list) = (0, 0, 0, 0);
         loop {
             for cand in enumerate_plumbings(&g) {
                 let (before, count) = (fingerprint(&g.plan), g.plan.vertex_count());
@@ -898,7 +874,10 @@ pub(crate) mod tests {
                         undone += 1;
                         mid_list += usize::from(not_last);
                     }
-                    Err(_) => refused += 1,
+                    Err(e) => {
+                        refused += 1;
+                        cycles += usize::from(e.to_string().contains("cycle"));
+                    }
                 }
                 assert!(fingerprint(&g.plan) == before, "{cand:?} changed the plan");
             }
@@ -907,8 +886,8 @@ pub(crate) mod tests {
             }
         }
         assert!(
-            undone > 0 && refused > 0 && mid_list > 0,
-            "{undone} undone, {refused} refused, {mid_list} detached mid-list"
+            undone > 0 && cycles > 0 && mid_list > 0,
+            "{undone} undone, {refused} refused ({cycles} cyclic), {mid_list} detached mid-list"
         );
     }
 

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// The one scope plan metrics have: the whole plan. A sharing's share of it
 /// is its MV's ancestors, read off [`path_lengths`] or walked from the MV
-/// ([`Plan::mark_upstream`]). The name stays only because the frozen
+/// ([`Plan::upstream_mask`]). The name stays only because the frozen
 /// `benchmark/` harness passes it to [`machine_utilization`]; drop it with
 /// that argument in the next `benchmark` PR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

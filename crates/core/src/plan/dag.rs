@@ -673,31 +673,17 @@ impl Plan {
         Ok(())
     }
 
-    /// Marks each of `roots` and every vertex upstream of it in `mask`, no
-    /// further than a vertex already marked, and returns what it marked.
-    /// `SHR(v)` is the sharings whose MV is `v` or downstream of it, so from
-    /// every admitted MV over an empty mask this marks the *served* mask.
-    pub fn mark_upstream(
-        &self,
-        mask: &mut [bool],
-        roots: impl IntoIterator<Item = VertexId>,
-    ) -> Vec<VertexId> {
-        let mut marked = Vec::new();
+    /// `mask[v]` iff `v` is one of `roots` or upstream of one. `SHR(v)` is
+    /// the sharings whose MV is `v` or downstream of it, so from every
+    /// admitted MV this is the *served* mask.
+    pub fn upstream_mask(&self, roots: impl IntoIterator<Item = VertexId>) -> Vec<bool> {
+        let mut mask = vec![false; self.vertex_count()];
         let mut stack: Vec<VertexId> = roots.into_iter().collect();
         while let Some(v) = stack.pop() {
             if !std::mem::replace(&mut mask[v.index()], true) {
-                marked.push(v);
                 stack.extend(self.producer(v).iter().flat_map(|e| &e.inputs));
             }
         }
-        marked
-    }
-
-    /// [`Plan::mark_upstream`] over an empty mask: `mask[v]` iff `v` is one
-    /// of `roots` or upstream of one.
-    pub fn upstream_mask(&self, roots: impl IntoIterator<Item = VertexId>) -> Vec<bool> {
-        let mut mask = vec![false; self.vertex_count()];
-        self.mark_upstream(&mut mask, roots);
         mask
     }
 
@@ -800,7 +786,7 @@ impl Plan {
     }
 
     /// Rebuilds the plan keeping only the base vertices, the `served` ones
-    /// (see [`Plan::mark_upstream`]) and the edges that still produce a
+    /// (see [`Plan::upstream_mask`]) and the edges that still produce a
     /// served vertex, remapping ids densely in topological order. Returns
     /// the new plan. Used by the plumbing pass after a rewiring left the
     /// replaced supply chain serving nothing; errors on a cyclic plan.
@@ -1413,7 +1399,9 @@ mod tests {
             }
             match kind {
                 1 => drop(crate::multi::hill_climb(&mut g, &model, &prices, 8)),
-                2 => drop(g.merge_shadow(&plan(moved % admissions.len(), to).unwrap()).unwrap()),
+                2 => {
+                    g.merge_shadow(&plan(moved % admissions.len(), to).unwrap()).unwrap();
+                }
                 _ => {}
             }
             let p = &g.plan;

@@ -5,7 +5,7 @@
 use super::{running, Action, Smile, WORST_ROWS};
 use crate::catalog::Catalog;
 use crate::executor::Executor;
-use crate::plan::dag::{Plan, VertexKind};
+use crate::plan::dag::{IndexId, Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use smile_sim::Cluster;
 use smile_storage::spj::RelationProvider;
@@ -14,7 +14,7 @@ use smile_telemetry::{
     chrome_trace, Alert, FlightIncident, MetricsSnapshot, Severity, Telemetry, TraceInstant,
 };
 use smile_types::{RelationId, Result, Schema, SharingId, SmileError, Timestamp, VertexId};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Summary of the faults injected into a run and the recovery work they
 /// caused. Derived `Debug` output is byte-identical across runs with the
@@ -105,6 +105,12 @@ impl Smile {
             .as_ref()
             .map(|e| e.wave_meter_view())
             .unwrap_or_default()
+    }
+
+    /// The storage reconcile's reader count per installed index: after each
+    /// reconcile, the multiset of [`Executor::live_reads`].
+    pub fn index_readers(&self) -> &BTreeMap<IndexId, u32> {
+        &self.readers
     }
 
     /// Fleet-wide WAL traffic counters (ship/land bytes and batches).

@@ -43,7 +43,7 @@ use smile_types::{
     FastMap, MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp,
     VertexId,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 /// How many worst-headroom sharings the metrics snapshot exports as rows
@@ -134,6 +134,10 @@ pub struct Smile {
     /// Arrangements that stopped existing because no live join probed them
     /// any more, dropped alone or with their relation.
     arrangements_reclaimed: u64,
+    /// Per installed index, how many slotted live edges read through it
+    /// ([`Plan::reads`]): the storage reconcile installs an index with its
+    /// first reader and drops it with its last.
+    readers: BTreeMap<IndexId, u32>,
     now: Timestamp,
     next_sharing: u32,
     /// Typed log of every adaptive-actuator decision, in decision order.
@@ -173,6 +177,7 @@ impl Smile {
             hc_report: None,
             telemetry,
             arrangements_reclaimed: 0,
+            readers: BTreeMap::new(),
             now: Timestamp::ZERO,
             next_sharing: 1,
             actions: Vec::new(),
@@ -380,7 +385,8 @@ impl Smile {
     ///   if the twin holds one (a Relation vertex and the Delta vertex of
     ///   the same signature and machine share table + log), else a new
     ///   relation whose log starts at the seed instant — and every index its
-    ///   producer reads through ([`Plan::reads`]) is installed.
+    ///   producer reads through ([`Plan::reads`]) gains a reader, and is
+    ///   installed when that is its first.
     /// * Every Relation vertex slotted here is seeded from ground truth (all
     ///   evaluated first, reading each base once: [`BaseReads`]) and every
     ///   vertex slotted here is stamped with the seed instant — per
@@ -391,12 +397,12 @@ impl Smile {
     /// * Every journalled vertex that is no longer live gives its slot up: a
     ///   slot nobody holds any more is dropped, and a relation vertex whose
     ///   delta twin keeps the slot empties its table.
-    /// * Every index an edge that just died read through is dropped unless a
-    ///   live edge still reads it — one consuming the vertex that holds the
-    ///   index's slot or that vertex's twin, the only vertices that can,
-    ///   read until one covers the slot's pending indexes. The live edges
-    ///   *are* the readers (a migration's shadow chain included, from its
-    ///   start), so there is no count to keep beside them.
+    /// * Every index an edge that just died read through loses a reader,
+    ///   taken before any slot moves, and one left with none is dropped
+    ///   afterwards, in [`IndexId`] order. The counts change only where an
+    ///   edge gains or gives up its slot, so they stay the multiset of
+    ///   [`Executor::live_reads`] (a migration's shadow chain included,
+    ///   from its start) without a walk over any consumer list.
     ///
     /// `seed_at` pins the seed: the relations are evaluated from base
     /// snapshots *as of* that instant and stamped with it. The start, retire
@@ -438,11 +444,18 @@ impl Smile {
             executor.global.plan.vertex_mut(v).slot = Some(slot);
         }
         let plan = &executor.global.plan;
-        // The indexes the newly slotted edges read through, before seeding
-        // fills the tables (idempotent: readers of one index share it).
+        // The newly slotted edges take up the indexes they read through,
+        // which are installed with their first reader, before seeding fills
+        // the tables.
         for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
-            for (machine, slot, index) in plan.reads(e) {
-                self.cluster.machine_mut(machine)?.db.ensure(slot, &index)?;
+            for read in plan.reads(e) {
+                match self.readers.get_mut(&read) {
+                    Some(readers) => *readers += 1,
+                    None => {
+                        self.cluster.machine_mut(read.0)?.db.ensure(read.1, &read.2)?;
+                        self.readers.insert(read, 1);
+                    }
+                }
             }
         }
         let mut reads = BaseReads::new();
@@ -465,16 +478,23 @@ impl Smile {
             }
         }
         // A journalled vertex still holding a slot but no longer live just
-        // died, and its producer with it: what that edge read, and the
-        // vertices that can hold the slots it read — its inputs — are taken
-        // before any of them gives its slot up.
+        // died, and its producer with it: what that edge read loses a
+        // reader before any slot moves.
         let plan = &executor.global.plan;
         let died = journal.iter().filter(|&&v| !executor.live(v) && plan.vertex(v).slot.is_some());
-        let (mut unread, mut holders) = (BTreeSet::new(), Vec::new());
+        let mut unread = Vec::new();
         for e in died.filter_map(|&v| plan.producer(v)) {
-            unread.extend(plan.reads(e));
-            holders.extend(&e.inputs);
+            for read in plan.reads(e) {
+                let lost = || SmileError::Internal(format!("edge {} read {read:?} unrecorded", e.id));
+                let readers = self.readers.get_mut(&read).ok_or_else(lost)?;
+                *readers -= 1;
+                if *readers == 0 {
+                    self.readers.remove(&read);
+                    unread.push(read);
+                }
+            }
         }
+        unread.sort_unstable();
         for &v in &journal {
             let plan = &executor.global.plan;
             let vert = plan.vertex(v);
@@ -489,25 +509,6 @@ impl Smile {
                 db.clear_table(slot)?;
             }
             executor.global.plan.vertex_mut(v).slot = None;
-        }
-        let plan = &executor.global.plan;
-        let twins = holders.iter().filter_map(|&v| twin(plan, plan.vertex(v)));
-        let mut holders: Vec<VertexId> = holders.iter().copied().chain(twins).collect();
-        holders.sort_unstable();
-        holders.dedup();
-        for &v in &holders {
-            let Some(held) = plan.vertex(v).slot.map(|slot| (plan.vertex(v).machine, slot)) else { continue };
-            let pending = |unread: &BTreeSet<IndexId>| unread.iter().any(|&(m, slot, _)| (m, slot) == held);
-            // Up to the first live readers that cover what is pending here:
-            // all of them only when an index did lose its last reader.
-            for e in plan.consumers(v).filter(|e| executor.live(e.output)) {
-                if !pending(&unread) {
-                    break;
-                }
-                for read in plan.reads(e) {
-                    unread.remove(&read);
-                }
-            }
         }
         for (machine, slot, index) in unread {
             let dropped = self.cluster.machine_mut(machine)?.db.drop_index(slot, &index);
@@ -688,19 +689,14 @@ fn seedable(
 }
 
 /// The slot held by `vert`'s twin — the vertex of the other kind with the
-/// same signature on the same machine, with which it shares one slot.
+/// same signature on the same machine, the one vertex that can share
+/// `vert`'s slot.
 fn twin_slot(plan: &Plan, vert: &Vertex) -> Option<RelationId> {
-    plan.vertex(twin(plan, vert)?).slot
-}
-
-/// The vertex of the other kind with `vert`'s signature and machine, if the
-/// plan has one: the one vertex that can share `vert`'s slot.
-fn twin(plan: &Plan, vert: &Vertex) -> Option<VertexId> {
     let other = match vert.kind {
         VertexKind::Relation => VertexKind::Delta,
         VertexKind::Delta => VertexKind::Relation,
     };
-    plan.find_vertex(other, &vert.sig, vert.machine)
+    plan.vertex(plan.find_vertex(other, &vert.sig, vert.machine)?).slot
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use smile::storage::join::JoinOn;
 use smile::storage::predicate::CmpOp;
 use smile::storage::{Predicate, SlotIndex, SpjQuery};
 use smile::types::{tuple, ColumnType, MachineId, RelationId, SharingId, SimDuration, SmileError, Timestamp, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -522,8 +522,8 @@ impl Checker<'_> {
 
     /// In the running plan, vertex ids are a topological order: every
     /// attached edge's inputs have smaller ids than its output. The wave
-    /// assignment, compaction's MV floors and the un-rooting walk order
-    /// vertices by id on the strength of it.
+    /// assignment and compaction's MV floors order vertices by id on the
+    /// strength of it.
     pub fn ids_are_topological(&self) -> Result<(), String> {
         let plan = &self.0.global_plan().plan;
         let mut attached = plan.edges().iter().filter(|e| e.attached(plan));
@@ -556,7 +556,8 @@ impl Checker<'_> {
     }
 
     /// The installed indexes are exactly those the live edges read
-    /// through, and each log partition lists every retained entry of its
+    /// through, the reconcile's reader count of each is how many live edges
+    /// read it, and each log partition lists every retained entry of its
     /// log once, under the literal the entry carries — nothing outlives a
     /// compaction, a retirement or a cutover.
     fn indexes_are_read(&self) -> Result<(), String> {
@@ -581,9 +582,15 @@ impl Checker<'_> {
                 }
             }
         }
-        let read: BTreeSet<_> = live_reads(self.0).into_iter().collect();
-        if installed != read {
-            return Err(format!("indexes {installed:?} installed, {read:?} read"));
+        let mut readers: BTreeMap<_, u32> = BTreeMap::new();
+        for read in live_reads(self.0) {
+            *readers.entry(read).or_default() += 1;
+        }
+        if !installed.iter().eq(readers.keys()) {
+            return Err(format!("indexes {installed:?} installed, {readers:?} read"));
+        }
+        if self.0.index_readers() != &readers {
+            return Err(format!("reader counts {:?}, live reads {readers:?}", self.0.index_readers()));
         }
         Ok(())
     }

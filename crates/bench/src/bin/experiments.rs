@@ -558,22 +558,11 @@ fn fig9(scale: Scale) {
             ..RunConfig::standard(trace.clone(), duration)
         };
         let iso = run_experiment(&iso_cfg).expect("fig9 isolated");
-        let shared_tuples = *shared
-            .smile
-            .executor
-            .as_ref()
-            .unwrap()
-            .tuples_per_sharing
-            .get(&shared.id_of(index).unwrap())
-            .unwrap_or(&0) as f64;
-        let iso_tuples = *iso
-            .smile
-            .executor
-            .as_ref()
-            .unwrap()
-            .tuples_per_sharing
-            .get(&iso.id_of(index).unwrap())
-            .unwrap_or(&0) as f64;
+        let moved = |run: &RunOutcome| {
+            let executor = run.smile.executor.as_ref().unwrap();
+            executor.sharing_tuples(run.id_of(index).unwrap()).unwrap_or(0) as f64
+        };
+        let (shared_tuples, iso_tuples) = (moved(&shared), moved(&iso));
         let change = 100.0 * (shared_tuples - iso_tuples) / iso_tuples.max(1.0);
         rows.push(vec![
             format!("S{index}"),

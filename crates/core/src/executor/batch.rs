@@ -49,12 +49,12 @@ use std::cmp::Reverse;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// One push planned into the current tick's batch: sharing `idx` advancing
-/// its subgraph to `target`.
+/// One push planned into the current tick's batch: sharing `sharing`
+/// advancing its subgraph to `target`. It carries everything its
+/// completion reads, so a push in flight when its sharing retires completes
+/// without the sharing's record.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct BatchRequest {
-    /// Sharing slot index.
-    pub idx: usize,
     /// The timestamp the push advances to.
     pub target: Timestamp,
     /// Attempt number (1-based; >1 for retries).
@@ -67,6 +67,8 @@ pub(super) struct BatchRequest {
     pub mv: VertexId,
     /// The sharing being advanced.
     pub sharing: SharingId,
+    /// Its staleness SLA.
+    pub sla: SimDuration,
     /// Dual-write shadow of a live migration: advances the new placement's
     /// chain alongside the real request, with no completion bookkeeping —
     /// only the owning migration's handoff state.
@@ -261,17 +263,17 @@ fn land_or_run(
 }
 
 impl Executor {
-    /// Plans one push request (sharing `idx` advancing to `target`) into
+    /// Plans one push request (sharing `id` advancing to `target`) into
     /// edge jobs appended to the batch.
     pub(super) fn push_request(
         &self,
-        idx: usize,
+        id: SharingId,
         target: Timestamp,
         attempt: u32,
         now: Timestamp,
         batch: &mut Batch,
     ) -> Result<()> {
-        let rt = &self.sharings[idx];
+        let rt = self.rt(id)?;
         // An instant inside a window some other request pushed a shared join
         // or aggregate output through is no state of it (`ExprSig::windowed`),
         // so the request goes to the furthest such window's end instead
@@ -282,13 +284,13 @@ impl Executor {
         let staleness_before = now - self.visible_ts[rt.mv.index()];
         let window_secs = (target - batch.ts(&self.data_ts, rt.mv)).as_secs_f64();
         let mut request = BatchRequest {
-            idx,
             target,
             attempt,
             staleness_before,
-            predicted: self.cp_for(idx, window_secs),
+            predicted: rt.cp.eval(window_secs, &self.model),
             mv: rt.mv,
-            sharing: rt.id,
+            sharing: id,
+            sla: rt.sla,
             shadow: false,
         };
         self.plan_vertex_jobs(&rt.order, request, batch)?;
@@ -297,7 +299,7 @@ impl Executor {
         // same batch. Shared vertices were just planned by the real
         // request, so the shadow pass plans only the placement delta — and
         // its jobs naturally depend on the real jobs through `last_job_on`.
-        if let Some(mig) = self.migrations.get(&idx).filter(|mig| !mig.failed) {
+        if let Some(mig) = self.migrations.get(&id).filter(|mig| !mig.failed) {
             request.mv = mig.new_mv;
             request.shadow = true;
             self.plan_vertex_jobs(&mig.new_order, request, batch)?;
@@ -592,14 +594,18 @@ impl Executor {
             // Progress made before a fault is kept: the tuples moved and
             // the commit events of successful jobs are already in.
             self.tuples_moved += done.tuples;
-            *self.tuples_per_sharing.entry(req.sharing).or_default() += done.tuples;
+            // The sharing is live: it was pushed this tick, and retirement
+            // happens between ticks.
+            if let Some(rt) = self.sharings.get_mut(&req.sharing) {
+                rt.tuples += done.tuples;
+            }
             if req.shadow {
                 // A shadow request only advances the migration's handoff
                 // state: no PushDone, no push record, no retry — the real
                 // request owns the sharing's completion bookkeeping, and
                 // the next real push re-plans the shadow chain from its
                 // landed `data_ts`.
-                if let Some(mig) = self.migrations.get_mut(&req.idx) {
+                if let Some(mig) = self.migrations.get_mut(&req.sharing) {
                     if done.failed {
                         mig.failed = true;
                     } else {
@@ -617,10 +623,10 @@ impl Executor {
                 );
             } else if req.attempt >= RETRY_ATTEMPTS {
                 self.fault_stats.pushes_abandoned += 1;
-                // The slot went in flight when its push fired; hand it
+                // The sharing went in flight when its push fired; hand it
                 // back to the scheduler at the next tick.
                 let next = self.cal.tick_of(now) + 1;
-                self.cal.schedule_at(req.idx, next);
+                self.cal.schedule_at(req.sharing, next);
                 if let Some(ts_id) = tick_span {
                     self.record_retry_span(ts_id, req, now, now, "abandoned");
                 }
@@ -629,7 +635,7 @@ impl Executor {
                 let due = now + retry_delay(req.attempt);
                 self.pending_retries.push(Reverse(PendingRetry {
                     due,
-                    idx: req.idx,
+                    sharing: req.sharing,
                     target: req.target,
                     attempt: req.attempt + 1,
                 }));
@@ -669,25 +675,25 @@ mod tests {
             requests in prop::collection::vec((0usize..2, 1u64..40, prop::bool::ANY), 1..8),
         ) {
             let pins = [0, 1].map(|m| Some(MachineId::new(m)));
-            let (smile, ..) = installed_pinned(true, 20, &pins);
+            let (smile, _, _, ids) = installed_pinned(true, 20, &pins);
             let ex = smile.executor.as_ref().unwrap();
             let now = Timestamp::from_secs(40);
             let mut batch = Batch::default();
-            for (idx, target, shadow) in requests {
+            for (side, target, shadow) in requests {
                 let target = Timestamp::from_secs(target);
                 if !shadow {
-                    ex.push_request(idx, target, 1, now, &mut batch).unwrap();
+                    ex.push_request(ids[side], target, 1, now, &mut batch).unwrap();
                     continue;
                 }
-                let (rt, twin) = (&ex.sharings[idx], &ex.sharings[1 - idx]);
+                let (rt, twin) = (&ex.sharings[&ids[side]], &ex.sharings[&ids[1 - side]]);
                 let request = BatchRequest {
-                    idx,
                     target,
                     attempt: 1,
                     staleness_before: SimDuration::ZERO,
                     predicted: SimDuration::ZERO,
                     mv: twin.mv,
-                    sharing: rt.id,
+                    sharing: ids[side],
+                    sla: rt.sla,
                     shadow: true,
                 };
                 ex.plan_vertex_jobs(&twin.order, request, &mut batch).unwrap();

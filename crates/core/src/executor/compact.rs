@@ -126,7 +126,7 @@ impl Executor {
     fn mv_floors(&self) -> Vec<Timestamp> {
         let plan = &self.global.plan;
         let mut floor = vec![Timestamp::MAX; plan.vertex_count()];
-        for rt in self.live_sharings() {
+        for rt in self.sharings.values() {
             let f = &mut floor[rt.mv.index()];
             *f = (*f).min(self.visible_ts[rt.mv.index()]);
         }
@@ -147,7 +147,7 @@ mod tests {
     use smile_storage::join::JoinOn;
     use smile_storage::{Predicate, SpjQuery};
     use smile_types::{tuple, MachineId, RelationId, SharingId, SimDuration, Timestamp};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// Every log on every machine, with its slot.
     fn logs(smile: &Smile) -> Vec<((MachineId, RelationId), &smile_storage::DeltaTable)> {
@@ -174,7 +174,7 @@ mod tests {
         }
         let held = |smile: &Smile| logs(smile).iter().map(|(_, log)| log.reclaimable()).sum::<usize>();
         let retained = |smile: &Smile| logs(smile).iter().map(|(_, log)| log.len()).sum::<usize>();
-        let mut horizons: HashMap<(MachineId, RelationId), Timestamp> = HashMap::new();
+        let mut horizons: BTreeMap<(MachineId, RelationId), Timestamp> = BTreeMap::new();
         let (mut boundaries, mut paced, mut partitioned, mut since) = (0, 0, false, 0);
         for s in 0..130i64 {
             let now = smile.now();
@@ -244,16 +244,17 @@ mod tests {
         let mut floors_seen = std::collections::BTreeSet::new();
         for tick in 0..40 {
             let ex = smile.executor.as_ref().unwrap();
-            let mv_ts: HashMap<SharingId, Timestamp> = ex
-                .live_sharings()
-                .map(|rt| (rt.id, ex.visible_ts[rt.mv.index()]))
+            let mv_ts: BTreeMap<SharingId, Timestamp> = ex
+                .sharings
+                .iter()
+                .map(|(&id, rt)| (id, ex.visible_ts[rt.mv.index()]))
                 .collect();
             let floors = ex.mv_floors();
             let plan = &ex.global.plan;
             for e in ex.live_edges() {
                 let reach = plan.downstream(e.output);
-                let served = ex.live_sharings().filter(|rt| reach.contains(&rt.mv)).map(|rt| rt.id);
-                let walk = served.filter_map(|s| mv_ts.get(&s)).min();
+                let served = ex.sharings.iter().filter(|(_, rt)| reach.contains(&rt.mv)).map(|(id, _)| id);
+                let walk = served.filter_map(|s| mv_ts.get(s)).min();
                 let walk = walk.copied().unwrap_or(Timestamp::MAX);
                 assert_eq!(floors[e.output.index()], walk, "edge {}, tick {tick}", e.id);
                 floors_seen.insert(walk);

@@ -6,7 +6,7 @@ use super::batch::BatchRequest;
 use super::spans::us;
 use super::{Executor, PushRecord};
 use smile_sim::Cluster;
-use smile_types::{Result, SimDuration, Timestamp, VertexId};
+use smile_types::{Result, SharingId, SimDuration, Timestamp, VertexId};
 use std::cmp::Reverse;
 
 /// Heartbeat publication period.
@@ -24,14 +24,14 @@ pub(super) struct Heartbeat {
 }
 
 /// A push attempt scheduled for re-execution after a transient fault.
-/// Field order doubles as the min-heap key: `(due, idx)` first, so draining
-/// in heap order is draining in `(due, idx)` order.
+/// Field order doubles as the min-heap key: `(due, sharing)` first, so
+/// draining in heap order is draining in `(due, sharing)` order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct PendingRetry {
     /// When the retry fires.
     pub due: Timestamp,
-    /// Sharing slot index.
-    pub idx: usize,
+    /// The sharing to push.
+    pub sharing: SharingId,
     /// The original push target (unchanged across retries).
     pub target: Timestamp,
     /// Attempt number this retry will be (1-based).
@@ -53,33 +53,30 @@ pub(super) enum ExecEvent {
 
 impl Executor {
     /// Drains every retry whose backoff expired, in due order (ties by
-    /// sharing slot). A slot has at most one pending retry: a slot waiting
-    /// out a retry is in flight, so neither the calendar nor a second push
-    /// can give it another. A retry dies with its sharing: one whose slot
-    /// was retired while it waited is dropped here, as the storage its push
-    /// would run over already is.
-    pub(super) fn collect_due_retries(&mut self, now: Timestamp) -> Vec<(usize, Timestamp, u32)> {
+    /// sharing id). A sharing has at most one pending retry: a sharing
+    /// waiting out a retry is in flight, so neither the calendar nor a
+    /// second push can give it another. A retry dies with its sharing
+    /// (`Executor::remove_sharing`), as the storage its push would run over
+    /// does.
+    pub(super) fn collect_due_retries(&mut self, now: Timestamp) -> Vec<(SharingId, Timestamp, u32)> {
         // Early return without allocating on the overwhelmingly common
         // no-retries-due tick.
         match self.pending_retries.peek() {
             Some(r) if r.0.due <= now => {}
             _ => return Vec::new(),
         }
-        let mut out: Vec<(usize, Timestamp, u32)> = Vec::new();
+        let mut out: Vec<(SharingId, Timestamp, u32)> = Vec::new();
         while let Some(&Reverse(r)) = self.pending_retries.peek() {
             if r.due > now {
                 break;
             }
             self.pending_retries.pop();
-            if !self.cal.is_live(r.idx) {
-                continue;
-            }
             debug_assert!(
-                out.iter().all(|e| e.0 != r.idx),
-                "slot {} had two pending retries",
-                r.idx
+                out.iter().all(|e| e.0 != r.sharing),
+                "sharing {} had two pending retries",
+                r.sharing
             );
-            out.push((r.idx, r.target, r.attempt));
+            out.push((r.sharing, r.target, r.attempt));
         }
         out
     }
@@ -98,12 +95,16 @@ impl Executor {
                     issued,
                     tuples,
                 } => {
-                    let (idx, target, staleness_before) =
-                        (req.idx, req.target, req.staleness_before);
-                    // The push no longer owns the slot, and events drain
+                    // Everything below reads the request, not the
+                    // sharing's record: a sharing retired while its push
+                    // was in flight has none, and its push completes all
+                    // the same.
+                    let (id, sla, target, staleness_before) =
+                        (req.sharing, req.sla, req.target, req.staleness_before);
+                    // The push no longer owns the sharing, and events drain
                     // before planning, so the guard chain re-evaluates it on
                     // this very tick.
-                    self.cal.wake_now(idx);
+                    self.cal.wake_now(id);
                     let actual = at - issued;
                     if self.config.feedback {
                         self.model.observe(req.predicted, actual);
@@ -114,7 +115,7 @@ impl Executor {
                     let advanced = target - (issued - staleness_before);
                     let after = at - target;
                     self.push_records.push(PushRecord {
-                        sharing: self.sharings[idx].id,
+                        sharing: id,
                         issued,
                         completed: at,
                         target,
@@ -126,12 +127,8 @@ impl Executor {
                     // Staleness headroom at this MV advance: how much of the
                     // SLA bound was left unspent. A miss records zero
                     // headroom and bumps the fleet violation counter; the
-                    // per-sharing attribution goes through the bounded
-                    // rollup, not a per-sharing instrument family.
-                    let (sid, sla) = {
-                        let rt = &self.sharings[idx];
-                        (rt.id.0, rt.sla)
-                    };
+                    // per-sharing attribution goes through the sharing's
+                    // summary, not a per-sharing instrument family.
                     self.hist_after_us.record(after.as_micros());
                     let (headroom, missed) = if after <= sla {
                         ((sla - after).as_micros(), false)
@@ -142,15 +139,17 @@ impl Executor {
                     if missed {
                         self.ctr_sla_missed.inc();
                     }
-                    self.rollup.record(idx, headroom, missed, us(at));
+                    if let Some(rt) = self.sharings.get_mut(&id) {
+                        rt.summary.record(headroom, missed, us(at));
+                    }
                     // The monitor and flight recorder are observability
                     // surfaces, not accounting: quiet mode keeps their
                     // windows provably empty.
                     if self.telemetry.enabled() {
                         self.monitor
-                            .record_push(sla.as_micros(), sid, headroom, missed, us(at));
+                            .record_push(sla.as_micros(), id.0, headroom, missed, us(at));
                         if missed {
-                            self.telemetry.capture_incident(sid, us(at), "sla_miss");
+                            self.telemetry.capture_incident(id.0, us(at), "sla_miss");
                         }
                     }
                 }

@@ -36,7 +36,7 @@
 //!    run that never attempted the migration (pinned by the chaos suite).
 //!
 //! Every decision here is made coordinator-side from deterministic
-//! simulation state in canonical (sharing-slot) order, so migrations are
+//! simulation state in canonical (sharing-id) order, so migrations are
 //! byte-stable run to run.
 
 use super::{Executor, SharingRt};
@@ -45,8 +45,8 @@ use crate::optimizer::PlannedSharing;
 use crate::plan::sig::ExprSig;
 use smile_types::{MachineId, Result, SharingId, SmileError, Timestamp, VertexId};
 
-/// Runtime state of one in-flight migration, keyed by the sharing's slot
-/// index in the executor's migration table.
+/// Runtime state of one in-flight migration, keyed by the sharing's id in
+/// the executor's migration table.
 #[derive(Clone, Debug)]
 pub(crate) struct MigrationRt {
     /// The migrating sharing.
@@ -113,13 +113,12 @@ impl Executor {
         now: Timestamp,
         check: impl FnOnce(&Self, VertexId) -> Result<()>,
     ) -> Result<()> {
-        let idx = *self.by_id.get(&id).ok_or(SmileError::UnknownSharing(id))?;
-        if self.migrations.contains_key(&idx) {
+        let old_mv = self.rt(id)?.mv;
+        if self.migrations.contains_key(&id) {
             return Err(SmileError::Internal(format!(
                 "sharing {id} is already migrating"
             )));
         }
-        let old_mv = self.sharings[idx].mv;
         let from = self.global.plan.vertex(old_mv).machine;
         let merge = |global: &mut GlobalPlan| match global.merge_shadow(planned)? {
             // The whole new plan deduplicated onto the current placement:
@@ -147,7 +146,7 @@ impl Executor {
                 pushed_ok: false,
                 failed: false,
             };
-            ex.migrations.insert(idx, mig);
+            ex.migrations.insert(id, mig);
             Ok(())
         })
     }
@@ -160,9 +159,7 @@ impl Executor {
 
     /// True while `id` has a migration in flight.
     pub fn migrating(&self, id: SharingId) -> bool {
-        self.by_id
-            .get(&id)
-            .is_some_and(|i| self.migrations.contains_key(i))
+        self.sharings.contains_key(&id) && self.migrations.contains_key(&id)
     }
 
     /// True if any in-flight migration moves an MV from or to `m` — such a
@@ -174,7 +171,8 @@ impl Executor {
     /// Machines currently hosting at least one live MV, in canonical order
     /// (the elastic-shrink loop's "is this machine empty" signal).
     pub fn mv_machines(&self) -> std::collections::BTreeSet<MachineId> {
-        self.live_sharings()
+        self.sharings
+            .values()
             .map(|rt| self.global.plan.vertex(rt.mv).machine)
             .collect()
     }
@@ -185,7 +183,7 @@ impl Executor {
         std::mem::take(&mut self.migration_outcomes)
     }
 
-    /// Settles in-flight migrations, in sharing-slot order. A failed one
+    /// Settles in-flight migrations, in sharing-id order. A failed one
     /// aborts: its shadow chain stops being live and the old placement
     /// continues untouched. A ready one cuts over: ready
     /// means a dual write succeeded, no push is in flight, and the shadow
@@ -195,41 +193,38 @@ impl Executor {
         if self.migrations.is_empty() {
             return Ok(());
         }
-        let idxs: Vec<usize> = self.migrations.keys().copied().collect();
-        for idx in idxs {
+        let ids: Vec<SharingId> = self.migrations.keys().copied().collect();
+        for id in ids {
             let (failed, ready) = {
-                let mig = &self.migrations[&idx];
+                let mig = &self.migrations[&id];
                 let ready = mig.pushed_ok
-                    && !self.cal.in_flight(idx)
+                    && !self.cal.in_flight(id)
                     && self.visible_ts[mig.new_mv.index()] >= self.visible_ts[mig.old_mv.index()];
                 (mig.failed, ready)
             };
             if !failed && !ready {
                 continue;
             }
-            let Some(mig) = self.migrations.remove(&idx) else {
+            let Some(mig) = self.migrations.remove(&id) else {
                 continue;
             };
             if !failed {
                 // Atomic cutover: repoint the sharing's MV coordinates (the
                 // old chain's exclusive vertices serve nothing from here
-                // on, and stop being live below) and rebuild the runtime
-                // slot over the new subgraph — the placement change
+                // on, and stop being live below) and rebuild the sharing's
+                // record over the new subgraph — the placement change
                 // invalidates the cached critical-path evaluator with it.
+                // What its pushes have done so far stays.
                 self.global
                     .repoint_mv(mig.id, mig.new_mv_sig.clone(), mig.to)?;
-                let old = &self.sharings[idx];
-                self.sharings[idx] = SharingRt::build(
-                    &self.global.plan,
-                    mig.id,
-                    (old.sla, old.penalty),
-                    mig.new_mv,
-                    (mig.new_srcs.clone(), mig.new_order.clone()),
-                    &self.model,
-                );
-                // The slot's projected wake was derived from the old
+                let rt = self.sharings.get_mut(&id).ok_or(SmileError::UnknownSharing(id))?;
+                let subgraph = (mig.new_srcs.clone(), mig.new_order.clone());
+                let contract = (rt.sla, rt.penalty);
+                let new = SharingRt::build(&self.global.plan, id, contract, mig.new_mv, subgraph, &self.model);
+                *rt = SharingRt { summary: rt.summary, tuples: rt.tuples, ..new };
+                // The sharing's projected wake was derived from the old
                 // placement's critical path; re-evaluate it next tick.
-                self.cal.wake_now(idx);
+                self.cal.wake_now(id);
                 // The shadow's hold becomes the sharing's.
                 self.release(mig.old_mv);
             } else {

@@ -55,14 +55,13 @@ use crate::sharing::Sharing;
 use calendar::{CalendarState, CpEval};
 use liveness::{ExecEvent, Heartbeat, PendingRetry};
 use smile_sim::{Cluster, EventQueue, Mailbox, WaveMeter};
-use smile_telemetry::{
-    Alert, BurnRateMonitor, Counter, FleetRollup, Gauge, Histogram, SharingSummary, Telemetry,
-};
+use smile_telemetry::{Alert, BurnRateMonitor, Counter, Gauge, Histogram, SharingSummary};
+use smile_telemetry::{Telemetry, WorstRow};
 use smile_types::{FastMap, MachineId, RelationId, Result, SharingId, SimDuration};
 use smile_types::{SmileError, Timestamp, VertexId};
 use spans::us;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 /// Command dispatch latency (executor → agent).
@@ -133,13 +132,13 @@ pub struct PushRecord {
     pub tuples: u64,
 }
 
-/// Runtime state per sharing: its subgraph and the scheduling caches
-/// derived from it, built together at registration and replaced together
-/// when a migration cuts over. Whether the slot is idle, mid-push or
-/// retired is the push calendar's to say.
+/// The executor's one record of a live sharing, keyed by its id: its
+/// subgraph and the scheduling caches derived from it, built together at
+/// registration and replaced together when a migration cuts over, and what
+/// its pushes have done so far. Retirement removes it. Whether the sharing
+/// is idle or mid-push is the push calendar's to say.
 #[derive(Clone, Debug)]
 struct SharingRt {
-    id: SharingId,
     sla: SimDuration,
     /// Dollars per late tuple, charged when the auditor finds the MV stale.
     penalty: f64,
@@ -155,12 +154,16 @@ struct SharingRt {
     /// The deduplicated machines the sharing's pushes touch (for the
     /// crash-deferral check).
     machines: Vec<MachineId>,
+    /// Headroom accounting of its completed pushes.
+    summary: SharingSummary,
+    /// Tuples its pushes moved, a migration's dual writes included.
+    tuples: u64,
 }
 
 impl SharingRt {
-    /// The slot of sharing `id` under its contract's `(SLA, penalty per
+    /// The record of sharing `id` under its contract's `(SLA, penalty per
     /// late tuple)`, served at `mv` through the subgraph `(srcs, order)`
-    /// [`Executor::subgraph_of`] derives.
+    /// [`Executor::subgraph_of`] derives, with nothing pushed yet.
     fn build(
         plan: &Plan,
         id: SharingId,
@@ -177,7 +180,6 @@ impl SharingRt {
         machines.sort_unstable_by_key(|m| m.index());
         machines.dedup();
         Self {
-            id,
             sla,
             penalty,
             mv,
@@ -185,6 +187,8 @@ impl SharingRt {
             srcs,
             order,
             machines,
+            summary: SharingSummary::new(id.0, sla.as_micros()),
+            tuples: 0,
         }
     }
 }
@@ -216,10 +220,8 @@ pub struct Executor {
     reconciled: usize,
     /// Last heartbeat-reported timestamp per vertex (base vertices only).
     heartbeats: Vec<Option<Timestamp>>,
-    sharings: Vec<SharingRt>,
-    /// Live (non-retired) sharing id → slot index, so the per-id accessors
-    /// stay O(1) at 100k sharings.
-    by_id: FastMap<SharingId, usize>,
+    /// One record per live sharing, in id order.
+    sharings: BTreeMap<SharingId, SharingRt>,
     events: EventQueue<ExecEvent>,
     /// The agents' channel to the executor.
     bus: Mailbox<Heartbeat>,
@@ -231,14 +233,12 @@ pub struct Executor {
     /// How many entries the last compaction cut.
     last_cut: usize,
     /// Transiently-failed pushes awaiting their backoff, min-heap keyed
-    /// `(due, idx)`.
+    /// `(due, sharing)`.
     pending_retries: BinaryHeap<Reverse<PendingRetry>>,
     /// Fault-recovery statistics.
     pub fault_stats: ExecFaultStats,
     /// Total tuples moved across all edges (snapshot-module metric).
     pub tuples_moved: u64,
-    /// Tuples moved attributed per sharing.
-    pub tuples_per_sharing: HashMap<SharingId, u64>,
     /// Completed pushes (Figure 7 data).
     pub push_records: Vec<PushRecord>,
     /// Shared telemetry handle: spans, counters, histograms.
@@ -255,8 +255,8 @@ pub struct Executor {
     /// (the publish order the per-vertex scan produced, which the
     /// fault-prone bus draws in): appended as the plan grows.
     base_beats: Vec<(MachineId, VertexId)>,
-    /// Push-calendar scheduler state, and with it each slot's lifecycle
-    /// (idle / in flight / retired).
+    /// Push-calendar scheduler state, and with it whether each live
+    /// sharing is idle or in flight.
     cal: CalendarState,
     /// Host wall-clock per tick spent in the scheduling phase (drain +
     /// heartbeats + planning), µs. `host_` marks it excluded from
@@ -278,22 +278,19 @@ pub struct Executor {
     hist_after_us: Rc<Histogram>,
     /// Fleet-wide SLA-miss counter.
     ctr_sla_missed: Rc<Counter>,
-    /// Bounded per-sharing accounting: compact summaries + deterministic
-    /// top-K worst-headroom rows, O(K) snapshot cardinality.
-    rollup: FleetRollup,
     /// SLA burn-rate monitor over sharing cohorts (sim-time windows).
     monitor: BurnRateMonitor,
     /// Alerts fired so far, in fire order — the adaptive-runtime feed.
     alerts: Vec<Alert>,
-    /// In-flight live migrations, keyed by sharing slot index (BTreeMap so
+    /// In-flight live migrations, keyed by sharing id (BTreeMap so
     /// settlement iterates in canonical order).
-    migrations: std::collections::BTreeMap<usize, migrate::MigrationRt>,
+    migrations: BTreeMap<SharingId, migrate::MigrationRt>,
     /// Settled migrations awaiting platform pickup
     /// ([`Executor::take_migration_outcomes`]).
     migration_outcomes: Vec<MigrationOutcome>,
     /// Until [`Executor::start`], what [`Executor::load`] reads, grown as
     /// each merge adds live edges; `None` once started.
-    load_before_start: Option<HashMap<MachineId, f64>>,
+    load_before_start: Option<FastMap<MachineId, f64>>,
 }
 
 impl Executor {
@@ -334,7 +331,7 @@ impl Executor {
     /// gives them their runtime. `telemetry` is the platform-wide handle
     /// the executor records spans and instruments into.
     pub fn new(model: TimeCostModel, config: ExecConfig, telemetry: Rc<Telemetry>) -> Self {
-        let cal = CalendarState::new(0, config.tick);
+        let cal = CalendarState::new(config.tick);
         let reg = telemetry.registry();
         Self {
             global: GlobalPlan::new(),
@@ -346,8 +343,7 @@ impl Executor {
             journal: Vec::new(),
             reconciled: 0,
             heartbeats: Vec::new(),
-            sharings: Vec::new(),
-            by_id: FastMap::default(),
+            sharings: BTreeMap::new(),
             events: EventQueue::new(),
             bus: Mailbox::new(COMMAND_LATENCY),
             last_heartbeat: None,
@@ -357,7 +353,6 @@ impl Executor {
             pending_retries: BinaryHeap::new(),
             fault_stats: ExecFaultStats::default(),
             tuples_moved: 0,
-            tuples_per_sharing: HashMap::new(),
             push_records: Vec::new(),
             ctr_waves: reg.counter("wave.waves"),
             ctr_jobs: reg.counter("wave.jobs"),
@@ -374,22 +369,21 @@ impl Executor {
             hist_headroom_us: reg.histogram("push.staleness_headroom_us"),
             hist_after_us: reg.histogram("push.staleness_after_us"),
             ctr_sla_missed: reg.counter("push.sla_missed"),
-            rollup: FleetRollup::new(),
             monitor: BurnRateMonitor::default(),
             alerts: Vec::new(),
-            migrations: std::collections::BTreeMap::new(),
+            migrations: BTreeMap::new(),
             migration_outcomes: Vec::new(),
             telemetry,
-            load_before_start: Some(HashMap::new()),
+            load_before_start: Some(FastMap::default()),
         }
     }
 
     /// Starts the runtime over the plan merged so far: the plan-wide state,
-    /// then a slot for each of `sharings`, the admitted ones in order. A
+    /// then a record for each of `sharings`, the admitted ones in order. A
     /// plan whose half-joins cannot be anchored is refused.
     pub fn start(&mut self, sharings: &[Sharing]) -> Result<()> {
         // Counted afresh, not carried over: hill climbing may have rewired
-        // the plan the merges held. Each sharing's slot takes its hold. The
+        // the plan the merges held. Each sharing's record takes its hold. The
         // storage reconcile that follows walks every vertex.
         let plan = &self.global.plan;
         self.holds = plan.vertices().iter().map(|v| u32::from(v.is_base)).collect();
@@ -412,8 +406,8 @@ impl Executor {
 
     /// Per-machine load of the live edges under `model`, which admission
     /// plans against; summed afresh once started, as a retire can free load.
-    pub fn load(&self, model: &TimeCostModel) -> HashMap<MachineId, f64> {
-        let live = || edge_utilization(HashMap::new(), &self.global.plan, self.live_edges(), model);
+    pub fn load(&self, model: &TimeCostModel) -> FastMap<MachineId, f64> {
+        let live = || edge_utilization(FastMap::default(), &self.global.plan, self.live_edges(), model);
         self.load_before_start.clone().unwrap_or_else(live)
     }
 
@@ -567,21 +561,14 @@ impl Executor {
     }
 
     /// Gives a sharing already merged into the global plan, served at `mv`
-    /// through `subgraph`, its runtime slot: scheduling caches, rollup row
-    /// and a calendar slot due at the next planning pass.
+    /// through `subgraph`, its record and a calendar slot due at the next
+    /// planning pass.
     fn register(&mut self, s: &Sharing, mv: VertexId, subgraph: (Vec<VertexId>, Vec<VertexId>)) {
-        self.rollup.register(s.id.0, s.staleness_sla.as_micros());
         self.hold(mv);
-        self.by_id.insert(s.id, self.sharings.len());
-        self.sharings.push(SharingRt::build(
-            &self.global.plan,
-            s.id,
-            (s.staleness_sla, s.penalty_per_tuple),
-            mv,
-            subgraph,
-            &self.model,
-        ));
-        self.cal.add_slot();
+        let contract = (s.staleness_sla, s.penalty_per_tuple);
+        let rt = SharingRt::build(&self.global.plan, s.id, contract, mv, subgraph, &self.model);
+        self.sharings.insert(s.id, rt);
+        self.cal.add(s.id);
     }
 
     /// Host-side totals of the wave engine, read from the telemetry
@@ -630,7 +617,7 @@ impl Executor {
             // sharing dedups onto it. The load grows in edge order, so a
             // revival re-sums.
             let plan = &ex.global.plan;
-            let (load, from) = if revived { (HashMap::new(), 0) } else { (load, appended) };
+            let (load, from) = if revived { (FastMap::default(), 0) } else { (load, appended) };
             let live = plan.edges()[from..].iter().filter(|e| ex.live(e.output));
             ex.load_before_start = Some(edge_utilization(load, plan, live, model));
             Ok(checked)
@@ -652,26 +639,26 @@ impl Executor {
     }
 
     /// **On-the-fly removal** (paper §10 future work): retires a sharing.
-    /// Its runtime slot becomes a tombstone (indexes in queued events must
-    /// stay stable) and its meta leaves the global plan. The plan vertices
+    /// Its record, calendar slot and pending retry go, and its meta leaves
+    /// the global plan; a push of it still in flight completes from what
+    /// its request carries (`Executor::drain_events`). The plan vertices
     /// that served only it stay in the append-only plan but stop being
     /// [`Executor::live`] until a new sharing dedups onto them: the storage
     /// reconcile drops their slots, compaction stops pinning logs through
     /// their edges and admission stops counting their load — which is what
     /// makes them free at run time.
     pub fn remove_sharing(&mut self, id: SharingId) -> Result<()> {
-        // `by_id` indexes only live sharings, so a hit is never a tombstone.
-        let idx = self.by_id.remove(&id).ok_or(SmileError::UnknownSharing(id))?;
-        self.rollup.retire(idx);
-        self.cal.retire(idx);
+        let rt = self.sharings.remove(&id).ok_or(SmileError::UnknownSharing(id))?;
+        self.cal.remove(id);
+        self.pending_retries.retain(|r| r.0.sharing != id);
         // Retiring mid-migration abandons the handoff: the shadow chain
         // stays live until the next settle pass takes the migration off the
         // table.
-        if let Some(mig) = self.migrations.get_mut(&idx) {
+        if let Some(mig) = self.migrations.get_mut(&id) {
             mig.failed = true;
         }
         self.global.retire(id);
-        self.release(self.sharings[idx].mv);
+        self.release(rt.mv);
         Ok(())
     }
 
@@ -681,10 +668,9 @@ impl Executor {
         Ok(now - self.mv_ts(id)?)
     }
 
-    /// The runtime slot of a live sharing.
+    /// The record of a live sharing.
     fn rt(&self, id: SharingId) -> Result<&SharingRt> {
-        let idx = self.by_id.get(&id).ok_or(SmileError::UnknownSharing(id))?;
-        Ok(&self.sharings[*idx])
+        self.sharings.get(&id).ok_or(SmileError::UnknownSharing(id))
     }
 
     /// Committed MV timestamp of a sharing.
@@ -700,7 +686,7 @@ impl Executor {
 
     /// The executor's view of a sharing's SLA.
     pub fn sla(&self, id: SharingId) -> Option<SimDuration> {
-        self.by_id.get(&id).map(|&i| self.sharings[i].sla)
+        self.sharings.get(&id).map(|rt| rt.sla)
     }
 
     /// Alerts the burn-rate monitor has fired so far, in fire order.
@@ -708,14 +694,30 @@ impl Executor {
         &self.alerts
     }
 
-    /// The bounded fleet headroom rollup.
-    pub fn rollup(&self) -> &FleetRollup {
-        &self.rollup
+    /// The deterministic top-`k` worst-headroom live sharings
+    /// ([`smile_telemetry::top_k_worst`]).
+    pub fn top_k_worst(&self, k: usize) -> Vec<WorstRow> {
+        smile_telemetry::top_k_worst(self.sharings.values().map(|rt| &rt.summary), k)
     }
 
-    /// The compact rollup summary for one live sharing.
+    /// The compact headroom summary of one live sharing.
     pub fn sharing_summary(&self, id: SharingId) -> Option<&SharingSummary> {
-        self.by_id.get(&id).and_then(|&i| self.rollup.summary(i))
+        self.sharings.get(&id).map(|rt| &rt.summary)
+    }
+
+    /// Tuples one live sharing's pushes have moved so far.
+    pub fn sharing_tuples(&self, id: SharingId) -> Option<u64> {
+        self.sharings.get(&id).map(|rt| rt.tuples)
+    }
+
+    /// The live sharings the executor keeps a record of, in id order.
+    pub fn sharing_ids(&self) -> impl Iterator<Item = SharingId> + '_ {
+        self.sharings.keys().copied()
+    }
+
+    /// The sharings the push calendar holds a slot for, in id order.
+    pub fn calendar_ids(&self) -> Vec<SharingId> {
+        self.cal.ids()
     }
 
     /// Fast/slow burn ratios (ppm) and fast-window push count for the
@@ -737,10 +739,7 @@ impl Executor {
     /// The sharing's push-order subgraph and base-relation sources, for
     /// introspection reports.
     pub fn sharing_topology(&self, id: SharingId) -> Option<(&[VertexId], &[VertexId])> {
-        self.by_id.get(&id).map(|&i| {
-            let rt = &self.sharings[i];
-            (rt.order.as_slice(), rt.srcs.as_slice())
-        })
+        self.sharings.get(&id).map(|rt| (rt.order.as_slice(), rt.srcs.as_slice()))
     }
 
     /// One scheduler tick at simulated time `now`: drain message/event
@@ -782,32 +781,21 @@ impl Executor {
         self.compact_if_due(cluster, now)
     }
 
-    /// Runtime slots of the sharings not retired, in slot order.
-    fn live_sharings(&self) -> impl Iterator<Item = &SharingRt> {
-        let live = |(idx, _): &(usize, &SharingRt)| self.cal.is_live(*idx);
-        self.sharings
-            .iter()
-            .enumerate()
-            .filter(live)
-            .map(|(_, rt)| rt)
-    }
-
-    /// `(id, staleness at now, SLA, penalty per late tuple)` of each
-    /// sharing this executor maintains (retired ones excluded), in slot
-    /// order.
+    /// `(id, staleness at now, SLA, penalty per late tuple, tuples moved so
+    /// far)` of each sharing this executor maintains, in id order.
     pub fn staleness_by_sharing(
         &self,
         now: Timestamp,
-    ) -> impl Iterator<Item = (SharingId, SimDuration, SimDuration, f64)> + '_ {
-        self.live_sharings().map(move |rt| {
+    ) -> impl Iterator<Item = (SharingId, SimDuration, SimDuration, f64, u64)> + '_ {
+        self.sharings.iter().map(move |(&id, rt)| {
             let staleness = now - self.visible_ts[rt.mv.index()];
-            (rt.id, staleness, rt.sla, rt.penalty)
+            (id, staleness, rt.sla, rt.penalty, rt.tuples)
         })
     }
 
     /// Whether a push for the sharing is currently in flight.
     pub fn in_flight(&self, id: SharingId) -> bool {
-        self.by_id.get(&id).is_some_and(|&i| self.cal.in_flight(i))
+        self.cal.in_flight(id)
     }
 }
 
@@ -996,8 +984,8 @@ pub(super) mod tests {
         for _ in 0..300 {
             feed(&mut smile, a, b, 1);
             let ex = smile.executor.as_ref().unwrap();
-            let mut slots: Vec<usize> = ex.pending_retries.iter().map(|r| r.0.idx).collect();
-            assert!(slots.iter().all(|&idx| ex.cal.in_flight(idx)));
+            let mut slots: Vec<SharingId> = ex.pending_retries.iter().map(|r| r.0.sharing).collect();
+            assert!(slots.iter().all(|&id| ex.cal.in_flight(id)));
             slots.sort_unstable();
             let pending = slots.len();
             slots.dedup();
@@ -1009,12 +997,12 @@ pub(super) mod tests {
 
     #[test]
     fn no_due_retries_returns_without_draining() {
-        let (mut smile, _a, _b, _id) = installed(true, 20);
+        let (mut smile, _a, _b, id) = installed(true, 20);
         let ex = smile.executor.as_mut().unwrap();
         let t = Timestamp::from_secs;
         ex.pending_retries.push(Reverse(PendingRetry {
             due: t(9),
-            idx: 0,
+            sharing: id,
             target: t(8),
             attempt: 2,
         }));
@@ -1032,13 +1020,13 @@ pub(super) mod tests {
         let ex = smile.executor.as_ref().unwrap();
         assert!(ex.model.inflation() != 1.0, "feedback never calibrated");
         let plan = &ex.global.plan;
-        for rt in &ex.sharings {
+        for (id, rt) in &ex.sharings {
             for w in [0.0, 0.5, 1.0, 3.25, 10.0, 123.456, 3600.0] {
                 let oracle = restricted_cp(plan, rt.mv, w, &ex.model);
                 let cached = rt.cp.eval(w, &ex.model);
-                assert_eq!(cached, oracle, "window {w}s diverged at sharing {}", rt.id);
+                assert_eq!(cached, oracle, "window {w}s diverged at sharing {id}");
                 let swept = path_lengths(plan, w, &ex.model).unwrap()[rt.mv.index()];
-                assert_eq!(swept, oracle, "window {w}s: one sweep diverged at sharing {}", rt.id);
+                assert_eq!(swept, oracle, "window {w}s: one sweep diverged at sharing {id}");
             }
         }
     }
@@ -1061,6 +1049,39 @@ pub(super) mod tests {
         let anchored = (0..plan.edge_count()).filter(|&e| fresh[e].is_some()).count();
         assert!(anchored >= 6, "{anchored} anchored edges");
         assert_eq!(ex.anchor_of, fresh);
+    }
+
+    /// A push in flight when its sharing retires completes from its
+    /// request: the same push record, `push.sla_missed`, headroom
+    /// histograms, burn-rate monitor input and flight incidents as on a
+    /// twin run that keeps the sharing — and it brings back no record,
+    /// calendar slot or summary.
+    #[test]
+    fn a_push_in_flight_at_retirement_completes_without_its_record() {
+        let (mut kept, a, b, id) = installed(true, 20);
+        let (mut retired, ..) = installed(true, 20);
+        for _ in 0..60 {
+            if kept.executor.as_ref().unwrap().in_flight(id) {
+                break;
+            }
+            feed(&mut kept, a, b, 1);
+            feed(&mut retired, a, b, 1);
+        }
+        assert!(retired.executor.as_ref().unwrap().in_flight(id), "no push went in flight");
+        retired.retire(id).unwrap();
+        for smile in [&mut kept, &mut retired] {
+            smile.step().unwrap();
+        }
+        let (k, r) = (kept.executor.as_ref().unwrap(), retired.executor.as_ref().unwrap());
+        assert_eq!(r.push_records.last().map(|p| p.sharing), Some(id), "the push never completed");
+        assert_eq!(r.push_records, k.push_records);
+        assert_eq!(r.ctr_sla_missed.get(), k.ctr_sla_missed.get());
+        for (rh, kh) in [(&r.hist_headroom_us, &k.hist_headroom_us), (&r.hist_after_us, &k.hist_after_us)] {
+            assert_eq!(format!("{:?}", rh.snapshot()), format!("{:?}", kh.snapshot()));
+        }
+        assert_eq!(format!("{:?}", r.monitor), format!("{:?}", k.monitor));
+        assert_eq!(format!("{:?}", retired.flight_incidents()), format!("{:?}", kept.flight_incidents()));
+        assert!(r.sharings.is_empty() && r.cal.ids().is_empty() && r.sharing_summary(id).is_none());
     }
 
     #[test]

@@ -349,7 +349,7 @@ fn run_join(
     let db = &job.machine.db;
     let log = &db.relation(delta_slot)?.delta;
     let (range, window) = (log.window_range(job.from, job.to), log.window_ref(job.from, job.to));
-    let keyed = edge.filter == Predicate::True && log.partitions().any(|cols| cols == delta_cols);
+    let keyed = edge.filter == Predicate::True && log.partitions().any(|(cols, _)| cols == delta_cols);
     let scan: Option<Vec<&DeltaEntry>> =
         (!keyed).then(|| log.window_filtered(job.from, job.to, &edge.filter).collect());
     let window_len = scan.as_ref().map_or(window.len(), Vec::len);
@@ -375,7 +375,7 @@ fn run_join(
         // With the log's join-key history installed, the big side reads
         // each window entry's own key's rows and never collects the kept
         // rows; the small side's condition counts them.
-        let history = rel.delta.partitions().any(|cols| cols == index.key);
+        let history = rel.delta.partitions().any(|(cols, _)| cols == index.key);
         let kept: Vec<&DeltaEntry> = match scan {
             Some(_) if history => Vec::new(),
             _ => rel.delta.window_filtered(lo, hi, snapshot_filter).collect(),
@@ -881,7 +881,7 @@ mod tests {
             let landed = db.delta_window(RelationId::new(2), Timestamp::ZERO, to).unwrap();
             let log_partitions = |cluster: &Cluster, slot: u32| -> Vec<Vec<usize>> {
                 let db = &cluster.machine(M0).unwrap().db;
-                db.relation(RelationId::new(slot)).unwrap().delta.partitions().map(<[usize]>::to_vec).collect()
+                db.relation(RelationId::new(slot)).unwrap().delta.partitions().map(|(cols, _)| cols.to_vec()).collect()
             };
             let literal_cols = if filter_kind == 0 { vec![] } else { vec![vec![2]] };
             let join_key_cols = if filter_kind == 0 { vec![] } else { vec![delta_cols.clone()] };

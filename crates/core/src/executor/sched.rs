@@ -8,7 +8,7 @@ use super::calendar::INFLATION_HEADROOM;
 use super::{Executor, SharingRt};
 use crate::plan::timecost::MAX_INFLATION;
 use smile_sim::Cluster;
-use smile_types::{Result, SimDuration, Timestamp, VertexId};
+use smile_types::{Result, SharingId, SimDuration, Timestamp, VertexId};
 
 /// The `l` factor of §8.2: a lazy push fires when the staleness projected
 /// at its completion reaches `L_FACTOR · SLA`.
@@ -16,7 +16,8 @@ const L_FACTOR: f64 = 0.8;
 
 /// Outcome of evaluating one sharing for a push at the current tick. Only
 /// `Fire`/`Deferred` have effects; the calendar maps the others to the
-/// tick at which the outcome can next change, so the slot sleeps until then.
+/// tick at which the outcome can next change, so the sharing sleeps until
+/// then.
 enum Consider {
     /// Push now, to `target`.
     Fire { target: Timestamp },
@@ -44,15 +45,15 @@ impl Executor {
     /// (one per sharing push) and the edge jobs that realize them, each job
     /// tagged with its dependencies and topological wave.
     ///
-    /// Candidates come from the push calendar: only slots whose projected
-    /// fire tick arrived or that an event re-enqueued — O(due) — each put
-    /// through the guard chain ([`Executor::consider`]) in ascending slot
-    /// order. A slot with a retry pending is in flight to the calendar, so
-    /// the two sources never name the same slot.
+    /// Candidates come from the push calendar: only sharings whose
+    /// projected fire tick arrived or that an event re-enqueued — O(due) —
+    /// each put through the guard chain ([`Executor::consider`]) in
+    /// ascending id order. A sharing with a retry pending is in flight to
+    /// the calendar, so the two sources never name the same sharing.
     pub(super) fn plan_batch(&mut self, cluster: &mut Cluster, now: Timestamp) -> Result<Batch> {
         let mut batch = Batch::default();
-        for (idx, target, attempt) in self.collect_due_retries(now) {
-            self.push_request(idx, target, attempt, now, &mut batch)?;
+        for (id, target, attempt) in self.collect_due_retries(now) {
+            self.push_request(id, target, attempt, now, &mut batch)?;
         }
         self.plan_calendar(cluster, now, &mut batch)?;
 
@@ -60,12 +61,12 @@ impl Executor {
         Ok(batch)
     }
 
-    /// The event-driven scheduler: evaluate only the slots the calendar
-    /// woke this tick, in ascending slot order. Every wake is conservative
+    /// The event-driven scheduler: evaluate only the sharings the calendar
+    /// woke this tick, in ascending id order. Every wake is conservative
     /// — never later than the first tick the guard chain would say `Fire`
     /// or `Deferred` — and an early wake is side-effect-free (the guard
-    /// chain says `Lazy` or `Idle` and the slot goes back to sleep), so the
-    /// batch is the one a visit to every live slot would plan.
+    /// chain says `Lazy` or `Idle` and the sharing goes back to sleep), so
+    /// the batch is the one a visit to every live sharing would plan.
     fn plan_calendar(
         &mut self,
         cluster: &mut Cluster,
@@ -79,78 +80,77 @@ impl Executor {
         let woken = self.cal.take_woken(now);
         self.ctr_cal_wakes.add(woken.len() as u64);
         #[cfg(test)]
-        let mut checked = 0;
-        for idx in woken {
+        let mut checked = SharingId::new(0);
+        for id in woken {
             #[cfg(test)]
             {
-                self.assert_sleepers_idle(checked..idx, cluster, now, batch);
-                checked = idx + 1;
+                self.assert_sleepers_idle(checked..id, cluster, now, batch);
+                checked = SharingId::new(id.0 + 1);
             }
-            match self.consider(idx, cluster, now, batch) {
+            match self.consider(self.rt(id)?, cluster, now, batch) {
                 Consider::Fire { target } => {
-                    self.push_request(idx, target, 1, now, batch)?;
+                    self.push_request(id, target, 1, now, batch)?;
                     // The push's completion, retry or abandonment hands
-                    // the slot back.
-                    self.cal.mark_in_flight(idx);
+                    // the sharing back.
+                    self.cal.mark_in_flight(id);
                 }
                 Consider::Lazy => {
                     self.ctr_cal_early.inc();
-                    self.sleep_lazy(idx, now, skew_bound);
+                    self.sleep_lazy(id, now, skew_bound)?;
                 }
                 Consider::Idle => {
                     let next = self.cal.tick_of(now) + 1;
-                    self.cal.schedule_at(idx, next);
+                    self.cal.schedule_at(id, next);
                 }
                 Consider::Deferred => {
                     // A deferral is counted on every tick the machine
                     // stays down.
                     self.fault_stats.pushes_deferred += 1;
                     let next = self.cal.tick_of(now) + 1;
-                    self.cal.schedule_at(idx, next);
+                    self.cal.schedule_at(id, next);
                 }
             }
         }
         #[cfg(test)]
-        self.assert_sleepers_idle(checked..self.sharings.len(), cluster, now, batch);
+        self.assert_sleepers_idle(checked.., cluster, now, batch);
         Ok(())
     }
 
     /// Wake soundness, checked in this crate's unit-test build only: an
-    /// idle slot the calendar left asleep this tick, shown the batch's
-    /// timestamp shadow it would see at its place in slot order, must be
-    /// one the guard chain neither fires nor defers. `machine_down` is
+    /// idle sharing the calendar left asleep this tick, shown the batch's
+    /// timestamp shadow it would see at its place in id order, must be one
+    /// the guard chain neither fires nor defers. `machine_down` is
     /// schedule-driven, so the extra `consider` calls draw nothing from
     /// the fault streams.
     #[cfg(test)]
     fn assert_sleepers_idle(
         &self,
-        slots: std::ops::Range<usize>,
+        ids: impl std::ops::RangeBounds<SharingId>,
         cluster: &mut Cluster,
         now: Timestamp,
         batch: &Batch,
     ) {
-        for idx in slots {
-            if !self.cal.is_live(idx) || self.cal.in_flight(idx) {
+        for (&id, rt) in self.sharings.range(ids) {
+            if self.cal.in_flight(id) {
                 continue;
             }
-            let outcome = self.consider(idx, cluster, now, batch);
+            let outcome = self.consider(rt, cluster, now, batch);
             assert!(
                 !matches!(outcome, Consider::Fire { .. } | Consider::Deferred),
-                "calendar slept through a due push: slot {idx} at {now}"
+                "calendar slept through a due push: sharing {id} at {now}"
             );
         }
     }
 
-    /// Evaluates sharing `idx` for a push at `now` against the batch's
+    /// Evaluates sharing `rt` for a push at `now` against the batch's
     /// timestamp shadow — the single guard chain.
     fn consider(
         &self,
-        idx: usize,
+        rt: &SharingRt,
         cluster: &mut Cluster,
         now: Timestamp,
         batch: &Batch,
     ) -> Consider {
-        let rt = &self.sharings[idx];
         let Some(min_src) = self.src_min(rt) else {
             return Consider::Idle; // no heartbeats yet
         };
@@ -159,7 +159,7 @@ impl Executor {
             return Consider::Idle; // nothing new to move
         }
         let window_secs = (min_src - mv_data_ts).as_secs_f64();
-        let cp = self.cp_for(idx, window_secs);
+        let cp = rt.cp.eval(window_secs, &self.model);
         let staleness_now = now - self.visible_ts[rt.mv.index()];
         if self.config.lazy {
             // Wait as long as possible: fire only when finishing a push
@@ -181,55 +181,36 @@ impl Executor {
         // deferred to a later tick instead of being fired into a
         // guaranteed timeout (the staleness it accrues meanwhile is real
         // and shows up in the snapshot audit).
-        if self.needs_down_machine(idx, cluster, now) {
+        if needs_down_machine(rt, cluster, now) {
             return Consider::Deferred;
         }
         Consider::Fire {
-            target: self.choose_target(idx, mv_data_ts, min_src, now),
+            target: self.choose_target(rt, mv_data_ts, min_src, now),
         }
     }
 
-    /// Critical path of sharing `idx` over a window of `x_secs`, from the
-    /// cached compact evaluator. It issues the `edge_estimate` call
-    /// sequence `plan::cost::critical_path` would over the sharing's
-    /// in-scope edges, so the result is byte-equal to the full plan walk
-    /// (`cached_critical_path_matches_full_walk`) — the cache only skips
-    /// re-walking (and re-toposorting) the whole merged plan.
-    pub(super) fn cp_for(&self, idx: usize, x_secs: f64) -> SimDuration {
-        self.sharings[idx].cp.eval(x_secs, &self.model)
-    }
-
-    /// Whether any machine hosting the sharing's subgraph or sources is
-    /// currently down — over the machine set cached at plan install.
-    /// `machine_down` is schedule-driven and idempotent, so probing the
-    /// deduplicated set gives the same answer as the old per-vertex walk
-    /// without touching the fault draw streams.
-    fn needs_down_machine(&self, idx: usize, cluster: &mut Cluster, now: Timestamp) -> bool {
-        self.sharings[idx]
-            .machines
-            .iter()
-            .any(|&m| cluster.faults.machine_down(m, now))
-    }
-
-    /// Puts a `Lazy` slot to sleep under the model's inflation clamp, which
-    /// no feedback can pass — or, when that would wake it next tick anyway,
-    /// under the live inflation × [`INFLATION_HEADROOM`], which it can.
-    /// The live bound alone would be sound, but feedback swings past it for
-    /// thousands of far slots at once (1.85× the wakes on `fleet_idle`,
-    /// DESIGN §13); a far slot pays one clamp-projected wake per cycle.
-    fn sleep_lazy(&mut self, idx: usize, now: Timestamp, skew: SimDuration) {
-        let due = self.project_wake_tick(idx, now, skew, MAX_INFLATION);
+    /// Puts a `Lazy` sharing to sleep under the model's inflation clamp,
+    /// which no feedback can pass — or, when that would wake it next tick
+    /// anyway, under the live inflation × [`INFLATION_HEADROOM`], which it
+    /// can. The live bound alone would be sound, but feedback swings past
+    /// it for thousands of far sharings at once (1.85× the wakes on
+    /// `fleet_idle`, DESIGN §13); a far sharing pays one clamp-projected
+    /// wake per cycle.
+    fn sleep_lazy(&mut self, id: SharingId, now: Timestamp, skew: SimDuration) -> Result<()> {
+        let rt = self.rt(id)?;
+        let due = self.project_wake_tick(rt, now, skew, MAX_INFLATION);
         let bound = self.model.inflation() * INFLATION_HEADROOM;
         if due > self.cal.tick_of(now) + 1 || bound >= MAX_INFLATION {
-            self.cal.schedule_at(idx, due);
+            self.cal.schedule_at(id, due);
         } else {
-            let due = self.project_wake_tick(idx, now, skew, bound);
-            self.cal.schedule_under(idx, due, bound);
+            let due = self.project_wake_tick(rt, now, skew, bound);
+            self.cal.schedule_under(id, due, bound);
         }
+        Ok(())
     }
 
     /// First tick at which the lazy guard could pass for idle sharing
-    /// `idx`, while the model's inflation stays at or below `ib`.
+    /// `rt`, while the model's inflation stays at or below `ib`.
     /// Conservative by construction: staleness grows at 1 s/s
     /// (`visible_ts` only advances), the window upper bound grows at
     /// ≤ 1 s/s (heartbeats lead true time by at most `skew`, and the
@@ -239,9 +220,8 @@ impl Executor {
     /// first reach `l·SLA` — minus one tick of margin for µs rounding —
     /// can never skip past the tick the guard chain first fires on. An
     /// early wake just re-evaluates and goes back to sleep.
-    fn project_wake_tick(&self, idx: usize, now: Timestamp, skew: SimDuration, ib: f64) -> u64 {
+    fn project_wake_tick(&self, rt: &SharingRt, now: Timestamp, skew: SimDuration, ib: f64) -> u64 {
         let cal = &self.cal;
-        let rt = &self.sharings[idx];
         let cp = &rt.cp;
         let tick_secs = self.config.tick.as_secs_f64();
         let l_sla = rt.sla.mul_f64(L_FACTOR).as_secs_f64();
@@ -271,15 +251,14 @@ impl Executor {
     /// SLA; falls back to `MINTS(SRC)` (best effort) when none does.
     fn choose_target(
         &self,
-        idx: usize,
+        rt: &SharingRt,
         mv_ts: Timestamp,
         min_src: Timestamp,
         now: Timestamp,
     ) -> Timestamp {
-        let rt = &self.sharings[idx];
         let projected = |t: Timestamp| -> SimDuration {
             let x = (t - mv_ts).as_secs_f64();
-            let cp = self.cp_for(idx, x);
+            let cp = rt.cp.eval(x, &self.model);
             // Completion at now + cp; sources will have advanced there too.
             (now + cp) - t
         };
@@ -304,4 +283,13 @@ impl Executor {
         }
         best.unwrap_or(min_src)
     }
+}
+
+/// Whether any machine hosting the sharing's subgraph or sources is
+/// currently down — over the machine set cached at plan install.
+/// `machine_down` is schedule-driven and idempotent, so probing the
+/// deduplicated set gives the same answer as the old per-vertex walk
+/// without touching the fault draw streams.
+fn needs_down_machine(rt: &SharingRt, cluster: &mut Cluster, now: Timestamp) -> bool {
+    rt.machines.iter().any(|&m| cluster.faults.machine_down(m, now))
 }

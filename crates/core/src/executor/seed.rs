@@ -15,12 +15,11 @@ use crate::plan::sig::ExprSig;
 use smile_sim::Cluster;
 use smile_storage::join::join_zsets;
 use smile_storage::ZSet;
-use smile_types::{RelationId, Result, SmileError, Timestamp, Tuple};
-use std::collections::HashMap;
+use smile_types::{FastMap, RelationId, Result, SmileError, Timestamp, Tuple};
 use std::rc::Rc;
 
 /// The base rows read at one seed instant, by relation: one per reconcile.
-pub type BaseReads<'a> = HashMap<RelationId, Rc<[(&'a Tuple, i64)]>>;
+pub type BaseReads<'a> = FastMap<RelationId, Rc<[(&'a Tuple, i64)]>>;
 
 /// Evaluates `sig` against the base relations as of timestamp `at`
 /// (`None` = current contents), reading each base through `reads`, which
@@ -154,7 +153,7 @@ mod tests {
             ExprSig::base(TWEETS),
             JoinOn::on(0, 1),
         );
-        let z = eval_sig(&sig, &cluster, &catalog, None, &mut BaseReads::new()).unwrap();
+        let z = eval_sig(&sig, &cluster, &catalog, None, &mut BaseReads::default()).unwrap();
         assert_eq!(z.cardinality(), 2);
         assert_eq!(z.weight(&tuple![1i64, "ann", 10i64, 1i64]), 1);
     }
@@ -168,7 +167,7 @@ mod tests {
             JoinOn::on(0, 1),
         );
         // At t=2 the second tweet (t=3) does not exist yet.
-        let z = eval_sig(&sig, &cluster, &catalog, Some(Timestamp::from_secs(2)), &mut BaseReads::new()).unwrap();
+        let z = eval_sig(&sig, &cluster, &catalog, Some(Timestamp::from_secs(2)), &mut BaseReads::default()).unwrap();
         assert_eq!(z.cardinality(), 1);
     }
 
@@ -179,7 +178,7 @@ mod tests {
             Some(vec![0]),
             ExprSig::filter(Predicate::eq(1, "ann"), ExprSig::base(USERS)),
         );
-        let z = eval_sig(&sig, &cluster, &catalog, None, &mut BaseReads::new()).unwrap();
+        let z = eval_sig(&sig, &cluster, &catalog, None, &mut BaseReads::default()).unwrap();
         assert_eq!(z.cardinality(), 1);
         assert_eq!(z.weight(&tuple![1i64]), 1);
     }
@@ -194,7 +193,7 @@ mod tests {
             true,
             (M0, M1),
         );
-        assert!(eval_sig(&sig, &cluster, &catalog, None, &mut BaseReads::new()).is_err());
+        assert!(eval_sig(&sig, &cluster, &catalog, None, &mut BaseReads::default()).is_err());
     }
 
     /// An arranged base is read in place — users from an arrangement on
@@ -228,11 +227,11 @@ mod tests {
         ];
         for at in [None, Some(2), Some(3)].map(|s| s.map(Timestamp::from_secs)) {
             for sig in &sigs {
-                let eval = |c| eval_sig(sig, c, &catalog, at, &mut BaseReads::new()).unwrap();
+                let eval = |c| eval_sig(sig, c, &catalog, at, &mut BaseReads::default()).unwrap();
                 assert_eq!(eval(&arranged), eval(&plain), "{sig} as of {at:?}");
             }
         }
-        let join = |at| eval_sig(&sigs[3], &arranged, &catalog, at, &mut BaseReads::new()).unwrap();
+        let join = |at| eval_sig(&sigs[3], &arranged, &catalog, at, &mut BaseReads::default()).unwrap();
         assert_ne!(join(None), join(Some(Timestamp::from_secs(3))), "the past differs from now");
     }
 
@@ -266,7 +265,7 @@ mod tests {
         for v in seeded.filter(|v| v.slot.is_some()) {
             let db = &smile.cluster.machine(v.machine).unwrap().db;
             let got: ZSet = db.relation(v.slot.unwrap()).unwrap().table.rows().collect();
-            let alone = eval_sig(&v.sig, &smile.cluster, &smile.catalog, None, &mut BaseReads::new());
+            let alone = eval_sig(&v.sig, &smile.cluster, &smile.catalog, None, &mut BaseReads::default());
             assert_eq!(got, alone.unwrap(), "{}", v.sig);
             checked += usize::from(!got.is_empty());
         }

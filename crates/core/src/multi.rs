@@ -28,8 +28,8 @@ use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
 use smile_sim::PriceSheet;
 use smile_storage::Predicate;
-use smile_types::{MachineId, Result, SharingId, SimDuration, SmileError, VertexId};
-use std::collections::{BTreeMap, HashMap};
+use smile_types::{FastMap, MachineId, Result, SharingId, SimDuration, SmileError, VertexId};
+use std::collections::BTreeMap;
 
 /// Per-sharing bookkeeping the global plan needs: where the MV is, and the
 /// SLA constraints plumbing must respect. The MV is tracked by
@@ -260,7 +260,7 @@ pub struct HillClimbReport {
 /// A candidate may wire `dst` from its own descendant; `rewire`'s
 /// topological walk refuses the cycle, as it refuses any other.
 pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
-    let mut postings: HashMap<(VertexKind, &ExprSig), Vec<VertexId>> = HashMap::new();
+    let mut postings: FastMap<(VertexKind, &ExprSig), Vec<VertexId>> = FastMap::default();
     for v in g.plan.vertices() {
         postings.entry((v.kind, &v.sig)).or_default().push(v.id);
     }
@@ -612,7 +612,7 @@ pub(crate) mod tests {
         let mut g = GlobalPlan::new();
         for (id, q, sla) in [(1, q1, 45), (2, q2, 60), (3, q3, 45)] {
             let s = sharing(id, q, sla);
-            let planned = opt.plan_admission(&s, HashMap::new(), None).unwrap();
+            let planned = opt.plan_admission(&s, FastMap::default(), None).unwrap();
             let mv = g.merge(&s, &planned).unwrap();
             assert_eq!(g.mv_vertex(s.id).unwrap(), mv);
         }
@@ -637,7 +637,7 @@ pub(crate) mod tests {
             for &m in &machines {
                 let id = (3 * i) as u32 + m.index() as u32 + 1;
                 let s = sharing(id, q.clone(), 45);
-                let planned = opt.plan_admission(&s, HashMap::new(), Some(m)).unwrap();
+                let planned = opt.plan_admission(&s, FastMap::default(), Some(m)).unwrap();
                 g.merge(&s, &planned).unwrap();
             }
         }
@@ -691,7 +691,7 @@ pub(crate) mod tests {
             let (r, on) = if id.is_multiple_of(2) { (1, JoinOn::on(0, 1)) } else { (2, JoinOn::on(0, 0)) };
             let q = SpjQuery::scan(RelationId::new(0)).join(RelationId::new(r), on, Predicate::True);
             let s = sharing(id, q, 45);
-            let planned = opt.plan_admission(&s, HashMap::new(), Some(MachineId::new(id % 3))).unwrap();
+            let planned = opt.plan_admission(&s, FastMap::default(), Some(MachineId::new(id % 3))).unwrap();
             (s, planned)
         };
         let check = |g: &GlobalPlan, held: &[u32]| {

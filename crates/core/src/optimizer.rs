@@ -45,7 +45,6 @@ use smile_storage::join::JoinOn;
 use smile_storage::spj::SpjStep;
 use smile_storage::{AggFunc, AggregateSpec};
 use smile_types::{FastMap, MachineId, Result, Schema, SimDuration, SmileError, VertexId};
-use std::collections::HashMap;
 
 /// Which objective the DP's `COSTCALC` minimizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,7 +166,7 @@ impl<'a> Optimizer<'a> {
     pub fn plan_admission(
         &self,
         sharing: &Sharing,
-        committed: HashMap<MachineId, f64>,
+        committed: FastMap<MachineId, f64>,
         mv_machine: Option<MachineId>,
     ) -> Result<PlannedSharing> {
         self.choose(sharing, &committed, mv_machine, self.force_objective)
@@ -184,7 +183,7 @@ impl<'a> Optimizer<'a> {
     pub fn replan(
         &self,
         sharing: &Sharing,
-        live_utilization: HashMap<MachineId, f64>,
+        live_utilization: FastMap<MachineId, f64>,
         current: &PlannedSharing,
         mv_machine: Option<MachineId>,
     ) -> Result<PlannedSharing> {
@@ -220,7 +219,7 @@ impl<'a> Optimizer<'a> {
     fn choose(
         &self,
         sharing: &Sharing,
-        committed: &HashMap<MachineId, f64>,
+        committed: &FastMap<MachineId, f64>,
         mv_machine: Option<MachineId>,
         forced: Option<Objective>,
     ) -> Result<PlannedSharing> {
@@ -251,7 +250,7 @@ impl<'a> Optimizer<'a> {
         &self,
         sharing: &Sharing,
         objective: Objective,
-        committed: &HashMap<MachineId, f64>,
+        committed: &FastMap<MachineId, f64>,
         mv_machine: Option<MachineId>,
     ) -> Result<PlannedSharing> {
         let steps = &sharing.query.steps;
@@ -558,7 +557,7 @@ struct Search<'s> {
     conds: Vec<PairCond>,
     builder: PlanBuilder<'s>,
     objective: Objective,
-    committed: &'s HashMap<MachineId, f64>,
+    committed: &'s FastMap<MachineId, f64>,
     pin: Option<MachineId>,
 }
 
@@ -571,7 +570,7 @@ impl<'s> Search<'s> {
         catalog: &'s Catalog,
         sharing: &'s Sharing,
         objective: Objective,
-        committed: &'s HashMap<MachineId, f64>,
+        committed: &'s FastMap<MachineId, f64>,
         pin: Option<MachineId>,
     ) -> Result<Self> {
         let steps = &sharing.query.steps;
@@ -905,7 +904,7 @@ mod tests {
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
-        let plan = |objective| opt.plan_with(&two_way(45), objective, &HashMap::new(), None);
+        let plan = |objective| opt.plan_with(&two_way(45), objective, &FastMap::default(), None);
         let (dpd, dpt) = (plan(Objective::Dollars).unwrap(), plan(Objective::Time).unwrap());
         assert!(dpt.critical_path <= dpd.critical_path);
         assert!(dpd.dollar_cost <= dpt.dollar_cost + 1e-12);
@@ -920,7 +919,7 @@ mod tests {
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
         let sharing = two_way(45);
-        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
+        let planned = opt.plan_admission(&sharing, FastMap::default(), None).unwrap();
         assert!(planned.critical_path <= SimDuration::from_secs(45));
         assert!(planned.plan.vertex_count() >= 8);
     }
@@ -939,7 +938,7 @@ mod tests {
             SimDuration::from_millis(1),
             0.001,
         );
-        let err = opt.plan_admission(&sharing, HashMap::new(), None);
+        let err = opt.plan_admission(&sharing, FastMap::default(), None);
         assert!(matches!(err, Err(SmileError::Inadmissible { .. })));
     }
 
@@ -950,7 +949,7 @@ mod tests {
         let prices = PriceSheet::ec2_cross_zone();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
         let mut sharing = three_way();
-        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
+        let planned = opt.plan_admission(&sharing, FastMap::default(), None).unwrap();
         planned.plan.validate().unwrap();
         // A declared projection is stored in declared order, whatever the
         // join order.
@@ -958,7 +957,7 @@ mod tests {
         assert_eq!(planned.plan.vertex(planned.mv).schema.arity(), 3);
         // Unprojected, a stored row holds every submitted column once.
         sharing.query.projection = None;
-        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
+        let planned = opt.plan_admission(&sharing, FastMap::default(), None).unwrap();
         let mut columns = planned.columns.unwrap_or_else(|| (0..6).collect());
         columns.sort_unstable();
         assert_eq!(columns, (0..6).collect::<Vec<_>>());
@@ -969,7 +968,7 @@ mod tests {
         let cat = catalog();
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_cross_zone();
-        let committed: HashMap<_, _> = machines().into_iter().map(|m| (m, 0.999)).collect();
+        let committed: FastMap<_, _> = machines().into_iter().map(|m| (m, 0.999)).collect();
         let opt = Optimizer::new(&cat, machines(), &model, &prices);
         let r = opt.plan_with(&two_way(45), Objective::Dollars, &committed, None);
         assert!(matches!(r, Err(SmileError::CapacityExhausted { .. })));
@@ -1046,7 +1045,7 @@ mod tests {
             let opt = Optimizer::new(&cat, (0..4).map(MachineId::new).collect(), &model, &prices);
             let levels = [0.0, 0.5, 0.99, 0.995, 0.999, 1.0];
             let committed = load.iter().enumerate().map(|(m, &l)| (MachineId::new(m as u32), levels[l]));
-            let committed: HashMap<MachineId, f64> = committed.collect();
+            let committed: FastMap<MachineId, f64> = committed.collect();
             let query = drawn_query(&steps, star, last);
             let sharing = Sharing::new(SharingId::new(0), "drawn", query, SimDuration::from_secs(30), 0.001);
             let objective = if time { Objective::Time } else { Objective::Dollars };
@@ -1076,7 +1075,7 @@ mod tests {
             SimDuration::from_secs(10),
             0.001,
         );
-        let planned = opt.plan_admission(&sharing, HashMap::new(), None).unwrap();
+        let planned = opt.plan_admission(&sharing, FastMap::default(), None).unwrap();
         assert_eq!(planned.plan.edge_count(), 2);
         assert_eq!(planned.plan.vertex(planned.mv).schema.arity(), 1);
     }

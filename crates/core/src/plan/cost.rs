@@ -8,8 +8,7 @@ use crate::plan::timecost::TimeCostModel;
 use smile_sim::PriceSheet;
 use smile_storage::join::JoinOn;
 use smile_storage::{AggregateSpec, Predicate};
-use smile_types::{MachineId, RelationId, Result, Schema, SimDuration, SmileError, VertexId};
-use std::collections::HashMap;
+use smile_types::{FastMap, MachineId, RelationId, Result, Schema, SimDuration, SmileError, VertexId};
 
 /// The one scope plan metrics have: the whole plan. A sharing's share of it
 /// is its MV's ancestors, read off [`path_lengths`] or walked from the MV
@@ -194,20 +193,20 @@ pub fn machine_utilization(
     plan: &Plan,
     _scope: Scope,
     model: &TimeCostModel,
-) -> HashMap<smile_types::MachineId, f64> {
+) -> FastMap<smile_types::MachineId, f64> {
     let edges = plan.edges().iter().filter(|e| e.attached(plan));
-    edge_utilization(HashMap::new(), plan, edges, model)
+    edge_utilization(FastMap::default(), plan, edges, model)
 }
 
 /// [`machine_utilization`] over a caller-chosen set of `plan`'s edges (the
 /// executor's live ones), added onto `load` edge by edge in iteration order,
 /// so a load grown with a plan is bit-equal to one sum over all its edges.
 pub fn edge_utilization<'a>(
-    mut load: HashMap<smile_types::MachineId, f64>,
+    mut load: FastMap<smile_types::MachineId, f64>,
     plan: &Plan,
     edges: impl Iterator<Item = &'a Edge>,
     model: &TimeCostModel,
-) -> HashMap<smile_types::MachineId, f64> {
+) -> FastMap<smile_types::MachineId, f64> {
     for e in edges {
         let per_tuple = model.op_model(&e.op).per_tuple.as_secs_f64();
         let rate = plan.vertex(e.output).est_rate;

@@ -5,7 +5,7 @@ use smile_storage::join::JoinOn;
 use smile_storage::{IndexCols, Predicate, SlotIndex};
 use smile_types::{FastMap, MachineId, RelationId, Result, Schema, SmileError, Value, VertexId};
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Whether a vertex holds materialized relation contents or a delta log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -690,8 +690,8 @@ impl Plan {
     /// A test oracle independent of the walks over producers: `v` and every
     /// vertex downstream of it, along the consumer lists.
     #[cfg(test)]
-    pub(crate) fn downstream(&self, v: VertexId) -> HashSet<VertexId> {
-        let (mut seen, mut stack) = (HashSet::from([v]), vec![v]);
+    pub(crate) fn downstream(&self, v: VertexId) -> BTreeSet<VertexId> {
+        let (mut seen, mut stack) = (BTreeSet::from([v]), vec![v]);
         while let Some(cur) = stack.pop() {
             stack.extend(self.consumers(cur).map(|e| e.output).filter(|&o| seen.insert(o)));
         }
@@ -699,8 +699,8 @@ impl Plan {
     }
 
     /// `ANC(v)`: every vertex upstream of `v` (excluding `v` itself).
-    pub fn ancestors(&self, v: VertexId) -> HashSet<VertexId> {
-        let mut verts = HashSet::new();
+    pub fn ancestors(&self, v: VertexId) -> BTreeSet<VertexId> {
+        let mut verts = BTreeSet::new();
         let mut stack = vec![v];
         while let Some(cur) = stack.pop() {
             if let Some(e) = self.producer[cur.index()] {
@@ -1408,7 +1408,7 @@ mod tests {
             prop_assert!(p.edges().iter().all(|e| !e.attached(p) || e.inputs.iter().all(|&i| i < e.output)));
             let order = p.topo_order().unwrap();
             for v in p.vertices().iter().map(|v| v.id) {
-                let members: HashSet<VertexId> = p.ancestors(v).into_iter().chain([v]).collect();
+                let members: BTreeSet<VertexId> = p.ancestors(v).into_iter().chain([v]).collect();
                 let want: Vec<VertexId> = order.iter().copied().filter(|u| members.contains(u)).collect();
                 prop_assert_eq!(p.topo_order_within(members).unwrap(), want);
             }

@@ -207,7 +207,6 @@ mod tests {
     fn separately_built_expressions_hash_equal_and_dedup() {
         use crate::plan::dag::{Plan, VertexKind};
         use smile_types::{Column, ColumnType, Schema};
-        use std::collections::HashSet;
         let sig = || {
             ExprSig::half_join(
                 ExprSig::base(r(0)),
@@ -221,7 +220,7 @@ mod tests {
         let (a, b) = (sig(), sig());
         assert_eq!(a, b);
         assert_eq!(schema(), schema());
-        let set = HashSet::from([(a.clone(), schema()), (a.clone(), schema())]);
+        let set: smile_types::FastSet<_> = [(a.clone(), schema()), (a.clone(), schema())].into_iter().collect();
         assert!(set.len() == 1 && set.contains(&(b, schema())));
 
         let mut plan = Plan::new();

@@ -328,7 +328,7 @@ impl Smile {
             // Candidates: the alerted sharing first, then the fleet's
             // deterministic worst-headroom rows.
             let mut candidates: Vec<SharingId> = vec![id];
-            for row in running(&self.executor)?.rollup().top_k_worst(WORST_ROWS) {
+            for row in running(&self.executor)?.top_k_worst(WORST_ROWS) {
                 let c = SharingId::new(row.sharing);
                 if !candidates.contains(&c) {
                     candidates.push(c);

@@ -4,17 +4,16 @@
 
 use super::{running, Action, Smile, WORST_ROWS};
 use crate::catalog::Catalog;
-use crate::executor::Executor;
 use crate::plan::dag::{IndexId, Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use smile_sim::Cluster;
 use smile_storage::spj::RelationProvider;
-use smile_storage::{SlotIndex, ZSet};
+use smile_storage::ZSet;
 use smile_telemetry::{
     chrome_trace, Alert, FlightIncident, MetricsSnapshot, Severity, Telemetry, TraceInstant,
 };
-use smile_types::{RelationId, Result, Schema, SharingId, SmileError, Timestamp, VertexId};
-use std::collections::{BTreeMap, HashSet};
+use smile_types::{FastSet, RelationId, Result, Schema, SharingId, SmileError, Timestamp, VertexId};
+use std::collections::BTreeMap;
 
 /// Summary of the faults injected into a run and the recovery work they
 /// caused. Derived `Debug` output is byte-identical across runs with the
@@ -107,10 +106,17 @@ impl Smile {
             .unwrap_or_default()
     }
 
-    /// The storage reconcile's reader count per installed index: after each
-    /// reconcile, the multiset of [`Executor::live_reads`].
-    pub fn index_readers(&self) -> &BTreeMap<IndexId, u32> {
-        &self.readers
+    /// Every installed index with its reader count, read off the
+    /// machines: after each storage reconcile, the multiset of
+    /// [`Executor::live_reads`](crate::executor::Executor::live_reads).
+    pub fn index_readers(&self) -> Result<BTreeMap<IndexId, u32>> {
+        let mut readers = BTreeMap::new();
+        for m in self.cluster.machine_ids() {
+            for (rel, slot) in self.cluster.machine(m)?.db.relations() {
+                readers.extend(slot.indexes().map(|(index, n)| ((m, rel, index), n)));
+            }
+        }
+        Ok(readers)
     }
 
     /// Fleet-wide WAL traffic counters (ship/land bytes and batches).
@@ -183,13 +189,14 @@ impl Smile {
         let (entries, probe_keys) = catalog_keys(&self.global_plan().plan);
         reg.gauge("catalog.entries").set(entries as f64);
         reg.gauge("catalog.probe_keys").set(probe_keys as f64);
-        // One reference per live join edge, one entry per distinct
-        // arrangement they probe.
-        let reads = self.executor.iter().flat_map(Executor::live_reads);
-        let probes: Vec<_> = reads.filter(|(.., i)| matches!(i, SlotIndex::Arrangement(_))).collect();
-        reg.gauge("arrangement_registry.entries")
-            .set(probes.iter().collect::<HashSet<_>>().len() as f64);
-        reg.gauge("arrangement_registry.refs").set(probes.len() as f64);
+        // One entry per installed arrangement, one reference per live join
+        // edge probing it: each arrangement counts its readers.
+        let machines = self.cluster.machine_ids().into_iter().filter_map(|m| self.cluster.machine(m).ok());
+        let slots = machines.flat_map(|m| m.db.relations());
+        let arrangements = slots.flat_map(|(_, slot)| slot.table.arrangements());
+        let (entries, refs) = arrangements.fold((0usize, 0u64), |(n, refs), a| (n + 1, refs + u64::from(a.readers())));
+        reg.gauge("arrangement_registry.entries").set(entries as f64);
+        reg.gauge("arrangement_registry.refs").set(refs as f64);
         reg.gauge("arrangement_registry.reclaimed")
             .set(self.arrangements_reclaimed as f64);
         let mut snap = self.telemetry.snapshot();
@@ -198,13 +205,8 @@ impl Smile {
             // without ever registering instruments: the registry stays
             // bounded no matter the fleet size. Rank is zero-padded so the
             // rows sort together; keys and values derive only from the
-            // deterministic rollup.
-            for (rank, row) in e
-                .rollup()
-                .top_k_worst(WORST_ROWS)
-                .iter()
-                .enumerate()
-            {
+            // sharings' deterministic summaries.
+            for (rank, row) in e.top_k_worst(WORST_ROWS).iter().enumerate() {
                 snap.gauges.push((
                     format!(
                         "push.worst_headroom_us{{rank={rank:02},sharing={}}}",
@@ -470,7 +472,7 @@ impl Smile {
 /// `(snapshot-side signature, probe columns)` pairs its half-joins ask an
 /// arrangement for.
 fn catalog_keys(plan: &Plan) -> (usize, usize) {
-    let (mut entries, mut probe_keys) = (HashSet::new(), HashSet::new());
+    let (mut entries, mut probe_keys) = (FastSet::default(), FastSet::default());
     for v in plan.vertices() {
         entries.insert((v.kind, &v.sig));
         if let ExprSig::HalfJoin { left, right, on, delta_left, .. } = &v.sig {

@@ -39,11 +39,8 @@ use crate::snapshot::SnapshotModule;
 use smile_sim::{Cluster, FaultProfile, MachineConfig, PriceSheet};
 use smile_storage::{DeltaBatch, SlotIndex, SpjQuery};
 use smile_telemetry::{Telemetry, TelemetryConfig};
-use smile_types::{
-    FastMap, MachineId, RelationId, Result, Schema, SharingId, SimDuration, SmileError, Timestamp,
-    VertexId,
-};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use smile_types::{FastMap, FastSet, MachineId, RelationId, Result, Schema, SharingId};
+use smile_types::{SimDuration, SmileError, Timestamp, VertexId};
 use std::rc::Rc;
 
 /// How many worst-headroom sharings the metrics snapshot exports as rows
@@ -134,10 +131,6 @@ pub struct Smile {
     /// Arrangements that stopped existing because no live join probed them
     /// any more, dropped alone or with their relation.
     arrangements_reclaimed: u64,
-    /// Per installed index, how many slotted live edges read through it
-    /// ([`Plan::reads`]): the storage reconcile installs an index with its
-    /// first reader and drops it with its last.
-    readers: BTreeMap<IndexId, u32>,
     now: Timestamp,
     next_sharing: u32,
     /// Typed log of every adaptive-actuator decision, in decision order.
@@ -145,12 +138,12 @@ pub struct Smile {
     /// How many of the executor's alerts the control loop has consumed.
     alert_cursor: usize,
     /// Last migration start per sharing (cooldown bookkeeping).
-    last_migration: HashMap<SharingId, Timestamp>,
+    last_migration: FastMap<SharingId, Timestamp>,
     /// Re-planned placements of in-flight migrations; applied to `planned`
     /// when the cutover settles.
-    pending_plans: HashMap<SharingId, PlannedSharing>,
+    pending_plans: FastMap<SharingId, PlannedSharing>,
     /// Since when each *elastic* machine has hosted no MV (shrink pass).
-    mv_idle_since: HashMap<MachineId, Timestamp>,
+    mv_idle_since: FastMap<MachineId, Timestamp>,
 }
 
 impl Smile {
@@ -177,14 +170,13 @@ impl Smile {
             hc_report: None,
             telemetry,
             arrangements_reclaimed: 0,
-            readers: BTreeMap::new(),
             now: Timestamp::ZERO,
             next_sharing: 1,
             actions: Vec::new(),
             alert_cursor: 0,
-            last_migration: HashMap::new(),
-            pending_plans: HashMap::new(),
-            mv_idle_since: HashMap::new(),
+            last_migration: FastMap::default(),
+            pending_plans: FastMap::default(),
+            mv_idle_since: FastMap::default(),
         }
     }
 
@@ -385,7 +377,8 @@ impl Smile {
     ///   if the twin holds one (a Relation vertex and the Delta vertex of
     ///   the same signature and machine share table + log), else a new
     ///   relation whose log starts at the seed instant — and every index its
-    ///   producer reads through ([`Plan::reads`]) gains a reader, and is
+    ///   producer reads through ([`Plan::reads`]) gains a reader
+    ///   ([`Database::ensure`](smile_storage::Database::ensure)), and is
     ///   installed when that is its first.
     /// * Every Relation vertex slotted here is seeded from ground truth (all
     ///   evaluated first, reading each base once: [`BaseReads`]) and every
@@ -397,9 +390,10 @@ impl Smile {
     /// * Every journalled vertex that is no longer live gives its slot up: a
     ///   slot nobody holds any more is dropped, and a relation vertex whose
     ///   delta twin keeps the slot empties its table.
-    /// * Every index an edge that just died read through loses a reader,
-    ///   taken before any slot moves, and one left with none is dropped
-    ///   afterwards, in [`IndexId`] order. The counts change only where an
+    /// * Every index an edge that just died read through loses a reader
+    ///   ([`Database::release`](smile_storage::Database::release)) before
+    ///   any slot moves, in [`IndexId`] order, and one left with none is
+    ///   dropped. The counts, kept with the indexes, change only where an
     ///   edge gains or gives up its slot, so they stay the multiset of
     ///   [`Executor::live_reads`] (a migration's shadow chain included,
     ///   from its start) without a walk over any consumer list.
@@ -448,17 +442,11 @@ impl Smile {
         // which are installed with their first reader, before seeding fills
         // the tables.
         for e in slotted.iter().filter_map(|&v| plan.producer(v)) {
-            for read in plan.reads(e) {
-                match self.readers.get_mut(&read) {
-                    Some(readers) => *readers += 1,
-                    None => {
-                        self.cluster.machine_mut(read.0)?.db.ensure(read.1, &read.2)?;
-                        self.readers.insert(read, 1);
-                    }
-                }
+            for (machine, slot, index) in plan.reads(e) {
+                self.cluster.machine_mut(machine)?.db.ensure(slot, &index)?;
             }
         }
-        let mut reads = BaseReads::new();
+        let mut reads = BaseReads::default();
         let mut seeds = Vec::new();
         for vert in slotted.iter().map(|&v| plan.vertex(v)) {
             if let (VertexKind::Relation, Some(slot)) = (vert.kind, vert.slot) {
@@ -482,25 +470,20 @@ impl Smile {
         // reader before any slot moves.
         let plan = &executor.global.plan;
         let died = journal.iter().filter(|&&v| !executor.live(v) && plan.vertex(v).slot.is_some());
-        let mut unread = Vec::new();
-        for e in died.filter_map(|&v| plan.producer(v)) {
-            for read in plan.reads(e) {
-                let lost = || SmileError::Internal(format!("edge {} read {read:?} unrecorded", e.id));
-                let readers = self.readers.get_mut(&read).ok_or_else(lost)?;
-                *readers -= 1;
-                if *readers == 0 {
-                    self.readers.remove(&read);
-                    unread.push(read);
-                }
-            }
-        }
+        let died_edges = died.filter_map(|&v| plan.producer(v));
+        let mut unread: Vec<IndexId> = died_edges.flat_map(|e| plan.reads(e)).collect();
         unread.sort_unstable();
+        for (machine, slot, index) in unread {
+            let dropped = self.cluster.machine_mut(machine)?.db.release(slot, &index)?;
+            self.arrangements_reclaimed += u64::from(dropped && matches!(index, SlotIndex::Arrangement(_)));
+        }
         for &v in &journal {
             let plan = &executor.global.plan;
             let vert = plan.vertex(v);
             let Some(slot) = vert.slot.filter(|_| !executor.live(v)) else { continue };
             let db = &mut self.cluster.machine_mut(vert.machine)?.db;
             if twin_slot(plan, vert) != Some(slot) {
+                // The indexes its readers released are gone already.
                 let installed = db.relation(slot)?.table.arrangements().count();
                 self.arrangements_reclaimed += installed as u64;
                 db.drop_relation(slot)?;
@@ -509,10 +492,6 @@ impl Smile {
                 db.clear_table(slot)?;
             }
             executor.global.plan.vertex_mut(v).slot = None;
-        }
-        for (machine, slot, index) in unread {
-            let dropped = self.cluster.machine_mut(machine)?.db.drop_index(slot, &index);
-            self.arrangements_reclaimed += u64::from(dropped && matches!(index, SlotIndex::Arrangement(_)));
         }
         executor.journal_reconciled(journal.len());
         Ok(())
@@ -646,7 +625,7 @@ fn no_executor() -> SmileError {
 /// one of their logs' horizons.
 fn resident_inputs(plan: &Plan, mv: VertexId) -> Vec<VertexId> {
     let resident = |v: VertexId| plan.vertex(v).slot.is_some();
-    let (mut walk, mut seen, mut inputs) = (vec![mv], HashSet::new(), vec![]);
+    let (mut walk, mut seen, mut inputs) = (vec![mv], FastSet::default(), vec![]);
     walk.retain(|&v| !resident(v));
     while let Some(v) = walk.pop() {
         for &input in plan.producer(v).map_or(&[][..], |e| &e.inputs) {

@@ -10,7 +10,6 @@
 use crate::executor::Executor;
 use smile_sim::Cluster;
 use smile_types::{SharingId, SimDuration, Timestamp};
-use std::collections::HashMap;
 
 /// Staleness of one sharing at one snapshot.
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +44,9 @@ pub struct SnapshotModule {
     last: Option<Timestamp>,
     last_tuples: u64,
     last_dollars: f64,
-    last_tuples_per_sharing: HashMap<SharingId, u64>,
+    /// The tuples each sharing live at the previous audit had moved by
+    /// then, in id order.
+    last_moved: Vec<(SharingId, u64)>,
     /// All records, oldest first.
     pub records: Vec<SnapshotRecord>,
 }
@@ -63,7 +64,7 @@ impl SnapshotModule {
             last: None,
             last_tuples: 0,
             last_dollars: 0.0,
-            last_tuples_per_sharing: HashMap::new(),
+            last_moved: Vec::new(),
             records: Vec::new(),
         }
     }
@@ -83,17 +84,19 @@ impl SnapshotModule {
         // Storage metering rides the audit cadence.
         cluster.sample_disks(now);
 
-        let mut sharings = Vec::new();
-        for (id, staleness, sla, penalty) in executor.staleness_by_sharing(now) {
+        let audited = executor.staleness_by_sharing(now);
+        let (mut sharings, mut moved) = (Vec::new(), Vec::with_capacity(audited.size_hint().0));
+        for (id, staleness, sla, penalty, moved_now) in audited {
             let violated = staleness > sla;
             if violated {
                 // Charge the per-tuple penalty on the tuples the sharing
                 // moved during the violating interval.
-                let moved_now = executor.tuples_per_sharing.get(&id).copied().unwrap_or(0);
-                let moved_last = self.last_tuples_per_sharing.get(&id).copied().unwrap_or(0);
+                let last = self.last_moved.binary_search_by_key(&id, |&(id, _)| id);
+                let moved_last = last.map_or(0, |i| self.last_moved[i].1);
                 let late = moved_now.saturating_sub(moved_last).max(1);
                 cluster.ledger.charge_penalty(id, penalty * late as f64);
             }
+            moved.push((id, moved_now));
             sharings.push(SharingSnapshot {
                 id,
                 staleness,
@@ -110,7 +113,7 @@ impl SnapshotModule {
         };
         self.last_tuples = executor.tuples_moved;
         self.last_dollars = dollars_now;
-        self.last_tuples_per_sharing = executor.tuples_per_sharing.clone();
+        self.last_moved = moved;
         self.records.push(record);
         true
     }

@@ -204,6 +204,10 @@ pub struct Arrangement {
     misses: Cell<u64>,
     maintained: u64,
     built_rows: u64,
+    /// How many readers hold it ([`Table::ensure_arrangement`]).
+    ///
+    /// [`Table::ensure_arrangement`]: crate::Table::ensure_arrangement
+    pub(crate) readers: u32,
     /// Reusable buffer for [`update`]: the row's partition values then its
     /// key values are assembled here and looked up as `&[Value]` slices
     /// (via [`Key`]'s `Borrow<[Value]>`), so maintenance builds a key only
@@ -225,6 +229,7 @@ impl Arrangement {
             misses: Cell::new(0),
             maintained: 0,
             built_rows: 0,
+            readers: 0,
             scratch: Vec::new(),
         }
     }
@@ -254,6 +259,11 @@ impl Arrangement {
     /// The partition and key columns this arrangement indexes.
     pub fn on(&self) -> &IndexCols {
         &self.on
+    }
+
+    /// How many readers hold it installed.
+    pub fn readers(&self) -> u32 {
+        self.readers
     }
 
     /// Every row indexed, with its weight, in unspecified order.

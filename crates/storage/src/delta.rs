@@ -151,6 +151,8 @@ pub struct DeltaTable {
 struct LogPartition {
     cols: Vec<usize>,
     positions: FastMap<Key, VecDeque<u32>>,
+    /// How many readers hold it ([`DeltaTable::ensure_partition`]).
+    readers: u32,
 }
 
 /// `entry`'s values at `cols`: a one-column literal is borrowed in place, a
@@ -495,27 +497,34 @@ impl DeltaTable {
         read.filter(move |e| filter.eval(&e.tuple))
     }
 
-    /// Installs the partition on `cols`, listing every unreclaimed entry
-    /// (idempotent: an installed one is kept).
+    /// Takes one reader of the partition on `cols`. The first installs it,
+    /// listing every unreclaimed entry; a later one shares it.
     pub fn ensure_partition(&mut self, cols: &[usize]) {
-        if self.partitions.iter().any(|p| p.cols == cols) {
+        if let Some(part) = self.partitions.iter_mut().find(|p| p.cols == cols) {
+            part.readers += 1;
             return;
         }
-        let mut part = LogPartition { cols: cols.to_vec(), positions: FastMap::default() };
+        let mut part = LogPartition { cols: cols.to_vec(), positions: FastMap::default(), readers: 1 };
         part.list(self.entries.iter(), self.base);
         self.partitions.push(part);
     }
 
-    /// Removes the partition on `cols`; `true` when one was installed.
-    pub fn drop_partition(&mut self, cols: &[usize]) -> bool {
-        let before = self.partitions.len();
-        self.partitions.retain(|p| p.cols != cols);
-        self.partitions.len() < before
+    /// Lets one reader of the partition on `cols` go; the last removes it.
+    /// Returns whether it was removed; `None` when none is installed.
+    pub fn release_partition(&mut self, cols: &[usize]) -> Option<bool> {
+        let i = self.partitions.iter().position(|p| p.cols == cols)?;
+        self.partitions[i].readers -= 1;
+        if self.partitions[i].readers > 0 {
+            return Some(false);
+        }
+        self.partitions.remove(i);
+        Some(true)
     }
 
-    /// The columns of every installed partition.
-    pub fn partitions(&self) -> impl Iterator<Item = &[usize]> {
-        self.partitions.iter().map(|p| p.cols.as_slice())
+    /// The columns of every installed partition, with how many readers
+    /// hold it.
+    pub fn partitions(&self) -> impl Iterator<Item = (&[usize], u32)> {
+        self.partitions.iter().map(|p| (p.cols.as_slice(), p.readers))
     }
 
     /// Each literal of the partition on `cols` with the indices, into
@@ -864,7 +873,7 @@ mod tests {
                         twin.ensure_partition(COLS[i]);
                     }
                     Op::Drop(i) => {
-                        prop_assert_eq!(d.drop_partition(COLS[i]), twin.drop_partition(COLS[i]));
+                        prop_assert_eq!(d.release_partition(COLS[i]), twin.release_partition(COLS[i]));
                     }
                 }
                 prop_assert_eq!(twin.reclaimable(), 0);
@@ -878,8 +887,8 @@ mod tests {
                     prop_assert_eq!(d.window_ref(lo, hi).to_vec(), twin.window_ref(lo, hi).to_vec());
                     prop_assert_eq!(d.window_range(lo, hi), twin.window_range(lo, hi));
                 }
-                let installed: Vec<Vec<usize>> = d.partitions().map(<[usize]>::to_vec).collect();
-                prop_assert_eq!(&installed, &twin.partitions().map(<[usize]>::to_vec).collect::<Vec<_>>());
+                let installed: Vec<Vec<usize>> = d.partitions().map(|(cols, _)| cols.to_vec()).collect();
+                prop_assert_eq!(&installed, &twin.partitions().map(|(cols, _)| cols.to_vec()).collect::<Vec<_>>());
                 for cols in &installed {
                     let at = |t: &Tuple| cols.iter().map(|&c| t.values()[c].clone()).collect::<Vec<_>>();
                     let mut listing = d.partition_listing(cols).unwrap();

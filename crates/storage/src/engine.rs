@@ -16,7 +16,6 @@ use crate::spj::RelationProvider;
 use crate::table::Table;
 use crate::zset::ZSet;
 use smile_types::{FastMap, RelationId, Result, Schema, SimDuration, SmileError, Timestamp};
-use std::collections::HashMap;
 
 /// One relation slot: materialized contents plus the captured delta log.
 #[derive(Clone, Debug)]
@@ -27,7 +26,7 @@ pub struct RelationSlot {
     pub delta: DeltaTable,
     /// Per-producer end of the highest window landed: what makes a retried
     /// push idempotent (see [`Database::append_delta_dedup`]).
-    pub shipped_through: HashMap<u64, Timestamp>,
+    pub shipped_through: FastMap<u64, Timestamp>,
 }
 
 /// One index a relation slot keeps for its readers.
@@ -41,11 +40,12 @@ pub enum SlotIndex {
 }
 
 impl RelationSlot {
-    /// Every index installed: arrangements first, then log partitions,
-    /// each in install order.
-    pub fn indexes(&self) -> impl Iterator<Item = SlotIndex> + '_ {
-        let arrangements = self.table.arrangements().map(|a| SlotIndex::Arrangement(a.on().clone()));
-        arrangements.chain(self.delta.partitions().map(|cols| SlotIndex::Log(cols.to_vec())))
+    /// Every index installed, with how many readers hold it: arrangements
+    /// first, then log partitions, each in install order.
+    pub fn indexes(&self) -> impl Iterator<Item = (SlotIndex, u32)> + '_ {
+        let arrangements = self.table.arrangements().map(|a| (SlotIndex::Arrangement(a.on().clone()), a.readers()));
+        let partitions = self.delta.partitions().map(|(cols, n)| (SlotIndex::Log(cols.to_vec()), n));
+        arrangements.chain(partitions)
     }
 }
 
@@ -79,7 +79,7 @@ impl Database {
             RelationSlot {
                 table: Table::new(schema),
                 delta: DeltaTable::new(),
-                shipped_through: HashMap::new(),
+                shipped_through: FastMap::default(),
             },
         );
         Ok(())
@@ -246,14 +246,14 @@ impl Database {
         Ok(())
     }
 
-    /// Ensures the unpartitioned arrangement keyed by `cols` exists for the
-    /// relation.
+    /// Takes one reader of the unpartitioned arrangement keyed by `cols` on
+    /// the relation ([`Database::ensure`]).
     pub fn ensure_index(&mut self, rel: RelationId, cols: &[usize]) -> Result<()> {
         self.ensure(rel, &SlotIndex::Arrangement(IndexCols::unpartitioned(cols)))
     }
 
-    /// Installs `index` on the relation (idempotent: an installed one is
-    /// kept).
+    /// Takes one reader of `index` on the relation; the first installs it.
+    /// [`Database::release`] lets the reader go.
     pub fn ensure(&mut self, rel: RelationId, index: &SlotIndex) -> Result<()> {
         let slot = self.slot_mut(rel)?;
         match index {
@@ -263,15 +263,16 @@ impl Database {
         Ok(())
     }
 
-    /// Drops `index`, reclaiming its memory. Returns `true` when one was
-    /// installed. Unknown relations are fine (the whole relation may
-    /// already have been dropped).
-    pub fn drop_index(&mut self, rel: RelationId, index: &SlotIndex) -> bool {
-        let Some(slot) = self.relations.get_mut(&rel) else { return false };
-        match index {
-            SlotIndex::Arrangement(on) => slot.table.drop_arrangement(on),
-            SlotIndex::Log(cols) => slot.delta.drop_partition(cols),
-        }
+    /// Lets one reader of `index` on the relation go; the last drops the
+    /// index, reclaiming its memory. Returns whether it was dropped. An
+    /// index not installed was never taken, which is an error.
+    pub fn release(&mut self, rel: RelationId, index: &SlotIndex) -> Result<bool> {
+        let slot = self.slot_mut(rel)?;
+        let released = match index {
+            SlotIndex::Arrangement(on) => slot.table.release_arrangement(on),
+            SlotIndex::Log(cols) => slot.delta.release_partition(cols),
+        };
+        released.ok_or_else(|| SmileError::Internal(format!("{index:?} released on {rel}, not installed")))
     }
 
     /// Current timestamp `TS(v)` of a relation vertex.
@@ -648,11 +649,13 @@ mod tests {
         let (on_name, by_uid) = (SlotIndex::Arrangement(IndexCols::unpartitioned(&[1])), SlotIndex::Log(vec![0]));
         d.ensure(R, &by_uid).unwrap();
         d.ensure(R, &by_name).unwrap();
+        d.ensure(R, &by_uid).unwrap();
         assert_eq!(d.arrangement_count(), 2, "partitioned is another arrangement");
         let listed: Vec<_> = d.relation(R).unwrap().indexes().collect();
-        assert_eq!(listed, [on_name, by_name.clone(), by_uid.clone()]);
-        assert!(d.drop_index(R, &by_name) && d.drop_index(R, &by_uid));
-        assert!(!d.drop_index(R, &by_name) && !d.drop_index(RelationId::new(9), &by_uid));
+        assert_eq!(listed, [(on_name, 1), (by_name.clone(), 1), (by_uid.clone(), 2)]);
+        assert!(d.release(R, &by_name).unwrap() && !d.release(R, &by_uid).unwrap());
+        assert!(d.release(R, &by_uid).unwrap());
+        assert!(d.release(R, &by_name).is_err() && d.release(RelationId::new(9), &by_uid).is_err());
         assert!(d.relation(R).unwrap().table.arrangement(&[1]).is_some());
     }
 

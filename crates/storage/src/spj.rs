@@ -230,11 +230,10 @@ impl SpjQuery {
 mod tests {
     use super::*;
     use crate::predicate::CmpOp;
-    use smile_types::{tuple, Column, ColumnType};
-    use std::collections::HashMap;
+    use smile_types::{tuple, Column, ColumnType, FastMap};
 
     struct MapProvider {
-        rels: HashMap<RelationId, (Schema, ZSet)>,
+        rels: FastMap<RelationId, (Schema, ZSet)>,
     }
 
     impl RelationProvider for MapProvider {
@@ -278,7 +277,7 @@ mod tests {
             tuple![12i64, 2i64, "dinner"],
             tuple![13i64, 3i64, "dinner"],
         ]);
-        let mut rels = HashMap::new();
+        let mut rels = FastMap::default();
         rels.insert(USERS, (users_schema, users));
         rels.insert(EVENTS, (events_schema, events));
         MapProvider { rels }

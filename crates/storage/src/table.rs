@@ -173,19 +173,21 @@ impl Table {
         Ok(())
     }
 
-    /// Builds the arrangement `on` from the current contents (idempotent —
-    /// an existing arrangement with the same index columns is shared, not
-    /// rebuilt); subsequent applies maintain it incrementally. The first
-    /// arrangement takes the z-set's rows by value and becomes their home; a
-    /// later one is built from the first.
+    /// Takes one reader of the arrangement `on`. The first builds it from
+    /// the current contents — a later one shares it, not rebuilt — and
+    /// subsequent applies maintain it incrementally. The first arrangement
+    /// takes the z-set's rows by value and becomes their home; a later one
+    /// is built from the first.
     pub fn ensure_arrangement(&mut self, on: &IndexCols) {
-        if self.arrangement_on(on).is_some() {
+        if let Some(arr) = self.arrangements.iter_mut().find(|a| a.on() == on) {
+            arr.readers += 1;
             return;
         }
-        let arr = match self.arrangements.first() {
+        let mut arr = match self.arrangements.first() {
             Some(home) => Arrangement::build(on.clone(), home.rows()),
             None => Arrangement::build_owned(on.clone(), std::mem::take(&mut self.rows)),
         };
+        arr.readers = 1;
         self.arrangements.push(arr);
     }
 
@@ -196,19 +198,22 @@ impl Table {
         Some(self.arrangement(cols)?.probe(key))
     }
 
-    /// Drops the arrangement `on`, freeing its memory. Returns `true` when
-    /// one existed. The reverse of [`Table::ensure_arrangement`], used when
-    /// the last plan edge probing it is retired; the last one to go hands
-    /// the rows back to the z-set.
-    pub fn drop_arrangement(&mut self, on: &IndexCols) -> bool {
-        let Some(i) = self.arrangements.iter().position(|a| a.on() == on) else {
-            return false;
-        };
+    /// Lets one reader of the arrangement `on` go: the reverse of
+    /// [`Table::ensure_arrangement`]. The last reader drops it, freeing its
+    /// memory, and the last arrangement to go hands the rows back to the
+    /// z-set. Returns whether it was dropped; `None` when none is
+    /// installed.
+    pub fn release_arrangement(&mut self, on: &IndexCols) -> Option<bool> {
+        let i = self.arrangements.iter().position(|a| a.on() == on)?;
+        self.arrangements[i].readers -= 1;
+        if self.arrangements[i].readers > 0 {
+            return Some(false);
+        }
         let dropped = self.arrangements.remove(i);
         if self.arrangements.is_empty() {
             self.rows = dropped.into_rows().collect();
         }
-        true
+        Some(true)
     }
 
     /// The arrangement `on`, if one was installed.
@@ -401,11 +406,17 @@ mod tests {
             Timestamp::from_secs(1),
         )
         .unwrap();
-        t.ensure_arrangement(&IndexCols::unpartitioned(&[1]));
+        let on = IndexCols::unpartitioned(&[1]);
+        t.ensure_arrangement(&on);
         assert_eq!(t.probe_index(&[1], &tuple!["ann"]).unwrap().len(), 2);
-        // Idempotent.
-        t.ensure_arrangement(&IndexCols::unpartitioned(&[1]));
+        // A second reader shares it; it goes with the last.
+        t.ensure_arrangement(&on);
         assert_eq!(t.probe_index(&[1], &tuple!["ann"]).unwrap().len(), 2);
+        assert_eq!((t.arrangements().count(), t.arrangement_on(&on).unwrap().readers()), (1, 2));
+        assert_eq!(t.release_arrangement(&on), Some(false));
+        assert_eq!(t.release_arrangement(&on), Some(true));
+        assert_eq!(t.release_arrangement(&on), None);
+        assert_eq!(t.rows().count(), 2, "the rows came back");
     }
 
     /// Applies maintain a partitioned arrangement beside an unpartitioned
@@ -428,7 +439,7 @@ mod tests {
         assert_eq!(ann.probe(&[Value::I64(1)]).len(), 1);
         assert!(ann.probe(&[Value::I64(2)]).is_empty());
         assert_eq!(t.probe_index(&[0], &tuple![2i64]).unwrap().len(), 1);
-        assert!(t.drop_arrangement(&by_name));
+        assert_eq!(t.release_arrangement(&by_name), Some(true));
         assert_eq!(t.arrangements().count(), 1);
     }
 
@@ -501,7 +512,7 @@ mod tests {
                         }
                     }
                     Step::Ensure(i) => t.ensure_arrangement(&ons[i]),
-                    Step::Drop(i) => _ = t.drop_arrangement(&ons[i]),
+                    Step::Drop(i) => _ = t.release_arrangement(&ons[i]),
                     Step::Clear => {
                         t.clear();
                         log = DeltaTable::new();

@@ -14,8 +14,9 @@
 //! * [`trace`] — Chrome `trace_event` JSON export (Perfetto-loadable);
 //! * [`window`] — sim-time sliding windows (fixed ring of rotating
 //!   sub-windows) for recent-statistics instruments;
-//! * [`rollup`] — the bounded fleet headroom rollup: O(K) snapshot
-//!   cardinality instead of one instrument family per sharing;
+//! * [`rollup`] — compact per-sharing headroom summaries and their top-K:
+//!   O(K) snapshot cardinality instead of one instrument family per
+//!   sharing;
 //! * [`monitor`] — the SLA burn-rate monitor emitting deterministic
 //!   [`monitor::Alert`] records per sharing cohort;
 //! * [`sample`] — seeded sharing-coherent span sampling plus the incident
@@ -45,7 +46,7 @@ use std::cell::{Cell, RefCell};
 pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{cohort_of, Alert, AlertKind, BurnRateMonitor, Severity};
 pub use registry::{MetricsSnapshot, Registry};
-pub use rollup::{FleetRollup, SharingSummary, WorstRow};
+pub use rollup::{top_k_worst, SharingSummary, WorstRow};
 pub use sample::{FlightIncident, FlightRecorder, SpanSampler};
 pub use span::{SpanKind, SpanRecord, SpanRing};
 pub use trace::{chrome_trace, TraceInstant};

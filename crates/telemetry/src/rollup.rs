@@ -4,10 +4,11 @@
 //! name-keyed registry lookups — O(N) instruments and O(N) snapshot rows at
 //! 100k sharings. The rollup replaces that family with O(1) registry
 //! cardinality: the executor records every push into a single fleet-wide
-//! headroom histogram (still in the registry, same names as before) and
-//! into this structure, which keeps one *compact* summary per sharing —
-//! plain integers, no atomics, no name — and can answer the two questions
-//! the snapshot actually needs: fleet percentiles and the deterministic
+//! headroom histogram (still in the registry, same names as before) and into
+//! the pushed sharing's *compact* [`SharingSummary`] — plain integers, no
+//! atomics, no name — which lives in the executor's record of that sharing
+//! and goes with it at retirement. [`top_k_worst`] answers the one fleet
+//! question the snapshot needs over the live summaries: the deterministic
 //! top-K worst-headroom sharings. Only the K exported rows ever become
 //! metric names, so snapshot cardinality is O(K) no matter the fleet size.
 
@@ -36,12 +37,11 @@ pub struct SharingSummary {
     /// top-open). Eight buckets bound the memory while still supporting
     /// per-sharing percentile estimates for `Smile::explain`.
     pub bands: [u64; 8],
-    /// True once the sharing is retired; retired slots drop out of top-K.
-    pub retired: bool,
 }
 
 impl SharingSummary {
-    fn new(sharing: u32, sla_us: u64) -> Self {
+    /// The empty summary of sharing `sharing` under an SLA of `sla_us`.
+    pub fn new(sharing: u32, sla_us: u64) -> Self {
         Self {
             sharing,
             sla_us,
@@ -52,8 +52,23 @@ impl SharingSummary {
             max_headroom_us: 0,
             last_at_us: 0,
             bands: [0; 8],
-            retired: false,
         }
+    }
+
+    /// Records one completed push.
+    pub fn record(&mut self, headroom_us: u64, missed: bool, at_us: u64) {
+        self.pushes += 1;
+        if missed {
+            self.misses += 1;
+        }
+        self.sum_headroom_us += headroom_us;
+        self.min_headroom_us = self.min_headroom_us.min(headroom_us);
+        self.max_headroom_us = self.max_headroom_us.max(headroom_us);
+        self.last_at_us = at_us;
+        let band = (headroom_us * 8)
+            .checked_div(self.sla_us)
+            .map_or(7, |b| b.min(7)) as usize;
+        self.bands[band] += 1;
     }
 
     /// Mean headroom in microseconds (0 when no pushes).
@@ -98,97 +113,23 @@ pub struct WorstRow {
     pub pushes: u64,
 }
 
-/// Fleet-wide bounded rollup: one [`SharingSummary`] per executor slot,
-/// indexed by the executor's dense slot index (tombstoned slots stay,
-/// marked retired). Single-writer (the executor coordinator).
-#[derive(Debug, Default)]
-pub struct FleetRollup {
-    slots: Vec<SharingSummary>,
-}
-
-impl FleetRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a sharing; returns its slot index. Call order must match
-    /// the executor's slot order.
-    pub fn register(&mut self, sharing: u32, sla_us: u64) -> usize {
-        self.slots.push(SharingSummary::new(sharing, sla_us));
-        self.slots.len() - 1
-    }
-
-    /// Marks a slot retired (tombstoned in the executor).
-    pub fn retire(&mut self, slot: usize) {
-        if let Some(s) = self.slots.get_mut(slot) {
-            s.retired = true;
-        }
-    }
-
-    /// Records one completed push for `slot`.
-    pub fn record(&mut self, slot: usize, headroom_us: u64, missed: bool, at_us: u64) {
-        let s = &mut self.slots[slot];
-        s.pushes += 1;
-        if missed {
-            s.misses += 1;
-        }
-        s.sum_headroom_us += headroom_us;
-        s.min_headroom_us = s.min_headroom_us.min(headroom_us);
-        s.max_headroom_us = s.max_headroom_us.max(headroom_us);
-        s.last_at_us = at_us;
-        let band = (headroom_us * 8)
-            .checked_div(s.sla_us)
-            .map_or(7, |b| b.min(7)) as usize;
-        s.bands[band] += 1;
-    }
-
-    /// The summary at `slot`.
-    pub fn summary(&self, slot: usize) -> Option<&SharingSummary> {
-        self.slots.get(slot)
-    }
-
-    /// Number of registered slots (including retired).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Total pushes and misses across live and retired slots.
-    pub fn totals(&self) -> (u64, u64) {
-        let mut pushes = 0;
-        let mut misses = 0;
-        for s in &self.slots {
-            pushes += s.pushes;
-            misses += s.misses;
-        }
-        (pushes, misses)
-    }
-
-    /// The deterministic top-`k` worst-headroom sharings: live slots with
-    /// at least one push, ordered by (smallest min-headroom, most misses,
-    /// smallest sharing id). The ordering key is total, so the result
-    /// does not depend on slot iteration order.
-    pub fn top_k_worst(&self, k: usize) -> Vec<WorstRow> {
-        let mut rows: Vec<WorstRow> = self
-            .slots
-            .iter()
-            .filter(|s| !s.retired && s.pushes > 0)
-            .map(|s| WorstRow {
-                sharing: s.sharing,
-                min_headroom_us: s.min_headroom_us,
-                misses: s.misses,
-                pushes: s.pushes,
-            })
-            .collect();
-        rows.sort_unstable_by_key(|r| (r.min_headroom_us, u64::MAX - r.misses, r.sharing));
-        rows.truncate(k);
-        rows
-    }
+/// The deterministic top-`k` worst-headroom sharings among `summaries`:
+/// those with at least one push, ordered by (smallest min-headroom, most
+/// misses, smallest sharing id). The ordering key is total, so the result
+/// does not depend on the order the summaries come in.
+pub fn top_k_worst<'a>(summaries: impl Iterator<Item = &'a SharingSummary>, k: usize) -> Vec<WorstRow> {
+    let mut rows: Vec<WorstRow> = summaries
+        .filter(|s| s.pushes > 0)
+        .map(|s| WorstRow {
+            sharing: s.sharing,
+            min_headroom_us: s.min_headroom_us,
+            misses: s.misses,
+            pushes: s.pushes,
+        })
+        .collect();
+    rows.sort_unstable_by_key(|r| (r.min_headroom_us, u64::MAX - r.misses, r.sharing));
+    rows.truncate(k);
+    rows
 }
 
 #[cfg(test)]
@@ -197,35 +138,29 @@ mod tests {
 
     #[test]
     fn topk_orders_by_worst_headroom_then_misses_then_id() {
-        let mut r = FleetRollup::new();
-        for (id, sla) in [(1u32, 8_000_000u64), (2, 8_000_000), (3, 8_000_000)] {
-            r.register(id, sla);
-        }
-        r.record(0, 5_000_000, false, 10);
-        r.record(1, 1_000_000, false, 11);
-        r.record(2, 1_000_000, true, 12);
-        let top = r.top_k_worst(2);
+        let mut s = [1u32, 2, 3, 4].map(|id| SharingSummary::new(id, 8_000_000));
+        s[0].record(5_000_000, false, 10);
+        s[1].record(1_000_000, false, 11);
+        s[2].record(1_000_000, true, 12);
+        let top = top_k_worst(s.iter().rev(), 2);
         assert_eq!(top[0].sharing, 3); // ties on headroom broken by misses
         assert_eq!(top[1].sharing, 2);
-        r.retire(2);
-        let top = r.top_k_worst(8);
+        // A summary without pushes has no row; one left out is not ranked.
+        let top = top_k_worst(s[..2].iter(), 8);
         assert_eq!(top.iter().map(|t| t.sharing).collect::<Vec<_>>(), [2, 1]);
     }
 
     #[test]
     fn band_quantile_tracks_the_octiles() {
-        let mut r = FleetRollup::new();
-        r.register(7, 8_000_000);
+        let mut s = SharingSummary::new(7, 8_000_000);
         // Headrooms land in bands 0..8: one push per band.
         for b in 0..8u64 {
-            r.record(0, b * 1_000_000 + 1, b == 0, b);
+            s.record(b * 1_000_000 + 1, b == 0, b);
         }
-        let s = *r.summary(0).unwrap();
         assert_eq!(s.pushes, 8);
         assert_eq!(s.misses, 1);
         assert_eq!(s.bands, [1; 8]);
         assert_eq!(s.band_quantile_us(0.5), 4_000_000);
         assert_eq!(s.band_quantile_us(1.0), s.max_headroom_us);
-        assert_eq!(r.totals(), (8, 1));
     }
 }

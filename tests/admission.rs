@@ -14,10 +14,9 @@ use smile::sim::PriceSheet;
 use smile::storage::join::JoinOn;
 use smile::storage::predicate::CmpOp;
 use smile::storage::{Predicate, SpjQuery};
-use smile::types::{ColumnType, MachineId, SharingId, SimDuration, SmileError};
+use smile::types::{ColumnType, FastMap, MachineId, SharingId, SimDuration, SmileError};
 use smile::workload::sharings::paper_sharings;
 use smile::workload::twitter::{TwitterConfig, TwitterWorkload};
-use std::collections::HashMap;
 
 fn platform(machines: usize) -> (Smile, smile::workload::twitter::TwitterRels) {
     let mut smile = Smile::new(SmileConfig::with_machines(machines));
@@ -75,7 +74,7 @@ fn admissibility_is_monotone_in_sla() {
             0.001,
         );
         let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), &model, &prices);
-        opt.plan_admission(&sharing, HashMap::new(), None).is_ok()
+        opt.plan_admission(&sharing, FastMap::default(), None).is_ok()
     };
     let mut last = false;
     for ms in [1u64, 5, 20, 100, 1_000, 10_000, 60_000] {
@@ -103,7 +102,7 @@ fn dpt_tracks_dpd_critical_path_across_all_25() {
             0.001,
         );
         let opt = Optimizer::new(&smile.catalog, smile.cluster.machine_ids(), &model, &prices);
-        let plan = |objective| opt.plan_with(&sharing, objective, &HashMap::new(), None);
+        let plan = |objective| opt.plan_with(&sharing, objective, &FastMap::default(), None);
         let (dpd, dpt) = (plan(Objective::Dollars).unwrap(), plan(Objective::Time).unwrap());
         // The DP is a polynomial-time heuristic, so DPT is not provably
         // CP-optimal — but it must stay in the same ballpark as DPD's CP,

@@ -147,3 +147,34 @@ fn a_lifecycle_change_reconciles_only_what_it_changed() {
     assert!(flipped > 0 && walked(&smile) <= flipped, "walked {} of {all}, {flipped} flipped", walked(&smile));
     assert!(smile.executor.as_ref().unwrap().journal().is_empty());
 }
+
+/// Churn leaves the executor holding the live fleet and nothing else: after
+/// 500 live admit/retire pairs on the 1,000-sharing fleet, ticking under
+/// chaos between them, its records and calendar slots are one per admitted
+/// sharing, and no retired sharing's id names a record, a summary or a push
+/// in flight.
+#[test]
+fn churn_leaves_records_for_the_live_fleet_only() {
+    let (mut smile, rels) = build();
+    let (sla, pin) = (SimDuration::from_secs(25), Some(MachineId::new(0)));
+    for i in 0..1_000 {
+        smile.submit_pinned(&format!("S{i}"), scale_query(&rels, i), sla, 0.001, pin).unwrap();
+    }
+    smile.install().unwrap();
+    let mut retired = Vec::new();
+    for pair in 0..500 {
+        smile.submit_live(&format!("L{pair}"), scale_query(&rels, 1_000 + pair), sla, 0.001, pin).unwrap();
+        let oldest = smile.sharings()[0].id;
+        smile.retire(oldest).unwrap();
+        retired.push(oldest);
+        smile.step().unwrap();
+    }
+    let executor = smile.executor.as_ref().unwrap();
+    let live: Vec<SharingId> = smile.sharings().iter().map(|s| s.id).collect();
+    assert_eq!(live.len(), 1_000);
+    assert_eq!(executor.sharing_ids().collect::<Vec<_>>(), live);
+    assert_eq!(executor.calendar_ids(), live);
+    let gone = |id| executor.sharing_summary(id).is_none() && executor.sharing_tuples(id).is_none();
+    assert!(retired.iter().all(|&id| gone(id) && !executor.in_flight(id)));
+    assert!(executor.push_records.iter().any(|r| retired.contains(&r.sharing)), "no retired sharing ever pushed");
+}

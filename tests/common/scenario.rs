@@ -540,9 +540,26 @@ impl Checker<'_> {
         for s in self.0.sharings() {
             exact(self.0, s.id)?;
         }
+        self.records_follow_sharings()?;
         self.slots_follow_liveness()?;
         self.indexes_are_read()?;
         self.misses_are_penalized()
+    }
+
+    /// The executor's records, its calendar's slots and the headroom
+    /// summaries cover exactly the admitted sharings: a retirement leaves
+    /// none of them behind, and a push completing after it brings none back.
+    fn records_follow_sharings(&self) -> Result<(), String> {
+        let Some(executor) = self.0.executor.as_ref().filter(|e| e.started()) else { return Ok(()) };
+        let admitted: Vec<SharingId> = self.0.sharings().iter().map(|s| s.id).collect();
+        let records: Vec<SharingId> = executor.sharing_ids().collect();
+        let slots = executor.calendar_ids();
+        let summary = |id: SharingId| executor.sharing_summary(id).map(|s| SharingId::new(s.sharing));
+        let summaries: Vec<SharingId> = records.iter().filter_map(|&id| summary(id)).collect();
+        if records != admitted || slots != admitted || summaries != admitted {
+            return Err(format!("admitted {admitted:?}: records {records:?}, slots {slots:?}, summaries {summaries:?}"));
+        }
+        Ok(())
     }
 
     /// A derived vertex holds a storage slot exactly when it is live.
@@ -564,7 +581,7 @@ impl Checker<'_> {
         let mut installed = BTreeSet::new();
         for m in self.0.cluster.machine_ids() {
             for (rel, slot) in self.0.cluster.machine(m).unwrap().db.relations() {
-                for index in slot.indexes() {
+                for (index, _) in slot.indexes() {
                     if let SlotIndex::Log(cols) = &index {
                         let mut want: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
                         for (i, e) in slot.delta.iter().enumerate() {
@@ -589,8 +606,9 @@ impl Checker<'_> {
         if !installed.iter().eq(readers.keys()) {
             return Err(format!("indexes {installed:?} installed, {readers:?} read"));
         }
-        if self.0.index_readers() != &readers {
-            return Err(format!("reader counts {:?}, live reads {readers:?}", self.0.index_readers()));
+        let counted = self.0.index_readers().map_err(|e| e.to_string())?;
+        if counted != readers {
+            return Err(format!("reader counts {counted:?}, live reads {readers:?}"));
         }
         Ok(())
     }

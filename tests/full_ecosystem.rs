@@ -56,7 +56,7 @@ fn all_25_sharings_admitted_and_exact() {
     assert!(!live_reads(&smile).iter().any(|(.., index)| log(index)));
     for m in smile.cluster.machine_ids() {
         let db = &smile.cluster.machine(m).unwrap().db;
-        assert!(db.relations().all(|(_, slot)| !slot.indexes().any(|index| log(&index))));
+        assert!(db.relations().all(|(_, slot)| !slot.indexes().any(|(index, _)| log(&index))));
     }
 }
 
@@ -101,7 +101,7 @@ fn shared_work_reduces_tuples_moved() {
 
     let (solo, solo_ids) = run_ecosystem(6, 5, sla, 30.0, 120);
     let solo_exec = solo.executor.as_ref().unwrap();
-    let solo_total: u64 = solo_exec.tuples_per_sharing.values().sum();
+    let solo_total: u64 = solo_ids.iter().filter_map(|&id| solo_exec.sharing_tuples(id)).sum();
     assert!(solo_total > 0);
 
     // The per-sharing dollar attribution must also sum to at most the

@@ -38,7 +38,7 @@ fn run(history: bool) -> (Vec<(Tuple, i64)>, Vec<PushRecord>) {
     let key_history = SlotIndex::Log(vec![0]);
     assert!(live_reads(&smile).contains(&(M0, a, key_history.clone())), "nothing reads a's key history");
     if !history {
-        assert!(smile.cluster.machine_mut(M0).unwrap().db.drop_index(a, &key_history));
+        assert!(smile.cluster.machine_mut(M0).unwrap().db.release(a, &key_history).unwrap());
     }
     feed(&mut smile, 90, |smile, s| {
         let (now, row) = (smile.now(), |s: u64| tuple![(s % 5) as i64, (s % 3) as i64]);
@@ -53,7 +53,7 @@ fn run(history: bool) -> (Vec<(Tuple, i64)>, Vec<PushRecord>) {
     });
     smile.run_idle(SimDuration::from_secs(30)).unwrap();
     let log = &smile.cluster.machine(M0).unwrap().db.relation(a).unwrap().delta;
-    assert_eq!(log.partitions().any(|cols| cols == [0]), history);
+    assert_eq!(log.partitions().any(|(cols, _)| cols == [0]), history);
     assert!(exact(&smile, id).unwrap() > 0, "an empty MV compares nothing");
     if history {
         Checker(&smile).check().unwrap();

@@ -523,7 +523,7 @@ use smile::core::multi::GlobalPlan;
 use smile::core::plan::cost::{edge_utilization, machine_utilization, Scope};
 use smile::core::plan::dag::VertexKind;
 use smile::core::plan::sig::ExprSig;
-use smile::types::VertexId;
+use smile::types::{FastMap, VertexId};
 use std::collections::{HashMap, HashSet};
 
 /// `Executor::live` == the base vertices, the ancestors-or-self of each
@@ -551,9 +551,9 @@ fn live_fresh(smile: &Smile) -> Result<(), String> {
 /// edges, bit for bit.
 fn load_fresh(smile: &Smile) -> Result<(), String> {
     let (executor, model) = (smile.executor.as_ref().ok_or("no executor")?, &smile.config.model);
-    let fresh = edge_utilization(HashMap::new(), &smile.global_plan().plan, executor.live_edges(), model);
+    let fresh = edge_utilization(FastMap::default(), &smile.global_plan().plan, executor.live_edges(), model);
     let read = executor.load(model);
-    let bits = |load: &HashMap<MachineId, f64>| {
+    let bits = |load: &FastMap<MachineId, f64>| {
         let mut bits: Vec<_> = load.iter().map(|(m, u)| (m.index(), u.to_bits())).collect();
         bits.sort_unstable();
         bits
@@ -749,7 +749,7 @@ fn lazy_query(rels: [RelationId; 3], shape: u8, lit: i64) -> SpjQuery {
 }
 
 /// A drawn load choice per machine as committed utilization.
-fn lazy_committed(load: &[u8]) -> HashMap<MachineId, f64> {
+fn lazy_committed(load: &[u8]) -> FastMap<MachineId, f64> {
     load.iter()
         .enumerate()
         .map(|(m, &l)| (MachineId::new(m as u32), [0.0, 0.0, 0.9995, 1.0][l as usize]))
@@ -879,7 +879,7 @@ proptest! {
         // SQUEEZE of what the unconstrained plan loads its busiest machine
         // with, so no machine holds a whole plan and a three-way join's
         // intermediate has to sit apart from its MV.
-        let free = opt.plan_with(&sharing, Objective::Dollars, &HashMap::new(), None).unwrap();
+        let free = opt.plan_with(&sharing, Objective::Dollars, &FastMap::default(), None).unwrap();
         let busiest = machine_utilization(&free.plan, Scope::All, model).into_values().fold(0.0, f64::max);
         let squeezed = machines.iter().map(|&m| (m, 1.0 - SQUEEZE * busiest)).collect();
         for (committed, objective) in [lazy_committed(&load), squeezed]
@@ -1143,7 +1143,7 @@ proptest! {
         for db in [&mut framed, &mut decoded, &mut reference] {
             db.create_relation(rel, schema()).unwrap();
         }
-        let (mut landed_ids, mut marks) = (HashSet::new(), HashMap::new());
+        let (mut landed_ids, mut marks) = (HashSet::new(), FastMap::default());
         for (producer, from, len) in pushes {
             // One id per producer and window, as `push::batch_id` gives.
             let id = producer as u64 * 100 + from * 10 + (from + len);

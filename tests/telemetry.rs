@@ -124,11 +124,10 @@ fn snapshot_exposes_staleness_headroom_rollup() {
             .count(),
         1
     );
-    // The bounded rollup carries per-sharing attribution instead: the
+    // The sharings' summaries carry per-sharing attribution instead: the
     // single sharing is the worst-headroom row, and its summary matches
     // the fleet histogram.
-    let rollup = smile.executor.as_ref().unwrap().rollup();
-    let top = rollup.top_k_worst(8);
+    let top = smile.executor.as_ref().unwrap().top_k_worst(8);
     assert_eq!(top.len(), 1);
     assert_eq!(top[0].sharing, id.0);
     assert_eq!(top[0].pushes, pushes.len() as u64);

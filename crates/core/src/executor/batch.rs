@@ -626,7 +626,9 @@ impl Executor {
                 // The sharing went in flight when its push fired; hand it
                 // back to the scheduler at the next tick.
                 let next = self.cal.tick_of(now) + 1;
-                self.cal.schedule_at(req.sharing, next);
+                if let Some(rt) = self.sharings.get(&req.sharing) {
+                    self.cal.schedule_at(req.sharing, &rt.slot, next);
+                }
                 if let Some(ts_id) = tick_span {
                     self.record_retry_span(ts_id, req, now, now, "abandoned");
                 }

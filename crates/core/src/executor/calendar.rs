@@ -5,7 +5,10 @@
 //! due. This module avoids that with two pieces:
 //!
 //! 1. **[`CalendarState`]** — a two-state machine (scheduled, in flight)
-//!    per live sharing, keyed by its id, over two min-heaps. Each idle
+//!    per live sharing over two min-heaps. The state and its generation are
+//!    the sharing's [`Slot`], which lives in its record; the calendar holds
+//!    only the heaps' entries, the due-now buffer and the scheduled count,
+//!    and no per-sharing map. Each idle
 //!    sharing sleeps on the *wake heap* until a conservative lower bound
 //!    on the first tick its lazy projection `staleness + CP + tick` can
 //!    reach `l·SLA`, given a bound on the feedback inflation:
@@ -15,8 +18,8 @@
 //!    Popping early is safe (the slot re-projects and goes back to sleep);
 //!    popping late never happens (see `Executor::project_wake_tick`). Every
 //!    transition bumps the slot's generation, so entries go stale in place;
-//!    a retirement removes the slot, and its entries are dropped as they
-//!    pop, like a stale generation's.
+//!    a retirement removes the record and with it the slot, and its entries
+//!    are dropped as they pop, like a stale generation's.
 //! 2. **[`CpEval`]** — a cached compact critical-path evaluator: the
 //!    producer edges of the sharing's MV and its non-base ancestors, in
 //!    topological order with their estimate parameters, so one evaluation
@@ -43,6 +46,7 @@
 use crate::plan::dag::{EdgeOp, Plan};
 use crate::plan::timecost::TimeCostModel;
 use smile_types::{FastMap, SharingId, SimDuration, Timestamp, VertexId};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -51,72 +55,55 @@ use std::collections::BinaryHeap;
 /// wake it every tick.
 pub(crate) const INFLATION_HEADROOM: f64 = 1.25;
 
-/// Min-heap of `(due tick, sharing, generation)` wake entries. An entry
-/// whose generation no longer matches its sharing's slot, or whose sharing
-/// has no slot any more, is stale and dropped by the caller when popped.
-#[derive(Default)]
-struct PushCalendar {
-    heap: BinaryHeap<Reverse<(u64, SharingId, u64)>>,
-    /// The last tick drained.
-    now_tick: u64,
-}
-
-impl PushCalendar {
-    /// Queued entries, stale ones included.
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Queues an entry. Past or current due ticks clamp to the next tick.
-    fn schedule(&mut self, id: SharingId, gen: u64, due_tick: u64) {
-        let due = due_tick.max(self.now_tick + 1);
-        self.heap.push(Reverse((due, id, gen)));
-    }
-
-    /// Pops every entry due by `to_tick` onto `out` as `(sharing, generation)`.
-    fn advance(&mut self, to_tick: u64, out: &mut Vec<(SharingId, u64)>) {
-        self.now_tick = self.now_tick.max(to_tick);
-        while let Some(&Reverse((due, id, gen))) = self.heap.peek() {
-            if due > to_tick {
-                break;
-            }
-            self.heap.pop();
-            out.push((id, gen));
-        }
-    }
-}
-
-/// Lifecycle state of one live sharing's slot — the executor's only record
-/// of whether a sharing is idle or mid-push. A retired sharing has no slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Lifecycle state of a live sharing's slot.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum SlotState {
     /// Queued in the heap (or the due-now buffer) under the current
     /// generation.
     Scheduled,
     /// A push or retry is active; completion/abandonment events re-enqueue
-    /// the slot.
+    /// the slot. A new record's slot starts here: in no calendar entry and
+    /// not counted, until [`CalendarState::wake_now`] hands it over.
+    #[default]
     InFlight,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    gen: u64,
+/// A live sharing's slot, kept in its record (`Executor::sharings`): whether
+/// the sharing is idle or mid-push, and the generation its calendar entries
+/// carry. Every transition bumps it, so an entry made under the current one
+/// is the slot's one entry, and the slot is scheduled.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Slot {
+    pub gen: u64,
     state: SlotState,
 }
 
-/// The calendar scheduler's state: wake heap, bound heap and one slot per
-/// live sharing, keyed by its id.
+impl Slot {
+    /// Whether a push or a pending retry owns the sharing.
+    pub fn in_flight(self) -> bool {
+        self.state == SlotState::InFlight
+    }
+}
+
+/// The calendar scheduler's state: the wake heap, the bound heap and the
+/// due-now buffer, each entry a sharing and the generation of its slot it
+/// was made under. It keeps no per-sharing map: an entry whose sharing has
+/// no record, or whose generation is not its slot's, is dropped when read.
 pub(crate) struct CalendarState {
-    wakes: PushCalendar,
+    /// Min-heap of `(due tick, sharing, generation)` wake entries.
+    wakes: BinaryHeap<Reverse<(u64, SharingId, u64)>>,
+    /// The last tick drained.
+    now_tick: u64,
     /// Min-heap of `(inflation bound, sharing, generation)` for slots whose
     /// wake assumed a bound below the model's clamp; a positive `f64`'s
     /// bits order as the number does.
     bounds: BinaryHeap<Reverse<(u64, SharingId, u64)>>,
-    slots: FastMap<SharingId, Slot>,
-    /// Slots to evaluate at the next planning pass regardless of the heap
-    /// (freshly added, push-completed).
-    due_now: Vec<SharingId>,
+    /// `(sharing, generation)` to evaluate at the next planning pass
+    /// regardless of the heap (freshly added, push-completed, bound passed).
+    due_now: Vec<(SharingId, u64)>,
     tick_us: u64,
+    /// Slots in the `Scheduled` state, kept by the transitions and by
+    /// [`CalendarState::retire`].
     n_scheduled: usize,
 }
 
@@ -124,9 +111,9 @@ impl CalendarState {
     /// An empty calendar ticking every `tick`.
     pub fn new(tick: SimDuration) -> Self {
         Self {
-            wakes: PushCalendar::default(),
+            wakes: BinaryHeap::new(),
+            now_tick: 0,
             bounds: BinaryHeap::new(),
-            slots: FastMap::default(),
             due_now: Vec::new(),
             tick_us: tick.as_micros().max(1),
             n_scheduled: 0,
@@ -142,125 +129,102 @@ impl CalendarState {
         self.n_scheduled
     }
 
+    /// Queued wake entries, stale ones included.
     pub fn wheel_len(&self) -> usize {
         self.wakes.len()
     }
 
-    /// Whether a heap entry of `id` under `gen` is still its slot's.
-    fn current(&self, id: SharingId, gen: u64) -> bool {
-        self.slots.get(&id).is_some_and(|slot| slot.gen == gen)
-    }
-
-    /// Moves the slot to `state` under a fresh generation, which
-    /// invalidates its previous attachment (heap entry, due-now
-    /// membership), and returns that generation. A retired sharing has no
-    /// slot — the completion or retry of a push that was in flight at
-    /// retirement must not bring one back — so `None` means nothing changed.
-    fn set_state(&mut self, id: SharingId, state: SlotState) -> Option<u64> {
-        let slot = self.slots.get_mut(&id)?;
-        if slot.state == SlotState::Scheduled {
+    /// Moves `slot` to `state` under a fresh generation, which invalidates
+    /// its previous attachment (heap entry, due-now membership), and
+    /// returns that generation.
+    fn set_state(&mut self, slot: &Cell<Slot>, state: SlotState) -> u64 {
+        let Slot { gen, state: was } = slot.get();
+        if was == SlotState::Scheduled {
             self.n_scheduled -= 1;
         }
         if state == SlotState::Scheduled {
             self.n_scheduled += 1;
         }
-        slot.gen += 1;
-        slot.state = state;
-        Some(slot.gen)
+        slot.set(Slot { gen: gen + 1, state });
+        gen + 1
     }
 
-    /// Queues the slot to wake at `due_tick`.
-    pub fn schedule_at(&mut self, id: SharingId, due_tick: u64) {
-        if let Some(gen) = self.set_state(id, SlotState::Scheduled) {
-            self.wakes.schedule(id, gen, due_tick);
-        }
+    /// Queues sharing `id`, whose slot is `slot`, to wake at `due_tick`.
+    /// Past or current due ticks clamp to the next tick.
+    pub fn schedule_at(&mut self, id: SharingId, slot: &Cell<Slot>, due_tick: u64) {
+        let gen = self.set_state(slot, SlotState::Scheduled);
+        self.wakes.push(Reverse((due_tick.max(self.now_tick + 1), id, gen)));
     }
 
-    /// Queues the slot to wake at `due_tick`, a projection that assumed
+    /// Queues sharing `id` to wake at `due_tick`, a projection that assumed
     /// the model's inflation stays at or below `bound`, or as soon as
-    /// [`CalendarState::wake_over`] sees it pass.
-    pub fn schedule_under(&mut self, id: SharingId, due_tick: u64, bound: f64) {
-        if let Some(gen) = self.set_state(id, SlotState::Scheduled) {
-            self.wakes.schedule(id, gen, due_tick);
-            // Stale entries whose bound is never passed would never pop.
-            if self.bounds.len() >= 2 * self.slots.len() {
-                let slots = &self.slots;
-                self.bounds.retain(|e| slots.get(&e.0 .1).is_some_and(|slot| slot.gen == e.0 .2));
-            }
-            self.bounds.push(Reverse((bound.to_bits(), id, gen)));
+    /// [`CalendarState::wake_over`] sees it pass. `slot_of` reads a live
+    /// sharing's slot.
+    pub fn schedule_under(
+        &mut self,
+        id: SharingId,
+        slot: &Cell<Slot>,
+        due_tick: u64,
+        bound: f64,
+        slot_of: impl Fn(SharingId) -> Option<Slot>,
+    ) {
+        self.schedule_at(id, slot, due_tick);
+        // Stale entries whose bound is never passed would never pop. At
+        // most one entry per scheduled slot is current, so a sweep at twice
+        // that removes at least half of what it walks.
+        if self.bounds.len() >= 2 * self.n_scheduled {
+            self.bounds.retain(|e| slot_of(e.0 .1).is_some_and(|slot| slot.gen == e.0 .2));
         }
+        self.bounds.push(Reverse((bound.to_bits(), id, slot.get().gen)));
     }
 
     /// Wakes, for the next planning pass, every slot asleep under a bound
-    /// the model's `inflation` has passed. Stale entries are dropped.
+    /// the model's `inflation` has passed. The entries go to the due-now
+    /// buffer as they are, so a stale one is dropped where the pass reads
+    /// it.
     pub fn wake_over(&mut self, inflation: f64) {
         let passed = |e: &&Reverse<(u64, SharingId, u64)>| f64::from_bits(e.0 .0) < inflation;
         while let Some(&Reverse((_, id, gen))) = self.bounds.peek().filter(passed) {
             self.bounds.pop();
-            if self.current(id, gen) {
-                self.wake_now(id);
-            }
+            self.due_now.push((id, gen));
         }
     }
 
-    /// Queues the slot for the next planning pass.
-    pub fn wake_now(&mut self, id: SharingId) {
-        if self.set_state(id, SlotState::Scheduled).is_some() {
-            self.due_now.push(id);
-        }
+    /// Queues sharing `id` for the next planning pass.
+    pub fn wake_now(&mut self, id: SharingId, slot: &Cell<Slot>) {
+        let gen = self.set_state(slot, SlotState::Scheduled);
+        self.due_now.push((id, gen));
     }
 
     /// Marks the slot in flight: completion/abandonment events own its
     /// next wake, so no calendar entry exists for it.
-    pub fn mark_in_flight(&mut self, id: SharingId) {
-        self.set_state(id, SlotState::InFlight);
+    pub fn mark_in_flight(&mut self, slot: &Cell<Slot>) {
+        self.set_state(slot, SlotState::InFlight);
     }
 
-    /// Whether a push or a pending retry owns the slot.
-    pub fn in_flight(&self, id: SharingId) -> bool {
-        self.slots.get(&id).is_some_and(|slot| slot.state == SlotState::InFlight)
-    }
-
-    /// Gives a freshly added sharing its slot, due at the next pass.
-    pub fn add(&mut self, id: SharingId) {
-        self.slots.insert(id, Slot { gen: 0, state: SlotState::Scheduled });
-        self.n_scheduled += 1;
-        self.due_now.push(id);
-    }
-
-    /// Takes a retired sharing's slot away. Its heap entries stay until
-    /// they pop and are dropped as stale: ids are never reused, so none can
-    /// match a later sharing's slot.
-    pub fn remove(&mut self, id: SharingId) {
-        if self.slots.remove(&id).is_some_and(|slot| slot.state == SlotState::Scheduled) {
+    /// Forgets the slot of a retired sharing, whose record went. Its heap
+    /// entries stay until they pop and are dropped there: ids are never
+    /// reused, so none can match a later sharing's slot.
+    pub fn retire(&mut self, slot: Slot) {
+        if slot.state == SlotState::Scheduled {
             self.n_scheduled -= 1;
         }
     }
 
-    /// The sharings holding a slot, in id order.
-    pub fn ids(&self) -> Vec<SharingId> {
-        let mut ids: Vec<SharingId> = self.slots.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Slots asleep under a live entry of the bound heap.
-    #[cfg(test)]
-    pub fn sleeping_under_bound(&self) -> usize {
-        self.bounds.iter().filter(|e| self.current(e.0 .1, e.0 .2)).count()
-    }
-
-    /// Drains everything due at `now`: heap pops up to the current tick
-    /// plus the due-now buffer, stale entries dropped, deduplicated and
-    /// sorted ascending — id order is the planning order.
-    pub fn take_woken(&mut self, now: Timestamp) -> Vec<SharingId> {
-        let mut popped: Vec<(SharingId, u64)> = Vec::new();
-        self.wakes.advance(self.tick_of(now), &mut popped);
-        let mut woken: Vec<SharingId> = std::mem::take(&mut self.due_now);
-        woken.extend(popped.into_iter().filter(|&(id, gen)| self.current(id, gen)).map(|(id, _)| id));
+    /// Drains everything due at `now`, heap pops up to the current tick
+    /// plus the due-now buffer, as `(sharing, generation)` candidates in
+    /// ascending id order, the planning order. The pass keeps those whose
+    /// sharing has a record and whose generation is its slot's.
+    pub fn take_woken(&mut self, now: Timestamp) -> Vec<(SharingId, u64)> {
+        let tick = self.tick_of(now);
+        self.now_tick = self.now_tick.max(tick);
+        let mut woken = std::mem::take(&mut self.due_now);
+        while let Some(&Reverse((_, id, gen))) = self.wakes.peek().filter(|e| e.0 .0 <= tick) {
+            self.wakes.pop();
+            woken.push((id, gen));
+        }
         woken.sort_unstable();
         woken.dedup();
-        woken.retain(|id| self.slots.get(id).is_some_and(|slot| slot.state == SlotState::Scheduled));
         woken
     }
 }
@@ -379,18 +343,37 @@ impl CpEval {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     fn id(i: u32) -> SharingId {
         SharingId::new(i)
     }
 
-    /// A calendar with a slot for each of sharings `0..n`.
-    fn calendar(n: u32) -> CalendarState {
+    /// A calendar and the slots of sharings `0..n` (the executor keeps them
+    /// in their records), each handed over as a new record's is.
+    fn calendar(n: u32) -> (CalendarState, Vec<Cell<Slot>>) {
         let mut c = CalendarState::new(SimDuration::from_secs(1));
-        (0..n).for_each(|i| c.add(id(i)));
-        c
+        let slots: Vec<Cell<Slot>> = (0..n).map(|_| Cell::default()).collect();
+        (0..n).for_each(|i| c.wake_now(id(i), &slots[i as usize]));
+        (c, slots)
+    }
+
+    /// Reads a sharing's slot among `slots`, as the executor does its record.
+    fn slot_of(slots: &[Cell<Slot>]) -> impl Fn(SharingId) -> Option<Slot> + '_ {
+        |id| slots.get(id.0 as usize).map(Cell::get)
+    }
+
+    /// The sharings the planning pass at `now` evaluates: the woken
+    /// candidates whose generation is their slot's.
+    fn woken(c: &mut CalendarState, slots: &[Cell<Slot>], now: Timestamp) -> Vec<SharingId> {
+        let current = |&(id, gen): &(SharingId, u64)| slot_of(slots)(id).is_some_and(|s| s.gen == gen);
+        c.take_woken(now).into_iter().filter(current).map(|(id, _)| id).collect()
+    }
+
+    /// Slots asleep under a current entry of the bound heap.
+    pub(in crate::executor) fn sleeping_under_bound(c: &CalendarState, slot_of: impl Fn(SharingId) -> Option<Slot>) -> usize {
+        c.bounds.iter().filter(|e| slot_of(e.0 .1).is_some_and(|slot| slot.gen == e.0 .2)).count()
     }
 
     /// Tiny deterministic LCG so heap tests need no RNG dependency.
@@ -404,98 +387,77 @@ mod tests {
 
     #[test]
     fn heap_pops_exactly_at_due_tick() {
-        let mut w = PushCalendar::default();
-        let dues = [1u64, 63, 64, 65, 127, 4095, 4096, 4100, 262144, 262209];
+        let mut c = CalendarState::new(SimDuration::from_secs(1));
+        let (dues, slot) = ([1u64, 63, 64, 65, 127, 4095, 4096, 4100, 262144, 262209], Cell::default());
         // Scheduled out of due order, so heap order is what sorts them.
         for (i, &d) in dues.iter().enumerate().rev() {
-            w.schedule(id(i as u32), 0, d);
+            c.schedule_at(id(i as u32), &slot, d);
         }
-        assert_eq!(w.len(), dues.len());
-        let mut out = Vec::new();
+        assert_eq!(c.wheel_len(), dues.len());
         for t in 1..=262300u64 {
-            out.clear();
-            w.advance(t, &mut out);
-            for &(entry, _) in &out {
+            for (entry, _) in c.take_woken(Timestamp::from_secs(t)) {
                 assert_eq!(dues[entry.0 as usize], t, "entry {entry} popped at {t}");
             }
         }
-        assert_eq!(w.len(), 0, "every entry popped");
+        assert_eq!(c.wheel_len(), 0, "every entry popped");
         // An already-past due tick clamps to the next tick.
-        w.schedule(id(0), 0, 5);
-        out.clear();
-        w.advance(262301, &mut out);
-        assert_eq!(out, vec![(id(0), 0)]);
+        c.schedule_at(id(0), &slot, 5);
+        assert_eq!(c.take_woken(Timestamp::from_secs(262301)), vec![(id(0), slot.get().gen)]);
     }
 
     #[test]
     fn heap_random_schedule_pops_on_time() {
         let mut rng = Lcg(7);
-        let mut w = PushCalendar::default();
-        let mut due_of: FastMap<SharingId, u64> = FastMap::default();
-        let mut next_id = 0u32;
-        let mut popped = 0usize;
-        let mut out = Vec::new();
+        let mut c = CalendarState::new(SimDuration::from_secs(1));
+        let (slot, mut dues, mut popped) = (Cell::default(), Vec::new(), 0usize);
         for t in 1..=20_000u64 {
             // Schedule a few entries at random future offsets.
             for _ in 0..(rng.next() % 3) {
                 let due = t + rng.next() % 10_000;
-                w.schedule(id(next_id), 0, due);
-                due_of.insert(id(next_id), due);
-                next_id += 1;
+                c.schedule_at(id(dues.len() as u32), &slot, due);
+                dues.push(due);
             }
-            out.clear();
-            w.advance(t, &mut out);
-            for &(entry, _) in &out {
-                assert_eq!(due_of[&entry], t, "entry {entry} popped at {t}");
+            for (entry, _) in c.take_woken(Timestamp::from_secs(t)) {
+                assert_eq!(dues[entry.0 as usize], t, "entry {entry} popped at {t}");
                 popped += 1;
             }
         }
         assert!(popped > 1_000, "exercised {popped} pops");
-        assert_eq!(w.len() + popped, next_id as usize);
+        assert_eq!(c.wheel_len() + popped, dues.len());
     }
 
     #[test]
     fn calendar_generations_invalidate_stale_entries() {
-        let mut c = calendar(2);
+        let (mut c, s) = calendar(2);
         // Initial state: both slots due now.
-        let woken = c.take_woken(Timestamp::ZERO);
-        assert_eq!(woken, vec![id(0), id(1)]);
-        c.schedule_at(id(0), 5);
-        c.schedule_at(id(1), 5);
+        assert_eq!(woken(&mut c, &s, Timestamp::ZERO), vec![id(0), id(1)]);
+        c.schedule_at(id(0), &s[0], 5);
+        c.schedule_at(id(1), &s[1], 5);
         // Slot 1 transitions before its wake: the heap entry goes stale.
-        c.mark_in_flight(id(1));
-        let woken = c.take_woken(Timestamp::from_secs(5));
-        assert_eq!(woken, vec![id(0)]);
+        c.mark_in_flight(&s[1]);
+        assert_eq!(woken(&mut c, &s, Timestamp::from_secs(5)), vec![id(0)]);
         // A woken slot stays Scheduled until the planner transitions it.
         assert_eq!(c.scheduled_count(), 1);
-        c.mark_in_flight(id(0));
+        c.mark_in_flight(&s[0]);
         assert_eq!(c.scheduled_count(), 0);
     }
 
-    /// A retirement removes the slot whatever its state, keeps the
-    /// scheduled count right, and the completion or abandonment of a push
-    /// whose sharing was retired meanwhile must not bring the slot back;
-    /// its heap entries are dropped when they pop.
+    /// A retirement takes the slot away with its record whatever its
+    /// state and keeps the scheduled count right; the retired slots'
+    /// entries, in both heaps and the due-now buffer, are dropped when read.
     #[test]
     fn a_removed_slot_stays_removed() {
-        let mut c = calendar(4);
-        c.take_woken(Timestamp::ZERO);
-        c.mark_in_flight(id(0));
-        c.mark_in_flight(id(1));
-        c.schedule_at(id(2), 1);
-        c.schedule_under(id(3), 1, 1.5);
-        assert_eq!(c.scheduled_count(), 2);
-        for i in 0..4 {
-            c.remove(id(i));
-        }
+        let (mut c, mut s) = calendar(4);
+        woken(&mut c, &s, Timestamp::ZERO);
+        c.mark_in_flight(&s[0]);
+        c.schedule_at(id(1), &s[1], 1);
+        c.schedule_under(id(2), &s[2], 1, 1.5, slot_of(&s));
+        c.wake_now(id(3), &s[3]);
+        s.drain(..).for_each(|slot| c.retire(slot.get()));
         assert_eq!(c.scheduled_count(), 0);
-        c.wake_now(id(0));
-        c.schedule_at(id(1), 1);
         c.wake_over(50.0);
-        assert!(c.take_woken(Timestamp::from_secs(1)).is_empty());
-        assert!((0..4).all(|i| !c.in_flight(id(i))) && c.ids().is_empty());
-        assert_eq!(c.scheduled_count(), 0);
-        assert_eq!(c.wheel_len(), 0, "the removed slots' entries popped");
+        assert!(woken(&mut c, &s, Timestamp::from_secs(1)).is_empty());
+        assert!(c.wheel_len() == 0 && c.bounds.is_empty() && c.due_now.is_empty());
     }
 
     /// An inflation wakes exactly the slots whose bound it passed; a slot
@@ -503,48 +465,46 @@ mod tests {
     /// stale entries of slots that moved on stay put.
     #[test]
     fn wake_over_wakes_only_slots_whose_bound_the_inflation_passed() {
-        let mut c = calendar(5);
-        c.take_woken(Timestamp::ZERO);
-        c.schedule_under(id(0), 500, 1.5);
-        c.schedule_under(id(1), 900, 3.0);
-        c.schedule_at(id(2), 700);
+        let (mut c, s) = calendar(5);
+        woken(&mut c, &s, Timestamp::ZERO);
+        c.schedule_under(id(0), &s[0], 500, 1.5, slot_of(&s));
+        c.schedule_under(id(1), &s[1], 900, 3.0, slot_of(&s));
+        c.schedule_at(id(2), &s[2], 700);
         // Stale: slot 3 moved in flight, slot 4 re-slept under a higher
         // bound after its first one.
-        c.schedule_under(id(3), 600, 1.2);
-        c.mark_in_flight(id(3));
-        c.schedule_under(id(4), 800, 1.1);
-        c.schedule_under(id(4), 800, 4.0);
-        assert_eq!(c.sleeping_under_bound(), 3);
+        c.schedule_under(id(3), &s[3], 600, 1.2, slot_of(&s));
+        c.mark_in_flight(&s[3]);
+        c.schedule_under(id(4), &s[4], 800, 1.1, slot_of(&s));
+        c.schedule_under(id(4), &s[4], 800, 4.0, slot_of(&s));
+        assert_eq!(sleeping_under_bound(&c, slot_of(&s)), 3);
 
         c.wake_over(1.5);
-        assert!(c.take_woken(Timestamp::from_secs(1)).is_empty());
+        assert!(woken(&mut c, &s, Timestamp::from_secs(1)).is_empty());
         c.wake_over(2.0);
-        assert_eq!(c.take_woken(Timestamp::from_secs(2)), vec![id(0)]);
-        assert_eq!(c.sleeping_under_bound(), 2);
+        assert_eq!(woken(&mut c, &s, Timestamp::from_secs(2)), vec![id(0)]);
+        assert_eq!(sleeping_under_bound(&c, slot_of(&s)), 2);
         c.wake_over(50.0);
-        assert_eq!(c.take_woken(Timestamp::from_secs(3)), vec![id(1), id(4)]);
-        assert_eq!(c.sleeping_under_bound(), 0);
+        assert_eq!(woken(&mut c, &s, Timestamp::from_secs(3)), vec![id(1), id(4)]);
+        assert_eq!(sleeping_under_bound(&c, slot_of(&s)), 0);
         assert!(c.bounds.is_empty(), "stale entries popped too");
-        assert!(c.in_flight(id(3)));
+        assert!(s[3].get().in_flight());
         // The clamp-projected slot still wakes on its tick.
-        c.schedule_at(id(0), 10);
-        c.schedule_at(id(1), 10);
-        c.schedule_at(id(4), 10);
-        assert_eq!(c.take_woken(Timestamp::from_secs(700)), vec![id(0), id(1), id(2), id(4)]);
+        [0, 1, 4].into_iter().for_each(|i| c.schedule_at(id(i), &s[i as usize], 10));
+        assert_eq!(woken(&mut c, &s, Timestamp::from_secs(700)), vec![id(0), id(1), id(2), id(4)]);
     }
 
     /// Entries whose bound no inflation reaches go stale without popping;
     /// the heap sweeps them instead of growing with every sleep.
     #[test]
     fn stale_bound_entries_are_swept() {
-        let mut c = calendar(4);
-        c.take_woken(Timestamp::ZERO);
+        let (mut c, s) = calendar(4);
+        woken(&mut c, &s, Timestamp::ZERO);
         for round in 0..100 {
             for i in 0..4 {
-                c.schedule_under(id(i), 1_000 + round, 1.25);
+                c.schedule_under(id(i), &s[i as usize], 1_000 + round, 1.25, slot_of(&s));
             }
         }
         assert!(c.bounds.len() <= 8, "{} entries", c.bounds.len());
-        assert_eq!(c.sleeping_under_bound(), 4);
+        assert_eq!(sleeping_under_bound(&c, slot_of(&s)), 4);
     }
 }

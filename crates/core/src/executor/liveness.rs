@@ -55,22 +55,17 @@ impl Executor {
     /// Drains every retry whose backoff expired, in due order (ties by
     /// sharing id). A sharing has at most one pending retry: a sharing
     /// waiting out a retry is in flight, so neither the calendar nor a
-    /// second push can give it another. A retry dies with its sharing
-    /// (`Executor::remove_sharing`), as the storage its push would run over
-    /// does.
+    /// second push can give it another. A retry dies with its sharing, as
+    /// the storage its push would run over does: one whose sharing has no
+    /// record is dropped (ids are never reused).
     pub(super) fn collect_due_retries(&mut self, now: Timestamp) -> Vec<(SharingId, Timestamp, u32)> {
-        // Early return without allocating on the overwhelmingly common
-        // no-retries-due tick.
-        match self.pending_retries.peek() {
-            Some(r) if r.0.due <= now => {}
-            _ => return Vec::new(),
-        }
+        // Allocates nothing on the common tick with no retry due.
         let mut out: Vec<(SharingId, Timestamp, u32)> = Vec::new();
-        while let Some(&Reverse(r)) = self.pending_retries.peek() {
-            if r.due > now {
-                break;
-            }
+        while let Some(&Reverse(r)) = self.pending_retries.peek().filter(|r| r.0.due <= now) {
             self.pending_retries.pop();
+            if !self.sharings.contains_key(&r.sharing) {
+                continue;
+            }
             debug_assert!(
                 out.iter().all(|e| e.0 != r.sharing),
                 "sharing {} had two pending retries",
@@ -101,10 +96,6 @@ impl Executor {
                     // the same.
                     let (id, sla, target, staleness_before) =
                         (req.sharing, req.sla, req.target, req.staleness_before);
-                    // The push no longer owns the sharing, and events drain
-                    // before planning, so the guard chain re-evaluates it on
-                    // this very tick.
-                    self.cal.wake_now(id);
                     let actual = at - issued;
                     if self.config.feedback {
                         self.model.observe(req.predicted, actual);
@@ -141,6 +132,10 @@ impl Executor {
                     }
                     if let Some(rt) = self.sharings.get_mut(&id) {
                         rt.summary.record(headroom, missed, us(at));
+                        // The push no longer owns the sharing, and events
+                        // drain before planning, so the guard chain
+                        // re-evaluates it on this very tick.
+                        self.cal.wake_now(id, &rt.slot);
                     }
                     // The monitor and flight recorder are observability
                     // surfaces, not accounting: quiet mode keeps their

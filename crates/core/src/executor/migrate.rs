@@ -198,7 +198,7 @@ impl Executor {
             let (failed, ready) = {
                 let mig = &self.migrations[&id];
                 let ready = mig.pushed_ok
-                    && !self.cal.in_flight(id)
+                    && !self.in_flight(id)
                     && self.visible_ts[mig.new_mv.index()] >= self.visible_ts[mig.old_mv.index()];
                 (mig.failed, ready)
             };
@@ -220,11 +220,11 @@ impl Executor {
                 let rt = self.sharings.get_mut(&id).ok_or(SmileError::UnknownSharing(id))?;
                 let subgraph = (mig.new_srcs.clone(), mig.new_order.clone());
                 let contract = (rt.sla, rt.penalty);
-                let new = SharingRt::build(&self.global.plan, id, contract, mig.new_mv, subgraph, &self.model);
-                *rt = SharingRt { summary: rt.summary, tuples: rt.tuples, ..new };
+                let new = SharingRt::build(&self.global.plan, contract, mig.new_mv, subgraph, &self.model);
+                *rt = SharingRt { summary: rt.summary, tuples: rt.tuples, slot: rt.slot.clone(), ..new };
                 // The sharing's projected wake was derived from the old
                 // placement's critical path; re-evaluate it next tick.
-                self.cal.wake_now(id);
+                self.cal.wake_now(id, &rt.slot);
                 // The shadow's hold becomes the sharing's.
                 self.release(mig.old_mv);
             } else {

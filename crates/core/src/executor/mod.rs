@@ -52,7 +52,7 @@ use crate::plan::cost::edge_utilization;
 use crate::plan::dag::{Edge, IndexId, Plan, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use crate::sharing::Sharing;
-use calendar::{CalendarState, CpEval};
+use calendar::{CalendarState, CpEval, Slot};
 use liveness::{ExecEvent, Heartbeat, PendingRetry};
 use smile_sim::{Cluster, EventQueue, Mailbox, WaveMeter};
 use smile_telemetry::{Alert, BurnRateMonitor, Counter, Gauge, Histogram, SharingSummary};
@@ -60,6 +60,7 @@ use smile_telemetry::{Telemetry, WorstRow};
 use smile_types::{FastMap, MachineId, RelationId, Result, SharingId, SimDuration};
 use smile_types::{SmileError, Timestamp, VertexId};
 use spans::us;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::rc::Rc;
@@ -134,9 +135,9 @@ pub struct PushRecord {
 
 /// The executor's one record of a live sharing, keyed by its id: its
 /// subgraph and the scheduling caches derived from it, built together at
-/// registration and replaced together when a migration cuts over, and what
-/// its pushes have done so far. Retirement removes it. Whether the sharing
-/// is idle or mid-push is the push calendar's to say.
+/// registration and replaced together when a migration cuts over, its
+/// calendar slot, and what its pushes have done so far. Retirement removes
+/// it, and with it everything the executor keeps of the sharing.
 #[derive(Clone, Debug)]
 struct SharingRt {
     sla: SimDuration,
@@ -158,15 +159,17 @@ struct SharingRt {
     summary: SharingSummary,
     /// Tuples its pushes moved, a migration's dual writes included.
     tuples: u64,
+    /// Its calendar slot: a `Cell`, so the planning pass moves it through the
+    /// shared borrow the guard chain reads the record by.
+    slot: Cell<Slot>,
 }
 
 impl SharingRt {
-    /// The record of sharing `id` under its contract's `(SLA, penalty per
-    /// late tuple)`, served at `mv` through the subgraph `(srcs, order)`
+    /// The record of a sharing under its contract's `(SLA, penalty per late
+    /// tuple)`, served at `mv` through the subgraph `(srcs, order)`
     /// [`Executor::subgraph_of`] derives, with nothing pushed yet.
     fn build(
         plan: &Plan,
-        id: SharingId,
         (sla, penalty): (SimDuration, f64),
         mv: VertexId,
         (srcs, order): (Vec<VertexId>, Vec<VertexId>),
@@ -187,8 +190,9 @@ impl SharingRt {
             srcs,
             order,
             machines,
-            summary: SharingSummary::new(id.0, sla.as_micros()),
+            summary: SharingSummary::new(sla.as_micros()),
             tuples: 0,
+            slot: Cell::default(),
         }
     }
 }
@@ -233,7 +237,7 @@ pub struct Executor {
     /// How many entries the last compaction cut.
     last_cut: usize,
     /// Transiently-failed pushes awaiting their backoff, min-heap keyed
-    /// `(due, sharing)`.
+    /// `(due, sharing)`; a retired sharing's retry is dropped when it pops.
     pending_retries: BinaryHeap<Reverse<PendingRetry>>,
     /// Fault-recovery statistics.
     pub fault_stats: ExecFaultStats,
@@ -255,8 +259,8 @@ pub struct Executor {
     /// (the publish order the per-vertex scan produced, which the
     /// fault-prone bus draws in): appended as the plan grows.
     base_beats: Vec<(MachineId, VertexId)>,
-    /// Push-calendar scheduler state, and with it whether each live
-    /// sharing is idle or in flight.
+    /// Push-calendar scheduler state: the heaps the records' slots sleep
+    /// on.
     cal: CalendarState,
     /// Host wall-clock per tick spent in the scheduling phase (drain +
     /// heartbeats + planning), µs. `host_` marks it excluded from
@@ -561,14 +565,14 @@ impl Executor {
     }
 
     /// Gives a sharing already merged into the global plan, served at `mv`
-    /// through `subgraph`, its record and a calendar slot due at the next
+    /// through `subgraph`, its record, whose slot is due at the next
     /// planning pass.
     fn register(&mut self, s: &Sharing, mv: VertexId, subgraph: (Vec<VertexId>, Vec<VertexId>)) {
         self.hold(mv);
         let contract = (s.staleness_sla, s.penalty_per_tuple);
-        let rt = SharingRt::build(&self.global.plan, s.id, contract, mv, subgraph, &self.model);
-        self.sharings.insert(s.id, rt);
-        self.cal.add(s.id);
+        let rt = SharingRt::build(&self.global.plan, contract, mv, subgraph, &self.model);
+        let rt = self.sharings.entry(s.id).or_insert(rt);
+        self.cal.wake_now(s.id, &rt.slot);
     }
 
     /// Host-side totals of the wave engine, read from the telemetry
@@ -639,8 +643,9 @@ impl Executor {
     }
 
     /// **On-the-fly removal** (paper §10 future work): retires a sharing.
-    /// Its record, calendar slot and pending retry go, and its meta leaves
-    /// the global plan; a push of it still in flight completes from what
+    /// Its record goes, calendar slot included, and its meta leaves the
+    /// global plan; its calendar entries and a pending retry are dropped
+    /// when they pop, and a push of it still in flight completes from what
     /// its request carries (`Executor::drain_events`). The plan vertices
     /// that served only it stay in the append-only plan but stop being
     /// [`Executor::live`] until a new sharing dedups onto them: the storage
@@ -649,8 +654,7 @@ impl Executor {
     /// makes them free at run time.
     pub fn remove_sharing(&mut self, id: SharingId) -> Result<()> {
         let rt = self.sharings.remove(&id).ok_or(SmileError::UnknownSharing(id))?;
-        self.cal.remove(id);
-        self.pending_retries.retain(|r| r.0.sharing != id);
+        self.cal.retire(rt.slot.get());
         // Retiring mid-migration abandons the handoff: the shadow chain
         // stays live until the next settle pass takes the migration off the
         // table.
@@ -697,7 +701,7 @@ impl Executor {
     /// The deterministic top-`k` worst-headroom live sharings
     /// ([`smile_telemetry::top_k_worst`]).
     pub fn top_k_worst(&self, k: usize) -> Vec<WorstRow> {
-        smile_telemetry::top_k_worst(self.sharings.values().map(|rt| &rt.summary), k)
+        smile_telemetry::top_k_worst(self.sharings.iter().map(|(id, rt)| (id.0, &rt.summary)), k)
     }
 
     /// The compact headroom summary of one live sharing.
@@ -713,11 +717,6 @@ impl Executor {
     /// The live sharings the executor keeps a record of, in id order.
     pub fn sharing_ids(&self) -> impl Iterator<Item = SharingId> + '_ {
         self.sharings.keys().copied()
-    }
-
-    /// The sharings the push calendar holds a slot for, in id order.
-    pub fn calendar_ids(&self) -> Vec<SharingId> {
-        self.cal.ids()
     }
 
     /// Fast/slow burn ratios (ppm) and fast-window push count for the
@@ -778,7 +777,11 @@ impl Executor {
             .set(self.cal.scheduled_count() as f64);
         self.gauge_cal_wheel.set(self.cal.wheel_len() as f64);
         self.execute_batch(cluster, now, &batch)?;
-        self.compact_if_due(cluster, now)
+        self.compact_if_due(cluster, now)?;
+        // The one count the calendar keeps by hand: the scheduled records.
+        #[cfg(test)]
+        assert_eq!(self.cal.scheduled_count(), self.sharings.values().filter(|rt| !rt.slot.get().in_flight()).count());
+        Ok(())
     }
 
     /// `(id, staleness at now, SLA, penalty per late tuple, tuples moved so
@@ -793,9 +796,10 @@ impl Executor {
         })
     }
 
-    /// Whether a push for the sharing is currently in flight.
+    /// Whether a push for the sharing is currently in flight or waiting
+    /// out a retry. A retired sharing's is not: it has no record.
     pub fn in_flight(&self, id: SharingId) -> bool {
-        self.cal.in_flight(id)
+        self.sharings.get(&id).is_some_and(|rt| rt.slot.get().in_flight())
     }
 }
 
@@ -985,7 +989,7 @@ pub(super) mod tests {
             feed(&mut smile, a, b, 1);
             let ex = smile.executor.as_ref().unwrap();
             let mut slots: Vec<SharingId> = ex.pending_retries.iter().map(|r| r.0.sharing).collect();
-            assert!(slots.iter().all(|&id| ex.cal.in_flight(id)));
+            assert!(slots.iter().all(|&id| ex.in_flight(id)));
             slots.sort_unstable();
             let pending = slots.len();
             slots.dedup();
@@ -1054,8 +1058,8 @@ pub(super) mod tests {
     /// A push in flight when its sharing retires completes from its
     /// request: the same push record, `push.sla_missed`, headroom
     /// histograms, burn-rate monitor input and flight incidents as on a
-    /// twin run that keeps the sharing — and it brings back no record,
-    /// calendar slot or summary.
+    /// twin run that keeps the sharing — and it brings back no record, so
+    /// no calendar slot or summary.
     #[test]
     fn a_push_in_flight_at_retirement_completes_without_its_record() {
         let (mut kept, a, b, id) = installed(true, 20);
@@ -1081,7 +1085,31 @@ pub(super) mod tests {
         }
         assert_eq!(format!("{:?}", r.monitor), format!("{:?}", k.monitor));
         assert_eq!(format!("{:?}", retired.flight_incidents()), format!("{:?}", kept.flight_incidents()));
-        assert!(r.sharings.is_empty() && r.cal.ids().is_empty() && r.sharing_summary(id).is_none());
+        assert!(r.sharings.is_empty() && r.sharing_summary(id).is_none());
+    }
+
+    /// A retirement takes one off the calendar's scheduled count exactly
+    /// when the retired sharing's slot was scheduled: retiring a scheduled
+    /// sharing, then one in flight, leaves no count behind.
+    #[test]
+    fn retiring_a_scheduled_and_an_in_flight_sharing_keeps_the_scheduled_count() {
+        let (mut smile, a, b, first) = installed(true, 20);
+        let q = SpjQuery::scan(a).join(b, JoinOn::on(0, 0), Predicate::True);
+        let second = smile.submit_live("u", q, SimDuration::from_secs(9), 0.001, None).unwrap();
+        let in_flight = |smile: &Smile, id| smile.executor.as_ref().unwrap().in_flight(id);
+        for _ in 0..60 {
+            if in_flight(&smile, first) != in_flight(&smile, second) {
+                break;
+            }
+            feed(&mut smile, a, b, 1);
+        }
+        let (busy, idle) = if in_flight(&smile, first) { (first, second) } else { (second, first) };
+        assert!(in_flight(&smile, busy) && !in_flight(&smile, idle), "never one in flight, one scheduled");
+        let scheduled = |smile: &Smile| smile.executor.as_ref().unwrap().cal.scheduled_count();
+        smile.retire(idle).unwrap();
+        assert_eq!(scheduled(&smile), 0, "only the sharing in flight is left");
+        smile.retire(busy).unwrap();
+        assert_eq!(scheduled(&smile), 0);
     }
 
     #[test]

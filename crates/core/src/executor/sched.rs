@@ -8,7 +8,7 @@ use super::calendar::INFLATION_HEADROOM;
 use super::{Executor, SharingRt};
 use crate::plan::timecost::MAX_INFLATION;
 use smile_sim::Cluster;
-use smile_types::{Result, SharingId, SimDuration, Timestamp, VertexId};
+use smile_types::{Result, SimDuration, Timestamp, VertexId};
 
 /// The `l` factor of §8.2: a lazy push fires when the staleness projected
 /// at its completion reaches `L_FACTOR · SLA`.
@@ -77,40 +77,47 @@ impl Executor {
         // passed may be due sooner than its projection said: re-derive it.
         self.cal.wake_over(self.model.inflation());
         let skew_bound = cluster.clock.skew_bound();
-        let woken = self.cal.take_woken(now);
-        self.ctr_cal_wakes.add(woken.len() as u64);
+        let mut wakes = 0;
         #[cfg(test)]
-        let mut checked = SharingId::new(0);
-        for id in woken {
+        let mut checked = smile_types::SharingId::new(0);
+        for (id, gen) in self.cal.take_woken(now) {
+            // The one lookup of a wake: a retired sharing has no record, and
+            // a slot that moved on since the entry was made is not current.
+            let Some(rt) = self.sharings.get(&id).filter(|rt| rt.slot.get().gen == gen) else {
+                continue;
+            };
+            wakes += 1;
             #[cfg(test)]
             {
                 self.assert_sleepers_idle(checked..id, cluster, now, batch);
-                checked = SharingId::new(id.0 + 1);
+                checked = smile_types::SharingId::new(id.0 + 1);
             }
-            match self.consider(self.rt(id)?, cluster, now, batch) {
+            let next = self.cal.tick_of(now) + 1;
+            match self.consider(rt, cluster, now, batch) {
                 Consider::Fire { target } => {
                     self.push_request(id, target, 1, now, batch)?;
                     // The push's completion, retry or abandonment hands
                     // the sharing back.
-                    self.cal.mark_in_flight(id);
+                    self.cal.mark_in_flight(&rt.slot);
                 }
                 Consider::Lazy => {
                     self.ctr_cal_early.inc();
-                    self.sleep_lazy(id, now, skew_bound)?;
+                    let slot_of = |id| self.sharings.get(&id).map(|rt| rt.slot.get());
+                    match self.lazy_wake(rt, now, skew_bound) {
+                        (due, None) => self.cal.schedule_at(id, &rt.slot, due),
+                        (due, Some(bound)) => self.cal.schedule_under(id, &rt.slot, due, bound, slot_of),
+                    }
                 }
-                Consider::Idle => {
-                    let next = self.cal.tick_of(now) + 1;
-                    self.cal.schedule_at(id, next);
-                }
+                Consider::Idle => self.cal.schedule_at(id, &rt.slot, next),
                 Consider::Deferred => {
                     // A deferral is counted on every tick the machine
                     // stays down.
                     self.fault_stats.pushes_deferred += 1;
-                    let next = self.cal.tick_of(now) + 1;
-                    self.cal.schedule_at(id, next);
+                    self.cal.schedule_at(id, &rt.slot, next);
                 }
             }
         }
+        self.ctr_cal_wakes.add(wakes);
         #[cfg(test)]
         self.assert_sleepers_idle(checked.., cluster, now, batch);
         Ok(())
@@ -125,13 +132,13 @@ impl Executor {
     #[cfg(test)]
     fn assert_sleepers_idle(
         &self,
-        ids: impl std::ops::RangeBounds<SharingId>,
+        ids: impl std::ops::RangeBounds<smile_types::SharingId>,
         cluster: &mut Cluster,
         now: Timestamp,
         batch: &Batch,
     ) {
         for (&id, rt) in self.sharings.range(ids) {
-            if self.cal.in_flight(id) {
+            if rt.slot.get().in_flight() {
                 continue;
             }
             let outcome = self.consider(rt, cluster, now, batch);
@@ -189,24 +196,21 @@ impl Executor {
         }
     }
 
-    /// Puts a `Lazy` sharing to sleep under the model's inflation clamp,
-    /// which no feedback can pass — or, when that would wake it next tick
-    /// anyway, under the live inflation × [`INFLATION_HEADROOM`], which it
-    /// can. The live bound alone would be sound, but feedback swings past
-    /// it for thousands of far sharings at once (1.85× the wakes on
-    /// `fleet_idle`, DESIGN §13); a far sharing pays one clamp-projected
-    /// wake per cycle.
-    fn sleep_lazy(&mut self, id: SharingId, now: Timestamp, skew: SimDuration) -> Result<()> {
-        let rt = self.rt(id)?;
+    /// The wake tick of a `Lazy` sharing, and the inflation bound it sleeps
+    /// under unless that is the model's clamp, which no feedback can pass:
+    /// the live inflation × [`INFLATION_HEADROOM`], which feedback can, when
+    /// the clamp's projection would wake it next tick anyway. The live bound
+    /// alone would be sound, but feedback swings past it for thousands of
+    /// far sharings at once (1.85× the wakes on `fleet_idle`, DESIGN §13);
+    /// a far sharing pays one clamp-projected wake per cycle.
+    fn lazy_wake(&self, rt: &SharingRt, now: Timestamp, skew: SimDuration) -> (u64, Option<f64>) {
         let due = self.project_wake_tick(rt, now, skew, MAX_INFLATION);
         let bound = self.model.inflation() * INFLATION_HEADROOM;
         if due > self.cal.tick_of(now) + 1 || bound >= MAX_INFLATION {
-            self.cal.schedule_at(id, due);
+            (due, None)
         } else {
-            let due = self.project_wake_tick(rt, now, skew, bound);
-            self.cal.schedule_under(id, due, bound);
+            (self.project_wake_tick(rt, now, skew, bound), Some(bound))
         }
-        Ok(())
     }
 
     /// First tick at which the lazy guard could pass for idle sharing

@@ -8,6 +8,7 @@
 //! feedback spike to the inflation clamp, where slots asleep under a live
 //! inflation bound must wake and wakes must stay proportional to pushes.
 
+use super::calendar::tests::sleeping_under_bound;
 use crate::catalog::BaseStats;
 use crate::plan::timecost::MAX_INFLATION;
 use crate::platform::{Smile, SmileConfig};
@@ -244,7 +245,7 @@ fn an_inflation_spike_wakes_slots_sleeping_under_its_bound() {
     feed_fleet(&mut smile, left, right, 150);
     let ex = smile.executor.as_ref().unwrap();
     assert_eq!(ex.model.inflation(), 1.0);
-    let asleep = ex.cal.sleeping_under_bound();
+    let asleep = sleeping_under_bound(&ex.cal, |id| ex.sharings.get(&id).map(|rt| rt.slot.get()));
     assert!(asleep > 0, "no slot sleeps under a live bound");
     spike_inflation(&mut smile);
     feed_fleet(&mut smile, left, right, 30);

@@ -13,11 +13,10 @@
 //! metric names, so snapshot cardinality is O(K) no matter the fleet size.
 
 /// Compact lifetime accounting for one sharing: fixed-size, no allocation
-/// after registration.
+/// after registration. It does not name its sharing: whatever keeps it
+/// keys it by the sharing's id.
 #[derive(Debug, Clone, Copy)]
 pub struct SharingSummary {
-    /// Raw sharing id.
-    pub sharing: u32,
     /// The sharing's staleness SLA in microseconds.
     pub sla_us: u64,
     /// Completed pushes.
@@ -40,10 +39,9 @@ pub struct SharingSummary {
 }
 
 impl SharingSummary {
-    /// The empty summary of sharing `sharing` under an SLA of `sla_us`.
-    pub fn new(sharing: u32, sla_us: u64) -> Self {
+    /// The empty summary of a sharing under an SLA of `sla_us`.
+    pub fn new(sla_us: u64) -> Self {
         Self {
-            sharing,
             sla_us,
             pushes: 0,
             misses: 0,
@@ -113,15 +111,16 @@ pub struct WorstRow {
     pub pushes: u64,
 }
 
-/// The deterministic top-`k` worst-headroom sharings among `summaries`:
-/// those with at least one push, ordered by (smallest min-headroom, most
-/// misses, smallest sharing id). The ordering key is total, so the result
-/// does not depend on the order the summaries come in.
-pub fn top_k_worst<'a>(summaries: impl Iterator<Item = &'a SharingSummary>, k: usize) -> Vec<WorstRow> {
+/// The deterministic top-`k` worst-headroom sharings among `summaries`,
+/// each beside its raw sharing id: those with at least one push, ordered by
+/// (smallest min-headroom, most misses, smallest sharing id). The ordering
+/// key is total, so the result does not depend on the order the summaries
+/// come in.
+pub fn top_k_worst<'a>(summaries: impl Iterator<Item = (u32, &'a SharingSummary)>, k: usize) -> Vec<WorstRow> {
     let mut rows: Vec<WorstRow> = summaries
-        .filter(|s| s.pushes > 0)
-        .map(|s| WorstRow {
-            sharing: s.sharing,
+        .filter(|(_, s)| s.pushes > 0)
+        .map(|(sharing, s)| WorstRow {
+            sharing,
             min_headroom_us: s.min_headroom_us,
             misses: s.misses,
             pushes: s.pushes,
@@ -138,21 +137,22 @@ mod tests {
 
     #[test]
     fn topk_orders_by_worst_headroom_then_misses_then_id() {
-        let mut s = [1u32, 2, 3, 4].map(|id| SharingSummary::new(id, 8_000_000));
+        let mut s = [SharingSummary::new(8_000_000); 4];
         s[0].record(5_000_000, false, 10);
         s[1].record(1_000_000, false, 11);
         s[2].record(1_000_000, true, 12);
-        let top = top_k_worst(s.iter().rev(), 2);
+        let rows: Vec<(u32, &SharingSummary)> = (1..).zip(&s).collect();
+        let top = top_k_worst(rows.iter().rev().copied(), 2);
         assert_eq!(top[0].sharing, 3); // ties on headroom broken by misses
         assert_eq!(top[1].sharing, 2);
         // A summary without pushes has no row; one left out is not ranked.
-        let top = top_k_worst(s[..2].iter(), 8);
+        let top = top_k_worst(rows[..2].iter().copied(), 8);
         assert_eq!(top.iter().map(|t| t.sharing).collect::<Vec<_>>(), [2, 1]);
     }
 
     #[test]
     fn band_quantile_tracks_the_octiles() {
-        let mut s = SharingSummary::new(7, 8_000_000);
+        let mut s = SharingSummary::new(8_000_000);
         // Headrooms land in bands 0..8: one push per band.
         for b in 0..8u64 {
             s.record(b * 1_000_000 + 1, b == 0, b);

@@ -150,9 +150,9 @@ fn a_lifecycle_change_reconciles_only_what_it_changed() {
 
 /// Churn leaves the executor holding the live fleet and nothing else: after
 /// 500 live admit/retire pairs on the 1,000-sharing fleet, ticking under
-/// chaos between them, its records and calendar slots are one per admitted
-/// sharing, and no retired sharing's id names a record, a summary or a push
-/// in flight.
+/// chaos between them, its records (which hold the calendar slots) are one
+/// per admitted sharing, and no retired sharing's id names a record, a
+/// summary or a push in flight.
 #[test]
 fn churn_leaves_records_for_the_live_fleet_only() {
     let (mut smile, rels) = build();
@@ -173,7 +173,6 @@ fn churn_leaves_records_for_the_live_fleet_only() {
     let live: Vec<SharingId> = smile.sharings().iter().map(|s| s.id).collect();
     assert_eq!(live.len(), 1_000);
     assert_eq!(executor.sharing_ids().collect::<Vec<_>>(), live);
-    assert_eq!(executor.calendar_ids(), live);
     let gone = |id| executor.sharing_summary(id).is_none() && executor.sharing_tuples(id).is_none();
     assert!(retired.iter().all(|&id| gone(id) && !executor.in_flight(id)));
     assert!(executor.push_records.iter().any(|r| retired.contains(&r.sharing)), "no retired sharing ever pushed");
